@@ -17,7 +17,7 @@ from .problem import (LOSSES, REGULARIZERS, BlockPartition, Dataset,
                       lipschitz_constants, partial_gradient, primal_objective,
                       soft_threshold)
 from .solvers import (ConvergenceError, DivergenceError, SolveReport,
-                      SolverConfig, SolverState, TraceRecord, adsgd_solve,
+                      SolverConfig, TraceRecord, adsgd_solve,
                       asgd_solve, inner_budget, mrbcd_solve, proxsvrg_solve,
                       reference_solve, solve, vr_gradient)
 

@@ -31,6 +31,8 @@ class Dataset:
         Real responses for regression; {0, 1} labels for logistic models.
     x_true : array or None
         Planted coefficients when the data is synthetic; purely informational.
+
+    Raises ValueError when a matrix entry or a response is not finite.
     """
 
     def __init__(self, matrix, y, x_true=None):
@@ -40,9 +42,13 @@ class Dataset:
         n, d = a.shape
         if n < 1 or d < 1:
             raise ValueError(f"dataset must be non-empty, got shape {(n, d)}")
+        if not np.all(np.isfinite(a.data)):
+            raise ValueError("design matrix holds non-finite entries")
         y = np.asarray(y, dtype=np.float64).ravel()
         if y.shape[0] != n:
             raise ValueError(f"y has {y.shape[0]} entries, expected {n}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("responses hold non-finite values")
         self.n = n
         self.d = d
         self.A = a
@@ -63,12 +69,6 @@ class Dataset:
             norms.flags.writeable = False
             self._col_norms = norms
         return self._col_norms
-
-    def row_entries(self, i):
-        """(column indices, values) of sample i."""
-        a = self.A
-        s, e = a.indptr[i], a.indptr[i + 1]
-        return a.indices[s:e], a.data[s:e]
 
     def views_agree(self):
         """Round-trip check that the CSR and CSC views hold identical entries."""
@@ -287,19 +287,30 @@ def full_gradient(spec, x):
     return out
 
 
-def _gather_rows(csr, batch):
-    """Concatenate the stored entries of the given rows.
+def _split_rows(csr):
+    """Per-row views of a CSR matrix's column indices and values, plus the row lengths.
 
-    Returns (cols, vals, row_id) where row_id maps each entry back to its
-    position inside the batch. Repeated rows are kept (weighted sampling).
+    Splitting once lets _gather_rows fetch a row by list indexing instead of
+    slicing the CSR arrays on every call.
     """
-    starts = csr.indptr[batch]
-    lens = csr.indptr[batch + 1] - starts
-    if lens.sum() == 0:
-        return (np.empty(0, dtype=np.intp), np.empty(0), np.empty(0, dtype=np.intp))
-    cols = np.concatenate([csr.indices[s:s + l] for s, l in zip(starts, lens)])
-    vals = np.concatenate([csr.data[s:s + l] for s, l in zip(starts, lens)])
-    row_id = np.repeat(np.arange(batch.size), lens)
+    ends = csr.indptr.tolist()
+    bounds = list(zip(ends, ends[1:]))
+    return ([csr.indices[s:e] for s, e in bounds], [csr.data[s:e] for s, e in bounds],
+            np.diff(csr.indptr))
+
+
+def _gather_rows(rows, batch):
+    """Concatenate the stored entries of the given rows, in batch order.
+
+    rows comes from _split_rows. Returns (cols, vals, row_id) where row_id
+    maps each entry back to its position inside the batch. Repeated rows are
+    kept (weighted sampling).
+    """
+    indices, data, lens = rows
+    picks = batch.tolist()
+    cols = np.concatenate([indices[i] for i in picks])
+    vals = np.concatenate([data[i] for i in picks])
+    row_id = np.arange(batch.size).repeat(lens[batch])
     return cols, vals, row_id
 
 
@@ -318,7 +329,7 @@ def partial_gradient(spec, x, batch, block):
         raise ValueError("batch indices out of range")
     if not 0 <= block < part.q:
         raise ValueError(f"block {block} out of range [0, {part.q})")
-    cols, vals, row_id = _gather_rows(ds.A, batch)
+    cols, vals, row_id = _gather_rows(_split_rows(ds.A), batch)
     z = np.zeros(batch.size)
     np.add.at(z, row_id, vals * x[cols])
     g = spec.loss.deriv(z, ds.y[batch])

@@ -13,6 +13,15 @@ stopping test), optionally screens with the sphere of radius sqrt(2*T*gap),
 and then runs ceil(m * q_k / q) inner steps whose average becomes the next
 iterate. Identical (spec, config, seed) triples reproduce bit-identical
 iterate sequences.
+
+After every screening event the design is compacted to the surviving columns
+(built from the previous compacted design, so at most q times per solve), and
+the inner loop runs in those compacted coordinates: the iterate, snapshot,
+snapshot gradient and running average hold one entry per surviving feature,
+and each sampled row contributes only its surviving entries. That is where
+screening cuts the cost of a step, not just the number of steps. Screened
+coordinates are exact zeros, so compaction removes only vals * 0.0 terms from
+the row sums and leaves every iterate bit-identical.
 """
 
 import dataclasses
@@ -20,10 +29,11 @@ import math
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from .duality import ActiveSet, DualPoint, _dual_value, dual_point, safe_radius, screen
-from .problem import (_gather_rows, lipschitz_constants, partial_gradient,
-                      soft_threshold)
+from .problem import (_gather_rows, _split_rows, lipschitz_constants,
+                      partial_gradient, soft_threshold)
 
 
 class DivergenceError(RuntimeError):
@@ -80,35 +90,6 @@ class TraceRecord:
     gap: float
     active_blocks: int
     active_features: int
-
-
-@dataclasses.dataclass
-class SolverState:
-    """Outer-iteration working state.
-
-    The dense buffers are full-length with screened coordinates pinned at
-    exact zero; the x / x_tilde / mu_tilde views are restricted to the
-    surviving features.
-    """
-
-    x_full: np.ndarray
-    x_tilde_full: np.ndarray
-    mu_tilde_full: np.ndarray
-    active: ActiveSet
-    k: int
-    rng: np.random.Generator
-
-    @property
-    def x(self):
-        return self.x_full[self.active.features]
-
-    @property
-    def x_tilde(self):
-        return self.x_tilde_full[self.active.features]
-
-    @property
-    def mu_tilde(self):
-        return self.mu_tilde_full[self.active.features]
 
 
 @dataclasses.dataclass
@@ -200,6 +181,42 @@ def _smooth_parts(spec, x):
     return g, mu
 
 
+@dataclasses.dataclass
+class _Working:
+    """The design restricted to the active features, columns renumbered 0..n_features-1.
+
+    Block ib of active.blocks owns the compacted columns spans[ib]: a slice
+    when the partition is contiguous, a sorted position array otherwise.
+    """
+
+    active: ActiveSet
+    matrix: sp.csr_matrix
+    rows: tuple           # _split_rows(matrix)
+    block_of: np.ndarray  # block id of every compacted column
+    sizes: list
+    spans: list
+
+
+def _compact(part, active, matrix, features):
+    """Working design of `active` from `matrix`, whose columns hold `features`.
+
+    active.features must be a subset of features. Selecting sorted unique
+    columns keeps every row's entries in their original order, so each row
+    sum over the surviving entries adds the same products in the same order.
+    """
+    afeat = active.features
+    if afeat.size < features.size:
+        matrix = matrix[:, np.searchsorted(features, afeat)]
+    sizes = part.sizes[active.blocks]
+    if part.is_contiguous:
+        stops = np.cumsum(sizes).tolist()
+        spans = [slice(e - z, e) for e, z in zip(stops, sizes.tolist())]
+    else:
+        spans = [np.searchsorted(afeat, part.groups[j]) for j in active.blocks]
+    return _Working(active=active, matrix=matrix, rows=_split_rows(matrix),
+                    block_of=part.block_of[afeat], sizes=sizes.tolist(), spans=spans)
+
+
 def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     ds = spec.dataset
     n, d = ds.n, ds.d
@@ -216,12 +233,10 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     full_batch = batch_size == n
 
     active = ActiveSet.full(spec)
-    state = SolverState(x_full=np.zeros(d), x_tilde_full=np.zeros(d),
-                        mu_tilde_full=np.zeros(d), active=active, k=0, rng=rng)
+    work = _compact(part, active, A, active.features)
     x_hat = np.zeros(d)
     trace, active_history = [], []
     iterates = [] if config.keep_iterates else None
-    group_pos = None  # per-active-block positions inside active.features, lazy
     coord_updates = 0
     converged = False
     dp = None
@@ -239,11 +254,6 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         obj += lam * reg.value(x_hat, part)
         dp = dual_point(spec, g_snap, active, x=x_hat)
         gap = obj - _dual_value(spec, dp, active)
-        state.x_full = x_hat
-        state.x_tilde_full = x_hat
-        state.mu_tilde_full = mu_full
-        state.active = active
-        state.k = k
         trace.append(TraceRecord(outer_iter=k, elapsed_s=time.perf_counter() - start,
                                  objective=obj, gap=float(gap),
                                  active_blocks=active.n_blocks,
@@ -268,7 +278,6 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                 dropped = np.setdiff1d(active.features, new_active.features,
                                        assume_unique=True)
                 active = new_active
-                group_pos = None
                 if np.any(x_hat[dropped] != 0.0):
                     # truncation moved the snapshot, so refresh its gradient to
                     # keep the variance correction unbiased on the subproblem
@@ -276,15 +285,21 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                     g_snap, mu_full = _smooth_parts(spec, x_hat)
         if active.n_blocks == 0:
             continue  # empty subproblem; the next evaluation certifies x = 0
+        if work.active is not active:
+            work = _compact(part, active, work.matrix, work.active.features)
 
         m_k = inner_budget(m, active.n_blocks, q)
-        x_tilde = x_hat
-        x_cur = x_hat.copy()
-        x_sum = np.zeros(d)
-        afeat = active.features
-        blocks_arr = active.blocks
-        if not block_sampling and reg.name != "l1" and group_pos is None:
-            group_pos = [np.searchsorted(afeat, part.groups[j]) for j in blocks_arr]
+        # The inner loop runs in compacted coordinates: position p stands for
+        # feature afeat[p]. Screened features hold exact zeros, so leaving them
+        # out drops only the terms vals * 0.0 from every row sum.
+        afeat, blocks_arr = active.features, active.blocks
+        W, rows, block_of = work.matrix, work.rows, work.block_of
+        sizes, spans = work.sizes, work.spans
+        x_tilde = x_hat[afeat]
+        x_cur = x_tilde.copy()
+        x_sum = np.zeros(afeat.size)
+        mu = mu_full[afeat]
+        anc = anchor[afeat]
 
         for _t in range(m_k):
             # batch_size == n is the degenerate deterministic case: the batch is
@@ -292,81 +307,75 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
             if not full_batch:
                 batch = rng.integers(0, n, size=batch_size)
             if block_sampling:
-                j = int(blocks_arr[rng.integers(0, blocks_arr.size)])
-                if contig:
-                    lo, hi = part.starts[j], part.stops[j]
-                    sl = slice(lo, hi)
-                    gsz = hi - lo
-                else:
-                    grp = part.groups[j]
-                    sl = grp
-                    gsz = grp.size
+                ib = int(rng.integers(0, blocks_arr.size))
+                j = int(blocks_arr[ib])
+                gsz, sl = sizes[ib], spans[ib]
 
             if full_batch:
-                gb = loss.deriv(A @ x_cur, y)
+                gb = loss.deriv(W @ x_cur, y)
                 coef = (gb - g_snap) / n if variance_reduction else gb / n
             else:
-                cols, vals, row_id = _gather_rows(A, batch)
-                zb = np.zeros(batch_size)
-                np.add.at(zb, row_id, vals * x_cur[cols])
+                cols, vals, row_id = _gather_rows(rows, batch)
+                zb = np.bincount(row_id, weights=vals * x_cur[cols], minlength=batch_size)
                 gb = loss.deriv(zb, y[batch])
                 if variance_reduction:
                     coef = (gb - g_snap[batch]) / batch_size
                 else:
                     coef = gb / batch_size
-                w = vals * coef[row_id]
 
             if block_sampling:
-                gvec = np.zeros(gsz)
                 if full_batch:
+                    # the column view is shared with the full design, so it
+                    # is addressed by the block's original feature ids
+                    gvec = np.zeros(gsz)
                     if contig:
+                        lo, hi = part.starts[j], part.stops[j]
                         s, e = cindptr[lo], cindptr[hi]
                         colrep = np.repeat(np.arange(lo, hi),
                                            np.diff(cindptr[lo:hi + 1]))
                         np.add.at(gvec, colrep - lo, cdata[s:e] * coef[cindices[s:e]])
                     else:
-                        for i, c in enumerate(grp):
+                        for i, c in enumerate(part.groups[j]):
                             s, e = cindptr[c], cindptr[c + 1]
                             gvec[i] = cdata[s:e] @ coef[cindices[s:e]]
                 else:
                     if contig:
-                        mask = (cols >= lo) & (cols < hi)
-                        pos = cols[mask] - lo
+                        mask = (cols >= sl.start) & (cols < sl.stop)
+                        pos = cols[mask] - sl.start
                     else:
-                        mask = part.block_of[cols] == j
-                        pos = np.searchsorted(grp, cols[mask])
-                    np.add.at(gvec, pos, w[mask])
+                        mask = block_of[cols] == j
+                        pos = np.searchsorted(sl, cols[mask])
+                    gvec = np.bincount(pos, weights=vals[mask] * coef[row_id[mask]],
+                                       minlength=gsz)
                 if variance_reduction:
-                    gvec += mu_full[sl]
+                    gvec += mu[sl]
                     if mu_p > 0:
                         gvec += 2.0 * mu_p * (x_cur[sl] - x_tilde[sl])
                 elif mu_p > 0:
-                    gvec += 2.0 * mu_p * (x_cur[sl] - anchor[sl])
+                    gvec += 2.0 * mu_p * (x_cur[sl] - anc[sl])
                 x_cur[sl] = reg.block_prox(x_cur[sl] - eta * gvec, eta * lam)
-                coord_updates += int(gsz)
+                coord_updates += gsz
             else:
                 if full_batch:
-                    ga = (A.T @ coef)[afeat]
+                    ga = W.T @ coef
                 else:
-                    gfull = np.zeros(d)
-                    np.add.at(gfull, cols, w)
-                    ga = gfull[afeat]
+                    ga = np.bincount(cols, weights=vals * coef[row_id], minlength=afeat.size)
                 if variance_reduction:
-                    ga += mu_full[afeat]
+                    ga += mu
                     if mu_p > 0:
-                        ga += 2.0 * mu_p * (x_cur[afeat] - x_tilde[afeat])
+                        ga += 2.0 * mu_p * (x_cur - x_tilde)
                 elif mu_p > 0:
-                    ga += 2.0 * mu_p * (x_cur[afeat] - anchor[afeat])
-                v = x_cur[afeat] - eta * ga
+                    ga += 2.0 * mu_p * (x_cur - anc)
+                x_cur = x_cur - eta * ga
                 if reg.name == "l1":
-                    x_cur[afeat] = soft_threshold(v, eta * lam)
+                    x_cur = soft_threshold(x_cur, eta * lam)
                 else:
-                    for pos in group_pos:
-                        v[pos] = reg.block_prox(v[pos], eta * lam)
-                    x_cur[afeat] = v
+                    for sl in spans:
+                        x_cur[sl] = reg.block_prox(x_cur[sl], eta * lam)
                 coord_updates += int(afeat.size)
             x_sum += x_cur
-        x_hat = x_sum / m_k
+        x_hat = np.zeros(d)
+        x_hat[afeat] = x_sum / m_k
 
     return SolveReport(
         x_final=x_hat.copy(), trace=trace, converged=converged, outer_iters=k,

@@ -76,6 +76,15 @@ def test_malformed_data_file_exits_3(tmp_path, capsys):
     assert main(["solve", "--data", str(p)]) == 3
 
 
+@pytest.mark.parametrize("line", ["1 1:nan 2:1\n", "1 1:1 2:inf\n", "nan 1:1 2:1\n",
+                                  "-inf 1:1 2:1\n"])
+def test_non_finite_data_file_exits_3(tmp_path, capsys, line):
+    p = tmp_path / "bad.txt"
+    p.write_text("1 1:1 2:2\n" + line + "-1 1:3 2:4\n")
+    assert main(["solve", "--data", str(p)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_bad_synthetic_argument_exits_3(capsys):
     assert main(["lambda-max", "--synthetic", "10,20"]) == 3
 

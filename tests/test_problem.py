@@ -319,6 +319,20 @@ def test_dataset_validation():
         G.Dataset(np.ones((0, 2)), np.zeros(0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_input(bad):
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    y = np.array([1.0, -1.0])
+    a_bad = a.copy()
+    a_bad[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        G.Dataset(a_bad, y)
+    with pytest.raises(ValueError, match="non-finite"):
+        G.Dataset(sp.csr_matrix(a_bad), y)
+    with pytest.raises(ValueError, match="non-finite"):
+        G.Dataset(a, np.array([bad, 1.0]))
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         G.BlockPartition([[0, 1], [1, 2]])

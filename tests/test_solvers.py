@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import gapsgd as G
-from gapsgd.problem import soft_threshold
-from gapsgd.solvers import _resolve, _spectral_bound, inner_budget
+from gapsgd.problem import _gather_rows, _split_rows, soft_threshold
+from gapsgd.solvers import _compact, _resolve, _spectral_bound, inner_budget
 
 from conftest import hand_lasso, make_instance, tuned_eta
 
@@ -70,6 +70,44 @@ def test_vr_gradient_shape_check():
     spec = make_instance(seed=5, n=20, d=10, q=2)
     with pytest.raises(ValueError):
         G.vr_gradient(spec, np.zeros(10), np.zeros(10), np.zeros(3), [0], 0)
+
+
+# ---------------------------------------------------- compacted design
+
+def test_gather_rows_on_compacted_design_matches_full_gather():
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(12, 15)) * (rng.random(size=(12, 15)) < 0.5)
+    a[[2, 7]] = 0.0                   # empty rows
+    a[5] = 0.0
+    a[5, [4, 10]] = [1.5, -2.0]       # only in blocks 1 and 3, which get dropped
+    ds = G.Dataset(a, np.zeros(12))
+    part = G.BlockPartition.contiguous(15, 5)
+    full = G.ActiveSet(blocks=np.arange(5), features=np.arange(15),
+                       column_bounds=np.ones(5), partition=part)
+    # compacted twice, each time from the previous working design
+    work = _compact(part, full, ds.A, full.features)
+    for kept in ([0, 1, 2, 4], [0, 2, 4]):
+        active = full.keep(kept)
+        work = _compact(part, active, work.matrix, work.active.features)
+    assert np.array_equal(work.matrix.toarray(), a[:, active.features])
+    assert work.spans == [slice(0, 3), slice(3, 6), slice(6, 9)]
+
+    batch = np.array([5, 2, 0, 5, 11, 7, 0])  # repeated, empty and emptied rows
+    want_cols, want_vals, want_rows = [], [], []
+    for pos, i in enumerate(batch):
+        nz = np.flatnonzero(a[i])
+        want_cols += nz.tolist()
+        want_vals += a[i, nz].tolist()
+        want_rows += [pos] * nz.size
+    cols, vals, row_id = _gather_rows(_split_rows(ds.A), batch)
+    assert np.array_equal(cols, want_cols) and np.array_equal(vals, want_vals)
+    assert np.array_equal(row_id, want_rows)
+
+    in_active = np.isin(cols, active.features)
+    ccols, cvals, crow_id = _gather_rows(work.rows, batch)
+    assert np.array_equal(ccols, np.searchsorted(active.features, cols[in_active]))
+    assert np.array_equal(cvals, vals[in_active])
+    assert np.array_equal(crow_id, row_id[in_active])
 
 
 # ------------------------------------------------------------------- adsgd
@@ -293,20 +331,6 @@ def test_resolve_defaults_and_theory_mode(lasso_spec):
     _, m_mu, _ = _resolve(lasso_spec,
                           G.SolverConfig(theory_mode=True, mu_strong=0.5), consts)
     assert m_mu == math.ceil(65 * lasso_spec.partition.q * consts.L / 0.5)
-
-
-def test_solver_state_views_match_active_count():
-    spec = make_instance(seed=18, n=30, d=24, q=6)
-    from gapsgd.duality import ActiveSet
-
-    act = ActiveSet.full(spec).keep([0, 3])
-    st = G.SolverState(x_full=np.arange(24.0), x_tilde_full=np.arange(24.0),
-                       mu_tilde_full=np.arange(24.0), active=act, k=1,
-                       rng=np.random.default_rng(0))
-    assert st.x.size == act.n_features
-    assert st.x_tilde.size == act.n_features
-    assert st.mu_tilde.size == act.n_features
-    np.testing.assert_array_equal(st.x, act.features.astype(float))
 
 
 # ---------------------------------------------------- group and perturbed
