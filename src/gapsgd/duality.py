@@ -30,7 +30,8 @@ class ActiveSet:
     """Surviving blocks, their features, and cached per-block column bounds.
 
     column_bounds holds Omega_j^D(A_j) for all q blocks of the originating
-    partition; restricted sets share the array and index it by block id.
+    partition; restricted sets share the array and index it by block id. It
+    is None for a set built without bounds, which screen() cannot use.
     """
 
     blocks: np.ndarray
@@ -39,12 +40,15 @@ class ActiveSet:
     partition: object
 
     @classmethod
-    def full(cls, spec):
+    def full(cls, spec, bounds=True):
+        """Every block active. bounds=False skips column_bounds, which only the
+        screening test reads and which costs a power iteration per block for
+        group-L2."""
         part = spec.partition
         return cls(
             blocks=np.arange(part.q, dtype=np.intp),
             features=np.arange(part.d, dtype=np.intp),
-            column_bounds=column_bounds(spec),
+            column_bounds=column_bounds(spec) if bounds else None,
             partition=part,
         )
 

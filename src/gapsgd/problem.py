@@ -2,6 +2,11 @@
 
 Everything here is immutable after construction and safe to share across
 concurrent solver runs; the operations are pure functions of their inputs.
+
+A penalty's block_prox shrinks one block, or, given the size classes of a
+layout (size_classes), a whole vector at once. For group-L2 the whole-vector
+prox and the penalty value work per size class: they gather the k blocks of
+size s into a (k, s) array and take all k norms with one row-wise sum.
 """
 
 import dataclasses
@@ -79,8 +84,30 @@ class Dataset:
                 and np.array_equal(back.data, self.A.data))
 
 
+def size_classes(block_of, sizes):
+    """The blocks of a coordinate layout grouped by size.
+
+    block_of labels every coordinate with its block; the blocks, ranked by
+    label, have the given sizes. Returns one (ids, idx) pair per distinct size
+    s, in increasing s: ids holds the ranks of the k blocks of that size in
+    increasing order, and row i of the (k, s) array idx lists the coordinates
+    of block ids[i] in increasing order.
+    """
+    order = np.argsort(block_of, kind="stable")  # coordinates grouped by block
+    starts = np.cumsum(sizes) - sizes
+    classes = []
+    for s in np.unique(sizes).tolist():
+        ids = np.flatnonzero(sizes == s)
+        classes.append((ids, order[starts[ids, None] + np.arange(s)]))
+    return classes
+
+
 class BlockPartition:
-    """Ordered disjoint coordinate groups covering {0..d-1}."""
+    """Ordered disjoint coordinate groups covering {0..d-1}.
+
+    classes holds size_classes of the partition, which the group-L2 penalty
+    uses for its full-vector value and prox.
+    """
 
     def __init__(self, groups):
         groups = [np.asarray(g, dtype=np.intp) for g in groups]
@@ -113,6 +140,7 @@ class BlockPartition:
         self.starts = starts
         self.stops = stops
         self.sizes = sizes
+        self.classes = size_classes(block_of, sizes)
 
     @classmethod
     def contiguous(cls, d, q):
@@ -185,7 +213,8 @@ class L1Penalty:
     def block_dual_norm(self, v):
         return float(np.max(np.abs(v))) if np.size(v) else 0.0
 
-    def block_prox(self, v, t):
+    def block_prox(self, v, t, classes=None):
+        """Soft thresholding. It is coordinate-wise, so it ignores the block layout."""
         return soft_threshold(v, t)
 
 
@@ -195,7 +224,11 @@ class GroupL2Penalty:
     name = "group_l2"
 
     def value(self, x, partition):
-        return float(sum(math.sqrt(float(np.sum(x[g] ** 2))) for g in partition.groups))
+        norms = np.empty(partition.q)
+        for ids, idx in partition.classes:
+            norms[ids] = np.sqrt((x[idx] ** 2).sum(axis=1))
+        # summed in block order, left to right, as the per-block loop did
+        return float(sum(norms.tolist()))
 
     def block_value(self, v):
         return float(np.sqrt(np.sum(v ** 2)))
@@ -203,11 +236,26 @@ class GroupL2Penalty:
     def block_dual_norm(self, v):
         return float(np.sqrt(np.sum(v ** 2)))
 
-    def block_prox(self, v, t):
-        nrm = math.sqrt(float(np.sum(v ** 2)))
-        if nrm <= t:
-            return np.zeros_like(v)
-        return (1.0 - t / nrm) * v
+    def block_prox(self, v, t, classes=None):
+        """Block soft thresholding: v scaled by 1 - t/||v||, or +0.0 where ||v|| <= t.
+
+        With classes (from size_classes) v is a whole vector and every block
+        is shrunk at once. Each row sum of a (k, s) gather adds the same terms
+        in the same order as the sum over that one block, so both paths give
+        the same bits.
+        """
+        if classes is None:
+            nrm = math.sqrt((v ** 2).sum())
+            if nrm <= t:
+                return np.zeros(v.shape)
+            return (1.0 - t / nrm) * v
+        out = np.zeros(v.shape)
+        for _, idx in classes:
+            blk = v[idx]
+            nrm = np.sqrt((blk ** 2).sum(axis=1))
+            keep = ~(nrm <= t)  # a nan norm passes through, as on one block
+            out[idx[keep]] = (1.0 - t / nrm[keep])[:, None] * blk[keep]
+        return out
 
 
 LOSSES = {"squared": SquaredLoss(), "logistic": LogisticLoss()}

@@ -22,6 +22,12 @@ and each sampled row contributes only its surviving entries. That is where
 screening cuts the cost of a step, not just the number of steps. Screened
 coordinates are exact zeros, so compaction removes only vals * 0.0 terms from
 the row sums and leaves every iterate bit-identical.
+
+The full-vector solvers (asgd, proxsvrg) and the reference solver make one
+penalty prox call per step. For group-L2 it shrinks every block of one size
+with a few numpy calls, over size classes that the engine rebuilds in
+compacted coordinates at each compaction. Only a solve that screens computes
+the per-block column bounds Omega_j^D(A_j), once, when it starts.
 """
 
 import dataclasses
@@ -33,7 +39,7 @@ import scipy.sparse as sp
 
 from .duality import ActiveSet, DualPoint, _dual_value, dual_point, safe_radius, screen
 from .problem import (_gather_rows, _split_rows, lipschitz_constants,
-                      partial_gradient, soft_threshold)
+                      partial_gradient, size_classes)
 
 
 class DivergenceError(RuntimeError):
@@ -161,16 +167,6 @@ def _resolve(spec, config, consts):
     return float(eta), int(m), int(batch)
 
 
-def _prox_full(reg, partition, v, t):
-    """Full proximal step of t * Omega over the entire coordinate vector."""
-    if reg.name == "l1":
-        return soft_threshold(v, t)
-    out = np.empty_like(v)
-    for g in partition.groups:
-        out[g] = reg.block_prox(v[g], t)
-    return out
-
-
 def _smooth_parts(spec, x):
     """(per-sample derivatives, full smooth gradient) at x."""
     ds = spec.dataset
@@ -187,6 +183,7 @@ class _Working:
 
     Block ib of active.blocks owns the compacted columns spans[ib]: a slice
     when the partition is contiguous, a sorted position array otherwise.
+    classes groups the same blocks by size for the full-vector prox.
     """
 
     active: ActiveSet
@@ -195,6 +192,7 @@ class _Working:
     block_of: np.ndarray  # block id of every compacted column
     sizes: list
     spans: list
+    classes: list         # size_classes(block_of, sizes)
 
 
 def _compact(part, active, matrix, features):
@@ -213,8 +211,10 @@ def _compact(part, active, matrix, features):
         spans = [slice(e - z, e) for e, z in zip(stops, sizes.tolist())]
     else:
         spans = [np.searchsorted(afeat, part.groups[j]) for j in active.blocks]
+    block_of = part.block_of[afeat]
     return _Working(active=active, matrix=matrix, rows=_split_rows(matrix),
-                    block_of=part.block_of[afeat], sizes=sizes.tolist(), spans=spans)
+                    block_of=block_of, sizes=sizes.tolist(), spans=spans,
+                    classes=size_classes(block_of, sizes))
 
 
 def _engine(spec, config, *, block_sampling, variance_reduction, screening):
@@ -231,8 +231,9 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     cindptr, cindices, cdata = csc.indptr, csc.indices, csc.data
     contig = part.is_contiguous
     full_batch = batch_size == n
+    screens = screening and config.screen_every > 0
 
-    active = ActiveSet.full(spec)
+    active = ActiveSet.full(spec, bounds=screens)
     work = _compact(part, active, A, active.features)
     x_hat = np.zeros(d)
     trace, active_history = [], []
@@ -271,7 +272,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
             break
         k += 1
 
-        if screening and config.screen_every > 0 and (k - 1) % config.screen_every == 0:
+        if screens and (k - 1) % config.screen_every == 0:
             r = safe_radius(gap, consts.T)
             new_active = screen(spec, dp, r, active)
             if new_active.n_blocks < active.n_blocks:
@@ -294,7 +295,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         # out drops only the terms vals * 0.0 from every row sum.
         afeat, blocks_arr = active.features, active.blocks
         W, rows, block_of = work.matrix, work.rows, work.block_of
-        sizes, spans = work.sizes, work.spans
+        sizes, spans, classes = work.sizes, work.spans, work.classes
         x_tilde = x_hat[afeat]
         x_cur = x_tilde.copy()
         x_sum = np.zeros(afeat.size)
@@ -366,12 +367,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                         ga += 2.0 * mu_p * (x_cur - x_tilde)
                 elif mu_p > 0:
                     ga += 2.0 * mu_p * (x_cur - anc)
-                x_cur = x_cur - eta * ga
-                if reg.name == "l1":
-                    x_cur = soft_threshold(x_cur, eta * lam)
-                else:
-                    for sl in spans:
-                        x_cur[sl] = reg.block_prox(x_cur[sl], eta * lam)
+                x_cur = reg.block_prox(x_cur - eta * ga, eta * lam, classes)
                 coord_updates += int(afeat.size)
             x_sum += x_cur
         x_hat = np.zeros(d)
@@ -497,7 +493,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     loss, reg, lam, mu_p = spec.loss, spec.reg, spec.lam, spec.mu_p
     anchor = spec.anchor
     part = spec.partition
-    active = ActiveSet.full(spec)
+    active = ActiveSet.full(spec, bounds=False)
     lb = _spectral_bound(spec)
 
     def smooth_value(xv, zv):
@@ -551,7 +547,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
             grad = grad + 2.0 * mu_p * (yv - anchor)
         fy = smooth_value(yv, zy)
         while True:
-            xn = _prox_full(reg, part, yv - grad / lb, lam / lb)
+            xn = reg.block_prox(yv - grad / lb, lam / lb, part.classes)
             zn = A @ xn
             fn = smooth_value(xn, zn)
             diff = xn - yv

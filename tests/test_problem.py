@@ -297,6 +297,77 @@ def test_blockwise_dual_norms_matches_loop():
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-14)
 
 
+def _group_prox_loop(v, t, groups):
+    """The group-L2 prox one block at a time, written as before size classes."""
+    out = np.empty_like(v)
+    for g in groups:
+        b = v[g]
+        nrm = math.sqrt(float(np.sum(b ** 2)))
+        out[g] = np.zeros_like(b) if nrm <= t else (1.0 - t / nrm) * b
+    return out
+
+
+def _prox_layouts():
+    """Partitions whose block sizes straddle numpy's pairwise-summation steps."""
+    sizes = [7, 8, 9, 128, 129, 9, 7]
+    stops = np.cumsum(sizes)[:-1]
+    perm = np.random.default_rng(30).permutation(sum(sizes))
+    return {
+        "equal-contiguous": G.BlockPartition.contiguous(5 * 129, 5),
+        "uneven-contiguous": G.BlockPartition(np.split(np.arange(sum(sizes)), stops)),
+        "scattered": G.BlockPartition([np.sort(g) for g in np.split(perm, stops)]),
+    }
+
+
+@pytest.mark.parametrize("layout", ["equal-contiguous", "uneven-contiguous", "scattered"])
+def test_group_l2_size_class_prox_matches_block_loop_bit_for_bit(layout):
+    reg = G.REGULARIZERS["group_l2"]
+    part = _prox_layouts()[layout]
+    rng = np.random.default_rng(31)
+    v = np.empty(part.d)
+    # block norms of 1 (block 0 sets t, so it sits exactly at it), 0.4 (below)
+    # and 1.7 or 3 (above); every zeroed block holds negative entries
+    for j, g in enumerate(part.groups):
+        w = rng.normal(size=g.size)
+        v[g] = w / np.linalg.norm(w) * [1.0, 0.4, 1.7, 3.0][min(j, 2 + j % 2)]
+    v[part.groups[2][0]] = -0.0
+    t = math.sqrt(float(np.sum(v[part.groups[0]] ** 2)))
+    want = _group_prox_loop(v, t, part.groups)
+    assert not want[part.groups[0]].any() and not want[part.groups[1]].any()
+    assert np.signbit(want[part.groups[2][0]]) and want[part.groups[3]].all()
+    got = reg.block_prox(v, t, part.classes)
+    per_block = np.empty(part.d)
+    for g in part.groups:
+        per_block[g] = reg.block_prox(v[g], t)
+    for out in (got, per_block):
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+    assert reg.value(v, part) == sum(math.sqrt(float(np.sum(v[g] ** 2)))
+                                     for g in part.groups)
+
+
+def test_group_l2_size_class_prox_passes_nan_through_like_one_block():
+    reg = G.REGULARIZERS["group_l2"]
+    part = _prox_layouts()["scattered"]
+    v = np.random.default_rng(32).normal(size=part.d)
+    v[part.groups[3][5]] = np.nan
+    want = _group_prox_loop(v, 0.5, part.groups)
+    assert np.isnan(want[part.groups[3]]).all()
+    assert np.array_equal(reg.block_prox(v, 0.5, part.classes), want, equal_nan=True)
+
+
+def test_size_classes_list_every_block_once_by_size():
+    part = _prox_layouts()["scattered"]
+    seen = []
+    for ids, idx in part.classes:
+        assert idx.shape == (ids.size, part.sizes[ids[0]])
+        assert np.all(part.sizes[ids] == idx.shape[1])
+        for j, row in zip(ids.tolist(), idx):
+            assert np.array_equal(row, part.groups[j])
+        seen += ids.tolist()
+    assert sorted(seen) == list(range(part.q))
+
+
 # ------------------------------------------------------- dataset/partition
 
 def test_dataset_row_column_views_agree():

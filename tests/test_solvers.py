@@ -349,6 +349,32 @@ def test_group_penalty_end_to_end():
                       initial=0.0) <= 1e-9
 
 
+def test_only_screening_solves_compute_column_bounds(monkeypatch):
+    import gapsgd.duality
+
+    spec = make_instance(seed=6, n=40, d=20, q=5, support=3, ratio=0.6,
+                         model="logistic", reg="group_l2")
+    real = gapsgd.duality.column_bounds
+
+    def refuse(_spec):
+        raise AssertionError("column_bounds called by a solve that never screens")
+
+    monkeypatch.setattr(gapsgd.duality, "column_bounds", refuse)
+    for solver, fields in (("reference", {}), ("mrbcd", {}), ("proxsvrg", {}),
+                           ("adsgd", dict(screen_every=0)),
+                           ("asgd", dict(screen_every=0))):
+        cfg = G.SolverConfig(solver=solver, seed=1, m=40, max_outer=5,
+                             eta=tuned_eta(spec), **fields)
+        assert np.isfinite(G.solve(spec, cfg).gap)
+    calls = []
+    monkeypatch.setattr(gapsgd.duality, "column_bounds",
+                        lambda s: calls.append(s) or real(s))
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=1, m=40, max_outer=10,
+                                             eta=tuned_eta(spec)))
+    assert len(rep.active_history[-1]) < spec.partition.q  # it did screen
+    assert len(calls) == 1
+
+
 def test_perturbed_problem_end_to_end():
     spec = make_instance(seed=20, n=60, d=90, model="logistic", ratio=0.3,
                          mu_p=1e-3)
