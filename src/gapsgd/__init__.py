@@ -14,11 +14,10 @@ from .problem import (LOSSES, REGULARIZERS, BlockPartition, Dataset,
                       DegenerateProblemError, GroupL2Penalty, L1Penalty,
                       LipschitzConstants, LogisticLoss, ProblemSpec,
                       SquaredLoss, full_gradient, lambda_max,
-                      lipschitz_constants, partial_gradient, primal_objective,
-                      soft_threshold)
+                      lipschitz_constants, primal_objective, soft_threshold)
 from .solvers import (ConvergenceError, DivergenceError, SolveReport,
                       SolverConfig, TraceRecord, adsgd_solve,
-                      asgd_solve, inner_budget, mrbcd_solve, proxsvrg_solve,
-                      reference_solve, solve, vr_gradient)
+                      asgd_solve, inner_budget, mrbcd_solve, partial_gradient,
+                      proxsvrg_solve, reference_solve, solve, vr_gradient)
 
 __version__ = "0.1.0"

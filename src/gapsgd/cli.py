@@ -81,10 +81,9 @@ def _spec_from_args(args, ratio=None):
 def _cmd_solve(args):
     spec = _spec_from_args(args, ratio=args.lambda_ratio)
     cfg = SolverConfig(solver=args.solver, eta=args.eta, m=args.inner_m,
-                       batch_size=args.batch_size, q=args.blocks,
-                       max_outer=args.max_outer, gap_tol=args.gap_tol,
-                       seed=args.seed, theory_mode=args.theory_mode,
-                       mu_p=args.mu_p)
+                       batch_size=args.batch_size, max_outer=args.max_outer,
+                       gap_tol=args.gap_tol, seed=args.seed,
+                       theory_mode=args.theory_mode)
     report = solve(spec, cfg)
     x = report.x_final
     print(f"solver={args.solver} n={spec.dataset.n} d={spec.dataset.d} "

@@ -95,10 +95,8 @@ def column_bounds(spec):
     """
     part, reg = spec.partition, spec.reg
     if reg.name == "l1":
-        norms = spec.dataset.column_norms()
-        if part.is_contiguous:
-            return np.maximum.reduceat(norms, part.starts)
-        return np.array([norms[g].max() for g in part.groups])
+        return np.maximum.reduceat(spec.dataset.column_norms()[part.order],
+                                   part.offsets[:-1])
     csc = spec.dataset.A_csc
     return np.array([_power_sigma(csc[:, g]) for g in part.groups])
 
@@ -164,6 +162,18 @@ def duality_gap(spec, x, dp, active):
     signals that this iteration must not screen.
     """
     return primal_objective(spec, x) - _dual_value(spec, dp, active)
+
+
+def evaluate(spec, x, z, active):
+    """(objective, per-sample derivatives, dual point, gap) at x, where z = A x.
+
+    The dual point is scaled over the active blocks, and the gap is
+    duality_gap's P(x) - D(theta) for that point.
+    """
+    g = spec.loss.deriv(z, spec.dataset.y)
+    obj = primal_objective(spec, x, z)
+    dp = dual_point(spec, g, active, x=x)
+    return obj, g, dp, obj - _dual_value(spec, dp, active)
 
 
 def safe_radius(gap, T):

@@ -172,11 +172,17 @@ def build_spec(dataset, model="lasso", lam=None, lambda_ratio=0.5, q=None,
 
 @dataclasses.dataclass
 class ExperimentPlan:
-    """A grid of benchmark runs over solvers, lambda ratios, and repetitions."""
+    """A grid of benchmark runs over solvers, lambda ratios, and repetitions.
+
+    q (the number of contiguous blocks) and mu_p (the quadratic perturbation)
+    shape the problem, so every solver of the plan solves the same instance.
+    """
 
     dataset_path: str = None
     synthetic: SyntheticParams = None
     model: str = "lasso"
+    q: int = None
+    mu_p: float = 0.0
     lambda_ratios: tuple = (0.5, 0.25)
     solvers: tuple = ()
     repetitions: int = 1
@@ -261,16 +267,12 @@ def run_experiment(plan):
     traces = {}
     oracle_objectives = {}
     for ratio in plan.lambda_ratios:
-        base = build_spec(dataset, model=plan.model, lambda_ratio=ratio,
-                          q=plan.solvers[0].q, mu_p=plan.solvers[0].mu_p)
+        spec = build_spec(dataset, model=plan.model, lambda_ratio=ratio,
+                          q=plan.q, mu_p=plan.mu_p)
         if plan.plot:
             oracle_objectives[ratio] = reference_solve(
-                base, tol=min(1e-10, plan.solvers[0].gap_tol * 1e-2)).objective
+                spec, tol=min(1e-10, plan.solvers[0].gap_tol * 1e-2)).objective
         for cfg in plan.solvers:
-            spec = base
-            if cfg.q != plan.solvers[0].q or cfg.mu_p != plan.solvers[0].mu_p:
-                spec = build_spec(dataset, model=plan.model, lambda_ratio=ratio,
-                                  q=cfg.q, mu_p=cfg.mu_p)
             for rep in range(plan.repetitions):
                 run_cfg = dataclasses.replace(cfg, seed=cfg.seed + rep)
                 name = _run_name(run_cfg.solver, ratio, rep)
@@ -404,11 +406,9 @@ def parse_plan_file(path):
     solver_names = [tok.strip() for tok in kv.get("solvers", "adsgd").split(",")]
     base = SolverConfig(
         batch_size=int(kv["batch_size"]) if "batch_size" in kv else None,
-        q=int(kv["blocks"]) if "blocks" in kv else None,
         m=int(kv["inner_m"]) if "inner_m" in kv else None,
         eta=float(kv["eta"]) if "eta" in kv else None,
         theory_mode=kv.get("theory_mode", "0") in ("1", "true", "yes"),
-        mu_p=float(kv.get("mu_p", 0.0)),
         gap_tol=float(kv.get("gap_tol", 1e-6)),
         max_outer=int(kv.get("max_outer", 200)),
         seed=int(kv.get("seed", 0)),
@@ -428,6 +428,8 @@ def parse_plan_file(path):
         )
     return ExperimentPlan(
         dataset_path=data_path, synthetic=synthetic, model=model,
+        q=int(kv["blocks"]) if "blocks" in kv else None,
+        mu_p=float(kv.get("mu_p", 0.0)),
         lambda_ratios=ratios, solvers=solvers,
         repetitions=int(kv.get("repetitions", 1)),
         out_dir=kv.get("out", "runs"),

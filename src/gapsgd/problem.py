@@ -84,16 +84,15 @@ class Dataset:
                 and np.array_equal(back.data, self.A.data))
 
 
-def size_classes(block_of, sizes):
+def size_classes(order, sizes):
     """The blocks of a coordinate layout grouped by size.
 
-    block_of labels every coordinate with its block; the blocks, ranked by
-    label, have the given sizes. Returns one (ids, idx) pair per distinct size
-    s, in increasing s: ids holds the ranks of the k blocks of that size in
-    increasing order, and row i of the (k, s) array idx lists the coordinates
-    of block ids[i] in increasing order.
+    order lists the coordinates block by block, each block's in increasing
+    order, and the blocks have the given sizes. Returns one (ids, idx) pair
+    per distinct size s, in increasing s: ids holds the ranks of the k blocks
+    of that size in increasing order, and row i of the (k, s) array idx lists
+    the coordinates of block ids[i] in increasing order.
     """
-    order = np.argsort(block_of, kind="stable")  # coordinates grouped by block
     starts = np.cumsum(sizes) - sizes
     classes = []
     for s in np.unique(sizes).tolist():
@@ -105,8 +104,10 @@ def size_classes(block_of, sizes):
 class BlockPartition:
     """Ordered disjoint coordinate groups covering {0..d-1}.
 
-    classes holds size_classes of the partition, which the group-L2 penalty
-    uses for its full-vector value and prox.
+    order lists the coordinates block by block, and block j holds
+    order[offsets[j]:offsets[j + 1]]. classes holds size_classes of the
+    partition, which the group-L2 penalty uses for its full-vector value and
+    prox.
     """
 
     def __init__(self, groups):
@@ -116,9 +117,9 @@ class BlockPartition:
         for g in groups:
             if np.any(np.diff(g) <= 0):
                 raise ValueError("group indices must be sorted and unique")
-        allidx = np.concatenate(groups)
-        d = allidx.size
-        if np.unique(allidx).size != d or allidx.min() != 0 or allidx.max() != d - 1:
+        order = np.concatenate(groups)
+        d = order.size
+        if np.unique(order).size != d or order.min() != 0 or order.max() != d - 1:
             raise ValueError("groups must partition {0..d-1}")
         self.groups = groups
         self.d = d
@@ -128,19 +129,11 @@ class BlockPartition:
             block_of[g] = j
         block_of.flags.writeable = False
         self.block_of = block_of
-        # fast path when groups are consecutive ranges laid out in order
-        starts = np.array([g[0] for g in groups], dtype=np.intp)
-        stops = np.array([g[-1] + 1 for g in groups], dtype=np.intp)
         sizes = np.array([g.size for g in groups], dtype=np.intp)
-        self.is_contiguous = bool(
-            np.all(stops - starts == sizes)
-            and starts[0] == 0
-            and np.all(starts[1:] == stops[:-1])
-        )
-        self.starts = starts
-        self.stops = stops
         self.sizes = sizes
-        self.classes = size_classes(block_of, sizes)
+        self.order = order
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.classes = size_classes(order, sizes)
 
     @classmethod
     def contiguous(cls, d, q):
@@ -314,36 +307,48 @@ def _check_x(spec, x):
     return x
 
 
-def primal_objective(spec, x):
-    """mean_i f_i(a_i' x) + mu_p ||x - x0||^2 + lam * Omega(x)."""
-    x = _check_x(spec, x)
-    z = spec.dataset.A @ x
+def smooth_value(spec, x, z):
+    """mean_i f_i(z_i) + mu_p ||x - x0||^2, where z = A x."""
     val = float(np.mean(spec.loss.value(z, spec.dataset.y)))
     if spec.mu_p > 0:
         val += spec.mu_p * float(np.sum((x - spec.anchor) ** 2))
-    return val + spec.lam * spec.reg.value(x, spec.partition)
+    return val
 
 
-def full_gradient(spec, x):
-    """Gradient of the smooth part (loss mean plus the quadratic perturbation)."""
-    x = _check_x(spec, x)
+def smooth_gradient(spec, x, g):
+    """A'g / n + 2 mu_p (x - x0), where g holds the per-sample derivatives at x."""
     ds = spec.dataset
-    g = spec.loss.deriv(ds.A @ x, ds.y)
     out = (ds.A.T @ g) / ds.n
     if spec.mu_p > 0:
         out = out + 2.0 * spec.mu_p * (x - spec.anchor)
     return out
 
 
+def primal_objective(spec, x, z=None):
+    """mean_i f_i(a_i' x) + mu_p ||x - x0||^2 + lam * Omega(x); z = A x if known."""
+    x = _check_x(spec, x)
+    z = spec.dataset.A @ x if z is None else z
+    return smooth_value(spec, x, z) + spec.lam * spec.reg.value(x, spec.partition)
+
+
+def full_gradient(spec, x):
+    """Gradient of the smooth part (loss mean plus the quadratic perturbation)."""
+    x = _check_x(spec, x)
+    ds = spec.dataset
+    return smooth_gradient(spec, x, spec.loss.deriv(ds.A @ x, ds.y))
+
+
 def _split_rows(csr):
     """Per-row views of a CSR matrix's column indices and values, plus the row lengths.
 
     Splitting once lets _gather_rows fetch a row by list indexing instead of
-    slicing the CSR arrays on every call.
+    slicing the CSR arrays on every call. The column indices are cast to intp
+    once here, because numpy casts narrower index arrays on every fancy index.
     """
+    indices = csr.indices.astype(np.intp)
     ends = csr.indptr.tolist()
     bounds = list(zip(ends, ends[1:]))
-    return ([csr.indices[s:e] for s, e in bounds], [csr.data[s:e] for s, e in bounds],
+    return ([indices[s:e] for s, e in bounds], [csr.data[s:e] for s, e in bounds],
             np.diff(csr.indptr))
 
 
@@ -360,37 +365,6 @@ def _gather_rows(rows, batch):
     vals = np.concatenate([data[i] for i in picks])
     row_id = np.arange(batch.size).repeat(lens[batch])
     return cols, vals, row_id
-
-
-def partial_gradient(spec, x, batch, block):
-    """Mini-batch gradient of the smooth part restricted to one block.
-
-    batch may contain repeated sample indices; each occurrence contributes to
-    the average. The perturbation term enters in full (it has no sample index).
-    """
-    x = _check_x(spec, x)
-    ds, part = spec.dataset, spec.partition
-    batch = np.asarray(batch, dtype=np.intp).ravel()
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
-    if batch.min() < 0 or batch.max() >= ds.n:
-        raise ValueError("batch indices out of range")
-    if not 0 <= block < part.q:
-        raise ValueError(f"block {block} out of range [0, {part.q})")
-    cols, vals, row_id = _gather_rows(_split_rows(ds.A), batch)
-    z = np.zeros(batch.size)
-    np.add.at(z, row_id, vals * x[cols])
-    g = spec.loss.deriv(z, ds.y[batch])
-    group = part.groups[block]
-    out = np.zeros(group.size)
-    mask = part.block_of[cols] == block
-    if mask.any():
-        pos = np.searchsorted(group, cols[mask])
-        np.add.at(out, pos, vals[mask] * g[row_id[mask]])
-    out /= batch.size
-    if spec.mu_p > 0:
-        out += 2.0 * spec.mu_p * (x[group] - spec.anchor[group])
-    return out
 
 
 def lipschitz_constants(spec):
@@ -420,13 +394,13 @@ def lipschitz_constants(spec):
 
 
 def blockwise_dual_norms(vec, partition, reg):
-    """Omega_j^D(vec_Gj) for every block, vectorized where the layout allows."""
+    """Omega_j^D(vec_Gj) for every block."""
     vec = np.asarray(vec, dtype=np.float64)
     if isinstance(reg, GroupL2Penalty):
         return np.sqrt(np.bincount(partition.block_of, weights=vec ** 2,
                                    minlength=partition.q))
-    if isinstance(reg, L1Penalty) and partition.is_contiguous:
-        return np.maximum.reduceat(np.abs(vec), partition.starts)
+    if isinstance(reg, L1Penalty):
+        return np.maximum.reduceat(np.abs(vec)[partition.order], partition.offsets[:-1])
     return np.array([reg.block_dual_norm(vec[g]) for g in partition.groups])
 
 

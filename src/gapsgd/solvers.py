@@ -7,12 +7,19 @@ All four stochastic solvers share one engine differing only in three switches:
     asgd      full-vector mini-batch steps + screening, no variance reduction
     proxsvrg  full-vector variance-reduced steps, no screening
 
-Each outer iteration snapshots the iterate, computes the full smooth gradient,
-builds a scaled dual point, measures the duality gap (which also drives the
-stopping test), optionally screens with the sphere of radius sqrt(2*T*gap),
-and then runs ceil(m * q_k / q) inner steps whose average becomes the next
-iterate. Identical (spec, config, seed) triples reproduce bit-identical
-iterate sequences.
+Each outer iteration snapshots the iterate and evaluates it (duality.evaluate:
+objective, per-sample derivatives, scaled dual point and duality gap, which
+also drives the stopping test), optionally screens with the sphere of radius
+sqrt(2*T*gap), takes the snapshot's full smooth gradient when it reduces
+variance, and then runs ceil(m * q_k / q) inner steps whose average becomes
+the next iterate. Identical (spec, config, seed) triples reproduce
+bit-identical iterate sequences.
+
+Every inner step of every solver goes through step_gradient: the sampled rows'
+derivatives, relative to the snapshot's under variance reduction, summed into
+the sampled block or into every active coordinate. A batch of all n rows uses
+the working design's all-rows gather instead of a draw. partial_gradient and
+vr_gradient run the same kernel on the uncompacted design.
 
 After every screening event the design is compacted to the surviving columns
 (built from the previous compacted design, so at most q times per solve), and
@@ -37,9 +44,9 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from .duality import ActiveSet, DualPoint, _dual_value, dual_point, safe_radius, screen
-from .problem import (_gather_rows, _split_rows, lipschitz_constants,
-                      partial_gradient, size_classes)
+from .duality import ActiveSet, DualPoint, evaluate, safe_radius, screen
+from .problem import (_check_x, _gather_rows, _split_rows, lipschitz_constants,
+                      size_classes, smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -62,26 +69,23 @@ class ConvergenceError(RuntimeError):
 class SolverConfig:
     """Hyperparameters shared by every solver.
 
-    Unset fields resolve against the problem: eta to 1/(16 L), m to 2 n,
-    batch_size to min(10, n), and q to min(10, d). theory_mode overrides the
-    batch size with ceil(T / L) and pins eta = 1/(16 L); the matching inner
-    budget m = ceil(65 q L / mu) additionally needs the strong convexity
-    constant, supplied through mu_strong. q and mu_p are consumed by the
-    harness when it assembles a ProblemSpec; solvers read the partition and
-    perturbation from the ProblemSpec they are given.
+    Unset fields resolve against the problem: eta to 1/(16 L), m to 2 n and
+    batch_size to min(10, n). theory_mode overrides the batch size with
+    ceil(T / L) and pins eta = 1/(16 L); the matching inner budget
+    m = ceil(65 q L / mu) additionally needs the strong convexity constant,
+    supplied through mu_strong. The block partition and the perturbation
+    mu_p belong to the ProblemSpec a solver is given.
     """
 
     solver: str = "adsgd"
     eta: float = None
     m: int = None
     batch_size: int = None
-    q: int = None
     max_outer: int = 200
     gap_tol: float = 1e-6
     seed: int = 0
     theory_mode: bool = False
     mu_strong: float = None
-    mu_p: float = 0.0
     screen_every: int = 1
     keep_iterates: bool = False
 
@@ -124,21 +128,6 @@ def inner_budget(m, q_k, q):
     return max(1, -((-m * q_k) // q))
 
 
-def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
-    """Variance-reduced block gradient: grad_I(x) - grad_I(x_tilde) + mu_tilde on the block.
-
-    mu_tilde is the full-length smooth gradient at the snapshot; averaging the
-    output over every singleton batch reproduces the exact block gradient.
-    """
-    mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
-    if mu_tilde.shape != (spec.dataset.d,):
-        raise ValueError("mu_tilde must have length d")
-    group = spec.partition.groups[block]
-    return (partial_gradient(spec, x, batch, block)
-            - partial_gradient(spec, x_tilde, batch, block)
-            + mu_tilde[group])
-
-
 def _resolve(spec, config, consts):
     n = spec.dataset.n
     if config.theory_mode and config.eta is not None:
@@ -167,32 +156,25 @@ def _resolve(spec, config, consts):
     return float(eta), int(m), int(batch)
 
 
-def _smooth_parts(spec, x):
-    """(per-sample derivatives, full smooth gradient) at x."""
-    ds = spec.dataset
-    g = spec.loss.deriv(ds.A @ x, ds.y)
-    mu = (ds.A.T @ g) / ds.n
-    if spec.mu_p > 0:
-        mu = mu + 2.0 * spec.mu_p * (x - spec.anchor)
-    return g, mu
-
-
 @dataclasses.dataclass
 class _Working:
     """The design restricted to the active features, columns renumbered 0..n_features-1.
 
-    Block ib of active.blocks owns the compacted columns spans[ib]: a slice
-    when the partition is contiguous, a sorted position array otherwise.
-    classes groups the same blocks by size for the full-vector prox.
+    Block ib of active.blocks owns the compacted columns spans[ib], a sorted
+    position array; slot gives every compacted column its place inside its
+    block. classes groups the same blocks by size for the full-vector prox.
+    all_rows is _gather_rows(rows, arange(n)), read straight off the CSR
+    arrays, for steps whose batch is the whole dataset.
     """
 
     active: ActiveSet
     matrix: sp.csr_matrix
     rows: tuple           # _split_rows(matrix)
+    all_rows: tuple       # (cols, vals, row_id) of every stored entry
     block_of: np.ndarray  # block id of every compacted column
-    sizes: list
+    slot: np.ndarray      # position of every compacted column inside its block
     spans: list
-    classes: list         # size_classes(block_of, sizes)
+    classes: list         # size_classes(order, sizes)
 
 
 def _compact(part, active, matrix, features):
@@ -206,15 +188,99 @@ def _compact(part, active, matrix, features):
     if afeat.size < features.size:
         matrix = matrix[:, np.searchsorted(features, afeat)]
     sizes = part.sizes[active.blocks]
-    if part.is_contiguous:
-        stops = np.cumsum(sizes).tolist()
-        spans = [slice(e - z, e) for e, z in zip(stops, sizes.tolist())]
-    else:
-        spans = [np.searchsorted(afeat, part.groups[j]) for j in active.blocks]
     block_of = part.block_of[afeat]
+    order = np.argsort(block_of, kind="stable")  # compacted columns, block by block
+    offsets = np.cumsum(sizes)
+    slot = np.empty(afeat.size, dtype=np.intp)
+    slot[order] = np.arange(afeat.size) - np.repeat(offsets - sizes, sizes)
+    row_id = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
     return _Working(active=active, matrix=matrix, rows=_split_rows(matrix),
-                    block_of=block_of, sizes=sizes.tolist(), spans=spans,
-                    classes=size_classes(block_of, sizes))
+                    all_rows=(matrix.indices.astype(np.intp), matrix.data, row_id),
+                    block_of=block_of, slot=slot, spans=np.split(order, offsets[:-1]),
+                    classes=size_classes(order, sizes))
+
+
+def step_gradient(work, loss, x, gathered, y_b, g_ref, ib=None, mu=None, x_ref=None,
+                  mu_p=0.0):
+    """Mini-batch gradient of the smooth part at the compacted iterate x.
+
+    gathered is _gather_rows(work.rows, batch), or work.all_rows for the whole
+    dataset, and y_b is y[batch]. With variance reduction g_ref holds the
+    snapshot's per-sample derivatives on the batch, mu the snapshot's smooth
+    gradient and x_ref the snapshot; without it g_ref and mu are None and
+    x_ref is the anchor. Returns, as float64 in compacted coordinates, the
+    gradient on block ib of work.active (ordered as spans[ib]), or on every
+    coordinate when ib is None:
+
+        A_b'(f'(A_b x) - g_ref) / b  [+ mu]  + 2 mu_p (x - x_ref)
+    """
+    cols, vals, row_id = gathered
+    b = y_b.size
+    gb = loss.deriv(np.bincount(row_id, weights=vals * x[cols], minlength=b), y_b)
+    coef = (gb - g_ref) / b if g_ref is not None else gb / b
+    if ib is None:
+        sl = slice(None)
+        grad = np.bincount(cols, weights=vals * coef[row_id], minlength=x.size)
+    else:
+        sl = work.spans[ib]
+        mask = work.block_of[cols] == work.active.blocks[ib]
+        grad = np.bincount(work.slot[cols[mask]], weights=vals[mask] * coef[row_id[mask]],
+                           minlength=sl.size)
+    grad = grad.astype(np.float64, copy=False)  # a sum over no entries comes back int64
+    if mu is not None:
+        grad += mu[sl]
+    if mu_p > 0:
+        grad += 2.0 * mu_p * (x[sl] - x_ref[sl])
+    return grad
+
+
+def _full_working(spec):
+    ds = spec.dataset
+    return _compact(spec.partition, ActiveSet.full(spec, bounds=False), ds.A,
+                    np.arange(ds.d))
+
+
+def _check_batch(spec, batch, block):
+    batch = np.asarray(batch, dtype=np.intp).ravel()
+    if batch.size == 0:
+        raise ValueError("batch must be non-empty")
+    if batch.min() < 0 or batch.max() >= spec.dataset.n:
+        raise ValueError("batch indices out of range")
+    if not 0 <= block < spec.partition.q:
+        raise ValueError(f"block {block} out of range [0, {spec.partition.q})")
+    return batch
+
+
+def partial_gradient(spec, x, batch, block):
+    """Mini-batch gradient of the smooth part restricted to one block.
+
+    batch may contain repeated sample indices; each occurrence contributes to
+    the average. The perturbation term enters in full (it has no sample index).
+    """
+    x = _check_x(spec, x)
+    batch = _check_batch(spec, batch, block)
+    work = _full_working(spec)
+    return step_gradient(work, spec.loss, x, _gather_rows(work.rows, batch),
+                         spec.dataset.y[batch], None, block, x_ref=spec.anchor,
+                         mu_p=spec.mu_p)
+
+
+def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
+    """Variance-reduced block gradient: grad_I(x) - grad_I(x_tilde) + mu_tilde on the block.
+
+    mu_tilde is the full-length smooth gradient at the snapshot; averaging the
+    output over every singleton batch reproduces the exact block gradient.
+    """
+    mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
+    if mu_tilde.shape != (spec.dataset.d,):
+        raise ValueError("mu_tilde must have length d")
+    x, x_tilde = _check_x(spec, x), _check_x(spec, x_tilde)
+    batch = _check_batch(spec, batch, block)
+    ds, work = spec.dataset, _full_working(spec)
+    g_tilde = spec.loss.deriv(ds.A @ x_tilde, ds.y)
+    return step_gradient(work, spec.loss, x, _gather_rows(work.rows, batch), ds.y[batch],
+                         g_tilde[batch], block, mu=mu_tilde, x_ref=x_tilde,
+                         mu_p=spec.mu_p)
 
 
 def _engine(spec, config, *, block_sampling, variance_reduction, screening):
@@ -222,15 +288,13 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     n, d = ds.n, ds.d
     part = spec.partition
     loss, reg, lam, mu_p = spec.loss, spec.reg, spec.lam, spec.mu_p
-    anchor = spec.anchor
     consts = lipschitz_constants(spec)
     eta, m, batch_size = _resolve(spec, config, consts)
     rng = np.random.Generator(np.random.Philox(config.seed))
     A, y, q = ds.A, ds.y, part.q
-    csc = ds.A_csc
-    cindptr, cindices, cdata = csc.indptr, csc.indices, csc.data
-    contig = part.is_contiguous
-    full_batch = batch_size == n
+    # batch_size == n is the degenerate deterministic case: the batch is the
+    # whole dataset (no draw), otherwise sample with replacement
+    everyone = np.arange(n) if batch_size == n else None
     screens = screening and config.screen_every > 0
 
     active = ActiveSet.full(spec, bounds=screens)
@@ -245,16 +309,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     start = time.perf_counter()
 
     while True:
-        z = A @ x_hat
-        g_snap = loss.deriv(z, y)
-        mu_full = (A.T @ g_snap) / n
-        obj = float(np.mean(loss.value(z, y)))
-        if mu_p > 0:
-            mu_full = mu_full + 2.0 * mu_p * (x_hat - anchor)
-            obj += mu_p * float(np.sum((x_hat - anchor) ** 2))
-        obj += lam * reg.value(x_hat, part)
-        dp = dual_point(spec, g_snap, active, x=x_hat)
-        gap = obj - _dual_value(spec, dp, active)
+        obj, g_snap, dp, gap = evaluate(spec, x_hat, A @ x_hat, active)
         trace.append(TraceRecord(outer_iter=k, elapsed_s=time.perf_counter() - start,
                                  objective=obj, gap=float(gap),
                                  active_blocks=active.n_blocks,
@@ -280,10 +335,10 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                                        assume_unique=True)
                 active = new_active
                 if np.any(x_hat[dropped] != 0.0):
-                    # truncation moved the snapshot, so refresh its gradient to
-                    # keep the variance correction unbiased on the subproblem
+                    # truncation moved the snapshot, so refresh its derivatives
+                    # to keep the variance correction unbiased on the subproblem
                     x_hat[dropped] = 0.0
-                    g_snap, mu_full = _smooth_parts(spec, x_hat)
+                    g_snap = loss.deriv(A @ x_hat, y)
         if active.n_blocks == 0:
             continue  # empty subproblem; the next evaluation certifies x = 0
         if work.active is not active:
@@ -293,82 +348,32 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         # The inner loop runs in compacted coordinates: position p stands for
         # feature afeat[p]. Screened features hold exact zeros, so leaving them
         # out drops only the terms vals * 0.0 from every row sum.
-        afeat, blocks_arr = active.features, active.blocks
-        W, rows, block_of = work.matrix, work.rows, work.block_of
-        sizes, spans, classes = work.sizes, work.spans, work.classes
+        afeat = active.features
         x_tilde = x_hat[afeat]
         x_cur = x_tilde.copy()
         x_sum = np.zeros(afeat.size)
-        mu = mu_full[afeat]
-        anc = anchor[afeat]
+        if variance_reduction:
+            mu, x_ref = smooth_gradient(spec, x_hat, g_snap)[afeat], x_tilde
+        else:
+            mu, x_ref = None, spec.anchor[afeat]
 
         for _t in range(m_k):
-            # batch_size == n is the degenerate deterministic case: the batch is
-            # the whole dataset (no draw), otherwise sample with replacement
-            if not full_batch:
+            if everyone is None:
                 batch = rng.integers(0, n, size=batch_size)
-            if block_sampling:
-                ib = int(rng.integers(0, blocks_arr.size))
-                j = int(blocks_arr[ib])
-                gsz, sl = sizes[ib], spans[ib]
-
-            if full_batch:
-                gb = loss.deriv(W @ x_cur, y)
-                coef = (gb - g_snap) / n if variance_reduction else gb / n
+                gathered = _gather_rows(work.rows, batch)
             else:
-                cols, vals, row_id = _gather_rows(rows, batch)
-                zb = np.bincount(row_id, weights=vals * x_cur[cols], minlength=batch_size)
-                gb = loss.deriv(zb, y[batch])
-                if variance_reduction:
-                    coef = (gb - g_snap[batch]) / batch_size
-                else:
-                    coef = gb / batch_size
-
+                batch, gathered = everyone, work.all_rows
+            ib = int(rng.integers(0, active.n_blocks)) if block_sampling else None
+            grad = step_gradient(work, loss, x_cur, gathered, y[batch],
+                                 g_snap[batch] if variance_reduction else None, ib,
+                                 mu=mu, x_ref=x_ref, mu_p=mu_p)
             if block_sampling:
-                if full_batch:
-                    # the column view is shared with the full design, so it
-                    # is addressed by the block's original feature ids
-                    gvec = np.zeros(gsz)
-                    if contig:
-                        lo, hi = part.starts[j], part.stops[j]
-                        s, e = cindptr[lo], cindptr[hi]
-                        colrep = np.repeat(np.arange(lo, hi),
-                                           np.diff(cindptr[lo:hi + 1]))
-                        np.add.at(gvec, colrep - lo, cdata[s:e] * coef[cindices[s:e]])
-                    else:
-                        for i, c in enumerate(part.groups[j]):
-                            s, e = cindptr[c], cindptr[c + 1]
-                            gvec[i] = cdata[s:e] @ coef[cindices[s:e]]
-                else:
-                    if contig:
-                        mask = (cols >= sl.start) & (cols < sl.stop)
-                        pos = cols[mask] - sl.start
-                    else:
-                        mask = block_of[cols] == j
-                        pos = np.searchsorted(sl, cols[mask])
-                    gvec = np.bincount(pos, weights=vals[mask] * coef[row_id[mask]],
-                                       minlength=gsz)
-                if variance_reduction:
-                    gvec += mu[sl]
-                    if mu_p > 0:
-                        gvec += 2.0 * mu_p * (x_cur[sl] - x_tilde[sl])
-                elif mu_p > 0:
-                    gvec += 2.0 * mu_p * (x_cur[sl] - anc[sl])
-                x_cur[sl] = reg.block_prox(x_cur[sl] - eta * gvec, eta * lam)
-                coord_updates += gsz
+                sl = work.spans[ib]
+                x_cur[sl] = reg.block_prox(x_cur[sl] - eta * grad, eta * lam)
+                coord_updates += sl.size
             else:
-                if full_batch:
-                    ga = W.T @ coef
-                else:
-                    ga = np.bincount(cols, weights=vals * coef[row_id], minlength=afeat.size)
-                if variance_reduction:
-                    ga += mu
-                    if mu_p > 0:
-                        ga += 2.0 * mu_p * (x_cur - x_tilde)
-                elif mu_p > 0:
-                    ga += 2.0 * mu_p * (x_cur - anc)
-                x_cur = reg.block_prox(x_cur - eta * ga, eta * lam, classes)
-                coord_updates += int(afeat.size)
+                x_cur = reg.block_prox(x_cur - eta * grad, eta * lam, work.classes)
+                coord_updates += afeat.size
             x_sum += x_cur
         x_hat = np.zeros(d)
         x_hat[afeat] = x_sum / m_k
@@ -490,23 +495,10 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         raise ValueError("tol must be positive")
     ds = spec.dataset
     A, y, n, d = ds.A, ds.y, ds.n, ds.d
-    loss, reg, lam, mu_p = spec.loss, spec.reg, spec.lam, spec.mu_p
-    anchor = spec.anchor
+    reg, lam = spec.reg, spec.lam
     part = spec.partition
     active = ActiveSet.full(spec, bounds=False)
     lb = _spectral_bound(spec)
-
-    def smooth_value(xv, zv):
-        val = float(np.mean(loss.value(zv, y)))
-        if mu_p > 0:
-            val += mu_p * float(np.sum((xv - anchor) ** 2))
-        return val
-
-    def evaluate(xv, zv):
-        gx = loss.deriv(zv, y)
-        obj = smooth_value(xv, zv) + lam * reg.value(xv, part)
-        dpx = dual_point(spec, gx, active, x=xv)
-        return obj, dpx, obj - _dual_value(spec, dpx, active)
 
     x = np.zeros(d)
     zx = np.zeros(n)
@@ -522,7 +514,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     dp = None
 
     while True:
-        obj, dp, gap = evaluate(x, zx)
+        obj, _, dp, gap = evaluate(spec, x, zx, active)
         best_gap = min(best_gap, gap)
         if it % 50 == 0 or gap <= tol:
             trace.append(TraceRecord(outer_iter=it, elapsed_s=time.perf_counter() - start,
@@ -541,15 +533,12 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
                 f"(best gap {best_gap:g})", best_gap=best_gap)
         it += 1
 
-        gy = loss.deriv(zy, y)
-        grad = (A.T @ gy) / n
-        if mu_p > 0:
-            grad = grad + 2.0 * mu_p * (yv - anchor)
-        fy = smooth_value(yv, zy)
+        grad = smooth_gradient(spec, yv, spec.loss.deriv(zy, y))
+        fy = smooth_value(spec, yv, zy)
         while True:
             xn = reg.block_prox(yv - grad / lb, lam / lb, part.classes)
             zn = A @ xn
-            fn = smooth_value(xn, zn)
+            fn = smooth_value(spec, xn, zn)
             diff = xn - yv
             bound = fy + float(grad @ diff) + 0.5 * lb * float(diff @ diff)
             if fn <= bound + 1e-12 * (abs(fy) + abs(fn)) + 1e-300:
@@ -570,8 +559,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
 
     refined = _refine_support(spec, x)
     if refined is not None:
-        zr = A @ refined
-        obj_r, dp_r, gap_r = evaluate(refined, zr)
+        obj_r, _, dp_r, gap_r = evaluate(spec, refined, A @ refined, active)
         if np.isfinite(gap_r) and gap_r < gap:
             x, obj, dp, gap = refined, obj_r, dp_r, gap_r
     trace.append(TraceRecord(outer_iter=it, elapsed_s=time.perf_counter() - start,

@@ -38,6 +38,13 @@ def test_solve_command_writes_trace(tmp_path, capsys):
     assert header == "outer_iter,elapsed_s,objective,gap,active_blocks,active_features"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_command_on_a_sparse_design_exits_zero(seed, capsys):
+    """Sampled blocks that hold no entry of the batch once crashed the step."""
+    assert main(["solve", "--synthetic", "200,300,0.02,0.01", "--seed", str(seed)]) == 0
+    assert "outer_iters=" in capsys.readouterr().out
+
+
 def test_solve_command_reference_solver(capsys):
     code = main(["solve", "--synthetic", "40,30,0.5,0.05", "--solver",
                  "reference", "--gap-tol", "1e-8", "--seed", "1"])

@@ -242,15 +242,36 @@ def test_parse_plan_file(tmp_path):
         "repetitions = 2\n"
         "gap_tol = 1e-5\n"
         "max_outer = 80\n"
+        "blocks = 6\n"
+        "mu_p = 0.01\n"
         "out = bench_out\n"
     )
     plan = parse_plan_file(p)
+    assert plan.q == 6 and plan.mu_p == 0.01
     assert plan.synthetic.n == 50 and plan.synthetic.d == 60
     assert plan.lambda_ratios == (0.5, 0.25)
     assert tuple(c.solver for c in plan.solvers) == ("adsgd", "mrbcd")
     assert plan.repetitions == 2
     assert plan.solvers[0].gap_tol == 1e-5
     assert plan.out_dir == "bench_out"
+
+
+def test_run_experiment_builds_the_plans_problem(tmp_path):
+    plan = G.ExperimentPlan(
+        synthetic=G.SyntheticParams(n=30, d=24, noise=0.05, seed=4), q=6, mu_p=0.01,
+        lambda_ratios=(0.5,), solvers=(G.SolverConfig(solver="adsgd", max_outer=2),
+                                       G.SolverConfig(solver="proxsvrg", max_outer=2)),
+        out_dir=str(tmp_path))
+    rows = G.run_experiment(plan)
+    assert [r.error for r in rows] == ["", ""]
+    spec = build_spec(generate_synthetic(plan.synthetic), lambda_ratio=0.5, q=6,
+                      mu_p=0.01)
+    for r, cfg in zip(rows, plan.solvers):
+        got = read_trace_csv(r.trace_path)
+        want = G.solve(spec, cfg).trace
+        assert got[0].active_blocks == 6
+        assert [t.objective for t in got] == [t.objective for t in want]
+        assert [t.gap for t in got] == [t.gap for t in want]
 
 
 def test_parse_plan_file_rejects_garbage(tmp_path):

@@ -91,6 +91,7 @@ def test_full_gradient_matches_central_differences(model, mu_p):
 
 
 # --------------------------------------------------------- partial gradient
+# partial_gradient runs the engine's step kernel on the uncompacted design
 
 def test_partial_gradient_full_batch_single_block_is_full_gradient():
     spec = random_spec(seed=5, n=18, d=12, q=1)
@@ -290,11 +291,16 @@ def test_prox_satisfies_subgradient_optimality(reg_name):
 def test_blockwise_dual_norms_matches_loop():
     rng = np.random.default_rng(8)
     v = rng.normal(size=17)
-    part = G.BlockPartition.contiguous(17, 5)
-    for reg in G.REGULARIZERS.values():
-        fast = blockwise_dual_norms(v, part, reg)
-        slow = np.array([reg.block_dual_norm(v[g]) for g in part.groups])
-        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-14)
+    l1 = G.REGULARIZERS["l1"]
+    scattered = G.BlockPartition([np.arange(j, 17, 5) for j in range(5)])
+    for part in (G.BlockPartition.contiguous(17, 5), scattered):
+        for reg in G.REGULARIZERS.values():
+            fast = blockwise_dual_norms(v, part, reg)
+            slow = np.array([reg.block_dual_norm(v[g]) for g in part.groups])
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-14)
+        # a maximum is exact, so the L1 norms agree bit for bit
+        assert np.array_equal(blockwise_dual_norms(v, part, l1),
+                              [l1.block_dual_norm(v[g]) for g in part.groups])
 
 
 def _group_prox_loop(v, t, groups):
@@ -419,10 +425,13 @@ def test_partition_block_of_inverts_groups():
     part = G.BlockPartition.contiguous(11, 4)
     for j, g in enumerate(part.groups):
         assert np.all(part.block_of[g] == j)
-    assert part.is_contiguous
     scattered = G.BlockPartition([[0, 2], [1, 3]])
-    assert not scattered.is_contiguous
     assert list(scattered.block_of) == [0, 1, 0, 1]
+    for p in (part, scattered):
+        assert p.offsets[0] == 0 and p.offsets[-1] == p.d
+        for j, g in enumerate(p.groups):
+            assert np.array_equal(p.order[p.offsets[j]:p.offsets[j + 1]], g)
+    assert scattered.order.tolist() == [0, 2, 1, 3]
 
 
 def test_problem_spec_validation():
@@ -440,3 +449,26 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         G.ProblemSpec(dataset=ds, partition=part, loss=G.LOSSES["squared"],
                       reg=G.REGULARIZERS["l1"], lam=1.0, x0_anchor=np.zeros(5))
+
+
+# ------------------------------------------------------------- public names
+
+EXPORTED = [
+    "ActiveSet", "BlockPartition", "ConvergenceError", "Dataset",
+    "DegenerateProblemError", "DivergenceError", "DualPoint", "ExperimentPlan",
+    "GroupL2Penalty", "L1Penalty", "LOSSES", "LibsvmParseError",
+    "LipschitzConstants", "LogisticLoss", "ProblemSpec", "REGULARIZERS",
+    "SolveReport", "SolverConfig", "SquaredLoss", "SyntheticParams", "TraceRecord",
+    "adsgd_solve", "asgd_solve", "build_spec", "dual_point", "duality_gap",
+    "equicorrelation_set", "full_gradient", "generate_synthetic", "inner_budget",
+    "lambda_max", "lipschitz_constants", "load_libsvm", "mrbcd_solve",
+    "parse_plan_file", "partial_gradient", "primal_objective", "proxsvrg_solve",
+    "reference_solve", "run_experiment", "safe_radius", "screen", "soft_threshold",
+    "solve", "vr_gradient",
+]
+
+
+def test_public_names_still_import():
+    namespace = {}
+    exec(f"from gapsgd import {', '.join(EXPORTED)}", namespace)
+    assert all(namespace[name] is getattr(G, name) for name in EXPORTED)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import gapsgd as G
+from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import _gather_rows, _split_rows, soft_threshold
-from gapsgd.solvers import _compact, _resolve, _spectral_bound, inner_budget
+from gapsgd.solvers import (_compact, _resolve, _spectral_bound, inner_budget,
+                            step_gradient)
 
 from conftest import hand_lasso, make_instance, tuned_eta
 
@@ -90,7 +92,8 @@ def test_gather_rows_on_compacted_design_matches_full_gather():
         active = full.keep(kept)
         work = _compact(part, active, work.matrix, work.active.features)
     assert np.array_equal(work.matrix.toarray(), a[:, active.features])
-    assert work.spans == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    assert [span.tolist() for span in work.spans] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert work.slot.tolist() == [0, 1, 2] * 3
 
     batch = np.array([5, 2, 0, 5, 11, 7, 0])  # repeated, empty and emptied rows
     want_cols, want_vals, want_rows = [], [], []
@@ -108,6 +111,109 @@ def test_gather_rows_on_compacted_design_matches_full_gather():
     assert np.array_equal(ccols, np.searchsorted(active.features, cols[in_active]))
     assert np.array_equal(cvals, vals[in_active])
     assert np.array_equal(crow_id, row_id[in_active])
+
+
+# ------------------------------------------------------------ step kernel
+
+def _kernel_instance(layout):
+    """A 12 x 15 design with an empty row (3) and a row (5) inside block 0 only."""
+    rng = np.random.default_rng(31)
+    part = {"contiguous": G.BlockPartition.contiguous(15, 5),
+            "uneven": G.BlockPartition.contiguous(15, 4),
+            "scattered": G.BlockPartition([np.arange(j, 15, 4) for j in range(4)])}[layout]
+    a = rng.normal(size=(12, 15)) * (rng.random(size=(12, 15)) < 0.4)
+    a[3] = 0.0
+    a[5] = 0.0
+    a[5, part.groups[0][:2]] = [0.5, -1.5]
+    spec = G.ProblemSpec(dataset=G.Dataset(a, rng.normal(size=12)), partition=part,
+                         loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+    return spec, a, rng
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
+def test_step_gradient_matches_dense_reference(layout):
+    spec, a, rng = _kernel_instance(layout)
+    ds, part, loss = spec.dataset, spec.partition, spec.loss
+    full = G.ActiveSet.full(spec, bounds=False)
+    full_work = _compact(part, full, ds.A, full.features)
+    kept = full.keep([0, 2, 3])
+    # the iterate is zero on screened features, as in the engine
+    x = np.where(np.isin(np.arange(15), kept.features), rng.normal(size=15), 0.0)
+    g_snap, mu, x_snap = rng.normal(size=12), rng.normal(size=15), rng.normal(size=15)
+    for work in (full_work, _compact(part, kept, full_work.matrix, full.features)):
+        afeat = work.active.features
+        for batch in (np.array([4, 4, 0, 11, 5, 4]), np.array([3]), np.array([5, 3]),
+                      np.arange(12)):
+            gathered = (work.all_rows if batch.size == 12
+                        else _gather_rows(work.rows, batch))
+            rows = a[batch]
+            for g_ref, mu_c, x_ref, mu_p in ((None, None, None, 0.0),
+                                             (None, None, x_snap, 0.3),
+                                             (g_snap[batch], mu, x_snap, 0.3)):
+                deriv = loss.deriv(rows @ x, ds.y[batch])
+                if g_ref is not None:
+                    deriv = deriv - g_ref
+                want = rows.T @ deriv / batch.size
+                if mu_c is not None:
+                    want = want + mu_c
+                if mu_p > 0:
+                    want = want + 2.0 * mu_p * (x - x_ref)
+                args = (work, loss, x[afeat], gathered, ds.y[batch], g_ref)
+                kw = dict(mu=None if mu_c is None else mu_c[afeat],
+                          x_ref=None if x_ref is None else x_ref[afeat], mu_p=mu_p)
+                got = step_gradient(*args, **kw)
+                assert got.dtype == np.float64
+                np.testing.assert_allclose(got, want[afeat], rtol=0, atol=1e-12)
+                for ib, j in enumerate(work.active.blocks):
+                    got = step_gradient(*args, ib, **kw)
+                    assert got.dtype == np.float64
+                    np.testing.assert_allclose(got, want[part.groups[j]], rtol=0,
+                                               atol=1e-12)
+
+
+def test_step_gradient_sums_nothing_as_float_zeros():
+    """A batch with no entries in the block, or no entries at all, gives float64 zeros."""
+    spec, _, _ = _kernel_instance("scattered")
+    full = G.ActiveSet.full(spec, bounds=False)
+    work = _compact(spec.partition, full, spec.dataset.A, full.features)
+    x = np.ones(15)
+    for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0), (np.array([3]), None)):
+        got = step_gradient(work, spec.loss, x, _gather_rows(work.rows, batch),
+                            spec.dataset.y[batch], None, ib)
+        assert got.dtype == np.float64 and not got.any()
+        mu = np.full(15, 0.25)
+        got = step_gradient(work, spec.loss, x, _gather_rows(work.rows, batch),
+                            spec.dataset.y[batch], np.zeros(batch.size), ib, mu=mu,
+                            x_ref=x, mu_p=0.1)
+        assert np.all(got == 0.25)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "scattered"])
+def test_all_rows_gather_is_the_gather_of_every_row(layout):
+    spec, _, _ = _kernel_instance(layout)
+    full = G.ActiveSet.full(spec, bounds=False)
+    work = _compact(spec.partition, full, spec.dataset.A, full.features)
+    for w in (work, _compact(spec.partition, full.keep([1, 3]), work.matrix,
+                             full.features)):
+        want = _gather_rows(w.rows, np.arange(12))
+        for got, ref in zip(w.all_rows, want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("q", [30, 300])
+@pytest.mark.parametrize("batch_size", [None, 1])
+def test_solvers_finish_when_a_step_gathers_nothing(q, batch_size):
+    """On a 2%-dense design many sampled blocks, and after compaction whole
+    sampled rows, hold no entries; every solver must still step."""
+    data = generate_synthetic(SyntheticParams(n=200, d=300, sparsity=0.02,
+                                              noise=0.01, seed=0))
+    for solver, mu_p in (("adsgd", 0.0), ("mrbcd", 0.0), ("proxsvrg", 0.0),
+                         ("asgd", 0.05)):
+        spec = build_spec(data, model="lasso", q=q, mu_p=mu_p)
+        rep = G.solve(spec, G.SolverConfig(solver=solver, seed=0, max_outer=3,
+                                           batch_size=batch_size))
+        assert rep.outer_iters == 3
+        assert np.all(np.isfinite(rep.x_final)) and np.isfinite(rep.gap)
 
 
 # ------------------------------------------------------------------- adsgd
