@@ -6,6 +6,9 @@ that (1/n) * Omega_j^D(A_j' theta) <= lam on every active block. When the
 quadratic perturbation mu_p ||x - x0||^2 is enabled, each coordinate also
 carries a pseudo-sample dual kappa_j; gap and screening are then computed for
 the perturbed problem, so eliminations are safe for the perturbed optimum only.
+
+dual_point forms the one product A'g of an evaluation and keeps in the
+DualPoint what screen, equicorrelation_set and variance reduction read of it.
 """
 
 import dataclasses
@@ -18,11 +21,17 @@ from .problem import blockwise_dual_norms, primal_objective
 
 @dataclasses.dataclass
 class DualPoint:
-    """Feasible dual candidate: theta over samples, optional kappa over features."""
+    """Feasible dual candidate: theta over samples, optional kappa over features.
+
+    dual_point also sets gradient, smooth_gradient at the iterate, and
+    correlations, (1/n) Omega_j^D(A_j' theta + kappa_Gj) for every block j.
+    """
 
     theta: np.ndarray
     scale_used: float
     kappa: np.ndarray = None
+    gradient: np.ndarray = None
+    correlations: np.ndarray = None
 
 
 @dataclasses.dataclass
@@ -93,27 +102,11 @@ def column_bounds(spec):
     For max-abs block duals (L1) this is the largest column Euclidean norm in
     the block; for Euclidean block duals it is the submatrix spectral norm.
     """
-    part, reg = spec.partition, spec.reg
+    part, reg, a = spec.partition, spec.reg, spec.dataset.A
     if reg.name == "l1":
         return np.maximum.reduceat(spec.dataset.column_norms()[part.order],
                                    part.offsets[:-1])
-    csc = spec.dataset.A_csc
-    return np.array([_power_sigma(csc[:, g]) for g in part.groups])
-
-
-def _pseudo_grad(spec, x):
-    """Per-coordinate derivative of the perturbation pseudo-samples."""
-    return 2.0 * spec.dataset.n * spec.mu_p * (x - spec.anchor)
-
-
-def _block_correlations(spec, theta_like, kappa_like, active):
-    """(1/n) * Omega_j^D(A_j' v + kappa_Gj) for active blocks, in block id order."""
-    ds = spec.dataset
-    corr = ds.A.T @ theta_like
-    if kappa_like is not None:
-        corr = corr + kappa_like
-    per_block = blockwise_dual_norms(corr, spec.partition, spec.reg)
-    return per_block[active.blocks] / ds.n
+    return np.array([_power_sigma(a[:, g]) for g in part.groups])
 
 
 def dual_point(spec, sample_grad, active, x=None):
@@ -123,20 +116,27 @@ def dual_point(spec, sample_grad, active, x=None):
     With mu_p > 0 the current iterate x is required so the perturbation duals
     can be formed and scaled consistently.
     """
+    ds = spec.dataset
     g = np.asarray(sample_grad, dtype=np.float64)
-    if g.shape != (spec.dataset.n,):
-        raise ValueError(f"sample_grad has shape {g.shape}, expected ({spec.dataset.n},)")
+    if g.shape != (ds.n,):
+        raise ValueError(f"sample_grad has shape {g.shape}, expected ({ds.n},)")
+    corr = ds.rmatvec(g)
+    gradient = corr / ds.n
     p = None
     if spec.mu_p > 0:
         if x is None:
             raise ValueError("x is required to build the dual point when mu_p > 0")
-        p = _pseudo_grad(spec, np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        gradient = gradient + 2.0 * spec.mu_p * (x - spec.anchor)
+        p = 2.0 * ds.n * spec.mu_p * (x - spec.anchor)  # pseudo-sample derivatives
+        corr = corr + p
+    per_block = blockwise_dual_norms(corr, spec.partition, spec.reg) / ds.n
     scale = 1.0
     if active.n_blocks > 0:
-        corr = _block_correlations(spec, g, p, active)
-        scale = max(1.0, float(corr.max()) / spec.lam)
+        scale = max(1.0, float(per_block[active.blocks].max()) / spec.lam)
     return DualPoint(theta=-g / scale, scale_used=scale,
-                     kappa=None if p is None else -p / scale)
+                     kappa=None if p is None else -p / scale, gradient=gradient,
+                     correlations=per_block / scale)
 
 
 def _dual_value(spec, dp, active):
@@ -189,13 +189,14 @@ def screen(spec, dp, r, active):
     """Drop every active block certified zero at the optimum by the sphere test.
 
     Block j is removed when (1/n) Omega_j^D(A_j' theta) + (1/n) Omega_j^D(A_j) * r
-    falls strictly below lam. An infinite radius removes nothing.
+    falls strictly below lam, with the correlations that dual_point stored in
+    dp. An infinite radius removes nothing.
     """
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")
     if active.n_blocks == 0 or not np.isfinite(r):
         return active
-    corr = _block_correlations(spec, dp.theta, dp.kappa, active)
+    corr = dp.correlations[active.blocks]
     bounds = active.column_bounds[active.blocks]
     if spec.mu_p > 0:
         bounds = np.sqrt(bounds ** 2 + 1.0)
@@ -213,9 +214,4 @@ def equicorrelation_set(spec, dp, tol=1e-7):
     dp should come from a high-precision reference solve; tol absorbs the
     remaining numerical slack in the attainment test.
     """
-    ds = spec.dataset
-    corr = ds.A.T @ dp.theta
-    if dp.kappa is not None:
-        corr = corr + dp.kappa
-    per_block = blockwise_dual_norms(corr, spec.partition, spec.reg) / ds.n
-    return np.flatnonzero(per_block >= spec.lam - tol).astype(np.intp)
+    return np.flatnonzero(dp.correlations >= spec.lam - tol).astype(np.intp)

@@ -384,12 +384,22 @@ def render_svg(path, traces, best_objective, width=640, height=420):
         fh.write("\n".join(body))
 
 
+_PLAN_KEYS = frozenset((
+    "data", "n", "d", "sparsity", "noise", "seed", "model", "feature_scale",
+    "support_size", "support_placement", "lambda_ratios", "solvers", "repetitions",
+    "out", "plot", "batch_size", "blocks", "inner_m", "eta", "theory_mode", "mu_p",
+    "gap_tol", "max_outer"))
+_FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}
+
+
 def parse_plan_file(path):
     """Read a benchmark plan from `key = value` lines (# starts a comment).
 
-    Recognized keys: data, n, d, sparsity, noise, seed, model, lambda_ratios,
-    solvers, repetitions, out, plot, batch_size, blocks, inner_m, eta,
-    theory_mode, mu_p, gap_tol, max_outer.
+    Recognized keys: data, n, d, sparsity, noise, seed, model, feature_scale,
+    support_size, support_placement, lambda_ratios, solvers, repetitions, out,
+    plot, batch_size, blocks, inner_m, eta, theory_mode, mu_p, gap_tol,
+    max_outer. The flags theory_mode and plot take 0/1, true/false or yes/no
+    in any case. An unknown key or a bad flag raises ValueError with its line.
     """
     kv = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -400,6 +410,13 @@ def parse_plan_file(path):
             if "=" not in line:
                 raise ValueError(f"plan line {ln}: expected key = value, got {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _PLAN_KEYS:
+                raise ValueError(f"plan line {ln}: unknown key {key!r}")
+            if key in ("theory_mode", "plot"):
+                if val.lower() not in _FLAGS:
+                    raise ValueError(f"plan line {ln}: {key} must be 0/1, true/false "
+                                     f"or yes/no, got {val!r}")
+                val = _FLAGS[val.lower()]
             kv[key] = val
     model = kv.get("model", "lasso")
     ratios = tuple(float(tok) for tok in kv.get("lambda_ratios", "0.5,0.25").split(","))
@@ -408,7 +425,7 @@ def parse_plan_file(path):
         batch_size=int(kv["batch_size"]) if "batch_size" in kv else None,
         m=int(kv["inner_m"]) if "inner_m" in kv else None,
         eta=float(kv["eta"]) if "eta" in kv else None,
-        theory_mode=kv.get("theory_mode", "0") in ("1", "true", "yes"),
+        theory_mode=kv.get("theory_mode", False),
         gap_tol=float(kv.get("gap_tol", 1e-6)),
         max_outer=int(kv.get("max_outer", 200)),
         seed=int(kv.get("seed", 0)),
@@ -433,5 +450,5 @@ def parse_plan_file(path):
         lambda_ratios=ratios, solvers=solvers,
         repetitions=int(kv.get("repetitions", 1)),
         out_dir=kv.get("out", "runs"),
-        plot=kv.get("plot", "0") in ("1", "true", "yes"),
+        plot=kv.get("plot", False),
     )

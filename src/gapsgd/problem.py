@@ -27,7 +27,7 @@ def soft_threshold(v, t):
 
 
 class Dataset:
-    """Sparse design matrix with both row (CSR) and column (CSC) access, plus responses.
+    """Sparse design matrix, stored once as CSR, plus responses.
 
     Parameters
     ----------
@@ -42,8 +42,7 @@ class Dataset:
 
     def __init__(self, matrix, y, x_true=None):
         a = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
-        a.sum_duplicates()
-        a.sort_indices()
+        a.sum_duplicates()  # also sorts every row's column indices
         n, d = a.shape
         if n < 1 or d < 1:
             raise ValueError(f"dataset must be non-empty, got shape {(n, d)}")
@@ -57,31 +56,19 @@ class Dataset:
         self.n = n
         self.d = d
         self.A = a
-        self.A_csc = a.tocsc()
         self.y = y
         self.x_true = None if x_true is None else np.asarray(x_true, dtype=np.float64)
-        self._col_norms = None
-        for arr in (self.A.data, self.A.indices, self.A.indptr,
-                    self.A_csc.data, self.A_csc.indices, self.A_csc.indptr, self.y):
+        for arr in (a.data, a.indices, a.indptr, y):
             arr.flags.writeable = False
 
-    def column_norms(self):
-        """Euclidean norm of every column, cached."""
-        if self._col_norms is None:
-            csc = self.A_csc
-            cols = np.repeat(np.arange(self.d), np.diff(csc.indptr))
-            norms = np.sqrt(np.bincount(cols, weights=csc.data ** 2, minlength=self.d))
-            norms.flags.writeable = False
-            self._col_norms = norms
-        return self._col_norms
+    def rmatvec(self, v):
+        """A'v. Every product with the transposed design goes through here."""
+        return self.A.T @ v
 
-    def views_agree(self):
-        """Round-trip check that the CSR and CSC views hold identical entries."""
-        back = self.A_csc.tocsr()
-        back.sort_indices()
-        return (np.array_equal(back.indptr, self.A.indptr)
-                and np.array_equal(back.indices, self.A.indices)
-                and np.array_equal(back.data, self.A.data))
+    def column_norms(self):
+        """Euclidean norm of every column."""
+        return np.sqrt(np.bincount(self.A.indices, weights=self.A.data ** 2,
+                                   minlength=self.d))
 
 
 def size_classes(order, sizes):
@@ -297,7 +284,6 @@ class LipschitzConstants:
 
     L: float
     T: float
-    per_block_L: np.ndarray
 
 
 def _check_x(spec, x):
@@ -318,7 +304,7 @@ def smooth_value(spec, x, z):
 def smooth_gradient(spec, x, g):
     """A'g / n + 2 mu_p (x - x0), where g holds the per-sample derivatives at x."""
     ds = spec.dataset
-    out = (ds.A.T @ g) / ds.n
+    out = ds.rmatvec(g) / ds.n
     if spec.mu_p > 0:
         out = out + 2.0 * spec.mu_p * (x - spec.anchor)
     return out
@@ -389,19 +375,16 @@ def lipschitz_constants(spec):
     return LipschitzConstants(
         L=float(c * per_row_block.max() + shift),
         T=float(c * row_sq.max() + shift),
-        per_block_L=c * per_row_block.max(axis=0) + shift,
     )
 
 
 def blockwise_dual_norms(vec, partition, reg):
-    """Omega_j^D(vec_Gj) for every block."""
+    """Omega_j^D(vec_Gj) for every block, for the L1 or the group-L2 penalty."""
     vec = np.asarray(vec, dtype=np.float64)
     if isinstance(reg, GroupL2Penalty):
         return np.sqrt(np.bincount(partition.block_of, weights=vec ** 2,
                                    minlength=partition.q))
-    if isinstance(reg, L1Penalty):
-        return np.maximum.reduceat(np.abs(vec)[partition.order], partition.offsets[:-1])
-    return np.array([reg.block_dual_norm(vec[g]) for g in partition.groups])
+    return np.maximum.reduceat(np.abs(vec)[partition.order], partition.offsets[:-1])
 
 
 def lambda_max(spec):
@@ -412,5 +395,5 @@ def lambda_max(spec):
     """
     ds = spec.dataset
     g0 = spec.loss.deriv(np.zeros(ds.n), ds.y)
-    corr = (ds.A.T @ g0) / ds.n
+    corr = ds.rmatvec(g0) / ds.n
     return float(blockwise_dual_norms(corr, spec.partition, spec.reg).max())

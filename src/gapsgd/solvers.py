@@ -10,10 +10,12 @@ All four stochastic solvers share one engine differing only in three switches:
 Each outer iteration snapshots the iterate and evaluates it (duality.evaluate:
 objective, per-sample derivatives, scaled dual point and duality gap, which
 also drives the stopping test), optionally screens with the sphere of radius
-sqrt(2*T*gap), takes the snapshot's full smooth gradient when it reduces
-variance, and then runs ceil(m * q_k / q) inner steps whose average becomes
-the next iterate. Identical (spec, config, seed) triples reproduce
-bit-identical iterate sequences.
+sqrt(2*T*gap), and then runs ceil(m * q_k / q) inner steps whose average
+becomes the next iterate. Identical (spec, config, seed) triples reproduce
+bit-identical iterate sequences. The evaluation's dual point forms the
+iteration's one product A'g: the screening test reads its block correlations
+and the variance reduction its smooth gradient, which is formed again only
+when screening truncates the snapshot.
 
 Every inner step of every solver goes through step_gradient: the sampled rows'
 derivatives, relative to the snapshot's under variance reduction, summed into
@@ -304,7 +306,6 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     iterates = [] if config.keep_iterates else None
     coord_updates = 0
     converged = False
-    dp = None
     k = 0
     start = time.perf_counter()
 
@@ -327,6 +328,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
             break
         k += 1
 
+        mu_full = dp.gradient
         if screens and (k - 1) % config.screen_every == 0:
             r = safe_radius(gap, consts.T)
             new_active = screen(spec, dp, r, active)
@@ -335,10 +337,12 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                                        assume_unique=True)
                 active = new_active
                 if np.any(x_hat[dropped] != 0.0):
-                    # truncation moved the snapshot, so refresh its derivatives
-                    # to keep the variance correction unbiased on the subproblem
                     x_hat[dropped] = 0.0
-                    g_snap = loss.deriv(A @ x_hat, y)
+                    if variance_reduction:
+                        # truncation moved the snapshot, so refresh its derivatives and
+                        # gradient to keep the variance correction unbiased on the subproblem
+                        g_snap = loss.deriv(A @ x_hat, y)
+                        mu_full = smooth_gradient(spec, x_hat, g_snap)
         if active.n_blocks == 0:
             continue  # empty subproblem; the next evaluation certifies x = 0
         if work.active is not active:
@@ -353,7 +357,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         x_cur = x_tilde.copy()
         x_sum = np.zeros(afeat.size)
         if variance_reduction:
-            mu, x_ref = smooth_gradient(spec, x_hat, g_snap)[afeat], x_tilde
+            mu, x_ref = mu_full[afeat], x_tilde
         else:
             mu, x_ref = None, spec.anchor[afeat]
 
@@ -390,7 +394,7 @@ def adsgd_solve(spec, config=None):
     """Accelerated doubly stochastic gradient descent with gap-safe screening."""
     config = config or SolverConfig(solver="adsgd")
     return _engine(spec, config, block_sampling=True, variance_reduction=True,
-                   screening=config.screen_every > 0)
+                   screening=True)
 
 
 def mrbcd_solve(spec, config=None):
@@ -404,7 +408,7 @@ def asgd_solve(spec, config=None):
     """Naive screened variant: plain mini-batch proximal steps over all active coordinates."""
     config = config or SolverConfig(solver="asgd")
     return _engine(spec, config, block_sampling=False, variance_reduction=False,
-                   screening=config.screen_every > 0)
+                   screening=True)
 
 
 def proxsvrg_solve(spec, config=None):
@@ -437,7 +441,8 @@ def _refine_support(spec, x):
         return None
     ds = spec.dataset
     signs = np.sign(x[support])
-    a_s = np.asarray(ds.A_csc[:, support].todense())
+    # column-major: the BLAS products below round differently on a row-major copy
+    a_s = ds.A[:, support].toarray(order="F")
     n = ds.n
     mu_p = spec.mu_p
     anchor_s = spec.anchor[support]
@@ -510,8 +515,6 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     start = time.perf_counter()
     it = 0
     converged = False
-    obj = gap = None
-    dp = None
 
     while True:
         obj, _, dp, gap = evaluate(spec, x, zx, active)

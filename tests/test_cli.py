@@ -73,6 +73,16 @@ def test_bench_command_runs_plan(tmp_path, capsys):
     assert os.path.exists(tmp_path / "runs" / "summary.csv")
 
 
+@pytest.mark.parametrize("line,says", [("gap_tl = 1e-9", "unknown key 'gap_tl'"),
+                                       ("theory_mode = maybe", "theory_mode must be")])
+def test_bench_command_exits_3_on_a_bad_plan_line(tmp_path, capsys, line, says):
+    plan = tmp_path / "p.plan"
+    plan.write_text(f"n = 40\nd = 30\n{line}\nout = {tmp_path / 'runs'}\n")
+    assert main(["bench", str(plan)]) == 3
+    assert f"plan line 3: {says}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def test_missing_data_file_exits_3(capsys):
     assert main(["lambda-max", "--data", "/nonexistent/file.txt"]) == 3
 

@@ -68,6 +68,38 @@ def test_dual_point_empty_active_set():
     np.testing.assert_array_equal(dp.theta, -g)
 
 
+def _interleaved(spec, q):
+    d = spec.dataset.d
+    return dataclasses.replace(
+        spec, partition=G.BlockPartition([np.arange(j, d, q) for j in range(q)]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_instance(seed=3, n=40, d=60, q=12),
+    lambda: make_instance(seed=4, n=40, d=60, q=10, model="logistic", reg="group_l2"),
+    lambda: _interleaved(make_instance(seed=5, n=40, d=60, q=10), 10),
+    lambda: make_instance(seed=6, n=40, d=60, q=12, mu_p=0.05),
+], ids=["l1", "group-l2", "scattered", "mu-p"])
+def test_dual_point_stores_correlations_and_gradient_of_its_one_product(build):
+    spec = build()
+    ds, rng = spec.dataset, np.random.default_rng(0)
+    for keep in (range(spec.partition.q), [0, 2, 5]):
+        act = ActiveSet.full(spec, bounds=False).keep(list(keep))
+        x = rng.normal(scale=0.5, size=ds.d) * (rng.random(ds.d) < 0.3)
+        g = sample_grad(spec, x)
+        dp = G.dual_point(spec, g, act, x=x)
+        assert dp.scale_used > 1.0
+        corr = ds.A.T @ dp.theta
+        if spec.mu_p > 0:
+            corr = corr + dp.kappa
+        want = blockwise_dual_norms(corr, spec.partition, spec.reg) / ds.n
+        # every block, not only the active ones; a block's correlation
+        # matters only against lam, hence the absolute floor
+        np.testing.assert_allclose(dp.correlations, want, rtol=1e-14,
+                                   atol=1e-14 * spec.lam)
+        np.testing.assert_array_equal(dp.gradient, G.problem.smooth_gradient(spec, x, g))
+
+
 def test_dual_point_shape_check():
     spec = hand_lasso()
     with pytest.raises(ValueError):

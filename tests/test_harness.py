@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -279,6 +280,36 @@ def test_parse_plan_file_rejects_garbage(tmp_path):
     p.write_text("this is not a key value line\n")
     with pytest.raises(ValueError):
         parse_plan_file(p)
+
+
+def test_parse_plan_file_rejects_unknown_key_with_its_line(tmp_path):
+    p = tmp_path / "typo.plan"
+    p.write_text("n = 50\nd = 60\ngap_tl = 1e-9\n")
+    with pytest.raises(ValueError, match=r"line 3: unknown key 'gap_tl'"):
+        parse_plan_file(p)
+
+
+@pytest.mark.parametrize("text,want", [("True", True), ("YES", True), ("1", True),
+                                       ("False", False), ("no", False), ("0", False)])
+def test_parse_plan_file_reads_flags_in_any_case(tmp_path, text, want):
+    p = tmp_path / "flags.plan"
+    p.write_text(f"n = 50\nd = 60\ntheory_mode = {text}\nplot = {text}\n")
+    plan = parse_plan_file(p)
+    assert plan.solvers[0].theory_mode is want and plan.plot is want
+
+
+def test_parse_plan_file_rejects_bad_flag_with_its_line(tmp_path):
+    p = tmp_path / "flag.plan"
+    p.write_text("n = 50\nd = 60\n\nplot = on\n")
+    with pytest.raises(ValueError, match=r"line 4: plot must be"):
+        parse_plan_file(p)
+
+
+def test_parse_plan_file_reads_the_example_plan():
+    plan = parse_plan_file(pathlib.Path(__file__).resolve().parents[1]
+                           / "demos" / "example_plan.txt")
+    assert plan.synthetic.support_size == 10 and plan.synthetic.support_placement == "prefix"
+    assert plan.plot is True and plan.repetitions == 3
 
 
 def test_build_spec_rejects_zero_lambda_max():

@@ -510,3 +510,31 @@ def test_spectral_bound_dominates_average_hessian():
     lf = np.linalg.norm(a, 2) ** 2 / spec.dataset.n
     assert _spectral_bound(spec) >= 0.99 * lf
     assert _spectral_bound(spec) <= G.lipschitz_constants(spec).T * 1.01
+
+
+def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch):
+    """adsgd forms A'g once per evaluation, plus once per truncation refresh
+    (the only call of smooth_gradient in the engine); mrbcd never refreshes."""
+    spec = make_instance(seed=1, n=60, d=80, q=10)
+    cfg = G.SolverConfig(seed=1, gap_tol=1e-6, max_outer=40, eta=tuned_eta(spec, 1.0))
+    counts = {"products": 0, "refreshes": 0}
+    rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
+
+    def counted_rmatvec(self, v):
+        counts["products"] += 1
+        return rmatvec(self, v)
+
+    def counted_smooth_gradient(*args):
+        counts["refreshes"] += 1
+        return smooth_gradient(*args)
+
+    monkeypatch.setattr(G.Dataset, "rmatvec", counted_rmatvec)
+    monkeypatch.setattr(G.solvers, "smooth_gradient", counted_smooth_gradient)
+    rep = G.adsgd_solve(spec, cfg)
+    assert rep.converged and rep.active_history[-1].size < spec.partition.q
+    drops = sum(b.size < a.size for a, b in zip(rep.active_history, rep.active_history[1:]))
+    assert 0 < counts["refreshes"] <= drops
+    assert counts["products"] == len(rep.trace) + counts["refreshes"]
+    counts.update(products=0, refreshes=0)
+    rep = G.mrbcd_solve(spec, dataclasses.replace(cfg, solver="mrbcd"))
+    assert counts == {"products": len(rep.trace), "refreshes": 0}
