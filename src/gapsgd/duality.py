@@ -15,6 +15,7 @@ import dataclasses
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .problem import blockwise_dual_norms, primal_objective
 
@@ -51,8 +52,8 @@ class ActiveSet:
     @classmethod
     def full(cls, spec, bounds=True):
         """Every block active. bounds=False skips column_bounds, which only the
-        screening test reads and which costs a power iteration per block for
-        group-L2."""
+        screening test reads and which costs, for group-L2, one block-diagonal
+        Gram product and one s x s eigensolve per block of size s."""
         part = spec.partition
         return cls(
             blocks=np.arange(part.q, dtype=np.intp),
@@ -77,36 +78,58 @@ class ActiveSet:
         return int(self.features.size)
 
 
-def _power_sigma(mat, iters=20, tol=1e-6):
-    """Largest singular value by power iteration with a fixed start vector."""
-    k = mat.shape[1]
-    v = np.full(k, 1.0 / math.sqrt(k))
-    sigma = 0.0
-    for _ in range(iters):
-        u = mat @ v
-        w = mat.T @ u
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new_sigma = float(np.linalg.norm(mat @ v))
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+def _gram_sigma(a, idx):
+    """sigma_max(A_j), rounded up, for each block j of one size class.
+
+    Row i of the (k, s) array idx lists the columns of block i. The stored
+    entries of a row are cut into (row, block) pieces, and the pieces are
+    stacked as the rows of F, so F'F is block-diagonal with A_j'A_j on its
+    diagonal. Each block's largest eigenvalue then comes from a dense s x s
+    eigensolve, at O(nnz + within-block pairs) cost and k s^2 memory.
+
+    Rounding allowance, with eps the unit roundoff and F_j = ||A_j||_F^2:
+    every Gram entry is a sum of at most n products, so the computed Gram
+    differs from A_j'A_j by at most gamma_n |A_j|'|A_j| entrywise, which has
+    spectral norm at most gamma_n F_j (gamma_n = n eps / (1 - n eps)).
+    eigvalsh returns the exact eigenvalues of a matrix within about s eps
+    times its norm, itself at most (1 + gamma_n) F_j. By Weyl's inequality
+    sigma_max^2 <= lambda + (n + s) eps F_j up to second-order terms. The
+    allowance doubles that, which also covers the trace's own rounding
+    (relative error below (n + s) eps, all terms positive) and the final
+    add and square root, since F_j >= sigma_max^2.
+    """
+    k, s = idx.shape
+    sub = a[:, idx.ravel()].sorted_indices()  # a column fancy index may leave rows unsorted
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(sub.indptr))
+    piece = rows * k + sub.indices // s  # entries of one piece are adjacent
+    starts = np.flatnonzero(np.diff(piece, prepend=-1))
+    f = sp.csr_matrix((sub.data, sub.indices, np.append(starts, piece.size)),
+                      shape=(starts.size, k * s))
+    gram = (f.T @ f).tocoo()
+    dense = np.zeros((k, s, s))
+    dense[gram.row // s, gram.row % s, gram.col % s] = gram.data
+    top = np.linalg.eigvalsh(dense)[:, -1]
+    frob = np.trace(dense, axis1=1, axis2=2)
+    slack = 2.0 * (a.shape[0] + s) * np.finfo(np.float64).eps * frob
+    return np.sqrt(np.maximum(top + slack, 0.0))
 
 
 def column_bounds(spec):
     """Omega_j^D(A_j) per block: the operator norm of the block's column map.
 
     For max-abs block duals (L1) this is the largest column Euclidean norm in
-    the block; for Euclidean block duals it is the submatrix spectral norm.
+    the block; for Euclidean block duals it is the submatrix spectral norm,
+    from the block's Gram matrix and rounded up so that the sphere test can
+    rely on it as an upper bound.
     """
     part, reg, a = spec.partition, spec.reg, spec.dataset.A
     if reg.name == "l1":
         return np.maximum.reduceat(spec.dataset.column_norms()[part.order],
                                    part.offsets[:-1])
-    return np.array([_power_sigma(a[:, g]) for g in part.groups])
+    out = np.empty(part.q)
+    for ids, idx in part.classes:
+        out[ids] = _gram_sigma(a, idx)
+    return out
 
 
 def dual_point(spec, sample_grad, active, x=None):

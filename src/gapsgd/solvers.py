@@ -418,10 +418,27 @@ def proxsvrg_solve(spec, config=None):
                    screening=False)
 
 
+def _power_sigma(mat, iters, tol):
+    """Largest singular value by power iteration with a fixed start vector."""
+    k = mat.shape[1]
+    v = np.full(k, 1.0 / math.sqrt(k))
+    sigma = 0.0
+    for _ in range(iters):
+        u = mat @ v
+        w = mat.T @ u
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        new_sigma = float(np.linalg.norm(mat @ v))
+        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
+            return new_sigma
+        sigma = new_sigma
+    return sigma
+
+
 def _spectral_bound(spec):
     """Smoothness bound for full-gradient steps: c * sigma_max(A)^2 / n + 2 mu_p."""
-    from .duality import _power_sigma
-
     sigma = _power_sigma(spec.dataset.A, iters=60, tol=1e-9)
     base = spec.loss.curvature * sigma ** 2 / spec.dataset.n
     return max(base, 1e-12) + 2.0 * spec.mu_p
@@ -536,7 +553,12 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
                 f"(best gap {best_gap:g})", best_gap=best_gap)
         it += 1
 
-        grad = smooth_gradient(spec, yv, spec.loss.deriv(zy, y))
+        # on the first step and after a restart the momentum point is the
+        # iterate, whose smooth gradient the evaluation already formed
+        if yv is x:
+            grad = dp.gradient
+        else:
+            grad = smooth_gradient(spec, yv, spec.loss.deriv(zy, y))
         fy = smooth_value(spec, yv, zy)
         while True:
             xn = reg.block_prox(yv - grad / lb, lam / lb, part.classes)

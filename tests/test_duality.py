@@ -285,13 +285,47 @@ def test_column_bounds_l1_are_column_norms():
                                rtol=0, atol=1e-14)
 
 
-def test_column_bounds_group_l2_matches_svd():
-    spec = make_instance(seed=17, n=30, d=24, q=6, reg="group_l2")
-    got = column_bounds(spec)
-    a = np.asarray(spec.dataset.A.todense())
-    want = [np.linalg.svd(a[:, g], compute_uv=False)[0]
-            for g in spec.partition.groups]
-    np.testing.assert_allclose(got, want, rtol=1e-5)
+def _group_l2_spec(a, partition):
+    ds = G.Dataset(a, np.random.default_rng(0).normal(size=a.shape[0]))
+    return G.ProblemSpec(dataset=ds, partition=partition, loss=G.LOSSES["squared"],
+                         reg=G.REGULARIZERS["group_l2"], lam=1.0)
+
+
+def _scattered_partition(cols, rng):
+    """Blocks of uneven sizes whose columns interleave across cols."""
+    cuts = np.sort(rng.choice(np.arange(1, cols.size), size=cols.size // 4,
+                              replace=False))
+    return [np.sort(g) for g in np.split(rng.permutation(cols), cuts)]
+
+
+def test_column_bounds_group_l2_are_tight_upper_bounds():
+    """The sphere test is safe only if Omega_j^D(A_j) = sigma_max(A_j) is not
+    underestimated; the rounding allowance keeps the bound within 1e-9."""
+    rng = np.random.default_rng(17)
+    a = make_instance(seed=17, n=30, d=34, q=4, reg="group_l2").dataset.A.toarray()
+    a[:, 9:18] = 0.0  # second block all zero
+    q, _ = np.linalg.qr(rng.normal(size=(30, 8)))
+    a[:, 26:34] = 3.0 * q  # last block: all 8 singular values equal 3
+    partitions = {
+        "uneven contiguous": G.BlockPartition.contiguous(34, 4),  # 9, 9, 8, 8
+        "contiguous": G.BlockPartition.contiguous(34, 17),
+        "scattered": G.BlockPartition(
+            [np.arange(9, 18, 2), np.arange(10, 18, 2)]
+            + _scattered_partition(np.r_[0:9, 18:34], rng)),
+        "singletons": G.BlockPartition.singletons(34),
+    }
+    assert [g.size for g in partitions["uneven contiguous"].groups] == [9, 9, 8, 8]
+    assert len(partitions["scattered"].classes) > 2
+    for name, part in partitions.items():
+        got = column_bounds(_group_l2_spec(a, part))
+        sigma = np.array([np.linalg.svd(a[:, g], compute_uv=False)[0]
+                          for g in part.groups])
+        assert np.all(got >= sigma), name
+        assert np.all(got <= sigma * (1.0 + 1e-9)), name
+        zero = np.array([not a[:, g].any() for g in part.groups])
+        assert zero.any() and np.all(got[zero] == 0.0), name
+    top = np.linalg.svd(a[:, 26:34], compute_uv=False)
+    assert top[0] - top[-1] < 1e-12  # the repeated top singular value is in place
 
 
 def test_active_history_is_monotone_under_screening():

@@ -538,3 +538,28 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
     counts.update(products=0, refreshes=0)
     rep = G.mrbcd_solve(spec, dataclasses.replace(cfg, solver="mrbcd"))
     assert counts == {"products": len(rep.trace), "refreshes": 0}
+
+
+def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
+    """A step from the iterate itself (the first step and every momentum
+    restart) takes the smooth gradient the evaluation formed; only steps from
+    an extrapolated point form another A'g."""
+    spec = make_instance(seed=3, n=150, d=300, q=10)
+    counts = {"products": 0, "evaluations": 0, "step_gradients": 0}
+    rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
+    evaluate = G.solvers.evaluate
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(G.Dataset, "rmatvec", counted("products", rmatvec))
+    monkeypatch.setattr(G.solvers, "smooth_gradient",
+                        counted("step_gradients", smooth_gradient))
+    monkeypatch.setattr(G.solvers, "evaluate", counted("evaluations", evaluate))
+    rep = G.reference_solve(spec, tol=1e-10)
+    assert rep.converged and rep.outer_iters == 70
+    assert counts["step_gradients"] == rep.outer_iters - 7
+    assert counts["products"] == counts["evaluations"] + counts["step_gradients"]
