@@ -78,6 +78,11 @@ class ActiveSet:
         return int(self.features.size)
 
 
+# Dense Gram entries that column_bounds forms at once (about 150 MB at peak
+# when the blocks are dense); it rejects blocks wider than 2048 columns.
+_GRAM_ENTRIES = 2048 ** 2
+
+
 def _gram_sigma(a, idx):
     """sigma_max(A_j), rounded up, for each block j of one size class.
 
@@ -86,6 +91,7 @@ def _gram_sigma(a, idx):
     stacked as the rows of F, so F'F is block-diagonal with A_j'A_j on its
     diagonal. Each block's largest eigenvalue then comes from a dense s x s
     eigensolve, at O(nnz + within-block pairs) cost and k s^2 memory.
+    column_bounds bounds k s^2 by _GRAM_ENTRIES.
 
     Rounding allowance, with eps the unit roundoff and F_j = ||A_j||_F^2:
     every Gram entry is a sum of at most n products, so the computed Gram
@@ -120,15 +126,26 @@ def column_bounds(spec):
     For max-abs block duals (L1) this is the largest column Euclidean norm in
     the block; for Euclidean block duals it is the submatrix spectral norm,
     from the block's Gram matrix and rounded up so that the sphere test can
-    rely on it as an upper bound.
+    rely on it as an upper bound. That costs a dense s x s Gram and an O(s^3)
+    eigensolve per block of s columns, so blocks wider than 2048 columns are
+    rejected with a ValueError before any work; split such blocks (a larger
+    q) to screen.
     """
     part, reg, a = spec.partition, spec.reg, spec.dataset.A
     if reg.name == "l1":
         return np.maximum.reduceat(spec.dataset.column_norms()[part.order],
                                    part.offsets[:-1])
+    widest = max(idx.shape[1] for _, idx in part.classes)
+    if widest ** 2 > _GRAM_ENTRIES:
+        raise ValueError(
+            f"group-L2 screening bounds take a dense Gram per block; a block of "
+            f"{widest} columns exceeds the limit of {math.isqrt(_GRAM_ENTRIES)}, "
+            f"so use more, smaller blocks")
     out = np.empty(part.q)
     for ids, idx in part.classes:
-        out[ids] = _gram_sigma(a, idx)
+        step = _GRAM_ENTRIES // idx.shape[1] ** 2
+        for lo in range(0, ids.size, step):
+            out[ids[lo:lo + step]] = _gram_sigma(a, idx[lo:lo + step])
     return out
 
 

@@ -154,7 +154,10 @@ def build_spec(dataset, model="lasso", lam=None, lambda_ratio=0.5, q=None,
     """Assemble a ProblemSpec with a contiguous q-block partition.
 
     q defaults to min(10, d). When lam is omitted it is set to
-    lambda_ratio * lambda_max of the instance.
+    lambda_ratio * lambda_max of the instance. A solve that screens a
+    group-L2 problem takes a dense Gram per block and rejects blocks wider
+    than 2048 columns (see duality.column_bounds), so on a design wider than
+    20480 columns pass a q that keeps the blocks narrower.
     """
     loss = LOSSES["squared" if model == "lasso" else "logistic"]
     partition = BlockPartition.contiguous(dataset.d,

@@ -367,15 +367,9 @@ def lipschitz_constants(spec):
     row_sq = np.bincount(rows, weights=sq, minlength=ds.n)
     if row_sq.max() == 0.0:
         raise DegenerateProblemError("design matrix is all zeros")
-    # one sum per (row, block) pair that holds entries, not a dense n x q table;
-    # the stable sort keeps each pair's entries in entry order, as bincount adds
-    # them, and is cheap because the rows are already in order
-    key = rows * part.q + part.block_of[a.indices]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    pair = np.zeros(key.size, dtype=np.intp)
-    np.not_equal(key[1:], key[:-1], out=pair[1:])
-    per_row_block = np.bincount(np.cumsum(pair, out=pair), weights=sq[order])
+    blk = part.block_of[a.indices]
+    per_row_block = np.bincount(rows * part.q + blk, weights=sq,
+                                minlength=ds.n * part.q).reshape(ds.n, part.q)
     c = spec.loss.curvature
     shift = 2.0 * spec.mu_p
     return LipschitzConstants(

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gapsgd as G
+import gapsgd.duality
 from gapsgd.duality import ActiveSet, _dual_value, column_bounds
 from gapsgd.problem import blockwise_dual_norms
 
@@ -326,6 +328,31 @@ def test_column_bounds_group_l2_are_tight_upper_bounds():
         assert zero.any() and np.all(got[zero] == 0.0), name
     top = np.linalg.svd(a[:, 26:34], compute_uv=False)
     assert top[0] - top[-1] < 1e-12  # the repeated top singular value is in place
+
+
+def test_column_bounds_group_l2_split_classes_give_the_same_bits(monkeypatch):
+    spec = make_instance(seed=19, n=40, d=34, q=4, reg="group_l2")  # 9, 9, 8, 8
+    whole = column_bounds(spec)
+    monkeypatch.setattr(gapsgd.duality, "_GRAM_ENTRIES", 81)  # one block at a time
+    np.testing.assert_array_equal(column_bounds(spec), whole)
+    monkeypatch.setattr(gapsgd.duality, "_GRAM_ENTRIES", 80)
+    with pytest.raises(ValueError, match="block of 9 columns"):
+        column_bounds(spec)
+
+
+def test_column_bounds_group_l2_reject_wide_default_blocks():
+    """The default q = 10 on a design 25,000 columns wide gives blocks of
+    2,500 columns, past the 2,048 whose dense Gram column_bounds will form."""
+    rng = np.random.default_rng(20)
+    n, d = 50, 25_000
+    a = sp.random(n, d, density=1e-3, format="csr", random_state=rng)
+    spec = G.build_spec(G.Dataset(a, rng.normal(size=n)), reg="group_l2")
+    assert spec.partition.q == 10
+    with pytest.raises(ValueError, match="block of 2500 columns exceeds the limit of 2048"):
+        column_bounds(spec)
+    with pytest.raises(ValueError, match="block of 2500 columns"):
+        G.adsgd_solve(spec, G.SolverConfig(seed=0, max_outer=1))
+    G.mrbcd_solve(spec, G.SolverConfig(seed=0, max_outer=1))  # never screens
 
 
 def test_active_history_is_monotone_under_screening():

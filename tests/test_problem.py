@@ -1,6 +1,4 @@
-import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,46 +160,6 @@ def test_lipschitz_ordering_invariant():
         c = G.lipschitz_constants(spec)
         assert 0 < c.L <= c.T * (1 + 1e-12)
         assert c.T <= q * c.L * (1 + 1e-12)
-
-
-def _dense_table_lipschitz(spec):
-    """L and T read from a dense n x q table of squared (row, block) norms."""
-    a, part = spec.dataset.A, spec.partition
-    rows = np.repeat(np.arange(spec.dataset.n), np.diff(a.indptr))
-    sq = a.data ** 2
-    table = np.bincount(rows * part.q + part.block_of[a.indices], weights=sq,
-                        minlength=spec.dataset.n * part.q)
-    c, shift = spec.loss.curvature, 2.0 * spec.mu_p
-    return (float(c * table.max() + shift),
-            float(c * np.bincount(rows, weights=sq).max() + shift))
-
-
-def test_lipschitz_matches_dense_table_bit_for_bit():
-    base = make_instance(seed=4, n=60, d=90, model="logistic", sparsity=0.3,
-                         mu_p=1e-3, q=9)
-    d = base.dataset.d
-    perm = np.random.default_rng(4).permutation(d)
-    for part in (base.partition,
-                 G.BlockPartition([np.arange(j, d, 7) for j in range(7)]),
-                 G.BlockPartition([np.sort(g) for g in np.array_split(perm, 11)]),
-                 G.BlockPartition.singletons(d)):
-        spec = dataclasses.replace(base, partition=part)
-        c = G.lipschitz_constants(spec)
-        assert (c.L, c.T) == _dense_table_lipschitz(spec)
-
-
-def test_lipschitz_memory_grows_with_entries_not_blocks():
-    spec = make_instance(seed=0, n=1000, d=5000, sparsity=0.002, q=5000)
-    nnz = spec.dataset.A.nnz
-    tracemalloc.start()
-    try:
-        G.lipschitz_constants(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a dense n x q table of float64 would take 40 MB here
-    assert 128 * nnz < 8 * spec.dataset.n * spec.partition.q
-    assert peak < 128 * nnz
 
 
 def test_lipschitz_degenerate_zero_matrix():
