@@ -341,15 +341,17 @@ def _split_rows(csr):
 def _gather_rows(rows, batch):
     """Concatenate the stored entries of the given rows, in batch order.
 
-    rows comes from _split_rows. Returns (cols, vals, row_id) where row_id
-    maps each entry back to its position inside the batch. Repeated rows are
+    rows comes from _split_rows, and batch is one batch of row indices or a
+    (c, b) array of c batches. Returns (cols, vals, row_id) where row_id maps
+    each entry back to its row's position inside its batch. Repeated rows are
     kept (weighted sampling).
     """
     indices, data, lens = rows
-    picks = batch.tolist()
+    picks = batch.ravel().tolist()
     cols = np.concatenate([indices[i] for i in picks])
     vals = np.concatenate([data[i] for i in picks])
-    row_id = np.arange(batch.size).repeat(lens[batch])
+    b = batch.shape[-1]
+    row_id = np.tile(np.arange(b), batch.size // b).repeat(lens[batch].ravel())
     return cols, vals, row_id
 
 

@@ -21,7 +21,21 @@ Every inner step of every solver goes through step_gradient: the sampled rows'
 derivatives, relative to the snapshot's under variance reduction, summed into
 the sampled block or into every active coordinate. A batch of all n rows uses
 the working design's all-rows gather instead of a draw. partial_gradient and
-vr_gradient run the same kernel on the uncompacted design.
+vr_gradient plan their one step with _plan and run the same kernel on the
+uncompacted design.
+
+An epoch is planned in chunks of steps, each chunk sized to gather at most
+_CHUNK_ENTRIES entries and never reaching past the epoch's last step. A chunk
+makes one rng.integers call, whose bounds list n for every batch row and the
+number of active blocks for every block draw, in step order. That takes the
+same values from the Philox stream as the draws made step by step, and leaves
+the stream in the same state: each bounded draw consumes the stream alike
+whether it comes alone or in an array, which tests pin. _plan then gathers
+every sampled row of the chunk at once and selects each step's block entries
+with one mask over the chunk, so a step does only the work that depends on
+the iterate: its two bincounts, the loss derivative, the prox and the running
+sum. Each step sums the same entries in the same order as a per-step gather
+would, so the plan changes no bit.
 
 After every screening event the design is compacted to the surviving columns
 (built from the previous compacted design, so at most q times per solve), and
@@ -42,6 +56,7 @@ the per-block column bounds Omega_j^D(A_j), once, when it starts.
 import dataclasses
 import math
 import time
+import typing
 
 import numpy as np
 import scipy.sparse as sp
@@ -202,32 +217,100 @@ def _compact(part, active, matrix, features):
                     classes=size_classes(order, sizes))
 
 
-def step_gradient(work, loss, x, gathered, y_b, g_ref, ib=None, mu=None, x_ref=None,
-                  mu_p=0.0):
+# Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
+# about 40 bytes per entry at its peak, so this keeps a chunk under a
+# megabyte, and at batch 10 it spreads the per-chunk calls over 12-40 steps on
+# rows of 40-130 entries. Twice as many made solves at most 3% faster.
+_CHUNK_ENTRIES = 1 << 14
+
+
+class _Step(typing.NamedTuple):
+    """One inner step of an epoch plan (see _plan).
+
+    fwd is (cols, vals, row_id) of the batch's entries, row_id counting rows
+    within the batch. bwd is (pos, vals, row_id) of the entries the gradient
+    sums: those inside block ib, pos being each one's slot in the block, or
+    every entry of fwd, pos being its compacted column, when ib is None.
+    y and g_ref hold y and the snapshot's derivatives on the batch; g_ref is
+    None without variance reduction.
+    """
+
+    fwd: tuple
+    bwd: tuple
+    ib: int | None
+    y: np.ndarray
+    g_ref: np.ndarray | None
+
+
+def _plan(work, y, g_snap, c, batches=None, ibs=None):
+    """Yield the c steps of one chunk, gathered and block-selected at once.
+
+    batches is a (c, b) array of sampled rows, or None when every step takes
+    all n rows; ibs holds the c sampled block ranks in work.active, or is None
+    for full-vector steps. One _gather_rows call fetches the rows of every
+    step, and one mask over the chunk's entries selects each step's block. A
+    step's entries are views into the chunk's arrays, in the order a gather
+    of its batch alone would give them, so its sums add the same terms in
+    the same order. A full batch passes y, g_snap and work.all_rows themselves.
+    Each step is built as it is asked for, so a chunk of many short steps
+    holds no more Python objects than one step.
+    """
+    if batches is None:
+        cols, vals, row_id = work.all_rows
+    else:
+        cols, vals, row_id = _gather_rows(work.rows, batches)
+        starts = np.zeros(c + 1, dtype=np.intp)
+        np.cumsum(work.rows[2][batches].sum(axis=1), out=starts[1:])
+        ends = starts.tolist()
+        y = y[batches]
+        g_snap = None if g_snap is None else g_snap[batches]
+    if ibs is not None:
+        blocks = work.active.blocks[ibs]
+        if batches is None:  # all entries again for every step, in step order
+            sel = np.flatnonzero(work.block_of[cols] == blocks[:, None])
+            cuts = np.searchsorted(sel, np.arange(c + 1) * cols.size).tolist()
+            sel %= cols.size
+        else:
+            sel = np.flatnonzero(work.block_of[cols]
+                                 == np.repeat(blocks, np.diff(starts)))
+            cuts = np.searchsorted(sel, starts).tolist()
+        pos, svals, srow = work.slot[cols[sel]], vals[sel], row_id[sel]
+        ibs = ibs.tolist()
+    fwd, y_b, g_b, ib = work.all_rows, y, g_snap, None
+    for t in range(c):
+        if batches is not None:
+            s, e = ends[t], ends[t + 1]
+            fwd = (cols[s:e], vals[s:e], row_id[s:e])
+            y_b, g_b = y[t], None if g_snap is None else g_snap[t]
+        bwd = fwd
+        if ibs is not None:
+            s, e = cuts[t], cuts[t + 1]
+            bwd, ib = (pos[s:e], svals[s:e], srow[s:e]), ibs[t]
+        yield _Step(fwd, bwd, ib, y_b, g_b)
+
+
+def step_gradient(work, loss, x, step, mu=None, x_ref=None, mu_p=0.0):
     """Mini-batch gradient of the smooth part at the compacted iterate x.
 
-    gathered is _gather_rows(work.rows, batch), or work.all_rows for the whole
-    dataset, and y_b is y[batch]. With variance reduction g_ref holds the
-    snapshot's per-sample derivatives on the batch, mu the snapshot's smooth
-    gradient and x_ref the snapshot; without it g_ref and mu are None and
-    x_ref is the anchor. Returns, as float64 in compacted coordinates, the
-    gradient on block ib of work.active (ordered as spans[ib]), or on every
-    coordinate when ib is None:
+    step is one _Step of _plan over work. With variance reduction mu holds
+    the snapshot's smooth gradient and x_ref the snapshot; without it mu is
+    None and x_ref is the anchor. Returns, as float64 in compacted
+    coordinates, the gradient on block step.ib of work.active (ordered as
+    spans[ib]), or on every coordinate when step.ib is None:
 
         A_b'(f'(A_b x) - g_ref) / b  [+ mu]  + 2 mu_p (x - x_ref)
     """
-    cols, vals, row_id = gathered
-    b = y_b.size
-    gb = loss.deriv(np.bincount(row_id, weights=vals * x[cols], minlength=b), y_b)
-    coef = (gb - g_ref) / b if g_ref is not None else gb / b
-    if ib is None:
-        sl = slice(None)
-        grad = np.bincount(cols, weights=vals * coef[row_id], minlength=x.size)
+    cols, vals, row_id = step.fwd
+    b = step.y.size
+    gb = loss.deriv(np.bincount(row_id, weights=vals * x[cols], minlength=b), step.y)
+    coef = (gb - step.g_ref) / b if step.g_ref is not None else gb / b
+    if step.ib is None:
+        sl, size = slice(None), x.size
     else:
-        sl = work.spans[ib]
-        mask = work.block_of[cols] == work.active.blocks[ib]
-        grad = np.bincount(work.slot[cols[mask]], weights=vals[mask] * coef[row_id[mask]],
-                           minlength=sl.size)
+        sl = work.spans[step.ib]
+        size = sl.size
+    pos, vals, row_id = step.bwd
+    grad = np.bincount(pos, weights=vals * coef[row_id], minlength=size)
     grad = grad.astype(np.float64, copy=False)  # a sum over no entries comes back int64
     if mu is not None:
         grad += mu[sl]
@@ -262,9 +345,8 @@ def partial_gradient(spec, x, batch, block):
     x = _check_x(spec, x)
     batch = _check_batch(spec, batch, block)
     work = _full_working(spec)
-    return step_gradient(work, spec.loss, x, _gather_rows(work.rows, batch),
-                         spec.dataset.y[batch], None, block, x_ref=spec.anchor,
-                         mu_p=spec.mu_p)
+    step, = _plan(work, spec.dataset.y, None, 1, batch[None, :], np.array([block]))
+    return step_gradient(work, spec.loss, x, step, x_ref=spec.anchor, mu_p=spec.mu_p)
 
 
 def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
@@ -280,8 +362,8 @@ def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
     batch = _check_batch(spec, batch, block)
     ds, work = spec.dataset, _full_working(spec)
     g_tilde = spec.loss.deriv(ds.A @ x_tilde, ds.y)
-    return step_gradient(work, spec.loss, x, _gather_rows(work.rows, batch), ds.y[batch],
-                         g_tilde[batch], block, mu=mu_tilde, x_ref=x_tilde,
+    step, = _plan(work, ds.y, g_tilde, 1, batch[None, :], np.array([block]))
+    return step_gradient(work, spec.loss, x, step, mu=mu_tilde, x_ref=x_tilde,
                          mu_p=spec.mu_p)
 
 
@@ -296,7 +378,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     A, y, q = ds.A, ds.y, part.q
     # batch_size == n is the degenerate deterministic case: the batch is the
     # whole dataset (no draw), otherwise sample with replacement
-    everyone = np.arange(n) if batch_size == n else None
+    sampled = batch_size < n
     screens = screening and config.screen_every > 0
 
     active = ActiveSet.full(spec, bounds=screens)
@@ -361,24 +443,32 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         else:
             mu, x_ref = None, spec.anchor[afeat]
 
-        for _t in range(m_k):
-            if everyone is None:
-                batch = rng.integers(0, n, size=batch_size)
-                gathered = _gather_rows(work.rows, batch)
-            else:
-                batch, gathered = everyone, work.all_rows
-            ib = int(rng.integers(0, active.n_blocks)) if block_sampling else None
-            grad = step_gradient(work, loss, x_cur, gathered, y[batch],
-                                 g_snap[batch] if variance_reduction else None, ib,
-                                 mu=mu, x_ref=x_ref, mu_p=mu_p)
-            if block_sampling:
-                sl = work.spans[ib]
-                x_cur[sl] = reg.block_prox(x_cur[sl] - eta * grad, eta * lam)
-                coord_updates += sl.size
-            else:
-                x_cur = reg.block_prox(x_cur - eta * grad, eta * lam, work.classes)
-                coord_updates += afeat.size
-            x_sum += x_cur
+        # Plan the epoch a chunk of steps at a time (see the module docstring):
+        # one draw per chunk, with its bounds in step order, never past step m_k.
+        per_step = (batch_size * int(work.rows[2].max()) if sampled
+                    else work.all_rows[0].size)
+        chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
+        highs = np.array([n] * (batch_size if sampled else 0)
+                         + [active.n_blocks] * block_sampling)
+        for done in range(0, m_k, chunk):
+            c = min(chunk, m_k - done)
+            draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
+                     else None)
+            steps = _plan(work, y, g_snap if variance_reduction else None, c,
+                          batches=draws[:, :batch_size] if sampled else None,
+                          ibs=draws[:, -1] if block_sampling else None)
+            for step in steps:
+                grad = step_gradient(work, loss, x_cur, step, mu=mu, x_ref=x_ref,
+                                     mu_p=mu_p)
+                if block_sampling:
+                    sl = work.spans[step.ib]
+                    x_cur[sl] = reg.block_prox(x_cur[sl] - eta * grad, eta * lam)
+                    coord_updates += sl.size
+                else:
+                    x_cur = reg.block_prox(x_cur - eta * grad, eta * lam, work.classes)
+                    coord_updates += afeat.size
+                x_sum += x_cur
+            del draws, steps, step  # release this chunk before the next is planned
         x_hat = np.zeros(d)
         x_hat[afeat] = x_sum / m_k
 
@@ -422,15 +512,16 @@ def _power_sigma(mat, iters, tol):
     """Largest singular value by power iteration with a fixed start vector."""
     k = mat.shape[1]
     v = np.full(k, 1.0 / math.sqrt(k))
+    u = mat @ v
     sigma = 0.0
     for _ in range(iters):
-        u = mat @ v
         w = mat.T @ u
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0
         v = w / nw
-        new_sigma = float(np.linalg.norm(mat @ v))
+        u = mat @ v  # gives this iteration's sigma and the next one's A'u
+        new_sigma = float(np.linalg.norm(u))
         if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
             return new_sigma
         sigma = new_sigma

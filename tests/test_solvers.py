@@ -7,8 +7,8 @@ import pytest
 import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import _gather_rows, _split_rows, soft_threshold
-from gapsgd.solvers import (_compact, _resolve, _spectral_bound, inner_budget,
-                            step_gradient)
+from gapsgd.solvers import (_CHUNK_ENTRIES, _compact, _plan, _power_sigma, _resolve,
+                            _spectral_bound, inner_budget, step_gradient)
 
 from conftest import hand_lasso, make_instance, tuned_eta
 
@@ -142,30 +142,35 @@ def test_step_gradient_matches_dense_reference(layout):
     g_snap, mu, x_snap = rng.normal(size=12), rng.normal(size=15), rng.normal(size=15)
     for work in (full_work, _compact(part, kept, full_work.matrix, full.features)):
         afeat = work.active.features
+        blocks = work.active.blocks
         for batch in (np.array([4, 4, 0, 11, 5, 4]), np.array([3]), np.array([5, 3]),
                       np.arange(12)):
-            gathered = (work.all_rows if batch.size == 12
-                        else _gather_rows(work.rows, batch))
+            # a full batch takes every row without a draw, as in the engine
+            batches = None if batch.size == 12 else batch[None, :]
             rows = a[batch]
             for g_ref, mu_c, x_ref, mu_p in ((None, None, None, 0.0),
                                              (None, None, x_snap, 0.3),
-                                             (g_snap[batch], mu, x_snap, 0.3)):
+                                             (g_snap, mu, x_snap, 0.3)):
                 deriv = loss.deriv(rows @ x, ds.y[batch])
                 if g_ref is not None:
-                    deriv = deriv - g_ref
+                    deriv = deriv - g_ref[batch]
                 want = rows.T @ deriv / batch.size
                 if mu_c is not None:
                     want = want + mu_c
                 if mu_p > 0:
                     want = want + 2.0 * mu_p * (x - x_ref)
-                args = (work, loss, x[afeat], gathered, ds.y[batch], g_ref)
                 kw = dict(mu=None if mu_c is None else mu_c[afeat],
                           x_ref=None if x_ref is None else x_ref[afeat], mu_p=mu_p)
-                got = step_gradient(*args, **kw)
+                step, = _plan(work, ds.y, g_ref, 1, batches)
+                got = step_gradient(work, loss, x[afeat], step, **kw)
                 assert got.dtype == np.float64
                 np.testing.assert_allclose(got, want[afeat], rtol=0, atol=1e-12)
-                for ib, j in enumerate(work.active.blocks):
-                    got = step_gradient(*args, ib, **kw)
+                # one chunk of steps, one per block, all on the same batch
+                steps = _plan(work, ds.y, g_ref, blocks.size,
+                              None if batches is None else batches.repeat(blocks.size, 0),
+                              np.arange(blocks.size))
+                for j, step in zip(blocks, steps):
+                    got = step_gradient(work, loss, x[afeat], step, **kw)
                     assert got.dtype == np.float64
                     np.testing.assert_allclose(got, want[part.groups[j]], rtol=0,
                                                atol=1e-12)
@@ -176,16 +181,63 @@ def test_step_gradient_sums_nothing_as_float_zeros():
     spec, _, _ = _kernel_instance("scattered")
     full = G.ActiveSet.full(spec, bounds=False)
     work = _compact(spec.partition, full, spec.dataset.A, full.features)
-    x = np.ones(15)
+    y, x = spec.dataset.y, np.ones(15)
     for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0), (np.array([3]), None)):
-        got = step_gradient(work, spec.loss, x, _gather_rows(work.rows, batch),
-                            spec.dataset.y[batch], None, ib)
+        ibs = None if ib is None else np.array([ib])
+        step, = _plan(work, y, None, 1, batch[None, :], ibs)
+        got = step_gradient(work, spec.loss, x, step)
         assert got.dtype == np.float64 and not got.any()
         mu = np.full(15, 0.25)
-        got = step_gradient(work, spec.loss, x, _gather_rows(work.rows, batch),
-                            spec.dataset.y[batch], np.zeros(batch.size), ib, mu=mu,
-                            x_ref=x, mu_p=0.1)
+        step, = _plan(work, y, np.zeros(12), 1, batch[None, :], ibs)
+        got = step_gradient(work, spec.loss, x, step, mu=mu, x_ref=x, mu_p=0.1)
         assert np.all(got == 0.25)
+
+
+def _same_entries(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "scattered"])
+def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
+    """A chunk's steps hold the entries, in the same order, that planning each
+    step by itself gives, and one step's plan is a per-step gather and mask."""
+    spec, _, rng = _kernel_instance(layout)
+    y, g_snap = spec.dataset.y, rng.normal(size=12)
+    full = G.ActiveSet.full(spec, bounds=False)
+    work = _compact(spec.partition, full, spec.dataset.A, full.features)
+    for w in (work, _compact(spec.partition, full.keep([0, 2, 3]), work.matrix,
+                             full.features)):
+        q_k = w.active.n_blocks
+        batches = rng.integers(0, 12, size=(7, 4))
+        batches[2] = 3  # a step of empty rows
+        ibs = rng.integers(0, q_k, size=7)
+        for chunk_batches, chunk_ibs, g in ((batches, ibs, g_snap), (batches, None, None),
+                                            (None, ibs, g_snap), (None, None, g_snap)):
+            steps = list(_plan(w, y, g, 7, chunk_batches, chunk_ibs))
+            assert len(steps) == 7
+            for t, step in enumerate(steps):
+                one = None if chunk_batches is None else chunk_batches[t:t + 1]
+                alone, = _plan(w, y, g, 1, one, None if chunk_ibs is None
+                               else chunk_ibs[t:t + 1])
+                assert step.ib == alone.ib
+                _same_entries(step.fwd, alone.fwd)
+                _same_entries(step.bwd, alone.bwd)
+                for a, b in ((step.y, alone.y), (step.g_ref, alone.g_ref)):
+                    assert (a is None) == (b is None)
+                    assert a is None or np.array_equal(a, b)
+            for t, step in enumerate(steps):
+                batch = np.arange(12) if chunk_batches is None else chunk_batches[t]
+                cols, vals, row_id = _gather_rows(w.rows, batch)
+                _same_entries(step.fwd, (cols, vals, row_id))
+                if chunk_ibs is None:
+                    assert step.ib is None and step.bwd is step.fwd
+                    continue
+                mask = w.block_of[cols] == w.active.blocks[chunk_ibs[t]]
+                _same_entries(step.bwd, (w.slot[cols[mask]], vals[mask], row_id[mask]))
+            if chunk_batches is None:  # a full batch copies neither y nor g_snap
+                assert all(s.y is y and s.fwd is w.all_rows for s in steps)
+                assert all(s.g_ref is g for s in steps)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
@@ -198,6 +250,64 @@ def test_all_rows_gather_is_the_gather_of_every_row(layout):
         want = _gather_rows(w.rows, np.arange(12))
         for got, ref in zip(w.all_rows, want):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+# ------------------------------------------------------------- epoch plan
+
+@pytest.mark.parametrize("n", [3, 1000, 2 ** 31 + 5])
+@pytest.mark.parametrize("b", [1, 10])
+@pytest.mark.parametrize("q_k", [1, 50])
+def test_one_draw_per_chunk_takes_the_per_step_stream(n, b, q_k):
+    """The engine draws a chunk of steps with one integers call over bounds
+    tiled step by step. That must give the values that a batch draw and a
+    block draw per step give, and leave the generator in the same state, or
+    every iterate moves. The rows-only and blocks-only draws are tiled too."""
+    for seed in range(4):
+        for rows, blocks in ((True, True), (True, False), (False, True)):
+            per_step = np.random.Generator(np.random.Philox(seed))
+            chunked = np.random.Generator(np.random.Philox(seed))
+            want = []
+            for _ in range(9):
+                if rows:
+                    want += per_step.integers(0, n, size=b).tolist()
+                if blocks:
+                    want.append(int(per_step.integers(0, q_k)))
+            bounds = [n] * (b if rows else 0) + [q_k] * blocks
+            assert chunked.integers(0, np.tile(bounds, 9)).tolist() == want
+            assert chunked.integers(0, 2 ** 62) == per_step.integers(0, 2 ** 62)
+
+
+class _CountingGenerator(np.random.Generator):
+    """Records the number of values each integers call draws."""
+
+    draws = []
+
+    def integers(self, *args, **kwargs):
+        out = super().integers(*args, **kwargs)
+        self.draws.append(np.size(out))
+        return out
+
+
+@pytest.mark.parametrize("solver, batch_size, m", [("mrbcd", 10, 40), ("mrbcd", 10, 700),
+                                                   ("proxsvrg", 10, 700),
+                                                   ("mrbcd", 30, 700)])
+def test_epoch_draws_once_per_chunk_and_never_past_its_steps(monkeypatch, solver,
+                                                             batch_size, m):
+    """One integers call per chunk, chunks sized by the entry cap and cut at m_k
+    (m = 40 fits one chunk); a full batch (30 rows) draws only blocks."""
+    spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
+    monkeypatch.setattr(_CountingGenerator, "draws", [])
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=7, m=m, max_outer=3,
+                                       batch_size=batch_size, gap_tol=1e-12,
+                                       eta=tuned_eta(spec)))
+    assert rep.outer_iters == 3
+    a = spec.dataset.A
+    per_step = a.nnz if batch_size == 30 else batch_size * np.diff(a.indptr).max()
+    chunk = max(1, _CHUNK_ENTRIES // per_step)
+    drawn = (batch_size if batch_size < 30 else 0) + (solver == "mrbcd")
+    want = [drawn * min(chunk, m - done) for done in range(0, m, chunk)] * 3
+    assert _CountingGenerator.draws == want
 
 
 @pytest.mark.parametrize("q", [30, 300])
@@ -502,6 +612,46 @@ def test_all_solvers_converge_with_conservative_step():
         rep = G.solve(spec, G.SolverConfig(solver=name, seed=1, gap_tol=1e-6,
                                            max_outer=200, m=12 * n, **kw))
         assert rep.converged and rep.outer_iters <= 200, name
+
+
+def _power_sigma_two_products(mat, iters, tol):
+    """The power iteration as it was, forming mat @ v twice per iteration."""
+    k = mat.shape[1]
+    v = np.full(k, 1.0 / math.sqrt(k))
+    sigma = 0.0
+    for it in range(1, iters + 1):
+        u = mat @ v
+        w = mat.T @ u
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return 0.0, it
+        v = w / nw
+        new_sigma = float(np.linalg.norm(mat @ v))
+        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
+            return new_sigma, it
+        sigma = new_sigma
+    return sigma, iters
+
+
+@pytest.mark.parametrize("seed, iters, tol", [(3, 60, 1e-9), (8, 60, 1e-9), (3, 7, 0.0)])
+def test_power_sigma_reuses_its_forward_product(monkeypatch, seed, iters, tol):
+    """One A v per iteration, plus the first: the same bits as forming it twice."""
+    a = make_instance(seed=seed, n=150, d=300, q=10).dataset.A
+    want, ran = _power_sigma_two_products(a, iters, tol)
+    counts = {"forward": 0, "transposed": 0}
+    forward, transposed = type(a).__matmul__, type(a.T).__matmul__
+
+    def counted(key, fn):
+        def wrapper(self, other):
+            counts[key] += 1
+            return fn(self, other)
+        return wrapper
+
+    monkeypatch.setattr(type(a), "__matmul__", counted("forward", forward))
+    monkeypatch.setattr(type(a.T), "__matmul__", counted("transposed", transposed))
+    got = _power_sigma(a, iters, tol)
+    assert got.hex() == want.hex()
+    assert counts == {"forward": ran + 1, "transposed": ran}
 
 
 def test_spectral_bound_dominates_average_hessian():
