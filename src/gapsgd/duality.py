@@ -64,9 +64,8 @@ class ActiveSet:
 
     def keep(self, block_ids):
         block_ids = np.asarray(block_ids, dtype=np.intp)
-        feats = (np.concatenate([self.partition.groups[j] for j in block_ids])
-                 if block_ids.size else np.empty(0, dtype=np.intp))
-        return ActiveSet(blocks=np.sort(block_ids), features=np.sort(feats),
+        feats = np.flatnonzero(np.isin(self.partition.block_of, block_ids))
+        return ActiveSet(blocks=np.sort(block_ids), features=feats,
                          column_bounds=self.column_bounds, partition=self.partition)
 
     @property

@@ -62,7 +62,12 @@ class Dataset:
             arr.flags.writeable = False
 
     def rmatvec(self, v):
-        """A'v. Every product with the transposed design goes through here."""
+        """A'v, as smooth_gradient, dual_point and lambda_max form it.
+
+        The spectral bound's power iteration, the group-L2 screening bounds'
+        block Gram matrices and the reference solver's support refinement
+        form their products with A' on A itself.
+        """
         return self.A.T @ v
 
     def column_norms(self):
@@ -258,10 +263,10 @@ class ProblemSpec:
     x0_anchor: np.ndarray = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.mu_p < 0:
-            raise ValueError(f"mu_p must be nonnegative, got {self.mu_p}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 <= self.mu_p < math.inf:
+            raise ValueError(f"mu_p must be nonnegative and finite, got {self.mu_p}")
         if self.partition.d != self.dataset.d:
             raise ValueError("partition does not cover the dataset features")
         self.loss.validate_labels(self.dataset.y)
@@ -324,35 +329,23 @@ def full_gradient(spec, x):
     return smooth_gradient(spec, x, spec.loss.deriv(ds.A @ x, ds.y))
 
 
-def _split_rows(csr):
-    """Per-row views of a CSR matrix's column indices and values, plus the row lengths.
+def _gather_rows(indptr, entries, batch):
+    """The stored entries of the given rows, in batch order, by index arithmetic.
 
-    Splitting once lets _gather_rows fetch a row by list indexing instead of
-    slicing the CSR arrays on every call. The column indices are cast to intp
-    once here, because numpy casts narrower index arrays on every fancy index.
+    Row r's entries are entries[k][indptr[r]:indptr[r + 1]], and batch is one
+    batch of row indices or a (c, b) array of c batches. Returns (cols, vals,
+    row_id, starts): row_id maps each entry back to its row's position inside
+    its batch, and batch t's entries are [starts[t], starts[t + 1]). Repeated
+    rows are kept (weighted sampling).
     """
-    indices = csr.indices.astype(np.intp)
-    ends = csr.indptr.tolist()
-    bounds = list(zip(ends, ends[1:]))
-    return ([indices[s:e] for s, e in bounds], [csr.data[s:e] for s, e in bounds],
-            np.diff(csr.indptr))
-
-
-def _gather_rows(rows, batch):
-    """Concatenate the stored entries of the given rows, in batch order.
-
-    rows comes from _split_rows, and batch is one batch of row indices or a
-    (c, b) array of c batches. Returns (cols, vals, row_id) where row_id maps
-    each entry back to its row's position inside its batch. Repeated rows are
-    kept (weighted sampling).
-    """
-    indices, data, lens = rows
-    picks = batch.ravel().tolist()
-    cols = np.concatenate([indices[i] for i in picks])
-    vals = np.concatenate([data[i] for i in picks])
-    b = batch.shape[-1]
-    row_id = np.tile(np.arange(b), batch.size // b).repeat(lens[batch].ravel())
-    return cols, vals, row_id
+    rows, b = batch.ravel(), batch.shape[-1]
+    first = indptr[rows]
+    lens = indptr[rows + 1] - first
+    ends = np.cumsum(lens)
+    idx = np.repeat(first - (ends - lens), lens) + np.arange(ends[-1])
+    row_id = np.tile(np.arange(b), rows.size // b).repeat(lens)
+    starts = np.concatenate(([0], ends[b - 1::b]))
+    return entries[0].take(idx), entries[1].take(idx), row_id, starts
 
 
 def lipschitz_constants(spec):

@@ -19,10 +19,10 @@ when screening truncates the snapshot.
 
 Every inner step of every solver goes through step_gradient: the sampled rows'
 derivatives, relative to the snapshot's under variance reduction, summed into
-the sampled block or into every active coordinate. A batch of all n rows uses
-the working design's all-rows gather instead of a draw. partial_gradient and
-vr_gradient plan their one step with _plan and run the same kernel on the
-uncompacted design.
+the sampled block or into every active coordinate. A batch of all n rows
+takes every entry of the working design as it stands, without a draw.
+partial_gradient and vr_gradient plan their one step with _plan and run the
+same kernel on the uncompacted design.
 
 An epoch is planned in chunks of steps, each chunk sized to gather at most
 _CHUNK_ENTRIES entries and never reaching past the epoch's last step. A chunk
@@ -31,20 +31,25 @@ number of active blocks for every block draw, in step order. That takes the
 same values from the Philox stream as the draws made step by step, and leaves
 the stream in the same state: each bounded draw consumes the stream alike
 whether it comes alone or in an array, which tests pin. _plan then gathers
-every sampled row of the chunk at once and selects each step's block entries
-with one mask over the chunk, so a step does only the work that depends on
-the iterate: its two bincounts, the loss derivative, the prox and the running
-sum. Each step sums the same entries in the same order as a per-step gather
-would, so the plan changes no bit.
+every sampled row of the chunk at once, through one index array computed from
+the row pointers, and selects each step's block entries with one mask over
+the chunk, so a step does only the work that depends on the iterate: its two
+bincounts, the loss derivative, the prox and the running sum. Each step sums
+the same entries in the same order as a per-step gather would, so the plan
+changes no bit.
 
-After every screening event the design is compacted to the surviving columns
-(built from the previous compacted design, so at most q times per solve), and
-the inner loop runs in those compacted coordinates: the iterate, snapshot,
-snapshot gradient and running average hold one entry per surviving feature,
-and each sampled row contributes only its surviving entries. That is where
-screening cuts the cost of a step, not just the number of steps. Screened
-coordinates are exact zeros, so compaction removes only vals * 0.0 terms from
-the row sums and leaves every iterate bit-identical.
+The working design is the row pointers plus one array each of the column,
+value and row of every stored entry, in CSR order. After every screening
+event it is compacted to the surviving columns, cut down from the previous
+working design (so at most q times per solve): a mask drops the screened
+columns' entries, a cumulative count renumbers the surviving columns and a
+bincount of the kept entries' rows rebuilds the row pointers. The inner loop
+runs in those compacted coordinates: the iterate, snapshot, snapshot gradient
+and running average hold one entry per surviving feature, and each sampled
+row contributes only its surviving entries. That is where screening cuts the
+cost of a step, not just the number of steps. Screened coordinates are exact
+zeros, so compaction removes only vals * 0.0 terms from the row sums and
+leaves every iterate bit-identical.
 
 The full-vector solvers (asgd, proxsvrg) and the reference solver make one
 penalty prox call per step. For group-L2 it shrinks every block of one size
@@ -59,11 +64,10 @@ import time
 import typing
 
 import numpy as np
-import scipy.sparse as sp
 
 from .duality import ActiveSet, DualPoint, evaluate, safe_radius, screen
-from .problem import (_check_x, _gather_rows, _split_rows, lipschitz_constants,
-                      size_classes, smooth_gradient, smooth_value)
+from .problem import (_check_x, _gather_rows, lipschitz_constants, size_classes,
+                      smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -150,8 +154,8 @@ def _resolve(spec, config, consts):
     if config.theory_mode and config.eta is not None:
         raise ValueError("eta and theory_mode are mutually exclusive")
     eta = config.eta if config.eta is not None else 1.0 / (16.0 * consts.L)
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     m = config.m if config.m is not None else 2 * n
     if config.theory_mode and config.mu_strong is not None:
         if config.mu_strong <= 0:
@@ -164,8 +168,8 @@ def _resolve(spec, config, consts):
         batch = min(n, max(1, math.ceil(consts.T / consts.L)))
     if not 1 <= batch <= n:
         raise ValueError(f"batch_size must lie in [1, {n}], got {batch}")
-    if config.gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
+    if not 0 < config.gap_tol < math.inf:
+        raise ValueError(f"gap_tol must be positive and finite, got {config.gap_tol}")
     if config.max_outer < 1:
         raise ValueError("max_outer must be at least 1")
     if config.screen_every < 0:
@@ -177,43 +181,53 @@ def _resolve(spec, config, consts):
 class _Working:
     """The design restricted to the active features, columns renumbered 0..n_features-1.
 
-    Block ib of active.blocks owns the compacted columns spans[ib], a sorted
+    entries holds (cols, vals, row_of) of every stored entry in CSR order,
+    cols as intp, and row r's entries are [indptr[r], indptr[r + 1]). Block
+    ib of active.blocks owns the compacted columns spans[ib], a sorted
     position array; slot gives every compacted column its place inside its
     block. classes groups the same blocks by size for the full-vector prox.
-    all_rows is _gather_rows(rows, arange(n)), read straight off the CSR
-    arrays, for steps whose batch is the whole dataset.
     """
 
     active: ActiveSet
-    matrix: sp.csr_matrix
-    rows: tuple           # _split_rows(matrix)
-    all_rows: tuple       # (cols, vals, row_id) of every stored entry
+    indptr: np.ndarray
+    entries: tuple
     block_of: np.ndarray  # block id of every compacted column
     slot: np.ndarray      # position of every compacted column inside its block
     spans: list
     classes: list         # size_classes(order, sizes)
 
 
-def _compact(part, active, matrix, features):
-    """Working design of `active` from `matrix`, whose columns hold `features`.
+def _compact(spec, active, prev=None):
+    """Working design of `active`, cut down from prev's or from the dataset's.
 
-    active.features must be a subset of features. Selecting sorted unique
-    columns keeps every row's entries in their original order, so each row
-    sum over the surviving entries adds the same products in the same order.
+    active.features must be a subset of prev's features. Dropping entries
+    keeps every row's survivors in their original order, so each row sum
+    over them adds the same products in the same order.
     """
+    if prev is None:
+        a = spec.dataset.A
+        indptr = a.indptr.astype(np.intp)
+        entries = (a.indices.astype(np.intp), a.data,
+                   np.repeat(np.arange(a.shape[0]), np.diff(indptr)))
+        features = np.arange(spec.dataset.d)
+    else:
+        indptr, entries, features = prev.indptr, prev.entries, prev.active.features
     afeat = active.features
     if afeat.size < features.size:
-        matrix = matrix[:, np.searchsorted(features, afeat)]
-    sizes = part.sizes[active.blocks]
-    block_of = part.block_of[afeat]
+        alive = np.isin(features, afeat)
+        cols, vals, row_of = entries
+        keep = alive[cols]
+        entries = ((np.cumsum(alive) - 1)[cols[keep]], vals[keep], row_of[keep])
+        indptr = np.zeros_like(indptr)
+        np.cumsum(np.bincount(entries[2], minlength=indptr.size - 1), out=indptr[1:])
+    sizes = spec.partition.sizes[active.blocks]
+    block_of = spec.partition.block_of[afeat]
     order = np.argsort(block_of, kind="stable")  # compacted columns, block by block
     offsets = np.cumsum(sizes)
     slot = np.empty(afeat.size, dtype=np.intp)
     slot[order] = np.arange(afeat.size) - np.repeat(offsets - sizes, sizes)
-    row_id = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return _Working(active=active, matrix=matrix, rows=_split_rows(matrix),
-                    all_rows=(matrix.indices.astype(np.intp), matrix.data, row_id),
-                    block_of=block_of, slot=slot, spans=np.split(order, offsets[:-1]),
+    return _Working(active=active, indptr=indptr, entries=entries, block_of=block_of,
+                    slot=slot, spans=np.split(order, offsets[:-1]),
                     classes=size_classes(order, sizes))
 
 
@@ -248,19 +262,18 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
     batches is a (c, b) array of sampled rows, or None when every step takes
     all n rows; ibs holds the c sampled block ranks in work.active, or is None
     for full-vector steps. One _gather_rows call fetches the rows of every
-    step, and one mask over the chunk's entries selects each step's block. A
-    step's entries are views into the chunk's arrays, in the order a gather
-    of its batch alone would give them, so its sums add the same terms in
-    the same order. A full batch passes y, g_snap and work.all_rows themselves.
+    step, with the offset where each step's entries start, and one mask over
+    the chunk's entries selects each step's block. A step's entries are
+    views into the chunk's arrays, in the order a gather of its batch alone
+    would give them, so its sums add the same terms in the same order. A
+    full batch passes y, g_snap and work.entries themselves.
     Each step is built as it is asked for, so a chunk of many short steps
     holds no more Python objects than one step.
     """
     if batches is None:
-        cols, vals, row_id = work.all_rows
+        cols, vals, row_id = work.entries
     else:
-        cols, vals, row_id = _gather_rows(work.rows, batches)
-        starts = np.zeros(c + 1, dtype=np.intp)
-        np.cumsum(work.rows[2][batches].sum(axis=1), out=starts[1:])
+        cols, vals, row_id, starts = _gather_rows(work.indptr, work.entries, batches)
         ends = starts.tolist()
         y = y[batches]
         g_snap = None if g_snap is None else g_snap[batches]
@@ -276,7 +289,7 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
             cuts = np.searchsorted(sel, starts).tolist()
         pos, svals, srow = work.slot[cols[sel]], vals[sel], row_id[sel]
         ibs = ibs.tolist()
-    fwd, y_b, g_b, ib = work.all_rows, y, g_snap, None
+    fwd, y_b, g_b, ib = work.entries, y, g_snap, None
     for t in range(c):
         if batches is not None:
             s, e = ends[t], ends[t + 1]
@@ -319,12 +332,6 @@ def step_gradient(work, loss, x, step, mu=None, x_ref=None, mu_p=0.0):
     return grad
 
 
-def _full_working(spec):
-    ds = spec.dataset
-    return _compact(spec.partition, ActiveSet.full(spec, bounds=False), ds.A,
-                    np.arange(ds.d))
-
-
 def _check_batch(spec, batch, block):
     batch = np.asarray(batch, dtype=np.intp).ravel()
     if batch.size == 0:
@@ -344,7 +351,7 @@ def partial_gradient(spec, x, batch, block):
     """
     x = _check_x(spec, x)
     batch = _check_batch(spec, batch, block)
-    work = _full_working(spec)
+    work = _compact(spec, ActiveSet.full(spec, bounds=False))
     step, = _plan(work, spec.dataset.y, None, 1, batch[None, :], np.array([block]))
     return step_gradient(work, spec.loss, x, step, x_ref=spec.anchor, mu_p=spec.mu_p)
 
@@ -360,7 +367,7 @@ def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
         raise ValueError("mu_tilde must have length d")
     x, x_tilde = _check_x(spec, x), _check_x(spec, x_tilde)
     batch = _check_batch(spec, batch, block)
-    ds, work = spec.dataset, _full_working(spec)
+    ds, work = spec.dataset, _compact(spec, ActiveSet.full(spec, bounds=False))
     g_tilde = spec.loss.deriv(ds.A @ x_tilde, ds.y)
     step, = _plan(work, ds.y, g_tilde, 1, batch[None, :], np.array([block]))
     return step_gradient(work, spec.loss, x, step, mu=mu_tilde, x_ref=x_tilde,
@@ -370,19 +377,18 @@ def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
 def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     ds = spec.dataset
     n, d = ds.n, ds.d
-    part = spec.partition
     loss, reg, lam, mu_p = spec.loss, spec.reg, spec.lam, spec.mu_p
     consts = lipschitz_constants(spec)
     eta, m, batch_size = _resolve(spec, config, consts)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    A, y, q = ds.A, ds.y, part.q
+    A, y, q = ds.A, ds.y, spec.partition.q
     # batch_size == n is the degenerate deterministic case: the batch is the
     # whole dataset (no draw), otherwise sample with replacement
     sampled = batch_size < n
     screens = screening and config.screen_every > 0
 
     active = ActiveSet.full(spec, bounds=screens)
-    work = _compact(part, active, A, active.features)
+    work = _compact(spec, active)
     x_hat = np.zeros(d)
     trace, active_history = [], []
     iterates = [] if config.keep_iterates else None
@@ -428,7 +434,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         if active.n_blocks == 0:
             continue  # empty subproblem; the next evaluation certifies x = 0
         if work.active is not active:
-            work = _compact(part, active, work.matrix, work.active.features)
+            work = _compact(spec, active, work)
 
         m_k = inner_budget(m, active.n_blocks, q)
         # The inner loop runs in compacted coordinates: position p stands for
@@ -445,8 +451,8 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
 
         # Plan the epoch a chunk of steps at a time (see the module docstring):
         # one draw per chunk, with its bounds in step order, never past step m_k.
-        per_step = (batch_size * int(work.rows[2].max()) if sampled
-                    else work.all_rows[0].size)
+        per_step = (batch_size * int(np.diff(work.indptr).max()) if sampled
+                    else work.entries[0].size)
         chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
         highs = np.array([n] * (batch_size if sampled else 0)
                          + [active.n_blocks] * block_sampling)
@@ -604,8 +610,8 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     equicorrelation membership well below the stopping tolerance. Raises
     ConvergenceError (carrying the best gap seen) if max_iter is exhausted.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     ds = spec.dataset
     A, y, n, d = ds.A, ds.y, ds.n, ds.d
     reg, lam = spec.reg, spec.lam

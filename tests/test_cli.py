@@ -106,6 +106,17 @@ def test_bad_synthetic_argument_exits_3(capsys):
     assert main(["lambda-max", "--synthetic", "10,20"]) == 3
 
 
+@pytest.mark.parametrize("args", [["solve", "--eta", "nan"], ["solve", "--eta", "inf"],
+                                  ["solve", "--lambda-ratio", "nan"],
+                                  ["solve", "--mu-p", "nan"],
+                                  ["solve", "--gap-tol", "nan"],
+                                  ["solve", "--gap-tol", "inf"],
+                                  ["oracle", "--gap-tol", "nan"]])
+def test_non_finite_option_exits_3(args, capsys):
+    assert main(args + ["--synthetic", "40,60,0.3,0.01"]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_solve_exits_4(capsys):
     code = main(["solve", "--synthetic", "40,30,0.5,0.05", "--eta", "1e9",

@@ -279,6 +279,20 @@ def test_active_set_keep_restricts_features():
                                        spec.partition.groups[4]]))
     np.testing.assert_array_equal(sub.features, expected)
     assert sub.column_bounds is act.column_bounds
+    # scattered partitions, block ids in any order or none: sorted intp features
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        d = int(rng.integers(1, 40))
+        q = int(rng.integers(1, d + 1))
+        labels = np.concatenate([np.arange(q), rng.integers(0, q, size=d - q)])
+        part = G.BlockPartition([np.flatnonzero(labels == j) for j in rng.permutation(q)])
+        full = ActiveSet(blocks=np.arange(q), features=np.arange(d),
+                         column_bounds=None, partition=part)
+        ids = rng.permutation(q)[:int(rng.integers(0, q + 1))]
+        sub = full.keep(ids)
+        want = np.sort(np.concatenate([part.groups[j] for j in ids] + [[]]))
+        assert sub.features.dtype == np.intp and np.array_equal(sub.features, want)
+        assert np.array_equal(sub.blocks, np.sort(ids))
 
 
 def test_column_bounds_l1_are_column_norms():

@@ -437,12 +437,11 @@ def test_partition_block_of_inverts_groups():
 def test_problem_spec_validation():
     ds = G.Dataset(np.eye(2), np.array([1.0, 0.5]))
     part = G.BlockPartition.singletons(2)
-    with pytest.raises(ValueError):
-        G.ProblemSpec(dataset=ds, partition=part, loss=G.LOSSES["squared"],
-                      reg=G.REGULARIZERS["l1"], lam=0.0)
-    with pytest.raises(ValueError):
-        G.ProblemSpec(dataset=ds, partition=part, loss=G.LOSSES["squared"],
-                      reg=G.REGULARIZERS["l1"], lam=1.0, mu_p=-1.0)
+    for lam, mu_p in ((0.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (1.0, -1.0),
+                      (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            G.ProblemSpec(dataset=ds, partition=part, loss=G.LOSSES["squared"],
+                          reg=G.REGULARIZERS["l1"], lam=lam, mu_p=mu_p)
     with pytest.raises(ValueError):
         G.ProblemSpec(dataset=ds, partition=part, loss=G.LOSSES["logistic"],
                       reg=G.REGULARIZERS["l1"], lam=1.0)

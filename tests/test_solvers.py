@@ -6,7 +6,7 @@ import pytest
 
 import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
-from gapsgd.problem import _gather_rows, _split_rows, soft_threshold
+from gapsgd.problem import _gather_rows, soft_threshold
 from gapsgd.solvers import (_CHUNK_ENTRIES, _compact, _plan, _power_sigma, _resolve,
                             _spectral_bound, inner_budget, step_gradient)
 
@@ -76,22 +76,75 @@ def test_vr_gradient_shape_check():
 
 # ---------------------------------------------------- compacted design
 
-def test_gather_rows_on_compacted_design_matches_full_gather():
+def _layout_instance():
+    """A 12 x 15 design with empty rows (2, 7) and a row (5) only in blocks 1 and 3."""
     rng = np.random.default_rng(21)
     a = rng.normal(size=(12, 15)) * (rng.random(size=(12, 15)) < 0.5)
-    a[[2, 7]] = 0.0                   # empty rows
+    a[[2, 7]] = 0.0
     a[5] = 0.0
-    a[5, [4, 10]] = [1.5, -2.0]       # only in blocks 1 and 3, which get dropped
-    ds = G.Dataset(a, np.zeros(12))
-    part = G.BlockPartition.contiguous(15, 5)
+    a[5, [4, 10]] = [1.5, -2.0]
+    spec = G.ProblemSpec(dataset=G.Dataset(a, np.zeros(12)),
+                         partition=G.BlockPartition.contiguous(15, 5),
+                         loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
     full = G.ActiveSet(blocks=np.arange(5), features=np.arange(15),
-                       column_bounds=np.ones(5), partition=part)
+                       column_bounds=np.ones(5), partition=spec.partition)
+    return spec, a, full
+
+
+def test_chained_compactions_give_the_csr_column_selection():
+    """Each compaction, cut down from the previous one, holds scipy's
+    A[:, features] arrays entry for entry, cols as intp."""
+    spec, _, full = _layout_instance()
+    work = _compact(spec, full)
+    for kept in ([0, 1, 2, 4], [0, 2, 4], [2]):
+        active = full.keep(kept)
+        work = _compact(spec, active, work)
+        want = spec.dataset.A[:, active.features]
+        cols, vals, row_of = work.entries
+        assert work.active is active and cols.dtype == np.intp
+        assert np.array_equal(work.indptr, want.indptr)
+        assert np.array_equal(cols, want.indices) and np.array_equal(vals, want.data)
+        assert np.array_equal(row_of, np.repeat(np.arange(12), np.diff(want.indptr)))
+
+
+def test_gather_rows_matches_csr_row_indexing():
+    """A gather of (c, b) batches is scipy's A[batch] for each batch in turn,
+    on the full and on a compacted design, with repeated, empty and emptied rows."""
+    spec, _, full = _layout_instance()
+    full_work = _compact(spec, full)
+    active = full.keep([0, 2, 4])
+    batches = np.array([[5, 2, 0, 5], [11, 7, 0, 0], [2, 7, 2, 7], [5, 5, 3, 1]])
+    for work in (full_work, _compact(spec, active, full_work)):
+        design = spec.dataset.A[:, work.active.features]
+        for c in (1, 4):
+            cols, vals, row_id, starts = _gather_rows(work.indptr, work.entries,
+                                                      batches[:c])
+            assert cols.dtype == np.intp and starts[0] == 0
+            for t, batch in enumerate(batches[:c]):
+                want = design[batch]
+                s, e = starts[t], starts[t + 1]
+                assert np.array_equal(cols[s:e], want.indices)
+                assert np.array_equal(vals[s:e], want.data)
+                assert np.array_equal(row_id[s:e], np.repeat(np.arange(4),
+                                                             np.diff(want.indptr)))
+            assert starts[-1] == cols.size == vals.size == row_id.size
+        one = _gather_rows(work.indptr, work.entries, batches[0])
+        for got, ref in zip(one, _gather_rows(work.indptr, work.entries, batches[:1])):
+            assert np.array_equal(got, ref)
+
+
+def test_gather_rows_on_compacted_design_matches_full_gather():
+    spec, a, full = _layout_instance()
     # compacted twice, each time from the previous working design
-    work = _compact(part, full, ds.A, full.features)
+    work = _compact(spec, full)
+    full_work = work
     for kept in ([0, 1, 2, 4], [0, 2, 4]):
         active = full.keep(kept)
-        work = _compact(part, active, work.matrix, work.active.features)
-    assert np.array_equal(work.matrix.toarray(), a[:, active.features])
+        work = _compact(spec, active, work)
+    dense = np.zeros((12, active.n_features))
+    cols, vals, row_of = work.entries
+    dense[row_of, cols] = vals
+    assert np.array_equal(dense, a[:, active.features])
     assert [span.tolist() for span in work.spans] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
     assert work.slot.tolist() == [0, 1, 2] * 3
 
@@ -102,12 +155,12 @@ def test_gather_rows_on_compacted_design_matches_full_gather():
         want_cols += nz.tolist()
         want_vals += a[i, nz].tolist()
         want_rows += [pos] * nz.size
-    cols, vals, row_id = _gather_rows(_split_rows(ds.A), batch)
+    cols, vals, row_id, _ = _gather_rows(full_work.indptr, full_work.entries, batch)
     assert np.array_equal(cols, want_cols) and np.array_equal(vals, want_vals)
     assert np.array_equal(row_id, want_rows)
 
     in_active = np.isin(cols, active.features)
-    ccols, cvals, crow_id = _gather_rows(work.rows, batch)
+    ccols, cvals, crow_id, _ = _gather_rows(work.indptr, work.entries, batch)
     assert np.array_equal(ccols, np.searchsorted(active.features, cols[in_active]))
     assert np.array_equal(cvals, vals[in_active])
     assert np.array_equal(crow_id, row_id[in_active])
@@ -135,12 +188,12 @@ def test_step_gradient_matches_dense_reference(layout):
     spec, a, rng = _kernel_instance(layout)
     ds, part, loss = spec.dataset, spec.partition, spec.loss
     full = G.ActiveSet.full(spec, bounds=False)
-    full_work = _compact(part, full, ds.A, full.features)
+    full_work = _compact(spec, full)
     kept = full.keep([0, 2, 3])
     # the iterate is zero on screened features, as in the engine
     x = np.where(np.isin(np.arange(15), kept.features), rng.normal(size=15), 0.0)
     g_snap, mu, x_snap = rng.normal(size=12), rng.normal(size=15), rng.normal(size=15)
-    for work in (full_work, _compact(part, kept, full_work.matrix, full.features)):
+    for work in (full_work, _compact(spec, kept, full_work)):
         afeat = work.active.features
         blocks = work.active.blocks
         for batch in (np.array([4, 4, 0, 11, 5, 4]), np.array([3]), np.array([5, 3]),
@@ -179,8 +232,7 @@ def test_step_gradient_matches_dense_reference(layout):
 def test_step_gradient_sums_nothing_as_float_zeros():
     """A batch with no entries in the block, or no entries at all, gives float64 zeros."""
     spec, _, _ = _kernel_instance("scattered")
-    full = G.ActiveSet.full(spec, bounds=False)
-    work = _compact(spec.partition, full, spec.dataset.A, full.features)
+    work = _compact(spec, G.ActiveSet.full(spec, bounds=False))
     y, x = spec.dataset.y, np.ones(15)
     for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0), (np.array([3]), None)):
         ibs = None if ib is None else np.array([ib])
@@ -205,9 +257,8 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
     spec, _, rng = _kernel_instance(layout)
     y, g_snap = spec.dataset.y, rng.normal(size=12)
     full = G.ActiveSet.full(spec, bounds=False)
-    work = _compact(spec.partition, full, spec.dataset.A, full.features)
-    for w in (work, _compact(spec.partition, full.keep([0, 2, 3]), work.matrix,
-                             full.features)):
+    work = _compact(spec, full)
+    for w in (work, _compact(spec, full.keep([0, 2, 3]), work)):
         q_k = w.active.n_blocks
         batches = rng.integers(0, 12, size=(7, 4))
         batches[2] = 3  # a step of empty rows
@@ -228,7 +279,7 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                     assert a is None or np.array_equal(a, b)
             for t, step in enumerate(steps):
                 batch = np.arange(12) if chunk_batches is None else chunk_batches[t]
-                cols, vals, row_id = _gather_rows(w.rows, batch)
+                cols, vals, row_id, _ = _gather_rows(w.indptr, w.entries, batch)
                 _same_entries(step.fwd, (cols, vals, row_id))
                 if chunk_ibs is None:
                     assert step.ib is None and step.bwd is step.fwd
@@ -236,7 +287,7 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                 mask = w.block_of[cols] == w.active.blocks[chunk_ibs[t]]
                 _same_entries(step.bwd, (w.slot[cols[mask]], vals[mask], row_id[mask]))
             if chunk_batches is None:  # a full batch copies neither y nor g_snap
-                assert all(s.y is y and s.fwd is w.all_rows for s in steps)
+                assert all(s.y is y and s.fwd is w.entries for s in steps)
                 assert all(s.g_ref is g for s in steps)
 
 
@@ -244,11 +295,10 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
 def test_all_rows_gather_is_the_gather_of_every_row(layout):
     spec, _, _ = _kernel_instance(layout)
     full = G.ActiveSet.full(spec, bounds=False)
-    work = _compact(spec.partition, full, spec.dataset.A, full.features)
-    for w in (work, _compact(spec.partition, full.keep([1, 3]), work.matrix,
-                             full.features)):
-        want = _gather_rows(w.rows, np.arange(12))
-        for got, ref in zip(w.all_rows, want):
+    work = _compact(spec, full)
+    for w in (work, _compact(spec, full.keep([1, 3]), work)):
+        want = _gather_rows(w.indptr, w.entries, np.arange(12))
+        for got, ref in zip(w.entries, want):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
@@ -523,12 +573,19 @@ def test_invalid_configs_rejected(lasso_spec):
         G.SolverConfig(m=0),
         G.SolverConfig(screen_every=-1),
         G.SolverConfig(theory_mode=True, mu_strong=-1.0),
+        G.SolverConfig(eta=math.nan),
+        G.SolverConfig(eta=math.inf),
+        G.SolverConfig(gap_tol=math.nan),
+        G.SolverConfig(gap_tol=math.inf),
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
             G.adsgd_solve(lasso_spec, cfg)
     with pytest.raises(ValueError):
         G.solve(lasso_spec, G.SolverConfig(solver="nope"))
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            G.reference_solve(lasso_spec, tol=tol)
 
 
 # ------------------------------------------------------------- resolution
