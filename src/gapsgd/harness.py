@@ -402,7 +402,8 @@ def parse_plan_file(path):
     support_size, support_placement, lambda_ratios, solvers, repetitions, out,
     plot, batch_size, blocks, inner_m, eta, theory_mode, mu_p, gap_tol,
     max_outer. The flags theory_mode and plot take 0/1, true/false or yes/no
-    in any case. An unknown key or a bad flag raises ValueError with its line.
+    in any case; eta and gap_tol must be positive and finite. An unknown key,
+    a bad flag or a bad eta or gap_tol raises ValueError with its line.
     """
     kv = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -420,6 +421,15 @@ def parse_plan_file(path):
                     raise ValueError(f"plan line {ln}: {key} must be 0/1, true/false "
                                      f"or yes/no, got {val!r}")
                 val = _FLAGS[val.lower()]
+            elif key in ("eta", "gap_tol"):
+                try:
+                    num = float(val)
+                except ValueError:
+                    num = math.nan
+                if not 0 < num < math.inf:
+                    raise ValueError(f"plan line {ln}: {key} must be positive and "
+                                     f"finite, got {val!r}")
+                val = num
             kv[key] = val
     model = kv.get("model", "lasso")
     ratios = tuple(float(tok) for tok in kv.get("lambda_ratios", "0.5,0.25").split(","))

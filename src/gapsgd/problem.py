@@ -60,15 +60,20 @@ class Dataset:
         self.x_true = None if x_true is None else np.asarray(x_true, dtype=np.float64)
         for arr in (a.data, a.indices, a.indptr, y):
             arr.flags.writeable = False
+        # scipy's transpose of a CSR matrix is a CSC view of the same three
+        # arrays: nothing is copied, and A'v gives the bits of A.T @ v
+        self._at = a.T
 
     def rmatvec(self, v):
         """A'v, as smooth_gradient, dual_point and lambda_max form it.
 
-        The spectral bound's power iteration, the group-L2 screening bounds'
-        block Gram matrices and the reference solver's support refinement
-        form their products with A' on A itself.
+        The product runs on one transposed view kept with the dataset, so
+        no call builds a transposed matrix. The spectral bound's power
+        iteration builds its own view once per call; the group-L2 screening
+        bounds' block Gram matrices and the reference solver's support
+        refinement form their products on column slices of A.
         """
-        return self.A.T @ v
+        return self._at @ v
 
     def column_norms(self):
         """Euclidean norm of every column."""

@@ -51,6 +51,14 @@ cost of a step, not just the number of steps. Screened coordinates are exact
 zeros, so compaction removes only vals * 0.0 terms from the row sums and
 leaves every iterate bit-identical.
 
+The reference solver is FISTA with backtracking and momentum restarts. Its
+step constant starts at the one-pass bound c * max(max_i ||a_i||^2,
+max_j ||a_j||^2) / n + 2 mu_p, at most the smoothness constant, and the
+backtracking doubles it where needed, so no power iteration runs. An
+iteration forms one A x per prox point tried and one A'g in the evaluation of
+the iterate, plus one A'g at the extrapolated point y unless a restart puts y
+on the iterate; A y is the same combination of the last two products A x.
+
 The full-vector solvers (asgd, proxsvrg) and the reference solver make one
 penalty prox call per step. For group-L2 it shrinks every block of one size
 with a few numpy calls, over size classes that the engine rebuilds in
@@ -519,9 +527,10 @@ def _power_sigma(mat, iters, tol):
     k = mat.shape[1]
     v = np.full(k, 1.0 / math.sqrt(k))
     u = mat @ v
+    mat_t = mat.T
     sigma = 0.0
     for _ in range(iters):
-        w = mat.T @ u
+        w = mat_t @ u
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0
@@ -535,9 +544,29 @@ def _power_sigma(mat, iters, tol):
 
 
 def _spectral_bound(spec):
-    """Smoothness bound for full-gradient steps: c * sigma_max(A)^2 / n + 2 mu_p."""
+    """Smoothness bound for full-gradient steps: c * sigma_max(A)^2 / n + 2 mu_p.
+
+    The power iteration approaches sigma_max(A) from below. No solver calls
+    this; the benchmark, the demos and the tests take step sizes from it.
+    """
     sigma = _power_sigma(spec.dataset.A, iters=60, tol=1e-9)
     base = spec.loss.curvature * sigma ** 2 / spec.dataset.n
+    return max(base, 1e-12) + 2.0 * spec.mu_p
+
+
+def _one_pass_bound(spec):
+    """c * max(max_i ||a_i||^2, max_j ||a_j||^2) / n + 2 mu_p, from one pass over A.
+
+    No row or column of A is longer than sigma_max(A), so this is at most the
+    smoothness constant c * sigma_max(A)^2 / n + 2 mu_p; and since
+    sigma_max(A)^2 <= ||A||_F^2, it is at least 1/min(n, d) of it. The
+    reference solver starts its backtracking here.
+    """
+    ds = spec.dataset
+    rows = np.repeat(np.arange(ds.n), np.diff(ds.A.indptr))
+    row_sq = np.bincount(rows, weights=ds.A.data ** 2, minlength=ds.n)
+    top = max(float(row_sq.max()), float(ds.column_norms().max()) ** 2)
+    base = spec.loss.curvature * top / ds.n
     return max(base, 1e-12) + 2.0 * spec.mu_p
 
 
@@ -609,6 +638,13 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     support-restricted refinement so the returned dual point resolves
     equicorrelation membership well below the stopping tolerance. Raises
     ConvergenceError (carrying the best gap seen) if max_iter is exhausted.
+
+    The backtracking constant starts at _one_pass_bound, which is at most the
+    smoothness constant, and doubles at every failed sufficient-decrease
+    test. Each iteration forms one A x per prox point tried and one A'g in
+    the evaluation of x, plus one A'g at the extrapolated point y when y is
+    not x; A y = A xn + beta (A xn - A x) costs no product. A support
+    refinement that returns a point forms one more A x.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -617,7 +653,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     reg, lam = spec.reg, spec.lam
     part = spec.partition
     active = ActiveSet.full(spec, bounds=False)
-    lb = _spectral_bound(spec)
+    lb = _one_pass_bound(spec)
 
     x = np.zeros(d)
     zx = np.zeros(n)
@@ -670,13 +706,13 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
                 raise ConvergenceError("backtracking step size collapsed",
                                        best_gap=best_gap)
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y_next = xn + ((t_mom - 1.0) / t_new) * (xn - x)
+        beta = (t_mom - 1.0) / t_new
         if float((yv - xn) @ (xn - x)) > 0.0:
             t_new = 1.0
-            y_next = xn
+            yv, zy = xn, zn
+        else:  # A y follows from A xn and A x, which are both at hand
+            yv, zy = xn + beta * (xn - x), zn + beta * (zn - zx)
         x, zx = xn, zn
-        yv = y_next
-        zy = zn if y_next is xn else A @ y_next
         t_mom = t_new
 
     refined = _refine_support(spec, x)

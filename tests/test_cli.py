@@ -74,7 +74,9 @@ def test_bench_command_runs_plan(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,says", [("gap_tl = 1e-9", "unknown key 'gap_tl'"),
-                                       ("theory_mode = maybe", "theory_mode must be")])
+                                       ("theory_mode = maybe", "theory_mode must be"),
+                                       ("gap_tol = nan", "gap_tol must be positive"),
+                                       ("eta = inf", "eta must be positive")])
 def test_bench_command_exits_3_on_a_bad_plan_line(tmp_path, capsys, line, says):
     plan = tmp_path / "p.plan"
     plan.write_text(f"n = 40\nd = 30\n{line}\nout = {tmp_path / 'runs'}\n")

@@ -289,6 +289,15 @@ def test_parse_plan_file_rejects_unknown_key_with_its_line(tmp_path):
         parse_plan_file(p)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-6", "fast"])
+@pytest.mark.parametrize("key", ["gap_tol", "eta"])
+def test_parse_plan_file_rejects_a_bad_eta_or_gap_tol_with_its_line(tmp_path, key, value):
+    p = tmp_path / "bad.plan"
+    p.write_text(f"n = 50\nd = 60\n# tolerances\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"line 4: {key} must be positive and finite"):
+        parse_plan_file(p)
+
+
 @pytest.mark.parametrize("text,want", [("True", True), ("YES", True), ("1", True),
                                        ("False", False), ("no", False), ("0", False)])
 def test_parse_plan_file_reads_flags_in_any_case(tmp_path, text, want):

@@ -389,6 +389,15 @@ def test_dataset_coalesces_duplicate_entries():
     np.testing.assert_array_equal(ds.A.data, [2.0, 3.0, 1.0])
 
 
+@pytest.mark.parametrize("sparsity", [1.0, 0.05])
+def test_rmatvec_runs_on_one_transposed_view_of_the_stored_design(sparsity):
+    ds = make_instance(seed=9, n=70, d=120, sparsity=sparsity).dataset
+    v = np.random.default_rng(1).standard_normal(ds.n)
+    assert ds.rmatvec(v).tobytes() == (ds.A.T @ v).tobytes()
+    for name in ("data", "indices", "indptr"):  # the view copies nothing
+        assert np.shares_memory(getattr(ds._at, name), getattr(ds.A, name)), name
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         G.Dataset(np.ones((2, 2)), np.zeros(3))

@@ -7,8 +7,9 @@ import pytest
 import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import _gather_rows, soft_threshold
-from gapsgd.solvers import (_CHUNK_ENTRIES, _compact, _plan, _power_sigma, _resolve,
-                            _spectral_bound, inner_budget, step_gradient)
+from gapsgd.solvers import (_CHUNK_ENTRIES, _compact, _one_pass_bound, _plan,
+                            _power_sigma, _resolve, _spectral_bound, inner_budget,
+                            step_gradient)
 
 from conftest import hand_lasso, make_instance, tuned_eta
 
@@ -711,6 +712,19 @@ def test_power_sigma_reuses_its_forward_product(monkeypatch, seed, iters, tol):
     assert counts == {"forward": ran + 1, "transposed": ran}
 
 
+def test_power_sigma_transposes_once(monkeypatch):
+    a = make_instance(seed=3, n=150, d=300, q=10).dataset.A
+    calls, transpose = [], type(a).transpose
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return transpose(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(a), "transpose", counted)
+    _power_sigma(a, 60, 1e-9)
+    assert len(calls) == 1
+
+
 def test_spectral_bound_dominates_average_hessian():
     spec = make_instance(seed=21, n=40, d=30)
     a = np.asarray(spec.dataset.A.todense())
@@ -747,14 +761,18 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
     assert counts == {"products": len(rep.trace), "refreshes": 0}
 
 
-def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
-    """A step from the iterate itself (the first step and every momentum
-    restart) takes the smooth gradient the evaluation formed; only steps from
-    an extrapolated point form another A'g."""
-    spec = make_instance(seed=3, n=150, d=300, q=10)
-    counts = {"products": 0, "evaluations": 0, "step_gradients": 0}
+def _count_reference_work(monkeypatch, spec):
+    """Wrap what reference_solve calls; the returned dict counts the calls.
+
+    forward counts products with the CSR design (A x), products the calls of
+    Dataset.rmatvec (A'g), prox_points the prox points tried and refinements
+    the support refinements that returned a point.
+    """
+    counts = dict.fromkeys(["forward", "products", "evaluations", "step_gradients",
+                            "prox_points", "refinements"], 0)
     rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
-    evaluate = G.solvers.evaluate
+    evaluate, refine = G.solvers.evaluate, G.solvers._refine_support
+    forward, prox = type(spec.dataset.A).__matmul__, type(spec.reg).block_prox
 
     def counted(key, fn):
         def wrapper(*args):
@@ -762,11 +780,92 @@ def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def counted_refine(*args):
+        out = refine(*args)
+        counts["refinements"] += out is not None
+        return out
+
+    monkeypatch.setattr(type(spec.dataset.A), "__matmul__", counted("forward", forward))
+    monkeypatch.setattr(type(spec.reg), "block_prox", counted("prox_points", prox))
     monkeypatch.setattr(G.Dataset, "rmatvec", counted("products", rmatvec))
     monkeypatch.setattr(G.solvers, "smooth_gradient",
                         counted("step_gradients", smooth_gradient))
     monkeypatch.setattr(G.solvers, "evaluate", counted("evaluations", evaluate))
+    monkeypatch.setattr(G.solvers, "_refine_support", counted_refine)
+    return counts
+
+
+def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
+    """A step from the iterate itself (the first step and every momentum
+    restart) takes the smooth gradient the evaluation formed; only steps from
+    an extrapolated point form another A'g. A x is formed once per prox point
+    tried and once for the refinement, never at an extrapolated point."""
+    spec = make_instance(seed=3, n=150, d=300, q=10)
+    counts = _count_reference_work(monkeypatch, spec)
     rep = G.reference_solve(spec, tol=1e-10)
-    assert rep.converged and rep.outer_iters == 70
+    assert rep.converged and rep.outer_iters == 46
     assert counts["step_gradients"] == rep.outer_iters - 7
     assert counts["products"] == counts["evaluations"] + counts["step_gradients"]
+    assert counts["refinements"] == 1
+    assert counts["forward"] == counts["prox_points"] + counts["refinements"] == 47
+
+
+def _svd_bound(spec):
+    """c * sigma_max(A)^2 / n + 2 mu_p, from a dense SVD."""
+    sigma = np.linalg.svd(spec.dataset.A.toarray(), compute_uv=False)[0]
+    return spec.loss.curvature * sigma ** 2 / spec.dataset.n + 2.0 * spec.mu_p
+
+
+@pytest.mark.parametrize("kw", [
+    dict(n=30, d=20, sparsity=1.0),                       # dense
+    dict(n=80, d=120, sparsity=0.05),                     # sparse
+    dict(n=400, d=12, q=4, sparsity=1.0),                 # tall
+    dict(n=15, d=300, sparsity=0.3),                      # wide
+    dict(n=60, d=90, mu_p=0.05),
+    dict(n=60, d=50, model="logistic", reg="group_l2", q=5, mu_p=1e-3),
+])
+def test_one_pass_bound_lies_below_the_smoothness_constant(kw):
+    spec = make_instance(seed=4, **kw)
+    start, want = _one_pass_bound(spec), _svd_bound(spec)
+    ds = spec.dataset
+    assert start <= want * (1.0 + 1e-12)
+    assert start * min(ds.n, ds.d) >= want * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_instance(seed=3, n=150, d=300, q=10),
+    lambda: dataclasses.replace(  # group-L2 on a scattered partition
+        make_instance(seed=5, n=60, d=40, model="logistic", reg="group_l2"),
+        partition=G.BlockPartition([np.arange(j, 40, 8) for j in range(8)])),
+    lambda: make_instance(seed=6, n=80, d=60, model="logistic"),
+    lambda: make_instance(seed=7, n=70, d=50, mu_p=0.02),
+])
+def test_reference_certifies_without_a_power_iteration(monkeypatch, build):
+    spec = build()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference solve ran a power iteration")
+
+    monkeypatch.setattr(G.solvers, "_power_sigma", refuse)
+    monkeypatch.setattr(G.solvers, "_spectral_bound", refuse)
+    rep = G.reference_solve(spec, tol=1e-10)
+    assert rep.converged and rep.gap <= 1e-10
+
+
+def test_reference_doubles_up_from_a_start_d_times_too_low(monkeypatch):
+    """Equal rows a: sigma_max(A)^2 = n ||a||^2, while each row has norm
+    ||a|| and column j norm sqrt(n) |a_j|. With every |a_j| equal and n >= d
+    the one-pass bound is d times too low. The doublings cost at most
+    ceil(log2 d) + 1 prox points, one A x each, over the whole solve."""
+    n, d = 60, 40
+    rng = np.random.default_rng(0)
+    row = np.where(rng.random(d) < 0.5, -0.7, 0.7)
+    ds = G.Dataset(np.tile(row, (n, 1)), rng.standard_normal(n))
+    spec = build_spec(ds, model="lasso", lambda_ratio=0.3, q=8)
+    assert _one_pass_bound(spec) * d == pytest.approx(_svd_bound(spec), rel=1e-12)
+    counts = _count_reference_work(monkeypatch, spec)
+    rep = G.reference_solve(spec, tol=1e-10)
+    assert rep.converged and rep.gap <= 1e-10
+    doublings = counts["prox_points"] - rep.outer_iters
+    assert 1 <= doublings <= math.ceil(math.log2(d)) + 1
+    assert counts["forward"] == rep.outer_iters + doublings + counts["refinements"]
