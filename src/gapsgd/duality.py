@@ -132,8 +132,7 @@ def column_bounds(spec):
     """
     part, reg, a = spec.partition, spec.reg, spec.dataset.A
     if reg.name == "l1":
-        return np.maximum.reduceat(spec.dataset.column_norms()[part.order],
-                                   part.offsets[:-1])
+        return blockwise_dual_norms(spec.dataset.column_norms(), part, reg)
     widest = max(idx.shape[1] for _, idx in part.classes)
     if widest ** 2 > _GRAM_ENTRIES:
         raise ValueError(

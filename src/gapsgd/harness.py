@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from .problem import (LOSSES, REGULARIZERS, BlockPartition, Dataset, ProblemSpec,
                       lambda_max)
-from .solvers import SolverConfig, TraceRecord, reference_solve, solve
+from .solvers import _SOLVERS, SolverConfig, TraceRecord, reference_solve, solve
 
 
 class LibsvmParseError(ValueError):
@@ -387,12 +387,35 @@ def render_svg(path, traces, best_objective, width=640, height=420):
         fh.write("\n".join(body))
 
 
-_PLAN_KEYS = frozenset((
-    "data", "n", "d", "sparsity", "noise", "seed", "model", "feature_scale",
-    "support_size", "support_placement", "lambda_ratios", "solvers", "repetitions",
-    "out", "plot", "batch_size", "blocks", "inner_m", "eta", "theory_mode", "mu_p",
-    "gap_tol", "max_outer"))
+def _positive(val):
+    num = float(val)
+    if not 0 < num < math.inf:
+        raise ValueError(val)
+    return num
+
+
+def _solver_names(val):
+    names = tuple(tok.strip() for tok in val.split(","))
+    if any(name.lower() not in {*_SOLVERS, "reference"} for name in names):
+        raise ValueError(val)
+    return names
+
+
 _FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}
+# key: (parse, what a value must be); parse raises ValueError or KeyError on a bad one
+_PLAN_KEYS = {
+    **dict.fromkeys(("data", "model", "support_placement", "out"), (str, "")),
+    **dict.fromkeys(("n", "d", "seed", "support_size", "repetitions", "batch_size",
+                     "blocks", "inner_m", "max_outer"), (int, "an integer")),
+    **dict.fromkeys(("sparsity", "noise", "feature_scale", "mu_p"), (float, "a number")),
+    **dict.fromkeys(("plot", "theory_mode"),
+                    (lambda v: _FLAGS[v.lower()], "0/1, true/false or yes/no")),
+    **dict.fromkeys(("eta", "gap_tol"), (_positive, "positive and finite")),
+    "lambda_ratios": (lambda v: tuple(float(tok) for tok in v.split(",")),
+                      "comma-separated numbers"),
+    "solvers": (_solver_names, "comma-separated names among "
+                + ", ".join(sorted(_SOLVERS) + ["reference"])),
+}
 
 
 def parse_plan_file(path):
@@ -402,10 +425,13 @@ def parse_plan_file(path):
     support_size, support_placement, lambda_ratios, solvers, repetitions, out,
     plot, batch_size, blocks, inner_m, eta, theory_mode, mu_p, gap_tol,
     max_outer. The flags theory_mode and plot take 0/1, true/false or yes/no
-    in any case; eta and gap_tol must be positive and finite. An unknown key,
-    a bad flag or a bad eta or gap_tol raises ValueError with its line.
+    in any case; eta and gap_tol must be positive and finite. Every value is
+    read as its key's type while the file is parsed, so an unknown key or a
+    value of the wrong type, such as an unknown solver name, raises
+    ValueError with its line. So does eta given with theory_mode on, and a
+    plan without data that lacks n or d raises ValueError naming the key.
     """
-    kv = {}
+    kv, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -416,52 +442,40 @@ def parse_plan_file(path):
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in _PLAN_KEYS:
                 raise ValueError(f"plan line {ln}: unknown key {key!r}")
-            if key in ("theory_mode", "plot"):
-                if val.lower() not in _FLAGS:
-                    raise ValueError(f"plan line {ln}: {key} must be 0/1, true/false "
-                                     f"or yes/no, got {val!r}")
-                val = _FLAGS[val.lower()]
-            elif key in ("eta", "gap_tol"):
-                try:
-                    num = float(val)
-                except ValueError:
-                    num = math.nan
-                if not 0 < num < math.inf:
-                    raise ValueError(f"plan line {ln}: {key} must be positive and "
-                                     f"finite, got {val!r}")
-                val = num
-            kv[key] = val
+            parse, what = _PLAN_KEYS[key]
+            try:
+                kv[key] = parse(val)
+            except (ValueError, KeyError):
+                raise ValueError(f"plan line {ln}: {key} must be {what}, "
+                                 f"got {val!r}") from None
+            lines[key] = ln
+    if kv.get("theory_mode") and "eta" in kv:
+        raise ValueError(f"plan line {lines['theory_mode']}: theory_mode and eta "
+                         f"(line {lines['eta']}) are mutually exclusive")
+    for key in ("n", "d"):
+        if "data" not in kv and key not in kv:
+            raise ValueError(f"plan: synthetic data needs key {key!r}, or give data")
     model = kv.get("model", "lasso")
-    ratios = tuple(float(tok) for tok in kv.get("lambda_ratios", "0.5,0.25").split(","))
-    solver_names = [tok.strip() for tok in kv.get("solvers", "adsgd").split(",")]
+    solver_names = kv.get("solvers", ("adsgd",))
     base = SolverConfig(
-        batch_size=int(kv["batch_size"]) if "batch_size" in kv else None,
-        m=int(kv["inner_m"]) if "inner_m" in kv else None,
-        eta=float(kv["eta"]) if "eta" in kv else None,
-        theory_mode=kv.get("theory_mode", False),
-        gap_tol=float(kv.get("gap_tol", 1e-6)),
-        max_outer=int(kv.get("max_outer", 200)),
-        seed=int(kv.get("seed", 0)),
+        batch_size=kv.get("batch_size"), m=kv.get("inner_m"), eta=kv.get("eta"),
+        theory_mode=kv.get("theory_mode", False), gap_tol=kv.get("gap_tol", 1e-6),
+        max_outer=kv.get("max_outer", 200), seed=kv.get("seed", 0),
     )
     solvers = tuple(dataclasses.replace(base, solver=name) for name in solver_names)
     synthetic = None
     data_path = kv.get("data")
     if data_path is None:
         synthetic = SyntheticParams(
-            n=int(kv["n"]), d=int(kv["d"]),
-            sparsity=float(kv.get("sparsity", 0.3)),
-            noise=float(kv.get("noise", 0.01)),
-            seed=int(kv.get("seed", 0)), model=model,
-            feature_scale=float(kv.get("feature_scale", 1.0)),
-            support_size=int(kv["support_size"]) if "support_size" in kv else None,
+            n=kv["n"], d=kv["d"], sparsity=kv.get("sparsity", 0.3),
+            noise=kv.get("noise", 0.01), seed=kv.get("seed", 0), model=model,
+            feature_scale=kv.get("feature_scale", 1.0),
+            support_size=kv.get("support_size"),
             support_placement=kv.get("support_placement", "random"),
         )
     return ExperimentPlan(
-        dataset_path=data_path, synthetic=synthetic, model=model,
-        q=int(kv["blocks"]) if "blocks" in kv else None,
-        mu_p=float(kv.get("mu_p", 0.0)),
-        lambda_ratios=ratios, solvers=solvers,
-        repetitions=int(kv.get("repetitions", 1)),
-        out_dir=kv.get("out", "runs"),
-        plot=kv.get("plot", False),
+        dataset_path=data_path, synthetic=synthetic, model=model, q=kv.get("blocks"),
+        mu_p=kv.get("mu_p", 0.0), lambda_ratios=kv.get("lambda_ratios", (0.5, 0.25)),
+        solvers=solvers, repetitions=kv.get("repetitions", 1),
+        out_dir=kv.get("out", "runs"), plot=kv.get("plot", False),
     )

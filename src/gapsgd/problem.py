@@ -3,10 +3,12 @@
 Everything here is immutable after construction and safe to share across
 concurrent solver runs; the operations are pure functions of their inputs.
 
-A penalty's block_prox shrinks one block, or, given the size classes of a
-layout (size_classes), a whole vector at once. For group-L2 the whole-vector
-prox and the penalty value work per size class: they gather the k blocks of
-size s into a (k, s) array and take all k norms with one row-wise sum.
+BlockPartition is the one block layout: the problem's partition, and the
+solvers' working design over the surviving blocks, are each one. A penalty's
+block_prox shrinks one block, or, given a partition's size classes, a whole
+vector at once. For group-L2 the whole-vector prox and the penalty value work
+per size class: they gather the k blocks of size s into a (k, s) array and
+take all k norms with one row-wise sum.
 """
 
 import dataclasses
@@ -81,56 +83,49 @@ class Dataset:
                                    minlength=self.d))
 
 
-def size_classes(order, sizes):
-    """The blocks of a coordinate layout grouped by size.
-
-    order lists the coordinates block by block, each block's in increasing
-    order, and the blocks have the given sizes. Returns one (ids, idx) pair
-    per distinct size s, in increasing s: ids holds the ranks of the k blocks
-    of that size in increasing order, and row i of the (k, s) array idx lists
-    the coordinates of block ids[i] in increasing order.
-    """
-    starts = np.cumsum(sizes) - sizes
-    classes = []
-    for s in np.unique(sizes).tolist():
-        ids = np.flatnonzero(sizes == s)
-        classes.append((ids, order[starts[ids, None] + np.arange(s)]))
-    return classes
-
-
 class BlockPartition:
-    """Ordered disjoint coordinate groups covering {0..d-1}.
+    """Ordered disjoint coordinate groups covering {0..d-1}, each sorted.
 
     order lists the coordinates block by block, and block j holds
-    order[offsets[j]:offsets[j + 1]]. classes holds size_classes of the
-    partition, which the group-L2 penalty uses for its full-vector value and
-    prox.
+    groups[j] = order[offsets[j]:offsets[j + 1]]. Coordinate i lies in block
+    block_of[i], at place slot[i] inside it. classes groups the blocks by
+    size for the group-L2 penalty's full-vector value and prox: one (ids, idx)
+    pair per distinct size s, in increasing s, where ids holds the ranks of
+    the k blocks of that size in increasing order and row i of the (k, s)
+    array idx is groups[ids[i]].
     """
 
     def __init__(self, groups):
         groups = [np.asarray(g, dtype=np.intp) for g in groups]
-        if not groups or any(g.size == 0 for g in groups):
+        sizes = np.array([g.size for g in groups], dtype=np.intp)
+        if not groups or not sizes.all():
             raise ValueError("every group must be non-empty")
-        for g in groups:
-            if np.any(np.diff(g) <= 0):
-                raise ValueError("group indices must be sorted and unique")
         order = np.concatenate(groups)
-        d = order.size
-        if np.unique(order).size != d or order.min() != 0 or order.max() != d - 1:
+        d, q = order.size, sizes.size
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        rising = np.diff(order) > 0
+        rising[offsets[1:-1] - 1] = True  # a new block may start anywhere
+        if not rising.all():
+            raise ValueError("group indices must be sorted and unique")
+        # d indices in [0, d - 1] partition it when each value occurs
+        if order.min() != 0 or order.max() != d - 1 or not np.bincount(order).all():
             raise ValueError("groups must partition {0..d-1}")
         self.groups = groups
         self.d = d
-        self.q = len(groups)
-        block_of = np.empty(d, dtype=np.intp)
-        for j, g in enumerate(groups):
-            block_of[g] = j
-        block_of.flags.writeable = False
-        self.block_of = block_of
-        sizes = np.array([g.size for g in groups], dtype=np.intp)
+        self.q = q
         self.sizes = sizes
         self.order = order
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.classes = size_classes(order, sizes)
+        self.offsets = offsets
+        self.block_of = np.empty(d, dtype=np.intp)
+        self.block_of[order] = np.repeat(np.arange(q), sizes)
+        self.slot = np.empty(d, dtype=np.intp)
+        self.slot[order] = np.arange(d) - np.repeat(offsets[:-1], sizes)
+        self.block_of.flags.writeable = False
+        self.slot.flags.writeable = False
+        self.classes = []
+        for s in np.flatnonzero(np.bincount(sizes)).tolist():
+            ids = np.flatnonzero(sizes == s)
+            self.classes.append((ids, order[offsets[ids, None] + np.arange(s)]))
 
     @classmethod
     def contiguous(cls, d, q):
@@ -229,7 +224,7 @@ class GroupL2Penalty:
     def block_prox(self, v, t, classes=None):
         """Block soft thresholding: v scaled by 1 - t/||v||, or +0.0 where ||v|| <= t.
 
-        With classes (from size_classes) v is a whole vector and every block
+        With classes (a BlockPartition's) v is a whole vector and every block
         is shrunk at once. Each row sum of a (k, s) gather adds the same terms
         in the same order as the sum over that one block, so both paths give
         the same bits.

@@ -43,27 +43,31 @@ value and row of every stored entry, in CSR order. After every screening
 event it is compacted to the surviving columns, cut down from the previous
 working design (so at most q times per solve): a mask drops the screened
 columns' entries, a cumulative count renumbers the surviving columns and a
-bincount of the kept entries' rows rebuilds the row pointers. The inner loop
-runs in those compacted coordinates: the iterate, snapshot, snapshot gradient
-and running average hold one entry per surviving feature, and each sampled
-row contributes only its surviving entries. That is where screening cuts the
-cost of a step, not just the number of steps. Screened coordinates are exact
-zeros, so compaction removes only vals * 0.0 terms from the row sums and
-leaves every iterate bit-identical.
+bincount of the kept entries' rows rebuilds the row pointers. Its blocks are
+a BlockPartition of the compacted columns, whose block ib is the active set's
+block of rank ib; while every block is active that is the problem's partition
+itself, so nothing is rebuilt. The inner loop runs in those compacted
+coordinates: the iterate, snapshot, snapshot gradient and running average
+hold one entry per surviving feature, and each sampled row contributes only
+its surviving entries. That is where screening cuts the cost of a step, not
+just the number of steps. Screened coordinates are exact zeros, so compaction
+removes only vals * 0.0 terms from the row sums and leaves every iterate
+bit-identical.
 
 The reference solver is FISTA with backtracking and momentum restarts. Its
 step constant starts at the one-pass bound c * max(max_i ||a_i||^2,
 max_j ||a_j||^2) / n + 2 mu_p, at most the smoothness constant, and the
 backtracking doubles it where needed, so no power iteration runs. An
 iteration forms one A x per prox point tried and one A'g in the evaluation of
-the iterate, plus one A'g at the extrapolated point y unless a restart puts y
-on the iterate; A y is the same combination of the last two products A x.
+the iterate, plus one A'g at the extrapolated point y unless y is the
+iterate, as after a restart or a step from t = 1 (beta = 0); A y is the same
+combination of the last two products A x.
 
 The full-vector solvers (asgd, proxsvrg) and the reference solver make one
 penalty prox call per step. For group-L2 it shrinks every block of one size
-with a few numpy calls, over size classes that the engine rebuilds in
-compacted coordinates at each compaction. Only a solve that screens computes
-the per-block column bounds Omega_j^D(A_j), once, when it starts.
+with a few numpy calls, over the size classes of the working design's
+partition. Only a solve that screens computes the per-block column bounds
+Omega_j^D(A_j), once, when it starts.
 """
 
 import dataclasses
@@ -74,7 +78,7 @@ import typing
 import numpy as np
 
 from .duality import ActiveSet, DualPoint, evaluate, safe_radius, screen
-from .problem import (_check_x, _gather_rows, lipschitz_constants, size_classes,
+from .problem import (BlockPartition, _check_x, _gather_rows, lipschitz_constants,
                       smooth_gradient, smooth_value)
 
 
@@ -190,19 +194,16 @@ class _Working:
     """The design restricted to the active features, columns renumbered 0..n_features-1.
 
     entries holds (cols, vals, row_of) of every stored entry in CSR order,
-    cols as intp, and row r's entries are [indptr[r], indptr[r + 1]). Block
-    ib of active.blocks owns the compacted columns spans[ib], a sorted
-    position array; slot gives every compacted column its place inside its
-    block. classes groups the same blocks by size for the full-vector prox.
+    cols as intp, and row r's entries are [indptr[r], indptr[r + 1]). layout
+    is the BlockPartition of the compacted columns: its block ib is block
+    active.blocks[ib], so a block's rank in the active set indexes it. While
+    every block is active, layout is spec.partition itself.
     """
 
     active: ActiveSet
     indptr: np.ndarray
     entries: tuple
-    block_of: np.ndarray  # block id of every compacted column
-    slot: np.ndarray      # position of every compacted column inside its block
-    spans: list
-    classes: list         # size_classes(order, sizes)
+    layout: BlockPartition
 
 
 def _compact(spec, active, prev=None):
@@ -210,7 +211,9 @@ def _compact(spec, active, prev=None):
 
     active.features must be a subset of prev's features. Dropping entries
     keeps every row's survivors in their original order, so each row sum
-    over them adds the same products in the same order.
+    over them adds the same products in the same order. A cut lists each
+    surviving block's compacted columns in increasing order, as the
+    partition lists the block's features.
     """
     if prev is None:
         a = spec.dataset.A
@@ -224,19 +227,17 @@ def _compact(spec, active, prev=None):
     if afeat.size < features.size:
         alive = np.isin(features, afeat)
         cols, vals, row_of = entries
-        keep = alive[cols]
-        entries = ((np.cumsum(alive) - 1)[cols[keep]], vals[keep], row_of[keep])
+        keep = np.flatnonzero(alive[cols])  # takes by index beat three boolean masks
+        entries = ((np.cumsum(alive) - 1)[cols.take(keep)], vals.take(keep),
+                   row_of.take(keep))
         indptr = np.zeros_like(indptr)
         np.cumsum(np.bincount(entries[2], minlength=indptr.size - 1), out=indptr[1:])
-    sizes = spec.partition.sizes[active.blocks]
-    block_of = spec.partition.block_of[afeat]
-    order = np.argsort(block_of, kind="stable")  # compacted columns, block by block
-    offsets = np.cumsum(sizes)
-    slot = np.empty(afeat.size, dtype=np.intp)
-    slot[order] = np.arange(afeat.size) - np.repeat(offsets - sizes, sizes)
-    return _Working(active=active, indptr=indptr, entries=entries, block_of=block_of,
-                    slot=slot, spans=np.split(order, offsets[:-1]),
-                    classes=size_classes(order, sizes))
+    part = layout = spec.partition
+    if active.n_blocks < part.q:
+        order = np.argsort(part.block_of[afeat], kind="stable")
+        stops = np.cumsum(part.sizes[active.blocks])[:-1]
+        layout = BlockPartition(np.split(order, stops))
+    return _Working(active=active, indptr=indptr, entries=entries, layout=layout)
 
 
 # Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
@@ -268,13 +269,14 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
     """Yield the c steps of one chunk, gathered and block-selected at once.
 
     batches is a (c, b) array of sampled rows, or None when every step takes
-    all n rows; ibs holds the c sampled block ranks in work.active, or is None
-    for full-vector steps. One _gather_rows call fetches the rows of every
-    step, with the offset where each step's entries start, and one mask over
-    the chunk's entries selects each step's block. A step's entries are
-    views into the chunk's arrays, in the order a gather of its batch alone
-    would give them, so its sums add the same terms in the same order. A
-    full batch passes y, g_snap and work.entries themselves.
+    all n rows; ibs holds the c sampled block ranks in work.active, which
+    number the blocks of work.layout, or is None for full-vector steps. One
+    _gather_rows call fetches the rows of every step, with the offset where
+    each step's entries start, and one mask over the chunk's entries selects
+    each step's block. A step's entries are views into the chunk's arrays, in
+    the order a gather of its batch alone would give them, so its sums add
+    the same terms in the same order. A full batch passes y, g_snap and
+    work.entries themselves.
     Each step is built as it is asked for, so a chunk of many short steps
     holds no more Python objects than one step.
     """
@@ -286,16 +288,15 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
         y = y[batches]
         g_snap = None if g_snap is None else g_snap[batches]
     if ibs is not None:
-        blocks = work.active.blocks[ibs]
+        layout = work.layout
         if batches is None:  # all entries again for every step, in step order
-            sel = np.flatnonzero(work.block_of[cols] == blocks[:, None])
+            sel = np.flatnonzero(layout.block_of[cols] == ibs[:, None])
             cuts = np.searchsorted(sel, np.arange(c + 1) * cols.size).tolist()
             sel %= cols.size
         else:
-            sel = np.flatnonzero(work.block_of[cols]
-                                 == np.repeat(blocks, np.diff(starts)))
+            sel = np.flatnonzero(layout.block_of[cols] == np.repeat(ibs, np.diff(starts)))
             cuts = np.searchsorted(sel, starts).tolist()
-        pos, svals, srow = work.slot[cols[sel]], vals[sel], row_id[sel]
+        pos, svals, srow = layout.slot[cols[sel]], vals[sel], row_id[sel]
         ibs = ibs.tolist()
     fwd, y_b, g_b, ib = work.entries, y, g_snap, None
     for t in range(c):
@@ -316,8 +317,8 @@ def step_gradient(work, loss, x, step, mu=None, x_ref=None, mu_p=0.0):
     step is one _Step of _plan over work. With variance reduction mu holds
     the snapshot's smooth gradient and x_ref the snapshot; without it mu is
     None and x_ref is the anchor. Returns, as float64 in compacted
-    coordinates, the gradient on block step.ib of work.active (ordered as
-    spans[ib]), or on every coordinate when step.ib is None:
+    coordinates, the gradient on block step.ib of work.layout (ordered as
+    its groups[ib]), or on every coordinate when step.ib is None:
 
         A_b'(f'(A_b x) - g_ref) / b  [+ mu]  + 2 mu_p (x - x_ref)
     """
@@ -328,7 +329,7 @@ def step_gradient(work, loss, x, step, mu=None, x_ref=None, mu_p=0.0):
     if step.ib is None:
         sl, size = slice(None), x.size
     else:
-        sl = work.spans[step.ib]
+        sl = work.layout.groups[step.ib]
         size = sl.size
     pos, vals, row_id = step.bwd
     grad = np.bincount(pos, weights=vals * coef[row_id], minlength=size)
@@ -475,11 +476,12 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                 grad = step_gradient(work, loss, x_cur, step, mu=mu, x_ref=x_ref,
                                      mu_p=mu_p)
                 if block_sampling:
-                    sl = work.spans[step.ib]
+                    sl = work.layout.groups[step.ib]
                     x_cur[sl] = reg.block_prox(x_cur[sl] - eta * grad, eta * lam)
                     coord_updates += sl.size
                 else:
-                    x_cur = reg.block_prox(x_cur - eta * grad, eta * lam, work.classes)
+                    x_cur = reg.block_prox(x_cur - eta * grad, eta * lam,
+                                           work.layout.classes)
                     coord_updates += afeat.size
                 x_sum += x_cur
             del draws, steps, step  # release this chunk before the next is planned
@@ -643,8 +645,9 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     smoothness constant, and doubles at every failed sufficient-decrease
     test. Each iteration forms one A x per prox point tried and one A'g in
     the evaluation of x, plus one A'g at the extrapolated point y when y is
-    not x; A y = A xn + beta (A xn - A x) costs no product. A support
-    refinement that returns a point forms one more A x.
+    not x (a restart, and a step from t = 1, where beta = 0, put y on x);
+    A y = A xn + beta (A xn - A x) costs no product. A support refinement
+    that returns a point forms one more A x.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -686,8 +689,9 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
                 f"(best gap {best_gap:g})", best_gap=best_gap)
         it += 1
 
-        # on the first step and after a restart the momentum point is the
-        # iterate, whose smooth gradient the evaluation already formed
+        # on the first step, after a restart and after a step from t = 1 the
+        # momentum point is the iterate, whose smooth gradient the evaluation
+        # already formed
         if yv is x:
             grad = dp.gradient
         else:
@@ -709,6 +713,8 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         beta = (t_mom - 1.0) / t_new
         if float((yv - xn) @ (xn - x)) > 0.0:
             t_new = 1.0
+            yv, zy = xn, zn
+        elif beta == 0.0:  # t was 1: y is xn, whose gradient the next evaluation forms
             yv, zy = xn, zn
         else:  # A y follows from A xn and A x, which are both at hand
             yv, zy = xn + beta * (xn - x), zn + beta * (zn - zx)

@@ -34,7 +34,8 @@ def test_solve_command_writes_trace(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "converged=True" in text
     assert os.path.exists(out)
-    header = open(out).readline().strip()
+    with open(out, encoding="utf-8") as fh:
+        header = fh.readline().strip()
     assert header == "outer_iter,elapsed_s,objective,gap,active_blocks,active_features"
 
 
@@ -76,7 +77,13 @@ def test_bench_command_runs_plan(tmp_path, capsys):
 @pytest.mark.parametrize("line,says", [("gap_tl = 1e-9", "unknown key 'gap_tl'"),
                                        ("theory_mode = maybe", "theory_mode must be"),
                                        ("gap_tol = nan", "gap_tol must be positive"),
-                                       ("eta = inf", "eta must be positive")])
+                                       ("eta = inf", "eta must be positive"),
+                                       ("n = 5x", "n must be an integer"),
+                                       ("sparsity = 5x", "sparsity must be a number"),
+                                       ("solvers = adsgd, mrbdc", "solvers must be"),
+                                       pytest.param("theory_mode = 1\neta = 0.01",
+                                                    "theory_mode and eta (line 4) are",
+                                                    id="theory_mode-with-eta")])
 def test_bench_command_exits_3_on_a_bad_plan_line(tmp_path, capsys, line, says):
     plan = tmp_path / "p.plan"
     plan.write_text(f"n = 40\nd = 30\n{line}\nout = {tmp_path / 'runs'}\n")

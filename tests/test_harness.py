@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gapsgd as G
+from gapsgd.cli import main
 from gapsgd.harness import (SyntheticParams, build_spec, generate_synthetic,
                             load_libsvm, mean_time_to_tol, parse_plan_file,
                             read_trace_csv, run_experiment, summary_table,
@@ -209,7 +210,8 @@ def test_run_experiment_plot_emits_svg(tmp_path):
     run_experiment(plan)
     svg = os.path.join(plan.out_dir, "suboptimality_r0.5.svg")
     assert os.path.exists(svg)
-    body = open(svg).read()
+    with open(svg, encoding="utf-8") as fh:
+        body = fh.read()
     assert "<polyline" in body and "<svg" in body
 
 
@@ -312,6 +314,46 @@ def test_parse_plan_file_rejects_bad_flag_with_its_line(tmp_path):
     p.write_text("n = 50\nd = 60\n\nplot = on\n")
     with pytest.raises(ValueError, match=r"line 4: plot must be"):
         parse_plan_file(p)
+
+
+@pytest.mark.parametrize("line,says", [
+    ("n = 5x", "n must be an integer, got '5x'"),
+    ("repetitions = 2.5", "repetitions must be an integer, got '2.5'"),
+    ("sparsity = dense", "sparsity must be a number, got 'dense'"),
+    ("lambda_ratios = 0.5,,0.25", "lambda_ratios must be comma-separated numbers"),
+    ("solvers = adsgd, mrbdc", "solvers must be comma-separated names among adsgd, "
+                               "asgd, mrbcd, proxsvrg, reference, got 'adsgd, mrbdc'"),
+])
+def test_parse_plan_file_rejects_a_value_of_the_wrong_type_with_its_line(tmp_path,
+                                                                         line, says):
+    p = tmp_path / "bad.plan"
+    p.write_text(f"# sizes\n{line}\nn = 50\nd = 60\n")
+    with pytest.raises(ValueError, match=rf"^plan line 2: {says}"):
+        parse_plan_file(p)
+
+
+@pytest.mark.parametrize("given,missing", [("n = 50", "d"), ("d = 60", "n"), ("", "n")])
+def test_parse_plan_file_names_a_missing_synthetic_size(tmp_path, capsys, given, missing):
+    p = tmp_path / "sizeless.plan"
+    p.write_text(f"{given}\nsolvers = adsgd\nout = {tmp_path / 'runs'}\n")
+    with pytest.raises(ValueError, match=f"synthetic data needs key '{missing}'"):
+        parse_plan_file(p)
+    assert main(["bench", str(p)]) == 3
+    assert f"needs key '{missing}'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+    p.write_text("data = some.libsvm\n")  # a data file needs no sizes
+    assert parse_plan_file(p).dataset_path == "some.libsvm"
+
+
+def test_parse_plan_file_rejects_eta_with_theory_mode_on(tmp_path):
+    p = tmp_path / "both.plan"
+    p.write_text("n = 50\nd = 60\neta = 0.1\ntheory_mode = yes\n")
+    with pytest.raises(ValueError, match=r"line 4: theory_mode and eta \(line 3\) "
+                                         r"are mutually exclusive"):
+        parse_plan_file(p)
+    p.write_text("n = 50\nd = 60\neta = 0.1\ntheory_mode = no\n")
+    cfg = parse_plan_file(p).solvers[0]
+    assert cfg.eta == 0.1 and cfg.theory_mode is False
 
 
 def test_parse_plan_file_reads_the_example_plan():

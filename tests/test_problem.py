@@ -420,14 +420,57 @@ def test_dataset_rejects_non_finite_input(bad):
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must partition"):
         G.BlockPartition([[0, 1], [1, 2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must partition"):
         G.BlockPartition([[0, 1], [3]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must partition"):  # 1 twice, 2 missing
+        G.BlockPartition([[0, 1], [1, 3]])
+    with pytest.raises(ValueError, match="sorted and unique"):
         G.BlockPartition([[1, 0], [2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         G.BlockPartition([[0, 1], []])
+    with pytest.raises(ValueError, match="non-empty"):
+        G.BlockPartition([])
+    with pytest.raises(ValueError, match="sorted and unique"):
+        G.BlockPartition([[2, 3], [0, 1, 1]])
+    # each group is sorted; the groups themselves may come in any order
+    assert G.BlockPartition([[2, 3], [0, 1]]).block_of.tolist() == [1, 1, 0, 0]
+
+
+def _layouts():
+    sizes = [3, 1, 5, 2, 6, 1]
+    perm = np.random.default_rng(5).permutation(sum(sizes))
+    stops = np.cumsum(sizes)[:-1]
+    return {
+        "uneven": G.BlockPartition(np.split(np.arange(sum(sizes)), stops)),
+        "scattered": G.BlockPartition([np.sort(g) for g in np.split(perm, stops)]),
+        "singletons": G.BlockPartition.singletons(7),
+        "scattered-singletons": G.BlockPartition([[i] for i in perm[:9].tolist()]
+                                                 + [[i] for i in perm[9:].tolist()]),
+    }
+
+
+@pytest.mark.parametrize("layout", ["uneven", "scattered", "singletons",
+                                    "scattered-singletons"])
+def test_partition_layout_matches_a_per_group_loop(layout):
+    part = _layouts()[layout]
+    block_of, slot, offsets, by_size = {}, {}, [0], {}
+    for j, g in enumerate(part.groups):
+        for place, i in enumerate(g.tolist()):
+            block_of[i], slot[i] = j, place
+        offsets.append(offsets[-1] + g.size)
+        by_size.setdefault(g.size, []).append(j)
+    assert part.block_of.tolist() == [block_of[i] for i in range(part.d)]
+    assert part.slot.tolist() == [slot[i] for i in range(part.d)]
+    assert part.offsets.tolist() == offsets
+    assert part.block_of.dtype == part.slot.dtype == np.intp
+    assert not part.block_of.flags.writeable and not part.slot.flags.writeable
+    assert [idx.shape[1] for _, idx in part.classes] == sorted(by_size)
+    for ids, idx in part.classes:
+        want = by_size[idx.shape[1]]
+        assert ids.tolist() == want
+        assert np.array_equal(idx, np.array([part.groups[j] for j in want]))
 
 
 def test_partition_block_of_inverts_groups():

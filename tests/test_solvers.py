@@ -108,6 +108,37 @@ def test_chained_compactions_give_the_csr_column_selection():
         assert np.array_equal(row_of, np.repeat(np.arange(12), np.diff(want.indptr)))
 
 
+def _same_partition(got, want):
+    assert (got.d, got.q) == (want.d, want.q)
+    assert all(np.array_equal(g, w) for g, w in zip(got.groups, want.groups))
+    for name in ("order", "sizes", "offsets", "block_of", "slot"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert len(got.classes) == len(want.classes)
+    for (g_ids, g_idx), (w_ids, w_idx) in zip(got.classes, want.classes):
+        assert np.array_equal(g_ids, w_ids) and np.array_equal(g_idx, w_idx)
+
+
+def test_compacted_layout_is_the_partition_of_the_surviving_columns():
+    """Block ib of a cut's layout is block active.blocks[ib], its columns
+    being the surviving features' positions; with every block active the
+    layout is the problem's partition itself."""
+    spec, _, _ = _layout_instance()
+    perm = np.random.default_rng(8).permutation(15)
+    part = G.BlockPartition([np.sort(g) for g in np.split(perm, [4, 5, 8, 13])])
+    spec = dataclasses.replace(spec, partition=part)
+    full = G.ActiveSet(blocks=np.arange(5), features=np.arange(15),
+                       column_bounds=np.ones(5), partition=part)
+    work = _compact(spec, full)
+    assert work.layout is part
+    assert _compact(spec, full.keep(np.arange(5)), work).layout is part
+    for kept in ([0, 1, 3, 4], [1, 3, 4], [1, 4], [4]):
+        active = full.keep(kept)
+        work = _compact(spec, active, work)
+        _same_partition(work.layout, G.BlockPartition(
+            [np.searchsorted(active.features, part.groups[j]) for j in active.blocks]))
+
+
 def test_gather_rows_matches_csr_row_indexing():
     """A gather of (c, b) batches is scipy's A[batch] for each batch in turn,
     on the full and on a compacted design, with repeated, empty and emptied rows."""
@@ -146,8 +177,8 @@ def test_gather_rows_on_compacted_design_matches_full_gather():
     cols, vals, row_of = work.entries
     dense[row_of, cols] = vals
     assert np.array_equal(dense, a[:, active.features])
-    assert [span.tolist() for span in work.spans] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    assert work.slot.tolist() == [0, 1, 2] * 3
+    assert [g.tolist() for g in work.layout.groups] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert work.layout.slot.tolist() == [0, 1, 2] * 3
 
     batch = np.array([5, 2, 0, 5, 11, 7, 0])  # repeated, empty and emptied rows
     want_cols, want_vals, want_rows = [], [], []
@@ -285,8 +316,10 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                 if chunk_ibs is None:
                     assert step.ib is None and step.bwd is step.fwd
                     continue
-                mask = w.block_of[cols] == w.active.blocks[chunk_ibs[t]]
-                _same_entries(step.bwd, (w.slot[cols[mask]], vals[mask], row_id[mask]))
+                block_of = spec.partition.block_of[w.active.features]
+                mask = block_of[cols] == w.active.blocks[chunk_ibs[t]]
+                _same_entries(step.bwd, (w.layout.slot[cols[mask]], vals[mask],
+                                         row_id[mask]))
             if chunk_batches is None:  # a full batch copies neither y nor g_snap
                 assert all(s.y is y and s.fwd is w.entries for s in steps)
                 assert all(s.g_ref is g for s in steps)
@@ -796,15 +829,17 @@ def _count_reference_work(monkeypatch, spec):
 
 
 def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
-    """A step from the iterate itself (the first step and every momentum
-    restart) takes the smooth gradient the evaluation formed; only steps from
-    an extrapolated point form another A'g. A x is formed once per prox point
-    tried and once for the refinement, never at an extrapolated point."""
+    """A step from the iterate itself takes the smooth gradient the evaluation
+    formed: the first step, the step after a momentum restart, and the step
+    after either of those, where t = 1 makes beta = 0 and y the iterate. Only
+    steps from an extrapolated point form another A'g. A x is formed once per
+    prox point tried and once for the refinement, never at an extrapolated
+    point."""
     spec = make_instance(seed=3, n=150, d=300, q=10)
     counts = _count_reference_work(monkeypatch, spec)
     rep = G.reference_solve(spec, tol=1e-10)
     assert rep.converged and rep.outer_iters == 46
-    assert counts["step_gradients"] == rep.outer_iters - 7
+    assert counts["step_gradients"] == rep.outer_iters - 14
     assert counts["products"] == counts["evaluations"] + counts["step_gradients"]
     assert counts["refinements"] == 1
     assert counts["forward"] == counts["prox_points"] + counts["refinements"] == 47
