@@ -23,11 +23,11 @@ print(f"instance: n={data.n} d={data.d} q={spec.partition.q} lam={spec.lam:.4g} 
 rep = G.adsgd_solve(spec, G.SolverConfig(
     seed=3, gap_tol=1e-6, max_outer=200, eta=1.0 / (4.0 * _spectral_bound(spec))))
 
-print(f"\n{'outer':>5} {'gap':>10} {'radius':>10} {'blocks':>6}  surviving block ids")
+print(f"\n{'outer':>5} {'gap':>10} {'radius':>10} {'blocks':>6} {'working':>7}  "
+      f"surviving block ids")
 for row, blocks in zip(rep.trace, rep.active_history):
-    r = G.safe_radius(max(row.gap, 0.0), consts.T)
-    print(f"{row.outer_iter:>5} {row.gap:>10.2e} {r:>10.2e} {row.active_blocks:>6}  "
-          f"{','.join(map(str, blocks))}")
+    print(f"{row.outer_iter:>5} {row.gap:>10.2e} {row.radius:>10.2e} "
+          f"{row.active_blocks:>6} {row.working_blocks:>7}  {','.join(map(str, blocks))}")
 
 oracle = G.reference_solve(spec, tol=1e-12)
 eq = G.equicorrelation_set(spec, oracle.dual)

@@ -9,6 +9,10 @@ the perturbed problem, so eliminations are safe for the perturbed optimum only.
 
 dual_point forms the one product A'g of an evaluation and keeps in the
 DualPoint what screen, equicorrelation_set and variance reduction read of it.
+The solvers scale every dual point over all q blocks, so its gap certifies the
+full problem whatever screening dropped; safe_radius turns that gap into the
+radius of a sphere that holds the dual optimum, and screen drops the blocks
+that sphere proves zero at the optimum.
 """
 
 import dataclasses
@@ -214,21 +218,48 @@ def evaluate(spec, x, z, active):
     return obj, g, dp, obj - _dual_value(spec, dp, active)
 
 
-def safe_radius(gap, T):
-    """sqrt(2 * T * gap); negative gaps are clamped to zero."""
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+def safe_radius(spec, gap):
+    """sqrt(2 n gap max(c, 2 n mu_p)), c the loss curvature; a negative gap counts as 0.
+
+    The sphere of this radius around a dual feasible point holds the dual
+    optimum (the Gap Safe sphere of Ndiaye, Fercoq, Gramfort & Salmon, JMLR
+    2017). If the dual D is gamma-strongly concave, its maximiser u* over the
+    feasible set satisfies D(u*) - D(u) >= (gamma / 2) ||u - u*||^2 for every
+    feasible u, and weak duality gives D(u*) <= P(x), so ||u - u*||^2 <=
+    2 (P(x) - D(u)) / gamma = 2 gap / gamma.
+
+    Here u stacks theta (one entry per sample) and kappa (one per feature):
+    D = -(1/n) sum_i f_i*(-theta_i) - (1/n) sum_j h_j*(-kappa_j), where the
+    pseudo-sample h_j(t) = n mu_p (t - x0_j)^2 writes the perturbation
+    mu_p ||x - x0||^2 as (1/n) sum_j h_j(x_j). A c-smooth f_i has a
+    (1/c)-strongly convex conjugate, and h_j is 2 n mu_p-smooth, so D is
+    strongly concave with gamma = 1 / (n max(c, 2 n mu_p)), and without the
+    perturbation (no kappa) with gamma = 1 / (n c). Both give the radius
+    above. gap must be the gap of a dual point feasible for the full
+    problem, as evaluate forms it over ActiveSet.full; a gap of a point
+    scaled over fewer blocks bounds nothing once a block was wrongly dropped.
+    A non-finite gap gives an infinite radius, which screens nothing.
+    """
     if not np.isfinite(gap):
         return np.inf
-    return math.sqrt(2.0 * T * max(gap, 0.0))
+    c = max(spec.loss.curvature, 2.0 * spec.dataset.n * spec.mu_p)
+    return math.sqrt(2.0 * spec.dataset.n * c * max(gap, 0.0))
 
 
 def screen(spec, dp, r, active):
     """Drop every active block certified zero at the optimum by the sphere test.
 
-    Block j is removed when (1/n) Omega_j^D(A_j' theta) + (1/n) Omega_j^D(A_j) * r
-    falls strictly below lam, with the correlations that dual_point stored in
-    dp. An infinite radius removes nothing.
+    Block j is removed when (1/n) Omega_j^D(A_j' theta + kappa_Gj) +
+    (1/n) b_j r falls strictly below lam, with the correlations that
+    dual_point stored in dp and r from safe_radius. b_j bounds how far the
+    block's correlation can move inside the sphere: it is Omega_j^D(A_j)
+    without the perturbation, and with mu_p > 0 the norm of the stacked map
+    (theta, kappa) -> A_j' theta + kappa_Gj, sqrt(Omega_j^D(A_j)^2 + 1). For
+    the max-abs (L1) dual norm that is sqrt(||a_i||^2 + 1) at the block's
+    longest column a_i, since |a_i' u + v_i| <= ||(a_i, 1)|| ||(u, v_i)||; for
+    the Euclidean (group-L2) one it is the spectral norm of [A_j' I], whose
+    square is the largest eigenvalue of A_j' A_j + I. Every block outside the
+    sphere's reach is zero at the optimum. An infinite radius removes nothing.
     """
     if r < 0:
         raise ValueError(f"radius must be nonnegative, got {r}")

@@ -204,7 +204,7 @@ class ExperimentPlan:
 
 
 TRACE_HEADER = ["outer_iter", "elapsed_s", "objective", "gap",
-                "active_blocks", "active_features"]
+                "active_blocks", "active_features", "radius", "working_blocks"]
 
 
 def write_trace_csv(path, trace):
@@ -213,7 +213,8 @@ def write_trace_csv(path, trace):
         w.writerow(TRACE_HEADER)
         for r in trace:
             w.writerow([repr(r.outer_iter), repr(r.elapsed_s), repr(r.objective),
-                        repr(r.gap), repr(r.active_blocks), repr(r.active_features)])
+                        repr(r.gap), repr(r.active_blocks), repr(r.active_features),
+                        repr(r.radius), repr(r.working_blocks)])
 
 
 def read_trace_csv(path):
@@ -227,7 +228,8 @@ def read_trace_csv(path):
             out.append(TraceRecord(outer_iter=int(row[0]), elapsed_s=float(row[1]),
                                    objective=float(row[2]), gap=float(row[3]),
                                    active_blocks=int(row[4]),
-                                   active_features=int(row[5])))
+                                   active_features=int(row[5]), radius=float(row[6]),
+                                   working_blocks=int(row[7])))
     return out
 
 
@@ -394,6 +396,13 @@ def _positive(val):
     return num
 
 
+def _nonnegative(val):
+    num = float(val)
+    if not 0 <= num < math.inf:
+        raise ValueError(val)
+    return num
+
+
 def _solver_names(val):
     names = tuple(tok.strip() for tok in val.split(","))
     if any(name.lower() not in {*_SOLVERS, "reference"} for name in names):
@@ -407,7 +416,8 @@ _PLAN_KEYS = {
     **dict.fromkeys(("data", "model", "support_placement", "out"), (str, "")),
     **dict.fromkeys(("n", "d", "seed", "support_size", "repetitions", "batch_size",
                      "blocks", "inner_m", "max_outer"), (int, "an integer")),
-    **dict.fromkeys(("sparsity", "noise", "feature_scale", "mu_p"), (float, "a number")),
+    **dict.fromkeys(("sparsity", "noise", "feature_scale"), (float, "a number")),
+    "mu_p": (_nonnegative, "nonnegative and finite"),
     **dict.fromkeys(("plot", "theory_mode"),
                     (lambda v: _FLAGS[v.lower()], "0/1, true/false or yes/no")),
     **dict.fromkeys(("eta", "gap_tol"), (_positive, "positive and finite")),
@@ -425,10 +435,10 @@ def parse_plan_file(path):
     support_size, support_placement, lambda_ratios, solvers, repetitions, out,
     plot, batch_size, blocks, inner_m, eta, theory_mode, mu_p, gap_tol,
     max_outer. The flags theory_mode and plot take 0/1, true/false or yes/no
-    in any case; eta and gap_tol must be positive and finite. Every value is
-    read as its key's type while the file is parsed, so an unknown key or a
-    value of the wrong type, such as an unknown solver name, raises
-    ValueError with its line. So does eta given with theory_mode on, and a
+    in any case; eta and gap_tol must be positive and finite, and mu_p
+    nonnegative and finite. Every value is read as its key's type while the
+    file is parsed, so an unknown key or a value of the wrong type, such as
+    an unknown solver name, raises ValueError with its line. So does eta given with theory_mode on, and a
     plan without data that lacks n or d raises ValueError naming the key.
     """
     kv, lines = {}, {}

@@ -90,15 +90,17 @@ def test_criterion_01_screening_safety(capsys):
     runs = 0
     instances = 0
     base_id = 0
-    for _ in range(17):
-        n = int(rng.integers(50, 201))
-        d = int(rng.integers(100, 401))
-        dens = float(rng.uniform(0.2, 0.8))
-        k = int(rng.integers(3, 16))
+    shapes = [dict(n=int(rng.integers(50, 201)), d=int(rng.integers(100, 401)),
+                   sparsity=float(rng.uniform(0.2, 0.8)),
+                   support_size=int(rng.integers(3, 16))) for _ in range(17)]
+    # tall shapes, where sqrt(2 T gap) fell short of the dual optimum's distance
+    shapes += [dict(n=2000, d=40, sparsity=1.0, support_size=4),
+               dict(n=500, d=100, sparsity=0.5, support_size=8, feature_scale=0.3)]
+    for shape in shapes:
+        n, d = shape["n"], shape["d"]
         for model in ("lasso", "logistic"):
             data = generate_synthetic(SyntheticParams(
-                n=n, d=d, sparsity=dens, noise=0.05, seed=1000 + base_id,
-                support_size=k, model=model))
+                noise=0.05, seed=1000 + base_id, model=model, **shape))
             base_id += 1
             for ratio in (0.5, 0.25, 0.1):
                 spec = build_spec(data, model=model, lambda_ratio=ratio, q=10)

@@ -36,7 +36,8 @@ def test_solve_command_writes_trace(tmp_path, capsys):
     assert os.path.exists(out)
     with open(out, encoding="utf-8") as fh:
         header = fh.readline().strip()
-    assert header == "outer_iter,elapsed_s,objective,gap,active_blocks,active_features"
+    assert header == ("outer_iter,elapsed_s,objective,gap,active_blocks,active_features,"
+                      "radius,working_blocks")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -78,6 +79,8 @@ def test_bench_command_runs_plan(tmp_path, capsys):
                                        ("theory_mode = maybe", "theory_mode must be"),
                                        ("gap_tol = nan", "gap_tol must be positive"),
                                        ("eta = inf", "eta must be positive"),
+                                       ("mu_p = -1", "mu_p must be nonnegative"),
+                                       ("mu_p = nan", "mu_p must be nonnegative"),
                                        ("n = 5x", "n must be an integer"),
                                        ("sparsity = 5x", "sparsity must be a number"),
                                        ("solvers = adsgd, mrbdc", "solvers must be"),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -150,18 +151,52 @@ def test_gap_infinite_for_infeasible_logistic_dual():
 # ------------------------------------------------------------- safe radius
 
 def test_safe_radius_values():
-    assert G.safe_radius(0.0, 10.0) == 0.0
-    assert G.safe_radius(2.0, 1.0) == pytest.approx(2.0)
-    assert G.safe_radius(0.5, 25.0) == pytest.approx(5.0)
-    assert G.safe_radius(-1e-12, 10.0) == 0.0
-    assert G.safe_radius(np.inf, 10.0) == np.inf
+    """sqrt(2 n gap max(c, 2 n mu_p)), c = 1 for squared and 1/4 for logistic loss."""
+    spec = hand_lasso()  # n = 2, c = 1
+    assert G.safe_radius(spec, 0.0) == 0.0
+    assert G.safe_radius(spec, 1.0) == pytest.approx(2.0)
+    assert G.safe_radius(spec, 2.25) == pytest.approx(3.0)
+    assert G.safe_radius(spec, -1e-12) == 0.0
+    assert G.safe_radius(spec, np.inf) == np.inf
+    assert G.safe_radius(spec, np.nan) == np.inf
+    # 2 n mu_p = 0.4 < c leaves the radius; 2 n mu_p = 4 > c sets it
+    assert G.safe_radius(dataclasses.replace(spec, mu_p=0.1), 1.0) == pytest.approx(2.0)
+    assert G.safe_radius(dataclasses.replace(spec, mu_p=1.0), 1.0) == pytest.approx(4.0)
+    logistic = make_instance(seed=1, n=40, d=20, model="logistic")
+    assert G.safe_radius(logistic, 5.0) == pytest.approx(10.0)  # sqrt(2 * 40 * 5 / 4)
 
 
-def test_safe_radius_rejects_bad_T():
-    with pytest.raises(ValueError):
-        G.safe_radius(1.0, 0.0)
-    with pytest.raises(ValueError):
-        G.safe_radius(1.0, -3.0)
+def _stacked(dp):
+    return dp.theta if dp.kappa is None else np.concatenate([dp.theta, dp.kappa])
+
+
+@pytest.mark.parametrize("build, old_radius_fails", [
+    (lambda: make_instance(seed=31, n=80, d=300, q=10), False),
+    (lambda: make_instance(seed=33, n=500, d=100, q=10, scale=0.3), True),
+    (lambda: make_instance(seed=32, n=500, d=100, q=10, scale=0.3, mu_p=0.01), True),
+], ids=["wide", "tall", "mu-p"])
+def test_safe_sphere_holds_the_dual_optimum_along_adsgd_trajectories(build,
+                                                                    old_radius_fails):
+    """||u_k - u*|| <= r_k at every iterate of a real solve, u = theta, or
+    (theta, kappa) with mu_p > 0, and r_k = safe_radius of the full gap. The
+    oracle's dual point u_o lies within safe_radius(oracle gap) of u*, so
+    ||u_k - u_o|| <= r_k + r_o. On the tall and mu_p shapes sqrt(2 T gap),
+    the radius screening used before, is too small somewhere."""
+    spec = build()
+    oracle = G.reference_solve(spec, tol=1e-12)
+    r_o = G.safe_radius(spec, oracle.gap)
+    old_t = G.lipschitz_constants(spec).T
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=0, gap_tol=1e-8, max_outer=300,
+                                             eta=tuned_eta(spec), keep_iterates=True))
+    assert rep.converged and len(rep.iterates) > 3
+    full = ActiveSet.full(spec, bounds=False)
+    old_missed = False
+    for x in rep.iterates:
+        _, _, dp, gap = gapsgd.duality.evaluate(spec, x, spec.dataset.A @ x, full)
+        dist = float(np.linalg.norm(_stacked(dp) - _stacked(oracle.dual)))
+        assert dist <= G.safe_radius(spec, gap) + r_o
+        old_missed |= dist > math.sqrt(2.0 * old_t * max(gap, 0.0)) + r_o
+    assert old_missed == old_radius_fails
 
 
 # --------------------------------------------------------------- screening
@@ -188,8 +223,7 @@ def test_screen_at_optimum_leaves_equicorrelation_set():
     spec = make_instance(seed=7, n=50, d=100, q=20, support=6)
     oracle = G.reference_solve(spec, tol=1e-12)
     act = ActiveSet.full(spec)
-    r = G.safe_radius(max(oracle.gap, 0.0), G.lipschitz_constants(spec).T)
-    kept = G.screen(spec, oracle.dual, r, act)
+    kept = G.screen(spec, oracle.dual, G.safe_radius(spec, oracle.gap), act)
     eq = set(G.equicorrelation_set(spec, oracle.dual).tolist())
     assert set(kept.blocks.tolist()) == eq
 

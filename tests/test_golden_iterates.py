@@ -39,6 +39,17 @@ run epochs of several chunks whose length m_k is no multiple of the chunk and
 changes as screening drops blocks, a batch of one row, a full batch (only
 blocks are drawn), and rows so long that the entry cap sets the chunk. They
 pin the gaps, the active blocks, the counts and the nonzeros of x_final.
+
+The cases of the screening solvers (adsgd and asgd: nine CASES and four
+CHUNK_CASES) were re-recorded when screening took the Gap Safe radius
+sqrt(2 n gap max(c, 2 n mu_p)) in place of sqrt(2 T gap), every gap was
+measured on the full problem, and each epoch ran on a working set inside the
+safe set. asgd-group-uneven and asgd-group-scattered kept their bits: their
+screens drop the same blocks at the same iterations, and their working set is
+the whole safe set. The mrbcd, proxsvrg and reference cases did not move.
+
+python tests/test_golden_iterates.py NAME... prints each named case's entry
+from a fresh run, in the layout below, for such a re-record.
 """
 
 import dataclasses
@@ -122,64 +133,65 @@ def _floats(hexes):
 GOLDEN = {
     "adsgd-full-batch": {
         "outer_iters": 10,
-        "coord_updates": 703,
-        "active_blocks": [6, 5, 3, 3, 3, 3, 3, 3, 3, 3, 3],
+        "coord_updates": 662,
+        "active_blocks": [6, 6, 5, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.1d68e62b70b58p-3 0x1.38d0037c511a0p-4 "
-            "0x1.d033b09a41440p-5 0x1.824c9eb987a80p-5 0x1.2c51787637ca0p-5 "
-            "0x1.98991ce60e7c0p-6 0x1.13e459da8f680p-6 0x1.b2f9203570180p-7 "
-            "0x1.58a561557fa80p-7 0x1.3586ce860a500p-7"
+            "0x1.4a58be7a76ff8p-2 0x1.58431d1928f88p-3 0x1.9038de3883fe0p-4 "
+            "0x1.43d310a975af0p-4 0x1.072c8cf678b90p-4 0x1.ba5b21afdac40p-5 "
+            "0x1.76260d420a060p-5 0x1.0a608e780ad60p-5 0x1.a222232d46c80p-6 "
+            "0x1.4e43f63907cc0p-6 0x1.2f90e8ed03d00p-6"
         ),
         "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.2bd8efc9660ccp-3 0x1.1ff7d0fa461fap-2 0x0.0p+0 0x0.0p+0 "
-            "0x1.1fdfbb38e8227p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.b88f7920e9d68p-3 0x1.af9454fc3695ep-2 0x0.0p+0 0x0.0p+0 "
-            "0x1.e84f6ee3ec21ap-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.73eec318b7eddp-3 0x1.b8d3502ff57adp-3 0x0.0p+0 0x0.0p+0 "
+            "0x1.fe5b16d51a29ap-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.0229e7ef19e8fp-2 0x1.f0a6cd7f0438ep-2 0x0.0p+0 0x0.0p+0 "
-            "0x1.3f4657387093ap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.1907d0dcd65d4p-2 0x1.75b5c997bdb69p-2 0x0.0p+0 0x0.0p+0 "
+            "0x1.ac74593076fdap-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.250584a9c790ap-2 0x1.0cd1ed10fe512p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.6154205ab54f6p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.417ef72c7282ap-2 0x1.b0d54368d1fb2p-2 0x0.0p+0 0x0.0p+0 "
+            "0x1.3323ce0d949a6p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.45a4cfcebea7ep-2 0x1.22b35a609fcd6p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.6a4803febac2ap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.5bea2e78732edp-2 0x1.e99d7bfbe861ap-2 0x0.0p+0 0x0.0p+0 "
+            "0x1.5a78e4b9e1196p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.5503fe5edf65cp-2 0x1.3a3fc74c2b695p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.6aca51ee99d30p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.70cd4465b1063p-2 0x1.0a90b75fb1525p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.6cde74e183a53p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.5d9f43a9598d5p-2 0x1.4b1f28c094b04p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.683d7168af5aap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.7cffabeaff791p-2 0x1.1bba3be32f643p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.7320adcb727e0p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.65dfbf23ec5acp-2 0x1.5329456ea933cp-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.645b31f1fc6bap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.7f8c5cee1188dp-2 0x1.33d960de47821p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.71b051340a192p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.69753bea84d43p-2 0x1.58d4c985ed636p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.5fb5074e5e341p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.805fe6f8454b3p-2 0x1.40c79aec8b990p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.6daff3b479965p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.6d3336fe0efefp-2 0x1.5b4caf0fe1b95p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.5cab67698d221p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.7ff3f16637c8ep-2 0x1.4a2658a1498f1p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.693a62c3cc464p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.7e07968b1c4ddp-2 0x1.4ca2cb2380444p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.6426ba97bb426p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
+
     "adsgd-full-batch-scattered": {
         "outer_iters": 10,
         "coord_updates": 960,
-        "active_blocks": [5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],
+        "active_blocks": [5, 5, 3, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
             "0x1.4a58be7a76ff8p-2 0x1.397f4b92b2490p-3 0x1.42eadf2c6d5a0p-4 "
             "0x1.fc146995345c0p-6 0x1.8db37905d7b00p-7 0x1.44923d3ca7f80p-7 "
@@ -187,111 +199,113 @@ GOLDEN = {
             "0x1.7ebbeb6f6c000p-10 0x1.68e78030bb000p-10"
         ),
         "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.41aa07608ce89p-3 0x1.efea0bb15ad13p-3 0x0.0p+0 0x0.0p+0 "
-            "0x1.8c36b67868b8dp-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.8c36b67868b8dp-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.cab4c88ed72c0p-3 0x1.ac5f239c2f058p-2 0x0.0p+0 0x0.0p+0 "
-            "0x1.2bc9aff7366a0p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.2bc9aff7366a0p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.1b07aa8b6d00bp-2 0x1.22d7eb45ba863p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.3b0e0a91eac96p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.3b0e0a91eac96p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.2d7c97223e195p-2 0x1.4974915fffd17p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.482c4d95fd1b1p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.482c4d95fd1b1p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.3ee169d115f19p-2 0x1.5a68a66a49a97p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.4d6440a719226p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.4d6440a719226p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.52f415927462fp-2 0x1.6180e63d35548p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.4eaeb10c70db9p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.4eaeb10c70db9p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.5eb5197e329d0p-2 0x1.647aa0891ecbfp-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.4f0d346a98c19p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.4f0d346a98c19p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.640adf1926934p-2 0x1.673eceb28abf3p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.4eb8e6382569fp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.4eb8e6382569fp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.65346d356b417p-2 0x1.69488e873a675p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.4dde8eca98e95p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.4dde8eca98e95p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.6738981e7fdd4p-2 0x1.69b8839b559a9p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.4d00c4d914b13p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.4d00c4d914b13p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
+
     "adsgd-l1-contiguous": {
         "outer_iters": 10,
-        "coord_updates": 723,
-        "active_blocks": [6, 5, 4, 3, 3, 3, 3, 3, 3, 3, 3],
+        "coord_updates": 657,
+        "active_blocks": [6, 6, 6, 4, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.a3f49801fb760p-3 0x1.cc0686162b2a0p-4 "
-            "0x1.4c4060157bac0p-5 0x1.253a4e2906240p-6 0x1.39653533e9800p-8 "
-            "0x1.3ee74efca2600p-8 0x1.a1988ba298200p-9 0x1.07239dc4dde00p-9 "
-            "0x1.34a4538b87c00p-9 0x1.147598f136c00p-10"
+            "0x1.4a58be7a76ff8p-2 0x1.d65aa6fe5e640p-3 0x1.06755ca295148p-3 "
+            "0x1.7097e03ae0650p-4 0x1.8e07317674720p-5 0x1.0331cc215bb20p-5 "
+            "0x1.2705a285598c0p-6 0x1.03dd2ecde5ac0p-6 0x1.6b50120f78800p-7 "
+            "0x1.4a204ca2d2c00p-7 0x1.078ae131fda80p-7"
         ),
         "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.9b9ebd30fd6d4p-5 0x1.58f43c2d70b01p-3 0x0.0p+0 0x0.0p+0 "
-            "0x1.eb69fc63c41dap-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.fe6d1baf52f87p-3 0x1.4f42f848494f2p-2 0x0.0p+0 0x0.0p+0 "
-            "0x1.bd8af04dadbc7p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.1465861b6c325p-6 0x1.e06557a2a5330p-4 0x0.0p+0 0x0.0p+0 "
+            "0x1.3bab6a4daac00p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.20fa9b9e9a1c5p-2 0x1.0f22e9855e180p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.0b7bbcf3498ccp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.63da70f543d2dp-3 0x1.347515840cbdcp-2 0x0.0p+0 0x0.0p+0 "
+            "0x1.50b2908702aa2p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.384246ae40ae3p-2 0x1.399a7fe0f2781p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.17a8d3a2200ffp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.3452c522ad8a2p-2 0x1.98f28e41b791dp-2 0x0.0p+0 0x0.0p+0 "
+            "0x1.620c1905d20a6p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.46e5ef16b2983p-2 0x1.57732e22787c5p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.2883cd2234650p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.5331bc35d4a6dp-2 0x1.0fc9b1e0b6e49p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.6c25447278739p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.4f30718b75b52p-2 0x1.5b781df76528ep-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.4021d00cf7764p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.5dd1b61d14d05p-2 0x1.2f77402b53228p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.6eb3a7d1f21e6p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.54ca90a0cf6b6p-2 0x1.648d04a5e4b1ep-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.447c8401e20dap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.64f62fba54117p-2 0x1.4b2fb1926f6b2p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.6e9b21e869db0p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.5dabcd48a8bf9p-2 0x1.65a2afffde65ep-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.486e0a0a4fee1p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.69b63a3b95461p-2 0x1.4ebb64e1338ffp-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.663a0173d1c75p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.5e96dadd8eed3p-2 0x1.684e34c5d2499p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.4b12433402b23p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.6ae0a74edc859p-2 0x1.584c55c281622p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.61f88d98f4572p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.63da40cf82f7cp-2 0x1.6994576366116p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.4b9a51202de95p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.6d891d35992c3p-2 0x1.59fb536f8219dp-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.5cb3ba42c7332p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.6e45e5fb52d9ap-2 0x1.5e0685dbce681p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.597d71de1d7f1p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
+
     "adsgd-l1-scattered": {
         "outer_iters": 10,
         "coord_updates": 960,
-        "active_blocks": [5, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],
+        "active_blocks": [5, 5, 3, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
             "0x1.4a58be7a76ff8p-2 0x1.4e017b9553e80p-4 0x1.22f8b83b49ba0p-5 "
             "0x1.84be783318440p-6 0x1.1113ee13a8c80p-6 0x1.bf5c0bc89d600p-7 "
@@ -299,231 +313,213 @@ GOLDEN = {
             "0x1.dd5f9a0ffa000p-10 0x1.71332a38b2000p-10"
         ),
         "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.87cb98eee1861p-4 0x1.d8e1993f58819p-2 0x0.0p+0 0x0.0p+0 "
-            "0x1.1fd0e609b91b6p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.1fd0e609b91b6p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.b8c3c3ee427ecp-3 0x1.1885110b31eb9p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.337a14645e2abp-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.337a14645e2abp-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.16923dd830df1p-2 0x1.2ad7c4e6048dfp-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.f123574344729p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.f123574344729p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.41356015e09a8p-2 0x1.3d7988e77c33bp-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.1f1516f31c495p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.1f1516f31c495p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.6b89f74f61691p-2 0x1.4a80adfa08759p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.288185d26b480p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.288185d26b480p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.6cdf0a221ee34p-2 0x1.5d12fb055b7bdp-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.346a67b52416dp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.346a67b52416dp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.6f1790aacde57p-2 0x1.620c3236ee5ddp-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.3d32d7436a339p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.3d32d7436a339p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.6e2ea0590ee81p-2 0x1.668608382ccd0p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.440c1be07120bp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.440c1be07120bp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.6db1c6028d71fp-2 0x1.68bdc3c543f93p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.45c2cf8cb00b4p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.45c2cf8cb00b4p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.6cb2152de4940p-2 0x1.69ddab7ba9b07p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.47df5150c1b3bp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x1.47df5150c1b3bp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
+
     "adsgd-logistic-group": {
         "outer_iters": 10,
-        "coord_updates": 896,
-        "active_blocks": [5, 5, 4, 4, 3, 2, 2, 2, 2, 2, 2],
+        "coord_updates": 640,
+        "active_blocks": [5, 5, 5, 4, 3, 2, 2, 2, 2, 2, 2],
         "gaps": (
-            "0x1.5107da0332f30p-4 0x1.bb21a4085d780p-6 0x1.5f709523306a0p-6 "
-            "0x1.99e99343e0ac0p-7 0x1.f5dcde5a16c80p-8 0x1.fb5fbeb78ab00p-9 "
-            "0x1.13fe231250b00p-9 0x1.0e68d8752dc00p-10 0x1.2fe02cb442400p-11 "
-            "0x1.790950f9ed000p-13 0x1.41dee1bdfb000p-13"
+            "0x1.5107da0332f30p-4 0x1.f399cf96cb580p-6 0x1.d2168474361c0p-7 "
+            "0x1.1a0ff1c8aee00p-7 0x1.27dab5e116f00p-9 0x1.edfad49728400p-10 "
+            "0x1.50bf68c246200p-10 0x1.679250d90c000p-11 0x1.ba76fae133800p-12 "
+            "0x1.32b9fb172e000p-12 0x1.a950358bea000p-13"
         ),
         "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.62c91e0f2824fp-4 0x1.77d897241cb84p-6 "
-            "0x1.20a967a7d6eb6p-5 -0x1.3f1a2a07bc26cp-8 0x1.f2e25d0b03105p-4 "
-            "0x1.7ab479179d3b8p-4 0x1.d39e9aa0b76c2p-4 -0x1.734071478aa22p-4 "
-            "-0x1.34ef6844e79a0p-15 -0x1.bb5038aa5158ep-11 "
-            "-0x1.b3f447e2cde46p-11 0x1.c48275528667dp-14",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.576a7a11e6023p-3 0x1.7b82fbb7b2c44p-5 "
-            "0x1.e6e6af3f69cbbp-5 -0x1.0789cf634b2e2p-7 0x1.0f5c691724782p-3 "
-            "0x1.9418b0d051815p-4 0x1.06e70cedaa8c5p-3 -0x1.a2bd80f6d9010p-4 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.c448298d9ce7bp-3 0x1.02d3b9bc1b891p-4 "
-            "0x1.47e165b600261p-4 -0x1.c85ddee39f77ap-7 0x1.3fafd170f89e8p-3 "
-            "0x1.e01fc8a85748ap-4 0x1.4ae67c94953eap-3 -0x1.0e20edae0f32bp-3 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.0f6f511b03897p-2 0x1.3aff3e26094bfp-4 "
-            "0x1.8caf05b93d049p-4 -0x1.06b5721c0d054p-6 0x1.62316ae3e687dp-3 "
-            "0x1.137c92ac51e86p-3 0x1.7f6a1bc4ed513p-3 -0x1.3914f4dca5149p-3 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.1b142dd42b56ap-2 0x1.4c0d369341fc2p-4 "
-            "0x1.9c373d607eadfp-4 -0x1.35925495485dbp-6 0x1.7cdf5f72a03fap-3 "
-            "0x1.3c9e6f7e33774p-3 0x1.ae82520a8b66dp-3 -0x1.61778bd644778p-3 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.21eba27031a56p-2 0x1.53cf90d272eeap-4 "
-            "0x1.acc953faf873dp-4 -0x1.38f52f1854d01p-6 0x1.8d47e84fc2333p-3 "
-            "0x1.55e175d7b4850p-3 0x1.cbc33cb6f59e9p-3 -0x1.786037da6118dp-3 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.257d4ea25db3fp-2 0x1.59b5402436daep-4 "
-            "0x1.b2979f71be54dp-4 -0x1.49b3126df9917p-6 0x1.9b191fc612693p-3 "
-            "0x1.67e28d011b163p-3 0x1.dd926afce970cp-3 -0x1.8c4e4ad823619p-3 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.286568b0adb1bp-2 0x1.5daaf70bc2f34p-4 "
-            "0x1.b879b0e582ff8p-4 -0x1.57ea074601788p-6 0x1.a3227f6e6ab79p-3 "
-            "0x1.71a9c753a9c9ep-3 0x1.e8a96b6a7950bp-3 -0x1.95987a1f5a9e9p-3 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.29221d99d0871p-2 0x1.5fc8d189d9213p-4 "
-            "0x1.b9970770e66e3p-4 -0x1.5e6fcfaf48d68p-6 0x1.aa9e71eee2122p-3 "
-            "0x1.7b5c8de58b446p-3 0x1.f1917a284dbb6p-3 -0x1.9db890e750bd7p-3 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.2ac0e2100d630p-2 0x1.629302d202a1fp-4 "
-            "0x1.bc0365408eec3p-4 -0x1.647e0ffac5c6fp-6 0x1.abd82aa358041p-3 "
-            "0x1.7db52f4ac3e93p-3 0x1.f3dd06690e06cp-3 -0x1.a05feed4bb399p-3 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.8256c1f23582bp-5 0x1.bce5b2a215b96p-7 0x1.c0139eccebaadp-7 "
+            "-0x1.b2e2bfcbacd17p-10 0x1.aa63fe96dd899p-4 0x1.92549e7cbf471p-4 "
+            "0x1.15148b570d1e8p-3 -0x1.d30ba2309f978p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.1926149b2fc00p-3 0x1.3cfdb6c857d4bp-5 0x1.9e582dbf45d21p-5 "
+            "-0x1.027b827918c2cp-7 0x1.50003d13bab96p-3 0x1.0e3f94a08872cp-3 "
+            "0x1.7137d8529b346p-3 -0x1.34680e68080e4p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.797055048a7c5p-3 0x1.b0992350078cbp-5 0x1.08eb7e73b4033p-4 "
+            "-0x1.a99dce4e64271p-7 0x1.8811e104a909fp-3 0x1.45787d0399abfp-3 "
+            "0x1.afa30bbfc18b7p-3 -0x1.62e03f916989fp-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.ec4d16844bc50p-3 0x1.1b9703d5f9ffcp-4 0x1.617d446466ab4p-4 "
+            "-0x1.2638b71252604p-6 0x1.9350d19f58537p-3 0x1.5484acf65f942p-3 "
+            "0x1.c263e5ebd3f3ap-3 -0x1.72069e4ffecb6p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.0435c88f78e6bp-2 0x1.2da38ed800987p-4 0x1.79d2a89707504p-4 "
+            "-0x1.304f6d59b4c25p-6 0x1.a31250f8905b0p-3 0x1.6758dde867ef9p-3 "
+            "0x1.df564c5a8cc4ap-3 -0x1.8ce37517a8210p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.11147feaabdb5p-2 0x1.41d2827c0f99cp-4 0x1.8c4a6dce99a2bp-4 "
+            "-0x1.42df85173405ap-6 0x1.aa26c7a215d32p-3 0x1.74913a40f01b8p-3 "
+            "0x1.ebde667c0b8f3p-3 -0x1.9855fd99ccb2ap-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.1b60964e91f1ep-2 0x1.4e667d7487ac4p-4 0x1.a1916d7f0ca50p-4 "
+            "-0x1.525bb3fe461f5p-6 0x1.ab7e254597440p-3 0x1.7a655dba1c604p-3 "
+            "0x1.f0840ed576478p-3 -0x1.9dc92f3c534eap-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.218bc5be109c3p-2 0x1.56acb4c2ea715p-4 0x1.acea04e65f731p-4 "
+            "-0x1.5b0460a75afd4p-6 0x1.ad293a2225915p-3 0x1.7e21d47b22394p-3 "
+            "0x1.f49201bedad89p-3 -0x1.a158f7e175a86p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.250c9d7891463p-2 0x1.5bc476ff009bfp-4 0x1.b2b10c4c67ffdp-4 "
+            "-0x1.60ec975dad450p-6 0x1.ade84fab2e391p-3 0x1.80d57bcfcc2b7p-3 "
+            "0x1.f6d99771c9df4p-3 -0x1.a3b6d5d2bafc6p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.2794f97a8e213p-2 0x1.5f284d99eecc6p-4 0x1.b74865c330886p-4 "
+            "-0x1.627ea9262e06cp-6 0x1.ae84dc0625087p-3 0x1.82623d7364902p-3 "
+            "0x1.f875306d4d6e4p-3 -0x1.a511abe11a452p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
         ],
     },
+
     "adsgd-mu-p": {
         "outer_iters": 10,
-        "coord_updates": 586,
-        "active_blocks": [6, 5, 4, 2, 2, 2, 2, 2, 2, 2, 2],
+        "coord_updates": 489,
+        "active_blocks": [6, 6, 6, 6, 5, 2, 2, 2, 2, 2, 2],
         "gaps": (
-            "0x1.ae1cbad4dccd0p-2 0x1.60c96a1ecc858p-2 0x1.e186b615bb6c0p-4 "
-            "0x1.6fae247a12a60p-4 0x1.ad332e30d7240p-5 0x1.60ed35f177e00p-6 "
-            "0x1.721e5f36edf00p-7 0x1.0f63dc03ce100p-7 0x1.5d4957e03ac00p-8 "
-            "0x1.1105be7b67600p-8 0x1.74d3fc50ee800p-9"
+            "0x1.ae1cbad4dccd0p-2 0x1.4b860deda29e8p-2 0x1.862405c979d00p-3 "
+            "0x1.ec74258301200p-4 0x1.a03ce6679c400p-5 0x1.4c02e077f0080p-5 "
+            "0x1.bc174d5ac4100p-6 0x1.d14efe514d900p-7 0x1.299a242e0e200p-7 "
+            "0x1.984f414c59400p-8 0x1.486305595b000p-8"
         ),
         "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.0ed2dd7d0f38cp-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.9c6553b57b032p-4 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.7524f86b42a1fp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.a9e9a08b37d88p-3 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.ab8c8e04ad16ep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.49c0bb1f5377fp-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.fe9cd403762bbp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.795c3727231e7p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.2675a0c89e7b3p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.8c19609278f9bp-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.384b21f026b0bp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.9d36dcbcc41c2p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.40418c20fe978p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.aa7bf499faa1fp-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.46ac6a824d0c6p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b018399e56ab6p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.4a1415aff6185p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b4ba772a8e1fdp-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.4d0ac132e6c49p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b6aa385e4df35p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.418428988d20dp-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.f941f338b6e75p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.08dae8ef7dd1cp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.5811849152c7bp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.833ce4ca17b39p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.90f71bbbfea20p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.06693759ca959p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.9cc5c09b9233fp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.161f4a8a452e5p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b151cb92127d6p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.29144b0775e02p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.ba5fc6621322ap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.3c1e1bc714083p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.bcd1270982109p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.44c8039c0130ep-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.be8890b1755d3p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.49b9214e5e44fp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.beda5d8447ac3p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.4bb298ab22e05p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.be57a0f592d0fp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
+
     "asgd-full-batch-mu-p": {
         "outer_iters": 10,
-        "coord_updates": 1426,
-        "active_blocks": [6, 5, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+        "coord_updates": 980,
+        "active_blocks": [6, 6, 4, 2, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
-            "0x1.ae1cbad4dccd0p-2 0x1.1ce90744b9000p-5 0x1.509561dbd8300p-7 "
-            "0x1.adaf469402800p-9 0x1.15b654f1a3800p-10 0x1.44818effe6000p-12 "
-            "0x1.e5c2aab080000p-15 0x1.e1b44aca20000p-16 "
-            "0x1.a6f39a78d0000p-15 0x1.752c4d8200000p-15 "
-            "0x1.1338689440000p-15"
+            "0x1.ae1cbad4dccd0p-2 0x1.addbfc6333360p-4 0x1.d1aac87bc7180p-6 "
+            "0x1.143dd567f0900p-7 0x1.5d0566d4cd800p-9 0x1.b171a26891000p-11 "
+            "0x1.c146d68a5c000p-13 0x1.1e10fa9ca0000p-16 0x1.d7a643b0f0000p-15 "
+            "0x1.0843c02c38000p-14 0x1.a68bec3520000p-15"
         ),
         "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.0f274da7d61cfp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.5b6077fba590ap-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.36c9ed31f64b3p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.8fa753a331af9p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.4757ba1c36d8ep-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.a653d7f04b977p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.4e39050a7225dp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b043a8e9dcec3p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.510fc1440720bp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b4ade9b79def7p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52385f899718dp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b6ad15395f4b3p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52af6ee3b8361p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b7996c3f3f0d8p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52ddf82d1ba80p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b8099a9f46c4dp-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52ef5cbb008efp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b840750209d62p-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f557c3c0df3p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.b85c24243b57ap-2 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.8a411633530bep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.f479f9191d21dp-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.17d9e47bcbd3dp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.65952baa5ef65p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.3a78e8d00ec4bp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.93ecffd91bc4ep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.48e79b1ad51b1p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.a81be4c0d0ec6p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.4ee2e6f7774c9p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b100c16f8205ep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.51581d303dd6bp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b4fba9cd2d2bbp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.52574e4b6ba0bp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b6cca5d792f50p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.52bcb948f7462p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b7a5fcb149142p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.52e3b855ea7ebp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b80e72a0ad7fdp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.52f1dfcf897c7p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b842393cfbc41p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
+
     "asgd-group-scattered": {
         "outer_iters": 10,
         "coord_updates": 3400,
@@ -752,158 +748,134 @@ GOLDEN = {
     },
     "asgd-l1-contiguous": {
         "outer_iters": 10,
-        "coord_updates": 2344,
-        "active_blocks": [6, 5, 3, 3, 3, 3, 3, 3, 3, 3, 3],
+        "coord_updates": 2000,
+        "active_blocks": [6, 6, 3, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.432da3fad6250p-4 0x1.ae5e3165968a0p-4 "
-            "0x1.8eb026192b080p-5 0x1.a4bd88d037810p-4 0x1.4208949846320p-4 "
-            "0x1.35341223427e8p-3 0x1.4499bf7743a40p-3 0x1.f168b15a68d20p-5 "
-            "0x1.7dc3e874b3d30p-4 0x1.2ecc7ccc6a0f0p-4"
+            "0x1.4a58be7a76ff8p-2 0x1.12d554b572c00p-4 0x1.3dfad80159340p-4 "
+            "0x1.ea26a76f3ae00p-4 0x1.2ca1937f24220p-5 0x1.2f3f0305c4b10p-3 "
+            "0x1.c664b2a1db480p-6 0x1.293b970bc2bd0p-4 0x1.231883121e650p-3 "
+            "0x1.675c04015bac0p-6 0x1.5a04d85eea060p-4"
         ),
         "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.1abd44544a6f3p-9 "
-            "0x0.0p+0 -0x1.a57d25492c118p-9 0x1.df0fef3987b48p-3 "
-            "0x1.279bbde104994p-1 0x1.485bd65e297cep-6 0x0.0p+0 "
-            "0x1.a0586d6f658b3p-3 0x1.9ff37aacce6d5p-5 -0x1.2e5cdbbd477f1p-6 "
-            "0x0.0p+0 0x1.2b52bdaf349afp-8 -0x1.0d835095c9871p-5 "
-            "0x1.20856a0ce9600p-9 -0x1.21b9c8a25c05ep-7 -0x1.0392fe3affc3cp-7",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.228ccb3860cfap-10 "
-            "0x0.0p+0 0x0.0p+0 0x1.6b939751a5712p-2 0x1.b12f0bbc2fe95p-1 "
-            "0x1.195936dbebf40p-6 0x0.0p+0 0x1.27e5022b43f7bp-2 "
-            "0x1.13af38672f4d8p-4 -0x1.2dd63bde076c3p-7 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e87af41f576cdp-9 "
-            "0x0.0p+0 -0x1.4a8784d4c885dp-9 0x1.0838d2f2c7553p-2 "
-            "0x1.549c51f2d7a22p-1 0x1.b378b8e03de08p-7 0x0.0p+0 "
-            "0x1.5b8e277a2a2cep-2 0x1.46a278d2f3ae5p-5 -0x1.2fbe08ccda7e0p-9 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.c0a79e1d5231ap-9 0x0.0p+0 "
+            "-0x1.2a933d84a1e28p-8 0x1.0e4f89eb99e22p-2 0x1.2bb08dd929aecp-1 "
+            "0x1.cdcd433e5b4cap-7 0x0.0p+0 0x1.1862c0e5aba74p-2 0x1.1dee3f0477139p-4 "
+            "-0x1.5b6e616befb9ap-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.26900a04d319ap-12 0x0.0p+0 "
+            "-0x1.c25c75c32bb5ap-11 0x1.4e72db374e139p-2 0x1.31920964a1590p-1 "
+            "0x1.ac98d01598cc6p-5 0x0.0p+0 0x1.a32a8ef1a572ep-3 0x1.7fca832faea82p-5 "
+            "-0x1.28b69359b73eap-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.9fba25eacb30dp-10 0x0.0p+0 "
+            "0x0.0p+0 0x1.07ffdb962e3cep-2 0x1.8756b4fcd6dbep-2 0x1.8bb4987354bc2p-8 "
+            "0x0.0p+0 0x1.af4f751d69996p-4 0x1.9e150355312c8p-5 -0x1.72e9d22ea57aap-7 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.92781c59c8cf0p-8 "
-            "0x0.0p+0 -0x1.e8aec7f15c666p-12 0x1.1780b2d9d46bap-2 "
-            "0x1.07be19ba824b8p-1 0x1.2c45c37d927fbp-6 0x0.0p+0 "
-            "0x1.5603535eff26bp-2 0x1.9f9f1c8efa4bap-4 -0x1.62365c124ab88p-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.c2b51577e58fap-9 0x0.0p+0 "
+            "-0x1.43b59bd6b57e6p-9 0x1.3a8c2167d0b7ap-2 0x1.4cdf62cfe1786p-1 "
+            "0x1.b31a188446cdap-7 0x0.0p+0 0x1.608bde644ef92p-2 0x1.379cbfddc2eb0p-5 "
+            "-0x1.83793057e5646p-9 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.73e2da38135a0p-8 0x0.0p+0 "
+            "0x0.0p+0 0x1.04507adc570e6p-1 0x1.db2de9da663a6p-2 0x1.152f3ae9f3074p-6 "
+            "0x0.0p+0 0x1.10e7cd4a5ab6ep-2 0x1.a9b2af5aa71c3p-4 -0x1.22c71263da016p-9 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.06b9c31687114p-1 0x1.430db6e421ad2p-1 0x1.a32d53b7bbe98p-8 "
-            "0x0.0p+0 0x1.25c137aeed8b8p-2 0x1.864ee67354e57p-5 "
-            "-0x1.0ce1682eb6f98p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.66e53fd514353p-8 "
-            "0x0.0p+0 0x0.0p+0 0x1.3d3ef9cd13e13p-3 0x1.537b59b401e88p-2 "
-            "0x1.da1a6d32fe0f5p-7 0x0.0p+0 0x1.18debc4ed7cc9p-2 "
-            "0x1.fcb14c40dffe0p-5 -0x1.d534c19958d3ap-6 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.2db742dee9af3p-9 "
-            "0x0.0p+0 -0x1.7ccf0c6b03966p-12 0x1.541f93ff8404fp-1 "
-            "0x1.016ea7fd5285bp-1 0x1.4f683ca5db16dp-6 0x0.0p+0 "
-            "0x1.f9f012690dbfap-3 0x1.db1814c975888p-5 -0x1.ea98ae0db0133p-9 "
+            "0x1.82fdc9c3fcb7fp-2 0x1.5d0bbe68536d7p-1 0x1.74bb6712958cap-9 0x0.0p+0 "
+            "0x1.61ff5b3210fc7p-2 0x1.ca536c55abb18p-6 -0x1.9f0a62c795b16p-7 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0eb46d324aa4ap-8 0x0.0p+0 "
+            "0x0.0p+0 0x1.1dd492b6067f0p-2 0x1.2bc48800bb9f0p-1 0x1.6939ec7fbcae2p-7 "
+            "0x0.0p+0 0x1.6bd66eab4e9dap-2 0x1.33e8b33ef8f8ep-4 -0x1.2f5c0a9256c4dp-6 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0006d9058cbbap-8 "
-            "0x0.0p+0 -0x1.71ed050c9bbf3p-11 0x1.56db4dbe25e7cp-2 "
-            "0x1.4cf96a943641bp-1 0x1.151c99c9fc7e4p-6 0x0.0p+0 "
-            "0x1.7de2f63f9e088p-3 0x1.8146c242c26c2p-6 -0x1.40b30144f44f3p-9 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.68feaeb087630p-7 "
-            "0x0.0p+0 -0x1.28eec8d688800p-13 0x1.31d9ba89b2f85p-3 "
-            "0x1.873eb1ce7de2ep-1 0x1.faf4e80c65523p-9 0x0.0p+0 "
-            "0x1.570e70d15cbbap-3 0x1.74049cc088a67p-4 -0x1.5374572a7fdf6p-7 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.216140d0be776p-9 "
-            "0x0.0p+0 -0x1.ea3cc96f9a720p-10 0x1.a7a5230e04c8ep-3 "
-            "0x1.4ec134737b152p-1 0x1.1763cc825dec7p-6 0x0.0p+0 "
-            "0x1.311ec465deeedp-2 0x1.a9dc56cba4fabp-4 -0x1.d4a23252e1ff3p-10 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.5da597ddbfb1dp-9 0x0.0p+0 "
+            "-0x1.88a15645c701ap-12 0x1.2c6df602fb523p-1 0x1.3f39d889a0bf6p-1 "
+            "0x1.77323a825ee0ep-6 0x0.0p+0 0x1.aae78e7cb6343p-3 0x1.4aef0c955db4bp-5 "
+            "-0x1.34ed11ddba606p-9 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e69d51c997be0p-9 0x0.0p+0 "
+            "-0x1.4eceeb3f9e6c0p-11 0x1.1f71e38412f7cp-2 0x1.53e5fb30f2e32p-1 "
+            "0x1.0f2ce1e54fd4cp-6 0x0.0p+0 0x1.08e870f9b5012p-2 0x1.941f5d9743e93p-6 "
+            "-0x1.5d64ed6ab1c90p-8 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.1bf256cfbf61dp-7 0x0.0p+0 "
+            "-0x1.0d756ed44ee00p-14 0x1.03440ad95234ep-2 0x1.9cacb83054dc8p-1 "
+            "0x1.1c9cf1899f898p-8 0x0.0p+0 0x1.05b557074b215p-2 0x1.0d7f8fd314a13p-3 "
+            "-0x1.3657de4a60c08p-8 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
         ],
     },
+
     "asgd-logistic-group": {
         "outer_iters": 10,
-        "coord_updates": 5408,
+        "coord_updates": 1280,
         "active_blocks": [5, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4],
         "gaps": (
-            "0x1.5107da0332f30p-4 0x1.2da687b384e00p-6 0x1.b7bb2abb92660p-6 "
-            "0x1.dc73a4c29f620p-6 0x1.5ba3b2f6e9d80p-6 0x1.540b8265deb40p-6 "
-            "0x1.5fb7f0b3eefa0p-6 0x1.8064798fad7c0p-6 0x1.10aea985a8ac0p-5 "
-            "0x1.8aee1858c4720p-5 0x1.d62a1a1fe3ca0p-6"
+            "0x1.5107da0332f30p-4 0x1.68f38c8402d80p-7 0x1.a28c4c5c9c7c0p-7 "
+            "0x1.892c61f650e00p-7 0x1.74ca78691ebe0p-6 0x1.e6eb2415a9dc0p-7 "
+            "0x1.ea76b83979dc0p-6 0x1.61311d0bd1fe0p-5 0x1.54187ef7e0b20p-6 "
+            "0x1.362af89c137c0p-6 0x1.81fd0570fd340p-6"
         ),
         "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x1.391356e17d056p-6 -0x1.52a65bd67dfc4p-5 0x1.7c958f5b5fea2p-6 "
-            "-0x1.5366d2041c0bbp-9 -0x1.357afe2c25f04p-5 "
-            "-0x1.353f8379a80e5p-6 -0x1.4035619b12481p-5 0x1.c6fcb6a69823ap-6 "
-            "0x1.fe5bf983c026bp-3 0x1.89a41d6a6b4a8p-4 0x1.478c8fbcfdac9p-4 "
-            "-0x1.a680fdfb479e3p-7 0x1.a2593ddfde683p-3 0x1.2acfa18e78428p-3 "
-            "0x1.71d07981daa44p-3 -0x1.c63581ce707b5p-4 -0x1.0435a32e0efe5p-9 "
-            "-0x1.fdeba1f785ef8p-6 -0x1.88037a52614aep-6 "
-            "-0x1.d4a52d3981623p-11",
-            "0x1.6e637eca8680cp-8 -0x1.390530e1b5da6p-5 0x1.09430ab2ddd90p-7 "
-            "-0x1.4e0cca24ec688p-6 -0x1.bd75828708670p-5 "
-            "-0x1.0b1d8368775c0p-5 -0x1.0f5420f776b44p-6 0x1.e85ce9dc757b7p-6 "
-            "0x1.641070b3e1796p-2 0x1.b27bb5e8f6316p-4 0x1.905a6e75cd723p-4 "
-            "0x1.47e55ddc28ef2p-5 0x1.37f0baee7e1fcp-2 0x1.fdc99a616dabcp-3 "
-            "0x1.65195ad30d7aap-2 -0x1.b37ec31ada34cp-3 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "0x1.8e6ded9d5f00dp-6 -0x1.b935c907838d3p-5 0x1.39321fe5867b6p-5 "
-            "-0x1.0aab8b9056153p-5 -0x1.358480d20ea15p-4 "
-            "-0x1.104d26668c9dfp-6 -0x1.0f70643c8eab7p-5 0x1.d21a714822656p-5 "
-            "0x1.909a1ec3f4253p-2 0x1.bb11e9b51f1aep-5 0x1.28a4c8f8234d2p-3 "
-            "0x1.28733e51bb55cp-6 0x1.c87824fd98a72p-4 0x1.444646f0e4293p-3 "
-            "0x1.d235afc797e73p-3 -0x1.3501099f6ac95p-3 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "0x1.90c9d7c0cbba6p-8 -0x1.d9f55f38675b5p-5 0x1.34aeef8e34185p-6 "
-            "-0x1.eb7d5b41dca8fp-6 -0x1.f4849a26af843p-6 "
-            "-0x1.096e061b0a030p-6 -0x1.76108e37df893p-6 0x1.1123d8300e16cp-6 "
-            "0x1.9eb5eda2cdfd0p-2 0x1.6c2a78fce570ap-7 0x1.3028b01cf64a0p-3 "
-            "-0x1.7bb21730c218ep-4 0x1.c01fa393e7fe4p-3 0x1.0d4cad32c3364p-2 "
-            "0x1.0d295273963b4p-2 -0x1.d6955643b981ep-3 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "0x1.92274fa5ec443p-6 -0x1.50c5506805f49p-6 0x1.b35029d6b2bf0p-6 "
-            "-0x1.cbb94fce4d031p-6 -0x1.1c9d8179ea99dp-5 "
-            "-0x1.bd6c5f0cc4d7cp-11 -0x1.36527fd7d71b4p-6 "
-            "0x1.b6a5691534cc9p-7 0x1.04ac35abbbd85p-2 0x1.2fad574e4699ap-5 "
-            "0x1.6c5156ae8af5fp-4 -0x1.99deec3a8279ep-5 0x1.196cfa0d78d03p-2 "
-            "0x1.733c8b811b518p-2 0x1.336fe4d7222f4p-2 -0x1.02621a0ae5902p-2 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x1.900453aa1a4adp-10 -0x1.7b54284b9520cp-5 0x1.0ab37ebe58dcap-5 "
-            "-0x1.1b63f13610424p-6 -0x1.3c11d878ad048p-5 "
-            "0x1.9cce94cee34abp-11 -0x1.a17175cbe34bap-6 0x1.7d75118d9fbb2p-7 "
-            "0x1.55f4c9eab8402p-2 0x1.f6a83abb76f73p-4 0x1.8ccf190fd8951p-4 "
-            "0x1.8b9e89112e80ap-10 0x1.1427db6228bb3p-2 0x1.15df85f5d8914p-2 "
-            "0x1.4f519355edfc5p-2 -0x1.f3503e1795047p-3 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "0x1.0579696a7a5dap-7 -0x1.0ecced6942112p-5 0x1.f21cd73b3d8c6p-6 "
-            "-0x1.de9743dd7693fp-6 -0x1.3d1204be35e6dp-5 "
-            "-0x1.633dc8ad48919p-6 -0x1.e18d451c7b6a3p-6 0x1.4dd8bdcfaeda1p-5 "
-            "0x1.e8eb69cf047b8p-2 0x1.b7379f05d6f7dp-4 0x1.0546eab1b1bfcp-3 "
-            "-0x1.eaaa8b954357fp-6 0x1.da16d7cffe25bp-3 0x1.76352a03a4585p-3 "
-            "0x1.ea2b6e3e8f981p-3 -0x1.c0a75502004afp-3 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "0x1.1e22e68b1ddc5p-6 -0x1.33f90c6dda5c6p-5 0x1.cdafa558be428p-7 "
-            "-0x1.834973876a181p-7 -0x1.6e55ad24a7ac9p-4 "
-            "-0x1.8aa1e25adaec2p-5 -0x1.7b9e04cbe0286p-5 0x1.24ba3926a8243p-4 "
-            "0x1.eddecd50a54c0p-2 0x1.a3c9d86ffb8d8p-3 0x1.29c2b57d57c99p-3 "
-            "-0x1.0da8bbfa5a05dp-5 0x1.54b2d91b8c5ebp-3 0x1.5559f4bc8dce4p-3 "
-            "0x1.9bc03b32ebc08p-3 -0x1.8f68da794577ap-3 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "0x1.1c73101b2374fp-5 0x1.defbcb787c32cp-10 0x1.752c38fe6751dp-6 "
-            "-0x1.e754f0fa97045p-5 -0x1.53be066fafa9ap-5 "
-            "-0x1.091223d1e728bp-5 -0x1.553eb6c79e0c3p-5 0x1.e009257cab090p-7 "
-            "0x1.e0967f122a6d7p-2 0x1.15430b6dfc929p-2 0x1.69b8110e9bfb4p-3 "
-            "-0x1.31d580d5fdff3p-5 0x1.399d394ba2236p-3 0x1.f34444401f426p-4 "
-            "0x1.1580be5ed00fcp-3 -0x1.9912c26f093edp-4 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "0x1.290afb689ec26p-4 -0x1.b6945e684ca38p-6 0x1.b3be5f312c0aep-6 "
-            "-0x1.39085d464a66fp-6 -0x1.901c046d00a0fp-5 "
-            "-0x1.d58b35eb4d4c6p-6 -0x1.52263c7900008p-5 0x1.752bf5eb47da4p-5 "
-            "0x1.e69e25842f313p-2 0x1.f0d50d90d8a5cp-4 0x1.6d1b08c021d43p-3 "
-            "-0x1.ca99b563e9be5p-7 0x1.79bb8333e77f8p-3 0x1.8fac158c6066ap-3 "
-            "0x1.da0ba594eed90p-3 -0x1.0b21e0df50192p-2 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.60c85bf2c2090p-3 0x1.095f663219705p-4 0x1.2b6105088bde4p-4 "
+            "-0x1.7564c13b570fep-6 0x1.dd4124073b50fp-3 0x1.e8be181db5edcp-4 "
+            "0x1.06c91412cd662p-3 -0x1.b89603e79aa04p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.276dcc2f65d32p-2 0x1.a7bc1daafc41ep-4 0x1.32f72d5959297p-4 "
+            "0x1.7147a521f3dfep-5 0x1.9103b53964661p-3 0x1.352b7f45627a5p-3 "
+            "0x1.7d5051a9e59d7p-3 -0x1.2c44c35378034p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.8b800cc2dad74p-2 0x1.88e4a0d60ba74p-4 0x1.3d28f61ecc3f9p-3 "
+            "-0x1.7b0afde9293d5p-6 0x1.cce69337c124ep-3 0x1.055bdcf2fe119p-3 "
+            "0x1.28c2473d6e1e0p-2 -0x1.219d267710135p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.7b2ab1194ee54p-2 0x1.16a79235c175dp-3 0x1.569e148dd7cb8p-4 "
+            "0x1.4c0e5616a3143p-6 0x1.4bd5964dcaa68p-2 0x1.2855225e6d965p-2 "
+            "0x1.761e0ec4407c5p-2 -0x1.6c7dbf5414050p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.a9495844d9438p-2 0x1.1688ccdd4b465p-3 0x1.079a3a0a65f1cp-3 "
+            "0x1.65d91b8c937f7p-7 0x1.a60cb539b8c0bp-3 0x1.eb4c40e0f89c4p-3 "
+            "0x1.5d98f54ee6f6bp-2 -0x1.bbee0b46882aap-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.1480e91531014p-1 0x1.354957cec6f88p-4 0x1.04207e008ec4ap-3 "
+            "0x1.149467936ea38p-4 0x1.e82c7b34d377cp-4 0x1.d62ee758765a7p-4 "
+            "0x1.a70709b570ce3p-3 -0x1.218b0f5ab6ddfp-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.0abb83bcb0516p-1 0x1.18ee0153e8152p-5 0x1.e5fbb129575f6p-3 "
+            "0x1.a970b91854a04p-10 0x1.b9179786b34dcp-5 0x1.4447350381c28p-3 "
+            "0x1.56d9168ad71f5p-3 -0x1.9f5ad95450661p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.d73864e7717a9p-2 0x1.b7728a11d68b0p-5 0x1.32db7b7e0cac3p-3 "
+            "-0x1.78862d9100cfap-3 0x1.c7ea9da2bfaa0p-3 0x1.a4fd652ea8fe4p-3 "
+            "0x1.2e25fa1fb629cp-2 -0x1.052f7e5262b27p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.3152e85b2baebp-2 0x1.0370059fbda8cp-4 0x1.8795dc1d75245p-4 "
+            "-0x1.54205ffc1d0b3p-5 0x1.2d2f7eb8f4bdbp-2 0x1.be877b1375740p-2 "
+            "0x1.2581b8809ebacp-2 -0x1.d35c512b9da6ap-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.4156090874698p-2 -0x1.5c737321076fep-8 0x1.02cefd0a4d756p-3 "
+            "-0x1.c2c0bcff25786p-7 0x1.2b55532e6b906p-2 0x1.875c60b708847p-2 "
+            "0x1.800fa9f6725d0p-2 -0x1.28805acaaa549p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0",
         ],
     },
+
     "mrbcd-l1-scattered": {
         "outer_iters": 10,
         "coord_updates": 1600,
@@ -1405,66 +1377,67 @@ def _nonzeros_hex(x):
 CHUNK_GOLDEN = {
     "adsgd-full-batch-long-epoch": {
         "outer_iters": 6,
-        "coord_updates": 7697,
-        "active_blocks": [6, 5, 3, 3, 3, 3, 3],
+        "coord_updates": 7010,
+        "active_blocks": [6, 6, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.6729e1e1d1c80p-7 0x1.ea6db49152000p-11 "
-            "0x1.12b4de3c08000p-13 0x1.3a4994fa70000p-16 0x1.529b77ac80000p-19 "
-            "0x1.7bdae0d400000p-22"
+            "0x1.4a58be7a76ff8p-2 0x1.4b385731713c0p-6 0x1.7e9189c298e00p-9 "
+            "0x1.9ccd0bc7d0000p-12 0x1.cc87435710000p-15 0x1.02a54683e0000p-17 "
+            "0x1.45bbac4600000p-20"
         ),
         "x_final": (
-            "7:0x1.68e9cc2d7662dp-2 8:0x1.6ccc552e53f79p-1 11:0x1.49c84770fd8d6p-2"
+            "7:0x1.68ea3b1076474p-2 8:0x1.6ccbf40a6c256p-1 11:0x1.49c8a61b2011ap-2"
         ),
     },
+
     "adsgd-long-epoch": {
         "outer_iters": 6,
-        "coord_updates": 7685,
-        "active_blocks": [6, 5, 3, 3, 3, 3, 3],
+        "coord_updates": 6967,
+        "active_blocks": [6, 6, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.77d839f269200p-7 0x1.d59272549f800p-9 "
-            "0x1.eae7bfa4bb000p-12 0x1.a8227849e8000p-14 0x1.2e668d1f40000p-18 "
-            "0x1.c92e15cf00000p-20"
+            "0x1.4a58be7a76ff8p-2 0x1.802737836ffa0p-5 0x1.178abe5e63200p-9 "
+            "0x1.b3d1733a42000p-13 0x1.f30e826580000p-19 0x1.336903be00000p-21 "
+            "0x1.2fd47eb000000p-24"
         ),
         "x_final": (
-            "7:0x1.68e8a13d3c1a7p-2 8:0x1.6ccccb04cec25p-1 11:0x1.49c7c42f1573bp-2"
+            "7:0x1.68e9994bc020dp-2 8:0x1.6ccc750df15cfp-1 11:0x1.49c83869affd3p-2"
         ),
     },
+
     "adsgd-long-rows": {
         "outer_iters": 4,
-        "coord_updates": 24000,
+        "coord_updates": 8000,
         "active_blocks": [15, 15, 15, 15, 15],
         "gaps": (
-            "0x1.84db2ad70c69cp-1 0x1.8200898bf4930p-1 0x1.771800a614904p-1 "
-            "0x1.732dbefbe2020p-1 0x1.6a8126ece3750p-1"
+            "0x1.84db2ad70c69cp-1 0x1.7fc89c703f654p-1 0x1.7245ccc696fc0p-1 "
+            "0x1.5cf9ac5de5c60p-1 0x1.56cfd7f2dc2c8p-1"
         ),
         "x_final": (
-            "248:-0x1.b97e272d3123dp-7 286:-0x1.e2b28f96fe001p-9 "
-            "390:0x1.69e8206306ecep-9 411:-0x1.29f573d57265dp-9 "
-            "495:-0x1.4cbe50d7e4a5ap-8 704:0x1.8781f04411511p-10 "
-            "708:-0x1.c36a1930714a7p-9 757:-0x1.58a1323fd1b43p-6 "
-            "770:-0x1.e9acd0cda0b15p-13 872:-0x1.524385bf7d5f9p-10 "
-            "876:0x1.00dce47053492p-12 888:-0x1.b8b3b1fd39d44p-7 "
-            "993:-0x1.75e1f4aae48b3p-7 1238:-0x1.520ea29768abbp-8 "
-            "1279:-0x1.61612b3cc208ep-10 1281:-0x1.61557073877c2p-9 "
-            "1387:-0x1.4d29fb7802d5cp-7 1388:-0x1.ca198b273eb12p-12 "
-            "1392:-0x1.deaf2e775ff09p-8"
+            "248:-0x1.740014cc42aeep-7 286:-0x1.8e27190627d10p-9 "
+            "704:0x1.81e26eecd17b0p-9 708:-0x1.cde59fd8b4c1bp-8 "
+            "757:-0x1.622dc999bbf50p-5 770:-0x1.d8065d5dc4a7ap-12 "
+            "872:-0x1.e0fe893e567a0p-11 876:0x1.36962a68542b3p-13 "
+            "888:-0x1.555c230db8c92p-7 993:-0x1.652dd29e5605ep-7 "
+            "1387:-0x1.2e7c9be1cd1b4p-7 1388:-0x1.26df6bfeeaac0p-11 "
+            "1392:-0x1.b72d5b7c4b9dap-8"
         ),
     },
+
     "asgd-long-epoch": {
         "outer_iters": 6,
-        "coord_updates": 26844,
-        "active_blocks": [6, 5, 3, 3, 3, 3, 3],
+        "coord_updates": 21000,
+        "active_blocks": [6, 6, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.ff7d2a70c7c60p-5 0x1.82b2092540aa0p-5 "
-            "0x1.f1f1297698360p-4 0x1.c17114c2fc680p-5 0x1.f2197fd9d4a00p-5 "
-            "0x1.0cb84f2f40270p-4"
+            "0x1.4a58be7a76ff8p-2 0x1.fe66a31424c60p-5 0x1.78213f68adb20p-5 "
+            "0x1.614be424ddc80p-5 0x1.97b5cdeb12b60p-4 0x1.d4e19162eaca0p-5 "
+            "0x1.549becddd9e10p-4"
         ),
         "x_final": (
-            "4:0x1.3cee01f20f0d6p-9 6:-0x1.0f460cc923755p-12 7:0x1.8351e41eba4dbp-2 "
-            "8:0x1.2b8dcb4471c9dp-1 9:0x1.2c680d4f5b241p-7 11:0x1.4aafc864cc808p-2 "
-            "12:0x1.c76cefc62e836p-5 13:-0x1.77f9d47d508b4p-7"
+            "4:0x1.a071b35833f55p-9 6:-0x1.059991fd0b917p-11 7:0x1.b071b60e30fb5p-2 "
+            "8:0x1.213965038fd26p-1 9:0x1.5af7f72c251bdp-7 11:0x1.50ce0e3d06c9bp-2 "
+            "12:0x1.021edd7828d7bp-4 13:-0x1.a302fb1021440p-7"
         ),
     },
+
     "mrbcd-batch-1": {
         "outer_iters": 3,
         "coord_updates": 30036,
@@ -1550,3 +1523,42 @@ def test_chunked_epochs_match_golden(name):
     assert [len(a) for a in rep.active_history] == want["active_blocks"]
     assert [r.gap.hex() for r in rep.trace] == want["gaps"].split()
     assert _nonzeros_hex(rep.x_final) == want["x_final"]
+
+
+def _hexes(x):
+    return " ".join(map(float.hex, x.tolist()))
+
+
+def _entry(name):
+    """A fresh run of one case, as its GOLDEN, CHUNK_GOLDEN or REFERENCE_GOLDEN entry."""
+    if name in REFERENCE_CASES:
+        rep = G.reference_solve(REFERENCE_CASES[name]())
+        return {"outer_iters": rep.outer_iters, "gap": rep.gap.hex(),
+                "x_final": _hexes(rep.x_final)}
+    rep = run_case(name) if name in CASES else run_chunk_case(name)
+    last = ({"iterates": list(map(_hexes, rep.iterates))} if name in CASES
+            else {"x_final": _nonzeros_hex(rep.x_final)})
+    return {"outer_iters": rep.outer_iters, "coord_updates": rep.coord_updates,
+            "active_blocks": [len(a) for a in rep.active_history],
+            "gaps": " ".join(r.gap.hex() for r in rep.trace), **last}
+
+
+if __name__ == "__main__":  # python tests/test_golden_iterates.py NAME...
+    import sys
+    import textwrap
+
+    def _text(text):  # a string literal over lines of at most 72 characters of text
+        parts = textwrap.wrap(text, 72, break_on_hyphens=False)
+        return "\n".join(f'            "{p}{" " * (i + 1 < len(parts))}"'
+                         for i, p in enumerate(parts))
+
+    for case in sys.argv[1:]:
+        print(f'    "{case}": {{')
+        for key, val in _entry(case).items():
+            if isinstance(val, list) and isinstance(val[0], str):
+                val = "[\n" + ",\n".join(map(_text, val)) + ",\n        ]"
+            elif isinstance(val, str):
+                short = len(key) + len(val) < 73
+                val = f'"{val}"' if short else f"(\n{_text(val)}\n        )"
+            print(f'        "{key}": {val},')
+        print("    },")

@@ -446,6 +446,135 @@ def test_trace_counts_monotone_and_final_row_contract():
     assert times == sorted(times)
 
 
+def test_adsgd_certificates_hold_on_the_tall_benchmark_instance():
+    """The benchmark's lasso-tall instance at its step size, 8 solver seeds:
+    a converged solve lies within gap_tol of the optimum. A radius of
+    sqrt(2 T gap) with a gap scaled over the surviving blocks only certified
+    points 0.24 and 0.40 above it here (seeds 4 and 6)."""
+    data = generate_synthetic(SyntheticParams(n=2000, d=40, sparsity=1.0, seed=3))
+    spec = build_spec(data, model="lasso", lambda_ratio=0.5, q=10)
+    p_star = G.primal_objective(spec, G.reference_solve(spec, tol=1e-10).x_final)
+    eta = tuned_eta(spec)
+    for seed in range(8):
+        rep = G.adsgd_solve(spec, G.SolverConfig(seed=seed, gap_tol=1e-6,
+                                                 max_outer=300, eta=eta))
+        assert rep.converged, seed
+        assert G.primal_objective(spec, rep.x_final) - p_star <= 1e-6, seed
+
+
+def _record_working_sets(monkeypatch):
+    """Wrap the engine's working-set choice; returns the list of (x_hat, safe
+    blocks, working blocks, scaled correlations) of every call, in call order."""
+    calls, choose = [], G.solvers._working_blocks
+
+    def recorded(spec, active, x_hat, dp):
+        out = choose(spec, active, x_hat, dp)
+        calls.append((x_hat.copy(), active.blocks.copy(), out, dp.correlations))
+        return out
+
+    monkeypatch.setattr(G.solvers, "_working_blocks", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["adsgd", "asgd"])
+def test_working_set_holds_every_block_where_x_hat_is_nonzero(monkeypatch, solver):
+    """Each epoch runs on safe blocks only, on every block where x_hat is
+    nonzero, those of low correlation included, and updates nothing else:
+    the next iterate is zero off it."""
+    spec = make_instance(seed=41, n=100, d=200, q=10, ratio=0.2)
+    calls = _record_working_sets(monkeypatch)
+    batch = spec.dataset.n if solver == "asgd" else None
+    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=0, gap_tol=1e-6,
+                                       max_outer=200, eta=tuned_eta(spec),
+                                       batch_size=batch, keep_iterates=True))
+    assert rep.converged and len(calls) == rep.outer_iters
+    block_of, low = spec.partition.block_of, 0
+    for k, (x_hat, safe, wb, corr) in enumerate(calls):
+        nonzero = np.unique(block_of[np.flatnonzero(x_hat)])
+        assert set(nonzero.tolist()) <= set(wb.tolist()) <= set(safe.tolist())
+        assert set(block_of[np.flatnonzero(rep.iterates[k + 1])].tolist()) <= set(wb.tolist())
+        assert rep.trace[k + 1].working_blocks == wb.size
+        low += np.count_nonzero(corr[nonzero] < 0.7 * spec.lam)
+    assert low > 0 and any(wb.size < safe.size for _, safe, wb, _ in calls)
+
+
+def test_a_wrong_screen_cannot_certify(monkeypatch):
+    """A screen forced to drop support block 4 as well leaves the run
+    uncertified: the gap scales the dual over every block, so it stays above
+    the suboptimality of the best point without that block."""
+    spec = make_instance(seed=40, n=100, d=200, q=10)
+    oracle = G.reference_solve(spec, tol=1e-12)
+    assert np.any(oracle.x_final[spec.partition.groups[4]] != 0.0)
+    real = G.solvers.screen
+
+    def wrong(spec, dp, r, active):
+        out = real(spec, dp, r, active)
+        return out.keep(out.blocks[out.blocks != 4])
+
+    monkeypatch.setattr(G.solvers, "screen", wrong)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=0, gap_tol=1e-6, max_outer=40,
+                                             eta=tuned_eta(spec)))
+    assert 4 not in rep.active_history[-1]
+    assert not rep.converged
+    assert rep.gap >= G.primal_objective(spec, rep.x_final) - oracle.objective > 1e-6
+
+
+def test_a_working_set_missing_a_support_block_still_certifies(monkeypatch):
+    """At x = 0 block 3 of this instance correlates below 0.7 lam after
+    scaling, so the first working set leaves it out although the optimum is
+    nonzero on it; it joins a later one, and the run ends on a full-problem
+    certificate."""
+    spec = make_instance(seed=40, n=100, d=200, q=10)
+    oracle = G.reference_solve(spec, tol=1e-12)
+    calls = _record_working_sets(monkeypatch)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=0, gap_tol=1e-6, max_outer=200,
+                                             eta=tuned_eta(spec)))
+    group = spec.partition.groups[3]
+    assert 3 not in calls[0][2] and np.any(oracle.x_final[group] != 0.0)
+    assert rep.converged and rep.gap <= 1e-6
+    assert np.any(rep.x_final[group] != 0.0)
+    assert G.primal_objective(spec, rep.x_final) - oracle.objective <= 1e-6
+
+
+@pytest.mark.parametrize("solver", ["adsgd", "asgd"])
+@pytest.mark.parametrize("build", [
+    lambda: make_instance(seed=42, n=80, d=160, ratio=0.3),
+    lambda: make_instance(seed=43, n=120, d=60, q=12, model="logistic", reg="group_l2"),
+    lambda: make_instance(seed=44, n=90, d=120, mu_p=0.01),
+    lambda: make_instance(seed=45, n=300, d=30, q=6, sparsity=1.0, scale=0.3),
+], ids=["l1", "logistic-group", "mu-p", "tall"])
+def test_a_converged_report_certifies_the_full_problem(build, solver):
+    """Re-evaluating x_final over every block gives the reported gap, bit for
+    bit, and it is at most gap_tol."""
+    spec = build()
+    batch = spec.dataset.n if solver == "asgd" else None
+    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=1, gap_tol=1e-6,
+                                       max_outer=400, eta=tuned_eta(spec),
+                                       batch_size=batch))
+    assert rep.converged
+    x = rep.x_final
+    _, _, _, gap = G.solvers.evaluate(spec, x, spec.dataset.A @ x,
+                                      G.ActiveSet.full(spec, bounds=False))
+    assert gap == rep.gap <= 1e-6
+
+
+def test_trace_records_the_screening_radius_and_the_working_set():
+    """A row's radius is safe_radius of the previous row's gap where a screen
+    ran (every other outer iteration here) and inf elsewhere; its working
+    blocks lie within its safe blocks, and the starting row has none."""
+    spec = make_instance(seed=7, n=60, d=90)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=7, gap_tol=1e-6, max_outer=100,
+                                             eta=tuned_eta(spec), screen_every=2))
+    assert rep.converged
+    first = rep.trace[0]
+    assert (first.radius, first.working_blocks) == (math.inf, 0)
+    for k, (prev, row) in enumerate(zip(rep.trace, rep.trace[1:])):
+        want = G.safe_radius(spec, prev.gap) if k % 2 == 0 else math.inf
+        assert row.radius == want
+        assert 0 < row.working_blocks <= row.active_blocks
+    assert any(r.working_blocks < r.active_blocks for r in rep.trace[1:])
+
+
 def test_not_converged_run_is_flagged():
     spec = make_instance(seed=8, n=60, d=90)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=8, gap_tol=1e-12, max_outer=3))
@@ -768,9 +897,10 @@ def test_spectral_bound_dominates_average_hessian():
 
 def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch):
     """adsgd forms A'g once per evaluation, plus once per truncation refresh
-    (the only call of smooth_gradient in the engine); mrbcd never refreshes."""
+    (the only call of smooth_gradient in the engine); mrbcd never refreshes.
+    At this step size a screen drops a block where x_hat is nonzero."""
     spec = make_instance(seed=1, n=60, d=80, q=10)
-    cfg = G.SolverConfig(seed=1, gap_tol=1e-6, max_outer=40, eta=tuned_eta(spec, 1.0))
+    cfg = G.SolverConfig(seed=1, gap_tol=1e-6, max_outer=40, eta=tuned_eta(spec, 2.0))
     counts = {"products": 0, "refreshes": 0}
     rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
 
