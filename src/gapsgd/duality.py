@@ -67,8 +67,11 @@ class ActiveSet:
         )
 
     def keep(self, block_ids):
+        """The set of the given blocks, whose features are listed in increasing order."""
         block_ids = np.asarray(block_ids, dtype=np.intp)
-        feats = np.flatnonzero(np.isin(self.partition.block_of, block_ids))
+        kept = np.zeros(self.partition.q, dtype=bool)
+        kept[block_ids] = True
+        feats = np.flatnonzero(kept[self.partition.block_of])
         return ActiveSet(blocks=np.sort(block_ids), features=feats,
                          column_bounds=self.column_bounds, partition=self.partition)
 

@@ -4,14 +4,18 @@ Everything here is immutable after construction and safe to share across
 concurrent solver runs; the operations are pure functions of their inputs.
 
 BlockPartition is the one block layout: the problem's partition, and the
-solvers' working design over the surviving blocks, are each one. A penalty's
-block_prox shrinks one block, or, given a partition's size classes, a whole
-vector at once. For group-L2 the whole-vector prox and the penalty value work
-per size class: they gather the k blocks of size s into a (k, s) array and
-take all k norms with one row-wise sum.
+solvers' working design over the surviving blocks, are each one. The working
+design numbers its columns block by block, so its layouts are consecutive
+ranges, built from the block sizes with array operations alone
+(BlockPartition.from_sizes). A penalty's block_prox shrinks one block, or,
+given a partition's size classes, a whole vector at once, and writes into
+out when given one, which may be v itself. For group-L2 the whole-vector prox
+and the penalty value work per size class: they gather the k blocks of size s
+into a (k, s) array and take all k norms with one row-wise sum.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -23,9 +27,17 @@ class DegenerateProblemError(ValueError):
     """Raised when the design matrix carries no information (all zeros)."""
 
 
-def soft_threshold(v, t):
-    """Coordinate-wise shrinkage: sign(v) * max(|v| - t, 0)."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+def soft_threshold(v, t, out=None):
+    """Coordinate-wise shrinkage sign(v) * max(|v| - t, 0), as v - clip(v, -t, t).
+
+    Both forms round alike: away from the threshold each subtracts t from |v|
+    once, and within it each gives a zero, which the clip form makes +0.0
+    where the sign form may give -0.0. nan and +-inf pass through as in the
+    sign form. out may be v itself.
+    """
+    clip = np.maximum(v, -t)
+    np.minimum(clip, t, out=clip)
+    return np.subtract(v, clip, out=out)
 
 
 class Dataset:
@@ -92,47 +104,66 @@ class BlockPartition:
     size for the group-L2 penalty's full-vector value and prox: one (ids, idx)
     pair per distinct size s, in increasing s, where ids holds the ranks of
     the k blocks of that size in increasing order and row i of the (k, s)
-    array idx is groups[ids[i]].
+    array idx is groups[ids[i]]. groups and classes are built when first
+    read, so a layout that no caller asks them of costs array operations only.
     """
 
     def __init__(self, groups):
-        groups = [np.asarray(g, dtype=np.intp) for g in groups]
-        sizes = np.array([g.size for g in groups], dtype=np.intp)
+        groups = list(groups)
+        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
         if not groups or not sizes.all():
             raise ValueError("every group must be non-empty")
-        order = np.concatenate(groups)
-        d, q = order.size, sizes.size
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        order = np.concatenate(groups).astype(np.intp, copy=False)
+        d = order.size
         rising = np.diff(order) > 0
-        rising[offsets[1:-1] - 1] = True  # a new block may start anywhere
+        rising[np.cumsum(sizes)[:-1] - 1] = True  # a new block may start anywhere
         if not rising.all():
             raise ValueError("group indices must be sorted and unique")
         # d indices in [0, d - 1] partition it when each value occurs
         if order.min() != 0 or order.max() != d - 1 or not np.bincount(order).all():
             raise ValueError("groups must partition {0..d-1}")
-        self.groups = groups
+        self._lay_out(order, sizes)
+
+    @classmethod
+    def from_sizes(cls, sizes):
+        """Consecutive ranges of the given positive sizes, in order."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        part = cls.__new__(cls)
+        part._lay_out(np.arange(sizes.sum()), sizes)
+        return part
+
+    def _lay_out(self, order, sizes):
+        d, q = order.size, sizes.size
         self.d = d
         self.q = q
         self.sizes = sizes
         self.order = order
-        self.offsets = offsets
+        self.offsets = offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.block_of = np.empty(d, dtype=np.intp)
         self.block_of[order] = np.repeat(np.arange(q), sizes)
         self.slot = np.empty(d, dtype=np.intp)
         self.slot[order] = np.arange(d) - np.repeat(offsets[:-1], sizes)
         self.block_of.flags.writeable = False
         self.slot.flags.writeable = False
-        self.classes = []
-        for s in np.flatnonzero(np.bincount(sizes)).tolist():
-            ids = np.flatnonzero(sizes == s)
-            self.classes.append((ids, order[offsets[ids, None] + np.arange(s)]))
+
+    @functools.cached_property
+    def groups(self):
+        return np.split(self.order, self.offsets[1:-1])
+
+    @functools.cached_property
+    def classes(self):
+        out = []
+        for s in np.flatnonzero(np.bincount(self.sizes)).tolist():
+            ids = np.flatnonzero(self.sizes == s)
+            out.append((ids, self.order[self.offsets[ids, None] + np.arange(s)]))
+        return out
 
     @classmethod
     def contiguous(cls, d, q):
-        """q consecutive ranges of near-equal size."""
+        """q consecutive ranges of near-equal size, the longer ones first."""
         if not 1 <= q <= d:
             raise ValueError(f"need 1 <= q <= d, got q={q}, d={d}")
-        return cls(np.array_split(np.arange(d), q))
+        return cls.from_sizes(d // q + (np.arange(q) < d % q))
 
     @classmethod
     def singletons(cls, d):
@@ -198,9 +229,9 @@ class L1Penalty:
     def block_dual_norm(self, v):
         return float(np.max(np.abs(v))) if np.size(v) else 0.0
 
-    def block_prox(self, v, t, classes=None):
+    def block_prox(self, v, t, classes=None, out=None):
         """Soft thresholding. It is coordinate-wise, so it ignores the block layout."""
-        return soft_threshold(v, t)
+        return soft_threshold(v, t, out)
 
 
 class GroupL2Penalty:
@@ -221,22 +252,29 @@ class GroupL2Penalty:
     def block_dual_norm(self, v):
         return float(np.sqrt(np.sum(v ** 2)))
 
-    def block_prox(self, v, t, classes=None):
+    def block_prox(self, v, t, classes=None, out=None):
         """Block soft thresholding: v scaled by 1 - t/||v||, or +0.0 where ||v|| <= t.
 
         With classes (a BlockPartition's) v is a whole vector and every block
         is shrunk at once. Each row sum of a (k, s) gather adds the same terms
         in the same order as the sum over that one block, so both paths give
-        the same bits.
+        the same bits. The result goes to out when given, which may be v:
+        every block is gathered before out is written.
         """
         if classes is None:
-            nrm = math.sqrt((v ** 2).sum())
+            nrm = math.sqrt(np.add.reduce(v * v))
             if nrm <= t:
-                return np.zeros(v.shape)
-            return (1.0 - t / nrm) * v
-        out = np.zeros(v.shape)
-        for _, idx in classes:
-            blk = v[idx]
+                if out is None:
+                    return np.zeros(v.shape)
+                out.fill(0.0)
+                return out
+            return np.multiply(v, 1.0 - t / nrm, out=out)
+        blocks = [(idx, v[idx]) for _, idx in classes]
+        if out is None:
+            out = np.zeros(v.shape)
+        else:
+            out.fill(0.0)
+        for idx, blk in blocks:
             nrm = np.sqrt((blk ** 2).sum(axis=1))
             keep = ~(nrm <= t)  # a nan norm passes through, as on one block
             out[idx[keep]] = (1.0 - t / nrm[keep])[:, None] * blk[keep]

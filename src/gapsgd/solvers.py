@@ -30,8 +30,8 @@ snapshot.
 
 Every inner step of every solver goes through step_gradient: the sampled rows'
 derivatives, relative to the snapshot's under variance reduction, summed into
-the sampled block or into every active coordinate. A batch of all n rows
-takes every entry of the working design as it stands, without a draw.
+the sampled block or into every working column. A batch of all n rows takes
+every entry of the working design as it stands, without a draw.
 partial_gradient and vr_gradient plan their one step with _plan and run the
 same kernel on the uncompacted design.
 
@@ -43,24 +43,30 @@ same values from the Philox stream as the draws made step by step, and leaves
 the stream in the same state: each bounded draw consumes the stream alike
 whether it comes alone or in an array, which tests pin. _plan then gathers
 every sampled row of the chunk at once, through one index array computed from
-the row pointers, and selects each step's block entries with one mask over
-the chunk, so a step does only the work that depends on the iterate: its two
-bincounts, the loss derivative, the prox and the running sum. Each step sums
-the same entries in the same order as a per-step gather would, so the plan
-changes no bit.
+the row pointers, selects each step's block entries with one mask over the
+chunk, and returns the chunk's arrays with plain lists of each step's entry
+offsets and columns. The engine runs a chunk as one loop over those lists:
+each step slices the chunk's arrays, calls the kernel positionally, and
+updates its columns of the iterate in place, grad *= eta, v -= grad and the
+prox written back into v, then adds the iterate to the running sum. Each step
+sums the same entries in the same order as a per-step gather would, and the
+in-place update rounds as the old expressions did, so neither changes a bit.
 
 The working design is the row pointers plus one array each of the column,
-value and row of every stored entry, in CSR order. After every screening
-event the safe set's design is compacted to the surviving columns, cut down
-from the previous one (so at most q times per solve): a mask drops the
-screened columns' entries, a cumulative count renumbers the surviving columns
-and a bincount of the kept entries' rows rebuilds the row pointers. The
-working set's design is cut the same way from the safe set's, when W
-changes. Its blocks are a BlockPartition of the compacted columns, whose
-block ib is W's block of rank ib; while every block is in W that is the
-problem's partition itself, so nothing is rebuilt. The inner loop runs in
-those compacted coordinates: the iterate, snapshot, snapshot gradient and
-running average hold one entry per feature of W, and each sampled row
+value and row of every stored entry, in CSR order, with its columns numbered
+block by block: block ib of its layout is the column range
+offsets[ib]:offsets[ib + 1], and features maps each column to its feature.
+A contiguous partition is already in that order; a scattered one is
+renumbered once, when a solve starts. After every screening event the safe
+set's design is compacted to the surviving columns, cut down from the
+previous one (so at most q times per solve): a mask drops the screened
+blocks' entries, a cumulative count renumbers the surviving columns, which
+stay block by block, a bincount of the kept entries' rows rebuilds the row
+pointers, and the kept blocks' sizes give the new layout. The working set's
+design is cut the same way from the safe set's, when W changes. The inner
+loop runs in those working columns: the iterate, snapshot, snapshot gradient
+and running average hold one entry per feature of W, gathered from and
+scattered back to feature ids through features, and each sampled row
 contributes only its entries in W. That is where screening and the working
 set cut the cost of a step, not just the number of steps. Coordinates off W
 are exact zeros, so compaction removes only vals * 0.0 terms from the row
@@ -83,9 +89,9 @@ Omega_j^D(A_j), once, when it starts.
 """
 
 import dataclasses
+import itertools
 import math
 import time
-import typing
 
 import numpy as np
 
@@ -214,16 +220,19 @@ def _resolve(spec, config, consts):
 
 @dataclasses.dataclass
 class _Working:
-    """The design restricted to the active features, columns renumbered 0..n_features-1.
+    """The design restricted to the active features, its columns numbered block by block.
 
-    entries holds (cols, vals, row_of) of every stored entry in CSR order,
-    cols as intp, and row r's entries are [indptr[r], indptr[r + 1]). layout
-    is the BlockPartition of the compacted columns: its block ib is block
-    active.blocks[ib], so a block's rank in the active set indexes it. While
-    every block is active, layout is spec.partition itself.
+    Working column p holds feature features[p]: the columns list the active
+    blocks in increasing id, and each block's features in increasing order,
+    so block ib of the layout, block active.blocks[ib], is the columns
+    layout.offsets[ib]:layout.offsets[ib + 1]. entries holds (cols, vals,
+    row_of) of every stored entry in CSR order, cols as intp, and row r's
+    entries are [indptr[r], indptr[r + 1]). While every block is active and
+    the partition is contiguous, layout is spec.partition itself.
     """
 
     active: ActiveSet
+    features: np.ndarray
     indptr: np.ndarray
     entries: tuple
     layout: BlockPartition
@@ -232,35 +241,42 @@ class _Working:
 def _compact(spec, active, prev=None):
     """Working design of `active`, cut down from prev's or from the dataset's.
 
-    active.features must be a subset of prev's features. Dropping entries
-    keeps every row's survivors in their original order, so each row sum
-    over them adds the same products in the same order. A cut lists each
-    surviving block's compacted columns in increasing order, as the
-    partition lists the block's features.
+    active.blocks must be a subset of prev's. The dataset's design is
+    renumbered block by block once, which leaves a contiguous partition's
+    columns as they are. Dropping entries keeps every row's survivors in
+    their original CSR order, so each row sum over them, and each block sum,
+    adds the same products in the same order. A cut keeps the surviving
+    columns in their order, so they stay block by block, and its layout comes
+    from the kept blocks' sizes.
     """
     if prev is None:
-        a = spec.dataset.A
+        a, part = spec.dataset.A, spec.partition
+        cols, layout = a.indices.astype(np.intp), part
+        if np.any(np.diff(part.order) < 0):  # scattered blocks: number them in order
+            rank = np.empty(part.d, dtype=np.intp)
+            rank[part.order] = np.arange(part.d)
+            cols, layout = rank[cols], BlockPartition.from_sizes(part.sizes)
         indptr = a.indptr.astype(np.intp)
-        entries = (a.indices.astype(np.intp), a.data,
-                   np.repeat(np.arange(a.shape[0]), np.diff(indptr)))
-        features = np.arange(spec.dataset.d)
+        entries = (cols, a.data, np.repeat(np.arange(a.shape[0]), np.diff(indptr)))
+        blocks, features = np.arange(part.q), part.order
     else:
-        indptr, entries, features = prev.indptr, prev.entries, prev.active.features
-    afeat = active.features
-    if afeat.size < features.size:
-        alive = np.isin(features, afeat)
+        indptr, entries, layout = prev.indptr, prev.entries, prev.layout
+        blocks, features = prev.active.blocks, prev.features
+    if active.n_blocks < blocks.size:
+        kept = np.zeros(spec.partition.q, dtype=bool)
+        kept[active.blocks] = True
+        kept = kept[blocks]
+        alive = np.repeat(kept, layout.sizes)
         cols, vals, row_of = entries
         keep = np.flatnonzero(alive[cols])  # takes by index beat three boolean masks
         entries = ((np.cumsum(alive) - 1)[cols.take(keep)], vals.take(keep),
                    row_of.take(keep))
         indptr = np.zeros_like(indptr)
         np.cumsum(np.bincount(entries[2], minlength=indptr.size - 1), out=indptr[1:])
-    part = layout = spec.partition
-    if active.n_blocks < part.q:
-        order = np.argsort(part.block_of[afeat], kind="stable")
-        stops = np.cumsum(part.sizes[active.blocks])[:-1]
-        layout = BlockPartition(np.split(order, stops))
-    return _Working(active=active, indptr=indptr, entries=entries, layout=layout)
+        features = features[alive]
+        layout = BlockPartition.from_sizes(layout.sizes[kept])
+    return _Working(active=active, features=features, indptr=indptr, entries=entries,
+                    layout=layout)
 
 
 # Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
@@ -270,47 +286,43 @@ def _compact(spec, active, prev=None):
 _CHUNK_ENTRIES = 1 << 14
 
 
-class _Step(typing.NamedTuple):
-    """One inner step of an epoch plan (see _plan).
-
-    fwd is (cols, vals, row_id) of the batch's entries, row_id counting rows
-    within the batch. bwd is (pos, vals, row_id) of the entries the gradient
-    sums: those inside block ib, pos being each one's slot in the block, or
-    every entry of fwd, pos being its compacted column, when ib is None.
-    y and g_ref hold y and the snapshot's derivatives on the batch; g_ref is
-    None without variance reduction.
-    """
-
-    fwd: tuple
-    bwd: tuple
-    ib: int | None
-    y: np.ndarray
-    g_ref: np.ndarray | None
-
-
 def _plan(work, y, g_snap, c, batches=None, ibs=None):
-    """Yield the c steps of one chunk, gathered and block-selected at once.
+    """The c steps of one chunk, gathered and block-selected at once.
 
     batches is a (c, b) array of sampled rows, or None when every step takes
     all n rows; ibs holds the c sampled block ranks in work.active, which
     number the blocks of work.layout, or is None for full-vector steps. One
-    _gather_rows call fetches the rows of every step, with the offset where
-    each step's entries start, and one mask over the chunk's entries selects
-    each step's block. A step's entries are views into the chunk's arrays, in
-    the order a gather of its batch alone would give them, so its sums add
-    the same terms in the same order. A full batch passes y, g_snap and
-    work.entries themselves.
-    Each step is built as it is asked for, so a chunk of many short steps
-    holds no more Python objects than one step.
+    _gather_rows call fetches the rows of every step, and one mask over the
+    chunk's entries selects each step's block. Returns (fwd, bwd, steps):
+    fwd is (cols, vals, row_id) of the chunk's entries, row_id counting rows
+    within each step's batch; bwd is (pos, vals, row_id) of the entries the
+    gradients sum, pos being each one's place in its step's block, or fwd
+    itself for full-vector steps, pos then being the working column. steps
+    iterates once over one tuple (s, e, y_t, g_t, bs, be, lo, hi) per step,
+    zipped from plain Python int lists but for y_t and g_t: the step's
+    entries are fwd[k][s:e], y_t and g_t hold y and the snapshot's
+    derivatives on its batch (g_t None without variance reduction), it sums
+    bwd[k][bs:be], and it updates the working columns lo:hi. A step's entries
+    lie in the order a gather of its batch alone would give them, so its sums
+    add the same terms in the same order. A full batch passes y, g_snap and
+    work.entries themselves. The tuples and row views are made as the steps
+    are taken, so a chunk of many short steps holds few Python objects.
     """
     if batches is None:
-        cols, vals, row_id = work.entries
+        fwd = work.entries
+        s, e = [0] * c, [fwd[0].size] * c
+        ys, gs = itertools.repeat(y, c), itertools.repeat(g_snap, c)
     else:
         cols, vals, row_id, starts = _gather_rows(work.indptr, work.entries, batches)
-        ends = starts.tolist()
-        y = y[batches]
-        g_snap = None if g_snap is None else g_snap[batches]
-    if ibs is not None:
+        fwd, ends = (cols, vals, row_id), starts.tolist()
+        s, e = ends[:-1], ends[1:]
+        ys = y[batches]  # iterated row by row
+        gs = itertools.repeat(None, c) if g_snap is None else g_snap[batches]
+    cols, vals, row_id = fwd
+    if ibs is None:
+        bwd, bs, be = fwd, s, e
+        lo, hi = [0] * c, [work.features.size] * c
+    else:
         layout = work.layout
         if batches is None:  # all entries again for every step, in step order
             sel = np.flatnonzero(layout.block_of[cols] == ibs[:, None])
@@ -319,48 +331,36 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
         else:
             sel = np.flatnonzero(layout.block_of[cols] == np.repeat(ibs, np.diff(starts)))
             cuts = np.searchsorted(sel, starts).tolist()
-        pos, svals, srow = layout.slot[cols[sel]], vals[sel], row_id[sel]
-        ibs = ibs.tolist()
-    fwd, y_b, g_b, ib = work.entries, y, g_snap, None
-    for t in range(c):
-        if batches is not None:
-            s, e = ends[t], ends[t + 1]
-            fwd = (cols[s:e], vals[s:e], row_id[s:e])
-            y_b, g_b = y[t], None if g_snap is None else g_snap[t]
-        bwd = fwd
-        if ibs is not None:
-            s, e = cuts[t], cuts[t + 1]
-            bwd, ib = (pos[s:e], svals[s:e], srow[s:e]), ibs[t]
-        yield _Step(fwd, bwd, ib, y_b, g_b)
+        bwd = (layout.slot[cols[sel]], vals[sel], row_id[sel])
+        bs, be = cuts[:-1], cuts[1:]
+        lo, hi = layout.offsets[ibs].tolist(), layout.offsets[ibs + 1].tolist()
+    return fwd, bwd, zip(s, e, ys, gs, bs, be, lo, hi)
 
 
-def step_gradient(work, loss, x, step, mu=None, x_ref=None, mu_p=0.0):
-    """Mini-batch gradient of the smooth part at the compacted iterate x.
+def step_gradient(loss, x, cols, vals, row_id, y, g_ref, pos, bvals, brow, lo, hi,
+                  mu=None, x_ref=None, mu_p=0.0):
+    """Mini-batch gradient of the smooth part on the working columns lo:hi of x.
 
-    step is one _Step of _plan over work. With variance reduction mu holds
-    the snapshot's smooth gradient and x_ref the snapshot; without it mu is
-    None and x_ref is the anchor. Returns, as float64 in compacted
-    coordinates, the gradient on block step.ib of work.layout (ordered as
-    its groups[ib]), or on every coordinate when step.ib is None:
+    The one gradient kernel, called positionally with one step of _plan:
+    (cols, vals, row_id) are its batch's entries and (pos, bvals, brow) the
+    entries it sums, pos counted from lo; y and g_ref hold y and the
+    snapshot's derivatives on the batch, g_ref None without variance
+    reduction. With variance reduction mu holds the snapshot's smooth
+    gradient and x_ref the snapshot; without it mu is None and x_ref is the
+    anchor; both are in working columns, as x is. Returns, as float64, the
+    gradient on the columns lo:hi, a block or all of them:
 
         A_b'(f'(A_b x) - g_ref) / b  [+ mu]  + 2 mu_p (x - x_ref)
     """
-    cols, vals, row_id = step.fwd
-    b = step.y.size
-    gb = loss.deriv(np.bincount(row_id, weights=vals * x[cols], minlength=b), step.y)
-    coef = (gb - step.g_ref) / b if step.g_ref is not None else gb / b
-    if step.ib is None:
-        sl, size = slice(None), x.size
-    else:
-        sl = work.layout.groups[step.ib]
-        size = sl.size
-    pos, vals, row_id = step.bwd
-    grad = np.bincount(pos, weights=vals * coef[row_id], minlength=size)
+    b = y.size
+    gb = loss.deriv(np.bincount(row_id, weights=vals * x[cols], minlength=b), y)
+    coef = (gb - g_ref) / b if g_ref is not None else gb / b
+    grad = np.bincount(pos, weights=bvals * coef[brow], minlength=hi - lo)
     grad = grad.astype(np.float64, copy=False)  # a sum over no entries comes back int64
     if mu is not None:
-        grad += mu[sl]
+        grad += mu[lo:hi]
     if mu_p > 0:
-        grad += 2.0 * mu_p * (x[sl] - x_ref[sl])
+        grad += 2.0 * mu_p * (x[lo:hi] - x_ref[lo:hi])
     return grad
 
 
@@ -375,6 +375,18 @@ def _check_batch(spec, batch, block):
     return batch
 
 
+def _block_step(spec, x, batch, block, g_ref, mu, x_ref):
+    """One planned step's gradient on `block` of the whole design, in feature ids."""
+    work = _compact(spec, ActiveSet.full(spec, bounds=False))
+    fwd, bwd, steps = _plan(work, spec.dataset.y, g_ref, 1, batch[None, :],
+                            np.array([block]))
+    (s, e, y_t, g_t, bs, be, lo, hi), = steps
+    f = work.features
+    return step_gradient(spec.loss, x[f], *(a[s:e] for a in fwd), y_t, g_t,
+                         *(a[bs:be] for a in bwd), lo, hi,
+                         None if mu is None else mu[f], x_ref[f], spec.mu_p)
+
+
 def partial_gradient(spec, x, batch, block):
     """Mini-batch gradient of the smooth part restricted to one block.
 
@@ -383,9 +395,7 @@ def partial_gradient(spec, x, batch, block):
     """
     x = _check_x(spec, x)
     batch = _check_batch(spec, batch, block)
-    work = _compact(spec, ActiveSet.full(spec, bounds=False))
-    step, = _plan(work, spec.dataset.y, None, 1, batch[None, :], np.array([block]))
-    return step_gradient(work, spec.loss, x, step, x_ref=spec.anchor, mu_p=spec.mu_p)
+    return _block_step(spec, x, batch, block, None, None, spec.anchor)
 
 
 def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
@@ -399,11 +409,9 @@ def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
         raise ValueError("mu_tilde must have length d")
     x, x_tilde = _check_x(spec, x), _check_x(spec, x_tilde)
     batch = _check_batch(spec, batch, block)
-    ds, work = spec.dataset, _compact(spec, ActiveSet.full(spec, bounds=False))
+    ds = spec.dataset
     g_tilde = spec.loss.deriv(ds.A @ x_tilde, ds.y)
-    step, = _plan(work, ds.y, g_tilde, 1, batch[None, :], np.array([block]))
-    return step_gradient(work, spec.loss, x, step, mu=mu_tilde, x_ref=x_tilde,
-                         mu_p=spec.mu_p)
+    return _block_step(spec, x, batch, block, g_tilde, mu_tilde, x_tilde)
 
 
 # A safe block joins an epoch's working set when x_hat is nonzero on it or its
@@ -430,6 +438,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     loss, reg, lam, mu_p = spec.loss, spec.reg, spec.lam, spec.mu_p
     consts = lipschitz_constants(spec)
     eta, m, batch_size = _resolve(spec, config, consts)
+    kernel, prox, thresh = step_gradient, reg.block_prox, eta * lam
     rng = np.random.Generator(np.random.Philox(config.seed))
     A, y, q = ds.A, ds.y, spec.partition.q
     # batch_size == n is the degenerate deterministic case: the batch is the
@@ -501,17 +510,20 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         width = work.active.n_blocks
 
         m_k = inner_budget(m, width, q)
-        # The inner loop runs in compacted coordinates: position p stands for
-        # feature afeat[p]. Features off the working set hold exact zeros, so
-        # leaving them out drops only the terms vals * 0.0 from every row sum.
-        afeat = work.active.features
-        x_tilde = x_hat[afeat]
+        # The inner loop runs in working columns: column p stands for feature
+        # wfeat[p], block by block. Features off the working set hold exact
+        # zeros, so leaving them out drops only the terms vals * 0.0 from every
+        # row sum.
+        wfeat = work.features
+        x_tilde = x_hat[wfeat]
         x_cur = x_tilde.copy()
-        x_sum = np.zeros(afeat.size)
+        x_sum = np.zeros(wfeat.size)
         if variance_reduction:
-            mu, x_ref = mu_full[afeat], x_tilde
+            mu, x_ref = mu_full[wfeat], x_tilde
         else:
-            mu, x_ref = None, spec.anchor[afeat]
+            mu, x_ref = None, spec.anchor[wfeat]
+        g_ref = g_snap if variance_reduction else None
+        classes = None if block_sampling else work.layout.classes
 
         # Plan the epoch a chunk of steps at a time (see the module docstring):
         # one draw per chunk, with its bounds in step order, never past step m_k.
@@ -523,24 +535,24 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
             c = min(chunk, m_k - done)
             draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
                      else None)
-            steps = _plan(work, y, g_snap if variance_reduction else None, c,
-                          batches=draws[:, :batch_size] if sampled else None,
-                          ibs=draws[:, -1] if block_sampling else None)
-            for step in steps:
-                grad = step_gradient(work, loss, x_cur, step, mu=mu, x_ref=x_ref,
-                                     mu_p=mu_p)
-                if block_sampling:
-                    sl = work.layout.groups[step.ib]
-                    x_cur[sl] = reg.block_prox(x_cur[sl] - eta * grad, eta * lam)
-                    coord_updates += sl.size
-                else:
-                    x_cur = reg.block_prox(x_cur - eta * grad, eta * lam,
-                                           work.layout.classes)
-                    coord_updates += afeat.size
+            (cols, vals, rows), (pos, bvals, brows), steps = _plan(
+                work, y, g_ref, c, batches=draws[:, :batch_size] if sampled else None,
+                ibs=draws[:, -1] if block_sampling else None)
+            # each step updates its columns lo:hi of x_cur in place
+            for s, e, y_t, g_t, bs, be, lo, hi in steps:
+                grad = kernel(loss, x_cur, cols[s:e], vals[s:e], rows[s:e], y_t, g_t,
+                              pos[bs:be], bvals[bs:be], brows[bs:be], lo, hi, mu, x_ref,
+                              mu_p)
+                grad *= eta
+                v = x_cur[lo:hi]
+                v -= grad
+                prox(v, thresh, classes, out=v)
                 x_sum += x_cur
-            del draws, steps, step  # release this chunk before the next is planned
+                coord_updates += hi - lo
+            # release this chunk before the next is planned
+            del draws, cols, vals, rows, pos, bvals, brows, steps
         x_hat = np.zeros(d)
-        x_hat[afeat] = x_sum / m_k
+        x_hat[wfeat] = x_sum / m_k
 
     return SolveReport(
         x_final=x_hat.copy(), trace=trace, converged=converged, outer_iters=k,

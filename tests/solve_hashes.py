@@ -1,0 +1,58 @@
+"""Print one hash line per benchmark solve, to diff two versions of the solvers.
+
+    python tests/solve_hashes.py > hashes.txt
+
+Run from the root of a source checkout. It builds each workload of
+benchmarks/run.py as the benchmark does and solves it with adsgd, mrbcd and
+proxsvrg at the benchmark's settings for solver seeds 0-7, and with the
+reference solver. Each line names the workload, solver and seed, and gives
+outer_iters, coord_updates and SHA-256 prefixes of x_final's bytes and of the
+trace's gaps. A change that keeps every iterate prints the same lines, so
+`diff` of two checkouts' outputs shows any solve whose bits moved. The module
+reads benchmarks/run.py and changes nothing in it; pytest does not collect it.
+"""
+
+import hashlib
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import run  # noqa: E402  (sets the BLAS thread variables before numpy loads)
+
+import numpy as np  # noqa: E402
+
+SEEDS = range(8)
+
+
+def _digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+def line(G, inst, name, seed):
+    cfg = run.solver_config(inst, name, seed)
+    try:
+        rep = G.solve(inst.spec, cfg)
+    except Exception as exc:  # noqa: BLE001 - a raising solve is reported, not fatal
+        return f"{inst.wl.name} {name} {seed} raised {type(exc).__name__}: {exc}"
+    gaps = [r.gap for r in rep.trace]
+    return (f"{inst.wl.name} {name} {seed} outer_iters={rep.outer_iters} "
+            f"coord_updates={rep.coord_updates} x={_digest(rep.x_final)} "
+            f"gaps={_digest(gaps)}")
+
+
+def main():
+    G = run.import_program()
+    for wl in run.WORKLOADS.values():
+        with tempfile.TemporaryDirectory() as workdir:
+            inst = run.Instance(G, wl, workdir)
+        print(line(G, inst, "reference", 0), flush=True)
+        for name in run.STOCHASTIC:
+            for seed in SEEDS:
+                print(line(G, inst, name, seed), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import gapsgd as G
-from gapsgd.problem import blockwise_dual_norms
+from gapsgd.problem import blockwise_dual_norms, soft_threshold
 
 from conftest import hand_lasso, make_instance
 
@@ -287,6 +287,51 @@ def test_prox_satisfies_subgradient_optimality(reg_name):
                 assert np.linalg.norm(g) <= lam + 1e-10
 
 
+def test_soft_threshold_clip_form_equals_the_sign_form():
+    """v - clip(v, -t, t) gives sign(v) * max(|v| - t, 0) value for value, in
+    place too, on zeros of both signs, |v| = t, subnormals, infinities and
+    nan; every zero it gives for t > 0 is +0.0."""
+    tiny = 5e-324
+    v = np.array([0.0, -0.0, 0.5, -0.5, 0.7, -0.7, tiny, -tiny, 3 * tiny, -3 * tiny,
+                  1e-310, -1e-310, 2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan, 1e300,
+                  -1e300, 0.3, -0.3])
+    for t in (0.5, tiny, 2 * tiny, 1e-310, 0.0, 1e300):
+        want = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        got = soft_threshold(v, t)
+        inplace = v.copy()
+        assert soft_threshold(inplace, t, out=inplace) is inplace
+        for out in (got, inplace):
+            assert np.array_equal(out, want, equal_nan=True)
+        if t > 0:
+            assert not np.signbit(got[got == 0.0]).any()
+    assert np.array_equal(G.REGULARIZERS["l1"].block_prox(v, 0.5), soft_threshold(v, 0.5),
+                          equal_nan=True)
+
+
+def test_group_l2_single_block_prox_in_place_keeps_the_bits():
+    """The single-block prox, alone or in place, gives the bits of
+    (1 - t/||v||) v with ||v|| from (v ** 2).sum(), or +0.0 where the norm is
+    at most t; zero signs included, and a nan norm passes nan through."""
+    reg = G.REGULARIZERS["group_l2"]
+    rng = np.random.default_rng(33)
+    cases = []
+    for size in rng.integers(1, 5001, size=60).tolist():
+        v = rng.normal(size=size) * rng.choice([1e-3, 1.0, 1e3])
+        v[rng.integers(0, size)] = -0.0
+        nrm = math.sqrt(float((v ** 2).sum()))
+        cases += [(v, t) for t in (0.5 * nrm, nrm, 2.0 * nrm)]
+    nan_block = np.array([1.0, np.nan, -2.0])
+    cases += [(nan_block, 0.5), (np.array([-0.0, -0.0]), 0.5), (np.array([-3.0, 4.0]), 5.0)]
+    for v, t in cases:
+        want = _group_prox_loop(v, t, [np.arange(v.size)])
+        inplace = v.copy()
+        assert reg.block_prox(inplace, t, out=inplace) is inplace
+        for got in (reg.block_prox(v, t), inplace):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.isnan(reg.block_prox(nan_block, 0.5)).all()
+
+
 def test_blockwise_dual_norms_matches_loop():
     rng = np.random.default_rng(8)
     v = rng.normal(size=17)
@@ -359,6 +404,24 @@ def test_group_l2_size_class_prox_passes_nan_through_like_one_block():
     want = _group_prox_loop(v, 0.5, part.groups)
     assert np.isnan(want[part.groups[3]]).all()
     assert np.array_equal(reg.block_prox(v, 0.5, part.classes), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("layout", ["equal-contiguous", "uneven-contiguous", "scattered"])
+def test_group_l2_size_class_prox_in_place_gives_the_same_bits(layout):
+    """Written into v itself, the whole-vector prox gives the bits and zero
+    signs of the prox into a new array, nan blocks included."""
+    reg = G.REGULARIZERS["group_l2"]
+    part = _prox_layouts()[layout]
+    rng = np.random.default_rng(34)
+    v = rng.normal(size=part.d) * rng.choice([0.01, 1.0], size=part.d)
+    v[part.groups[1]] *= 0.0  # a block of zeros, some of them -0.0
+    v[part.groups[-1][0]] = np.nan
+    for t in (0.1, 1.0, 3.0):
+        want = reg.block_prox(v, t, part.classes)
+        got = v.copy()
+        assert reg.block_prox(got, t, part.classes, out=got) is got
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_size_classes_list_every_block_once_by_size():

@@ -121,22 +121,73 @@ def _same_partition(got, want):
 
 def test_compacted_layout_is_the_partition_of_the_surviving_columns():
     """Block ib of a cut's layout is block active.blocks[ib], its columns
-    being the surviving features' positions; with every block active the
-    layout is the problem's partition itself."""
-    spec, _, _ = _layout_instance()
+    being consecutive and holding that block's features in order; with every
+    block of a contiguous partition active the layout is the partition
+    itself, and a scattered one is numbered block by block."""
+    spec, _, full = _layout_instance()
+    contiguous = spec.partition
+    work = _compact(spec, full)
+    assert work.layout is contiguous
+    assert _compact(spec, full.keep(np.arange(5)), work).layout is contiguous
+    assert np.array_equal(work.features, np.arange(15))
     perm = np.random.default_rng(8).permutation(15)
     part = G.BlockPartition([np.sort(g) for g in np.split(perm, [4, 5, 8, 13])])
     spec = dataclasses.replace(spec, partition=part)
     full = G.ActiveSet(blocks=np.arange(5), features=np.arange(15),
                        column_bounds=np.ones(5), partition=part)
     work = _compact(spec, full)
-    assert work.layout is part
-    assert _compact(spec, full.keep(np.arange(5)), work).layout is part
+    _same_partition(work.layout, G.BlockPartition(
+        np.split(np.arange(15), np.cumsum(part.sizes)[:-1])))
+    assert np.array_equal(work.features, part.order)
     for kept in ([0, 1, 3, 4], [1, 3, 4], [1, 4], [4]):
         active = full.keep(kept)
         work = _compact(spec, active, work)
+        sizes = part.sizes[active.blocks]
         _same_partition(work.layout, G.BlockPartition(
-            [np.searchsorted(active.features, part.groups[j]) for j in active.blocks]))
+            np.split(np.arange(active.n_features), np.cumsum(sizes)[:-1])))
+        for ib, j in enumerate(active.blocks):
+            assert np.array_equal(work.features[work.layout.groups[ib]], part.groups[j])
+
+
+def test_chained_cuts_keep_the_columns_block_by_block():
+    """Along chained cuts of scattered partitions, whose groups come in any
+    order, working block ib is a contiguous range of columns holding the
+    features of block active.blocks[ib], and the cut keeps the stored entries
+    of those features, every row's in CSR order, under their column numbers."""
+    rng = np.random.default_rng(40)
+    a = rng.normal(size=(9, 30)) * (rng.random(size=(9, 30)) < 0.4)
+    csr = G.Dataset(a, np.zeros(9)).A
+    rows = np.repeat(np.arange(9), np.diff(csr.indptr))
+    for _ in range(10):
+        q = int(rng.integers(2, 12))
+        labels = np.concatenate([np.arange(q), rng.integers(0, q, size=30 - q)])
+        part = G.BlockPartition([np.flatnonzero(labels == j) for j in rng.permutation(q)])
+        spec = G.ProblemSpec(dataset=G.Dataset(a, np.zeros(9)), partition=part,
+                             loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+        active = G.ActiveSet(blocks=np.arange(q), features=np.arange(30),
+                             column_bounds=None, partition=part)
+        work = _compact(spec, active)
+        while True:
+            groups = work.layout.groups
+            assert len(groups) == active.n_blocks
+            for ib, j in enumerate(active.blocks):
+                assert np.array_equal(groups[ib], np.arange(groups[ib][0],
+                                                            groups[ib][-1] + 1))
+                assert np.array_equal(work.features[groups[ib]], part.groups[j])
+            col_of = np.full(30, -1)
+            col_of[work.features] = np.arange(work.features.size)
+            cols = col_of[csr.indices]
+            kept_entries = cols >= 0
+            counts = np.bincount(rows[kept_entries], minlength=9)
+            assert np.array_equal(work.indptr, np.concatenate(([0], np.cumsum(counts))))
+            assert np.array_equal(work.entries[0], cols[kept_entries])
+            assert np.array_equal(work.entries[1], csr.data[kept_entries])
+            if active.n_blocks == 1:
+                break
+            kept = np.sort(rng.permutation(active.blocks)[:int(rng.integers(
+                1, active.n_blocks))])
+            active = active.keep(kept)
+            work = _compact(spec, active, work)
 
 
 def test_gather_rows_matches_csr_row_indexing():
@@ -215,6 +266,19 @@ def _kernel_instance(layout):
     return spec, a, rng
 
 
+def _steps(plan):
+    """The steps of a _plan as a list of (fwd entries, bwd entries, y_t, g_t, lo, hi)."""
+    fwd, bwd, steps = plan
+    return [(tuple(a[s:e] for a in fwd), tuple(a[bs:be] for a in bwd), y_t, g_t, lo, hi)
+            for s, e, y_t, g_t, bs, be, lo, hi in steps]
+
+
+def _grads(loss, x, plan, mu=None, x_ref=None, mu_p=0.0):
+    """step_gradient of each step of a plan, called positionally as the engine calls it."""
+    return [step_gradient(loss, x, *fwd, y_t, g_t, *bwd, lo, hi, mu, x_ref, mu_p)
+            for fwd, bwd, y_t, g_t, lo, hi in _steps(plan)]
+
+
 @pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
 def test_step_gradient_matches_dense_reference(layout):
     spec, a, rng = _kernel_instance(layout)
@@ -226,7 +290,7 @@ def test_step_gradient_matches_dense_reference(layout):
     x = np.where(np.isin(np.arange(15), kept.features), rng.normal(size=15), 0.0)
     g_snap, mu, x_snap = rng.normal(size=12), rng.normal(size=15), rng.normal(size=15)
     for work in (full_work, _compact(spec, kept, full_work)):
-        afeat = work.active.features
+        wfeat = work.features
         blocks = work.active.blocks
         for batch in (np.array([4, 4, 0, 11, 5, 4]), np.array([3]), np.array([5, 3]),
                       np.arange(12)):
@@ -244,18 +308,16 @@ def test_step_gradient_matches_dense_reference(layout):
                     want = want + mu_c
                 if mu_p > 0:
                     want = want + 2.0 * mu_p * (x - x_ref)
-                kw = dict(mu=None if mu_c is None else mu_c[afeat],
-                          x_ref=None if x_ref is None else x_ref[afeat], mu_p=mu_p)
-                step, = _plan(work, ds.y, g_ref, 1, batches)
-                got = step_gradient(work, loss, x[afeat], step, **kw)
+                kw = dict(mu=None if mu_c is None else mu_c[wfeat],
+                          x_ref=None if x_ref is None else x_ref[wfeat], mu_p=mu_p)
+                got, = _grads(loss, x[wfeat], _plan(work, ds.y, g_ref, 1, batches), **kw)
                 assert got.dtype == np.float64
-                np.testing.assert_allclose(got, want[afeat], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got, want[wfeat], rtol=0, atol=1e-12)
                 # one chunk of steps, one per block, all on the same batch
-                steps = _plan(work, ds.y, g_ref, blocks.size,
-                              None if batches is None else batches.repeat(blocks.size, 0),
-                              np.arange(blocks.size))
-                for j, step in zip(blocks, steps):
-                    got = step_gradient(work, loss, x[afeat], step, **kw)
+                plan = _plan(work, ds.y, g_ref, blocks.size,
+                             None if batches is None else batches.repeat(blocks.size, 0),
+                             np.arange(blocks.size))
+                for j, got in zip(blocks, _grads(loss, x[wfeat], plan, **kw), strict=True):
                     assert got.dtype == np.float64
                     np.testing.assert_allclose(got, want[part.groups[j]], rtol=0,
                                                atol=1e-12)
@@ -268,12 +330,11 @@ def test_step_gradient_sums_nothing_as_float_zeros():
     y, x = spec.dataset.y, np.ones(15)
     for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0), (np.array([3]), None)):
         ibs = None if ib is None else np.array([ib])
-        step, = _plan(work, y, None, 1, batch[None, :], ibs)
-        got = step_gradient(work, spec.loss, x, step)
+        got, = _grads(spec.loss, x, _plan(work, y, None, 1, batch[None, :], ibs))
         assert got.dtype == np.float64 and not got.any()
         mu = np.full(15, 0.25)
-        step, = _plan(work, y, np.zeros(12), 1, batch[None, :], ibs)
-        got = step_gradient(work, spec.loss, x, step, mu=mu, x_ref=x, mu_p=0.1)
+        plan = _plan(work, y, np.zeros(12), 1, batch[None, :], ibs)
+        got, = _grads(spec.loss, x, plan, mu=mu, x_ref=x, mu_p=0.1)
         assert np.all(got == 0.25)
 
 
@@ -292,37 +353,43 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
     work = _compact(spec, full)
     for w in (work, _compact(spec, full.keep([0, 2, 3]), work)):
         q_k = w.active.n_blocks
+        offsets = w.layout.offsets
         batches = rng.integers(0, 12, size=(7, 4))
         batches[2] = 3  # a step of empty rows
         ibs = rng.integers(0, q_k, size=7)
         for chunk_batches, chunk_ibs, g in ((batches, ibs, g_snap), (batches, None, None),
                                             (None, ibs, g_snap), (None, None, g_snap)):
-            steps = list(_plan(w, y, g, 7, chunk_batches, chunk_ibs))
+            fwd_c, bwd_c, raw = _plan(w, y, g, 7, chunk_batches, chunk_ibs)
+            raw = list(raw)
+            steps = _steps((fwd_c, bwd_c, raw))
             assert len(steps) == 7
-            for t, step in enumerate(steps):
+            for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
                 one = None if chunk_batches is None else chunk_batches[t:t + 1]
-                alone, = _plan(w, y, g, 1, one, None if chunk_ibs is None
-                               else chunk_ibs[t:t + 1])
-                assert step.ib == alone.ib
-                _same_entries(step.fwd, alone.fwd)
-                _same_entries(step.bwd, alone.bwd)
-                for a, b in ((step.y, alone.y), (step.g_ref, alone.g_ref)):
+                alone, = _steps(_plan(w, y, g, 1, one, None if chunk_ibs is None
+                                      else chunk_ibs[t:t + 1]))
+                assert (lo, hi) == alone[4:]
+                _same_entries(fwd, alone[0])
+                _same_entries(bwd, alone[1])
+                for a, b in ((y_t, alone[2]), (g_t, alone[3])):
                     assert (a is None) == (b is None)
                     assert a is None or np.array_equal(a, b)
-            for t, step in enumerate(steps):
+            for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
                 batch = np.arange(12) if chunk_batches is None else chunk_batches[t]
                 cols, vals, row_id, _ = _gather_rows(w.indptr, w.entries, batch)
-                _same_entries(step.fwd, (cols, vals, row_id))
+                _same_entries(fwd, (cols, vals, row_id))
                 if chunk_ibs is None:
-                    assert step.ib is None and step.bwd is step.fwd
+                    assert (lo, hi) == (0, w.features.size)
+                    assert bwd_c is fwd_c and raw[t][4:6] == raw[t][:2]
                     continue
-                block_of = spec.partition.block_of[w.active.features]
-                mask = block_of[cols] == w.active.blocks[chunk_ibs[t]]
-                _same_entries(step.bwd, (w.layout.slot[cols[mask]], vals[mask],
-                                         row_id[mask]))
+                ib = chunk_ibs[t]
+                assert (lo, hi) == (offsets[ib], offsets[ib + 1])
+                block_of = spec.partition.block_of[w.features]
+                mask = block_of[cols] == w.active.blocks[ib]
+                _same_entries(bwd, (w.layout.slot[cols[mask]], vals[mask],
+                                    row_id[mask]))
             if chunk_batches is None:  # a full batch copies neither y nor g_snap
-                assert all(s.y is y and s.fwd is w.entries for s in steps)
-                assert all(s.g_ref is g for s in steps)
+                assert fwd_c is w.entries
+                assert all(y_t is y and g_t is g for _, _, y_t, g_t, _, _ in steps)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
@@ -392,6 +459,48 @@ def test_epoch_draws_once_per_chunk_and_never_past_its_steps(monkeypatch, solver
     drawn = (batch_size if batch_size < 30 else 0) + (solver == "mrbcd")
     want = [drawn * min(chunk, m - done) for done in range(0, m, chunk)] * 3
     assert _CountingGenerator.draws == want
+
+
+@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
+@pytest.mark.parametrize("batch_size", [10, 30])
+def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver,
+                                                             batch_size):
+    """Each inner step makes one positional step_gradient call and one
+    block_prox call, and the epoch on W takes inner_budget(m, |W|, q) steps;
+    a full-vector step updates every working column."""
+    spec = _scattered_lasso() if solver in ("mrbcd", "proxsvrg") else make_instance(
+        seed=6, n=30, d=20, q=6, support=3, ratio=0.6, mu_p=0.05 * (solver == "asgd"))
+    counts = {"kernel": 0, "prox": 0}
+    kernel, prox = G.solvers.step_gradient, type(spec.reg).block_prox
+
+    def counted_kernel(*args, **kwargs):
+        assert not kwargs
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counted_prox(*args, **kwargs):
+        counts["prox"] += 1
+        return prox(*args, **kwargs)
+
+    monkeypatch.setattr(G.solvers, "step_gradient", counted_kernel)
+    monkeypatch.setattr(type(spec.reg), "block_prox", counted_prox)
+    m, q = 45, spec.partition.q
+    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=3, m=m, max_outer=6,
+                                       batch_size=batch_size, gap_tol=1e-12,
+                                       eta=tuned_eta(spec)))
+    widths = [r.working_blocks for r in rep.trace[1:]]
+    steps = [inner_budget(m, w, q) for w in widths if w]
+    assert counts == {"kernel": sum(steps), "prox": sum(steps)}
+    if solver in ("mrbcd", "proxsvrg"):
+        assert widths == [q] * rep.outer_iters
+    if solver == "proxsvrg":
+        assert rep.coord_updates == sum(steps) * spec.dataset.d
+
+
+def _scattered_lasso():
+    spec = make_instance(seed=6, n=30, d=20, q=5, support=3, ratio=0.6)
+    part = G.BlockPartition([np.arange(j, 20, 5) for j in range(5)])
+    return dataclasses.replace(spec, partition=part)
 
 
 @pytest.mark.parametrize("q", [30, 300])
