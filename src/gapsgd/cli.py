@@ -46,7 +46,7 @@ def _add_solver_args(p):
     p.add_argument("--batch-size", type=int, default=None, metavar="B",
                    help="mini-batch size (default min(10, n))")
     p.add_argument("--inner-m", type=int, default=None, metavar="M",
-                   help="base inner-loop count (default 2n)")
+                   help="base inner-loop count (default n)")
     step = p.add_mutually_exclusive_group()
     step.add_argument("--eta", type=float, default=None, metavar="E",
                       help="step size (default 1/(16L))")

@@ -17,16 +17,23 @@ good: the safe set only shrinks. Inside the safe set it picks the epoch's
 working set, the safe blocks where the iterate is nonzero plus those whose
 scaled correlation reaches _TAU * lam, after Celer (Massias, Gramfort &
 Salmon, ICML 2018). The epoch runs ceil(m * |W| / q) inner steps on that
-working set W, and their average becomes the next iterate. A W that is too
-small cannot certify, since the gap scales the dual over every block; it
-costs outer iterations, and a block it wrongly left out correlates above lam
-at the subproblem's optimum, so it joins the next W. The solvers that never
-screen run every epoch on all q blocks. Identical (spec, config, seed)
-triples reproduce bit-identical iterate sequences. The evaluation's dual
-point forms the iteration's one product A'g: the screening test and the
-working set read its block correlations and the variance reduction its
-smooth gradient, which is formed again only when screening truncates the
-snapshot.
+working set W, m = n by default, so one pass over the samples when W holds
+every block. Both the average of the epoch's inner iterates and its last
+inner iterate are then evaluated on the full problem, and the one with the
+strictly smaller gap becomes the next iterate (_restart); a tie or a
+non-finite gap keeps the average. The winner's evaluation is the next outer
+iteration's: its trace row, stop test, screen, working set and snapshot, so
+an epoch costs two evaluations. The average drags in the epoch's early
+iterates, the last iterate does not, and neither wins every epoch. A W that
+is too small cannot certify, since the gap scales the dual over every
+block; it costs outer iterations, and a block it wrongly left out
+correlates above lam at the subproblem's optimum, so it joins the next W.
+The solvers that never screen run every epoch on all q blocks. Identical
+(spec, config, seed) triples reproduce bit-identical iterate sequences. The
+evaluation's dual point forms the iteration's one product A'g: the
+screening test and the working set read its block correlations and the
+variance reduction its smooth gradient, which is formed again only when
+screening truncates the snapshot.
 
 Every inner step of every solver goes through step_gradient: the sampled rows'
 derivatives, relative to the snapshot's under variance reduction, summed into
@@ -120,7 +127,7 @@ class ConvergenceError(RuntimeError):
 class SolverConfig:
     """Hyperparameters shared by every solver.
 
-    Unset fields resolve against the problem: eta to 1/(16 L), m to 2 n and
+    Unset fields resolve against the problem: eta to 1/(16 L), m to n and
     batch_size to min(10, n). theory_mode overrides the batch size with
     ceil(T / L) and pins eta = 1/(16 L); the matching inner budget
     m = ceil(65 q L / mu) additionally needs the strong convexity constant,
@@ -151,7 +158,10 @@ class TraceRecord:
     the epoch that produced the iterate: active_blocks and active_features
     count the safe set it ran within, radius is the safe radius of the screen
     that preceded it (inf where none ran) and working_blocks the blocks its
-    steps updated, 0 on the starting row.
+    steps updated, 0 on the starting row. restart names the iterate:
+    "start" on the starting row, then "average" or "last", the epoch's
+    average or its last inner iterate, whichever had the smaller gap. The
+    reference solver's rows after the first are "last".
     """
 
     outer_iter: int
@@ -162,6 +172,7 @@ class TraceRecord:
     active_features: int
     radius: float = math.inf
     working_blocks: int = 0
+    restart: str = "start"
 
 
 @dataclasses.dataclass
@@ -197,7 +208,7 @@ def _resolve(spec, config, consts):
     eta = config.eta if config.eta is not None else 1.0 / (16.0 * consts.L)
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    m = config.m if config.m is not None else 2 * n
+    m = config.m if config.m is not None else n
     if config.theory_mode and config.mu_strong is not None:
         if config.mu_strong <= 0:
             raise ValueError("mu_strong must be positive")
@@ -432,6 +443,26 @@ def _working_blocks(spec, active, x_hat, dp):
     return active.blocks[hot[active.blocks]]
 
 
+def _restart(spec, full, wfeat, x_avg, x_last):
+    """(x, evaluation, label) of the epoch's next iterate, from its average and
+    its last inner iterate, given in the working columns wfeat.
+
+    Both are evaluated on the full problem, and the last iterate wins only
+    with a finite gap strictly below the average's, or where the average's
+    gap is not finite: a tie keeps the average, and a non-finite gap never
+    beats a finite one.
+    """
+    out = []
+    for v in (x_avg, x_last):
+        x = np.zeros(spec.dataset.d)
+        x[wfeat] = v
+        out.append((x, evaluate(spec, x, spec.dataset.A @ x, full)))
+    (x_a, ev_a), (x_l, ev_l) = out
+    if np.isfinite(ev_l[3]) and not ev_a[3] <= ev_l[3]:
+        return x_l, ev_l, "last"
+    return x_a, ev_a, "average"
+
+
 def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     ds = spec.dataset
     n, d = ds.n, ds.d
@@ -456,14 +487,15 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     k = 0
     radius, width = math.inf, 0
     start = time.perf_counter()
+    evaluation, restart = evaluate(spec, x_hat, A @ x_hat, full), "start"
 
     while True:
-        obj, g_snap, dp, gap = evaluate(spec, x_hat, A @ x_hat, full)
+        obj, g_snap, dp, gap = evaluation
         trace.append(TraceRecord(outer_iter=k, elapsed_s=time.perf_counter() - start,
                                  objective=obj, gap=float(gap),
                                  active_blocks=active.n_blocks,
                                  active_features=active.n_features,
-                                 radius=radius, working_blocks=width))
+                                 radius=radius, working_blocks=width, restart=restart))
         active_history.append(active.blocks.copy())
         if iterates is not None:
             iterates.append(x_hat.copy())
@@ -494,14 +526,15 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                         g_snap = loss.deriv(A @ x_hat, y)
                         mu_full = smooth_gradient(spec, x_hat, g_snap)
         width = 0
-        if active.n_blocks == 0:
-            continue  # empty subproblem; the next evaluation certifies x = 0
+        if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it
+            evaluation, restart = evaluate(spec, x_hat, A @ x_hat, full), "average"
+            continue
         if safe_work.active is not active:
             safe_work = _compact(spec, active, safe_work)
         # A screening solver's epoch runs on the working set, cut from the safe
-        # set's design. x_hat is zero off it, so the epoch's average is the next
-        # iterate. An empty one (x_hat = 0, no safe block near lam) falls back
-        # to the safe set.
+        # set's design. x_hat is zero off it, and so are the epoch's average and
+        # last iterate. An empty one (x_hat = 0, no safe block near lam) falls
+        # back to the safe set.
         wb = _working_blocks(spec, active, x_hat, dp) if screens else active.blocks
         if wb.size in (0, active.n_blocks):
             work = safe_work
@@ -551,8 +584,8 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                 coord_updates += hi - lo
             # release this chunk before the next is planned
             del draws, cols, vals, rows, pos, bvals, brows, steps
-        x_hat = np.zeros(d)
-        x_hat[wfeat] = x_sum / m_k
+        x_sum /= m_k
+        x_hat, evaluation, restart = _restart(spec, full, wfeat, x_sum, x_cur)
 
     return SolveReport(
         x_final=x_hat.copy(), trace=trace, converged=converged, outer_iters=k,
@@ -743,7 +776,8 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
                                      objective=obj, gap=float(gap),
                                      active_blocks=active.n_blocks,
                                      active_features=active.n_features,
-                                     working_blocks=active.n_blocks if it else 0))
+                                     working_blocks=active.n_blocks if it else 0,
+                                     restart="last" if it else "start"))
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {it}",
                                   iteration=it)
@@ -797,7 +831,8 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
                              objective=obj, gap=float(gap),
                              active_blocks=active.n_blocks,
                              active_features=active.n_features,
-                             working_blocks=active.n_blocks if it else 0))
+                             working_blocks=active.n_blocks if it else 0,
+                             restart="last" if it else "start"))
     return SolveReport(x_final=x.copy(), trace=trace, converged=converged,
                        outer_iters=it, wall_time=time.perf_counter() - start,
                        objective=obj, gap=float(gap), dual=dp)

@@ -37,7 +37,7 @@ def test_solve_command_writes_trace(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == ("outer_iter,elapsed_s,objective,gap,active_blocks,active_features,"
-                      "radius,working_blocks")
+                      "radius,working_blocks,restart")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

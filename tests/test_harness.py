@@ -124,9 +124,10 @@ def test_generate_synthetic_invalid_params():
 
 def test_trace_csv_round_trip(tmp_path):
     rows = [TraceRecord(0, 0.0, 1.23456789012345678, 0.5, 10, 200),
-            TraceRecord(1, 0.0123, 0.3333333333333333, 1e-17, 9, 180),
+            TraceRecord(1, 0.0123, 0.3333333333333333, 1e-17, 9, 180,
+                        restart="average"),
             TraceRecord(2, 0.0251, 0.30000000000000004, 2e-9, 9, 180,
-                        radius=0.1 + 0.2, working_blocks=4)]
+                        radius=0.1 + 0.2, working_blocks=4, restart="last")]
     path = tmp_path / "t.csv"
     write_trace_csv(path, rows)
     back = read_trace_csv(path)

@@ -667,6 +667,53 @@ def test_a_converged_report_certifies_the_full_problem(build, solver):
     assert gap == rep.gap <= 1e-6
 
 
+@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
+@pytest.mark.parametrize("batch_size", [10, 30])
+@pytest.mark.parametrize("inject", [None, "tie", "nan-average", "nan-last"])
+def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
+        monkeypatch, solver, batch_size, inject):
+    """After the starting evaluation every epoch evaluates exactly two
+    candidates on the full problem, its average and then its last inner
+    iterate. The next row is the one with the smaller gap, with that
+    evaluation's gap; a tie keeps the average, and a nan gap, injected on
+    either candidate, never wins. batch_size 30 is the full batch."""
+    spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6,
+                         mu_p=0.05 * (solver == "asgd"))
+    calls, evaluate = [], G.solvers.evaluate
+
+    def spied(*args):
+        obj, g, dp, gap = evaluate(*args)
+        k = len(calls)  # 0 starts the solve, odd k is an average, even k a last iterate
+        if k and inject == "tie" and k % 2 == 0:
+            gap = calls[-1][1]
+        elif k and inject == f"nan-{('last', 'average')[k % 2]}":
+            gap = np.float64(np.nan)
+        calls.append((args[1].copy(), gap))
+        return obj, g, dp, gap
+
+    monkeypatch.setattr(G.solvers, "evaluate", spied)
+    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=3, m=45, max_outer=6,
+                                       batch_size=batch_size, gap_tol=1e-12,
+                                       eta=tuned_eta(spec), keep_iterates=True))
+    assert rep.outer_iters == 6 and all(r.working_blocks for r in rep.trace[1:])
+    assert len(calls) == 1 + 2 * rep.outer_iters
+    assert rep.trace[0].restart == "start" and rep.trace[0].gap == calls[0][1]
+    labels = []
+    for k, row in enumerate(rep.trace[1:]):
+        (x_avg, gap_avg), (x_last, gap_last) = calls[2 * k + 1], calls[2 * k + 2]
+        x, gap = {"average": (x_avg, gap_avg), "last": (x_last, gap_last)}[row.restart]
+        assert np.array_equal(rep.iterates[k + 1], x) and row.gap == gap
+        assert row.gap == min(g for g in (gap_avg, gap_last) if np.isfinite(g))
+        if gap_avg == gap_last:
+            assert row.restart == "average"
+        labels.append(row.restart)
+    assert np.array_equal(rep.x_final, rep.iterates[-1])
+    if inject == "nan-average":
+        assert set(labels) == {"last"}
+    elif inject is not None:
+        assert set(labels) == {"average"}
+
+
 def test_trace_records_the_screening_radius_and_the_working_set():
     """A row's radius is safe_radius of the previous row's gap where a screen
     ran (every other outer iteration here) and inf elsewhere; its working
@@ -709,14 +756,30 @@ def test_asgd_full_batch_single_block_is_deterministic_prox_gradient():
     cfg = G.SolverConfig(solver="asgd", seed=0, eta=eta, m=m, batch_size=n,
                          max_outer=1, gap_tol=1e-14)
     rep = G.asgd_solve(spec, cfg)
-    # replay: one outer iteration of averaged proximal gradient steps (the
-    # engine folds 1/n into the sample weights, hence the one-ulp tolerance)
+    # replay: one outer iteration of proximal gradient steps, restarting from
+    # the average or the last step (the engine folds 1/n into the sample
+    # weights, hence the one-ulp tolerance)
     x = np.zeros(20)
     acc = np.zeros(20)
     for _ in range(m):
         x = soft_threshold(x - eta * G.full_gradient(spec, x), eta * spec.lam)
         acc += x
-    np.testing.assert_allclose(rep.x_final, acc / m, rtol=0, atol=1e-12)
+    want, label = _restarted(spec, acc / m, x)
+    assert rep.trace[1].restart == label
+    np.testing.assert_allclose(rep.x_final, want, rtol=0, atol=1e-12)
+
+
+def _full_gap(spec, x):
+    return G.solvers.evaluate(spec, x, spec.dataset.A @ x,
+                              G.ActiveSet.full(spec, bounds=False))[3]
+
+
+def _restarted(spec, avg, last):
+    """(x, label) of a replayed epoch's next iterate: the candidate with the
+    smaller full-problem gap, a tie keeping the average."""
+    gap_avg, gap_last = _full_gap(spec, avg), _full_gap(spec, last)
+    assert abs(gap_avg - gap_last) > 1e-9 * gap_avg  # replay rounding cannot flip it
+    return (last, "last") if gap_last < gap_avg else (avg, "average")
 
 
 def test_asgd_screening_is_safe():
@@ -764,7 +827,9 @@ def test_proxsvrg_full_batch_is_deterministic_prox_gradient():
     for _ in range(5):
         x = soft_threshold(x - eta * G.full_gradient(spec, x), eta * spec.lam)
         acc += x
-    np.testing.assert_allclose(rep.x_final, acc / 5, rtol=0, atol=1e-12)
+    want, label = _restarted(spec, acc / 5, x)
+    assert rep.trace[1].restart == label
+    np.testing.assert_allclose(rep.x_final, want, rtol=0, atol=1e-12)
 
 
 def test_all_solvers_match_oracle_on_one_instance():
@@ -866,7 +931,7 @@ def test_resolve_defaults_and_theory_mode(lasso_spec):
     consts = G.lipschitz_constants(lasso_spec)
     eta, m, batch = _resolve(lasso_spec, G.SolverConfig(), consts)
     assert eta == pytest.approx(1.0 / (16 * consts.L))
-    assert m == 2 * lasso_spec.dataset.n
+    assert m == lasso_spec.dataset.n
     assert batch == 10
     eta_t, m_t, batch_t = _resolve(lasso_spec, G.SolverConfig(theory_mode=True),
                                    consts)
@@ -1007,9 +1072,12 @@ def test_spectral_bound_dominates_average_hessian():
 def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch):
     """adsgd forms A'g once per evaluation, plus once per truncation refresh
     (the only call of smooth_gradient in the engine); mrbcd never refreshes.
-    At this step size a screen drops a block where x_hat is nonzero."""
-    spec = make_instance(seed=1, n=60, d=80, q=10)
-    cfg = G.SolverConfig(seed=1, gap_tol=1e-6, max_outer=40, eta=tuned_eta(spec, 2.0))
+    An evaluation starts the solve and each epoch evaluates two candidates.
+    At this step size, epoch length and batch a screen drops a block where
+    x_hat is nonzero."""
+    spec = make_instance(seed=4, n=60, d=80, q=10)
+    cfg = G.SolverConfig(seed=4, gap_tol=1e-6, max_outer=60, m=60, batch_size=1,
+                         eta=tuned_eta(spec, 1.0))
     counts = {"products": 0, "refreshes": 0}
     rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
 
@@ -1027,10 +1095,11 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
     assert rep.converged and rep.active_history[-1].size < spec.partition.q
     drops = sum(b.size < a.size for a, b in zip(rep.active_history, rep.active_history[1:]))
     assert 0 < counts["refreshes"] <= drops
-    assert counts["products"] == len(rep.trace) + counts["refreshes"]
+    assert all(r.working_blocks > 0 for r in rep.trace[1:])  # every row ran an epoch
+    assert counts["products"] == 1 + 2 * rep.outer_iters + counts["refreshes"]
     counts.update(products=0, refreshes=0)
     rep = G.mrbcd_solve(spec, dataclasses.replace(cfg, solver="mrbcd"))
-    assert counts == {"products": len(rep.trace), "refreshes": 0}
+    assert counts == {"products": 1 + 2 * rep.outer_iters, "refreshes": 0}
 
 
 def _count_reference_work(monkeypatch, spec):
