@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: solve, lambda-max, bench, oracle. Exit codes: 0 on success,
-2 for usage errors, 3 for input parse errors, 4 for solve failures. The
-GAPSGD_OUT_DIR environment variable relocates relative output paths.
+2 for usage errors, 3 for input parse errors, 4 for solve failures, which
+include a solve that stops at max_outer without certifying its gap (it
+still prints its result and writes its trace). The GAPSGD_OUT_DIR
+environment variable relocates relative output paths.
 """
 
 import argparse
@@ -95,7 +97,7 @@ def _cmd_solve(args):
         path = _out_path(args.out)
         write_trace_csv(path, report.trace)
         print(f"trace written to {path}")
-    return 0
+    return 0 if report.converged else EXIT_SOLVE
 
 
 def _cmd_lambda_max(args):

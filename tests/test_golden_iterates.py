@@ -55,11 +55,23 @@ alone. Those two kept their bits, since the average won every epoch; the
 others restart from both kinds of iterate. Every case sets m, so the default
 inner count of n moved none of them. The reference cases did not move.
 
+The working designs of all these instances are 50-100% dense, so the engine
+would run them on its dense storage, whose matrix products add the same
+terms in another order than the entry sums did. Every case above is pinned
+on the sparse storage instead: its run sets solvers._RHO to inf, so no
+working design counts as dense, and the values recorded before the dense
+storage existed still hold bit for bit. The DENSE_CASES pin the dense
+storage (_RHO = 0, every working design dense) on one case per solver, a
+full batch, mu_p > 0, a scattered group-L2 partition and an epoch of several
+chunks; they were recorded when that storage was added.
+
 python tests/test_golden_iterates.py NAME... prints each named case's entry
 from a fresh run, in the layout below, for such a re-record.
 """
 
+import contextlib
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -125,12 +137,24 @@ REFERENCE_CASES = {
 }
 
 
+@contextlib.contextmanager
+def _storage(rho):
+    """Every working design on one storage: rho = inf keeps them all sparse,
+    rho = 0 makes them all dense."""
+    saved, G.solvers._RHO = G.solvers._RHO, rho
+    try:
+        yield
+    finally:
+        G.solvers._RHO = saved
+
+
 def run_case(name):
     build, fields = CASES[name]
     spec = build()
     cfg = G.SolverConfig(seed=7, m=40, max_outer=10, gap_tol=1e-12,
                          eta=tuned_eta(spec), keep_iterates=True, **fields)
-    return G.solve(spec, cfg)
+    with _storage(math.inf):
+        return G.solve(spec, cfg)
 
 
 def _floats(hexes):
@@ -1355,8 +1379,9 @@ CHUNK_CASES = {
 def run_chunk_case(name):
     build, fields = CHUNK_CASES[name]
     spec = build()
-    return G.solve(spec, G.SolverConfig(seed=7, gap_tol=1e-12, eta=tuned_eta(spec),
-                                        **fields))
+    with _storage(math.inf):
+        return G.solve(spec, G.SolverConfig(seed=7, gap_tol=1e-12, eta=tuned_eta(spec),
+                                            **fields))
 
 
 def _nonzeros_hex(x):
@@ -1476,6 +1501,168 @@ CHUNK_GOLDEN = {
 }
 
 
+# The dense storage: name -> (spec builder, SolverConfig fields), run at
+# seed 7, m = 40, max_outer = 10 and gap_tol = 1e-12 unless the fields say
+# otherwise. adsgd-long-epoch plans several chunks per epoch.
+DENSE_CASES = {
+    "dense-adsgd-l1-contiguous": (lambda: _lasso(6), dict(solver="adsgd")),
+    "dense-adsgd-full-batch": (lambda: _lasso(6), dict(solver="adsgd", batch_size=30)),
+    "dense-adsgd-mu-p": (lambda: _lasso(7, mu_p=0.05), dict(solver="adsgd")),
+    "dense-adsgd-long-epoch": (lambda: _lasso(6), dict(solver="adsgd", m=700,
+                                                       max_outer=6)),
+    "dense-mrbcd-l1-scattered": (lambda: _scattered(_lasso(6), 5), dict(solver="mrbcd")),
+    "dense-asgd-group-scattered": (lambda: _scattered(_logistic_uneven(3), 4),
+                                   dict(solver="asgd")),
+    "dense-asgd-full-batch-mu-p": (lambda: _lasso(7, mu_p=0.05),
+                                   dict(solver="asgd", batch_size=30)),
+    "dense-proxsvrg-logistic-group": (lambda: _logistic(6), dict(solver="proxsvrg")),
+    "dense-proxsvrg-full-batch": (lambda: _lasso(6), dict(solver="proxsvrg",
+                                                          batch_size=30)),
+}
+
+
+def run_dense_case(name):
+    build, fields = DENSE_CASES[name]
+    spec = build()
+    cfg = G.SolverConfig(**{**dict(seed=7, m=40, max_outer=10, gap_tol=1e-12,
+                                   eta=tuned_eta(spec)), **fields})
+    with _storage(0.0):
+        return G.solve(spec, cfg)
+
+
+DENSE_GOLDEN = {
+    "dense-adsgd-l1-contiguous": {
+        "outer_iters": 10,
+        "coord_updates": 657,
+        "active_blocks": [6, 6, 4, 3, 3, 3, 3, 3, 3, 3, 3],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.27e9fafe0a750p-3 0x1.e2c8f96012200p-5 "
+            "0x1.453b8597fcea0p-5 0x1.411de37694f40p-6 0x1.922f7135ee780p-7 "
+            "0x1.f6b166475cd00p-8 0x1.53bca0427c000p-8 0x1.b6b38ea181600p-9 "
+            "0x1.48a4098243400p-9 0x1.a4c3866aba400p-10"
+        ),
+        "x_final": (
+            "7:0x1.6cceb934d64acp-2 8:0x1.6a4210695e9e7p-1 11:0x1.4caf129d62c46p-2"
+        ),
+    },
+    "dense-adsgd-full-batch": {
+        "outer_iters": 10,
+        "coord_updates": 662,
+        "active_blocks": [6, 6, 5, 3, 3, 3, 3, 3, 3, 3, 3],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.1183061c85c38p-3 0x1.1d8d8acd815f0p-4 "
+            "0x1.a8cfc0b69da80p-5 0x1.50b42a458eea0p-5 0x1.ba6ec67fe3bc0p-6 "
+            "0x1.343e1c57e5cc0p-6 0x1.626b539878100p-7 0x1.d45ca84b52b00p-8 "
+            "0x1.2f77e58fd4600p-8 0x1.c53688fc9fa00p-9"
+        ),
+        "x_final": (
+            "7:0x1.6f829d6eef36ep-2 8:0x1.66e93779e1247p-1 11:0x1.4f53eb9105332p-2"
+        ),
+    },
+    "dense-adsgd-mu-p": {
+        "outer_iters": 10,
+        "coord_updates": 489,
+        "active_blocks": [6, 6, 6, 3, 2, 2, 2, 2, 2, 2, 2],
+        "gaps": (
+            "0x1.ae1cbad4dccd0p-2 0x1.dd2f48fa7de30p-3 0x1.5c8f81037d380p-4 "
+            "0x1.3ee0417fc4d80p-5 0x1.78aa4c6061900p-7 0x1.e0920a2bee200p-8 "
+            "0x1.269bd8bde6800p-8 0x1.262dd4ab14000p-9 0x1.47a333abd5800p-10 "
+            "0x1.837a4ecb9b000p-11 0x1.cadc164f0a000p-12"
+        ),
+        "x_final": "1:0x1.5285cfae1b516p-1 8:0x1.b9a29bc58f153p-2",
+    },
+    "dense-adsgd-long-epoch": {
+        "outer_iters": 6,
+        "coord_updates": 6967,
+        "active_blocks": [6, 6, 3, 3, 3, 3, 3],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.802737836ffa0p-5 0x1.178abe5e63400p-9 "
+            "0x1.0b24142ff4000p-14 0x1.4fefdc8620000p-17 0x1.14ad40dd00000p-20 "
+            "0x1.389b274800000p-23"
+        ),
+        "x_final": (
+            "7:0x1.68e9af51fc1dep-2 8:0x1.6ccc6f7292e04p-1 11:0x1.49c8425f04d7cp-2"
+        ),
+    },
+    "dense-mrbcd-l1-scattered": {
+        "outer_iters": 10,
+        "coord_updates": 1600,
+        "active_blocks": [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.8d0228219e1e0p-4 0x1.a7382f51978c0p-6 "
+            "0x1.d05b666981080p-7 0x1.e103915676b00p-8 0x1.0c273a496eb00p-8 "
+            "0x1.86149eed3da00p-9 0x1.a9c4fde641000p-10 0x1.109ff49882800p-10 "
+            "0x1.46178dbf75800p-11 0x1.b4b01fb7a5000p-12"
+        ),
+        "x_final": (
+            "7:0x1.69b6b73b141e8p-2 8:0x1.6c12d26438975p-1 11:0x1.4a72c3ee4caf8p-2"
+        ),
+    },
+    "dense-asgd-group-scattered": {
+        "outer_iters": 10,
+        "coord_updates": 3400,
+        "active_blocks": [4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+        "gaps": (
+            "0x1.be416fa97ed80p-8 0x1.746e5e0c78400p-7 0x1.6e6f4a2b61460p-6 "
+            "0x1.1153fcf3ed600p-7 0x1.6deddd0f3f840p-6 0x1.64175fdd2dec0p-6 "
+            "0x1.b0354da3c2600p-6 0x1.75945d18250a0p-6 0x1.cd9042322f920p-6 "
+            "0x1.7f218a952eae0p-6 0x1.063a73d458b00p-7"
+        ),
+        "x_final": (
+            "0:-0x1.094eac2b70930p-6 3:0x1.514ab6bce3d92p-6 4:0x1.adc6bc6e0e97dp-6 "
+            "7:-0x1.51914fd1d2ebfp-6 8:0x1.0fc6a20ec5365p-3 11:0x1.123eb03b506fbp-4 "
+            "12:0x1.2675d00a0ef42p-3 15:0x1.497a9e7c10b5bp-7 16:0x1.b35e84277748ap-9 "
+            "19:0x1.98ae5be939d4cp-9 20:-0x1.c7a175a9ecbddp-11 "
+            "23:-0x1.b9668fff8775dp-6 24:-0x1.3325117c583d0p-4 "
+            "27:-0x1.ae11046e8b782p-8 28:0x1.a08ac38db2030p-6 31:0x1.0ca566e9e709ep-5 "
+            "32:-0x1.626d55adce14ep-4"
+        ),
+    },
+    "dense-asgd-full-batch-mu-p": {
+        "outer_iters": 10,
+        "coord_updates": 980,
+        "active_blocks": [6, 6, 2, 2, 2, 2, 2, 2, 2, 2, 2],
+        "gaps": (
+            "0x1.ae1cbad4dccd0p-2 0x1.7379b064ca800p-6 0x1.afe68b5dd8000p-10 "
+            "0x1.3e70e76a80000p-17 0x1.ae5b4ec6c0000p-14 0x1.6ca80f4a38000p-14 "
+            "0x1.4796cee4e0000p-15 0x1.000be5ee60000p-16 0x1.7d61646a80000p-18 "
+            "0x1.16af069e00000p-19 0x1.9419bc4800000p-21"
+        ),
+        "x_final": "1:0x1.52f638edf629ep-1 8:0x1.b87bf316c2ed7p-2",
+    },
+    "dense-proxsvrg-logistic-group": {
+        "outer_iters": 10,
+        "coord_updates": 8000,
+        "active_blocks": [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
+        "gaps": (
+            "0x1.5107da0332f30p-4 0x1.55e34fb76b800p-9 0x1.8a354caa1d000p-13 "
+            "0x1.2b751122bc000p-14 0x1.1778c7ab40000p-17 0x1.4ab348b700000p-20 "
+            "0x1.1428e77400000p-23 0x1.22aaf00000000p-26 0x1.3e46440000000p-31 "
+            "0x1.b098700000000p-33 0x1.8b49800000000p-35"
+        ),
+        "x_final": (
+            "8:0x1.2cca4d245628ep-2 9:0x1.6607af95e7b12p-4 10:0x1.c06466ea2c647p-4 "
+            "11:-0x1.6ad818907ce65p-6 12:0x1.afa2676425324p-3 13:0x1.84bb5cdb9e415p-3 "
+            "14:0x1.fa4dfaffafd01p-3 15:-0x1.a72126012397ap-3"
+        ),
+    },
+    "dense-proxsvrg-full-batch": {
+        "outer_iters": 10,
+        "coord_updates": 8000,
+        "active_blocks": [6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.78f13d6863900p-8 0x1.19192d96a3800p-11 "
+            "0x1.b4f1e8c8e0000p-15 0x1.549a230440000p-18 0x1.0991497e00000p-21 "
+            "0x1.9e22702000000p-25 0x1.42e8620000000p-28 0x1.f78d900000000p-32 "
+            "0x1.88a1000000000p-35 0x1.3224000000000p-38"
+        ),
+        "x_final": (
+            "7:0x1.68e99b1abb056p-2 8:0x1.6ccc7b63f365ap-1 11:0x1.49c81a80d9ecep-2"
+        ),
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_iterates_match_golden(name):
     rep = run_case(name)
@@ -1510,17 +1697,30 @@ def test_chunked_epochs_match_golden(name):
     assert _nonzeros_hex(rep.x_final) == want["x_final"]
 
 
+@pytest.mark.parametrize("name", sorted(DENSE_CASES))
+def test_dense_storage_matches_golden(name):
+    rep = run_dense_case(name)
+    want = DENSE_GOLDEN[name]
+    assert rep.outer_iters == want["outer_iters"]
+    assert rep.coord_updates == want["coord_updates"]
+    assert [len(a) for a in rep.active_history] == want["active_blocks"]
+    assert [r.gap.hex() for r in rep.trace] == want["gaps"].split()
+    assert _nonzeros_hex(rep.x_final) == want["x_final"]
+
+
 def _hexes(x):
     return " ".join(map(float.hex, x.tolist()))
 
 
 def _entry(name):
-    """A fresh run of one case, as its GOLDEN, CHUNK_GOLDEN or REFERENCE_GOLDEN entry."""
+    """A fresh run of one case, as its GOLDEN, CHUNK_GOLDEN, DENSE_GOLDEN or
+    REFERENCE_GOLDEN entry."""
     if name in REFERENCE_CASES:
         rep = G.reference_solve(REFERENCE_CASES[name]())
         return {"outer_iters": rep.outer_iters, "gap": rep.gap.hex(),
                 "x_final": _hexes(rep.x_final)}
-    rep = run_case(name) if name in CASES else run_chunk_case(name)
+    rep = (run_case(name) if name in CASES else run_dense_case(name)
+           if name in DENSE_CASES else run_chunk_case(name))
     last = ({"iterates": list(map(_hexes, rep.iterates))} if name in CASES
             else {"x_final": _nonzeros_hex(rep.x_final)})
     return {"outer_iters": rep.outer_iters, "coord_updates": rep.coord_updates,

@@ -3,15 +3,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import _gather_rows, soft_threshold
 from gapsgd.solvers import (_CHUNK_ENTRIES, _compact, _one_pass_bound, _plan,
-                            _power_sigma, _resolve, _spectral_bound, inner_budget,
-                            step_gradient)
+                            _plan_dense, _power_sigma, _resolve, _spectral_bound,
+                            dense_step_gradient, inner_budget, step_gradient)
 
 from conftest import hand_lasso, make_instance, tuned_eta
+
+# _RHO = inf keeps every working design sparse, _RHO = 0 makes each one dense
+STORAGES = (math.inf, 0.0)
 
 
 # -------------------------------------------------------------- inner budget
@@ -67,6 +71,26 @@ def test_vr_gradient_exhaustive_average_is_unbiased():
                        for i in range(45)], axis=0)
         np.testing.assert_allclose(avg, full[spec.partition.groups[blk]],
                                    rtol=0, atol=1e-12)
+
+
+def test_public_gradients_run_the_kernel_of_the_design_storage(monkeypatch):
+    """partial_gradient and vr_gradient each make one call of the kernel the
+    engine would run on the uncompacted design's storage."""
+    spec = make_instance(seed=4, n=45, d=24, q=4, mu_p=0.05)
+    x, xt = np.ones(24), np.zeros(24)
+    mu = G.full_gradient(spec, xt)
+    calls = []
+    for name in ("step_gradient", "dense_step_gradient"):
+        kernel = getattr(G.solvers, name)
+        monkeypatch.setattr(G.solvers, name,
+                            lambda *a, name=name, kernel=kernel: calls.append(name)
+                            or kernel(*a))
+    for rho, name in zip(STORAGES, ("step_gradient", "dense_step_gradient")):
+        monkeypatch.setattr(G.solvers, "_RHO", rho)
+        calls.clear()
+        G.partial_gradient(spec, x, [0, 3], 1)
+        G.vr_gradient(spec, x, xt, mu, [5], 2)
+        assert calls == [name, name]
 
 
 def test_vr_gradient_shape_check():
@@ -273,23 +297,36 @@ def _steps(plan):
             for s, e, y_t, g_t, bs, be, lo, hi in steps]
 
 
-def _grads(loss, x, plan, mu=None, x_ref=None, mu_p=0.0):
-    """step_gradient of each step of a plan, called positionally as the engine calls it."""
+def _grads(loss, x, work, y, g_ref, c, batches=None, ibs=None, mu=None, x_ref=None,
+           mu_p=0.0):
+    """The gradient of each step of one chunk, from the kernel the engine runs on
+    work's storage, called positionally as the engine calls it."""
+    if work.dense is not None:
+        return [dense_step_gradient(loss, x, x_b, y_t, g_t, lo, hi, mu, x_ref, mu_p)
+                for x_b, y_t, g_t, lo, hi in _plan_dense(work, y, g_ref, c, batches, ibs)]
     return [step_gradient(loss, x, *fwd, y_t, g_t, *bwd, lo, hi, mu, x_ref, mu_p)
-            for fwd, bwd, y_t, g_t, lo, hi in _steps(plan)]
+            for fwd, bwd, y_t, g_t, lo, hi in _steps(_plan(work, y, g_ref, c, batches,
+                                                           ibs))]
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
-def test_step_gradient_matches_dense_reference(layout):
+def test_step_gradient_matches_dense_reference(monkeypatch, layout):
+    """Both kernels, each on its storage, give the block and full-vector
+    gradients of the dense formula."""
     spec, a, rng = _kernel_instance(layout)
     ds, part, loss = spec.dataset, spec.partition, spec.loss
     full = G.ActiveSet.full(spec, bounds=False)
-    full_work = _compact(spec, full)
     kept = full.keep([0, 2, 3])
     # the iterate is zero on screened features, as in the engine
     x = np.where(np.isin(np.arange(15), kept.features), rng.normal(size=15), 0.0)
     g_snap, mu, x_snap = rng.normal(size=12), rng.normal(size=15), rng.normal(size=15)
-    for work in (full_work, _compact(spec, kept, full_work)):
+    works = []
+    for rho in STORAGES:
+        monkeypatch.setattr(G.solvers, "_RHO", rho)
+        full_work = _compact(spec, full)
+        works += [full_work, _compact(spec, kept, full_work)]
+        assert all((w.dense is None) == (rho == math.inf) for w in works[-2:])
+    for work in works:
         wfeat = work.features
         blocks = work.active.blocks
         for batch in (np.array([4, 4, 0, 11, 5, 4]), np.array([3]), np.array([5, 3]),
@@ -310,32 +347,36 @@ def test_step_gradient_matches_dense_reference(layout):
                     want = want + 2.0 * mu_p * (x - x_ref)
                 kw = dict(mu=None if mu_c is None else mu_c[wfeat],
                           x_ref=None if x_ref is None else x_ref[wfeat], mu_p=mu_p)
-                got, = _grads(loss, x[wfeat], _plan(work, ds.y, g_ref, 1, batches), **kw)
+                got, = _grads(loss, x[wfeat], work, ds.y, g_ref, 1, batches, **kw)
                 assert got.dtype == np.float64
                 np.testing.assert_allclose(got, want[wfeat], rtol=0, atol=1e-12)
                 # one chunk of steps, one per block, all on the same batch
-                plan = _plan(work, ds.y, g_ref, blocks.size,
-                             None if batches is None else batches.repeat(blocks.size, 0),
-                             np.arange(blocks.size))
-                for j, got in zip(blocks, _grads(loss, x[wfeat], plan, **kw), strict=True):
+                chunk = _grads(loss, x[wfeat], work, ds.y, g_ref, blocks.size,
+                               None if batches is None else batches.repeat(blocks.size, 0),
+                               np.arange(blocks.size), **kw)
+                for j, got in zip(blocks, chunk, strict=True):
                     assert got.dtype == np.float64
                     np.testing.assert_allclose(got, want[part.groups[j]], rtol=0,
                                                atol=1e-12)
 
 
-def test_step_gradient_sums_nothing_as_float_zeros():
-    """A batch with no entries in the block, or no entries at all, gives float64 zeros."""
+def test_step_gradient_sums_nothing_as_float_zeros(monkeypatch):
+    """A batch with no entries in the block, or no entries at all, gives float64
+    zeros on either storage."""
     spec, _, _ = _kernel_instance("scattered")
-    work = _compact(spec, G.ActiveSet.full(spec, bounds=False))
     y, x = spec.dataset.y, np.ones(15)
-    for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0), (np.array([3]), None)):
-        ibs = None if ib is None else np.array([ib])
-        got, = _grads(spec.loss, x, _plan(work, y, None, 1, batch[None, :], ibs))
-        assert got.dtype == np.float64 and not got.any()
-        mu = np.full(15, 0.25)
-        plan = _plan(work, y, np.zeros(12), 1, batch[None, :], ibs)
-        got, = _grads(spec.loss, x, plan, mu=mu, x_ref=x, mu_p=0.1)
-        assert np.all(got == 0.25)
+    for rho in STORAGES:
+        monkeypatch.setattr(G.solvers, "_RHO", rho)
+        work = _compact(spec, G.ActiveSet.full(spec, bounds=False))
+        for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0),
+                          (np.array([3]), None)):
+            ibs = None if ib is None else np.array([ib])
+            got, = _grads(spec.loss, x, work, y, None, 1, batch[None, :], ibs)
+            assert got.dtype == np.float64 and not got.any()
+            mu = np.full(15, 0.25)
+            got, = _grads(spec.loss, x, work, y, np.zeros(12), 1, batch[None, :], ibs,
+                          mu=mu, x_ref=x, mu_p=0.1)
+            assert np.all(got == 0.25)
 
 
 def _same_entries(got, want):
@@ -403,6 +444,121 @@ def test_all_rows_gather_is_the_gather_of_every_row(layout):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
+# ----------------------------------------------------------- dense storage
+
+def _two_density_instance():
+    """A 10 x 100 design in 20 blocks of 5: block 0 full, block 1 empty and
+    blocks 2-19 one entry each, 68 entries over 1,000 cells."""
+    a = np.zeros((10, 100))
+    a[:, :5] = np.arange(1.0, 51.0).reshape(10, 5)
+    a[np.arange(18) % 10, 10 + 5 * np.arange(18)] = -1.5
+    spec = G.ProblemSpec(dataset=G.Dataset(a, np.ones(10)),
+                         partition=G.BlockPartition.contiguous(100, 20),
+                         loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+    return spec, a
+
+
+def test_storage_follows_each_cut_density(monkeypatch):
+    """A working design has a dense twin exactly when it stores at least
+    _RHO * n * p entries, judged design by design down a chain of cuts, and
+    the twin is A[:, features] in the working column order."""
+    monkeypatch.setattr(G.solvers, "_RHO", 0.1)  # the chain's densities straddle it
+    spec, a = _two_density_instance()
+    full = G.ActiveSet.full(spec, bounds=False)
+    work = _compact(spec, full)  # 68 / 1000
+    chain = [(work, False)]
+    for kept, dense in (([0, 1, 2, 3], True),   # 52 / 200
+                        ([0, 1], True),         # 50 / 100
+                        ([1, 2, 3], False)):    # 2 / 150
+        chain.append((_compact(spec, full.keep(kept), work), dense))
+    work = chain[2][0]
+    chain.append((_compact(spec, full.keep([1]), work), False))  # 0 / 50, from a dense cut
+    for w, dense in chain:
+        assert (w.dense is not None) == dense
+        if dense:
+            assert w.dense.dtype == np.float64 and w.dense.flags.c_contiguous
+            assert np.array_equal(w.dense, a[:, w.features])
+    # the boundary: 50 entries over 100 cells
+    for rho, dense in ((0.5, True), (np.nextafter(0.5, 1.0), False)):
+        monkeypatch.setattr(G.solvers, "_RHO", rho)
+        assert (_compact(spec, full.keep([0, 1]), chain[0][0]).dense is not None) == dense
+    # a scattered partition's dense twin follows its block-by-block numbering
+    spec, a, _ = _kernel_instance("scattered")
+    monkeypatch.setattr(G.solvers, "_RHO", 0.0)
+    full = G.ActiveSet.full(spec, bounds=False)
+    work = _compact(spec, full)
+    for w in (work, _compact(spec, full.keep([1, 3]), work)):
+        assert np.array_equal(w.dense, a[:, w.features])
+
+
+def _storage_instance(case):
+    model = dict(model="logistic", reg="group_l2", n=90) if case == "logistic-group" else {}
+    spec = make_instance(**{**dict(seed=11, n=60, d=40, q=8, support=4, ratio=0.5,
+                                   mu_p=0.05 * (case == "mu-p")), **model})
+    if case == "scattered":
+        part = G.BlockPartition([np.arange(j, 40, 8) for j in range(8)])
+        spec = dataclasses.replace(spec, partition=part)
+    return spec
+
+
+@pytest.mark.parametrize("case", ["lasso", "logistic-group", "scattered", "mu-p",
+                                  "full-batch"])
+@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
+def test_dense_and_sparse_storage_solve_alike(monkeypatch, case, solver):
+    """The same seed draws the same rows and blocks on both storages, so the
+    two solves screen, pick working sets and stop alike; their gaps differ
+    only by the rounding of another summation order."""
+    spec = _storage_instance(case)
+    cfg = G.SolverConfig(solver=solver, seed=5, eta=tuned_eta(spec), gap_tol=1e-6,
+                         max_outer=40, batch_size=spec.dataset.n if case == "full-batch"
+                         else None)
+    reps = []
+    for rho in STORAGES:
+        monkeypatch.setattr(G.solvers, "_RHO", rho)
+        reps.append(G.solve(spec, cfg))
+    sparse, dense = reps
+    assert dense.outer_iters == sparse.outer_iters
+    assert dense.coord_updates == sparse.coord_updates
+    assert [h.tolist() for h in dense.active_history] == [
+        h.tolist() for h in sparse.active_history]
+    assert [r.working_blocks for r in dense.trace] == [r.working_blocks
+                                                       for r in sparse.trace]
+    np.testing.assert_allclose([r.gap for r in dense.trace],
+                               [r.gap for r in sparse.trace], rtol=1e-9, atol=0)
+
+
+def test_dense_storage_reruns_bit_for_bit(monkeypatch):
+    """The dense kernel's BLAS products must not depend on where the arrays
+    lie: on copies of its inputs at every 8-byte offset within 64 bytes it
+    gives the same bits, and so does a whole dense solve run twice with the
+    heap moved in between."""
+    rng = np.random.default_rng(4)
+    loss = G.LOSSES["logistic"]
+    for b, p, lo, hi in ((10, 40, 8, 12), (7, 333, 0, 333), (1, 9, 4, 5), (33, 130, 17, 99)):
+        x_b, x = rng.normal(size=(b, p)), rng.normal(size=p)
+        y, g, mu = rng.integers(0, 2, size=b) * 1.0, rng.normal(size=b), rng.normal(size=p)
+        outs = set()
+        for off in range(0, 64, 8):
+            buf = np.empty(8 * (b * p + p) + 128, dtype=np.uint8)
+            base = -buf.ctypes.data % 64 + off
+            xb_at = np.frombuffer(buf, np.float64, b * p, base).reshape(b, p)
+            x_at = np.frombuffer(buf, np.float64, p, base + 8 * b * p + 8 * (off // 8 % 3))
+            xb_at[...], x_at[...] = x_b, x
+            outs.add(dense_step_gradient(loss, x_at, xb_at, y, g, lo, hi, mu, x,
+                                         0.1).tobytes())
+        assert len(outs) == 1
+    monkeypatch.setattr(G.solvers, "_RHO", 0.0)
+    spec = _storage_instance("logistic-group")
+    cfg = G.SolverConfig(seed=2, eta=tuned_eta(spec), gap_tol=1e-9, max_outer=15,
+                         keep_iterates=True)
+    first = G.solve(spec, cfg)
+    ballast = [np.ones(k) for k in (3, 17, 1001, 4099)]  # noqa: F841 (moves the heap)
+    second = G.solve(spec, cfg)
+    assert [r.gap for r in first.trace] == [r.gap for r in second.trace]
+    assert all(np.array_equal(u, v) for u, v in zip(first.iterates, second.iterates,
+                                                    strict=True))
+
+
 # ------------------------------------------------------------- epoch plan
 
 @pytest.mark.parametrize("n", [3, 1000, 2 ** 31 + 5])
@@ -445,56 +601,64 @@ class _CountingGenerator(np.random.Generator):
 def test_epoch_draws_once_per_chunk_and_never_past_its_steps(monkeypatch, solver,
                                                              batch_size, m):
     """One integers call per chunk, chunks sized by the entry cap and cut at m_k
-    (m = 40 fits one chunk); a full batch (30 rows) draws only blocks."""
+    (m = 40 fits one chunk); a full batch (30 rows) draws only blocks. Both
+    storages size their chunks alike, so they draw alike."""
     spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
-    monkeypatch.setattr(_CountingGenerator, "draws", [])
     monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
-    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=7, m=m, max_outer=3,
-                                       batch_size=batch_size, gap_tol=1e-12,
-                                       eta=tuned_eta(spec)))
-    assert rep.outer_iters == 3
     a = spec.dataset.A
     per_step = a.nnz if batch_size == 30 else batch_size * np.diff(a.indptr).max()
     chunk = max(1, _CHUNK_ENTRIES // per_step)
     drawn = (batch_size if batch_size < 30 else 0) + (solver == "mrbcd")
     want = [drawn * min(chunk, m - done) for done in range(0, m, chunk)] * 3
-    assert _CountingGenerator.draws == want
+    for rho in STORAGES:
+        monkeypatch.setattr(G.solvers, "_RHO", rho)
+        monkeypatch.setattr(_CountingGenerator, "draws", [])
+        rep = G.solve(spec, G.SolverConfig(solver=solver, seed=7, m=m, max_outer=3,
+                                           batch_size=batch_size, gap_tol=1e-12,
+                                           eta=tuned_eta(spec)))
+        assert rep.outer_iters == 3
+        assert _CountingGenerator.draws == want
 
 
 @pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
 @pytest.mark.parametrize("batch_size", [10, 30])
 def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver,
                                                              batch_size):
-    """Each inner step makes one positional step_gradient call and one
-    block_prox call, and the epoch on W takes inner_budget(m, |W|, q) steps;
-    a full-vector step updates every working column."""
+    """Each inner step makes one positional call of its storage's kernel,
+    step_gradient or dense_step_gradient, and one block_prox call, and the
+    epoch on W takes inner_budget(m, |W|, q) steps; a full-vector step
+    updates every working column."""
     spec = _scattered_lasso() if solver in ("mrbcd", "proxsvrg") else make_instance(
         seed=6, n=30, d=20, q=6, support=3, ratio=0.6, mu_p=0.05 * (solver == "asgd"))
-    counts = {"kernel": 0, "prox": 0}
-    kernel, prox = G.solvers.step_gradient, type(spec.reg).block_prox
+    prox = type(spec.reg).block_prox
 
-    def counted_kernel(*args, **kwargs):
-        assert not kwargs
-        counts["kernel"] += 1
-        return kernel(*args)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            if key != "prox":
+                assert not kwargs
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_prox(*args, **kwargs):
-        counts["prox"] += 1
-        return prox(*args, **kwargs)
-
-    monkeypatch.setattr(G.solvers, "step_gradient", counted_kernel)
-    monkeypatch.setattr(type(spec.reg), "block_prox", counted_prox)
+    monkeypatch.setattr(G.solvers, "step_gradient",
+                        counted("sparse", G.solvers.step_gradient))
+    monkeypatch.setattr(G.solvers, "dense_step_gradient",
+                        counted("dense", G.solvers.dense_step_gradient))
+    monkeypatch.setattr(type(spec.reg), "block_prox", counted("prox", prox))
     m, q = 45, spec.partition.q
-    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=3, m=m, max_outer=6,
-                                       batch_size=batch_size, gap_tol=1e-12,
-                                       eta=tuned_eta(spec)))
-    widths = [r.working_blocks for r in rep.trace[1:]]
-    steps = [inner_budget(m, w, q) for w in widths if w]
-    assert counts == {"kernel": sum(steps), "prox": sum(steps)}
-    if solver in ("mrbcd", "proxsvrg"):
-        assert widths == [q] * rep.outer_iters
-    if solver == "proxsvrg":
-        assert rep.coord_updates == sum(steps) * spec.dataset.d
+    for rho, kernel in zip(STORAGES, ("sparse", "dense")):
+        monkeypatch.setattr(G.solvers, "_RHO", rho)
+        counts = {"sparse": 0, "dense": 0, "prox": 0}
+        rep = G.solve(spec, G.SolverConfig(solver=solver, seed=3, m=m, max_outer=6,
+                                           batch_size=batch_size, gap_tol=1e-12,
+                                           eta=tuned_eta(spec)))
+        widths = [r.working_blocks for r in rep.trace[1:]]
+        steps = [inner_budget(m, w, q) for w in widths if w]
+        assert counts == {"sparse": 0, "dense": 0, kernel: sum(steps), "prox": sum(steps)}
+        if solver in ("mrbcd", "proxsvrg"):
+            assert widths == [q] * rep.outer_iters
+        if solver == "proxsvrg":
+            assert rep.coord_updates == sum(steps) * spec.dataset.d
 
 
 def _scattered_lasso():
@@ -929,18 +1093,47 @@ def test_invalid_configs_rejected(lasso_spec):
 
 def test_resolve_defaults_and_theory_mode(lasso_spec):
     consts = G.lipschitz_constants(lasso_spec)
-    eta, m, batch = _resolve(lasso_spec, G.SolverConfig(), consts)
+    eta, m, batch = _resolve(lasso_spec, G.SolverConfig())
     assert eta == pytest.approx(1.0 / (16 * consts.L))
     assert m == lasso_spec.dataset.n
     assert batch == 10
-    eta_t, m_t, batch_t = _resolve(lasso_spec, G.SolverConfig(theory_mode=True),
-                                   consts)
+    eta_t, m_t, batch_t = _resolve(lasso_spec, G.SolverConfig(theory_mode=True))
     assert batch_t == min(lasso_spec.dataset.n,
                           max(1, math.ceil(consts.T / consts.L)))
     assert eta_t == pytest.approx(1.0 / (16 * consts.L))
-    _, m_mu, _ = _resolve(lasso_spec,
-                          G.SolverConfig(theory_mode=True, mu_strong=0.5), consts)
+    _, m_mu, _ = _resolve(lasso_spec, G.SolverConfig(theory_mode=True, mu_strong=0.5))
     assert m_mu == math.ceil(65 * lasso_spec.partition.q * consts.L / 0.5)
+
+
+def test_smoothness_bounds_are_computed_only_for_the_defaults_that_read_them(
+        monkeypatch, lasso_spec):
+    """An explicit eta leaves no default that needs lipschitz_constants, so no
+    solve computes it; a default eta or theory_mode does, once per solve."""
+    calls = []
+    lipschitz = G.solvers.lipschitz_constants
+    monkeypatch.setattr(G.solvers, "lipschitz_constants",
+                        lambda spec: calls.append(1) or lipschitz(spec))
+    for solver in ("adsgd", "mrbcd", "asgd", "proxsvrg"):
+        G.solve(lasso_spec, G.SolverConfig(solver=solver, eta=0.01, max_outer=1))
+    assert calls == []
+    for cfg in (G.SolverConfig(max_outer=1), G.SolverConfig(theory_mode=True, max_outer=1)):
+        G.solve(lasso_spec, cfg)
+    assert calls == [1, 1]
+
+
+@pytest.mark.parametrize("stored", ["none", "explicit zeros"])
+@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
+def test_an_all_zero_design_is_rejected_with_an_explicit_eta(stored, solver):
+    """A design with no nonzero entry still raises DegenerateProblemError from
+    every engine solve when no default computes the smoothness bounds."""
+    a = sp.csr_matrix((3, 4)) if stored == "none" else sp.csr_matrix(
+        (np.zeros(3), ([0, 1, 2], [0, 3, 1])), shape=(3, 4))
+    ds = G.Dataset(a, np.array([1.0, -1.0, 0.5]))
+    assert ds.A.nnz == (0 if stored == "none" else 3)
+    spec = G.ProblemSpec(dataset=ds, partition=G.BlockPartition.contiguous(4, 2),
+                         loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+    with pytest.raises(G.DegenerateProblemError):
+        G.solve(spec, G.SolverConfig(solver=solver, eta=0.1))
 
 
 # ---------------------------------------------------- group and perturbed

@@ -37,19 +37,25 @@ def test_every_traced_layer_resolves():
 
 
 def test_traced_screening_solve_reaches_every_outer_layer():
-    spec = make_instance(seed=1, n=60, d=80, q=10)
-    cfg = G.SolverConfig(seed=1, gap_tol=1e-6, max_outer=40, eta=tuned_eta(spec, 1.0))
-    with _tracer().Tracer().trace() as record:
-        rep = G.solve(spec, cfg)
-    calls = {layer: stat.calls for layer, stat in record.stats.items()}
-    # one evaluation starts the solve, and each epoch evaluates two candidates
-    assert all(r.working_blocks > 0 for r in rep.trace[1:])
-    evaluations = 1 + 2 * rep.outer_iters
-    assert calls["duality.dual_point"] == calls["duality.dual_value"] == evaluations
-    assert calls["duality.screen"] == rep.outer_iters
-    assert calls["duality.column_bounds"] == 1
-    assert record.stats["duality.screen"].units == (spec.partition.q
-                                                    - rep.active_history[-1].size)
-    for layer in ("problem.gather_rows", "problem.loss_deriv", "problem.block_prox",
-                  "problem.soft_threshold", "solvers.inner_budget"):
-        assert calls[layer] > 0, layer
+    """Every layer is reached on each storage of the working design. The
+    3%-dense instance runs its epochs on the sparse storage, which gathers
+    rows through problem._gather_rows; the 50%-dense one runs on the dense
+    storage, which gathers rows by one fancy index and never calls it."""
+    for sparsity, dense in ((0.03, False), (0.5, True)):
+        spec = make_instance(seed=1, n=60, d=80, q=10, sparsity=sparsity)
+        cfg = G.SolverConfig(seed=1, gap_tol=1e-6, max_outer=40, eta=tuned_eta(spec, 1.0))
+        with _tracer().Tracer().trace() as record:
+            rep = G.solve(spec, cfg)
+        calls = {layer: stat.calls for layer, stat in record.stats.items()}
+        # one evaluation starts the solve, and each epoch evaluates two candidates
+        assert all(r.working_blocks > 0 for r in rep.trace[1:])
+        evaluations = 1 + 2 * rep.outer_iters
+        assert calls["duality.dual_point"] == calls["duality.dual_value"] == evaluations
+        assert calls["duality.screen"] == rep.outer_iters
+        assert calls["duality.column_bounds"] == 1
+        assert record.stats["duality.screen"].units == (spec.partition.q
+                                                        - rep.active_history[-1].size)
+        for layer in ("problem.loss_deriv", "problem.block_prox",
+                      "problem.soft_threshold", "solvers.inner_budget"):
+            assert calls[layer] > 0, layer
+        assert (calls["problem.gather_rows"] == 0) == dense
