@@ -1,10 +1,12 @@
 """Command line front end.
 
-Subcommands: solve, lambda-max, bench, oracle. Exit codes: 0 on success,
-2 for usage errors, 3 for input parse errors, 4 for solve failures, which
-include a solve that stops at max_outer without certifying its gap (it
-still prints its result and writes its trace). The GAPSGD_OUT_DIR
-environment variable relocates relative output paths.
+Subcommands: solve, lambda-max, bench, oracle. Run it as `gapsgd` or as
+`python -m gapsgd`. Exit codes: 0 on success, 2 for usage errors, 3 for
+input parse errors, 4 for solve failures, which include a solve that stops
+at max_outer without certifying its gap (it still prints its result and
+writes its trace) and a bench plan with a cell that raised (every cell still
+runs, prints and enters summary.csv). The GAPSGD_OUT_DIR environment
+variable relocates relative output paths.
 """
 
 import argparse
@@ -131,7 +133,7 @@ def _cmd_bench(args):
     for s in failures:
         print(f"FAILED {s.solver} ratio={s.lambda_ratio} rep={s.repetition}: {s.error}")
     print(f"outputs in {plan.out_dir}")
-    return 0
+    return EXIT_SOLVE if failures else 0
 
 
 def build_parser():

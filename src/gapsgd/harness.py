@@ -205,7 +205,7 @@ class ExperimentPlan:
 
 TRACE_HEADER = ["outer_iter", "elapsed_s", "objective", "gap",
                 "active_blocks", "active_features", "radius", "working_blocks",
-                "restart"]
+                "restart", "refined_dual"]
 
 
 def write_trace_csv(path, trace):
@@ -215,7 +215,8 @@ def write_trace_csv(path, trace):
         for r in trace:
             w.writerow([repr(r.outer_iter), repr(r.elapsed_s), repr(r.objective),
                         repr(r.gap), repr(r.active_blocks), repr(r.active_features),
-                        repr(r.radius), repr(r.working_blocks), r.restart])
+                        repr(r.radius), repr(r.working_blocks), r.restart,
+                        int(r.refined_dual)])
 
 
 def read_trace_csv(path):
@@ -230,7 +231,8 @@ def read_trace_csv(path):
                                    objective=float(row[2]), gap=float(row[3]),
                                    active_blocks=int(row[4]),
                                    active_features=int(row[5]), radius=float(row[6]),
-                                   working_blocks=int(row[7]), restart=row[8]))
+                                   working_blocks=int(row[7]), restart=row[8],
+                                   refined_dual=row[9] == "1"))
     return out
 
 

@@ -182,6 +182,9 @@ class SquaredLoss:
     def deriv(self, z, y):
         return z - y
 
+    def second_deriv(self, z, y):
+        return np.ones(np.shape(z))
+
     def conjugate(self, u, y):
         return 0.5 * u * u + u * y
 
@@ -200,6 +203,10 @@ class LogisticLoss:
 
     def deriv(self, z, y):
         return expit(z) - y
+
+    def second_deriv(self, z, y):
+        s = expit(z)
+        return s * (1.0 - s)
 
     def conjugate(self, u, y):
         # finite only for u + y in [0, 1]; +inf signals an infeasible dual point
@@ -391,7 +398,10 @@ def lipschitz_constants(spec):
 
     L = c * max_i max_j ||a_{i,Gj}||^2 and T = c * max_i ||a_i||^2, where c is
     the loss curvature (1 for squared error, 1/4 for logistic); the quadratic
-    perturbation shifts both by 2 * mu_p.
+    perturbation shifts both by 2 * mu_p. The (row, block) pieces are found
+    in O(nnz) time and memory: a stable argsort of their keys lists each
+    piece's entries in CSR order, so one bincount over the piece numbers adds
+    the same terms in the same order as a dense n x q table would.
     """
     ds, part = spec.dataset, spec.partition
     a = ds.A
@@ -400,13 +410,14 @@ def lipschitz_constants(spec):
     row_sq = np.bincount(rows, weights=sq, minlength=ds.n)
     if row_sq.max() == 0.0:
         raise DegenerateProblemError("design matrix is all zeros")
-    blk = part.block_of[a.indices]
-    per_row_block = np.bincount(rows * part.q + blk, weights=sq,
-                                minlength=ds.n * part.q).reshape(ds.n, part.q)
+    keys = rows * part.q + part.block_of[a.indices]
+    order = np.argsort(keys, kind="stable")
+    piece = np.cumsum(np.diff(keys[order], prepend=-1) != 0) - 1
+    per_piece = np.bincount(piece, weights=sq[order])
     c = spec.loss.curvature
     shift = 2.0 * spec.mu_p
     return LipschitzConstants(
-        L=float(c * per_row_block.max() + shift),
+        L=float(c * per_piece.max() + shift),
         T=float(c * row_sq.max() + shift),
     )
 

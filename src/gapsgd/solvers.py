@@ -23,17 +23,34 @@ inner iterate are then evaluated on the full problem, and the one with the
 strictly smaller gap becomes the next iterate (_restart); a tie or a
 non-finite gap keeps the average. The winner's evaluation is the next outer
 iteration's: its trace row, stop test, screen, working set and snapshot, so
-an epoch costs two evaluations. The average drags in the epoch's early
-iterates, the last iterate does not, and neither wins every epoch. A W that
-is too small cannot certify, since the gap scales the dual over every
-block; it costs outer iterations, and a block it wrongly left out
-correlates above lam at the subproblem's optimum, so it joins the next W.
-The solvers that never screen run every epoch on all q blocks. Identical
-(spec, config, seed) triples reproduce bit-identical iterate sequences. The
-evaluation's dual point forms the iteration's one product A'g: the
-screening test and the working set read its block correlations and the
-variance reduction its smooth gradient, which is formed again only when
-screening truncates the snapshot.
+an epoch costs two evaluations, plus one per refined model (below). The
+average drags in the epoch's early iterates, the last iterate does not, and
+neither wins every epoch. A W that is too small cannot certify, since the
+gap scales the dual over every block; it costs outer iterations, and a block
+it wrongly left out correlates above lam at the subproblem's optimum, so it
+joins the next W. The solvers that never screen run every epoch on all q
+blocks. Identical (spec, config, seed) triples reproduce bit-identical
+iterate sequences. The evaluation's dual point forms the iteration's one
+product A'g: the screening test and the working set read its block
+correlations and the variance reduction its smooth gradient, which is
+formed again only when screening truncates the snapshot.
+
+The iterate's own dual point is wrong to first order, so its gap tracks
+about the square root of the suboptimality. A screening solve therefore
+certifies on the identified model: once the safe set holds exactly the
+blocks where x_hat is nonzero and x_hat has the previous iterate's model
+(its signs for L1, its nonzero pattern for group-L2; _model), with at most n
+nonzeros, _refine_support solves the smooth stationarity system on that
+model, once per distinct model (later iterates of a model reuse it). The
+refined point x_r is evaluated on the full problem, and its dual point
+certifies x_hat wherever P(x_hat) - D(theta_r) is the smaller gap: that gap
+is the row's, the stop test's and the safe radius's, and theta_r is the
+sphere's centre and scores the working set, while the snapshot keeps
+x_hat's own derivatives and gradient. A solve certified so returns x_r where
+P(x_r) <= P(x_hat), else x_hat, and report.dual is the certifying dual
+point, so P(x_final) - D(report.dual) is report.gap. theta_r is scaled over
+every block like any dual point, so a refinement on a wrong model gives a
+larger gap, which is never used, and cannot make a certificate false.
 
 Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
@@ -43,9 +60,9 @@ gathered entries with two bincounts; dense_step_gradient forms the same
 gradient from two matrix products, X_b x and coef X_b[:, lo:hi]. The engine
 picks the kernel per epoch from the storage of the design the epoch runs on.
 A batch of all n rows takes the whole working design as it stands, without a
-draw. partial_gradient and vr_gradient plan their one step with _plan or
-_plan_dense and run the same kernel on the uncompacted design, picked the
-same way.
+draw. partial_gradient and vr_gradient run the same kernel on the
+uncompacted design, picked by the same density test, from the batch's rows
+alone.
 
 An epoch is planned in chunks of steps, each chunk sized to gather at most
 _CHUNK_ENTRIES entries and never reaching past the epoch's last step. A chunk
@@ -121,9 +138,10 @@ import time
 
 import numpy as np
 
-from .duality import ActiveSet, DualPoint, evaluate, safe_radius, screen
+from .duality import (ActiveSet, DualPoint, _dual_value, dual_point, evaluate, safe_radius,
+                      screen)
 from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_rows,
-                      lipschitz_constants, smooth_gradient, smooth_value)
+                      lipschitz_constants, primal_objective, smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -179,7 +197,10 @@ class TraceRecord:
     that preceded it (inf where none ran) and working_blocks the blocks its
     steps updated, 0 on the starting row. restart names the iterate:
     "start" on the starting row, then "average" or "last", the epoch's
-    average or its last inner iterate, whichever had the smaller gap. The
+    average or its last inner iterate, whichever had the smaller gap, or
+    "refined" where a screening solve returns the refined point that its
+    last row certifies. refined_dual is True where the gap comes from the
+    dual point of x_hat's support refinement rather than x_hat's own. The
     reference solver's rows after the first are "last".
     """
 
@@ -192,11 +213,13 @@ class TraceRecord:
     radius: float = math.inf
     working_blocks: int = 0
     restart: str = "start"
+    refined_dual: bool = False
 
 
 @dataclasses.dataclass
 class SolveReport:
-    """Result of one solver run."""
+    """Result of one solver run. dual is the dual point of the last trace row's
+    gap, so P(x_final) - D(dual) is gap."""
 
     x_final: np.ndarray
     trace: list
@@ -480,21 +503,33 @@ def _check_batch(spec, batch, block):
     return batch
 
 
-def _block_step(spec, x, batch, block, g_ref, mu, x_ref):
-    """One planned step's gradient on `block` of the whole design, in feature ids,
-    from the kernel the engine runs on that design's storage."""
-    work = _compact(spec, ActiveSet.full(spec, bounds=False))
-    f = work.features
+def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
+    """One step's gradient on `block` of the whole design, in feature ids, from
+    the kernel the engine runs on that design's storage.
+
+    Only the batch's rows are gathered, in the engine's block-major column
+    numbering, and the storage follows _Working.dense's density test on the
+    whole design without building its dense twin. With variance reduction
+    x_tilde is the snapshot, whose derivatives are formed on the batch alone,
+    and mu its smooth gradient; without it the anchor is the reference point.
+    """
+    ds, part = spec.dataset, spec.partition
+    rows = ds.A[batch]  # CSR rows in batch order, repeats kept, each in CSR order
+    f = part.order  # working column p holds feature f[p]
+    lo, hi = int(part.offsets[block]), int(part.offsets[block + 1])
+    y_b = ds.y[batch]
+    g_b = None if x_tilde is None else spec.loss.deriv(rows @ x_tilde, y_b)
+    x_ref = spec.anchor if x_tilde is None else x_tilde
     tail = (None if mu is None else mu[f], x_ref[f], spec.mu_p)
-    batches, ibs = batch[None, :], np.array([block])
-    if work.dense is not None:
-        (x_b, y_t, g_t, lo, hi), = _plan_dense(work, spec.dataset.y, g_ref, 1, batches,
-                                               ibs)
-        return dense_step_gradient(spec.loss, x[f], x_b, y_t, g_t, lo, hi, *tail)
-    fwd, bwd, steps = _plan(work, spec.dataset.y, g_ref, 1, batches, ibs)
-    (s, e, y_t, g_t, bs, be, lo, hi), = steps
-    return step_gradient(spec.loss, x[f], *(a[s:e] for a in fwd), y_t, g_t,
-                         *(a[bs:be] for a in bwd), lo, hi, *tail)
+    if ds.A.nnz >= _RHO * ds.n * ds.d:
+        return dense_step_gradient(spec.loss, x[f], rows.toarray()[:, f], y_b, g_b, lo,
+                                   hi, *tail)
+    feats, vals = rows.indices, rows.data
+    row_id = np.repeat(np.arange(batch.size), np.diff(rows.indptr))
+    sel = np.flatnonzero(part.block_of[feats] == block)
+    cols = part.offsets[part.block_of[feats]] + part.slot[feats]
+    return step_gradient(spec.loss, x[f], cols, vals, row_id, y_b, g_b,
+                         part.slot[feats[sel]], vals[sel], row_id[sel], lo, hi, *tail)
 
 
 def partial_gradient(spec, x, batch, block):
@@ -505,7 +540,7 @@ def partial_gradient(spec, x, batch, block):
     """
     x = _check_x(spec, x)
     batch = _check_batch(spec, batch, block)
-    return _block_step(spec, x, batch, block, None, None, spec.anchor)
+    return _block_step(spec, x, batch, block)
 
 
 def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
@@ -519,9 +554,7 @@ def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
         raise ValueError("mu_tilde must have length d")
     x, x_tilde = _check_x(spec, x), _check_x(spec, x_tilde)
     batch = _check_batch(spec, batch, block)
-    ds = spec.dataset
-    g_tilde = spec.loss.deriv(ds.A @ x_tilde, ds.y)
-    return _block_step(spec, x, batch, block, g_tilde, mu_tilde, x_tilde)
+    return _block_step(spec, x, batch, block, x_tilde, mu_tilde)
 
 
 # A safe block joins an epoch's working set when x_hat is nonzero on it or its
@@ -562,6 +595,22 @@ def _restart(spec, full, wfeat, x_avg, x_last):
     return x_a, ev_a, "average"
 
 
+def _model(spec, x):
+    """What a refinement of x fixes: its signs for L1, its nonzero pattern for group-L2."""
+    return np.sign(x) if spec.reg.name == "l1" else x != 0.0
+
+
+def _refined_certificate(spec, x, full):
+    """(x_r, P(x_r), dual point, dual value) of the refinement of x on the
+    full problem, or None where _refine_support finds no point."""
+    x_r = _refine_support(spec, x)
+    if x_r is None:
+        return None
+    z = spec.dataset.A @ x_r
+    dp = dual_point(spec, spec.loss.deriv(z, spec.dataset.y), full, x=x_r)
+    return x_r, primal_objective(spec, x_r, z), dp, _dual_value(spec, dp, full)
+
+
 def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     ds = spec.dataset
     n, d = ds.n, ds.d
@@ -573,7 +622,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     kernel, dense_kernel = step_gradient, dense_step_gradient
     prox, thresh = reg.block_prox, eta * lam
     rng = np.random.Generator(np.random.Philox(config.seed))
-    A, y, q = ds.A, ds.y, spec.partition.q
+    A, y, q, block_of = ds.A, ds.y, spec.partition.q, spec.partition.block_of
     # batch_size == n is the degenerate deterministic case: the batch is the
     # whole dataset (no draw), otherwise sample with replacement
     sampled = batch_size < n
@@ -588,16 +637,41 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     converged = False
     k = 0
     radius, width = math.inf, 0
+    model, certificates = None, {}  # the last iterate's model; refinements by model
     start = time.perf_counter()
     evaluation, restart = evaluate(spec, x_hat, A @ x_hat, full), "start"
 
     while True:
         obj, g_snap, dp, gap = evaluation
+        mu_full, cert, refined = dp.gradient, dp, False
+        if screens and np.isfinite(obj):
+            # Once screening has identified the model, the safe set holding just
+            # the blocks where x_hat is nonzero and the model unchanged since the
+            # last iterate, the refinement's dual point certifies x_hat where its
+            # gap is smaller. The snapshot keeps x_hat's own derivatives and
+            # gradient. A model of more than n nonzeros is left unrefined: its
+            # system has more unknowns than samples, and costs O(p^3).
+            prev, model = model, _model(spec, x_hat)
+            identified = (prev is not None and np.array_equal(model, prev)
+                          and np.count_nonzero(model) <= n
+                          and np.array_equal(np.unique(block_of[np.flatnonzero(x_hat)]),
+                                             active.blocks))
+            if identified and gap > config.gap_tol:
+                key = model.tobytes()
+                if key not in certificates:
+                    certificates[key] = _refined_certificate(spec, x_hat, full)
+                ref = certificates[key]
+                if ref is not None and obj - ref[3] < gap:
+                    cert, gap, refined = ref[2], obj - ref[3], True
+                    if gap <= config.gap_tol and ref[1] <= obj:  # return the better point
+                        x_hat, obj, gap = ref[0], ref[1], ref[1] - ref[3]
+                        restart = "refined"
         trace.append(TraceRecord(outer_iter=k, elapsed_s=time.perf_counter() - start,
                                  objective=obj, gap=float(gap),
                                  active_blocks=active.n_blocks,
                                  active_features=active.n_features,
-                                 radius=radius, working_blocks=width, restart=restart))
+                                 radius=radius, working_blocks=width, restart=restart,
+                                 refined_dual=refined))
         active_history.append(active.blocks.copy())
         if iterates is not None:
             iterates.append(x_hat.copy())
@@ -611,11 +685,10 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
             break
         k += 1
 
-        mu_full = dp.gradient
         radius = math.inf
         if screens and (k - 1) % config.screen_every == 0:
             radius = safe_radius(spec, gap)
-            new_active = screen(spec, dp, radius, active)
+            new_active = screen(spec, cert, radius, active)
             if new_active.n_blocks < active.n_blocks:
                 dropped = np.setdiff1d(active.features, new_active.features,
                                        assume_unique=True)
@@ -637,7 +710,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         # set's design. x_hat is zero off it, and so are the epoch's average and
         # last iterate. An empty one (x_hat = 0, no safe block near lam) falls
         # back to the safe set.
-        wb = _working_blocks(spec, active, x_hat, dp) if screens else active.blocks
+        wb = _working_blocks(spec, active, x_hat, cert) if screens else active.blocks
         if wb.size in (0, active.n_blocks):
             work = safe_work
         elif not np.array_equal(wb, work.active.blocks):
@@ -704,7 +777,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     return SolveReport(
         x_final=x_hat.copy(), trace=trace, converged=converged, outer_iters=k,
         wall_time=time.perf_counter() - start, objective=trace[-1].objective,
-        gap=trace[-1].gap, coord_updates=coord_updates, dual=dp,
+        gap=trace[-1].gap, coord_updates=coord_updates, dual=cert,
         iterates=iterates, active_history=active_history,
     )
 
@@ -785,61 +858,84 @@ def _one_pass_bound(spec):
     return max(base, 1e-12) + 2.0 * spec.mu_p
 
 
-def _refine_support(spec, x):
-    """Solve the smooth stationarity system on the fixed support of x.
+# Newton steps of a refinement have found a root once the residual, the largest
+# entry of the stationarity system, falls to this fraction of lam; a model that
+# holds at the optimum reaches below 1e-13 in a few steps.
+_REFINE_TOL = 1e-9
 
-    Only for max-abs (L1-style) penalties where the subgradient on the support
-    is the sign vector. Returns None when the refinement is unavailable or
-    leaves the sign pattern.
+
+def _refine_support(spec, x):
+    """Solve the smooth stationarity system on the model of x; the point, or None.
+
+    The model is the support of x with its signs for L1, and the features of
+    the blocks where x is nonzero for group-L2. On it the penalty is smooth,
+    lam * sign(x_i) on an L1 coordinate and lam * w_j / ||w_j|| on a group-L2
+    block, so the system A_S' f'(A_S w) / n + 2 mu_p (w - x0_S) + lam grad
+    Omega(w) = 0 has a root wherever the model is the optimum's. Squared loss
+    with L1 solves it as one linear system; every other case takes Newton
+    steps from x, keeping the point of smallest residual. Returns None, and
+    never raises, for an empty support, a singular system, a non-finite
+    value, an L1 sign change, or Newton steps whose residual never falls to
+    _REFINE_TOL * lam, as where a group-L2 block collapses toward zero, which
+    the model cannot express.
     """
-    if spec.reg.name != "l1":
-        return None
-    support = np.flatnonzero(x != 0.0)
+    ds, part, l1 = spec.dataset, spec.partition, spec.reg.name == "l1"
+    if l1:
+        support = np.flatnonzero(x != 0.0)
+    else:
+        nonzero = np.zeros(part.q, dtype=bool)
+        nonzero[part.block_of[x != 0.0]] = True
+        support = np.flatnonzero(nonzero[part.block_of])
     if support.size == 0:
         return None
-    ds = spec.dataset
     signs = np.sign(x[support])
     # column-major: the BLAS products below round differently on a row-major copy
     a_s = ds.A[:, support].toarray(order="F")
-    n = ds.n
+    n, k, loss, lam = ds.n, support.size, spec.loss, spec.lam
     mu_p = spec.mu_p
     anchor_s = spec.anchor[support]
-    ridge = 2.0 * mu_p * np.eye(support.size)
-    if spec.loss.name == "squared":
-        h = a_s.T @ a_s / n + ridge
-        rhs = a_s.T @ ds.y / n - spec.lam * signs + 2.0 * mu_p * anchor_s
-        try:
-            w = np.linalg.solve(h, rhs)
-        except np.linalg.LinAlgError:
-            w = np.linalg.lstsq(h, rhs, rcond=None)[0]
-    else:
-        from scipy.special import expit
-
-        w = x[support].copy()
-        best = None
-        for _ in range(60):
-            z = a_s @ w
-            res = a_s.T @ (expit(z) - ds.y) / n + 2.0 * mu_p * (w - anchor_s) \
-                + spec.lam * signs
-            rnorm = float(np.max(np.abs(res)))
-            if best is None or rnorm < best[0]:
-                best = (rnorm, w.copy())
-            if rnorm < 1e-13:
-                break
-            sg = expit(z)
-            h = (a_s * (sg * (1.0 - sg))[:, None]).T @ a_s / n + ridge \
-                + 1e-13 * np.eye(support.size)
+    ridge = 2.0 * mu_p * np.eye(k)
+    same = None if l1 else part.block_of[support][:, None] == part.block_of[support]
+    with np.errstate(all="ignore"):
+        if l1 and loss.name == "squared":
+            h = a_s.T @ a_s / n + ridge
+            rhs = a_s.T @ ds.y / n - lam * signs + 2.0 * mu_p * anchor_s
             try:
-                step = np.linalg.solve(h, res)
+                w = np.linalg.solve(h, rhs)
             except np.linalg.LinAlgError:
-                break
-            w = w - step
-            if not np.all(np.isfinite(w)):
-                w = best[1]
-                break
+                try:
+                    w = np.linalg.lstsq(h, rhs, rcond=None)[0]
+                except np.linalg.LinAlgError:
+                    return None
         else:
+            best = (math.inf, x[support].copy())  # (residual, point) of the best point
             w = best[1]
-    if not np.all(np.isfinite(w)) or np.any(np.sign(w) != signs):
+            for _ in range(60):
+                z = a_s @ w
+                if not l1:  # each coordinate's block norm, and lam * w / ||w_j||
+                    nrm = np.sqrt((same * w * w).sum(axis=1))
+                    unit = w / nrm
+                res = a_s.T @ loss.deriv(z, ds.y) / n + 2.0 * mu_p * (w - anchor_s) \
+                    + (lam * signs if l1 else lam * unit)
+                rnorm = float(np.max(np.abs(res)))
+                if rnorm < best[0]:
+                    best = (rnorm, w)
+                if rnorm < 1e-13:
+                    break
+                h = (a_s * loss.second_deriv(z, ds.y)[:, None]).T @ a_s / n + ridge \
+                    + 1e-13 * np.eye(k)
+                if not l1:  # lam (I - u u') / ||w_j|| on each block's diagonal
+                    h += (np.eye(k) - same * np.outer(unit, unit)) * (lam / nrm)[:, None]
+                try:
+                    w = w - np.linalg.solve(h, res)
+                except np.linalg.LinAlgError:
+                    break
+                if not np.all(np.isfinite(w)):
+                    break
+            w = best[1]
+            if not best[0] <= _REFINE_TOL * lam:
+                return None
+    if not np.all(np.isfinite(w)) or (l1 and np.any(np.sign(w) != signs)):
         return None
     out = np.zeros(ds.d)
     out[support] = w
@@ -936,7 +1032,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         x, zx = xn, zn
         t_mom = t_new
 
-    refined = _refine_support(spec, x)
+    refined = _refine_support(spec, x) if spec.reg.name == "l1" else None
     if refined is not None:
         obj_r, _, dp_r, gap_r = evaluate(spec, refined, A @ refined, active)
         if np.isfinite(gap_r) and gap_r < gap:

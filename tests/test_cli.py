@@ -1,4 +1,8 @@
+import csv
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -37,7 +41,7 @@ def test_solve_command_writes_trace(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == ("outer_iter,elapsed_s,objective,gap,active_blocks,active_features,"
-                      "radius,working_blocks,restart")
+                      "radius,working_blocks,restart,refined_dual")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -76,6 +80,26 @@ def test_bench_command_runs_plan(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "adsgd" in out
     assert os.path.exists(tmp_path / "runs" / "summary.csv")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
+    """Every cell of a plan whose step size diverges still runs, prints its
+    failure and enters summary.csv; then the command exits with the
+    solve-failure code."""
+    plan = tmp_path / "p.plan"
+    plan.write_text(
+        "n = 40\nd = 30\nnoise = 0.05\nseed = 5\n"
+        "solvers = adsgd\nlambda_ratios = 0.5\nrepetitions = 2\n"
+        "eta = 1000\nmax_outer = 20\n"
+        f"out = {tmp_path / 'runs'}\n")
+    assert main(["bench", str(plan)]) == 4
+    out = capsys.readouterr().out
+    for rep in (0, 1):
+        assert f"FAILED adsgd ratio=0.5 rep={rep}: objective became non-finite" in out
+    with open(tmp_path / "runs" / "summary.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 and all("non-finite" in r["error"] for r in rows)
 
 
 @pytest.mark.parametrize("line,says", [("gap_tl = 1e-9", "unknown key 'gap_tl'"),
@@ -157,3 +181,15 @@ def test_out_dir_env_override(tmp_path, capsys, monkeypatch):
                  "--gap-tol", "1e-3", "--seed", "4", "--out", "r.csv"])
     assert code == 0
     assert os.path.exists(tmp_path / "redirected" / "r.csv")
+
+
+def test_python_dash_m_runs_the_command_line():
+    """python -m gapsgd runs the same front end as the console script."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-m", "gapsgd", "lambda-max", "--synthetic",
+                           "50,40,0.5,0.05"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) > 0.0

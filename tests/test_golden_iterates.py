@@ -65,6 +65,19 @@ storage (_RHO = 0, every working design dense) on one case per solver, a
 full batch, mu_p > 0, a scattered group-L2 partition and an epoch of several
 chunks; they were recorded when that storage was added.
 
+Fourteen cases of the screening solvers were re-recorded when a screening
+solve began to refine its iterate on an identified model and to certify it,
+screen and pick working sets with the refined dual point where that gave a
+smaller gap: adsgd-full-batch, adsgd-full-batch-scattered,
+adsgd-l1-contiguous, adsgd-l1-scattered, adsgd-logistic-group, adsgd-mu-p,
+asgd-full-batch-mu-p, adsgd-full-batch-long-epoch, adsgd-long-epoch,
+dense-adsgd-full-batch, dense-adsgd-l1-contiguous, dense-adsgd-long-epoch,
+dense-adsgd-mu-p and dense-asgd-full-batch-mu-p. Their gaps fall from the
+first identified row on, and their later iterates follow the screens and
+working sets of those gaps; adsgd-full-batch-long-epoch now certifies after
+two outer iterations and returns its refined point. The other asgd cases,
+every mrbcd and proxsvrg case and both reference cases did not move.
+
 python tests/test_golden_iterates.py NAME... prints each named case's entry
 from a fresh run, in the layout below, for such a re-record.
 """
@@ -168,9 +181,9 @@ GOLDEN = {
         "active_blocks": [6, 6, 5, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
             "0x1.4a58be7a76ff8p-2 0x1.1183061c85c38p-3 0x1.1d8d8acd815f0p-4 "
-            "0x1.a8cfc0b69da60p-5 0x1.50b42a458eea0p-5 0x1.ba6ec67fe3c00p-6 "
-            "0x1.343e1c57e5cc0p-6 0x1.626b539878100p-7 0x1.d45ca84b52b00p-8 "
-            "0x1.2f77e58fd4600p-8 0x1.c53688fc9fc00p-9"
+            "0x1.750eecf7e0000p-8 0x1.cb124ae0f9000p-9 0x1.87cb9aab28000p-10 "
+            "0x1.8ebcbe809a000p-11 0x1.1df48822f8000p-12 0x1.0336dbbc1c000p-13 "
+            "0x1.cffc7b4c70000p-15 0x1.ea42f50460000p-16"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -224,10 +237,10 @@ GOLDEN = {
         "coord_updates": 960,
         "active_blocks": [5, 5, 3, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.03c8d7936fb40p-4 0x1.0053065e26800p-6 "
-            "0x1.5372b83f0af80p-7 0x1.ed50166533e00p-8 0x1.12d13d104bb00p-8 "
-            "0x1.d4f8f18321c00p-10 0x1.7f59a6766c800p-11 0x1.618cdce821000p-12 "
-            "0x1.8094765986000p-13 0x1.e36e83ed28000p-15"
+            "0x1.4a58be7a76ff8p-2 0x1.03c8d7936fb40p-4 0x1.4315c05733000p-9 "
+            "0x1.9c18f879ef000p-11 0x1.1f75c48c20000p-13 0x1.0e65b81a90000p-15 "
+            "0x1.b256147700000p-18 0x1.a4f4ca6100000p-20 0x1.d4fc6aac00000p-22 "
+            "0x1.d04150c000000p-24 0x1.7ee61b0000000p-26"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -282,9 +295,9 @@ GOLDEN = {
         "active_blocks": [6, 6, 4, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
             "0x1.4a58be7a76ff8p-2 0x1.27e9fafe0a750p-3 0x1.e2c8f96012200p-5 "
-            "0x1.453b8597fcea0p-5 0x1.411de37694f40p-6 0x1.922f7135ee780p-7 "
-            "0x1.f6b166475cd00p-8 0x1.53bca0427c000p-8 0x1.b6b38ea181600p-9 "
-            "0x1.48a4098243400p-9 0x1.a4c3866aba400p-10"
+            "0x1.c3945cc253800p-9 0x1.c323d101e0000p-11 0x1.ab131c0c1a000p-12 "
+            "0x1.9a06e73210000p-13 0x1.11b820dff0000p-14 0x1.dc3dcef520000p-16 "
+            "0x1.04a05102c0000p-16 0x1.c813fab100000p-18"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -338,10 +351,10 @@ GOLDEN = {
         "coord_updates": 960,
         "active_blocks": [5, 5, 3, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.bf2457960e800p-6 0x1.60adafa260d00p-7 "
-            "0x1.edfda6db5a900p-8 0x1.8bbfc63bc2200p-8 0x1.f56dddf78e800p-9 "
-            "0x1.d67534f3b6400p-10 0x1.2320a5fcfbc00p-10 0x1.28df449f6d800p-11 "
-            "0x1.79d20d25f3000p-12 0x1.037d2db237000p-12"
+            "0x1.4a58be7a76ff8p-2 0x1.bf2457960e800p-6 0x1.8ba9694dc9000p-10 "
+            "0x1.281ba053da000p-12 0x1.eb4dddb688000p-14 0x1.400c2b8b40000p-15 "
+            "0x1.10c60ab080000p-17 0x1.a806542200000p-19 0x1.0b3dff9000000p-20 "
+            "0x1.73766e1800000p-22 0x1.50f069c000000p-23"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -396,9 +409,9 @@ GOLDEN = {
         "active_blocks": [5, 5, 4, 2, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
             "0x1.5107da0332f30p-4 0x1.319e957c93ae0p-6 0x1.1fb655c7bca80p-8 "
-            "0x1.01aece057e800p-10 0x1.9c591b5e9b000p-13 0x1.b4c8ea2aaf000p-13 "
-            "0x1.12b6bb8436000p-14 0x1.93c114ff10000p-16 0x1.9ceeaa6510000p-17 "
-            "0x1.df196fe320000p-18 0x1.3cca983d80000p-19"
+            "0x1.07f820c32a000p-14 0x1.33a80c7f30000p-17 0x1.5616b36f80000p-19 "
+            "0x1.434234fe00000p-22 0x1.5a58386000000p-25 0x1.1179d44000000p-27 "
+            "0x1.27cd750000000p-29 0x1.005a880000000p-32"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -463,9 +476,9 @@ GOLDEN = {
         "active_blocks": [6, 6, 6, 3, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
             "0x1.ae1cbad4dccd0p-2 0x1.dd2f48fa7de30p-3 0x1.5c8f81037d380p-4 "
-            "0x1.3ee0417fc4d80p-5 0x1.78aa4c6061900p-7 0x1.e0920a2bee200p-8 "
-            "0x1.269bd8bde6800p-8 0x1.262dd4ab14000p-9 0x1.47a333abd5800p-10 "
-            "0x1.837a4ecb9b000p-11 0x1.cadc164f0a000p-12"
+            "0x1.3ee0417fc4d80p-5 0x1.842029c808000p-12 0x1.41ad3ff368000p-13 "
+            "0x1.def62a2ae0000p-15 0x1.a80fa13100000p-17 0x1.1c03845000000p-18 "
+            "0x1.84a0066a00000p-20 0x1.0f41d22c00000p-21"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -509,10 +522,10 @@ GOLDEN = {
         "coord_updates": 980,
         "active_blocks": [6, 6, 2, 2, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
-            "0x1.ae1cbad4dccd0p-2 0x1.7379b064ca800p-6 0x1.afe68b5dd8000p-10 "
-            "0x1.3e70e76a80000p-17 0x1.ae5b4ec6c8000p-14 0x1.6ca80f4a38000p-14 "
-            "0x1.4796cee4e0000p-15 0x1.000be5ee80000p-16 0x1.7d61646a00000p-18 "
-            "0x1.16af069d00000p-19 0x1.9419bc4400000p-21"
+            "0x1.ae1cbad4dccd0p-2 0x1.7379b064ca800p-6 0x1.4b43024834000p-13 "
+            "0x1.0f9bd33f80000p-18 0x1.aabd118800000p-21 0x1.23f6358000000p-25 "
+            "0x1.7e4c140000000p-29 0x1.62f3600000000p-32 0x1.68e9000000000p-35 "
+            "0x1.7598000000000p-38 0x0.0p+0"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -545,8 +558,8 @@ GOLDEN = {
             "0x0.0p+0 0x1.52f6695790590p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x1.b87b4712fe8cfp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f638edf629cp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87bf316c2ed7p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda4cfp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aea5p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
@@ -1390,15 +1403,12 @@ def _nonzeros_hex(x):
 
 CHUNK_GOLDEN = {
     "adsgd-full-batch-long-epoch": {
-        "outer_iters": 4,
-        "coord_updates": 4685,
-        "active_blocks": [6, 6, 3, 3, 3],
-        "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.844834d6a0000p-13 0x1.610b343c00000p-22 "
-            "0x1.b0ef500000000p-32 0x1.d480000000000p-42"
-        ),
+        "outer_iters": 2,
+        "coord_updates": 2352,
+        "active_blocks": [6, 6, 3],
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.844834d6a0000p-13 0x1.0000000000000p-51",
         "x_final": (
-            "7:0x1.68e99b1a98538p-2 8:0x1.6ccc7b640f56fp-1 11:0x1.49c81a80b8760p-2"
+            "7:0x1.68e99b1a9588cp-2 8:0x1.6ccc7b6412927p-1 11:0x1.49c81a80b5749p-2"
         ),
     },
 
@@ -1408,11 +1418,11 @@ CHUNK_GOLDEN = {
         "active_blocks": [6, 6, 3, 3, 3, 3, 3],
         "gaps": (
             "0x1.4a58be7a76ff8p-2 0x1.802737836ffa0p-5 0x1.178abe5e63200p-9 "
-            "0x1.0b24142ff4000p-14 0x1.4fefdc8640000p-17 0x1.14ad40dd00000p-20 "
-            "0x1.389b274800000p-23"
+            "0x1.0b24142ff4000p-14 0x1.e210900000000p-32 0x1.6470000000000p-38 "
+            "0x1.0000000000000p-51"
         ),
         "x_final": (
-            "7:0x1.68e9af51fc1dap-2 8:0x1.6ccc6f7292e03p-1 11:0x1.49c8425f04d77p-2"
+            "7:0x1.68e99b1a9588cp-2 8:0x1.6ccc7b6412927p-1 11:0x1.49c81a80b5749p-2"
         ),
     },
 
@@ -1537,9 +1547,9 @@ DENSE_GOLDEN = {
         "active_blocks": [6, 6, 4, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
             "0x1.4a58be7a76ff8p-2 0x1.27e9fafe0a750p-3 0x1.e2c8f96012200p-5 "
-            "0x1.453b8597fcea0p-5 0x1.411de37694f40p-6 0x1.922f7135ee780p-7 "
-            "0x1.f6b166475cd00p-8 0x1.53bca0427c000p-8 0x1.b6b38ea181600p-9 "
-            "0x1.48a4098243400p-9 0x1.a4c3866aba400p-10"
+            "0x1.c3945cc253800p-9 0x1.c323d101e0000p-11 0x1.ab131c0c1a000p-12 "
+            "0x1.9a06e73210000p-13 0x1.11b820dff0000p-14 0x1.dc3dcef520000p-16 "
+            "0x1.04a05102c0000p-16 0x1.c813fab100000p-18"
         ),
         "x_final": (
             "7:0x1.6cceb934d64acp-2 8:0x1.6a4210695e9e7p-1 11:0x1.4caf129d62c46p-2"
@@ -1551,9 +1561,9 @@ DENSE_GOLDEN = {
         "active_blocks": [6, 6, 5, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
             "0x1.4a58be7a76ff8p-2 0x1.1183061c85c38p-3 0x1.1d8d8acd815f0p-4 "
-            "0x1.a8cfc0b69da80p-5 0x1.50b42a458eea0p-5 0x1.ba6ec67fe3bc0p-6 "
-            "0x1.343e1c57e5cc0p-6 0x1.626b539878100p-7 0x1.d45ca84b52b00p-8 "
-            "0x1.2f77e58fd4600p-8 0x1.c53688fc9fa00p-9"
+            "0x1.750eecf7e0000p-8 0x1.cb124ae0f9000p-9 0x1.87cb9aab28000p-10 "
+            "0x1.8ebcbe809a000p-11 0x1.1df48822f8000p-12 0x1.0336dbbc1c000p-13 "
+            "0x1.cffc7b4c70000p-15 0x1.ea42f50450000p-16"
         ),
         "x_final": (
             "7:0x1.6f829d6eef36ep-2 8:0x1.66e93779e1247p-1 11:0x1.4f53eb9105332p-2"
@@ -1565,9 +1575,9 @@ DENSE_GOLDEN = {
         "active_blocks": [6, 6, 6, 3, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
             "0x1.ae1cbad4dccd0p-2 0x1.dd2f48fa7de30p-3 0x1.5c8f81037d380p-4 "
-            "0x1.3ee0417fc4d80p-5 0x1.78aa4c6061900p-7 0x1.e0920a2bee200p-8 "
-            "0x1.269bd8bde6800p-8 0x1.262dd4ab14000p-9 0x1.47a333abd5800p-10 "
-            "0x1.837a4ecb9b000p-11 0x1.cadc164f0a000p-12"
+            "0x1.3ee0417fc4d80p-5 0x1.842029c808000p-12 0x1.41ad3ff368000p-13 "
+            "0x1.def62a2ae0000p-15 0x1.a80fa13100000p-17 0x1.1c03845000000p-18 "
+            "0x1.84a0066a00000p-20 0x1.0f41d22c00000p-21"
         ),
         "x_final": "1:0x1.5285cfae1b516p-1 8:0x1.b9a29bc58f153p-2",
     },
@@ -1577,11 +1587,11 @@ DENSE_GOLDEN = {
         "active_blocks": [6, 6, 3, 3, 3, 3, 3],
         "gaps": (
             "0x1.4a58be7a76ff8p-2 0x1.802737836ffa0p-5 0x1.178abe5e63400p-9 "
-            "0x1.0b24142ff4000p-14 0x1.4fefdc8620000p-17 0x1.14ad40dd00000p-20 "
-            "0x1.389b274800000p-23"
+            "0x1.0b24142ff4000p-14 0x1.e210800000000p-32 0x1.6470000000000p-38 "
+            "0x1.0000000000000p-51"
         ),
         "x_final": (
-            "7:0x1.68e9af51fc1dep-2 8:0x1.6ccc6f7292e04p-1 11:0x1.49c8425f04d7cp-2"
+            "7:0x1.68e99b1a9588cp-2 8:0x1.6ccc7b6412927p-1 11:0x1.49c81a80b5749p-2"
         ),
     },
     "dense-mrbcd-l1-scattered": {
@@ -1623,12 +1633,12 @@ DENSE_GOLDEN = {
         "coord_updates": 980,
         "active_blocks": [6, 6, 2, 2, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
-            "0x1.ae1cbad4dccd0p-2 0x1.7379b064ca800p-6 0x1.afe68b5dd8000p-10 "
-            "0x1.3e70e76a80000p-17 0x1.ae5b4ec6c0000p-14 0x1.6ca80f4a38000p-14 "
-            "0x1.4796cee4e0000p-15 0x1.000be5ee60000p-16 0x1.7d61646a80000p-18 "
-            "0x1.16af069e00000p-19 0x1.9419bc4800000p-21"
+            "0x1.ae1cbad4dccd0p-2 0x1.7379b064ca800p-6 0x1.4b43024834000p-13 "
+            "0x1.0f9bd33f80000p-18 0x1.aabd118400000p-21 0x1.23f6358000000p-25 "
+            "0x1.7e4c140000000p-29 0x1.62f3400000000p-32 0x1.68ea000000000p-35 "
+            "0x1.75a0000000000p-38 0x0.0p+0"
         ),
-        "x_final": "1:0x1.52f638edf629ep-1 8:0x1.b87bf316c2ed7p-2",
+        "x_final": "1:0x1.52f61cafda4cfp-1 8:0x1.b87c52e03aea5p-2",
     },
     "dense-proxsvrg-logistic-group": {
         "outer_iters": 10,

@@ -127,7 +127,11 @@ def test_trace_csv_round_trip(tmp_path):
             TraceRecord(1, 0.0123, 0.3333333333333333, 1e-17, 9, 180,
                         restart="average"),
             TraceRecord(2, 0.0251, 0.30000000000000004, 2e-9, 9, 180,
-                        radius=0.1 + 0.2, working_blocks=4, restart="last")]
+                        radius=0.1 + 0.2, working_blocks=4, restart="last",
+                        refined_dual=True),
+            TraceRecord(3, 0.0302, 0.29999999999999993, 3e-17, 3, 60,
+                        radius=0.01, working_blocks=3, restart="refined",
+                        refined_dual=True)]
     path = tmp_path / "t.csv"
     write_trace_csv(path, rows)
     back = read_trace_csv(path)

@@ -170,6 +170,43 @@ def test_lipschitz_degenerate_zero_matrix():
         G.lipschitz_constants(spec)
 
 
+def _dense_table_lipschitz(spec):
+    """L and T from the dense n x q table of squared (row, block) norms."""
+    ds, part = spec.dataset, spec.partition
+    rows = np.repeat(np.arange(ds.n), np.diff(ds.A.indptr))
+    sq = ds.A.data ** 2
+    table = np.bincount(rows * part.q + part.block_of[ds.A.indices], weights=sq,
+                        minlength=ds.n * part.q)
+    row_sq = np.bincount(rows, weights=sq, minlength=ds.n)
+    c, shift = spec.loss.curvature, 2.0 * spec.mu_p
+    return float(c * table.max() + shift), float(c * row_sq.max() + shift)
+
+
+@pytest.mark.parametrize("q", [1, 5, 40, 400])
+@pytest.mark.parametrize("scattered", [False, True])
+def test_lipschitz_pieces_sum_as_the_dense_table_does(q, scattered):
+    """Each (row, block) piece adds its terms in CSR order, as a bincount over
+    the dense n x q table does, so L and T keep every bit; on a scattered
+    partition a row's pieces interleave."""
+    spec = make_instance(seed=q, n=50, d=400, q=q, sparsity=0.3, mu_p=0.01)
+    if scattered:
+        part = G.BlockPartition([np.arange(j, 400, q) for j in range(q)])
+        spec = G.ProblemSpec(dataset=spec.dataset, partition=part, loss=spec.loss,
+                             reg=spec.reg, lam=spec.lam, mu_p=spec.mu_p)
+    c = G.lipschitz_constants(spec)
+    assert (c.L, c.T) == _dense_table_lipschitz(spec)
+
+
+def test_second_derivatives_match_differences_of_the_derivative():
+    rng = np.random.default_rng(3)
+    z, h = rng.normal(scale=3, size=50), 1e-6
+    y = (rng.random(50) < 0.5).astype(float)
+    for loss in G.LOSSES.values():
+        fd = (loss.deriv(z + h, y) - loss.deriv(z - h, y)) / (2 * h)
+        np.testing.assert_allclose(loss.second_deriv(z, y), fd, rtol=1e-6, atol=1e-9)
+        assert np.all(loss.second_deriv(z, y) <= loss.curvature)
+
+
 def test_deriv_curvature_bound():
     rng = np.random.default_rng(0)
     z1, z2 = rng.normal(scale=3, size=200), rng.normal(scale=3, size=200)

@@ -523,8 +523,12 @@ def test_dense_and_sparse_storage_solve_alike(monkeypatch, case, solver):
         h.tolist() for h in sparse.active_history]
     assert [r.working_blocks for r in dense.trace] == [r.working_blocks
                                                        for r in sparse.trace]
+    assert [r.refined_dual for r in dense.trace] == [r.refined_dual for r in sparse.trace]
+    # a returned refined point's gap can sit at the rounding of the objective,
+    # which only an absolute tolerance of a few ulps of P compares
+    atol = 8.0 * np.finfo(float).eps * max(abs(r.objective) for r in sparse.trace)
     np.testing.assert_allclose([r.gap for r in dense.trace],
-                               [r.gap for r in sparse.trace], rtol=1e-9, atol=0)
+                               [r.gap for r in sparse.trace], rtol=1e-9, atol=atol)
 
 
 def test_dense_storage_reruns_bit_for_bit(monkeypatch):
@@ -817,18 +821,34 @@ def test_a_working_set_missing_a_support_block_still_certifies(monkeypatch):
     lambda: make_instance(seed=45, n=300, d=30, q=6, sparsity=1.0, scale=0.3),
 ], ids=["l1", "logistic-group", "mu-p", "tall"])
 def test_a_converged_report_certifies_the_full_problem(build, solver):
-    """Re-evaluating x_final over every block gives the reported gap, bit for
-    bit, and it is at most gap_tol."""
+    """report.dual is feasible for the full problem: rebuilt from its theta
+    (and kappa), every block's correlation is at most lam. P(x_final) -
+    D(report.dual) gives the reported gap bit for bit, it is at most gap_tol
+    and at least the true suboptimality. Where the dual point is x_final's
+    own, a returned refined point's included, that is also x_final's
+    re-evaluated gap; a refined dual point certifying x_hat gives less."""
     spec = build()
     batch = spec.dataset.n if solver == "asgd" else None
     rep = G.solve(spec, G.SolverConfig(solver=solver, seed=1, gap_tol=1e-6,
                                        max_outer=400, eta=tuned_eta(spec),
                                        batch_size=batch))
     assert rep.converged
-    x = rep.x_final
-    _, _, _, gap = G.solvers.evaluate(spec, x, spec.dataset.A @ x,
-                                      G.ActiveSet.full(spec, bounds=False))
-    assert gap == rep.gap <= 1e-6
+    x, ds = rep.x_final, spec.dataset
+    full = G.ActiveSet.full(spec, bounds=False)
+    corr = ds.A.T @ rep.dual.theta
+    if rep.dual.kappa is not None:
+        corr = corr + rep.dual.kappa
+    worst = G.problem.blockwise_dual_norms(corr, spec.partition, spec.reg).max() / ds.n
+    assert worst <= spec.lam * (1.0 + 1e-12)
+    assert G.duality.duality_gap(spec, x, rep.dual, full) == rep.gap <= 1e-6
+    p_star = G.reference_solve(spec, tol=1e-12).objective
+    assert rep.gap >= G.primal_objective(spec, x) - p_star - 1e-12
+    _, _, _, own = G.solvers.evaluate(spec, x, ds.A @ x, full)
+    last = rep.trace[-1]
+    if last.refined_dual and last.restart != "refined":  # x_hat, certified by x_r's dual
+        assert rep.gap < own
+    else:  # x_final's own dual point
+        assert own == rep.gap
 
 
 @pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
@@ -838,39 +858,61 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         monkeypatch, solver, batch_size, inject):
     """After the starting evaluation every epoch evaluates exactly two
     candidates on the full problem, its average and then its last inner
-    iterate. The next row is the one with the smaller gap, with that
-    evaluation's gap; a tie keeps the average, and a nan gap, injected on
-    either candidate, never wins. batch_size 30 is the full batch."""
+    iterate; a refinement evaluates its point apart from these. The next row
+    is the candidate with the smaller gap; a tie keeps the average, and a nan
+    gap, injected on either candidate, never wins. The row's gap is that
+    evaluation's, or the smaller one a refined dual point gives the same
+    candidate, and a row that certifies so returns the refined point where
+    its objective is no larger. batch_size 30 is the full batch."""
     spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6,
                          mu_p=0.05 * (solver == "asgd"))
     calls, evaluate = [], G.solvers.evaluate
+    certs, certify = [], G.solvers._refined_certificate
 
     def spied(*args):
         obj, g, dp, gap = evaluate(*args)
         k = len(calls)  # 0 starts the solve, odd k is an average, even k a last iterate
         if k and inject == "tie" and k % 2 == 0:
-            gap = calls[-1][1]
+            gap = calls[-1][2]
         elif k and inject == f"nan-{('last', 'average')[k % 2]}":
             gap = np.float64(np.nan)
-        calls.append((args[1].copy(), gap))
+        calls.append((args[1].copy(), obj, gap))
         return obj, g, dp, gap
 
+    def spied_certificate(*args):
+        out = certify(*args)
+        certs.append(out)
+        return out
+
     monkeypatch.setattr(G.solvers, "evaluate", spied)
+    monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
     rep = G.solve(spec, G.SolverConfig(solver=solver, seed=3, m=45, max_outer=6,
                                        batch_size=batch_size, gap_tol=1e-12,
                                        eta=tuned_eta(spec), keep_iterates=True))
-    assert rep.outer_iters == 6 and all(r.working_blocks for r in rep.trace[1:])
+    assert rep.outer_iters == 6 or rep.trace[-1].restart == "refined"
+    assert all(r.working_blocks for r in rep.trace[1:])
     assert len(calls) == 1 + 2 * rep.outer_iters
-    assert rep.trace[0].restart == "start" and rep.trace[0].gap == calls[0][1]
+    assert rep.trace[0].restart == "start" and rep.trace[0].gap == calls[0][2]
+    assert (certs == []) == (solver in ("mrbcd", "proxsvrg") or not any(
+        r.refined_dual for r in rep.trace))
+    dual_values = [c[3] for c in certs if c is not None]
     labels = []
     for k, row in enumerate(rep.trace[1:]):
-        (x_avg, gap_avg), (x_last, gap_last) = calls[2 * k + 1], calls[2 * k + 2]
-        x, gap = {"average": (x_avg, gap_avg), "last": (x_last, gap_last)}[row.restart]
-        assert np.array_equal(rep.iterates[k + 1], x) and row.gap == gap
-        assert row.gap == min(g for g in (gap_avg, gap_last) if np.isfinite(g))
-        if gap_avg == gap_last:
-            assert row.restart == "average"
-        labels.append(row.restart)
+        (x_avg, obj_avg, gap_avg), (x_last, obj_last, gap_last) = calls[2 * k + 1:2 * k + 3]
+        chosen = "last" if np.isfinite(gap_last) and not gap_avg <= gap_last else "average"
+        x, obj, gap = {"average": (x_avg, obj_avg, gap_avg),
+                       "last": (x_last, obj_last, gap_last)}[chosen]
+        assert gap == min(g for g in (gap_avg, gap_last) if np.isfinite(g))
+        if row.restart != "refined":
+            assert row.restart == chosen and np.array_equal(rep.iterates[k + 1], x)
+            want = [obj - v for v in dual_values if obj - v < gap]
+            assert row.gap in (want if row.refined_dual else [gap])
+        else:  # x certified by a refined dual point, whose point is returned
+            ref = next(c for c in certs if c is not None
+                       and np.array_equal(c[0], rep.iterates[k + 1]))
+            assert obj - ref[3] <= 1e-12 and ref[1] <= obj and row.gap == ref[1] - ref[3]
+            assert row.refined_dual and rep.converged and k + 1 == rep.outer_iters
+        labels.append(chosen)
     assert np.array_equal(rep.x_final, rep.iterates[-1])
     if inject == "nan-average":
         assert set(labels) == {"last"}
@@ -1264,8 +1306,9 @@ def test_spectral_bound_dominates_average_hessian():
 
 def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch):
     """adsgd forms A'g once per evaluation, plus once per truncation refresh
-    (the only call of smooth_gradient in the engine); mrbcd never refreshes.
-    An evaluation starts the solve and each epoch evaluates two candidates.
+    (the only call of smooth_gradient in the engine) and once per support
+    refinement that finds a point; mrbcd does neither. An evaluation starts
+    the solve and each epoch evaluates two candidates.
     At this step size, epoch length and batch a screen drops a block where
     x_hat is nonzero."""
     spec = make_instance(seed=4, n=60, d=80, q=10)
@@ -1282,17 +1325,27 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
         counts["refreshes"] += 1
         return smooth_gradient(*args)
 
+    def counted_refine(*args):
+        out = refine(*args)
+        counts["refinements"] += out is not None
+        return out
+
+    counts["refinements"] = 0
+    refine = G.solvers._refine_support
     monkeypatch.setattr(G.Dataset, "rmatvec", counted_rmatvec)
     monkeypatch.setattr(G.solvers, "smooth_gradient", counted_smooth_gradient)
+    monkeypatch.setattr(G.solvers, "_refine_support", counted_refine)
     rep = G.adsgd_solve(spec, cfg)
     assert rep.converged and rep.active_history[-1].size < spec.partition.q
     drops = sum(b.size < a.size for a, b in zip(rep.active_history, rep.active_history[1:]))
-    assert 0 < counts["refreshes"] <= drops
+    assert 0 < counts["refreshes"] <= drops and counts["refinements"] > 0
     assert all(r.working_blocks > 0 for r in rep.trace[1:])  # every row ran an epoch
-    assert counts["products"] == 1 + 2 * rep.outer_iters + counts["refreshes"]
-    counts.update(products=0, refreshes=0)
+    assert counts["products"] == (1 + 2 * rep.outer_iters + counts["refreshes"]
+                                  + counts["refinements"])
+    counts.update(products=0, refreshes=0, refinements=0)
     rep = G.mrbcd_solve(spec, dataclasses.replace(cfg, solver="mrbcd"))
-    assert counts == {"products": 1 + 2 * rep.outer_iters, "refreshes": 0}
+    assert counts == {"products": 1 + 2 * rep.outer_iters, "refreshes": 0,
+                      "refinements": 0}
 
 
 def _count_reference_work(monkeypatch, spec):
@@ -1405,3 +1458,200 @@ def test_reference_doubles_up_from_a_start_d_times_too_low(monkeypatch):
     doublings = counts["prox_points"] - rep.outer_iters
     assert 1 <= doublings <= math.ceil(math.log2(d)) + 1
     assert counts["forward"] == rep.outer_iters + doublings + counts["refinements"]
+
+
+# --------------------------------------------------------- support refinement
+
+REFINE_CASES = {
+    "l1-squared": lambda: make_instance(seed=51, n=60, d=90, q=10),
+    "l1-logistic": lambda: make_instance(seed=52, n=120, d=60, q=10, model="logistic"),
+    "group-squared": lambda: make_instance(seed=53, n=60, d=80, q=10, reg="group_l2"),
+    "group-logistic": lambda: make_instance(seed=54, n=120, d=60, q=12, model="logistic",
+                                            reg="group_l2"),
+    "group-mu-p": lambda: make_instance(seed=55, n=60, d=80, q=10, reg="group_l2",
+                                        mu_p=0.01),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFINE_CASES))
+def test_refinement_lands_on_the_optimum_from_a_point_of_its_model(case):
+    """From a point 5% off the optimum on its model, the refinement returns
+    the reference optimum (tol 1e-12) to 1e-10, with a full gap below 1e-12."""
+    spec = REFINE_CASES[case]()
+    x_star = G.reference_solve(spec, tol=1e-12).x_final
+    rng = np.random.default_rng(0)
+    x = x_star * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=x_star.size))
+    x_r = G.solvers._refine_support(spec, x)
+    assert x_r is not None
+    assert np.array_equal(x_r != 0.0, x_star != 0.0)
+    assert np.max(np.abs(x_r - x_star)) <= 1e-10
+    assert _full_gap(spec, x_r) <= 1e-12
+
+
+def _off_model(spec, x_star, how):
+    x = x_star.copy()
+    if how == "sign-change":  # the largest coordinate's sign flipped
+        j = np.argmax(np.abs(x))
+        x[j] = -x[j]
+    elif how == "collapsing-block":  # a block that is zero at the optimum made nonzero
+        part = spec.partition
+        j = next(j for j in range(part.q) if not np.any(x[part.groups[j]]))
+        x[part.groups[j]] = 0.01
+    elif how == "nan":
+        x[np.flatnonzero(x)[0]] = np.nan
+    elif how == "overflow":  # block norms past the float range
+        x *= 1e200
+    return x
+
+
+@pytest.mark.parametrize("case, how", [
+    ("l1-squared", "sign-change"), ("l1-logistic", "sign-change"),
+    ("l1-squared", "nan"), ("l1-logistic", "overflow"),
+    ("group-squared", "collapsing-block"), ("group-logistic", "collapsing-block"),
+    ("group-mu-p", "collapsing-block"), ("group-logistic", "nan"),
+    ("group-squared", "overflow"), ("group-logistic", "overflow"),
+])
+def test_refinement_off_the_model_returns_none_without_raising(case, how):
+    """Warnings are errors here, so no overflow or invalid operation escapes."""
+    spec = REFINE_CASES[case]()
+    x = _off_model(spec, G.reference_solve(spec, tol=1e-12).x_final, how)
+    assert G.solvers._refine_support(spec, x) is None
+    assert G.solvers._refine_support(spec, np.zeros(spec.dataset.d)) is None
+
+
+def _spy_refinements(monkeypatch):
+    """Record every call of the engine's support refinement: (x, its model)."""
+    calls, refine = [], G.solvers._refine_support
+
+    def spied(spec, x):
+        calls.append((x.copy(), G.solvers._model(spec, x).tobytes()))
+        return refine(spec, x)
+
+    monkeypatch.setattr(G.solvers, "_refine_support", spied)
+    return calls
+
+
+SCREENED_RUNS = {
+    "lasso": lambda: make_instance(seed=56, n=100, d=200, q=10),
+    "logistic-group": lambda: make_instance(seed=57, n=200, d=100, q=10, model="logistic",
+                                            reg="group_l2", support=3),
+    "mu-p": lambda: make_instance(seed=58, n=100, d=150, q=10, mu_p=0.01),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
+def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
+        monkeypatch, case):
+    """Along adsgd runs that refine, every row's gap is at least its
+    objective's distance to P*. Each screen is centred at the dual point that
+    gives its row's gap, with the safe radius of that gap, and its sphere
+    holds the dual optimum: ||u - u_o|| <= r + r_o, u_o being the oracle's
+    dual point. The solve returns the refined point, labelled "refined"."""
+    spec = SCREENED_RUNS[case]()
+    oracle = G.reference_solve(spec, tol=1e-12)
+    r_o = G.safe_radius(spec, oracle.gap)
+    screens, screen = [], G.solvers.screen
+
+    def spied(spec, dp, r, active):
+        screens.append((dp, r))
+        return screen(spec, dp, r, active)
+
+    monkeypatch.setattr(G.solvers, "screen", spied)
+    calls = _spy_refinements(monkeypatch)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
+                                             eta=tuned_eta(spec)))
+    assert rep.converged and calls and rep.trace[-1].restart == "refined"
+    assert any(r.refined_dual for r in rep.trace[:-1])  # some screen used a refined centre
+    for row in rep.trace:
+        assert row.gap >= row.objective - oracle.objective - 1e-13
+    u_o = _stacked(oracle.dual)
+    full = G.ActiveSet.full(spec, bounds=False)
+    assert len(screens) == rep.outer_iters
+    for row, (dp, r) in zip(rep.trace, screens):  # each screen follows its row
+        assert row.gap == row.objective - G.duality._dual_value(spec, dp, full)
+        assert r == G.safe_radius(spec, row.gap)
+        assert np.linalg.norm(_stacked(dp) - u_o) <= r + r_o
+
+
+def _stacked(dp):
+    return dp.theta if dp.kappa is None else np.concatenate([dp.theta, dp.kappa])
+
+
+@pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
+def test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict(monkeypatch, case):
+    """A refinement that answers with its point minus the support block of
+    largest norm gives a dual point far from the optimum: no row certifies
+    with it, no support block of the optimum is screened, and the solve
+    still ends on a true certificate, never returning the wrong point."""
+    spec = SCREENED_RUNS[case]()
+    oracle = G.reference_solve(spec, tol=1e-12)
+    part = spec.partition
+    refine = G.solvers._refine_support
+
+    def wrong(spec, x):
+        out = refine(spec, x)
+        if out is None:
+            return None
+        norms = [np.linalg.norm(out[g]) for g in part.groups]
+        out[part.groups[int(np.argmax(norms))]] = 0.0
+        return out
+
+    monkeypatch.setattr(G.solvers, "_refine_support", wrong)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
+                                             eta=tuned_eta(spec)))
+    support = set(part.block_of[np.flatnonzero(oracle.x_final)].tolist())
+    assert support <= set(rep.active_history[-1].tolist())
+    assert not any(r.refined_dual and r.gap <= 1e-10 for r in rep.trace)
+    assert all(r.restart != "refined" for r in rep.trace)
+    for row in rep.trace:
+        assert row.gap >= row.objective - oracle.objective - 1e-13
+    assert rep.converged
+    assert G.primal_objective(spec, rep.x_final) - oracle.objective <= 1e-10
+
+
+@pytest.mark.parametrize("solver", ["adsgd", "asgd"])
+@pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
+def test_screening_solves_refine_each_identified_model_once(monkeypatch, solver, case):
+    """A screening solve refines x_hat only where the safe set holds exactly
+    the blocks where x_hat is nonzero and the previous iterate had the same
+    model (signs for L1, nonzero pattern for group-L2), of at most n
+    nonzeros, and at most once per model."""
+    spec = SCREENED_RUNS[case]()
+    calls = _spy_refinements(monkeypatch)
+    batch = spec.dataset.n if solver == "asgd" else None
+    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=2, gap_tol=1e-10,
+                                       max_outer=300, eta=tuned_eta(spec),
+                                       batch_size=batch, keep_iterates=True))
+    assert rep.converged and calls
+    models = [m for _, m in calls]
+    assert len(models) == len(set(models))
+    block_of = spec.partition.block_of
+    for x, model in calls:
+        assert np.count_nonzero(x) <= spec.dataset.n
+        k = next((k for k, it in enumerate(rep.iterates) if np.array_equal(it, x)), None)
+        if k is None:  # the last x_hat, whose refined point the solve returned
+            assert rep.trace[-1].restart == "refined"
+            k = len(rep.iterates) - 1
+        assert k > 0 and G.solvers._model(spec, rep.iterates[k - 1]).tobytes() == model
+        assert np.array_equal(np.unique(block_of[np.flatnonzero(x)]),
+                              rep.active_history[k])
+
+
+def test_a_refinement_fixes_the_signs_of_an_l1_model_and_the_pattern_of_a_group_model():
+    x = np.array([0.0, 1.5, -2.0, 0.0, 3.0, 0.5])
+    flipped = x * np.array([1, 1, -1, 1, 1, 1])
+    l1 = make_instance(seed=1, n=20, d=6, q=3, support=2)
+    group = make_instance(seed=1, n=20, d=6, q=3, support=2, reg="group_l2")
+    assert not np.array_equal(G.solvers._model(l1, x), G.solvers._model(l1, flipped))
+    assert np.array_equal(G.solvers._model(group, x), G.solvers._model(group, flipped))
+    assert not np.array_equal(G.solvers._model(group, x), G.solvers._model(group, x[::-1]))
+
+
+@pytest.mark.parametrize("solver", ["mrbcd", "proxsvrg"])
+def test_solvers_that_never_screen_never_refine(monkeypatch, solver):
+    spec = SCREENED_RUNS["logistic-group"]()
+    calls = _spy_refinements(monkeypatch)
+    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=2, gap_tol=1e-10,
+                                       max_outer=300, eta=tuned_eta(spec)))
+    assert rep.converged and calls == []
+    assert not any(r.refined_dual for r in rep.trace)

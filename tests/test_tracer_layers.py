@@ -36,20 +36,27 @@ def test_every_traced_layer_resolves():
             assert callable(getattr(obj, method, None)), (registry, obj, method)
 
 
-def test_traced_screening_solve_reaches_every_outer_layer():
+def test_traced_screening_solve_reaches_every_outer_layer(monkeypatch):
     """Every layer is reached on each storage of the working design. The
     3%-dense instance runs its epochs on the sparse storage, which gathers
     rows through problem._gather_rows; the 50%-dense one runs on the dense
     storage, which gathers rows by one fancy index and never calls it."""
+    refine, found = G.solvers._refine_support, []
+    monkeypatch.setattr(G.solvers, "_refine_support",
+                        lambda *args: found.append(refine(*args)) or found[-1])
     for sparsity, dense in ((0.03, False), (0.5, True)):
+        found.clear()
         spec = make_instance(seed=1, n=60, d=80, q=10, sparsity=sparsity)
         cfg = G.SolverConfig(seed=1, gap_tol=1e-6, max_outer=40, eta=tuned_eta(spec, 1.0))
         with _tracer().Tracer().trace() as record:
             rep = G.solve(spec, cfg)
         calls = {layer: stat.calls for layer, stat in record.stats.items()}
-        # one evaluation starts the solve, and each epoch evaluates two candidates
+        # one evaluation starts the solve, each epoch evaluates two candidates,
+        # and each refined point is evaluated once
         assert all(r.working_blocks > 0 for r in rep.trace[1:])
-        evaluations = 1 + 2 * rep.outer_iters
+        refined = sum(x is not None for x in found)
+        assert refined > 0
+        evaluations = 1 + 2 * rep.outer_iters + refined
         assert calls["duality.dual_point"] == calls["duality.dual_value"] == evaluations
         assert calls["duality.screen"] == rep.outer_iters
         assert calls["duality.column_bounds"] == 1
