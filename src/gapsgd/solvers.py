@@ -39,9 +39,11 @@ The iterate's own dual point is wrong to first order, so its gap tracks
 about the square root of the suboptimality. A screening solve therefore
 certifies on the identified model: once the safe set holds exactly the
 blocks where x_hat is nonzero and x_hat has the previous iterate's model
-(its signs for L1, its nonzero pattern for group-L2; _model), with at most n
-nonzeros, _refine_support solves the smooth stationarity system on that
-model, once per distinct model (later iterates of a model reuse it). The
+(its signs for L1, its nonzero pattern for group-L2; _model), of k <= n
+unknowns with n k^2 at most _REFINE_COST times the design's stored entries,
+_refine_support solves the smooth stationarity system on that model, in at
+most _REFINE_STEPS Newton steps, once while the model holds (later iterates
+of it reuse the result). The
 refined point x_r is evaluated on the full problem, and its dual point
 certifies x_hat wherever P(x_hat) - D(theta_r) is the smaller gap: that gap
 is the row's, the stop test's and the safe radius's, and theta_r is the
@@ -287,6 +289,12 @@ def _resolve(spec, config):
 _RHO = 0.1
 
 
+def _is_dense(nnz, n, p):
+    """Whether a design of nnz stored entries over n rows and p columns takes
+    the dense storage: the one test of the engine and the public gradients."""
+    return nnz >= _RHO * n * p
+
+
 @dataclasses.dataclass
 class _Working:
     """The design restricted to the active features, its columns numbered block by block.
@@ -313,7 +321,7 @@ class _Working:
         None. Built when first read: the engine reads it for the designs its
         epochs run on, not for the safe set's design it only cuts from."""
         (cols, vals, row_of), n, p = self.entries, self.indptr.size - 1, self.features.size
-        if vals.size < _RHO * n * p:
+        if not _is_dense(vals.size, n, p):
             return None
         out = np.zeros((n, p))
         out[row_of, cols] = vals
@@ -508,8 +516,8 @@ def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     the kernel the engine runs on that design's storage.
 
     Only the batch's rows are gathered, in the engine's block-major column
-    numbering, and the storage follows _Working.dense's density test on the
-    whole design without building its dense twin. With variance reduction
+    numbering, and the storage follows _is_dense on the whole design, as
+    _Working.dense does, without building its dense twin. With variance reduction
     x_tilde is the snapshot, whose derivatives are formed on the batch alone,
     and mu its smooth gradient; without it the anchor is the reference point.
     """
@@ -521,7 +529,7 @@ def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     g_b = None if x_tilde is None else spec.loss.deriv(rows @ x_tilde, y_b)
     x_ref = spec.anchor if x_tilde is None else x_tilde
     tail = (None if mu is None else mu[f], x_ref[f], spec.mu_p)
-    if ds.A.nnz >= _RHO * ds.n * ds.d:
+    if _is_dense(ds.A.nnz, ds.n, ds.d):
         return dense_step_gradient(spec.loss, x[f], rows.toarray()[:, f], y_b, g_b, lo,
                                    hi, *tail)
     feats, vals = rows.indices, rows.data
@@ -602,8 +610,9 @@ def _model(spec, x):
 
 def _refined_certificate(spec, x, full):
     """(x_r, P(x_r), dual point, dual value) of the refinement of x on the
-    full problem, or None where _refine_support finds no point."""
-    x_r = _refine_support(spec, x)
+    full problem, or None where _refine_support finds no point within
+    _REFINE_STEPS Newton steps whose residual reaches _REFINE_TOL * lam."""
+    x_r = _refine_support(spec, x, _REFINE_TOL * spec.lam, _REFINE_STEPS)
     if x_r is None:
         return None
     z = spec.dataset.A @ x_r
@@ -637,7 +646,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     converged = False
     k = 0
     radius, width = math.inf, 0
-    model, certificates = None, {}  # the last iterate's model; refinements by model
+    model, slot = None, (None, None)  # the last iterate's model; the last refinement's
     start = time.perf_counter()
     evaluation, restart = evaluate(spec, x_hat, A @ x_hat, full), "start"
 
@@ -649,18 +658,22 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
             # the blocks where x_hat is nonzero and the model unchanged since the
             # last iterate, the refinement's dual point certifies x_hat where its
             # gap is smaller. The snapshot keeps x_hat's own derivatives and
-            # gradient. A model of more than n nonzeros is left unrefined: its
-            # system has more unknowns than samples, and costs O(p^3).
+            # gradient. A model of k unknowns, the nonzeros for L1 and the safe
+            # set's features for group-L2, is refined only with at most n of
+            # them and within _REFINE_COST; the slot keeps the last model's
+            # refinement while that model holds.
             prev, model = model, _model(spec, x_hat)
             identified = (prev is not None and np.array_equal(model, prev)
-                          and np.count_nonzero(model) <= n
                           and np.array_equal(np.unique(block_of[np.flatnonzero(x_hat)]),
                                              active.blocks))
-            if identified and gap > config.gap_tol:
+            unknowns = (np.count_nonzero(x_hat) if reg.name == "l1"
+                        else active.n_features)
+            if (identified and gap > config.gap_tol and unknowns <= n
+                    and n * unknowns * unknowns <= _REFINE_COST * A.nnz):
                 key = model.tobytes()
-                if key not in certificates:
-                    certificates[key] = _refined_certificate(spec, x_hat, full)
-                ref = certificates[key]
+                if slot[0] != key:
+                    slot = key, _refined_certificate(spec, x_hat, full)
+                ref = slot[1]
                 if ref is not None and obj - ref[3] < gap:
                     cert, gap, refined = ref[2], obj - ref[3], True
                     if gap <= config.gap_tol and ref[1] <= obj:  # return the better point
@@ -858,13 +871,35 @@ def _one_pass_bound(spec):
     return max(base, 1e-12) + 2.0 * spec.mu_p
 
 
-# Newton steps of a refinement have found a root once the residual, the largest
-# entry of the stationarity system, falls to this fraction of lam; a model that
-# holds at the optimum reaches below 1e-13 in a few steps.
+# A screening solve accepts a refinement once the residual of its Newton
+# steps, the largest entry of the stationarity system, falls to this fraction
+# of lam; a model that holds at the optimum reaches below 1e-13 in a few steps.
 _REFINE_TOL = 1e-9
 
+# Newton steps a screening solve's refinement may take. Along adsgd and asgd
+# runs on the benchmark workloads and the tests' instances, every refinement
+# that reached _REFINE_TOL took at most 4 steps; one on a wrong model runs to
+# the cap, so a lower cap bounds what a failed refinement costs.
+_REFINE_STEPS = 10
 
-def _refine_support(spec, x):
+# A screening solve refines a model of k unknowns only where n * k^2, the
+# multiply-adds of one Newton step's Hessian, is at most this many times the
+# design's stored entries, which one evaluation reads twice. One Newton step
+# over one full evaluation (logistic loss, group-L2, on one core of a 2-core
+# x86-64 host with OpenBLAS), for n k^2 / nnz = 2 / 25 / 225 on a 500 x 2000
+# design at 20% density: 0.32 / 1.0 / 6.2; at 9 / 100 / 903 on 1000 x 5000 at
+# 2%: 0.56 / 2.1 / 10.5; at 2 / 25 / 225 on a dense 2000 x 400: 0.28 / 1.0 /
+# 4.1. At the bound a step costs two to three evaluations, while an adsgd
+# epoch costs 7 to 38 of them on the benchmark workloads (median epoch over
+# one evaluation: 1.20 / 0.171 ms on logistic-group, 6.00 / 0.160 ms on
+# lasso-tall, 6.27 / 0.341 ms on lasso-sparse). A refinement that converges,
+# in at most 4 steps, so costs about an epoch or less, and one on a wrong model
+# at most _REFINE_STEPS steps. The benchmark's refinements lie at 9
+# (logistic-group), 0.6 (lasso-tall) and 0.5 (lasso-sparse).
+_REFINE_COST = 100.0
+
+
+def _refine_support(spec, x, tol=None, max_steps=60):
     """Solve the smooth stationarity system on the model of x; the point, or None.
 
     The model is the support of x with its signs for L1, and the features of
@@ -872,12 +907,13 @@ def _refine_support(spec, x):
     lam * sign(x_i) on an L1 coordinate and lam * w_j / ||w_j|| on a group-L2
     block, so the system A_S' f'(A_S w) / n + 2 mu_p (w - x0_S) + lam grad
     Omega(w) = 0 has a root wherever the model is the optimum's. Squared loss
-    with L1 solves it as one linear system; every other case takes Newton
-    steps from x, keeping the point of smallest residual. Returns None, and
-    never raises, for an empty support, a singular system, a non-finite
-    value, an L1 sign change, or Newton steps whose residual never falls to
-    _REFINE_TOL * lam, as where a group-L2 block collapses toward zero, which
-    the model cannot express.
+    with L1 solves it as one linear system; every other case takes at most
+    max_steps Newton steps from x and returns the point of smallest residual,
+    or the last point where a step's system is singular. Returns None, and
+    never raises, for an empty support, a system no solver can take, a
+    non-finite value or an L1 sign change; with a tol, also where the Newton
+    residual never falls to tol, as where a group-L2 block collapses toward
+    zero, which the model cannot express.
     """
     ds, part, l1 = spec.dataset, spec.partition, spec.reg.name == "l1"
     if l1:
@@ -895,7 +931,12 @@ def _refine_support(spec, x):
     mu_p = spec.mu_p
     anchor_s = spec.anchor[support]
     ridge = 2.0 * mu_p * np.eye(k)
-    same = None if l1 else part.block_of[support][:, None] == part.block_of[support]
+    if not l1:  # each coordinate's block, numbered 0.., and the pairs within blocks
+        _, bid = np.unique(part.block_of[support], return_inverse=True)
+        members = [np.flatnonzero(bid == b) for b in range(bid.max() + 1)]
+        pi = np.concatenate([np.repeat(m, m.size) for m in members])
+        pj = np.concatenate([np.tile(m, m.size) for m in members])
+        diag = pi == pj
     with np.errstate(all="ignore"):
         if l1 and loss.name == "squared":
             h = a_s.T @ a_s / n + ridge
@@ -910,10 +951,10 @@ def _refine_support(spec, x):
         else:
             best = (math.inf, x[support].copy())  # (residual, point) of the best point
             w = best[1]
-            for _ in range(60):
+            for _ in range(max_steps):
                 z = a_s @ w
                 if not l1:  # each coordinate's block norm, and lam * w / ||w_j||
-                    nrm = np.sqrt((same * w * w).sum(axis=1))
+                    nrm = np.sqrt(np.bincount(bid, weights=w * w))[bid]
                     unit = w / nrm
                 res = a_s.T @ loss.deriv(z, ds.y) / n + 2.0 * mu_p * (w - anchor_s) \
                     + (lam * signs if l1 else lam * unit)
@@ -924,16 +965,18 @@ def _refine_support(spec, x):
                     break
                 h = (a_s * loss.second_deriv(z, ds.y)[:, None]).T @ a_s / n + ridge \
                     + 1e-13 * np.eye(k)
-                if not l1:  # lam (I - u u') / ||w_j|| on each block's diagonal
-                    h += (np.eye(k) - same * np.outer(unit, unit)) * (lam / nrm)[:, None]
+                if not l1:  # lam (I - u u') / ||w_j|| within each block
+                    h[pi, pj] += (diag - unit[pi] * unit[pj]) * (lam / nrm)[pi]
                 try:
-                    w = w - np.linalg.solve(h, res)
+                    step = np.linalg.solve(h, res)
                 except np.linalg.LinAlgError:
+                    best = (rnorm, w)  # the point whose system is singular
                     break
+                w = w - step
                 if not np.all(np.isfinite(w)):
                     break
             w = best[1]
-            if not best[0] <= _REFINE_TOL * lam:
+            if tol is not None and not best[0] <= tol:
                 return None
     if not np.all(np.isfinite(w)) or (l1 and np.any(np.sign(w) != signs)):
         return None
