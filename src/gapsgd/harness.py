@@ -205,7 +205,7 @@ class ExperimentPlan:
 
 TRACE_HEADER = ["outer_iter", "elapsed_s", "objective", "gap",
                 "active_blocks", "active_features", "radius", "working_blocks",
-                "restart", "refined_dual"]
+                "restart", "refined_dual", "identified"]
 
 
 def write_trace_csv(path, trace):
@@ -216,7 +216,7 @@ def write_trace_csv(path, trace):
             w.writerow([repr(r.outer_iter), repr(r.elapsed_s), repr(r.objective),
                         repr(r.gap), repr(r.active_blocks), repr(r.active_features),
                         repr(r.radius), repr(r.working_blocks), r.restart,
-                        int(r.refined_dual)])
+                        int(r.refined_dual), int(r.identified)])
 
 
 def read_trace_csv(path):
@@ -232,7 +232,8 @@ def read_trace_csv(path):
                                    active_blocks=int(row[4]),
                                    active_features=int(row[5]), radius=float(row[6]),
                                    working_blocks=int(row[7]), restart=row[8],
-                                   refined_dual=row[9] == "1"))
+                                   refined_dual=row[9] == "1",
+                                   identified=row[10] == "1"))
     return out
 
 

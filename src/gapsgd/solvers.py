@@ -37,22 +37,25 @@ formed again only when screening truncates the snapshot.
 
 The iterate's own dual point is wrong to first order, so its gap tracks
 about the square root of the suboptimality. A screening solve therefore
-certifies on the identified model: once the safe set holds exactly the
-blocks where x_hat is nonzero and x_hat has the previous iterate's model
-(its signs for L1, its nonzero pattern for group-L2; _model), of k <= n
-unknowns with n k^2 at most _REFINE_COST times the design's stored entries,
-_refine_support solves the smooth stationarity system on that model, in at
-most _REFINE_STEPS Newton steps, once while the model holds (later iterates
-of it reuse the result). The
-refined point x_r is evaluated on the full problem, and its dual point
-certifies x_hat wherever P(x_hat) - D(theta_r) is the smaller gap: that gap
-is the row's, the stop test's and the safe radius's, and theta_r is the
-sphere's centre and scores the working set, while the snapshot keeps
-x_hat's own derivatives and gradient. A solve certified so returns x_r where
-P(x_r) <= P(x_hat), else x_hat, and report.dual is the certifying dual
-point, so P(x_final) - D(report.dual) is report.gap. theta_r is scaled over
-every block like any dual point, so a refinement on a wrong model gives a
-larger gap, which is never used, and cannot make a certificate false.
+certifies with a refined dual point (_certify): once x_hat has the previous
+iterate's model (its signs for L1, its nonzero pattern for group-L2;
+_model), of k <= n unknowns with n k^2 at most _REFINE_COST times the
+design's stored entries, _refine_support solves the smooth stationarity
+system on that model, in at most _REFINE_STEPS Newton steps, once while the
+model holds (later iterates of it reuse the result). The refined point x_r
+is evaluated on the full problem, and its dual point certifies x_hat
+wherever P(x_hat) - D(theta_r) is the smaller gap: that gap is the row's and
+the safe radius's, and theta_r is the sphere's centre and scores the working
+set, while the snapshot keeps x_hat's own derivatives and gradient. theta_r
+is scaled over every block like any dual point, so its gap bounds the
+suboptimality and its sphere is safe whether or not the model is the
+optimum's (Gap Safe: Fercoq, Gramfort & Salmon, ICML 2015), and a
+refinement on a wrong model gives a larger gap, which is never used. Only
+the stop waits for identification: a refined gap ends the solve once the
+safe set also holds exactly the blocks where x_hat is nonzero. A solve
+certified so returns x_r where P(x_r) <= P(x_hat), else x_hat, and
+report.dual is the certifying dual point, so P(x_final) - D(report.dual) is
+report.gap.
 
 Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
@@ -202,7 +205,10 @@ class TraceRecord:
     average or its last inner iterate, whichever had the smaller gap, or
     "refined" where a screening solve returns the refined point that its
     last row certifies. refined_dual is True where the gap comes from the
-    dual point of x_hat's support refinement rather than x_hat's own. The
+    dual point of x_hat's support refinement rather than x_hat's own, and
+    identified where a screening solve has identified x_hat's model: it is
+    the previous iterate's and the safe set holds exactly its nonzero
+    blocks. A refined gap stops a solve only on an identified row. The
     reference solver's rows after the first are "last".
     """
 
@@ -216,6 +222,7 @@ class TraceRecord:
     working_blocks: int = 0
     restart: str = "start"
     refined_dual: bool = False
+    identified: bool = False
 
 
 @dataclasses.dataclass
@@ -620,6 +627,40 @@ def _refined_certificate(spec, x, full):
     return x_r, primal_objective(spec, x_r, z), dp, _dual_value(spec, dp, full)
 
 
+def _certify(spec, full, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
+    """The refinement gate of a screening solve's row (module docstring).
+
+    x_hat's evaluation on the full problem gives obj, dp and gap; prev is the
+    previous iterate's model and slot the last refinement, keyed by its
+    model's bytes. Returns (cert, gap, refined, identified, kept, model,
+    slot): the row's certifying dual point and gap, whether they are a
+    refinement's, whether the model is identified, (x_r, P(x_r)) where the
+    row returns the refined point (else None), x_hat's model and the slot.
+    """
+    part, n, nnz = spec.partition, spec.dataset.n, spec.dataset.A.nnz
+    model = _model(spec, x_hat)
+    stable = prev is not None and np.array_equal(model, prev)
+    blocks = np.unique(part.block_of[np.flatnonzero(x_hat)])
+    identified = stable and np.array_equal(blocks, active.blocks)
+    unknowns = (np.count_nonzero(x_hat) if spec.reg.name == "l1"
+                else int(part.sizes[blocks].sum()))
+    cert, refined, kept = dp, False, None
+    if (stable and gap > gap_tol and unknowns <= n
+            and n * unknowns * unknowns <= _REFINE_COST * nnz):
+        key = model.tobytes()
+        if slot[0] != key:
+            slot = key, _refined_certificate(spec, x_hat, full)
+        ref = slot[1]
+        if ref is not None and obj - ref[3] < gap:
+            cert, gap, refined = ref[2], obj - ref[3], True
+            if identified and gap <= gap_tol and ref[1] <= obj:  # return the better point
+                kept, gap = ref[:2], ref[1] - ref[3]
+    return cert, gap, refined, identified, kept, model, slot
+
+
+# A diverging solve overflows in its steps and evaluations; the non-finite
+# objective check reports that as a DivergenceError, without numpy's warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     ds = spec.dataset
     n, d = ds.n, ds.d
@@ -631,7 +672,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     kernel, dense_kernel = step_gradient, dense_step_gradient
     prox, thresh = reg.block_prox, eta * lam
     rng = np.random.Generator(np.random.Philox(config.seed))
-    A, y, q, block_of = ds.A, ds.y, spec.partition.q, spec.partition.block_of
+    A, y, q = ds.A, ds.y, spec.partition.q
     # batch_size == n is the degenerate deterministic case: the batch is the
     # whole dataset (no draw), otherwise sample with replacement
     sampled = batch_size < n
@@ -652,46 +693,29 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
 
     while True:
         obj, g_snap, dp, gap = evaluation
-        mu_full, cert, refined = dp.gradient, dp, False
+        mu_full, cert, refined, identified = dp.gradient, dp, False, False
         if screens and np.isfinite(obj):
-            # Once screening has identified the model, the safe set holding just
-            # the blocks where x_hat is nonzero and the model unchanged since the
-            # last iterate, the refinement's dual point certifies x_hat where its
-            # gap is smaller. The snapshot keeps x_hat's own derivatives and
-            # gradient. A model of k unknowns, the nonzeros for L1 and the safe
-            # set's features for group-L2, is refined only with at most n of
-            # them and within _REFINE_COST; the slot keeps the last model's
-            # refinement while that model holds.
-            prev, model = model, _model(spec, x_hat)
-            identified = (prev is not None and np.array_equal(model, prev)
-                          and np.array_equal(np.unique(block_of[np.flatnonzero(x_hat)]),
-                                             active.blocks))
-            unknowns = (np.count_nonzero(x_hat) if reg.name == "l1"
-                        else active.n_features)
-            if (identified and gap > config.gap_tol and unknowns <= n
-                    and n * unknowns * unknowns <= _REFINE_COST * A.nnz):
-                key = model.tobytes()
-                if slot[0] != key:
-                    slot = key, _refined_certificate(spec, x_hat, full)
-                ref = slot[1]
-                if ref is not None and obj - ref[3] < gap:
-                    cert, gap, refined = ref[2], obj - ref[3], True
-                    if gap <= config.gap_tol and ref[1] <= obj:  # return the better point
-                        x_hat, obj, gap = ref[0], ref[1], ref[1] - ref[3]
-                        restart = "refined"
+            # A refinement's dual point certifies x_hat, centres the screen and
+            # scores the working set wherever its gap is smaller; the snapshot
+            # keeps x_hat's own derivatives and gradient.
+            cert, gap, refined, identified, kept, model, slot = _certify(
+                spec, full, active, x_hat, obj, dp, gap, config.gap_tol, model, slot)
+            if kept is not None:
+                (x_hat, obj), restart = kept, "refined"
         trace.append(TraceRecord(outer_iter=k, elapsed_s=time.perf_counter() - start,
                                  objective=obj, gap=float(gap),
                                  active_blocks=active.n_blocks,
                                  active_features=active.n_features,
                                  radius=radius, working_blocks=width, restart=restart,
-                                 refined_dual=refined))
+                                 refined_dual=refined, identified=identified))
         active_history.append(active.blocks.copy())
         if iterates is not None:
             iterates.append(x_hat.copy())
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at outer iteration {k}",
                                   iteration=k)
-        if gap <= config.gap_tol:
+        # a refined gap stops the solve only on the identified model
+        if gap <= config.gap_tol and (identified or not refined):
             converged = True
             break
         if k >= config.max_outer:

@@ -195,7 +195,7 @@ def test_criterion_04_identification_before_convergence(capsys, core_runs):
         total += 1
         eq = set(G.equicorrelation_set(spec, oracle.dual).tolist())
         hist = [set(h.tolist()) for h in rep.active_history]
-        conv_idx = len(rep.trace) - 1  # stopping row is the first gap <= 1e-6
+        conv_idx = len(rep.trace) - 1  # the first row whose gap <= 1e-6 may stop
         ident_idx = None
         for i in range(len(hist)):
             if all(h == eq for h in hist[i:]):

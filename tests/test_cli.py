@@ -41,7 +41,7 @@ def test_solve_command_writes_trace(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == ("outer_iter,elapsed_s,objective,gap,active_blocks,active_features,"
-                      "radius,working_blocks,restart,refined_dual")
+                      "radius,working_blocks,restart,refined_dual,identified")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -82,7 +82,6 @@ def test_bench_command_runs_plan(tmp_path, capsys):
     assert os.path.exists(tmp_path / "runs" / "summary.csv")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
     """Every cell of a plan whose step size diverges still runs, prints its
     failure and enters summary.csv; then the command exits with the
@@ -156,7 +155,6 @@ def test_non_finite_option_exits_3(args, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_solve_exits_4(capsys):
     code = main(["solve", "--synthetic", "40,30,0.5,0.05", "--eta", "1e9",
                  "--max-outer", "30", "--seed", "0"])

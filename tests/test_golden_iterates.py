@@ -78,6 +78,15 @@ working sets of those gaps; adsgd-full-batch-long-epoch now certifies after
 two outer iterations and returns its refined point. The other asgd cases,
 every mrbcd and proxsvrg case and both reference cases did not move.
 
+Eight cases were re-recorded when a screening solve began to refine, screen
+and pick working sets with the refined dual point as soon as x_hat's model
+was stable, and to wait for the identified model only to stop:
+adsgd-full-batch, adsgd-l1-contiguous, adsgd-logistic-group, adsgd-mu-p,
+asgd-logistic-group, dense-adsgd-full-batch, dense-adsgd-l1-contiguous and
+dense-adsgd-mu-p. Their gaps fall from the first stable row on and their
+screens drop blocks earlier; their iterates, outer_iters and coord_updates
+kept every bit. Every other case did not move.
+
 python tests/test_golden_iterates.py NAME... prints each named case's entry
 from a fresh run, in the layout below, for such a re-record.
 """
@@ -180,7 +189,7 @@ GOLDEN = {
         "coord_updates": 662,
         "active_blocks": [6, 6, 5, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.1183061c85c38p-3 0x1.1d8d8acd815f0p-4 "
+            "0x1.4a58be7a76ff8p-2 0x1.1183061c85c38p-3 0x1.93b62c656ef00p-7 "
             "0x1.750eecf7e0000p-8 0x1.cb124ae0f9000p-9 0x1.87cb9aab28000p-10 "
             "0x1.8ebcbe809a000p-11 0x1.1df48822f8000p-12 0x1.0336dbbc1c000p-13 "
             "0x1.cffc7b4c70000p-15 0x1.ea42f50460000p-16"
@@ -294,7 +303,7 @@ GOLDEN = {
         "coord_updates": 657,
         "active_blocks": [6, 6, 4, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.27e9fafe0a750p-3 0x1.e2c8f96012200p-5 "
+            "0x1.4a58be7a76ff8p-2 0x1.27e9fafe0a750p-3 0x1.9619a22e7d100p-7 "
             "0x1.c3945cc253800p-9 0x1.c323d101e0000p-11 0x1.ab131c0c1a000p-12 "
             "0x1.9a06e73210000p-13 0x1.11b820dff0000p-14 0x1.dc3dcef520000p-16 "
             "0x1.04a05102c0000p-16 0x1.c813fab100000p-18"
@@ -408,10 +417,10 @@ GOLDEN = {
         "coord_updates": 640,
         "active_blocks": [5, 5, 4, 2, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
-            "0x1.5107da0332f30p-4 0x1.319e957c93ae0p-6 0x1.1fb655c7bca80p-8 "
-            "0x1.07f820c32a000p-14 0x1.33a80c7f30000p-17 0x1.5616b36f80000p-19 "
-            "0x1.434234fe00000p-22 0x1.5a58386000000p-25 0x1.1179d44000000p-27 "
-            "0x1.27cd750000000p-29 0x1.005a880000000p-32"
+            "0x1.5107da0332f30p-4 0x1.319e957c93ae0p-6 0x1.f55d0f7dcc000p-12 "
+            "0x1.07f820c2e6000p-14 0x1.33a80c7d10000p-17 0x1.5616b36700000p-19 "
+            "0x1.434234ba00000p-22 0x1.5a58364000000p-25 0x1.1179cbc000000p-27 "
+            "0x1.27cd530000000p-29 0x1.0059780000000p-32"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -473,10 +482,10 @@ GOLDEN = {
     "adsgd-mu-p": {
         "outer_iters": 10,
         "coord_updates": 489,
-        "active_blocks": [6, 6, 6, 3, 2, 2, 2, 2, 2, 2, 2],
+        "active_blocks": [6, 6, 6, 2, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
-            "0x1.ae1cbad4dccd0p-2 0x1.dd2f48fa7de30p-3 0x1.5c8f81037d380p-4 "
-            "0x1.3ee0417fc4d80p-5 0x1.842029c808000p-12 0x1.41ad3ff368000p-13 "
+            "0x1.ae1cbad4dccd0p-2 0x1.dd2f48fa7de30p-3 0x1.41dc25fb0aa80p-6 "
+            "0x1.25bf795ddc400p-8 0x1.842029c808000p-12 0x1.41ad3ff368000p-13 "
             "0x1.def62a2ae0000p-15 0x1.a80fa13100000p-17 0x1.1c03845000000p-18 "
             "0x1.84a0066a00000p-20 0x1.0f41d22c00000p-21"
         ),
@@ -855,12 +864,12 @@ GOLDEN = {
     "asgd-logistic-group": {
         "outer_iters": 10,
         "coord_updates": 1280,
-        "active_blocks": [5, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4],
+        "active_blocks": [5, 5, 4, 2, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
-            "0x1.5107da0332f30p-4 0x1.68f38c8402d80p-7 0x1.a28c4c5c9c7c0p-7 "
-            "0x1.892c61f650e00p-7 0x1.07949ffde0b40p-6 0x1.a34ddf8718e80p-7 "
-            "0x1.86482d4338f40p-7 0x1.94663f316ff80p-6 0x1.657febec58500p-6 "
-            "0x1.37dced4bfeb80p-6 0x1.33e39961663e0p-6"
+            "0x1.5107da0332f30p-4 0x1.68f38c8402d80p-7 0x1.1409decb72a00p-8 "
+            "0x1.6c60d10b10000p-9 0x1.070f5fe90a780p-8 0x1.3fa9863a1c900p-9 "
+            "0x1.c16099b4fc680p-8 0x1.21bb2a07a37c0p-7 0x1.fcfa4b27eb380p-8 "
+            "0x1.c1331729a1780p-8 0x1.6e2e27f22d600p-8"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -1546,7 +1555,7 @@ DENSE_GOLDEN = {
         "coord_updates": 657,
         "active_blocks": [6, 6, 4, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.27e9fafe0a750p-3 0x1.e2c8f96012200p-5 "
+            "0x1.4a58be7a76ff8p-2 0x1.27e9fafe0a750p-3 0x1.9619a22e7d100p-7 "
             "0x1.c3945cc253800p-9 0x1.c323d101e0000p-11 0x1.ab131c0c1a000p-12 "
             "0x1.9a06e73210000p-13 0x1.11b820dff0000p-14 0x1.dc3dcef520000p-16 "
             "0x1.04a05102c0000p-16 0x1.c813fab100000p-18"
@@ -1560,7 +1569,7 @@ DENSE_GOLDEN = {
         "coord_updates": 662,
         "active_blocks": [6, 6, 5, 3, 3, 3, 3, 3, 3, 3, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.1183061c85c38p-3 0x1.1d8d8acd815f0p-4 "
+            "0x1.4a58be7a76ff8p-2 0x1.1183061c85c38p-3 0x1.93b62c656ef00p-7 "
             "0x1.750eecf7e0000p-8 0x1.cb124ae0f9000p-9 0x1.87cb9aab28000p-10 "
             "0x1.8ebcbe809a000p-11 0x1.1df48822f8000p-12 0x1.0336dbbc1c000p-13 "
             "0x1.cffc7b4c70000p-15 0x1.ea42f50450000p-16"
@@ -1572,10 +1581,10 @@ DENSE_GOLDEN = {
     "dense-adsgd-mu-p": {
         "outer_iters": 10,
         "coord_updates": 489,
-        "active_blocks": [6, 6, 6, 3, 2, 2, 2, 2, 2, 2, 2],
+        "active_blocks": [6, 6, 6, 2, 2, 2, 2, 2, 2, 2, 2],
         "gaps": (
-            "0x1.ae1cbad4dccd0p-2 0x1.dd2f48fa7de30p-3 0x1.5c8f81037d380p-4 "
-            "0x1.3ee0417fc4d80p-5 0x1.842029c808000p-12 0x1.41ad3ff368000p-13 "
+            "0x1.ae1cbad4dccd0p-2 0x1.dd2f48fa7de30p-3 0x1.41dc25fb0aa80p-6 "
+            "0x1.25bf795ddc400p-8 0x1.842029c808000p-12 0x1.41ad3ff368000p-13 "
             "0x1.def62a2ae0000p-15 0x1.a80fa13100000p-17 0x1.1c03845000000p-18 "
             "0x1.84a0066a00000p-20 0x1.0f41d22c00000p-21"
         ),

@@ -131,7 +131,7 @@ def test_trace_csv_round_trip(tmp_path):
                         refined_dual=True),
             TraceRecord(3, 0.0302, 0.29999999999999993, 3e-17, 3, 60,
                         radius=0.01, working_blocks=3, restart="refined",
-                        refined_dual=True)]
+                        refined_dual=True, identified=True)]
     path = tmp_path / "t.csv"
     write_trace_csv(path, rows)
     back = read_trace_csv(path)
@@ -201,7 +201,6 @@ def test_run_experiment_lambda_ratio_one_returns_zero(tmp_path):
         assert s.converged and s.outer_iters == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_experiment_records_failures_and_continues(tmp_path):
     good = G.SolverConfig(solver="adsgd", gap_tol=1e-4, max_outer=100, seed=1)
     bad = G.SolverConfig(solver="mrbcd", eta=1e9, gap_tol=1e-4, max_outer=50,

@@ -866,8 +866,10 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
     is the candidate with the smaller gap; a tie keeps the average, and a nan
     gap, injected on either candidate, never wins. The row's gap is that
     evaluation's, or the smaller one a refined dual point gives the same
-    candidate, and a row that certifies so returns the refined point where
-    its objective is no larger. batch_size 30 is the full batch."""
+    candidate, and a row that certifies so on an identified model returns
+    the refined point where its objective is no larger. Only the screening
+    solvers refine, and a refinement may find no point. batch_size 30 is the
+    full batch."""
     spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6,
                          mu_p=0.05 * (solver == "asgd"))
     calls, evaluate = [], G.solvers.evaluate
@@ -897,8 +899,10 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
     assert all(r.working_blocks for r in rep.trace[1:])
     assert len(calls) == 1 + 2 * rep.outer_iters
     assert rep.trace[0].restart == "start" and rep.trace[0].gap == calls[0][2]
-    assert (certs == []) == (solver in ("mrbcd", "proxsvrg") or not any(
-        r.refined_dual for r in rep.trace))
+    if solver in ("mrbcd", "proxsvrg"):
+        assert certs == []
+    if any(r.refined_dual for r in rep.trace):  # a refinement may also find no point
+        assert any(c is not None for c in certs)
     dual_values = [c[3] for c in certs if c is not None]
     labels = []
     for k, row in enumerate(rep.trace[1:]):
@@ -915,7 +919,8 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
             ref = next(c for c in certs if c is not None
                        and np.array_equal(c[0], rep.iterates[k + 1]))
             assert obj - ref[3] <= 1e-12 and ref[1] <= obj and row.gap == ref[1] - ref[3]
-            assert row.refined_dual and rep.converged and k + 1 == rep.outer_iters
+            assert row.refined_dual and row.identified
+            assert rep.converged and k + 1 == rep.outer_iters
         labels.append(chosen)
     assert np.array_equal(rep.x_final, rep.iterates[-1])
     if inject == "nan-average":
@@ -1099,7 +1104,6 @@ def test_reference_rejects_bad_tol():
 
 # ------------------------------------------------------------ error paths
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_error_names_iteration():
     spec = make_instance(seed=17, n=40, d=30)
     with pytest.raises(G.DivergenceError) as exc:
@@ -1573,7 +1577,9 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
     objective's distance to P*. Each screen is centred at the dual point that
     gives its row's gap, with the safe radius of that gap, and its sphere
     holds the dual optimum: ||u - u_o|| <= r + r_o, u_o being the oracle's
-    dual point. The solve returns the refined point, labelled "refined"."""
+    dual point. Some screens are centred at the refined dual point of a
+    stable model that the safe set does not yet match. The solve returns the
+    refined point, labelled "refined"."""
     spec = SCREENED_RUNS[case]()
     oracle = G.reference_solve(spec, tol=1e-12)
     r_o = G.safe_radius(spec, oracle.gap)
@@ -1588,7 +1594,8 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
                                              eta=tuned_eta(spec)))
     assert rep.converged and calls and rep.trace[-1].restart == "refined"
-    assert any(r.refined_dual for r in rep.trace[:-1])  # some screen used a refined centre
+    # some screens used a refined centre before the model was identified
+    assert any(r.refined_dual and not r.identified for r in rep.trace[:-1])
     for row in rep.trace:
         assert row.gap >= row.objective - oracle.objective - 1e-13
     u_o = _stacked(oracle.dual)
@@ -1598,6 +1605,23 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
         assert row.gap == row.objective - G.duality._dual_value(spec, dp, full)
         assert r == G.safe_radius(spec, row.gap)
         assert np.linalg.norm(_stacked(dp) - u_o) <= r + r_o
+
+
+def test_a_wide_sparse_lasso_stops_within_an_epoch_of_its_first_optimal_iterate():
+    """On this wide sparse Lasso x_hat comes within gap_tol of P* epochs
+    before the safe set holds just its nonzero blocks. The refined dual
+    point of its stable model screens meanwhile, so the model is identified
+    soon after and adsgd stops at most one outer iteration after its first
+    gap_tol-optimal iterate."""
+    spec = make_instance(seed=0, n=150, d=600, sparsity=0.05, q=20, support=8)
+    p_star = G.reference_solve(spec, tol=1e-12).objective
+    eta = tuned_eta(spec)
+    for seed in range(3):
+        rep = G.adsgd_solve(spec, G.SolverConfig(seed=seed, gap_tol=1e-6, max_outer=300,
+                                                 eta=eta, keep_iterates=True))
+        first = next(k for k, x in enumerate(rep.iterates)
+                     if G.primal_objective(spec, x) - p_star <= 1e-6)
+        assert rep.converged and rep.outer_iters <= first + 1
 
 
 def _stacked(dp):
@@ -1639,11 +1663,13 @@ def test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict(monkeypat
 @pytest.mark.parametrize("solver", ["adsgd", "asgd"])
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
 def test_screening_solves_refine_each_identified_model_once(monkeypatch, solver, case):
-    """A screening solve refines x_hat only where the safe set holds exactly
-    the blocks where x_hat is nonzero and the previous iterate had the same
-    model (signs for L1, nonzero pattern for group-L2), within the cost
+    """A screening solve refines x_hat only where the previous iterate had the
+    same model (signs for L1, nonzero pattern for group-L2), within the cost
     bound, and at most once per model: it keeps the last refinement while
-    its model holds, and these runs never come back to an earlier model."""
+    its model holds, and these runs never come back to an earlier model. The
+    safe set need not hold just x_hat's nonzero blocks yet, but a row is
+    identified only where it does, and only an identified row returns the
+    refined point or stops on a refined dual point."""
     spec = SCREENED_RUNS[case]()
     calls = _spy_refinements(monkeypatch)
     batch = spec.dataset.n if solver == "asgd" else None
@@ -1653,7 +1679,6 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, solver,
     assert rep.converged and calls
     models = [m for _, m in calls]
     assert len(models) == len(set(models))
-    block_of = spec.partition.block_of
     for x, model in calls:
         assert _within_refinement_cost(spec, _unknowns(spec, x))
         k = next((k for k, it in enumerate(rep.iterates) if np.array_equal(it, x)), None)
@@ -1661,8 +1686,19 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, solver,
             assert rep.trace[-1].restart == "refined"
             k = len(rep.iterates) - 1
         assert k > 0 and G.solvers._model(spec, rep.iterates[k - 1]).tobytes() == model
-        assert np.array_equal(np.unique(block_of[np.flatnonzero(x)]),
-                              rep.active_history[k])
+    block_of = spec.partition.block_of
+    for k, row in enumerate(rep.trace):
+        if row.restart == "refined":  # its x_hat is the refined point's, not kept
+            assert row.identified
+            continue
+        x = rep.iterates[k]
+        assert row.identified == (
+            k > 0 and np.array_equal(G.solvers._model(spec, x),
+                                     G.solvers._model(spec, rep.iterates[k - 1]))
+            and np.array_equal(np.unique(block_of[np.flatnonzero(x)]),
+                               rep.active_history[k]))
+    last = rep.trace[-1]
+    assert last.identified or not last.refined_dual
 
 
 def _unknowns(spec, x):
