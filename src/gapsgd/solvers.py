@@ -41,21 +41,22 @@ certifies with a refined dual point (_certify): once x_hat has the previous
 iterate's model (its signs for L1, its nonzero pattern for group-L2;
 _model), of k <= n unknowns with n k^2 at most _REFINE_COST times the
 design's stored entries, _refine_support solves the smooth stationarity
-system on that model, in at most _REFINE_STEPS Newton steps, once while the
-model holds (later iterates of it reuse the result). The refined point x_r
-is evaluated on the full problem, and its dual point certifies x_hat
-wherever P(x_hat) - D(theta_r) is the smaller gap: that gap is the row's and
-the safe radius's, and theta_r is the sphere's centre and scores the working
-set, while the snapshot keeps x_hat's own derivatives and gradient. theta_r
-is scaled over every block like any dual point, so its gap bounds the
-suboptimality and its sphere is safe whether or not the model is the
-optimum's (Gap Safe: Fercoq, Gramfort & Salmon, ICML 2015), and a
-refinement on a wrong model gives a larger gap, which is never used. Only
-the stop waits for identification: a refined gap ends the solve once the
-safe set also holds exactly the blocks where x_hat is nonzero. A solve
-certified so returns x_r where P(x_r) <= P(x_hat), else x_hat, and
-report.dual is the certifying dual point, so P(x_final) - D(report.dual) is
-report.gap.
+system on that model, in at most _REFINE_STEPS Newton steps whose residual
+must reach _REFINE_TOL * lam, once while the model holds (later iterates of
+it reuse the result). A Lasso model's system is linear, so its first step
+solves it. The refined point x_r is evaluated on the full problem, and its
+dual point certifies x_hat wherever P(x_hat) - D(theta_r) is the smaller
+gap: that gap is the row's and the safe radius's, and theta_r is the
+sphere's centre and scores the working set, while the snapshot keeps
+x_hat's own derivatives and gradient. theta_r is scaled over every block
+like any dual point, so its gap bounds the suboptimality and its sphere is
+safe whether or not the model is the optimum's (Gap Safe: Fercoq, Gramfort
+& Salmon, ICML 2015), and a refinement on a wrong model gives a larger gap,
+which is never used. Only the stop waits for identification: a refined gap
+ends the solve once the safe set also holds exactly the blocks where x_hat
+is nonzero. A solve certified so returns x_r where P(x_r) <= P(x_hat), else
+x_hat, and report.dual is the certifying dual point, so P(x_final) -
+D(report.dual) is report.gap.
 
 Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
@@ -77,18 +78,19 @@ same values from the Philox stream as the draws made step by step, and leaves
 the stream in the same state: each bounded draw consumes the stream alike
 whether it comes alone or in an array, which tests pin. _plan then gathers
 every sampled row of the chunk at once, through one index array computed from
-the row pointers, selects each step's block entries with one mask over the
-chunk, and returns the chunk's arrays with plain lists of each step's entry
-offsets and columns. On a dense design _plan_dense gathers the chunk's rows
-with one fancy index instead, as a (c, b, p) array. The engine runs a chunk
-as one loop over those steps: each step calls its kernel positionally, on
-slices of the chunk's arrays, and updates its columns of the iterate in
-place, grad *= eta, v -= grad and the prox written back into v, then adds the
-iterate to the running sum. On the sparse storage each step sums the same
-entries in the same order as a per-step gather would, and the in-place
-update rounds as the old expressions did, so neither changes a bit. The chunk
-sizes and the draws are the same on both storages, so both take the same
-rows and blocks.
+the row pointers, and selects each step's block entries with one mask over
+the chunk. On a dense design _plan_dense gathers the chunk's rows with one
+fancy index instead, as a (c, b, p) array. Each planner yields one (args, lo,
+hi) per step, args being the step's slices of the chunk's arrays in the
+order its storage's kernel takes them. The engine picks the planner and the
+kernel per epoch and runs each chunk as one loop with one kernel call: each
+step calls the kernel positionally and updates its columns lo:hi of the
+iterate in place, grad *= eta, v -= grad and the prox written back into v,
+then adds the iterate to the running sum. On the sparse storage each step
+sums the same entries in the same order as a per-step gather would, and the
+in-place update rounds as the old expressions did, so neither changes a bit.
+The chunk sizes and the draws are the same on both storages, so both take
+the same rows and blocks.
 
 The working design is the row pointers plus one array each of the column,
 value and row of every stored entry, in CSR order, with its columns numbered
@@ -209,7 +211,8 @@ class TraceRecord:
     identified where a screening solve has identified x_hat's model: it is
     the previous iterate's and the safe set holds exactly its nonzero
     blocks. A refined gap stops a solve only on an identified row. The
-    reference solver's rows after the first are "last".
+    reference solver's rows after the first are "last", but for a stop row
+    that returns the point of its support refinement, which is "refined".
     """
 
     outer_iter: int
@@ -394,35 +397,33 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
     all n rows; ibs holds the c sampled block ranks in work.active, which
     number the blocks of work.layout, or is None for full-vector steps. One
     _gather_rows call fetches the rows of every step, and one mask over the
-    chunk's entries selects each step's block. Returns (fwd, bwd, steps):
-    fwd is (cols, vals, row_id) of the chunk's entries, row_id counting rows
-    within each step's batch; bwd is (pos, vals, row_id) of the entries the
-    gradients sum, pos being each one's place in its step's block, or fwd
-    itself for full-vector steps, pos then being the working column. steps
-    iterates once over one tuple (s, e, y_t, g_t, bs, be, lo, hi) per step,
-    zipped from plain Python int lists but for y_t and g_t: the step's
-    entries are fwd[k][s:e], y_t and g_t hold y and the snapshot's
-    derivatives on its batch (g_t None without variance reduction), it sums
-    bwd[k][bs:be], and it updates the working columns lo:hi. A step's entries
-    lie in the order a gather of its batch alone would give them, so its sums
-    add the same terms in the same order. A full batch passes y, g_snap and
-    work.entries themselves. The tuples and row views are made as the steps
-    are taken, so a chunk of many short steps holds few Python objects.
+    chunk's entries selects each step's block. Returns an iterator of one
+    (args, lo, hi) per step, args being step_gradient's arguments between x
+    and lo: (cols, vals, row_id) of the step's entries, row_id counting rows
+    within its batch, y and the snapshot's derivatives on its batch (None
+    without variance reduction), and (pos, vals, row_id) of the entries its
+    gradient sums, pos being each one's place in the step's block, or its
+    entries again for full-vector steps, pos then being the working column.
+    The step updates the working columns lo:hi. A step's entries lie in the
+    order a gather of its batch alone would give them, so its sums add the
+    same terms in the same order. A full batch passes y, g_snap and
+    work.entries themselves. The chunk's arrays are gathered when _plan is
+    called, and each step's slices as the steps are taken, so a chunk of many
+    short steps holds few Python objects.
     """
     if batches is None:
-        fwd = work.entries
-        s, e = [0] * c, [fwd[0].size] * c
+        cols, vals, row_id = work.entries
+        s0, s1 = [0] * c, [cols.size] * c
         ys, gs = itertools.repeat(y, c), itertools.repeat(g_snap, c)
     else:
         cols, vals, row_id, starts = _gather_rows(work.indptr, work.entries, batches)
-        fwd, ends = (cols, vals, row_id), starts.tolist()
-        s, e = ends[:-1], ends[1:]
+        ends = starts.tolist()
+        s0, s1 = ends[:-1], ends[1:]
         ys = y[batches]  # iterated row by row
         gs = itertools.repeat(None, c) if g_snap is None else g_snap[batches]
-    cols, vals, row_id = fwd
     if ibs is None:
-        bwd, bs, be = fwd, s, e
-        lo, hi = [0] * c, [work.features.size] * c
+        pos, bvals, brow, b0, b1 = cols, vals, row_id, s0, s1
+        los, his = [0] * c, [work.features.size] * c
     else:
         layout = work.layout
         if batches is None:  # all entries again for every step, in step order
@@ -432,10 +433,12 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
         else:
             sel = np.flatnonzero(layout.block_of[cols] == np.repeat(ibs, np.diff(starts)))
             cuts = np.searchsorted(sel, starts).tolist()
-        bwd = (layout.slot[cols[sel]], vals[sel], row_id[sel])
-        bs, be = cuts[:-1], cuts[1:]
-        lo, hi = layout.offsets[ibs].tolist(), layout.offsets[ibs + 1].tolist()
-    return fwd, bwd, zip(s, e, ys, gs, bs, be, lo, hi)
+        pos, bvals, brow = layout.slot[cols[sel]], vals[sel], row_id[sel]
+        b0, b1 = cuts[:-1], cuts[1:]
+        los, his = layout.offsets[ibs].tolist(), layout.offsets[ibs + 1].tolist()
+    return (((cols[s:e], vals[s:e], row_id[s:e], y_t, g_t, pos[bs:be], bvals[bs:be],
+              brow[bs:be]), lo, hi)
+            for s, e, y_t, g_t, bs, be, lo, hi in zip(s0, s1, ys, gs, b0, b1, los, his))
 
 
 def step_gradient(loss, x, cols, vals, row_id, y, g_ref, pos, bvals, brow, lo, hi,
@@ -470,10 +473,11 @@ def _plan_dense(work, y, g_snap, c, batches=None, ibs=None):
 
     One fancy index gathers the rows of every step as a (c, b, p) array, or,
     when every step takes all n rows, each step takes work.dense, y and g_snap
-    themselves. Returns an iterator of one (x_b, y_t, g_t, lo, hi) per step:
-    the step's rows of the design, y and the snapshot's derivatives on its
-    batch (g_t None without variance reduction), and the working columns
-    lo:hi it updates, a block's for block draws ibs, else all of them.
+    themselves. Returns an iterator of one (args, lo, hi) per step, args
+    being dense_step_gradient's arguments between x and lo: (x_b, y_t, g_t),
+    the step's rows of the design and y and the snapshot's derivatives on its
+    batch (g_t None without variance reduction). The step updates the working
+    columns lo:hi, a block's for block draws ibs, else all of them.
     """
     if batches is None:
         xs, ys = itertools.repeat(work.dense, c), itertools.repeat(y, c)
@@ -485,7 +489,7 @@ def _plan_dense(work, y, g_snap, c, batches=None, ibs=None):
         lo, hi = [0] * c, [work.features.size] * c
     else:
         lo, hi = work.layout.offsets[ibs].tolist(), work.layout.offsets[ibs + 1].tolist()
-    return zip(xs, ys, gs, lo, hi)
+    return zip(zip(xs, ys, gs), lo, hi)
 
 
 def dense_step_gradient(loss, x, x_b, y, g_ref, lo, hi, mu=None, x_ref=None, mu_p=0.0):
@@ -669,7 +673,6 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     if not ds.A.data.any():
         raise DegenerateProblemError("design matrix is all zeros")
     eta, m, batch_size = _resolve(spec, config)
-    kernel, dense_kernel = step_gradient, dense_step_gradient
     prox, thresh = reg.block_prox, eta * lam
     rng = np.random.Generator(np.random.Philox(config.seed))
     A, y, q = ds.A, ds.y, spec.partition.q
@@ -769,6 +772,8 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
             mu, x_ref = None, spec.anchor[wfeat]
         g_ref = g_snap if variance_reduction else None
         classes = None if block_sampling else work.layout.classes
+        plan, kern = ((_plan, step_gradient) if work.dense is None
+                      else (_plan_dense, dense_step_gradient))
 
         # Plan the epoch a chunk of steps at a time (see the module docstring):
         # one draw per chunk, with its bounds in step order, never past step m_k.
@@ -783,31 +788,15 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
             batches = draws[:, :batch_size] if sampled else None
             ibs = draws[:, -1] if block_sampling else None
             # each step updates its columns lo:hi of x_cur in place
-            if work.dense is not None:
-                for x_b, y_t, g_t, lo, hi in _plan_dense(work, y, g_ref, c, batches, ibs):
-                    grad = dense_kernel(loss, x_cur, x_b, y_t, g_t, lo, hi, mu, x_ref, mu_p)
-                    grad *= eta
-                    v = x_cur[lo:hi]
-                    v -= grad
-                    prox(v, thresh, classes, out=v)
-                    x_sum += x_cur
-                    coord_updates += hi - lo
-                del x_b  # release this chunk before the next is gathered
-                continue
-            (cols, vals, rows), (pos, bvals, brows), steps = _plan(work, y, g_ref, c,
-                                                                   batches, ibs)
-            for s, e, y_t, g_t, bs, be, lo, hi in steps:
-                grad = kernel(loss, x_cur, cols[s:e], vals[s:e], rows[s:e], y_t, g_t,
-                              pos[bs:be], bvals[bs:be], brows[bs:be], lo, hi, mu, x_ref,
-                              mu_p)
+            for args, lo, hi in plan(work, y, g_ref, c, batches, ibs):
+                grad = kern(loss, x_cur, *args, lo, hi, mu, x_ref, mu_p)
                 grad *= eta
                 v = x_cur[lo:hi]
                 v -= grad
                 prox(v, thresh, classes, out=v)
                 x_sum += x_cur
                 coord_updates += hi - lo
-            # release this chunk before the next is planned
-            del cols, vals, rows, pos, bvals, brows, steps
+            del args  # release this chunk before the next is planned
         x_sum /= m_k
         x_hat, evaluation, restart = _restart(spec, full, wfeat, x_sum, x_cur)
 
@@ -901,9 +890,12 @@ def _one_pass_bound(spec):
 _REFINE_TOL = 1e-9
 
 # Newton steps a screening solve's refinement may take. Along adsgd and asgd
-# runs on the benchmark workloads and the tests' instances, every refinement
-# that reached _REFINE_TOL took at most 4 steps; one on a wrong model runs to
-# the cap, so a lower cap bounds what a failed refinement costs.
+# runs on the benchmark workloads (solver seeds 0-7 at the benchmark's adsgd
+# settings) and from the tests' REFINE_CASES, every refinement that reached
+# _REFINE_TOL took at most 6 steps: 1 on every Lasso model, whose system is
+# linear, 3 on the logistic L1 case, 3 or 4 on group-L2 models, and 5 or 6
+# for asgd on logistic-group. One on a wrong model may run to the cap, so a
+# lower cap bounds what a failed refinement costs.
 _REFINE_STEPS = 10
 
 # A screening solve refines a model of k unknowns only where n * k^2, the
@@ -917,9 +909,10 @@ _REFINE_STEPS = 10
 # epoch costs 7 to 38 of them on the benchmark workloads (median epoch over
 # one evaluation: 1.20 / 0.171 ms on logistic-group, 6.00 / 0.160 ms on
 # lasso-tall, 6.27 / 0.341 ms on lasso-sparse). A refinement that converges,
-# in at most 4 steps, so costs about an epoch or less, and one on a wrong model
-# at most _REFINE_STEPS steps. The benchmark's refinements lie at 9
-# (logistic-group), 0.6 (lasso-tall) and 0.5 (lasso-sparse).
+# in at most 6 steps (a Lasso model's in one), so costs about an epoch or
+# less, and one on a wrong model at most _REFINE_STEPS steps. The benchmark's
+# refinements lie at 9 (logistic-group), 0.6 (lasso-tall) and 0.5
+# (lasso-sparse).
 _REFINE_COST = 100.0
 
 
@@ -930,14 +923,14 @@ def _refine_support(spec, x, tol=None, max_steps=60):
     the blocks where x is nonzero for group-L2. On it the penalty is smooth,
     lam * sign(x_i) on an L1 coordinate and lam * w_j / ||w_j|| on a group-L2
     block, so the system A_S' f'(A_S w) / n + 2 mu_p (w - x0_S) + lam grad
-    Omega(w) = 0 has a root wherever the model is the optimum's. Squared loss
-    with L1 solves it as one linear system; every other case takes at most
-    max_steps Newton steps from x and returns the point of smallest residual,
-    or the last point where a step's system is singular. Returns None, and
-    never raises, for an empty support, a system no solver can take, a
-    non-finite value or an L1 sign change; with a tol, also where the Newton
-    residual never falls to tol, as where a group-L2 block collapses toward
-    zero, which the model cannot express.
+    Omega(w) = 0 has a root wherever the model is the optimum's. It takes at
+    most max_steps Newton steps from x, the first of which solves the system
+    of the squared loss with L1, a linear one, and returns the point of
+    smallest residual, or the last point where a step's system is singular.
+    Returns None, and never raises, for an empty support, a non-finite value
+    or an L1 sign change; with a tol, also where the Newton residual never
+    falls to tol, as where a group-L2 block collapses toward zero, which the
+    model cannot express.
     """
     ds, part, l1 = spec.dataset, spec.partition, spec.reg.name == "l1"
     if l1:
@@ -962,46 +955,35 @@ def _refine_support(spec, x, tol=None, max_steps=60):
         pj = np.concatenate([np.tile(m, m.size) for m in members])
         diag = pi == pj
     with np.errstate(all="ignore"):
-        if l1 and loss.name == "squared":
-            h = a_s.T @ a_s / n + ridge
-            rhs = a_s.T @ ds.y / n - lam * signs + 2.0 * mu_p * anchor_s
+        best = (math.inf, x[support].copy())  # (residual, point) of the best point
+        w = best[1]
+        for _ in range(max_steps):
+            z = a_s @ w
+            if not l1:  # each coordinate's block norm, and lam * w / ||w_j||
+                nrm = np.sqrt(np.bincount(bid, weights=w * w))[bid]
+                unit = w / nrm
+            res = a_s.T @ loss.deriv(z, ds.y) / n + 2.0 * mu_p * (w - anchor_s) \
+                + (lam * signs if l1 else lam * unit)
+            rnorm = float(np.max(np.abs(res)))
+            if rnorm < best[0]:
+                best = (rnorm, w)
+            if rnorm < 1e-13:
+                break
+            h = (a_s * loss.second_deriv(z, ds.y)[:, None]).T @ a_s / n + ridge \
+                + 1e-13 * np.eye(k)
+            if not l1:  # lam (I - u u') / ||w_j|| within each block
+                h[pi, pj] += (diag - unit[pi] * unit[pj]) * (lam / nrm)[pi]
             try:
-                w = np.linalg.solve(h, rhs)
+                step = np.linalg.solve(h, res)
             except np.linalg.LinAlgError:
-                try:
-                    w = np.linalg.lstsq(h, rhs, rcond=None)[0]
-                except np.linalg.LinAlgError:
-                    return None
-        else:
-            best = (math.inf, x[support].copy())  # (residual, point) of the best point
-            w = best[1]
-            for _ in range(max_steps):
-                z = a_s @ w
-                if not l1:  # each coordinate's block norm, and lam * w / ||w_j||
-                    nrm = np.sqrt(np.bincount(bid, weights=w * w))[bid]
-                    unit = w / nrm
-                res = a_s.T @ loss.deriv(z, ds.y) / n + 2.0 * mu_p * (w - anchor_s) \
-                    + (lam * signs if l1 else lam * unit)
-                rnorm = float(np.max(np.abs(res)))
-                if rnorm < best[0]:
-                    best = (rnorm, w)
-                if rnorm < 1e-13:
-                    break
-                h = (a_s * loss.second_deriv(z, ds.y)[:, None]).T @ a_s / n + ridge \
-                    + 1e-13 * np.eye(k)
-                if not l1:  # lam (I - u u') / ||w_j|| within each block
-                    h[pi, pj] += (diag - unit[pi] * unit[pj]) * (lam / nrm)[pi]
-                try:
-                    step = np.linalg.solve(h, res)
-                except np.linalg.LinAlgError:
-                    best = (rnorm, w)  # the point whose system is singular
-                    break
-                w = w - step
-                if not np.all(np.isfinite(w)):
-                    break
-            w = best[1]
-            if tol is not None and not best[0] <= tol:
-                return None
+                best = (rnorm, w)  # the point whose system is singular
+                break
+            w = w - step
+            if not np.all(np.isfinite(w)):
+                break
+        w = best[1]
+        if tol is not None and not best[0] <= tol:
+            return None
     if not np.all(np.isfinite(w)) or (l1 and np.any(np.sign(w) != signs)):
         return None
     out = np.zeros(ds.d)
@@ -1045,16 +1027,17 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     it = 0
     converged = False
 
+    def row(obj, gap, restart):
+        return TraceRecord(outer_iter=it, elapsed_s=time.perf_counter() - start,
+                           objective=obj, gap=float(gap), active_blocks=active.n_blocks,
+                           active_features=active.n_features,
+                           working_blocks=active.n_blocks if it else 0, restart=restart)
+
     while True:
         obj, _, dp, gap = evaluate(spec, x, zx, active)
         best_gap = min(best_gap, gap)
-        if it % 50 == 0 or gap <= tol:
-            trace.append(TraceRecord(outer_iter=it, elapsed_s=time.perf_counter() - start,
-                                     objective=obj, gap=float(gap),
-                                     active_blocks=active.n_blocks,
-                                     active_features=active.n_features,
-                                     working_blocks=active.n_blocks if it else 0,
-                                     restart="last" if it else "start"))
+        if it % 50 == 0 and not gap <= tol:  # the stop row follows the refinement
+            trace.append(row(obj, gap, "last" if it else "start"))
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {it}",
                                   iteration=it)
@@ -1099,17 +1082,13 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         x, zx = xn, zn
         t_mom = t_new
 
+    restart = "last" if it else "start"
     refined = _refine_support(spec, x) if spec.reg.name == "l1" else None
     if refined is not None:
         obj_r, _, dp_r, gap_r = evaluate(spec, refined, A @ refined, active)
         if np.isfinite(gap_r) and gap_r < gap:
-            x, obj, dp, gap = refined, obj_r, dp_r, gap_r
-    trace.append(TraceRecord(outer_iter=it, elapsed_s=time.perf_counter() - start,
-                             objective=obj, gap=float(gap),
-                             active_blocks=active.n_blocks,
-                             active_features=active.n_features,
-                             working_blocks=active.n_blocks if it else 0,
-                             restart="last" if it else "start"))
+            x, obj, dp, gap, restart = refined, obj_r, dp_r, gap_r, "refined"
+    trace.append(row(obj, gap, restart))
     return SolveReport(x_final=x.copy(), trace=trace, converged=converged,
                        outer_iters=it, wall_time=time.perf_counter() - start,
                        objective=obj, gap=float(gap), dual=dp)

@@ -292,21 +292,17 @@ def _kernel_instance(layout):
 
 def _steps(plan):
     """The steps of a _plan as a list of (fwd entries, bwd entries, y_t, g_t, lo, hi)."""
-    fwd, bwd, steps = plan
-    return [(tuple(a[s:e] for a in fwd), tuple(a[bs:be] for a in bwd), y_t, g_t, lo, hi)
-            for s, e, y_t, g_t, bs, be, lo, hi in steps]
+    return [(args[:3], args[5:], *args[3:5], lo, hi) for args, lo, hi in plan]
 
 
 def _grads(loss, x, work, y, g_ref, c, batches=None, ibs=None, mu=None, x_ref=None,
            mu_p=0.0):
-    """The gradient of each step of one chunk, from the kernel the engine runs on
-    work's storage, called positionally as the engine calls it."""
-    if work.dense is not None:
-        return [dense_step_gradient(loss, x, x_b, y_t, g_t, lo, hi, mu, x_ref, mu_p)
-                for x_b, y_t, g_t, lo, hi in _plan_dense(work, y, g_ref, c, batches, ibs)]
-    return [step_gradient(loss, x, *fwd, y_t, g_t, *bwd, lo, hi, mu, x_ref, mu_p)
-            for fwd, bwd, y_t, g_t, lo, hi in _steps(_plan(work, y, g_ref, c, batches,
-                                                           ibs))]
+    """The gradient of each step of one chunk, from the planner and kernel the
+    engine runs on work's storage, called positionally as the engine calls it."""
+    plan, kern = ((_plan, step_gradient) if work.dense is None
+                  else (_plan_dense, dense_step_gradient))
+    return [kern(loss, x, *args, lo, hi, mu, x_ref, mu_p)
+            for args, lo, hi in plan(work, y, g_ref, c, batches, ibs)]
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
@@ -384,6 +380,11 @@ def _same_entries(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+def _same_view(a, b):
+    """Whether a and b are views of the same memory, shape and strides."""
+    return a.__array_interface__ == b.__array_interface__
+
+
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
 def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
     """A chunk's steps hold the entries, in the same order, that planning each
@@ -400,9 +401,7 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
         ibs = rng.integers(0, q_k, size=7)
         for chunk_batches, chunk_ibs, g in ((batches, ibs, g_snap), (batches, None, None),
                                             (None, ibs, g_snap), (None, None, g_snap)):
-            fwd_c, bwd_c, raw = _plan(w, y, g, 7, chunk_batches, chunk_ibs)
-            raw = list(raw)
-            steps = _steps((fwd_c, bwd_c, raw))
+            steps = _steps(_plan(w, y, g, 7, chunk_batches, chunk_ibs))
             assert len(steps) == 7
             for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
                 one = None if chunk_batches is None else chunk_batches[t:t + 1]
@@ -420,7 +419,7 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                 _same_entries(fwd, (cols, vals, row_id))
                 if chunk_ibs is None:
                     assert (lo, hi) == (0, w.features.size)
-                    assert bwd_c is fwd_c and raw[t][4:6] == raw[t][:2]
+                    assert all(map(_same_view, bwd, fwd))  # it sums its own entries
                     continue
                 ib = chunk_ibs[t]
                 assert (lo, hi) == (offsets[ib], offsets[ib + 1])
@@ -428,8 +427,8 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                 mask = block_of[cols] == w.active.blocks[ib]
                 _same_entries(bwd, (w.layout.slot[cols[mask]], vals[mask],
                                     row_id[mask]))
-            if chunk_batches is None:  # a full batch copies neither y nor g_snap
-                assert fwd_c is w.entries
+            if chunk_batches is None:  # a full batch copies neither entries, y nor g_snap
+                assert all(all(map(_same_view, fwd, w.entries)) for fwd, *_ in steps)
                 assert all(y_t is y and g_t is g for _, _, y_t, g_t, _, _ in steps)
 
 
@@ -1538,16 +1537,34 @@ def test_refinement_off_the_model_returns_none_without_raising(case, how):
         assert G.solvers._refine_support(spec, x) is None
 
 
-@pytest.mark.parametrize("case", ["l1-logistic", "group-logistic"])
+@pytest.mark.parametrize("case", ["l1-squared", "l1-logistic", "group-logistic"])
 def test_a_stalled_newton_path_returns_its_best_point_only_without_a_gate(case):
     """One Newton step from a point 5% off the optimum evaluates only that
-    point: without a tol, as the reference solver calls it, the refinement
-    returns it; with the engine's tol it returns None."""
+    point, on the Lasso too, whose linear system that step would solve:
+    without a tol, as the reference solver calls it, the refinement returns
+    it; with the engine's tol it returns None."""
     spec = REFINE_CASES[case]()
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     x = x_star * (1.0 + 0.05 * np.random.default_rng(0).uniform(-1.0, 1.0, x_star.size))
     assert np.array_equal(G.solvers._refine_support(spec, x, max_steps=1), x)
     assert G.solvers._refine_support(spec, x, G.solvers._REFINE_TOL * spec.lam, 1) is None
+
+
+@pytest.mark.parametrize("case", sorted(REFINE_CASES))
+def test_reference_trace_ends_on_its_one_stop_row(case):
+    """The reference solver logs every 50th iteration and then one stop row,
+    built after its support refinement: the rows' outer_iter strictly
+    increase, and the last row holds the report's iteration, objective and
+    gap, labelled "refined" where the refined point is returned (every L1
+    case here) and "last" otherwise."""
+    spec = REFINE_CASES[case]()
+    rep = G.reference_solve(spec, tol=1e-12)
+    iters = [r.outer_iter for r in rep.trace]
+    assert all(a < b for a, b in zip(iters, iters[1:]))
+    last = rep.trace[-1]
+    assert (last.outer_iter, last.objective, last.gap) == (rep.outer_iters, rep.objective,
+                                                          rep.gap)
+    assert last.restart == ("refined" if spec.reg.name == "l1" else "last")
 
 
 def _spy_refinements(monkeypatch):
