@@ -44,19 +44,24 @@ design's stored entries, _refine_support solves the smooth stationarity
 system on that model, in at most _REFINE_STEPS Newton steps whose residual
 must reach _REFINE_TOL * lam, once while the model holds (later iterates of
 it reuse the result). A Lasso model's system is linear, so its first step
-solves it. The refined point x_r is evaluated on the full problem, and its
-dual point certifies x_hat wherever P(x_hat) - D(theta_r) is the smaller
-gap: that gap is the row's and the safe radius's, and theta_r is the
-sphere's centre and scores the working set, while the snapshot keeps
-x_hat's own derivatives and gradient. theta_r is scaled over every block
-like any dual point, so its gap bounds the suboptimality and its sphere is
-safe whether or not the model is the optimum's (Gap Safe: Fercoq, Gramfort
-& Salmon, ICML 2015), and a refinement on a wrong model gives a larger gap,
-which is never used. Only the stop waits for identification: a refined gap
-ends the solve once the safe set also holds exactly the blocks where x_hat
-is nonzero. A solve certified so returns x_r where P(x_r) <= P(x_hat), else
-x_hat, and report.dual is the certifying dual point, so P(x_final) -
-D(report.dual) is report.gap.
+solves it. Where the solution flips the sign of an L1 coordinate, the
+refinement drops every flipped coordinate from the model and solves again on
+the smaller support, within the same step budget, until the signs agree (the
+active-set move of feature-sign search: Lee, Battle, Raina & Ng, NeurIPS
+2007). That prunes the coordinates of about 1e-9 that x_hat keeps off the
+optimum's support, whose correlation stays below lam. The refined point x_r
+is evaluated on the full problem, and its dual point certifies x_hat
+wherever P(x_hat) - D(theta_r) is the smaller gap: that gap is the row's and
+the safe radius's, and theta_r is the sphere's centre and scores the working
+set, while the snapshot keeps x_hat's own derivatives and gradient. theta_r
+is scaled over every block like any dual point, so its gap bounds the
+suboptimality and its sphere is safe whether or not the model is the
+optimum's (Gap Safe: Fercoq, Gramfort & Salmon, ICML 2015), and a refinement
+on a wrong model gives a larger gap, which is never used. Only the stop
+waits for identification: a refined gap ends the solve once the safe set
+also holds exactly the blocks where x_hat is nonzero. A solve certified so
+returns x_r where P(x_r) <= P(x_hat), else x_hat, and report.dual is the
+certifying dual point, so P(x_final) - D(report.dual) is report.gap.
 
 Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
@@ -889,13 +894,22 @@ def _one_pass_bound(spec):
 # of lam; a model that holds at the optimum reaches below 1e-13 in a few steps.
 _REFINE_TOL = 1e-9
 
-# Newton steps a screening solve's refinement may take. Along adsgd and asgd
-# runs on the benchmark workloads (solver seeds 0-7 at the benchmark's adsgd
-# settings) and from the tests' REFINE_CASES, every refinement that reached
-# _REFINE_TOL took at most 6 steps: 1 on every Lasso model, whose system is
-# linear, 3 on the logistic L1 case, 3 or 4 on group-L2 models, and 5 or 6
-# for asgd on logistic-group. One on a wrong model may run to the cap, so a
-# lower cap bounds what a failed refinement costs.
+# Passes of a screening solve's refinement, over all its rounds. A pass
+# evaluates the residual and, short of convergence, takes one Newton step, so
+# s steps in r rounds take s + r passes. Along adsgd and asgd runs on the
+# benchmark workloads (solver seeds 0-7 at the benchmark's adsgd settings, at
+# which asgd diverges on lasso-sparse) and from the tests' REFINE_CASES,
+# every refinement that reached _REFINE_TOL took at most 6 steps and 7
+# passes. On the Lasso workloads a model's system is linear: at most 3 steps
+# in at most 2 rounds (5 passes), a pruning round in 1 of 9 adsgd refinements
+# on lasso-sparse, 5 of 7 on lasso-tall and 53 of 59 for asgd there. Group-L2
+# never prunes: 4 steps for adsgd on logistic-group, 5 or 6 for asgd. From
+# REFINE_CASES, 5% off the optimum: 1 step on the Lasso, 3 on logistic L1, 3
+# or 4 on group-L2. Pruning three coordinates of about 1e-9 off the optimum
+# takes 3 steps in 2 rounds on the Lasso case but 9 steps and 11 passes on
+# the logistic L1 case, past the cap, where the engine's refinement returns
+# None. One on a wrong model may run to the cap, so a lower cap bounds what a
+# failed refinement costs.
 _REFINE_STEPS = 10
 
 # A screening solve refines a model of k unknowns only where n * k^2, the
@@ -909,10 +923,10 @@ _REFINE_STEPS = 10
 # epoch costs 7 to 38 of them on the benchmark workloads (median epoch over
 # one evaluation: 1.20 / 0.171 ms on logistic-group, 6.00 / 0.160 ms on
 # lasso-tall, 6.27 / 0.341 ms on lasso-sparse). A refinement that converges,
-# in at most 6 steps (a Lasso model's in one), so costs about an epoch or
-# less, and one on a wrong model at most _REFINE_STEPS steps. The benchmark's
-# refinements lie at 9 (logistic-group), 0.6 (lasso-tall) and 0.5
-# (lasso-sparse).
+# in at most 6 steps (a Lasso model's in at most 3, pruning included), so
+# costs about an epoch or less, and one on a wrong model at most
+# _REFINE_STEPS passes. The benchmark's refinements lie at 9
+# (logistic-group), 0.6 (lasso-tall) and 0.5 (lasso-sparse).
 _REFINE_COST = 100.0
 
 
@@ -923,14 +937,19 @@ def _refine_support(spec, x, tol=None, max_steps=60):
     the blocks where x is nonzero for group-L2. On it the penalty is smooth,
     lam * sign(x_i) on an L1 coordinate and lam * w_j / ||w_j|| on a group-L2
     block, so the system A_S' f'(A_S w) / n + 2 mu_p (w - x0_S) + lam grad
-    Omega(w) = 0 has a root wherever the model is the optimum's. It takes at
-    most max_steps Newton steps from x, the first of which solves the system
-    of the squared loss with L1, a linear one, and returns the point of
+    Omega(w) = 0 has a root wherever the model is the optimum's. A round
+    takes Newton steps from its start, the first of which solves the system
+    of the squared loss with L1, a linear one, and ends on the point of
     smallest residual, or the last point where a step's system is singular.
-    Returns None, and never raises, for an empty support, a non-finite value
-    or an L1 sign change; with a tol, also where the Newton residual never
-    falls to tol, as where a group-L2 block collapses toward zero, which the
-    model cannot express.
+    Where that point flips the sign of an L1 coordinate, or zeroes it, the
+    next round starts from it with every such coordinate dropped from the
+    model. The rounds share one budget of max_steps passes, each evaluating
+    the residual and taking at most one step: a flip left when it runs out,
+    or an empty support, returns None, and so does a non-finite value. The
+    point returned so has a support inside x's, with x's signs there. With
+    a tol it must also have a residual of at most tol, else None, as where
+    a group-L2 block collapses toward zero, which the model cannot express.
+    Never raises.
     """
     ds, part, l1 = spec.dataset, spec.partition, spec.reg.name == "l1"
     if l1:
@@ -939,49 +958,56 @@ def _refine_support(spec, x, tol=None, max_steps=60):
         nonzero = np.zeros(part.q, dtype=bool)
         nonzero[part.block_of[x != 0.0]] = True
         support = np.flatnonzero(nonzero[part.block_of])
-    if support.size == 0:
-        return None
-    signs = np.sign(x[support])
-    # column-major: the BLAS products below round differently on a row-major copy
-    a_s = ds.A[:, support].toarray(order="F")
-    n, k, loss, lam = ds.n, support.size, spec.loss, spec.lam
-    mu_p = spec.mu_p
-    anchor_s = spec.anchor[support]
-    ridge = 2.0 * mu_p * np.eye(k)
-    if not l1:  # each coordinate's block, numbered 0.., and the pairs within blocks
-        _, bid = np.unique(part.block_of[support], return_inverse=True)
-        members = [np.flatnonzero(bid == b) for b in range(bid.max() + 1)]
-        pi = np.concatenate([np.repeat(m, m.size) for m in members])
-        pj = np.concatenate([np.tile(m, m.size) for m in members])
-        diag = pi == pj
+    signs, w = np.sign(x[support]), x[support].copy()
+    n, loss, lam, mu_p = ds.n, spec.loss, spec.lam, spec.mu_p
+    steps = 0  # passes of the Newton loop, over every round
     with np.errstate(all="ignore"):
-        best = (math.inf, x[support].copy())  # (residual, point) of the best point
-        w = best[1]
-        for _ in range(max_steps):
-            z = a_s @ w
-            if not l1:  # each coordinate's block norm, and lam * w / ||w_j||
-                nrm = np.sqrt(np.bincount(bid, weights=w * w))[bid]
-                unit = w / nrm
-            res = a_s.T @ loss.deriv(z, ds.y) / n + 2.0 * mu_p * (w - anchor_s) \
-                + (lam * signs if l1 else lam * unit)
-            rnorm = float(np.max(np.abs(res)))
-            if rnorm < best[0]:
-                best = (rnorm, w)
-            if rnorm < 1e-13:
+        while True:  # one round per model; an L1 round that flips signs prunes them
+            if support.size == 0:
+                return None
+            # column-major: the BLAS products below round differently on a row-major copy
+            a_s = ds.A[:, support].toarray(order="F")
+            k, anchor_s = support.size, spec.anchor[support]
+            ridge = 2.0 * mu_p * np.eye(k)
+            if not l1:  # each coordinate's block, numbered 0.., and the pairs within blocks
+                _, bid = np.unique(part.block_of[support], return_inverse=True)
+                members = [np.flatnonzero(bid == b) for b in range(bid.max() + 1)]
+                pi = np.concatenate([np.repeat(m, m.size) for m in members])
+                pj = np.concatenate([np.tile(m, m.size) for m in members])
+                diag = pi == pj
+            best = (math.inf, w)  # (residual, point) of the round's best point
+            while steps < max_steps:
+                steps += 1
+                z = a_s @ w
+                if not l1:  # each coordinate's block norm, and lam * w / ||w_j||
+                    nrm = np.sqrt(np.bincount(bid, weights=w * w))[bid]
+                    unit = w / nrm
+                res = a_s.T @ loss.deriv(z, ds.y) / n + 2.0 * mu_p * (w - anchor_s) \
+                    + (lam * signs if l1 else lam * unit)
+                rnorm = float(np.max(np.abs(res)))
+                if rnorm < best[0]:
+                    best = (rnorm, w)
+                if rnorm < 1e-13:
+                    break
+                h = (a_s * loss.second_deriv(z, ds.y)[:, None]).T @ a_s / n + ridge \
+                    + 1e-13 * np.eye(k)
+                if not l1:  # lam (I - u u') / ||w_j|| within each block
+                    h[pi, pj] += (diag - unit[pi] * unit[pj]) * (lam / nrm)[pi]
+                try:
+                    step = np.linalg.solve(h, res)
+                except np.linalg.LinAlgError:
+                    best = (rnorm, w)  # the point whose system is singular
+                    break
+                w = w - step
+                if not np.all(np.isfinite(w)):
+                    break
+            w = best[1]
+            if not l1 or steps >= max_steps or not np.all(np.isfinite(w)):
                 break
-            h = (a_s * loss.second_deriv(z, ds.y)[:, None]).T @ a_s / n + ridge \
-                + 1e-13 * np.eye(k)
-            if not l1:  # lam (I - u u') / ||w_j|| within each block
-                h[pi, pj] += (diag - unit[pi] * unit[pj]) * (lam / nrm)[pi]
-            try:
-                step = np.linalg.solve(h, res)
-            except np.linalg.LinAlgError:
-                best = (rnorm, w)  # the point whose system is singular
+            keep = np.sign(w) == signs
+            if keep.all():
                 break
-            w = w - step
-            if not np.all(np.isfinite(w)):
-                break
-        w = best[1]
+            support, signs, w = support[keep], signs[keep], w[keep]
         if tol is not None and not best[0] <= tol:
             return None
     if not np.all(np.isfinite(w)) or (l1 and np.any(np.sign(w) != signs)):

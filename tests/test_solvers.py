@@ -1521,7 +1521,6 @@ def _off_model(spec, x_star, how):
 
 
 @pytest.mark.parametrize("case, how", [
-    ("l1-squared", "sign-change"), ("l1-logistic", "sign-change"),
     ("l1-squared", "nan"), ("l1-logistic", "overflow"),
     ("group-squared", "collapsing-block"), ("group-logistic", "collapsing-block"),
     ("group-mu-p", "collapsing-block"), ("group-logistic", "nan"),
@@ -1533,8 +1532,65 @@ def test_refinement_off_the_model_returns_none_without_raising(case, how):
     x = _off_model(spec, G.reference_solve(spec, tol=1e-12).x_final, how)
     assert _engine_refine(spec, x) is None
     assert _engine_refine(spec, np.zeros(spec.dataset.d)) is None
-    if how in ("sign-change", "nan"):  # refused whatever the residual: None without a tol too
+    if how == "nan":  # refused whatever the residual: None without a tol too
         assert G.solvers._refine_support(spec, x) is None
+
+
+def _l1_model_residual(spec, w):
+    """Largest entry of the L1 stationarity system on w's support, with w's signs."""
+    ds, s = spec.dataset, np.flatnonzero(w)
+    g = ds.A[:, s].T @ spec.loss.deriv(ds.A @ w, ds.y) / ds.n
+    return float(np.max(np.abs(g + 2.0 * spec.mu_p * (w[s] - spec.anchor[s])
+                                + spec.lam * np.sign(w[s]))))
+
+
+@pytest.mark.parametrize("case", ["l1-squared", "l1-logistic"])
+def test_a_sign_change_prunes_to_a_stationary_point_of_a_smaller_model(case):
+    """From the optimum with its largest coordinate's sign flipped, the
+    refinement returns None, or a finite point whose support lies in x's,
+    with x's signs there, whose stationarity residual on that model is at
+    most the engine's tol; with the engine's gate and cap, and without them.
+    Warnings are errors here, so no overflow or invalid operation escapes."""
+    spec = REFINE_CASES[case]()
+    x = _off_model(spec, G.reference_solve(spec, tol=1e-12).x_final, "sign-change")
+    tol = G.solvers._REFINE_TOL * spec.lam
+    for x_r in (_engine_refine(spec, x), G.solvers._refine_support(spec, x)):
+        if x_r is None:
+            continue
+        s = np.flatnonzero(x_r)
+        assert np.all(np.isfinite(x_r))
+        assert set(s.tolist()) <= set(np.flatnonzero(x).tolist())
+        assert np.array_equal(np.sign(x_r[s]), np.sign(x[s]))
+        assert _l1_model_residual(spec, x_r) <= tol
+
+
+@pytest.mark.parametrize("case", ["l1-squared", "l1-logistic"])
+def test_refinement_prunes_tiny_coordinates_whose_signs_flip(case):
+    """x_star plus three coordinates of about 1e-9 off its support, each of
+    the sign a prox step gives (against the correlation there): the solution
+    on that model flips them, since the correlation stays below lam. The
+    refinement drops them and solves again, returning x_star's support and
+    x_star to 1e-10, with a full gap below 1e-12. The Lasso's two rounds
+    take 3 Newton steps, within the engine's cap, which returns the same
+    point; the logistic case's take 9 steps and 11 passes, past it."""
+    spec = REFINE_CASES[case]()
+    x_star = G.reference_solve(spec, tol=1e-12).x_final
+    ds = spec.dataset
+    corr = ds.A.T @ spec.loss.deriv(ds.A @ x_star, ds.y) / ds.n
+    extra = np.random.default_rng(0).choice(np.flatnonzero(x_star == 0.0), 3, replace=False)
+    x = x_star.copy()
+    x[extra] = -np.sign(corr[extra]) * np.array([1e-9, 2e-9, 3e-9])
+    x_r = G.solvers._refine_support(spec, x)
+    assert x_r is not None
+    assert np.array_equal(x_r != 0.0, x_star != 0.0)
+    assert np.max(np.abs(x_r - x_star)) <= 1e-10
+    assert _full_gap(spec, x_r) <= 1e-12
+    if spec.loss.name == "squared":  # 3 steps in 2 rounds: 5 passes of one budget
+        tol = G.solvers._REFINE_TOL * spec.lam
+        assert np.array_equal(G.solvers._refine_support(spec, x, tol, 5), x_r)
+        for passes in (2, 3, 4):  # signs left flipped, or the last round unconverged
+            assert G.solvers._refine_support(spec, x, tol, passes) is None
+        assert np.array_equal(_engine_refine(spec, x), x_r)
 
 
 @pytest.mark.parametrize("case", ["l1-squared", "l1-logistic", "group-logistic"])
@@ -1639,6 +1695,37 @@ def test_a_wide_sparse_lasso_stops_within_an_epoch_of_its_first_optimal_iterate(
         first = next(k for k, x in enumerate(rep.iterates)
                      if G.primal_objective(spec, x) - p_star <= 1e-6)
         assert rep.converged and rep.outer_iters <= first + 1
+
+
+def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
+    """On a tall dense Lasso, x_hat keeps coordinates of about 1e-9 that are
+    zero at the optimum, and the solution on its model flips their signs.
+    The refinement drops them, so every refinement adsgd starts finds a
+    point, and every solve that refines stops on a refined row of an
+    identified model. Each report's dual point certifies its x_final: P -
+    D is report.gap bit for bit."""
+    data = generate_synthetic(SyntheticParams(n=2000, d=40, sparsity=1.0, seed=3))
+    spec = build_spec(data, model="lasso", lambda_ratio=0.5, q=10)
+    full, refine, found = G.ActiveSet.full(spec, bounds=False), G.solvers._refine_support, []
+
+    def spied(spec, x, *args):
+        out = refine(spec, x, *args)
+        found.append(out is not None)
+        return out
+
+    monkeypatch.setattr(G.solvers, "_refine_support", spied)
+    eta, refinements = tuned_eta(spec), 0
+    for seed in range(8):
+        del found[:]
+        rep = G.adsgd_solve(spec, G.SolverConfig(seed=seed, gap_tol=1e-6, max_outer=300,
+                                                 eta=eta))
+        assert rep.converged and all(found)
+        stop = rep.trace[-1]
+        assert (stop.refined_dual and stop.identified) == bool(found)
+        assert G.primal_objective(spec, rep.x_final) \
+            - G.duality._dual_value(spec, rep.dual, full) == rep.gap
+        refinements += len(found)
+    assert refinements >= 6
 
 
 def _stacked(dp):
