@@ -203,23 +203,26 @@ class ExperimentPlan:
             raise ValueError("at least one solver config is required")
 
 
-TRACE_HEADER = ["outer_iter", "elapsed_s", "objective", "gap",
-                "active_blocks", "active_features", "radius", "working_blocks",
-                "restart", "refined_dual", "identified"]
+def _write_rows(path, fields, records):
+    """One column per field: a bool as 0/1, a string as it is, a number by its repr."""
+    def cell(f, v):
+        return int(v) if f.type is bool else v if f.type is str else repr(v)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow([f.name for f in fields])
+        w.writerows([cell(f, getattr(r, f.name)) for f in fields] for r in records)
+
+
+_TRACE_FIELDS = dataclasses.fields(TraceRecord)
+TRACE_HEADER = [f.name for f in _TRACE_FIELDS]
 
 
 def write_trace_csv(path, trace):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        for r in trace:
-            w.writerow([repr(r.outer_iter), repr(r.elapsed_s), repr(r.objective),
-                        repr(r.gap), repr(r.active_blocks), repr(r.active_features),
-                        repr(r.radius), repr(r.working_blocks), r.restart,
-                        int(r.refined_dual), int(r.identified)])
+    _write_rows(path, _TRACE_FIELDS, trace)
 
 
 def read_trace_csv(path):
+    """The TraceRecords of a trace CSV; ValueError on a wrong header or row length."""
     out = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rd = csv.reader(fh)
@@ -227,13 +230,11 @@ def read_trace_csv(path):
         if header != TRACE_HEADER:
             raise ValueError(f"unexpected trace header {header}")
         for row in rd:
-            out.append(TraceRecord(outer_iter=int(row[0]), elapsed_s=float(row[1]),
-                                   objective=float(row[2]), gap=float(row[3]),
-                                   active_blocks=int(row[4]),
-                                   active_features=int(row[5]), radius=float(row[6]),
-                                   working_blocks=int(row[7]), restart=row[8],
-                                   refined_dual=row[9] == "1",
-                                   identified=row[10] == "1"))
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {rd.line_num} has {len(row)} cells, "
+                                 f"not {len(header)}")
+            out.append(TraceRecord(*(c == "1" if f.type is bool else f.type(c)
+                                     for f, c in zip(_TRACE_FIELDS, row))))
     return out
 
 
@@ -315,17 +316,7 @@ def run_experiment(plan):
 
 
 def _write_summary(path, summaries):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["solver", "lambda_ratio", "repetition", "seed", "converged",
-                    "outer_iters", "wall_time", "time_to_tol", "final_gap",
-                    "final_objective", "coord_updates", "trace_path", "error"])
-        for s in summaries:
-            w.writerow([s.solver, repr(s.lambda_ratio), s.repetition, s.seed,
-                        int(s.converged), s.outer_iters, repr(s.wall_time),
-                        repr(s.time_to_tol), repr(s.final_gap),
-                        repr(s.final_objective), s.coord_updates, s.trace_path,
-                        s.error])
+    _write_rows(path, dataclasses.fields(RunSummary), summaries)
 
 
 def mean_time_to_tol(summaries):

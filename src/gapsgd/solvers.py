@@ -133,7 +133,8 @@ backtracking doubles it where needed, so no power iteration runs. An
 iteration forms one A x per prox point tried and one A'g in the evaluation of
 the iterate, plus one A'g at the extrapolated point y unless y is the
 iterate, as after a restart or a step from t = 1 (beta = 0); A y is the same
-combination of the last two products A x.
+combination of the last two products A x. Its L1 stop row is refined by the
+screening solves' own _refined_certificate, kept where its gap is smaller.
 
 The full-vector solvers (asgd, proxsvrg) and the reference solver make one
 penalty prox call per step. For group-L2 it shrinks every block of one size
@@ -628,7 +629,7 @@ def _refined_certificate(spec, x, full):
     """(x_r, P(x_r), dual point, dual value) of the refinement of x on the
     full problem, or None where _refine_support finds no point within
     _REFINE_STEPS Newton steps whose residual reaches _REFINE_TOL * lam."""
-    x_r = _refine_support(spec, x, _REFINE_TOL * spec.lam, _REFINE_STEPS)
+    x_r = _refine_support(spec, x)
     if x_r is None:
         return None
     z = spec.dataset.A @ x_r
@@ -894,22 +895,20 @@ def _one_pass_bound(spec):
 # of lam; a model that holds at the optimum reaches below 1e-13 in a few steps.
 _REFINE_TOL = 1e-9
 
-# Passes of a screening solve's refinement, over all its rounds. A pass
-# evaluates the residual and, short of convergence, takes one Newton step, so
-# s steps in r rounds take s + r passes. Along adsgd and asgd runs on the
+# Newton steps of a refinement, over all its rounds; evaluating the residual
+# of the point a step reached is not a step. Along adsgd and asgd runs on the
 # benchmark workloads (solver seeds 0-7 at the benchmark's adsgd settings, at
 # which asgd diverges on lasso-sparse) and from the tests' REFINE_CASES,
-# every refinement that reached _REFINE_TOL took at most 6 steps and 7
-# passes. On the Lasso workloads a model's system is linear: at most 3 steps
-# in at most 2 rounds (5 passes), a pruning round in 1 of 9 adsgd refinements
-# on lasso-sparse, 5 of 7 on lasso-tall and 53 of 59 for asgd there. Group-L2
-# never prunes: 4 steps for adsgd on logistic-group, 5 or 6 for asgd. From
-# REFINE_CASES, 5% off the optimum: 1 step on the Lasso, 3 on logistic L1, 3
-# or 4 on group-L2. Pruning three coordinates of about 1e-9 off the optimum
-# takes 3 steps in 2 rounds on the Lasso case but 9 steps and 11 passes on
-# the logistic L1 case, past the cap, where the engine's refinement returns
-# None. One on a wrong model may run to the cap, so a lower cap bounds what a
-# failed refinement costs.
+# every refinement that reached _REFINE_TOL took at most 6 steps. On the
+# Lasso workloads a model's system is linear: at most 3 steps in at most 2
+# rounds, a pruning round in 1 of 9 adsgd refinements on lasso-sparse, 5 of 7
+# on lasso-tall and 53 of 59 for asgd there. Group-L2 never prunes: 4 steps
+# for adsgd on logistic-group, 5 or 6 for asgd. From REFINE_CASES, 5% off the
+# optimum: 1 step on the Lasso, 3 on logistic L1, 3 or 4 on group-L2.
+# Pruning three coordinates of about 1e-9 off the optimum takes 3 steps in 2
+# rounds on the Lasso case and 9 in 2 rounds on the logistic L1 case. One on
+# a wrong model may run to the cap, so a lower cap bounds what a failed
+# refinement costs.
 _REFINE_STEPS = 10
 
 # A screening solve refines a model of k unknowns only where n * k^2, the
@@ -925,12 +924,12 @@ _REFINE_STEPS = 10
 # lasso-tall, 6.27 / 0.341 ms on lasso-sparse). A refinement that converges,
 # in at most 6 steps (a Lasso model's in at most 3, pruning included), so
 # costs about an epoch or less, and one on a wrong model at most
-# _REFINE_STEPS passes. The benchmark's refinements lie at 9
+# _REFINE_STEPS steps. The benchmark's refinements lie at 9
 # (logistic-group), 0.6 (lasso-tall) and 0.5 (lasso-sparse).
 _REFINE_COST = 100.0
 
 
-def _refine_support(spec, x, tol=None, max_steps=60):
+def _refine_support(spec, x):
     """Solve the smooth stationarity system on the model of x; the point, or None.
 
     The model is the support of x with its signs for L1, and the features of
@@ -943,13 +942,12 @@ def _refine_support(spec, x, tol=None, max_steps=60):
     smallest residual, or the last point where a step's system is singular.
     Where that point flips the sign of an L1 coordinate, or zeroes it, the
     next round starts from it with every such coordinate dropped from the
-    model. The rounds share one budget of max_steps passes, each evaluating
-    the residual and taking at most one step: a flip left when it runs out,
-    or an empty support, returns None, and so does a non-finite value. The
-    point returned so has a support inside x's, with x's signs there. With
-    a tol it must also have a residual of at most tol, else None, as where
-    a group-L2 block collapses toward zero, which the model cannot express.
-    Never raises.
+    model. The rounds share one budget of _REFINE_STEPS Newton steps: a flip
+    left when it runs out, or an empty support, returns None, and so does a
+    non-finite value. The point returned so has a support inside x's, with
+    x's signs there, and a residual of at most _REFINE_TOL * lam, else None,
+    as where a group-L2 block collapses toward zero, which the model cannot
+    express. Never raises.
     """
     ds, part, l1 = spec.dataset, spec.partition, spec.reg.name == "l1"
     if l1:
@@ -960,7 +958,7 @@ def _refine_support(spec, x, tol=None, max_steps=60):
         support = np.flatnonzero(nonzero[part.block_of])
     signs, w = np.sign(x[support]), x[support].copy()
     n, loss, lam, mu_p = ds.n, spec.loss, spec.lam, spec.mu_p
-    steps = 0  # passes of the Newton loop, over every round
+    steps = 0  # Newton steps, over every round
     with np.errstate(all="ignore"):
         while True:  # one round per model; an L1 round that flips signs prunes them
             if support.size == 0:
@@ -976,8 +974,7 @@ def _refine_support(spec, x, tol=None, max_steps=60):
                 pj = np.concatenate([np.tile(m, m.size) for m in members])
                 diag = pi == pj
             best = (math.inf, w)  # (residual, point) of the round's best point
-            while steps < max_steps:
-                steps += 1
+            while True:
                 z = a_s @ w
                 if not l1:  # each coordinate's block norm, and lam * w / ||w_j||
                     nrm = np.sqrt(np.bincount(bid, weights=w * w))[bid]
@@ -987,7 +984,7 @@ def _refine_support(spec, x, tol=None, max_steps=60):
                 rnorm = float(np.max(np.abs(res)))
                 if rnorm < best[0]:
                     best = (rnorm, w)
-                if rnorm < 1e-13:
+                if rnorm < 1e-13 or steps >= _REFINE_STEPS:
                     break
                 h = (a_s * loss.second_deriv(z, ds.y)[:, None]).T @ a_s / n + ridge \
                     + 1e-13 * np.eye(k)
@@ -998,17 +995,18 @@ def _refine_support(spec, x, tol=None, max_steps=60):
                 except np.linalg.LinAlgError:
                     best = (rnorm, w)  # the point whose system is singular
                     break
+                steps += 1
                 w = w - step
                 if not np.all(np.isfinite(w)):
                     break
             w = best[1]
-            if not l1 or steps >= max_steps or not np.all(np.isfinite(w)):
+            if not l1 or steps >= _REFINE_STEPS or not np.all(np.isfinite(w)):
                 break
             keep = np.sign(w) == signs
             if keep.all():
                 break
             support, signs, w = support[keep], signs[keep], w[keep]
-        if tol is not None and not best[0] <= tol:
+        if not best[0] <= _REFINE_TOL * lam:
             return None
     if not np.all(np.isfinite(w)) or (l1 and np.any(np.sign(w) != signs)):
         return None
@@ -1020,10 +1018,12 @@ def _refine_support(spec, x, tol=None, max_steps=60):
 def reference_solve(spec, tol=1e-10, max_iter=50000):
     """Deterministic accelerated proximal gradient oracle.
 
-    Full-gradient steps with backtracking, momentum restarts, and a final
-    support-restricted refinement so the returned dual point resolves
-    equicorrelation membership well below the stopping tolerance. Raises
-    ConvergenceError (carrying the best gap seen) if max_iter is exhausted.
+    Full-gradient steps with backtracking, momentum restarts, and for L1 a
+    final _refined_certificate, whose point and dual point replace the stop
+    row's where their gap is strictly smaller, so the returned dual point
+    resolves equicorrelation membership well below the stopping tolerance.
+    Raises ConvergenceError (carrying the best gap seen) if max_iter is
+    exhausted.
 
     The backtracking constant starts at _one_pass_bound, which is at most the
     smoothness constant, and doubles at every failed sufficient-decrease
@@ -1031,7 +1031,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     the evaluation of x, plus one A'g at the extrapolated point y when y is
     not x (a restart, and a step from t = 1, where beta = 0, put y on x);
     A y = A xn + beta (A xn - A x) costs no product. A support refinement
-    that returns a point forms one more A x.
+    that returns a point forms one more A x and one more A'g.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -1109,11 +1109,9 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         t_mom = t_new
 
     restart = "last" if it else "start"
-    refined = _refine_support(spec, x) if spec.reg.name == "l1" else None
-    if refined is not None:
-        obj_r, _, dp_r, gap_r = evaluate(spec, refined, A @ refined, active)
-        if np.isfinite(gap_r) and gap_r < gap:
-            x, obj, dp, gap, restart = refined, obj_r, dp_r, gap_r, "refined"
+    ref = _refined_certificate(spec, x, active) if spec.reg.name == "l1" else None
+    if ref is not None and ref[1] - ref[3] < gap:
+        x, obj, dp, gap, restart = ref[0], ref[1], ref[2], ref[1] - ref[3], "refined"
     trace.append(row(obj, gap, restart))
     return SolveReport(x_final=x.copy(), trace=trace, converged=converged,
                        outer_iters=it, wall_time=time.perf_counter() - start,

@@ -5,9 +5,11 @@
 Run from the root of a source checkout. It builds each workload of
 benchmarks/run.py as the benchmark does and solves it with adsgd, mrbcd and
 proxsvrg at the benchmark's settings for solver seeds 0-7, and with the
-reference solver. Each line names the workload, solver and seed, and gives
-outer_iters, coord_updates and SHA-256 prefixes of x_final's bytes and of the
-trace's gaps. A change that keeps every iterate prints the same lines, so
+reference solver at the benchmark's gap_tol. Each line names the workload,
+solver and seed, and gives outer_iters, coord_updates and SHA-256 prefixes of
+x_final's bytes and of the trace's gaps. Each workload's first line, solver
+"oracle", describes the instance's ORACLE_TOL reference solve that sets the
+benchmark's P*. A change that keeps every iterate prints the same lines, so
 `diff` of two checkouts' outputs shows any solve whose bits moved. The module
 reads benchmarks/run.py and changes nothing in it; pytest does not collect it.
 """
@@ -31,16 +33,19 @@ def _digest(arr):
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=np.float64).tobytes()).hexdigest()[:16]
 
 
+def _hashes(rep):
+    gaps = [r.gap for r in rep.trace]
+    return (f"outer_iters={rep.outer_iters} coord_updates={rep.coord_updates} "
+            f"x={_digest(rep.x_final)} gaps={_digest(gaps)}")
+
+
 def line(G, inst, name, seed):
     cfg = run.solver_config(inst, name, seed)
     try:
         rep = G.solve(inst.spec, cfg)
     except Exception as exc:  # noqa: BLE001 - a raising solve is reported, not fatal
         return f"{inst.wl.name} {name} {seed} raised {type(exc).__name__}: {exc}"
-    gaps = [r.gap for r in rep.trace]
-    return (f"{inst.wl.name} {name} {seed} outer_iters={rep.outer_iters} "
-            f"coord_updates={rep.coord_updates} x={_digest(rep.x_final)} "
-            f"gaps={_digest(gaps)}")
+    return f"{inst.wl.name} {name} {seed} {_hashes(rep)}"
 
 
 def main():
@@ -48,6 +53,7 @@ def main():
     for wl in run.WORKLOADS.values():
         with tempfile.TemporaryDirectory() as workdir:
             inst = run.Instance(G, wl, workdir)
+        print(f"{wl.name} oracle 0 {_hashes(inst.oracle)}", flush=True)
         print(line(G, inst, "reference", 0), flush=True)
         for name in run.STOCHASTIC:
             for seed in SEEDS:

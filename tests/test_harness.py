@@ -1,3 +1,4 @@
+import csv
 import os
 import pathlib
 
@@ -138,6 +139,20 @@ def test_trace_csv_round_trip(tmp_path):
     assert back == rows
 
 
+@pytest.mark.parametrize("edit", [lambda row: row + ",7", lambda row: row.rsplit(",", 1)[0]],
+                         ids=["extra-cell", "short-row"])
+def test_trace_csv_rejects_a_row_of_the_wrong_length(tmp_path, edit):
+    """A row with a cell too many or too few raises ValueError naming its line."""
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, [TraceRecord(0, 0.0, 1.5, 0.5, 10, 200),
+                           TraceRecord(1, 0.01, 1.25, 0.25, 9, 180, restart="last")])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = edit(lines[2])
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3 "):
+        read_trace_csv(path)
+
+
 # ------------------------------------------------------------ experiments
 
 def small_plan(tmp_path, reps=2, ratios=(0.5, 0.25), plot=False, solvers=None):
@@ -167,6 +182,29 @@ def test_run_experiment_writes_round_trippable_traces(tmp_path):
         assert s.converged == (trace[-1].gap <= 1e-5)
         assert trace[-1].gap <= 1e-5 or not s.converged
     assert os.path.exists(os.path.join(plan.out_dir, "summary.csv"))
+
+
+def test_summary_csv_holds_each_run_as_written(tmp_path):
+    """summary.csv has one column per RunSummary field, floats written by
+    repr, converged as 0/1 and an empty error on a run that did not raise;
+    a run that raised has NaN times and its message."""
+    eta = small_plan(tmp_path).solvers[0].eta
+    plan = small_plan(tmp_path, reps=1, ratios=(0.5,), solvers=(
+        G.SolverConfig(solver="adsgd", eta=eta, gap_tol=1e-5, max_outer=120, seed=100),
+        G.SolverConfig(solver="adsgd", eta=1000.0, max_outer=20, seed=100)))
+    ok, failed = run_experiment(plan)
+    with open(os.path.join(plan.out_dir, "summary.csv"), newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["solver", "lambda_ratio", "repetition", "seed", "converged",
+                      "outer_iters", "wall_time", "time_to_tol", "final_gap",
+                      "final_objective", "coord_updates", "trace_path", "error"]
+    assert ok.converged and ok.error == ""
+    assert rows[0] == ["adsgd", "0.5", "0", "100", "1", str(ok.outer_iters),
+                       repr(ok.wall_time), repr(ok.wall_time), repr(ok.final_gap),
+                       repr(ok.final_objective), str(ok.coord_updates), ok.trace_path, ""]
+    assert rows[1] == ["adsgd", "0.5", "0", "100", "0", "0", "nan", "nan", "nan", "nan",
+                       "0", "", failed.error]
+    assert "non-finite" in failed.error
 
 
 def test_run_experiment_rerun_identical_up_to_timing(tmp_path):

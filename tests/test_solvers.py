@@ -1395,14 +1395,16 @@ def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
     after either of those, where t = 1 makes beta = 0 and y the iterate. Only
     steps from an extrapolated point form another A'g. A x is formed once per
     prox point tried and once for the refinement, never at an extrapolated
-    point."""
+    point. A refinement that returns a point forms one more A x and one more
+    A'g, for its dual point."""
     spec = make_instance(seed=3, n=150, d=300, q=10)
     counts = _count_reference_work(monkeypatch, spec)
     rep = G.reference_solve(spec, tol=1e-10)
     assert rep.converged and rep.outer_iters == 46
     assert counts["step_gradients"] == rep.outer_iters - 14
-    assert counts["products"] == counts["evaluations"] + counts["step_gradients"]
     assert counts["refinements"] == 1
+    assert counts["products"] == (counts["evaluations"] + counts["step_gradients"]
+                                  + counts["refinements"])
     assert counts["forward"] == counts["prox_points"] + counts["refinements"] == 47
 
 
@@ -1480,25 +1482,19 @@ REFINE_CASES = {
 }
 
 
-def _engine_refine(spec, x):
-    """The refined point as a screening solve gets it, through its residual
-    gate and step cap, or None."""
-    out = G.solvers._refined_certificate(spec, x, G.ActiveSet.full(spec, bounds=False))
-    return None if out is None else out[0]
-
-
 @pytest.mark.parametrize("case", sorted(REFINE_CASES))
 def test_refinement_lands_on_the_optimum_from_a_point_of_its_model(case):
     """From a point 5% off the optimum on its model, the refinement returns
     the reference optimum (tol 1e-12) to 1e-10, with a full gap below 1e-12,
-    the same point with and without the engine's gate and cap."""
+    and _refined_certificate certifies that point."""
     spec = REFINE_CASES[case]()
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     rng = np.random.default_rng(0)
     x = x_star * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=x_star.size))
-    x_r = _engine_refine(spec, x)
+    x_r = G.solvers._refine_support(spec, x)
     assert x_r is not None
-    assert np.array_equal(x_r, G.solvers._refine_support(spec, x))
+    cert = G.solvers._refined_certificate(spec, x, G.ActiveSet.full(spec, bounds=False))
+    assert cert is not None and np.array_equal(cert[0], x_r)
     assert np.array_equal(x_r != 0.0, x_star != 0.0)
     assert np.max(np.abs(x_r - x_star)) <= 1e-10
     assert _full_gap(spec, x_r) <= 1e-12
@@ -1530,10 +1526,8 @@ def test_refinement_off_the_model_returns_none_without_raising(case, how):
     """Warnings are errors here, so no overflow or invalid operation escapes."""
     spec = REFINE_CASES[case]()
     x = _off_model(spec, G.reference_solve(spec, tol=1e-12).x_final, how)
-    assert _engine_refine(spec, x) is None
-    assert _engine_refine(spec, np.zeros(spec.dataset.d)) is None
-    if how == "nan":  # refused whatever the residual: None without a tol too
-        assert G.solvers._refine_support(spec, x) is None
+    assert G.solvers._refine_support(spec, x) is None
+    assert G.solvers._refine_support(spec, np.zeros(spec.dataset.d)) is None
 
 
 def _l1_model_residual(spec, w):
@@ -1549,30 +1543,30 @@ def test_a_sign_change_prunes_to_a_stationary_point_of_a_smaller_model(case):
     """From the optimum with its largest coordinate's sign flipped, the
     refinement returns None, or a finite point whose support lies in x's,
     with x's signs there, whose stationarity residual on that model is at
-    most the engine's tol; with the engine's gate and cap, and without them.
-    Warnings are errors here, so no overflow or invalid operation escapes."""
+    most the gate _REFINE_TOL * lam. Warnings are errors here, so no overflow
+    or invalid operation escapes."""
     spec = REFINE_CASES[case]()
     x = _off_model(spec, G.reference_solve(spec, tol=1e-12).x_final, "sign-change")
-    tol = G.solvers._REFINE_TOL * spec.lam
-    for x_r in (_engine_refine(spec, x), G.solvers._refine_support(spec, x)):
-        if x_r is None:
-            continue
+    x_r = G.solvers._refine_support(spec, x)
+    if x_r is not None:
         s = np.flatnonzero(x_r)
         assert np.all(np.isfinite(x_r))
         assert set(s.tolist()) <= set(np.flatnonzero(x).tolist())
         assert np.array_equal(np.sign(x_r[s]), np.sign(x[s]))
-        assert _l1_model_residual(spec, x_r) <= tol
+        assert _l1_model_residual(spec, x_r) <= G.solvers._REFINE_TOL * spec.lam
 
 
 @pytest.mark.parametrize("case", ["l1-squared", "l1-logistic"])
-def test_refinement_prunes_tiny_coordinates_whose_signs_flip(case):
+def test_refinement_prunes_tiny_coordinates_whose_signs_flip(monkeypatch, case):
     """x_star plus three coordinates of about 1e-9 off its support, each of
     the sign a prox step gives (against the correlation there): the solution
     on that model flips them, since the correlation stays below lam. The
-    refinement drops them and solves again, returning x_star's support and
-    x_star to 1e-10, with a full gap below 1e-12. The Lasso's two rounds
-    take 3 Newton steps, within the engine's cap, which returns the same
-    point; the logistic case's take 9 steps and 11 passes, past it."""
+    refinement drops them and solves again within its one budget of
+    _REFINE_STEPS Newton steps, returning x_star's support and x_star to
+    1e-10, with a full gap below 1e-12, and _refined_certificate certifies
+    that point. The Lasso's two rounds take 3 steps, the logistic case's 9.
+    On the Lasso the budget is pinned: 3 steps return that point, while 1 or
+    2 leave signs flipped or the last round unconverged, and return None."""
     spec = REFINE_CASES[case]()
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     ds = spec.dataset
@@ -1585,25 +1579,27 @@ def test_refinement_prunes_tiny_coordinates_whose_signs_flip(case):
     assert np.array_equal(x_r != 0.0, x_star != 0.0)
     assert np.max(np.abs(x_r - x_star)) <= 1e-10
     assert _full_gap(spec, x_r) <= 1e-12
-    if spec.loss.name == "squared":  # 3 steps in 2 rounds: 5 passes of one budget
-        tol = G.solvers._REFINE_TOL * spec.lam
-        assert np.array_equal(G.solvers._refine_support(spec, x, tol, 5), x_r)
-        for passes in (2, 3, 4):  # signs left flipped, or the last round unconverged
-            assert G.solvers._refine_support(spec, x, tol, passes) is None
-        assert np.array_equal(_engine_refine(spec, x), x_r)
+    cert = G.solvers._refined_certificate(spec, x, G.ActiveSet.full(spec, bounds=False))
+    assert cert is not None and np.array_equal(cert[0], x_r)
+    if spec.loss.name == "squared":
+        monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 3)
+        assert np.array_equal(G.solvers._refine_support(spec, x), x_r)
+        for steps in (1, 2):
+            monkeypatch.setattr(G.solvers, "_REFINE_STEPS", steps)
+            assert G.solvers._refine_support(spec, x) is None
 
 
 @pytest.mark.parametrize("case", ["l1-squared", "l1-logistic", "group-logistic"])
-def test_a_stalled_newton_path_returns_its_best_point_only_without_a_gate(case):
-    """One Newton step from a point 5% off the optimum evaluates only that
-    point, on the Lasso too, whose linear system that step would solve:
-    without a tol, as the reference solver calls it, the refinement returns
-    it; with the engine's tol it returns None."""
+def test_a_stalled_newton_path_returns_none(monkeypatch, case):
+    """With a budget of no Newton step, the refinement of a point 5% off the
+    optimum evaluates only that point, on the Lasso too, whose linear system
+    one step would solve. Its residual misses the gate _REFINE_TOL * lam, so
+    the refinement returns None rather than its best point."""
     spec = REFINE_CASES[case]()
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     x = x_star * (1.0 + 0.05 * np.random.default_rng(0).uniform(-1.0, 1.0, x_star.size))
-    assert np.array_equal(G.solvers._refine_support(spec, x, max_steps=1), x)
-    assert G.solvers._refine_support(spec, x, G.solvers._REFINE_TOL * spec.lam, 1) is None
+    monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 0)
+    assert G.solvers._refine_support(spec, x) is None
 
 
 @pytest.mark.parametrize("case", sorted(REFINE_CASES))
