@@ -5,7 +5,7 @@ certifying blocks of coefficients as zero at the optimum while they run, plus
 unscreened baselines and a deterministic reference solver for validation.
 """
 
-from .duality import (ActiveSet, DualPoint, dual_point, duality_gap,
+from .duality import (ActiveSet, DualPoint, column_bounds, dual_point, duality_gap,
                       equicorrelation_set, safe_radius, screen)
 from .harness import (ExperimentPlan, LibsvmParseError, SyntheticParams,
                       build_spec, generate_synthetic, load_libsvm,

@@ -2,17 +2,18 @@
 
 The dual variable theta lives in sample space (length n): it is built from the
 per-sample derivative vector (f_1'(a_1'x), ..., f_n'(a_n'x)) and rescaled so
-that (1/n) * Omega_j^D(A_j' theta) <= lam on every active block. When the
+that (1/n) * Omega_j^D(A_j' theta) <= lam on all q blocks. When the
 quadratic perturbation mu_p ||x - x0||^2 is enabled, each coordinate also
 carries a pseudo-sample dual kappa_j; gap and screening are then computed for
 the perturbed problem, so eliminations are safe for the perturbed optimum only.
 
 dual_point forms the one product A'g of an evaluation and keeps in the
-DualPoint what screen, equicorrelation_set and variance reduction read of it.
-The solvers scale every dual point over all q blocks, so its gap certifies the
-full problem whatever screening dropped; safe_radius turns that gap into the
-radius of a sphere that holds the dual optimum, and screen drops the blocks
-that sphere proves zero at the optimum.
+DualPoint what screen, equicorrelation_set and variance reduction read of it;
+evaluate adds the objective, the dual value and the gap, and is the one
+evaluation of every solver. Every dual point is scaled over all q blocks, so
+its gap certifies the full problem whatever screening dropped; safe_radius
+turns that gap into the radius of a sphere that holds the dual optimum, and
+screen drops the blocks that sphere proves zero at the optimum.
 """
 
 import dataclasses
@@ -29,7 +30,8 @@ class DualPoint:
     """Feasible dual candidate: theta over samples, optional kappa over features.
 
     dual_point also sets gradient, smooth_gradient at the iterate, and
-    correlations, (1/n) Omega_j^D(A_j' theta + kappa_Gj) for every block j.
+    correlations, (1/n) Omega_j^D(A_j' theta + kappa_Gj) for every block j;
+    evaluate sets value, the dual objective D(theta).
     """
 
     theta: np.ndarray
@@ -37,34 +39,23 @@ class DualPoint:
     kappa: np.ndarray = None
     gradient: np.ndarray = None
     correlations: np.ndarray = None
+    value: float = None
 
 
 @dataclasses.dataclass
 class ActiveSet:
-    """Surviving blocks, their features, and cached per-block column bounds.
-
-    column_bounds holds Omega_j^D(A_j) for all q blocks of the originating
-    partition; restricted sets share the array and index it by block id. It
-    is None for a set built without bounds, which screen() cannot use.
-    """
+    """The blocks screening has not dropped, in increasing id, and their features."""
 
     blocks: np.ndarray
     features: np.ndarray
-    column_bounds: np.ndarray
     partition: object
 
     @classmethod
-    def full(cls, spec, bounds=True):
-        """Every block active. bounds=False skips column_bounds, which only the
-        screening test reads and which costs, for group-L2, one block-diagonal
-        Gram product and one s x s eigensolve per block of size s."""
+    def full(cls, spec):
+        """Every block of spec's partition."""
         part = spec.partition
-        return cls(
-            blocks=np.arange(part.q, dtype=np.intp),
-            features=np.arange(part.d, dtype=np.intp),
-            column_bounds=column_bounds(spec) if bounds else None,
-            partition=part,
-        )
+        return cls(blocks=np.arange(part.q, dtype=np.intp),
+                   features=np.arange(part.d, dtype=np.intp), partition=part)
 
     def keep(self, block_ids):
         """The set of the given blocks, whose features are listed in increasing order."""
@@ -73,7 +64,7 @@ class ActiveSet:
         kept[block_ids] = True
         feats = np.flatnonzero(kept[self.partition.block_of])
         return ActiveSet(blocks=np.sort(block_ids), features=feats,
-                         column_bounds=self.column_bounds, partition=self.partition)
+                         partition=self.partition)
 
     @property
     def n_blocks(self):
@@ -154,10 +145,11 @@ def column_bounds(spec):
     return out
 
 
-def dual_point(spec, sample_grad, active, x=None):
+def dual_point(spec, sample_grad, x=None):
     """Scaled dual candidate from the per-sample derivative vector.
 
-    theta = -sample_grad / max(1, max_{j active} (1/n) Omega_j^D(A_j' g) / lam).
+    theta = -sample_grad / max(1, max_j (1/n) Omega_j^D(A_j' g) / lam), the
+    maximum over all q blocks, so theta is feasible for the full problem.
     With mu_p > 0 the current iterate x is required so the perturbation duals
     can be formed and scaled consistently.
     """
@@ -176,49 +168,45 @@ def dual_point(spec, sample_grad, active, x=None):
         p = 2.0 * ds.n * spec.mu_p * (x - spec.anchor)  # pseudo-sample derivatives
         corr = corr + p
     per_block = blockwise_dual_norms(corr, spec.partition, spec.reg) / ds.n
-    scale = 1.0
-    if active.n_blocks > 0:
-        scale = max(1.0, float(per_block[active.blocks].max()) / spec.lam)
+    scale = max(1.0, float(per_block.max()) / spec.lam)
     return DualPoint(theta=-g / scale, scale_used=scale,
                      kappa=None if p is None else -p / scale, gradient=gradient,
                      correlations=per_block / scale)
 
 
-def _dual_value(spec, dp, active):
+def _dual_value(spec, dp):
     """D(theta) = -(1/n) sum_i f_i*(-theta_i), extended with perturbation duals."""
     ds = spec.dataset
     conj = spec.loss.conjugate(-dp.theta, ds.y)
     if np.any(np.isinf(conj)):
         return -np.inf
     val = -float(np.sum(conj)) / ds.n
-    if spec.mu_p > 0 and dp.kappa is not None and active.n_features > 0:
-        ka = dp.kappa[active.features]
-        x0 = spec.anchor[active.features]
-        hstar = -ka * x0 + ka ** 2 / (4.0 * ds.n * spec.mu_p)
+    if spec.mu_p > 0 and dp.kappa is not None:
+        hstar = -dp.kappa * spec.anchor + dp.kappa ** 2 / (4.0 * ds.n * spec.mu_p)
         val -= float(np.sum(hstar)) / ds.n
     return val
 
 
-def duality_gap(spec, x, dp, active):
+def duality_gap(spec, x, dp):
     """P(x) - D(theta); an upper bound on the suboptimality when theta is feasible.
 
-    x must carry exact zeros on screened coordinates so the restricted primal
-    coincides with the full one. An out-of-domain theta yields +inf, which
-    signals that this iteration must not screen.
+    An out-of-domain theta yields +inf, which signals that this iteration
+    must not screen.
     """
-    return primal_objective(spec, x) - _dual_value(spec, dp, active)
+    return primal_objective(spec, x) - _dual_value(spec, dp)
 
 
-def evaluate(spec, x, z, active):
+def evaluate(spec, x, z):
     """(objective, per-sample derivatives, dual point, gap) at x, where z = A x.
 
-    The dual point is scaled over the active blocks, and the gap is
-    duality_gap's P(x) - D(theta) for that point.
+    The dual point is scaled over all q blocks and carries its dual value
+    D(theta), and the gap is duality_gap's P(x) - D(theta) for that point.
     """
     g = spec.loss.deriv(z, spec.dataset.y)
     obj = primal_objective(spec, x, z)
-    dp = dual_point(spec, g, active, x=x)
-    return obj, g, dp, obj - _dual_value(spec, dp, active)
+    dp = dual_point(spec, g, x=x)
+    dp.value = _dual_value(spec, dp)
+    return obj, g, dp, obj - dp.value
 
 
 def safe_radius(spec, gap):
@@ -238,10 +226,9 @@ def safe_radius(spec, gap):
     (1/c)-strongly convex conjugate, and h_j is 2 n mu_p-smooth, so D is
     strongly concave with gamma = 1 / (n max(c, 2 n mu_p)), and without the
     perturbation (no kappa) with gamma = 1 / (n c). Both give the radius
-    above. gap must be the gap of a dual point feasible for the full
-    problem, as evaluate forms it over ActiveSet.full; a gap of a point
-    scaled over fewer blocks bounds nothing once a block was wrongly dropped.
-    A non-finite gap gives an infinite radius, which screens nothing.
+    above. Every dual point is scaled over all q blocks, so it is feasible
+    for the full problem whatever screening dropped. A non-finite gap gives
+    an infinite radius, which screens nothing.
     """
     if not np.isfinite(gap):
         return np.inf
@@ -249,12 +236,13 @@ def safe_radius(spec, gap):
     return math.sqrt(2.0 * spec.dataset.n * c * max(gap, 0.0))
 
 
-def screen(spec, dp, r, active):
+def screen(spec, dp, r, active, bounds):
     """Drop every active block certified zero at the optimum by the sphere test.
 
     Block j is removed when (1/n) Omega_j^D(A_j' theta + kappa_Gj) +
     (1/n) b_j r falls strictly below lam, with the correlations that
-    dual_point stored in dp and r from safe_radius. b_j bounds how far the
+    dual_point stored in dp, r from safe_radius and bounds from
+    column_bounds, one per block of the partition. b_j bounds how far the
     block's correlation can move inside the sphere: it is Omega_j^D(A_j)
     without the perturbation, and with mu_p > 0 the norm of the stacked map
     (theta, kappa) -> A_j' theta + kappa_Gj, sqrt(Omega_j^D(A_j)^2 + 1). For
@@ -269,7 +257,7 @@ def screen(spec, dp, r, active):
     if active.n_blocks == 0 or not np.isfinite(r):
         return active
     corr = dp.correlations[active.blocks]
-    bounds = active.column_bounds[active.blocks]
+    bounds = bounds[active.blocks]
     if spec.mu_p > 0:
         bounds = np.sqrt(bounds ** 2 + 1.0)
     # 1e-12 relative guard so rounding in the dual scaling can never evict a

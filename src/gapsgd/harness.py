@@ -30,11 +30,13 @@ def load_libsvm(path, binarize_labels=False):
     the feature count is the largest index seen. With binarize_labels the
     sorted distinct labels are split in half, the lower half mapping to 0 and
     the rest to 1 (so {-1,+1} and {0,1} keep their usual meaning and
-    multiclass data becomes first-half-versus-rest). Blank lines are skipped.
+    multiclass data becomes first-half-versus-rest). Blank lines are skipped,
+    and a non-finite label or value raises LibsvmParseError with its line.
     """
     labels = []
     rows, cols, vals = [], [], []
     d = 0
+    isfinite = math.isfinite
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             parts = line.split()
@@ -44,6 +46,8 @@ def load_libsvm(path, binarize_labels=False):
                 label = float(parts[0])
             except ValueError:
                 raise LibsvmParseError(f"line {ln}: bad label {parts[0]!r}") from None
+            if not isfinite(label):
+                raise LibsvmParseError(f"line {ln}: non-finite label {parts[0]!r}")
             row = len(labels)
             labels.append(label)
             prev = 0
@@ -59,6 +63,9 @@ def load_libsvm(path, binarize_labels=False):
                         f"line {ln}: bad feature token {tok!r}") from None
                 if idx < 1:
                     raise LibsvmParseError(f"line {ln}: index {idx} is not positive")
+                if not isfinite(val):
+                    raise LibsvmParseError(
+                        f"line {ln}: non-finite feature value {tok!r}")
                 if idx <= prev:
                     raise LibsvmParseError(
                         f"line {ln}: indices must be strictly ascending")
@@ -384,8 +391,8 @@ def render_svg(path, traces, best_objective, width=640, height=420):
         fh.write("\n".join(body))
 
 
-def _positive(val):
-    num = float(val)
+def _positive(val, cast=float):
+    num = cast(val)
     if not 0 < num < math.inf:
         raise ValueError(val)
     return num
@@ -409,8 +416,10 @@ _FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes
 # key: (parse, what a value must be); parse raises ValueError or KeyError on a bad one
 _PLAN_KEYS = {
     **dict.fromkeys(("data", "model", "support_placement", "out"), (str, "")),
-    **dict.fromkeys(("n", "d", "seed", "support_size", "repetitions", "batch_size",
-                     "blocks", "inner_m", "max_outer"), (int, "an integer")),
+    **dict.fromkeys(("n", "d", "seed", "support_size", "repetitions", "blocks"),
+                    (int, "an integer")),
+    **dict.fromkeys(("batch_size", "inner_m", "max_outer"),
+                    (lambda v: _positive(v, int), "a positive integer")),
     **dict.fromkeys(("sparsity", "noise", "feature_scale"), (float, "a number")),
     "mu_p": (_nonnegative, "nonnegative and finite"),
     **dict.fromkeys(("plot", "theory_mode"),
@@ -430,11 +439,13 @@ def parse_plan_file(path):
     support_size, support_placement, lambda_ratios, solvers, repetitions, out,
     plot, batch_size, blocks, inner_m, eta, theory_mode, mu_p, gap_tol,
     max_outer. The flags theory_mode and plot take 0/1, true/false or yes/no
-    in any case; eta and gap_tol must be positive and finite, and mu_p
-    nonnegative and finite. Every value is read as its key's type while the
-    file is parsed, so an unknown key or a value of the wrong type, such as
-    an unknown solver name, raises ValueError with its line. So does eta given with theory_mode on, and a
-    plan without data that lacks n or d raises ValueError naming the key.
+    in any case; eta and gap_tol must be positive and finite, mu_p
+    nonnegative and finite, and batch_size, inner_m and max_outer positive
+    integers (batch_size <= n is checked per solve). Every value is read as
+    its key's type while the file is parsed, so an unknown key or a value of
+    the wrong type, such as an unknown solver name, raises ValueError with
+    its line. So does eta given with theory_mode on, and a plan without data
+    that lacks n or d raises ValueError naming the key.
     """
     kv, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:

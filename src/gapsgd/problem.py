@@ -84,8 +84,8 @@ class Dataset:
         The product runs on one transposed view kept with the dataset, so
         no call builds a transposed matrix. The spectral bound's power
         iteration builds its own view once per call; the group-L2 screening
-        bounds' block Gram matrices and the reference solver's support
-        refinement form their products on column slices of A.
+        bounds' block Gram matrices and the support refinement (of the
+        screening solvers and the reference) use column slices of A.
         """
         return self._at @ v
 

@@ -8,10 +8,10 @@ All four stochastic solvers share one engine differing only in three switches:
     proxsvrg  full-vector variance-reduced steps, no screening
 
 Each outer iteration snapshots the iterate and evaluates it on the full
-problem (duality.evaluate over ActiveSet.full: objective, per-sample
-derivatives, the dual point scaled over all q blocks, and the duality gap).
-That gap is the stopping test, so a certificate holds whatever screening
-dropped. A screening solver then screens with the Gap Safe sphere of radius
+problem (duality.evaluate: objective, per-sample derivatives, the dual point
+scaled over all q blocks with its dual value, and the duality gap). That gap
+is the stopping test, so a certificate holds whatever screening dropped. A
+screening solver then screens with the Gap Safe sphere of radius
 sqrt(2 n gap max(c, 2 n mu_p)) (duality.safe_radius), which drops blocks for
 good: the safe set only shrinks. Inside the safe set it picks the epoch's
 working set, the safe blocks where the iterate is nonzero plus those whose
@@ -151,10 +151,9 @@ import time
 
 import numpy as np
 
-from .duality import (ActiveSet, DualPoint, _dual_value, dual_point, evaluate, safe_radius,
-                      screen)
+from .duality import ActiveSet, DualPoint, column_bounds, evaluate, safe_radius, screen
 from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_rows,
-                      lipschitz_constants, primal_objective, smooth_gradient, smooth_value)
+                      lipschitz_constants, smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -600,7 +599,7 @@ def _working_blocks(spec, active, x_hat, dp):
     return active.blocks[hot[active.blocks]]
 
 
-def _restart(spec, full, wfeat, x_avg, x_last):
+def _restart(spec, wfeat, x_avg, x_last):
     """(x, evaluation, label) of the epoch's next iterate, from its average and
     its last inner iterate, given in the working columns wfeat.
 
@@ -613,7 +612,7 @@ def _restart(spec, full, wfeat, x_avg, x_last):
     for v in (x_avg, x_last):
         x = np.zeros(spec.dataset.d)
         x[wfeat] = v
-        out.append((x, evaluate(spec, x, spec.dataset.A @ x, full)))
+        out.append((x, evaluate(spec, x, spec.dataset.A @ x)))
     (x_a, ev_a), (x_l, ev_l) = out
     if np.isfinite(ev_l[3]) and not ev_a[3] <= ev_l[3]:
         return x_l, ev_l, "last"
@@ -625,19 +624,18 @@ def _model(spec, x):
     return np.sign(x) if spec.reg.name == "l1" else x != 0.0
 
 
-def _refined_certificate(spec, x, full):
-    """(x_r, P(x_r), dual point, dual value) of the refinement of x on the
-    full problem, or None where _refine_support finds no point within
+def _refined_certificate(spec, x):
+    """(x_r, P(x_r), dual point, gap) of the refinement x_r of x, evaluated on
+    the full problem, or None where _refine_support finds no point within
     _REFINE_STEPS Newton steps whose residual reaches _REFINE_TOL * lam."""
     x_r = _refine_support(spec, x)
     if x_r is None:
         return None
-    z = spec.dataset.A @ x_r
-    dp = dual_point(spec, spec.loss.deriv(z, spec.dataset.y), full, x=x_r)
-    return x_r, primal_objective(spec, x_r, z), dp, _dual_value(spec, dp, full)
+    obj, _, dp, gap = evaluate(spec, x_r, spec.dataset.A @ x_r)
+    return x_r, obj, dp, gap
 
 
-def _certify(spec, full, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
+def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
     """The refinement gate of a screening solve's row (module docstring).
 
     x_hat's evaluation on the full problem gives obj, dp and gap; prev is the
@@ -659,12 +657,12 @@ def _certify(spec, full, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
             and n * unknowns * unknowns <= _REFINE_COST * nnz):
         key = model.tobytes()
         if slot[0] != key:
-            slot = key, _refined_certificate(spec, x_hat, full)
+            slot = key, _refined_certificate(spec, x_hat)
         ref = slot[1]
-        if ref is not None and obj - ref[3] < gap:
-            cert, gap, refined = ref[2], obj - ref[3], True
+        if ref is not None and obj - ref[2].value < gap:
+            cert, gap, refined = ref[2], obj - ref[2].value, True
             if identified and gap <= gap_tol and ref[1] <= obj:  # return the better point
-                kept, gap = ref[:2], ref[1] - ref[3]
+                kept, gap = ref[:2], ref[3]
     return cert, gap, refined, identified, kept, model, slot
 
 
@@ -687,7 +685,8 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     sampled = batch_size < n
     screens = screening and config.screen_every > 0
 
-    full = active = ActiveSet.full(spec, bounds=screens)
+    active = ActiveSet.full(spec)
+    bounds = column_bounds(spec) if screens else None
     safe_work = work = _compact(spec, active)
     x_hat = np.zeros(d)
     trace, active_history = [], []
@@ -698,7 +697,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     radius, width = math.inf, 0
     model, slot = None, (None, None)  # the last iterate's model; the last refinement's
     start = time.perf_counter()
-    evaluation, restart = evaluate(spec, x_hat, A @ x_hat, full), "start"
+    evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "start"
 
     while True:
         obj, g_snap, dp, gap = evaluation
@@ -708,7 +707,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
             # scores the working set wherever its gap is smaller; the snapshot
             # keeps x_hat's own derivatives and gradient.
             cert, gap, refined, identified, kept, model, slot = _certify(
-                spec, full, active, x_hat, obj, dp, gap, config.gap_tol, model, slot)
+                spec, active, x_hat, obj, dp, gap, config.gap_tol, model, slot)
             if kept is not None:
                 (x_hat, obj), restart = kept, "refined"
         trace.append(TraceRecord(outer_iter=k, elapsed_s=time.perf_counter() - start,
@@ -734,7 +733,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         radius = math.inf
         if screens and (k - 1) % config.screen_every == 0:
             radius = safe_radius(spec, gap)
-            new_active = screen(spec, cert, radius, active)
+            new_active = screen(spec, cert, radius, active, bounds)
             if new_active.n_blocks < active.n_blocks:
                 dropped = np.setdiff1d(active.features, new_active.features,
                                        assume_unique=True)
@@ -748,7 +747,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                         mu_full = smooth_gradient(spec, x_hat, g_snap)
         width = 0
         if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it
-            evaluation, restart = evaluate(spec, x_hat, A @ x_hat, full), "average"
+            evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "average"
             continue
         if safe_work.active is not active:
             safe_work = _compact(spec, active, safe_work)
@@ -804,7 +803,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
                 coord_updates += hi - lo
             del args  # release this chunk before the next is planned
         x_sum /= m_k
-        x_hat, evaluation, restart = _restart(spec, full, wfeat, x_sum, x_cur)
+        x_hat, evaluation, restart = _restart(spec, wfeat, x_sum, x_cur)
 
     return SolveReport(
         x_final=x_hat.copy(), trace=trace, converged=converged, outer_iters=k,
@@ -1039,7 +1038,6 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     A, y, n, d = ds.A, ds.y, ds.n, ds.d
     reg, lam = spec.reg, spec.lam
     part = spec.partition
-    active = ActiveSet.full(spec, bounds=False)
     lb = _one_pass_bound(spec)
 
     x = np.zeros(d)
@@ -1055,12 +1053,12 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
 
     def row(obj, gap, restart):
         return TraceRecord(outer_iter=it, elapsed_s=time.perf_counter() - start,
-                           objective=obj, gap=float(gap), active_blocks=active.n_blocks,
-                           active_features=active.n_features,
-                           working_blocks=active.n_blocks if it else 0, restart=restart)
+                           objective=obj, gap=float(gap), active_blocks=part.q,
+                           active_features=d, working_blocks=part.q if it else 0,
+                           restart=restart)
 
     while True:
-        obj, _, dp, gap = evaluate(spec, x, zx, active)
+        obj, _, dp, gap = evaluate(spec, x, zx)
         best_gap = min(best_gap, gap)
         if it % 50 == 0 and not gap <= tol:  # the stop row follows the refinement
             trace.append(row(obj, gap, "last" if it else "start"))
@@ -1109,9 +1107,9 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         t_mom = t_new
 
     restart = "last" if it else "start"
-    ref = _refined_certificate(spec, x, active) if spec.reg.name == "l1" else None
-    if ref is not None and ref[1] - ref[3] < gap:
-        x, obj, dp, gap, restart = ref[0], ref[1], ref[2], ref[1] - ref[3], "refined"
+    ref = _refined_certificate(spec, x) if spec.reg.name == "l1" else None
+    if ref is not None and ref[3] < gap:
+        (x, obj, dp, gap), restart = ref, "refined"
     trace.append(row(obj, gap, restart))
     return SolveReport(x_final=x.copy(), trace=trace, converged=converged,
                        outer_iters=it, wall_time=time.perf_counter() - start,

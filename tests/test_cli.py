@@ -108,6 +108,8 @@ def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
                                        ("mu_p = -1", "mu_p must be nonnegative"),
                                        ("mu_p = nan", "mu_p must be nonnegative"),
                                        ("n = 5x", "n must be an integer"),
+                                       ("batch_size = 0",
+                                        "batch_size must be a positive integer"),
                                        ("sparsity = 5x", "sparsity must be a number"),
                                        ("solvers = adsgd, mrbdc", "solvers must be"),
                                        pytest.param("theory_mode = 1\neta = 0.01",
@@ -137,7 +139,8 @@ def test_non_finite_data_file_exits_3(tmp_path, capsys, line):
     p = tmp_path / "bad.txt"
     p.write_text("1 1:1 2:2\n" + line + "-1 1:3 2:4\n")
     assert main(["solve", "--data", str(p)]) == 3
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "line 2:" in err
 
 
 def test_bad_synthetic_argument_exits_3(capsys):

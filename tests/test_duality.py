@@ -17,12 +17,12 @@ def sample_grad(spec, x):
     return spec.loss.deriv(spec.dataset.A @ x, spec.dataset.y)
 
 
-def feasibility_excess(spec, dp, active):
+def feasibility_excess(spec, dp):
     corr = spec.dataset.A.T @ dp.theta
     if dp.kappa is not None:
         corr = corr + dp.kappa
     per = blockwise_dual_norms(corr, spec.partition, spec.reg) / spec.dataset.n
-    return float(per[active.blocks].max() / spec.lam - 1.0)
+    return float(per.max() / spec.lam - 1.0)
 
 
 # ----------------------------------------------------------------- dual point
@@ -30,23 +30,21 @@ def feasibility_excess(spec, dp, active):
 def test_dual_point_lower_branch_keeps_gradient():
     spec = make_instance(seed=1, n=40, d=30)
     big = dataclasses.replace(spec, lam=G.lambda_max(spec) * 3)
-    act = ActiveSet.full(big)
     g = sample_grad(big, np.zeros(30))
-    dp = G.dual_point(big, g, act, x=np.zeros(30))
+    dp = G.dual_point(big, g, x=np.zeros(30))
     assert dp.scale_used == 1.0
     np.testing.assert_array_equal(dp.theta, -g)
 
 
 def test_dual_point_scale_monotone_in_lambda():
     spec = make_instance(seed=2, n=50, d=40, ratio=0.3)
-    act = ActiveSet.full(spec)
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.normal(size=40)
         g = sample_grad(spec, x)
-        s1 = G.dual_point(spec, g, act, x=x).scale_used
+        s1 = G.dual_point(spec, g, x=x).scale_used
         doubled = dataclasses.replace(spec, lam=2 * spec.lam)
-        s2 = G.dual_point(doubled, g, ActiveSet.full(doubled), x=x).scale_used
+        s2 = G.dual_point(doubled, g, x=x).scale_used
         assert s2 <= s1 + 1e-15
 
 
@@ -54,21 +52,11 @@ def test_dual_point_feasible_on_active_set():
     for seed in range(6):
         spec = make_instance(seed=seed, n=60, d=80, ratio=0.4,
                              model="logistic" if seed % 2 else "lasso")
-        act = ActiveSet.full(spec)
         rng = np.random.default_rng(seed)
         for _ in range(5):
             x = rng.normal(size=80)
-            dp = G.dual_point(spec, sample_grad(spec, x), act, x=x)
-            assert feasibility_excess(spec, dp, act) <= 1e-12
-
-
-def test_dual_point_empty_active_set():
-    spec = hand_lasso()
-    act = ActiveSet.full(spec).keep([])
-    g = sample_grad(spec, np.zeros(2))
-    dp = G.dual_point(spec, g, act)
-    assert dp.scale_used == 1.0
-    np.testing.assert_array_equal(dp.theta, -g)
+            dp = G.dual_point(spec, sample_grad(spec, x), x=x)
+            assert feasibility_excess(spec, dp) <= 1e-12
 
 
 def _interleaved(spec, q):
@@ -86,66 +74,58 @@ def _interleaved(spec, q):
 def test_dual_point_stores_correlations_and_gradient_of_its_one_product(build):
     spec = build()
     ds, rng = spec.dataset, np.random.default_rng(0)
-    for keep in (range(spec.partition.q), [0, 2, 5]):
-        act = ActiveSet.full(spec, bounds=False).keep(list(keep))
-        x = rng.normal(scale=0.5, size=ds.d) * (rng.random(ds.d) < 0.3)
-        g = sample_grad(spec, x)
-        dp = G.dual_point(spec, g, act, x=x)
-        assert dp.scale_used > 1.0
-        corr = ds.A.T @ dp.theta
-        if spec.mu_p > 0:
-            corr = corr + dp.kappa
-        want = blockwise_dual_norms(corr, spec.partition, spec.reg) / ds.n
-        # every block, not only the active ones; a block's correlation
-        # matters only against lam, hence the absolute floor
-        np.testing.assert_allclose(dp.correlations, want, rtol=1e-14,
-                                   atol=1e-14 * spec.lam)
-        np.testing.assert_array_equal(dp.gradient, G.problem.smooth_gradient(spec, x, g))
+    x = rng.normal(scale=0.5, size=ds.d) * (rng.random(ds.d) < 0.3)
+    g = sample_grad(spec, x)
+    dp = G.dual_point(spec, g, x=x)
+    assert dp.scale_used > 1.0
+    corr = ds.A.T @ dp.theta
+    if spec.mu_p > 0:
+        corr = corr + dp.kappa
+    want = blockwise_dual_norms(corr, spec.partition, spec.reg) / ds.n
+    # a block's correlation matters only against lam, hence the absolute floor
+    np.testing.assert_allclose(dp.correlations, want, rtol=1e-14, atol=1e-14 * spec.lam)
+    np.testing.assert_array_equal(dp.gradient, G.problem.smooth_gradient(spec, x, g))
 
 
 def test_dual_point_shape_check():
     spec = hand_lasso()
     with pytest.raises(ValueError):
-        G.dual_point(spec, np.zeros(5), ActiveSet.full(spec))
+        G.dual_point(spec, np.zeros(5))
 
 
 # ------------------------------------------------------------------ gap
 
 def test_gap_zero_at_zero_iterate_above_lambda_max():
     spec = hand_lasso()  # lam = 1 = lambda_max
-    act = ActiveSet.full(spec)
     x = np.zeros(2)
-    dp = G.dual_point(spec, sample_grad(spec, x), act, x=x)
-    gap = G.duality_gap(spec, x, dp, act)
+    dp = G.dual_point(spec, sample_grad(spec, x), x=x)
+    gap = G.duality_gap(spec, x, dp)
     assert abs(gap) <= 1e-12
 
 
 def test_gap_zero_at_optimum():
     spec = make_instance(seed=3, n=60, d=50)
     oracle = G.reference_solve(spec, tol=1e-12)
-    act = ActiveSet.full(spec)
-    gap = G.duality_gap(spec, oracle.x_final, oracle.dual, act)
+    gap = G.duality_gap(spec, oracle.x_final, oracle.dual)
     assert -1e-10 <= gap <= 1e-8
 
 
 def test_gap_dominates_suboptimality():
     spec = make_instance(seed=4, n=60, d=50)
     oracle = G.reference_solve(spec, tol=1e-12)
-    act = ActiveSet.full(spec)
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.normal(scale=0.5, size=50)
-        dp = G.dual_point(spec, sample_grad(spec, x), act, x=x)
-        gap = G.duality_gap(spec, x, dp, act)
+        dp = G.dual_point(spec, sample_grad(spec, x), x=x)
+        gap = G.duality_gap(spec, x, dp)
         assert gap + 1e-9 >= G.primal_objective(spec, x) - oracle.objective
         assert gap >= -1e-10
 
 
 def test_gap_infinite_for_infeasible_logistic_dual():
     spec = make_instance(seed=5, n=30, d=20, model="logistic")
-    act = ActiveSet.full(spec)
     bad = G.DualPoint(theta=np.full(30, 5.0), scale_used=1.0)
-    assert G.duality_gap(spec, np.zeros(20), bad, act) == np.inf
+    assert G.duality_gap(spec, np.zeros(20), bad) == np.inf
 
 
 # ------------------------------------------------------------- safe radius
@@ -189,10 +169,9 @@ def test_safe_sphere_holds_the_dual_optimum_along_adsgd_trajectories(build,
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=0, gap_tol=1e-8, max_outer=300,
                                              eta=tuned_eta(spec), keep_iterates=True))
     assert rep.converged and len(rep.iterates) > 3
-    full = ActiveSet.full(spec, bounds=False)
     old_missed = False
     for x in rep.iterates:
-        _, _, dp, gap = gapsgd.duality.evaluate(spec, x, spec.dataset.A @ x, full)
+        _, _, dp, gap = gapsgd.duality.evaluate(spec, x, spec.dataset.A @ x)
         dist = float(np.linalg.norm(_stacked(dp) - _stacked(oracle.dual)))
         assert dist <= G.safe_radius(spec, gap) + r_o
         old_missed |= dist > math.sqrt(2.0 * old_t * max(gap, 0.0)) + r_o
@@ -205,25 +184,24 @@ def test_screen_huge_radius_removes_nothing():
     spec = make_instance(seed=6, n=40, d=30)
     act = ActiveSet.full(spec)
     x = np.zeros(30)
-    dp = G.dual_point(spec, sample_grad(spec, x), act, x=x)
+    dp = G.dual_point(spec, sample_grad(spec, x), x=x)
     for r in (1e12, np.inf):
-        out = G.screen(spec, dp, r, act)
+        out = G.screen(spec, dp, r, act, column_bounds(spec))
         assert out.n_blocks == act.n_blocks
 
 
 def test_screen_negative_radius_rejected():
     spec = hand_lasso()
-    act = ActiveSet.full(spec)
-    dp = G.dual_point(spec, sample_grad(spec, np.zeros(2)), act)
+    dp = G.dual_point(spec, sample_grad(spec, np.zeros(2)))
     with pytest.raises(ValueError):
-        G.screen(spec, dp, -1.0, act)
+        G.screen(spec, dp, -1.0, ActiveSet.full(spec), column_bounds(spec))
 
 
 def test_screen_at_optimum_leaves_equicorrelation_set():
     spec = make_instance(seed=7, n=50, d=100, q=20, support=6)
     oracle = G.reference_solve(spec, tol=1e-12)
-    act = ActiveSet.full(spec)
-    kept = G.screen(spec, oracle.dual, G.safe_radius(spec, oracle.gap), act)
+    r = G.safe_radius(spec, oracle.gap)
+    kept = G.screen(spec, oracle.dual, r, ActiveSet.full(spec), column_bounds(spec))
     eq = set(G.equicorrelation_set(spec, oracle.dual).tolist())
     assert set(kept.blocks.tolist()) == eq
 
@@ -233,9 +211,9 @@ def test_screen_result_is_subset_and_monotone_in_radius():
     act = ActiveSet.full(spec)
     rng = np.random.default_rng(2)
     x = rng.normal(scale=0.3, size=80)
-    dp = G.dual_point(spec, sample_grad(spec, x), act, x=x)
-    small = G.screen(spec, dp, 0.01, act)
-    large = G.screen(spec, dp, 0.5, act)
+    dp, bounds = G.dual_point(spec, sample_grad(spec, x), x=x), column_bounds(spec)
+    small = G.screen(spec, dp, 0.01, act, bounds)
+    large = G.screen(spec, dp, 0.5, act, bounds)
     assert set(small.blocks.tolist()) <= set(act.blocks.tolist())
     assert set(small.blocks.tolist()) <= set(large.blocks.tolist())
 
@@ -312,7 +290,7 @@ def test_active_set_keep_restricts_features():
     expected = np.sort(np.concatenate([spec.partition.groups[1],
                                        spec.partition.groups[4]]))
     np.testing.assert_array_equal(sub.features, expected)
-    assert sub.column_bounds is act.column_bounds
+    assert sub.partition is act.partition
     # scattered partitions, block ids in any order or none: sorted intp features
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -320,8 +298,7 @@ def test_active_set_keep_restricts_features():
         q = int(rng.integers(1, d + 1))
         labels = np.concatenate([np.arange(q), rng.integers(0, q, size=d - q)])
         part = G.BlockPartition([np.flatnonzero(labels == j) for j in rng.permutation(q)])
-        full = ActiveSet(blocks=np.arange(q), features=np.arange(d),
-                         column_bounds=None, partition=part)
+        full = ActiveSet(blocks=np.arange(q), features=np.arange(d), partition=part)
         ids = rng.permutation(q)[:int(rng.integers(0, q + 1))]
         sub = full.keep(ids)
         want = np.sort(np.concatenate([part.groups[j] for j in ids] + [[]]))
@@ -413,9 +390,8 @@ def test_active_history_is_monotone_under_screening():
 
 def test_dual_value_matches_closed_form_squared():
     spec = hand_lasso()
-    act = ActiveSet.full(spec)
     theta = np.array([0.3, -0.4])
     dp = G.DualPoint(theta=theta, scale_used=1.0)
     y = spec.dataset.y
     want = -float(np.sum(0.5 * theta ** 2 - y * theta)) / 2
-    assert _dual_value(spec, dp, act) == pytest.approx(want, rel=1e-14)
+    assert _dual_value(spec, dp) == pytest.approx(want, rel=1e-14)

@@ -56,6 +56,20 @@ def test_load_libsvm_errors_with_line_numbers(tmp_path, content, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("line,says", [
+    ("1 1:0.5 2:nan", "non-finite feature value '2:nan'"),
+    ("1 1:-inf", "non-finite feature value '1:-inf'"),
+    ("1 1:1e400", "non-finite feature value '1:1e400'"),
+    ("inf 1:0.5", "non-finite label 'inf'"),
+    ("NaN 1:0.5", "non-finite label 'NaN'"),
+])
+def test_load_libsvm_names_the_line_of_a_non_finite_entry(tmp_path, line, says):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"1 1:1\n\n{line}\n0 2:1\n")
+    with pytest.raises(G.LibsvmParseError, match=rf"^line 3: {says}$"):
+        load_libsvm(p)
+
+
 def test_load_libsvm_binary_label_maps(tmp_path):
     p = tmp_path / "pm.txt"
     p.write_text("-1 1:1\n+1 2:1\n")
@@ -342,6 +356,22 @@ def test_parse_plan_file_rejects_a_bad_eta_or_gap_tol_with_its_line(tmp_path, ke
     p.write_text(f"n = 50\nd = 60\n# tolerances\n{key} = {value}\n")
     with pytest.raises(ValueError, match=rf"line 4: {key} must be positive and finite"):
         parse_plan_file(p)
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "2.5", "many"])
+@pytest.mark.parametrize("key", ["batch_size", "inner_m", "max_outer"])
+def test_parse_plan_file_rejects_a_count_below_one_with_its_line(tmp_path, key, value):
+    """A batch size, epoch length or outer budget below one is refused while
+    the file is parsed, not by every solve the plan would run."""
+    p = tmp_path / "bad.plan"
+    p.write_text(f"n = 50\nd = 60\n# budgets\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=rf"^plan line 4: {key} must be a positive "
+                                         rf"integer, got '{value}'"):
+        parse_plan_file(p)
+    p.write_text(f"n = 50\nd = 60\n{key} = 1\n")
+    cfg = parse_plan_file(p).solvers[0]
+    assert {"batch_size": cfg.batch_size, "inner_m": cfg.m,
+            "max_outer": cfg.max_outer}[key] == 1
 
 
 @pytest.mark.parametrize("text,want", [("True", True), ("YES", True), ("1", True),

@@ -112,7 +112,7 @@ def _layout_instance():
                          partition=G.BlockPartition.contiguous(15, 5),
                          loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
     full = G.ActiveSet(blocks=np.arange(5), features=np.arange(15),
-                       column_bounds=np.ones(5), partition=spec.partition)
+                       partition=spec.partition)
     return spec, a, full
 
 
@@ -158,7 +158,7 @@ def test_compacted_layout_is_the_partition_of_the_surviving_columns():
     part = G.BlockPartition([np.sort(g) for g in np.split(perm, [4, 5, 8, 13])])
     spec = dataclasses.replace(spec, partition=part)
     full = G.ActiveSet(blocks=np.arange(5), features=np.arange(15),
-                       column_bounds=np.ones(5), partition=part)
+                       partition=part)
     work = _compact(spec, full)
     _same_partition(work.layout, G.BlockPartition(
         np.split(np.arange(15), np.cumsum(part.sizes)[:-1])))
@@ -188,8 +188,7 @@ def test_chained_cuts_keep_the_columns_block_by_block():
         part = G.BlockPartition([np.flatnonzero(labels == j) for j in rng.permutation(q)])
         spec = G.ProblemSpec(dataset=G.Dataset(a, np.zeros(9)), partition=part,
                              loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
-        active = G.ActiveSet(blocks=np.arange(q), features=np.arange(30),
-                             column_bounds=None, partition=part)
+        active = G.ActiveSet(blocks=np.arange(q), features=np.arange(30), partition=part)
         work = _compact(spec, active)
         while True:
             groups = work.layout.groups
@@ -311,7 +310,7 @@ def test_step_gradient_matches_dense_reference(monkeypatch, layout):
     gradients of the dense formula."""
     spec, a, rng = _kernel_instance(layout)
     ds, part, loss = spec.dataset, spec.partition, spec.loss
-    full = G.ActiveSet.full(spec, bounds=False)
+    full = G.ActiveSet.full(spec)
     kept = full.keep([0, 2, 3])
     # the iterate is zero on screened features, as in the engine
     x = np.where(np.isin(np.arange(15), kept.features), rng.normal(size=15), 0.0)
@@ -363,7 +362,7 @@ def test_step_gradient_sums_nothing_as_float_zeros(monkeypatch):
     y, x = spec.dataset.y, np.ones(15)
     for rho in STORAGES:
         monkeypatch.setattr(G.solvers, "_RHO", rho)
-        work = _compact(spec, G.ActiveSet.full(spec, bounds=False))
+        work = _compact(spec, G.ActiveSet.full(spec))
         for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0),
                           (np.array([3]), None)):
             ibs = None if ib is None else np.array([ib])
@@ -391,7 +390,7 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
     step by itself gives, and one step's plan is a per-step gather and mask."""
     spec, _, rng = _kernel_instance(layout)
     y, g_snap = spec.dataset.y, rng.normal(size=12)
-    full = G.ActiveSet.full(spec, bounds=False)
+    full = G.ActiveSet.full(spec)
     work = _compact(spec, full)
     for w in (work, _compact(spec, full.keep([0, 2, 3]), work)):
         q_k = w.active.n_blocks
@@ -435,7 +434,7 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
 def test_all_rows_gather_is_the_gather_of_every_row(layout):
     spec, _, _ = _kernel_instance(layout)
-    full = G.ActiveSet.full(spec, bounds=False)
+    full = G.ActiveSet.full(spec)
     work = _compact(spec, full)
     for w in (work, _compact(spec, full.keep([1, 3]), work)):
         want = _gather_rows(w.indptr, w.entries, np.arange(12))
@@ -463,7 +462,7 @@ def test_storage_follows_each_cut_density(monkeypatch):
     the twin is A[:, features] in the working column order."""
     monkeypatch.setattr(G.solvers, "_RHO", 0.1)  # the chain's densities straddle it
     spec, a = _two_density_instance()
-    full = G.ActiveSet.full(spec, bounds=False)
+    full = G.ActiveSet.full(spec)
     work = _compact(spec, full)  # 68 / 1000
     chain = [(work, False)]
     for kept, dense in (([0, 1, 2, 3], True),   # 52 / 200
@@ -484,7 +483,7 @@ def test_storage_follows_each_cut_density(monkeypatch):
     # a scattered partition's dense twin follows its block-by-block numbering
     spec, a, _ = _kernel_instance("scattered")
     monkeypatch.setattr(G.solvers, "_RHO", 0.0)
-    full = G.ActiveSet.full(spec, bounds=False)
+    full = G.ActiveSet.full(spec)
     work = _compact(spec, full)
     for w in (work, _compact(spec, full.keep([1, 3]), work)):
         assert np.array_equal(w.dense, a[:, w.features])
@@ -787,8 +786,8 @@ def test_a_wrong_screen_cannot_certify(monkeypatch):
     assert np.any(oracle.x_final[spec.partition.groups[4]] != 0.0)
     real = G.solvers.screen
 
-    def wrong(spec, dp, r, active):
-        out = real(spec, dp, r, active)
+    def wrong(spec, dp, r, active, bounds):
+        out = real(spec, dp, r, active, bounds)
         return out.keep(out.blocks[out.blocks != 4])
 
     monkeypatch.setattr(G.solvers, "screen", wrong)
@@ -837,16 +836,15 @@ def test_a_converged_report_certifies_the_full_problem(build, solver):
                                        batch_size=batch))
     assert rep.converged
     x, ds = rep.x_final, spec.dataset
-    full = G.ActiveSet.full(spec, bounds=False)
     corr = ds.A.T @ rep.dual.theta
     if rep.dual.kappa is not None:
         corr = corr + rep.dual.kappa
     worst = G.problem.blockwise_dual_norms(corr, spec.partition, spec.reg).max() / ds.n
     assert worst <= spec.lam * (1.0 + 1e-12)
-    assert G.duality.duality_gap(spec, x, rep.dual, full) == rep.gap <= 1e-6
+    assert G.duality.duality_gap(spec, x, rep.dual) == rep.gap <= 1e-6
     p_star = G.reference_solve(spec, tol=1e-12).objective
     assert rep.gap >= G.primal_objective(spec, x) - p_star - 1e-12
-    _, _, _, own = G.solvers.evaluate(spec, x, ds.A @ x, full)
+    _, _, _, own = G.solvers.evaluate(spec, x, ds.A @ x)
     last = rep.trace[-1]
     if last.refined_dual and last.restart != "refined":  # x_hat, certified by x_r's dual
         assert rep.gap < own
@@ -861,7 +859,8 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         monkeypatch, solver, batch_size, inject):
     """After the starting evaluation every epoch evaluates exactly two
     candidates on the full problem, its average and then its last inner
-    iterate; a refinement evaluates its point apart from these. The next row
+    iterate; a refinement evaluates its point through the same evaluate,
+    once per refinement that finds a point, apart from these. The next row
     is the candidate with the smaller gap; a tie keeps the average, and a nan
     gap, injected on either candidate, never wins. The row's gap is that
     evaluation's, or the smaller one a refined dual point gives the same
@@ -873,9 +872,13 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
                          mu_p=0.05 * (solver == "asgd"))
     calls, evaluate = [], G.solvers.evaluate
     certs, certify = [], G.solvers._refined_certificate
+    refining, refined_calls = [False], []
 
     def spied(*args):
         obj, g, dp, gap = evaluate(*args)
+        if refining[0]:  # a refined point's evaluation, neither counted nor injected
+            refined_calls.append(args[1].copy())
+            return obj, g, dp, gap
         k = len(calls)  # 0 starts the solve, odd k is an average, even k a last iterate
         if k and inject == "tie" and k % 2 == 0:
             gap = calls[-1][2]
@@ -885,7 +888,11 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         return obj, g, dp, gap
 
     def spied_certificate(*args):
-        out = certify(*args)
+        refining[0] = True
+        try:
+            out = certify(*args)
+        finally:
+            refining[0] = False
         certs.append(out)
         return out
 
@@ -900,9 +907,12 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
     assert rep.trace[0].restart == "start" and rep.trace[0].gap == calls[0][2]
     if solver in ("mrbcd", "proxsvrg"):
         assert certs == []
+    found = [c for c in certs if c is not None]
+    assert len(refined_calls) == len(found)
+    assert all(np.array_equal(x_r, c[0]) for x_r, c in zip(refined_calls, found))
     if any(r.refined_dual for r in rep.trace):  # a refinement may also find no point
         assert any(c is not None for c in certs)
-    dual_values = [c[3] for c in certs if c is not None]
+    dual_values = [c[2].value for c in found]
     labels = []
     for k, row in enumerate(rep.trace[1:]):
         (x_avg, obj_avg, gap_avg), (x_last, obj_last, gap_last) = calls[2 * k + 1:2 * k + 3]
@@ -915,9 +925,9 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
             want = [obj - v for v in dual_values if obj - v < gap]
             assert row.gap in (want if row.refined_dual else [gap])
         else:  # x certified by a refined dual point, whose point is returned
-            ref = next(c for c in certs if c is not None
-                       and np.array_equal(c[0], rep.iterates[k + 1]))
-            assert obj - ref[3] <= 1e-12 and ref[1] <= obj and row.gap == ref[1] - ref[3]
+            ref = next(c for c in found if np.array_equal(c[0], rep.iterates[k + 1]))
+            assert obj - ref[2].value <= 1e-12 and ref[1] <= obj
+            assert row.gap == ref[1] - ref[2].value
             assert row.refined_dual and row.identified
             assert rep.converged and k + 1 == rep.outer_iters
         labels.append(chosen)
@@ -984,8 +994,7 @@ def test_asgd_full_batch_single_block_is_deterministic_prox_gradient():
 
 
 def _full_gap(spec, x):
-    return G.solvers.evaluate(spec, x, spec.dataset.A @ x,
-                              G.ActiveSet.full(spec, bounds=False))[3]
+    return G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3]
 
 
 def _restarted(spec, avg, last):
@@ -1202,16 +1211,14 @@ def test_group_penalty_end_to_end():
 
 
 def test_only_screening_solves_compute_column_bounds(monkeypatch):
-    import gapsgd.duality
-
     spec = make_instance(seed=6, n=40, d=20, q=5, support=3, ratio=0.6,
                          model="logistic", reg="group_l2")
-    real = gapsgd.duality.column_bounds
+    real = G.solvers.column_bounds
 
     def refuse(_spec):
         raise AssertionError("column_bounds called by a solve that never screens")
 
-    monkeypatch.setattr(gapsgd.duality, "column_bounds", refuse)
+    monkeypatch.setattr(G.solvers, "column_bounds", refuse)
     for solver, fields in (("reference", {}), ("mrbcd", {}), ("proxsvrg", {}),
                            ("adsgd", dict(screen_every=0)),
                            ("asgd", dict(screen_every=0))):
@@ -1219,8 +1226,7 @@ def test_only_screening_solves_compute_column_bounds(monkeypatch):
                              eta=tuned_eta(spec), **fields)
         assert np.isfinite(G.solve(spec, cfg).gap)
     calls = []
-    monkeypatch.setattr(gapsgd.duality, "column_bounds",
-                        lambda s: calls.append(s) or real(s))
+    monkeypatch.setattr(G.solvers, "column_bounds", lambda s: calls.append(s) or real(s))
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=1, m=40, max_outer=10,
                                              eta=tuned_eta(spec)))
     assert len(rep.active_history[-1]) < spec.partition.q  # it did screen
@@ -1396,15 +1402,15 @@ def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
     steps from an extrapolated point form another A'g. A x is formed once per
     prox point tried and once for the refinement, never at an extrapolated
     point. A refinement that returns a point forms one more A x and one more
-    A'g, for its dual point."""
+    A'g, in one more evaluation."""
     spec = make_instance(seed=3, n=150, d=300, q=10)
     counts = _count_reference_work(monkeypatch, spec)
     rep = G.reference_solve(spec, tol=1e-10)
     assert rep.converged and rep.outer_iters == 46
     assert counts["step_gradients"] == rep.outer_iters - 14
     assert counts["refinements"] == 1
-    assert counts["products"] == (counts["evaluations"] + counts["step_gradients"]
-                                  + counts["refinements"])
+    assert counts["evaluations"] == rep.outer_iters + 1 + counts["refinements"]
+    assert counts["products"] == counts["evaluations"] + counts["step_gradients"]
     assert counts["forward"] == counts["prox_points"] + counts["refinements"] == 47
 
 
@@ -1493,7 +1499,7 @@ def test_refinement_lands_on_the_optimum_from_a_point_of_its_model(case):
     x = x_star * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=x_star.size))
     x_r = G.solvers._refine_support(spec, x)
     assert x_r is not None
-    cert = G.solvers._refined_certificate(spec, x, G.ActiveSet.full(spec, bounds=False))
+    cert = G.solvers._refined_certificate(spec, x)
     assert cert is not None and np.array_equal(cert[0], x_r)
     assert np.array_equal(x_r != 0.0, x_star != 0.0)
     assert np.max(np.abs(x_r - x_star)) <= 1e-10
@@ -1579,7 +1585,7 @@ def test_refinement_prunes_tiny_coordinates_whose_signs_flip(monkeypatch, case):
     assert np.array_equal(x_r != 0.0, x_star != 0.0)
     assert np.max(np.abs(x_r - x_star)) <= 1e-10
     assert _full_gap(spec, x_r) <= 1e-12
-    cert = G.solvers._refined_certificate(spec, x, G.ActiveSet.full(spec, bounds=False))
+    cert = G.solvers._refined_certificate(spec, x)
     assert cert is not None and np.array_equal(cert[0], x_r)
     if spec.loss.name == "squared":
         monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 3)
@@ -1654,9 +1660,9 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
     r_o = G.safe_radius(spec, oracle.gap)
     screens, screen = [], G.solvers.screen
 
-    def spied(spec, dp, r, active):
+    def spied(spec, dp, r, active, bounds):
         screens.append((dp, r))
-        return screen(spec, dp, r, active)
+        return screen(spec, dp, r, active, bounds)
 
     monkeypatch.setattr(G.solvers, "screen", spied)
     calls = _spy_refinements(monkeypatch)
@@ -1668,10 +1674,9 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
     for row in rep.trace:
         assert row.gap >= row.objective - oracle.objective - 1e-13
     u_o = _stacked(oracle.dual)
-    full = G.ActiveSet.full(spec, bounds=False)
     assert len(screens) == rep.outer_iters
     for row, (dp, r) in zip(rep.trace, screens):  # each screen follows its row
-        assert row.gap == row.objective - G.duality._dual_value(spec, dp, full)
+        assert row.gap == row.objective - G.duality._dual_value(spec, dp)
         assert r == G.safe_radius(spec, row.gap)
         assert np.linalg.norm(_stacked(dp) - u_o) <= r + r_o
 
@@ -1702,7 +1707,7 @@ def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
     D is report.gap bit for bit."""
     data = generate_synthetic(SyntheticParams(n=2000, d=40, sparsity=1.0, seed=3))
     spec = build_spec(data, model="lasso", lambda_ratio=0.5, q=10)
-    full, refine, found = G.ActiveSet.full(spec, bounds=False), G.solvers._refine_support, []
+    refine, found = G.solvers._refine_support, []
 
     def spied(spec, x, *args):
         out = refine(spec, x, *args)
@@ -1719,7 +1724,7 @@ def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
         stop = rep.trace[-1]
         assert (stop.refined_dual and stop.identified) == bool(found)
         assert G.primal_objective(spec, rep.x_final) \
-            - G.duality._dual_value(spec, rep.dual, full) == rep.gap
+            - G.duality._dual_value(spec, rep.dual) == rep.gap
         refinements += len(found)
     assert refinements >= 6
 
