@@ -94,7 +94,8 @@ def _cmd_solve(args):
           f"lam={spec.lam:.6g}")
     print(f"converged={report.converged} outer_iters={report.outer_iters} "
           f"gap={report.gap:.3e} objective={report.objective:.6g} "
-          f"nnz={int(np.count_nonzero(x))} wall_time={report.wall_time:.3f}s")
+          f"nnz={int(np.count_nonzero(x))} identified_at={report.identified_at} "
+          f"wall_time={report.wall_time:.3f}s")
     if args.out:
         path = _out_path(args.out)
         write_trace_csv(path, report.trace)

@@ -91,7 +91,8 @@ class SyntheticParams:
     """Seeded desk-scale instance generator settings.
 
     sparsity is the design density; noise is the residual standard deviation
-    for regression and the label flip probability for logistic data. The
+    for regression and the label flip probability for logistic data: finite
+    and nonnegative, and at most 1 for logistic data. The
     planted coefficients sit on support_size coordinates, either scattered or
     packed into a prefix, with magnitudes in [amplitude, 2*amplitude].
     """
@@ -120,10 +121,12 @@ def generate_synthetic(params):
         raise ValueError("n and d must be at least 1")
     if not 0.0 < p.sparsity <= 1.0:
         raise ValueError("sparsity must lie in (0, 1]")
-    if p.noise < 0:
-        raise ValueError("noise must be nonnegative")
     if p.model not in ("lasso", "logistic"):
         raise ValueError(f"unknown model {p.model!r}")
+    if not 0.0 <= p.noise < math.inf:
+        raise ValueError(f"noise must be nonnegative and finite, got {p.noise!r}")
+    if p.model == "logistic" and p.noise > 1.0:
+        raise ValueError(f"noise is a label flip probability, at most 1, got {p.noise!r}")
     if p.orthonormal and p.n < p.d:
         raise ValueError("orthonormal designs need n >= d")
     rng = np.random.Generator(np.random.Philox(p.seed))

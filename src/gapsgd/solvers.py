@@ -59,9 +59,15 @@ suboptimality and its sphere is safe whether or not the model is the
 optimum's (Gap Safe: Fercoq, Gramfort & Salmon, ICML 2015), and a refinement
 on a wrong model gives a larger gap, which is never used. Only the stop
 waits for identification: a refined gap ends the solve once the safe set
-also holds exactly the blocks where x_hat is nonzero. A solve certified so
-returns x_r where P(x_r) <= P(x_hat), else x_hat, and report.dual is the
-certifying dual point, so P(x_final) - D(report.dual) is report.gap.
+also holds exactly the blocks where x_hat is nonzero. On such a row x_r's
+own gap P(x_r) - D(theta_r) ends it as soon as that gap reaches gap_tol and
+the safe set holds exactly x_r's nonzero blocks too, and the solve returns
+x_r, without waiting for x_hat to reach gap_tol itself; on any other
+identified row P(x_hat) - D(theta_r) must reach it, and the solve returns
+x_hat. The condition on x_r's blocks keeps the stop behind the screen: where
+x_r prunes a coordinate that x_hat keeps in a block off the optimum's
+support, the solve goes on until a screen drops that block. report.dual is
+the certifying dual point, so P(x_final) - D(report.dual) is report.gap.
 
 Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
@@ -210,8 +216,9 @@ class TraceRecord:
     steps updated, 0 on the starting row. restart names the iterate:
     "start" on the starting row, then "average" or "last", the epoch's
     average or its last inner iterate, whichever had the smaller gap, or
-    "refined" where a screening solve returns the refined point that its
-    last row certifies. refined_dual is True where the gap comes from the
+    "refined" where a screening solve returns the refined point of the last
+    row's identified model, and the gap is that point's own. refined_dual is
+    True where the gap comes from the
     dual point of x_hat's support refinement rather than x_hat's own, and
     identified where a screening solve has identified x_hat's model: it is
     the previous iterate's and the safe set holds exactly its nonzero
@@ -236,7 +243,9 @@ class TraceRecord:
 @dataclasses.dataclass
 class SolveReport:
     """Result of one solver run. dual is the dual point of the last trace row's
-    gap, so P(x_final) - D(dual) is gap."""
+    gap, so P(x_final) - D(dual) is gap. x_final is the last row's point: the
+    refined point where that row's restart is "refined", else the last
+    iterate."""
 
     x_final: np.ndarray
     trace: list
@@ -253,6 +262,11 @@ class SolveReport:
     @property
     def support(self):
         return np.flatnonzero(self.x_final != 0.0)
+
+    @property
+    def identified_at(self):
+        """outer_iter of the first identified trace row, or None where no row is."""
+        return next((r.outer_iter for r in self.trace if r.identified), None)
 
 
 def inner_budget(m, q_k, q):
@@ -644,6 +658,10 @@ def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
     slot): the row's certifying dual point and gap, whether they are a
     refinement's, whether the model is identified, (x_r, P(x_r)) where the
     row returns the refined point (else None), x_hat's model and the slot.
+    The row returns x_r where the model is identified, x_r's own gap is at
+    most gap_tol and the safe set holds exactly x_r's nonzero blocks; it
+    then certifies with theta_r and that gap. Otherwise theta_r certifies
+    x_hat wherever P(x_hat) - D(theta_r) is below x_hat's own gap.
     """
     part, n, nnz = spec.partition, spec.dataset.n, spec.dataset.A.nnz
     model = _model(spec, x_hat)
@@ -659,10 +677,11 @@ def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
         if slot[0] != key:
             slot = key, _refined_certificate(spec, x_hat)
         ref = slot[1]
-        if ref is not None and obj - ref[2].value < gap:
+        if (ref is not None and identified and ref[3] <= gap_tol and np.array_equal(
+                np.unique(part.block_of[np.flatnonzero(ref[0])]), active.blocks)):
+            cert, gap, refined, kept = ref[2], ref[3], True, ref[:2]  # x_r certifies itself
+        elif ref is not None and obj - ref[2].value < gap:
             cert, gap, refined = ref[2], obj - ref[2].value, True
-            if identified and gap <= gap_tol and ref[1] <= obj:  # return the better point
-                kept, gap = ref[:2], ref[3]
     return cert, gap, refined, identified, kept, model, slot
 
 
@@ -705,7 +724,8 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         if screens and np.isfinite(obj):
             # A refinement's dual point certifies x_hat, centres the screen and
             # scores the working set wherever its gap is smaller; the snapshot
-            # keeps x_hat's own derivatives and gradient.
+            # keeps x_hat's own derivatives and gradient. A refined point that
+            # certifies itself on the identified model is the row's instead.
             cert, gap, refined, identified, kept, model, slot = _certify(
                 spec, active, x_hat, obj, dp, gap, config.gap_tol, model, slot)
             if kept is not None:

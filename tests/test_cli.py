@@ -47,11 +47,50 @@ def test_solve_command_writes_trace(tmp_path, capsys):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solve_command_on_a_sparse_design_runs_to_its_cap(seed, capsys):
     """Sampled blocks that hold no entry of the batch once crashed the step.
-    The defaults stop at max_outer without a certificate here, so the solve
-    prints its result and exits with the solve-failure code."""
-    assert main(["solve", "--synthetic", "200,300,0.02,0.01", "--seed", str(seed)]) == 4
+    With the default step, seeds 0 and 1 stop at max_outer without a
+    certificate, so the solve prints its result and exits with the
+    solve-failure code. Seed 2 identifies its model, and the refined point of
+    that model certifies itself at outer iteration 178, so it exits 0."""
+    code, result = {0: (4, "converged=False outer_iters=200"),
+                    1: (4, "converged=False outer_iters=200"),
+                    2: (0, "converged=True outer_iters=178")}[seed]
+    assert main(["solve", "--synthetic", "200,300,0.02,0.01", "--seed", str(seed)]) == code
+    assert result in capsys.readouterr().out
+
+
+def test_solve_command_prints_when_the_model_was_identified(capsys):
+    """The result line gives the outer iteration of the first identified trace
+    row, or None where no row is: a solve cut off before identification, or a
+    solver that never screens."""
+    args = ["solve", "--synthetic", "40,30,0.5,0.05", "--gap-tol", "1e-3", "--seed", "4"]
+    assert main(args) == 0
     out = capsys.readouterr().out
-    assert "converged=False" in out and "outer_iters=200" in out
+    assert "outer_iters=40 " in out and "identified_at=40 " in out
+    for more in (["--max-outer", "30"], ["--solver", "mrbcd", "--max-outer", "30"]):
+        assert main(args + more) == 4
+        assert "identified_at=None " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model,noise", [("logistic", "nan"), ("logistic", "inf"),
+                                         ("logistic", "1.5"), ("lasso", "nan"),
+                                         ("lasso", "inf")])
+def test_bad_synthetic_noise_exits_3(model, noise, capsys):
+    """noise is a flip probability for logistic data and a standard deviation
+    for regression: a value outside [0, 1] or [0, inf) is rejected before any
+    solve, and the message names it."""
+    assert main(["solve", "--model", model, "--synthetic", f"40,30,0.5,{noise}",
+                 "--max-outer", "5"]) == 3
+    assert "noise" in capsys.readouterr().err
+
+
+def test_bench_plan_with_a_bad_noise_exits_3(tmp_path, capsys):
+    """A plan's noise reaches the same check, before any cell runs."""
+    plan = tmp_path / "p.plan"
+    plan.write_text(f"n = 40\nd = 30\nmodel = logistic\nnoise = 1.5\n"
+                    f"out = {tmp_path / 'runs'}\n")
+    assert main(["bench", str(plan)]) == 3
+    assert "noise" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_solve_command_reference_solver(capsys):
@@ -172,10 +211,12 @@ def test_usage_error_exits_2():
 
 def test_out_dir_env_override(tmp_path, capsys, monkeypatch):
     """Both a certified solve and one that stops at max_outer without a
-    certificate (exit 4) write their trace into the redirected directory."""
+    certificate (exit 4) write their trace into the redirected directory. The
+    adsgd solve ends at its cap of 30 outer iterations, short of the 40 after
+    which the refined point of its identified model certifies itself."""
     monkeypatch.setenv("GAPSGD_OUT_DIR", str(tmp_path / "redirected"))
     code = main(["solve", "--synthetic", "40,30,0.5,0.05", "--gap-tol", "1e-3",
-                 "--max-outer", "80", "--seed", "4", "--out", "t.csv"])
+                 "--max-outer", "30", "--seed", "4", "--out", "t.csv"])
     assert code == 4
     assert os.path.exists(tmp_path / "redirected" / "t.csv")
     code = main(["solve", "--synthetic", "40,30,0.5,0.05", "--solver", "reference",

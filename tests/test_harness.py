@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import pathlib
 
@@ -130,7 +131,11 @@ def test_generate_synthetic_invalid_params():
     for kw in (dict(n=0, d=5), dict(n=5, d=5, sparsity=0.0),
                dict(n=5, d=5, noise=-1.0), dict(n=5, d=5, model="svm"),
                dict(n=5, d=5, support_size=9), dict(n=3, d=5, orthonormal=True),
-               dict(n=5, d=5, support_placement="middle")):
+               dict(n=5, d=5, support_placement="middle"),
+               dict(n=5, d=5, noise=math.nan), dict(n=5, d=5, noise=math.inf),
+               dict(n=5, d=5, noise=math.nan, model="logistic"),
+               dict(n=5, d=5, noise=math.inf, model="logistic"),
+               dict(n=5, d=5, noise=1.5, model="logistic")):
         with pytest.raises(ValueError):
             generate_synthetic(SyntheticParams(**kw))
 

@@ -864,8 +864,9 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
     is the candidate with the smaller gap; a tie keeps the average, and a nan
     gap, injected on either candidate, never wins. The row's gap is that
     evaluation's, or the smaller one a refined dual point gives the same
-    candidate, and a row that certifies so on an identified model returns
-    the refined point where its objective is no larger. Only the screening
+    candidate. An identified row whose refined point certifies itself, on
+    a safe set of exactly that point's nonzero blocks, returns the refined
+    point with its own gap instead. Only the screening
     solvers refine, and a refinement may find no point. batch_size 30 is the
     full batch."""
     spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6,
@@ -924,9 +925,11 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
             assert row.restart == chosen and np.array_equal(rep.iterates[k + 1], x)
             want = [obj - v for v in dual_values if obj - v < gap]
             assert row.gap in (want if row.refined_dual else [gap])
-        else:  # x certified by a refined dual point, whose point is returned
+        else:  # the refined point, certified by its own dual point, is returned
             ref = next(c for c in found if np.array_equal(c[0], rep.iterates[k + 1]))
-            assert obj - ref[2].value <= 1e-12 and ref[1] <= obj
+            assert ref[3] <= 1e-12
+            assert np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(ref[0])]),
+                                  rep.active_history[k + 1])
             assert row.gap == ref[1] - ref[2].value
             assert row.refined_dual and row.identified
             assert rep.converged and k + 1 == rep.outer_iters
@@ -1727,6 +1730,35 @@ def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
             - G.duality._dual_value(spec, rep.dual) == rep.gap
         refinements += len(found)
     assert refinements >= 6
+
+
+def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model():
+    """An identified row whose refined point x_r certifies itself returns x_r
+    only where the safe set holds exactly x_r's nonzero blocks. Here x_hat
+    keeps a coordinate in block 3, off the optimum's support, which the
+    refinement prunes. Row 4 is identified, and its x_r certifies itself, but
+    x_r's blocks [0, 1, 5, 6, 9] are not the safe set [0, 1, 3, 5, 6, 9]. So
+    the solve goes on until a screen drops block 3, and stops at row 8 on
+    x_r's own gap, which bounds its suboptimality."""
+    spec = make_instance(ratio=0.5, seed=206, n=150, d=250, sparsity=0.5, support=9)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=206, eta=tuned_eta(spec), gap_tol=1e-6,
+                                             batch_size=10, keep_iterates=True))
+
+    def blocks(x):
+        return np.unique(spec.partition.block_of[np.flatnonzero(x)]).tolist()
+
+    row = rep.trace[4]
+    assert row.identified and row.refined_dual and row.restart != "refined"
+    assert rep.active_history[4].tolist() == blocks(rep.iterates[4]) == [0, 1, 3, 5, 6, 9]
+    x_r, _, _, own = G.solvers._refined_certificate(spec, rep.iterates[4])
+    assert own <= 1e-6 and blocks(x_r) == [0, 1, 5, 6, 9]
+    assert rep.converged and rep.outer_iters == 8 and rep.trace[-1].restart == "refined"
+    x = rep.x_final
+    assert G.primal_objective(spec, x) - G.duality._dual_value(spec, rep.dual) \
+        == rep.gap <= 1e-6
+    assert G.primal_objective(spec, x) - G.reference_solve(spec, tol=1e-12).objective \
+        <= rep.gap
+    assert rep.active_history[-1].tolist() == blocks(x) == [0, 1, 5, 6, 9]
 
 
 def _stacked(dp):
