@@ -19,7 +19,7 @@ from .harness import (LibsvmParseError, SyntheticParams, build_spec,
                       generate_synthetic, load_libsvm, parse_plan_file,
                       run_experiment, summary_table, write_trace_csv)
 from .problem import lambda_max
-from .solvers import ConvergenceError, DivergenceError, SolverConfig, solve
+from .solvers import _SOLVERS, ConvergenceError, DivergenceError, SolverConfig, solve
 
 EXIT_PARSE = 3
 EXIT_SOLVE = 4
@@ -146,8 +146,7 @@ def build_parser():
     p = sub.add_parser("solve", help="run one solver on one instance")
     _add_data_args(p)
     _add_solver_args(p)
-    p.add_argument("--solver", default="adsgd",
-                   choices=["adsgd", "asgd", "mrbcd", "proxsvrg", "reference"])
+    p.add_argument("--solver", default="adsgd", choices=sorted(_SOLVERS) + ["reference"])
     p.add_argument("--out", metavar="PATH", help="write the trace CSV here")
     p.set_defaults(fn=_cmd_solve)
 

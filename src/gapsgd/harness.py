@@ -19,6 +19,9 @@ from .problem import (LOSSES, REGULARIZERS, BlockPartition, Dataset, ProblemSpec
 from .solvers import _SOLVERS, SolverConfig, TraceRecord, reference_solve, solve
 
 
+_MODELS = {"lasso": "squared", "logistic": "logistic"}  # model name: the loss it fits
+
+
 class LibsvmParseError(ValueError):
     """Malformed LIBSVM input; the message carries the offending line number."""
 
@@ -121,8 +124,10 @@ def generate_synthetic(params):
         raise ValueError("n and d must be at least 1")
     if not 0.0 < p.sparsity <= 1.0:
         raise ValueError("sparsity must lie in (0, 1]")
-    if p.model not in ("lasso", "logistic"):
-        raise ValueError(f"unknown model {p.model!r}")
+    if p.model not in _MODELS:
+        raise ValueError(f"model must be one of {', '.join(_MODELS)}, got {p.model!r}")
+    if p.seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {p.seed!r}")
     if not 0.0 <= p.noise < math.inf:
         raise ValueError(f"noise must be nonnegative and finite, got {p.noise!r}")
     if p.model == "logistic" and p.noise > 1.0:
@@ -169,12 +174,14 @@ def build_spec(dataset, model="lasso", lam=None, lambda_ratio=0.5, q=None,
     than 2048 columns (see duality.column_bounds), so on a design wider than
     20480 columns pass a q that keeps the blocks narrower.
     """
-    loss = LOSSES["squared" if model == "lasso" else "logistic"]
+    if model not in _MODELS:
+        raise ValueError(f"model must be one of {', '.join(_MODELS)}, got {model!r}")
+    if reg not in REGULARIZERS:
+        raise ValueError(f"reg must be one of {', '.join(REGULARIZERS)}, got {reg!r}")
     partition = BlockPartition.contiguous(dataset.d,
                                           min(10, dataset.d) if q is None else q)
-    regularizer = REGULARIZERS[reg]
-    probe = ProblemSpec(dataset=dataset, partition=partition, loss=loss,
-                        reg=regularizer, lam=1.0, mu_p=mu_p)
+    probe = ProblemSpec(dataset=dataset, partition=partition, loss=LOSSES[_MODELS[model]],
+                        reg=REGULARIZERS[reg], lam=1.0, mu_p=mu_p)
     if lam is None:
         lmax = lambda_max(probe)
         if lmax <= 0:
@@ -265,10 +272,6 @@ class RunSummary:
     error: str = ""
 
 
-def _run_name(solver, ratio, rep):
-    return f"{solver}_r{ratio:g}_rep{rep}"
-
-
 def run_experiment(plan):
     """Execute every (solver, lambda ratio, repetition) cell of the plan.
 
@@ -295,7 +298,7 @@ def run_experiment(plan):
         for cfg in plan.solvers:
             for rep in range(plan.repetitions):
                 run_cfg = dataclasses.replace(cfg, seed=cfg.seed + rep)
-                name = _run_name(run_cfg.solver, ratio, rep)
+                name = f"{run_cfg.solver}_r{ratio:g}_rep{rep}"
                 path = os.path.join(plan.out_dir, name + ".csv")
                 try:
                     report = solve(spec, run_cfg)
@@ -316,17 +319,14 @@ def run_experiment(plan):
                     time_to_tol=report.wall_time if report.converged else float("nan"),
                     final_gap=report.gap, final_objective=report.objective,
                     coord_updates=report.coord_updates, trace_path=path))
-    _write_summary(os.path.join(plan.out_dir, "summary.csv"), summaries)
+    _write_rows(os.path.join(plan.out_dir, "summary.csv"), dataclasses.fields(RunSummary),
+                summaries)
     if plan.plot:
         for ratio in plan.lambda_ratios:
             chart = os.path.join(plan.out_dir, f"suboptimality_r{ratio:g}.svg")
             subset = {n: t for n, t in traces.items() if f"_r{ratio:g}_" in n}
             render_svg(chart, subset, oracle_objectives[ratio])
     return summaries
-
-
-def _write_summary(path, summaries):
-    _write_rows(path, dataclasses.fields(RunSummary), summaries)
 
 
 def mean_time_to_tol(summaries):
@@ -401,8 +401,8 @@ def _positive(val, cast=float):
     return num
 
 
-def _nonnegative(val):
-    num = float(val)
+def _nonnegative(val, cast=float):
+    num = cast(val)
     if not 0 <= num < math.inf:
         raise ValueError(val)
     return num
@@ -418,11 +418,12 @@ def _solver_names(val):
 _FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}
 # key: (parse, what a value must be); parse raises ValueError or KeyError on a bad one
 _PLAN_KEYS = {
-    **dict.fromkeys(("data", "model", "support_placement", "out"), (str, "")),
-    **dict.fromkeys(("n", "d", "seed", "support_size", "repetitions", "blocks"),
-                    (int, "an integer")),
-    **dict.fromkeys(("batch_size", "inner_m", "max_outer"),
+    **dict.fromkeys(("data", "support_placement", "out"), (str, "")),
+    "model": ({name: name for name in _MODELS}.__getitem__, " or ".join(_MODELS)),
+    **dict.fromkeys(("n", "d", "support_size", "repetitions", "blocks", "batch_size",
+                     "inner_m", "max_outer"),
                     (lambda v: _positive(v, int), "a positive integer")),
+    "seed": (lambda v: _nonnegative(v, int), "a nonnegative integer"),
     **dict.fromkeys(("sparsity", "noise", "feature_scale"), (float, "a number")),
     "mu_p": (_nonnegative, "nonnegative and finite"),
     **dict.fromkeys(("plot", "theory_mode"),
@@ -442,13 +443,14 @@ def parse_plan_file(path):
     support_size, support_placement, lambda_ratios, solvers, repetitions, out,
     plot, batch_size, blocks, inner_m, eta, theory_mode, mu_p, gap_tol,
     max_outer. The flags theory_mode and plot take 0/1, true/false or yes/no
-    in any case; eta and gap_tol must be positive and finite, mu_p
-    nonnegative and finite, and batch_size, inner_m and max_outer positive
-    integers (batch_size <= n is checked per solve). Every value is read as
-    its key's type while the file is parsed, so an unknown key or a value of
-    the wrong type, such as an unknown solver name, raises ValueError with
-    its line. So does eta given with theory_mode on, and a plan without data
-    that lacks n or d raises ValueError naming the key.
+    in any case; model is lasso or logistic; eta and gap_tol must be positive
+    and finite, mu_p nonnegative and finite, seed a nonnegative integer, and
+    n, d, support_size, repetitions, blocks, batch_size, inner_m and
+    max_outer positive integers (batch_size <= n is checked per solve). Every
+    value is read as its key's type while the file is parsed, so an unknown
+    key or a value of the wrong type, such as an unknown solver name, raises
+    ValueError with its line. So does eta given with theory_mode on, and a
+    plan without data that lacks n or d raises ValueError naming the key.
     """
     kv, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:

@@ -74,34 +74,11 @@ one per storage of the working design (below): the sampled rows'
 derivatives, relative to the snapshot's under variance reduction, summed into
 the sampled block or into every working column. step_gradient sums the
 gathered entries with two bincounts; dense_step_gradient forms the same
-gradient from two matrix products, X_b x and coef X_b[:, lo:hi]. The engine
-picks the kernel per epoch from the storage of the design the epoch runs on.
-A batch of all n rows takes the whole working design as it stands, without a
-draw. partial_gradient and vr_gradient run the same kernel on the
-uncompacted design, picked by the same density test, from the batch's rows
-alone.
-
-An epoch is planned in chunks of steps, each chunk sized to gather at most
-_CHUNK_ENTRIES entries and never reaching past the epoch's last step. A chunk
-makes one rng.integers call, whose bounds list n for every batch row and the
-number of active blocks for every block draw, in step order. That takes the
-same values from the Philox stream as the draws made step by step, and leaves
-the stream in the same state: each bounded draw consumes the stream alike
-whether it comes alone or in an array, which tests pin. _plan then gathers
-every sampled row of the chunk at once, through one index array computed from
-the row pointers, and selects each step's block entries with one mask over
-the chunk. On a dense design _plan_dense gathers the chunk's rows with one
-fancy index instead, as a (c, b, p) array. Each planner yields one (args, lo,
-hi) per step, args being the step's slices of the chunk's arrays in the
-order its storage's kernel takes them. The engine picks the planner and the
-kernel per epoch and runs each chunk as one loop with one kernel call: each
-step calls the kernel positionally and updates its columns lo:hi of the
-iterate in place, grad *= eta, v -= grad and the prox written back into v,
-then adds the iterate to the running sum. On the sparse storage each step
-sums the same entries in the same order as a per-step gather would, and the
-in-place update rounds as the old expressions did, so neither changes a bit.
-The chunk sizes and the draws are the same on both storages, so both take
-the same rows and blocks.
+gradient from two matrix products, X_b x and coef X_b[:, lo:hi]. One epoch,
+its plan, steps and restart, runs in _epoch, which picks the kernel from the
+storage of the design the epoch runs on; _engine keeps the outer loop.
+partial_gradient and vr_gradient run the same kernel on the uncompacted
+design, picked by the same density test, from the batch's rows alone.
 
 The working design is the row pointers plus one array each of the column,
 value and row of every stored entry, in CSR order, with its columns numbered
@@ -218,13 +195,13 @@ class TraceRecord:
     average or its last inner iterate, whichever had the smaller gap, or
     "refined" where a screening solve returns the refined point of the last
     row's identified model, and the gap is that point's own. refined_dual is
-    True where the gap comes from the
-    dual point of x_hat's support refinement rather than x_hat's own, and
-    identified where a screening solve has identified x_hat's model: it is
-    the previous iterate's and the safe set holds exactly its nonzero
-    blocks. A refined gap stops a solve only on an identified row. The
-    reference solver's rows after the first are "last", but for a stop row
-    that returns the point of its support refinement, which is "refined".
+    True where the gap comes from the dual point of x_hat's support
+    refinement rather than x_hat's own, and identified where a screening
+    solve has identified x_hat's model: it is the previous iterate's and the
+    safe set holds exactly its nonzero blocks. A refined gap stops a solve
+    only on an identified row. The reference solver's rows after the first
+    are "last", but for a stop row that returns the point of its support
+    refinement, which is "refined".
     """
 
     outer_iter: int
@@ -303,6 +280,8 @@ def _resolve(spec, config):
         raise ValueError("max_outer must be at least 1")
     if config.screen_every < 0:
         raise ValueError("screen_every must be nonnegative")
+    if config.seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {config.seed}")
     return float(eta), int(m), int(batch)
 
 
@@ -685,34 +664,100 @@ def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
     return cert, gap, refined, identified, kept, model, slot
 
 
+def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling):
+    """(x, evaluation, label, updates) of `steps` inner steps from x_hat on the
+    working design work: _restart's next iterate, evaluation and label, and
+    the number of coordinate updates. snap holds the snapshot's (derivatives,
+    smooth gradient) under variance reduction, else None, and the steps then
+    anchor at spec.anchor. With block_sampling a step updates one drawn block
+    of work, else every working column.
+
+    The steps are planned in chunks, each gathering at most _CHUNK_ENTRIES
+    entries and cut at the last step. A chunk makes one rng.integers call,
+    whose bounds list n for every batch row and the number of working blocks
+    for every block draw, in step order. A bounded draw consumes the Philox
+    stream alike alone or in an array (tests pin this), so the chunks draw
+    the values of step-by-step draws and leave the stream in their state, on
+    both storages alike. The planner of work's storage, _plan or _plan_dense,
+    yields the chunk's steps, and each chunk runs as one loop: a step calls
+    the kernel positionally, updates its columns lo:hi of the iterate in
+    place (grad *= eta, v -= grad, the prox written back into v) and adds the
+    iterate to the running sum.
+    """
+    n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
+    prox, thresh = spec.reg.block_prox, eta * spec.lam
+    sampled = batch_size < n
+    wfeat = work.features
+    x_tilde = x_hat[wfeat]
+    x_cur = x_tilde.copy()
+    x_sum = np.zeros(wfeat.size)
+    g_ref, mu, x_ref = ((None, None, spec.anchor[wfeat]) if snap is None
+                        else (snap[0], snap[1][wfeat], x_tilde))
+    classes = None if block_sampling else work.layout.classes
+    plan, kern = ((_plan, step_gradient) if work.dense is None
+                  else (_plan_dense, dense_step_gradient))
+    per_step = (batch_size * int(np.diff(work.indptr).max()) if sampled
+                else work.entries[0].size)
+    chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
+    highs = np.array([n] * (batch_size if sampled else 0)
+                     + [work.active.n_blocks] * block_sampling)
+    updates = 0
+    for done in range(0, steps, chunk):
+        c = min(chunk, steps - done)
+        draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
+                 else None)
+        batches = draws[:, :batch_size] if sampled else None
+        ibs = draws[:, -1] if block_sampling else None
+        for args, lo, hi in plan(work, y, g_ref, c, batches, ibs):
+            grad = kern(loss, x_cur, *args, lo, hi, mu, x_ref, mu_p)
+            grad *= eta
+            v = x_cur[lo:hi]
+            v -= grad
+            prox(v, thresh, classes, out=v)
+            x_sum += x_cur
+            updates += hi - lo
+        del args  # release this chunk before the next is planned
+    x_sum /= steps
+    return (*_restart(spec, wfeat, x_sum, x_cur), updates)
+
+
+def _screen_step(spec, cert, gap, active, bounds, x_hat, snap):
+    """(radius, safe set, snap) after the Gap Safe screen of active by the
+    sphere of gap around cert; active itself where no block drops. Where
+    zeroing x_hat in place on the dropped blocks moves it, snap (as in
+    _epoch) is formed again, to keep the variance correction unbiased."""
+    radius = safe_radius(spec, gap)
+    kept = screen(spec, cert, radius, active, bounds)
+    if kept.n_blocks < active.n_blocks:
+        dropped = np.setdiff1d(active.features, kept.features, assume_unique=True)
+        active = kept
+        if np.any(x_hat[dropped] != 0.0):
+            x_hat[dropped] = 0.0
+            if snap is not None:
+                g_snap = spec.loss.deriv(spec.dataset.A @ x_hat, spec.dataset.y)
+                snap = g_snap, smooth_gradient(spec, x_hat, g_snap)
+    return radius, active, snap
+
+
 # A diverging solve overflows in its steps and evaluations; the non-finite
 # objective check reports that as a DivergenceError, without numpy's warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _engine(spec, config, *, block_sampling, variance_reduction, screening):
-    ds = spec.dataset
-    n, d = ds.n, ds.d
-    loss, reg, lam, mu_p = spec.loss, spec.reg, spec.lam, spec.mu_p
+    A = spec.dataset.A
     # lipschitz_constants rejects this design too, but runs only for defaults
-    if not ds.A.data.any():
+    if not A.data.any():
         raise DegenerateProblemError("design matrix is all zeros")
     eta, m, batch_size = _resolve(spec, config)
-    prox, thresh = reg.block_prox, eta * lam
     rng = np.random.Generator(np.random.Philox(config.seed))
-    A, y, q = ds.A, ds.y, spec.partition.q
-    # batch_size == n is the degenerate deterministic case: the batch is the
-    # whole dataset (no draw), otherwise sample with replacement
-    sampled = batch_size < n
     screens = screening and config.screen_every > 0
 
     active = ActiveSet.full(spec)
     bounds = column_bounds(spec) if screens else None
     safe_work = work = _compact(spec, active)
-    x_hat = np.zeros(d)
+    x_hat = np.zeros(spec.dataset.d)
     trace, active_history = [], []
     iterates = [] if config.keep_iterates else None
-    coord_updates = 0
-    converged = False
-    k = 0
+    coord_updates, converged, k = 0, False, 0
     radius, width = math.inf, 0
     model, slot = None, (None, None)  # the last iterate's model; the last refinement's
     start = time.perf_counter()
@@ -720,7 +765,8 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
 
     while True:
         obj, g_snap, dp, gap = evaluation
-        mu_full, cert, refined, identified = dp.gradient, dp, False, False
+        cert, refined, identified = dp, False, False
+        snap = (g_snap, dp.gradient) if variance_reduction else None
         if screens and np.isfinite(obj):
             # A refinement's dual point certifies x_hat, centres the screen and
             # scores the working set wherever its gap is smaller; the snapshot
@@ -752,19 +798,8 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
 
         radius = math.inf
         if screens and (k - 1) % config.screen_every == 0:
-            radius = safe_radius(spec, gap)
-            new_active = screen(spec, cert, radius, active, bounds)
-            if new_active.n_blocks < active.n_blocks:
-                dropped = np.setdiff1d(active.features, new_active.features,
-                                       assume_unique=True)
-                active = new_active
-                if np.any(x_hat[dropped] != 0.0):
-                    x_hat[dropped] = 0.0
-                    if variance_reduction:
-                        # truncation moved the snapshot, so refresh its derivatives and
-                        # gradient to keep the variance correction unbiased on the subproblem
-                        g_snap = loss.deriv(A @ x_hat, y)
-                        mu_full = smooth_gradient(spec, x_hat, g_snap)
+            radius, active, snap = _screen_step(spec, cert, gap, active, bounds, x_hat,
+                                                snap)
         width = 0
         if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it
             evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "average"
@@ -781,49 +816,10 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
         elif not np.array_equal(wb, work.active.blocks):
             work = _compact(spec, active.keep(wb), safe_work)
         width = work.active.n_blocks
-
-        m_k = inner_budget(m, width, q)
-        # The inner loop runs in working columns: column p stands for feature
-        # wfeat[p], block by block. Features off the working set hold exact
-        # zeros, so leaving them out drops only the terms vals * 0.0 from every
-        # row sum.
-        wfeat = work.features
-        x_tilde = x_hat[wfeat]
-        x_cur = x_tilde.copy()
-        x_sum = np.zeros(wfeat.size)
-        if variance_reduction:
-            mu, x_ref = mu_full[wfeat], x_tilde
-        else:
-            mu, x_ref = None, spec.anchor[wfeat]
-        g_ref = g_snap if variance_reduction else None
-        classes = None if block_sampling else work.layout.classes
-        plan, kern = ((_plan, step_gradient) if work.dense is None
-                      else (_plan_dense, dense_step_gradient))
-
-        # Plan the epoch a chunk of steps at a time (see the module docstring):
-        # one draw per chunk, with its bounds in step order, never past step m_k.
-        per_step = (batch_size * int(np.diff(work.indptr).max()) if sampled
-                    else work.entries[0].size)
-        chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
-        highs = np.array([n] * (batch_size if sampled else 0) + [width] * block_sampling)
-        for done in range(0, m_k, chunk):
-            c = min(chunk, m_k - done)
-            draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
-                     else None)
-            batches = draws[:, :batch_size] if sampled else None
-            ibs = draws[:, -1] if block_sampling else None
-            # each step updates its columns lo:hi of x_cur in place
-            for args, lo, hi in plan(work, y, g_ref, c, batches, ibs):
-                grad = kern(loss, x_cur, *args, lo, hi, mu, x_ref, mu_p)
-                grad *= eta
-                v = x_cur[lo:hi]
-                v -= grad
-                prox(v, thresh, classes, out=v)
-                x_sum += x_cur
-                coord_updates += hi - lo
-            del args  # release this chunk before the next is planned
-        x_sum /= m_k
-        x_hat, evaluation, restart = _restart(spec, wfeat, x_sum, x_cur)
+        x_hat, evaluation, restart, updates = _epoch(
+            spec, work, x_hat, snap, inner_budget(m, width, spec.partition.q), rng, eta,
+            batch_size, block_sampling)
+        coord_updates += updates
 
     return SolveReport(
         x_final=x_hat.copy(), trace=trace, converged=converged, outer_iters=k,

@@ -146,7 +146,16 @@ def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
                                        ("eta = inf", "eta must be positive"),
                                        ("mu_p = -1", "mu_p must be nonnegative"),
                                        ("mu_p = nan", "mu_p must be nonnegative"),
-                                       ("n = 5x", "n must be an integer"),
+                                       ("n = 5x", "n must be a positive integer"),
+                                       ("d = 0", "d must be a positive integer"),
+                                       ("repetitions = 0",
+                                        "repetitions must be a positive integer"),
+                                       ("support_size = -2",
+                                        "support_size must be a positive integer"),
+                                       ("blocks = 2.5", "blocks must be a positive integer"),
+                                       ("seed = -1", "seed must be a nonnegative integer"),
+                                       ("model = Lasso",
+                                        "model must be lasso or logistic, got 'Lasso'"),
                                        ("batch_size = 0",
                                         "batch_size must be a positive integer"),
                                        ("sparsity = 5x", "sparsity must be a number"),
@@ -160,6 +169,31 @@ def test_bench_command_exits_3_on_a_bad_plan_line(tmp_path, capsys, line, says):
     assert main(["bench", str(plan)]) == 3
     assert f"plan line 3: {says}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "runs")
+
+
+def test_bench_plan_with_a_misspelled_model_exits_3(tmp_path, capsys):
+    """A data file's plan with model = Lasso is refused with its line, where it
+    used to fit logistic regression and exit 0."""
+    data = tmp_path / "file.svm"
+    data.write_text("1 1:1 2:0.5\n0 1:0.2 2:1\n1 1:1\n")
+    plan = tmp_path / "p.plan"
+    plan.write_text(f"data = {data}\nmodel = Lasso\nout = {tmp_path / 'runs'}\n")
+    assert main(["bench", str(plan)]) == 3
+    assert ("plan line 2: model must be lasso or logistic, got 'Lasso'"
+            in capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("source", ["synthetic", "data"])
+def test_a_negative_seed_exits_3_naming_it(tmp_path, capsys, source):
+    """The synthetic generator and the solver each refuse a negative seed by
+    name, before numpy's Philox does with no name."""
+    data = tmp_path / "file.svm"
+    data.write_text("1 1:1 2:0.5\n-1 1:0.2 2:1\n0.5 1:1\n")
+    args = (["--synthetic", "40,30,0.5,0.05"] if source == "synthetic"
+            else ["--data", str(data)])
+    assert main(["solve", *args, "--seed", "-1"]) == 3
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
 
 
 def test_missing_data_file_exits_3(capsys):

@@ -396,8 +396,8 @@ def test_parse_plan_file_rejects_bad_flag_with_its_line(tmp_path):
 
 
 @pytest.mark.parametrize("line,says", [
-    ("n = 5x", "n must be an integer, got '5x'"),
-    ("repetitions = 2.5", "repetitions must be an integer, got '2.5'"),
+    ("n = 5x", "n must be a positive integer, got '5x'"),
+    ("repetitions = 2.5", "repetitions must be a positive integer, got '2.5'"),
     ("sparsity = dense", "sparsity must be a number, got 'dense'"),
     ("lambda_ratios = 0.5,,0.25", "lambda_ratios must be comma-separated numbers"),
     ("solvers = adsgd, mrbdc", "solvers must be comma-separated names among adsgd, "
@@ -440,6 +440,23 @@ def test_parse_plan_file_reads_the_example_plan():
                            / "demos" / "example_plan.txt")
     assert plan.synthetic.support_size == 10 and plan.synthetic.support_placement == "prefix"
     assert plan.plot is True and plan.repetitions == 3
+
+
+def test_build_spec_rejects_an_unknown_model_or_penalty_by_its_choices():
+    """A misspelled model is refused, not fitted as logistic regression, and
+    an unknown penalty raises ValueError, not a bare KeyError."""
+    ds = generate_synthetic(SyntheticParams(n=20, d=12, seed=1))
+    with pytest.raises(ValueError, match=r"^model must be one of lasso, logistic, "
+                                         r"got 'Lasso'$"):
+        build_spec(ds, model="Lasso")
+    with pytest.raises(ValueError, match=r"^reg must be one of l1, group_l2, got 'l2'$"):
+        build_spec(ds, reg="l2")
+    assert build_spec(ds, model="lasso").loss.name == "squared"
+
+
+def test_generate_synthetic_names_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+        generate_synthetic(SyntheticParams(n=5, d=5, seed=-1))
 
 
 def test_build_spec_rejects_zero_lambda_max():

@@ -667,6 +667,53 @@ def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver
             assert rep.coord_updates == sum(steps) * spec.dataset.d
 
 
+def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
+    """Wrapping the engine's phases through module attributes, as
+    benchmarks/tracer.py wraps its layers, sees each epoch as one _epoch call,
+    on the working design the next trace row counts, with its one _restart
+    inside it; a screening solve certifies each row, screens before each
+    epoch, and cuts at most a safe set's and a working set's design per
+    epoch."""
+    calls = []
+
+    def spied(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_epoch", "_restart", "_certify", "_compact"):
+        monkeypatch.setattr(G.solvers, name, spied(name, getattr(G.solvers, name)))
+    screen = spied("screen", G.duality.screen)
+    for module in (G.duality, G.solvers):  # every module that holds the function
+        monkeypatch.setattr(module, "screen", screen)
+    spec = make_instance(seed=1, n=60, d=80, q=10, sparsity=0.03)
+    for solver in ("adsgd", "mrbcd"):
+        calls.clear()
+        rep = G.solve(spec, G.SolverConfig(solver=solver, seed=1, gap_tol=1e-6,
+                                           max_outer=40, eta=tuned_eta(spec, 1.0)))
+        names = [name for name, _ in calls]
+        epochs = [args[1] for name, args in calls if name == "_epoch"]
+        rows = rep.trace[1:]
+        assert len(epochs) == rep.outer_iters == names.count("_restart")
+        assert [work.active.n_blocks for work in epochs] == [r.working_blocks for r in rows]
+        assert all(names[i + 1] == "_restart" for i, name in enumerate(names)
+                   if name == "_epoch")
+        compacts = names.count("_compact")
+        if solver == "mrbcd":
+            assert names.count("_certify") == names.count("screen") == 0
+            assert compacts == 1 and {r.working_blocks for r in rows} == {spec.partition.q}
+            continue
+        assert names.count("_certify") == len(rep.trace)
+        assert names.count("screen") == rep.outer_iters
+        assert [name for name in names if name in ("_certify", "screen", "_epoch")] == (
+            ["_certify", "screen", "_epoch"] * rep.outer_iters + ["_certify"])
+        changes = sum(not np.array_equal(a.active.blocks, b.active.blocks)
+                      for a, b in zip(epochs, epochs[1:]))
+        assert 1 < compacts <= 1 + 2 * rep.outer_iters and changes > 0
+        assert rows[-1].active_blocks < spec.partition.q
+
+
 def _scattered_lasso():
     spec = make_instance(seed=6, n=30, d=20, q=5, support=3, ratio=0.6)
     part = G.BlockPartition([np.arange(j, 20, 5) for j in range(5)])
