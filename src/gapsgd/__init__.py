@@ -16,8 +16,8 @@ from .problem import (LOSSES, REGULARIZERS, BlockPartition, Dataset,
                       SquaredLoss, full_gradient, lambda_max,
                       lipschitz_constants, primal_objective, soft_threshold)
 from .solvers import (ConvergenceError, DivergenceError, SolveReport,
-                      SolverConfig, TraceRecord, adsgd_solve,
-                      asgd_solve, inner_budget, mrbcd_solve, partial_gradient,
-                      proxsvrg_solve, reference_solve, solve, vr_gradient)
+                      SolverConfig, TraceRecord, adsgd_solve, inner_budget,
+                      mrbcd_solve, partial_gradient, proxsvrg_solve,
+                      reference_solve, solve, vr_gradient)
 
 __version__ = "0.1.0"

@@ -408,6 +408,13 @@ def _nonnegative(val, cast=float):
     return num
 
 
+def _ratios(val):
+    nums = tuple(float(tok) for tok in val.split(","))
+    if any(not 0 < num <= 1 for num in nums):
+        raise ValueError(val)
+    return nums
+
+
 def _solver_names(val):
     names = tuple(tok.strip() for tok in val.split(","))
     if any(name.lower() not in {*_SOLVERS, "reference"} for name in names):
@@ -418,8 +425,10 @@ def _solver_names(val):
 _FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}
 # key: (parse, what a value must be); parse raises ValueError or KeyError on a bad one
 _PLAN_KEYS = {
-    **dict.fromkeys(("data", "support_placement", "out"), (str, "")),
+    **dict.fromkeys(("data", "out"), (str, "")),
     "model": ({name: name for name in _MODELS}.__getitem__, " or ".join(_MODELS)),
+    "support_placement": ({"prefix": "prefix", "random": "random"}.__getitem__,
+                          "prefix or random"),
     **dict.fromkeys(("n", "d", "support_size", "repetitions", "blocks", "batch_size",
                      "inner_m", "max_outer"),
                     (lambda v: _positive(v, int), "a positive integer")),
@@ -429,8 +438,7 @@ _PLAN_KEYS = {
     **dict.fromkeys(("plot", "theory_mode"),
                     (lambda v: _FLAGS[v.lower()], "0/1, true/false or yes/no")),
     **dict.fromkeys(("eta", "gap_tol"), (_positive, "positive and finite")),
-    "lambda_ratios": (lambda v: tuple(float(tok) for tok in v.split(",")),
-                      "comma-separated numbers"),
+    "lambda_ratios": (_ratios, "comma-separated numbers in (0, 1]"),
     "solvers": (_solver_names, "comma-separated names among "
                 + ", ".join(sorted(_SOLVERS) + ["reference"])),
 }
@@ -443,7 +451,8 @@ def parse_plan_file(path):
     support_size, support_placement, lambda_ratios, solvers, repetitions, out,
     plot, batch_size, blocks, inner_m, eta, theory_mode, mu_p, gap_tol,
     max_outer. The flags theory_mode and plot take 0/1, true/false or yes/no
-    in any case; model is lasso or logistic; eta and gap_tol must be positive
+    in any case; model is lasso or logistic and support_placement prefix or
+    random; lambda_ratios lie in (0, 1]; eta and gap_tol must be positive
     and finite, mu_p nonnegative and finite, seed a nonnegative integer, and
     n, d, support_size, repetitions, blocks, batch_size, inner_m and
     max_outer positive integers (batch_size <= n is checked per solve). Every

@@ -1,11 +1,11 @@
 """Screened doubly stochastic solvers and the deterministic reference solver.
 
-All four stochastic solvers share one engine differing only in three switches:
+All three stochastic solvers take variance-reduced steps on one engine,
+differing only in two switches:
 
-    adsgd     block sampling + variance reduction + gap-safe screening
-    mrbcd     block sampling + variance reduction, no screening
-    asgd      full-vector mini-batch steps + screening, no variance reduction
-    proxsvrg  full-vector variance-reduced steps, no screening
+    adsgd     block sampling + gap-safe screening
+    mrbcd     block sampling, no screening
+    proxsvrg  full-vector steps, no screening
 
 Each outer iteration snapshots the iterate and evaluates it on the full
 problem (duality.evaluate: objective, per-sample derivatives, the dual point
@@ -71,14 +71,14 @@ the certifying dual point, so P(x_final) - D(report.dual) is report.gap.
 
 Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
-derivatives, relative to the snapshot's under variance reduction, summed into
-the sampled block or into every working column. step_gradient sums the
-gathered entries with two bincounts; dense_step_gradient forms the same
-gradient from two matrix products, X_b x and coef X_b[:, lo:hi]. One epoch,
-its plan, steps and restart, runs in _epoch, which picks the kernel from the
-storage of the design the epoch runs on; _engine keeps the outer loop.
-partial_gradient and vr_gradient run the same kernel on the uncompacted
-design, picked by the same density test, from the batch's rows alone.
+derivatives, relative to the snapshot's, summed into the sampled block or
+into every working column. step_gradient sums the gathered entries with two
+bincounts; dense_step_gradient forms the same gradient from two matrix
+products, X_b x and coef X_b[:, lo:hi]. One epoch, its plan, steps and
+restart, runs in _epoch, which picks the kernel from the storage of the
+design the epoch runs on; _engine keeps the outer loop. partial_gradient and
+vr_gradient run the same kernel on the uncompacted design, picked by the
+same density test, from the batch's rows alone.
 
 The working design is the row pointers plus one array each of the column,
 value and row of every stored entry, in CSR order, with its columns numbered
@@ -119,10 +119,9 @@ iterate, as after a restart or a step from t = 1 (beta = 0); A y is the same
 combination of the last two products A x. Its L1 stop row is refined by the
 screening solves' own _refined_certificate, kept where its gap is smaller.
 
-The full-vector solvers (asgd, proxsvrg) and the reference solver make one
-penalty prox call per step. For group-L2 it shrinks every block of one size
-with a few numpy calls, over the size classes of the working design's
-partition. Only a solve that screens computes the per-block column bounds
+The full-vector solver proxsvrg and the reference solver make one penalty
+prox call per step. For group-L2 it shrinks every block of one size with a
+few numpy calls, over the size classes of the working design's partition. Only a solve that screens computes the per-block column bounds
 Omega_j^D(A_j), once, when it starts.
 """
 
@@ -398,10 +397,10 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
     chunk's entries selects each step's block. Returns an iterator of one
     (args, lo, hi) per step, args being step_gradient's arguments between x
     and lo: (cols, vals, row_id) of the step's entries, row_id counting rows
-    within its batch, y and the snapshot's derivatives on its batch (None
-    without variance reduction), and (pos, vals, row_id) of the entries its
-    gradient sums, pos being each one's place in the step's block, or its
-    entries again for full-vector steps, pos then being the working column.
+    within its batch, y and the snapshot's derivatives on its batch, and
+    (pos, vals, row_id) of the entries its gradient sums, pos being each
+    one's place in the step's block, or its entries again for full-vector
+    steps, pos then being the working column.
     The step updates the working columns lo:hi. A step's entries lie in the
     order a gather of its batch alone would give them, so its sums add the
     same terms in the same order. A full batch passes y, g_snap and
@@ -418,7 +417,7 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
         ends = starts.tolist()
         s0, s1 = ends[:-1], ends[1:]
         ys = y[batches]  # iterated row by row
-        gs = itertools.repeat(None, c) if g_snap is None else g_snap[batches]
+        gs = g_snap[batches]
     if ibs is None:
         pos, bvals, brow, b0, b1 = cols, vals, row_id, s0, s1
         los, his = [0] * c, [work.features.size] * c
@@ -446,11 +445,11 @@ def step_gradient(loss, x, cols, vals, row_id, y, g_ref, pos, bvals, brow, lo, h
     The one gradient kernel, called positionally with one step of _plan:
     (cols, vals, row_id) are its batch's entries and (pos, bvals, brow) the
     entries it sums, pos counted from lo; y and g_ref hold y and the
-    snapshot's derivatives on the batch, g_ref None without variance
-    reduction. With variance reduction mu holds the snapshot's smooth
-    gradient and x_ref the snapshot; without it mu is None and x_ref is the
-    anchor; both are in working columns, as x is. Returns, as float64, the
-    gradient on the columns lo:hi, a block or all of them:
+    snapshot's derivatives on the batch, mu the snapshot's smooth gradient
+    and x_ref the snapshot, in working columns, as x is. partial_gradient
+    has no snapshot: it passes g_ref and mu as None and the anchor as x_ref.
+    Returns, as float64, the gradient on the columns lo:hi, a block or all
+    of them:
 
         A_b'(f'(A_b x) - g_ref) / b  [+ mu]  + 2 mu_p (x - x_ref)
     """
@@ -474,15 +473,14 @@ def _plan_dense(work, y, g_snap, c, batches=None, ibs=None):
     themselves. Returns an iterator of one (args, lo, hi) per step, args
     being dense_step_gradient's arguments between x and lo: (x_b, y_t, g_t),
     the step's rows of the design and y and the snapshot's derivatives on its
-    batch (g_t None without variance reduction). The step updates the working
-    columns lo:hi, a block's for block draws ibs, else all of them.
+    batch. The step updates the working columns lo:hi, a block's for block
+    draws ibs, else all of them.
     """
     if batches is None:
         xs, ys = itertools.repeat(work.dense, c), itertools.repeat(y, c)
         gs = itertools.repeat(g_snap, c)
     else:
-        xs, ys = work.dense[batches], y[batches]  # iterated step by step
-        gs = itertools.repeat(None, c) if g_snap is None else g_snap[batches]
+        xs, ys, gs = work.dense[batches], y[batches], g_snap[batches]  # step by step
     if ibs is None:
         lo, hi = [0] * c, [work.features.size] * c
     else:
@@ -668,9 +666,8 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
     """(x, evaluation, label, updates) of `steps` inner steps from x_hat on the
     working design work: _restart's next iterate, evaluation and label, and
     the number of coordinate updates. snap holds the snapshot's (derivatives,
-    smooth gradient) under variance reduction, else None, and the steps then
-    anchor at spec.anchor. With block_sampling a step updates one drawn block
-    of work, else every working column.
+    smooth gradient), and the snapshot is x_hat. With block_sampling a step
+    updates one drawn block of work, else every working column.
 
     The steps are planned in chunks, each gathering at most _CHUNK_ENTRIES
     entries and cut at the last step. A chunk makes one rng.integers call,
@@ -691,8 +688,7 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
     x_tilde = x_hat[wfeat]
     x_cur = x_tilde.copy()
     x_sum = np.zeros(wfeat.size)
-    g_ref, mu, x_ref = ((None, None, spec.anchor[wfeat]) if snap is None
-                        else (snap[0], snap[1][wfeat], x_tilde))
+    g_ref, mu = snap[0], snap[1][wfeat]
     classes = None if block_sampling else work.layout.classes
     plan, kern = ((_plan, step_gradient) if work.dense is None
                   else (_plan_dense, dense_step_gradient))
@@ -709,7 +705,7 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
         batches = draws[:, :batch_size] if sampled else None
         ibs = draws[:, -1] if block_sampling else None
         for args, lo, hi in plan(work, y, g_ref, c, batches, ibs):
-            grad = kern(loss, x_cur, *args, lo, hi, mu, x_ref, mu_p)
+            grad = kern(loss, x_cur, *args, lo, hi, mu, x_tilde, mu_p)
             grad *= eta
             v = x_cur[lo:hi]
             v -= grad
@@ -733,16 +729,15 @@ def _screen_step(spec, cert, gap, active, bounds, x_hat, snap):
         active = kept
         if np.any(x_hat[dropped] != 0.0):
             x_hat[dropped] = 0.0
-            if snap is not None:
-                g_snap = spec.loss.deriv(spec.dataset.A @ x_hat, spec.dataset.y)
-                snap = g_snap, smooth_gradient(spec, x_hat, g_snap)
+            g_snap = spec.loss.deriv(spec.dataset.A @ x_hat, spec.dataset.y)
+            snap = g_snap, smooth_gradient(spec, x_hat, g_snap)
     return radius, active, snap
 
 
 # A diverging solve overflows in its steps and evaluations; the non-finite
 # objective check reports that as a DivergenceError, without numpy's warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def _engine(spec, config, *, block_sampling, variance_reduction, screening):
+def _engine(spec, config, *, block_sampling, screening):
     A = spec.dataset.A
     # lipschitz_constants rejects this design too, but runs only for defaults
     if not A.data.any():
@@ -766,7 +761,7 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
     while True:
         obj, g_snap, dp, gap = evaluation
         cert, refined, identified = dp, False, False
-        snap = (g_snap, dp.gradient) if variance_reduction else None
+        snap = g_snap, dp.gradient
         if screens and np.isfinite(obj):
             # A refinement's dual point certifies x_hat, centres the screen and
             # scores the working set wherever its gap is smaller; the snapshot
@@ -832,29 +827,19 @@ def _engine(spec, config, *, block_sampling, variance_reduction, screening):
 def adsgd_solve(spec, config=None):
     """Accelerated doubly stochastic gradient descent with gap-safe screening."""
     config = config or SolverConfig(solver="adsgd")
-    return _engine(spec, config, block_sampling=True, variance_reduction=True,
-                   screening=True)
+    return _engine(spec, config, block_sampling=True, screening=True)
 
 
 def mrbcd_solve(spec, config=None):
     """Mini-batch randomized block coordinate descent: the screened solver minus screening."""
     config = config or SolverConfig(solver="mrbcd")
-    return _engine(spec, config, block_sampling=True, variance_reduction=True,
-                   screening=False)
-
-
-def asgd_solve(spec, config=None):
-    """Naive screened variant: plain mini-batch proximal steps over all active coordinates."""
-    config = config or SolverConfig(solver="asgd")
-    return _engine(spec, config, block_sampling=False, variance_reduction=False,
-                   screening=True)
+    return _engine(spec, config, block_sampling=True, screening=False)
 
 
 def proxsvrg_solve(spec, config=None):
     """Proximal stochastic variance-reduced gradient over the full coordinate vector."""
     config = config or SolverConfig(solver="proxsvrg")
-    return _engine(spec, config, block_sampling=False, variance_reduction=True,
-                   screening=False)
+    return _engine(spec, config, block_sampling=False, screening=False)
 
 
 def _power_sigma(mat, iters, tol):
@@ -911,19 +896,17 @@ def _one_pass_bound(spec):
 _REFINE_TOL = 1e-9
 
 # Newton steps of a refinement, over all its rounds; evaluating the residual
-# of the point a step reached is not a step. Along adsgd and asgd runs on the
-# benchmark workloads (solver seeds 0-7 at the benchmark's adsgd settings, at
-# which asgd diverges on lasso-sparse) and from the tests' REFINE_CASES,
-# every refinement that reached _REFINE_TOL took at most 6 steps. On the
-# Lasso workloads a model's system is linear: at most 3 steps in at most 2
-# rounds, a pruning round in 1 of 9 adsgd refinements on lasso-sparse, 5 of 7
-# on lasso-tall and 53 of 59 for asgd there. Group-L2 never prunes: 4 steps
-# for adsgd on logistic-group, 5 or 6 for asgd. From REFINE_CASES, 5% off the
-# optimum: 1 step on the Lasso, 3 on logistic L1, 3 or 4 on group-L2.
-# Pruning three coordinates of about 1e-9 off the optimum takes 3 steps in 2
-# rounds on the Lasso case and 9 in 2 rounds on the logistic L1 case. One on
-# a wrong model may run to the cap, so a lower cap bounds what a failed
-# refinement costs.
+# of the point a step reached is not a step. Along adsgd runs on the
+# benchmark workloads (solver seeds 0-7 at the benchmark's settings), every
+# refinement that reached _REFINE_TOL took at most 4 steps. On the Lasso
+# workloads a model's system is linear: at most 3 steps in at most 2 rounds,
+# a pruning round in 1 of 9 refinements on lasso-sparse and 5 of 7 on
+# lasso-tall. Group-L2 never prunes: 4 steps on logistic-group. From the
+# tests' REFINE_CASES, 5% off the optimum: 1 step on the Lasso, 3 on logistic
+# L1, 3 or 4 on group-L2. Pruning three coordinates of about 1e-9 off the
+# optimum takes 3 steps in 2 rounds on the Lasso case and 9 in 2 rounds on
+# the logistic L1 case. One on a wrong model may run to the cap, so a lower
+# cap bounds what a failed refinement costs.
 _REFINE_STEPS = 10
 
 # A screening solve refines a model of k unknowns only where n * k^2, the
@@ -937,7 +920,7 @@ _REFINE_STEPS = 10
 # epoch costs 7 to 38 of them on the benchmark workloads (median epoch over
 # one evaluation: 1.20 / 0.171 ms on logistic-group, 6.00 / 0.160 ms on
 # lasso-tall, 6.27 / 0.341 ms on lasso-sparse). A refinement that converges,
-# in at most 6 steps (a Lasso model's in at most 3, pruning included), so
+# in at most 4 steps (a Lasso model's in at most 3, pruning included), so
 # costs about an epoch or less, and one on a wrong model at most
 # _REFINE_STEPS steps. The benchmark's refinements lie at 9
 # (logistic-group), 0.6 (lasso-tall) and 0.5 (lasso-sparse).
@@ -1134,7 +1117,6 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
 
 _SOLVERS = {
     "adsgd": adsgd_solve,
-    "asgd": asgd_solve,
     "mrbcd": mrbcd_solve,
     "proxsvrg": proxsvrg_solve,
 }

@@ -4,8 +4,7 @@
 
 Run from the root of a source checkout. It builds each workload of
 benchmarks/run.py as the benchmark does and solves it with adsgd, mrbcd and
-proxsvrg at the benchmark's settings for solver seeds 0-7, with asgd, the
-other screening solver, at adsgd's settings for the same seeds, and with the
+proxsvrg at the benchmark's settings for solver seeds 0-7, and with the
 reference solver at the benchmark's gap_tol. Each line names the workload,
 solver and seed, and gives outer_iters, coord_updates and SHA-256 prefixes of
 x_final's bytes and of the trace's gaps. Each workload's first line, solver
@@ -15,7 +14,6 @@ benchmark's P*. A change that keeps every iterate prints the same lines, so
 reads benchmarks/run.py and changes nothing in it; pytest does not collect it.
 """
 
-import dataclasses
 import hashlib
 import pathlib
 import sys
@@ -42,12 +40,8 @@ def _hashes(rep):
 
 
 def line(G, inst, name, seed):
-    if name == "asgd":  # the other screening solver; the benchmark does not run it
-        cfg = dataclasses.replace(run.solver_config(inst, "adsgd", seed), solver="asgd")
-    else:
-        cfg = run.solver_config(inst, name, seed)
     try:
-        rep = G.solve(inst.spec, cfg)
+        rep = G.solve(inst.spec, run.solver_config(inst, name, seed))
     except Exception as exc:  # noqa: BLE001 - a raising solve is reported, not fatal
         return f"{inst.wl.name} {name} {seed} raised {type(exc).__name__}: {exc}"
     return f"{inst.wl.name} {name} {seed} {_hashes(rep)}"
@@ -60,7 +54,7 @@ def main():
             inst = run.Instance(G, wl, workdir)
         print(f"{wl.name} oracle 0 {_hashes(inst.oracle)}", flush=True)
         print(line(G, inst, "reference", 0), flush=True)
-        for name in (*run.STOCHASTIC, "asgd"):
+        for name in run.STOCHASTIC:
             for seed in SEEDS:
                 print(line(G, inst, name, seed), flush=True)
 

@@ -65,18 +65,16 @@ CORE_SHAPES = [
 
 @pytest.fixture(scope="session")
 def core_runs():
-    """Oracle plus all four solvers at gap_tol 1e-6 on the shared instances."""
+    """Oracle plus all three stochastic solvers at gap_tol 1e-6 on the shared instances."""
     out = []
     for shape in CORE_SHAPES:
         spec = make_instance(ratio=0.5, **shape)
         eta = tuned_eta(spec)
-        n = spec.dataset.n
         oracle = G.reference_solve(spec, tol=1e-12)
         runs = {}
-        for name in ("adsgd", "asgd", "mrbcd", "proxsvrg"):
+        for name in ("adsgd", "mrbcd", "proxsvrg"):
             cfg = G.SolverConfig(solver=name, seed=shape["seed"], eta=eta,
-                                 gap_tol=1e-6, max_outer=400,
-                                 batch_size=n if name == "asgd" else 10)
+                                 gap_tol=1e-6, max_outer=400, batch_size=10)
             runs[name] = G.solve(spec, cfg)
         out.append((spec, oracle, runs))
     return out
@@ -114,7 +112,7 @@ def test_criterion_01_screening_safety(capsys):
                 for cfg in (
                     G.SolverConfig(solver="adsgd", seed=base_id, gap_tol=1e-6,
                                    max_outer=60, eta=eta),
-                    G.SolverConfig(solver="asgd", seed=base_id, gap_tol=1e-6,
+                    G.SolverConfig(solver="adsgd", seed=base_id, gap_tol=1e-6,
                                    max_outer=40, eta=eta, batch_size=n, m=60),
                 ):
                     rep = G.solve(spec, cfg)
@@ -125,7 +123,8 @@ def test_criterion_01_screening_safety(capsys):
                         peak = np.max(np.abs(oracle.x_final[spec.partition.groups[j]]),
                                       initial=0.0)
                         if peak > 1e-9:
-                            violations.append((cfg.solver, n, d, model, ratio, j, peak))
+                            violations.append((cfg.solver, cfg.batch_size, n, d, model,
+                                               ratio, j, peak))
                     sets = [set(h.tolist()) for h in rep.active_history]
                     assert all(b <= a for a, b in zip(sets, sets[1:])), \
                         "active set grew during a run"

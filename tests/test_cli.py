@@ -100,6 +100,15 @@ def test_solve_command_reference_solver(capsys):
     assert "converged=True" in capsys.readouterr().out
 
 
+def test_solve_command_refuses_a_removed_solver(capsys):
+    """asgd, the screening solver without variance reduction, is gone: argparse
+    refuses the name with its usage code, before any solve."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--synthetic", "40,30,0.5,0.05", "--solver", "asgd"])
+    assert exc.value.code == 2
+    assert "argument --solver: invalid choice: 'asgd'" in capsys.readouterr().err
+
+
 def test_oracle_command_prints_support(capsys):
     code = main(["oracle", "--synthetic", "50,40,0.5,0.05", "--seed", "2",
                  "--lambda-ratio", "0.4"])
@@ -159,7 +168,20 @@ def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
                                        ("batch_size = 0",
                                         "batch_size must be a positive integer"),
                                        ("sparsity = 5x", "sparsity must be a number"),
+                                       ("support_placement = middle",
+                                        "support_placement must be prefix or random, "
+                                        "got 'middle'"),
+                                       ("lambda_ratios = 0.5, 2",
+                                        "lambda_ratios must be comma-separated numbers "
+                                        "in (0, 1], got '0.5, 2'"),
+                                       ("lambda_ratios = 0.5, nan",
+                                        "lambda_ratios must be comma-separated numbers "
+                                        "in (0, 1], got '0.5, nan'"),
                                        ("solvers = adsgd, mrbdc", "solvers must be"),
+                                       ("solvers = adsgd, asgd",
+                                        "solvers must be comma-separated names among "
+                                        "adsgd, mrbcd, proxsvrg, reference, "
+                                        "got 'adsgd, asgd'"),
                                        pytest.param("theory_mode = 1\neta = 0.01",
                                                     "theory_mode and eta (line 4) are",
                                                     id="theory_mode-with-eta")])

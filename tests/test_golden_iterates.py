@@ -8,12 +8,11 @@ sampled block. The cases cover every solver, contiguous (uneven) and scattered
 L1 partitions, logistic loss with group-L2 blocks, mu_p > 0, batch_size == n,
 and screening that drops blocks over several outer iterations.
 
-The group-L2 cases with blocks of 8 and 9 (contiguous and scattered, for
-proxsvrg and for asgd, whose screening compacts the design after dropping
-blocks of both sizes) and the two reference_solve cases (group-L2 on the
-scattered partition, and L1), which pin x_final, gap and outer_iters, were
-recorded from the per-block prox loop, before the full-vector prox ran over
-size classes of equal-size blocks. Their blocks pass numpy's 8-wide unrolled
+The proxsvrg group-L2 cases with blocks of 8 and 9 (contiguous and
+scattered) and the two reference_solve cases (group-L2 on the scattered
+partition, and L1), which pin x_final, gap and outer_iters, were recorded
+from the per-block prox loop, before the full-vector prox ran over size
+classes of equal-size blocks. Their blocks pass numpy's 8-wide unrolled
 summation and give two size classes, which blocks of 4 never do.
 
 The two reference cases were re-recorded when reference_solve began its
@@ -40,20 +39,15 @@ changes as screening drops blocks, a batch of one row, a full batch (only
 blocks are drawn), and rows so long that the entry cap sets the chunk. They
 pin the gaps, the active blocks, the counts and the nonzeros of x_final.
 
-The cases of the screening solvers (adsgd and asgd: nine CASES and four
-CHUNK_CASES) were re-recorded when screening took the Gap Safe radius
+The adsgd cases were re-recorded when screening took the Gap Safe radius
 sqrt(2 n gap max(c, 2 n mu_p)) in place of sqrt(2 T gap), every gap was
 measured on the full problem, and each epoch ran on a working set inside the
-safe set. asgd-group-uneven and asgd-group-scattered kept their bits: their
-screens drop the same blocks at the same iterations, and their working set is
-the whole safe set. The mrbcd, proxsvrg and reference cases did not move.
+safe set. The mrbcd, proxsvrg and reference cases did not move.
 
-Every stochastic case but asgd-group-scattered and asgd-long-epoch was
-re-recorded when each epoch began to restart from the better of its average
-and its last inner iterate, by full-problem gap, in place of the average
-alone. Those two kept their bits, since the average won every epoch; the
-others restart from both kinds of iterate. Every case sets m, so the default
-inner count of n moved none of them. The reference cases did not move.
+The stochastic cases were re-recorded when each epoch began to restart from
+the better of its average and its last inner iterate, by full-problem gap,
+in place of the average alone. Every case sets m, so the default inner count
+of n moved none of them. The reference cases did not move.
 
 The working designs of all these instances are 50-100% dense, so the engine
 would run them on its dense storage, whose matrix products add the same
@@ -65,71 +59,71 @@ storage (_RHO = 0, every working design dense) on one case per solver, a
 full batch, mu_p > 0, a scattered group-L2 partition and an epoch of several
 chunks; they were recorded when that storage was added.
 
-Fourteen cases of the screening solvers were re-recorded when a screening
-solve began to refine its iterate on an identified model and to certify it,
-screen and pick working sets with the refined dual point where that gave a
-smaller gap: adsgd-full-batch, adsgd-full-batch-scattered,
-adsgd-l1-contiguous, adsgd-l1-scattered, adsgd-logistic-group, adsgd-mu-p,
-asgd-full-batch-mu-p, adsgd-full-batch-long-epoch, adsgd-long-epoch,
-dense-adsgd-full-batch, dense-adsgd-l1-contiguous, dense-adsgd-long-epoch,
-dense-adsgd-mu-p and dense-asgd-full-batch-mu-p. Their gaps fall from the
-first identified row on, and their later iterates follow the screens and
-working sets of those gaps; adsgd-full-batch-long-epoch now certifies after
-two outer iterations and returns its refined point. The other asgd cases,
-every mrbcd and proxsvrg case and both reference cases did not move.
+Twelve cases were re-recorded when a screening solve began to refine its
+iterate on an identified model and to certify it, screen and pick working
+sets with the refined dual point where that gave a smaller gap:
+adsgd-full-batch, adsgd-full-batch-scattered, adsgd-l1-contiguous,
+adsgd-l1-scattered, adsgd-logistic-group, adsgd-mu-p,
+adsgd-full-batch-long-epoch, adsgd-long-epoch, dense-adsgd-full-batch,
+dense-adsgd-l1-contiguous, dense-adsgd-long-epoch and dense-adsgd-mu-p.
+Their gaps fall from the first identified row on, and their later iterates
+follow the screens and working sets of those gaps;
+adsgd-full-batch-long-epoch now certifies after two outer iterations and
+returns its refined point. Every mrbcd and proxsvrg case and both reference
+cases did not move.
 
-Eight cases were re-recorded when a screening solve began to refine, screen
+Seven cases were re-recorded when a screening solve began to refine, screen
 and pick working sets with the refined dual point as soon as x_hat's model
 was stable, and to wait for the identified model only to stop:
 adsgd-full-batch, adsgd-l1-contiguous, adsgd-logistic-group, adsgd-mu-p,
-asgd-logistic-group, dense-adsgd-full-batch, dense-adsgd-l1-contiguous and
-dense-adsgd-mu-p. Their gaps fall from the first stable row on and their
-screens drop blocks earlier; their iterates, outer_iters and coord_updates
-kept every bit. Every other case did not move.
+dense-adsgd-full-batch, dense-adsgd-l1-contiguous and dense-adsgd-mu-p.
+Their gaps fall from the first stable row on and their screens drop blocks
+earlier; their iterates, outer_iters and coord_updates kept every bit.
+Every other case did not move.
 
-Fourteen cases were re-recorded when the refinement of a squared-loss L1
+Twelve cases were re-recorded when the refinement of a squared-loss L1
 model gave up its linear solve for the Newton steps every other model
 takes, which solve the same linear system in one step, to rounding:
 adsgd-full-batch, adsgd-full-batch-scattered, adsgd-l1-contiguous,
-adsgd-l1-scattered, adsgd-mu-p, asgd-full-batch-mu-p,
-adsgd-full-batch-long-epoch, adsgd-long-epoch, dense-adsgd-full-batch,
-dense-adsgd-l1-contiguous, dense-adsgd-long-epoch, dense-adsgd-mu-p,
-dense-asgd-full-batch-mu-p and reference-l1. Their refined points and dual
-points moved in the last bits: the gaps of rows certified by a refined dual
-point moved by at most 1.8e-14, and the returned refined points of
-asgd-full-batch-mu-p, adsgd-full-batch-long-epoch, adsgd-long-epoch,
-dense-adsgd-long-epoch, dense-asgd-full-batch-mu-p and reference-l1 by at
-most 2.4e-15 relative. Their outer_iters,
-coord_updates, active blocks and every other iterate kept their bits, and
-every mrbcd, proxsvrg, logistic and group-L2 case did not move.
+adsgd-l1-scattered, adsgd-mu-p, adsgd-full-batch-long-epoch,
+adsgd-long-epoch, dense-adsgd-full-batch, dense-adsgd-l1-contiguous,
+dense-adsgd-long-epoch, dense-adsgd-mu-p and reference-l1. Their refined
+points and dual points moved in the last bits: the gaps of rows certified
+by a refined dual point moved by at most 1.8e-14, and the returned refined
+points of adsgd-full-batch-long-epoch, adsgd-long-epoch,
+dense-adsgd-long-epoch and reference-l1 by at most 2.4e-15 relative. Their
+outer_iters, coord_updates, active blocks and every other iterate kept
+their bits, and every mrbcd, proxsvrg, logistic and group-L2 case did not
+move.
 
-Three cases were re-recorded when the refinement of an L1 model began to
+adsgd-long-rows was re-recorded when the refinement of an L1 model began to
 drop the coordinates whose signs its solution flips and to solve again on
-the smaller support, where it used to find no point. asgd-l1-contiguous
-(outer_iters 10 -> 10, coord_updates 2000 -> 2000): the gap of its row at
-outer iteration 9 fell to a refined dual point's; its iterates kept their
-bits. adsgd-long-rows (4 -> 4, 8400 -> 11600): the gap of its row at outer
-iteration 2 fell to a refined dual point's, which then centred the screen
-and scored larger working sets, so its later gaps and x_final moved.
-asgd-long-epoch (6 -> 6, 21000 -> 21000): the gaps of its last three rows
-fell, and x_final kept its bits. Every other case did not move.
+the smaller support, where it used to find no point (outer_iters 4 -> 4,
+coord_updates 8400 -> 11600): the gap of its row at outer iteration 2 fell
+to a refined dual point's, which then centred the screen and scored larger
+working sets, so its later gaps and x_final moved.
 
-Sixteen cases were re-recorded when a screening solve began to stop on the
+Eleven cases were re-recorded when a screening solve began to stop on the
 refined point's own gap, on an identified model whose safe set holds
 exactly that point's nonzero blocks, instead of waiting for x_hat itself to
 certify. outer_iters went 10 -> 3 for adsgd-full-batch, adsgd-l1-contiguous,
-adsgd-logistic-group, adsgd-mu-p, asgd-logistic-group,
-dense-adsgd-full-batch, dense-adsgd-l1-contiguous and dense-adsgd-mu-p;
-10 -> 2 for adsgd-full-batch-scattered, adsgd-l1-scattered,
-asgd-full-batch-mu-p and dense-asgd-full-batch-mu-p; 10 -> 9 for
-asgd-l1-contiguous; and 6 -> 4 for adsgd-long-epoch, asgd-long-epoch and
-dense-adsgd-long-epoch. Each new entry is its old one cut at the new stop
-row: the gaps, active blocks and iterates before that row kept every bit,
-and only the stop row is new, with the refined point and its own gap, at
-most 1.8e-14. The x_final of asgd-full-batch-mu-p, adsgd-long-epoch,
-dense-adsgd-long-epoch and dense-asgd-full-batch-mu-p kept its bits, since
-the old run returned the same refined point at its last row. The other
-cases, adsgd-full-batch-long-epoch among them, did not move.
+adsgd-logistic-group, adsgd-mu-p, dense-adsgd-full-batch,
+dense-adsgd-l1-contiguous and dense-adsgd-mu-p; 10 -> 2 for
+adsgd-full-batch-scattered and adsgd-l1-scattered; and 6 -> 4 for
+adsgd-long-epoch and dense-adsgd-long-epoch. Each new entry is its old one
+cut at the new stop row: the gaps, active blocks and iterates before that
+row kept every bit, and only the stop row is new, with the refined point
+and its own gap, at most 1.8e-14. The x_final of adsgd-long-epoch and
+dense-adsgd-long-epoch kept its bits, since the old run returned the same
+refined point at its last row. The other cases, adsgd-full-batch-long-epoch
+among them, did not move.
+
+adsgd-group-uneven, adsgd-group-scattered, dense-adsgd-group-scattered and
+adsgd-full-batch-mu-p were recorded last, from the engine as it stood before
+the full-vector screening solver without variance reduction was removed,
+whose cases had pinned these paths. The first three pin screened compaction
+over blocks of 9 and 8, whose screens drop blocks of both sizes; the last
+pins a full batch with mu_p > 0. That removal moved no bit of any case.
 
 python tests/test_golden_iterates.py NAME... prints each named case's entry
 from a fresh run, in the layout below, for such a re-record.
@@ -181,13 +175,11 @@ CASES = {
                                    dict(solver="adsgd", batch_size=30)),
     "mrbcd-l1-scattered": (lambda: _scattered(_lasso(6), 5), dict(solver="mrbcd")),
     "mrbcd-logistic-group": (lambda: _logistic(6), dict(solver="mrbcd")),
-    "asgd-l1-contiguous": (lambda: _lasso(6), dict(solver="asgd")),
-    "asgd-logistic-group": (lambda: _logistic(6), dict(solver="asgd")),
-    "asgd-group-uneven": (lambda: _logistic_uneven(3), dict(solver="asgd")),
-    "asgd-group-scattered": (lambda: _scattered(_logistic_uneven(3), 4),
-                             dict(solver="asgd")),
-    "asgd-full-batch-mu-p": (lambda: _lasso(7, mu_p=0.05),
-                             dict(solver="asgd", batch_size=30)),
+    "adsgd-group-uneven": (lambda: _logistic_uneven(3), dict(solver="adsgd")),
+    "adsgd-group-scattered": (lambda: _scattered(_logistic_uneven(3), 4),
+                              dict(solver="adsgd")),
+    "adsgd-full-batch-mu-p": (lambda: _lasso(7, mu_p=0.05),
+                              dict(solver="adsgd", batch_size=30)),
     "proxsvrg-l1-scattered": (lambda: _scattered(_lasso(6), 5), dict(solver="proxsvrg")),
     "proxsvrg-logistic-group": (lambda: _logistic(6), dict(solver="proxsvrg")),
     "proxsvrg-full-batch": (lambda: _lasso(6), dict(solver="proxsvrg", batch_size=30)),
@@ -255,6 +247,24 @@ GOLDEN = {
         ],
     },
 
+    "adsgd-full-batch-mu-p": {
+        "outer_iters": 2,
+        "coord_updates": 98,
+        "active_blocks": [6, 6, 2],
+        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.b4597fc7df600p-5 0x1.0000000000000p-50",
+        "iterates": [
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.ed1006fc1a4b7p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.76a16a9c661e2p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.52f61cafda488p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03adbcp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        ],
+    },
+
     "adsgd-full-batch-scattered": {
         "outer_iters": 2,
         "coord_updates": 192,
@@ -272,6 +282,79 @@ GOLDEN = {
             "0x1.68e99b1a95817p-2 0x1.6ccc7b641288ap-1 0x0.0p+0 0x0.0p+0 "
             "0x1.49c81a80b57ecp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        ],
+    },
+
+    "adsgd-group-scattered": {
+        "outer_iters": 3,
+        "coord_updates": 416,
+        "active_blocks": [4, 2, 2, 1],
+        "gaps": (
+            "0x1.be416fa97ed80p-8 0x1.4bd14c57de000p-11 0x1.bf49d4d0f0000p-17 "
+            "0x0.0p+0"
+        ),
+        "iterates": [
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0af37bbb0b9b6p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.18b505aee06d0p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.da79dfc99aa80p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.021c7400c59b8p-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.4d5772b94845ap-9 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.14c358bdb7c15p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.60c56e96b2272p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.8b2f2489c3fe2p-6 "
+            "0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.1e95749bc4104p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.55532f087980ap-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.252e34ac7af55p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.cf37a0807b3bbp-9 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.3de8f43f67defp-8 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.64b11c2e0db7fp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.a2845d458b062p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.aeaf783d42d9bp-6 "
+            "0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4512d549afd33p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.82130a4233777p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.477862210e9f5p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e52adf1774dap-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.59bec869b6c23p-8 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.8ba6afae20ef6p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.da7806a2ed6f6p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6be2dbccf4c2p-6 "
+            "0x0.0p+0 0x0.0p+0",
+        ],
+    },
+
+    "adsgd-group-uneven": {
+        "outer_iters": 3,
+        "coord_updates": 525,
+        "active_blocks": [4, 3, 2, 1],
+        "gaps": (
+            "0x1.483a73cfbcb80p-8 0x1.e5e18631b2a00p-10 0x1.40c80f0a24000p-15 "
+            "-0x1.0000000000000p-53"
+        ),
+        "iterates": [
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.6d03d0a713a09p-9 0x1.f5f83dd6461c5p-8 0x1.b9152dacdb47dp-6 "
+            "0x1.3419397412f0ap-6 -0x1.3667ee946acd3p-11 -0x1.0a645c71cdf93p-8 "
+            "0x1.3aad7d08f8f34p-10 0x1.d9138dec88dd7p-8 0x1.b685fc65357f9p-10 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.38c547871f993p-8 0x1.d9b5bc9612e6bp-7 0x1.aa76f208e5aa8p-5 "
+            "0x1.0b8888f801565p-5 -0x1.f0ac89d01f050p-11 -0x1.39551563be6aap-7 "
+            "0x1.3af35c88a38adp-9 0x1.c623fe3bc58cap-7 0x1.2e558c2dcde20p-9 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.91348712478cdp-8 0x1.30a336fdbef51p-6 0x1.0d25ca85f01eep-4 "
+            "0x1.5ddcf10da79edp-5 -0x1.79f1ccdda692fp-10 -0x1.843a3e1fcc69dp-7 "
+            "0x1.ac4dd2bbe8792p-9 0x1.1e072467e2f0ep-6 0x1.7ae586f4b1decp-9 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
 
@@ -372,337 +455,6 @@ GOLDEN = {
             "0x0.0p+0 0x1.52f61cafda3d5p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aef0p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-        ],
-    },
-
-    "asgd-full-batch-mu-p": {
-        "outer_iters": 2,
-        "coord_updates": 196,
-        "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.7379b064ca800p-6 0x1.0000000000000p-50",
-        "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.205cb94164684p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.6ffcfff416213p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda4c3p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03ae88p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-        ],
-    },
-
-    "asgd-group-scattered": {
-        "outer_iters": 10,
-        "coord_updates": 3400,
-        "active_blocks": [4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2],
-        "gaps": (
-            "0x1.be416fa97ed80p-8 0x1.746e5e0c78400p-7 0x1.6e6f4a2b61460p-6 "
-            "0x1.1153fcf3ed640p-7 0x1.6deddd0f3f840p-6 0x1.64175fdd2dec0p-6 "
-            "0x1.b0354da3c2600p-6 0x1.75945d18250a0p-6 0x1.cd9042322f920p-6 "
-            "0x1.7f218a952eae0p-6 0x1.063a73d458b00p-7"
-        ),
-        "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "-0x1.9aaa7e4e5093ap-6 0x0.0p+0 0x0.0p+0 0x1.f946a2b5684cbp-5 "
-            "0x1.167d8ee165b1cp-10 0x0.0p+0 0x0.0p+0 -0x1.66e378e9e0d0fp-6 "
-            "0x1.f490592a8c512p-4 0x0.0p+0 0x0.0p+0 0x1.2506b7933bd60p-4 "
-            "0x1.12e8ba645d891p-3 0x0.0p+0 0x0.0p+0 -0x1.250069050c939p-6 "
-            "-0x1.adc3e578e35cap-11 0x0.0p+0 0x0.0p+0 -0x1.937c3df35ca8ep-6 "
-            "-0x1.88bd4952d3824p-8 0x0.0p+0 0x0.0p+0 -0x1.6f58715c59663p-4 "
-            "-0x1.9c31fe24ba032p-6 0x0.0p+0 0x0.0p+0 0x1.deac26d9e4560p-9 "
-            "0x1.c1f5c1b0b47c8p-5 0x0.0p+0 0x0.0p+0 0x1.538b92320618bp-5 "
-            "-0x1.442f2f7d89cf3p-4 0x0.0p+0",
-            "-0x1.1da1cc28f30eep-5 0x0.0p+0 0x0.0p+0 0x1.5e8b77d099bfbp-5 "
-            "0x1.28101a2d15d52p-6 0x0.0p+0 0x0.0p+0 -0x1.e9f65526dd478p-6 "
-            "0x1.63f712414a242p-4 0x0.0p+0 0x0.0p+0 0x1.d81a27960d8fep-3 "
-            "0x1.cf9e7d9d71ce8p-4 0x0.0p+0 0x0.0p+0 -0x1.237f1e80cc8e9p-5 "
-            "0x1.566ea2d8d4b7fp-7 0x0.0p+0 0x0.0p+0 -0x1.a4ddab27ecf63p-6 "
-            "0x1.2f503e0fb9590p-8 0x0.0p+0 0x0.0p+0 -0x1.154e417f54842p-3 "
-            "-0x1.0ae555b56e1b2p-4 0x0.0p+0 0x0.0p+0 -0x1.f5d4f520faf98p-5 "
-            "0x1.087371f011e83p-5 0x0.0p+0 0x0.0p+0 0x1.5edeebd263cd8p-5 "
-            "-0x1.3f6e4e14997a6p-4 0x0.0p+0",
-            "-0x1.26bd203919cbcp-6 0x0.0p+0 0x0.0p+0 0x1.23a8a2d6dcddep-6 "
-            "0x1.089ddbfebd282p-5 0x0.0p+0 0x0.0p+0 -0x1.5bddce47e3e71p-6 "
-            "0x1.1d7e81259c392p-3 0x0.0p+0 0x0.0p+0 0x1.c27dc297d57c8p-4 "
-            "0x1.dd2d55b1a3eb3p-4 0x0.0p+0 0x0.0p+0 0x1.89f84a76ecab6p-6 "
-            "0x1.5326b51c676b2p-8 0x0.0p+0 0x0.0p+0 -0x1.55579247ceb2bp-6 "
-            "-0x1.4e0b02c8bb252p-7 0x0.0p+0 0x0.0p+0 -0x1.b6998591c2020p-5 "
-            "-0x1.c0032e7abecb6p-5 0x0.0p+0 0x0.0p+0 -0x1.559019fb751e7p-6 "
-            "0x1.574ed9b920346p-6 0x0.0p+0 0x0.0p+0 0x1.2802dd440ccc3p-5 "
-            "-0x1.ebee226a5cebap-5 0x0.0p+0",
-            "-0x1.63b2f6a3da591p-6 0x0.0p+0 0x0.0p+0 0x1.8b698b509ee26p-6 "
-            "0x1.0b4e36243c575p-6 0x0.0p+0 0x0.0p+0 -0x1.41347b64dab4dp-5 "
-            "0x1.d9d2c7d8abd26p-4 0x0.0p+0 0x0.0p+0 0x1.c52463c44246dp-3 "
-            "0x1.03fd4e55770d3p-3 0x0.0p+0 0x0.0p+0 0x1.2dfbdf7254583p-6 "
-            "0x1.0f86eac07344ep-8 0x0.0p+0 0x0.0p+0 0x1.216133ae2ab1dp-7 "
-            "0x1.6082be4f06260p-8 0x0.0p+0 0x0.0p+0 -0x1.aa96572716e43p-4 "
-            "-0x1.27c8fc7d207eap-4 0x0.0p+0 0x0.0p+0 -0x1.229ba5ea60b60p-5 "
-            "0x1.513bacb78db53p-6 0x0.0p+0 0x0.0p+0 0x1.c12476750ab8dp-4 "
-            "-0x1.a36b3e15cb32bp-4 0x0.0p+0",
-            "-0x1.5de9992af0043p-4 0x0.0p+0 0x0.0p+0 0x1.7109cf5536051p-5 "
-            "0x1.68b2844dea9aep-4 0x0.0p+0 0x0.0p+0 -0x1.8d5f13622b5d2p-4 "
-            "0x1.be6413a8025cap-4 0x0.0p+0 0x0.0p+0 0x1.96784af7a6217p-4 "
-            "0x1.e432ee3c9d0fdp-4 0x0.0p+0 0x0.0p+0 0x1.d488514ae35fdp-6 "
-            "0x1.e541920434a7bp-6 0x0.0p+0 0x0.0p+0 -0x1.1f07c56227b52p-7 "
-            "-0x1.1deb77d16d7f1p-5 0x0.0p+0 0x0.0p+0 -0x1.ecfd978bf9458p-5 "
-            "-0x1.29a17ff8ce51fp-4 0x0.0p+0 0x0.0p+0 -0x1.3c4715a4d026ep-5 "
-            "0x1.9ab7fda817d32p-4 0x0.0p+0 0x0.0p+0 0x1.740c307014402p-4 "
-            "-0x1.1384f25f87a3cp-3 0x0.0p+0",
-            "-0x1.5d6f3a778fc26p-4 0x0.0p+0 0x0.0p+0 0x1.ab56dbe7de67bp-5 "
-            "0x1.f0bc4e20b4172p-5 0x0.0p+0 0x0.0p+0 -0x1.9a4e1b27809c2p-4 "
-            "0x1.6d08e6bb8ebbfp-3 0x0.0p+0 0x0.0p+0 0x1.490abb941d381p-3 "
-            "0x1.23aba10f7626fp-3 0x0.0p+0 0x0.0p+0 0x1.724b82c16adb0p-11 "
-            "0x1.b3dac59986275p-5 0x0.0p+0 0x0.0p+0 -0x1.4d417fb0338abp-6 "
-            "-0x1.94e0bfebc559dp-4 0x0.0p+0 0x0.0p+0 -0x1.af4f22ae653a6p-4 "
-            "-0x1.e20b8f195d455p-5 0x0.0p+0 0x0.0p+0 -0x1.8ba4c05e83408p-5 "
-            "0x1.9a42385c29856p-5 0x0.0p+0 0x0.0p+0 0x1.99110cebf4416p-4 "
-            "-0x1.4557619a0dc30p-3 0x0.0p+0",
-            "-0x1.5dc74f057c9bap-5 0x0.0p+0 0x0.0p+0 0x1.2dde68301c7f9p-4 "
-            "-0x1.5eed39c4a4cfcp-7 0x0.0p+0 0x0.0p+0 -0x1.5a05208203666p-4 "
-            "0x1.273c4805cfac9p-3 0x0.0p+0 0x0.0p+0 0x1.291279f8b5646p-3 "
-            "0x1.888afc264685fp-3 0x0.0p+0 0x0.0p+0 0x1.9af38203af97ep-8 "
-            "0x1.a279ae6d1c0e3p-4 0x0.0p+0 0x0.0p+0 -0x1.c90fb9fff090bp-8 "
-            "-0x1.287a4dbf56d60p-4 0x0.0p+0 0x0.0p+0 -0x1.0212acf253944p-3 "
-            "-0x1.c6ec3945a97a5p-5 0x0.0p+0 0x0.0p+0 -0x1.77062e0861520p-5 "
-            "0x1.9340fd2e7dd68p-5 0x0.0p+0 0x0.0p+0 0x1.63ea1706d53b6p-5 "
-            "-0x1.4b0b3bdac32c7p-4 0x0.0p+0",
-            "-0x1.8bcf15920b461p-5 0x0.0p+0 0x0.0p+0 0x1.4b02c622234bcp-4 "
-            "0x1.4bb7b62841e05p-5 0x0.0p+0 0x0.0p+0 -0x1.c826b535550dbp-5 "
-            "0x1.2c797b3917156p-3 0x0.0p+0 0x0.0p+0 0x1.2d7bcef82c7f6p-3 "
-            "0x1.1a1d8ec30b1efp-3 0x0.0p+0 0x0.0p+0 -0x1.ebbafe3d97956p-10 "
-            "0x1.f0d446e911616p-4 0x0.0p+0 0x0.0p+0 0x1.339f5efb00922p-7 "
-            "-0x1.d17c8ec09c70dp-4 0x0.0p+0 0x0.0p+0 -0x1.ea120214c2bd5p-4 "
-            "-0x1.ea8c56994c1a8p-4 0x0.0p+0 0x0.0p+0 -0x1.f23dda9221aa3p-6 "
-            "0x1.d5ed8b7879243p-5 0x0.0p+0 0x0.0p+0 0x1.a89d30cf3bbe2p-6 "
-            "-0x1.f796eb9146035p-7 0x0.0p+0",
-            "-0x1.e8fe385578b6ap-5 0x0.0p+0 0x0.0p+0 0x1.64ab4ffadb5f9p-5 "
-            "0x1.2354e3a30ca88p-5 0x0.0p+0 0x0.0p+0 -0x1.7e119995c6d8cp-7 "
-            "0x1.650a580055c09p-3 0x0.0p+0 0x0.0p+0 0x1.1b81b8086ad08p-3 "
-            "0x1.8b2d7d5bed7d5p-3 0x0.0p+0 0x0.0p+0 0x1.ff4eea6266c88p-7 "
-            "0x1.115b7a040664bp-4 0x0.0p+0 0x0.0p+0 -0x1.e860afe590fe3p-6 "
-            "0x1.7c790ed8ae136p-5 0x0.0p+0 0x0.0p+0 -0x1.6b329085eecd4p-4 "
-            "-0x1.1d928f911950ap-3 0x0.0p+0 0x0.0p+0 -0x1.58271d031a4bap-7 "
-            "0x1.b0280990bed5ap-8 0x0.0p+0 0x0.0p+0 0x1.64c1d5408d92fp-5 "
-            "-0x1.14ef113ef1650p-3 0x0.0p+0",
-            "-0x1.094eac2b7092ep-6 0x0.0p+0 0x0.0p+0 0x1.514ab6bce3d93p-6 "
-            "0x1.adc6bc6e0e980p-6 0x0.0p+0 0x0.0p+0 -0x1.51914fd1d2ebep-6 "
-            "0x1.0fc6a20ec5365p-3 0x0.0p+0 0x0.0p+0 0x1.123eb03b506fcp-4 "
-            "0x1.2675d00a0ef42p-3 0x0.0p+0 0x0.0p+0 0x1.497a9e7c10b5dp-7 "
-            "0x1.b35e8427774a5p-9 0x0.0p+0 0x0.0p+0 0x1.98ae5be939d4dp-9 "
-            "-0x1.c7a175a9ecb90p-11 0x0.0p+0 0x0.0p+0 -0x1.b9668fff8775ep-6 "
-            "-0x1.3325117c583d0p-4 0x0.0p+0 0x0.0p+0 -0x1.ae11046e8b786p-8 "
-            "0x1.a08ac38db2032p-6 0x0.0p+0 0x0.0p+0 0x1.0ca566e9e709ep-5 "
-            "-0x1.626d55adce14ep-4 0x0.0p+0",
-        ],
-    },
-    "asgd-group-uneven": {
-        "outer_iters": 10,
-        "coord_updates": 7800,
-        "active_blocks": [4, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],
-        "gaps": (
-            "0x1.483a73cfbcb80p-8 0x1.d5732b018ff60p-6 0x1.5acc748cb7ce0p-6 "
-            "0x1.6e96db4dde440p-6 0x1.bbd5b81406e80p-6 0x1.1e0c9a9498ef0p-5 "
-            "0x1.fd64008d31280p-6 0x1.3950bbca31f20p-6 0x1.397c98b8de200p-6 "
-            "0x1.db2b64343ae20p-6 0x1.05a6ee7d0c850p-5"
-        ),
-        "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0",
-            "-0x1.554d41611ffc2p-5 -0x1.01072d2417bdcp-4 -0x1.e0842adc10b9dp-6 "
-            "0x1.2f59e522a48aap-4 0x1.fccf0966382d0p-7 0x1.36c938ca689cbp-4 "
-            "0x1.dd87c1ad1bcd4p-4 -0x1.818e827a22a6bp-5 0x1.ce1353528f9afp-4 "
-            "0x1.dc1f4454486edp-6 0x1.0aeed3d3fe1f1p-5 0x1.bb841b17515dbp-4 "
-            "0x1.5e63cb4bc5666p-4 -0x1.a3365e43682a6p-6 -0x1.ad4a260eed8fcp-7 "
-            "-0x1.b1d9b686caab0p-6 -0x1.34804cd19ca52p-7 -0x1.935f17eee002ap-8 "
-            "0x1.81e5c7198d034p-5 -0x1.022c98c5acf2cp-5 -0x1.40397a66d106ep-6 "
-            "0x1.efd090abf738ep-4 0x1.731360d8bf1c7p-6 -0x1.e4d49fe781b6fp-4 "
-            "-0x1.712b2bb8c35cep-5 0x1.85ceddbcb9e10p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "-0x1.2b333c1f3e5fep-6 -0x1.2ad62a9c89c93p-6 -0x1.efd5b4896f039p-6 "
-            "0x1.5c86bdd98cb2ep-7 0x1.69e534d820eeep-6 0x1.666190aa744a7p-10 "
-            "0x1.4f92099de6dccp-4 -0x1.b418883d4fba2p-6 0x1.9f177f3f68e42p-4 "
-            "0x1.756fe643db356p-7 0x1.288e2bc0c9b6fp-5 0x1.38324373fa456p-3 "
-            "0x1.e417f926c34b7p-4 -0x1.149ebe8590c2fp-7 -0x1.cd00787523a8ep-7 "
-            "-0x1.0edf337332933p-9 0x1.fc7936800514ap-7 -0x1.83624f691faddp-8 "
-            "0x1.3b3b16b28f7d1p-5 -0x1.5f132b3517864p-8 -0x1.4f910e8db5c9ep-7 "
-            "0x1.e8af61ae44e93p-4 0x1.3cd951db7b1b2p-6 -0x1.a74d585cc9bb0p-5 "
-            "-0x1.3e1dd6ce5a789p-5 0x1.cebb9d529b633p-8 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "-0x1.0c2b86fc38e36p-4 -0x1.3f5a29c2907f2p-6 -0x1.4f8ed110aac52p-4 "
-            "0x1.6849c1d450115p-6 0x1.7ccf107ab469cp-5 0x1.87bbf62feac10p-7 "
-            "0x1.df95d187b27e2p-4 -0x1.0b3b1785c7364p-5 0x1.9ee5239723a2ep-5 "
-            "0x1.262a2a444b8d6p-13 -0x1.b1a5194773ffbp-11 0x1.5cb7512cd03ddp-5 "
-            "0x1.dc79db2f9b184p-5 -0x1.69d5fed977751p-6 0x1.003486140c5bfp-5 "
-            "0x1.f2b3cce2cce05p-8 0x1.d70a85831e358p-6 -0x1.592b52b069a3ep-7 "
-            "-0x1.63148f5f97a50p-9 -0x1.b56e43c7d722bp-6 -0x1.249f3dbbcf813p-8 "
-            "0x1.88e56d4147c2bp-5 0x1.4355dbe79d39cp-5 -0x1.3a6a0aca5f5fap-5 "
-            "-0x1.00d6b85f6c635p-4 -0x1.c12f18c2123e5p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "-0x1.344a291f8ddd5p-4 -0x1.b0894294c079ap-6 -0x1.e6c3b9df0bd76p-7 "
-            "0x1.0b68ec42f1c8bp-5 0x1.161e61c13be54p-4 0x1.3ae53ca835bf1p-6 "
-            "0x1.a4bfeddb8d79fp-4 -0x1.1aeb09e5d6952p-3 0x1.207074d16a98cp-3 "
-            "0x1.a5d8b378d0295p-8 0x1.21550c9696d16p-5 0x1.c3ee52868b70dp-4 "
-            "0x1.40f745a53170ep-4 -0x1.c28979f8c4956p-6 -0x1.dd9bd55d64062p-6 "
-            "0x1.9794958cc408dp-7 0x1.73cd11b0c8e1ep-5 0x1.dfadc5e2d16b5p-8 "
-            "-0x1.273c678f1e7d5p-7 -0x1.cafa7c8dae0b1p-10 -0x1.834e06d0ce675p-5 "
-            "0x1.c997856947fdap-6 0x1.1c9417a3decbep-5 -0x1.8e0d8211121f3p-5 "
-            "-0x1.91246b6943a9dp-6 0x1.25502c7b98e4cp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "-0x1.ee65e6c97fd8bp-6 -0x1.8058351142533p-6 -0x1.3b8b01d85c3bep-5 "
-            "0x1.14ed520ab5956p-4 -0x1.dea9a66e9ba8bp-10 0x1.c555eb1ae2a7dp-5 "
-            "0x1.8eb338cd9f8cdp-4 -0x1.447dd917d6a3fp-4 0x1.bca961d553ca1p-4 "
-            "0x1.3c52a2c47a6f9p-7 0x1.6e5eb4ff6f74ep-5 0x1.161b5082b5a97p-3 "
-            "0x1.09bd1c6a06d71p-3 -0x1.6e180b42b97cbp-7 -0x1.8388e247c7289p-7 "
-            "0x1.80bc86e11c440p-7 0x1.5ef5249f2e59dp-4 0x1.6dac678bcf611p-6 "
-            "-0x1.6d8ed9f0d8737p-6 0x1.bd07cd1540c40p-7 -0x1.79c51628ccf5cp-5 "
-            "0x1.0f142b7f11146p-3 -0x1.9a51613e2d97ap-9 -0x1.baf2b4dae3840p-4 "
-            "-0x1.2ab854b4d6904p-4 0x1.f310affcec222p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "-0x1.11c388b6d2cf3p-5 -0x1.b1f3f18bc83a6p-6 -0x1.1e2a0ebcd4430p-4 "
-            "0x1.fd19c2da72a87p-5 0x1.08f741167de84p-5 0x1.6cd13f8fb12a4p-4 "
-            "0x1.b56a86487567bp-4 -0x1.58e629d2ecd95p-6 0x1.be0042008cf7bp-4 "
-            "0x1.f3b51b79e5151p-7 0x1.df3590d55bb6fp-7 0x1.19355d5a46efcp-3 "
-            "0x1.9a9045144fb7ap-4 -0x1.bfeefac7983d3p-8 -0x1.49d8604a8f767p-6 "
-            "-0x1.605fb3645f0ccp-10 0x1.7d139c536d621p-5 -0x1.886c901b64383p-7 "
-            "0x1.7b946d01d2d33p-6 -0x1.4186f356f73bap-5 -0x1.965c3c5b8eec0p-6 "
-            "0x1.bf2087e5c0480p-4 0x1.0203e5ac72af4p-5 -0x1.ac2446976cc60p-4 "
-            "-0x1.4582f4199bf4dp-4 0x1.12b3ff1c2d6bcp-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "-0x1.ae7e1fb590eb6p-7 -0x1.158bee75f98e4p-8 -0x1.5967823536d36p-5 "
-            "0x1.34b8f2bb0fdadp-5 0x1.5c672aa7e9a40p-6 0x1.0341f8b151e7ap-5 "
-            "0x1.ffe66791806eep-4 -0x1.400ea37eae6cfp-5 0x1.ae87065298a06p-4 "
-            "-0x1.307ef35711169p-8 0x1.342de1fcb56b2p-5 0x1.e97cd3633e404p-4 "
-            "0x1.a3da363c259ffp-4 0x1.fed82cda258b1p-10 -0x1.27e00db874493p-5 "
-            "0x1.688ef8a4621cdp-8 0x1.a2508f9876aafp-6 0x1.41a810194e4bap-7 "
-            "0x1.275ee1bb84f31p-5 -0x1.3fbfa1a658c60p-9 -0x1.12705962690ddp-5 "
-            "0x1.8bf93691a8231p-4 0x1.1700a32354fc5p-5 -0x1.93531af8b4272p-5 "
-            "-0x1.3f66aaace51a9p-5 0x1.ed85ef8f0697cp-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "-0x1.775158195a310p-6 -0x1.06737ada8a58cp-5 -0x1.9b3cb1fc8167dp-5 "
-            "0x1.e2472cab4abbep-6 0x1.a7c9d1e9aeffcp-5 0x1.a82446620ab5ep-5 "
-            "0x1.253644de4ec7dp-3 -0x1.36ce0f0a7d1d2p-4 0x1.586edd32a3457p-3 "
-            "0x1.b0d6a73dd6c91p-8 0x1.3a66b9181cf99p-5 0x1.562f297ef331ap-4 "
-            "0x1.f294f6a67a1b7p-5 0x1.bcf6e38c42023p-10 -0x1.289eb7a4d7257p-7 "
-            "0x1.5a88e53368557p-7 0x1.6271dda039d57p-7 0x1.4e37666eae47ap-9 "
-            "0x1.fd4c64fcec78bp-7 -0x1.e94b71b590ef3p-7 -0x1.ec70f31f74f17p-7 "
-            "0x1.b8b14f1981a85p-5 0x1.70b8c375a462bp-5 -0x1.03d6dd8616a9ep-4 "
-            "-0x1.1e9fe0b06c8dcp-5 0x1.884a9248a0ec2p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "-0x1.4ba3175bfb4b4p-4 -0x1.e18fa5c761669p-5 -0x1.bc7638ed2d7c7p-4 "
-            "0x1.ff1b8a2552fe9p-6 0x1.945652f696624p-7 0x1.30b21746e8af0p-4 "
-            "0x1.15b4f43c238d9p-3 -0x1.2342dfd6c0ef2p-5 0x1.0b73d252de547p-3 "
-            "0x1.8ff7f9ca81989p-12 0x1.6226399f8598fp-5 0x1.15798474acbe5p-3 "
-            "0x1.4e82dabf3d806p-4 -0x1.3a7a6a51d5781p-6 -0x1.bc056b9eccad4p-6 "
-            "-0x1.3a185eac9ffb5p-7 0x1.a83757053dce0p-8 0x1.b0bd1e2fb678dp-8 "
-            "-0x1.08a94496a1dabp-7 -0x1.29a1020f7105ap-9 -0x1.8547ddf58fa6bp-5 "
-            "0x1.3da0527b302d7p-4 0x1.29ba7849126cfp-5 -0x1.0ed22a9c9d295p-4 "
-            "-0x1.2aea3201b121ap-5 0x1.63a3eaa83c41dp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "-0x1.2ba9f213cdfcfp-4 0x1.f921644338626p-8 -0x1.d0ad326681556p-5 "
-            "0x1.ff05bc1291d14p-6 -0x1.5004029a65d10p-4 0x1.2c292a1ef3639p-4 "
-            "0x1.103c3615e78d5p-3 -0x1.4903a32437cbfp-8 0x1.62621c2cadda8p-3 "
-            "0x1.26e9fc988e298p-5 0x1.3fbf4be8d26adp-6 0x1.952f56d30b1c3p-4 "
-            "0x1.80ba563af5edep-4 0x1.8892b3954b482p-5 -0x1.3f7134e2e0f6ap-5 "
-            "0x1.1ed0383f08316p-5 0x1.551026fb9d9f7p-6 -0x1.0d7c7900bdf8fp-6 "
-            "0x1.0a4f84fe6b18bp-6 0x1.68a7a99443db9p-6 -0x1.f84bfb8aab101p-7 "
-            "0x1.a964598ae3aebp-5 -0x1.4efdad2e15364p-6 -0x1.75f4d18094099p-6 "
-            "-0x1.5a661424aacd5p-6 0x1.fa4105281f793p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-        ],
-    },
-    "asgd-l1-contiguous": {
-        "outer_iters": 9,
-        "coord_updates": 1800,
-        "active_blocks": [6, 6, 3, 3, 3, 3, 3, 3, 3, 3],
-        "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.0e5ae92b681a0p-4 0x1.6a0feed8097c0p-4 "
-            "0x1.7c2f9fc6e4d60p-4 0x1.1da28fcdbbe60p-5 0x1.204f4bff94018p-3 "
-            "0x1.98f62ef5d2480p-6 0x1.2273bfbcdebc0p-4 0x1.2422d76e91a80p-3 "
-            "0x1.0800000000000p-46"
-        ),
-        "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.1afde4f4e5eb8p-2 0x1.a4e15df83a404p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.609a3b460ef1cp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.8a556d119f533p-13 0x0.0p+0 "
-            "-0x1.ab1941a8a71cdp-11 0x1.41b7f79657338p-2 0x1.6f1b7732047b4p-1 "
-            "0x1.8db2f3626a8b8p-5 0x0.0p+0 0x1.b177efb219df3p-3 0x1.71ef0f26e3815p-5 "
-            "-0x1.e7bb863f8e22dp-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.bab0b64812ea0p-10 0x0.0p+0 "
-            "0x0.0p+0 0x1.f10a2ad7a1e4bp-3 0x1.ceae9c8751523p-2 0x1.730efeea9b013p-8 "
-            "0x0.0p+0 0x1.a1b14caa202b0p-4 0x1.9d7e34dbe5fe6p-5 -0x1.16958ccf0bb01p-7 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.d01d3c87b1e53p-9 0x0.0p+0 "
-            "-0x1.4828e30182a7dp-9 0x1.2e14bcb84f740p-2 0x1.5bd8c981901a5p-1 "
-            "0x1.adda03fa4ec2ap-7 0x0.0p+0 0x1.59e3163e182b1p-2 0x1.3723d4f34547ep-5 "
-            "-0x1.34f432c500dd0p-9 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.7a321be788e58p-8 0x0.0p+0 "
-            "0x0.0p+0 0x1.00929a3d8a452p-1 0x1.ece8ca2bffc06p-2 0x1.144e7e196f856p-6 "
-            "0x0.0p+0 0x1.0cd444a63be0bp-2 0x1.aaed42c2cf1c3p-4 "
-            "-0x1.fc3d10402b13ap-10 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.7e30a2d82d553p-2 0x1.612a760217da2p-1 0x1.71f9437796ac3p-9 0x0.0p+0 "
-            "0x1.5e00a805ba3a7p-2 0x1.cc22090a83993p-6 -0x1.95571ca0387bdp-7 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.116e8a55ac1edp-8 0x0.0p+0 "
-            "0x0.0p+0 0x1.1ae55bb4a4252p-2 0x1.2e387a9b466d7p-1 0x1.69f34837e5f1bp-7 "
-            "0x0.0p+0 0x1.698fa5c05484bp-2 0x1.34923cbbe6267p-4 -0x1.2d995d3cdd8eap-6 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.5e3be091456e3p-9 0x0.0p+0 "
-            "-0x1.886e4dbb796e6p-12 0x1.2ba10f0102067p-1 0x1.40b8a3830a494p-1 "
-            "0x1.77300dc510132p-6 0x0.0p+0 0x1.a80a25665b65bp-3 0x1.4b5969a138fa3p-5 "
-            "-0x1.2cd4599cf2fe3p-9 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a95bb4p-2 0x1.6ccc7b64127cbp-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b59b6p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-        ],
-    },
-
-    "asgd-logistic-group": {
-        "outer_iters": 3,
-        "coord_updates": 384,
-        "active_blocks": [5, 5, 4, 2],
-        "gaps": (
-            "0x1.5107da0332f30p-4 0x1.68f38c8402d80p-7 0x1.1409decb72a00p-8 "
-            "0x1.0000000000000p-53"
-        ),
-        "iterates": [
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.60c85bf2c2090p-3 0x1.095f663219705p-4 0x1.2b6105088bde4p-4 "
-            "-0x1.7564c13b570fep-6 0x1.dd4124073b50fp-3 0x1.e8be181db5edcp-4 "
-            "0x1.06c91412cd662p-3 -0x1.b89603e79aa04p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.276dcc2f65d32p-2 0x1.a7bc1daafc41ep-4 0x1.32f72d5959297p-4 "
-            "0x1.7147a521f3dfep-5 0x1.9103b53964661p-3 0x1.352b7f45627a5p-3 "
-            "0x1.7d5051a9e59d7p-3 -0x1.2c44c35378034p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.2cca4d31a1c21p-2 0x1.6607afa764a24p-4 0x1.c06466fc13121p-4 "
-            "-0x1.6ad818a8b8ceep-6 0x1.afa2676324f99p-3 0x1.84bb5cd2a76d6p-3 "
-            "0x1.fa4dfaff677d8p-3 -0x1.a72126029667ep-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0",
         ],
     },
 
@@ -1162,7 +914,6 @@ def _long_rows(seed):
 # cap, not m_k, sets the chunk. name -> (spec builder, SolverConfig fields)
 CHUNK_CASES = {
     "adsgd-long-epoch": (lambda: _lasso(6), dict(solver="adsgd", m=700, max_outer=6)),
-    "asgd-long-epoch": (lambda: _lasso(6), dict(solver="asgd", m=700, max_outer=6)),
     "proxsvrg-logistic-long-epoch": (lambda: _logistic(6),
                                      dict(solver="proxsvrg", m=700, max_outer=4)),
     "mrbcd-batch-1": (lambda: _lasso(6),
@@ -1233,19 +984,6 @@ CHUNK_GOLDEN = {
         ),
     },
 
-    "asgd-long-epoch": {
-        "outer_iters": 4,
-        "coord_updates": 14000,
-        "active_blocks": [6, 6, 3, 3, 3],
-        "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.fe66a31424c60p-5 0x1.78213f68adb20p-5 "
-            "0x1.614be424ddc80p-5 0x1.0400000000000p-46"
-        ),
-        "x_final": (
-            "7:0x1.68e99b1a95bb2p-2 8:0x1.6ccc7b64127ccp-1 11:0x1.49c81a80b59b0p-2"
-        ),
-    },
-
     "mrbcd-batch-1": {
         "outer_iters": 3,
         "coord_updates": 30036,
@@ -1306,10 +1044,8 @@ DENSE_CASES = {
     "dense-adsgd-long-epoch": (lambda: _lasso(6), dict(solver="adsgd", m=700,
                                                        max_outer=6)),
     "dense-mrbcd-l1-scattered": (lambda: _scattered(_lasso(6), 5), dict(solver="mrbcd")),
-    "dense-asgd-group-scattered": (lambda: _scattered(_logistic_uneven(3), 4),
-                                   dict(solver="asgd")),
-    "dense-asgd-full-batch-mu-p": (lambda: _lasso(7, mu_p=0.05),
-                                   dict(solver="asgd", batch_size=30)),
+    "dense-adsgd-group-scattered": (lambda: _scattered(_logistic_uneven(3), 4),
+                                    dict(solver="adsgd")),
     "dense-proxsvrg-logistic-group": (lambda: _logistic(6), dict(solver="proxsvrg")),
     "dense-proxsvrg-full-batch": (lambda: _lasso(6), dict(solver="proxsvrg",
                                                           batch_size=30)),
@@ -1372,6 +1108,21 @@ DENSE_GOLDEN = {
             "7:0x1.68e99b1a9588cp-2 8:0x1.6ccc7b6412927p-1 11:0x1.49c81a80b5741p-2"
         ),
     },
+    "dense-adsgd-group-scattered": {
+        "outer_iters": 3,
+        "coord_updates": 416,
+        "active_blocks": [4, 2, 2, 1],
+        "gaps": (
+            "0x1.be416fa97ed80p-8 0x1.4bd14c57de000p-11 0x1.bf49d4d0f0000p-17 "
+            "0x0.0p+0"
+        ),
+        "x_final": (
+            "3:0x1.4512d549afd33p-6 7:-0x1.82130a4233777p-6 11:0x1.477862210e9f5p-4 "
+            "15:0x1.0e52adf1774dap-8 19:-0x1.59bec869b6c23p-8 "
+            "23:-0x1.8ba6afae20ef6p-5 27:-0x1.da7806a2ed6f6p-7 "
+            "31:0x1.e6be2dbccf4c2p-6"
+        ),
+    },
     "dense-mrbcd-l1-scattered": {
         "outer_iters": 10,
         "coord_updates": 1600,
@@ -1385,33 +1136,6 @@ DENSE_GOLDEN = {
         "x_final": (
             "7:0x1.69b6b73b141e8p-2 8:0x1.6c12d26438975p-1 11:0x1.4a72c3ee4caf8p-2"
         ),
-    },
-    "dense-asgd-group-scattered": {
-        "outer_iters": 10,
-        "coord_updates": 3400,
-        "active_blocks": [4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2],
-        "gaps": (
-            "0x1.be416fa97ed80p-8 0x1.746e5e0c78400p-7 0x1.6e6f4a2b61460p-6 "
-            "0x1.1153fcf3ed600p-7 0x1.6deddd0f3f840p-6 0x1.64175fdd2dec0p-6 "
-            "0x1.b0354da3c2600p-6 0x1.75945d18250a0p-6 0x1.cd9042322f920p-6 "
-            "0x1.7f218a952eae0p-6 0x1.063a73d458b00p-7"
-        ),
-        "x_final": (
-            "0:-0x1.094eac2b70930p-6 3:0x1.514ab6bce3d92p-6 4:0x1.adc6bc6e0e97dp-6 "
-            "7:-0x1.51914fd1d2ebfp-6 8:0x1.0fc6a20ec5365p-3 11:0x1.123eb03b506fbp-4 "
-            "12:0x1.2675d00a0ef42p-3 15:0x1.497a9e7c10b5bp-7 16:0x1.b35e84277748ap-9 "
-            "19:0x1.98ae5be939d4cp-9 20:-0x1.c7a175a9ecbddp-11 "
-            "23:-0x1.b9668fff8775dp-6 24:-0x1.3325117c583d0p-4 "
-            "27:-0x1.ae11046e8b782p-8 28:0x1.a08ac38db2030p-6 31:0x1.0ca566e9e709ep-5 "
-            "32:-0x1.626d55adce14ep-4"
-        ),
-    },
-    "dense-asgd-full-batch-mu-p": {
-        "outer_iters": 2,
-        "coord_updates": 196,
-        "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.7379b064ca800p-6 0x1.0000000000000p-50",
-        "x_final": "1:0x1.52f61cafda4c4p-1 8:0x1.b87c52e03ae8ap-2",
     },
     "dense-proxsvrg-logistic-group": {
         "outer_iters": 10,

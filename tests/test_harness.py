@@ -401,7 +401,7 @@ def test_parse_plan_file_rejects_bad_flag_with_its_line(tmp_path):
     ("sparsity = dense", "sparsity must be a number, got 'dense'"),
     ("lambda_ratios = 0.5,,0.25", "lambda_ratios must be comma-separated numbers"),
     ("solvers = adsgd, mrbdc", "solvers must be comma-separated names among adsgd, "
-                               "asgd, mrbcd, proxsvrg, reference, got 'adsgd, mrbdc'"),
+                               "mrbcd, proxsvrg, reference, got 'adsgd, mrbdc'"),
 ])
 def test_parse_plan_file_rejects_a_value_of_the_wrong_type_with_its_line(tmp_path,
                                                                          line, says):

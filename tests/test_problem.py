@@ -610,7 +610,7 @@ EXPORTED = [
     "GroupL2Penalty", "L1Penalty", "LOSSES", "LibsvmParseError",
     "LipschitzConstants", "LogisticLoss", "ProblemSpec", "REGULARIZERS",
     "SolveReport", "SolverConfig", "SquaredLoss", "SyntheticParams", "TraceRecord",
-    "adsgd_solve", "asgd_solve", "build_spec", "column_bounds", "dual_point",
+    "adsgd_solve", "build_spec", "column_bounds", "dual_point",
     "duality_gap", "equicorrelation_set", "full_gradient", "generate_synthetic", "inner_budget",
     "lambda_max", "lipschitz_constants", "load_libsvm", "mrbcd_solve",
     "parse_plan_file", "partial_gradient", "primal_objective", "proxsvrg_solve",

@@ -297,11 +297,18 @@ def _steps(plan):
 def _grads(loss, x, work, y, g_ref, c, batches=None, ibs=None, mu=None, x_ref=None,
            mu_p=0.0):
     """The gradient of each step of one chunk, from the planner and kernel the
-    engine runs on work's storage, called positionally as the engine calls it."""
-    plan, kern = ((_plan, step_gradient) if work.dense is None
-                  else (_plan_dense, dense_step_gradient))
-    return [kern(loss, x, *args, lo, hi, mu, x_ref, mu_p)
-            for args, lo, hi in plan(work, y, g_ref, c, batches, ibs)]
+    engine runs on work's storage, called positionally as the engine calls it.
+    g_ref None plans a zero snapshot and hands the kernel None in its place,
+    as partial_gradient calls it."""
+    plan, kern, at = ((_plan, step_gradient, 4) if work.dense is None
+                      else (_plan_dense, dense_step_gradient, 2))
+    out = []
+    for args, lo, hi in plan(work, y, np.zeros(y.size) if g_ref is None else g_ref, c,
+                             batches, ibs):
+        if g_ref is None:
+            args = (*args[:at], None, *args[at + 1:])
+        out.append(kern(loss, x, *args, lo, hi, mu, x_ref, mu_p))
+    return out
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
@@ -398,20 +405,18 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
         batches = rng.integers(0, 12, size=(7, 4))
         batches[2] = 3  # a step of empty rows
         ibs = rng.integers(0, q_k, size=7)
-        for chunk_batches, chunk_ibs, g in ((batches, ibs, g_snap), (batches, None, None),
-                                            (None, ibs, g_snap), (None, None, g_snap)):
-            steps = _steps(_plan(w, y, g, 7, chunk_batches, chunk_ibs))
+        for chunk_batches, chunk_ibs in ((batches, ibs), (batches, None), (None, ibs),
+                                         (None, None)):
+            steps = _steps(_plan(w, y, g_snap, 7, chunk_batches, chunk_ibs))
             assert len(steps) == 7
             for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
                 one = None if chunk_batches is None else chunk_batches[t:t + 1]
-                alone, = _steps(_plan(w, y, g, 1, one, None if chunk_ibs is None
+                alone, = _steps(_plan(w, y, g_snap, 1, one, None if chunk_ibs is None
                                       else chunk_ibs[t:t + 1]))
                 assert (lo, hi) == alone[4:]
                 _same_entries(fwd, alone[0])
                 _same_entries(bwd, alone[1])
-                for a, b in ((y_t, alone[2]), (g_t, alone[3])):
-                    assert (a is None) == (b is None)
-                    assert a is None or np.array_equal(a, b)
+                assert np.array_equal(y_t, alone[2]) and np.array_equal(g_t, alone[3])
             for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
                 batch = np.arange(12) if chunk_batches is None else chunk_batches[t]
                 cols, vals, row_id, _ = _gather_rows(w.indptr, w.entries, batch)
@@ -428,7 +433,7 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                                     row_id[mask]))
             if chunk_batches is None:  # a full batch copies neither entries, y nor g_snap
                 assert all(all(map(_same_view, fwd, w.entries)) for fwd, *_ in steps)
-                assert all(y_t is y and g_t is g for _, _, y_t, g_t, _, _ in steps)
+                assert all(y_t is y and g_t is g_snap for _, _, y_t, g_t, _, _ in steps)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
@@ -501,7 +506,7 @@ def _storage_instance(case):
 
 @pytest.mark.parametrize("case", ["lasso", "logistic-group", "scattered", "mu-p",
                                   "full-batch"])
-@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
+@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "proxsvrg"])
 def test_dense_and_sparse_storage_solve_alike(monkeypatch, case, solver):
     """The same seed draws the same rows and blocks on both storages, so the
     two solves screen, pick working sets and stop alike; their gaps differ
@@ -626,7 +631,7 @@ def test_epoch_draws_once_per_chunk_and_never_past_its_steps(monkeypatch, solver
         assert _CountingGenerator.draws == want
 
 
-@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
+@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "proxsvrg"])
 @pytest.mark.parametrize("batch_size", [10, 30])
 def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver,
                                                              batch_size):
@@ -635,7 +640,7 @@ def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver
     epoch on W takes inner_budget(m, |W|, q) steps; a full-vector step
     updates every working column."""
     spec = _scattered_lasso() if solver in ("mrbcd", "proxsvrg") else make_instance(
-        seed=6, n=30, d=20, q=6, support=3, ratio=0.6, mu_p=0.05 * (solver == "asgd"))
+        seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
     prox = type(spec.reg).block_prox
 
     def counted(key, fn):
@@ -728,7 +733,7 @@ def test_solvers_finish_when_a_step_gathers_nothing(q, batch_size):
     data = generate_synthetic(SyntheticParams(n=200, d=300, sparsity=0.02,
                                               noise=0.01, seed=0))
     for solver, mu_p in (("adsgd", 0.0), ("mrbcd", 0.0), ("proxsvrg", 0.0),
-                         ("asgd", 0.05)):
+                         ("adsgd", 0.05)):
         spec = build_spec(data, model="lasso", q=q, mu_p=mu_p)
         rep = G.solve(spec, G.SolverConfig(solver=solver, seed=0, max_outer=3,
                                            batch_size=batch_size))
@@ -802,15 +807,15 @@ def _record_working_sets(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("solver", ["adsgd", "asgd"])
-def test_working_set_holds_every_block_where_x_hat_is_nonzero(monkeypatch, solver):
+@pytest.mark.parametrize("full_batch", [False, True], ids=["adsgd", "adsgd-full-batch"])
+def test_working_set_holds_every_block_where_x_hat_is_nonzero(monkeypatch, full_batch):
     """Each epoch runs on safe blocks only, on every block where x_hat is
     nonzero, those of low correlation included, and updates nothing else:
     the next iterate is zero off it."""
     spec = make_instance(seed=41, n=100, d=200, q=10, ratio=0.2)
     calls = _record_working_sets(monkeypatch)
-    batch = spec.dataset.n if solver == "asgd" else None
-    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=0, gap_tol=1e-6,
+    batch = spec.dataset.n if full_batch else None
+    rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=0, gap_tol=1e-6,
                                        max_outer=200, eta=tuned_eta(spec),
                                        batch_size=batch, keep_iterates=True))
     assert rep.converged and len(calls) == rep.outer_iters
@@ -862,14 +867,14 @@ def test_a_working_set_missing_a_support_block_still_certifies(monkeypatch):
     assert G.primal_objective(spec, rep.x_final) - oracle.objective <= 1e-6
 
 
-@pytest.mark.parametrize("solver", ["adsgd", "asgd"])
+@pytest.mark.parametrize("full_batch", [False, True], ids=["adsgd", "adsgd-full-batch"])
 @pytest.mark.parametrize("build", [
     lambda: make_instance(seed=42, n=80, d=160, ratio=0.3),
     lambda: make_instance(seed=43, n=120, d=60, q=12, model="logistic", reg="group_l2"),
     lambda: make_instance(seed=44, n=90, d=120, mu_p=0.01),
     lambda: make_instance(seed=45, n=300, d=30, q=6, sparsity=1.0, scale=0.3),
 ], ids=["l1", "logistic-group", "mu-p", "tall"])
-def test_a_converged_report_certifies_the_full_problem(build, solver):
+def test_a_converged_report_certifies_the_full_problem(build, full_batch):
     """report.dual is feasible for the full problem: rebuilt from its theta
     (and kappa), every block's correlation is at most lam. P(x_final) -
     D(report.dual) gives the reported gap bit for bit, it is at most gap_tol
@@ -877,8 +882,8 @@ def test_a_converged_report_certifies_the_full_problem(build, solver):
     own, a returned refined point's included, that is also x_final's
     re-evaluated gap; a refined dual point certifying x_hat gives less."""
     spec = build()
-    batch = spec.dataset.n if solver == "asgd" else None
-    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=1, gap_tol=1e-6,
+    batch = spec.dataset.n if full_batch else None
+    rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=1, gap_tol=1e-6,
                                        max_outer=400, eta=tuned_eta(spec),
                                        batch_size=batch))
     assert rep.converged
@@ -899,7 +904,7 @@ def test_a_converged_report_certifies_the_full_problem(build, solver):
         assert own == rep.gap
 
 
-@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
+@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "proxsvrg"])
 @pytest.mark.parametrize("batch_size", [10, 30])
 @pytest.mark.parametrize("inject", [None, "tie", "nan-average", "nan-last"])
 def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
@@ -916,8 +921,7 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
     point with its own gap instead. Only the screening
     solvers refine, and a refinement may find no point. batch_size 30 is the
     full batch."""
-    spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6,
-                         mu_p=0.05 * (solver == "asgd"))
+    spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
     calls, evaluate = [], G.solvers.evaluate
     certs, certify = [], G.solvers._refined_certificate
     refining, refined_calls = [False], []
@@ -1012,59 +1016,12 @@ def test_not_converged_run_is_flagged():
     assert rep.outer_iters == 3
 
 
-# -------------------------------------------------------------------- asgd
-
-def test_asgd_returns_zero_above_lambda_max():
+def test_adsgd_returns_zero_above_lambda_max():
     spec = hand_lasso()  # lam = lambda_max = 1
     spec = dataclasses.replace(spec, lam=1.0 + 1e-12)
-    rep = G.asgd_solve(spec, G.SolverConfig(solver="asgd", seed=0, batch_size=2))
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=0, batch_size=2))
     assert np.all(rep.x_final == 0.0)
     assert rep.converged and rep.outer_iters <= 1
-
-
-def test_asgd_full_batch_single_block_is_deterministic_prox_gradient():
-    spec = make_instance(seed=9, n=30, d=20, q=1)
-    n = spec.dataset.n
-    eta = tuned_eta(spec)
-    m = 7
-    cfg = G.SolverConfig(solver="asgd", seed=0, eta=eta, m=m, batch_size=n,
-                         max_outer=1, gap_tol=1e-14)
-    rep = G.asgd_solve(spec, cfg)
-    # replay: one outer iteration of proximal gradient steps, restarting from
-    # the average or the last step (the engine folds 1/n into the sample
-    # weights, hence the one-ulp tolerance)
-    x = np.zeros(20)
-    acc = np.zeros(20)
-    for _ in range(m):
-        x = soft_threshold(x - eta * G.full_gradient(spec, x), eta * spec.lam)
-        acc += x
-    want, label = _restarted(spec, acc / m, x)
-    assert rep.trace[1].restart == label
-    np.testing.assert_allclose(rep.x_final, want, rtol=0, atol=1e-12)
-
-
-def _full_gap(spec, x):
-    return G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3]
-
-
-def _restarted(spec, avg, last):
-    """(x, label) of a replayed epoch's next iterate: the candidate with the
-    smaller full-problem gap, a tie keeping the average."""
-    gap_avg, gap_last = _full_gap(spec, avg), _full_gap(spec, last)
-    assert abs(gap_avg - gap_last) > 1e-9 * gap_avg  # replay rounding cannot flip it
-    return (last, "last") if gap_last < gap_avg else (avg, "average")
-
-
-def test_asgd_screening_is_safe():
-    spec = make_instance(seed=10, n=70, d=100, ratio=0.4)
-    oracle = G.reference_solve(spec, tol=1e-10)
-    rep = G.asgd_solve(spec, G.SolverConfig(solver="asgd", seed=10, gap_tol=1e-6,
-                                            max_outer=60, eta=tuned_eta(spec),
-                                            batch_size=spec.dataset.n, m=80))
-    removed = set(range(spec.partition.q)) - set(rep.active_history[-1].tolist())
-    for j in removed:
-        assert np.max(np.abs(oracle.x_final[spec.partition.groups[j]]),
-                      initial=0.0) <= 1e-9
 
 
 # ------------------------------------------------------------------- mrbcd
@@ -1087,6 +1044,18 @@ def test_mrbcd_active_blocks_stay_at_q():
 
 
 # ---------------------------------------------------------------- proxsvrg
+
+def _full_gap(spec, x):
+    return G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3]
+
+
+def _restarted(spec, avg, last):
+    """(x, label) of a replayed epoch's next iterate: the candidate with the
+    smaller full-problem gap, a tie keeping the average."""
+    gap_avg, gap_last = _full_gap(spec, avg), _full_gap(spec, last)
+    assert abs(gap_avg - gap_last) > 1e-9 * gap_avg  # replay rounding cannot flip it
+    return (last, "last") if gap_last < gap_avg else (avg, "average")
+
 
 def test_proxsvrg_full_batch_is_deterministic_prox_gradient():
     spec = make_instance(seed=13, n=25, d=16, q=4)
@@ -1113,8 +1082,8 @@ def test_all_solvers_match_oracle_on_one_instance():
     configs = {
         "adsgd": G.SolverConfig(solver="adsgd", seed=2, eta=eta, gap_tol=1e-6,
                                 max_outer=200),
-        "asgd": G.SolverConfig(solver="asgd", seed=2, eta=eta, gap_tol=1e-6,
-                               max_outer=200, batch_size=n),
+        "adsgd, full batch": G.SolverConfig(solver="adsgd", seed=2, eta=eta,
+                                            gap_tol=1e-6, max_outer=200, batch_size=n),
         "mrbcd": G.SolverConfig(solver="mrbcd", seed=2, eta=eta, gap_tol=1e-6,
                                 max_outer=200),
         "proxsvrg": G.SolverConfig(solver="proxsvrg", seed=2, eta=eta,
@@ -1221,7 +1190,7 @@ def test_smoothness_bounds_are_computed_only_for_the_defaults_that_read_them(
     lipschitz = G.solvers.lipschitz_constants
     monkeypatch.setattr(G.solvers, "lipschitz_constants",
                         lambda spec: calls.append(1) or lipschitz(spec))
-    for solver in ("adsgd", "mrbcd", "asgd", "proxsvrg"):
+    for solver in ("adsgd", "mrbcd", "proxsvrg"):
         G.solve(lasso_spec, G.SolverConfig(solver=solver, eta=0.01, max_outer=1))
     assert calls == []
     for cfg in (G.SolverConfig(max_outer=1), G.SolverConfig(theory_mode=True, max_outer=1)):
@@ -1230,7 +1199,7 @@ def test_smoothness_bounds_are_computed_only_for_the_defaults_that_read_them(
 
 
 @pytest.mark.parametrize("stored", ["none", "explicit zeros"])
-@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "asgd", "proxsvrg"])
+@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "proxsvrg"])
 def test_an_all_zero_design_is_rejected_with_an_explicit_eta(stored, solver):
     """A design with no nonzero entry still raises DegenerateProblemError from
     every engine solve when no default computes the smoothness bounds."""
@@ -1270,8 +1239,7 @@ def test_only_screening_solves_compute_column_bounds(monkeypatch):
 
     monkeypatch.setattr(G.solvers, "column_bounds", refuse)
     for solver, fields in (("reference", {}), ("mrbcd", {}), ("proxsvrg", {}),
-                           ("adsgd", dict(screen_every=0)),
-                           ("asgd", dict(screen_every=0))):
+                           ("adsgd", dict(screen_every=0))):
         cfg = G.SolverConfig(solver=solver, seed=1, m=40, max_outer=5,
                              eta=tuned_eta(spec), **fields)
         assert np.isfinite(G.solve(spec, cfg).gap)
@@ -1299,7 +1267,7 @@ def test_all_solvers_converge_with_conservative_step():
     # count under the 200-iteration cap at this step size
     spec = make_instance(seed=30, n=60, d=40, q=10, support=4, sparsity=0.6)
     n = spec.dataset.n
-    for name, kw in [("adsgd", {}), ("mrbcd", {}), ("asgd", dict(batch_size=n)),
+    for name, kw in [("adsgd", {}), ("mrbcd", {}), ("adsgd", dict(batch_size=n)),
                      ("proxsvrg", {})]:
         rep = G.solve(spec, G.SolverConfig(solver=name, seed=1, gap_tol=1e-6,
                                            max_outer=200, m=12 * n, **kw))
@@ -1844,9 +1812,9 @@ def test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict(monkeypat
     assert G.primal_objective(spec, rep.x_final) - oracle.objective <= 1e-10
 
 
-@pytest.mark.parametrize("solver", ["adsgd", "asgd"])
+@pytest.mark.parametrize("full_batch", [False, True], ids=["adsgd", "adsgd-full-batch"])
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
-def test_screening_solves_refine_each_identified_model_once(monkeypatch, solver, case):
+def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_batch, case):
     """A screening solve refines x_hat only where the previous iterate had the
     same model (signs for L1, nonzero pattern for group-L2), within the cost
     bound, and at most once per model: it keeps the last refinement while
@@ -1856,8 +1824,8 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, solver,
     refined point or stops on a refined dual point."""
     spec = SCREENED_RUNS[case]()
     calls = _spy_refinements(monkeypatch)
-    batch = spec.dataset.n if solver == "asgd" else None
-    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=2, gap_tol=1e-10,
+    batch = spec.dataset.n if full_batch else None
+    rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=2, gap_tol=1e-10,
                                        max_outer=300, eta=tuned_eta(spec),
                                        batch_size=batch, keep_iterates=True))
     assert rep.converged and calls
