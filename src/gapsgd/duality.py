@@ -126,23 +126,31 @@ def column_bounds(spec):
     rely on it as an upper bound. That costs a dense s x s Gram and an O(s^3)
     eigensolve per block of s columns, so blocks wider than 2048 columns are
     rejected with a ValueError before any work; split such blocks (a larger
-    q) to screen.
+    q) to screen. The bounds are computed once per dataset, penalty and
+    partition layout, and returned read-only.
     """
-    part, reg, a = spec.partition, spec.reg, spec.dataset.A
-    if reg.name == "l1":
-        return blockwise_dual_norms(spec.dataset.column_norms(), part, reg)
-    widest = max(idx.shape[1] for _, idx in part.classes)
-    if widest ** 2 > _GRAM_ENTRIES:
-        raise ValueError(
-            f"group-L2 screening bounds take a dense Gram per block; a block of "
-            f"{widest} columns exceeds the limit of {math.isqrt(_GRAM_ENTRIES)}, "
-            f"so use more, smaller blocks")
-    out = np.empty(part.q)
-    for ids, idx in part.classes:
-        step = _GRAM_ENTRIES // idx.shape[1] ** 2
-        for lo in range(0, ids.size, step):
-            out[ids[lo:lo + step]] = _gram_sigma(a, idx[lo:lo + step])
-    return out
+    part, reg, ds = spec.partition, spec.reg, spec.dataset
+    if reg.name != "l1":
+        widest = int(part.sizes.max())
+        if widest ** 2 > _GRAM_ENTRIES:
+            raise ValueError(
+                f"group-L2 screening bounds take a dense Gram per block; a block of "
+                f"{widest} columns exceeds the limit of {math.isqrt(_GRAM_ENTRIES)}, "
+                f"so use more, smaller blocks")
+
+    def bounds():
+        if reg.name == "l1":
+            out = blockwise_dual_norms(ds.column_norms(), part, reg)
+        else:
+            out = np.empty(part.q)
+            for ids, idx in part.classes:
+                step = _GRAM_ENTRIES // idx.shape[1] ** 2
+                for lo in range(0, ids.size, step):
+                    out[ids[lo:lo + step]] = _gram_sigma(ds.A, idx[lo:lo + step])
+        out.flags.writeable = False
+        return out
+
+    return ds.memo(("column_bounds", reg.name) + part.layout_key, bounds)
 
 
 def dual_point(spec, sample_grad, x=None):

@@ -172,7 +172,10 @@ def build_spec(dataset, model="lasso", lam=None, lambda_ratio=0.5, q=None,
     lambda_ratio * lambda_max of the instance. A solve that screens a
     group-L2 problem takes a dense Gram per block and rejects blocks wider
     than 2048 columns (see duality.column_bounds), so on a design wider than
-    20480 columns pass a q that keeps the blocks narrower.
+    20480 columns pass a q that keeps the blocks narrower. Those bounds are
+    formed once per dataset and partition: specs built from one dataset with
+    one q share them, so a lambda path pays for them on its first screening
+    solve only, and a cold solve still pays in full.
     """
     if model not in _MODELS:
         raise ValueError(f"model must be one of {', '.join(_MODELS)}, got {model!r}")

@@ -2,6 +2,9 @@
 
 Everything here is immutable after construction and safe to share across
 concurrent solver runs; the operations are pure functions of their inputs.
+A Dataset keeps the design constants that every solve would otherwise
+recompute (Dataset.memo), each a pure function of the design and its key,
+so concurrent solves at worst compute one twice, to the same bits.
 
 BlockPartition is the one block layout: the problem's partition, and the
 solvers' working design over the surviving blocks, are each one. The working
@@ -16,6 +19,7 @@ into a (k, s) array and take all k norms with one row-wise sum.
 
 import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -77,17 +81,31 @@ class Dataset:
         # scipy's transpose of a CSR matrix is a CSC view of the same three
         # arrays: nothing is copied, and A'v gives the bits of A.T @ v
         self._at = a.T
+        self._memo = {}
 
     def rmatvec(self, v):
         """A'v, as smooth_gradient, dual_point and lambda_max form it.
 
         The product runs on one transposed view kept with the dataset, so
         no call builds a transposed matrix. The spectral bound's power
-        iteration builds its own view once per call; the group-L2 screening
-        bounds' block Gram matrices and the support refinement (of the
-        screening solvers and the reference) use column slices of A.
+        iteration builds its own view once per call; the support refinement
+        (of the screening solvers and the reference) uses column slices of
+        A, and so do the group-L2 screening bounds' block Gram matrices,
+        formed once per dataset and partition (memo): a cold solve pays
+        for them, a later one on the same dataset and layout does not.
         """
         return self._at @ v
+
+    def memo(self, key, compute):
+        """compute(), run on the first call with this key and kept with the dataset.
+
+        For the design constants that every solve would otherwise recompute:
+        key names the constant and all it depends on beyond the design, such
+        as the penalty name and BlockPartition.layout_key.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def column_norms(self):
         """Euclidean norm of every column."""
@@ -145,6 +163,12 @@ class BlockPartition:
         self.slot[order] = np.arange(d) - np.repeat(offsets[:-1], sizes)
         self.block_of.flags.writeable = False
         self.slot.flags.writeable = False
+
+    @functools.cached_property
+    def layout_key(self):
+        """The sizes' bytes and a 128-bit digest of order: equal for partitions
+        of one layout, and O(q) bytes however wide the design."""
+        return self.sizes.tobytes(), hashlib.blake2b(self.order, digest_size=16).digest()
 
     @functools.cached_property
     def groups(self):

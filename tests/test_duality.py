@@ -355,14 +355,66 @@ def test_column_bounds_group_l2_are_tight_upper_bounds():
     assert top[0] - top[-1] < 1e-12  # the repeated top singular value is in place
 
 
+def _fresh(spec):
+    """spec on a new Dataset of the same design, whose memo is empty."""
+    ds = spec.dataset
+    return dataclasses.replace(spec, dataset=G.Dataset(ds.A, ds.y))
+
+
 def test_column_bounds_group_l2_split_classes_give_the_same_bits(monkeypatch):
+    """Each computation runs on a fresh Dataset, so no call is answered by the
+    memo of an earlier one; the rejection also holds on a filled memo."""
     spec = make_instance(seed=19, n=40, d=34, q=4, reg="group_l2")  # 9, 9, 8, 8
     whole = column_bounds(spec)
     monkeypatch.setattr(gapsgd.duality, "_GRAM_ENTRIES", 81)  # one block at a time
-    np.testing.assert_array_equal(column_bounds(spec), whole)
+    gram, calls = gapsgd.duality._gram_sigma, []
+    monkeypatch.setattr(gapsgd.duality, "_gram_sigma",
+                        lambda a, idx: calls.append(idx.shape[0]) or gram(a, idx))
+    np.testing.assert_array_equal(column_bounds(_fresh(spec)), whole)
+    assert calls == [1, 1, 1, 1]
     monkeypatch.setattr(gapsgd.duality, "_GRAM_ENTRIES", 80)
-    with pytest.raises(ValueError, match="block of 9 columns"):
-        column_bounds(spec)
+    for case in (_fresh(spec), spec):
+        with pytest.raises(ValueError, match="block of 9 columns"):
+            column_bounds(case)
+
+
+def test_column_bounds_memo_keys_on_the_penalty_and_the_layout():
+    """Both penalties on a contiguous partition and on a scattered one of the
+    same block sizes share one Dataset, in turn and twice over; each gets the
+    bits of a computation on a copy of the design."""
+    spec = make_instance(seed=21, n=40, d=32, q=4, model="logistic")
+    scattered = G.BlockPartition([np.arange(j, 32, 4) for j in range(4)])
+    cases = [dataclasses.replace(spec, partition=part, reg=G.REGULARIZERS[reg])
+             for reg in ("l1", "group_l2")
+             for part in (spec.partition, scattered)]
+    want = [column_bounds(_fresh(case)) for case in cases]
+    assert all(not np.array_equal(a, b) for i, a in enumerate(want) for b in want[:i])
+    for _ in range(2):
+        for case, bounds in zip(cases, want):
+            np.testing.assert_array_equal(column_bounds(case), bounds)
+
+
+@pytest.mark.parametrize("reg", ["l1", "group_l2"])
+def test_column_bounds_are_read_only(reg):
+    spec = make_instance(seed=22, n=30, d=20, q=4, reg=reg)
+    for bounds in (column_bounds(spec), column_bounds(spec)):
+        with pytest.raises(ValueError, match="read-only"):
+            bounds[0] = 0.0
+
+
+def test_a_lambda_path_on_one_dataset_forms_the_group_l2_bounds_once(monkeypatch):
+    """Two build_spec ratios on one Dataset make two partitions of one layout,
+    so the second adsgd solve reuses the first one's bounds."""
+    data = G.generate_synthetic(G.SyntheticParams(n=60, d=40, sparsity=0.3, seed=23,
+                                                  model="logistic"))
+    gram, calls = gapsgd.duality._gram_sigma, []
+    monkeypatch.setattr(gapsgd.duality, "_gram_sigma",
+                        lambda a, idx: calls.append(idx.shape[0]) or gram(a, idx))
+    for ratio in (0.5, 0.25):
+        spec = G.build_spec(data, model="logistic", lambda_ratio=ratio, q=4,
+                            reg="group_l2")
+        G.adsgd_solve(spec, G.SolverConfig(seed=0, max_outer=3, eta=tuned_eta(spec)))
+    assert calls == [4]
 
 
 def test_column_bounds_group_l2_reject_wide_default_blocks():

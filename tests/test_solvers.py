@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -1251,6 +1252,25 @@ def test_only_screening_solves_compute_column_bounds(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("solver, layer", [("adsgd", "column_bounds"),
+                                           ("reference", "_one_pass_bound")])
+def test_a_solve_clock_holds_its_set_up(monkeypatch, solver, layer):
+    """wall_time and every row's elapsed_s count from the call into the
+    solver, so a set-up step made 50 ms slower shows in both."""
+    spec = make_instance(seed=6, n=40, d=20, q=5, support=3, ratio=0.6)
+    real = getattr(G.solvers, layer)
+
+    def slow(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(G.solvers, layer, slow)
+    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=1, max_outer=5,
+                                       eta=tuned_eta(spec)))
+    assert rep.trace[0].elapsed_s >= 0.05
+    assert rep.wall_time >= rep.trace[-1].elapsed_s
+
+
 def test_perturbed_problem_end_to_end():
     spec = make_instance(seed=20, n=60, d=90, model="logistic", ratio=0.3,
                          mu_p=1e-3)
@@ -1452,6 +1472,19 @@ def test_one_pass_bound_lies_below_the_smoothness_constant(kw):
     ds = spec.dataset
     assert start <= want * (1.0 + 1e-12)
     assert start * min(ds.n, ds.d) >= want * (1.0 - 1e-12)
+
+
+def test_one_pass_bound_applies_each_specs_curvature_and_shift_to_one_memo():
+    """Specs of other losses and mu_p on one Dataset, in turn and twice over,
+    each get the bits of a computation on a copy of the design."""
+    spec = make_instance(seed=4, n=60, d=50, model="logistic")
+    cases = [dataclasses.replace(spec, loss=G.LOSSES[loss], mu_p=mu_p)
+             for loss, mu_p in (("logistic", 0.0), ("squared", 0.0), ("logistic", 0.02))]
+    ds = spec.dataset
+    want = [_one_pass_bound(dataclasses.replace(case, dataset=G.Dataset(ds.A, ds.y)))
+            for case in cases]
+    assert len(set(want)) == len(want)
+    assert [_one_pass_bound(case) for case in cases + cases] == want + want
 
 
 @pytest.mark.parametrize("build", [
