@@ -89,12 +89,13 @@ def _cmd_solve(args):
                        gap_tol=args.gap_tol, seed=args.seed,
                        theory_mode=args.theory_mode)
     report = solve(spec, cfg)
-    x = report.x_final
+    x, t_id = report.x_final, report.identified_s
     print(f"solver={args.solver} n={spec.dataset.n} d={spec.dataset.d} "
           f"lam={spec.lam:.6g}")
     print(f"converged={report.converged} outer_iters={report.outer_iters} "
           f"gap={report.gap:.3e} objective={report.objective:.6g} "
           f"nnz={int(np.count_nonzero(x))} identified_at={report.identified_at} "
+          f"identified_s={'None' if t_id is None else f'{t_id:.3f}'} "
           f"wall_time={report.wall_time:.3f}s")
     if args.out:
         path = _out_path(args.out)

@@ -51,13 +51,17 @@ active-set move of feature-sign search: Lee, Battle, Raina & Ng, NeurIPS
 2007). That prunes the coordinates of about 1e-9 that x_hat keeps off the
 optimum's support, whose correlation stays below lam. The refined point x_r
 is evaluated on the full problem, and its dual point certifies x_hat
-wherever P(x_hat) - D(theta_r) is the smaller gap: that gap is the row's and
-the safe radius's, and theta_r is the sphere's centre and scores the working
-set, while the snapshot keeps x_hat's own derivatives and gradient. theta_r
-is scaled over every block like any dual point, so its gap bounds the
-suboptimality and its sphere is safe whether or not the model is the
-optimum's (Gap Safe: Fercoq, Gramfort & Salmon, ICML 2015), and a refinement
-on a wrong model gives a larger gap, which is never used. Only the stop
+wherever P(x_hat) - D(theta_r) is the smaller gap: that gap is the row's,
+and theta_r is the sphere's centre and scores the working set, while the
+snapshot keeps x_hat's own derivatives and gradient. theta_r is scaled over
+every block like any dual point, so its gap bounds the suboptimality whether
+or not the model is the optimum's, and a refinement on a wrong model gives a
+larger gap, which is never used. The Gap Safe sphere around a dual feasible
+point holds the dual optimum for the gap of any primal point, since P(x) >=
+P* = D(theta*) (Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017). So on a row
+with a refinement the screen takes min(P(x_hat), P(x_r)) - D(centre), the
+best primal value the row evaluated: once x_r is optimal the radius falls to
+rounding while x_hat's own gap is still far from gap_tol. Only the stop
 waits for identification: a refined gap ends the solve once the safe set
 also holds exactly the blocks where x_hat is nonzero. On such a row x_r's
 own gap P(x_r) - D(theta_r) ends it as soon as that gap reaches gap_tol and
@@ -194,12 +198,14 @@ class TraceRecord:
     the suboptimality whatever screening dropped. The other fields describe
     the epoch that produced the iterate: active_blocks and active_features
     count the safe set it ran within, radius is the safe radius of the screen
-    that preceded it (inf where none ran) and working_blocks the blocks its
-    steps updated, 0 on the starting row. restart names the iterate:
-    "start" on the starting row, then "average" or "last", the epoch's
-    average or its last inner iterate, whichever had the smaller gap, or
-    "refined" where a screening solve returns the refined point of the last
-    row's identified model, and the gap is that point's own. refined_dual is
+    that preceded it (inf where none ran): that of the previous row's gap, or
+    of min(P(x_hat), P(x_r)) - D(centre) where the previous row had a refined
+    point x_r of its model. working_blocks counts the blocks its steps
+    updated, 0 on the starting row. restart names the iterate: "start" on
+    the starting row, then "average" or "last", the epoch's average or its
+    last inner iterate, whichever had the smaller gap, or "refined" where a
+    screening solve returns the refined point of the last row's identified
+    model, and the gap is that point's own. refined_dual is
     True where the gap comes from the dual point of x_hat's support
     refinement rather than x_hat's own, and identified where a screening
     solve has identified x_hat's model: it is the previous iterate's and the
@@ -250,6 +256,11 @@ class SolveReport:
     def identified_at(self):
         """outer_iter of the first identified trace row, or None where no row is."""
         return next((r.outer_iter for r in self.trace if r.identified), None)
+
+    @property
+    def identified_s(self):
+        """elapsed_s of the first identified trace row, or None where no row is."""
+        return next((r.elapsed_s for r in self.trace if r.identified), None)
 
 
 def inner_budget(m, q_k, q):
@@ -638,14 +649,19 @@ def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
 
     x_hat's evaluation on the full problem gives obj, dp and gap; prev is the
     previous iterate's model and slot the last refinement, keyed by its
-    model's bytes. Returns (cert, gap, refined, identified, kept, model,
-    slot): the row's certifying dual point and gap, whether they are a
-    refinement's, whether the model is identified, (x_r, P(x_r)) where the
-    row returns the refined point (else None), x_hat's model and the slot.
-    The row returns x_r where the model is identified, x_r's own gap is at
-    most gap_tol and the safe set holds exactly x_r's nonzero blocks; it
-    then certifies with theta_r and that gap. Otherwise theta_r certifies
-    x_hat wherever P(x_hat) - D(theta_r) is below x_hat's own gap.
+    model's bytes. Returns (cert, gap, sgap, refined, identified, kept,
+    model, slot): the row's certifying dual point and gap, the screening
+    gap, whether cert and gap are a refinement's, whether the model is
+    identified, (x_r, P(x_r)) where the row returns the refined point (else
+    None), x_hat's model and the slot. The row returns x_r where the model
+    is identified, x_r's own gap is at most gap_tol and the safe set holds
+    exactly x_r's nonzero blocks; it then certifies with theta_r and that
+    gap. Otherwise theta_r certifies x_hat wherever P(x_hat) - D(theta_r) is
+    below x_hat's own gap, so cert is whichever of theta_hat and theta_r has
+    the larger dual value. Where x_hat's model has a refinement, sgap is
+    min(P(x_hat), P(x_r)) - D(cert): the Gap Safe sphere holds for any
+    primal point, so the screen takes the best one the row evaluated.
+    Elsewhere sgap is the row's gap.
     """
     part, n, nnz = spec.partition, spec.dataset.n, spec.dataset.A.nnz
     model = _model(spec, x_hat)
@@ -654,7 +670,7 @@ def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
     identified = stable and np.array_equal(blocks, active.blocks)
     unknowns = (np.count_nonzero(x_hat) if spec.reg.name == "l1"
                 else int(part.sizes[blocks].sum()))
-    cert, refined, kept = dp, False, None
+    cert, sgap, refined, kept = dp, gap, False, None
     if (stable and gap > gap_tol and unknowns <= n
             and n * unknowns * unknowns <= _REFINE_COST * nnz):
         key = model.tobytes()
@@ -666,7 +682,9 @@ def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
             cert, gap, refined, kept = ref[2], ref[3], True, ref[:2]  # x_r certifies itself
         elif ref is not None and obj - ref[2].value < gap:
             cert, gap, refined = ref[2], obj - ref[2].value, True
-    return cert, gap, refined, identified, kept, model, slot
+        if ref is not None:
+            sgap = min(obj, ref[1]) - cert.value
+    return cert, gap, sgap, refined, identified, kept, model, slot
 
 
 def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling):
@@ -726,7 +744,8 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
 
 def _screen_step(spec, cert, gap, active, bounds, x_hat, snap):
     """(radius, safe set, snap) after the Gap Safe screen of active by the
-    sphere of gap around cert; active itself where no block drops. Where
+    sphere of gap around cert, gap being P(x) - D(cert) for any primal point
+    x (_certify's sgap); active itself where no block drops. Where
     zeroing x_hat in place on the dropped blocks moves it, snap (as in
     _epoch) is formed again, to keep the variance correction unbiased."""
     radius = safe_radius(spec, gap)
@@ -767,14 +786,15 @@ def _engine(spec, config, *, block_sampling, screening):
 
     while True:
         obj, g_snap, dp, gap = evaluation
-        cert, refined, identified = dp, False, False
+        cert, sgap, refined, identified = dp, gap, False, False
         snap = g_snap, dp.gradient
         if screens and np.isfinite(obj):
             # A refinement's dual point certifies x_hat, centres the screen and
             # scores the working set wherever its gap is smaller; the snapshot
             # keeps x_hat's own derivatives and gradient. A refined point that
             # certifies itself on the identified model is the row's instead.
-            cert, gap, refined, identified, kept, model, slot = _certify(
+            # The screen takes the smaller of P(x_hat) and P(x_r) against cert.
+            cert, gap, sgap, refined, identified, kept, model, slot = _certify(
                 spec, active, x_hat, obj, dp, gap, config.gap_tol, model, slot)
             if kept is not None:
                 (x_hat, obj), restart = kept, "refined"
@@ -800,7 +820,7 @@ def _engine(spec, config, *, block_sampling, screening):
 
         radius = math.inf
         if screens and (k - 1) % config.screen_every == 0:
-            radius, active, snap = _screen_step(spec, cert, gap, active, bounds, x_hat,
+            radius, active, snap = _screen_step(spec, cert, sgap, active, bounds, x_hat,
                                                 snap)
         width = 0
         if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it

@@ -993,19 +993,29 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         assert set(labels) == {"average"}
 
 
-def test_trace_records_the_screening_radius_and_the_working_set():
-    """A row's radius is safe_radius of the previous row's gap where a screen
-    ran (every other outer iteration here) and inf elsewhere; its working
+def test_trace_records_the_screening_radius_and_the_working_set(monkeypatch):
+    """A row's radius is that of the screen after the previous row where one
+    ran (every other outer iteration here), and inf elsewhere: safe_radius of
+    min(P(x_hat), P(x_r)) - D(centre) where the previous row has a refined
+    point x_r of its model, else of the previous row's gap. Its working
     blocks lie within its safe blocks, and the starting row has none."""
     spec = make_instance(seed=7, n=60, d=90)
+    calls = _spy_refinements(monkeypatch)
+    screens = _spy_screens(monkeypatch, calls)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=7, gap_tol=1e-6, max_outer=100,
-                                             eta=tuned_eta(spec), screen_every=2))
-    assert rep.converged
+                                             eta=tuned_eta(spec), screen_every=2,
+                                             keep_iterates=True))
+    assert rep.converged and calls
     first = rep.trace[0]
     assert (first.radius, first.working_blocks) == (math.inf, 0)
     for k, (prev, row) in enumerate(zip(rep.trace, rep.trace[1:])):
-        want = G.safe_radius(spec, prev.gap) if k % 2 == 0 else math.inf
-        assert row.radius == want
+        if k % 2 == 0:
+            dp, r, seen = screens[k // 2]
+            assert row.radius == r == G.safe_radius(
+                spec, _screening_gap(spec, rep, k, dp, seen, calls))
+            assert r <= G.safe_radius(spec, prev.gap)
+        else:
+            assert row.radius == math.inf
         assert 0 < row.working_blocks <= row.active_blocks
     assert any(r.working_blocks < r.active_blocks for r in rep.trace[1:])
 
@@ -1677,15 +1687,46 @@ def test_reference_trace_ends_on_its_one_stop_row(case):
 
 
 def _spy_refinements(monkeypatch):
-    """Record every call of the engine's support refinement: (x, its model)."""
+    """Record every call of the engine's support refinement: (x, its model,
+    the refined point or None)."""
     calls, refine = [], G.solvers._refine_support
 
     def spied(spec, x, *args):
-        calls.append((x.copy(), G.solvers._model(spec, x).tobytes()))
-        return refine(spec, x, *args)
+        x0, model = x.copy(), G.solvers._model(spec, x).tobytes()
+        out = refine(spec, x, *args)
+        calls.append((x0, model, out))
+        return out
 
     monkeypatch.setattr(G.solvers, "_refine_support", spied)
     return calls
+
+
+def _spy_screens(monkeypatch, calls):
+    """Record every screen: (its centre, its radius, len(calls) when it ran),
+    calls being _spy_refinements' record."""
+    screens, screen = [], G.solvers.screen
+
+    def spied(spec, dp, r, active, bounds):
+        screens.append((dp, r, len(calls)))
+        return screen(spec, dp, r, active, bounds)
+
+    monkeypatch.setattr(G.solvers, "screen", spied)
+    return screens
+
+
+def _screening_gap(spec, rep, k, dp, seen, calls):
+    """min(P(x_hat), P(x_r)) - D(dp) for row k of a solve kept with its
+    iterates, x_r being the refined point of x_hat's model where row k has
+    one: x_hat's model is row k - 1's, and the last of the first `seen`
+    refinements in calls was of that model and found a point. Else row k's
+    own P(x_hat) - D(dp)."""
+    obj = rep.trace[k].objective
+    if k and seen:
+        prev, model = (G.solvers._model(spec, x).tobytes() for x in rep.iterates[k - 1:k + 1])
+        _, refined, x_r = calls[seen - 1]
+        if prev == model == refined and x_r is not None:
+            obj = min(obj, G.solvers.evaluate(spec, x_r, spec.dataset.A @ x_r)[0])
+    return obj - G.duality._dual_value(spec, dp)
 
 
 SCREENED_RUNS = {
@@ -1701,24 +1742,21 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
         monkeypatch, case):
     """Along adsgd runs that refine, every row's gap is at least its
     objective's distance to P*. Each screen is centred at the dual point that
-    gives its row's gap, with the safe radius of that gap, and its sphere
-    holds the dual optimum: ||u - u_o|| <= r + r_o, u_o being the oracle's
-    dual point. Some screens are centred at the refined dual point of a
-    stable model that the safe set does not yet match. The solve returns the
-    refined point, labelled "refined"."""
+    gives its row's gap. Its radius is the safe radius of min(P(x_hat),
+    P(x_r)) - D(centre) where the row has a refined point x_r of x_hat's
+    model, else of the row's gap; so it is at most the row gap's radius, and
+    some screens are strictly smaller. Each sphere holds the dual optimum:
+    ||u - u_o|| <= r + r_o, u_o being the oracle's dual point. Some screens
+    are centred at the refined dual point of a stable model that the safe
+    set does not yet match. The solve returns the refined point, labelled
+    "refined"."""
     spec = SCREENED_RUNS[case]()
     oracle = G.reference_solve(spec, tol=1e-12)
     r_o = G.safe_radius(spec, oracle.gap)
-    screens, screen = [], G.solvers.screen
-
-    def spied(spec, dp, r, active, bounds):
-        screens.append((dp, r))
-        return screen(spec, dp, r, active, bounds)
-
-    monkeypatch.setattr(G.solvers, "screen", spied)
     calls = _spy_refinements(monkeypatch)
+    screens = _spy_screens(monkeypatch, calls)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
-                                             eta=tuned_eta(spec)))
+                                             eta=tuned_eta(spec), keep_iterates=True))
     assert rep.converged and calls and rep.trace[-1].restart == "refined"
     # some screens used a refined centre before the model was identified
     assert any(r.refined_dual and not r.identified for r in rep.trace[:-1])
@@ -1726,10 +1764,15 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
         assert row.gap >= row.objective - oracle.objective - 1e-13
     u_o = _stacked(oracle.dual)
     assert len(screens) == rep.outer_iters
-    for row, (dp, r) in zip(rep.trace, screens):  # each screen follows its row
+    smaller = 0
+    # each screen follows its row
+    for k, (row, (dp, r, seen)) in enumerate(zip(rep.trace, screens)):
         assert row.gap == row.objective - G.duality._dual_value(spec, dp)
-        assert r == G.safe_radius(spec, row.gap)
+        assert r == G.safe_radius(spec, _screening_gap(spec, rep, k, dp, seen, calls))
+        assert r <= G.safe_radius(spec, row.gap)
+        smaller += r < G.safe_radius(spec, row.gap)
         assert np.linalg.norm(_stacked(dp) - u_o) <= r + r_o
+    assert smaller > 0
 
 
 def test_a_wide_sparse_lasso_stops_within_an_epoch_of_its_first_optimal_iterate():
@@ -1747,6 +1790,35 @@ def test_a_wide_sparse_lasso_stops_within_an_epoch_of_its_first_optimal_iterate(
         first = next(k for k, x in enumerate(rep.iterates)
                      if G.primal_objective(spec, x) - p_star <= 1e-6)
         assert rep.converged and rep.outer_iters <= first + 1
+
+
+def test_a_high_dimensional_lasso_certifies_through_its_refined_point():
+    """200 samples, 4000 features at 1% density, q = 400 blocks of 10. x_hat's
+    own gap stays far above gap_tol within max_outer = 100 here, since an
+    epoch of ceil(m |W| / q) steps is short once few blocks are at work. The
+    refined point of x_hat's model sizes each screen with its own objective,
+    so the safe set comes down to that model and the refined point
+    certifies itself within the cap, for every seed, with a gap that bounds
+    its suboptimality."""
+    spec = make_instance(seed=0, n=200, d=4000, sparsity=0.01, q=400, support=10)
+    p_star = G.reference_solve(spec, tol=1e-12).objective
+    eta = tuned_eta(spec)
+    for seed in range(3):
+        rep = G.adsgd_solve(spec, G.SolverConfig(seed=seed, eta=eta, max_outer=100))
+        assert rep.converged and rep.trace[-1].restart == "refined"
+        assert G.primal_objective(spec, rep.x_final) - p_star <= rep.gap <= 1e-6
+
+
+def test_identified_s_is_the_elapsed_time_of_the_first_identified_row():
+    """SolveReport.identified_s reads the trace like identified_at: the
+    elapsed_s of the first identified row, None where no row is."""
+    spec = SCREENED_RUNS["lasso"]()
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, eta=tuned_eta(spec)))
+    first = next(r for r in rep.trace if r.identified)
+    assert (rep.identified_at, rep.identified_s) == (first.outer_iter, first.elapsed_s)
+    assert 0.0 < rep.identified_s <= rep.wall_time
+    rep = G.mrbcd_solve(spec, G.SolverConfig(seed=2, eta=tuned_eta(spec), max_outer=3))
+    assert rep.identified_at is None and rep.identified_s is None
 
 
 def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
@@ -1783,30 +1855,32 @@ def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
 def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model():
     """An identified row whose refined point x_r certifies itself returns x_r
     only where the safe set holds exactly x_r's nonzero blocks. Here x_hat
-    keeps a coordinate in block 3, off the optimum's support, which the
-    refinement prunes. Row 4 is identified, and its x_r certifies itself, but
-    x_r's blocks [0, 1, 5, 6, 9] are not the safe set [0, 1, 3, 5, 6, 9]. So
-    the solve goes on until a screen drops block 3, and stops at row 8 on
-    x_r's own gap, which bounds its suboptimality."""
-    spec = make_instance(ratio=0.5, seed=206, n=150, d=250, sparsity=0.5, support=9)
-    rep = G.adsgd_solve(spec, G.SolverConfig(seed=206, eta=tuned_eta(spec), gap_tol=1e-6,
+    keeps a coordinate in block 8, off the optimum's support, which the
+    refinement prunes. Row 3 is identified, and its x_r certifies itself, but
+    x_r's blocks [1, 2, 3, 6, 7] are not the safe set [1, 2, 3, 6, 7, 8]. So
+    the solve goes on: row 3's screen, sized by x_r's objective, drops block
+    8, and the solve stops at row 5 on x_r's own gap, which bounds its
+    suboptimality."""
+    spec = make_instance(ratio=0.7, seed=241, n=150, d=250, sparsity=0.5, support=9)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=241, eta=tuned_eta(spec), gap_tol=1e-6,
                                              batch_size=10, keep_iterates=True))
 
     def blocks(x):
         return np.unique(spec.partition.block_of[np.flatnonzero(x)]).tolist()
 
-    row = rep.trace[4]
+    row = rep.trace[3]
     assert row.identified and row.refined_dual and row.restart != "refined"
-    assert rep.active_history[4].tolist() == blocks(rep.iterates[4]) == [0, 1, 3, 5, 6, 9]
-    x_r, _, _, own = G.solvers._refined_certificate(spec, rep.iterates[4])
-    assert own <= 1e-6 and blocks(x_r) == [0, 1, 5, 6, 9]
-    assert rep.converged and rep.outer_iters == 8 and rep.trace[-1].restart == "refined"
+    assert rep.active_history[3].tolist() == blocks(rep.iterates[3]) == [1, 2, 3, 6, 7, 8]
+    x_r, _, _, own = G.solvers._refined_certificate(spec, rep.iterates[3])
+    assert own <= 1e-6 and blocks(x_r) == [1, 2, 3, 6, 7]
+    assert rep.active_history[4].tolist() == [1, 2, 3, 6, 7]
+    assert rep.converged and rep.outer_iters == 5 and rep.trace[-1].restart == "refined"
     x = rep.x_final
     assert G.primal_objective(spec, x) - G.duality._dual_value(spec, rep.dual) \
         == rep.gap <= 1e-6
     assert G.primal_objective(spec, x) - G.reference_solve(spec, tol=1e-12).objective \
         <= rep.gap
-    assert rep.active_history[-1].tolist() == blocks(x) == [0, 1, 5, 6, 9]
+    assert rep.active_history[-1].tolist() == blocks(x) == [1, 2, 3, 6, 7]
 
 
 def _stacked(dp):
@@ -1862,9 +1936,9 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
                                        max_outer=300, eta=tuned_eta(spec),
                                        batch_size=batch, keep_iterates=True))
     assert rep.converged and calls
-    models = [m for _, m in calls]
+    models = [m for _, m, _ in calls]
     assert len(models) == len(set(models))
-    for x, model in calls:
+    for x, model, _ in calls:
         assert _within_refinement_cost(spec, _unknowns(spec, x))
         k = next((k for k, it in enumerate(rep.iterates) if np.array_equal(it, x)), None)
         if k is None:  # the last x_hat, whose refined point the solve returned
@@ -1910,7 +1984,7 @@ def test_a_model_past_the_refinement_cost_is_never_refined(monkeypatch, case):
     calls = _spy_refinements(monkeypatch)
     G.adsgd_solve(spec, cfg)
     assert calls and all(_within_refinement_cost(spec, _unknowns(spec, x))
-                         for x, _ in calls)
+                         for x, _, _ in calls)
     calls.clear()
     monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
     rep = G.adsgd_solve(spec, cfg)
