@@ -224,9 +224,11 @@ class ExperimentPlan:
 
 
 def _write_rows(path, fields, records):
-    """One column per field: a bool as 0/1, a string as it is, a number by its repr."""
+    """One column per field: a bool as 0/1, a string as it is, None as an
+    empty cell, a number by its repr."""
     def cell(f, v):
-        return int(v) if f.type is bool else v if f.type is str else repr(v)
+        return ("" if v is None else int(v) if f.type is bool else v if f.type is str
+                else repr(v))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([f.name for f in fields])
@@ -260,6 +262,10 @@ def read_trace_csv(path):
 
 @dataclasses.dataclass
 class RunSummary:
+    """One cell of a plan. identified_at and identified_s are the report's
+    first identified row (SolveReport.identified_at, identified_s): None and
+    NaN where no row is identified or the run raised."""
+
     solver: str
     lambda_ratio: float
     repetition: int
@@ -273,6 +279,8 @@ class RunSummary:
     coord_updates: int
     trace_path: str
     error: str = ""
+    identified_at: int = None
+    identified_s: float = math.nan
 
 
 def run_experiment(plan):
@@ -321,7 +329,10 @@ def run_experiment(plan):
                     outer_iters=report.outer_iters, wall_time=report.wall_time,
                     time_to_tol=report.wall_time if report.converged else float("nan"),
                     final_gap=report.gap, final_objective=report.objective,
-                    coord_updates=report.coord_updates, trace_path=path))
+                    coord_updates=report.coord_updates, trace_path=path,
+                    identified_at=report.identified_at,
+                    identified_s=(math.nan if report.identified_s is None
+                                  else report.identified_s)))
     _write_rows(os.path.join(plan.out_dir, "summary.csv"), dataclasses.fields(RunSummary),
                 summaries)
     if plan.plot:

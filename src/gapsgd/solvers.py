@@ -37,14 +37,17 @@ formed again only when screening truncates the snapshot.
 
 The iterate's own dual point is wrong to first order, so its gap tracks
 about the square root of the suboptimality. A screening solve therefore
-certifies with a refined dual point (_certify): once x_hat has the previous
-iterate's model (its signs for L1, its nonzero pattern for group-L2;
-_model), of k <= n unknowns with n k^2 at most _REFINE_COST times the
+certifies with a refined dual point (_certify): on the first row that holds
+x_hat's model (its signs for L1, its nonzero pattern for group-L2; _model),
+of k unknowns, 0 < k <= n, with n k^2 at most _REFINE_COST times the
 design's stored entries, _refine_support solves the smooth stationarity
 system on that model, in at most _REFINE_STEPS Newton steps whose residual
-must reach _REFINE_TOL * lam, once while the model holds (later iterates of
-it reuse the result). A Lasso model's system is linear, so its first step
-solves it. Where the solution flips the sign of an L1 coordinate, the
+must reach _REFINE_TOL * lam. Later rows of the model reuse the result, but
+a refinement that found no point is tried again once the row's gap falls
+below a tenth of the gap it was tried at, since Newton steps from an early
+iterate can fail where those from a closer iterate of the same model
+converge. A Lasso model's system is linear, so its first
+step solves it. Where the solution flips the sign of an L1 coordinate, the
 refinement drops every flipped coordinate from the model and solves again on
 the smaller support, within the same step budget, until the signs agree (the
 active-set move of feature-sign search: Lee, Battle, Raina & Ng, NeurIPS
@@ -61,17 +64,23 @@ point holds the dual optimum for the gap of any primal point, since P(x) >=
 P* = D(theta*) (Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017). So on a row
 with a refinement the screen takes min(P(x_hat), P(x_r)) - D(centre), the
 best primal value the row evaluated: once x_r is optimal the radius falls to
-rounding while x_hat's own gap is still far from gap_tol. Only the stop
-waits for identification: a refined gap ends the solve once the safe set
-also holds exactly the blocks where x_hat is nonzero. On such a row x_r's
-own gap P(x_r) - D(theta_r) ends it as soon as that gap reaches gap_tol and
-the safe set holds exactly x_r's nonzero blocks too, and the solve returns
-x_r, without waiting for x_hat to reach gap_tol itself; on any other
-identified row P(x_hat) - D(theta_r) must reach it, and the solve returns
-x_hat. The condition on x_r's blocks keeps the stop behind the screen: where
-x_r prunes a coordinate that x_hat keeps in a block off the optimum's
-support, the solve goes on until a screen drops that block. report.dual is
-the certifying dual point, so P(x_final) - D(report.dual) is report.gap.
+rounding while x_hat's own gap is still far from gap_tol.
+
+One rule (_settles) decides when a solve returns x_r instead of x_hat: x_r
+is the refinement of the row's model, its own gap P(x_r) - D(theta_r) is at
+most gap_tol, and the safe set holds exactly x_r's nonzero blocks, as Celer
+takes the working set's solution for its certificate (Massias, Gramfort &
+Salmon, ICML 2018). It is tested on the row's safe set, where the row then
+returns x_r, and on the safe set the row's screen leaves, before x_hat is
+zeroed on the dropped blocks and before any design is cut, where x_r is
+then the next row, with no epoch in between. The condition on x_r's blocks
+keeps the stop behind the screen: where x_r prunes a coordinate that x_hat
+keeps in a block off the optimum's support, the solve goes on until a screen
+drops that block, usually the one x_r itself sizes. A refined gap P(x_hat) -
+D(theta_r) ends the solve, returning x_hat, only on an identified row, where
+x_hat's model is the previous iterate's and the safe set holds exactly its
+nonzero blocks. report.dual is the certifying dual point, so P(x_final) -
+D(report.dual) is report.gap.
 
 Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
@@ -194,25 +203,29 @@ class TraceRecord:
     """One row per evaluated iterate, the last row being the one a solve stops at.
 
     objective and gap are P(x) and the full-problem duality gap at the row's
-    iterate: the dual point is scaled over all q blocks, so the gap bounds
+    point: the dual point is scaled over all q blocks, so the gap bounds
     the suboptimality whatever screening dropped. The other fields describe
     the epoch that produced the iterate: active_blocks and active_features
     count the safe set it ran within, radius is the safe radius of the screen
     that preceded it (inf where none ran): that of the previous row's gap, or
     of min(P(x_hat), P(x_r)) - D(centre) where the previous row had a refined
     point x_r of its model. working_blocks counts the blocks its steps
-    updated, 0 on the starting row. restart names the iterate: "start" on
-    the starting row, then "average" or "last", the epoch's average or its
-    last inner iterate, whichever had the smaller gap, or "refined" where a
-    screening solve returns the refined point of the last row's identified
-    model, and the gap is that point's own. refined_dual is
-    True where the gap comes from the dual point of x_hat's support
-    refinement rather than x_hat's own, and identified where a screening
-    solve has identified x_hat's model: it is the previous iterate's and the
-    safe set holds exactly its nonzero blocks. A refined gap stops a solve
-    only on an identified row. The reference solver's rows after the first
-    are "last", but for a stop row that returns the point of its support
-    refinement, which is "refined".
+    updated, 0 on the starting row. restart names the point: "start" on the
+    starting row, then "average" or "last", the epoch's average or its last
+    inner iterate, whichever had the smaller gap, or "refined" where a
+    screening solve returns the refined point x_r of an iterate's model, and
+    the gap is that point's own. A "refined" row returns x_r in place of its
+    own iterate, or, as the last row, straight after the screen of the
+    previous row left exactly x_r's blocks: that row ran no epoch, so its
+    working_blocks is 0, and its safe set and radius are that screen's.
+    refined_dual is True where the gap comes from the dual point of a
+    support refinement rather than x_hat's own, and identified where a
+    screening solve has identified the row's model: on a row that keeps
+    x_hat, its model is the previous iterate's and the safe set holds
+    exactly its nonzero blocks; every "refined" row of a screening solve is
+    identified. A refined gap stops a solve only on an identified row. The
+    reference solver's rows after the first are "last", but for a stop row
+    that returns the point of its support refinement, which is "refined".
     """
 
     outer_iter: int
@@ -233,8 +246,10 @@ class SolveReport:
     """Result of one solver run. dual is the dual point of the last trace row's
     gap, so P(x_final) - D(dual) is gap. x_final is the last row's point: the
     refined point where that row's restart is "refined", else the last
-    iterate. wall_time, like each row's elapsed_s, counts from the call into
-    the solver, so it holds the solve's set-up."""
+    iterate. outer_iters is the last row's outer_iter; a screening solve that
+    returns its refined point straight after a screen ran one epoch fewer.
+    wall_time, like each row's elapsed_s, counts from the call into the
+    solver, so it holds the solve's set-up."""
 
     x_final: np.ndarray
     trace: list
@@ -644,42 +659,55 @@ def _refined_certificate(spec, x):
     return x_r, obj, dp, gap
 
 
+def _settles(spec, slot, model, active, gap_tol):
+    """Whether a screening solve returns the refined point x_r of model: the
+    one rule for it, on a row's safe set and on the safe set its screen
+    leaves. It does where slot holds model's refinement, x_r's own gap is at
+    most gap_tol and active holds exactly x_r's nonzero blocks."""
+    ref = slot[1]
+    return (slot[0] == model.tobytes() and ref is not None and ref[3] <= gap_tol
+            and np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(ref[0])]),
+                               active.blocks))
+
+
 def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
     """The refinement gate of a screening solve's row (module docstring).
 
     x_hat's evaluation on the full problem gives obj, dp and gap; prev is the
-    previous iterate's model and slot the last refinement, keyed by its
-    model's bytes. Returns (cert, gap, sgap, refined, identified, kept,
+    previous iterate's model and slot the last refinement, (its model's
+    bytes, its result, the row gap it was tried at). A nonzero model within
+    the cost bound is refined on the first row that holds it, and again, if
+    that found no point, once the row's gap falls below a tenth of the gap of
+    the failed try. Returns (cert, gap, sgap, refined, identified, kept,
     model, slot): the row's certifying dual point and gap, the screening
-    gap, whether cert and gap are a refinement's, whether the model is
+    gap, whether cert and gap are a refinement's, whether the row is
     identified, (x_r, P(x_r)) where the row returns the refined point (else
-    None), x_hat's model and the slot. The row returns x_r where the model
-    is identified, x_r's own gap is at most gap_tol and the safe set holds
-    exactly x_r's nonzero blocks; it then certifies with theta_r and that
-    gap. Otherwise theta_r certifies x_hat wherever P(x_hat) - D(theta_r) is
-    below x_hat's own gap, so cert is whichever of theta_hat and theta_r has
-    the larger dual value. Where x_hat's model has a refinement, sgap is
-    min(P(x_hat), P(x_r)) - D(cert): the Gap Safe sphere holds for any
-    primal point, so the screen takes the best one the row evaluated.
-    Elsewhere sgap is the row's gap.
+    None), x_hat's model and the slot. The row returns x_r where _settles on
+    the row's safe set; it then certifies with theta_r and x_r's own gap,
+    and is identified. Otherwise theta_r certifies x_hat wherever P(x_hat) -
+    D(theta_r) is below x_hat's own gap, so cert is whichever of theta_hat
+    and theta_r has the larger dual value, and the row is identified where
+    x_hat's model is prev and the safe set holds exactly its nonzero blocks.
+    Where x_hat's model has a refinement, sgap is min(P(x_hat), P(x_r)) -
+    D(cert): the Gap Safe sphere holds for any primal point, so the screen
+    takes the best one the row evaluated. Elsewhere sgap is the row's gap.
     """
     part, n, nnz = spec.partition, spec.dataset.n, spec.dataset.A.nnz
     model = _model(spec, x_hat)
-    stable = prev is not None and np.array_equal(model, prev)
     blocks = np.unique(part.block_of[np.flatnonzero(x_hat)])
-    identified = stable and np.array_equal(blocks, active.blocks)
+    identified = (prev is not None and np.array_equal(model, prev)
+                  and np.array_equal(blocks, active.blocks))
     unknowns = (np.count_nonzero(x_hat) if spec.reg.name == "l1"
                 else int(part.sizes[blocks].sum()))
     cert, sgap, refined, kept = dp, gap, False, None
-    if (stable and gap > gap_tol and unknowns <= n
+    if (gap > gap_tol and 0 < unknowns <= n
             and n * unknowns * unknowns <= _REFINE_COST * nnz):
         key = model.tobytes()
-        if slot[0] != key:
-            slot = key, _refined_certificate(spec, x_hat)
+        if slot[0] != key or (slot[1] is None and gap < 0.1 * slot[2]):
+            slot = key, _refined_certificate(spec, x_hat), gap
         ref = slot[1]
-        if (ref is not None and identified and ref[3] <= gap_tol and np.array_equal(
-                np.unique(part.block_of[np.flatnonzero(ref[0])]), active.blocks)):
-            cert, gap, refined, kept = ref[2], ref[3], True, ref[:2]  # x_r certifies itself
+        if _settles(spec, slot, model, active, gap_tol):  # x_r certifies itself
+            cert, gap, refined, identified, kept = ref[2], ref[3], True, True, ref[:2]
         elif ref is not None and obj - ref[2].value < gap:
             cert, gap, refined = ref[2], obj - ref[2].value, True
         if ref is not None:
@@ -742,22 +770,17 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
     return (*_restart(spec, wfeat, x_sum, x_cur), updates)
 
 
-def _screen_step(spec, cert, gap, active, bounds, x_hat, snap):
-    """(radius, safe set, snap) after the Gap Safe screen of active by the
-    sphere of gap around cert, gap being P(x) - D(cert) for any primal point
-    x (_certify's sgap); active itself where no block drops. Where
-    zeroing x_hat in place on the dropped blocks moves it, snap (as in
-    _epoch) is formed again, to keep the variance correction unbiased."""
-    radius = safe_radius(spec, gap)
-    kept = screen(spec, cert, radius, active, bounds)
-    if kept.n_blocks < active.n_blocks:
-        dropped = np.setdiff1d(active.features, kept.features, assume_unique=True)
-        active = kept
+def _zero_dropped(spec, active, safe, x_hat, snap):
+    """snap after the screen that left safe of active: where zeroing x_hat in
+    place on the dropped blocks moves it, snap (as in _epoch) is formed again,
+    to keep the variance correction unbiased."""
+    if safe.n_blocks < active.n_blocks:
+        dropped = np.setdiff1d(active.features, safe.features, assume_unique=True)
         if np.any(x_hat[dropped] != 0.0):
             x_hat[dropped] = 0.0
             g_snap = spec.loss.deriv(spec.dataset.A @ x_hat, spec.dataset.y)
             snap = g_snap, smooth_gradient(spec, x_hat, g_snap)
-    return radius, active, snap
+    return snap
 
 
 # A diverging solve overflows in its steps and evaluations; the non-finite
@@ -781,23 +804,11 @@ def _engine(spec, config, *, block_sampling, screening):
     iterates = [] if config.keep_iterates else None
     coord_updates, converged, k = 0, False, 0
     radius, width = math.inf, 0
-    model, slot = None, (None, None)  # the last iterate's model; the last refinement's
+    model, slot = None, (None, None, None)  # the last iterate's model; the last refinement
     evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "start"
 
-    while True:
-        obj, g_snap, dp, gap = evaluation
-        cert, sgap, refined, identified = dp, gap, False, False
-        snap = g_snap, dp.gradient
-        if screens and np.isfinite(obj):
-            # A refinement's dual point certifies x_hat, centres the screen and
-            # scores the working set wherever its gap is smaller; the snapshot
-            # keeps x_hat's own derivatives and gradient. A refined point that
-            # certifies itself on the identified model is the row's instead.
-            # The screen takes the smaller of P(x_hat) and P(x_r) against cert.
-            cert, gap, sgap, refined, identified, kept, model, slot = _certify(
-                spec, active, x_hat, obj, dp, gap, config.gap_tol, model, slot)
-            if kept is not None:
-                (x_hat, obj), restart = kept, "refined"
+    def record(obj, gap, refined, identified):
+        """Append row k, of x_hat on the safe set active."""
         trace.append(TraceRecord(outer_iter=k, elapsed_s=time.perf_counter() - start,
                                  objective=obj, gap=float(gap),
                                  active_blocks=active.n_blocks,
@@ -807,10 +818,26 @@ def _engine(spec, config, *, block_sampling, screening):
         active_history.append(active.blocks.copy())
         if iterates is not None:
             iterates.append(x_hat.copy())
+
+    while True:
+        obj, g_snap, dp, gap = evaluation
+        cert, sgap, refined, identified = dp, gap, False, False
+        snap = g_snap, dp.gradient
+        if screens and np.isfinite(obj):
+            # A refinement's dual point certifies x_hat, centres the screen and
+            # scores the working set wherever its gap is smaller; the snapshot
+            # keeps x_hat's own derivatives and gradient. A refined point that
+            # certifies itself on the safe set is the row's instead.
+            # The screen takes the smaller of P(x_hat) and P(x_r) against cert.
+            cert, gap, sgap, refined, identified, kept, model, slot = _certify(
+                spec, active, x_hat, obj, dp, gap, config.gap_tol, model, slot)
+            if kept is not None:
+                (x_hat, obj), restart = kept, "refined"
+        record(obj, gap, refined, identified)
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at outer iteration {k}",
                                   iteration=k)
-        # a refined gap stops the solve only on the identified model
+        # a refined gap stops the solve only on an identified row
         if gap <= config.gap_tol and (identified or not refined):
             converged = True
             break
@@ -820,8 +847,16 @@ def _engine(spec, config, *, block_sampling, screening):
 
         radius = math.inf
         if screens and (k - 1) % config.screen_every == 0:
-            radius, active, snap = _screen_step(spec, cert, sgap, active, bounds, x_hat,
-                                                snap)
+            radius = safe_radius(spec, sgap)
+            safe = screen(spec, cert, radius, active, bounds)
+            if _settles(spec, slot, model, safe, config.gap_tol):
+                # the screen left exactly x_r's blocks: x_r is the next row, with
+                # no epoch in between
+                (x_hat, obj, cert, gap), active = slot[1], safe
+                width, restart, converged = 0, "refined", True
+                record(obj, gap, True, True)
+                break
+            snap, active = _zero_dropped(spec, active, safe, x_hat, snap), safe
         width = 0
         if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it
             evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "average"
@@ -929,16 +964,18 @@ _REFINE_TOL = 1e-9
 
 # Newton steps of a refinement, over all its rounds; evaluating the residual
 # of the point a step reached is not a step. Along adsgd runs on the
-# benchmark workloads (solver seeds 0-7 at the benchmark's settings), every
-# refinement that reached _REFINE_TOL took at most 4 steps. On the Lasso
-# workloads a model's system is linear: at most 3 steps in at most 2 rounds,
-# a pruning round in 1 of 9 refinements on lasso-sparse and 5 of 7 on
-# lasso-tall. Group-L2 never prunes: 4 steps on logistic-group. From the
-# tests' REFINE_CASES, 5% off the optimum: 1 step on the Lasso, 3 on logistic
-# L1, 3 or 4 on group-L2. Pruning three coordinates of about 1e-9 off the
-# optimum takes 3 steps in 2 rounds on the Lasso case and 9 in 2 rounds on
-# the logistic L1 case. One on a wrong model may run to the cap, so a lower
-# cap bounds what a failed refinement costs.
+# benchmark workloads (solver seeds 0-7 at the benchmark's settings), which
+# refine each model on the first row that holds it, every refinement reached
+# _REFINE_TOL, in at most 5 steps: 4.0, 1.0 and 2.0 refinements per solve on
+# lasso-sparse, lasso-tall and logistic-group. On the Lasso workloads a
+# model's system is linear: at most 4 steps, with a pruning round in 23 of 32
+# refinements on lasso-sparse and 7 of 8 on lasso-tall. Group-L2 never
+# prunes: 5 steps on logistic-group. From the tests' REFINE_CASES, 5% off the
+# optimum: 1 step on the Lasso, 3 on logistic L1, 3 or 4 on group-L2. Pruning
+# three coordinates of about 1e-9 off the optimum takes 3 steps in 2 rounds
+# on the Lasso case and 9 in 2 rounds on the logistic L1 case. One on a wrong
+# model may run to the cap, so a lower cap bounds what a failed refinement
+# costs.
 _REFINE_STEPS = 10
 
 # A screening solve refines a model of k unknowns only where n * k^2, the
@@ -952,10 +989,10 @@ _REFINE_STEPS = 10
 # epoch costs 7 to 38 of them on the benchmark workloads (median epoch over
 # one evaluation: 1.20 / 0.171 ms on logistic-group, 6.00 / 0.160 ms on
 # lasso-tall, 6.27 / 0.341 ms on lasso-sparse). A refinement that converges,
-# in at most 4 steps (a Lasso model's in at most 3, pruning included), so
+# in at most 5 steps (a Lasso model's in at most 4, pruning included), so
 # costs about an epoch or less, and one on a wrong model at most
-# _REFINE_STEPS steps. The benchmark's refinements lie at 9
-# (logistic-group), 0.6 (lasso-tall) and 0.5 (lasso-sparse).
+# _REFINE_STEPS steps. The benchmark's refinements lie at 4-9
+# (logistic-group), 0.1-1.6 (lasso-tall) and 0.04-10 (lasso-sparse).
 _REFINE_COST = 100.0
 
 

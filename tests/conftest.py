@@ -30,3 +30,14 @@ def tuned_eta(spec, factor=4.0):
 @pytest.fixture
 def lasso_spec():
     return make_instance(seed=5)
+
+
+def epoch_rows(report):
+    """The trace rows after the first that an epoch produced: every one but a
+    last row that returns the refined point straight after the screen that
+    left exactly its blocks, which ran no epoch and counts no working
+    blocks."""
+    rows = report.trace[1:]
+    if rows and rows[-1].restart == "refined" and rows[-1].working_blocks == 0:
+        rows = rows[:-1]
+    return rows

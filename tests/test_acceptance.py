@@ -152,24 +152,13 @@ def test_criterion_03_linear_convergence(capsys, monkeypatch):
     """log suboptimality versus outer iteration: slope < -0.05 with R^2 > 0.9.
 
     The rate is x_hat's, so the solves run on until x_hat itself certifies:
-    where _certify would return the refined point, a spy keeps x_hat and
-    certifies it with P(x_hat) - D(theta_r) where that gap is smaller than
-    x_hat's own, and screens with min(P(x_hat), P(x_r)) - D(cert), as every
-    other refined row does.
+    a spy makes _settles, the one rule by which a solve returns its refined
+    point, always refuse, on a row's safe set and on the one its screen
+    leaves. A row then certifies x_hat with P(x_hat) - D(theta_r) where that
+    gap is smaller than x_hat's own and screens with min(P(x_hat), P(x_r)) -
+    D(cert), as every other refined row does.
     """
-    certify = G.solvers._certify
-
-    def keep_x_hat(spec, active, x_hat, obj, dp, gap, *rest):
-        cert, gap_c, sgap, refined, identified, kept, model, slot = certify(
-            spec, active, x_hat, obj, dp, gap, *rest)
-        if kept is not None:
-            _, obj_r, dual, _ = slot[1]
-            cert, gap_c, refined, kept = ((dual, obj - dual.value, True, None)
-                                          if obj - dual.value < gap else (dp, gap, False, None))
-            sgap = min(obj, obj_r) - cert.value
-        return cert, gap_c, sgap, refined, identified, kept, model, slot
-
-    monkeypatch.setattr(G.solvers, "_certify", keep_x_hat)
+    monkeypatch.setattr(G.solvers, "_settles", lambda *args: False)
     shapes = ([dict(seed=300 + i, model="lasso", mu_p=0.0) for i in range(12)]
               + [dict(seed=330 + i, model="logistic", mu_p=1e-3) for i in range(8)])
     results = []

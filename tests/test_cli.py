@@ -47,11 +47,12 @@ def test_solve_command_writes_trace(tmp_path, capsys):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solve_command_on_a_sparse_design_certifies_with_the_defaults(seed, capsys):
     """Sampled blocks that hold no entry of the batch once crashed the step.
-    With the default step, x_hat stays far from gap_tol, but each seed
-    identifies its model, and the screen sized by the refined point's
-    objective brings the safe set down to it, so the refined point certifies
-    itself at outer iteration 6, 5 or 3 and the solve exits 0."""
-    iters = {0: 6, 1: 5, 2: 3}[seed]
+    With the default step, x_hat stays far from gap_tol, but its model is
+    refined on the row that first holds it, and the screen sized by the
+    refined point's objective brings the safe set down to it, so the refined
+    point certifies itself at outer iteration 3, 3 or 2 and the solve exits
+    0."""
+    iters = {0: 3, 1: 3, 2: 2}[seed]
     assert main(["solve", "--synthetic", "200,300,0.02,0.01", "--seed", str(seed)]) == 0
     assert f"converged=True outer_iters={iters} " in capsys.readouterr().out
 
@@ -64,9 +65,9 @@ def test_solve_command_prints_when_the_model_was_identified(capsys):
     assert main(args) == 0
     fields = dict(f.split("=") for f in capsys.readouterr().out.split()
                   if f.count("=") == 1)
-    assert fields["outer_iters"] == fields["identified_at"] == "3"
+    assert fields["outer_iters"] == fields["identified_at"] == "2"
     assert 0.0 <= float(fields["identified_s"]) <= float(fields["wall_time"].rstrip("s"))
-    for more in (["--max-outer", "2"], ["--solver", "mrbcd", "--max-outer", "2"]):
+    for more in (["--max-outer", "1"], ["--solver", "mrbcd", "--max-outer", "2"]):
         assert main(args + more) == 4
         out = capsys.readouterr().out
         assert "identified_at=None " in out and "identified_s=None " in out
@@ -269,11 +270,11 @@ def test_usage_error_exits_2():
 def test_out_dir_env_override(tmp_path, capsys, monkeypatch):
     """Both a certified solve and one that stops at max_outer without a
     certificate (exit 4) write their trace into the redirected directory. The
-    adsgd solve ends at its cap of 2 outer iterations, short of the 3 after
+    adsgd solve ends at its cap of 1 outer iteration, short of the 2 after
     which the refined point of its identified model certifies itself."""
     monkeypatch.setenv("GAPSGD_OUT_DIR", str(tmp_path / "redirected"))
     code = main(["solve", "--synthetic", "40,30,0.5,0.05", "--gap-tol", "1e-3",
-                 "--max-outer", "2", "--seed", "4", "--out", "t.csv"])
+                 "--max-outer", "1", "--seed", "4", "--out", "t.csv"])
     assert code == 4
     assert os.path.exists(tmp_path / "redirected" / "t.csv")
     code = main(["solve", "--synthetic", "40,30,0.5,0.05", "--solver", "reference",

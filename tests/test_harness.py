@@ -206,7 +206,8 @@ def test_run_experiment_writes_round_trippable_traces(tmp_path):
 def test_summary_csv_holds_each_run_as_written(tmp_path):
     """summary.csv has one column per RunSummary field, floats written by
     repr, converged as 0/1 and an empty error on a run that did not raise;
-    a run that raised has NaN times and its message."""
+    a run that raised has NaN times and its message, and no identified
+    row: an empty identified_at and a NaN identified_s."""
     eta = small_plan(tmp_path).solvers[0].eta
     plan = small_plan(tmp_path, reps=1, ratios=(0.5,), solvers=(
         G.SolverConfig(solver="adsgd", eta=eta, gap_tol=1e-5, max_outer=120, seed=100),
@@ -216,14 +217,39 @@ def test_summary_csv_holds_each_run_as_written(tmp_path):
         header, *rows = list(csv.reader(fh))
     assert header == ["solver", "lambda_ratio", "repetition", "seed", "converged",
                       "outer_iters", "wall_time", "time_to_tol", "final_gap",
-                      "final_objective", "coord_updates", "trace_path", "error"]
+                      "final_objective", "coord_updates", "trace_path", "error",
+                      "identified_at", "identified_s"]
     assert ok.converged and ok.error == ""
     assert rows[0] == ["adsgd", "0.5", "0", "100", "1", str(ok.outer_iters),
                        repr(ok.wall_time), repr(ok.wall_time), repr(ok.final_gap),
-                       repr(ok.final_objective), str(ok.coord_updates), ok.trace_path, ""]
+                       repr(ok.final_objective), str(ok.coord_updates), ok.trace_path, "",
+                       str(ok.identified_at), repr(ok.identified_s)]
     assert rows[1] == ["adsgd", "0.5", "0", "100", "0", "0", "nan", "nan", "nan", "nan",
-                       "0", "", failed.error]
+                       "0", "", failed.error, "", "nan"]
     assert "non-finite" in failed.error
+
+
+def test_summary_csv_reads_back_when_each_run_identified_its_model(tmp_path):
+    """identified_at and identified_s of a run_experiment grid read back from
+    summary.csv as each report gave them: the outer_iter and elapsed_s of
+    its trace's first identified row, read back from the run's trace CSV.
+    mrbcd never screens, so its cells are empty and NaN."""
+    plan = small_plan(tmp_path, reps=2, ratios=(0.5, 0.25))
+    summaries = run_experiment(plan)
+    with open(os.path.join(plan.out_dir, "summary.csv"), newline="",
+              encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(summaries) == 8
+    for s, row in zip(summaries, rows):
+        first = next((r for r in read_trace_csv(s.trace_path) if r.identified), None)
+        if s.solver == "mrbcd":
+            assert first is None and s.identified_at is None
+            assert row["identified_at"] == "" and row["identified_s"] == "nan"
+            continue
+        assert s.converged and first is not None
+        assert (s.identified_at, s.identified_s) == (first.outer_iter, first.elapsed_s)
+        assert int(row["identified_at"]) == s.identified_at <= s.outer_iters
+        assert float(row["identified_s"]) == s.identified_s <= s.wall_time
 
 
 def test_run_experiment_rerun_identical_up_to_timing(tmp_path):

@@ -13,7 +13,7 @@ from gapsgd.solvers import (_CHUNK_ENTRIES, _compact, _one_pass_bound, _plan,
                             _plan_dense, _power_sigma, _resolve, _spectral_bound,
                             dense_step_gradient, inner_budget, step_gradient)
 
-from conftest import hand_lasso, make_instance, tuned_eta
+from conftest import epoch_rows, hand_lasso, make_instance, tuned_eta
 
 # _RHO = inf keeps every working design sparse, _RHO = 0 makes each one dense
 STORAGES = (math.inf, 0.0)
@@ -812,14 +812,15 @@ def _record_working_sets(monkeypatch):
 def test_working_set_holds_every_block_where_x_hat_is_nonzero(monkeypatch, full_batch):
     """Each epoch runs on safe blocks only, on every block where x_hat is
     nonzero, those of low correlation included, and updates nothing else:
-    the next iterate is zero off it."""
-    spec = make_instance(seed=41, n=100, d=200, q=10, ratio=0.2)
+    the next iterate is zero off it. The working set is chosen once per
+    epoch, so not for a last refined row that ran none."""
+    spec = make_instance(seed=47, n=100, d=200, q=10, ratio=0.2)
     calls = _record_working_sets(monkeypatch)
     batch = spec.dataset.n if full_batch else None
     rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=0, gap_tol=1e-6,
                                        max_outer=200, eta=tuned_eta(spec),
                                        batch_size=batch, keep_iterates=True))
-    assert rep.converged and len(calls) == rep.outer_iters
+    assert rep.converged and len(calls) == len(epoch_rows(rep))
     block_of, low = spec.partition.block_of, 0
     for k, (x_hat, safe, wb, corr) in enumerate(calls):
         nonzero = np.unique(block_of[np.flatnonzero(x_hat)])
@@ -917,9 +918,10 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
     is the candidate with the smaller gap; a tie keeps the average, and a nan
     gap, injected on either candidate, never wins. The row's gap is that
     evaluation's, or the smaller one a refined dual point gives the same
-    candidate. An identified row whose refined point certifies itself, on
-    a safe set of exactly that point's nonzero blocks, returns the refined
-    point with its own gap instead. Only the screening
+    candidate. A row whose refined point certifies itself, on a safe set
+    of exactly that point's nonzero blocks, returns the refined point with
+    its own gap instead, and so does a last row, without an epoch, where
+    the screen after the previous row leaves such a safe set. Only the screening
     solvers refine, and a refinement may find no point. batch_size 30 is the
     full batch."""
     spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
@@ -955,8 +957,9 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
                                        batch_size=batch_size, gap_tol=1e-12,
                                        eta=tuned_eta(spec), keep_iterates=True))
     assert rep.outer_iters == 6 or rep.trace[-1].restart == "refined"
-    assert all(r.working_blocks for r in rep.trace[1:])
-    assert len(calls) == 1 + 2 * rep.outer_iters
+    rows = epoch_rows(rep)
+    assert all(r.working_blocks for r in rows)
+    assert len(calls) == 1 + 2 * len(rows)
     assert rep.trace[0].restart == "start" and rep.trace[0].gap == calls[0][2]
     if solver in ("mrbcd", "proxsvrg"):
         assert certs == []
@@ -967,7 +970,7 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         assert any(c is not None for c in certs)
     dual_values = [c[2].value for c in found]
     labels = []
-    for k, row in enumerate(rep.trace[1:]):
+    for k, row in enumerate(rows):
         (x_avg, obj_avg, gap_avg), (x_last, obj_last, gap_last) = calls[2 * k + 1:2 * k + 3]
         chosen = "last" if np.isfinite(gap_last) and not gap_avg <= gap_last else "average"
         x, obj, gap = {"average": (x_avg, obj_avg, gap_avg),
@@ -986,6 +989,13 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
             assert row.refined_dual and row.identified
             assert rep.converged and k + 1 == rep.outer_iters
         labels.append(chosen)
+    if len(rows) < rep.outer_iters:  # the refined point of the last epoch's iterate
+        last = rep.trace[-1]
+        ref = next(c for c in found if np.array_equal(c[0], rep.x_final))
+        assert ref[3] <= 1e-12 and last.gap == ref[1] - ref[2].value == ref[3]
+        assert np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(ref[0])]),
+                              rep.active_history[-1])
+        assert last.refined_dual and last.identified and rep.converged
     assert np.array_equal(rep.x_final, rep.iterates[-1])
     if inject == "nan-average":
         assert set(labels) == {"last"}
@@ -998,7 +1008,8 @@ def test_trace_records_the_screening_radius_and_the_working_set(monkeypatch):
     ran (every other outer iteration here), and inf elsewhere: safe_radius of
     min(P(x_hat), P(x_r)) - D(centre) where the previous row has a refined
     point x_r of its model, else of the previous row's gap. Its working
-    blocks lie within its safe blocks, and the starting row has none."""
+    blocks lie within its safe blocks, and the starting row has none, nor
+    has a last row that returns the refined point its screen settled."""
     spec = make_instance(seed=7, n=60, d=90)
     calls = _spy_refinements(monkeypatch)
     screens = _spy_screens(monkeypatch, calls)
@@ -1016,15 +1027,20 @@ def test_trace_records_the_screening_radius_and_the_working_set(monkeypatch):
             assert r <= G.safe_radius(spec, prev.gap)
         else:
             assert row.radius == math.inf
-        assert 0 < row.working_blocks <= row.active_blocks
+        if k < len(epoch_rows(rep)):
+            assert 0 < row.working_blocks <= row.active_blocks
+        else:
+            assert row.working_blocks == 0 and row.restart == "refined"
     assert any(r.working_blocks < r.active_blocks for r in rep.trace[1:])
 
 
 def test_not_converged_run_is_flagged():
+    """A solve cut off by max_outer = 2 ends uncertified; with a cap of 3 it
+    would return its refined point at outer iteration 3."""
     spec = make_instance(seed=8, n=60, d=90)
-    rep = G.adsgd_solve(spec, G.SolverConfig(seed=8, gap_tol=1e-12, max_outer=3))
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=8, gap_tol=1e-12, max_outer=2))
     assert not rep.converged and rep.trace[-1].gap > 1e-12
-    assert rep.outer_iters == 3
+    assert rep.outer_iters == 2
 
 
 def test_adsgd_returns_zero_above_lambda_max():
@@ -1371,10 +1387,10 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
     refinement that finds a point; mrbcd does neither. An evaluation starts
     the solve and each epoch evaluates two candidates.
     At this step size, epoch length and batch a screen drops a block where
-    x_hat is nonzero."""
-    spec = make_instance(seed=4, n=60, d=80, q=10)
-    cfg = G.SolverConfig(seed=4, gap_tol=1e-6, max_outer=60, m=60, batch_size=1,
-                         eta=tuned_eta(spec, 1.0))
+    x_hat is nonzero before the solve stops."""
+    spec = make_instance(seed=43, n=60, d=80, q=10)
+    cfg = G.SolverConfig(seed=43, gap_tol=1e-6, max_outer=60, m=60, batch_size=1,
+                         eta=tuned_eta(spec, 2.0))
     counts = {"products": 0, "refreshes": 0}
     rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
 
@@ -1400,8 +1416,9 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
     assert rep.converged and rep.active_history[-1].size < spec.partition.q
     drops = sum(b.size < a.size for a, b in zip(rep.active_history, rep.active_history[1:]))
     assert 0 < counts["refreshes"] <= drops and counts["refinements"] > 0
-    assert all(r.working_blocks > 0 for r in rep.trace[1:])  # every row ran an epoch
-    assert counts["products"] == (1 + 2 * rep.outer_iters + counts["refreshes"]
+    epochs = len(epoch_rows(rep))
+    assert all(r.working_blocks > 0 for r in epoch_rows(rep))
+    assert counts["products"] == (1 + 2 * epochs + counts["refreshes"]
                                   + counts["refinements"])
     counts.update(products=0, refreshes=0, refinements=0)
     rep = G.mrbcd_solve(spec, dataclasses.replace(cfg, solver="mrbcd"))
@@ -1717,14 +1734,13 @@ def _spy_screens(monkeypatch, calls):
 def _screening_gap(spec, rep, k, dp, seen, calls):
     """min(P(x_hat), P(x_r)) - D(dp) for row k of a solve kept with its
     iterates, x_r being the refined point of x_hat's model where row k has
-    one: x_hat's model is row k - 1's, and the last of the first `seen`
-    refinements in calls was of that model and found a point. Else row k's
-    own P(x_hat) - D(dp)."""
+    one: the last of the first `seen` refinements in calls was of row k's
+    model and found a point. Else row k's own P(x_hat) - D(dp)."""
     obj = rep.trace[k].objective
-    if k and seen:
-        prev, model = (G.solvers._model(spec, x).tobytes() for x in rep.iterates[k - 1:k + 1])
+    if seen:
+        model = G.solvers._model(spec, rep.iterates[k]).tobytes()
         _, refined, x_r = calls[seen - 1]
-        if prev == model == refined and x_r is not None:
+        if model == refined and x_r is not None:
             obj = min(obj, G.solvers.evaluate(spec, x_r, spec.dataset.A @ x_r)[0])
     return obj - G.duality._dual_value(spec, dp)
 
@@ -1852,35 +1868,126 @@ def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
     assert refinements >= 6
 
 
-def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model():
-    """An identified row whose refined point x_r certifies itself returns x_r
-    only where the safe set holds exactly x_r's nonzero blocks. Here x_hat
-    keeps a coordinate in block 8, off the optimum's support, which the
-    refinement prunes. Row 3 is identified, and its x_r certifies itself, but
-    x_r's blocks [1, 2, 3, 6, 7] are not the safe set [1, 2, 3, 6, 7, 8]. So
-    the solve goes on: row 3's screen, sized by x_r's objective, drops block
-    8, and the solve stops at row 5 on x_r's own gap, which bounds its
-    suboptimality."""
-    spec = make_instance(ratio=0.7, seed=241, n=150, d=250, sparsity=0.5, support=9)
-    rep = G.adsgd_solve(spec, G.SolverConfig(seed=241, eta=tuned_eta(spec), gap_tol=1e-6,
+def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model(monkeypatch):
+    """A refined point x_r that certifies itself is returned only where the
+    safe set holds exactly x_r's nonzero blocks. Here x_hat takes a new model
+    at row 2, with a coordinate in block 3, off the optimum's support, which
+    the refinement prunes. Row 2's x_r certifies itself, but x_r's blocks
+    [0, 1, 5, 6, 9] are not the safe set, which still holds all ten blocks.
+    So row 2 keeps x_hat; its screen, sized by x_r's objective, leaves
+    exactly x_r's blocks, and the solve returns x_r as row 3, with no epoch
+    in between, on x_r's own gap, which bounds its suboptimality. That screen
+    drops block 3, where x_hat is nonzero, but the solve stops before it
+    would zero x_hat there and form the snapshot again."""
+    spec = make_instance(ratio=0.5, seed=206, n=150, d=250, sparsity=0.5, support=9)
+    refreshes, smooth_gradient = [], G.solvers.smooth_gradient
+    monkeypatch.setattr(G.solvers, "smooth_gradient",
+                        lambda *args: refreshes.append(1) or smooth_gradient(*args))
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=206, eta=tuned_eta(spec), gap_tol=1e-6,
                                              batch_size=10, keep_iterates=True))
+    assert refreshes == []
 
     def blocks(x):
         return np.unique(spec.partition.block_of[np.flatnonzero(x)]).tolist()
 
-    row = rep.trace[3]
-    assert row.identified and row.refined_dual and row.restart != "refined"
-    assert rep.active_history[3].tolist() == blocks(rep.iterates[3]) == [1, 2, 3, 6, 7, 8]
-    x_r, _, _, own = G.solvers._refined_certificate(spec, rep.iterates[3])
-    assert own <= 1e-6 and blocks(x_r) == [1, 2, 3, 6, 7]
-    assert rep.active_history[4].tolist() == [1, 2, 3, 6, 7]
-    assert rep.converged and rep.outer_iters == 5 and rep.trace[-1].restart == "refined"
+    row = rep.trace[2]
+    assert row.refined_dual and not row.identified and row.restart != "refined"
+    assert rep.active_history[2].tolist() == list(range(10))
+    assert blocks(rep.iterates[2]) == [0, 1, 3, 5, 6, 9]
+    x_r, _, _, own = G.solvers._refined_certificate(spec, rep.iterates[2])
+    assert own <= 1e-6 and blocks(x_r) == [0, 1, 5, 6, 9]
+    last = rep.trace[-1]
+    assert rep.converged and rep.outer_iters == 3 and len(epoch_rows(rep)) == 2
+    assert (last.restart, last.working_blocks, last.identified) == ("refined", 0, True)
     x = rep.x_final
+    assert np.array_equal(x, x_r) and rep.gap == own
     assert G.primal_objective(spec, x) - G.duality._dual_value(spec, rep.dual) \
         == rep.gap <= 1e-6
     assert G.primal_objective(spec, x) - G.reference_solve(spec, tol=1e-12).objective \
         <= rep.gap
-    assert rep.active_history[-1].tolist() == blocks(x) == [1, 2, 3, 6, 7]
+    assert rep.active_history[-1].tolist() == blocks(x) == [0, 1, 5, 6, 9]
+
+
+def test_a_tall_dense_lasso_returns_its_refined_point_on_the_screen_it_sizes(monkeypatch):
+    """On the tall dense Lasso, row 1 refines x_hat's model, and the screen
+    it sizes leaves exactly the refined point's blocks. The solve then
+    returns that point as its last row, with no epoch, compaction or
+    snapshot after that screen: one _epoch call fewer than the trace rows
+    after the first. The final safe set is the refined point's blocks and
+    the oracle's equicorrelation set, and report.gap bounds the
+    suboptimality."""
+    data = generate_synthetic(SyntheticParams(n=2000, d=40, sparsity=1.0, seed=3))
+    spec = build_spec(data, model="lasso", lambda_ratio=0.5, q=10)
+    oracle = G.reference_solve(spec, tol=1e-12)
+    equi = G.equicorrelation_set(spec, oracle.dual).tolist()
+    names = []
+    for name in ("_epoch", "_compact", "screen", "smooth_gradient"):
+        fn = getattr(G.solvers, name)
+        monkeypatch.setattr(G.solvers, name,
+                            lambda *args, _name=name, _fn=fn: names.append(_name) or _fn(*args))
+    eta = tuned_eta(spec)
+    for seed in range(4):
+        names.clear()
+        rep = G.adsgd_solve(spec, G.SolverConfig(seed=seed, gap_tol=1e-6, max_outer=300,
+                                                 eta=eta))
+        last = rep.trace[-1]
+        assert rep.converged and (last.working_blocks, last.restart) == (0, "refined")
+        assert last.identified and last.refined_dual
+        assert names.count("_epoch") == len(rep.trace) - 2
+        assert names[-1] == "screen"
+        blocks = np.unique(spec.partition.block_of[np.flatnonzero(rep.x_final)]).tolist()
+        assert rep.active_history[-1].tolist() == blocks == equi
+        assert G.primal_objective(spec, rep.x_final) - oracle.objective <= rep.gap <= 1e-6
+
+
+def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
+    """x_hat's model changes at every row of this Lasso solve, so it is never
+    the previous iterate's, and each model is refined on the row that
+    first holds it: rows 1, 2 and 3. Row 3's refined dual point certifies
+    x_hat before its model is identified, and its screen leaves exactly the
+    refined point's blocks, which row 4 returns."""
+    spec = SCREENED_RUNS["lasso"]()
+    calls = _spy_refinements(monkeypatch)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
+                                             eta=tuned_eta(spec), keep_iterates=True))
+    models = [G.solvers._model(spec, x).tobytes() for x in rep.iterates]
+    assert rep.converged and rep.outer_iters == 4
+    assert all(a != b for a, b in zip(models[:4], models[1:4]))
+    rows = [next(k for k, it in enumerate(rep.iterates) if np.array_equal(it, x))
+            for x, _, _ in calls]
+    assert rows == [1, 2, 3] and all(x_r is not None for _, _, x_r in calls)
+    assert [m for _, m, _ in calls] == models[1:4]
+    assert rep.trace[3].refined_dual and not rep.trace[3].identified
+    assert (rep.trace[4].restart, rep.trace[4].working_blocks) == ("refined", 0)
+    assert np.array_equal(rep.x_final, calls[-1][2])
+
+
+def test_a_failed_refinement_is_retried_once_the_gap_falls_tenfold(monkeypatch):
+    """On this logistic group-L2 solve at lam = 0.25 lam_max, x_hat takes a
+    new model at row 3, whose refinement finds no point, and holds it at
+    rows 4 and 5. Row 4's own gap is still above a tenth of row 3's, so the
+    model is not refined again there; row 5's is below it, so it is, and
+    that refinement finds the point the solve certifies through: its dual
+    point certifies x_hat at row 5, and the screen it sizes leaves exactly
+    its blocks, so row 6 returns it."""
+    spec = make_instance(seed=22, n=200, d=100, q=10, model="logistic", reg="group_l2",
+                         support=3, ratio=0.25)
+    calls = _spy_refinements(monkeypatch)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=22, gap_tol=1e-8, max_outer=300,
+                                             eta=tuned_eta(spec), keep_iterates=True))
+    models = [G.solvers._model(spec, x).tobytes() for x in rep.iterates]
+    own = [G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3] for x in rep.iterates]
+    rows = [next(k for k, it in enumerate(rep.iterates) if np.array_equal(it, x))
+            for x, _, _ in calls]
+    assert rows[-2:] == [3, 5] and models[2] != models[3] == models[4] == models[5]
+    (_, failed, none), (_, retried, x_r) = calls[-2:]
+    assert failed == retried == models[3] and none is None and x_r is not None
+    assert own[4] >= 0.1 * own[3] > own[5]
+    assert rep.trace[5].refined_dual and rep.trace[5].gap < own[5]
+    assert rep.converged and rep.outer_iters == 6 and rep.trace[6].restart == "refined"
+    assert np.array_equal(rep.x_final, x_r)
+    p_star = G.reference_solve(spec, tol=1e-12).objective
+    assert G.primal_objective(spec, rep.x_final) - p_star <= rep.gap <= 1e-8
 
 
 def _stacked(dp):
@@ -1922,29 +2029,49 @@ def test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict(monkeypat
 @pytest.mark.parametrize("full_batch", [False, True], ids=["adsgd", "adsgd-full-batch"])
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
 def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_batch, case):
-    """A screening solve refines x_hat only where the previous iterate had the
-    same model (signs for L1, nonzero pattern for group-L2), within the cost
-    bound, and at most once per model: it keeps the last refinement while
-    its model holds, and these runs never come back to an earlier model. The
-    safe set need not hold just x_hat's nonzero blocks yet, but a row is
-    identified only where it does, and only an identified row returns the
-    refined point or stops on a refined dual point."""
+    """A screening solve refines x_hat's model (signs for L1, nonzero pattern
+    for group-L2) on the first row that holds it, where x_hat is nonzero and
+    the model within the cost bound, whether or not the model is identified
+    yet, and keeps the refinement while the model holds (these runs never
+    come back to an earlier model). It refines a model again only where its
+    last try found no point, once x_hat's own gap has fallen below a tenth
+    of that try's; every row that brings a new such model is refined unless
+    it stops on x_hat's own gap.
+    The safe set need not hold just x_hat's nonzero blocks yet, but a row
+    that keeps x_hat is identified only where it does and x_hat's model is
+    the previous iterate's, and only an identified row returns the refined
+    point or stops on a refined dual point."""
     spec = SCREENED_RUNS[case]()
     calls = _spy_refinements(monkeypatch)
     batch = spec.dataset.n if full_batch else None
     rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=2, gap_tol=1e-10,
                                        max_outer=300, eta=tuned_eta(spec),
                                        batch_size=batch, keep_iterates=True))
-    assert rep.converged and calls
-    models = [m for _, m, _ in calls]
-    assert len(models) == len(set(models))
-    for x, model, _ in calls:
-        assert _within_refinement_cost(spec, _unknowns(spec, x))
+    assert rep.converged and calls and any(x_r is not None for _, _, x_r in calls)
+
+    def model(x):
+        return G.solvers._model(spec, x).tobytes()
+
+    refined_rows, tries = [], {}  # model -> (x_hat's own gap at its last try, found)
+    for x, m, x_r in calls:
+        assert np.any(x) and _within_refinement_cost(spec, _unknowns(spec, x))
         k = next((k for k, it in enumerate(rep.iterates) if np.array_equal(it, x)), None)
         if k is None:  # the last x_hat, whose refined point the solve returned
             assert rep.trace[-1].restart == "refined"
             k = len(rep.iterates) - 1
-        assert k > 0 and G.solvers._model(spec, rep.iterates[k - 1]).tobytes() == model
+        own = G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3]
+        if m in tries:  # a retry
+            assert not tries[m][1] and own < 0.1 * tries[m][0]
+        else:
+            assert k > 0 and model(rep.iterates[k - 1]) != m
+        tries[m] = own, x_r is not None
+        refined_rows.append(k)
+    for k, row in enumerate(rep.trace[1:], 1):
+        x = rep.iterates[k]
+        if (row.restart != "refined" and model(x) != model(rep.iterates[k - 1])
+                and np.any(x) and _within_refinement_cost(spec, _unknowns(spec, x))):
+            assert k in refined_rows or (k == rep.outer_iters and not row.refined_dual
+                                         and row.gap <= 1e-10)
     block_of = spec.partition.block_of
     for k, row in enumerate(rep.trace):
         if row.restart == "refined":  # its x_hat is the refined point's, not kept
@@ -1952,8 +2079,7 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
             continue
         x = rep.iterates[k]
         assert row.identified == (
-            k > 0 and np.array_equal(G.solvers._model(spec, x),
-                                     G.solvers._model(spec, rep.iterates[k - 1]))
+            k > 0 and model(x) == model(rep.iterates[k - 1])
             and np.array_equal(np.unique(block_of[np.flatnonzero(x)]),
                                rep.active_history[k]))
     last = rep.trace[-1]

@@ -11,7 +11,7 @@ import pathlib
 
 import gapsgd as G
 
-from conftest import make_instance, tuned_eta
+from conftest import epoch_rows, make_instance, tuned_eta
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -52,11 +52,14 @@ def test_traced_screening_solve_reaches_every_outer_layer(monkeypatch):
             rep = G.solve(spec, cfg)
         calls = {layer: stat.calls for layer, stat in record.stats.items()}
         # one evaluation starts the solve, each epoch evaluates two candidates,
-        # and each refined point is evaluated once
-        assert all(r.working_blocks > 0 for r in rep.trace[1:])
+        # and each refined point is evaluated once; every row but the first
+        # ran an epoch, or returns the refined point its screen settled
+        epochs = len(epoch_rows(rep))
+        assert all(r.working_blocks > 0 for r in epoch_rows(rep))
+        assert calls["solvers.inner_budget"] == epochs
         refined = sum(x is not None for x in found)
         assert refined > 0
-        evaluations = 1 + 2 * rep.outer_iters + refined
+        evaluations = 1 + 2 * epochs + refined
         assert calls["duality.dual_point"] == calls["duality.dual_value"] == evaluations
         assert calls["duality.screen"] == rep.outer_iters
         assert calls["duality.column_bounds"] == 1
