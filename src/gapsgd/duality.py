@@ -1,9 +1,10 @@
 """Dual points, duality gaps, safe radii, and the gap-safe block elimination test.
 
+The primal objective is P(x) = mean_i f_i(a_i'x) + mu_p ||x||^2 + lam Omega(x).
 The dual variable theta lives in sample space (length n): it is built from the
 per-sample derivative vector (f_1'(a_1'x), ..., f_n'(a_n'x)) and rescaled so
 that (1/n) * Omega_j^D(A_j' theta) <= lam on all q blocks. When the
-quadratic perturbation mu_p ||x - x0||^2 is enabled, each coordinate also
+quadratic perturbation mu_p ||x||^2 is enabled, each coordinate also
 carries a pseudo-sample dual kappa_j; gap and screening are then computed for
 the perturbed problem, so eliminations are safe for the perturbed optimum only.
 
@@ -172,8 +173,8 @@ def dual_point(spec, sample_grad, x=None):
         if x is None:
             raise ValueError("x is required to build the dual point when mu_p > 0")
         x = np.asarray(x, dtype=np.float64)
-        gradient = gradient + 2.0 * spec.mu_p * (x - spec.anchor)
-        p = 2.0 * ds.n * spec.mu_p * (x - spec.anchor)  # pseudo-sample derivatives
+        gradient = gradient + 2.0 * spec.mu_p * x
+        p = 2.0 * ds.n * spec.mu_p * x  # pseudo-sample derivatives
         corr = corr + p
     per_block = blockwise_dual_norms(corr, spec.partition, spec.reg) / ds.n
     scale = max(1.0, float(per_block.max()) / spec.lam)
@@ -190,7 +191,7 @@ def _dual_value(spec, dp):
         return -np.inf
     val = -float(np.sum(conj)) / ds.n
     if spec.mu_p > 0 and dp.kappa is not None:
-        hstar = -dp.kappa * spec.anchor + dp.kappa ** 2 / (4.0 * ds.n * spec.mu_p)
+        hstar = dp.kappa ** 2 / (4.0 * ds.n * spec.mu_p)
         val -= float(np.sum(hstar)) / ds.n
     return val
 
@@ -229,14 +230,14 @@ def safe_radius(spec, gap):
 
     Here u stacks theta (one entry per sample) and kappa (one per feature):
     D = -(1/n) sum_i f_i*(-theta_i) - (1/n) sum_j h_j*(-kappa_j), where the
-    pseudo-sample h_j(t) = n mu_p (t - x0_j)^2 writes the perturbation
-    mu_p ||x - x0||^2 as (1/n) sum_j h_j(x_j). A c-smooth f_i has a
-    (1/c)-strongly convex conjugate, and h_j is 2 n mu_p-smooth, so D is
-    strongly concave with gamma = 1 / (n max(c, 2 n mu_p)), and without the
-    perturbation (no kappa) with gamma = 1 / (n c). Both give the radius
-    above. Every dual point is scaled over all q blocks, so it is feasible
-    for the full problem whatever screening dropped. A non-finite gap gives
-    an infinite radius, which screens nothing.
+    pseudo-sample h_j(t) = n mu_p t^2 writes the perturbation mu_p ||x||^2
+    as (1/n) sum_j h_j(x_j). A c-smooth f_i has a (1/c)-strongly convex
+    conjugate, and h_j is 2 n mu_p-smooth, so D is strongly concave with
+    gamma = 1 / (n max(c, 2 n mu_p)), and without the perturbation (no
+    kappa) with gamma = 1 / (n c). Both give the radius above. Every dual
+    point is scaled over all q blocks, so it is feasible for the full problem
+    whatever screening dropped. A non-finite gap gives an infinite radius,
+    which screens nothing.
     """
     if not np.isfinite(gap):
         return np.inf

@@ -97,7 +97,8 @@ class SyntheticParams:
     for regression and the label flip probability for logistic data: finite
     and nonnegative, and at most 1 for logistic data. The
     planted coefficients sit on support_size coordinates, either scattered or
-    packed into a prefix, with magnitudes in [amplitude, 2*amplitude].
+    packed into a prefix, with magnitudes in [amplitude, 2*amplitude], and
+    feature_scale scales the design; both are positive and finite.
     """
 
     n: int
@@ -130,6 +131,10 @@ def generate_synthetic(params):
         raise ValueError(f"seed must be a nonnegative integer, got {p.seed!r}")
     if not 0.0 <= p.noise < math.inf:
         raise ValueError(f"noise must be nonnegative and finite, got {p.noise!r}")
+    for name in ("feature_scale", "amplitude"):
+        if not 0.0 < getattr(p, name) < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {getattr(p, name)!r}")
     if p.model == "logistic" and p.noise > 1.0:
         raise ValueError(f"noise is a label flip probability, at most 1, got {p.noise!r}")
     if p.orthonormal and p.n < p.d:
@@ -447,11 +452,12 @@ _PLAN_KEYS = {
                      "inner_m", "max_outer"),
                     (lambda v: _positive(v, int), "a positive integer")),
     "seed": (lambda v: _nonnegative(v, int), "a nonnegative integer"),
-    **dict.fromkeys(("sparsity", "noise", "feature_scale"), (float, "a number")),
-    "mu_p": (_nonnegative, "nonnegative and finite"),
+    "sparsity": (float, "a number"),
+    **dict.fromkeys(("noise", "mu_p"), (_nonnegative, "nonnegative and finite")),
     **dict.fromkeys(("plot", "theory_mode"),
                     (lambda v: _FLAGS[v.lower()], "0/1, true/false or yes/no")),
-    **dict.fromkeys(("eta", "gap_tol"), (_positive, "positive and finite")),
+    **dict.fromkeys(("eta", "gap_tol", "feature_scale"),
+                    (_positive, "positive and finite")),
     "lambda_ratios": (_ratios, "comma-separated numbers in (0, 1]"),
     "solvers": (_solver_names, "comma-separated names among "
                 + ", ".join(sorted(_SOLVERS) + ["reference"])),
@@ -466,14 +472,15 @@ def parse_plan_file(path):
     plot, batch_size, blocks, inner_m, eta, theory_mode, mu_p, gap_tol,
     max_outer. The flags theory_mode and plot take 0/1, true/false or yes/no
     in any case; model is lasso or logistic and support_placement prefix or
-    random; lambda_ratios lie in (0, 1]; eta and gap_tol must be positive
-    and finite, mu_p nonnegative and finite, seed a nonnegative integer, and
-    n, d, support_size, repetitions, blocks, batch_size, inner_m and
-    max_outer positive integers (batch_size <= n is checked per solve). Every
-    value is read as its key's type while the file is parsed, so an unknown
-    key or a value of the wrong type, such as an unknown solver name, raises
-    ValueError with its line. So does eta given with theory_mode on, and a
-    plan without data that lacks n or d raises ValueError naming the key.
+    random; sparsity and lambda_ratios lie in (0, 1]; eta, gap_tol and
+    feature_scale must be positive and finite, noise and mu_p nonnegative and
+    finite, seed a nonnegative integer, and n, d, support_size, repetitions,
+    blocks, batch_size, inner_m and max_outer positive integers (batch_size
+    <= n is checked per solve). Every value is read as its key's type while
+    the file is parsed, so an unknown key or a value of the wrong type, such
+    as an unknown solver name, raises ValueError with its line. So does eta
+    given with theory_mode on, and a plan without data that lacks n or d
+    raises ValueError naming the key.
     """
     kv, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -493,6 +500,9 @@ def parse_plan_file(path):
                 raise ValueError(f"plan line {ln}: {key} must be {what}, "
                                  f"got {val!r}") from None
             lines[key] = ln
+    if "sparsity" in kv and not 0 < kv["sparsity"] <= 1:
+        raise ValueError(f"plan line {lines['sparsity']}: sparsity must lie in (0, 1], "
+                         f"got {kv['sparsity']!r}")
     if kv.get("theory_mode") and "eta" in kv:
         raise ValueError(f"plan line {lines['theory_mode']}: theory_mode and eta "
                          f"(line {lines['eta']}) are mutually exclusive")

@@ -320,7 +320,7 @@ REGULARIZERS = {"l1": L1Penalty(), "group_l2": GroupL2Penalty()}
 class ProblemSpec:
     """A fully specified sparsity-regularized risk minimization instance.
 
-    The objective is  mean_i f_i(a_i' x) + mu_p * ||x - x0||^2 + lam * sum_j Omega_j(x_Gj).
+    The objective is  mean_i f_i(a_i' x) + mu_p * ||x||^2 + lam * sum_j Omega_j(x_Gj).
     """
 
     dataset: Dataset
@@ -329,7 +329,6 @@ class ProblemSpec:
     reg: object
     lam: float
     mu_p: float = 0.0
-    x0_anchor: np.ndarray = None
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
@@ -339,17 +338,6 @@ class ProblemSpec:
         if self.partition.d != self.dataset.d:
             raise ValueError("partition does not cover the dataset features")
         self.loss.validate_labels(self.dataset.y)
-        if self.x0_anchor is not None:
-            anchor = np.asarray(self.x0_anchor, dtype=np.float64)
-            if anchor.shape != (self.dataset.d,):
-                raise ValueError("x0_anchor must have length d")
-            object.__setattr__(self, "x0_anchor", anchor)
-
-    @property
-    def anchor(self):
-        if self.x0_anchor is None:
-            return np.zeros(self.dataset.d)
-        return self.x0_anchor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -368,24 +356,24 @@ def _check_x(spec, x):
 
 
 def smooth_value(spec, x, z):
-    """mean_i f_i(z_i) + mu_p ||x - x0||^2, where z = A x."""
+    """mean_i f_i(z_i) + mu_p ||x||^2, where z = A x."""
     val = float(np.mean(spec.loss.value(z, spec.dataset.y)))
     if spec.mu_p > 0:
-        val += spec.mu_p * float(np.sum((x - spec.anchor) ** 2))
+        val += spec.mu_p * float(np.sum(x ** 2))
     return val
 
 
 def smooth_gradient(spec, x, g):
-    """A'g / n + 2 mu_p (x - x0), where g holds the per-sample derivatives at x."""
+    """A'g / n + 2 mu_p x, where g holds the per-sample derivatives at x."""
     ds = spec.dataset
     out = ds.rmatvec(g) / ds.n
     if spec.mu_p > 0:
-        out = out + 2.0 * spec.mu_p * (x - spec.anchor)
+        out = out + 2.0 * spec.mu_p * x
     return out
 
 
 def primal_objective(spec, x, z=None):
-    """mean_i f_i(a_i' x) + mu_p ||x - x0||^2 + lam * Omega(x); z = A x if known."""
+    """mean_i f_i(a_i' x) + mu_p ||x||^2 + lam * Omega(x); z = A x if known."""
     x = _check_x(spec, x)
     z = spec.dataset.A @ x if z is None else z
     return smooth_value(spec, x, z) + spec.lam * spec.reg.value(x, spec.partition)
@@ -458,8 +446,8 @@ def blockwise_dual_norms(vec, partition, reg):
 def lambda_max(spec):
     """Smallest regularization weight at which the zero vector is optimal.
 
-    Evaluated at x = 0 with the default zero anchor, so the perturbation term
-    contributes nothing. spec.lam itself is ignored.
+    Evaluated at x = 0, where the perturbation mu_p ||x||^2 is centred, so its
+    gradient 2 mu_p x contributes nothing. spec.lam itself is ignored.
     """
     ds = spec.dataset
     g0 = spec.loss.deriv(np.zeros(ds.n), ds.y)

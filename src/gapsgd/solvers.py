@@ -89,9 +89,11 @@ into every working column. step_gradient sums the gathered entries with two
 bincounts; dense_step_gradient forms the same gradient from two matrix
 products, X_b x and coef X_b[:, lo:hi]. One epoch, its plan, steps and
 restart, runs in _epoch, which picks the kernel from the storage of the
-design the epoch runs on; _engine keeps the outer loop. partial_gradient and
-vr_gradient run the same kernel on the uncompacted design, picked by the
-same density test, from the batch's rows alone.
+design the epoch runs on; _engine keeps the outer loop. Both kernels take a
+snapshot, so the steps have one formula, Prox-SVRG's (Xiao & Zhang, SIAM J.
+Optim. 2014). vr_gradient runs the same kernel on the uncompacted design,
+picked by the same density test, from the batch's rows alone, and so does
+partial_gradient, on a zero snapshot.
 
 The working design is the row pointers plus one array each of the column,
 value and row of every stored entry, in CSR order, with its columns numbered
@@ -181,8 +183,9 @@ class SolverConfig:
     batch_size to min(10, n). theory_mode overrides the batch size with
     ceil(T / L) and pins eta = 1/(16 L); the matching inner budget
     m = ceil(65 q L / mu) additionally needs the strong convexity constant,
-    supplied through mu_strong. The block partition and the perturbation
-    mu_p belong to the ProblemSpec a solver is given.
+    supplied through mu_strong. m, batch_size, max_outer and seed must be
+    Python or numpy integers. The block partition and the perturbation mu_p
+    belong to the ProblemSpec a solver is given.
     """
 
     solver: str = "adsgd"
@@ -299,11 +302,15 @@ def _resolve(spec, config):
         if config.mu_strong <= 0:
             raise ValueError("mu_strong must be positive")
         m = math.ceil(65.0 * spec.partition.q * consts.L / config.mu_strong)
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
     batch = config.batch_size if config.batch_size is not None else min(10, n)
     if config.theory_mode:
         batch = min(n, max(1, math.ceil(consts.T / consts.L)))
+    for name, count in (("m", m), ("batch_size", batch), ("max_outer", config.max_outer),
+                        ("seed", config.seed)):
+        if not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     if not 1 <= batch <= n:
         raise ValueError(f"batch_size must lie in [1, {n}], got {batch}")
     if not 0 < config.gap_tol < math.inf:
@@ -472,7 +479,7 @@ def _plan(work, y, g_snap, c, batches=None, ibs=None):
 
 
 def step_gradient(loss, x, cols, vals, row_id, y, g_ref, pos, bvals, brow, lo, hi,
-                  mu=None, x_ref=None, mu_p=0.0):
+                  mu, x_ref, mu_p):
     """Mini-batch gradient of the smooth part on the working columns lo:hi of x.
 
     The one gradient kernel, called positionally with one step of _plan:
@@ -480,19 +487,17 @@ def step_gradient(loss, x, cols, vals, row_id, y, g_ref, pos, bvals, brow, lo, h
     entries it sums, pos counted from lo; y and g_ref hold y and the
     snapshot's derivatives on the batch, mu the snapshot's smooth gradient
     and x_ref the snapshot, in working columns, as x is. partial_gradient
-    has no snapshot: it passes g_ref and mu as None and the anchor as x_ref.
-    Returns, as float64, the gradient on the columns lo:hi, a block or all
-    of them:
+    passes a zero snapshot, whose terms drop out exactly. Returns, as
+    float64, the gradient on the columns lo:hi, a block or all of them:
 
-        A_b'(f'(A_b x) - g_ref) / b  [+ mu]  + 2 mu_p (x - x_ref)
+        A_b'(f'(A_b x) - g_ref) / b  +  mu  +  2 mu_p (x - x_ref)
     """
     b = y.size
     gb = loss.deriv(np.bincount(row_id, weights=vals * x[cols], minlength=b), y)
-    coef = (gb - g_ref) / b if g_ref is not None else gb / b
+    coef = (gb - g_ref) / b
     grad = np.bincount(pos, weights=bvals * coef[brow], minlength=hi - lo)
     grad = grad.astype(np.float64, copy=False)  # a sum over no entries comes back int64
-    if mu is not None:
-        grad += mu[lo:hi]
+    grad += mu[lo:hi]
     if mu_p > 0:
         grad += 2.0 * mu_p * (x[lo:hi] - x_ref[lo:hi])
     return grad
@@ -521,29 +526,31 @@ def _plan_dense(work, y, g_snap, c, batches=None, ibs=None):
     return zip(zip(xs, ys, gs), lo, hi)
 
 
-def dense_step_gradient(loss, x, x_b, y, g_ref, lo, hi, mu=None, x_ref=None, mu_p=0.0):
+def dense_step_gradient(loss, x, x_b, y, g_ref, lo, hi, mu, x_ref, mu_p):
     """step_gradient on a dense working design, called positionally with one
     step of _plan_dense: x_b holds the batch's rows over every working column.
 
     The same gradient on the columns lo:hi, from two matrix products:
 
-        A_b'(f'(A_b x) - g_ref) / b  [+ mu]  + 2 mu_p (x - x_ref)
+        A_b'(f'(A_b x) - g_ref) / b  +  mu  +  2 mu_p (x - x_ref)
     """
     b = float(y.size)  # a float divisor skips an int-to-float cast per call
     gb = loss.deriv(x_b.dot(x), y)  # ndarray.dot skips the matmul ufunc's dispatch
-    coef = (gb - g_ref) / b if g_ref is not None else gb / b
+    coef = (gb - g_ref) / b
     grad = coef.dot(x_b[:, lo:hi])
-    if mu is not None:
-        grad += mu[lo:hi]
+    grad += mu[lo:hi]
     if mu_p > 0:
         grad += 2.0 * mu_p * (x[lo:hi] - x_ref[lo:hi])
     return grad
 
 
 def _check_batch(spec, batch, block):
-    batch = np.asarray(batch, dtype=np.intp).ravel()
+    batch = np.asarray(batch).ravel()
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
+    if batch.dtype.kind not in "iu" or not isinstance(block, (int, np.integer)):
+        raise ValueError("batch indices and block must be integers")
+    batch = batch.astype(np.intp, copy=False)
     if batch.min() < 0 or batch.max() >= spec.dataset.n:
         raise ValueError("batch indices out of range")
     if not 0 <= block < spec.partition.q:
@@ -557,18 +564,22 @@ def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
 
     Only the batch's rows are gathered, in the engine's block-major column
     numbering, and the storage follows _is_dense on the whole design, as
-    _Working.dense does, without building its dense twin. With variance reduction
-    x_tilde is the snapshot, whose derivatives are formed on the batch alone,
-    and mu its smooth gradient; without it the anchor is the reference point.
+    _Working.dense does, without building its dense twin. x_tilde is the
+    snapshot, whose derivatives are formed on the batch alone, and mu its
+    smooth gradient; without them the snapshot is zero: zero derivatives, a
+    zero gradient and a zero point, so the kernel's formula gives the plain
+    mini-batch gradient (x - 0, g - 0 and adding +0 are exact).
     """
     ds, part = spec.dataset, spec.partition
     rows = ds.A[batch]  # CSR rows in batch order, repeats kept, each in CSR order
     f = part.order  # working column p holds feature f[p]
     lo, hi = int(part.offsets[block]), int(part.offsets[block + 1])
     y_b = ds.y[batch]
-    g_b = None if x_tilde is None else spec.loss.deriv(rows @ x_tilde, y_b)
-    x_ref = spec.anchor if x_tilde is None else x_tilde
-    tail = (None if mu is None else mu[f], x_ref[f], spec.mu_p)
+    if x_tilde is None:
+        g_b, x_tilde, mu = np.zeros(batch.size), np.zeros(ds.d), np.zeros(ds.d)
+    else:
+        g_b = spec.loss.deriv(rows @ x_tilde, y_b)
+    tail = (mu[f], x_tilde[f], spec.mu_p)
     if _is_dense(ds.A.nnz, ds.n, ds.d):
         return dense_step_gradient(spec.loss, x[f], rows.toarray()[:, f], y_b, g_b, lo,
                                    hi, *tail)
@@ -585,6 +596,7 @@ def partial_gradient(spec, x, batch, block):
 
     batch may contain repeated sample indices; each occurrence contributes to
     the average. The perturbation term enters in full (it has no sample index).
+    It is the engine's kernel on a zero snapshot (_block_step).
     """
     x = _check_x(spec, x)
     batch = _check_batch(spec, batch, block)
@@ -1002,7 +1014,7 @@ def _refine_support(spec, x):
     The model is the support of x with its signs for L1, and the features of
     the blocks where x is nonzero for group-L2. On it the penalty is smooth,
     lam * sign(x_i) on an L1 coordinate and lam * w_j / ||w_j|| on a group-L2
-    block, so the system A_S' f'(A_S w) / n + 2 mu_p (w - x0_S) + lam grad
+    block, so the system A_S' f'(A_S w) / n + 2 mu_p w + lam grad
     Omega(w) = 0 has a root wherever the model is the optimum's. A round
     takes Newton steps from its start, the first of which solves the system
     of the squared loss with L1, a linear one, and ends on the point of
@@ -1032,7 +1044,7 @@ def _refine_support(spec, x):
                 return None
             # column-major: the BLAS products below round differently on a row-major copy
             a_s = ds.A[:, support].toarray(order="F")
-            k, anchor_s = support.size, spec.anchor[support]
+            k = support.size
             ridge = 2.0 * mu_p * np.eye(k)
             if not l1:  # each coordinate's block, numbered 0.., and the pairs within blocks
                 _, bid = np.unique(part.block_of[support], return_inverse=True)
@@ -1046,7 +1058,7 @@ def _refine_support(spec, x):
                 if not l1:  # each coordinate's block norm, and lam * w / ||w_j||
                     nrm = np.sqrt(np.bincount(bid, weights=w * w))[bid]
                     unit = w / nrm
-                res = a_s.T @ loss.deriv(z, ds.y) / n + 2.0 * mu_p * (w - anchor_s) \
+                res = a_s.T @ loss.deriv(z, ds.y) / n + 2.0 * mu_p * w \
                     + (lam * signs if l1 else lam * unit)
                 rnorm = float(np.max(np.abs(res)))
                 if rnorm < best[0]:

@@ -9,11 +9,16 @@ reference solver at the benchmark's gap_tol. Each line names the workload,
 solver and seed, and gives outer_iters, coord_updates and SHA-256 prefixes of
 x_final's bytes and of the trace's gaps. Each workload's first line, solver
 "oracle", describes the instance's ORACLE_TOL reference solve that sets the
-benchmark's P*. A change that keeps every iterate prints the same lines, so
-`diff` of two checkouts' outputs shows any solve whose bits moved. The module
-reads benchmarks/run.py and changes nothing in it; pytest does not collect it.
+benchmark's P*. After a workload's lines come those of the same instance with
+the quadratic perturbation switched on (mu_p = MU_P, labelled
+"<workload>+mu_p"), solved with the same configs by the reference and by each
+stochastic solver at seeds 0-1, since no benchmark workload sets mu_p. A
+change that keeps every iterate prints the same lines, so `diff` of two
+checkouts' outputs shows any solve whose bits moved. The module reads
+benchmarks/run.py and changes nothing in it; pytest does not collect it.
 """
 
+import dataclasses
 import hashlib
 import pathlib
 import sys
@@ -27,6 +32,7 @@ import run  # noqa: E402  (sets the BLAS thread variables before numpy loads)
 import numpy as np  # noqa: E402
 
 SEEDS = range(8)
+MU_P, MU_P_SEEDS = 0.01, range(2)
 
 
 def _digest(arr):
@@ -39,12 +45,13 @@ def _hashes(rep):
             f"x={_digest(rep.x_final)} gaps={_digest(gaps)}")
 
 
-def line(G, inst, name, seed):
+def line(G, inst, name, seed, spec=None, label=None):
+    spec, label = spec or inst.spec, label or inst.wl.name
     try:
-        rep = G.solve(inst.spec, run.solver_config(inst, name, seed))
+        rep = G.solve(spec, run.solver_config(inst, name, seed))
     except Exception as exc:  # noqa: BLE001 - a raising solve is reported, not fatal
-        return f"{inst.wl.name} {name} {seed} raised {type(exc).__name__}: {exc}"
-    return f"{inst.wl.name} {name} {seed} {_hashes(rep)}"
+        return f"{label} {name} {seed} raised {type(exc).__name__}: {exc}"
+    return f"{label} {name} {seed} {_hashes(rep)}"
 
 
 def main():
@@ -57,6 +64,11 @@ def main():
         for name in run.STOCHASTIC:
             for seed in SEEDS:
                 print(line(G, inst, name, seed), flush=True)
+        perturbed, label = dataclasses.replace(inst.spec, mu_p=MU_P), f"{wl.name}+mu_p"
+        print(line(G, inst, "reference", 0, perturbed, label), flush=True)
+        for name in run.STOCHASTIC:
+            for seed in MU_P_SEEDS:
+                print(line(G, inst, name, seed, perturbed, label), flush=True)
 
 
 if __name__ == "__main__":

@@ -132,6 +132,44 @@ def test_bench_command_runs_plan(tmp_path, capsys):
     assert os.path.exists(tmp_path / "runs" / "summary.csv")
 
 
+def test_bench_and_oracle_write_their_outputs_for_a_data_file(tmp_path, capsys):
+    """A plan that names a LIBSVM file loads it, and bench --out puts one
+    trace CSV per cell, summary.csv and the chart in the given directory;
+    oracle --out writes a trace that read_trace_csv reads back, ending on the
+    printed objective."""
+    from gapsgd.harness import SyntheticParams, generate_synthetic, read_trace_csv
+
+    data = generate_synthetic(SyntheticParams(n=60, d=20, sparsity=0.5, seed=4,
+                                              model="logistic"))
+    svm = tmp_path / "small.svm"
+    rows = [data.A[i] for i in range(data.n)]
+    svm.write_text("".join(
+        f"{label:g} " + " ".join(f"{j + 1}:{v!r}" for j, v in
+                                 zip(r.indices.tolist(), r.data.tolist())) + "\n"
+        for r, label in zip(rows, data.y.tolist())))
+    plan = tmp_path / "p.plan"
+    plan.write_text(f"data = {svm}\nmodel = logistic\nblocks = 5\n"
+                    "solvers = adsgd, reference\nlambda_ratios = 0.5\nplot = 1\n"
+                    f"out = {tmp_path / 'unused'}\n")
+    out = tmp_path / "runs"
+    assert main(["bench", str(plan), "--out", str(out)]) == 0
+    assert f"outputs in {out}" in capsys.readouterr().out
+    assert sorted(os.listdir(out)) == ["adsgd_r0.5_rep0.csv", "reference_r0.5_rep0.csv",
+                                       "suboptimality_r0.5.svg", "summary.csv"]
+    assert not os.path.exists(tmp_path / "unused")
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["solver"], r["converged"]) for r in rows] == [("adsgd", "1"),
+                                                             ("reference", "1")]
+    trace_path = tmp_path / "oracle.csv"
+    assert main(["oracle", "--data", str(svm), "--model", "logistic", "--blocks", "5",
+                 "--out", str(trace_path)]) == 0
+    printed = capsys.readouterr().out
+    trace = read_trace_csv(trace_path)
+    assert trace and trace[-1].gap <= 1e-10
+    assert f"objective={trace[-1].objective:.12g} " in printed
+
+
 def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
     """Every cell of a plan whose step size diverges still runs, prints its
     failure and enters summary.csv; then the command exits with the
@@ -170,6 +208,17 @@ def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
                                        ("batch_size = 0",
                                         "batch_size must be a positive integer"),
                                        ("sparsity = 5x", "sparsity must be a number"),
+                                       ("sparsity = 2",
+                                        "sparsity must lie in (0, 1], got 2.0"),
+                                       ("sparsity = nan", "sparsity must lie in (0, 1]"),
+                                       ("noise = -0.1",
+                                        "noise must be nonnegative and finite"),
+                                       ("noise = inf", "noise must be nonnegative"),
+                                       ("feature_scale = inf",
+                                        "feature_scale must be positive and finite, "
+                                        "got 'inf'"),
+                                       ("feature_scale = 0",
+                                        "feature_scale must be positive and finite"),
                                        ("support_placement = middle",
                                         "support_placement must be prefix or random, "
                                         "got 'middle'"),

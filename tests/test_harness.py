@@ -135,7 +135,10 @@ def test_generate_synthetic_invalid_params():
                dict(n=5, d=5, noise=math.nan), dict(n=5, d=5, noise=math.inf),
                dict(n=5, d=5, noise=math.nan, model="logistic"),
                dict(n=5, d=5, noise=math.inf, model="logistic"),
-               dict(n=5, d=5, noise=1.5, model="logistic")):
+               dict(n=5, d=5, noise=1.5, model="logistic"),
+               dict(n=5, d=5, feature_scale=0.0), dict(n=5, d=5, feature_scale=-1.0),
+               dict(n=5, d=5, feature_scale=math.inf), dict(n=5, d=5, amplitude=0.0),
+               dict(n=5, d=5, amplitude=-2.0), dict(n=5, d=5, amplitude=math.inf)):
         with pytest.raises(ValueError):
             generate_synthetic(SyntheticParams(**kw))
 

@@ -28,7 +28,7 @@ def smooth_part(spec, x):
     z = spec.dataset.A @ x
     val = float(np.mean(spec.loss.value(z, spec.dataset.y)))
     if spec.mu_p > 0:
-        val += spec.mu_p * float(np.sum((x - spec.anchor) ** 2))
+        val += spec.mu_p * float(np.sum(x ** 2))
     return val
 
 
@@ -132,6 +132,13 @@ def test_partial_gradient_errors():
         G.partial_gradient(spec, x, [0], 99)
     with pytest.raises(ValueError):
         G.partial_gradient(spec, x, [100], 0)
+    # indices and blocks that are not integers are refused, not truncated
+    for batch, block in (([0.7, 1.2], 0), ([0, 1], 1.0), (np.array([2.0]), 0),
+                         ([True, False], 0)):
+        with pytest.raises(ValueError):
+            G.partial_gradient(spec, x, batch, block)
+        with pytest.raises(ValueError):
+            G.vr_gradient(spec, x, x, x, batch, block)
 
 
 # -------------------------------------------------------- Lipschitz bounds
@@ -597,9 +604,6 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         G.ProblemSpec(dataset=ds, partition=part, loss=G.LOSSES["logistic"],
                       reg=G.REGULARIZERS["l1"], lam=1.0)
-    with pytest.raises(ValueError):
-        G.ProblemSpec(dataset=ds, partition=part, loss=G.LOSSES["squared"],
-                      reg=G.REGULARIZERS["l1"], lam=1.0, x0_anchor=np.zeros(5))
 
 
 # ------------------------------------------------------------- public names

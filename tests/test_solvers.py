@@ -295,21 +295,14 @@ def _steps(plan):
     return [(args[:3], args[5:], *args[3:5], lo, hi) for args, lo, hi in plan]
 
 
-def _grads(loss, x, work, y, g_ref, c, batches=None, ibs=None, mu=None, x_ref=None,
-           mu_p=0.0):
+def _grads(loss, x, work, y, g_ref, c, batches, ibs, mu, x_ref, mu_p=0.0):
     """The gradient of each step of one chunk, from the planner and kernel the
     engine runs on work's storage, called positionally as the engine calls it.
-    g_ref None plans a zero snapshot and hands the kernel None in its place,
-    as partial_gradient calls it."""
-    plan, kern, at = ((_plan, step_gradient, 4) if work.dense is None
-                      else (_plan_dense, dense_step_gradient, 2))
-    out = []
-    for args, lo, hi in plan(work, y, np.zeros(y.size) if g_ref is None else g_ref, c,
-                             batches, ibs):
-        if g_ref is None:
-            args = (*args[:at], None, *args[at + 1:])
-        out.append(kern(loss, x, *args, lo, hi, mu, x_ref, mu_p))
-    return out
+    A zero snapshot (g_ref, mu and x_ref all zero) is partial_gradient's."""
+    plan, kern = ((_plan, step_gradient) if work.dense is None
+                  else (_plan_dense, dense_step_gradient))
+    return [kern(loss, x, *args, lo, hi, mu, x_ref, mu_p)
+            for args, lo, hi in plan(work, y, g_ref, c, batches, ibs)]
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
@@ -323,6 +316,7 @@ def test_step_gradient_matches_dense_reference(monkeypatch, layout):
     # the iterate is zero on screened features, as in the engine
     x = np.where(np.isin(np.arange(15), kept.features), rng.normal(size=15), 0.0)
     g_snap, mu, x_snap = rng.normal(size=12), rng.normal(size=15), rng.normal(size=15)
+    g_zero, zero = np.zeros(12), np.zeros(15)
     works = []
     for rho in STORAGES:
         monkeypatch.setattr(G.solvers, "_RHO", rho)
@@ -337,20 +331,14 @@ def test_step_gradient_matches_dense_reference(monkeypatch, layout):
             # a full batch takes every row without a draw, as in the engine
             batches = None if batch.size == 12 else batch[None, :]
             rows = a[batch]
-            for g_ref, mu_c, x_ref, mu_p in ((None, None, None, 0.0),
-                                             (None, None, x_snap, 0.3),
+            # a zero snapshot, without and with the perturbation, then a real one
+            for g_ref, mu_c, x_ref, mu_p in ((g_zero, zero, zero, 0.0),
+                                             (g_zero, zero, zero, 0.3),
                                              (g_snap, mu, x_snap, 0.3)):
-                deriv = loss.deriv(rows @ x, ds.y[batch])
-                if g_ref is not None:
-                    deriv = deriv - g_ref[batch]
-                want = rows.T @ deriv / batch.size
-                if mu_c is not None:
-                    want = want + mu_c
-                if mu_p > 0:
-                    want = want + 2.0 * mu_p * (x - x_ref)
-                kw = dict(mu=None if mu_c is None else mu_c[wfeat],
-                          x_ref=None if x_ref is None else x_ref[wfeat], mu_p=mu_p)
-                got, = _grads(loss, x[wfeat], work, ds.y, g_ref, 1, batches, **kw)
+                deriv = loss.deriv(rows @ x, ds.y[batch]) - g_ref[batch]
+                want = rows.T @ deriv / batch.size + mu_c + 2.0 * mu_p * (x - x_ref)
+                kw = dict(mu=mu_c[wfeat], x_ref=x_ref[wfeat], mu_p=mu_p)
+                got, = _grads(loss, x[wfeat], work, ds.y, g_ref, 1, batches, None, **kw)
                 assert got.dtype == np.float64
                 np.testing.assert_allclose(got, want[wfeat], rtol=0, atol=1e-12)
                 # one chunk of steps, one per block, all on the same batch
@@ -374,7 +362,9 @@ def test_step_gradient_sums_nothing_as_float_zeros(monkeypatch):
         for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0),
                           (np.array([3]), None)):
             ibs = None if ib is None else np.array([ib])
-            got, = _grads(spec.loss, x, work, y, None, 1, batch[None, :], ibs)
+            zero = np.zeros(15)
+            got, = _grads(spec.loss, x, work, y, np.zeros(12), 1, batch[None, :], ibs,
+                          zero, zero)
             assert got.dtype == np.float64 and not got.any()
             mu = np.full(15, 0.25)
             got, = _grads(spec.loss, x, work, y, np.zeros(12), 1, batch[None, :], ibs,
@@ -1051,6 +1041,24 @@ def test_adsgd_returns_zero_above_lambda_max():
     assert rep.converged and rep.outer_iters <= 1
 
 
+@pytest.mark.parametrize("case", ["lasso", "logistic-group"])
+def test_lambda_max_holds_with_the_perturbation(case):
+    """lambda_max takes the gradient at x = 0, where the perturbation
+    mu_p ||x||^2 is centred, so it stays exact with mu_p > 0: just above it
+    the reference and adsgd return exactly 0, and at 0.9 of it a nonzero
+    point, each with a certified gap."""
+    spec = (make_instance(seed=9, n=50, d=60, mu_p=0.05) if case == "lasso"
+            else make_instance(seed=12, n=80, d=40, q=8, model="logistic",
+                               reg="group_l2", mu_p=0.05))
+    lmax = G.lambda_max(spec)
+    for ratio, zero in ((1 + 1e-9, True), (0.9, False)):
+        at = dataclasses.replace(spec, lam=lmax * ratio)
+        for rep in (G.reference_solve(at, tol=1e-10),
+                    G.adsgd_solve(at, G.SolverConfig(seed=0))):
+            assert rep.converged
+            assert (not rep.x_final.any()) == zero
+
+
 # ------------------------------------------------------------------- mrbcd
 
 def test_mrbcd_is_adsgd_without_screening_bit_for_bit():
@@ -1182,6 +1190,12 @@ def test_invalid_configs_rejected(lasso_spec):
         G.SolverConfig(eta=math.inf),
         G.SolverConfig(gap_tol=math.nan),
         G.SolverConfig(gap_tol=math.inf),
+        # counts are integers: none is rounded
+        G.SolverConfig(max_outer=2.5),
+        G.SolverConfig(batch_size=2.5),
+        G.SolverConfig(m=7.9),
+        G.SolverConfig(seed=1.5),
+        G.SolverConfig(m=np.float64(8.0)),
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
@@ -1618,8 +1632,7 @@ def _l1_model_residual(spec, w):
     """Largest entry of the L1 stationarity system on w's support, with w's signs."""
     ds, s = spec.dataset, np.flatnonzero(w)
     g = ds.A[:, s].T @ spec.loss.deriv(ds.A @ w, ds.y) / ds.n
-    return float(np.max(np.abs(g + 2.0 * spec.mu_p * (w[s] - spec.anchor[s])
-                                + spec.lam * np.sign(w[s]))))
+    return float(np.max(np.abs(g + 2.0 * spec.mu_p * w[s] + spec.lam * np.sign(w[s]))))
 
 
 @pytest.mark.parametrize("case", ["l1-squared", "l1-logistic"])
