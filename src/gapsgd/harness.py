@@ -463,6 +463,23 @@ _PLAN_KEYS = {
                 + ", ".join(sorted(_SOLVERS) + ["reference"])),
 }
 
+# The dataclass field each plan key sets, per dataclass; a key the plan omits
+# leaves the field's own default.
+_SOLVER_FIELDS = {"batch_size": "batch_size", "inner_m": "m", "eta": "eta",
+                  "theory_mode": "theory_mode", "gap_tol": "gap_tol",
+                  "max_outer": "max_outer", "seed": "seed"}
+_SYNTHETIC_FIELDS = {key: key for key in ("n", "d", "sparsity", "noise", "seed", "model",
+                                          "feature_scale", "support_size",
+                                          "support_placement")}
+_PLAN_FIELDS = {"data": "dataset_path", "model": "model", "blocks": "q", "mu_p": "mu_p",
+                "lambda_ratios": "lambda_ratios", "repetitions": "repetitions",
+                "out": "out_dir", "plot": "plot"}
+
+
+def _fields(kv, fields):
+    """The keyword arguments of the plan's values kv, by fields' field names."""
+    return {field: kv[key] for key, field in fields.items() if key in kv}
+
 
 def parse_plan_file(path):
     """Read a benchmark plan from `key = value` lines (# starts a comment).
@@ -474,13 +491,16 @@ def parse_plan_file(path):
     in any case; model is lasso or logistic and support_placement prefix or
     random; sparsity and lambda_ratios lie in (0, 1]; eta, gap_tol and
     feature_scale must be positive and finite, noise and mu_p nonnegative and
-    finite, seed a nonnegative integer, and n, d, support_size, repetitions,
-    blocks, batch_size, inner_m and max_outer positive integers (batch_size
-    <= n is checked per solve). Every value is read as its key's type while
-    the file is parsed, so an unknown key or a value of the wrong type, such
-    as an unknown solver name, raises ValueError with its line. So does eta
-    given with theory_mode on, and a plan without data that lacks n or d
-    raises ValueError naming the key.
+    finite, noise at most 1 for a logistic model, seed a nonnegative integer,
+    and n, d, support_size, repetitions, blocks, batch_size, inner_m and
+    max_outer positive integers (batch_size <= n is checked per solve). Every
+    value is read as its key's type while the file is parsed, so an unknown
+    key or a value of the wrong type, such as an unknown solver name, raises
+    ValueError with its line. So do a sparsity or a logistic noise out of
+    range and eta given with theory_mode on, and a plan without data that
+    lacks n or d raises ValueError naming the key. A key the plan omits
+    leaves its field at the default of SolverConfig, SyntheticParams or
+    ExperimentPlan; solvers defaults to adsgd alone.
     """
     kv, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -503,33 +523,17 @@ def parse_plan_file(path):
     if "sparsity" in kv and not 0 < kv["sparsity"] <= 1:
         raise ValueError(f"plan line {lines['sparsity']}: sparsity must lie in (0, 1], "
                          f"got {kv['sparsity']!r}")
+    if kv.get("model") == "logistic" and kv.get("noise", 0.0) > 1:
+        raise ValueError(f"plan line {lines['noise']}: noise is a label flip probability "
+                         f"for a logistic model, at most 1, got {kv['noise']!r}")
     if kv.get("theory_mode") and "eta" in kv:
         raise ValueError(f"plan line {lines['theory_mode']}: theory_mode and eta "
                          f"(line {lines['eta']}) are mutually exclusive")
     for key in ("n", "d"):
         if "data" not in kv and key not in kv:
             raise ValueError(f"plan: synthetic data needs key {key!r}, or give data")
-    model = kv.get("model", "lasso")
-    solver_names = kv.get("solvers", ("adsgd",))
-    base = SolverConfig(
-        batch_size=kv.get("batch_size"), m=kv.get("inner_m"), eta=kv.get("eta"),
-        theory_mode=kv.get("theory_mode", False), gap_tol=kv.get("gap_tol", 1e-6),
-        max_outer=kv.get("max_outer", 200), seed=kv.get("seed", 0),
-    )
-    solvers = tuple(dataclasses.replace(base, solver=name) for name in solver_names)
-    synthetic = None
-    data_path = kv.get("data")
-    if data_path is None:
-        synthetic = SyntheticParams(
-            n=kv["n"], d=kv["d"], sparsity=kv.get("sparsity", 0.3),
-            noise=kv.get("noise", 0.01), seed=kv.get("seed", 0), model=model,
-            feature_scale=kv.get("feature_scale", 1.0),
-            support_size=kv.get("support_size"),
-            support_placement=kv.get("support_placement", "random"),
-        )
-    return ExperimentPlan(
-        dataset_path=data_path, synthetic=synthetic, model=model, q=kv.get("blocks"),
-        mu_p=kv.get("mu_p", 0.0), lambda_ratios=kv.get("lambda_ratios", (0.5, 0.25)),
-        solvers=solvers, repetitions=kv.get("repetitions", 1),
-        out_dir=kv.get("out", "runs"), plot=kv.get("plot", False),
-    )
+    base = SolverConfig(**_fields(kv, _SOLVER_FIELDS))
+    solvers = tuple(dataclasses.replace(base, solver=name)
+                    for name in kv.get("solvers", ("adsgd",)))
+    synthetic = None if "data" in kv else SyntheticParams(**_fields(kv, _SYNTHETIC_FIELDS))
+    return ExperimentPlan(synthetic=synthetic, solvers=solvers, **_fields(kv, _PLAN_FIELDS))

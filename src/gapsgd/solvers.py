@@ -11,7 +11,8 @@ Each outer iteration snapshots the iterate and evaluates it on the full
 problem (duality.evaluate: objective, per-sample derivatives, the dual point
 scaled over all q blocks with its dual value, and the duality gap). That gap
 is the stopping test, so a certificate holds whatever screening dropped. A
-screening solver then screens with the Gap Safe sphere of radius
+screening solver then screens, after every row that does not stop the solve,
+with the Gap Safe sphere of radius
 sqrt(2 n gap max(c, 2 n mu_p)) (duality.safe_radius), which drops blocks for
 good: the safe set only shrinks. Inside the safe set it picks the epoch's
 working set, the safe blocks where the iterate is nonzero plus those whose
@@ -91,9 +92,10 @@ products, X_b x and coef X_b[:, lo:hi]. One epoch, its plan, steps and
 restart, runs in _epoch, which picks the kernel from the storage of the
 design the epoch runs on; _engine keeps the outer loop. Both kernels take a
 snapshot, so the steps have one formula, Prox-SVRG's (Xiao & Zhang, SIAM J.
-Optim. 2014). vr_gradient runs the same kernel on the uncompacted design,
-picked by the same density test, from the batch's rows alone, and so does
-partial_gradient, on a zero snapshot.
+Optim. 2014). vr_gradient is one step of the engine's own plan: _compact
+builds the dataset's working design over every block, and the planner and
+kernel of its storage take the batch and block as a chunk of one step.
+partial_gradient is the same step on a zero snapshot.
 
 The working design is the row pointers plus one array each of the column,
 value and row of every stored entry, in CSR order, with its columns numbered
@@ -184,8 +186,10 @@ class SolverConfig:
     ceil(T / L) and pins eta = 1/(16 L); the matching inner budget
     m = ceil(65 q L / mu) additionally needs the strong convexity constant,
     supplied through mu_strong. m, batch_size, max_outer and seed must be
-    Python or numpy integers. The block partition and the perturbation mu_p
-    belong to the ProblemSpec a solver is given.
+    Python or numpy integers, not bools. No field switches screening: adsgd
+    screens after every row, and mrbcd is the same engine without it. The
+    block partition and the perturbation mu_p belong to the ProblemSpec a
+    solver is given.
     """
 
     solver: str = "adsgd"
@@ -197,7 +201,6 @@ class SolverConfig:
     seed: int = 0
     theory_mode: bool = False
     mu_strong: float = None
-    screen_every: int = 1
     keep_iterates: bool = False
 
 
@@ -286,6 +289,11 @@ def inner_budget(m, q_k, q):
     return max(1, -((-m * q_k) // q))
 
 
+def _is_count(v):
+    """Whether v is a Python or numpy integer; a bool is neither a count nor a block."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _resolve(spec, config):
     """(eta, m, batch_size) of config on spec; only the defaults that need the
     smoothness bounds compute lipschitz_constants."""
@@ -307,7 +315,7 @@ def _resolve(spec, config):
         batch = min(n, max(1, math.ceil(consts.T / consts.L)))
     for name, count in (("m", m), ("batch_size", batch), ("max_outer", config.max_outer),
                         ("seed", config.seed)):
-        if not isinstance(count, (int, np.integer)):
+        if not _is_count(count):
             raise ValueError(f"{name} must be an integer, got {count!r}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
@@ -317,8 +325,6 @@ def _resolve(spec, config):
         raise ValueError(f"gap_tol must be positive and finite, got {config.gap_tol}")
     if config.max_outer < 1:
         raise ValueError("max_outer must be at least 1")
-    if config.screen_every < 0:
-        raise ValueError("screen_every must be nonnegative")
     if config.seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {config.seed}")
     return float(eta), int(m), int(batch)
@@ -334,12 +340,6 @@ def _resolve(spec, config):
 # 0.47 / 0.48 at 0.20. The crossover lies near 0.04-0.06; 0.1 keeps every
 # design that the dense storage would slow on the sparse one.
 _RHO = 0.1
-
-
-def _is_dense(nnz, n, p):
-    """Whether a design of nnz stored entries over n rows and p columns takes
-    the dense storage: the one test of the engine and the public gradients."""
-    return nnz >= _RHO * n * p
 
 
 @dataclasses.dataclass
@@ -365,10 +365,12 @@ class _Working:
     def dense(self):
         """The design as an (n, p) float64 array in the same column numbering,
         where it stores at least _RHO * n * p entries over its p columns, else
-        None. Built when first read: the engine reads it for the designs its
-        epochs run on, not for the safe set's design it only cuts from."""
+        None: the one density test, which picks the planner and kernel of
+        every epoch and of every public gradient. Built when first read: the
+        engine reads it for the designs its epochs run on, not for the safe
+        set's design it only cuts from."""
         (cols, vals, row_of), n, p = self.entries, self.indptr.size - 1, self.features.size
-        if not _is_dense(vals.size, n, p):
+        if vals.size < _RHO * n * p:
             return None
         out = np.zeros((n, p))
         out[row_of, cols] = vals
@@ -544,11 +546,17 @@ def dense_step_gradient(loss, x, x_b, y, g_ref, lo, hi, mu, x_ref, mu_p):
     return grad
 
 
+def _stepper(work):
+    """(planner, kernel) of work's storage, for every step of an epoch or a public gradient."""
+    return ((_plan, step_gradient) if work.dense is None
+            else (_plan_dense, dense_step_gradient))
+
+
 def _check_batch(spec, batch, block):
     batch = np.asarray(batch).ravel()
     if batch.size == 0:
         raise ValueError("batch must be non-empty")
-    if batch.dtype.kind not in "iu" or not isinstance(block, (int, np.integer)):
+    if batch.dtype.kind not in "iu" or not _is_count(block):
         raise ValueError("batch indices and block must be integers")
     batch = batch.astype(np.intp, copy=False)
     if batch.min() < 0 or batch.max() >= spec.dataset.n:
@@ -559,36 +567,26 @@ def _check_batch(spec, batch, block):
 
 
 def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
-    """One step's gradient on `block` of the whole design, in feature ids, from
-    the kernel the engine runs on that design's storage.
-
-    Only the batch's rows are gathered, in the engine's block-major column
-    numbering, and the storage follows _is_dense on the whole design, as
-    _Working.dense does, without building its dense twin. x_tilde is the
-    snapshot, whose derivatives are formed on the batch alone, and mu its
-    smooth gradient; without them the snapshot is zero: zero derivatives, a
-    zero gradient and a zero point, so the kernel's formula gives the plain
-    mini-batch gradient (x - 0, g - 0 and adding +0 are exact).
+    """One step's gradient on `block`, in feature ids: a one-step chunk of the
+    engine's epoch plan on the dataset's working design, run by the planner
+    and kernel of its storage (_stepper). x_tilde is the snapshot and mu its
+    smooth gradient; the snapshot's derivatives are formed on the batch's
+    rows alone, the only ones the step reads. Without x_tilde the snapshot is
+    zero: zero derivatives, a zero gradient and a zero point, so the kernel's
+    formula gives the plain mini-batch gradient (x - 0, g - 0 and adding +0
+    are exact).
     """
-    ds, part = spec.dataset, spec.partition
-    rows = ds.A[batch]  # CSR rows in batch order, repeats kept, each in CSR order
-    f = part.order  # working column p holds feature f[p]
-    lo, hi = int(part.offsets[block]), int(part.offsets[block + 1])
-    y_b = ds.y[batch]
+    ds = spec.dataset
+    work = _compact(spec, ActiveSet.full(spec))
+    plan, kern = _stepper(work)
+    g_snap = np.zeros(ds.n)
     if x_tilde is None:
-        g_b, x_tilde, mu = np.zeros(batch.size), np.zeros(ds.d), np.zeros(ds.d)
+        x_tilde = mu = np.zeros(ds.d)
     else:
-        g_b = spec.loss.deriv(rows @ x_tilde, y_b)
-    tail = (mu[f], x_tilde[f], spec.mu_p)
-    if _is_dense(ds.A.nnz, ds.n, ds.d):
-        return dense_step_gradient(spec.loss, x[f], rows.toarray()[:, f], y_b, g_b, lo,
-                                   hi, *tail)
-    feats, vals = rows.indices, rows.data
-    row_id = np.repeat(np.arange(batch.size), np.diff(rows.indptr))
-    sel = np.flatnonzero(part.block_of[feats] == block)
-    cols = part.offsets[part.block_of[feats]] + part.slot[feats]
-    return step_gradient(spec.loss, x[f], cols, vals, row_id, y_b, g_b,
-                         part.slot[feats[sel]], vals[sel], row_id[sel], lo, hi, *tail)
+        g_snap[batch] = spec.loss.deriv(ds.A[batch] @ x_tilde, ds.y[batch])
+    f = work.features  # working column p holds feature f[p]
+    (args, lo, hi), = plan(work, ds.y, g_snap, 1, batch[None], np.array([block]))
+    return kern(spec.loss, x[f], *args, lo, hi, mu[f], x_tilde[f], spec.mu_p)
 
 
 def partial_gradient(spec, x, batch, block):
@@ -596,7 +594,7 @@ def partial_gradient(spec, x, batch, block):
 
     batch may contain repeated sample indices; each occurrence contributes to
     the average. The perturbation term enters in full (it has no sample index).
-    It is the engine's kernel on a zero snapshot (_block_step).
+    It is one step of the engine's plan, on a zero snapshot (_block_step).
     """
     x = _check_x(spec, x)
     batch = _check_batch(spec, batch, block)
@@ -608,6 +606,8 @@ def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
 
     mu_tilde is the full-length smooth gradient at the snapshot; averaging the
     output over every singleton batch reproduces the exact block gradient.
+    It is one step of the engine's plan (_block_step), so its bytes are those
+    of an epoch's step on the same point, snapshot, batch and block.
     """
     mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
     if mu_tilde.shape != (spec.dataset.d,):
@@ -740,11 +740,11 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
     for every block draw, in step order. A bounded draw consumes the Philox
     stream alike alone or in an array (tests pin this), so the chunks draw
     the values of step-by-step draws and leave the stream in their state, on
-    both storages alike. The planner of work's storage, _plan or _plan_dense,
-    yields the chunk's steps, and each chunk runs as one loop: a step calls
-    the kernel positionally, updates its columns lo:hi of the iterate in
-    place (grad *= eta, v -= grad, the prox written back into v) and adds the
-    iterate to the running sum.
+    both storages alike. The planner of work's storage (_stepper), _plan or
+    _plan_dense, yields the chunk's steps, and each chunk runs as one loop: a
+    step calls the kernel positionally, updates its columns lo:hi of the
+    iterate in place (grad *= eta, v -= grad, the prox written back into v)
+    and adds the iterate to the running sum.
     """
     n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
     prox, thresh = spec.reg.block_prox, eta * spec.lam
@@ -755,8 +755,7 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
     x_sum = np.zeros(wfeat.size)
     g_ref, mu = snap[0], snap[1][wfeat]
     classes = None if block_sampling else work.layout.classes
-    plan, kern = ((_plan, step_gradient) if work.dense is None
-                  else (_plan_dense, dense_step_gradient))
+    plan, kern = _stepper(work)
     per_step = (batch_size * int(np.diff(work.indptr).max()) if sampled
                 else work.entries[0].size)
     chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
@@ -806,10 +805,9 @@ def _engine(spec, config, *, block_sampling, screening):
         raise DegenerateProblemError("design matrix is all zeros")
     eta, m, batch_size = _resolve(spec, config)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    screens = screening and config.screen_every > 0
 
     active = ActiveSet.full(spec)
-    bounds = column_bounds(spec) if screens else None
+    bounds = column_bounds(spec) if screening else None
     safe_work = work = _compact(spec, active)
     x_hat = np.zeros(spec.dataset.d)
     trace, active_history = [], []
@@ -835,7 +833,7 @@ def _engine(spec, config, *, block_sampling, screening):
         obj, g_snap, dp, gap = evaluation
         cert, sgap, refined, identified = dp, gap, False, False
         snap = g_snap, dp.gradient
-        if screens and np.isfinite(obj):
+        if screening and np.isfinite(obj):
             # A refinement's dual point certifies x_hat, centres the screen and
             # scores the working set wherever its gap is smaller; the snapshot
             # keeps x_hat's own derivatives and gradient. A refined point that
@@ -858,7 +856,7 @@ def _engine(spec, config, *, block_sampling, screening):
         k += 1
 
         radius = math.inf
-        if screens and (k - 1) % config.screen_every == 0:
+        if screening:
             radius = safe_radius(spec, sgap)
             safe = screen(spec, cert, radius, active, bounds)
             if _settles(spec, slot, model, safe, config.gap_tol):
@@ -879,7 +877,7 @@ def _engine(spec, config, *, block_sampling, screening):
         # set's design. x_hat is zero off it, and so are the epoch's average and
         # last iterate. An empty one (x_hat = 0, no safe block near lam) falls
         # back to the safe set.
-        wb = _working_blocks(spec, active, x_hat, cert) if screens else active.blocks
+        wb = _working_blocks(spec, active, x_hat, cert) if screening else active.blocks
         if wb.size in (0, active.n_blocks):
             work = safe_work
         elif not np.array_equal(wb, work.active.blocks):

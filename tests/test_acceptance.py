@@ -14,7 +14,7 @@ import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import soft_threshold
 
-from conftest import make_instance, tuned_eta
+from conftest import inert_screening, make_instance, tuned_eta
 
 
 def announce(capsys, num, name, ok, detail):
@@ -247,15 +247,18 @@ def test_criterion_05_speedup_over_mrbcd(capsys):
              "mean update ratios " + ", ".join(f"{m:.2f}" for m in means))
 
 
-def test_criterion_06_mrbcd_equivalence(capsys):
-    """Screening-disabled ADSGD reproduces MRBCD bit for bit under shared seeds."""
+def test_criterion_06_mrbcd_equivalence(capsys, monkeypatch):
+    """ADSGD with its screening made inert reproduces MRBCD bit for bit under
+    shared seeds: every screen keeps every block, every working set is the
+    safe set and no model is refined, while the screening path still runs."""
+    inert_screening(monkeypatch)
     identical = 0
     for i in range(10):
         spec = make_instance(seed=600 + i, n=60 + 10 * i, d=80 + 12 * i,
                              model="lasso" if i % 2 else "logistic")
         cfg = G.SolverConfig(seed=i, gap_tol=1e-12, max_outer=6, m=100,
                              eta=tuned_eta(spec), keep_iterates=True)
-        a = G.adsgd_solve(spec, dataclasses.replace(cfg, screen_every=0))
+        a = G.adsgd_solve(spec, cfg)
         b = G.mrbcd_solve(spec, cfg)
         same = (len(a.iterates) == len(b.iterates)
                 and all(np.array_equal(u, v) for u, v in zip(a.iterates, b.iterates))

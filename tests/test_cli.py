@@ -214,6 +214,10 @@ def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
                                        ("noise = -0.1",
                                         "noise must be nonnegative and finite"),
                                        ("noise = inf", "noise must be nonnegative"),
+                                       pytest.param("noise = 1.5\nmodel = logistic",
+                                                    "noise is a label flip probability "
+                                                    "for a logistic model, at most 1, "
+                                                    "got 1.5", id="logistic-noise"),
                                        ("feature_scale = inf",
                                         "feature_scale must be positive and finite, "
                                         "got 'inf'"),

@@ -471,6 +471,15 @@ def test_parse_plan_file_reads_the_example_plan():
     assert plan.plot is True and plan.repetitions == 3
 
 
+def test_parse_plan_file_leaves_every_omitted_key_at_its_dataclass_default(tmp_path):
+    """A plan of n and d alone parses to the defaults of SolverConfig,
+    SyntheticParams and ExperimentPlan, with adsgd as its one solver."""
+    p = tmp_path / "bench.plan"
+    p.write_text("n = 50\nd = 60\n")
+    assert parse_plan_file(p) == G.ExperimentPlan(
+        synthetic=G.SyntheticParams(n=50, d=60), solvers=(G.SolverConfig(solver="adsgd"),))
+
+
 def test_build_spec_rejects_an_unknown_model_or_penalty_by_its_choices():
     """A misspelled model is refused, not fitted as logistic regression, and
     an unknown penalty raises ValueError, not a bare KeyError."""

@@ -132,9 +132,10 @@ def test_partial_gradient_errors():
         G.partial_gradient(spec, x, [0], 99)
     with pytest.raises(ValueError):
         G.partial_gradient(spec, x, [100], 0)
-    # indices and blocks that are not integers are refused, not truncated
+    # indices and blocks that are not integers are refused, not truncated; a
+    # bool is not an integer here
     for batch, block in (([0.7, 1.2], 0), ([0, 1], 1.0), (np.array([2.0]), 0),
-                         ([True, False], 0)):
+                         ([True, False], 0), ([0, 1], True), ([0, 1], False)):
         with pytest.raises(ValueError):
             G.partial_gradient(spec, x, batch, block)
         with pytest.raises(ValueError):

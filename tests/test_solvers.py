@@ -13,7 +13,7 @@ from gapsgd.solvers import (_CHUNK_ENTRIES, _compact, _one_pass_bound, _plan,
                             _plan_dense, _power_sigma, _resolve, _spectral_bound,
                             dense_step_gradient, inner_budget, step_gradient)
 
-from conftest import epoch_rows, hand_lasso, make_instance, tuned_eta
+from conftest import epoch_rows, hand_lasso, inert_screening, make_instance, tuned_eta
 
 # _RHO = inf keeps every working design sparse, _RHO = 0 makes each one dense
 STORAGES = (math.inf, 0.0)
@@ -92,6 +92,46 @@ def test_public_gradients_run_the_kernel_of_the_design_storage(monkeypatch):
         G.partial_gradient(spec, x, [0, 3], 1)
         G.vr_gradient(spec, x, xt, mu, [5], 2)
         assert calls == [name, name]
+
+
+@pytest.mark.parametrize("sparsity, kernel", [(0.03, "step_gradient"),
+                                              (0.5, "dense_step_gradient")])
+def test_a_public_gradient_is_the_engines_step_bit_for_bit(monkeypatch, sparsity, kernel):
+    """On each step of mrbcd's second epoch, vr_gradient at the step's point,
+    on its batch and block, with the epoch's snapshot (the first epoch's
+    iterate) and that snapshot's full gradient, gives the bytes of the
+    engine's kernel call, on the sparse storage and on the dense one."""
+    spec = make_instance(seed=21, n=40, d=60, q=6, sparsity=sparsity, mu_p=0.01)
+    m, steps, calls = 25, [], []
+    for name in ("_plan", "_plan_dense"):
+        real = getattr(G.solvers, name)
+
+        def plan(work, y, g_snap, c, batches=None, ibs=None, real=real):
+            steps.extend((work.features, b, ib) for b, ib in zip(batches, ibs))
+            return real(work, y, g_snap, c, batches, ibs)
+
+        monkeypatch.setattr(G.solvers, name, plan)
+    for name in ("step_gradient", "dense_step_gradient"):
+        real = getattr(G.solvers, name)
+
+        def kern(loss, x, *rest, name=name, real=real):
+            out = real(loss, x, *rest)
+            calls.append((name, x.copy(), out.copy()))
+            return out
+
+        monkeypatch.setattr(G.solvers, name, kern)
+    rep = G.mrbcd_solve(spec, G.SolverConfig(seed=2, m=m, max_outer=2, gap_tol=1e-14,
+                                             eta=tuned_eta(spec), keep_iterates=True))
+    monkeypatch.undo()
+    assert len(rep.iterates) == 3 and len(steps) == len(calls) == 2 * m
+    x_tilde = rep.iterates[1]
+    mu = G.full_gradient(spec, x_tilde)
+    for (features, batch, block), (name, x_w, want) in zip(steps[m:], calls[m:]):
+        assert name == kernel
+        x = np.zeros(spec.dataset.d)
+        x[features] = x_w
+        got = G.vr_gradient(spec, x, x_tilde, mu, batch, block)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_vr_gradient_shape_check():
@@ -994,29 +1034,26 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
 
 
 def test_trace_records_the_screening_radius_and_the_working_set(monkeypatch):
-    """A row's radius is that of the screen after the previous row where one
-    ran (every other outer iteration here), and inf elsewhere: safe_radius of
-    min(P(x_hat), P(x_r)) - D(centre) where the previous row has a refined
-    point x_r of its model, else of the previous row's gap. Its working
+    """Every row after the first has the radius of the screen after the
+    previous row: safe_radius of min(P(x_hat), P(x_r)) - D(centre) where the
+    previous row has a refined point x_r of its model, else of the previous
+    row's gap. Its working
     blocks lie within its safe blocks, and the starting row has none, nor
     has a last row that returns the refined point its screen settled."""
     spec = make_instance(seed=7, n=60, d=90)
     calls = _spy_refinements(monkeypatch)
     screens = _spy_screens(monkeypatch, calls)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=7, gap_tol=1e-6, max_outer=100,
-                                             eta=tuned_eta(spec), screen_every=2,
-                                             keep_iterates=True))
+                                             eta=tuned_eta(spec), keep_iterates=True))
     assert rep.converged and calls
     first = rep.trace[0]
     assert (first.radius, first.working_blocks) == (math.inf, 0)
+    assert len(screens) == len(rep.trace) - 1
     for k, (prev, row) in enumerate(zip(rep.trace, rep.trace[1:])):
-        if k % 2 == 0:
-            dp, r, seen = screens[k // 2]
-            assert row.radius == r == G.safe_radius(
-                spec, _screening_gap(spec, rep, k, dp, seen, calls))
-            assert r <= G.safe_radius(spec, prev.gap)
-        else:
-            assert row.radius == math.inf
+        dp, r, seen = screens[k]
+        assert row.radius == r == G.safe_radius(
+            spec, _screening_gap(spec, rep, k, dp, seen, calls))
+        assert r <= G.safe_radius(spec, prev.gap)
         if k < len(epoch_rows(rep)):
             assert 0 < row.working_blocks <= row.active_blocks
         else:
@@ -1061,11 +1098,14 @@ def test_lambda_max_holds_with_the_perturbation(case):
 
 # ------------------------------------------------------------------- mrbcd
 
-def test_mrbcd_is_adsgd_without_screening_bit_for_bit():
+def test_mrbcd_is_adsgd_without_screening_bit_for_bit(monkeypatch):
+    """adsgd whose screens keep every block, whose working sets are the safe
+    set and which refines no model takes mrbcd's steps, bit for bit."""
+    inert_screening(monkeypatch)
     spec = make_instance(seed=11, n=60, d=90)
     cfg = G.SolverConfig(seed=3, gap_tol=1e-6, max_outer=10, m=80,
                          eta=tuned_eta(spec), keep_iterates=True)
-    a = G.adsgd_solve(spec, dataclasses.replace(cfg, screen_every=0))
+    a = G.adsgd_solve(spec, cfg)
     b = G.mrbcd_solve(spec, cfg)
     assert all(np.array_equal(u, v) for u, v in zip(a.iterates, b.iterates))
     assert np.array_equal(a.x_final, b.x_final)
@@ -1184,7 +1224,6 @@ def test_invalid_configs_rejected(lasso_spec):
         G.SolverConfig(gap_tol=0.0),
         G.SolverConfig(max_outer=0),
         G.SolverConfig(m=0),
-        G.SolverConfig(screen_every=-1),
         G.SolverConfig(theory_mode=True, mu_strong=-1.0),
         G.SolverConfig(eta=math.nan),
         G.SolverConfig(eta=math.inf),
@@ -1196,6 +1235,11 @@ def test_invalid_configs_rejected(lasso_spec):
         G.SolverConfig(m=7.9),
         G.SolverConfig(seed=1.5),
         G.SolverConfig(m=np.float64(8.0)),
+        # a bool is not a count: none runs as 1
+        G.SolverConfig(m=True),
+        G.SolverConfig(batch_size=True),
+        G.SolverConfig(max_outer=True),
+        G.SolverConfig(seed=True),
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
@@ -1279,10 +1323,9 @@ def test_only_screening_solves_compute_column_bounds(monkeypatch):
         raise AssertionError("column_bounds called by a solve that never screens")
 
     monkeypatch.setattr(G.solvers, "column_bounds", refuse)
-    for solver, fields in (("reference", {}), ("mrbcd", {}), ("proxsvrg", {}),
-                           ("adsgd", dict(screen_every=0))):
+    for solver in ("reference", "mrbcd", "proxsvrg"):
         cfg = G.SolverConfig(solver=solver, seed=1, m=40, max_outer=5,
-                             eta=tuned_eta(spec), **fields)
+                             eta=tuned_eta(spec))
         assert np.isfinite(G.solve(spec, cfg).gap)
     calls = []
     monkeypatch.setattr(G.solvers, "column_bounds", lambda s: calls.append(s) or real(s))
