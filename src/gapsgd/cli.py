@@ -12,6 +12,7 @@ variable relocates relative output paths.
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -83,7 +84,9 @@ def _spec_from_args(args, ratio=None):
 
 
 def _cmd_solve(args):
+    start = time.perf_counter()
     spec = _spec_from_args(args, ratio=args.lambda_ratio)
+    setup_s = time.perf_counter() - start
     cfg = SolverConfig(solver=args.solver, eta=args.eta, m=args.inner_m,
                        batch_size=args.batch_size, max_outer=args.max_outer,
                        gap_tol=args.gap_tol, seed=args.seed,
@@ -96,7 +99,7 @@ def _cmd_solve(args):
           f"gap={report.gap:.3e} objective={report.objective:.6g} "
           f"nnz={int(np.count_nonzero(x))} identified_at={report.identified_at} "
           f"identified_s={'None' if t_id is None else f'{t_id:.3f}'} "
-          f"wall_time={report.wall_time:.3f}s")
+          f"wall_time={report.wall_time:.3f}s setup_s={setup_s:.3f}")
     if args.out:
         path = _out_path(args.out)
         write_trace_csv(path, report.trace)

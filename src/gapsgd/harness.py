@@ -10,6 +10,8 @@ import dataclasses
 import io
 import math
 import os
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +28,10 @@ class LibsvmParseError(ValueError):
     """Malformed LIBSVM input; the message carries the offending line number."""
 
 
+_CHUNK_CHARS = 1 << 18  # a chunk is whole lines of about this many characters
+_MAX_INDEX = np.iinfo(np.int64).max
+
+
 def load_libsvm(path, binarize_labels=False):
     """Parse a LIBSVM text file: one `label idx:val ...` sample per line.
 
@@ -33,60 +39,105 @@ def load_libsvm(path, binarize_labels=False):
     the feature count is the largest index seen. With binarize_labels the
     sorted distinct labels are split in half, the lower half mapping to 0 and
     the rest to 1 (so {-1,+1} and {0,1} keep their usual meaning and
-    multiclass data becomes first-half-versus-rest). Blank lines are skipped,
-    and a non-finite label or value raises LibsvmParseError with its line.
+    multiclass data becomes first-half-versus-rest). Blank lines are skipped.
+    Labels, indices and values follow Python's own float and int grammar, so
+    "+3", "007" and "1_0" read as they do there.
+
+    The file is read in chunks of whole lines, about 256 KB each. A chunk's
+    tokens are converted by map(int, ...) and map(float, ...) straight into
+    arrays and checked by array masks, so no Python statement runs per
+    stored entry. Where a chunk fails, its lines are checked one by one, and
+    LibsvmParseError names the file's first bad line: a label or feature
+    token that does not parse (a feature token is `idx:val` with one colon),
+    a non-finite label or value, an index below 1 or above 2**63 - 1, indices
+    not strictly ascending, or bytes that are not UTF-8. While parsing, the
+    loader holds 16 bytes per stored entry (an int64 index and a float64
+    value) and one chunk's Python strings; joining the chunks and building
+    the CSR matrix briefly hold about twice that.
     """
-    labels = []
-    rows, cols, vals = [], [], []
-    d = 0
-    isfinite = math.isfinite
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
+    chunks = [_parse_chunk([])]  # empty arrays of each dtype, for an empty file
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        ln = 0
+        while lines := fh.readlines(_CHUNK_CHARS):
             try:
-                label = float(parts[0])
-            except ValueError:
-                raise LibsvmParseError(f"line {ln}: bad label {parts[0]!r}") from None
-            if not isfinite(label):
-                raise LibsvmParseError(f"line {ln}: non-finite label {parts[0]!r}")
-            row = len(labels)
-            labels.append(label)
-            prev = 0
-            for tok in parts[1:]:
-                idx, sep, val = tok.partition(":")
-                if not sep:
-                    raise LibsvmParseError(f"line {ln}: bad feature token {tok!r}")
-                try:
-                    idx = int(idx)
-                    val = float(val)
-                except ValueError:
-                    raise LibsvmParseError(
-                        f"line {ln}: bad feature token {tok!r}") from None
-                if idx < 1:
-                    raise LibsvmParseError(f"line {ln}: index {idx} is not positive")
-                if not isfinite(val):
-                    raise LibsvmParseError(
-                        f"line {ln}: non-finite feature value {tok!r}")
-                if idx <= prev:
-                    raise LibsvmParseError(
-                        f"line {ln}: indices must be strictly ascending")
-                prev = idx
-                d = max(d, idx)
-                rows.append(row)
-                cols.append(idx - 1)
-                vals.append(val)
-    n = len(labels)
+                chunks.append(_parse_chunk(lines))
+            except (ValueError, OverflowError):
+                for k, line in enumerate(lines, start=ln + 1):
+                    _check_line(k, line)
+                raise
+            ln += len(lines)
+    y, counts, cols, vals = map(np.concatenate, zip(*chunks))
+    del chunks
+    n, d = y.size, int(cols.max(initial=0))
     if n == 0 or d == 0:
         raise LibsvmParseError("file holds no samples with features")
-    y = np.asarray(labels)
-    if binarize_labels:
+    if binarize_labels:  # the lower half of the sorted distinct labels maps to 0
         classes = np.unique(y)
-        low = set(classes[: classes.size // 2].tolist())
-        y = np.array([0.0 if v in low else 1.0 for v in y])
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(n, d))
-    return Dataset(a, y)
+        y = (y >= classes[classes.size // 2]).astype(np.float64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    cols -= 1
+    return Dataset(sp.csr_matrix((vals, cols, indptr), shape=(n, d)), y)
+
+
+def _parse_chunk(lines):
+    """(labels, feature counts, indices, values) of the non-blank lines.
+
+    Raises ValueError or OverflowError where any line breaks the grammar;
+    _check_line then names the line.
+    """
+    rows = list(filter(None, map(str.split, lines)))
+    y = np.fromiter(map(float, map(itemgetter(0), rows)), np.float64, count=len(rows))
+    feats = list(chain.from_iterable(map(itemgetter(slice(1, None)), rows)))
+    nnz = len(feats)
+    counts = np.fromiter(map(len, rows), np.int64, count=len(rows)) - 1
+    colons = np.fromiter(map(str.count, feats, repeat(":")), np.int64, count=nnz)
+    parts = ":".join(feats).split(":")  # idx, val, idx, val, ... with one colon each
+    idx = np.fromiter(map(int, parts[0::2]), np.int64, count=nnz)
+    val = np.fromiter(map(float, parts[1::2]), np.float64, count=nnz)
+    row = np.repeat(np.arange(len(rows)), counts)
+    descends = (np.diff(idx) <= 0) & (np.diff(row) == 0)
+    if (np.any(colons != 1) or np.any(idx < 1) or np.any(descends)
+            or not np.all(np.isfinite(y)) or not np.all(np.isfinite(val))):
+        raise ValueError("a line breaks the LIBSVM grammar")
+    return y, counts, idx, val
+
+
+def _check_line(ln, line):
+    """Raise LibsvmParseError for the first fault of line ln, read token by token."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:  # an undecodable byte, escaped as a surrogate
+        raise LibsvmParseError(f"line {ln}: byte 0x{ord(line[exc.start]) - 0xDC00:02x} "
+                               f"is not UTF-8") from None
+    parts = line.split()
+    if not parts:
+        return
+    try:
+        label = float(parts[0])
+    except ValueError:
+        raise LibsvmParseError(f"line {ln}: bad label {parts[0]!r}") from None
+    if not math.isfinite(label):
+        raise LibsvmParseError(f"line {ln}: non-finite label {parts[0]!r}")
+    prev = 0
+    for tok in parts[1:]:
+        idx, sep, val = tok.partition(":")
+        if not sep:
+            raise LibsvmParseError(f"line {ln}: bad feature token {tok!r}")
+        try:
+            idx = int(idx)
+            val = float(val)
+        except ValueError:
+            raise LibsvmParseError(f"line {ln}: bad feature token {tok!r}") from None
+        if idx < 1:
+            raise LibsvmParseError(f"line {ln}: index {idx} is not positive")
+        if idx > _MAX_INDEX:
+            raise LibsvmParseError(f"line {ln}: index {idx} exceeds 2**63 - 1")
+        if not math.isfinite(val):
+            raise LibsvmParseError(f"line {ln}: non-finite feature value {tok!r}")
+        if idx <= prev:
+            raise LibsvmParseError(f"line {ln}: indices must be strictly ascending")
+        prev = idx
 
 
 @dataclasses.dataclass

@@ -162,7 +162,8 @@ from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_
 
 
 class DivergenceError(RuntimeError):
-    """Objective became non-finite during a solve."""
+    """Objective became non-finite during a solve or, in a stochastic solve,
+    passed _RUNAWAY times its starting value P(0)."""
 
     def __init__(self, message, iteration=None):
         super().__init__(message)
@@ -794,8 +795,19 @@ def _zero_dropped(spec, active, safe, x_hat, snap):
     return snap
 
 
-# A diverging solve overflows in its steps and evaluations; the non-finite
-# objective check reports that as a DivergenceError, without numpy's warnings.
+# Every solve starts at x = 0, so a row above P(0) is an epoch that left the
+# iterate worse than where it began. Averaged epochs overshoot a little early
+# on: at most 1.05 times P(0) in the tests' and the benchmark's solves, and 1.7
+# times where a step of 1/L_spec still certifies. A step too long for the data
+# grows the objective geometrically, row on row, past 1e100 with the gap still
+# finite. A row over _RUNAWAY times P(0) ends the solve as diverged: six decades
+# above any overshoot seen, and a few rows into a runaway.
+_RUNAWAY = 1e6
+
+
+# A diverging solve overflows in its steps and evaluations; the non-finite or
+# runaway objective check reports that as a DivergenceError, without numpy's
+# warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _engine(spec, config, *, block_sampling, screening):
     start = time.perf_counter()
@@ -816,6 +828,7 @@ def _engine(spec, config, *, block_sampling, screening):
     radius, width = math.inf, 0
     model, slot = None, (None, None, None)  # the last iterate's model; the last refinement
     evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "start"
+    runaway = _RUNAWAY * evaluation[0]
 
     def record(obj, gap, refined, identified):
         """Append row k, of x_hat on the safe set active."""
@@ -847,6 +860,9 @@ def _engine(spec, config, *, block_sampling, screening):
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at outer iteration {k}",
                                   iteration=k)
+        if obj > runaway:
+            raise DivergenceError(f"objective ran away to {obj:.3g}, over {_RUNAWAY:g} "
+                                  f"times P(0), at outer iteration {k}", iteration=k)
         # a refined gap stops the solve only on an identified row
         if gap <= config.gap_tol and (identified or not refined):
             converged = True

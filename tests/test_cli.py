@@ -60,13 +60,15 @@ def test_solve_command_on_a_sparse_design_certifies_with_the_defaults(seed, caps
 def test_solve_command_prints_when_the_model_was_identified(capsys):
     """The result line gives the outer iteration of the first identified trace
     row and its elapsed seconds, or None for both where no row is: a solve
-    cut off before identification, or a solver that never screens."""
+    cut off before identification, or a solver that never screens. Its last
+    field, setup_s, is the seconds spent making the data and the spec."""
     args = ["solve", "--synthetic", "40,30,0.5,0.05", "--gap-tol", "1e-3", "--seed", "4"]
     assert main(args) == 0
-    fields = dict(f.split("=") for f in capsys.readouterr().out.split()
-                  if f.count("=") == 1)
+    result = capsys.readouterr().out.splitlines()[1].split()
+    fields = dict(f.split("=") for f in result)
     assert fields["outer_iters"] == fields["identified_at"] == "2"
     assert 0.0 <= float(fields["identified_s"]) <= float(fields["wall_time"].rstrip("s"))
+    assert result[-1].startswith("setup_s=") and float(fields["setup_s"]) >= 0.0
     for more in (["--max-outer", "1"], ["--solver", "mrbcd", "--max-outer", "2"]):
         assert main(args + more) == 4
         out = capsys.readouterr().out
@@ -183,10 +185,11 @@ def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
     assert main(["bench", str(plan)]) == 4
     out = capsys.readouterr().out
     for rep in (0, 1):
-        assert f"FAILED adsgd ratio=0.5 rep={rep}: objective became non-finite" in out
+        assert f"FAILED adsgd ratio=0.5 rep={rep}: objective ran away to " in out
     with open(tmp_path / "runs" / "summary.csv", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 and all("non-finite" in r["error"] for r in rows)
+    assert len(rows) == 2 and all("times P(0), at outer iteration 1" in r["error"]
+                                  for r in rows)
 
 
 @pytest.mark.parametrize("line,says", [("gap_tl = 1e-9", "unknown key 'gap_tl'"),
@@ -291,6 +294,25 @@ def test_non_finite_data_file_exits_3(tmp_path, capsys, line):
     assert main(["solve", "--data", str(p)]) == 3
     err = capsys.readouterr().err
     assert "non-finite" in err and "line 2:" in err
+
+
+@pytest.mark.parametrize("content,says", [
+    (b"1 1:1\n1 99999999999999999999:1\n",
+     "line 2: index 99999999999999999999 exceeds 2**63 - 1"),
+    (b"1 1:1\n-1 2:1 9223372036854775808:1\n",
+     "line 2: index 9223372036854775808 exceeds 2**63 - 1"),
+    (b"1 1:1\n0 2:\xff1\n", "line 2: byte 0xff is not UTF-8"),
+    (b"1 1:1\n\n\xe9t\xe9 1:1\n", "line 3: byte 0xe9 is not UTF-8"),
+], ids=["index-1e20", "index-2**63", "byte-0xff", "byte-0xe9"])
+def test_an_index_past_int64_or_bytes_not_utf8_exit_3_naming_the_line(tmp_path, capsys,
+                                                                      content, says):
+    """An index of 2**63 or more used to escape as OverflowError with a
+    traceback (exit 1), and a byte that is not UTF-8 gave only the codec's
+    byte offset; both now name the line."""
+    p = tmp_path / "bad.txt"
+    p.write_bytes(content)
+    assert main(["lambda-max", "--data", str(p)]) == 3
+    assert capsys.readouterr().err == f"error: {says}\n"
 
 
 def test_bad_synthetic_argument_exits_3(capsys):

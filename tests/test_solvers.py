@@ -1214,6 +1214,28 @@ def test_divergence_error_names_iteration():
     assert "iteration" in str(exc.value)
 
 
+@pytest.mark.parametrize("seed,certifies", [(10, False), (12, False), (15, False),
+                                            (16, False), (11, True)])
+def test_a_runaway_objective_is_divergence_while_it_is_finite(seed, certifies):
+    """At eta = 1/L_spec, batch 1, adsgd's objective on these instances grows
+    row on row, to 1e131-1e174 by outer iteration 60 with every value finite.
+    Once a row passes _RUNAWAY times P(0) the solve raises DivergenceError
+    naming that row, instead of returning converged=False at max_outer; on
+    seed 11 the same step certifies, and no row comes near the bound."""
+    spec = make_instance(seed, n=60, d=80, q=10)
+    cfg = G.SolverConfig(solver="adsgd", eta=1.0 / _spectral_bound(spec), batch_size=1,
+                         m=60, max_outer=60, seed=0)
+    if certifies:
+        report = G.solve(spec, cfg)
+        assert report.converged
+        assert max(r.objective for r in report.trace) < 2 * report.trace[0].objective
+        return
+    with pytest.raises(G.DivergenceError, match=r"^objective ran away to .*, over 1e\+06 "
+                       r"times P\(0\), at outer iteration \d+$") as exc:
+        G.solve(spec, cfg)
+    assert 1 <= exc.value.iteration < cfg.max_outer
+
+
 def test_invalid_configs_rejected(lasso_spec):
     bad = [
         G.SolverConfig(eta=0.0),
