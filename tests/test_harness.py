@@ -2,6 +2,8 @@ import csv
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -394,9 +396,156 @@ def test_generate_synthetic_invalid_params():
                dict(n=5, d=5, noise=1.5, model="logistic"),
                dict(n=5, d=5, feature_scale=0.0), dict(n=5, d=5, feature_scale=-1.0),
                dict(n=5, d=5, feature_scale=math.inf), dict(n=5, d=5, amplitude=0.0),
-               dict(n=5, d=5, amplitude=-2.0), dict(n=5, d=5, amplitude=math.inf)):
+               dict(n=5, d=5, amplitude=-2.0), dict(n=5, d=5, amplitude=math.inf),
+               dict(n=2.5, d=5), dict(n=5, d=2.5), dict(n=True, d=5), dict(n=5, d=True),
+               dict(n=5, d=5, seed=True), dict(n=5, d=5, seed=1.5),
+               dict(n=5, d=5, support_size=2.5), dict(n=5, d=5, support_size=True),
+               dict(n=5, d=5, support_size=np.float64(2.0))):
         with pytest.raises(ValueError):
             generate_synthetic(SyntheticParams(**kw))
+
+
+def test_generate_synthetic_checks_every_parameter_before_the_first_draw(monkeypatch):
+    """A bad support_size or support_placement raises before any normal is drawn."""
+    draws = []
+
+    class SpyGenerator(np.random.Generator):
+        def normal(self, *args, **kwargs):
+            draws.append(kwargs.get("size"))
+            return super().normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", SpyGenerator)
+    generate_synthetic(SyntheticParams(n=5, d=5))
+    assert draws  # the spy sees the design's draws
+    draws.clear()
+    for kw in (dict(support_size=6), dict(support_size=2.5),
+               dict(support_placement="middle")):
+        with pytest.raises(ValueError):
+            generate_synthetic(SyntheticParams(n=5, d=5, **kw))
+        assert draws == [], kw
+
+
+def oracle_generate_synthetic(params):
+    """The generator as it was before chunked drawing: two dense n x d arrays."""
+    p = params
+    rng = np.random.Generator(np.random.Philox(p.seed))
+    if p.orthonormal:
+        qmat, _ = np.linalg.qr(rng.normal(size=(p.n, p.d)))
+        dense = qmat * math.sqrt(p.n) * p.feature_scale
+    else:
+        dense = rng.normal(size=(p.n, p.d)) * p.feature_scale
+        dense *= rng.random(size=(p.n, p.d)) < p.sparsity
+    k = p.support_size if p.support_size is not None else max(1, p.d // 20)
+    if p.support_placement == "prefix":
+        support = np.arange(k)
+    else:
+        support = np.sort(rng.choice(p.d, size=k, replace=False))
+    x_true = np.zeros(p.d)
+    x_true[support] = (rng.choice([-1.0, 1.0], size=k)
+                       * rng.uniform(1.0, 2.0, size=k) * p.amplitude)
+    z = dense @ x_true
+    if p.model == "lasso":
+        y = z + p.noise * rng.normal(size=p.n)
+    else:
+        y = (rng.random(p.n) < 1.0 / (1.0 + np.exp(-z))).astype(float)
+        if p.noise > 0:
+            flip = rng.random(p.n) < p.noise
+            y[flip] = 1.0 - y[flip]
+    return G.Dataset(sp.csr_matrix(dense), y, x_true=x_true)
+
+
+def generated(gen, params):
+    """Every array of gen(params), with its dtype, as bytes."""
+    ds = gen(params)
+    return tuple((a.dtype.str, a.tobytes()) for a in
+                 (ds.A.indptr, ds.A.indices, ds.A.data, ds.y, ds.x_true))
+
+
+def random_synthetic_params(rng):
+    """Seeded params over both models and placements, noise 0 and density 1 or
+    2%, and heights below 8, one above a multiple of 8 and arbitrary."""
+    n = int(rng.choice([rng.integers(1, 8), 8 * rng.integers(1, 12) + 1,
+                        rng.integers(8, 120)]))
+    d = int(rng.integers(1, 300))
+    return SyntheticParams(
+        n=n, d=d, sparsity=float(rng.choice([1.0, 0.02, rng.uniform(0.05, 1.0)])),
+        noise=float(rng.choice([0.0, 0.1])), seed=int(rng.integers(0, 1000)),
+        model=str(rng.choice(["lasso", "logistic"])),
+        support_size=int(rng.integers(1, d + 1)),
+        support_placement=str(rng.choice(["random", "prefix"])),
+        amplitude=float(rng.uniform(0.5, 2.0)),
+        feature_scale=float(rng.uniform(0.5, 2.0)))
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 4099, 1 << 18])
+def test_generate_synthetic_matches_the_one_shot_oracle_byte_for_byte(monkeypatch,
+                                                                      chunk_cells):
+    """Seeded random params give the oracle's indptr, indices, data, y and
+    x_true, dtypes included, in chunks of 8 rows, of a few rows and of the
+    whole design; so do a design wider than a chunk (8-row chunks, a 3-row
+    tail) and an orthonormal one."""
+    monkeypatch.setattr(G.harness, "_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(chunk_cells)
+    cases = [random_synthetic_params(rng) for _ in range(40)]
+    cases.append(SyntheticParams(n=40, d=12, seed=3, orthonormal=True))
+    if chunk_cells == 1 << 18:
+        cases.append(SyntheticParams(n=19, d=(1 << 18) + 3, sparsity=0.001, seed=2,
+                                     support_size=5))
+    for params in cases:
+        assert generated(generate_synthetic, params) == generated(
+            oracle_generate_synthetic, params), params
+
+
+def test_generate_synthetic_holds_less_memory_than_the_one_shot_oracle():
+    """On 1000 x 5000 at 2% density the chunked generator's tracemalloc peak
+    stays below a quarter of the oracle's, which holds two dense n x d arrays.
+    On designs of one chunk it is no higher than the oracle's, give or take
+    4 KiB: both peak while the design, its uniforms and its mask are held, and
+    the few small Python objects beside them differ by some hundred bytes
+    from run to run."""
+    for kw, bound in ((dict(n=1000, d=5000, sparsity=0.02, support_size=50),
+                       lambda oracle: 0.25 * oracle),
+                      (dict(n=500, d=500, sparsity=0.2, model="logistic"),
+                       lambda oracle: oracle + 4096),
+                      (dict(n=2000, d=40, sparsity=1.0), lambda oracle: oracle + 4096)):
+        params = SyntheticParams(seed=0, **kw)
+        peaks = {}
+        for name, gen in (("oracle", oracle_generate_synthetic),
+                          ("chunked", generate_synthetic)):
+            tracemalloc.start()
+            try:
+                gen(params)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["chunked"] <= bound(peaks["oracle"]), (kw, peaks)
+
+
+_HASH_SCRIPT = """
+import hashlib
+from gapsgd.harness import SyntheticParams, generate_synthetic
+for n, d in ((219, 2802), (1003, 4999), (513, 3000)):
+    ds = generate_synthetic(SyntheticParams(n=n, d=d, sparsity=0.05, seed=0))
+    print(hashlib.sha256(ds.A.data.tobytes()).hexdigest(),
+          hashlib.sha256(ds.y.tobytes()).hexdigest())
+"""
+
+
+def test_generate_synthetic_bytes_do_not_depend_on_the_blas_thread_count():
+    """One and two OpenBLAS threads give the same A.data and y. A one-shot
+    product over the whole design is split across threads at these shapes,
+    which moved y."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", _HASH_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        hashes.append(done.stdout)
+    assert hashes[0] == hashes[1]
 
 
 # ------------------------------------------------------------- CSV traces
