@@ -52,11 +52,8 @@ def _add_solver_args(p):
                    help="mini-batch size (default min(10, n))")
     p.add_argument("--inner-m", type=int, default=None, metavar="M",
                    help="base inner-loop count (default n)")
-    step = p.add_mutually_exclusive_group()
-    step.add_argument("--eta", type=float, default=None, metavar="E",
-                      help="step size (default 1/(16L))")
-    step.add_argument("--theory-mode", action="store_true",
-                      help="use the batch size T/L and step 1/(16L)")
+    p.add_argument("--eta", type=float, default=None, metavar="E",
+                   help="step size (default 1/(16L))")
     p.add_argument("--mu-p", type=float, default=0.0, metavar="P",
                    help="quadratic perturbation strength")
     p.add_argument("--gap-tol", type=float, default=1e-6, metavar="T")
@@ -89,8 +86,7 @@ def _cmd_solve(args):
     setup_s = time.perf_counter() - start
     cfg = SolverConfig(solver=args.solver, eta=args.eta, m=args.inner_m,
                        batch_size=args.batch_size, max_outer=args.max_outer,
-                       gap_tol=args.gap_tol, seed=args.seed,
-                       theory_mode=args.theory_mode)
+                       gap_tol=args.gap_tol, seed=args.seed)
     report = solve(spec, cfg)
     x, t_id = report.x_final, report.identified_s
     print(f"solver={args.solver} n={spec.dataset.n} d={spec.dataset.d} "

@@ -17,9 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .problem import (LOSSES, REGULARIZERS, BlockPartition, Dataset, ProblemSpec,
-                      lambda_max)
-from .solvers import (_SOLVERS, SolverConfig, TraceRecord, _is_count, reference_solve,
-                      solve)
+                      _is_count, lambda_max)
+from .solvers import _SOLVERS, SolverConfig, TraceRecord, reference_solve, solve
 
 
 _MODELS = {"lasso": "squared", "logistic": "logistic"}  # model name: the loss it fits
@@ -558,8 +557,7 @@ _PLAN_KEYS = {
     "seed": (lambda v: _nonnegative(v, int), "a nonnegative integer"),
     "sparsity": (float, "a number"),
     **dict.fromkeys(("noise", "mu_p"), (_nonnegative, "nonnegative and finite")),
-    **dict.fromkeys(("plot", "theory_mode"),
-                    (lambda v: _FLAGS[v.lower()], "0/1, true/false or yes/no")),
+    "plot": (lambda v: _FLAGS[v.lower()], "0/1, true/false or yes/no"),
     **dict.fromkeys(("eta", "gap_tol", "feature_scale"),
                     (_positive, "positive and finite")),
     "lambda_ratios": (_ratios, "comma-separated numbers in (0, 1]"),
@@ -570,8 +568,7 @@ _PLAN_KEYS = {
 # The dataclass field each plan key sets, per dataclass; a key the plan omits
 # leaves the field's own default.
 _SOLVER_FIELDS = {"batch_size": "batch_size", "inner_m": "m", "eta": "eta",
-                  "theory_mode": "theory_mode", "gap_tol": "gap_tol",
-                  "max_outer": "max_outer", "seed": "seed"}
+                  "gap_tol": "gap_tol", "max_outer": "max_outer", "seed": "seed"}
 _SYNTHETIC_FIELDS = {key: key for key in ("n", "d", "sparsity", "noise", "seed", "model",
                                           "feature_scale", "support_size",
                                           "support_placement")}
@@ -590,21 +587,20 @@ def parse_plan_file(path):
 
     Recognized keys: data, n, d, sparsity, noise, seed, model, feature_scale,
     support_size, support_placement, lambda_ratios, solvers, repetitions, out,
-    plot, batch_size, blocks, inner_m, eta, theory_mode, mu_p, gap_tol,
-    max_outer. The flags theory_mode and plot take 0/1, true/false or yes/no
-    in any case; model is lasso or logistic and support_placement prefix or
-    random; sparsity and lambda_ratios lie in (0, 1]; eta, gap_tol and
-    feature_scale must be positive and finite, noise and mu_p nonnegative and
-    finite, noise at most 1 for a logistic model, seed a nonnegative integer,
-    and n, d, support_size, repetitions, blocks, batch_size, inner_m and
-    max_outer positive integers (batch_size <= n is checked per solve). Every
-    value is read as its key's type while the file is parsed, so an unknown
-    key or a value of the wrong type, such as an unknown solver name, raises
-    ValueError with its line. So do a sparsity or a logistic noise out of
-    range and eta given with theory_mode on, and a plan without data that
-    lacks n or d raises ValueError naming the key. A key the plan omits
-    leaves its field at the default of SolverConfig, SyntheticParams or
-    ExperimentPlan; solvers defaults to adsgd alone.
+    plot, batch_size, blocks, inner_m, eta, mu_p, gap_tol, max_outer. The flag
+    plot takes 0/1, true/false or yes/no in any case; model is lasso or
+    logistic and support_placement prefix or random; sparsity and
+    lambda_ratios lie in (0, 1]; eta, gap_tol and feature_scale must be
+    positive and finite, noise and mu_p nonnegative and finite, noise at most
+    1 for a logistic model, seed a nonnegative integer, and n, d,
+    support_size, repetitions, blocks, batch_size, inner_m and max_outer
+    positive integers (batch_size <= n is checked per solve). Every value is
+    read as its key's type while the file is parsed, so an unknown key or a
+    value of the wrong type, such as an unknown solver name, raises ValueError
+    with its line. So does a sparsity or a logistic noise out of range, and a
+    plan without data that lacks n or d raises ValueError naming the key. A
+    key the plan omits leaves its field at the default of SolverConfig,
+    SyntheticParams or ExperimentPlan; solvers defaults to adsgd alone.
     """
     kv, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -630,9 +626,6 @@ def parse_plan_file(path):
     if kv.get("model") == "logistic" and kv.get("noise", 0.0) > 1:
         raise ValueError(f"plan line {lines['noise']}: noise is a label flip probability "
                          f"for a logistic model, at most 1, got {kv['noise']!r}")
-    if kv.get("theory_mode") and "eta" in kv:
-        raise ValueError(f"plan line {lines['theory_mode']}: theory_mode and eta "
-                         f"(line {lines['eta']}) are mutually exclusive")
     for key in ("n", "d"):
         if "data" not in kv and key not in kv:
             raise ValueError(f"plan: synthetic data needs key {key!r}, or give data")

@@ -31,6 +31,11 @@ class DegenerateProblemError(ValueError):
     """Raised when the design matrix carries no information (all zeros)."""
 
 
+def _is_count(v):
+    """Whether v is a Python or numpy integer; a bool is neither a count nor a block."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def soft_threshold(v, t, out=None):
     """Coordinate-wise shrinkage sign(v) * max(|v| - t, 0), as v - clip(v, -t, t).
 
@@ -52,10 +57,11 @@ class Dataset:
     matrix : array or scipy sparse matrix, shape (n, d)
     y : array, shape (n,)
         Real responses for regression; {0, 1} labels for logistic models.
-    x_true : array or None
+    x_true : array of shape (d,), or None
         Planted coefficients when the data is synthetic; purely informational.
 
-    Raises ValueError when a matrix entry or a response is not finite.
+    Raises ValueError when a matrix entry, a response or an entry of x_true
+    is not finite, or when y or x_true has the wrong shape.
     """
 
     def __init__(self, matrix, y, x_true=None):
@@ -75,7 +81,13 @@ class Dataset:
         self.d = d
         self.A = a
         self.y = y
-        self.x_true = None if x_true is None else np.asarray(x_true, dtype=np.float64)
+        if x_true is not None:
+            x_true = np.asarray(x_true, dtype=np.float64)
+            if x_true.shape != (d,):
+                raise ValueError(f"x_true has shape {x_true.shape}, expected {(d,)}")
+            if not np.all(np.isfinite(x_true)):
+                raise ValueError("x_true holds non-finite values")
+        self.x_true = x_true
         for arr in (a.data, a.indices, a.indptr, y):
             arr.flags.writeable = False
         # scipy's transpose of a CSR matrix is a CSC view of the same three
@@ -146,6 +158,8 @@ class BlockPartition:
     def from_sizes(cls, sizes):
         """Consecutive ranges of the given positive sizes, in order."""
         sizes = np.asarray(sizes, dtype=np.intp)
+        if not sizes.size or sizes.min() < 1:
+            raise ValueError("every size must be at least 1")
         part = cls.__new__(cls)
         part._lay_out(np.arange(sizes.sum()), sizes)
         return part
@@ -185,6 +199,8 @@ class BlockPartition:
     @classmethod
     def contiguous(cls, d, q):
         """q consecutive ranges of near-equal size, the longer ones first."""
+        if not (_is_count(d) and _is_count(q)):
+            raise ValueError(f"d and q must be integers, got d={d!r}, q={q!r}")
         if not 1 <= q <= d:
             raise ValueError(f"need 1 <= q <= d, got q={q}, d={d}")
         return cls.from_sizes(d // q + (np.arange(q) < d % q))

@@ -158,7 +158,7 @@ import numpy as np
 
 from .duality import ActiveSet, DualPoint, column_bounds, evaluate, safe_radius, screen
 from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_rows,
-                      lipschitz_constants, smooth_gradient, smooth_value)
+                      _is_count, lipschitz_constants, smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -183,10 +183,7 @@ class SolverConfig:
     """Hyperparameters shared by every solver.
 
     Unset fields resolve against the problem: eta to 1/(16 L), m to n and
-    batch_size to min(10, n). theory_mode overrides the batch size with
-    ceil(T / L) and pins eta = 1/(16 L); the matching inner budget
-    m = ceil(65 q L / mu) additionally needs the strong convexity constant,
-    supplied through mu_strong. m, batch_size, max_outer and seed must be
+    batch_size to min(10, n). m, batch_size, max_outer and seed must be
     Python or numpy integers, not bools. No field switches screening: adsgd
     screens after every row, and mrbcd is the same engine without it. The
     block partition and the perturbation mu_p belong to the ProblemSpec a
@@ -200,8 +197,6 @@ class SolverConfig:
     max_outer: int = 200
     gap_tol: float = 1e-6
     seed: int = 0
-    theory_mode: bool = False
-    mu_strong: float = None
     keep_iterates: bool = False
 
 
@@ -290,30 +285,16 @@ def inner_budget(m, q_k, q):
     return max(1, -((-m * q_k) // q))
 
 
-def _is_count(v):
-    """Whether v is a Python or numpy integer; a bool is neither a count nor a block."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _resolve(spec, config):
-    """(eta, m, batch_size) of config on spec; only the defaults that need the
-    smoothness bounds compute lipschitz_constants."""
+    """(eta, m, batch_size) of config on spec; only a default eta computes
+    lipschitz_constants."""
     n = spec.dataset.n
-    if config.theory_mode and config.eta is not None:
-        raise ValueError("eta and theory_mode are mutually exclusive")
-    consts = (lipschitz_constants(spec) if config.eta is None or config.theory_mode
-              else None)
-    eta = config.eta if config.eta is not None else 1.0 / (16.0 * consts.L)
+    eta = (config.eta if config.eta is not None
+           else 1.0 / (16.0 * lipschitz_constants(spec).L))
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
     m = config.m if config.m is not None else n
-    if config.theory_mode and config.mu_strong is not None:
-        if config.mu_strong <= 0:
-            raise ValueError("mu_strong must be positive")
-        m = math.ceil(65.0 * spec.partition.q * consts.L / config.mu_strong)
     batch = config.batch_size if config.batch_size is not None else min(10, n)
-    if config.theory_mode:
-        batch = min(n, max(1, math.ceil(consts.T / consts.L)))
     for name, count in (("m", m), ("batch_size", batch), ("max_outer", config.max_outer),
                         ("seed", config.seed)):
         if not _is_count(count):
@@ -812,7 +793,7 @@ _RUNAWAY = 1e6
 def _engine(spec, config, *, block_sampling, screening):
     start = time.perf_counter()
     A = spec.dataset.A
-    # lipschitz_constants rejects this design too, but runs only for defaults
+    # lipschitz_constants rejects this design too, but runs only for a default eta
     if not A.data.any():
         raise DegenerateProblemError("design matrix is all zeros")
     eta, m, batch_size = _resolve(spec, config)

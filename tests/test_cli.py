@@ -193,7 +193,7 @@ def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,says", [("gap_tl = 1e-9", "unknown key 'gap_tl'"),
-                                       ("theory_mode = maybe", "theory_mode must be"),
+                                       ("plot = maybe", "plot must be"),
                                        ("gap_tol = nan", "gap_tol must be positive"),
                                        ("eta = inf", "eta must be positive"),
                                        ("mu_p = -1", "mu_p must be nonnegative"),
@@ -241,7 +241,7 @@ def test_bench_command_exits_4_when_a_cell_raises(tmp_path, capsys):
                                         "adsgd, mrbcd, proxsvrg, reference, "
                                         "got 'adsgd, asgd'"),
                                        pytest.param("theory_mode = 1\neta = 0.01",
-                                                    "theory_mode and eta (line 4) are",
+                                                    "unknown key 'theory_mode'",
                                                     id="theory_mode-with-eta")])
 def test_bench_command_exits_3_on_a_bad_plan_line(tmp_path, capsys, line, says):
     plan = tmp_path / "p.plan"
@@ -340,6 +340,15 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--model", "ridge"])
     assert exc.value.code == 2
+
+
+def test_solve_command_refuses_the_removed_theory_mode_flag(capsys):
+    """The theory preset is gone: argparse refuses its flag with its usage
+    code, before any solve."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--synthetic", "40,30,0.5,0.05", "--theory-mode"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --theory-mode" in capsys.readouterr().err
 
 
 def test_out_dir_env_override(tmp_path, capsys, monkeypatch):

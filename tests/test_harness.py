@@ -786,6 +786,13 @@ def test_parse_plan_file_rejects_unknown_key_with_its_line(tmp_path):
     p.write_text("n = 50\nd = 60\ngap_tl = 1e-9\n")
     with pytest.raises(ValueError, match=r"line 3: unknown key 'gap_tl'"):
         parse_plan_file(p)
+    # the theory preset is gone: its key is unknown, with or without eta
+    for plan, ln in (("n = 50\nd = 60\ntheory_mode = 1\n", 3),
+                     ("n = 50\nd = 60\ntheory_mode = no\neta = 0.1\n", 3),
+                     ("n = 50\nd = 60\neta = 0.1\n\ntheory_mode = yes\n", 5)):
+        p.write_text(plan)
+        with pytest.raises(ValueError, match=rf"^plan line {ln}: unknown key 'theory_mode'"):
+            parse_plan_file(p)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-6", "fast"])
@@ -817,9 +824,8 @@ def test_parse_plan_file_rejects_a_count_below_one_with_its_line(tmp_path, key, 
                                        ("False", False), ("no", False), ("0", False)])
 def test_parse_plan_file_reads_flags_in_any_case(tmp_path, text, want):
     p = tmp_path / "flags.plan"
-    p.write_text(f"n = 50\nd = 60\ntheory_mode = {text}\nplot = {text}\n")
-    plan = parse_plan_file(p)
-    assert plan.solvers[0].theory_mode is want and plan.plot is want
+    p.write_text(f"n = 50\nd = 60\nplot = {text}\n")
+    assert parse_plan_file(p).plot is want
 
 
 def test_parse_plan_file_rejects_bad_flag_with_its_line(tmp_path):
@@ -856,17 +862,6 @@ def test_parse_plan_file_names_a_missing_synthetic_size(tmp_path, capsys, given,
     assert not os.path.exists(tmp_path / "runs")
     p.write_text("data = some.libsvm\n")  # a data file needs no sizes
     assert parse_plan_file(p).dataset_path == "some.libsvm"
-
-
-def test_parse_plan_file_rejects_eta_with_theory_mode_on(tmp_path):
-    p = tmp_path / "both.plan"
-    p.write_text("n = 50\nd = 60\neta = 0.1\ntheory_mode = yes\n")
-    with pytest.raises(ValueError, match=r"line 4: theory_mode and eta \(line 3\) "
-                                         r"are mutually exclusive"):
-        parse_plan_file(p)
-    p.write_text("n = 50\nd = 60\neta = 0.1\ntheory_mode = no\n")
-    cfg = parse_plan_file(p).solvers[0]
-    assert cfg.eta == 0.1 and cfg.theory_mode is False
 
 
 def test_parse_plan_file_reads_the_example_plan():

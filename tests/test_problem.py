@@ -511,6 +511,15 @@ def test_dataset_validation():
         G.Dataset(np.ones((2, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         G.Dataset(np.ones((0, 2)), np.zeros(0))
+    # x_true is checked like y: d finite entries, or None
+    a, y = np.eye(10)[:4], np.ones(4)
+    for bad, says in (([1.0, 2.0], "shape"), (np.ones((10, 1)), "shape"),
+                      (np.ones(11), "shape"), (np.full(10, np.nan), "non-finite"),
+                      (np.r_[np.zeros(9), np.inf], "non-finite")):
+        with pytest.raises(ValueError, match=f"x_true .*{says}"):
+            G.Dataset(a, y, x_true=bad)
+    ds = G.Dataset(a, y, x_true=list(range(10)))
+    assert ds.x_true.dtype == np.float64 and ds.x_true.tolist() == list(range(10))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -544,6 +553,17 @@ def test_partition_validation():
         G.BlockPartition([[2, 3], [0, 1, 1]])
     # each group is sorted; the groups themselves may come in any order
     assert G.BlockPartition([[2, 3], [0, 1]]).block_of.tolist() == [1, 1, 0, 0]
+    # an empty block would shift every later block's slice, as an empty group would
+    for sizes in ([0, 3], [3, 0], [2, -1, 3], []):
+        with pytest.raises(ValueError, match="at least 1"):
+            G.BlockPartition.from_sizes(sizes)
+    # a fractional q would cover more than d coordinates, and a bool is not a count
+    for d, q in ((10, 2.5), (10.0, 2), (10, True), (True, 1), (10, np.float64(2.0))):
+        with pytest.raises(ValueError, match="must be integers"):
+            G.BlockPartition.contiguous(d, q)
+    with pytest.raises(ValueError, match="must be integers"):
+        G.build_spec(G.Dataset(np.eye(10)[:4], np.ones(4)), q=2.5)
+    assert G.BlockPartition.contiguous(np.int64(10), np.int32(3)).sizes.tolist() == [4, 3, 3]
 
 
 def _layouts():

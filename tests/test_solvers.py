@@ -1240,13 +1240,11 @@ def test_invalid_configs_rejected(lasso_spec):
     bad = [
         G.SolverConfig(eta=0.0),
         G.SolverConfig(eta=-1.0),
-        G.SolverConfig(eta=0.1, theory_mode=True),
         G.SolverConfig(batch_size=0),
         G.SolverConfig(batch_size=10 ** 6),
         G.SolverConfig(gap_tol=0.0),
         G.SolverConfig(max_outer=0),
         G.SolverConfig(m=0),
-        G.SolverConfig(theory_mode=True, mu_strong=-1.0),
         G.SolverConfig(eta=math.nan),
         G.SolverConfig(eta=math.inf),
         G.SolverConfig(gap_tol=math.nan),
@@ -1275,24 +1273,29 @@ def test_invalid_configs_rejected(lasso_spec):
 
 # ------------------------------------------------------------- resolution
 
-def test_resolve_defaults_and_theory_mode(lasso_spec):
+def test_resolve_defaults(lasso_spec):
     consts = G.lipschitz_constants(lasso_spec)
     eta, m, batch = _resolve(lasso_spec, G.SolverConfig())
     assert eta == pytest.approx(1.0 / (16 * consts.L))
     assert m == lasso_spec.dataset.n
     assert batch == 10
-    eta_t, m_t, batch_t = _resolve(lasso_spec, G.SolverConfig(theory_mode=True))
-    assert batch_t == min(lasso_spec.dataset.n,
-                          max(1, math.ceil(consts.T / consts.L)))
-    assert eta_t == pytest.approx(1.0 / (16 * consts.L))
-    _, m_mu, _ = _resolve(lasso_spec, G.SolverConfig(theory_mode=True, mu_strong=0.5))
-    assert m_mu == math.ceil(65 * lasso_spec.partition.q * consts.L / 0.5)
+
+
+def test_solver_config_holds_only_the_settings_a_solve_reads():
+    """The removed theory preset and its strong convexity constant are not
+    fields: passing either is a TypeError, not a setting that is ignored."""
+    assert [f.name for f in dataclasses.fields(G.SolverConfig)] == [
+        "solver", "eta", "m", "batch_size", "max_outer", "gap_tol", "seed",
+        "keep_iterates"]
+    for removed in ({"theory_mode": True}, {"mu_strong": 0.5}, {"mu_strong": -1.0}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            G.SolverConfig(**removed)
 
 
 def test_smoothness_bounds_are_computed_only_for_the_defaults_that_read_them(
         monkeypatch, lasso_spec):
     """An explicit eta leaves no default that needs lipschitz_constants, so no
-    solve computes it; a default eta or theory_mode does, once per solve."""
+    solve computes it; a default eta does, once per solve."""
     calls = []
     lipschitz = G.solvers.lipschitz_constants
     monkeypatch.setattr(G.solvers, "lipschitz_constants",
@@ -1300,9 +1303,9 @@ def test_smoothness_bounds_are_computed_only_for_the_defaults_that_read_them(
     for solver in ("adsgd", "mrbcd", "proxsvrg"):
         G.solve(lasso_spec, G.SolverConfig(solver=solver, eta=0.01, max_outer=1))
     assert calls == []
-    for cfg in (G.SolverConfig(max_outer=1), G.SolverConfig(theory_mode=True, max_outer=1)):
-        G.solve(lasso_spec, cfg)
-    assert calls == [1, 1]
+    for solver in ("adsgd", "mrbcd", "proxsvrg"):
+        G.solve(lasso_spec, G.SolverConfig(solver=solver, max_outer=1))
+    assert calls == [1, 1, 1]
 
 
 @pytest.mark.parametrize("stored", ["none", "explicit zeros"])
