@@ -786,13 +786,6 @@ def test_parse_plan_file_rejects_unknown_key_with_its_line(tmp_path):
     p.write_text("n = 50\nd = 60\ngap_tl = 1e-9\n")
     with pytest.raises(ValueError, match=r"line 3: unknown key 'gap_tl'"):
         parse_plan_file(p)
-    # the theory preset is gone: its key is unknown, with or without eta
-    for plan, ln in (("n = 50\nd = 60\ntheory_mode = 1\n", 3),
-                     ("n = 50\nd = 60\ntheory_mode = no\neta = 0.1\n", 3),
-                     ("n = 50\nd = 60\neta = 0.1\n\ntheory_mode = yes\n", 5)):
-        p.write_text(plan)
-        with pytest.raises(ValueError, match=rf"^plan line {ln}: unknown key 'theory_mode'"):
-            parse_plan_file(p)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-6", "fast"])
@@ -862,6 +855,22 @@ def test_parse_plan_file_names_a_missing_synthetic_size(tmp_path, capsys, given,
     assert not os.path.exists(tmp_path / "runs")
     p.write_text("data = some.libsvm\n")  # a data file needs no sizes
     assert parse_plan_file(p).dataset_path == "some.libsvm"
+
+
+def test_parse_plan_file_rejects_eta_with_theory_mode_on(tmp_path):
+    # the theory preset is gone: its key is unknown, with or without eta,
+    # and whether it is on or off
+    p = tmp_path / "both.plan"
+    for plan, ln in (("n = 50\nd = 60\neta = 0.1\ntheory_mode = yes\n", 4),
+                     ("n = 50\nd = 60\neta = 0.1\ntheory_mode = no\n", 4),
+                     ("n = 50\nd = 60\ntheory_mode = no\neta = 0.1\n", 3),
+                     ("n = 50\nd = 60\neta = 0.1\n\ntheory_mode = yes\n", 5),
+                     ("n = 50\nd = 60\ntheory_mode = 1\n", 3)):
+        p.write_text(plan)
+        with pytest.raises(ValueError, match=rf"^plan line {ln}: unknown key 'theory_mode'"):
+            parse_plan_file(p)
+    p.write_text("n = 50\nd = 60\neta = 0.1\n")
+    assert parse_plan_file(p).solvers[0].eta == 0.1
 
 
 def test_parse_plan_file_reads_the_example_plan():
