@@ -23,7 +23,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .problem import blockwise_dual_norms, primal_objective
+from .problem import _check_x, blockwise_dual_norms, primal_objective
 
 
 @dataclasses.dataclass
@@ -159,8 +159,8 @@ def dual_point(spec, sample_grad, x=None):
 
     theta = -sample_grad / max(1, max_j (1/n) Omega_j^D(A_j' g) / lam), the
     maximum over all q blocks, so theta is feasible for the full problem.
-    With mu_p > 0 the current iterate x is required so the perturbation duals
-    can be formed and scaled consistently.
+    With mu_p > 0 the current iterate x, of shape (d,), is required so the
+    perturbation duals can be formed and scaled consistently.
     """
     ds = spec.dataset
     g = np.asarray(sample_grad, dtype=np.float64)
@@ -172,7 +172,7 @@ def dual_point(spec, sample_grad, x=None):
     if spec.mu_p > 0:
         if x is None:
             raise ValueError("x is required to build the dual point when mu_p > 0")
-        x = np.asarray(x, dtype=np.float64)
+        x = _check_x(spec, x)
         gradient = gradient + 2.0 * spec.mu_p * x
         p = 2.0 * ds.n * spec.mu_p * x  # pseudo-sample derivatives
         corr = corr + p

@@ -307,6 +307,8 @@ class ExperimentPlan:
 
     q (the number of contiguous blocks) and mu_p (the quadratic perturbation)
     shape the problem, so every solver of the plan solves the same instance.
+    It needs at least one lambda ratio, each in (0, 1], and repetitions must
+    be an integer, not a bool, of at least 1.
     """
 
     dataset_path: str = None
@@ -323,8 +325,12 @@ class ExperimentPlan:
     def __post_init__(self):
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("exactly one of dataset_path or synthetic is required")
+        if not self.lambda_ratios:
+            raise ValueError("at least one lambda ratio is required")
         if any(not 0.0 < r <= 1.0 for r in self.lambda_ratios):
             raise ValueError("lambda ratios must lie in (0, 1]")
+        if not _is_count(self.repetitions):
+            raise ValueError(f"repetitions must be an integer, got {self.repetitions!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if not self.solvers:

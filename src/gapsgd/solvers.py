@@ -97,25 +97,26 @@ builds the dataset's working design over every block, and the planner and
 kernel of its storage take the batch and block as a chunk of one step.
 partial_gradient is the same step on a zero snapshot.
 
-The working design is the row pointers plus one array each of the column,
-value and row of every stored entry, in CSR order, with its columns numbered
-block by block: block ib of its layout is the column range
-offsets[ib]:offsets[ib + 1], and features maps each column to its feature.
-A contiguous partition is already in that order; a scattered one is
-renumbered once, when a solve starts. After every screening event the safe
-set's design is compacted to the surviving columns, cut down from the
-previous one (so at most q times per solve): a mask drops the screened
-blocks' entries, a cumulative count renumbers the surviving columns, which
-stay block by block, a bincount of the kept entries' rows rebuilds the row
-pointers, and the kept blocks' sizes give the new layout. The working set's
-design is cut the same way from the safe set's, when W changes. The inner
-loop runs in those working columns: the iterate, snapshot, snapshot gradient
-and running average hold one entry per feature of W, gathered from and
-scattered back to feature ids through features, and each sampled row
-contributes only its entries in W. That is where screening and the working
-set cut the cost of a step, not just the number of steps. Coordinates off W
-are exact zeros, so compaction removes only vals * 0.0 terms from the row
-sums.
+The working design is plain CSR over a set of block ids: the row pointers
+plus one array each of the column and value of every stored entry, in CSR
+order, with its columns numbered block by block: block ib of its layout is
+the column range offsets[ib]:offsets[ib + 1], and features maps each column
+to its feature. A contiguous partition is already in that order; a
+scattered one is renumbered once, when a solve starts. After every
+screening event the safe set's design is compacted to the surviving
+columns, cut down from the previous one (so at most q times per solve): a
+mask drops the screened blocks' entries, a cumulative count renumbers the
+surviving columns, which stay block by block, a search of the kept entries
+for each old row pointer rebuilds the row pointers, and the kept blocks'
+sizes give the new layout. The working set's design is cut the same way
+from the safe set's, when W changes. The inner loop runs in those working
+columns: the iterate, snapshot, snapshot gradient and running average hold
+one entry per feature of W, gathered from and scattered back to feature ids
+through features, and each sampled row contributes only its entries in W.
+That is where screening and the working set cut the cost of a step, not
+just the number of steps. Coordinates off W are exact zeros, so compaction
+removes only vals * 0.0 terms from the row sums. Every step gathers its
+batch's rows, a full batch (batch_size == n) being the batch of every row.
 
 Each working design is stored by its own density. One that holds at least
 _RHO * n * p entries over its p columns also has a dense twin, an (n, p)
@@ -150,7 +151,6 @@ that set-up too.
 
 import dataclasses
 import functools
-import itertools
 import math
 import time
 
@@ -326,18 +326,19 @@ _RHO = 0.1
 
 @dataclasses.dataclass
 class _Working:
-    """The design restricted to the active features, its columns numbered block by block.
+    """The design on the block ids `blocks`, its columns numbered block by block.
 
-    Working column p holds feature features[p]: the columns list the active
-    blocks in increasing id, and each block's features in increasing order,
-    so block ib of the layout, block active.blocks[ib], is the columns
-    layout.offsets[ib]:layout.offsets[ib + 1]. entries holds (cols, vals,
-    row_of) of every stored entry in CSR order, cols as intp, and row r's
-    entries are [indptr[r], indptr[r + 1]). While every block is active and
-    the partition is contiguous, layout is spec.partition itself.
+    Working column p holds feature features[p]: the columns list the blocks
+    `blocks`, in increasing id, and each block's features in increasing
+    order, so block ib of the layout, block blocks[ib], is the columns
+    layout.offsets[ib]:layout.offsets[ib + 1]. entries holds (cols, vals) of
+    every stored entry in CSR order, cols as intp, and row r's entries are
+    [indptr[r], indptr[r + 1]): plain CSR, 16 bytes per stored entry. While
+    every block is kept and the partition is contiguous, layout is
+    spec.partition itself.
     """
 
-    active: ActiveSet
+    blocks: np.ndarray
     features: np.ndarray
     indptr: np.ndarray
     entries: tuple
@@ -350,26 +351,28 @@ class _Working:
         None: the one density test, which picks the planner and kernel of
         every epoch and of every public gradient. Built when first read: the
         engine reads it for the designs its epochs run on, not for the safe
-        set's design it only cuts from."""
-        (cols, vals, row_of), n, p = self.entries, self.indptr.size - 1, self.features.size
+        set's design it only cuts from. Its row ids come from indptr."""
+        (cols, vals), n, p = self.entries, self.indptr.size - 1, self.features.size
         if vals.size < _RHO * n * p:
             return None
         out = np.zeros((n, p))
-        out[row_of, cols] = vals
+        out[np.repeat(np.arange(n), np.diff(self.indptr)), cols] = vals
         return out
 
 
-def _compact(spec, active, prev=None):
-    """Working design of `active`, cut down from prev's or from the dataset's.
+def _compact(spec, blocks, prev=None):
+    """Working design of the block ids `blocks`, cut down from prev's or from
+    the dataset's.
 
-    active.blocks must be a subset of prev's. The dataset's design is
-    renumbered block by block once, which leaves a contiguous partition's
-    columns as they are. Dropping entries keeps every row's survivors in
-    their original CSR order, so each row sum over them, and each block sum,
-    adds the same products in the same order. A cut keeps the surviving
-    columns in their order, so they stay block by block, and its layout comes
-    from the kept blocks' sizes. Each design, the dataset's and every cut,
-    has a dense twin when it is at least _RHO dense (_Working.dense).
+    blocks must be increasing and a subset of prev.blocks. The dataset's
+    design is renumbered block by block once, which leaves a contiguous
+    partition's columns as they are. Dropping entries keeps every row's
+    survivors in their original CSR order, so each row sum over them, and
+    each block sum, adds the same products in the same order. A cut keeps
+    the surviving columns in their order, so they stay block by block, its
+    row pointers count the kept entries before each old one, and its layout
+    comes from the kept blocks' sizes. Each design, the dataset's and every
+    cut, has a dense twin when it is at least _RHO dense (_Working.dense).
     """
     if prev is None:
         a, part = spec.dataset.A, spec.partition
@@ -378,26 +381,23 @@ def _compact(spec, active, prev=None):
             rank = np.empty(part.d, dtype=np.intp)
             rank[part.order] = np.arange(part.d)
             cols, layout = rank[cols], BlockPartition.from_sizes(part.sizes)
-        indptr = a.indptr.astype(np.intp)
-        entries = (cols, a.data, np.repeat(np.arange(a.shape[0]), np.diff(indptr)))
-        blocks, features = np.arange(part.q), part.order
+        indptr, entries = a.indptr.astype(np.intp), (cols, a.data)
+        had, features = np.arange(part.q), part.order
     else:
         indptr, entries, layout = prev.indptr, prev.entries, prev.layout
-        blocks, features = prev.active.blocks, prev.features
-    if active.n_blocks < blocks.size:
+        had, features = prev.blocks, prev.features
+    if blocks.size < had.size:
         kept = np.zeros(spec.partition.q, dtype=bool)
-        kept[active.blocks] = True
-        kept = kept[blocks]
+        kept[blocks] = True
+        kept = kept[had]
         alive = np.repeat(kept, layout.sizes)
-        cols, vals, row_of = entries
-        keep = np.flatnonzero(alive[cols])  # takes by index beat three boolean masks
-        entries = ((np.cumsum(alive) - 1)[cols.take(keep)], vals.take(keep),
-                   row_of.take(keep))
-        indptr = np.zeros_like(indptr)
-        np.cumsum(np.bincount(entries[2], minlength=indptr.size - 1), out=indptr[1:])
+        cols, vals = entries
+        keep = np.flatnonzero(alive[cols])  # takes by index beat two boolean masks
+        entries = (np.cumsum(alive) - 1)[cols.take(keep)], vals.take(keep)
+        indptr = np.searchsorted(keep, indptr)
         features = features[alive]
         layout = BlockPartition.from_sizes(layout.sizes[kept])
-    return _Working(active=active, features=features, indptr=indptr, entries=entries,
+    return _Working(blocks=blocks, features=features, indptr=indptr, entries=entries,
                     layout=layout)
 
 
@@ -411,49 +411,38 @@ def _compact(spec, active, prev=None):
 _CHUNK_ENTRIES = 1 << 14
 
 
-def _plan(work, y, g_snap, c, batches=None, ibs=None):
+def _plan(work, y, g_snap, c, batches, ibs):
     """The c steps of one chunk, gathered and block-selected at once.
 
-    batches is a (c, b) array of sampled rows, or None when every step takes
-    all n rows; ibs holds the c sampled block ranks in work.active, which
-    number the blocks of work.layout, or is None for full-vector steps. One
-    _gather_rows call fetches the rows of every step, and one mask over the
-    chunk's entries selects each step's block. Returns an iterator of one
-    (args, lo, hi) per step, args being step_gradient's arguments between x
-    and lo: (cols, vals, row_id) of the step's entries, row_id counting rows
-    within its batch, y and the snapshot's derivatives on its batch, and
-    (pos, vals, row_id) of the entries its gradient sums, pos being each
-    one's place in the step's block, or its entries again for full-vector
-    steps, pos then being the working column.
+    batches is a (c, b) array of the rows each step takes, a full batch's
+    being every row; ibs holds the c sampled block ranks in work.blocks,
+    which number the blocks of work.layout, or is None for full-vector
+    steps. One _gather_rows call fetches the rows of every step, and one mask
+    over the chunk's entries selects each step's block. Returns an iterator
+    of one (args, lo, hi) per step, args being step_gradient's arguments
+    between x and lo: (cols, vals, row_id) of the step's entries, row_id
+    counting rows within its batch, y and the snapshot's derivatives on its
+    batch, and (pos, vals, row_id) of the entries its gradient sums, pos
+    being each one's place in the step's block, or its entries again for
+    full-vector steps, pos then being the working column.
     The step updates the working columns lo:hi. A step's entries lie in the
     order a gather of its batch alone would give them, so its sums add the
-    same terms in the same order. A full batch passes y, g_snap and
-    work.entries themselves. The chunk's arrays are gathered when _plan is
-    called, and each step's slices as the steps are taken, so a chunk of many
-    short steps holds few Python objects.
+    same terms in the same order. The chunk's arrays are gathered when _plan
+    is called, and each step's slices as the steps are taken, so a chunk of
+    many short steps holds few Python objects.
     """
-    if batches is None:
-        cols, vals, row_id = work.entries
-        s0, s1 = [0] * c, [cols.size] * c
-        ys, gs = itertools.repeat(y, c), itertools.repeat(g_snap, c)
-    else:
-        cols, vals, row_id, starts = _gather_rows(work.indptr, work.entries, batches)
-        ends = starts.tolist()
-        s0, s1 = ends[:-1], ends[1:]
-        ys = y[batches]  # iterated row by row
-        gs = g_snap[batches]
+    cols, vals, row_id, starts = _gather_rows(work.indptr, work.entries, batches)
+    ends = starts.tolist()
+    s0, s1 = ends[:-1], ends[1:]
+    ys = y[batches]  # iterated row by row
+    gs = g_snap[batches]
     if ibs is None:
         pos, bvals, brow, b0, b1 = cols, vals, row_id, s0, s1
         los, his = [0] * c, [work.features.size] * c
     else:
         layout = work.layout
-        if batches is None:  # all entries again for every step, in step order
-            sel = np.flatnonzero(layout.block_of[cols] == ibs[:, None])
-            cuts = np.searchsorted(sel, np.arange(c + 1) * cols.size).tolist()
-            sel %= cols.size
-        else:
-            sel = np.flatnonzero(layout.block_of[cols] == np.repeat(ibs, np.diff(starts)))
-            cuts = np.searchsorted(sel, starts).tolist()
+        sel = np.flatnonzero(layout.block_of[cols] == np.repeat(ibs, np.diff(starts)))
+        cuts = np.searchsorted(sel, starts).tolist()
         pos, bvals, brow = layout.slot[cols[sel]], vals[sel], row_id[sel]
         b0, b1 = cuts[:-1], cuts[1:]
         los, his = layout.offsets[ibs].tolist(), layout.offsets[ibs + 1].tolist()
@@ -487,22 +476,17 @@ def step_gradient(loss, x, cols, vals, row_id, y, g_ref, pos, bvals, brow, lo, h
     return grad
 
 
-def _plan_dense(work, y, g_snap, c, batches=None, ibs=None):
-    """The c steps of one chunk on work.dense, as _plan draws them.
+def _plan_dense(work, y, g_snap, c, batches, ibs):
+    """The c steps of one chunk on work.dense, as _plan takes them.
 
-    One fancy index gathers the rows of every step as a (c, b, p) array, or,
-    when every step takes all n rows, each step takes work.dense, y and g_snap
-    themselves. Returns an iterator of one (args, lo, hi) per step, args
-    being dense_step_gradient's arguments between x and lo: (x_b, y_t, g_t),
-    the step's rows of the design and y and the snapshot's derivatives on its
-    batch. The step updates the working columns lo:hi, a block's for block
-    draws ibs, else all of them.
+    One fancy index gathers the rows of every step, a full batch's included,
+    as a (c, b, p) array. Returns an iterator of one (args, lo, hi) per step,
+    args being dense_step_gradient's arguments between x and lo: (x_b, y_t,
+    g_t), the step's rows of the design and y and the snapshot's derivatives
+    on its batch. The step updates the working columns lo:hi, a block's for
+    block draws ibs, else all of them.
     """
-    if batches is None:
-        xs, ys = itertools.repeat(work.dense, c), itertools.repeat(y, c)
-        gs = itertools.repeat(g_snap, c)
-    else:
-        xs, ys, gs = work.dense[batches], y[batches], g_snap[batches]  # step by step
+    xs, ys, gs = work.dense[batches], y[batches], g_snap[batches]  # step by step
     if ibs is None:
         lo, hi = [0] * c, [work.features.size] * c
     else:
@@ -559,7 +543,7 @@ def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     are exact).
     """
     ds = spec.dataset
-    work = _compact(spec, ActiveSet.full(spec))
+    work = _compact(spec, np.arange(spec.partition.q))
     plan, kern = _stepper(work)
     g_snap = np.zeros(ds.n)
     if x_tilde is None:
@@ -719,14 +703,17 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
     The steps are planned in chunks, each gathering at most _CHUNK_ENTRIES
     entries and cut at the last step. A chunk makes one rng.integers call,
     whose bounds list n for every batch row and the number of working blocks
-    for every block draw, in step order. A bounded draw consumes the Philox
-    stream alike alone or in an array (tests pin this), so the chunks draw
-    the values of step-by-step draws and leave the stream in their state, on
-    both storages alike. The planner of work's storage (_stepper), _plan or
-    _plan_dense, yields the chunk's steps, and each chunk runs as one loop: a
-    step calls the kernel positionally, updates its columns lo:hi of the
-    iterate in place (grad *= eta, v -= grad, the prox written back into v)
-    and adds the iterate to the running sum.
+    for every block draw, in step order. A full batch (batch_size == n)
+    draws no rows: each of its steps takes every row, in order, and is
+    gathered like any other batch, at the cost of a copy of the design. A
+    bounded draw consumes the Philox stream alike alone or in an array (tests
+    pin this), so the chunks draw the values of step-by-step draws and leave
+    the stream in their state, on both storages alike. The planner of work's
+    storage (_stepper), _plan or _plan_dense, yields the chunk's steps, and
+    each chunk runs as one loop: a step calls the kernel positionally,
+    updates its columns lo:hi of the iterate in place (grad *= eta, v -=
+    grad, the prox written back into v) and adds the iterate to the running
+    sum.
     """
     n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
     prox, thresh = spec.reg.block_prox, eta * spec.lam
@@ -742,13 +729,13 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
                 else work.entries[0].size)
     chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
     highs = np.array([n] * (batch_size if sampled else 0)
-                     + [work.active.n_blocks] * block_sampling)
+                     + [work.blocks.size] * block_sampling)
     updates = 0
     for done in range(0, steps, chunk):
         c = min(chunk, steps - done)
         draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
                  else None)
-        batches = draws[:, :batch_size] if sampled else None
+        batches = draws[:, :batch_size] if sampled else np.broadcast_to(np.arange(n), (c, n))
         ibs = draws[:, -1] if block_sampling else None
         for args, lo, hi in plan(work, y, g_ref, c, batches, ibs):
             grad = kern(loss, x_cur, *args, lo, hi, mu, x_tilde, mu_p)
@@ -801,7 +788,7 @@ def _engine(spec, config, *, block_sampling, screening):
 
     active = ActiveSet.full(spec)
     bounds = column_bounds(spec) if screening else None
-    safe_work = work = _compact(spec, active)
+    safe_work = work = _compact(spec, active.blocks)
     x_hat = np.zeros(spec.dataset.d)
     trace, active_history = [], []
     iterates = [] if config.keep_iterates else None
@@ -868,8 +855,8 @@ def _engine(spec, config, *, block_sampling, screening):
         if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it
             evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "average"
             continue
-        if safe_work.active is not active:
-            safe_work = _compact(spec, active, safe_work)
+        if safe_work.blocks is not active.blocks:
+            safe_work = _compact(spec, active.blocks, safe_work)
         # A screening solver's epoch runs on the working set, cut from the safe
         # set's design. x_hat is zero off it, and so are the epoch's average and
         # last iterate. An empty one (x_hat = 0, no safe block near lam) falls
@@ -877,9 +864,9 @@ def _engine(spec, config, *, block_sampling, screening):
         wb = _working_blocks(spec, active, x_hat, cert) if screening else active.blocks
         if wb.size in (0, active.n_blocks):
             work = safe_work
-        elif not np.array_equal(wb, work.active.blocks):
-            work = _compact(spec, active.keep(wb), safe_work)
-        width = work.active.n_blocks
+        elif not np.array_equal(wb, work.blocks):
+            work = _compact(spec, wb, safe_work)
+        width = work.blocks.size
         x_hat, evaluation, restart, updates = _epoch(
             spec, work, x_hat, snap, inner_budget(m, width, spec.partition.q), rng, eta,
             batch_size, block_sampling)

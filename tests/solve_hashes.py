@@ -12,7 +12,10 @@ x_final's bytes and of the trace's gaps. Each workload's first line, solver
 benchmark's P*. After a workload's lines come those of the same instance with
 the quadratic perturbation switched on (mu_p = MU_P, labelled
 "<workload>+mu_p"), solved with the same configs by the reference and by each
-stochastic solver at seeds 0-1, since no benchmark workload sets mu_p. A
+stochastic solver at seeds 0-1, since no benchmark workload sets mu_p. Then
+come those of the same instance solved by adsgd and proxsvrg at batch_size =
+n (labelled "<workload>+full-batch"), seeds 0-1, with m = FULL_BATCH_M and
+max_outer = FULL_BATCH_OUTER, since every benchmark solve samples its rows. A
 change that keeps every iterate prints the same lines, so `diff` of two
 checkouts' outputs shows any solve whose bits moved. The module reads
 benchmarks/run.py and changes nothing in it; pytest does not collect it.
@@ -33,6 +36,8 @@ import numpy as np  # noqa: E402
 
 SEEDS = range(8)
 MU_P, MU_P_SEEDS = 0.01, range(2)
+FULL_BATCH_SOLVERS, FULL_BATCH_SEEDS = ("adsgd", "proxsvrg"), range(2)
+FULL_BATCH_M, FULL_BATCH_OUTER = 20, 4
 
 
 def _digest(arr):
@@ -45,10 +50,11 @@ def _hashes(rep):
             f"x={_digest(rep.x_final)} gaps={_digest(gaps)}")
 
 
-def line(G, inst, name, seed, spec=None, label=None):
+def line(G, inst, name, seed, spec=None, label=None, **settings):
     spec, label = spec or inst.spec, label or inst.wl.name
+    cfg = dataclasses.replace(run.solver_config(inst, name, seed), **settings)
     try:
-        rep = G.solve(spec, run.solver_config(inst, name, seed))
+        rep = G.solve(spec, cfg)
     except Exception as exc:  # noqa: BLE001 - a raising solve is reported, not fatal
         return f"{label} {name} {seed} raised {type(exc).__name__}: {exc}"
     return f"{label} {name} {seed} {_hashes(rep)}"
@@ -69,6 +75,11 @@ def main():
         for name in run.STOCHASTIC:
             for seed in MU_P_SEEDS:
                 print(line(G, inst, name, seed, perturbed, label), flush=True)
+        label = f"{wl.name}+full-batch"
+        for name in FULL_BATCH_SOLVERS:
+            for seed in FULL_BATCH_SEEDS:
+                print(line(G, inst, name, seed, label=label, batch_size=inst.spec.dataset.n,
+                           m=FULL_BATCH_M, max_outer=FULL_BATCH_OUTER), flush=True)
 
 
 if __name__ == "__main__":

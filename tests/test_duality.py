@@ -93,6 +93,19 @@ def test_dual_point_shape_check():
         G.dual_point(spec, np.zeros(5))
 
 
+@pytest.mark.parametrize("x", [1.0, np.ones(1), np.ones((20, 1)), np.ones(19)],
+                         ids=["scalar", "length-1", "column", "short"])
+def test_dual_point_with_mu_p_rejects_an_x_of_the_wrong_shape(x):
+    """With mu_p > 0 the iterate enters the perturbation duals, so an x that
+    is not (d,) is refused, not broadcast into a wrong kappa or gradient."""
+    spec = make_instance(seed=2, n=30, d=20, q=4, mu_p=0.1)
+    g = sample_grad(spec, np.zeros(20))
+    with pytest.raises(ValueError, match="x has shape"):
+        G.dual_point(spec, g, x=x)
+    dp = G.dual_point(spec, g, x=np.ones(20))
+    assert dp.kappa.shape == dp.gradient.shape == (20,)
+
+
 # ------------------------------------------------------------------ gap
 
 def test_gap_zero_at_zero_iterate_above_lambda_max():

@@ -723,6 +723,14 @@ def test_experiment_plan_validation():
         G.ExperimentPlan(synthetic=synth, solvers=cfg, repetitions=0)
     with pytest.raises(ValueError):
         G.ExperimentPlan(synthetic=synth, solvers=())
+    # refused here, before run_experiment builds any data
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="repetitions must be an integer"):
+            G.ExperimentPlan(synthetic=synth, solvers=cfg, repetitions=bad)
+    with pytest.raises(ValueError, match="at least one lambda ratio"):
+        G.ExperimentPlan(synthetic=synth, solvers=cfg, lambda_ratios=())
+    assert G.ExperimentPlan(synthetic=synth, solvers=cfg,
+                            repetitions=np.int64(2)).repetitions == 2
 
 
 # --------------------------------------------------------------- plan files

@@ -106,7 +106,7 @@ def test_a_public_gradient_is_the_engines_step_bit_for_bit(monkeypatch, sparsity
     for name in ("_plan", "_plan_dense"):
         real = getattr(G.solvers, name)
 
-        def plan(work, y, g_snap, c, batches=None, ibs=None, real=real):
+        def plan(work, y, g_snap, c, batches, ibs, real=real):
             steps.extend((work.features, b, ib) for b, ib in zip(batches, ibs))
             return real(work, y, g_snap, c, batches, ibs)
 
@@ -159,18 +159,46 @@ def _layout_instance():
 
 def test_chained_compactions_give_the_csr_column_selection():
     """Each compaction, cut down from the previous one, holds scipy's
-    A[:, features] arrays entry for entry, cols as intp."""
+    A[:, features] arrays entry for entry, cols as intp, and the block ids
+    it was given."""
     spec, _, full = _layout_instance()
-    work = _compact(spec, full)
+    work = _compact(spec, full.blocks)
     for kept in ([0, 1, 2, 4], [0, 2, 4], [2]):
         active = full.keep(kept)
-        work = _compact(spec, active, work)
+        work = _compact(spec, active.blocks, work)
         want = spec.dataset.A[:, active.features]
-        cols, vals, row_of = work.entries
-        assert work.active is active and cols.dtype == np.intp
+        cols, vals = work.entries
+        assert work.blocks is active.blocks and cols.dtype == np.intp
+        assert np.array_equal(work.features, active.features)
         assert np.array_equal(work.indptr, want.indptr)
         assert np.array_equal(cols, want.indices) and np.array_equal(vals, want.data)
-        assert np.array_equal(row_of, np.repeat(np.arange(12), np.diff(want.indptr)))
+
+
+def test_a_sparse_working_design_is_plain_csr_along_a_chain_of_cuts():
+    """A working design holds two entry arrays, intp columns and float64
+    values, 16 bytes per stored entry, and each cut of a chain, cut from the
+    one before, holds the indptr, columns and values of A[:, features]."""
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=(40, 60)) * (rng.random(size=(40, 60)) < 0.1)
+    a[[3, 30]] = 0.0  # empty rows
+    spec = G.ProblemSpec(dataset=G.Dataset(a, np.zeros(40)),
+                         partition=G.BlockPartition.contiguous(60, 12),
+                         loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+    blocks = np.arange(12)
+    work = _compact(spec, blocks)
+    while True:
+        want = spec.dataset.A[:, work.features]
+        assert len(work.entries) == 2
+        cols, vals = work.entries
+        assert cols.dtype == np.intp and vals.dtype == np.float64
+        assert cols.nbytes + vals.nbytes == 16 * want.nnz
+        assert work.indptr.dtype == np.intp and np.array_equal(work.indptr, want.indptr)
+        assert np.array_equal(cols, want.indices) and np.array_equal(vals, want.data)
+        if blocks.size == 1:
+            break
+        blocks = np.sort(rng.permutation(blocks)[:int(rng.integers(1, blocks.size))])
+        work = _compact(spec, blocks, work)
+        assert work.blocks is blocks
 
 
 def _same_partition(got, want):
@@ -191,22 +219,22 @@ def test_compacted_layout_is_the_partition_of_the_surviving_columns():
     itself, and a scattered one is numbered block by block."""
     spec, _, full = _layout_instance()
     contiguous = spec.partition
-    work = _compact(spec, full)
+    work = _compact(spec, full.blocks)
     assert work.layout is contiguous
-    assert _compact(spec, full.keep(np.arange(5)), work).layout is contiguous
+    assert _compact(spec, np.arange(5), work).layout is contiguous
     assert np.array_equal(work.features, np.arange(15))
     perm = np.random.default_rng(8).permutation(15)
     part = G.BlockPartition([np.sort(g) for g in np.split(perm, [4, 5, 8, 13])])
     spec = dataclasses.replace(spec, partition=part)
     full = G.ActiveSet(blocks=np.arange(5), features=np.arange(15),
                        partition=part)
-    work = _compact(spec, full)
+    work = _compact(spec, full.blocks)
     _same_partition(work.layout, G.BlockPartition(
         np.split(np.arange(15), np.cumsum(part.sizes)[:-1])))
     assert np.array_equal(work.features, part.order)
     for kept in ([0, 1, 3, 4], [1, 3, 4], [1, 4], [4]):
         active = full.keep(kept)
-        work = _compact(spec, active, work)
+        work = _compact(spec, active.blocks, work)
         sizes = part.sizes[active.blocks]
         _same_partition(work.layout, G.BlockPartition(
             np.split(np.arange(active.n_features), np.cumsum(sizes)[:-1])))
@@ -230,7 +258,7 @@ def test_chained_cuts_keep_the_columns_block_by_block():
         spec = G.ProblemSpec(dataset=G.Dataset(a, np.zeros(9)), partition=part,
                              loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
         active = G.ActiveSet(blocks=np.arange(q), features=np.arange(30), partition=part)
-        work = _compact(spec, active)
+        work = _compact(spec, active.blocks)
         while True:
             groups = work.layout.groups
             assert len(groups) == active.n_blocks
@@ -251,18 +279,19 @@ def test_chained_cuts_keep_the_columns_block_by_block():
             kept = np.sort(rng.permutation(active.blocks)[:int(rng.integers(
                 1, active.n_blocks))])
             active = active.keep(kept)
-            work = _compact(spec, active, work)
+            work = _compact(spec, active.blocks, work)
 
 
 def test_gather_rows_matches_csr_row_indexing():
     """A gather of (c, b) batches is scipy's A[batch] for each batch in turn,
     on the full and on a compacted design, with repeated, empty and emptied rows."""
     spec, _, full = _layout_instance()
-    full_work = _compact(spec, full)
+    full_work = _compact(spec, full.blocks)
     active = full.keep([0, 2, 4])
     batches = np.array([[5, 2, 0, 5], [11, 7, 0, 0], [2, 7, 2, 7], [5, 5, 3, 1]])
-    for work in (full_work, _compact(spec, active, full_work)):
-        design = spec.dataset.A[:, work.active.features]
+    for work, features in ((full_work, full.features),
+                           (_compact(spec, active.blocks, full_work), active.features)):
+        design = spec.dataset.A[:, features]
         for c in (1, 4):
             cols, vals, row_id, starts = _gather_rows(work.indptr, work.entries,
                                                       batches[:c])
@@ -283,14 +312,14 @@ def test_gather_rows_matches_csr_row_indexing():
 def test_gather_rows_on_compacted_design_matches_full_gather():
     spec, a, full = _layout_instance()
     # compacted twice, each time from the previous working design
-    work = _compact(spec, full)
+    work = _compact(spec, full.blocks)
     full_work = work
     for kept in ([0, 1, 2, 4], [0, 2, 4]):
         active = full.keep(kept)
-        work = _compact(spec, active, work)
+        work = _compact(spec, active.blocks, work)
     dense = np.zeros((12, active.n_features))
-    cols, vals, row_of = work.entries
-    dense[row_of, cols] = vals
+    cols, vals = work.entries
+    dense[np.repeat(np.arange(12), np.diff(work.indptr)), cols] = vals
     assert np.array_equal(dense, a[:, active.features])
     assert [g.tolist() for g in work.layout.groups] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
     assert work.layout.slot.tolist() == [0, 1, 2] * 3
@@ -360,16 +389,15 @@ def test_step_gradient_matches_dense_reference(monkeypatch, layout):
     works = []
     for rho in STORAGES:
         monkeypatch.setattr(G.solvers, "_RHO", rho)
-        full_work = _compact(spec, full)
-        works += [full_work, _compact(spec, kept, full_work)]
+        full_work = _compact(spec, full.blocks)
+        works += [full_work, _compact(spec, kept.blocks, full_work)]
         assert all((w.dense is None) == (rho == math.inf) for w in works[-2:])
     for work in works:
         wfeat = work.features
-        blocks = work.active.blocks
+        blocks = work.blocks
         for batch in (np.array([4, 4, 0, 11, 5, 4]), np.array([3]), np.array([5, 3]),
                       np.arange(12)):
-            # a full batch takes every row without a draw, as in the engine
-            batches = None if batch.size == 12 else batch[None, :]
+            # the last is a full batch, every row in order, as the engine takes it
             rows = a[batch]
             # a zero snapshot, without and with the perturbation, then a real one
             for g_ref, mu_c, x_ref, mu_p in ((g_zero, zero, zero, 0.0),
@@ -378,12 +406,13 @@ def test_step_gradient_matches_dense_reference(monkeypatch, layout):
                 deriv = loss.deriv(rows @ x, ds.y[batch]) - g_ref[batch]
                 want = rows.T @ deriv / batch.size + mu_c + 2.0 * mu_p * (x - x_ref)
                 kw = dict(mu=mu_c[wfeat], x_ref=x_ref[wfeat], mu_p=mu_p)
-                got, = _grads(loss, x[wfeat], work, ds.y, g_ref, 1, batches, None, **kw)
+                got, = _grads(loss, x[wfeat], work, ds.y, g_ref, 1, batch[None, :], None,
+                              **kw)
                 assert got.dtype == np.float64
                 np.testing.assert_allclose(got, want[wfeat], rtol=0, atol=1e-12)
                 # one chunk of steps, one per block, all on the same batch
                 chunk = _grads(loss, x[wfeat], work, ds.y, g_ref, blocks.size,
-                               None if batches is None else batches.repeat(blocks.size, 0),
+                               np.broadcast_to(batch, (blocks.size, batch.size)),
                                np.arange(blocks.size), **kw)
                 for j, got in zip(blocks, chunk, strict=True):
                     assert got.dtype == np.float64
@@ -398,7 +427,7 @@ def test_step_gradient_sums_nothing_as_float_zeros(monkeypatch):
     y, x = spec.dataset.y, np.ones(15)
     for rho in STORAGES:
         monkeypatch.setattr(G.solvers, "_RHO", rho)
-        work = _compact(spec, G.ActiveSet.full(spec))
+        work = _compact(spec, np.arange(spec.partition.q))
         for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0),
                           (np.array([3]), None)):
             ibs = None if ib is None else np.array([ib])
@@ -425,23 +454,25 @@ def _same_view(a, b):
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
 def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
     """A chunk's steps hold the entries, in the same order, that planning each
-    step by itself gives, and one step's plan is a per-step gather and mask."""
+    step by itself gives, and one step's plan is a per-step gather and mask;
+    a full batch, every row in order as the engine passes it, is gathered
+    like any other and holds the design's own entries, y and g_snap."""
     spec, _, rng = _kernel_instance(layout)
     y, g_snap = spec.dataset.y, rng.normal(size=12)
-    full = G.ActiveSet.full(spec)
-    work = _compact(spec, full)
-    for w in (work, _compact(spec, full.keep([0, 2, 3]), work)):
-        q_k = w.active.n_blocks
+    work = _compact(spec, np.arange(spec.partition.q))
+    every_row = np.broadcast_to(np.arange(12), (7, 12))
+    for w in (work, _compact(spec, np.array([0, 2, 3]), work)):
+        q_k = w.blocks.size
         offsets = w.layout.offsets
         batches = rng.integers(0, 12, size=(7, 4))
         batches[2] = 3  # a step of empty rows
         ibs = rng.integers(0, q_k, size=7)
-        for chunk_batches, chunk_ibs in ((batches, ibs), (batches, None), (None, ibs),
-                                         (None, None)):
+        for chunk_batches, chunk_ibs in ((batches, ibs), (batches, None), (every_row, ibs),
+                                         (every_row, None)):
             steps = _steps(_plan(w, y, g_snap, 7, chunk_batches, chunk_ibs))
             assert len(steps) == 7
             for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
-                one = None if chunk_batches is None else chunk_batches[t:t + 1]
+                one = chunk_batches[t:t + 1]
                 alone, = _steps(_plan(w, y, g_snap, 1, one, None if chunk_ibs is None
                                       else chunk_ibs[t:t + 1]))
                 assert (lo, hi) == alone[4:]
@@ -449,7 +480,7 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                 _same_entries(bwd, alone[1])
                 assert np.array_equal(y_t, alone[2]) and np.array_equal(g_t, alone[3])
             for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
-                batch = np.arange(12) if chunk_batches is None else chunk_batches[t]
+                batch = chunk_batches[t]
                 cols, vals, row_id, _ = _gather_rows(w.indptr, w.entries, batch)
                 _same_entries(fwd, (cols, vals, row_id))
                 if chunk_ibs is None:
@@ -459,23 +490,31 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                 ib = chunk_ibs[t]
                 assert (lo, hi) == (offsets[ib], offsets[ib + 1])
                 block_of = spec.partition.block_of[w.features]
-                mask = block_of[cols] == w.active.blocks[ib]
+                mask = block_of[cols] == w.blocks[ib]
                 _same_entries(bwd, (w.layout.slot[cols[mask]], vals[mask],
                                     row_id[mask]))
-            if chunk_batches is None:  # a full batch copies neither entries, y nor g_snap
-                assert all(all(map(_same_view, fwd, w.entries)) for fwd, *_ in steps)
-                assert all(y_t is y and g_t is g_snap for _, _, y_t, g_t, _, _ in steps)
+            if chunk_batches is every_row:
+                rows = np.repeat(np.arange(12), np.diff(w.indptr))
+                for fwd, _, y_t, g_t, _, _ in steps:
+                    _same_entries(fwd, (*w.entries, rows))
+                    assert np.array_equal(y_t, y) and np.array_equal(g_t, g_snap)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
 def test_all_rows_gather_is_the_gather_of_every_row(layout):
+    """The engine's full batch, every row in order for each of c steps, gathers
+    the working design's entries c times over, row ids taken from indptr."""
     spec, _, _ = _kernel_instance(layout)
-    full = G.ActiveSet.full(spec)
-    work = _compact(spec, full)
-    for w in (work, _compact(spec, full.keep([1, 3]), work)):
-        want = _gather_rows(w.indptr, w.entries, np.arange(12))
-        for got, ref in zip(w.entries, want):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    work = _compact(spec, np.arange(spec.partition.q))
+    for w in (work, _compact(spec, np.array([1, 3]), work)):
+        nnz = w.entries[0].size
+        rows = np.repeat(np.arange(12), np.diff(w.indptr))
+        for c in (1, 3):
+            cols, vals, row_id, starts = _gather_rows(
+                w.indptr, w.entries, np.broadcast_to(np.arange(12), (c, 12)))
+            assert np.array_equal(starts, np.arange(c + 1) * nnz)
+            for got, ref in zip((cols, vals, row_id), (*w.entries, rows)):
+                assert got.dtype == ref.dtype and np.array_equal(got, np.tile(ref, c))
 
 
 # ----------------------------------------------------------- dense storage
@@ -498,15 +537,14 @@ def test_storage_follows_each_cut_density(monkeypatch):
     the twin is A[:, features] in the working column order."""
     monkeypatch.setattr(G.solvers, "_RHO", 0.1)  # the chain's densities straddle it
     spec, a = _two_density_instance()
-    full = G.ActiveSet.full(spec)
-    work = _compact(spec, full)  # 68 / 1000
+    work = _compact(spec, np.arange(20))  # 68 / 1000
     chain = [(work, False)]
     for kept, dense in (([0, 1, 2, 3], True),   # 52 / 200
                         ([0, 1], True),         # 50 / 100
                         ([1, 2, 3], False)):    # 2 / 150
-        chain.append((_compact(spec, full.keep(kept), work), dense))
+        chain.append((_compact(spec, np.array(kept), work), dense))
     work = chain[2][0]
-    chain.append((_compact(spec, full.keep([1]), work), False))  # 0 / 50, from a dense cut
+    chain.append((_compact(spec, np.array([1]), work), False))  # 0 / 50, from a dense cut
     for w, dense in chain:
         assert (w.dense is not None) == dense
         if dense:
@@ -515,13 +553,12 @@ def test_storage_follows_each_cut_density(monkeypatch):
     # the boundary: 50 entries over 100 cells
     for rho, dense in ((0.5, True), (np.nextafter(0.5, 1.0), False)):
         monkeypatch.setattr(G.solvers, "_RHO", rho)
-        assert (_compact(spec, full.keep([0, 1]), chain[0][0]).dense is not None) == dense
+        assert (_compact(spec, np.array([0, 1]), chain[0][0]).dense is not None) == dense
     # a scattered partition's dense twin follows its block-by-block numbering
     spec, a, _ = _kernel_instance("scattered")
     monkeypatch.setattr(G.solvers, "_RHO", 0.0)
-    full = G.ActiveSet.full(spec)
-    work = _compact(spec, full)
-    for w in (work, _compact(spec, full.keep([1, 3]), work)):
+    work = _compact(spec, np.arange(4))
+    for w in (work, _compact(spec, np.array([1, 3]), work)):
         assert np.array_equal(w.dense, a[:, w.features])
 
 
@@ -709,7 +746,8 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
     on the working design the next trace row counts, with its one _restart
     inside it; a screening solve certifies each row, screens before each
     epoch, and cuts at most a safe set's and a working set's design per
-    epoch."""
+    epoch. Only a screen that drops blocks builds an ActiveSet: the engine
+    cuts its designs by block ids."""
     calls = []
 
     def spied(name, fn):
@@ -720,6 +758,7 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
 
     for name in ("_epoch", "_restart", "_certify", "_compact"):
         monkeypatch.setattr(G.solvers, name, spied(name, getattr(G.solvers, name)))
+    monkeypatch.setattr(G.ActiveSet, "keep", spied("keep", G.ActiveSet.keep))
     screen = spied("screen", G.duality.screen)
     for module in (G.duality, G.solvers):  # every module that holds the function
         monkeypatch.setattr(module, "screen", screen)
@@ -732,10 +771,12 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
         epochs = [args[1] for name, args in calls if name == "_epoch"]
         rows = rep.trace[1:]
         assert len(epochs) == rep.outer_iters == names.count("_restart")
-        assert [work.active.n_blocks for work in epochs] == [r.working_blocks for r in rows]
+        assert [work.blocks.size for work in epochs] == [r.working_blocks for r in rows]
         assert all(names[i + 1] == "_restart" for i, name in enumerate(names)
                    if name == "_epoch")
         compacts = names.count("_compact")
+        drops = [b.active_blocks < a.active_blocks for a, b in zip(rep.trace, rep.trace[1:])]
+        assert names.count("keep") == sum(drops)
         if solver == "mrbcd":
             assert names.count("_certify") == names.count("screen") == 0
             assert compacts == 1 and {r.working_blocks for r in rows} == {spec.partition.q}
@@ -744,7 +785,7 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
         assert names.count("screen") == rep.outer_iters
         assert [name for name in names if name in ("_certify", "screen", "_epoch")] == (
             ["_certify", "screen", "_epoch"] * rep.outer_iters + ["_certify"])
-        changes = sum(not np.array_equal(a.active.blocks, b.active.blocks)
+        changes = sum(not np.array_equal(a.blocks, b.blocks)
                       for a, b in zip(epochs, epochs[1:]))
         assert 1 < compacts <= 1 + 2 * rep.outer_iters and changes > 0
         assert rows[-1].active_blocks < spec.partition.q
