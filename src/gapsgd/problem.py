@@ -26,6 +26,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit, xlogy
 
+# scipy's compiled CSR loops, from its private module scipy.sparse._sparsetools
+# (checked against scipy 1.17), imported here alone: the row gather
+# _gather_rows and the sparse step kernel solvers.step_gradient run on them.
+# They check no bounds, so every index array they get comes from the
+# engine's working design or from a batch that passed solvers._check_batch,
+# and is intp. csr_matvec adds each row's products to its output in entry
+# order, and csc_matvec each product into its output row in entry order: the
+# sums np.bincount forms over the same products, to the same bits.
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
+
 
 class DegenerateProblemError(ValueError):
     """Raised when the design matrix carries no information (all zeros)."""
@@ -403,22 +413,21 @@ def full_gradient(spec, x):
 
 
 def _gather_rows(indptr, entries, batch):
-    """The stored entries of the given rows, in batch order, by index arithmetic.
+    """The stored entries of the given rows, in batch order, copied by one
+    compiled csr_row_index call.
 
     Row r's entries are entries[k][indptr[r]:indptr[r + 1]], and batch is one
-    batch of row indices or a (c, b) array of c batches. Returns (cols, vals,
-    row_id, starts): row_id maps each entry back to its row's position inside
-    its batch, and batch t's entries are [starts[t], starts[t + 1]). Repeated
-    rows are kept (weighted sampling).
+    batch of row indices or a (c, b) array of c batches, intp and in [0, n),
+    since the compiled loop checks no bounds. Returns (cols, vals, rp): the
+    rows' entries, row i of the flattened batch holding [rp[i], rp[i + 1]).
+    Repeated rows are kept (weighted sampling).
     """
-    rows, b = batch.ravel(), batch.shape[-1]
-    first = indptr[rows]
-    lens = indptr[rows + 1] - first
-    ends = np.cumsum(lens)
-    idx = np.repeat(first - (ends - lens), lens) + np.arange(ends[-1])
-    row_id = np.tile(np.arange(b), rows.size // b).repeat(lens)
-    starts = np.concatenate(([0], ends[b - 1::b]))
-    return entries[0].take(idx), entries[1].take(idx), row_id, starts
+    rows = batch.ravel()
+    rp = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(indptr[rows + 1] - indptr[rows], out=rp[1:])
+    cols, vals = np.empty(rp[-1], dtype=np.intp), np.empty(rp[-1])
+    csr_row_index(rows.size, rows, indptr, entries[0], entries[1], cols, vals)
+    return cols, vals, rp
 
 
 def lipschitz_constants(spec):

@@ -86,16 +86,21 @@ D(report.dual) is report.gap.
 Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
 derivatives, relative to the snapshot's, summed into the sampled block or
-into every working column. step_gradient sums the gathered entries with two
-bincounts; dense_step_gradient forms the same gradient from two matrix
-products, X_b x and coef X_b[:, lo:hi]. One epoch, its plan, steps and
-restart, runs in _epoch, which picks the kernel from the storage of the
-design the epoch runs on; _engine keeps the outer loop. Both kernels take a
-snapshot, so the steps have one formula, Prox-SVRG's (Xiao & Zhang, SIAM J.
-Optim. 2014). vr_gradient is one step of the engine's own plan: _compact
-builds the dataset's working design over every block, and the planner and
-kernel of its storage take the batch and block as a chunk of one step.
-partial_gradient is the same step on a zero snapshot.
+into every working column. step_gradient runs two of scipy's compiled CSR
+loops over the gathered entries: csr_matvec forms X_b x, and csc_matvec,
+reading the step's selected entries as the CSC matrix of the batch's rows,
+sums coef X_b into the block or every working column. Each adds its
+products to zeros in entry order, so its sums are those of a weighted
+np.bincount over the same products, to the bit (the tests keep that
+bincount kernel as the oracle). dense_step_gradient forms the same gradient
+from two matrix products, X_b x and coef X_b[:, lo:hi]. One epoch, its
+plan, steps and restart, runs in _epoch, which picks the kernel from the
+storage of the design the epoch runs on; _engine keeps the outer loop. Both
+kernels take a snapshot, so the steps have one formula, Prox-SVRG's (Xiao &
+Zhang, SIAM J. Optim. 2014). vr_gradient is one step of the engine's own
+plan: _compact builds the dataset's working design over every block, and the
+planner and kernel of its storage take the batch and block as a chunk of one
+step. partial_gradient is the same step on a zero snapshot.
 
 The working design is plain CSR over a set of block ids: the row pointers
 plus one array each of the column and value of every stored entry, in CSR
@@ -121,11 +126,12 @@ batch's rows, a full batch (batch_size == n) being the batch of every row.
 Each working design is stored by its own density. One that holds at least
 _RHO * n * p entries over its p columns also has a dense twin, an (n, p)
 array in the same column numbering (_Working.dense), built when an epoch
-first runs on it; the epochs on it take the dense kernel. The sparse
-kernel's bincounts, gathers and casts are pure call overhead where most cells
-are stored, and a very sparse design stored dense would multiply mostly
-zeros. The two storages sum in different orders, so their iterates
-agree to rounding, not bit for bit; each is deterministic for a seed.
+first runs on it; the epochs on it take the dense kernel. The sparse kernel
+gathers and indexes every entry, which a BLAS product over the cells
+outruns where most cells are stored, and a very sparse design stored dense
+would multiply mostly zeros. The two storages sum in different orders, so
+their iterates agree to rounding, not bit for bit; each is deterministic
+for a seed.
 
 The reference solver is FISTA with backtracking and momentum restarts. Its
 step constant starts at the one-pass bound c * max(max_i ||a_i||^2,
@@ -158,7 +164,8 @@ import numpy as np
 
 from .duality import ActiveSet, DualPoint, column_bounds, evaluate, safe_radius, screen
 from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_rows,
-                      _is_count, lipschitz_constants, smooth_gradient, smooth_value)
+                      _is_count, csc_matvec, csr_matvec, lipschitz_constants,
+                      smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -314,13 +321,18 @@ def _resolve(spec, config):
 
 # A working design at least this dense, stored entries over n * p cells, is
 # also kept as an (n, p) array, and its steps take two matrix products in
-# place of the entry gathers and bincounts. Time of dense over sparse storage
-# for the same solves (same draws, 4 outer iterations, median of 4 seeds) on
-# a 1000 x 1000 Lasso with 50 blocks, for adsgd / mrbcd / proxsvrg, on one
-# core of a 2-core x86-64 host with OpenBLAS: 1.14 / 1.20 / 1.24 at density
-# 0.03, 1.03 / 0.81 / 0.91 at 0.06, 0.76 / 0.59 / 0.76 at 0.10 and 0.68 /
-# 0.47 / 0.48 at 0.20. The crossover lies near 0.04-0.06; 0.1 keeps every
-# design that the dense storage would slow on the sparse one.
+# place of the entry gather and the compiled sparse loops. Time of dense over
+# sparse storage for the same solves (same draws, 4 outer iterations, median
+# of 4 seeds) on a 1000 x 1000 Lasso with 50 blocks, for adsgd / mrbcd /
+# proxsvrg, on one core of a 2-core x86-64 host with OpenBLAS, against the
+# sparse kernel's bincount predecessor: 1.14 / 1.20 / 1.24 at density 0.03,
+# 1.03 / 0.81 / 0.91 at 0.06, 0.76 / 0.59 / 0.76 at 0.10 and 0.68 / 0.47 /
+# 0.48 at 0.20, a crossover near 0.04-0.06. Against the compiled loops (two
+# runs, proxsvrg at a step 16 times shorter): 1.10-1.12 / 1.32-1.33 /
+# 1.23-1.36 at 0.03, 0.85-1.21 / 0.98-1.03 / 1.06-1.84 at 0.10 and
+# 0.96-1.15 / 0.71-0.73 / 0.91-0.94 at 0.20, a crossover between 0.1 and 0.2.
+# A new threshold moves designs between the storages' summation orders, and
+# so the iterates of their solves; it is left for a change of its own.
 _RHO = 0.1
 
 
@@ -402,11 +414,14 @@ def _compact(spec, blocks, prev=None):
 
 
 # Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
-# about 40 bytes per entry at its peak, so this keeps a chunk under a
-# megabyte, and at batch 10 it spreads the per-chunk calls over 12-40 steps on
-# rows of 40-130 entries. Twice as many made solves at most 3% faster. A
-# dense design's chunk of the same steps gathers b * p cells a step; its
-# longest row holds at least _RHO * p entries, so a chunk holds at most
+# about 33 bytes per entry at its peak for block steps and 16 for full-vector
+# ones (tracemalloc, a 1000 x 5000 design at 2%), so this keeps a chunk under
+# a megabyte, and at batch 10 it spreads the per-chunk calls over 12-40 steps
+# on rows of 40-130 entries. On the 1000 x 5000 design, twice as many made
+# mrbcd solves 3-7% faster and half as many 15-17% slower (median of 4 seeds,
+# three interleaved rounds, one core of a 2-core x86-64 host). A dense
+# design's chunk of the same steps gathers b * p cells a step; its longest row
+# holds at least _RHO * p entries, so a chunk holds at most
 # _CHUNK_ENTRIES / _RHO cells.
 _CHUNK_ENTRIES = 1 << 14
 
@@ -414,62 +429,63 @@ _CHUNK_ENTRIES = 1 << 14
 def _plan(work, y, g_snap, c, batches, ibs):
     """The c steps of one chunk, gathered and block-selected at once.
 
-    batches is a (c, b) array of the rows each step takes, a full batch's
-    being every row; ibs holds the c sampled block ranks in work.blocks,
-    which number the blocks of work.layout, or is None for full-vector
-    steps. One _gather_rows call fetches the rows of every step, and one mask
-    over the chunk's entries selects each step's block. Returns an iterator
-    of one (args, lo, hi) per step, args being step_gradient's arguments
-    between x and lo: (cols, vals, row_id) of the step's entries, row_id
-    counting rows within its batch, y and the snapshot's derivatives on its
-    batch, and (pos, vals, row_id) of the entries its gradient sums, pos
-    being each one's place in the step's block, or its entries again for
-    full-vector steps, pos then being the working column.
-    The step updates the working columns lo:hi. A step's entries lie in the
-    order a gather of its batch alone would give them, so its sums add the
-    same terms in the same order. The chunk's arrays are gathered when _plan
-    is called, and each step's slices as the steps are taken, so a chunk of
-    many short steps holds few Python objects.
+    batches is a (c, b) intp array of the rows each step takes, a full
+    batch's being every row; ibs holds the c sampled block ranks in
+    work.blocks, which number the blocks of work.layout, or is None for
+    full-vector steps. One _gather_rows call fetches the rows of every step,
+    with the chunk's row pointers rp, and one mask over the chunk's entries
+    selects each step's block; bp points each row at its first selected
+    entry. Returns an iterator of one (args, lo, hi) per step, args being
+    step_gradient's arguments between x and lo: the chunk's (cols, vals),
+    the step's b + 1 row pointers into them, y and the snapshot's
+    derivatives on its batch, and the chunk's selected (pos, vals) with the
+    step's b + 1 pointers into them, pos being each entry's place in the
+    step's block; full-vector steps select every entry, pos then being the
+    working column. The step updates the working columns lo:hi. A step's
+    entries lie in the order a gather of its batch alone would give them, so
+    its sums add the same terms in the same order. Each step's pointers are
+    views of the chunk's, so a step slices no entry array.
     """
-    cols, vals, row_id, starts = _gather_rows(work.indptr, work.entries, batches)
-    ends = starts.tolist()
-    s0, s1 = ends[:-1], ends[1:]
+    cols, vals, rp = _gather_rows(work.indptr, work.entries, batches)
+    b = batches.shape[1]
     ys = y[batches]  # iterated row by row
     gs = g_snap[batches]
     if ibs is None:
-        pos, bvals, brow, b0, b1 = cols, vals, row_id, s0, s1
+        pos, bvals, bp = cols, vals, rp
         los, his = [0] * c, [work.features.size] * c
     else:
         layout = work.layout
-        sel = np.flatnonzero(layout.block_of[cols] == np.repeat(ibs, np.diff(starts)))
-        cuts = np.searchsorted(sel, starts).tolist()
-        pos, bvals, brow = layout.slot[cols[sel]], vals[sel], row_id[sel]
-        b0, b1 = cuts[:-1], cuts[1:]
+        sel = np.flatnonzero(layout.block_of[cols] == np.repeat(ibs, np.diff(rp[::b])))
+        bp = np.searchsorted(sel, rp)
+        pos, bvals = layout.slot[cols[sel]], vals[sel]
         los, his = layout.offsets[ibs].tolist(), layout.offsets[ibs + 1].tolist()
-    return (((cols[s:e], vals[s:e], row_id[s:e], y_t, g_t, pos[bs:be], bvals[bs:be],
-              brow[bs:be]), lo, hi)
-            for s, e, y_t, g_t, bs, be, lo, hi in zip(s0, s1, ys, gs, b0, b1, los, his))
+    return (((cols, vals, rp[s:s + b + 1], y_t, g_t, pos, bvals, bp[s:s + b + 1]), lo, hi)
+            for s, y_t, g_t, lo, hi in zip(range(0, c * b, b), ys, gs, los, his))
 
 
-def step_gradient(loss, x, cols, vals, row_id, y, g_ref, pos, bvals, brow, lo, hi,
+def step_gradient(loss, x, cols, vals, rp, y, g_ref, pos, bvals, bp, lo, hi,
                   mu, x_ref, mu_p):
     """Mini-batch gradient of the smooth part on the working columns lo:hi of x.
 
     The one gradient kernel, called positionally with one step of _plan:
-    (cols, vals, row_id) are its batch's entries and (pos, bvals, brow) the
-    entries it sums, pos counted from lo; y and g_ref hold y and the
-    snapshot's derivatives on the batch, mu the snapshot's smooth gradient
-    and x_ref the snapshot, in working columns, as x is. partial_gradient
-    passes a zero snapshot, whose terms drop out exactly. Returns, as
-    float64, the gradient on the columns lo:hi, a block or all of them:
+    batch row i holds the entries [rp[i], rp[i + 1]) of (cols, vals), and
+    [bp[i], bp[i + 1]) of (pos, bvals), the entries it sums, pos counted from
+    lo; y and g_ref hold y and the snapshot's derivatives on the batch, mu the
+    snapshot's smooth gradient and x_ref the snapshot, in working columns, as
+    x is. partial_gradient passes a zero snapshot, whose terms drop out
+    exactly. csr_matvec forms A_b x, and csc_matvec, reading the summed
+    entries as the CSC matrix of the batch's rows, forms the sum over them,
+    each adding its products in entry order to zeros. Returns, as float64,
+    the gradient on the columns lo:hi, a block or all of them:
 
         A_b'(f'(A_b x) - g_ref) / b  +  mu  +  2 mu_p (x - x_ref)
     """
     b = y.size
-    gb = loss.deriv(np.bincount(row_id, weights=vals * x[cols], minlength=b), y)
-    coef = (gb - g_ref) / b
-    grad = np.bincount(pos, weights=bvals * coef[brow], minlength=hi - lo)
-    grad = grad.astype(np.float64, copy=False)  # a sum over no entries comes back int64
+    z = np.zeros(b)
+    csr_matvec(b, x.size, rp, cols, vals, x, z)
+    coef = (loss.deriv(z, y) - g_ref) / b
+    grad = np.zeros(hi - lo)
+    csc_matvec(hi - lo, b, bp, pos, bvals, coef, grad)
     grad += mu[lo:hi]
     if mu_p > 0:
         grad += 2.0 * mu_p * (x[lo:hi] - x_ref[lo:hi])
@@ -479,14 +495,14 @@ def step_gradient(loss, x, cols, vals, row_id, y, g_ref, pos, bvals, brow, lo, h
 def _plan_dense(work, y, g_snap, c, batches, ibs):
     """The c steps of one chunk on work.dense, as _plan takes them.
 
-    One fancy index gathers the rows of every step, a full batch's included,
-    as a (c, b, p) array. Returns an iterator of one (args, lo, hi) per step,
+    One take gathers the rows of every step, a full batch's included, as a
+    (c, b, p) array. Returns an iterator of one (args, lo, hi) per step,
     args being dense_step_gradient's arguments between x and lo: (x_b, y_t,
     g_t), the step's rows of the design and y and the snapshot's derivatives
     on its batch. The step updates the working columns lo:hi, a block's for
     block draws ibs, else all of them.
     """
-    xs, ys, gs = work.dense[batches], y[batches], g_snap[batches]  # step by step
+    xs, ys, gs = work.dense.take(batches, axis=0), y[batches], g_snap[batches]  # step by step
     if ibs is None:
         lo, hi = [0] * c, [work.features.size] * c
     else:

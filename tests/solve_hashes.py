@@ -15,10 +15,14 @@ the quadratic perturbation switched on (mu_p = MU_P, labelled
 stochastic solver at seeds 0-1, since no benchmark workload sets mu_p. Then
 come those of the same instance solved by adsgd and proxsvrg at batch_size =
 n (labelled "<workload>+full-batch"), seeds 0-1, with m = FULL_BATCH_M and
-max_outer = FULL_BATCH_OUTER, since every benchmark solve samples its rows. A
-change that keeps every iterate prints the same lines, so `diff` of two
-checkouts' outputs shows any solve whose bits moved. The module reads
-benchmarks/run.py and changes nothing in it; pytest does not collect it.
+max_outer = FULL_BATCH_OUTER, since every benchmark solve samples its rows.
+Last come those of the same data and lam on a scattered partition of as many
+blocks, block j holding the features j, j + q, j + 2q, ... (labelled
+"<workload>+scattered"), solved by each stochastic solver at seeds 0-1,
+since every benchmark partition is contiguous. A change that keeps every
+iterate prints the same lines, so `diff` of two checkouts' outputs shows any
+solve whose bits moved. The module reads benchmarks/run.py and changes
+nothing in it; pytest does not collect it.
 """
 
 import dataclasses
@@ -38,6 +42,7 @@ SEEDS = range(8)
 MU_P, MU_P_SEEDS = 0.01, range(2)
 FULL_BATCH_SOLVERS, FULL_BATCH_SEEDS = ("adsgd", "proxsvrg"), range(2)
 FULL_BATCH_M, FULL_BATCH_OUTER = 20, 4
+SCATTERED_SEEDS = range(2)
 
 
 def _digest(arr):
@@ -80,6 +85,12 @@ def main():
             for seed in FULL_BATCH_SEEDS:
                 print(line(G, inst, name, seed, label=label, batch_size=inst.spec.dataset.n,
                            m=FULL_BATCH_M, max_outer=FULL_BATCH_OUTER), flush=True)
+        d, q = inst.spec.dataset.d, inst.spec.partition.q
+        scattered = G.BlockPartition([np.arange(j, d, q) for j in range(q)])
+        spec, label = dataclasses.replace(inst.spec, partition=scattered), f"{wl.name}+scattered"
+        for name in run.STOCHASTIC:
+            for seed in SCATTERED_SEEDS:
+                print(line(G, inst, name, seed, spec, label), flush=True)
 
 
 if __name__ == "__main__":

@@ -293,17 +293,16 @@ def test_gather_rows_matches_csr_row_indexing():
                            (_compact(spec, active.blocks, full_work), active.features)):
         design = spec.dataset.A[:, features]
         for c in (1, 4):
-            cols, vals, row_id, starts = _gather_rows(work.indptr, work.entries,
-                                                      batches[:c])
-            assert cols.dtype == np.intp and starts[0] == 0
+            cols, vals, rp = _gather_rows(work.indptr, work.entries, batches[:c])
+            assert cols.dtype == rp.dtype == np.intp and rp.size == 4 * c + 1
             for t, batch in enumerate(batches[:c]):
                 want = design[batch]
-                s, e = starts[t], starts[t + 1]
+                ptr = rp[4 * t:4 * t + 5]
+                s, e = ptr[0], ptr[-1]
                 assert np.array_equal(cols[s:e], want.indices)
                 assert np.array_equal(vals[s:e], want.data)
-                assert np.array_equal(row_id[s:e], np.repeat(np.arange(4),
-                                                             np.diff(want.indptr)))
-            assert starts[-1] == cols.size == vals.size == row_id.size
+                assert np.array_equal(ptr - s, want.indptr)
+            assert rp[0] == 0 and rp[-1] == cols.size == vals.size
         one = _gather_rows(work.indptr, work.entries, batches[0])
         for got, ref in zip(one, _gather_rows(work.indptr, work.entries, batches[:1])):
             assert np.array_equal(got, ref)
@@ -331,15 +330,20 @@ def test_gather_rows_on_compacted_design_matches_full_gather():
         want_cols += nz.tolist()
         want_vals += a[i, nz].tolist()
         want_rows += [pos] * nz.size
-    cols, vals, row_id, _ = _gather_rows(full_work.indptr, full_work.entries, batch)
+    cols, vals, rp = _gather_rows(full_work.indptr, full_work.entries, batch)
     assert np.array_equal(cols, want_cols) and np.array_equal(vals, want_vals)
-    assert np.array_equal(row_id, want_rows)
+    assert np.array_equal(_row_ids(rp), want_rows)
 
     in_active = np.isin(cols, active.features)
-    ccols, cvals, crow_id, _ = _gather_rows(work.indptr, work.entries, batch)
+    ccols, cvals, crp = _gather_rows(work.indptr, work.entries, batch)
     assert np.array_equal(ccols, np.searchsorted(active.features, cols[in_active]))
     assert np.array_equal(cvals, vals[in_active])
-    assert np.array_equal(crow_id, row_id[in_active])
+    assert np.array_equal(_row_ids(crp), _row_ids(rp)[in_active])
+
+
+def _row_ids(rp):
+    """Each gathered entry's row within its batch, from the row pointers rp."""
+    return np.repeat(np.arange(rp.size - 1), np.diff(rp))
 
 
 # ------------------------------------------------------------ step kernel
@@ -359,9 +363,17 @@ def _kernel_instance(layout):
     return spec, a, rng
 
 
+def _own(entries, ptr):
+    """A step's (cols, vals, row pointers) cut out of its chunk's arrays."""
+    s, e = ptr[0], ptr[-1]
+    return entries[0][s:e], entries[1][s:e], ptr - s
+
+
 def _steps(plan):
-    """The steps of a _plan as a list of (fwd entries, bwd entries, y_t, g_t, lo, hi)."""
-    return [(args[:3], args[5:], *args[3:5], lo, hi) for args, lo, hi in plan]
+    """The steps of a _plan as a list of (fwd entries, bwd entries, y_t, g_t, lo,
+    hi), each step's entries with row pointers of its own."""
+    return [(_own(args[:2], args[2]), _own(args[5:7], args[7]), *args[3:5], lo, hi)
+            for args, lo, hi in plan]
 
 
 def _grads(loss, x, work, y, g_ref, c, batches, ibs, mu, x_ref, mu_p=0.0):
@@ -469,7 +481,8 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
         ibs = rng.integers(0, q_k, size=7)
         for chunk_batches, chunk_ibs in ((batches, ibs), (batches, None), (every_row, ibs),
                                          (every_row, None)):
-            steps = _steps(_plan(w, y, g_snap, 7, chunk_batches, chunk_ibs))
+            raw = list(_plan(w, y, g_snap, 7, chunk_batches, chunk_ibs))
+            steps = _steps(raw)
             assert len(steps) == 7
             for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
                 one = chunk_batches[t:t + 1]
@@ -481,40 +494,165 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                 assert np.array_equal(y_t, alone[2]) and np.array_equal(g_t, alone[3])
             for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
                 batch = chunk_batches[t]
-                cols, vals, row_id, _ = _gather_rows(w.indptr, w.entries, batch)
-                _same_entries(fwd, (cols, vals, row_id))
+                cols, vals, rp = _gather_rows(w.indptr, w.entries, batch)
+                _same_entries(fwd, (cols, vals, rp))
                 if chunk_ibs is None:
                     assert (lo, hi) == (0, w.features.size)
-                    assert all(map(_same_view, bwd, fwd))  # it sums its own entries
+                    args = raw[t][0]  # it sums its own entries
+                    assert args[5] is args[0] and args[6] is args[1]
+                    assert _same_view(args[7], args[2])
                     continue
                 ib = chunk_ibs[t]
                 assert (lo, hi) == (offsets[ib], offsets[ib + 1])
                 block_of = spec.partition.block_of[w.features]
                 mask = block_of[cols] == w.blocks[ib]
-                _same_entries(bwd, (w.layout.slot[cols[mask]], vals[mask],
-                                    row_id[mask]))
+                before = np.concatenate(([0], np.cumsum(mask)))  # selected before each
+                _same_entries(bwd, (w.layout.slot[cols[mask]], vals[mask], before[rp]))
             if chunk_batches is every_row:
-                rows = np.repeat(np.arange(12), np.diff(w.indptr))
                 for fwd, _, y_t, g_t, _, _ in steps:
-                    _same_entries(fwd, (*w.entries, rows))
+                    _same_entries(fwd, (*w.entries, w.indptr))
                     assert np.array_equal(y_t, y) and np.array_equal(g_t, g_snap)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
 def test_all_rows_gather_is_the_gather_of_every_row(layout):
     """The engine's full batch, every row in order for each of c steps, gathers
-    the working design's entries c times over, row ids taken from indptr."""
+    the working design's entries c times over, its row pointers being indptr's
+    shifted by the entries of the steps before."""
     spec, _, _ = _kernel_instance(layout)
     work = _compact(spec, np.arange(spec.partition.q))
     for w in (work, _compact(spec, np.array([1, 3]), work)):
         nnz = w.entries[0].size
-        rows = np.repeat(np.arange(12), np.diff(w.indptr))
         for c in (1, 3):
-            cols, vals, row_id, starts = _gather_rows(
+            cols, vals, rp = _gather_rows(
                 w.indptr, w.entries, np.broadcast_to(np.arange(12), (c, 12)))
-            assert np.array_equal(starts, np.arange(c + 1) * nnz)
-            for got, ref in zip((cols, vals, row_id), (*w.entries, rows)):
+            assert np.array_equal(rp[::12], np.arange(c + 1) * nnz)
+            want = np.concatenate([[0]] + [w.indptr[1:] + k * nnz for k in range(c)])
+            assert rp.dtype == np.intp and np.array_equal(rp, want)
+            for got, ref in zip((cols, vals), w.entries):
                 assert got.dtype == ref.dtype and np.array_equal(got, np.tile(ref, c))
+
+
+# The bincount planner and kernel that the compiled CSR loops replaced, kept
+# here as the oracle whose bytes every sparse step must reproduce.
+
+def _bincount_gather(indptr, entries, batch):
+    rows, b = batch.ravel(), batch.shape[-1]
+    first = indptr[rows]
+    lens = indptr[rows + 1] - first
+    ends = np.cumsum(lens)
+    idx = np.repeat(first - (ends - lens), lens) + np.arange(ends[-1])
+    row_id = np.tile(np.arange(b), rows.size // b).repeat(lens)
+    starts = np.concatenate(([0], ends[b - 1::b]))
+    return entries[0].take(idx), entries[1].take(idx), row_id, starts
+
+
+def _bincount_steps(loss, x, work, y, g_snap, batches, ibs, mu, x_ref, mu_p):
+    cols, vals, row_id, starts = _bincount_gather(work.indptr, work.entries, batches)
+    layout, out = work.layout, []
+    for t, batch in enumerate(batches):
+        s, e = starts[t], starts[t + 1]
+        c, v, r = cols[s:e], vals[s:e], row_id[s:e]
+        if ibs is None:
+            lo, hi, pos, bv, br = 0, work.features.size, c, v, r
+        else:
+            lo, hi = layout.offsets[ibs[t]], layout.offsets[ibs[t] + 1]
+            m = layout.block_of[c] == ibs[t]
+            pos, bv, br = layout.slot[c[m]], v[m], r[m]
+        b = batch.size
+        gb = loss.deriv(np.bincount(r, weights=v * x[c], minlength=b), y[batch])
+        coef = (gb - g_snap[batch]) / b
+        grad = np.bincount(pos, weights=bv * coef[br], minlength=hi - lo).astype(np.float64)
+        grad += mu[lo:hi]
+        if mu_p > 0:
+            grad += 2.0 * mu_p * (x[lo:hi] - x_ref[lo:hi])
+        out.append(grad)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(seed):
+    """On random sparse designs, _plan and step_gradient give, step by step,
+    the bytes of the bincount planner and kernel they replaced: on contiguous
+    and scattered partitions, on the full design and on cuts that empty rows,
+    for repeated rows, full batches and steps whose block holds none of the
+    batch's entries, with and without mu_p, for both losses."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(6, 30)), int(rng.integers(8, 60))
+    a = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+    a *= rng.random(size=(n, d)) < rng.uniform(0.05, 0.5)
+    a[rng.integers(0, n, size=2)] = 0.0  # rows with no entries at all
+    q = int(rng.integers(2, min(d, 8) + 1))
+    if seed % 2:  # scattered: every q-th feature of a shuffled order, sorted
+        perm = rng.permutation(d)
+        part = G.BlockPartition([np.sort(perm[j::q]) for j in range(q)])
+    else:
+        part = G.BlockPartition.contiguous(d, q)
+    model = "logistic" if seed % 3 == 0 else "squared"
+    y = (rng.random(n) < 0.5) * 1.0 if model == "logistic" else rng.normal(size=n)
+    spec = G.ProblemSpec(dataset=G.Dataset(a, y), partition=part, loss=G.LOSSES[model],
+                         reg=G.REGULARIZERS["l1"], lam=1.0)
+    work = _compact(spec, np.arange(q))
+    kept = np.sort(rng.choice(q, size=int(rng.integers(1, q)), replace=False))
+    checked = 0
+    for w in (work, _compact(spec, kept, work)):
+        p = w.features.size
+        x, mu, x_ref = (rng.normal(size=p) for _ in range(3))
+        g_snap = rng.normal(size=n)
+        for mu_p in (0.0, 0.25):
+            for c, b in ((9, 4), (5, 1), (3, n)):
+                batches = rng.integers(0, n, size=(c, b))
+                batches[0] = batches[0, 0]  # one row, repeated
+                if b == n:
+                    batches = np.broadcast_to(np.arange(n), (c, n))  # full batches
+                for ibs in (rng.integers(0, w.blocks.size, size=c), None):
+                    want = _bincount_steps(spec.loss, x, w, y, g_snap, batches, ibs, mu,
+                                           x_ref, mu_p)
+                    got = [step_gradient(spec.loss, x, *args, lo, hi, mu, x_ref, mu_p)
+                           for args, lo, hi in _plan(w, y, g_snap, c, batches, ibs)]
+                    assert len(got) == c
+                    for g, ref in zip(got, want):
+                        assert g.dtype == np.float64 and g.tobytes() == ref.tobytes()
+                    checked += c
+        # a block with no entries in the batch: a step over empty rows
+        empty = np.flatnonzero(np.diff(w.indptr) == 0)
+        batch = np.full((1, 3), empty[0])
+        for ib in range(w.blocks.size):
+            (args, lo, hi), = _plan(w, y, g_snap, 1, batch, np.array([ib]))
+            got = step_gradient(spec.loss, x, *args, lo, hi, mu, x_ref, 0.0)
+            assert got.tobytes() == (mu[lo:hi] + 0.0).tobytes()
+    assert checked == 2 * 2 * 2 * (9 + 5 + 3)
+
+
+def test_the_compiled_loops_see_only_checked_batches(monkeypatch):
+    """partial_gradient and vr_gradient reject a negative or out-of-range
+    batch, an out-of-range block and an x of the wrong length with ValueError
+    before any compiled loop runs, since those loops check no bounds; int32,
+    uint8 and intp batches give the same bytes."""
+    spec = make_instance(seed=4, n=45, d=24, q=4, sparsity=0.1)
+    x, xt = np.linspace(-1.0, 1.0, 24), np.zeros(24)
+    mu = G.full_gradient(spec, xt)
+    calls = []
+    for module, name in ((G.problem, "csr_row_index"), (G.solvers, "csr_matvec"),
+                         (G.solvers, "csc_matvec")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    monkeypatch.setattr(G.solvers, "_RHO", math.inf)  # the sparse storage
+    public = (lambda xv, batch, block: G.partial_gradient(spec, xv, batch, block),
+              lambda xv, batch, block: G.vr_gradient(spec, xv, xt, mu, batch, block))
+    for grad in public:
+        for xv, batch, block in ((x, [-1], 0), (x, [3, 45], 1), (x, [0, 2 ** 40], 2),
+                                 (x, np.array([-3], np.int32), 0), (x, [0], 4),
+                                 (x, [0], -1), (x[:20], [0], 0), (x, [0.0], 0)):
+            with pytest.raises(ValueError):
+                grad(xv, batch, block)
+        assert calls == []
+        outs = {grad(x, np.array([7, 0, 44, 7], dtype=t), 1).tobytes()
+                for t in (np.int32, np.uint8, np.intp)}
+        assert len(outs) == 1
+        assert calls == ["csr_row_index", "csr_matvec", "csc_matvec"] * 3
+        calls.clear()
 
 
 # ----------------------------------------------------------- dense storage
