@@ -95,6 +95,7 @@ def _cmd_solve(args):
           f"gap={report.gap:.3e} objective={report.objective:.6g} "
           f"nnz={int(np.count_nonzero(x))} identified_at={report.identified_at} "
           f"identified_s={'None' if t_id is None else f'{t_id:.3f}'} "
+          f"inner_steps={sum(r.inner_steps for r in report.trace)} "
           f"wall_time={report.wall_time:.3f}s setup_s={setup_s:.3f}")
     if args.out:
         path = _out_path(args.out)

@@ -19,10 +19,12 @@ working set, the safe blocks where the iterate is nonzero plus those whose
 scaled correlation reaches _TAU * lam, after Celer (Massias, Gramfort &
 Salmon, ICML 2018). The epoch runs ceil(m * |W| / q) inner steps on that
 working set W, m = n by default, so one pass over the samples when W holds
-every block. Both the average of the epoch's inner iterates and its last
-inner iterate are then evaluated on the full problem, and the one with the
-strictly smaller gap becomes the next iterate (_restart); a tie or a
-non-finite gap keeps the average. The winner's evaluation is the next outer
+every block; a screening solve's epoch ends sooner where the refinement of
+its inner iterate's model certifies itself (below). Both the average of the
+epoch's inner iterates over the steps it took and its last inner iterate
+are then evaluated on the full problem, and the one with the strictly
+smaller gap becomes the next iterate (_restart); a tie or a non-finite gap
+keeps the average. The winner's evaluation is the next outer
 iteration's: its trace row, stop test, screen, working set and snapshot, so
 an epoch costs two evaluations, plus one per refined model (below). The
 average drags in the epoch's early iterates, the last iterate does not, and
@@ -41,30 +43,38 @@ about the square root of the suboptimality. A screening solve therefore
 certifies with a refined dual point (_certify): on the first row that holds
 x_hat's model (its signs for L1, its nonzero pattern for group-L2; _model),
 of k unknowns, 0 < k <= n, with n k^2 at most _REFINE_COST times the
-design's stored entries, _refine_support solves the smooth stationarity
-system on that model, in at most _REFINE_STEPS Newton steps whose residual
-must reach _REFINE_TOL * lam. Later rows of the model reuse the result, but
-a refinement that found no point is tried again once the row's gap falls
-below a tenth of the gap it was tried at, since Newton steps from an early
-iterate can fail where those from a closer iterate of the same model
-converge. A Lasso model's system is linear, so its first
-step solves it. Where the solution flips the sign of an L1 coordinate, the
-refinement drops every flipped coordinate from the model and solves again on
-the smaller support, within the same step budget, until the signs agree (the
-active-set move of feature-sign search: Lee, Battle, Raina & Ng, NeurIPS
-2007). That prunes the coordinates of about 1e-9 that x_hat keeps off the
-optimum's support, whose correlation stays below lam. The refined point x_r
-is evaluated on the full problem, and its dual point certifies x_hat
-wherever P(x_hat) - D(theta_r) is the smaller gap: that gap is the row's,
-and theta_r is the sphere's centre and scores the working set, while the
-snapshot keeps x_hat's own derivatives and gradient. theta_r is scaled over
-every block like any dual point, so its gap bounds the suboptimality whether
-or not the model is the optimum's, and a refinement on a wrong model gives a
-larger gap, which is never used. The Gap Safe sphere around a dual feasible
-point holds the dual optimum for the gap of any primal point, since P(x) >=
-P* = D(theta*) (Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017). So on a row
-with a refinement the screen takes min(P(x_hat), P(x_r)) - D(centre), the
-best primal value the row evaluated: once x_r is optimal the radius falls to
+design's stored entries (_refinable), _refine_support solves the smooth
+stationarity system on that model, in at most _REFINE_STEPS Newton steps
+whose residual must reach _REFINE_TOL * lam. Later rows of the model reuse
+the result, but a refinement that found no point is tried again once the
+row's gap falls below a tenth of the gap it was tried at, since Newton steps
+from an early iterate can fail where those from a closer iterate of the same
+model converge. The epoch runs as _SUB_EPOCHS sub-epochs, and at each
+boundary but the last it refines the inner iterate's model the same way
+where that model held since the previous boundary and is not the slot's,
+with the gap of the row that opened the epoch as its try gap. Where the
+refined point's own gap is at most gap_tol the epoch ends there, so a model
+is refined on the first row or boundary that holds it, and the next row
+finds the refinement in the slot. A boundary evaluates the refined point
+alone, never the inner iterate, so the check adds no evaluation of its own.
+A Lasso model's system is linear, so its first step solves it. Where the
+solution flips the sign of an L1 coordinate, the refinement drops every
+flipped coordinate from the model and solves again on the smaller support,
+within the same step budget, until the signs agree (the active-set move of
+feature-sign search: Lee, Battle, Raina & Ng, NeurIPS 2007). That prunes the
+coordinates of about 1e-9 that x_hat keeps off the optimum's support, whose
+correlation stays below lam. The refined point x_r is evaluated on the full
+problem, and its dual point certifies x_hat wherever P(x_hat) - D(theta_r)
+is the smaller gap: that gap is the row's, and theta_r is the sphere's
+centre and scores the working set, while the snapshot keeps x_hat's own
+derivatives and gradient. theta_r is scaled over every block like any dual
+point, so its gap bounds the suboptimality whether or not the model is the
+optimum's, and a refinement on a wrong model gives a larger gap, which is
+never used. The Gap Safe sphere around a dual feasible point holds the dual
+optimum for the gap of any primal point, since P(x) >= P* = D(theta*)
+(Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017). So on a row with a
+refinement the screen takes min(P(x_hat), P(x_r)) - D(centre), the best
+primal value the row evaluated: once x_r is optimal the radius falls to
 rounding while x_hat's own gap is still far from gap_tol.
 
 One rule (_settles) decides when a solve returns x_r instead of x_hat: x_r
@@ -212,21 +222,25 @@ class TraceRecord:
     """One row per evaluated iterate, the last row being the one a solve stops at.
 
     objective and gap are P(x) and the full-problem duality gap at the row's
-    point: the dual point is scaled over all q blocks, so the gap bounds
-    the suboptimality whatever screening dropped. The other fields describe
-    the epoch that produced the iterate: active_blocks and active_features
-    count the safe set it ran within, radius is the safe radius of the screen
-    that preceded it (inf where none ran): that of the previous row's gap, or
-    of min(P(x_hat), P(x_r)) - D(centre) where the previous row had a refined
-    point x_r of its model. working_blocks counts the blocks its steps
-    updated, 0 on the starting row. restart names the point: "start" on the
-    starting row, then "average" or "last", the epoch's average or its last
-    inner iterate, whichever had the smaller gap, or "refined" where a
-    screening solve returns the refined point x_r of an iterate's model, and
-    the gap is that point's own. A "refined" row returns x_r in place of its
-    own iterate, or, as the last row, straight after the screen of the
-    previous row left exactly x_r's blocks: that row ran no epoch, so its
-    working_blocks is 0, and its safe set and radius are that screen's.
+    point: the dual point is scaled over all q blocks, so the gap bounds the
+    suboptimality whatever screening dropped. The other fields describe the
+    epoch that produced the iterate: active_blocks and active_features count
+    the safe set it ran within, radius is the safe radius of the screen that
+    preceded it (inf where none ran): that of the previous row's gap, or of
+    min(P(x_hat), P(x_r)) - D(centre) where the previous row had a refined
+    point x_r of its model. working_blocks counts the blocks its steps updated,
+    0 on the starting row, and inner_steps the steps it ran: at most
+    inner_budget(m, working_blocks, q), fewer where a screening solve's epoch
+    ended at a sub-epoch boundary whose refinement certified itself, and 0 on
+    the starting row and on any row no epoch produced. restart names the point:
+    "start" on the starting row, then "average" or "last", the epoch's average
+    or its last inner iterate, whichever had the smaller gap, or "refined"
+    where a screening solve returns the refined point x_r of an iterate's
+    model, and the gap is that point's own. A "refined" row returns x_r in
+    place of its own iterate, or, as the last row, straight after the screen of
+    the previous row left exactly x_r's blocks: that row ran no epoch, so its
+    working_blocks and inner_steps are 0, and its safe set and radius are that
+    screen's.
     refined_dual is True where the gap comes from the dual point of a
     support refinement rather than x_hat's own, and identified where a
     screening solve has identified the row's model: on a row that keeps
@@ -234,7 +248,8 @@ class TraceRecord:
     exactly its nonzero blocks; every "refined" row of a screening solve is
     identified. A refined gap stops a solve only on an identified row. The
     reference solver's rows after the first are "last", but for a stop row
-    that returns the point of its support refinement, which is "refined".
+    that returns the point of its support refinement, which is "refined";
+    it takes no inner steps, so its inner_steps are 0.
     """
 
     outer_iter: int
@@ -248,6 +263,7 @@ class TraceRecord:
     restart: str = "start"
     refined_dual: bool = False
     identified: bool = False
+    inner_steps: int = 0
 
 
 @dataclasses.dataclass
@@ -415,15 +431,20 @@ def _compact(spec, blocks, prev=None):
 
 # Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
 # about 33 bytes per entry at its peak for block steps and 16 for full-vector
-# ones (tracemalloc, a 1000 x 5000 design at 2%), so this keeps a chunk under
-# a megabyte, and at batch 10 it spreads the per-chunk calls over 12-40 steps
-# on rows of 40-130 entries. On the 1000 x 5000 design, twice as many made
-# mrbcd solves 3-7% faster and half as many 15-17% slower (median of 4 seeds,
-# three interleaved rounds, one core of a 2-core x86-64 host). A dense
-# design's chunk of the same steps gathers b * p cells a step; its longest row
-# holds at least _RHO * p entries, so a chunk holds at most
-# _CHUNK_ENTRIES / _RHO cells.
-_CHUNK_ENTRIES = 1 << 14
+# ones (tracemalloc, a 1000 x 5000 design at 2%), so a chunk peaks at most
+# near 1.1 and 0.5 MB, and at batch 10 it spreads the per-chunk calls over
+# 25-80 steps on rows of 40-130 entries (23 steps, peaks of 0.76 and 0.37 MB
+# on the benchmark's lasso-sparse design). The chunk size never changes an
+# iterate: the draws, and the terms of each sum, are those of one step at a
+# time. Median time to gap at 2^15 over 2^14 on the benchmark's instances
+# (6 solver seeds, three alternating rounds, in process on one core of a
+# 2-core x86-64 host): mrbcd 0.89 on lasso-sparse and 0.98 on
+# logistic-group, proxsvrg 0.96 and 0.98; adsgd 0.92 on logistic-group,
+# inside its 2.2-2.4 ms spread between rounds; everything else within 1.5%.
+# A dense design's chunk of the same steps gathers b * p cells a step;
+# its longest row holds at least _RHO * p entries, so a chunk holds at most
+# _CHUNK_ENTRIES / _RHO = 327,680 cells, 2.6 MB of float64.
+_CHUNK_ENTRIES = 1 << 15
 
 
 def _plan(work, y, g_snap, c, batches, ibs):
@@ -657,45 +678,56 @@ def _settles(spec, slot, model, active, gap_tol):
     """Whether a screening solve returns the refined point x_r of model: the
     one rule for it, on a row's safe set and on the safe set its screen
     leaves. It does where slot holds model's refinement, x_r's own gap is at
-    most gap_tol and active holds exactly x_r's nonzero blocks."""
+    most gap_tol and active holds exactly x_r's nonzero blocks. The
+    refinement may come from the row's _certify or from a sub-epoch boundary
+    of the epoch that produced the row, which ended there because x_r's own
+    gap was at most gap_tol (_epoch)."""
     ref = slot[1]
     return (slot[0] == model.tobytes() and ref is not None and ref[3] <= gap_tol
             and np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(ref[0])]),
                                active.blocks))
 
 
+def _refinable(spec, x):
+    """Whether a screening solve may refine x's model: its k unknowns (the
+    nonzeros for L1, the features of the nonzero blocks for group-L2) satisfy
+    0 < k <= n and n k^2 <= _REFINE_COST times the design's stored entries."""
+    part, n = spec.partition, spec.dataset.n
+    k = (np.count_nonzero(x) if spec.reg.name == "l1"
+         else int(part.sizes[np.unique(part.block_of[np.flatnonzero(x)])].sum()))
+    return 0 < k <= n and n * k * k <= _REFINE_COST * spec.dataset.A.nnz
+
+
 def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
     """The refinement gate of a screening solve's row (module docstring).
 
     x_hat's evaluation on the full problem gives obj, dp and gap; prev is the
-    previous iterate's model and slot the last refinement, (its model's
-    bytes, its result, the row gap it was tried at). A nonzero model within
-    the cost bound is refined on the first row that holds it, and again, if
-    that found no point, once the row's gap falls below a tenth of the gap of
-    the failed try. Returns (cert, gap, sgap, refined, identified, kept,
-    model, slot): the row's certifying dual point and gap, the screening
+    previous iterate's model and slot the last refinement, (its model's bytes,
+    its result, the row gap it was tried at), made by a row or by a sub-epoch
+    boundary (_epoch), whose try gap is then the own gap of the row that opened
+    its epoch. A model that passes the cost gate (_refinable) is refined on the
+    first row that holds it unless a boundary already put it in the slot, and
+    again, if the last try found no point, once the row's gap falls below a
+    tenth of that try's gap. Returns (cert, gap, sgap, refined, identified,
+    kept, model, slot): the row's certifying dual point and gap, the screening
     gap, whether cert and gap are a refinement's, whether the row is
     identified, (x_r, P(x_r)) where the row returns the refined point (else
     None), x_hat's model and the slot. The row returns x_r where _settles on
-    the row's safe set; it then certifies with theta_r and x_r's own gap,
-    and is identified. Otherwise theta_r certifies x_hat wherever P(x_hat) -
-    D(theta_r) is below x_hat's own gap, so cert is whichever of theta_hat
-    and theta_r has the larger dual value, and the row is identified where
-    x_hat's model is prev and the safe set holds exactly its nonzero blocks.
-    Where x_hat's model has a refinement, sgap is min(P(x_hat), P(x_r)) -
-    D(cert): the Gap Safe sphere holds for any primal point, so the screen
-    takes the best one the row evaluated. Elsewhere sgap is the row's gap.
+    the row's safe set; it then certifies with theta_r and x_r's own gap, and
+    is identified. Otherwise theta_r certifies x_hat wherever P(x_hat) -
+    D(theta_r) is below x_hat's own gap, so cert is whichever of theta_hat and
+    theta_r has the larger dual value, and the row is identified where x_hat's
+    model is prev and the safe set holds exactly its nonzero blocks. Where
+    x_hat's model has a refinement, sgap is min(P(x_hat), P(x_r)) - D(cert):
+    the Gap Safe sphere holds for any primal point, so the screen takes the
+    best one the row evaluated. Elsewhere sgap is the row's gap.
     """
-    part, n, nnz = spec.partition, spec.dataset.n, spec.dataset.A.nnz
     model = _model(spec, x_hat)
-    blocks = np.unique(part.block_of[np.flatnonzero(x_hat)])
     identified = (prev is not None and np.array_equal(model, prev)
-                  and np.array_equal(blocks, active.blocks))
-    unknowns = (np.count_nonzero(x_hat) if spec.reg.name == "l1"
-                else int(part.sizes[blocks].sum()))
+                  and np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(x_hat)]),
+                                     active.blocks))
     cert, sgap, refined, kept = dp, gap, False, None
-    if (gap > gap_tol and 0 < unknowns <= n
-            and n * unknowns * unknowns <= _REFINE_COST * nnz):
+    if gap > gap_tol and _refinable(spec, x_hat):
         key = model.tobytes()
         if slot[0] != key or (slot[1] is None and gap < 0.1 * slot[2]):
             slot = key, _refined_certificate(spec, x_hat), gap
@@ -709,27 +741,60 @@ def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
     return cert, gap, sgap, refined, identified, kept, model, slot
 
 
-def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling):
-    """(x, evaluation, label, updates) of `steps` inner steps from x_hat on the
-    working design work: _restart's next iterate, evaluation and label, and
-    the number of coordinate updates. snap holds the snapshot's (derivatives,
-    smooth gradient), and the snapshot is x_hat. With block_sampling a step
-    updates one drawn block of work, else every working column.
+# A screening solve's epoch runs as this many sub-epochs of ceil(steps /
+# _SUB_EPOCHS) steps, and at each boundary but the last it may refine x_cur's
+# model and end there (_epoch). adsgd's median time to gap on the benchmark's
+# instances and steps, in process on one core of a 2-core x86-64 host (16
+# solver seeds, median of three alternating rounds), for whole epochs / 4 /
+# 8 / 16 sub-epochs: 3.03 / 2.38 / 1.85 / 1.39 ms on lasso-tall, 7.76 / 8.06
+# / 7.61 / 7.62 ms on lasso-sparse and 2.09 / 2.10 / 2.10 / 2.11 ms on
+# logistic-group. An earlier prototype of the same rule read 2.42 / 1.9-2.0 /
+# 1.65 ms for 4 / 8 / 16 on lasso-tall, and 7.4 / 7.6-8.2 / 8.6 ms on
+# lasso-sparse, against 3.2-3.6 and 10.0-12.4 ms for whole epochs. More
+# boundaries find a certifying model sooner, and refine more models that
+# pass through on the way.
+_SUB_EPOCHS = 8
+
+
+def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling, slot,
+           own, gap_tol):
+    """(x, evaluation, label, updates, taken, slot) of at most `steps` inner
+    steps from x_hat on the working design work: _restart's next iterate,
+    evaluation and label, the number of coordinate updates, the number of
+    steps taken and the slot. snap holds the snapshot's (derivatives, smooth
+    gradient), and the snapshot is x_hat. With block_sampling a step updates
+    one drawn block of work, else every working column.
+
+    slot is None for a solve that never screens, whose epoch takes every step.
+    A screening solve passes the engine's slot (_certify), own, x_hat's own
+    gap, and the solve's gap_tol, and its epoch runs as _SUB_EPOCHS sub-epochs of
+    ceil(steps / _SUB_EPOCHS) steps. At each boundary but the last, where
+    x_cur's model (_model, in feature ids) is the one it had at the previous
+    boundary, or at the start, and passes the refinement's cost gate
+    (_refinable), and is not the model the slot holds, the model is refined
+    once into the slot, with x_hat's own gap as its try gap, so the tenfold
+    retry rule of _certify still holds. Where that refined point's own gap is
+    at most gap_tol the epoch ends there: the next row finds the refinement in
+    the slot, and _settles returns it on that row or after its screen. Under a
+    zero _REFINE_COST no model passes the gate, so such an epoch takes every
+    step, as one that never screens.
 
     The steps are planned in chunks, each gathering at most _CHUNK_ENTRIES
-    entries and cut at the last step. A chunk makes one rng.integers call,
-    whose bounds list n for every batch row and the number of working blocks
-    for every block draw, in step order. A full batch (batch_size == n)
-    draws no rows: each of its steps takes every row, in order, and is
-    gathered like any other batch, at the cost of a copy of the design. A
-    bounded draw consumes the Philox stream alike alone or in an array (tests
-    pin this), so the chunks draw the values of step-by-step draws and leave
-    the stream in their state, on both storages alike. The planner of work's
-    storage (_stepper), _plan or _plan_dense, yields the chunk's steps, and
-    each chunk runs as one loop: a step calls the kernel positionally,
-    updates its columns lo:hi of the iterate in place (grad *= eta, v -=
-    grad, the prox written back into v) and adds the iterate to the running
-    sum.
+    entries and cut at the last step and at every sub-epoch boundary, so an
+    epoch that ends early draws no row or block past its last step. A chunk
+    makes one rng.integers call, whose bounds list n for every batch row and
+    the number of working blocks for every block draw, in step order. A full
+    batch (batch_size == n) draws no rows: each of its steps takes every
+    row, in order, and is gathered like any other batch, at the cost of a
+    copy of the design. A bounded draw consumes the Philox stream alike alone
+    or in an array (tests pin this), so the chunks draw the values of
+    step-by-step draws and leave the stream in their state, on both storages
+    alike. The planner of work's storage (_stepper), _plan or _plan_dense,
+    yields the chunk's steps, and each chunk runs as one loop: a step calls
+    the kernel positionally, updates its columns lo:hi of the iterate in
+    place (grad *= eta, v -= grad, the prox written back into v) and adds the
+    iterate to the running sum, whose average over the steps taken is
+    _restart's first candidate.
     """
     n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
     prox, thresh = spec.reg.block_prox, eta * spec.lam
@@ -746,24 +811,41 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling)
     chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
     highs = np.array([n] * (batch_size if sampled else 0)
                      + [work.blocks.size] * block_sampling)
+    if slot is None:
+        sub = steps
+    else:
+        sub, model = -(-steps // _SUB_EPOCHS), _model(spec, x_hat)
     updates = 0
-    for done in range(0, steps, chunk):
-        c = min(chunk, steps - done)
-        draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
-                 else None)
-        batches = draws[:, :batch_size] if sampled else np.broadcast_to(np.arange(n), (c, n))
-        ibs = draws[:, -1] if block_sampling else None
-        for args, lo, hi in plan(work, y, g_ref, c, batches, ibs):
-            grad = kern(loss, x_cur, *args, lo, hi, mu, x_tilde, mu_p)
-            grad *= eta
-            v = x_cur[lo:hi]
-            v -= grad
-            prox(v, thresh, classes, out=v)
-            x_sum += x_cur
-            updates += hi - lo
-        del args  # release this chunk before the next is planned
-    x_sum /= steps
-    return (*_restart(spec, wfeat, x_sum, x_cur), updates)
+    for start in range(0, steps, sub):
+        taken = min(start + sub, steps)
+        for done in range(start, taken, chunk):
+            c = min(chunk, taken - done)
+            draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
+                     else None)
+            batches = (draws[:, :batch_size] if sampled
+                       else np.broadcast_to(np.arange(n), (c, n)))
+            ibs = draws[:, -1] if block_sampling else None
+            for args, lo, hi in plan(work, y, g_ref, c, batches, ibs):
+                grad = kern(loss, x_cur, *args, lo, hi, mu, x_tilde, mu_p)
+                grad *= eta
+                v = x_cur[lo:hi]
+                v -= grad
+                prox(v, thresh, classes, out=v)
+                x_sum += x_cur
+                updates += hi - lo
+            del args  # release this chunk before the next is planned
+        if taken == steps:
+            break
+        x = np.zeros(spec.dataset.d)
+        x[wfeat] = x_cur
+        was, model = model, _model(spec, x)
+        if (np.array_equal(model, was) and slot[0] != model.tobytes()
+                and _refinable(spec, x)):
+            slot = model.tobytes(), _refined_certificate(spec, x), own
+            if slot[1] is not None and slot[1][3] <= gap_tol:
+                break
+    x_sum /= taken
+    return (*_restart(spec, wfeat, x_sum, x_cur), updates, taken, slot)
 
 
 def _zero_dropped(spec, active, safe, x_hat, snap):
@@ -809,8 +891,9 @@ def _engine(spec, config, *, block_sampling, screening):
     trace, active_history = [], []
     iterates = [] if config.keep_iterates else None
     coord_updates, converged, k = 0, False, 0
-    radius, width = math.inf, 0
-    model, slot = None, (None, None, None)  # the last iterate's model; the last refinement
+    radius, width, taken = math.inf, 0, 0
+    # the last iterate's model; the last refinement, of a screening solve only
+    model, slot = None, (None, None, None) if screening else None
     evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "start"
     runaway = _RUNAWAY * evaluation[0]
 
@@ -821,13 +904,15 @@ def _engine(spec, config, *, block_sampling, screening):
                                  active_blocks=active.n_blocks,
                                  active_features=active.n_features,
                                  radius=radius, working_blocks=width, restart=restart,
-                                 refined_dual=refined, identified=identified))
+                                 refined_dual=refined, identified=identified,
+                                 inner_steps=taken))
         active_history.append(active.blocks.copy())
         if iterates is not None:
             iterates.append(x_hat.copy())
 
     while True:
         obj, g_snap, dp, gap = evaluation
+        own = gap  # x_hat's own gap, the try gap of the epoch's boundary refinements
         cert, sgap, refined, identified = dp, gap, False, False
         snap = g_snap, dp.gradient
         if screening and np.isfinite(obj):
@@ -863,11 +948,11 @@ def _engine(spec, config, *, block_sampling, screening):
                 # the screen left exactly x_r's blocks: x_r is the next row, with
                 # no epoch in between
                 (x_hat, obj, cert, gap), active = slot[1], safe
-                width, restart, converged = 0, "refined", True
+                width, taken, restart, converged = 0, 0, "refined", True
                 record(obj, gap, True, True)
                 break
             snap, active = _zero_dropped(spec, active, safe, x_hat, snap), safe
-        width = 0
+        width = taken = 0
         if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it
             evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "average"
             continue
@@ -883,9 +968,9 @@ def _engine(spec, config, *, block_sampling, screening):
         elif not np.array_equal(wb, work.blocks):
             work = _compact(spec, wb, safe_work)
         width = work.blocks.size
-        x_hat, evaluation, restart, updates = _epoch(
+        x_hat, evaluation, restart, updates, taken, slot = _epoch(
             spec, work, x_hat, snap, inner_budget(m, width, spec.partition.q), rng, eta,
-            batch_size, block_sampling)
+            batch_size, block_sampling, slot, own, config.gap_tol)
         coord_updates += updates
 
     return SolveReport(

@@ -23,7 +23,10 @@ def test_lambda_max_command_prints_hand_value(tmp_path, capsys):
 
 
 def test_solve_command_writes_trace(tmp_path, capsys):
-    from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
+    """The trace CSV ends on the inner_steps column, and the result line's
+    inner_steps is the sum of that column."""
+    from gapsgd.harness import (SyntheticParams, build_spec, generate_synthetic,
+                                read_trace_csv)
     from conftest import tuned_eta
 
     data = generate_synthetic(SyntheticParams(n=60, d=50, sparsity=0.5,
@@ -41,7 +44,10 @@ def test_solve_command_writes_trace(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == ("outer_iter,elapsed_s,objective,gap,active_blocks,active_features,"
-                      "radius,working_blocks,restart,refined_dual,identified")
+                      "radius,working_blocks,restart,refined_dual,identified,inner_steps")
+    fields = dict(f.split("=") for f in text.splitlines()[1].split())
+    steps = [r.inner_steps for r in read_trace_csv(out)]
+    assert steps[0] == 0 and int(fields["inner_steps"]) == sum(steps) > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

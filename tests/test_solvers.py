@@ -842,9 +842,11 @@ def test_epoch_draws_once_per_chunk_and_never_past_its_steps(monkeypatch, solver
 def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver,
                                                              batch_size):
     """Each inner step makes one positional call of its storage's kernel,
-    step_gradient or dense_step_gradient, and one block_prox call, and the
-    epoch on W takes inner_budget(m, |W|, q) steps; a full-vector step
-    updates every working column."""
+    step_gradient or dense_step_gradient, and one block_prox call, and each
+    row's inner_steps counts the steps of the epoch that produced it: at most
+    inner_budget(m, |W|, q) on W, every one of them for the solvers that never
+    screen, and 0 on a row no epoch produced. A full-vector step updates
+    every working column."""
     spec = _scattered_lasso() if solver in ("mrbcd", "proxsvrg") else make_instance(
         seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
     prox = type(spec.reg).block_prox
@@ -870,10 +872,13 @@ def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver
                                            batch_size=batch_size, gap_tol=1e-12,
                                            eta=tuned_eta(spec)))
         widths = [r.working_blocks for r in rep.trace[1:]]
-        steps = [inner_budget(m, w, q) for w in widths if w]
+        steps = [r.inner_steps for r in rep.trace[1:]]
+        budgets = [inner_budget(m, w, q) if w else 0 for w in widths]
+        assert rep.trace[0].inner_steps == 0 and sum(steps) > 0
         assert counts == {"sparse": 0, "dense": 0, kernel: sum(steps), "prox": sum(steps)}
+        assert all(0 < s <= b or s == b == 0 for s, b in zip(steps, budgets))
         if solver in ("mrbcd", "proxsvrg"):
-            assert widths == [q] * rep.outer_iters
+            assert widths == [q] * rep.outer_iters and steps == budgets
         if solver == "proxsvrg":
             assert rep.coord_updates == sum(steps) * spec.dataset.d
 
@@ -1978,6 +1983,45 @@ def _spy_refinements(monkeypatch):
     return calls
 
 
+def _spy_epochs(monkeypatch, calls):
+    """Record every epoch as the span of refinements it made: (len(calls) at
+    its start, len(calls) at its end), calls being _spy_refinements'
+    record."""
+    spans, epoch = [], G.solvers._epoch
+
+    def spied(*args):
+        first = len(calls)
+        out = epoch(*args)
+        spans.append((first, len(calls)))
+        return out
+
+    monkeypatch.setattr(G.solvers, "_epoch", spied)
+    return spans
+
+
+def _refinement_sites(rep, calls, spans):
+    """(k, boundary) for each refinement in calls of a solve kept with its
+    iterates: one made at a sub-epoch boundary ran in the epoch that produced
+    row k; any other certified row k, whose x_hat it refined. Every epoch
+    takes a step, so the rows with inner_steps are the epochs' rows, in
+    order. A row that returns its refined point keeps that point, not its
+    x_hat, so a call whose x is no iterate certified the last row."""
+    rows = [r.outer_iter for r in rep.trace if r.inner_steps]
+    assert len(rows) == len(spans)
+    sites = []
+    for i, (x, _, _) in enumerate(calls):
+        epoch = next((j for j, (a, b) in enumerate(spans) if a <= i < b), None)
+        if epoch is not None:
+            sites.append((rows[epoch], True))
+            continue
+        k = next((k for k, it in enumerate(rep.iterates) if np.array_equal(it, x)), None)
+        if k is None:
+            assert rep.trace[-1].restart == "refined"
+            k = rep.outer_iters
+        sites.append((k, False))
+    return sites
+
+
 def _spy_screens(monkeypatch, calls):
     """Record every screen: (its centre, its radius, len(calls) when it ran),
     calls being _spy_refinements' record."""
@@ -2202,49 +2246,62 @@ def test_a_tall_dense_lasso_returns_its_refined_point_on_the_screen_it_sizes(mon
 
 def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     """x_hat's model changes at every row of this Lasso solve, so it is never
-    the previous iterate's, and each model is refined on the row that
-    first holds it: rows 1, 2 and 3. Row 3's refined dual point certifies
-    x_hat before its model is identified, and its screen leaves exactly the
-    refined point's blocks, which row 4 returns."""
+    the previous iterate's, and each model is refined once, on the first row
+    or sub-epoch boundary that holds it. The models of rows 1 and 3 first
+    appear at a boundary of the epoch that produced each. The epoch that
+    produced row 2 refined a model no row holds, so row 2's model was not in
+    the slot, and row 2 refined it. Row 3's refinement certifies itself, so
+    its epoch ended early; its refined dual point certifies x_hat before its model is
+    identified, and its screen leaves exactly the refined point's blocks,
+    which row 4 returns."""
     spec = SCREENED_RUNS["lasso"]()
     calls = _spy_refinements(monkeypatch)
+    spans = _spy_epochs(monkeypatch, calls)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
                                              eta=tuned_eta(spec), keep_iterates=True))
     models = [G.solvers._model(spec, x).tobytes() for x in rep.iterates]
     assert rep.converged and rep.outer_iters == 4
     assert all(a != b for a, b in zip(models[:4], models[1:4]))
-    rows = [next(k for k, it in enumerate(rep.iterates) if np.array_equal(it, x))
-            for x, _, _ in calls]
-    assert rows == [1, 2, 3] and all(x_r is not None for _, _, x_r in calls)
-    assert [m for _, m, _ in calls] == models[1:4]
+    assert _refinement_sites(rep, calls, spans) == [(1, True), (2, True), (2, False),
+                                                    (3, True)]
+    refined = [m for _, m, _ in calls]
+    assert all(x_r is not None for _, _, x_r in calls) and len(set(refined)) == 4
+    assert [refined[0], refined[2], refined[3]] == models[1:4]
+    assert refined[1] not in models
+    budget = inner_budget(spec.dataset.n, rep.trace[3].working_blocks, spec.partition.q)
+    assert rep.trace[3].inner_steps < budget
     assert rep.trace[3].refined_dual and not rep.trace[3].identified
     assert (rep.trace[4].restart, rep.trace[4].working_blocks) == ("refined", 0)
     assert np.array_equal(rep.x_final, calls[-1][2])
 
 
 def test_a_failed_refinement_is_retried_once_the_gap_falls_tenfold(monkeypatch):
-    """On this logistic group-L2 solve at lam = 0.25 lam_max, x_hat takes a
-    new model at row 3, whose refinement finds no point, and holds it at
-    rows 4 and 5. Row 4's own gap is still above a tenth of row 3's, so the
-    model is not refined again there; row 5's is below it, so it is, and
-    that refinement finds the point the solve certifies through: its dual
-    point certifies x_hat at row 5, and the screen it sizes leaves exactly
-    its blocks, so row 6 returns it."""
+    """On this logistic group-L2 solve at lam = 0.25 lam_max, x_hat's model
+    of rows 3 to 7 first appears at a sub-epoch boundary of the epoch that
+    produced row 3. That refinement finds no point, and its try gap is the
+    own gap of row 2, which opened the epoch. Row 3's own gap is still above
+    a tenth of it, so the model is not refined again there; row 4's is below
+    it, so it is, and again finds no point. Rows 5 and 6 stay above a tenth
+    of row 4's gap; row 7 falls below it, and that refinement finds the point
+    the solve certifies through: its dual point certifies x_hat at row 7,
+    and the screen it sizes leaves exactly its blocks, so row 8 returns it."""
     spec = make_instance(seed=22, n=200, d=100, q=10, model="logistic", reg="group_l2",
                          support=3, ratio=0.25)
     calls = _spy_refinements(monkeypatch)
+    spans = _spy_epochs(monkeypatch, calls)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=22, gap_tol=1e-8, max_outer=300,
                                              eta=tuned_eta(spec), keep_iterates=True))
     models = [G.solvers._model(spec, x).tobytes() for x in rep.iterates]
     own = [G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3] for x in rep.iterates]
-    rows = [next(k for k, it in enumerate(rep.iterates) if np.array_equal(it, x))
-            for x, _, _ in calls]
-    assert rows[-2:] == [3, 5] and models[2] != models[3] == models[4] == models[5]
-    (_, failed, none), (_, retried, x_r) = calls[-2:]
-    assert failed == retried == models[3] and none is None and x_r is not None
-    assert own[4] >= 0.1 * own[3] > own[5]
-    assert rep.trace[5].refined_dual and rep.trace[5].gap < own[5]
-    assert rep.converged and rep.outer_iters == 6 and rep.trace[6].restart == "refined"
+    assert _refinement_sites(rep, calls, spans)[-3:] == [(3, True), (4, False), (7, False)]
+    assert models[2] != models[3] and len(set(models[3:8])) == 1
+    (_, first, none), (_, failed, again), (_, retried, x_r) = calls[-3:]
+    assert first == failed == retried == models[3]
+    assert none is None and again is None and x_r is not None
+    assert own[3] >= 0.1 * own[2] > own[4]
+    assert min(own[5:7]) >= 0.1 * own[4] > own[7]
+    assert rep.trace[7].refined_dual and rep.trace[7].gap < own[7]
+    assert rep.converged and rep.outer_iters == 8 and rep.trace[8].restart == "refined"
     assert np.array_equal(rep.x_final, x_r)
     p_star = G.reference_solve(spec, tol=1e-12).objective
     assert G.primal_objective(spec, rep.x_final) - p_star <= rep.gap <= 1e-8
@@ -2289,20 +2346,24 @@ def test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict(monkeypat
 @pytest.mark.parametrize("full_batch", [False, True], ids=["adsgd", "adsgd-full-batch"])
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
 def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_batch, case):
-    """A screening solve refines x_hat's model (signs for L1, nonzero pattern
-    for group-L2) on the first row that holds it, where x_hat is nonzero and
-    the model within the cost bound, whether or not the model is identified
-    yet, and keeps the refinement while the model holds (these runs never
-    come back to an earlier model). It refines a model again only where its
-    last try found no point, once x_hat's own gap has fallen below a tenth
-    of that try's; every row that brings a new such model is refined unless
-    it stops on x_hat's own gap.
+    """A screening solve refines a model (signs for L1, nonzero pattern for
+    group-L2) on the first row or sub-epoch boundary that holds it, where it
+    is nonzero and within the cost bound, whether or not the model is
+    identified yet, and keeps the refinement in its slot while the model
+    holds (these runs never come back to an earlier model). A boundary
+    refines x_cur's model, never the model of the row that opened its epoch,
+    and stores that row's own gap as its try gap. A model is refined again
+    only where its last try found no point, on a row whose x_hat's own gap
+    has fallen below a tenth of that try gap; every row that brings a new
+    such model is refined, there or at a boundary of the epoch that produced
+    it, unless it stops on x_hat's own gap.
     The safe set need not hold just x_hat's nonzero blocks yet, but a row
     that keeps x_hat is identified only where it does and x_hat's model is
     the previous iterate's, and only an identified row returns the refined
     point or stops on a refined dual point."""
     spec = SCREENED_RUNS[case]()
     calls = _spy_refinements(monkeypatch)
+    spans = _spy_epochs(monkeypatch, calls)
     batch = spec.dataset.n if full_batch else None
     rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=2, gap_tol=1e-10,
                                        max_outer=300, eta=tuned_eta(spec),
@@ -2312,26 +2373,29 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     def model(x):
         return G.solvers._model(spec, x).tobytes()
 
-    refined_rows, tries = [], {}  # model -> (x_hat's own gap at its last try, found)
-    for x, m, x_r in calls:
+    def own_gap(x):
+        return G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3]
+
+    refined, tries = set(), {}  # model -> (try gap of its last try, found)
+    for (x, m, x_r), (k, boundary) in zip(calls, _refinement_sites(rep, calls, spans)):
         assert np.any(x) and _within_refinement_cost(spec, _unknowns(spec, x))
-        k = next((k for k, it in enumerate(rep.iterates) if np.array_equal(it, x)), None)
-        if k is None:  # the last x_hat, whose refined point the solve returned
-            assert rep.trace[-1].restart == "refined"
-            k = len(rep.iterates) - 1
-        own = G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3]
-        if m in tries:  # a retry
-            assert not tries[m][1] and own < 0.1 * tries[m][0]
+        if boundary:  # x_cur's model, new to the slot; the epoch's row gap is the try's
+            assert m not in tries and model(rep.iterates[k - 1]) != m
+            own = own_gap(rep.iterates[k - 1])
         else:
-            assert k > 0 and model(rep.iterates[k - 1]) != m
+            own = own_gap(x)
+            if m in tries:  # a retry
+                assert not tries[m][1] and own < 0.1 * tries[m][0]
+            else:
+                assert k > 0 and model(rep.iterates[k - 1]) != m
         tries[m] = own, x_r is not None
-        refined_rows.append(k)
+        refined.add((k, m))
     for k, row in enumerate(rep.trace[1:], 1):
         x = rep.iterates[k]
         if (row.restart != "refined" and model(x) != model(rep.iterates[k - 1])
                 and np.any(x) and _within_refinement_cost(spec, _unknowns(spec, x))):
-            assert k in refined_rows or (k == rep.outer_iters and not row.refined_dual
-                                         and row.gap <= 1e-10)
+            assert (k, model(x)) in refined or (k == rep.outer_iters and not row.refined_dual
+                                                and row.gap <= 1e-10)
     block_of = spec.partition.block_of
     for k, row in enumerate(rep.trace):
         if row.restart == "refined":  # its x_hat is the refined point's, not kept
@@ -2344,6 +2408,103 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
                                rep.active_history[k]))
     last = rep.trace[-1]
     assert last.identified or not last.refined_dual
+
+
+def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
+    """(a) A screening solve's epoch ends before its inner_budget only where a
+    refinement made at one of its sub-epoch boundaries gives x_r an own gap
+    of at most gap_tol, and every such refinement ends its epoch. (b) Where
+    every refinement answers off the optimum, as in
+    test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict, no
+    epoch ends early. (c) mrbcd and proxsvrg take every budgeted step and
+    refine nothing. (d) An epoch that ends early has drawn, chunk by chunk,
+    exactly the rows and blocks of the steps it took, its chunks cut at every
+    boundary it passed, and it is the solve's last: the refinement it left
+    in the slot is returned on the row it produced or straight after that
+    row's screen."""
+    results, certificate = [], G.solvers._refined_certificate
+
+    def spied(spec, x):
+        out = certificate(spec, x)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(G.solvers, "_refined_certificate", spied)
+    spans = _spy_epochs(monkeypatch, results)
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+    drawn = []
+    epoch = G.solvers._epoch
+
+    def counted(*args):
+        first = len(_CountingGenerator.draws)
+        out = epoch(*args)
+        drawn.append(_CountingGenerator.draws[first:])
+        return out
+
+    monkeypatch.setattr(G.solvers, "_epoch", counted)
+
+    def run(spec, **fields):
+        del results[:], spans[:], drawn[:]
+        monkeypatch.setattr(_CountingGenerator, "draws", [])
+        cfg = G.SolverConfig(**{**dict(seed=2, gap_tol=1e-10, max_outer=300,
+                                       eta=tuned_eta(spec)), **fields})
+        rep = G.solve(spec, cfg)
+        rows = [r for r in rep.trace if r.inner_steps]
+        assert len(rows) == len(spans) == len(drawn)
+        budgets = [inner_budget(cfg.m or spec.dataset.n, r.working_blocks, spec.partition.q)
+                   for r in rows]
+        return rep, rows, budgets
+
+    early = 0
+    for case in sorted(SCREENED_RUNS):
+        spec = SCREENED_RUNS[case]()
+        n = spec.dataset.n
+        for batch in (10, n):
+            rep, rows, budgets = run(spec, solver="adsgd", batch_size=batch)
+            assert rep.converged
+            per_step = (batch if batch < n else 0) + 1
+            for row, budget, (a, b), draws in zip(rows, budgets, spans, drawn):
+                certified = [i for i in range(a, b)
+                             if results[i] is not None and results[i][3] <= 1e-10]
+                # (a)
+                assert certified == ([b - 1] if row.inner_steps < budget else [])
+                # (d)
+                sizes = [size // per_step for size in draws]
+                assert [size % per_step for size in draws] == [0] * len(draws)
+                assert sum(sizes) == row.inner_steps
+                sub = -(-budget // G.solvers._SUB_EPOCHS)
+                ends = set(np.cumsum(sizes).tolist())
+                assert set(range(sub, row.inner_steps, sub)) <= ends
+                if row.inner_steps < budget:
+                    early += 1
+                    assert rep.outer_iters - row.outer_iter <= 1
+                    assert rep.trace[-1].restart == "refined"
+                    assert np.array_equal(rep.x_final, results[b - 1][0])
+    assert early >= 4
+
+    # (b)
+    refine = G.solvers._refine_support
+
+    def wrong(spec, x, *args):
+        out, groups = refine(spec, x, *args), spec.partition.groups
+        if out is not None:
+            out[groups[int(np.argmax([np.linalg.norm(out[g]) for g in groups]))]] = 0.0
+        return out
+
+    monkeypatch.setattr(G.solvers, "_refine_support", wrong)
+    for case in sorted(SCREENED_RUNS):
+        rep, rows, budgets = run(SCREENED_RUNS[case](), solver="adsgd")
+        # boundaries refined, and none of their refinements certified
+        assert rep.converged and any(a < b for a, b in spans)
+        assert [r.inner_steps for r in rows] == budgets
+    monkeypatch.setattr(G.solvers, "_refine_support", refine)
+
+    # (c)
+    for solver in ("mrbcd", "proxsvrg"):
+        for case in sorted(SCREENED_RUNS):
+            rep, rows, budgets = run(SCREENED_RUNS[case](), solver=solver, max_outer=8)
+            assert results == [] and [r.inner_steps for r in rows] == budgets
+            assert len(rows) == rep.outer_iters
 
 
 def _unknowns(spec, x):
