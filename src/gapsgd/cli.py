@@ -56,8 +56,8 @@ def _add_solver_args(p):
                    help="step size (default 1/(16L))")
     p.add_argument("--mu-p", type=float, default=0.0, metavar="P",
                    help="quadratic perturbation strength")
-    p.add_argument("--gap-tol", type=float, default=1e-6, metavar="T")
-    p.add_argument("--max-outer", type=int, default=200, metavar="K")
+    p.add_argument("--gap-tol", type=float, default=SolverConfig.gap_tol, metavar="T")
+    p.add_argument("--max-outer", type=int, default=SolverConfig.max_outer, metavar="K")
 
 
 def _dataset_from_args(args):

@@ -140,12 +140,13 @@ class BlockPartition:
 
     order lists the coordinates block by block, and block j holds
     groups[j] = order[offsets[j]:offsets[j + 1]]. Coordinate i lies in block
-    block_of[i], at place slot[i] inside it. classes groups the blocks by
-    size for the group-L2 penalty's full-vector value and prox: one (ids, idx)
-    pair per distinct size s, in increasing s, where ids holds the ranks of
-    the k blocks of that size in increasing order and row i of the (k, s)
-    array idx is groups[ids[i]]. groups and classes are built when first
-    read, so a layout that no caller asks them of costs array operations only.
+    block_of[i]. classes groups the blocks by size for the group-L2 penalty's
+    full-vector value and prox: one (ids, idx) pair per distinct size s, in
+    increasing s, where ids holds the ranks of the k blocks of that size in
+    increasing order and row i of the (k, s) array idx is groups[ids[i]].
+    groups and classes are built when first read, so a layout that no caller
+    asks them of costs array operations only. Group indices and sizes must
+    be integers, not floats or bools.
     """
 
     def __init__(self, groups):
@@ -153,7 +154,10 @@ class BlockPartition:
         sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
         if not groups or not sizes.all():
             raise ValueError("every group must be non-empty")
-        order = np.concatenate(groups).astype(np.intp, copy=False)
+        order = np.concatenate(groups)
+        if order.dtype.kind not in "iu":
+            raise ValueError(f"group indices must be integers, got dtype {order.dtype}")
+        order = order.astype(np.intp, copy=False)
         d = order.size
         rising = np.diff(order) > 0
         rising[np.cumsum(sizes)[:-1] - 1] = True  # a new block may start anywhere
@@ -167,7 +171,10 @@ class BlockPartition:
     @classmethod
     def from_sizes(cls, sizes):
         """Consecutive ranges of the given positive sizes, in order."""
-        sizes = np.asarray(sizes, dtype=np.intp)
+        sizes = np.asarray(sizes)
+        if sizes.size and sizes.dtype.kind not in "iu":
+            raise ValueError(f"sizes must be integers, got dtype {sizes.dtype}")
+        sizes = sizes.astype(np.intp, copy=False)
         if not sizes.size or sizes.min() < 1:
             raise ValueError("every size must be at least 1")
         part = cls.__new__(cls)
@@ -180,13 +187,10 @@ class BlockPartition:
         self.q = q
         self.sizes = sizes
         self.order = order
-        self.offsets = offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
         self.block_of = np.empty(d, dtype=np.intp)
         self.block_of[order] = np.repeat(np.arange(q), sizes)
-        self.slot = np.empty(d, dtype=np.intp)
-        self.slot[order] = np.arange(d) - np.repeat(offsets[:-1], sizes)
         self.block_of.flags.writeable = False
-        self.slot.flags.writeable = False
 
     @functools.cached_property
     def layout_key(self):
@@ -280,12 +284,6 @@ class L1Penalty:
     def value(self, x, partition):
         return float(np.sum(np.abs(x)))
 
-    def block_value(self, v):
-        return float(np.sum(np.abs(v)))
-
-    def block_dual_norm(self, v):
-        return float(np.max(np.abs(v))) if np.size(v) else 0.0
-
     def block_prox(self, v, t, classes=None, out=None):
         """Soft thresholding. It is coordinate-wise, so it ignores the block layout."""
         return soft_threshold(v, t, out)
@@ -302,12 +300,6 @@ class GroupL2Penalty:
             norms[ids] = np.sqrt((x[idx] ** 2).sum(axis=1))
         # summed in block order, left to right, as the per-block loop did
         return float(sum(norms.tolist()))
-
-    def block_value(self, v):
-        return float(np.sqrt(np.sum(v ** 2)))
-
-    def block_dual_norm(self, v):
-        return float(np.sqrt(np.sum(v ** 2)))
 
     def block_prox(self, v, t, classes=None, out=None):
         """Block soft thresholding: v scaled by 1 - t/||v||, or +0.0 where ||v|| <= t.

@@ -97,14 +97,15 @@ Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
 derivatives, relative to the snapshot's, summed into the sampled block or
 into every working column. step_gradient runs two of scipy's compiled CSR
-loops over the gathered entries: csr_matvec forms X_b x, and csc_matvec,
-reading the step's selected entries as the CSC matrix of the batch's rows,
-sums coef X_b into the block or every working column. Each adds its
-products to zeros in entry order, so its sums are those of a weighted
-np.bincount over the same products, to the bit (the tests keep that
-bincount kernel as the oracle). dense_step_gradient forms the same gradient
-from two matrix products, X_b x and coef X_b[:, lo:hi]. One epoch, its
-plan, steps and restart, runs in _epoch, which picks the kernel from the
+loops over the batch's gathered entries: csr_matvec forms X_b x, and
+csc_matvec, reading the same entries as the CSC matrix of the batch's rows,
+sums coef X_b into every working column, of which a block step keeps its
+block's. Each adds its products to zeros in entry order, so a block's
+columns hold the sums over its entries alone, and every sum is that of a
+weighted np.bincount over the same products, to the bit (the tests keep
+that bincount kernel as the oracle). dense_step_gradient forms the same
+gradient from two matrix products, X_b x and coef X_b[:, lo:hi]. One epoch,
+its plan, steps and restart, runs in _epoch, which picks the kernel from the
 storage of the design the epoch runs on; _engine keeps the outer loop. Both
 kernels take a snapshot, so the steps have one formula, Prox-SVRG's (Xiao &
 Zhang, SIAM J. Optim. 2014). vr_gradient is one step of the engine's own
@@ -430,15 +431,16 @@ def _compact(spec, blocks, prev=None):
 
 
 # Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
-# about 33 bytes per entry at its peak for block steps and 16 for full-vector
-# ones (tracemalloc, a 1000 x 5000 design at 2%), so a chunk peaks at most
-# near 1.1 and 0.5 MB, and at batch 10 it spreads the per-chunk calls over
-# 25-80 steps on rows of 40-130 entries (23 steps, peaks of 0.76 and 0.37 MB
-# on the benchmark's lasso-sparse design). The chunk size never changes an
-# iterate: the draws, and the terms of each sum, are those of one step at a
-# time. Median time to gap at 2^15 over 2^14 on the benchmark's instances
-# (6 solver seeds, three alternating rounds, in process on one core of a
-# 2-core x86-64 host): mrbcd 0.89 on lasso-sparse and 0.98 on
+# about 16 bytes per entry at its peak, the gathered columns and values, for
+# block and full-vector steps alike (tracemalloc, 1000 x 5000, 20000 and
+# 100000 designs at 2%), so a chunk peaks near 0.5 MB, and at batch 10 it
+# spreads the per-chunk calls over 25-80 steps on rows of 40-130 entries (23
+# steps, a peak of 0.39 MB on the benchmark's lasso-sparse design); each
+# sparse step's kernel call adds one float64 per working column while it
+# runs. The chunk size never changes an iterate: the draws, and the terms of
+# each sum, are those of one step at a time. Median time to gap at 2^15 over
+# 2^14 on the benchmark's instances (6 solver seeds, three alternating
+# rounds, in process on one core of a 2-core x86-64 host): mrbcd 0.89 on lasso-sparse and 0.98 on
 # logistic-group, proxsvrg 0.96 and 0.98; adsgd 0.92 on logistic-group,
 # inside its 2.2-2.4 ms spread between rounds; everything else within 1.5%.
 # A dense design's chunk of the same steps gathers b * p cells a step;
@@ -448,56 +450,49 @@ _CHUNK_ENTRIES = 1 << 15
 
 
 def _plan(work, y, g_snap, c, batches, ibs):
-    """The c steps of one chunk, gathered and block-selected at once.
+    """The c steps of one chunk, gathered at once.
 
     batches is a (c, b) intp array of the rows each step takes, a full
     batch's being every row; ibs holds the c sampled block ranks in
     work.blocks, which number the blocks of work.layout, or is None for
     full-vector steps. One _gather_rows call fetches the rows of every step,
-    with the chunk's row pointers rp, and one mask over the chunk's entries
-    selects each step's block; bp points each row at its first selected
-    entry. Returns an iterator of one (args, lo, hi) per step, args being
-    step_gradient's arguments between x and lo: the chunk's (cols, vals),
-    the step's b + 1 row pointers into them, y and the snapshot's
-    derivatives on its batch, and the chunk's selected (pos, vals) with the
-    step's b + 1 pointers into them, pos being each entry's place in the
-    step's block; full-vector steps select every entry, pos then being the
-    working column. The step updates the working columns lo:hi. A step's
-    entries lie in the order a gather of its batch alone would give them, so
-    its sums add the same terms in the same order. Each step's pointers are
-    views of the chunk's, so a step slices no entry array.
+    with the chunk's row pointers rp. Returns an iterator of one (args, lo,
+    hi) per step, args being step_gradient's arguments between x and lo: the
+    chunk's (cols, vals), the step's b + 1 row pointers into them, and y and
+    the snapshot's derivatives on its batch. The step updates the working
+    columns lo:hi, its block's or all of them. A step's entries lie in the
+    order a gather of its batch alone would give them, so its sums add the
+    same terms in the same order. Each step's pointers are a view of the
+    chunk's, so a step slices no entry array.
     """
     cols, vals, rp = _gather_rows(work.indptr, work.entries, batches)
     b = batches.shape[1]
     ys = y[batches]  # iterated row by row
     gs = g_snap[batches]
     if ibs is None:
-        pos, bvals, bp = cols, vals, rp
         los, his = [0] * c, [work.features.size] * c
     else:
-        layout = work.layout
-        sel = np.flatnonzero(layout.block_of[cols] == np.repeat(ibs, np.diff(rp[::b])))
-        bp = np.searchsorted(sel, rp)
-        pos, bvals = layout.slot[cols[sel]], vals[sel]
-        los, his = layout.offsets[ibs].tolist(), layout.offsets[ibs + 1].tolist()
-    return (((cols, vals, rp[s:s + b + 1], y_t, g_t, pos, bvals, bp[s:s + b + 1]), lo, hi)
+        offsets = work.layout.offsets
+        los, his = offsets[ibs].tolist(), offsets[ibs + 1].tolist()
+    return (((cols, vals, rp[s:s + b + 1], y_t, g_t), lo, hi)
             for s, y_t, g_t, lo, hi in zip(range(0, c * b, b), ys, gs, los, his))
 
 
-def step_gradient(loss, x, cols, vals, rp, y, g_ref, pos, bvals, bp, lo, hi,
-                  mu, x_ref, mu_p):
+def step_gradient(loss, x, cols, vals, rp, y, g_ref, lo, hi, mu, x_ref, mu_p):
     """Mini-batch gradient of the smooth part on the working columns lo:hi of x.
 
     The one gradient kernel, called positionally with one step of _plan:
-    batch row i holds the entries [rp[i], rp[i + 1]) of (cols, vals), and
-    [bp[i], bp[i + 1]) of (pos, bvals), the entries it sums, pos counted from
-    lo; y and g_ref hold y and the snapshot's derivatives on the batch, mu the
+    batch row i holds the entries [rp[i], rp[i + 1]) of (cols, vals); y and
+    g_ref hold y and the snapshot's derivatives on the batch, mu the
     snapshot's smooth gradient and x_ref the snapshot, in working columns, as
     x is. partial_gradient passes a zero snapshot, whose terms drop out
-    exactly. csr_matvec forms A_b x, and csc_matvec, reading the summed
-    entries as the CSC matrix of the batch's rows, forms the sum over them,
-    each adding its products in entry order to zeros. Returns, as float64,
-    the gradient on the columns lo:hi, a block or all of them:
+    exactly. csr_matvec forms A_b x, and csc_matvec, reading the entries as
+    the CSC matrix of the batch's rows, sums coef A_b into every working
+    column, each adding its products in entry order to zeros. A block step
+    keeps the columns lo:hi of that sum, which hold the products of the
+    block's entries alone, in the order a sum over them alone adds them.
+    Returns, as float64, the gradient on the columns lo:hi, a block or all
+    of them:
 
         A_b'(f'(A_b x) - g_ref) / b  +  mu  +  2 mu_p (x - x_ref)
     """
@@ -505,8 +500,9 @@ def step_gradient(loss, x, cols, vals, rp, y, g_ref, pos, bvals, bp, lo, hi,
     z = np.zeros(b)
     csr_matvec(b, x.size, rp, cols, vals, x, z)
     coef = (loss.deriv(z, y) - g_ref) / b
-    grad = np.zeros(hi - lo)
-    csc_matvec(hi - lo, b, bp, pos, bvals, coef, grad)
+    grad = np.zeros(x.size)
+    csc_matvec(x.size, b, rp, cols, vals, coef, grad)
+    grad = grad[lo:hi]
     grad += mu[lo:hi]
     if mu_p > 0:
         grad += 2.0 * mu_p * (x[lo:hi] - x_ref[lo:hi])
@@ -659,8 +655,14 @@ def _restart(spec, wfeat, x_avg, x_last):
 
 
 def _model(spec, x):
-    """What a refinement of x fixes: its signs for L1, its nonzero pattern for group-L2."""
-    return np.sign(x) if spec.reg.name == "l1" else x != 0.0
+    """What a refinement of x fixes, as bytes: its signs for L1, its nonzero
+    pattern for group-L2."""
+    return (np.sign(x) if spec.reg.name == "l1" else x != 0.0).tobytes()
+
+
+def _blocks(spec, x):
+    """Ids of the blocks where x is nonzero, in increasing order."""
+    return np.unique(spec.partition.block_of[np.flatnonzero(x)])
 
 
 def _refined_certificate(spec, x):
@@ -683,18 +685,17 @@ def _settles(spec, slot, model, active, gap_tol):
     of the epoch that produced the row, which ended there because x_r's own
     gap was at most gap_tol (_epoch)."""
     ref = slot[1]
-    return (slot[0] == model.tobytes() and ref is not None and ref[3] <= gap_tol
-            and np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(ref[0])]),
-                               active.blocks))
+    return (slot[0] == model and ref is not None and ref[3] <= gap_tol
+            and np.array_equal(_blocks(spec, ref[0]), active.blocks))
 
 
 def _refinable(spec, x):
     """Whether a screening solve may refine x's model: its k unknowns (the
     nonzeros for L1, the features of the nonzero blocks for group-L2) satisfy
     0 < k <= n and n k^2 <= _REFINE_COST times the design's stored entries."""
-    part, n = spec.partition, spec.dataset.n
+    n = spec.dataset.n
     k = (np.count_nonzero(x) if spec.reg.name == "l1"
-         else int(part.sizes[np.unique(part.block_of[np.flatnonzero(x)])].sum()))
+         else int(spec.partition.sizes[_blocks(spec, x)].sum()))
     return 0 < k <= n and n * k * k <= _REFINE_COST * spec.dataset.A.nnz
 
 
@@ -702,8 +703,8 @@ def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
     """The refinement gate of a screening solve's row (module docstring).
 
     x_hat's evaluation on the full problem gives obj, dp and gap; prev is the
-    previous iterate's model and slot the last refinement, (its model's bytes,
-    its result, the row gap it was tried at), made by a row or by a sub-epoch
+    previous iterate's model and slot the last refinement, (its model, its
+    result, the row gap it was tried at), made by a row or by a sub-epoch
     boundary (_epoch), whose try gap is then the own gap of the row that opened
     its epoch. A model that passes the cost gate (_refinable) is refined on the
     first row that holds it unless a boundary already put it in the slot, and
@@ -723,14 +724,11 @@ def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
     best one the row evaluated. Elsewhere sgap is the row's gap.
     """
     model = _model(spec, x_hat)
-    identified = (prev is not None and np.array_equal(model, prev)
-                  and np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(x_hat)]),
-                                     active.blocks))
+    identified = model == prev and np.array_equal(_blocks(spec, x_hat), active.blocks)
     cert, sgap, refined, kept = dp, gap, False, None
     if gap > gap_tol and _refinable(spec, x_hat):
-        key = model.tobytes()
-        if slot[0] != key or (slot[1] is None and gap < 0.1 * slot[2]):
-            slot = key, _refined_certificate(spec, x_hat), gap
+        if slot[0] != model or (slot[1] is None and gap < 0.1 * slot[2]):
+            slot = model, _refined_certificate(spec, x_hat), gap
         ref = slot[1]
         if _settles(spec, slot, model, active, gap_tol):  # x_r certifies itself
             cert, gap, refined, identified, kept = ref[2], ref[3], True, True, ref[:2]
@@ -839,9 +837,8 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
         x = np.zeros(spec.dataset.d)
         x[wfeat] = x_cur
         was, model = model, _model(spec, x)
-        if (np.array_equal(model, was) and slot[0] != model.tobytes()
-                and _refinable(spec, x)):
-            slot = model.tobytes(), _refined_certificate(spec, x), own
+        if model == was and slot[0] != model and _refinable(spec, x):
+            slot = model, _refined_certificate(spec, x), own
             if slot[1] is not None and slot[1][3] <= gap_tol:
                 break
     x_sum /= taken

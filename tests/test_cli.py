@@ -22,6 +22,17 @@ def test_lambda_max_command_prints_hand_value(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0)
 
 
+def test_solve_defaults_are_the_solver_configs():
+    """gapsgd solve without --gap-tol or --max-outer passes SolverConfig's
+    own defaults."""
+    from gapsgd.cli import build_parser
+    from gapsgd.solvers import SolverConfig
+
+    args = build_parser().parse_args(["solve", "--synthetic", "20,10,0.5,0.05"])
+    default = SolverConfig()
+    assert (args.gap_tol, args.max_outer) == (default.gap_tol, default.max_outer)
+
+
 def test_solve_command_writes_trace(tmp_path, capsys):
     """The trace CSV ends on the inner_steps column, and the result line's
     inner_steps is the sum of that column."""

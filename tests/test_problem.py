@@ -295,8 +295,9 @@ def test_l1_dual_norm_identity_by_grid():
         v = rng.normal(size=2)
         best = max(u1 * v[0] + u2 * v[1] for u1 in grid for u2 in grid)
         exact = float(np.dot(np.sign(v), v))
-        assert best <= reg.block_value(v) + 1e-12
-        assert exact == pytest.approx(reg.block_value(v), rel=1e-12)
+        value = reg.value(v, G.BlockPartition.from_sizes([v.size]))
+        assert best <= value + 1e-12
+        assert exact == pytest.approx(value, rel=1e-12)
 
 
 def test_group_l2_dual_norm_identity_by_projection():
@@ -308,8 +309,9 @@ def test_group_l2_dual_norm_identity_by_projection():
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         best = float(np.max(dirs @ v))
         exact = float((v / np.linalg.norm(v)) @ v)
-        assert best <= reg.block_value(v) + 1e-12
-        assert exact == pytest.approx(reg.block_value(v), rel=1e-12)
+        value = reg.value(v, G.BlockPartition.from_sizes([v.size]))
+        assert best <= value + 1e-12
+        assert exact == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize("reg_name", ["l1", "group_l2"])
@@ -378,18 +380,19 @@ def test_group_l2_single_block_prox_in_place_keeps_the_bits():
 
 
 def test_blockwise_dual_norms_matches_loop():
+    """Each block's dual norm is its largest absolute entry for L1 and its
+    Euclidean norm for group-L2, both taken one block at a time."""
     rng = np.random.default_rng(8)
     v = rng.normal(size=17)
-    l1 = G.REGULARIZERS["l1"]
+    l1, group = G.REGULARIZERS["l1"], G.REGULARIZERS["group_l2"]
     scattered = G.BlockPartition([np.arange(j, 17, 5) for j in range(5)])
     for part in (G.BlockPartition.contiguous(17, 5), scattered):
-        for reg in G.REGULARIZERS.values():
-            fast = blockwise_dual_norms(v, part, reg)
-            slow = np.array([reg.block_dual_norm(v[g]) for g in part.groups])
-            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-14)
+        max_abs = [max(abs(float(t)) for t in v[g]) for g in part.groups]
+        euclid = [math.sqrt(sum(float(t) ** 2 for t in v[g])) for g in part.groups]
+        np.testing.assert_allclose(blockwise_dual_norms(v, part, group), euclid,
+                                   rtol=0, atol=1e-14)
         # a maximum is exact, so the L1 norms agree bit for bit
-        assert np.array_equal(blockwise_dual_norms(v, part, l1),
-                              [l1.block_dual_norm(v[g]) for g in part.groups])
+        assert np.array_equal(blockwise_dual_norms(v, part, l1), max_abs)
 
 
 def _group_prox_loop(v, t, groups):
@@ -553,10 +556,20 @@ def test_partition_validation():
         G.BlockPartition([[2, 3], [0, 1, 1]])
     # each group is sorted; the groups themselves may come in any order
     assert G.BlockPartition([[2, 3], [0, 1]]).block_of.tolist() == [1, 1, 0, 0]
+    # a float or bool index would be cast to a different coordinate
+    for groups in ([[0.5, 1.7], [2.2]], [[True], [False]], [[0, 1], [2.0]],
+                   [np.array([0.0, 1.0]), np.array([2.0])]):
+        with pytest.raises(ValueError, match="group indices must be integers"):
+            G.BlockPartition(groups)
     # an empty block would shift every later block's slice, as an empty group would
     for sizes in ([0, 3], [3, 0], [2, -1, 3], []):
         with pytest.raises(ValueError, match="at least 1"):
             G.BlockPartition.from_sizes(sizes)
+    # a fractional size would be truncated, and a bool is not a size
+    for sizes in ([2.5, 1.9], [2.0, 1.0], [True, True], np.array([3.0])):
+        with pytest.raises(ValueError, match="sizes must be integers"):
+            G.BlockPartition.from_sizes(sizes)
+    assert G.BlockPartition.from_sizes(np.array([2, 3], np.uint8)).offsets.tolist() == [0, 2, 5]
     # a fractional q would cover more than d coordinates, and a bool is not a count
     for d, q in ((10, 2.5), (10.0, 2), (10, True), (True, 1), (10, np.float64(2.0))):
         with pytest.raises(ValueError, match="must be integers"):
@@ -583,17 +596,15 @@ def _layouts():
                                     "scattered-singletons"])
 def test_partition_layout_matches_a_per_group_loop(layout):
     part = _layouts()[layout]
-    block_of, slot, offsets, by_size = {}, {}, [0], {}
+    block_of, offsets, by_size = {}, [0], {}
     for j, g in enumerate(part.groups):
-        for place, i in enumerate(g.tolist()):
-            block_of[i], slot[i] = j, place
+        for i in g.tolist():
+            block_of[i] = j
         offsets.append(offsets[-1] + g.size)
         by_size.setdefault(g.size, []).append(j)
     assert part.block_of.tolist() == [block_of[i] for i in range(part.d)]
-    assert part.slot.tolist() == [slot[i] for i in range(part.d)]
     assert part.offsets.tolist() == offsets
-    assert part.block_of.dtype == part.slot.dtype == np.intp
-    assert not part.block_of.flags.writeable and not part.slot.flags.writeable
+    assert part.block_of.dtype == np.intp and not part.block_of.flags.writeable
     assert [idx.shape[1] for _, idx in part.classes] == sorted(by_size)
     for ids, idx in part.classes:
         want = by_size[idx.shape[1]]

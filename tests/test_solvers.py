@@ -204,7 +204,7 @@ def test_a_sparse_working_design_is_plain_csr_along_a_chain_of_cuts():
 def _same_partition(got, want):
     assert (got.d, got.q) == (want.d, want.q)
     assert all(np.array_equal(g, w) for g, w in zip(got.groups, want.groups))
-    for name in ("order", "sizes", "offsets", "block_of", "slot"):
+    for name in ("order", "sizes", "offsets", "block_of"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and np.array_equal(g, w), name
     assert len(got.classes) == len(want.classes)
@@ -321,7 +321,7 @@ def test_gather_rows_on_compacted_design_matches_full_gather():
     dense[np.repeat(np.arange(12), np.diff(work.indptr)), cols] = vals
     assert np.array_equal(dense, a[:, active.features])
     assert [g.tolist() for g in work.layout.groups] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    assert work.layout.slot.tolist() == [0, 1, 2] * 3
+    assert work.layout.offsets.tolist() == [0, 3, 6, 9]
 
     batch = np.array([5, 2, 0, 5, 11, 7, 0])  # repeated, empty and emptied rows
     want_cols, want_vals, want_rows = [], [], []
@@ -370,10 +370,9 @@ def _own(entries, ptr):
 
 
 def _steps(plan):
-    """The steps of a _plan as a list of (fwd entries, bwd entries, y_t, g_t, lo,
-    hi), each step's entries with row pointers of its own."""
-    return [(_own(args[:2], args[2]), _own(args[5:7], args[7]), *args[3:5], lo, hi)
-            for args, lo, hi in plan]
+    """The steps of a _plan as a list of (entries, y_t, g_t, lo, hi), each step's
+    entries with row pointers of its own."""
+    return [(_own(args[:2], args[2]), *args[3:5], lo, hi) for args, lo, hi in plan]
 
 
 def _grads(loss, x, work, y, g_ref, c, batches, ibs, mu, x_ref, mu_p=0.0):
@@ -466,9 +465,12 @@ def _same_view(a, b):
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
 def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
     """A chunk's steps hold the entries, in the same order, that planning each
-    step by itself gives, and one step's plan is a per-step gather and mask;
-    a full batch, every row in order as the engine passes it, is gathered
-    like any other and holds the design's own entries, y and g_snap."""
+    step by itself gives, and one step's plan is a per-step gather; a block
+    step, like a full-vector step, passes the chunk's own cols and vals and a
+    view of its row pointers, and updates its block's columns or all of
+    them. A full batch, every row in order as the engine passes it, is
+    gathered like any other and holds the design's own entries, y and
+    g_snap."""
     spec, _, rng = _kernel_instance(layout)
     y, g_snap = spec.dataset.y, rng.normal(size=12)
     work = _compact(spec, np.arange(spec.partition.q))
@@ -484,33 +486,34 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
             raw = list(_plan(w, y, g_snap, 7, chunk_batches, chunk_ibs))
             steps = _steps(raw)
             assert len(steps) == 7
-            for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
+            chunk = raw[0][0][:2]
+            chunk_rp = raw[0][0][2].base  # the chunk's row pointers
+            _same_entries((*chunk, chunk_rp), _gather_rows(w.indptr, w.entries,
+                                                           chunk_batches))
+            for t, (entries, y_t, g_t, lo, hi) in enumerate(steps):
                 one = chunk_batches[t:t + 1]
                 alone, = _steps(_plan(w, y, g_snap, 1, one, None if chunk_ibs is None
                                       else chunk_ibs[t:t + 1]))
-                assert (lo, hi) == alone[4:]
-                _same_entries(fwd, alone[0])
-                _same_entries(bwd, alone[1])
-                assert np.array_equal(y_t, alone[2]) and np.array_equal(g_t, alone[3])
-            for t, (fwd, bwd, y_t, g_t, lo, hi) in enumerate(steps):
+                assert (lo, hi) == alone[3:]
+                _same_entries(entries, alone[0])
+                assert np.array_equal(y_t, alone[1]) and np.array_equal(g_t, alone[2])
+            for t, (entries, y_t, g_t, lo, hi) in enumerate(steps):
                 batch = chunk_batches[t]
-                cols, vals, rp = _gather_rows(w.indptr, w.entries, batch)
-                _same_entries(fwd, (cols, vals, rp))
+                _same_entries(entries, _gather_rows(w.indptr, w.entries, batch))
+                # block and full-vector steps alike pass the chunk's own entries,
+                # and a view of its row pointers
+                args, b = raw[t][0], batch.size
+                assert len(args) == 5
+                assert args[0] is chunk[0] and args[1] is chunk[1]
+                assert _same_view(args[2], chunk_rp[t * b:(t + 1) * b + 1])
                 if chunk_ibs is None:
                     assert (lo, hi) == (0, w.features.size)
-                    args = raw[t][0]  # it sums its own entries
-                    assert args[5] is args[0] and args[6] is args[1]
-                    assert _same_view(args[7], args[2])
-                    continue
-                ib = chunk_ibs[t]
-                assert (lo, hi) == (offsets[ib], offsets[ib + 1])
-                block_of = spec.partition.block_of[w.features]
-                mask = block_of[cols] == w.blocks[ib]
-                before = np.concatenate(([0], np.cumsum(mask)))  # selected before each
-                _same_entries(bwd, (w.layout.slot[cols[mask]], vals[mask], before[rp]))
+                else:
+                    ib = chunk_ibs[t]
+                    assert (lo, hi) == (offsets[ib], offsets[ib + 1])
             if chunk_batches is every_row:
-                for fwd, _, y_t, g_t, _, _ in steps:
-                    _same_entries(fwd, (*w.entries, w.indptr))
+                for entries, y_t, g_t, _, _ in steps:
+                    _same_entries(entries, (*w.entries, w.indptr))
                     assert np.array_equal(y_t, y) and np.array_equal(g_t, g_snap)
 
 
@@ -558,7 +561,7 @@ def _bincount_steps(loss, x, work, y, g_snap, batches, ibs, mu, x_ref, mu_p):
         else:
             lo, hi = layout.offsets[ibs[t]], layout.offsets[ibs[t] + 1]
             m = layout.block_of[c] == ibs[t]
-            pos, bv, br = layout.slot[c[m]], v[m], r[m]
+            pos, bv, br = c[m] - lo, v[m], r[m]  # each column's place in its block
         b = batch.size
         gb = loss.deriv(np.bincount(r, weights=v * x[c], minlength=b), y[batch])
         coef = (gb - g_snap[batch]) / b
@@ -576,7 +579,9 @@ def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(seed):
     the bytes of the bincount planner and kernel they replaced: on contiguous
     and scattered partitions, on the full design and on cuts that empty rows,
     for repeated rows, full batches and steps whose block holds none of the
-    batch's entries, with and without mu_p, for both losses."""
+    batch's entries, with and without mu_p, for both losses. Each block step
+    gives the bytes of the full-vector step of its batch on its block's
+    columns."""
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(6, 30)), int(rng.integers(8, 60))
     a = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
@@ -605,6 +610,7 @@ def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(seed):
                 batches[0] = batches[0, 0]  # one row, repeated
                 if b == n:
                     batches = np.broadcast_to(np.arange(n), (c, n))  # full batches
+                grads = {}
                 for ibs in (rng.integers(0, w.blocks.size, size=c), None):
                     want = _bincount_steps(spec.loss, x, w, y, g_snap, batches, ibs, mu,
                                            x_ref, mu_p)
@@ -613,7 +619,12 @@ def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(seed):
                     assert len(got) == c
                     for g, ref in zip(got, want):
                         assert g.dtype == np.float64 and g.tobytes() == ref.tobytes()
+                    grads[ibs is None] = ibs, got
                     checked += c
+                (ibs, blocks), (_, full) = grads[False], grads[True]
+                for ib, g, f in zip(ibs, blocks, full, strict=True):
+                    lo, hi = w.layout.offsets[ib], w.layout.offsets[ib + 1]
+                    assert g.tobytes() == f[lo:hi].tobytes()
         # a block with no entries in the batch: a step over empty rows
         empty = np.flatnonzero(np.diff(w.indptr) == 0)
         batch = np.full((1, 3), empty[0])
@@ -1974,7 +1985,7 @@ def _spy_refinements(monkeypatch):
     calls, refine = [], G.solvers._refine_support
 
     def spied(spec, x, *args):
-        x0, model = x.copy(), G.solvers._model(spec, x).tobytes()
+        x0, model = x.copy(), G.solvers._model(spec, x)
         out = refine(spec, x, *args)
         calls.append((x0, model, out))
         return out
@@ -2042,7 +2053,7 @@ def _screening_gap(spec, rep, k, dp, seen, calls):
     model and found a point. Else row k's own P(x_hat) - D(dp)."""
     obj = rep.trace[k].objective
     if seen:
-        model = G.solvers._model(spec, rep.iterates[k]).tobytes()
+        model = G.solvers._model(spec, rep.iterates[k])
         _, refined, x_r = calls[seen - 1]
         if model == refined and x_r is not None:
             obj = min(obj, G.solvers.evaluate(spec, x_r, spec.dataset.A @ x_r)[0])
@@ -2259,7 +2270,7 @@ def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     spans = _spy_epochs(monkeypatch, calls)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
                                              eta=tuned_eta(spec), keep_iterates=True))
-    models = [G.solvers._model(spec, x).tobytes() for x in rep.iterates]
+    models = [G.solvers._model(spec, x) for x in rep.iterates]
     assert rep.converged and rep.outer_iters == 4
     assert all(a != b for a, b in zip(models[:4], models[1:4]))
     assert _refinement_sites(rep, calls, spans) == [(1, True), (2, True), (2, False),
@@ -2291,7 +2302,7 @@ def test_a_failed_refinement_is_retried_once_the_gap_falls_tenfold(monkeypatch):
     spans = _spy_epochs(monkeypatch, calls)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=22, gap_tol=1e-8, max_outer=300,
                                              eta=tuned_eta(spec), keep_iterates=True))
-    models = [G.solvers._model(spec, x).tobytes() for x in rep.iterates]
+    models = [G.solvers._model(spec, x) for x in rep.iterates]
     own = [G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3] for x in rep.iterates]
     assert _refinement_sites(rep, calls, spans)[-3:] == [(3, True), (4, False), (7, False)]
     assert models[2] != models[3] and len(set(models[3:8])) == 1
@@ -2371,7 +2382,7 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     assert rep.converged and calls and any(x_r is not None for _, _, x_r in calls)
 
     def model(x):
-        return G.solvers._model(spec, x).tobytes()
+        return G.solvers._model(spec, x)
 
     def own_gap(x):
         return G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3]
@@ -2544,9 +2555,10 @@ def test_a_refinement_fixes_the_signs_of_an_l1_model_and_the_pattern_of_a_group_
     flipped = x * np.array([1, 1, -1, 1, 1, 1])
     l1 = make_instance(seed=1, n=20, d=6, q=3, support=2)
     group = make_instance(seed=1, n=20, d=6, q=3, support=2, reg="group_l2")
-    assert not np.array_equal(G.solvers._model(l1, x), G.solvers._model(l1, flipped))
-    assert np.array_equal(G.solvers._model(group, x), G.solvers._model(group, flipped))
-    assert not np.array_equal(G.solvers._model(group, x), G.solvers._model(group, x[::-1]))
+    model = G.solvers._model
+    assert model(l1, x) != model(l1, flipped)
+    assert model(group, x) == model(group, flipped)
+    assert model(group, x) != model(group, x[::-1])
 
 
 @pytest.mark.parametrize("solver", ["mrbcd", "proxsvrg"])
