@@ -25,8 +25,9 @@ epoch's inner iterates over the steps it took and its last inner iterate
 are then evaluated on the full problem, and the one with the strictly
 smaller gap becomes the next iterate (_restart); a tie or a non-finite gap
 keeps the average. The winner's evaluation is the next outer
-iteration's: its trace row, stop test, screen, working set and snapshot, so
-an epoch costs two evaluations, plus one per refined model (below). The
+iteration's: its trace row, stop test, screen, working set and snapshot,
+unless a refined point of lower objective takes its place (below), so an
+epoch costs two evaluations, plus one per refined model. The
 average drags in the epoch's early iterates, the last iterate does not, and
 neither wins every epoch. A W that is too small cannot certify, since the
 gap scales the dual over every block; it costs outer iterations, and a block
@@ -40,58 +41,49 @@ formed again only when screening truncates the snapshot.
 
 The iterate's own dual point is wrong to first order, so its gap tracks
 about the square root of the suboptimality. A screening solve therefore
-certifies with a refined dual point (_certify): on the first row that holds
-x_hat's model (its signs for L1, its nonzero pattern for group-L2; _model),
-of k unknowns, 0 < k <= n, with n k^2 at most _REFINE_COST times the
-design's stored entries (_refinable), _refine_support solves the smooth
-stationarity system on that model, in at most _REFINE_STEPS Newton steps
-whose residual must reach _REFINE_TOL * lam. Later rows of the model reuse
-the result, but a refinement that found no point is tried again once the
-row's gap falls below a tenth of the gap it was tried at, since Newton steps
-from an early iterate can fail where those from a closer iterate of the same
-model converge. The epoch runs as _SUB_EPOCHS sub-epochs, and at each
-boundary but the last it refines the inner iterate's model the same way
-where that model held since the previous boundary and is not the slot's,
-with the gap of the row that opened the epoch as its try gap. Where the
-refined point's own gap is at most gap_tol the epoch ends there, so a model
-is refined on the first row or boundary that holds it, and the next row
-finds the refinement in the slot. A boundary evaluates the refined point
-alone, never the inner iterate, so the check adds no evaluation of its own.
-A Lasso model's system is linear, so its first step solves it. Where the
-solution flips the sign of an L1 coordinate, the refinement drops every
-flipped coordinate from the model and solves again on the smaller support,
-within the same step budget, until the signs agree (the active-set move of
-feature-sign search: Lee, Battle, Raina & Ng, NeurIPS 2007). That prunes the
-coordinates of about 1e-9 that x_hat keeps off the optimum's support, whose
-correlation stays below lam. The refined point x_r is evaluated on the full
-problem, and its dual point certifies x_hat wherever P(x_hat) - D(theta_r)
-is the smaller gap: that gap is the row's, and theta_r is the sphere's
-centre and scores the working set, while the snapshot keeps x_hat's own
-derivatives and gradient. theta_r is scaled over every block like any dual
-point, so its gap bounds the suboptimality whether or not the model is the
-optimum's, and a refinement on a wrong model gives a larger gap, which is
-never used. The Gap Safe sphere around a dual feasible point holds the dual
-optimum for the gap of any primal point, since P(x) >= P* = D(theta*)
-(Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017). So on a row with a
-refinement the screen takes min(P(x_hat), P(x_r)) - D(centre), the best
-primal value the row evaluated: once x_r is optimal the radius falls to
-rounding while x_hat's own gap is still far from gap_tol.
+refines the row's model (_certify): on the first row that holds x_hat's
+model (its signs for L1, its nonzero pattern for group-L2; _model), of k
+unknowns, 0 < k <= n, with n k^2 at most _REFINE_COST times the design's
+stored entries (_refinable), _refine_support solves the smooth stationarity
+system on that model, in at most _REFINE_STEPS Newton steps whose residual
+must reach _REFINE_TOL * lam. Later rows of the model reuse the result, but
+a refinement that found no point is tried again once the row's gap falls
+below a tenth of the gap it was tried at, since Newton steps from an early
+iterate can fail where those from a closer iterate of the same model
+converge. The epoch runs as _SUB_EPOCHS sub-epochs, and at each boundary but
+the last it refines the inner iterate's model the same way where that model
+held since the previous boundary and is not the slot's, with the gap of the
+row that opened the epoch as its try gap. Where the refined point's own gap
+is at most gap_tol the epoch ends there, so a model is refined on the first
+row or boundary that holds it, and the next row finds the refinement in the
+slot. A boundary evaluates the refined point alone, never the inner iterate,
+so the check adds no evaluation of its own. A Lasso model's system is
+linear, so its first step solves it. Where the solution flips the sign of an
+L1 coordinate, the refinement drops every flipped coordinate from the model
+and solves again on the smaller support, within the same step budget, until
+the signs agree (the active-set move of feature-sign search: Lee, Battle,
+Raina & Ng, NeurIPS 2007). That prunes the coordinates of about 1e-9 that
+x_hat keeps off the optimum's support, whose correlation stays below lam.
 
-One rule (_settles) decides when a solve returns x_r instead of x_hat: x_r
-is the refinement of the row's model, its own gap P(x_r) - D(theta_r) is at
-most gap_tol, and the safe set holds exactly x_r's nonzero blocks, as Celer
-takes the working set's solution for its certificate (Massias, Gramfort &
-Salmon, ICML 2018). It is tested on the row's safe set, where the row then
-returns x_r, and on the safe set the row's screen leaves, before x_hat is
-zeroed on the dropped blocks and before any design is cut, where x_r is
-then the next row, with no epoch in between. The condition on x_r's blocks
-keeps the stop behind the screen: where x_r prunes a coordinate that x_hat
-keeps in a block off the optimum's support, the solve goes on until a screen
-drops that block, usually the one x_r itself sizes. A refined gap P(x_hat) -
-D(theta_r) ends the solve, returning x_hat, only on an identified row, where
-x_hat's model is the previous iterate's and the safe set holds exactly its
-nonzero blocks. report.dual is the certifying dual point, so P(x_final) -
-D(report.dual) is report.gap.
+The refined point x_r is evaluated on the full problem, and where
+P(x_r) < P(x_hat) it becomes the row's point with that whole evaluation, as
+Celer takes its working set's solution for its iterate (Massias, Gramfort &
+Salmon, ICML 2018); a tie keeps x_hat. The row then certifies, screens,
+scores the working set and takes its snapshot from x_r and x_r's own dual
+point, and the next epoch starts from x_r, with x_r's gap as its try gap
+and x_r's model as the previous row's. x_r lies on x_hat's support, inside
+the safe set, and its own derivatives keep the variance correction exact.
+So every row's gap is P - D of one point and that point's own dual point,
+scaled over every block: it bounds the point's suboptimality whatever the
+model or the screens. A row whose point is x_r stops the solve only where
+its gap is at most gap_tol and the safe set holds exactly x_r's nonzero
+blocks, and the safe set the row's screen leaves is tested the same way,
+before any design is cut: where it is exactly x_r's blocks, x_r is the next
+row, with no epoch in between. The condition on x_r's blocks keeps the stop
+behind the screen: where x_r prunes a coordinate that x_hat keeps in a block
+off the optimum's support, the solve goes on until a screen drops that
+block, usually the one x_r's own gap sizes. report.dual is the last row's
+dual point, so P(x_final) - D(report.dual) is report.gap.
 
 Every inner step of every solver goes through one of two gradient kernels,
 one per storage of the working design (below): the sampled rows'
@@ -202,7 +194,8 @@ class SolverConfig:
 
     Unset fields resolve against the problem: eta to 1/(16 L), m to n and
     batch_size to min(10, n). m, batch_size, max_outer and seed must be
-    Python or numpy integers, not bools. No field switches screening: adsgd
+    Python or numpy integers, and eta and gap_tol numbers, none of them a
+    bool. No field switches screening: adsgd
     screens after every row, and mrbcd is the same engine without it. The
     block partition and the perturbation mu_p belong to the ProblemSpec a
     solver is given.
@@ -223,34 +216,33 @@ class TraceRecord:
     """One row per evaluated iterate, the last row being the one a solve stops at.
 
     objective and gap are P(x) and the full-problem duality gap at the row's
-    point: the dual point is scaled over all q blocks, so the gap bounds the
-    suboptimality whatever screening dropped. The other fields describe the
-    epoch that produced the iterate: active_blocks and active_features count
-    the safe set it ran within, radius is the safe radius of the screen that
-    preceded it (inf where none ran): that of the previous row's gap, or of
-    min(P(x_hat), P(x_r)) - D(centre) where the previous row had a refined
-    point x_r of its model. working_blocks counts the blocks its steps updated,
+    point x, with x's own dual point, scaled over all q blocks, so the gap
+    bounds x's suboptimality whatever screening dropped. The other fields
+    describe the epoch that produced the iterate: active_blocks and
+    active_features count the safe set it ran within, radius is the safe
+    radius of the screen that preceded it (inf where none ran), that of the
+    previous row's gap. working_blocks counts the blocks its steps updated,
     0 on the starting row, and inner_steps the steps it ran: at most
     inner_budget(m, working_blocks, q), fewer where a screening solve's epoch
     ended at a sub-epoch boundary whose refinement certified itself, and 0 on
-    the starting row and on any row no epoch produced. restart names the point:
-    "start" on the starting row, then "average" or "last", the epoch's average
-    or its last inner iterate, whichever had the smaller gap, or "refined"
-    where a screening solve returns the refined point x_r of an iterate's
-    model, and the gap is that point's own. A "refined" row returns x_r in
-    place of its own iterate, or, as the last row, straight after the screen of
-    the previous row left exactly x_r's blocks: that row ran no epoch, so its
-    working_blocks and inner_steps are 0, and its safe set and radius are that
-    screen's.
-    refined_dual is True where the gap comes from the dual point of a
-    support refinement rather than x_hat's own, and identified where a
-    screening solve has identified the row's model: on a row that keeps
-    x_hat, its model is the previous iterate's and the safe set holds
-    exactly its nonzero blocks; every "refined" row of a screening solve is
-    identified. A refined gap stops a solve only on an identified row. The
-    reference solver's rows after the first are "last", but for a stop row
-    that returns the point of its support refinement, which is "refined";
-    it takes no inner steps, so its inner_steps are 0.
+    the starting row and on any row no epoch produced. restart names the
+    point: "start" on the starting row, then "average" or "last", the epoch's
+    average or its last inner iterate, whichever had the smaller gap, or
+    "refined" where a screening solve's row holds the refined point x_r of
+    that iterate's model in its place, x_r having the lower objective. A
+    last "refined" row may also follow straight after the screen of a
+    "refined" row that left exactly x_r's blocks: it holds the same x_r, ran
+    no epoch, so its working_blocks and inner_steps are 0, and its safe set
+    and radius are that screen's. refined_dual marks the same rows as a
+    "refined" restart: the gap comes from a support refinement's point and
+    its dual point. identified is True where a screening solve has
+    identified the row's model: the safe set holds exactly the nonzero
+    blocks of the row's point, and, where that point is not a refined one,
+    its model is the previous row's. A refined point stops a solve only on
+    an identified row. The reference solver's rows after the first are
+    "last", but for a stop row that returns the point of its support
+    refinement, which is "refined"; it takes no inner steps, so its
+    inner_steps are 0.
     """
 
     outer_iter: int
@@ -270,8 +262,8 @@ class TraceRecord:
 @dataclasses.dataclass
 class SolveReport:
     """Result of one solver run. dual is the dual point of the last trace row's
-    gap, so P(x_final) - D(dual) is gap. x_final is the last row's point: the
-    refined point where that row's restart is "refined", else the last
+    point, so P(x_final) - D(dual) is gap. x_final is the last row's point:
+    the refined point where that row's restart is "refined", else the last
     iterate. outer_iters is the last row's outer_iter; a screening solve that
     returns its refined point straight after a screen ran one epoch fewer.
     wall_time, like each row's elapsed_s, counts from the call into the
@@ -313,6 +305,9 @@ def _resolve(spec, config):
     """(eta, m, batch_size) of config on spec; only a default eta computes
     lipschitz_constants."""
     n = spec.dataset.n
+    for name, value in (("eta", config.eta), ("gap_tol", config.gap_tol)):
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
     eta = (config.eta if config.eta is not None
            else 1.0 / (16.0 * lipschitz_constants(spec).L))
     if not 0 < eta < math.inf:
@@ -593,9 +588,12 @@ def partial_gradient(spec, x, batch, block):
 
     batch may contain repeated sample indices; each occurrence contributes to
     the average. The perturbation term enters in full (it has no sample index).
-    It is one step of the engine's plan, on a zero snapshot (_block_step).
+    It is one step of the engine's plan, on a zero snapshot (_block_step). A
+    non-finite x raises ValueError.
     """
     x = _check_x(spec, x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     batch = _check_batch(spec, batch, block)
     return _block_step(spec, x, batch, block)
 
@@ -606,12 +604,16 @@ def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
     mu_tilde is the full-length smooth gradient at the snapshot; averaging the
     output over every singleton batch reproduces the exact block gradient.
     It is one step of the engine's plan (_block_step), so its bytes are those
-    of an epoch's step on the same point, snapshot, batch and block.
+    of an epoch's step on the same point, snapshot, batch and block. A
+    non-finite x, x_tilde or mu_tilde raises ValueError.
     """
     mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
     if mu_tilde.shape != (spec.dataset.d,):
         raise ValueError("mu_tilde must have length d")
     x, x_tilde = _check_x(spec, x), _check_x(spec, x_tilde)
+    for name, v in (("x", x), ("x_tilde", x_tilde), ("mu_tilde", mu_tilde)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     batch = _check_batch(spec, batch, block)
     return _block_step(spec, x, batch, block, x_tilde, mu_tilde)
 
@@ -666,27 +668,14 @@ def _blocks(spec, x):
 
 
 def _refined_certificate(spec, x):
-    """(x_r, P(x_r), dual point, gap) of the refinement x_r of x, evaluated on
-    the full problem, or None where _refine_support finds no point within
-    _REFINE_STEPS Newton steps whose residual reaches _REFINE_TOL * lam."""
+    """(x_r, evaluation) of the refinement x_r of x, evaluation being x_r's
+    full-problem (objective, derivatives, dual point, gap), or None where
+    _refine_support finds no point within _REFINE_STEPS Newton steps whose
+    residual reaches _REFINE_TOL * lam."""
     x_r = _refine_support(spec, x)
     if x_r is None:
         return None
-    obj, _, dp, gap = evaluate(spec, x_r, spec.dataset.A @ x_r)
-    return x_r, obj, dp, gap
-
-
-def _settles(spec, slot, model, active, gap_tol):
-    """Whether a screening solve returns the refined point x_r of model: the
-    one rule for it, on a row's safe set and on the safe set its screen
-    leaves. It does where slot holds model's refinement, x_r's own gap is at
-    most gap_tol and active holds exactly x_r's nonzero blocks. The
-    refinement may come from the row's _certify or from a sub-epoch boundary
-    of the epoch that produced the row, which ended there because x_r's own
-    gap was at most gap_tol (_epoch)."""
-    ref = slot[1]
-    return (slot[0] == model and ref is not None and ref[3] <= gap_tol
-            and np.array_equal(_blocks(spec, ref[0]), active.blocks))
+    return x_r, evaluate(spec, x_r, spec.dataset.A @ x_r)
 
 
 def _refinable(spec, x):
@@ -699,44 +688,36 @@ def _refinable(spec, x):
     return 0 < k <= n and n * k * k <= _REFINE_COST * spec.dataset.A.nnz
 
 
-def _certify(spec, active, x_hat, obj, dp, gap, gap_tol, prev, slot):
+def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot):
     """The refinement gate of a screening solve's row (module docstring).
 
-    x_hat's evaluation on the full problem gives obj, dp and gap; prev is the
-    previous iterate's model and slot the last refinement, (its model, its
-    result, the row gap it was tried at), made by a row or by a sub-epoch
-    boundary (_epoch), whose try gap is then the own gap of the row that opened
-    its epoch. A model that passes the cost gate (_refinable) is refined on the
-    first row that holds it unless a boundary already put it in the slot, and
-    again, if the last try found no point, once the row's gap falls below a
-    tenth of that try's gap. Returns (cert, gap, sgap, refined, identified,
-    kept, model, slot): the row's certifying dual point and gap, the screening
-    gap, whether cert and gap are a refinement's, whether the row is
-    identified, (x_r, P(x_r)) where the row returns the refined point (else
-    None), x_hat's model and the slot. The row returns x_r where _settles on
-    the row's safe set; it then certifies with theta_r and x_r's own gap, and
-    is identified. Otherwise theta_r certifies x_hat wherever P(x_hat) -
-    D(theta_r) is below x_hat's own gap, so cert is whichever of theta_hat and
-    theta_r has the larger dual value, and the row is identified where x_hat's
-    model is prev and the safe set holds exactly its nonzero blocks. Where
-    x_hat's model has a refinement, sgap is min(P(x_hat), P(x_r)) - D(cert):
-    the Gap Safe sphere holds for any primal point, so the screen takes the
-    best one the row evaluated. Elsewhere sgap is the row's gap.
+    evaluation is x_hat's on the full problem; prev is the previous row's
+    model and slot the last refinement, (its model, its result, the row gap
+    it was tried at), made by a row or by a sub-epoch boundary (_epoch),
+    whose try gap is then the gap of the row that opened its epoch. A model
+    that passes the cost gate (_refinable) is refined on the first row that
+    holds it unless a boundary already put it in the slot, and again, if the
+    last try found no point, once the row's gap falls below a tenth of that
+    try's gap. Returns (identified, kept, model, slot). Where the slot holds
+    the refinement x_r of x_hat's model with P(x_r) < P(x_hat), kept is
+    (x_r, its evaluation), which becomes the row's point, model is x_r's,
+    and the row is identified where the safe set holds exactly x_r's nonzero
+    blocks. Otherwise kept is None, model is x_hat's, and the row is
+    identified where that model is prev and the safe set holds exactly
+    x_hat's nonzero blocks.
     """
+    obj, _, _, gap = evaluation
     model = _model(spec, x_hat)
-    identified = model == prev and np.array_equal(_blocks(spec, x_hat), active.blocks)
-    cert, sgap, refined, kept = dp, gap, False, None
     if gap > gap_tol and _refinable(spec, x_hat):
         if slot[0] != model or (slot[1] is None and gap < 0.1 * slot[2]):
             slot = model, _refined_certificate(spec, x_hat), gap
-        ref = slot[1]
-        if _settles(spec, slot, model, active, gap_tol):  # x_r certifies itself
-            cert, gap, refined, identified, kept = ref[2], ref[3], True, True, ref[:2]
-        elif ref is not None and obj - ref[2].value < gap:
-            cert, gap, refined = ref[2], obj - ref[2].value, True
-        if ref is not None:
-            sgap = min(obj, ref[1]) - cert.value
-    return cert, gap, sgap, refined, identified, kept, model, slot
+        kept = slot[1]
+        if kept is not None and kept[1][0] < obj:
+            x_r = kept[0]
+            identified = np.array_equal(_blocks(spec, x_r), active.blocks)
+            return identified, kept, _model(spec, x_r), slot
+    identified = model == prev and np.array_equal(_blocks(spec, x_hat), active.blocks)
+    return identified, None, model, slot
 
 
 # A screening solve's epoch runs as this many sub-epochs of ceil(steps /
@@ -759,23 +740,25 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
     """(x, evaluation, label, updates, taken, slot) of at most `steps` inner
     steps from x_hat on the working design work: _restart's next iterate,
     evaluation and label, the number of coordinate updates, the number of
-    steps taken and the slot. snap holds the snapshot's (derivatives, smooth
-    gradient), and the snapshot is x_hat. With block_sampling a step updates
-    one drawn block of work, else every working column.
+    steps taken and the slot. x_hat is the point of the row that opens the
+    epoch, a refined point where the row took one (_certify), and the
+    snapshot: snap holds its (derivatives, smooth gradient). With
+    block_sampling a step updates one drawn block of work, else every
+    working column.
 
     slot is None for a solve that never screens, whose epoch takes every step.
     A screening solve passes the engine's slot (_certify), own, x_hat's own
-    gap, and the solve's gap_tol, and its epoch runs as _SUB_EPOCHS sub-epochs of
-    ceil(steps / _SUB_EPOCHS) steps. At each boundary but the last, where
-    x_cur's model (_model, in feature ids) is the one it had at the previous
-    boundary, or at the start, and passes the refinement's cost gate
-    (_refinable), and is not the model the slot holds, the model is refined
-    once into the slot, with x_hat's own gap as its try gap, so the tenfold
-    retry rule of _certify still holds. Where that refined point's own gap is
-    at most gap_tol the epoch ends there: the next row finds the refinement in
-    the slot, and _settles returns it on that row or after its screen. Under a
-    zero _REFINE_COST no model passes the gate, so such an epoch takes every
-    step, as one that never screens.
+    gap, which is the row's, and the solve's gap_tol, and its epoch runs as
+    _SUB_EPOCHS sub-epochs of ceil(steps / _SUB_EPOCHS) steps. At each
+    boundary but the last, where x_cur's model (_model, in feature ids) is
+    the one it had at the previous boundary, or at the start, and passes the
+    refinement's cost gate (_refinable), and is not the model the slot holds,
+    the model is refined once into the slot, with x_hat's own gap as its try
+    gap, so the tenfold retry rule of _certify still holds. Where that
+    refined point's own gap is at most gap_tol the epoch ends there: the next
+    row finds the refinement in the slot, and takes it where its objective
+    is the lower. Under a zero _REFINE_COST no model passes the gate, so such
+    an epoch takes every step, as one that never screens.
 
     The steps are planned in chunks, each gathering at most _CHUNK_ENTRIES
     entries and cut at the last step and at every sub-epoch boundary, so an
@@ -839,7 +822,7 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
         was, model = model, _model(spec, x)
         if model == was and slot[0] != model and _refinable(spec, x):
             slot = model, _refined_certificate(spec, x), own
-            if slot[1] is not None and slot[1][3] <= gap_tol:
+            if slot[1] is not None and slot[1][1][3] <= gap_tol:
                 break
     x_sum /= taken
     return (*_restart(spec, wfeat, x_sum, x_cur), updates, taken, slot)
@@ -889,7 +872,7 @@ def _engine(spec, config, *, block_sampling, screening):
     iterates = [] if config.keep_iterates else None
     coord_updates, converged, k = 0, False, 0
     radius, width, taken = math.inf, 0, 0
-    # the last iterate's model; the last refinement, of a screening solve only
+    # the last row's model; the last refinement, of a screening solve only
     model, slot = None, (None, None, None) if screening else None
     evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "start"
     runaway = _RUNAWAY * evaluation[0]
@@ -908,20 +891,17 @@ def _engine(spec, config, *, block_sampling, screening):
             iterates.append(x_hat.copy())
 
     while True:
+        refined = identified = False
+        if screening and np.isfinite(evaluation[0]):
+            # a refined point with the lower objective becomes the row's point,
+            # with its whole evaluation
+            identified, kept, model, slot = _certify(spec, active, x_hat, evaluation,
+                                                     config.gap_tol, model, slot)
+            if kept is not None:  # a copy: the screen may zero x_hat, the slot keeps x_r
+                x_hat, evaluation = kept[0].copy(), kept[1]
+                restart, refined = "refined", True
         obj, g_snap, dp, gap = evaluation
-        own = gap  # x_hat's own gap, the try gap of the epoch's boundary refinements
-        cert, sgap, refined, identified = dp, gap, False, False
         snap = g_snap, dp.gradient
-        if screening and np.isfinite(obj):
-            # A refinement's dual point certifies x_hat, centres the screen and
-            # scores the working set wherever its gap is smaller; the snapshot
-            # keeps x_hat's own derivatives and gradient. A refined point that
-            # certifies itself on the safe set is the row's instead.
-            # The screen takes the smaller of P(x_hat) and P(x_r) against cert.
-            cert, gap, sgap, refined, identified, kept, model, slot = _certify(
-                spec, active, x_hat, obj, dp, gap, config.gap_tol, model, slot)
-            if kept is not None:
-                (x_hat, obj), restart = kept, "refined"
         record(obj, gap, refined, identified)
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at outer iteration {k}",
@@ -929,7 +909,7 @@ def _engine(spec, config, *, block_sampling, screening):
         if obj > runaway:
             raise DivergenceError(f"objective ran away to {obj:.3g}, over {_RUNAWAY:g} "
                                   f"times P(0), at outer iteration {k}", iteration=k)
-        # a refined gap stops the solve only on an identified row
+        # a refined point stops the solve only on an identified row
         if gap <= config.gap_tol and (identified or not refined):
             converged = True
             break
@@ -939,13 +919,13 @@ def _engine(spec, config, *, block_sampling, screening):
 
         radius = math.inf
         if screening:
-            radius = safe_radius(spec, sgap)
-            safe = screen(spec, cert, radius, active, bounds)
-            if _settles(spec, slot, model, safe, config.gap_tol):
-                # the screen left exactly x_r's blocks: x_r is the next row, with
-                # no epoch in between
-                (x_hat, obj, cert, gap), active = slot[1], safe
-                width, taken, restart, converged = 0, 0, "refined", True
+            radius = safe_radius(spec, gap)
+            safe = screen(spec, dp, radius, active, bounds)
+            if (refined and gap <= config.gap_tol
+                    and np.array_equal(_blocks(spec, x_hat), safe.blocks)):
+                # the screen left exactly the refined point's blocks: it is the
+                # next row, with no epoch in between
+                active, width, taken, converged = safe, 0, 0, True
                 record(obj, gap, True, True)
                 break
             snap, active = _zero_dropped(spec, active, safe, x_hat, snap), safe
@@ -959,7 +939,7 @@ def _engine(spec, config, *, block_sampling, screening):
         # set's design. x_hat is zero off it, and so are the epoch's average and
         # last iterate. An empty one (x_hat = 0, no safe block near lam) falls
         # back to the safe set.
-        wb = _working_blocks(spec, active, x_hat, cert) if screening else active.blocks
+        wb = _working_blocks(spec, active, x_hat, dp) if screening else active.blocks
         if wb.size in (0, active.n_blocks):
             work = safe_work
         elif not np.array_equal(wb, work.blocks):
@@ -967,13 +947,13 @@ def _engine(spec, config, *, block_sampling, screening):
         width = work.blocks.size
         x_hat, evaluation, restart, updates, taken, slot = _epoch(
             spec, work, x_hat, snap, inner_budget(m, width, spec.partition.q), rng, eta,
-            batch_size, block_sampling, slot, own, config.gap_tol)
+            batch_size, block_sampling, slot, gap, config.gap_tol)
         coord_updates += updates
 
     return SolveReport(
         x_final=x_hat.copy(), trace=trace, converged=converged, outer_iters=k,
         wall_time=time.perf_counter() - start, objective=trace[-1].objective,
-        gap=trace[-1].gap, coord_updates=coord_updates, dual=cert,
+        gap=trace[-1].gap, coord_updates=coord_updates, dual=dp,
         iterates=iterates, active_history=active_history,
     )
 
@@ -1182,7 +1162,9 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     row's where their gap is strictly smaller, so the returned dual point
     resolves equicorrelation membership well below the stopping tolerance.
     Raises ConvergenceError (carrying the best gap seen) if max_iter is
-    exhausted.
+    exhausted, and ValueError, before the first evaluation, unless tol is a
+    positive finite number and max_iter a nonnegative integer, neither a
+    bool.
 
     The backtracking constant starts at _one_pass_bound, which is at most the
     smoothness constant, and doubles at every failed sufficient-decrease
@@ -1193,8 +1175,10 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     that returns a point forms one more A x and one more A'g.
     """
     start = time.perf_counter()
-    if not 0 < tol < math.inf:
+    if isinstance(tol, bool) or not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not _is_count(max_iter) or max_iter < 0:
+        raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
     ds = spec.dataset
     A, y, n, d = ds.A, ds.y, ds.n, ds.d
     reg, lam = spec.reg, spec.lam
@@ -1215,7 +1199,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         return TraceRecord(outer_iter=it, elapsed_s=time.perf_counter() - start,
                            objective=obj, gap=float(gap), active_blocks=part.q,
                            active_features=d, working_blocks=part.q if it else 0,
-                           restart=restart)
+                           restart=restart, refined_dual=restart == "refined")
 
     while True:
         obj, _, dp, gap = evaluate(spec, x, zx)
@@ -1268,8 +1252,8 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
 
     restart = "last" if it else "start"
     ref = _refined_certificate(spec, x) if spec.reg.name == "l1" else None
-    if ref is not None and ref[3] < gap:
-        (x, obj, dp, gap), restart = ref, "refined"
+    if ref is not None and ref[1][3] < gap:
+        (x, (obj, _, dp, gap)), restart = ref, "refined"
     trace.append(row(obj, gap, restart))
     return SolveReport(x_final=x.copy(), trace=trace, converged=converged,
                        outer_iters=it, wall_time=time.perf_counter() - start,
@@ -1285,7 +1269,7 @@ _SOLVERS = {
 
 def solve(spec, config):
     """Dispatch on config.solver; 'reference' runs the oracle at gap_tol."""
-    name = config.solver.lower()
+    name = config.solver.lower() if isinstance(config.solver, str) else None
     if name == "reference":
         return reference_solve(spec, tol=config.gap_tol)
     if name not in _SOLVERS:

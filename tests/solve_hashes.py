@@ -19,7 +19,10 @@ max_outer = FULL_BATCH_OUTER, since every benchmark solve samples its rows.
 Last come those of the same data and lam on a scattered partition of as many
 blocks, block j holding the features j, j + q, j + 2q, ... (labelled
 "<workload>+scattered"), solved by each stochastic solver at seeds 0-1,
-since every benchmark partition is contiguous. A change that keeps every
+since every benchmark partition is contiguous. Then come those of the same
+data at lam = LOW_LAMBDA * lambda_max (labelled "<workload>@0.25"), solved
+by each stochastic solver at the benchmark's settings for seeds 0-1, since
+every benchmark workload runs at LAMBDA_RATIO = 0.5. A change that keeps every
 iterate prints the same lines, so `diff` of two checkouts' outputs shows any
 solve whose bits moved. The module reads benchmarks/run.py and changes
 nothing in it; pytest does not collect it.
@@ -43,6 +46,7 @@ MU_P, MU_P_SEEDS = 0.01, range(2)
 FULL_BATCH_SOLVERS, FULL_BATCH_SEEDS = ("adsgd", "proxsvrg"), range(2)
 FULL_BATCH_M, FULL_BATCH_OUTER = 20, 4
 SCATTERED_SEEDS = range(2)
+LOW_LAMBDA, LOW_LAMBDA_SEEDS = 0.25, range(2)
 
 
 def _digest(arr):
@@ -90,6 +94,12 @@ def main():
         spec, label = dataclasses.replace(inst.spec, partition=scattered), f"{wl.name}+scattered"
         for name in run.STOCHASTIC:
             for seed in SCATTERED_SEEDS:
+                print(line(G, inst, name, seed, spec, label), flush=True)
+        spec = G.harness.build_spec(inst.spec.dataset, model=wl.model, q=q, reg=wl.reg,
+                                    lambda_ratio=LOW_LAMBDA)
+        label = f"{wl.name}@{LOW_LAMBDA:g}"
+        for name in run.STOCHASTIC:
+            for seed in LOW_LAMBDA_SEEDS:
                 print(line(G, inst, name, seed, spec, label), flush=True)
 
 

@@ -151,14 +151,11 @@ def test_criterion_02_optimality_agreement(capsys, core_runs):
 def test_criterion_03_linear_convergence(capsys, monkeypatch):
     """log suboptimality versus outer iteration: slope < -0.05 with R^2 > 0.9.
 
-    The rate is x_hat's, so the solves run on until x_hat itself certifies:
-    a spy makes _settles, the one rule by which a solve returns its refined
-    point, always refuse, on a row's safe set and on the one its screen
-    leaves. A row then certifies x_hat with P(x_hat) - D(theta_r) where that
-    gap is smaller than x_hat's own and screens with min(P(x_hat), P(x_r)) -
-    D(cert), as every other refined row does.
+    The rate is that of the stochastic steps, so the refinement gate is shut
+    (_REFINE_COST = 0): no row's point is a refined one, and the solves run
+    on until the epochs' own iterate certifies itself.
     """
-    monkeypatch.setattr(G.solvers, "_settles", lambda *args: False)
+    monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
     shapes = ([dict(seed=300 + i, model="lasso", mu_p=0.0) for i in range(12)]
               + [dict(seed=330 + i, model="logistic", mu_p=1e-3) for i in range(8)])
     results = []

@@ -162,6 +162,26 @@ dense-adsgd-l1-contiguous, whose epochs found no certifying model before
 their last step, did not move, nor did any mrbcd, proxsvrg or reference
 case.
 
+Fifteen adsgd cases were re-recorded when a screening solve began to take
+the refined point x_r of x_hat's model as the row's point wherever
+P(x_r) < P(x_hat), with x_r's own evaluation, in place of certifying x_hat
+with x_r's dual point: adsgd-full-batch, adsgd-full-batch-mu-p,
+adsgd-full-batch-scattered, adsgd-group-scattered, adsgd-group-uneven,
+adsgd-l1-contiguous, adsgd-l1-scattered, adsgd-logistic-group, adsgd-mu-p,
+adsgd-full-batch-long-epoch, adsgd-long-rows, dense-adsgd-full-batch,
+dense-adsgd-group-scattered, dense-adsgd-l1-contiguous and
+dense-adsgd-mu-p. In each, the row at outer iteration 1 now holds x_r with
+its own gap, at most 2.9e-14, where x_hat certified by x_r's dual point
+read 2.9e-4 to 0.16. In all but adsgd-long-rows every other row, the
+outer_iters, coord_updates, active blocks and x_final kept their bits: the
+screen after that row leaves exactly x_r's blocks, and the next row returns
+x_r as before. adsgd-long-rows takes x_r on rows 1 and 2: their gaps went
+0.45 -> 0.15 and 0.30 -> 8.9e-16, its stop row's 8.9e-15 -> 8.9e-16, and its
+x_final moved by 1.1e-14 relative; its outer_iters (3), coord_updates (4400)
+and active blocks kept their values. adsgd-long-epoch,
+dense-adsgd-long-epoch and every mrbcd, proxsvrg and reference case did not
+move.
+
 python tests/test_golden_iterates.py NAME... prints each named case's entry
 from a fresh run, in the layout below, for such a re-record.
 """
@@ -261,14 +281,14 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 20,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.06ed37ccc7950p-3 0x1.1800000000000p-46",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.1800000000000p-46 0x1.1800000000000p-46",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.ad1c31bd631b6p-4 0x1.c7b2799298017p-3 0x0.0p+0 0x0.0p+0 "
-            "0x1.aca4a0b5c3910p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95712p-2 0x1.6ccc7b64125eap-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b557fp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.68e99b1a95712p-2 0x1.6ccc7b64125eap-1 0x0.0p+0 0x0.0p+0 "
@@ -281,13 +301,13 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 23,
         "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.bde2a278da4c0p-4 0x1.0000000000000p-48",
+        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.0000000000000p-48 0x1.0000000000000p-48",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.545312b084883p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.8f9cc9acf78fcp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda3c1p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aadep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x1.52f61cafda3c1p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aadep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -299,14 +319,14 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 24,
         "active_blocks": [5, 5, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.3cdf85bbce770p-3 0x1.fc00000000000p-46",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.fc00000000000p-46 0x1.fc00000000000p-46",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.349fcc25eca5fp-3 0x1.4d2105c1eb75cp-4 0x0.0p+0 0x0.0p+0 "
-            "0x1.a0b77fa3458aap-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a9588fp-2 0x1.6ccc7b641245cp-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b5700p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.68e99b1a9588fp-2 0x1.6ccc7b641245cp-1 0x0.0p+0 0x0.0p+0 "
@@ -319,19 +339,19 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 48,
         "active_blocks": [4, 2, 1],
-        "gaps": "0x1.be416fa97ed80p-8 0x1.2ba01f7a84000p-12 0x0.0p+0",
+        "gaps": "0x1.be416fa97ed80p-8 0x0.0p+0 0x0.0p+0",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.335aed7ed0ed3p-7 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.7ff5cf4f9e0ebp-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.54eca7a13128bp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.cadb1c4deb428p-10 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.7d46ba9e7d095p-9 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.969bffc510297p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "-0x1.01374e0727a5ep-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.d205bf75664b6p-7 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4512d549b38f0p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.82130a4236ecfp-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.477862210fb95p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e52adf17e037p-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.59bec869b5038p-8 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.8ba6afae21208p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.da7806a2f3093p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6be2dbcd402ap-6 "
             "0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4512d549b38f0p-6 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 -0x1.82130a4236ecfp-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -347,7 +367,7 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 99,
         "active_blocks": [4, 3, 1],
-        "gaps": "0x1.483a73cfbcb80p-8 0x1.911ef2a087000p-12 0x0.0p+0",
+        "gaps": "0x1.483a73cfbcb80p-8 0x0.0p+0 0x0.0p+0",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -355,11 +375,11 @@ GOLDEN = {
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.e5587796e32b7p-10 0x1.8a6b015e38c34p-8 0x1.596b9aa19c63bp-6 "
-            "0x1.a6f2869fd5331p-7 -0x1.5859c7ce57ea5p-12 -0x1.067bdea0ac060p-8 "
-            "0x1.02327a990ad02p-10 0x1.74bf02f39f460p-8 0x1.97c9d5527b333p-11 "
+            "0x0.0p+0 0x1.913487124446cp-8 0x1.30a336fdbd91ap-6 0x1.0d25ca85eec03p-4 "
+            "0x1.5ddcf10da4cf6p-5 -0x1.79f1ccdd9fb48p-10 -0x1.843a3e1fcb75ap-7 "
+            "0x1.ac4dd2bbe457cp-9 0x1.1e072467e1835p-6 0x1.7ae586f4ada8ap-9 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x1.913487124446cp-8 0x1.30a336fdbd91ap-6 0x1.0d25ca85eec03p-4 "
             "0x1.5ddcf10da4cf6p-5 -0x1.79f1ccdd9fb48p-10 -0x1.843a3e1fcb75ap-7 "
@@ -373,14 +393,14 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 62,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.15a5836bbba40p-4 0x1.9800000000000p-46",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.9800000000000p-46 0x1.9800000000000p-46",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.ac17635d1f2c8p-4 0x1.28dac62a99a26p-2 0x0.0p+0 0x0.0p+0 "
-            "0x1.955b003fd1332p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a956d7p-2 0x1.6ccc7b64125aep-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b5a7dp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.68e99b1a956d7p-2 0x1.6ccc7b64125aep-1 0x0.0p+0 0x0.0p+0 "
@@ -393,14 +413,14 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 84,
         "active_blocks": [5, 5, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.1a74637f30ea0p-5 0x1.a000000000000p-49",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.a000000000000p-49 0x1.a000000000000p-49",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.9af896b126167p-3 0x1.038d01fd35a33p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.243e42fe3d2ebp-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95726p-2 0x1.6ccc7b6412816p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b5575p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.68e99b1a95726p-2 0x1.6ccc7b6412816p-1 0x0.0p+0 0x0.0p+0 "
@@ -413,15 +433,15 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 40,
         "active_blocks": [5, 5, 2],
-        "gaps": "0x1.5107da0332f30p-4 0x1.11853a7e8bb00p-7 0x1.0000000000000p-53",
+        "gaps": "0x1.5107da0332f30p-4 0x1.0000000000000p-53 0x1.0000000000000p-53",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.1b39c26c49707p-4 0x1.294113323fda8p-6 0x1.3f6fc00ba4d3fp-6 "
-            "-0x1.4cef03de07298p-10 0x1.6f268c5fdce91p-4 0x1.979239451ac30p-4 "
-            "0x1.380b949ef6e86p-3 -0x1.049f22f1a8756p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.2cca4d31a1c1ep-2 0x1.6607afa764a22p-4 0x1.c06466fc13120p-4 "
+            "-0x1.6ad818a8b8cecp-6 0x1.afa2676324f9dp-3 0x1.84bb5cd2a76dap-3 "
+            "0x1.fa4dfaff677dbp-3 -0x1.a721260296681p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.2cca4d31a1c1ep-2 0x1.6607afa764a22p-4 0x1.c06466fc13120p-4 "
@@ -435,13 +455,13 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 32,
         "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.eca1179f51be0p-4 0x1.3800000000000p-46",
+        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.3800000000000p-46 0x1.3800000000000p-46",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.255a3b23b1af6p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.4543976a6b223p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda282p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aeb2p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x1.52f61cafda282p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aeb2p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -935,7 +955,7 @@ CHUNK_GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 291,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.53f4edfbf1000p-9 0x1.7000000000000p-47",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.7000000000000p-47 0x1.7000000000000p-47",
         "x_final": (
             "7:0x1.68e99b1a959bfp-2 8:0x1.6ccc7b64127ddp-1 11:0x1.49c81a80b5883p-2"
         ),
@@ -956,12 +976,12 @@ CHUNK_GOLDEN = {
         "coord_updates": 4400,
         "active_blocks": [15, 15, 15, 3],
         "gaps": (
-            "0x1.84db2ad70c69cp-1 0x1.d11255083d090p-2 0x1.315d8edaf3ee0p-2 "
-            "0x1.4000000000000p-47"
+            "0x1.84db2ad70c69cp-1 0x1.345c7de7d0fc0p-3 0x1.0000000000000p-50 "
+            "0x1.0000000000000p-50"
         ),
         "x_final": (
-            "757:-0x1.556c7fa42807fp-1 993:-0x1.eb514fe695ba9p-3 "
-            "1238:-0x1.01e61e385bf91p-3"
+            "757:-0x1.556c7fa42803dp-1 993:-0x1.eb514fe695ae5p-3 "
+            "1238:-0x1.01e61e385bf30p-3"
         ),
     },
 
@@ -1047,7 +1067,7 @@ DENSE_GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 62,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.15a5836bbba40p-4 0x1.9800000000000p-46",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.9800000000000p-46 0x1.9800000000000p-46",
         "x_final": (
             "7:0x1.68e99b1a956d7p-2 8:0x1.6ccc7b64125aep-1 11:0x1.49c81a80b5a7dp-2"
         ),
@@ -1056,7 +1076,7 @@ DENSE_GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 20,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.06ed37ccc7950p-3 0x1.1800000000000p-46",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.1800000000000p-46 0x1.1800000000000p-46",
         "x_final": (
             "7:0x1.68e99b1a95712p-2 8:0x1.6ccc7b64125eap-1 11:0x1.49c81a80b557fp-2"
         ),
@@ -1065,7 +1085,7 @@ DENSE_GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 32,
         "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.eca1179f51be0p-4 0x1.3800000000000p-46",
+        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.3800000000000p-46 0x1.3800000000000p-46",
         "x_final": "1:0x1.52f61cafda282p-1 8:0x1.b87c52e03aeb2p-2",
     },
     "dense-adsgd-long-epoch": {
@@ -1081,7 +1101,7 @@ DENSE_GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 48,
         "active_blocks": [4, 2, 1],
-        "gaps": "0x1.be416fa97ed80p-8 0x1.2ba01f7a84000p-12 0x0.0p+0",
+        "gaps": "0x1.be416fa97ed80p-8 0x0.0p+0 0x0.0p+0",
         "x_final": (
             "3:0x1.4512d549b38f0p-6 7:-0x1.82130a4236ecfp-6 11:0x1.477862210fb95p-4 "
             "15:0x1.0e52adf17e037p-8 19:-0x1.59bec869b5038p-8 "

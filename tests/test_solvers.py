@@ -134,6 +134,21 @@ def test_a_public_gradient_is_the_engines_step_bit_for_bit(monkeypatch, sparsity
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arg", ["x", "x_tilde", "mu_tilde"])
+def test_public_gradients_reject_a_non_finite_point(lasso_spec, arg, bad):
+    """partial_gradient and vr_gradient reject a non-finite x, x_tilde or
+    mu_tilde with ValueError instead of returning a NaN gradient."""
+    d = lasso_spec.dataset.d
+    args = {"x": np.ones(d), "x_tilde": np.zeros(d), "mu_tilde": np.zeros(d)}
+    args[arg][3] = bad
+    with pytest.raises(ValueError, match=f"{arg} must be finite"):
+        G.vr_gradient(lasso_spec, args["x"], args["x_tilde"], args["mu_tilde"], [0, 1], 0)
+    if arg == "x":
+        with pytest.raises(ValueError, match="x must be finite"):
+            G.partial_gradient(lasso_spec, args["x"], [0, 1], 0)
+
+
 def test_vr_gradient_shape_check():
     spec = make_instance(seed=5, n=20, d=10, q=2)
     with pytest.raises(ValueError):
@@ -745,14 +760,12 @@ def test_dense_and_sparse_storage_solve_alike(monkeypatch, case, solver):
                                                        for r in sparse.trace]
     assert [r.refined_dual for r in dense.trace] == [r.refined_dual for r in sparse.trace]
     assert [r.restart for r in dense.trace] == [r.restart for r in sparse.trace]
-    # a returned refined point's gap sits at the rounding of its objective, so
-    # those rows are held to a few ulps of P on each storage instead
-    returned = [r.restart == "refined" for r in sparse.trace]
-    np.testing.assert_allclose([r.gap for r, o in zip(dense.trace, returned) if not o],
-                               [r.gap for r, o in zip(sparse.trace, returned) if not o],
-                               rtol=1e-9, atol=0.0)
-    for r in (r for rep in reps for r in rep.trace if r.restart == "refined"):
-        assert abs(r.gap) <= 8.0 * np.finfo(float).eps * abs(r.objective)
+    # an optimal refined point's gap sits at the rounding of its objective, so
+    # a refined row's gaps may instead differ by a few ulps of P
+    for d_row, s_row in zip(dense.trace, sparse.trace):
+        ulps = 8.0 * np.finfo(float).eps * abs(s_row.objective)
+        assert d_row.gap == pytest.approx(
+            s_row.gap, rel=1e-9, abs=ulps if s_row.restart == "refined" else 0.0)
 
 
 def test_dense_storage_reruns_bit_for_bit(monkeypatch):
@@ -1105,9 +1118,9 @@ def test_a_converged_report_certifies_the_full_problem(build, full_batch):
     """report.dual is feasible for the full problem: rebuilt from its theta
     (and kappa), every block's correlation is at most lam. P(x_final) -
     D(report.dual) gives the reported gap bit for bit, it is at most gap_tol
-    and at least the true suboptimality. Where the dual point is x_final's
-    own, a returned refined point's included, that is also x_final's
-    re-evaluated gap; a refined dual point certifying x_hat gives less."""
+    and at least the true suboptimality. The dual point is x_final's own, a
+    returned refined point's included, so that is also x_final's
+    re-evaluated gap."""
     spec = build()
     batch = spec.dataset.n if full_batch else None
     rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=1, gap_tol=1e-6,
@@ -1124,11 +1137,7 @@ def test_a_converged_report_certifies_the_full_problem(build, full_batch):
     p_star = G.reference_solve(spec, tol=1e-12).objective
     assert rep.gap >= G.primal_objective(spec, x) - p_star - 1e-12
     _, _, _, own = G.solvers.evaluate(spec, x, ds.A @ x)
-    last = rep.trace[-1]
-    if last.refined_dual and last.restart != "refined":  # x_hat, certified by x_r's dual
-        assert rep.gap < own
-    else:  # x_final's own dual point
-        assert own == rep.gap
+    assert own == rep.gap
 
 
 @pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "proxsvrg"])
@@ -1142,13 +1151,12 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
     once per refinement that finds a point, apart from these. The next row
     is the candidate with the smaller gap; a tie keeps the average, and a nan
     gap, injected on either candidate, never wins. The row's gap is that
-    evaluation's, or the smaller one a refined dual point gives the same
-    candidate. A row whose refined point certifies itself, on a safe set
-    of exactly that point's nonzero blocks, returns the refined point with
-    its own gap instead, and so does a last row, without an epoch, where
-    the screen after the previous row leaves such a safe set. Only the screening
-    solvers refine, and a refinement may find no point. batch_size 30 is the
-    full batch."""
+    evaluation's. A row whose candidate's model has a refined point of lower
+    objective holds that point with its own gap instead, and a last row
+    without an epoch, where the screen after such a row leaves exactly its
+    point's nonzero blocks, holds the same point. Only the screening solvers
+    refine, and a refinement may find no point. batch_size 30 is the full
+    batch."""
     spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
     calls, evaluate = [], G.solvers.evaluate
     certs, certify = [], G.solvers._refined_certificate
@@ -1167,13 +1175,13 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         calls.append((args[1].copy(), obj, gap))
         return obj, g, dp, gap
 
-    def spied_certificate(*args):
+    def spied_certificate(spec, x):
         refining[0] = True
         try:
-            out = certify(*args)
+            out = certify(spec, x)
         finally:
             refining[0] = False
-        certs.append(out)
+        certs.append((G.solvers._model(spec, x), out))
         return out
 
     monkeypatch.setattr(G.solvers, "evaluate", spied)
@@ -1188,12 +1196,9 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
     assert rep.trace[0].restart == "start" and rep.trace[0].gap == calls[0][2]
     if solver in ("mrbcd", "proxsvrg"):
         assert certs == []
-    found = [c for c in certs if c is not None]
+    found = [c for c in certs if c[1] is not None]
     assert len(refined_calls) == len(found)
-    assert all(np.array_equal(x_r, c[0]) for x_r, c in zip(refined_calls, found))
-    if any(r.refined_dual for r in rep.trace):  # a refinement may also find no point
-        assert any(c is not None for c in certs)
-    dual_values = [c[2].value for c in found]
+    assert all(np.array_equal(x_r, c[1][0]) for x_r, c in zip(refined_calls, found))
     labels = []
     for k, row in enumerate(rows):
         (x_avg, obj_avg, gap_avg), (x_last, obj_last, gap_last) = calls[2 * k + 1:2 * k + 3]
@@ -1203,22 +1208,19 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         assert gap == min(g for g in (gap_avg, gap_last) if np.isfinite(g))
         if row.restart != "refined":
             assert row.restart == chosen and np.array_equal(rep.iterates[k + 1], x)
-            want = [obj - v for v in dual_values if obj - v < gap]
-            assert row.gap in (want if row.refined_dual else [gap])
-        else:  # the refined point, certified by its own dual point, is returned
-            ref = next(c for c in found if np.array_equal(c[0], rep.iterates[k + 1]))
-            assert ref[3] <= 1e-12
-            assert np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(ref[0])]),
-                                  rep.active_history[k + 1])
-            assert row.gap == ref[1] - ref[2].value
-            assert row.refined_dual and row.identified
-            assert rep.converged and k + 1 == rep.outer_iters
+            assert row.gap == gap and not row.refined_dual
+        else:  # the refined point of the candidate's model, with its own evaluation
+            model, (x_r, (obj_r, _, _, gap_r)) = next(
+                c for c in found if np.array_equal(c[1][0], rep.iterates[k + 1]))
+            assert model == G.solvers._model(spec, x) and obj_r < obj
+            assert (row.objective, row.gap) == (obj_r, gap_r) and row.refined_dual
         labels.append(chosen)
-    if len(rows) < rep.outer_iters:  # the refined point of the last epoch's iterate
-        last = rep.trace[-1]
-        ref = next(c for c in found if np.array_equal(c[0], rep.x_final))
-        assert ref[3] <= 1e-12 and last.gap == ref[1] - ref[2].value == ref[3]
-        assert np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(ref[0])]),
+    if len(rows) < rep.outer_iters:  # the refined point of the row before, kept
+        before, last = rep.trace[-2:]
+        assert np.array_equal(rep.x_final, rep.iterates[-2]) and before.restart == "refined"
+        assert (last.objective, last.gap) == (before.objective, before.gap)
+        assert last.gap <= 1e-12
+        assert np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(rep.x_final)]),
                               rep.active_history[-1])
         assert last.refined_dual and last.identified and rep.converged
     assert np.array_equal(rep.x_final, rep.iterates[-1])
@@ -1230,14 +1232,13 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
 
 def test_trace_records_the_screening_radius_and_the_working_set(monkeypatch):
     """Every row after the first has the radius of the screen after the
-    previous row: safe_radius of min(P(x_hat), P(x_r)) - D(centre) where the
-    previous row has a refined point x_r of its model, else of the previous
-    row's gap. Its working
-    blocks lie within its safe blocks, and the starting row has none, nor
-    has a last row that returns the refined point its screen settled."""
+    previous row: safe_radius of the previous row's gap, that of its own
+    point. Its working blocks lie within its safe blocks, and the starting
+    row has none, nor has a last row that returns the refined point its
+    screen settled."""
     spec = make_instance(seed=7, n=60, d=90)
     calls = _spy_refinements(monkeypatch)
-    screens = _spy_screens(monkeypatch, calls)
+    screens = _spy_screens(monkeypatch)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=7, gap_tol=1e-6, max_outer=100,
                                              eta=tuned_eta(spec), keep_iterates=True))
     assert rep.converged and calls
@@ -1245,10 +1246,7 @@ def test_trace_records_the_screening_radius_and_the_working_set(monkeypatch):
     assert (first.radius, first.working_blocks) == (math.inf, 0)
     assert len(screens) == len(rep.trace) - 1
     for k, (prev, row) in enumerate(zip(rep.trace, rep.trace[1:])):
-        dp, r, seen = screens[k]
-        assert row.radius == r == G.safe_radius(
-            spec, _screening_gap(spec, rep, k, dp, seen, calls))
-        assert r <= G.safe_radius(spec, prev.gap)
+        assert row.radius == screens[k][1] == G.safe_radius(spec, prev.gap)
         if k < len(epoch_rows(rep)):
             assert 0 < row.working_blocks <= row.active_blocks
         else:
@@ -1256,9 +1254,10 @@ def test_trace_records_the_screening_radius_and_the_working_set(monkeypatch):
     assert any(r.working_blocks < r.active_blocks for r in rep.trace[1:])
 
 
-def test_not_converged_run_is_flagged():
-    """A solve cut off by max_outer = 2 ends uncertified; with a cap of 3 it
-    would return its refined point at outer iteration 3."""
+def test_not_converged_run_is_flagged(monkeypatch):
+    """A solve cut off by max_outer = 2, with the refinement gate shut, ends
+    uncertified."""
+    monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
     spec = make_instance(seed=8, n=60, d=90)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=8, gap_tol=1e-12, max_outer=2))
     assert not rep.converged and rep.trace[-1].gap > 1e-12
@@ -1399,6 +1398,24 @@ def test_reference_rejects_bad_tol():
         G.reference_solve(hand_lasso(), tol=0.0)
 
 
+@pytest.mark.parametrize("max_iter", [2.5, -1, True, np.float64(3.0)])
+def test_reference_rejects_a_cap_that_is_not_a_count(monkeypatch, max_iter):
+    """max_iter is a nonnegative Python or numpy integer, not a bool, checked
+    before the first evaluation; a numpy integer runs as its value."""
+    evaluated = []
+    monkeypatch.setattr(G.solvers, "evaluate", lambda *args: evaluated.append(1))
+    with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+        G.reference_solve(hand_lasso(), max_iter=max_iter)
+    assert evaluated == []
+
+
+def test_reference_takes_a_numpy_integer_cap():
+    spec = make_instance(seed=16, n=60, d=90)
+    assert G.reference_solve(spec, max_iter=np.int64(3000)).converged
+    with pytest.raises(G.ConvergenceError, match="within 3 iterations"):
+        G.reference_solve(spec, tol=1e-12, max_iter=np.int64(3))
+
+
 # ------------------------------------------------------------ error paths
 
 def test_divergence_error_names_iteration():
@@ -1411,12 +1428,15 @@ def test_divergence_error_names_iteration():
 
 @pytest.mark.parametrize("seed,certifies", [(10, False), (12, False), (15, False),
                                             (16, False), (11, True)])
-def test_a_runaway_objective_is_divergence_while_it_is_finite(seed, certifies):
-    """At eta = 1/L_spec, batch 1, adsgd's objective on these instances grows
-    row on row, to 1e131-1e174 by outer iteration 60 with every value finite.
-    Once a row passes _RUNAWAY times P(0) the solve raises DivergenceError
-    naming that row, instead of returning converged=False at max_outer; on
-    seed 11 the same step certifies, and no row comes near the bound."""
+def test_a_runaway_objective_is_divergence_while_it_is_finite(monkeypatch, seed, certifies):
+    """At eta = 1/L_spec, batch 1, with the refinement gate shut, adsgd's
+    objective on these instances grows row on row, to 1e131-1e174 by outer
+    iteration 60 with every value finite. Once a row passes _RUNAWAY times
+    P(0) the solve raises DivergenceError naming that row, instead of
+    returning converged=False at max_outer; on seed 11 the same step
+    certifies, and no row comes near the bound. (With the gate open, an
+    adopted refined point rescues the runaway solves.)"""
+    monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
     spec = make_instance(seed, n=60, d=80, q=10)
     cfg = G.SolverConfig(solver="adsgd", eta=1.0 / _spectral_bound(spec), batch_size=1,
                          m=60, max_outer=60, seed=0)
@@ -1455,15 +1475,21 @@ def test_invalid_configs_rejected(lasso_spec):
         G.SolverConfig(batch_size=True),
         G.SolverConfig(max_outer=True),
         G.SolverConfig(seed=True),
+        # nor is it a step size or a tolerance: none runs as 1.0
+        G.SolverConfig(eta=True),
+        G.SolverConfig(gap_tol=True),
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
             G.adsgd_solve(lasso_spec, cfg)
-    with pytest.raises(ValueError):
-        G.solve(lasso_spec, G.SolverConfig(solver="nope"))
-    for tol in (0.0, math.nan, math.inf):
+    for solver in ("nope", None, 3):
+        with pytest.raises(ValueError, match=r"unknown solver .*adsgd.*reference"):
+            G.solve(lasso_spec, G.SolverConfig(solver=solver))
+    for tol in (0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError):
             G.reference_solve(lasso_spec, tol=tol)
+    with pytest.raises(ValueError):  # the reference's tolerance is gap_tol
+        G.solve(lasso_spec, G.SolverConfig(solver="reference", gap_tol=True))
 
 
 # ------------------------------------------------------------- resolution
@@ -1665,9 +1691,9 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
     the solve and each epoch evaluates two candidates.
     At this step size, epoch length and batch a screen drops a block where
     x_hat is nonzero before the solve stops."""
-    spec = make_instance(seed=43, n=60, d=80, q=10)
-    cfg = G.SolverConfig(seed=43, gap_tol=1e-6, max_outer=60, m=60, batch_size=1,
-                         eta=tuned_eta(spec, 2.0))
+    spec = make_instance(seed=49, n=60, d=80, q=10, model="logistic", reg="group_l2")
+    cfg = G.SolverConfig(seed=49, gap_tol=1e-6, max_outer=60, m=60, batch_size=1,
+                         eta=tuned_eta(spec, 1.0))
     counts = {"products": 0, "refreshes": 0}
     rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
 
@@ -2011,53 +2037,33 @@ def _spy_epochs(monkeypatch, calls):
 
 
 def _refinement_sites(rep, calls, spans):
-    """(k, boundary) for each refinement in calls of a solve kept with its
-    iterates: one made at a sub-epoch boundary ran in the epoch that produced
-    row k; any other certified row k, whose x_hat it refined. Every epoch
-    takes a step, so the rows with inner_steps are the epochs' rows, in
-    order. A row that returns its refined point keeps that point, not its
-    x_hat, so a call whose x is no iterate certified the last row."""
-    rows = [r.outer_iter for r in rep.trace if r.inner_steps]
-    assert len(rows) == len(spans)
+    """(k, boundary) for each refinement in calls of a screening solve: one
+    made at a sub-epoch boundary ran in the epoch that produced row k; any
+    other ran at row k, the row of the last epoch that ended before it, or
+    row 0 before any epoch. Every epoch takes a step, so the rows with
+    inner_steps are the epochs' rows, in order."""
+    rows = [0] + [r.outer_iter for r in rep.trace if r.inner_steps]
+    assert len(rows) == len(spans) + 1
     sites = []
-    for i, (x, _, _) in enumerate(calls):
+    for i in range(len(calls)):
         epoch = next((j for j, (a, b) in enumerate(spans) if a <= i < b), None)
         if epoch is not None:
-            sites.append((rows[epoch], True))
-            continue
-        k = next((k for k, it in enumerate(rep.iterates) if np.array_equal(it, x)), None)
-        if k is None:
-            assert rep.trace[-1].restart == "refined"
-            k = rep.outer_iters
-        sites.append((k, False))
+            sites.append((rows[epoch + 1], True))
+        else:
+            sites.append((rows[sum(b <= i for _, b in spans)], False))
     return sites
 
 
-def _spy_screens(monkeypatch, calls):
-    """Record every screen: (its centre, its radius, len(calls) when it ran),
-    calls being _spy_refinements' record."""
+def _spy_screens(monkeypatch):
+    """Record every screen: (its centre, its radius)."""
     screens, screen = [], G.solvers.screen
 
     def spied(spec, dp, r, active, bounds):
-        screens.append((dp, r, len(calls)))
+        screens.append((dp, r))
         return screen(spec, dp, r, active, bounds)
 
     monkeypatch.setattr(G.solvers, "screen", spied)
     return screens
-
-
-def _screening_gap(spec, rep, k, dp, seen, calls):
-    """min(P(x_hat), P(x_r)) - D(dp) for row k of a solve kept with its
-    iterates, x_r being the refined point of x_hat's model where row k has
-    one: the last of the first `seen` refinements in calls was of row k's
-    model and found a point. Else row k's own P(x_hat) - D(dp)."""
-    obj = rep.trace[k].objective
-    if seen:
-        model = G.solvers._model(spec, rep.iterates[k])
-        _, refined, x_r = calls[seen - 1]
-        if model == refined and x_r is not None:
-            obj = min(obj, G.solvers.evaluate(spec, x_r, spec.dataset.A @ x_r)[0])
-    return obj - G.duality._dual_value(spec, dp)
 
 
 SCREENED_RUNS = {
@@ -2072,46 +2078,39 @@ SCREENED_RUNS = {
 def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
         monkeypatch, case):
     """Along adsgd runs that refine, every row's gap is at least its
-    objective's distance to P*. Each screen is centred at the dual point that
-    gives its row's gap. Its radius is the safe radius of min(P(x_hat),
-    P(x_r)) - D(centre) where the row has a refined point x_r of x_hat's
-    model, else of the row's gap; so it is at most the row gap's radius, and
-    some screens are strictly smaller. Each sphere holds the dual optimum:
-    ||u - u_o|| <= r + r_o, u_o being the oracle's dual point. Some screens
-    are centred at the refined dual point of a stable model that the safe
-    set does not yet match. The solve returns the refined point, labelled
-    "refined"."""
+    objective's distance to P*. Each screen is centred at the dual point of
+    its row's point and sized by the safe radius of that point's gap, the
+    row's own. Each sphere holds the dual optimum: ||u - u_o|| <= r + r_o,
+    u_o being the oracle's dual point. Some rows hold a refined point, and
+    screen with its dual point, before the safe set matches its blocks. The
+    solve returns the refined point, labelled "refined"."""
     spec = SCREENED_RUNS[case]()
     oracle = G.reference_solve(spec, tol=1e-12)
     r_o = G.safe_radius(spec, oracle.gap)
     calls = _spy_refinements(monkeypatch)
-    screens = _spy_screens(monkeypatch, calls)
+    screens = _spy_screens(monkeypatch)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
                                              eta=tuned_eta(spec), keep_iterates=True))
     assert rep.converged and calls and rep.trace[-1].restart == "refined"
-    # some screens used a refined centre before the model was identified
+    # some rows screened from a refined point before its model was identified
     assert any(r.refined_dual and not r.identified for r in rep.trace[:-1])
     for row in rep.trace:
         assert row.gap >= row.objective - oracle.objective - 1e-13
     u_o = _stacked(oracle.dual)
     assert len(screens) == rep.outer_iters
-    smaller = 0
     # each screen follows its row
-    for k, (row, (dp, r, seen)) in enumerate(zip(rep.trace, screens)):
+    for row, (dp, r) in zip(rep.trace, screens):
         assert row.gap == row.objective - G.duality._dual_value(spec, dp)
-        assert r == G.safe_radius(spec, _screening_gap(spec, rep, k, dp, seen, calls))
-        assert r <= G.safe_radius(spec, row.gap)
-        smaller += r < G.safe_radius(spec, row.gap)
+        assert r == G.safe_radius(spec, row.gap)
         assert np.linalg.norm(_stacked(dp) - u_o) <= r + r_o
-    assert smaller > 0
 
 
 def test_a_wide_sparse_lasso_stops_within_an_epoch_of_its_first_optimal_iterate():
     """On this wide sparse Lasso x_hat comes within gap_tol of P* epochs
-    before the safe set holds just its nonzero blocks. The refined dual
-    point of its stable model screens meanwhile, so the model is identified
-    soon after and adsgd stops at most one outer iteration after its first
-    gap_tol-optimal iterate."""
+    before the safe set holds just its nonzero blocks. The refined point of
+    its model takes its place and screens meanwhile, so the model is
+    identified soon after and adsgd stops at most one outer iteration after
+    its first gap_tol-optimal iterate."""
     spec = make_instance(seed=0, n=150, d=600, sparsity=0.05, q=20, support=8)
     p_star = G.reference_solve(spec, tol=1e-12).objective
     eta = tuned_eta(spec)
@@ -2184,17 +2183,18 @@ def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
 
 
 def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model(monkeypatch):
-    """A refined point x_r that certifies itself is returned only where the
-    safe set holds exactly x_r's nonzero blocks. Here x_hat takes a new model
-    at row 2, with a coordinate in block 3, off the optimum's support, which
-    the refinement prunes. Row 2's x_r certifies itself, but x_r's blocks
-    [0, 1, 5, 6, 9] are not the safe set, which still holds all ten blocks.
-    So row 2 keeps x_hat; its screen, sized by x_r's objective, leaves
+    """A refined point x_r that certifies itself stops the solve only where
+    the safe set holds exactly x_r's nonzero blocks. Here the epoch that
+    produces row 2 ends on an iterate of a new model, with a coordinate in
+    block 3, off the optimum's support, which the refinement prunes. Row 2
+    holds x_r, whose own gap is below gap_tol, but x_r's blocks
+    [0, 1, 5, 6, 9] are not the safe set, which still holds all ten blocks,
+    so the solve goes on. The screen after row 2, sized by x_r's gap, leaves
     exactly x_r's blocks, and the solve returns x_r as row 3, with no epoch
-    in between, on x_r's own gap, which bounds its suboptimality. That screen
-    drops block 3, where x_hat is nonzero, but the solve stops before it
-    would zero x_hat there and form the snapshot again."""
+    in between, on x_r's own gap, which bounds its suboptimality. x_r is
+    zero on block 3, so no snapshot is formed again when block 3 drops."""
     spec = make_instance(ratio=0.5, seed=206, n=150, d=250, sparsity=0.5, support=9)
+    calls = _spy_refinements(monkeypatch)
     refreshes, smooth_gradient = [], G.solvers.smooth_gradient
     monkeypatch.setattr(G.solvers, "smooth_gradient",
                         lambda *args: refreshes.append(1) or smooth_gradient(*args))
@@ -2205,22 +2205,21 @@ def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model(mon
     def blocks(x):
         return np.unique(spec.partition.block_of[np.flatnonzero(x)]).tolist()
 
+    x, _, x_r = calls[-1]
+    assert blocks(x) == [0, 1, 3, 5, 6, 9] and blocks(x_r) == [0, 1, 5, 6, 9]
     row = rep.trace[2]
-    assert row.refined_dual and not row.identified and row.restart != "refined"
+    assert (row.restart, row.refined_dual, row.identified) == ("refined", True, False)
+    assert np.array_equal(rep.iterates[2], x_r) and row.gap <= 1e-6
     assert rep.active_history[2].tolist() == list(range(10))
-    assert blocks(rep.iterates[2]) == [0, 1, 3, 5, 6, 9]
-    x_r, _, _, own = G.solvers._refined_certificate(spec, rep.iterates[2])
-    assert own <= 1e-6 and blocks(x_r) == [0, 1, 5, 6, 9]
     last = rep.trace[-1]
     assert rep.converged and rep.outer_iters == 3 and len(epoch_rows(rep)) == 2
     assert (last.restart, last.working_blocks, last.identified) == ("refined", 0, True)
-    x = rep.x_final
-    assert np.array_equal(x, x_r) and rep.gap == own
-    assert G.primal_objective(spec, x) - G.duality._dual_value(spec, rep.dual) \
+    assert np.array_equal(rep.x_final, x_r) and rep.gap == row.gap
+    assert G.primal_objective(spec, x_r) - G.duality._dual_value(spec, rep.dual) \
         == rep.gap <= 1e-6
-    assert G.primal_objective(spec, x) - G.reference_solve(spec, tol=1e-12).objective \
+    assert G.primal_objective(spec, x_r) - G.reference_solve(spec, tol=1e-12).objective \
         <= rep.gap
-    assert rep.active_history[-1].tolist() == blocks(x) == [0, 1, 5, 6, 9]
+    assert rep.active_history[-1].tolist() == blocks(x_r)
 
 
 def test_a_tall_dense_lasso_returns_its_refined_point_on_the_screen_it_sizes(monkeypatch):
@@ -2255,67 +2254,133 @@ def test_a_tall_dense_lasso_returns_its_refined_point_on_the_screen_it_sizes(mon
         assert G.primal_objective(spec, rep.x_final) - oracle.objective <= rep.gap <= 1e-6
 
 
+def _spy_row_points(monkeypatch):
+    """Record every point _certify is given: each row's own point, before the
+    row may take its refined point instead."""
+    points, certify = [], G.solvers._certify
+
+    def spied(spec, active, x_hat, *args):
+        points.append(x_hat.copy())
+        return certify(spec, active, x_hat, *args)
+
+    monkeypatch.setattr(G.solvers, "_certify", spied)
+    return points
+
+
 def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
-    """x_hat's model changes at every row of this Lasso solve, so it is never
-    the previous iterate's, and each model is refined once, on the first row
-    or sub-epoch boundary that holds it. The models of rows 1 and 3 first
-    appear at a boundary of the epoch that produced each. The epoch that
-    produced row 2 refined a model no row holds, so row 2's model was not in
-    the slot, and row 2 refined it. Row 3's refinement certifies itself, so
-    its epoch ended early; its refined dual point certifies x_hat before its model is
-    identified, and its screen leaves exactly the refined point's blocks,
-    which row 4 returns."""
+    """The model of the point each epoch hands its row changes at every row
+    of this Lasso solve, and each model is refined once, on the first row or
+    sub-epoch boundary that holds it. The models of rows 1 and 2 first
+    appear at a boundary of the epoch that produced each, and each row takes
+    that refined point. The epoch that produced row 2 first refined a model
+    no row holds, then row 2's, whose refined point certifies itself, so the
+    epoch ended early. Row 2 holds that point before its model is
+    identified, and its screen leaves exactly the point's blocks, which row
+    3 returns."""
     spec = SCREENED_RUNS["lasso"]()
     calls = _spy_refinements(monkeypatch)
     spans = _spy_epochs(monkeypatch, calls)
+    points = _spy_row_points(monkeypatch)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
                                              eta=tuned_eta(spec), keep_iterates=True))
-    models = [G.solvers._model(spec, x) for x in rep.iterates]
-    assert rep.converged and rep.outer_iters == 4
-    assert all(a != b for a, b in zip(models[:4], models[1:4]))
-    assert _refinement_sites(rep, calls, spans) == [(1, True), (2, True), (2, False),
-                                                    (3, True)]
+    models = [G.solvers._model(spec, x) for x in points]
+    assert rep.converged and rep.outer_iters == 3 and len(models) == 3
+    assert all(a != b for a, b in zip(models, models[1:]))
+    assert _refinement_sites(rep, calls, spans) == [(1, True), (2, True), (2, True)]
     refined = [m for _, m, _ in calls]
-    assert all(x_r is not None for _, _, x_r in calls) and len(set(refined)) == 4
-    assert [refined[0], refined[2], refined[3]] == models[1:4]
-    assert refined[1] not in models
-    budget = inner_budget(spec.dataset.n, rep.trace[3].working_blocks, spec.partition.q)
-    assert rep.trace[3].inner_steps < budget
-    assert rep.trace[3].refined_dual and not rep.trace[3].identified
-    assert (rep.trace[4].restart, rep.trace[4].working_blocks) == ("refined", 0)
+    assert all(x_r is not None for _, _, x_r in calls) and len(set(refined)) == 3
+    assert [refined[0], refined[2]] == models[1:] and refined[1] not in models
+    assert all(np.array_equal(x, calls[i][2]) for x, i in zip(rep.iterates[1:], (0, 2, 2)))
+    budget = inner_budget(spec.dataset.n, rep.trace[2].working_blocks, spec.partition.q)
+    assert rep.trace[2].inner_steps < budget
+    assert [r.restart for r in rep.trace] == ["start", "refined", "refined", "refined"]
+    assert not rep.trace[2].identified and rep.trace[3].working_blocks == 0
     assert np.array_equal(rep.x_final, calls[-1][2])
 
 
 def test_a_failed_refinement_is_retried_once_the_gap_falls_tenfold(monkeypatch):
-    """On this logistic group-L2 solve at lam = 0.25 lam_max, x_hat's model
-    of rows 3 to 7 first appears at a sub-epoch boundary of the epoch that
-    produced row 3. That refinement finds no point, and its try gap is the
-    own gap of row 2, which opened the epoch. Row 3's own gap is still above
-    a tenth of it, so the model is not refined again there; row 4's is below
-    it, so it is, and again finds no point. Rows 5 and 6 stay above a tenth
-    of row 4's gap; row 7 falls below it, and that refinement finds the point
-    the solve certifies through: its dual point certifies x_hat at row 7,
-    and the screen it sizes leaves exactly its blocks, so row 8 returns it."""
+    """Where the slot holds x_hat's model with no point, tried at gap g, a
+    row refines that model again only once its own gap falls below g / 10.
+    At a gap of g / 5 _certify leaves the slot as it is and the row keeps
+    x_hat. At g / 20 it refines again, the slot records the new try at the
+    row's gap, and the point it finds, of lower objective, becomes the
+    row's. On this logistic group-L2 instance at lam = 0.25 lam_max, a point
+    5% off the optimum stands for x_hat."""
     spec = make_instance(seed=22, n=200, d=100, q=10, model="logistic", reg="group_l2",
                          support=3, ratio=0.25)
+    x = 1.05 * G.reference_solve(spec, tol=1e-12).x_final
+    evaluation = G.solvers.evaluate(spec, x, spec.dataset.A @ x)
+    gap, model, active = evaluation[3], G.solvers._model(spec, x), G.ActiveSet.full(spec)
     calls = _spy_refinements(monkeypatch)
-    spans = _spy_epochs(monkeypatch, calls)
-    rep = G.adsgd_solve(spec, G.SolverConfig(seed=22, gap_tol=1e-8, max_outer=300,
-                                             eta=tuned_eta(spec), keep_iterates=True))
-    models = [G.solvers._model(spec, x) for x in rep.iterates]
-    own = [G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3] for x in rep.iterates]
-    assert _refinement_sites(rep, calls, spans)[-3:] == [(3, True), (4, False), (7, False)]
-    assert models[2] != models[3] and len(set(models[3:8])) == 1
-    (_, first, none), (_, failed, again), (_, retried, x_r) = calls[-3:]
-    assert first == failed == retried == models[3]
-    assert none is None and again is None and x_r is not None
-    assert own[3] >= 0.1 * own[2] > own[4]
-    assert min(own[5:7]) >= 0.1 * own[4] > own[7]
-    assert rep.trace[7].refined_dual and rep.trace[7].gap < own[7]
-    assert rep.converged and rep.outer_iters == 8 and rep.trace[8].restart == "refined"
-    assert np.array_equal(rep.x_final, x_r)
+    slot = model, None, 5.0 * gap
+    assert G.solvers._certify(spec, active, x, evaluation, 1e-12, None, slot) == (
+        False, None, model, slot)
+    assert calls == []
+    slot = model, None, 20.0 * gap
+    _, kept, _, slot = G.solvers._certify(spec, active, x, evaluation, 1e-12, None, slot)
+    assert len(calls) == 1 and slot[0] == model and slot[2] == gap
+    assert kept is slot[1] and np.array_equal(kept[0], calls[0][2])
+    assert kept[1][0] < evaluation[0]
+
+
+def _failing_solve(monkeypatch, fails):
+    """Make np.linalg.solve raise LinAlgError on the calls i (counted from 1)
+    where fails(i) holds; returns the list of every call's i."""
+    calls, solve = [], np.linalg.solve
+
+    def spied(*args):
+        calls.append(len(calls) + 1)
+        if fails(calls[-1]):
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", spied)
+    return calls
+
+
+def test_a_singular_newton_system_ends_the_refinement_on_its_best_point(monkeypatch):
+    """Where a Newton step's system is singular, the refinement stops there
+    and returns the point that step started from if its residual reaches
+    _REFINE_TOL * lam, else None. Here a logistic L1 refinement from a point
+    1% off the optimum takes 3 steps: a singular system at the first step
+    leaves the starting point, which is refused, and one at the last step
+    leaves the point of the first 2 steps, which a cap of 2 steps returns
+    too."""
+    spec = REFINE_CASES["l1-logistic"]()
+    x_star = G.reference_solve(spec, tol=1e-12).x_final
+    x = x_star * (1.0 + 0.01 * np.random.default_rng(0).uniform(-1.0, 1.0, size=x_star.size))
+    calls = _failing_solve(monkeypatch, lambda i: False)
+    x_r = G.solvers._refine_support(spec, x)
+    assert x_r is not None and len(calls) == 3
+    monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 2)
+    capped = G.solvers._refine_support(spec, x)
+    monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 10)
+    assert capped is not None and not np.array_equal(capped, x_r)
+    calls = _failing_solve(monkeypatch, lambda i: i == 3)
+    assert np.array_equal(G.solvers._refine_support(spec, x), capped) and len(calls) == 3
+    calls = _failing_solve(monkeypatch, lambda i: i == 1)
+    assert G.solvers._refine_support(spec, x) is None and calls == [1]
+
+
+@pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
+def test_a_screening_solve_certifies_through_singular_newton_systems(monkeypatch, case):
+    """With every third Newton system of the solve singular, some refinements
+    end early or find no point, and adsgd still ends on a full-problem
+    certificate: report.dual is feasible, and P(x_final) - D(report.dual) is
+    the reported gap, at most gap_tol and at least the suboptimality."""
+    spec = SCREENED_RUNS[case]()
     p_star = G.reference_solve(spec, tol=1e-12).objective
-    assert G.primal_objective(spec, rep.x_final) - p_star <= rep.gap <= 1e-8
+    calls = _failing_solve(monkeypatch, lambda i: i % 3 == 1)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
+                                             eta=tuned_eta(spec)))
+    assert rep.converged and len(calls) >= 2
+    corr = spec.dataset.A.T @ rep.dual.theta
+    if rep.dual.kappa is not None:
+        corr = corr + rep.dual.kappa
+    worst = G.problem.blockwise_dual_norms(corr, spec.partition, spec.reg).max()
+    assert worst / spec.dataset.n <= spec.lam * (1.0 + 1e-12)
+    assert G.duality.duality_gap(spec, rep.x_final, rep.dual) == rep.gap <= 1e-10
+    assert G.primal_objective(spec, rep.x_final) - p_star <= rep.gap + 1e-13
 
 
 def _stacked(dp):
@@ -2325,9 +2390,11 @@ def _stacked(dp):
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
 def test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict(monkeypatch, case):
     """A refinement that answers with its point minus the support block of
-    largest norm gives a dual point far from the optimum: no row certifies
-    with it, no support block of the optimum is screened, and the solve
-    still ends on a true certificate, never returning the wrong point."""
+    largest norm gives a point and a dual point far from the optimum. A row
+    may take that point where its objective is lower, but with its own gap,
+    so no row certifies with it, no support block of the optimum is
+    screened, and the solve still ends on a true certificate, never
+    returning the wrong point."""
     spec = SCREENED_RUNS[case]()
     oracle = G.reference_solve(spec, tol=1e-12)
     part = spec.partition
@@ -2347,11 +2414,81 @@ def test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict(monkeypat
     support = set(part.block_of[np.flatnonzero(oracle.x_final)].tolist())
     assert support <= set(rep.active_history[-1].tolist())
     assert not any(r.refined_dual and r.gap <= 1e-10 for r in rep.trace)
-    assert all(r.restart != "refined" for r in rep.trace)
+    assert rep.trace[-1].restart != "refined"
     for row in rep.trace:
         assert row.gap >= row.objective - oracle.objective - 1e-13
     assert rep.converged
     assert G.primal_objective(spec, rep.x_final) - oracle.objective <= 1e-10
+
+
+@pytest.mark.parametrize("off", [False, True], ids=["refined", "off-model"])
+@pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
+def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case, off):
+    """Each row of a screening solve is one point with its own evaluation.
+    (a) Its objective and gap are that point's P and P - D of its dual
+    point, both recomputed from scratch, and the screen after it is centred
+    at that dual point, as report.dual is for the last row. (b) A row takes
+    the refined point x_r in its slot exactly where the slot holds the
+    refinement of the row's own point's model, that point's gap is above
+    gap_tol, and P(x_r), recomputed, is the lower. (c) The next epoch starts
+    from the row's point, zeroed on the blocks its screen dropped, with
+    that point's own derivatives and smooth gradient as its snapshot; so an
+    epoch after a refined row starts from x_r. With a refinement that
+    answers 1.5 times its point, some rows refuse the slot's point, whose
+    objective is the higher."""
+    spec = SCREENED_RUNS[case]()
+    ds, block_of, tol = spec.dataset, spec.partition.block_of, 1e-10
+    if off:
+        refine = G.solvers._refine_support
+        monkeypatch.setattr(G.solvers, "_refine_support",
+                            lambda spec, x: None if (r := refine(spec, x)) is None else 1.5 * r)
+    screens = _spy_screens(monkeypatch)
+    certified, certify = [], G.solvers._certify
+
+    def spied_certify(spec, active, x_hat, evaluation, *args):
+        out = certify(spec, active, x_hat, evaluation, *args)
+        certified.append((x_hat.copy(), evaluation[3], out[3]))
+        return out
+
+    epochs, epoch = [], G.solvers._epoch
+
+    def spied_epoch(spec, work, x_hat, snap, *args):
+        epochs.append((x_hat.copy(), snap[0].copy(), snap[1].copy()))
+        return epoch(spec, work, x_hat, snap, *args)
+
+    monkeypatch.setattr(G.solvers, "_certify", spied_certify)
+    monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
+    rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=tol, max_outer=300,
+                                             eta=tuned_eta(spec), keep_iterates=True))
+    assert rep.converged
+    # (a)
+    centres = [dp for dp, _ in screens] + [rep.dual]
+    assert len(centres) == len(rep.trace)
+    for x, row, centre in zip(rep.iterates, rep.trace, centres):
+        dp = G.duality.dual_point(spec, spec.loss.deriv(ds.A @ x, ds.y), x=x)
+        assert row.objective == G.primal_objective(spec, x)
+        assert row.gap == G.primal_objective(spec, x) - G.duality._dual_value(spec, dp)
+        assert np.array_equal(centre.theta, dp.theta)
+    # (b)
+    refused = 0
+    for k, (x, gap, slot) in enumerate(certified):
+        ref = slot[1] if slot[0] == G.solvers._model(spec, x) else None
+        takes = (gap > tol and ref is not None
+                 and G.primal_objective(spec, ref[0]) < G.primal_objective(spec, x))
+        assert (rep.trace[k].restart == "refined") == takes
+        assert np.array_equal(rep.iterates[k], ref[0] if takes else x)
+        refused += gap > tol and ref is not None and not takes
+    assert (refused > 0) == off
+    # (c)
+    rows = epoch_rows(rep)
+    assert len(epochs) == len(rows) and all(r.working_blocks for r in rows)
+    for (x, g, mu), row in zip(epochs, rows):
+        k = row.outer_iter - 1
+        start = np.where(np.isin(block_of, rep.active_history[k + 1]), rep.iterates[k], 0.0)
+        assert np.array_equal(x, start)
+        assert np.array_equal(g, spec.loss.deriv(ds.A @ start, ds.y))
+        assert np.array_equal(mu, G.problem.smooth_gradient(spec, start, g))
+    assert off or any(rep.trace[row.outer_iter - 1].restart == "refined" for row in rows)
 
 
 @pytest.mark.parametrize("full_batch", [False, True], ids=["adsgd", "adsgd-full-batch"])
@@ -2363,18 +2500,19 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     identified yet, and keeps the refinement in its slot while the model
     holds (these runs never come back to an earlier model). A boundary
     refines x_cur's model, never the model of the row that opened its epoch,
-    and stores that row's own gap as its try gap. A model is refined again
-    only where its last try found no point, on a row whose x_hat's own gap
-    has fallen below a tenth of that try gap; every row that brings a new
-    such model is refined, there or at a boundary of the epoch that produced
-    it, unless it stops on x_hat's own gap.
-    The safe set need not hold just x_hat's nonzero blocks yet, but a row
-    that keeps x_hat is identified only where it does and x_hat's model is
-    the previous iterate's, and only an identified row returns the refined
-    point or stops on a refined dual point."""
+    and stores that row's gap as its try gap. A model is refined again only
+    where its last try found no point, on a row whose own point's gap has
+    fallen below a tenth of that try gap; every row whose own point brings a
+    new such model is refined, there or at a boundary of the epoch that
+    produced it, unless it stops on that point's own gap. The safe set need
+    not hold just the row's nonzero blocks yet, but a row is identified
+    only where it does, and, where the row keeps its own point, where that
+    point's model is the previous row's; only an identified row stops on a
+    refined point."""
     spec = SCREENED_RUNS[case]()
     calls = _spy_refinements(monkeypatch)
     spans = _spy_epochs(monkeypatch, calls)
+    points = _spy_row_points(monkeypatch)
     batch = spec.dataset.n if full_batch else None
     rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=2, gap_tol=1e-10,
                                        max_outer=300, eta=tuned_eta(spec),
@@ -2392,8 +2530,9 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
         assert np.any(x) and _within_refinement_cost(spec, _unknowns(spec, x))
         if boundary:  # x_cur's model, new to the slot; the epoch's row gap is the try's
             assert m not in tries and model(rep.iterates[k - 1]) != m
-            own = own_gap(rep.iterates[k - 1])
+            own = rep.trace[k - 1].gap
         else:
+            assert np.array_equal(x, points[k])
             own = own_gap(x)
             if m in tries:  # a retry
                 assert not tries[m][1] and own < 0.1 * tries[m][0]
@@ -2401,22 +2540,21 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
                 assert k > 0 and model(rep.iterates[k - 1]) != m
         tries[m] = own, x_r is not None
         refined.add((k, m))
-    for k, row in enumerate(rep.trace[1:], 1):
-        x = rep.iterates[k]
-        if (row.restart != "refined" and model(x) != model(rep.iterates[k - 1])
-                and np.any(x) and _within_refinement_cost(spec, _unknowns(spec, x))):
+    for k, x in enumerate(points[1:], 1):
+        row = rep.trace[k]
+        if (model(x) != model(rep.iterates[k - 1]) and np.any(x)
+                and _within_refinement_cost(spec, _unknowns(spec, x))):
             assert (k, model(x)) in refined or (k == rep.outer_iters and not row.refined_dual
                                                 and row.gap <= 1e-10)
     block_of = spec.partition.block_of
     for k, row in enumerate(rep.trace):
-        if row.restart == "refined":  # its x_hat is the refined point's, not kept
-            assert row.identified
-            continue
         x = rep.iterates[k]
-        assert row.identified == (
-            k > 0 and model(x) == model(rep.iterates[k - 1])
-            and np.array_equal(np.unique(block_of[np.flatnonzero(x)]),
-                               rep.active_history[k]))
+        held = np.array_equal(np.unique(block_of[np.flatnonzero(x)]), rep.active_history[k])
+        if row.restart == "refined":  # the row's point is a refined one
+            assert row.identified == held
+        else:
+            assert row.identified == (k > 0 and model(x) == model(rep.iterates[k - 1])
+                                      and held)
     last = rep.trace[-1]
     assert last.identified or not last.refined_dual
 
@@ -2476,7 +2614,7 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
             per_step = (batch if batch < n else 0) + 1
             for row, budget, (a, b), draws in zip(rows, budgets, spans, drawn):
                 certified = [i for i in range(a, b)
-                             if results[i] is not None and results[i][3] <= 1e-10]
+                             if results[i] is not None and results[i][1][3] <= 1e-10]
                 # (a)
                 assert certified == ([b - 1] if row.inner_steps < budget else [])
                 # (d)
@@ -2536,7 +2674,8 @@ def _within_refinement_cost(spec, k):
 def test_a_model_past_the_refinement_cost_is_never_refined(monkeypatch, case):
     """adsgd refines only models of k <= n unknowns with n k^2 at most
     _REFINE_COST times the design's stored entries. With that bound at 0 it
-    refines none, certifies on x_hat's own dual points and still converges."""
+    refines none, certifies on its iterates' own dual points and still
+    converges."""
     spec = SCREENED_RUNS[case]()
     cfg = G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300, eta=tuned_eta(spec))
     calls = _spy_refinements(monkeypatch)
