@@ -110,11 +110,12 @@ class Dataset:
 
         The product runs on one transposed view kept with the dataset, so
         no call builds a transposed matrix. The spectral bound's power
-        iteration builds its own view once per call; the support refinement
-        (of the screening solvers and the reference) uses column slices of
-        A, and so do the group-L2 screening bounds' block Gram matrices,
-        formed once per dataset and partition (memo): a cold solve pays
-        for them, a later one on the same dataset and layout does not.
+        iteration builds its own view once per call. The support refinement
+        (of the screening solvers and the reference) gathers its columns
+        from a working design's entries, not from A. The group-L2 screening
+        bounds' block Gram matrices use column slices of A, formed once per
+        dataset and partition (memo): a cold solve pays for them, a later
+        one on the same dataset and layout does not.
         """
         return self._at @ v
 

@@ -34,10 +34,15 @@ gap scales the dual over every block; it costs outer iterations, and a block
 it wrongly left out correlates above lam at the subproblem's optimum, so it
 joins the next W. The solvers that never screen run every epoch on all q
 blocks. Identical (spec, config, seed) triples reproduce bit-identical
-iterate sequences. The evaluation's dual point forms the iteration's one
-product A'g: the screening test and the working set read its block
-correlations and the variance reduction its smooth gradient, which is
-formed again only when screening truncates the snapshot.
+iterate sequences. An evaluation's A x runs on the working design of the
+epoch that produced x (_matvec), which holds x's support: the row sums read
+that design's entries, not the whole dataset's, and lose only vals * 0.0
+terms, so they keep the bits of A @ x. The starting row, and the row of an
+empty safe set, has x = 0 and takes A x = 0. The evaluation's dual point
+forms the iteration's one product A'g, on the whole design, since the dual
+point is scaled over all q blocks: the screening test and the working set
+read its block correlations and the variance reduction its smooth gradient,
+which is formed again only when screening truncates the snapshot.
 
 The iterate's own dual point is wrong to first order, so its gap tracks
 about the square root of the suboptimality. A screening solve therefore
@@ -46,7 +51,9 @@ model (its signs for L1, its nonzero pattern for group-L2; _model), of k
 unknowns, 0 < k <= n, with n k^2 at most _REFINE_COST times the design's
 stored entries (_refinable), _refine_support solves the smooth stationarity
 system on that model, in at most _REFINE_STEPS Newton steps whose residual
-must reach _REFINE_TOL * lam. Later rows of the model reuse the result, but
+must reach _REFINE_TOL * lam. It gathers the model's columns from the
+working design of the epoch that produced the point (_columns), and A x_r
+is formed on that design too. Later rows of the model reuse the result, but
 a refinement that found no point is tried again once the row's gap falls
 below a tenth of the gap it was tried at, since Newton steps from an early
 iterate can fail where those from a closer iterate of the same model
@@ -144,7 +151,8 @@ iteration forms one A x per prox point tried and one A'g in the evaluation of
 the iterate, plus one A'g at the extrapolated point y unless y is the
 iterate, as after a restart or a step from t = 1 (beta = 0); A y is the same
 combination of the last two products A x. Its L1 stop row is refined by the
-screening solves' own _refined_certificate, kept where its gap is smaller.
+screening solves' own _refined_certificate, kept where its gap is smaller,
+which gathers its columns from the dataset's working design.
 
 The full-vector solver proxsvrg and the reference solver make one penalty
 prox call per step. For group-L2 it shrinks every block of one size with a
@@ -636,20 +644,31 @@ def _working_blocks(spec, active, x_hat, dp):
     return active.blocks[hot[active.blocks]]
 
 
-def _restart(spec, wfeat, x_avg, x_last):
-    """(x, evaluation, label) of the epoch's next iterate, from its average and
-    its last inner iterate, given in the working columns wfeat.
+def _matvec(work, v):
+    """A x on the working design work, v holding x on its columns and x being
+    zero off them: csr_matvec adds each row's products to zero in entry
+    order, as the full design's A @ x does, less the terms vals * 0.0 of the
+    entries off work, so it gives the same bits."""
+    n, (cols, vals) = work.indptr.size - 1, work.entries
+    z = np.zeros(n)
+    csr_matvec(n, v.size, work.indptr, cols, vals, v, z)
+    return z
 
-    Both are evaluated on the full problem, and the last iterate wins only
-    with a finite gap strictly below the average's, or where the average's
-    gap is not finite: a tie keeps the average, and a non-finite gap never
-    beats a finite one.
+
+def _restart(spec, work, x_avg, x_last):
+    """(x, evaluation, label) of the epoch's next iterate, from its average and
+    its last inner iterate, given in the columns of its working design work.
+
+    Both are evaluated on the full problem, each A x formed on work
+    (_matvec), and the last iterate wins only with a finite gap strictly
+    below the average's, or where the average's gap is not finite: a tie
+    keeps the average, and a non-finite gap never beats a finite one.
     """
     out = []
     for v in (x_avg, x_last):
         x = np.zeros(spec.dataset.d)
-        x[wfeat] = v
-        out.append((x, evaluate(spec, x, spec.dataset.A @ x)))
+        x[work.features] = v
+        out.append((x, evaluate(spec, x, _matvec(work, v))))
     (x_a, ev_a), (x_l, ev_l) = out
     if np.isfinite(ev_l[3]) and not ev_a[3] <= ev_l[3]:
         return x_l, ev_l, "last"
@@ -667,15 +686,20 @@ def _blocks(spec, x):
     return np.unique(spec.partition.block_of[np.flatnonzero(x)])
 
 
-def _refined_certificate(spec, x):
+def _refined_certificate(spec, x, work=None):
     """(x_r, evaluation) of the refinement x_r of x, evaluation being x_r's
     full-problem (objective, derivatives, dual point, gap), or None where
     _refine_support finds no point within _REFINE_STEPS Newton steps whose
-    residual reaches _REFINE_TOL * lam."""
-    x_r = _refine_support(spec, x)
+    residual reaches _REFINE_TOL * lam. x is zero off the columns of the
+    working design work, which _refine_support gathers its columns from, the
+    dataset's by default. x_r's support lies inside x's, so a screening
+    solve, which passes its epoch's design, forms A x_r on it (_matvec); the
+    reference, which passes none, forms it on A, as all its products."""
+    x_r = _refine_support(spec, x, work)
     if x_r is None:
         return None
-    return x_r, evaluate(spec, x_r, spec.dataset.A @ x_r)
+    z = spec.dataset.A @ x_r if work is None else _matvec(work, x_r[work.features])
+    return x_r, evaluate(spec, x_r, z)
 
 
 def _refinable(spec, x):
@@ -688,13 +712,15 @@ def _refinable(spec, x):
     return 0 < k <= n and n * k * k <= _REFINE_COST * spec.dataset.A.nnz
 
 
-def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot):
+def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot, work):
     """The refinement gate of a screening solve's row (module docstring).
 
-    evaluation is x_hat's on the full problem; prev is the previous row's
-    model and slot the last refinement, (its model, its result, the row gap
-    it was tried at), made by a row or by a sub-epoch boundary (_epoch),
-    whose try gap is then the gap of the row that opened its epoch. A model
+    evaluation is x_hat's on the full problem, and work the working design
+    of the epoch that produced x_hat, which holds x_hat's support, so a
+    refinement made here runs on it. prev is the previous row's model and
+    slot the last refinement, (its model, its result, the row gap it was
+    tried at), made by a row or by a sub-epoch boundary (_epoch), whose try
+    gap is then the gap of the row that opened its epoch. A model
     that passes the cost gate (_refinable) is refined on the first row that
     holds it unless a boundary already put it in the slot, and again, if the
     last try found no point, once the row's gap falls below a tenth of that
@@ -710,7 +736,7 @@ def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot):
     model = _model(spec, x_hat)
     if gap > gap_tol and _refinable(spec, x_hat):
         if slot[0] != model or (slot[1] is None and gap < 0.1 * slot[2]):
-            slot = model, _refined_certificate(spec, x_hat), gap
+            slot = model, _refined_certificate(spec, x_hat, work), gap
         kept = slot[1]
         if kept is not None and kept[1][0] < obj:
             x_r = kept[0]
@@ -821,22 +847,23 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
         x[wfeat] = x_cur
         was, model = model, _model(spec, x)
         if model == was and slot[0] != model and _refinable(spec, x):
-            slot = model, _refined_certificate(spec, x), own
+            slot = model, _refined_certificate(spec, x, work), own
             if slot[1] is not None and slot[1][1][3] <= gap_tol:
                 break
     x_sum /= taken
-    return (*_restart(spec, wfeat, x_sum, x_cur), updates, taken, slot)
+    return (*_restart(spec, work, x_sum, x_cur), updates, taken, slot)
 
 
-def _zero_dropped(spec, active, safe, x_hat, snap):
+def _zero_dropped(spec, active, safe, x_hat, snap, work):
     """snap after the screen that left safe of active: where zeroing x_hat in
     place on the dropped blocks moves it, snap (as in _epoch) is formed again,
-    to keep the variance correction unbiased."""
+    to keep the variance correction unbiased, its A x_hat on the working
+    design work of the epoch that produced x_hat (_matvec)."""
     if safe.n_blocks < active.n_blocks:
         dropped = np.setdiff1d(active.features, safe.features, assume_unique=True)
         if np.any(x_hat[dropped] != 0.0):
             x_hat[dropped] = 0.0
-            g_snap = spec.loss.deriv(spec.dataset.A @ x_hat, spec.dataset.y)
+            g_snap = spec.loss.deriv(_matvec(work, x_hat[work.features]), spec.dataset.y)
             snap = g_snap, smooth_gradient(spec, x_hat, g_snap)
     return snap
 
@@ -857,9 +884,8 @@ _RUNAWAY = 1e6
 @np.errstate(over="ignore", invalid="ignore")
 def _engine(spec, config, *, block_sampling, screening):
     start = time.perf_counter()
-    A = spec.dataset.A
     # lipschitz_constants rejects this design too, but runs only for a default eta
-    if not A.data.any():
+    if not spec.dataset.A.data.any():
         raise DegenerateProblemError("design matrix is all zeros")
     eta, m, batch_size = _resolve(spec, config)
     rng = np.random.Generator(np.random.Philox(config.seed))
@@ -874,7 +900,7 @@ def _engine(spec, config, *, block_sampling, screening):
     radius, width, taken = math.inf, 0, 0
     # the last row's model; the last refinement, of a screening solve only
     model, slot = None, (None, None, None) if screening else None
-    evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "start"
+    evaluation, restart = evaluate(spec, x_hat, np.zeros(spec.dataset.n)), "start"
     runaway = _RUNAWAY * evaluation[0]
 
     def record(obj, gap, refined, identified):
@@ -896,7 +922,7 @@ def _engine(spec, config, *, block_sampling, screening):
             # a refined point with the lower objective becomes the row's point,
             # with its whole evaluation
             identified, kept, model, slot = _certify(spec, active, x_hat, evaluation,
-                                                     config.gap_tol, model, slot)
+                                                     config.gap_tol, model, slot, work)
             if kept is not None:  # a copy: the screen may zero x_hat, the slot keeps x_r
                 x_hat, evaluation = kept[0].copy(), kept[1]
                 restart, refined = "refined", True
@@ -928,10 +954,10 @@ def _engine(spec, config, *, block_sampling, screening):
                 active, width, taken, converged = safe, 0, 0, True
                 record(obj, gap, True, True)
                 break
-            snap, active = _zero_dropped(spec, active, safe, x_hat, snap), safe
+            snap, active = _zero_dropped(spec, active, safe, x_hat, snap, work), safe
         width = taken = 0
         if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it
-            evaluation, restart = evaluate(spec, x_hat, A @ x_hat), "average"
+            evaluation, restart = evaluate(spec, x_hat, np.zeros(spec.dataset.n)), "average"
             continue
         if safe_work.blocks is not active.blocks:
             safe_work = _compact(spec, active.blocks, safe_work)
@@ -1068,7 +1094,27 @@ _REFINE_STEPS = 10
 _REFINE_COST = 100.0
 
 
-def _refine_support(spec, x):
+def _columns(spec, work, support):
+    """The columns of A on the feature ids support, as a dense (n, k) array in
+    column-major order, gathered from the entries of the working design
+    work, whose columns hold every feature of support.
+
+    Each entry's feature maps through work.features to its rank in support,
+    and its row comes from work.indptr; the entries of that rank are placed
+    as they are stored, so the array holds the values a column slice of A
+    would, to the bit.
+    """
+    n, (cols, vals) = work.indptr.size - 1, work.entries
+    rank = np.full(spec.dataset.d, -1, dtype=np.intp)
+    rank[support] = np.arange(support.size)
+    j = rank[work.features][cols]
+    hit = np.flatnonzero(j >= 0)
+    out = np.zeros((n, support.size), order="F")
+    out[np.searchsorted(work.indptr, hit, side="right") - 1, j[hit]] = vals[hit]
+    return out
+
+
+def _refine_support(spec, x, work=None):
     """Solve the smooth stationarity system on the model of x; the point, or None.
 
     The model is the support of x with its signs for L1, and the features of
@@ -1086,9 +1132,14 @@ def _refine_support(spec, x):
     non-finite value. The point returned so has a support inside x's, with
     x's signs there, and a residual of at most _REFINE_TOL * lam, else None,
     as where a group-L2 block collapses toward zero, which the model cannot
-    express. Never raises.
+    express. Never raises. x is zero off the columns of the working design
+    work, the dataset's by default (_compact over every block), and each
+    round gathers its model's columns from work's entries (_columns): a
+    design cut to the epoch's working set holds far fewer entries than A.
     """
     ds, part, l1 = spec.dataset, spec.partition, spec.reg.name == "l1"
+    if work is None:
+        work = _compact(spec, np.arange(part.q))
     if l1:
         support = np.flatnonzero(x != 0.0)
     else:
@@ -1103,7 +1154,7 @@ def _refine_support(spec, x):
             if support.size == 0:
                 return None
             # column-major: the BLAS products below round differently on a row-major copy
-            a_s = ds.A[:, support].toarray(order="F")
+            a_s = _columns(spec, work, support)
             k = support.size
             ridge = 2.0 * mu_p * np.eye(k)
             if not l1:  # each coordinate's block, numbered 0.., and the pairs within blocks
@@ -1171,8 +1222,10 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     test. Each iteration forms one A x per prox point tried and one A'g in
     the evaluation of x, plus one A'g at the extrapolated point y when y is
     not x (a restart, and a step from t = 1, where beta = 0, put y on x);
-    A y = A xn + beta (A xn - A x) costs no product. A support refinement
-    that returns a point forms one more A x and one more A'g.
+    A y = A xn + beta (A xn - A x) costs no product. The support refinement
+    gathers its columns from the dataset's working design, _compact over
+    every block, the default of _refined_certificate; one that returns a
+    point forms one more A x and one more A'g.
     """
     start = time.perf_counter()
     if isinstance(tol, bool) or not 0 < tol < math.inf:

@@ -18,11 +18,12 @@ n (labelled "<workload>+full-batch"), seeds 0-1, with m = FULL_BATCH_M and
 max_outer = FULL_BATCH_OUTER, since every benchmark solve samples its rows.
 Last come those of the same data and lam on a scattered partition of as many
 blocks, block j holding the features j, j + q, j + 2q, ... (labelled
-"<workload>+scattered"), solved by each stochastic solver at seeds 0-1,
-since every benchmark partition is contiguous. Then come those of the same
-data at lam = LOW_LAMBDA * lambda_max (labelled "<workload>@0.25"), solved
-by each stochastic solver at the benchmark's settings for seeds 0-1, since
-every benchmark workload runs at LAMBDA_RATIO = 0.5. A change that keeps every
+"<workload>+scattered"), solved by the reference and by each stochastic
+solver at seeds 0-1, since every benchmark partition is contiguous. Then come
+those of the same data at lam = LOW_LAMBDA * lambda_max (labelled
+"<workload>@0.25"), solved by the reference and by each stochastic solver at
+the benchmark's settings for seeds 0-1, since every benchmark workload runs
+at LAMBDA_RATIO = 0.5. A change that keeps every
 iterate prints the same lines, so `diff` of two checkouts' outputs shows any
 solve whose bits moved. The module reads benchmarks/run.py and changes
 nothing in it; pytest does not collect it.
@@ -92,12 +93,14 @@ def main():
         d, q = inst.spec.dataset.d, inst.spec.partition.q
         scattered = G.BlockPartition([np.arange(j, d, q) for j in range(q)])
         spec, label = dataclasses.replace(inst.spec, partition=scattered), f"{wl.name}+scattered"
+        print(line(G, inst, "reference", 0, spec, label), flush=True)
         for name in run.STOCHASTIC:
             for seed in SCATTERED_SEEDS:
                 print(line(G, inst, name, seed, spec, label), flush=True)
         spec = G.harness.build_spec(inst.spec.dataset, model=wl.model, q=q, reg=wl.reg,
                                     lambda_ratio=LOW_LAMBDA)
         label = f"{wl.name}@{LOW_LAMBDA:g}"
+        print(line(G, inst, "reference", 0, spec, label), flush=True)
         for name in run.STOCHASTIC:
             for seed in LOW_LAMBDA_SEEDS:
                 print(line(G, inst, name, seed, spec, label), flush=True)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import _gather_rows, soft_threshold
-from gapsgd.solvers import (_CHUNK_ENTRIES, _compact, _one_pass_bound, _plan,
+from gapsgd.solvers import (_CHUNK_ENTRIES, _columns, _compact, _one_pass_bound, _plan,
                             _plan_dense, _power_sigma, _resolve, _spectral_bound,
                             dense_step_gradient, inner_budget, step_gradient)
 
@@ -549,6 +549,34 @@ def test_all_rows_gather_is_the_gather_of_every_row(layout):
             assert rp.dtype == np.intp and np.array_equal(rp, want)
             for got, ref in zip((cols, vals), w.entries):
                 assert got.dtype == ref.dtype and np.array_equal(got, np.tile(ref, c))
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
+def test_refinement_columns_are_the_design_columns_bit_for_bit(layout):
+    """_columns gathers a support's columns from a working design's entries,
+    with the bytes of scipy's column slice ds.A[:, S] in column-major order,
+    kept here as the oracle, and F-contiguous: on the dataset's working design
+    and on a design cut from it, for an L1 support of scattered coordinates
+    that holds a column with no stored entry, a group-L2 support of whole
+    blocks, one column, and the empty column alone."""
+    spec, a, _ = _kernel_instance(layout)
+    part = spec.partition
+    empty = part.groups[1][1]
+    a[:, empty] = 0.0
+    ds = G.Dataset(a, spec.dataset.y)
+    spec = dataclasses.replace(spec, dataset=ds)
+    work = _compact(spec, np.arange(part.q))
+    for w in (work, _compact(spec, np.array([1, part.q - 1]), work)):
+        feats = np.sort(w.features)
+        supports = (np.union1d(feats[::3], [empty]),
+                    np.sort(np.concatenate([part.groups[b] for b in w.blocks[::-2]])),
+                    feats[-1:], np.array([empty]))
+        for support in supports:
+            got = _columns(spec, w, support)
+            want = ds.A[:, support].toarray(order="F")
+            assert got.flags.f_contiguous and got.shape == want.shape
+            assert got.dtype == want.dtype and got.tobytes(order="A") == want.tobytes(order="A")
+            assert np.array_equal(got, want)
 
 
 # The bincount planner and kernel that the compiled CSR loops replaced, kept
@@ -1175,10 +1203,10 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         calls.append((args[1].copy(), obj, gap))
         return obj, g, dp, gap
 
-    def spied_certificate(spec, x):
+    def spied_certificate(spec, x, work):
         refining[0] = True
         try:
-            out = certify(spec, x)
+            out = certify(spec, x, work)
         finally:
             refining[0] = False
         certs.append((G.solvers._model(spec, x), out))
@@ -2311,13 +2339,15 @@ def test_a_failed_refinement_is_retried_once_the_gap_falls_tenfold(monkeypatch):
     x = 1.05 * G.reference_solve(spec, tol=1e-12).x_final
     evaluation = G.solvers.evaluate(spec, x, spec.dataset.A @ x)
     gap, model, active = evaluation[3], G.solvers._model(spec, x), G.ActiveSet.full(spec)
+    work = G.solvers._compact(spec, active.blocks)
     calls = _spy_refinements(monkeypatch)
     slot = model, None, 5.0 * gap
-    assert G.solvers._certify(spec, active, x, evaluation, 1e-12, None, slot) == (
+    assert G.solvers._certify(spec, active, x, evaluation, 1e-12, None, slot, work) == (
         False, None, model, slot)
     assert calls == []
     slot = model, None, 20.0 * gap
-    _, kept, _, slot = G.solvers._certify(spec, active, x, evaluation, 1e-12, None, slot)
+    _, kept, _, slot = G.solvers._certify(spec, active, x, evaluation, 1e-12, None, slot,
+                                          work)
     assert len(calls) == 1 and slot[0] == model and slot[2] == gap
     assert kept is slot[1] and np.array_equal(kept[0], calls[0][2])
     assert kept[1][0] < evaluation[0]
@@ -2441,7 +2471,8 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
     if off:
         refine = G.solvers._refine_support
         monkeypatch.setattr(G.solvers, "_refine_support",
-                            lambda spec, x: None if (r := refine(spec, x)) is None else 1.5 * r)
+                            lambda spec, x, work: (None if (r := refine(spec, x, work)) is None
+                                                   else 1.5 * r))
     screens = _spy_screens(monkeypatch)
     certified, certify = [], G.solvers._certify
 
@@ -2573,8 +2604,8 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
     row's screen."""
     results, certificate = [], G.solvers._refined_certificate
 
-    def spied(spec, x):
-        out = certificate(spec, x)
+    def spied(spec, x, work):
+        out = certificate(spec, x, work)
         results.append(out)
         return out
 
@@ -2708,3 +2739,123 @@ def test_solvers_that_never_screen_never_refine(monkeypatch, solver):
                                        max_outer=300, eta=tuned_eta(spec)))
     assert rep.converged and calls == []
     assert not any(r.refined_dual for r in rep.trace)
+
+
+# ------------------------------------------------------- products on a design
+
+PRODUCT_CASES = {
+    "scattered": lambda: dataclasses.replace(
+        make_instance(seed=61, n=80, d=60, q=6, support=4),
+        partition=G.BlockPartition([np.arange(j, 60, 6) for j in range(6)])),
+    "mu-p": lambda: make_instance(seed=62, n=80, d=120, q=10, mu_p=0.01),
+    "low-lam": lambda: make_instance(seed=63, n=80, d=120, q=10, ratio=0.25),
+    "logistic-group": lambda: make_instance(seed=49, n=60, d=80, q=10, model="logistic",
+                                            reg="group_l2"),
+}
+
+
+@pytest.mark.parametrize("rho", STORAGES, ids=["sparse", "dense"])
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
+    """Each A x a solve forms runs on a working design that holds x's
+    support, never on the whole dataset; a point nonzero off that design
+    would lose terms and could certify a wrong gap. So every z that
+    evaluate is given, and the z whose derivatives _zero_dropped takes for a
+    new snapshot, must have the bytes of ds.A @ x, and the point that
+    _zero_dropped or a refinement (_refined_certificate) gets with a design
+    must be zero off that design's columns: for adsgd, mrbcd and proxsvrg at
+    a sampled and at the full batch, and for the reference, on a scattered
+    partition, under mu_p > 0, at 0.25 lam_max and on a group-L2 instance
+    whose screens zero x_hat on dropped blocks, on both storages. A solve
+    that passes a row the design of an earlier epoch than the one that
+    produced its point fails here."""
+    monkeypatch.setattr(G.solvers, "_RHO", rho)
+    spec = PRODUCT_CASES[case]()
+    ds = spec.dataset
+    checked = {"evaluate": 0, "snapshot": 0, "refinement": 0}
+    evaluate, zero_dropped = G.solvers.evaluate, G.solvers._zero_dropped
+    certificate = G.solvers._refined_certificate
+    deriv, inside, derived = type(spec.loss).deriv, [False], []
+
+    def on(x, work):
+        off = np.ones(ds.d, dtype=bool)
+        off[work.features] = False
+        return not np.any(x[off])
+
+    def spied_evaluate(spec, x, z):
+        assert z.tobytes() == (ds.A @ x).tobytes()
+        checked["evaluate"] += 1
+        return evaluate(spec, x, z)
+
+    def spied_deriv(self, z, y):
+        if inside[0]:
+            derived.append(z.copy())
+        return deriv(self, z, y)
+
+    def spied_zero_dropped(spec, active, safe, x_hat, snap, *args):
+        inside[0] = True
+        try:
+            out = zero_dropped(spec, active, safe, x_hat, snap, *args)
+        finally:
+            inside[0] = False
+        assert on(x_hat, *args)
+        for z in derived:  # x_hat was zeroed in place on the dropped blocks
+            assert z.tobytes() == (ds.A @ x_hat).tobytes()
+            checked["snapshot"] += 1
+        derived.clear()
+        return out
+
+    def spied_certificate(spec, x, work=None):
+        if work is not None:
+            assert on(x, work)
+            checked["refinement"] += 1
+        return certificate(spec, x, work)
+
+    monkeypatch.setattr(G.solvers, "evaluate", spied_evaluate)
+    monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
+    monkeypatch.setattr(type(spec.loss), "deriv", spied_deriv)
+    monkeypatch.setattr(G.solvers, "_zero_dropped", spied_zero_dropped)
+    # the logistic group-L2 step that makes a screen drop a nonzero block
+    block_eta = tuned_eta(spec, 1.0 if case == "logistic-group" else 4.0)
+    for solver, eta in (("adsgd", block_eta), ("mrbcd", block_eta),
+                        ("proxsvrg", tuned_eta(spec, 16.0))):
+        for batch_size in (1, 10, ds.n):
+            G.solve(spec, G.SolverConfig(solver=solver, seed=49, gap_tol=1e-10, max_outer=40,
+                                         m=ds.n, batch_size=batch_size, eta=eta))
+    rep = G.reference_solve(spec, tol=1e-10)
+    assert rep.converged
+    assert checked["evaluate"] > 0 and checked["refinement"] > 0
+    if case == "logistic-group":
+        assert checked["snapshot"] > 0
+
+
+class _Tripwire(sp.csr_matrix):
+    """A CSR design that refuses every product with a vector or matrix and every slice."""
+
+    def _matmul_vector(self, other):
+        raise AssertionError("a product with the whole design")
+
+    def _matmul_multivector(self, other):
+        raise AssertionError("a product with the whole design")
+
+    def __getitem__(self, key):
+        raise AssertionError("a slice of the whole design")
+
+
+@pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
+def test_a_warm_adsgd_solve_forms_no_product_or_slice_of_the_design(monkeypatch, case):
+    """Once a dataset's column bounds are memoised, an adsgd solve with an
+    explicit eta multiplies and slices only working designs: it forms no A x
+    and no column slice of ds.A, its refinements certify, and its A'g goes
+    through Dataset.rmatvec. It returns the bits of the cold solve."""
+    spec = SCREENED_RUNS[case]()
+    cfg = G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300, eta=tuned_eta(spec))
+    cold = G.adsgd_solve(spec, cfg)
+    ds, calls, rmatvec = spec.dataset, [], G.Dataset.rmatvec
+    monkeypatch.setattr(ds, "A", _Tripwire(ds.A))
+    monkeypatch.setattr(G.Dataset, "rmatvec",
+                        lambda self, v: calls.append(v.size) or rmatvec(self, v))
+    warm = G.adsgd_solve(spec, cfg)
+    assert warm.converged and warm.trace[-1].restart == "refined" and calls
+    assert np.array_equal(warm.x_final, cold.x_final)
+    assert [r.gap for r in warm.trace] == [r.gap for r in cold.trace]
