@@ -53,33 +53,32 @@ stored entries (_refinable), _refine_support solves the smooth stationarity
 system on that model, in at most _REFINE_STEPS Newton steps whose residual
 must reach _REFINE_TOL * lam. It gathers the model's columns from the
 working design of the epoch that produced the point (_columns), and A x_r
-is formed on that design too. Later rows of the model reuse the result, but
-a refinement that found no point is tried again once the row's gap falls
-below a tenth of the gap it was tried at, since Newton steps from an early
-iterate can fail where those from a closer iterate of the same model
-converge. The epoch runs as _SUB_EPOCHS sub-epochs, and at each boundary but
-the last it refines the inner iterate's model the same way where that model
-held since the previous boundary and is not the slot's, with the gap of the
-row that opened the epoch as its try gap. Where the refined point's own gap
-is at most gap_tol the epoch ends there, so a model is refined on the first
-row or boundary that holds it, and the next row finds the refinement in the
-slot. A boundary evaluates the refined point alone, never the inner iterate,
-so the check adds no evaluation of its own. A Lasso model's system is
-linear, so its first step solves it. Where the solution flips the sign of an
-L1 coordinate, the refinement drops every flipped coordinate from the model
-and solves again on the smaller support, within the same step budget, until
-the signs agree (the active-set move of feature-sign search: Lee, Battle,
-Raina & Ng, NeurIPS 2007). That prunes the coordinates of about 1e-9 that
-x_hat keeps off the optimum's support, whose correlation stays below lam.
+is formed on that design too. The solve keeps the last refinement in a
+slot, its model and its result, a point or None, as Celer keeps its working
+set's solution, and later rows of the model reuse it: a model is not refined
+again while the slot holds it. The epoch runs as _SUB_EPOCHS sub-epochs, and
+at each boundary but the last it refines the inner iterate's model the same
+way where that model held since the previous boundary and is not the slot's.
+Where the refined point's own gap is at most gap_tol the epoch ends there, so
+a model is refined on the first row or boundary that holds it, and the next
+row finds the refinement in the slot. A boundary evaluates the refined point
+alone, never the inner iterate, so the check adds no evaluation of its own.
+A Lasso model's system is linear, so its first step solves it. Where the
+solution flips the sign of an L1 coordinate, the refinement drops every
+flipped coordinate from the model and solves again on the smaller support,
+within the same step budget, until the signs agree (the active-set move of
+feature-sign search: Lee, Battle, Raina & Ng, NeurIPS 2007). That prunes
+the coordinates of about 1e-9 that x_hat keeps off the optimum's support,
+whose correlation stays below lam.
 
 The refined point x_r is evaluated on the full problem, and where
 P(x_r) < P(x_hat) it becomes the row's point with that whole evaluation, as
 Celer takes its working set's solution for its iterate (Massias, Gramfort &
 Salmon, ICML 2018); a tie keeps x_hat. The row then certifies, screens,
 scores the working set and takes its snapshot from x_r and x_r's own dual
-point, and the next epoch starts from x_r, with x_r's gap as its try gap
-and x_r's model as the previous row's. x_r lies on x_hat's support, inside
-the safe set, and its own derivatives keep the variance correction exact.
+point, and the next epoch starts from x_r, with x_r's model as the previous
+row's. x_r lies on x_hat's support, inside the safe set, and its own
+derivatives keep the variance correction exact.
 So every row's gap is P - D of one point and that point's own dual point,
 scaled over every block: it bounds the point's suboptimality whatever the
 model or the screens. A row whose point is x_r stops the solve only where
@@ -241,16 +240,16 @@ class TraceRecord:
     last "refined" row may also follow straight after the screen of a
     "refined" row that left exactly x_r's blocks: it holds the same x_r, ran
     no epoch, so its working_blocks and inner_steps are 0, and its safe set
-    and radius are that screen's. refined_dual marks the same rows as a
-    "refined" restart: the gap comes from a support refinement's point and
-    its dual point. identified is True where a screening solve has
-    identified the row's model: the safe set holds exactly the nonzero
-    blocks of the row's point, and, where that point is not a refined one,
-    its model is the previous row's. A refined point stops a solve only on
-    an identified row. The reference solver's rows after the first are
-    "last", but for a stop row that returns the point of its support
-    refinement, which is "refined"; it takes no inner steps, so its
-    inner_steps are 0.
+    and radius are that screen's. refined_dual is restart == "refined" in
+    every solver, kept as a trace CSV column: the gap comes from a support
+    refinement's point and its dual point. identified is True where a
+    screening solve has identified the row's model: the safe set holds
+    exactly the nonzero blocks of the row's point, and, where that point is
+    not a refined one, its model is the previous row's. A refined point
+    stops a solve only on an identified row. The reference solver's rows
+    after the first are "last", but for a stop row that returns the point of
+    its support refinement, which is "refined"; it takes no inner steps, so
+    its inner_steps are 0.
     """
 
     outer_iter: int
@@ -718,25 +717,23 @@ def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot, work):
     evaluation is x_hat's on the full problem, and work the working design
     of the epoch that produced x_hat, which holds x_hat's support, so a
     refinement made here runs on it. prev is the previous row's model and
-    slot the last refinement, (its model, its result, the row gap it was
-    tried at), made by a row or by a sub-epoch boundary (_epoch), whose try
-    gap is then the gap of the row that opened its epoch. A model
-    that passes the cost gate (_refinable) is refined on the first row that
-    holds it unless a boundary already put it in the slot, and again, if the
-    last try found no point, once the row's gap falls below a tenth of that
-    try's gap. Returns (identified, kept, model, slot). Where the slot holds
-    the refinement x_r of x_hat's model with P(x_r) < P(x_hat), kept is
-    (x_r, its evaluation), which becomes the row's point, model is x_r's,
-    and the row is identified where the safe set holds exactly x_r's nonzero
-    blocks. Otherwise kept is None, model is x_hat's, and the row is
-    identified where that model is prev and the safe set holds exactly
-    x_hat's nonzero blocks.
+    slot the last refinement, (its model, its result), made by a row or by a
+    sub-epoch boundary (_epoch). A model that passes the cost gate
+    (_refinable) is refined on the first row that holds it unless the slot
+    already holds it, so a model whose refinement found no point is not
+    refined again while it lasts. Returns (identified, kept, model, slot).
+    Where the slot holds the refinement x_r of x_hat's model with
+    P(x_r) < P(x_hat), kept is (x_r, its evaluation), which becomes the
+    row's point, model is x_r's, and the row is identified where the safe
+    set holds exactly x_r's nonzero blocks. Otherwise kept is None, model is
+    x_hat's, and the row is identified where that model is prev and the safe
+    set holds exactly x_hat's nonzero blocks.
     """
     obj, _, _, gap = evaluation
     model = _model(spec, x_hat)
     if gap > gap_tol and _refinable(spec, x_hat):
-        if slot[0] != model or (slot[1] is None and gap < 0.1 * slot[2]):
-            slot = model, _refined_certificate(spec, x_hat, work), gap
+        if slot[0] != model:
+            slot = model, _refined_certificate(spec, x_hat, work)
         kept = slot[1]
         if kept is not None and kept[1][0] < obj:
             x_r = kept[0]
@@ -762,7 +759,7 @@ _SUB_EPOCHS = 8
 
 
 def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling, slot,
-           own, gap_tol):
+           gap_tol):
     """(x, evaluation, label, updates, taken, slot) of at most `steps` inner
     steps from x_hat on the working design work: _restart's next iterate,
     evaluation and label, the number of coordinate updates, the number of
@@ -773,14 +770,13 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
     working column.
 
     slot is None for a solve that never screens, whose epoch takes every step.
-    A screening solve passes the engine's slot (_certify), own, x_hat's own
-    gap, which is the row's, and the solve's gap_tol, and its epoch runs as
-    _SUB_EPOCHS sub-epochs of ceil(steps / _SUB_EPOCHS) steps. At each
-    boundary but the last, where x_cur's model (_model, in feature ids) is
-    the one it had at the previous boundary, or at the start, and passes the
-    refinement's cost gate (_refinable), and is not the model the slot holds,
-    the model is refined once into the slot, with x_hat's own gap as its try
-    gap, so the tenfold retry rule of _certify still holds. Where that
+    A screening solve passes the engine's slot (_certify) and the solve's
+    gap_tol, and its epoch runs as _SUB_EPOCHS sub-epochs of
+    ceil(steps / _SUB_EPOCHS) steps. At each boundary but the last, where
+    x_cur's model (_model, in feature ids) is the one it had at the previous
+    boundary, or at the start, and passes the refinement's cost gate
+    (_refinable), and is not the model the slot holds, the model is refined
+    once into the slot, which then holds (model, result). Where that
     refined point's own gap is at most gap_tol the epoch ends there: the next
     row finds the refinement in the slot, and takes it where its objective
     is the lower. Under a zero _REFINE_COST no model passes the gate, so such
@@ -847,7 +843,7 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
         x[wfeat] = x_cur
         was, model = model, _model(spec, x)
         if model == was and slot[0] != model and _refinable(spec, x):
-            slot = model, _refined_certificate(spec, x, work), own
+            slot = model, _refined_certificate(spec, x, work)
             if slot[1] is not None and slot[1][1][3] <= gap_tol:
                 break
     x_sum /= taken
@@ -899,25 +895,25 @@ def _engine(spec, config, *, block_sampling, screening):
     coord_updates, converged, k = 0, False, 0
     radius, width, taken = math.inf, 0, 0
     # the last row's model; the last refinement, of a screening solve only
-    model, slot = None, (None, None, None) if screening else None
+    model, slot = None, (None, None) if screening else None
     evaluation, restart = evaluate(spec, x_hat, np.zeros(spec.dataset.n)), "start"
     runaway = _RUNAWAY * evaluation[0]
 
-    def record(obj, gap, refined, identified):
+    def record(obj, gap, identified):
         """Append row k, of x_hat on the safe set active."""
         trace.append(TraceRecord(outer_iter=k, elapsed_s=time.perf_counter() - start,
                                  objective=obj, gap=float(gap),
                                  active_blocks=active.n_blocks,
                                  active_features=active.n_features,
                                  radius=radius, working_blocks=width, restart=restart,
-                                 refined_dual=refined, identified=identified,
+                                 refined_dual=restart == "refined", identified=identified,
                                  inner_steps=taken))
         active_history.append(active.blocks.copy())
         if iterates is not None:
             iterates.append(x_hat.copy())
 
     while True:
-        refined = identified = False
+        identified = False
         if screening and np.isfinite(evaluation[0]):
             # a refined point with the lower objective becomes the row's point,
             # with its whole evaluation
@@ -925,10 +921,10 @@ def _engine(spec, config, *, block_sampling, screening):
                                                      config.gap_tol, model, slot, work)
             if kept is not None:  # a copy: the screen may zero x_hat, the slot keeps x_r
                 x_hat, evaluation = kept[0].copy(), kept[1]
-                restart, refined = "refined", True
+                restart = "refined"
         obj, g_snap, dp, gap = evaluation
         snap = g_snap, dp.gradient
-        record(obj, gap, refined, identified)
+        record(obj, gap, identified)
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at outer iteration {k}",
                                   iteration=k)
@@ -936,7 +932,7 @@ def _engine(spec, config, *, block_sampling, screening):
             raise DivergenceError(f"objective ran away to {obj:.3g}, over {_RUNAWAY:g} "
                                   f"times P(0), at outer iteration {k}", iteration=k)
         # a refined point stops the solve only on an identified row
-        if gap <= config.gap_tol and (identified or not refined):
+        if gap <= config.gap_tol and (identified or restart != "refined"):
             converged = True
             break
         if k >= config.max_outer:
@@ -947,12 +943,12 @@ def _engine(spec, config, *, block_sampling, screening):
         if screening:
             radius = safe_radius(spec, gap)
             safe = screen(spec, dp, radius, active, bounds)
-            if (refined and gap <= config.gap_tol
+            if (restart == "refined" and gap <= config.gap_tol
                     and np.array_equal(_blocks(spec, x_hat), safe.blocks)):
                 # the screen left exactly the refined point's blocks: it is the
                 # next row, with no epoch in between
                 active, width, taken, converged = safe, 0, 0, True
-                record(obj, gap, True, True)
+                record(obj, gap, True)
                 break
             snap, active = _zero_dropped(spec, active, safe, x_hat, snap, work), safe
         width = taken = 0
@@ -973,7 +969,7 @@ def _engine(spec, config, *, block_sampling, screening):
         width = work.blocks.size
         x_hat, evaluation, restart, updates, taken, slot = _epoch(
             spec, work, x_hat, snap, inner_budget(m, width, spec.partition.q), rng, eta,
-            batch_size, block_sampling, slot, gap, config.gap_tol)
+            batch_size, block_sampling, slot, config.gap_tol)
         coord_updates += updates
 
     return SolveReport(

@@ -16,16 +16,18 @@ stochastic solver at seeds 0-1, since no benchmark workload sets mu_p. Then
 come those of the same instance solved by adsgd and proxsvrg at batch_size =
 n (labelled "<workload>+full-batch"), seeds 0-1, with m = FULL_BATCH_M and
 max_outer = FULL_BATCH_OUTER, since every benchmark solve samples its rows.
-Last come those of the same data and lam on a scattered partition of as many
+Then come those of the same data and lam on a scattered partition of as many
 blocks, block j holding the features j, j + q, j + 2q, ... (labelled
 "<workload>+scattered"), solved by the reference and by each stochastic
 solver at seeds 0-1, since every benchmark partition is contiguous. Then come
 those of the same data at lam = LOW_LAMBDA * lambda_max (labelled
 "<workload>@0.25"), solved by the reference and by each stochastic solver at
 the benchmark's settings for seeds 0-1, since every benchmark workload runs
-at LAMBDA_RATIO = 0.5. A change that keeps every
-iterate prints the same lines, so `diff` of two checkouts' outputs shows any
-solve whose bits moved. The module reads benchmarks/run.py and changes
+at LAMBDA_RATIO = 0.5. Last come those of the same data at
+lam = LOWEST_LAMBDA * lambda_max (labelled "<workload>@0.1"), solved by adsgd
+at the benchmark's settings for seeds 0-1, where its solves run longest. A
+change that keeps every iterate prints the same lines, so `diff` of two
+checkouts' outputs shows any solve whose bits moved. The module reads benchmarks/run.py and changes
 nothing in it; pytest does not collect it.
 """
 
@@ -48,6 +50,7 @@ FULL_BATCH_SOLVERS, FULL_BATCH_SEEDS = ("adsgd", "proxsvrg"), range(2)
 FULL_BATCH_M, FULL_BATCH_OUTER = 20, 4
 SCATTERED_SEEDS = range(2)
 LOW_LAMBDA, LOW_LAMBDA_SEEDS = 0.25, range(2)
+LOWEST_LAMBDA, LOWEST_LAMBDA_SEEDS = 0.1, range(2)
 
 
 def _digest(arr):
@@ -104,6 +107,11 @@ def main():
         for name in run.STOCHASTIC:
             for seed in LOW_LAMBDA_SEEDS:
                 print(line(G, inst, name, seed, spec, label), flush=True)
+        spec = G.harness.build_spec(inst.spec.dataset, model=wl.model, q=q, reg=wl.reg,
+                                    lambda_ratio=LOWEST_LAMBDA)
+        label = f"{wl.name}@{LOWEST_LAMBDA:g}"
+        for seed in LOWEST_LAMBDA_SEEDS:
+            print(line(G, inst, "adsgd", seed, spec, label), flush=True)
 
 
 if __name__ == "__main__":

@@ -2326,31 +2326,38 @@ def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     assert np.array_equal(rep.x_final, calls[-1][2])
 
 
-def test_a_failed_refinement_is_retried_once_the_gap_falls_tenfold(monkeypatch):
-    """Where the slot holds x_hat's model with no point, tried at gap g, a
-    row refines that model again only once its own gap falls below g / 10.
-    At a gap of g / 5 _certify leaves the slot as it is and the row keeps
-    x_hat. At g / 20 it refines again, the slot records the new try at the
-    row's gap, and the point it finds, of lower objective, becomes the
-    row's. On this logistic group-L2 instance at lam = 0.25 lam_max, a point
-    5% off the optimum stands for x_hat."""
+def test_a_model_whose_refinement_found_no_point_is_not_refined_again(monkeypatch):
+    """A row refines x_hat's model only where the slot does not hold it, so a
+    model whose refinement found no point is not refined again while it
+    lasts, however far the row's gap falls. Here the first try, at x_hat's
+    gap g, finds no point and leaves (model, None) in the slot. At gaps of
+    g / 5, g / 20 and g / 1000 _certify then makes no refinement, keeps x_hat
+    and returns the slot unchanged. On this logistic group-L2 instance at
+    lam = 0.25 lam_max, a point 5% off the optimum stands for x_hat, and a
+    second try would find a point of lower objective."""
     spec = make_instance(seed=22, n=200, d=100, q=10, model="logistic", reg="group_l2",
                          support=3, ratio=0.25)
     x = 1.05 * G.reference_solve(spec, tol=1e-12).x_final
     evaluation = G.solvers.evaluate(spec, x, spec.dataset.A @ x)
     gap, model, active = evaluation[3], G.solvers._model(spec, x), G.ActiveSet.full(spec)
     work = G.solvers._compact(spec, active.blocks)
-    calls = _spy_refinements(monkeypatch)
-    slot = model, None, 5.0 * gap
-    assert G.solvers._certify(spec, active, x, evaluation, 1e-12, None, slot, work) == (
-        False, None, model, slot)
-    assert calls == []
-    slot = model, None, 20.0 * gap
-    _, kept, _, slot = G.solvers._certify(spec, active, x, evaluation, 1e-12, None, slot,
-                                          work)
-    assert len(calls) == 1 and slot[0] == model and slot[2] == gap
-    assert kept is slot[1] and np.array_equal(kept[0], calls[0][2])
-    assert kept[1][0] < evaluation[0]
+    assert G.solvers._refined_certificate(spec, x, work)[1][0] < evaluation[0]
+    calls, refine = [], G.solvers._refine_support
+
+    def spied(spec, x, *args):  # the first try finds no point
+        calls.append(x.copy())
+        return refine(spec, x, *args) if len(calls) > 1 else None
+
+    monkeypatch.setattr(G.solvers, "_refine_support", spied)
+    _, kept, _, slot = G.solvers._certify(spec, active, x, evaluation, 1e-12, None,
+                                          (None, None), work)
+    assert len(calls) == 1 and kept is None and slot[:2] == (model, None)
+    for row_gap in (gap / 5.0, gap / 20.0, gap / 1000.0):
+        assert row_gap > 1e-12
+        out = G.solvers._certify(spec, active, x, (*evaluation[:3], row_gap), 1e-12, None,
+                                 slot, work)
+        assert len(calls) == 1 and out == (False, None, model, slot)
+    assert slot == (model, None)
 
 
 def _failing_solve(monkeypatch, fails):
@@ -2530,16 +2537,15 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     is nonzero and within the cost bound, whether or not the model is
     identified yet, and keeps the refinement in its slot while the model
     holds (these runs never come back to an earlier model). A boundary
-    refines x_cur's model, never the model of the row that opened its epoch,
-    and stores that row's gap as its try gap. A model is refined again only
-    where its last try found no point, on a row whose own point's gap has
-    fallen below a tenth of that try gap; every row whose own point brings a
-    new such model is refined, there or at a boundary of the epoch that
-    produced it, unless it stops on that point's own gap. The safe set need
-    not hold just the row's nonzero blocks yet, but a row is identified
-    only where it does, and, where the row keeps its own point, where that
-    point's model is the previous row's; only an identified row stops on a
-    refined point."""
+    refines x_cur's model, never the model of the row that opened its epoch.
+    A model is refined at most once per solve, at a row or at a boundary,
+    whether or not that refinement found a point, so no gap is kept for a
+    try; every row whose own point brings a new such model is refined, there
+    or at a boundary of the epoch that produced it, unless it stops on that
+    point's own gap. The safe set need not hold just the row's nonzero blocks
+    yet, but a row is identified only where it does, and, where the row keeps
+    its own point, where that point's model is the previous row's; only an
+    identified row stops on a refined point."""
     spec = SCREENED_RUNS[case]()
     calls = _spy_refinements(monkeypatch)
     spans = _spy_epochs(monkeypatch, calls)
@@ -2553,23 +2559,13 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     def model(x):
         return G.solvers._model(spec, x)
 
-    def own_gap(x):
-        return G.solvers.evaluate(spec, x, spec.dataset.A @ x)[3]
-
-    refined, tries = set(), {}  # model -> (try gap of its last try, found)
-    for (x, m, x_r), (k, boundary) in zip(calls, _refinement_sites(rep, calls, spans)):
+    refined, tries = set(), set()
+    for (x, m, _), (k, boundary) in zip(calls, _refinement_sites(rep, calls, spans)):
         assert np.any(x) and _within_refinement_cost(spec, _unknowns(spec, x))
-        if boundary:  # x_cur's model, new to the slot; the epoch's row gap is the try's
-            assert m not in tries and model(rep.iterates[k - 1]) != m
-            own = rep.trace[k - 1].gap
-        else:
-            assert np.array_equal(x, points[k])
-            own = own_gap(x)
-            if m in tries:  # a retry
-                assert not tries[m][1] and own < 0.1 * tries[m][0]
-            else:
-                assert k > 0 and model(rep.iterates[k - 1]) != m
-        tries[m] = own, x_r is not None
+        # once per solve, and never the model of row k - 1
+        assert m not in tries and k > 0 and model(rep.iterates[k - 1]) != m
+        assert boundary or np.array_equal(x, points[k])
+        tries.add(m)
         refined.add((k, m))
     for k, x in enumerate(points[1:], 1):
         row = rep.trace[k]
