@@ -46,6 +46,12 @@ def _is_count(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_real(v):
+    """Whether v is a Python or numpy real number; a bool, Python's or numpy's,
+    is not a step size, a tolerance or a weight."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def soft_threshold(v, t, out=None):
     """Coordinate-wise shrinkage sign(v) * max(|v| - t, 0), as v - clip(v, -t, t).
 
@@ -350,10 +356,10 @@ class ProblemSpec:
     mu_p: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not 0 <= self.mu_p < math.inf:
-            raise ValueError(f"mu_p must be nonnegative and finite, got {self.mu_p}")
+        if not (_is_real(self.lam) and 0 < self.lam < math.inf):
+            raise ValueError(f"lam must be positive and finite, got {self.lam!r}")
+        if not (_is_real(self.mu_p) and 0 <= self.mu_p < math.inf):
+            raise ValueError(f"mu_p must be nonnegative and finite, got {self.mu_p!r}")
         if self.partition.d != self.dataset.d:
             raise ValueError("partition does not cover the dataset features")
         self.loss.validate_labels(self.dataset.y)

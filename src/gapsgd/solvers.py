@@ -91,25 +91,25 @@ off the optimum's support, the solve goes on until a screen drops that
 block, usually the one x_r's own gap sizes. report.dual is the last row's
 dual point, so P(x_final) - D(report.dual) is report.gap.
 
-Every inner step of every solver goes through one of two gradient kernels,
-one per storage of the working design (below): the sampled rows'
-derivatives, relative to the snapshot's, summed into the sampled block or
-into every working column. step_gradient runs two of scipy's compiled CSR
-loops over the batch's gathered entries: csr_matvec forms X_b x, and
-csc_matvec, reading the same entries as the CSC matrix of the batch's rows,
-sums coef X_b into every working column, of which a block step keeps its
-block's. Each adds its products to zeros in entry order, so a block's
-columns hold the sums over its entries alone, and every sum is that of a
-weighted np.bincount over the same products, to the bit (the tests keep
-that bincount kernel as the oracle). dense_step_gradient forms the same
-gradient from two matrix products, X_b x and coef X_b[:, lo:hi]. One epoch,
-its plan, steps and restart, runs in _epoch, which picks the kernel from the
-storage of the design the epoch runs on; _engine keeps the outer loop. Both
-kernels take a snapshot, so the steps have one formula, Prox-SVRG's (Xiao &
-Zhang, SIAM J. Optim. 2014). vr_gradient is one step of the engine's own
-plan: _compact builds the dataset's working design over every block, and the
-planner and kernel of its storage take the batch and block as a chunk of one
-step. partial_gradient is the same step on a zero snapshot.
+Every inner step of every solver is planned by _plan and runs the one
+gradient kernel, step_gradient: the sampled rows' derivatives, relative to
+the snapshot's, summed into the sampled block or into every working column,
+Prox-SVRG's formula (Xiao & Zhang, SIAM J. Optim. 2014). _plan gathers the
+batch's rows from the working design's storage (below), and step_gradient
+forms the two products from the form of those rows. On the sparse storage
+it runs two of scipy's compiled CSR loops over the gathered entries:
+csr_matvec forms X_b x, and csc_matvec, reading the same entries as the CSC
+matrix of the batch's rows, sums coef X_b into every working column, of
+which a block step keeps its block's. Each adds its products to zeros in
+entry order, so a block's columns hold the sums over its entries alone, and
+every sum is that of a weighted np.bincount over the same products, to the
+bit (the tests keep that bincount kernel as the oracle). On the dense twin
+the same gradient comes from two matrix products, X_b x and coef X_b[:,
+lo:hi]. One epoch, its plan, steps and restart, runs in _epoch; _engine
+keeps the outer loop. vr_gradient is one step of the engine's own plan:
+_compact builds the dataset's working design over every block, and _plan
+and step_gradient take the batch and block as a chunk of one step.
+partial_gradient is the same step on a zero snapshot.
 
 The working design is plain CSR over a set of block ids: the row pointers
 plus one array each of the column and value of every stored entry, in CSR
@@ -135,12 +135,13 @@ batch's rows, a full batch (batch_size == n) being the batch of every row.
 Each working design is stored by its own density. One that holds at least
 _RHO * n * p entries over its p columns also has a dense twin, an (n, p)
 array in the same column numbering (_Working.dense), built when an epoch
-first runs on it; the epochs on it take the dense kernel. The sparse kernel
-gathers and indexes every entry, which a BLAS product over the cells
-outruns where most cells are stored, and a very sparse design stored dense
-would multiply mostly zeros. The two storages sum in different orders, so
-their iterates agree to rounding, not bit for bit; each is deterministic
-for a seed.
+first runs on it; _plan then takes the batch's rows from the twin, not from
+the entries. The sparse loops gather and index every entry, which a BLAS
+product over the cells outruns where most cells are stored, and a very
+sparse design stored dense would multiply mostly zeros. The two storages
+sum in different orders, so their iterates agree to rounding, not bit for
+bit; each is deterministic for a seed. The choice lives in _Working.dense
+and _plan alone.
 
 The reference solver is FISTA with backtracking and momentum restarts. Its
 step constant starts at the one-pass bound c * max(max_i ||a_i||^2,
@@ -151,7 +152,8 @@ the iterate, plus one A'g at the extrapolated point y unless y is the
 iterate, as after a restart or a step from t = 1 (beta = 0); A y is the same
 combination of the last two products A x. Its L1 stop row is refined by the
 screening solves' own _refined_certificate, kept where its gap is smaller,
-which gathers its columns from the dataset's working design.
+on the dataset's working design, which it gathers its columns from and
+forms the refined point's A x on.
 
 The full-vector solver proxsvrg and the reference solver make one penalty
 prox call per step. For group-L2 it shrinks every block of one size with a
@@ -174,7 +176,7 @@ import numpy as np
 
 from .duality import ActiveSet, DualPoint, column_bounds, evaluate, safe_radius, screen
 from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_rows,
-                      _is_count, csc_matvec, csr_matvec, lipschitz_constants,
+                      _is_count, _is_real, csc_matvec, csr_matvec, lipschitz_constants,
                       smooth_gradient, smooth_value)
 
 
@@ -201,11 +203,11 @@ class SolverConfig:
 
     Unset fields resolve against the problem: eta to 1/(16 L), m to n and
     batch_size to min(10, n). m, batch_size, max_outer and seed must be
-    Python or numpy integers, and eta and gap_tol numbers, none of them a
-    bool. No field switches screening: adsgd
-    screens after every row, and mrbcd is the same engine without it. The
-    block partition and the perturbation mu_p belong to the ProblemSpec a
-    solver is given.
+    Python or numpy integers, eta and gap_tol real numbers, none of them a
+    bool, Python's or numpy's, and keep_iterates a bool. No field switches
+    screening: adsgd screens after every row, and mrbcd is the same engine
+    without it. The block partition and the perturbation mu_p belong to the
+    ProblemSpec a solver is given.
     """
 
     solver: str = "adsgd"
@@ -313,8 +315,10 @@ def _resolve(spec, config):
     lipschitz_constants."""
     n = spec.dataset.n
     for name, value in (("eta", config.eta), ("gap_tol", config.gap_tol)):
-        if isinstance(value, bool):
-            raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+        if not (_is_real(value) or name == "eta" and value is None):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not isinstance(config.keep_iterates, bool):
+        raise ValueError(f"keep_iterates must be a bool, got {config.keep_iterates!r}")
     eta = (config.eta if config.eta is not None
            else 1.0 / (16.0 * lipschitz_constants(spec).L))
     if not 0 < eta < math.inf:
@@ -379,10 +383,10 @@ class _Working:
     def dense(self):
         """The design as an (n, p) float64 array in the same column numbering,
         where it stores at least _RHO * n * p entries over its p columns, else
-        None: the one density test, which picks the planner and kernel of
-        every epoch and of every public gradient. Built when first read: the
-        engine reads it for the designs its epochs run on, not for the safe
-        set's design it only cuts from. Its row ids come from indptr."""
+        None: the one density test, which picks the rows _plan gathers for
+        every step of an epoch or of a public gradient. Built when first read:
+        the engine reads it for the designs its epochs run on, not for the
+        safe set's design it only cuts from. Its row ids come from indptr."""
         (cols, vals), n, p = self.entries, self.indptr.size - 1, self.features.size
         if vals.size < _RHO * n * p:
             return None
@@ -457,100 +461,68 @@ def _plan(work, y, g_snap, c, batches, ibs):
     batches is a (c, b) intp array of the rows each step takes, a full
     batch's being every row; ibs holds the c sampled block ranks in
     work.blocks, which number the blocks of work.layout, or is None for
-    full-vector steps. One _gather_rows call fetches the rows of every step,
-    with the chunk's row pointers rp. Returns an iterator of one (args, lo,
-    hi) per step, args being step_gradient's arguments between x and lo: the
-    chunk's (cols, vals), the step's b + 1 row pointers into them, and y and
-    the snapshot's derivatives on its batch. The step updates the working
-    columns lo:hi, its block's or all of them. A step's entries lie in the
-    order a gather of its batch alone would give them, so its sums add the
-    same terms in the same order. Each step's pointers are a view of the
-    chunk's, so a step slices no entry array.
+    full-vector steps. Returns an iterator of one ((rows, y_t, g_t), lo, hi)
+    per step: the step's rows of the design, y and the snapshot's
+    derivatives on its batch, and the working columns lo:hi it updates, its
+    block's or all of them. The rows come from work's storage: on the dense
+    twin (_Working.dense), one take gathers every step's, and rows is the
+    step's (b, p) array; else one _gather_rows call fetches them, and rows is
+    (cols, vals, rp), the chunk's entries and the step's b + 1 row pointers
+    into them, a view of the chunk's, so a step slices no entry array. A
+    step's entries lie in the order a gather of its batch alone would give
+    them, so its sums add the same terms in the same order.
     """
-    cols, vals, rp = _gather_rows(work.indptr, work.entries, batches)
     b = batches.shape[1]
-    ys = y[batches]  # iterated row by row
-    gs = g_snap[batches]
+    if work.dense is not None:
+        rows = work.dense.take(batches, axis=0)  # iterated step by step
+    else:
+        cols, vals, rp = _gather_rows(work.indptr, work.entries, batches)
+        rows = ((cols, vals, rp[s:s + b + 1]) for s in range(0, c * b, b))
     if ibs is None:
         los, his = [0] * c, [work.features.size] * c
     else:
         offsets = work.layout.offsets
         los, his = offsets[ibs].tolist(), offsets[ibs + 1].tolist()
-    return (((cols, vals, rp[s:s + b + 1], y_t, g_t), lo, hi)
-            for s, y_t, g_t, lo, hi in zip(range(0, c * b, b), ys, gs, los, his))
+    return zip(zip(rows, y[batches], g_snap[batches]), los, his)
 
 
-def step_gradient(loss, x, cols, vals, rp, y, g_ref, lo, hi, mu, x_ref, mu_p):
+def step_gradient(loss, x, rows, y, g_ref, lo, hi, mu, x_ref, mu_p):
     """Mini-batch gradient of the smooth part on the working columns lo:hi of x.
 
     The one gradient kernel, called positionally with one step of _plan:
-    batch row i holds the entries [rp[i], rp[i + 1]) of (cols, vals); y and
-    g_ref hold y and the snapshot's derivatives on the batch, mu the
-    snapshot's smooth gradient and x_ref the snapshot, in working columns, as
-    x is. partial_gradient passes a zero snapshot, whose terms drop out
-    exactly. csr_matvec forms A_b x, and csc_matvec, reading the entries as
-    the CSC matrix of the batch's rows, sums coef A_b into every working
-    column, each adding its products in entry order to zeros. A block step
-    keeps the columns lo:hi of that sum, which hold the products of the
-    block's entries alone, in the order a sum over them alone adds them.
-    Returns, as float64, the gradient on the columns lo:hi, a block or all
-    of them:
+    rows holds the batch's rows, y and g_ref y and the snapshot's
+    derivatives on the batch, mu the snapshot's smooth gradient and x_ref
+    the snapshot, in working columns, as x is. partial_gradient passes a
+    zero snapshot, whose terms drop out exactly. On sparse rows (cols, vals,
+    rp), batch row i holding the entries [rp[i], rp[i + 1]), csr_matvec
+    forms A_b x, and csc_matvec, reading the entries as the CSC matrix of
+    the batch's rows, sums coef A_b into every working column, each adding
+    its products in entry order to zeros; a block step keeps the columns
+    lo:hi of that sum, which hold the products of the block's entries alone,
+    in the order a sum over them alone adds them. On dense (b, p) rows two
+    ndarray.dot calls form A_b x and coef A_b[:, lo:hi]. Returns, as
+    float64, the gradient on the columns lo:hi, a block or all of them:
 
         A_b'(f'(A_b x) - g_ref) / b  +  mu  +  2 mu_p (x - x_ref)
     """
-    b = y.size
-    z = np.zeros(b)
-    csr_matvec(b, x.size, rp, cols, vals, x, z)
-    coef = (loss.deriv(z, y) - g_ref) / b
-    grad = np.zeros(x.size)
-    csc_matvec(x.size, b, rp, cols, vals, coef, grad)
-    grad = grad[lo:hi]
-    grad += mu[lo:hi]
-    if mu_p > 0:
-        grad += 2.0 * mu_p * (x[lo:hi] - x_ref[lo:hi])
-    return grad
-
-
-def _plan_dense(work, y, g_snap, c, batches, ibs):
-    """The c steps of one chunk on work.dense, as _plan takes them.
-
-    One take gathers the rows of every step, a full batch's included, as a
-    (c, b, p) array. Returns an iterator of one (args, lo, hi) per step,
-    args being dense_step_gradient's arguments between x and lo: (x_b, y_t,
-    g_t), the step's rows of the design and y and the snapshot's derivatives
-    on its batch. The step updates the working columns lo:hi, a block's for
-    block draws ibs, else all of them.
-    """
-    xs, ys, gs = work.dense.take(batches, axis=0), y[batches], g_snap[batches]  # step by step
-    if ibs is None:
-        lo, hi = [0] * c, [work.features.size] * c
+    b, sparse = y.size, type(rows) is tuple
+    if sparse:
+        cols, vals, rp = rows
+        z = np.zeros(b)
+        csr_matvec(b, x.size, rp, cols, vals, x, z)
     else:
-        lo, hi = work.layout.offsets[ibs].tolist(), work.layout.offsets[ibs + 1].tolist()
-    return zip(zip(xs, ys, gs), lo, hi)
-
-
-def dense_step_gradient(loss, x, x_b, y, g_ref, lo, hi, mu, x_ref, mu_p):
-    """step_gradient on a dense working design, called positionally with one
-    step of _plan_dense: x_b holds the batch's rows over every working column.
-
-    The same gradient on the columns lo:hi, from two matrix products:
-
-        A_b'(f'(A_b x) - g_ref) / b  +  mu  +  2 mu_p (x - x_ref)
-    """
-    b = float(y.size)  # a float divisor skips an int-to-float cast per call
-    gb = loss.deriv(x_b.dot(x), y)  # ndarray.dot skips the matmul ufunc's dispatch
-    coef = (gb - g_ref) / b
-    grad = coef.dot(x_b[:, lo:hi])
+        z = rows.dot(x)  # ndarray.dot skips the matmul ufunc's dispatch
+    coef = (loss.deriv(z, y) - g_ref) / float(b)  # a float divisor skips a cast
+    if sparse:
+        grad = np.zeros(x.size)
+        csc_matvec(x.size, b, rp, cols, vals, coef, grad)
+        grad = grad[lo:hi]
+    else:
+        grad = coef.dot(rows[:, lo:hi])
     grad += mu[lo:hi]
     if mu_p > 0:
         grad += 2.0 * mu_p * (x[lo:hi] - x_ref[lo:hi])
     return grad
-
-
-def _stepper(work):
-    """(planner, kernel) of work's storage, for every step of an epoch or a public gradient."""
-    return ((_plan, step_gradient) if work.dense is None
-            else (_plan_dense, dense_step_gradient))
 
 
 def _check_batch(spec, batch, block):
@@ -569,8 +541,8 @@ def _check_batch(spec, batch, block):
 
 def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     """One step's gradient on `block`, in feature ids: a one-step chunk of the
-    engine's epoch plan on the dataset's working design, run by the planner
-    and kernel of its storage (_stepper). x_tilde is the snapshot and mu its
+    engine's epoch plan on the dataset's working design, run by _plan and
+    step_gradient as an epoch runs it. x_tilde is the snapshot and mu its
     smooth gradient; the snapshot's derivatives are formed on the batch's
     rows alone, the only ones the step reads. Without x_tilde the snapshot is
     zero: zero derivatives, a zero gradient and a zero point, so the kernel's
@@ -579,15 +551,14 @@ def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     """
     ds = spec.dataset
     work = _compact(spec, np.arange(spec.partition.q))
-    plan, kern = _stepper(work)
     g_snap = np.zeros(ds.n)
     if x_tilde is None:
         x_tilde = mu = np.zeros(ds.d)
     else:
         g_snap[batch] = spec.loss.deriv(ds.A[batch] @ x_tilde, ds.y[batch])
     f = work.features  # working column p holds feature f[p]
-    (args, lo, hi), = plan(work, ds.y, g_snap, 1, batch[None], np.array([block]))
-    return kern(spec.loss, x[f], *args, lo, hi, mu[f], x_tilde[f], spec.mu_p)
+    (args, lo, hi), = _plan(work, ds.y, g_snap, 1, batch[None], np.array([block]))
+    return step_gradient(spec.loss, x[f], *args, lo, hi, mu[f], x_tilde[f], spec.mu_p)
 
 
 def partial_gradient(spec, x, batch, block):
@@ -685,19 +656,19 @@ def _blocks(spec, x):
     return np.unique(spec.partition.block_of[np.flatnonzero(x)])
 
 
-def _refined_certificate(spec, x, work=None):
+def _refined_certificate(spec, x, work):
     """(x_r, evaluation) of the refinement x_r of x, evaluation being x_r's
     full-problem (objective, derivatives, dual point, gap), or None where
     _refine_support finds no point within _REFINE_STEPS Newton steps whose
     residual reaches _REFINE_TOL * lam. x is zero off the columns of the
-    working design work, which _refine_support gathers its columns from, the
-    dataset's by default. x_r's support lies inside x's, so a screening
-    solve, which passes its epoch's design, forms A x_r on it (_matvec); the
-    reference, which passes none, forms it on A, as all its products."""
+    working design work: a screening solve passes its epoch's design, the
+    reference the dataset's. _refine_support gathers its columns from work,
+    and x_r's support lies inside x's, so A x_r is formed on work too
+    (_matvec)."""
     x_r = _refine_support(spec, x, work)
     if x_r is None:
         return None
-    z = spec.dataset.A @ x_r if work is None else _matvec(work, x_r[work.features])
+    z = _matvec(work, x_r[work.features])
     return x_r, evaluate(spec, x_r, z)
 
 
@@ -792,12 +763,11 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
     copy of the design. A bounded draw consumes the Philox stream alike alone
     or in an array (tests pin this), so the chunks draw the values of
     step-by-step draws and leave the stream in their state, on both storages
-    alike. The planner of work's storage (_stepper), _plan or _plan_dense,
-    yields the chunk's steps, and each chunk runs as one loop: a step calls
-    the kernel positionally, updates its columns lo:hi of the iterate in
-    place (grad *= eta, v -= grad, the prox written back into v) and adds the
-    iterate to the running sum, whose average over the steps taken is
-    _restart's first candidate.
+    alike. _plan yields the chunk's steps, gathered from work's storage, and
+    each chunk runs as one loop: a step calls step_gradient positionally,
+    updates its columns lo:hi of the iterate in place (grad *= eta, v -=
+    grad, the prox written back into v) and adds the iterate to the running
+    sum, whose average over the steps taken is _restart's first candidate.
     """
     n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
     prox, thresh = spec.reg.block_prox, eta * spec.lam
@@ -808,7 +778,6 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
     x_sum = np.zeros(wfeat.size)
     g_ref, mu = snap[0], snap[1][wfeat]
     classes = None if block_sampling else work.layout.classes
-    plan, kern = _stepper(work)
     per_step = (batch_size * int(np.diff(work.indptr).max()) if sampled
                 else work.entries[0].size)
     chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
@@ -828,8 +797,8 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
             batches = (draws[:, :batch_size] if sampled
                        else np.broadcast_to(np.arange(n), (c, n)))
             ibs = draws[:, -1] if block_sampling else None
-            for args, lo, hi in plan(work, y, g_ref, c, batches, ibs):
-                grad = kern(loss, x_cur, *args, lo, hi, mu, x_tilde, mu_p)
+            for args, lo, hi in _plan(work, y, g_ref, c, batches, ibs):
+                grad = step_gradient(loss, x_cur, *args, lo, hi, mu, x_tilde, mu_p)
                 grad *= eta
                 v = x_cur[lo:hi]
                 v -= grad
@@ -1110,7 +1079,7 @@ def _columns(spec, work, support):
     return out
 
 
-def _refine_support(spec, x, work=None):
+def _refine_support(spec, x, work):
     """Solve the smooth stationarity system on the model of x; the point, or None.
 
     The model is the support of x with its signs for L1, and the features of
@@ -1129,13 +1098,11 @@ def _refine_support(spec, x, work=None):
     x's signs there, and a residual of at most _REFINE_TOL * lam, else None,
     as where a group-L2 block collapses toward zero, which the model cannot
     express. Never raises. x is zero off the columns of the working design
-    work, the dataset's by default (_compact over every block), and each
-    round gathers its model's columns from work's entries (_columns): a
-    design cut to the epoch's working set holds far fewer entries than A.
+    work, and each round gathers its model's columns from work's entries
+    (_columns): a design cut to the epoch's working set holds far fewer
+    entries than A.
     """
     ds, part, l1 = spec.dataset, spec.partition, spec.reg.name == "l1"
-    if work is None:
-        work = _compact(spec, np.arange(part.q))
     if l1:
         support = np.flatnonzero(x != 0.0)
     else:
@@ -1219,13 +1186,13 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     the evaluation of x, plus one A'g at the extrapolated point y when y is
     not x (a restart, and a step from t = 1, where beta = 0, put y on x);
     A y = A xn + beta (A xn - A x) costs no product. The support refinement
-    gathers its columns from the dataset's working design, _compact over
-    every block, the default of _refined_certificate; one that returns a
-    point forms one more A x and one more A'g.
+    runs on the dataset's working design, _compact over every block: it
+    gathers its columns there, and one that returns a point forms its A x
+    there (_matvec) and one more A'g.
     """
     start = time.perf_counter()
-    if isinstance(tol, bool) or not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not (_is_real(tol) and 0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if not _is_count(max_iter) or max_iter < 0:
         raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
     ds = spec.dataset
@@ -1300,7 +1267,8 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         t_mom = t_new
 
     restart = "last" if it else "start"
-    ref = _refined_certificate(spec, x) if spec.reg.name == "l1" else None
+    ref = (_refined_certificate(spec, x, _compact(spec, np.arange(part.q)))
+           if spec.reg.name == "l1" else None)
     if ref is not None and ref[1][3] < gap:
         (x, (obj, _, dp, gap)), restart = ref, "refined"
     trace.append(row(obj, gap, restart))

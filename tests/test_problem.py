@@ -629,7 +629,9 @@ def test_problem_spec_validation():
     ds = G.Dataset(np.eye(2), np.array([1.0, 0.5]))
     part = G.BlockPartition.singletons(2)
     for lam, mu_p in ((0.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (1.0, -1.0),
-                      (1.0, np.nan), (1.0, np.inf)):
+                      (1.0, np.nan), (1.0, np.inf),
+                      # a bool, Python's or numpy's, is not a weight
+                      (True, 0.0), (np.True_, 0.0), (1.0, True), (1.0, np.True_)):
         with pytest.raises(ValueError):
             G.ProblemSpec(dataset=ds, partition=part, loss=G.LOSSES["squared"],
                           reg=G.REGULARIZERS["l1"], lam=lam, mu_p=mu_p)

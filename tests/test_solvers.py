@@ -10,13 +10,22 @@ import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import _gather_rows, soft_threshold
 from gapsgd.solvers import (_CHUNK_ENTRIES, _columns, _compact, _one_pass_bound, _plan,
-                            _plan_dense, _power_sigma, _resolve, _spectral_bound,
-                            dense_step_gradient, inner_budget, step_gradient)
+                            _power_sigma, _resolve, _spectral_bound, inner_budget,
+                            step_gradient)
 
 from conftest import epoch_rows, hand_lasso, inert_screening, make_instance, tuned_eta
 
 # _RHO = inf keeps every working design sparse, _RHO = 0 makes each one dense
 STORAGES = (math.inf, 0.0)
+
+
+def _form(rows):
+    """The storage a step's rows come from: "sparse" for the gathered entries
+    (cols, vals, rp), "dense" for a (b, p) array of the dense twin."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return "dense"
+    assert type(rows) is tuple and len(rows) == 3
+    return "sparse"
 
 
 # -------------------------------------------------------------- inner budget
@@ -75,59 +84,52 @@ def test_vr_gradient_exhaustive_average_is_unbiased():
 
 
 def test_public_gradients_run_the_kernel_of_the_design_storage(monkeypatch):
-    """partial_gradient and vr_gradient each make one call of the kernel the
-    engine would run on the uncompacted design's storage."""
+    """partial_gradient and vr_gradient each make one call of step_gradient,
+    on the rows of the storage the engine would run on the uncompacted
+    design: its gathered entries, or its dense twin's rows."""
     spec = make_instance(seed=4, n=45, d=24, q=4, mu_p=0.05)
     x, xt = np.ones(24), np.zeros(24)
     mu = G.full_gradient(spec, xt)
-    calls = []
-    for name in ("step_gradient", "dense_step_gradient"):
-        kernel = getattr(G.solvers, name)
-        monkeypatch.setattr(G.solvers, name,
-                            lambda *a, name=name, kernel=kernel: calls.append(name)
-                            or kernel(*a))
-    for rho, name in zip(STORAGES, ("step_gradient", "dense_step_gradient")):
+    calls, kernel = [], G.solvers.step_gradient
+    monkeypatch.setattr(G.solvers, "step_gradient",
+                        lambda *a: calls.append(_form(a[2])) or kernel(*a))
+    for rho, form in zip(STORAGES, ("sparse", "dense")):
         monkeypatch.setattr(G.solvers, "_RHO", rho)
         calls.clear()
         G.partial_gradient(spec, x, [0, 3], 1)
         G.vr_gradient(spec, x, xt, mu, [5], 2)
-        assert calls == [name, name]
+        assert calls == [form, form]
 
 
-@pytest.mark.parametrize("sparsity, kernel", [(0.03, "step_gradient"),
-                                              (0.5, "dense_step_gradient")])
-def test_a_public_gradient_is_the_engines_step_bit_for_bit(monkeypatch, sparsity, kernel):
+@pytest.mark.parametrize("sparsity, storage", [(0.03, "sparse"), (0.5, "dense")])
+def test_a_public_gradient_is_the_engines_step_bit_for_bit(monkeypatch, sparsity, storage):
     """On each step of mrbcd's second epoch, vr_gradient at the step's point,
     on its batch and block, with the epoch's snapshot (the first epoch's
     iterate) and that snapshot's full gradient, gives the bytes of the
     engine's kernel call, on the sparse storage and on the dense one."""
     spec = make_instance(seed=21, n=40, d=60, q=6, sparsity=sparsity, mu_p=0.01)
     m, steps, calls = 25, [], []
-    for name in ("_plan", "_plan_dense"):
-        real = getattr(G.solvers, name)
+    plan, kernel = G.solvers._plan, G.solvers.step_gradient
 
-        def plan(work, y, g_snap, c, batches, ibs, real=real):
-            steps.extend((work.features, b, ib) for b, ib in zip(batches, ibs))
-            return real(work, y, g_snap, c, batches, ibs)
+    def spied_plan(work, y, g_snap, c, batches, ibs):
+        steps.extend((work.features, b, ib) for b, ib in zip(batches, ibs))
+        return plan(work, y, g_snap, c, batches, ibs)
 
-        monkeypatch.setattr(G.solvers, name, plan)
-    for name in ("step_gradient", "dense_step_gradient"):
-        real = getattr(G.solvers, name)
+    def spied_kernel(loss, x, rows, *rest):
+        out = kernel(loss, x, rows, *rest)
+        calls.append((_form(rows), x.copy(), out.copy()))
+        return out
 
-        def kern(loss, x, *rest, name=name, real=real):
-            out = real(loss, x, *rest)
-            calls.append((name, x.copy(), out.copy()))
-            return out
-
-        monkeypatch.setattr(G.solvers, name, kern)
+    monkeypatch.setattr(G.solvers, "_plan", spied_plan)
+    monkeypatch.setattr(G.solvers, "step_gradient", spied_kernel)
     rep = G.mrbcd_solve(spec, G.SolverConfig(seed=2, m=m, max_outer=2, gap_tol=1e-14,
                                              eta=tuned_eta(spec), keep_iterates=True))
     monkeypatch.undo()
     assert len(rep.iterates) == 3 and len(steps) == len(calls) == 2 * m
     x_tilde = rep.iterates[1]
     mu = G.full_gradient(spec, x_tilde)
-    for (features, batch, block), (name, x_w, want) in zip(steps[m:], calls[m:]):
-        assert name == kernel
+    for (features, batch, block), (form, x_w, want) in zip(steps[m:], calls[m:]):
+        assert form == storage
         x = np.zeros(spec.dataset.d)
         x[features] = x_w
         got = G.vr_gradient(spec, x, x_tilde, mu, batch, block)
@@ -385,19 +387,18 @@ def _own(entries, ptr):
 
 
 def _steps(plan):
-    """The steps of a _plan as a list of (entries, y_t, g_t, lo, hi), each step's
-    entries with row pointers of its own."""
-    return [(_own(args[:2], args[2]), *args[3:5], lo, hi) for args, lo, hi in plan]
+    """The steps of a sparse _plan as a list of (entries, y_t, g_t, lo, hi),
+    each step's entries with row pointers of its own."""
+    return [(_own(rows[:2], rows[2]), y_t, g_t, lo, hi)
+            for (rows, y_t, g_t), lo, hi in plan]
 
 
 def _grads(loss, x, work, y, g_ref, c, batches, ibs, mu, x_ref, mu_p=0.0):
-    """The gradient of each step of one chunk, from the planner and kernel the
-    engine runs on work's storage, called positionally as the engine calls it.
-    A zero snapshot (g_ref, mu and x_ref all zero) is partial_gradient's."""
-    plan, kern = ((_plan, step_gradient) if work.dense is None
-                  else (_plan_dense, dense_step_gradient))
-    return [kern(loss, x, *args, lo, hi, mu, x_ref, mu_p)
-            for args, lo, hi in plan(work, y, g_ref, c, batches, ibs)]
+    """The gradient of each step of one chunk, from _plan and step_gradient,
+    called positionally as the engine calls them. A zero snapshot (g_ref, mu
+    and x_ref all zero) is partial_gradient's."""
+    return [step_gradient(loss, x, *args, lo, hi, mu, x_ref, mu_p)
+            for args, lo, hi in _plan(work, y, g_ref, c, batches, ibs)]
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
@@ -478,14 +479,15 @@ def _same_view(a, b):
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
-def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
-    """A chunk's steps hold the entries, in the same order, that planning each
-    step by itself gives, and one step's plan is a per-step gather; a block
-    step, like a full-vector step, passes the chunk's own cols and vals and a
-    view of its row pointers, and updates its block's columns or all of
-    them. A full batch, every row in order as the engine passes it, is
-    gathered like any other and holds the design's own entries, y and
-    g_snap."""
+def test_plan_of_a_chunk_matches_its_steps_planned_alone(monkeypatch, layout):
+    """On the sparse storage, a chunk's steps hold the entries, in the same
+    order, that planning each step by itself gives, and one step's plan is a
+    per-step gather; a block step, like a full-vector step, passes as its
+    rows the chunk's own cols and vals and a view of its row pointers, and
+    updates its block's columns or all of them. A full batch, every row in
+    order as the engine passes it, is gathered like any other and holds the
+    design's own entries, y and g_snap."""
+    monkeypatch.setattr(G.solvers, "_RHO", math.inf)  # the sparse storage
     spec, _, rng = _kernel_instance(layout)
     y, g_snap = spec.dataset.y, rng.normal(size=12)
     work = _compact(spec, np.arange(spec.partition.q))
@@ -501,8 +503,8 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
             raw = list(_plan(w, y, g_snap, 7, chunk_batches, chunk_ibs))
             steps = _steps(raw)
             assert len(steps) == 7
-            chunk = raw[0][0][:2]
-            chunk_rp = raw[0][0][2].base  # the chunk's row pointers
+            chunk = raw[0][0][0][:2]
+            chunk_rp = raw[0][0][0][2].base  # the chunk's row pointers
             _same_entries((*chunk, chunk_rp), _gather_rows(w.indptr, w.entries,
                                                            chunk_batches))
             for t, (entries, y_t, g_t, lo, hi) in enumerate(steps):
@@ -518,9 +520,10 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
                 # block and full-vector steps alike pass the chunk's own entries,
                 # and a view of its row pointers
                 args, b = raw[t][0], batch.size
-                assert len(args) == 5
-                assert args[0] is chunk[0] and args[1] is chunk[1]
-                assert _same_view(args[2], chunk_rp[t * b:(t + 1) * b + 1])
+                assert len(args) == 3 and _form(args[0]) == "sparse"
+                rows = args[0]
+                assert rows[0] is chunk[0] and rows[1] is chunk[1]
+                assert _same_view(rows[2], chunk_rp[t * b:(t + 1) * b + 1])
                 if chunk_ibs is None:
                     assert (lo, hi) == (0, w.features.size)
                 else:
@@ -617,14 +620,15 @@ def _bincount_steps(loss, x, work, y, g_snap, batches, ibs, mu, x_ref, mu_p):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(seed):
-    """On random sparse designs, _plan and step_gradient give, step by step,
-    the bytes of the bincount planner and kernel they replaced: on contiguous
-    and scattered partitions, on the full design and on cuts that empty rows,
-    for repeated rows, full batches and steps whose block holds none of the
-    batch's entries, with and without mu_p, for both losses. Each block step
-    gives the bytes of the full-vector step of its batch on its block's
-    columns."""
+def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(monkeypatch, seed):
+    """On random sparse designs, stored sparse at any density (_RHO = inf),
+    _plan and step_gradient give, step by step, the bytes of the bincount
+    planner and kernel they replaced: on contiguous and scattered partitions,
+    on the full design and on cuts that empty rows, for repeated rows, full
+    batches and steps whose block holds none of the batch's entries, with and
+    without mu_p, for both losses. Each block step gives the bytes of the
+    full-vector step of its batch on its block's columns."""
+    monkeypatch.setattr(G.solvers, "_RHO", math.inf)
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(6, 30)), int(rng.integers(8, 60))
     a = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
@@ -754,6 +758,51 @@ def test_storage_follows_each_cut_density(monkeypatch):
         assert np.array_equal(w.dense, a[:, w.features])
 
 
+def test_the_density_boundary_picks_the_rows_plan_gathers(monkeypatch):
+    """At the module's _RHO, a design of exactly _RHO * n * p stored entries
+    gets a dense twin and one with an entry fewer does not, and _plan yields
+    dense rows exactly where the twin exists: each step's rows of the twin,
+    as a (b, p) array, with the y, snapshot derivatives and columns lo:hi the
+    sparse plan of the same design gives, and a gradient equal to the sparse
+    one's to rounding."""
+    n, p, q = 10, 20, 4
+    at = G.solvers._RHO * n * p
+    assert at == int(at) > 1
+    rng = np.random.default_rng(8)
+    cells = rng.permutation(n * p)
+    y, g_snap = rng.normal(size=n), rng.normal(size=n)
+    x, mu, x_ref = (rng.normal(size=p) for _ in range(3))
+    batches = rng.integers(0, n, size=(5, 3))
+    ibs = rng.integers(0, q, size=5)
+    for stored, dense in ((int(at), True), (int(at) - 1, False)):
+        a = np.zeros(n * p)
+        a[cells[:stored]] = rng.uniform(0.5, 1.5, size=stored)
+        a = a.reshape(n, p)
+        spec = G.ProblemSpec(dataset=G.Dataset(a, y),
+                             partition=G.BlockPartition.contiguous(p, q),
+                             loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+        work = _compact(spec, np.arange(q))
+        assert spec.dataset.A.nnz == stored and (work.dense is not None) == dense
+        monkeypatch.setattr(G.solvers, "_RHO", math.inf)
+        sparse = _compact(spec, np.arange(q))
+        assert sparse.dense is None
+        monkeypatch.undo()
+        for step_ibs in (ibs, None):
+            steps = list(_plan(work, y, g_snap, 5, batches, step_ibs))
+            want = list(_plan(sparse, y, g_snap, 5, batches, step_ibs))
+            for batch, (args, lo, hi), (w_args, w_lo, w_hi) in zip(batches, steps, want,
+                                                                    strict=True):
+                assert _form(args[0]) == ("dense" if dense else "sparse")
+                if dense:
+                    assert args[0].shape == (3, p)
+                    assert args[0].tobytes() == a[batch].tobytes()
+                assert (lo, hi) == (w_lo, w_hi)
+                assert all(np.array_equal(u, v) for u, v in zip(args[1:], w_args[1:]))
+                got = step_gradient(spec.loss, x, *args, lo, hi, mu, x_ref, 0.1)
+                ref = step_gradient(spec.loss, x, *w_args, lo, hi, mu, x_ref, 0.1)
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+
 def _storage_instance(case):
     model = dict(model="logistic", reg="group_l2", n=90) if case == "logistic-group" else {}
     spec = make_instance(**{**dict(seed=11, n=60, d=40, q=8, support=4, ratio=0.5,
@@ -797,10 +846,10 @@ def test_dense_and_sparse_storage_solve_alike(monkeypatch, case, solver):
 
 
 def test_dense_storage_reruns_bit_for_bit(monkeypatch):
-    """The dense kernel's BLAS products must not depend on where the arrays
-    lie: on copies of its inputs at every 8-byte offset within 64 bytes it
-    gives the same bits, and so does a whole dense solve run twice with the
-    heap moved in between."""
+    """step_gradient's BLAS products on dense rows must not depend on where
+    the arrays lie: on copies of its inputs at every 8-byte offset within 64
+    bytes it gives the same bits, and so does a whole dense solve run twice
+    with the heap moved in between."""
     rng = np.random.default_rng(4)
     loss = G.LOSSES["logistic"]
     for b, p, lo, hi in ((10, 40, 8, 12), (7, 333, 0, 333), (1, 9, 4, 5), (33, 130, 17, 99)):
@@ -813,8 +862,7 @@ def test_dense_storage_reruns_bit_for_bit(monkeypatch):
             xb_at = np.frombuffer(buf, np.float64, b * p, base).reshape(b, p)
             x_at = np.frombuffer(buf, np.float64, p, base + 8 * b * p + 8 * (off // 8 % 3))
             xb_at[...], x_at[...] = x_b, x
-            outs.add(dense_step_gradient(loss, x_at, xb_at, y, g, lo, hi, mu, x,
-                                         0.1).tobytes())
+            outs.add(step_gradient(loss, x_at, xb_at, y, g, lo, hi, mu, x, 0.1).tobytes())
         assert len(outs) == 1
     monkeypatch.setattr(G.solvers, "_RHO", 0.0)
     spec = _storage_instance("logistic-group")
@@ -893,12 +941,12 @@ def test_epoch_draws_once_per_chunk_and_never_past_its_steps(monkeypatch, solver
 @pytest.mark.parametrize("batch_size", [10, 30])
 def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver,
                                                              batch_size):
-    """Each inner step makes one positional call of its storage's kernel,
-    step_gradient or dense_step_gradient, and one block_prox call, and each
-    row's inner_steps counts the steps of the epoch that produced it: at most
-    inner_budget(m, |W|, q) on W, every one of them for the solvers that never
-    screen, and 0 on a row no epoch produced. A full-vector step updates
-    every working column."""
+    """Each inner step makes one positional call of step_gradient, on rows of
+    its design's storage, and one block_prox call, and each row's inner_steps
+    counts the steps of the epoch that produced it: at most inner_budget(m,
+    |W|, q) on W, every one of them for the solvers that never screen, and 0
+    on a row no epoch produced. A full-vector step updates every working
+    column."""
     spec = _scattered_lasso() if solver in ("mrbcd", "proxsvrg") else make_instance(
         seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
     prox = type(spec.reg).block_prox
@@ -907,14 +955,11 @@ def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver
         def wrapper(*args, **kwargs):
             if key != "prox":
                 assert not kwargs
-            counts[key] += 1
+            counts[key or _form(args[2])] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(G.solvers, "step_gradient",
-                        counted("sparse", G.solvers.step_gradient))
-    monkeypatch.setattr(G.solvers, "dense_step_gradient",
-                        counted("dense", G.solvers.dense_step_gradient))
+    monkeypatch.setattr(G.solvers, "step_gradient", counted(None, G.solvers.step_gradient))
     monkeypatch.setattr(type(spec.reg), "block_prox", counted("prox", prox))
     m, q = 45, spec.partition.q
     for rho, kernel in zip(STORAGES, ("sparse", "dense")):
@@ -1503,9 +1548,14 @@ def test_invalid_configs_rejected(lasso_spec):
         G.SolverConfig(batch_size=True),
         G.SolverConfig(max_outer=True),
         G.SolverConfig(seed=True),
-        # nor is it a step size or a tolerance: none runs as 1.0
+        # nor is it a step size or a tolerance: none runs as 1.0, numpy's neither
         G.SolverConfig(eta=True),
         G.SolverConfig(gap_tol=True),
+        G.SolverConfig(eta=np.True_),
+        G.SolverConfig(gap_tol=np.True_),
+        # keep_iterates is a bool, not a truthy value
+        G.SolverConfig(keep_iterates="no"),
+        G.SolverConfig(keep_iterates=1),
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
@@ -1513,11 +1563,12 @@ def test_invalid_configs_rejected(lasso_spec):
     for solver in ("nope", None, 3):
         with pytest.raises(ValueError, match=r"unknown solver .*adsgd.*reference"):
             G.solve(lasso_spec, G.SolverConfig(solver=solver))
-    for tol in (0.0, math.nan, math.inf, True):
+    for tol in (0.0, math.nan, math.inf, True, np.True_):
         with pytest.raises(ValueError):
             G.reference_solve(lasso_spec, tol=tol)
-    with pytest.raises(ValueError):  # the reference's tolerance is gap_tol
-        G.solve(lasso_spec, G.SolverConfig(solver="reference", gap_tol=True))
+    for tol in (True, np.True_):  # the reference's tolerance is gap_tol
+        with pytest.raises(ValueError):
+            G.solve(lasso_spec, G.SolverConfig(solver="reference", gap_tol=tol))
 
 
 # ------------------------------------------------------------- resolution
@@ -1760,12 +1811,13 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
 def _count_reference_work(monkeypatch, spec):
     """Wrap what reference_solve calls; the returned dict counts the calls.
 
-    forward counts products with the CSR design (A x), products the calls of
-    Dataset.rmatvec (A'g), prox_points the prox points tried and refinements
-    the support refinements that returned a point.
+    forward counts products with the CSR design (A x), matvecs the A x formed
+    on a working design (_matvec), products the calls of Dataset.rmatvec
+    (A'g), prox_points the prox points tried and refinements the support
+    refinements that returned a point.
     """
-    counts = dict.fromkeys(["forward", "products", "evaluations", "step_gradients",
-                            "prox_points", "refinements"], 0)
+    counts = dict.fromkeys(["forward", "matvecs", "products", "evaluations",
+                            "step_gradients", "prox_points", "refinements"], 0)
     rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
     evaluate, refine = G.solvers.evaluate, G.solvers._refine_support
     forward, prox = type(spec.dataset.A).__matmul__, type(spec.reg).block_prox
@@ -1787,6 +1839,7 @@ def _count_reference_work(monkeypatch, spec):
     monkeypatch.setattr(G.solvers, "smooth_gradient",
                         counted("step_gradients", smooth_gradient))
     monkeypatch.setattr(G.solvers, "evaluate", counted("evaluations", evaluate))
+    monkeypatch.setattr(G.solvers, "_matvec", counted("matvecs", G.solvers._matvec))
     monkeypatch.setattr(G.solvers, "_refine_support", counted_refine)
     return counts
 
@@ -1795,10 +1848,10 @@ def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
     """A step from the iterate itself takes the smooth gradient the evaluation
     formed: the first step, the step after a momentum restart, and the step
     after either of those, where t = 1 makes beta = 0 and y the iterate. Only
-    steps from an extrapolated point form another A'g. A x is formed once per
-    prox point tried and once for the refinement, never at an extrapolated
-    point. A refinement that returns a point forms one more A x and one more
-    A'g, in one more evaluation."""
+    steps from an extrapolated point form another A'g. A x is formed with the
+    design once per prox point tried, never at an extrapolated point. A
+    refinement that returns a point forms one more A x, on the dataset's
+    working design, and one more A'g, in one more evaluation."""
     spec = make_instance(seed=3, n=150, d=300, q=10)
     counts = _count_reference_work(monkeypatch, spec)
     rep = G.reference_solve(spec, tol=1e-10)
@@ -1807,7 +1860,8 @@ def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
     assert counts["refinements"] == 1
     assert counts["evaluations"] == rep.outer_iters + 1 + counts["refinements"]
     assert counts["products"] == counts["evaluations"] + counts["step_gradients"]
-    assert counts["forward"] == counts["prox_points"] + counts["refinements"] == 47
+    assert counts["forward"] == counts["prox_points"] == 46
+    assert counts["matvecs"] == counts["refinements"]
 
 
 def _svd_bound(spec):
@@ -1869,7 +1923,8 @@ def test_reference_doubles_up_from_a_start_d_times_too_low(monkeypatch):
     """Equal rows a: sigma_max(A)^2 = n ||a||^2, while each row has norm
     ||a|| and column j norm sqrt(n) |a_j|. With every |a_j| equal and n >= d
     the one-pass bound is d times too low. The doublings cost at most
-    ceil(log2 d) + 1 prox points, one A x each, over the whole solve."""
+    ceil(log2 d) + 1 prox points, one A x each, over the whole solve; the
+    refinement forms its one A x on the dataset's working design."""
     n, d = 60, 40
     rng = np.random.default_rng(0)
     row = np.where(rng.random(d) < 0.5, -0.7, 0.7)
@@ -1881,10 +1936,17 @@ def test_reference_doubles_up_from_a_start_d_times_too_low(monkeypatch):
     assert rep.converged and rep.gap <= 1e-10
     doublings = counts["prox_points"] - rep.outer_iters
     assert 1 <= doublings <= math.ceil(math.log2(d)) + 1
-    assert counts["forward"] == rep.outer_iters + doublings + counts["refinements"]
+    assert counts["forward"] == rep.outer_iters + doublings
+    assert counts["matvecs"] == counts["refinements"]
 
 
 # --------------------------------------------------------- support refinement
+
+def _whole(spec):
+    """The dataset's working design, over every block, as the reference's
+    refinement takes it."""
+    return _compact(spec, np.arange(spec.partition.q))
+
 
 REFINE_CASES = {
     "l1-squared": lambda: make_instance(seed=51, n=60, d=90, q=10),
@@ -1906,9 +1968,9 @@ def test_refinement_lands_on_the_optimum_from_a_point_of_its_model(case):
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     rng = np.random.default_rng(0)
     x = x_star * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=x_star.size))
-    x_r = G.solvers._refine_support(spec, x)
+    x_r = G.solvers._refine_support(spec, x, _whole(spec))
     assert x_r is not None
-    cert = G.solvers._refined_certificate(spec, x)
+    cert = G.solvers._refined_certificate(spec, x, _whole(spec))
     assert cert is not None and np.array_equal(cert[0], x_r)
     assert np.array_equal(x_r != 0.0, x_star != 0.0)
     assert np.max(np.abs(x_r - x_star)) <= 1e-10
@@ -1941,8 +2003,8 @@ def test_refinement_off_the_model_returns_none_without_raising(case, how):
     """Warnings are errors here, so no overflow or invalid operation escapes."""
     spec = REFINE_CASES[case]()
     x = _off_model(spec, G.reference_solve(spec, tol=1e-12).x_final, how)
-    assert G.solvers._refine_support(spec, x) is None
-    assert G.solvers._refine_support(spec, np.zeros(spec.dataset.d)) is None
+    assert G.solvers._refine_support(spec, x, _whole(spec)) is None
+    assert G.solvers._refine_support(spec, np.zeros(spec.dataset.d), _whole(spec)) is None
 
 
 def _l1_model_residual(spec, w):
@@ -1961,7 +2023,7 @@ def test_a_sign_change_prunes_to_a_stationary_point_of_a_smaller_model(case):
     or invalid operation escapes."""
     spec = REFINE_CASES[case]()
     x = _off_model(spec, G.reference_solve(spec, tol=1e-12).x_final, "sign-change")
-    x_r = G.solvers._refine_support(spec, x)
+    x_r = G.solvers._refine_support(spec, x, _whole(spec))
     if x_r is not None:
         s = np.flatnonzero(x_r)
         assert np.all(np.isfinite(x_r))
@@ -1988,19 +2050,19 @@ def test_refinement_prunes_tiny_coordinates_whose_signs_flip(monkeypatch, case):
     extra = np.random.default_rng(0).choice(np.flatnonzero(x_star == 0.0), 3, replace=False)
     x = x_star.copy()
     x[extra] = -np.sign(corr[extra]) * np.array([1e-9, 2e-9, 3e-9])
-    x_r = G.solvers._refine_support(spec, x)
+    x_r = G.solvers._refine_support(spec, x, _whole(spec))
     assert x_r is not None
     assert np.array_equal(x_r != 0.0, x_star != 0.0)
     assert np.max(np.abs(x_r - x_star)) <= 1e-10
     assert _full_gap(spec, x_r) <= 1e-12
-    cert = G.solvers._refined_certificate(spec, x)
+    cert = G.solvers._refined_certificate(spec, x, _whole(spec))
     assert cert is not None and np.array_equal(cert[0], x_r)
     if spec.loss.name == "squared":
         monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 3)
-        assert np.array_equal(G.solvers._refine_support(spec, x), x_r)
+        assert np.array_equal(G.solvers._refine_support(spec, x, _whole(spec)), x_r)
         for steps in (1, 2):
             monkeypatch.setattr(G.solvers, "_REFINE_STEPS", steps)
-            assert G.solvers._refine_support(spec, x) is None
+            assert G.solvers._refine_support(spec, x, _whole(spec)) is None
 
 
 @pytest.mark.parametrize("case", ["l1-squared", "l1-logistic", "group-logistic"])
@@ -2013,7 +2075,7 @@ def test_a_stalled_newton_path_returns_none(monkeypatch, case):
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     x = x_star * (1.0 + 0.05 * np.random.default_rng(0).uniform(-1.0, 1.0, x_star.size))
     monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 0)
-    assert G.solvers._refine_support(spec, x) is None
+    assert G.solvers._refine_support(spec, x, _whole(spec)) is None
 
 
 @pytest.mark.parametrize("case", sorted(REFINE_CASES))
@@ -2387,16 +2449,17 @@ def test_a_singular_newton_system_ends_the_refinement_on_its_best_point(monkeypa
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     x = x_star * (1.0 + 0.01 * np.random.default_rng(0).uniform(-1.0, 1.0, size=x_star.size))
     calls = _failing_solve(monkeypatch, lambda i: False)
-    x_r = G.solvers._refine_support(spec, x)
+    x_r = G.solvers._refine_support(spec, x, _whole(spec))
     assert x_r is not None and len(calls) == 3
     monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 2)
-    capped = G.solvers._refine_support(spec, x)
+    capped = G.solvers._refine_support(spec, x, _whole(spec))
     monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 10)
     assert capped is not None and not np.array_equal(capped, x_r)
     calls = _failing_solve(monkeypatch, lambda i: i == 3)
-    assert np.array_equal(G.solvers._refine_support(spec, x), capped) and len(calls) == 3
+    assert np.array_equal(G.solvers._refine_support(spec, x, _whole(spec)), capped)
+    assert len(calls) == 3
     calls = _failing_solve(monkeypatch, lambda i: i == 1)
-    assert G.solvers._refine_support(spec, x) is None and calls == [1]
+    assert G.solvers._refine_support(spec, x, _whole(spec)) is None and calls == [1]
 
 
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
@@ -2758,7 +2821,7 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
     would lose terms and could certify a wrong gap. So every z that
     evaluate is given, and the z whose derivatives _zero_dropped takes for a
     new snapshot, must have the bytes of ds.A @ x, and the point that
-    _zero_dropped or a refinement (_refined_certificate) gets with a design
+    _zero_dropped or a refinement (_refined_certificate) gets with its design
     must be zero off that design's columns: for adsgd, mrbcd and proxsvrg at
     a sampled and at the full batch, and for the reference, on a scattered
     partition, under mu_p > 0, at 0.25 lam_max and on a group-L2 instance
@@ -2801,10 +2864,9 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
         derived.clear()
         return out
 
-    def spied_certificate(spec, x, work=None):
-        if work is not None:
-            assert on(x, work)
-            checked["refinement"] += 1
+    def spied_certificate(spec, x, work):
+        assert on(x, work)
+        checked["refinement"] += 1
         return certificate(spec, x, work)
 
     monkeypatch.setattr(G.solvers, "evaluate", spied_evaluate)
