@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .problem import (LOSSES, REGULARIZERS, BlockPartition, Dataset, ProblemSpec,
-                      _is_count, lambda_max)
+                      _is_count, _is_real, lambda_max)
 from .solvers import _SOLVERS, SolverConfig, TraceRecord, reference_solve, solve
 
 
@@ -146,10 +146,11 @@ class SyntheticParams:
 
     sparsity is the design density; noise is the residual standard deviation
     for regression and the label flip probability for logistic data: finite
-    and nonnegative, and at most 1 for logistic data. The
-    planted coefficients sit on support_size coordinates, either scattered or
-    packed into a prefix, with magnitudes in [amplitude, 2*amplitude], and
-    feature_scale scales the design; both are positive and finite.
+    and nonnegative, and at most 1 for logistic data. The planted
+    coefficients sit on support_size coordinates, either scattered or packed
+    into a prefix, with magnitudes in [amplitude, 2*amplitude], and
+    feature_scale scales the design; both are positive and finite. These four
+    are real numbers, not bools; orthonormal is a bool.
     """
 
     n: int
@@ -196,6 +197,11 @@ def generate_synthetic(params):
     for name in ("n", "d", "seed"):
         if not _is_count(getattr(p, name)):
             raise ValueError(f"{name} must be an integer, got {getattr(p, name)!r}")
+    for name in ("sparsity", "noise", "feature_scale", "amplitude"):
+        if not _is_real(getattr(p, name)):
+            raise ValueError(f"{name} must be a real number, got {getattr(p, name)!r}")
+    if not isinstance(p.orthonormal, bool):
+        raise ValueError(f"orthonormal must be a bool, got {p.orthonormal!r}")
     if p.n < 1 or p.d < 1:
         raise ValueError("n and d must be at least 1")
     if not 0.0 < p.sparsity <= 1.0:
@@ -277,7 +283,8 @@ def build_spec(dataset, model="lasso", lam=None, lambda_ratio=0.5, q=None,
     """Assemble a ProblemSpec with a contiguous q-block partition.
 
     q defaults to min(10, d). When lam is omitted it is set to
-    lambda_ratio * lambda_max of the instance. A solve that screens a
+    lambda_ratio * lambda_max of the instance; the one that sets lam must be
+    a real number, not a bool. A solve that screens a
     group-L2 problem takes a dense Gram per block and rejects blocks wider
     than 2048 columns (see duality.column_bounds), so on a design wider than
     20480 columns pass a q that keeps the blocks narrower. Those bounds are
@@ -289,6 +296,8 @@ def build_spec(dataset, model="lasso", lam=None, lambda_ratio=0.5, q=None,
         raise ValueError(f"model must be one of {', '.join(_MODELS)}, got {model!r}")
     if reg not in REGULARIZERS:
         raise ValueError(f"reg must be one of {', '.join(REGULARIZERS)}, got {reg!r}")
+    if not _is_real(value := lambda_ratio if lam is None else lam):
+        raise ValueError(f"lam and lambda_ratio must be real numbers, got {value!r}")
     partition = BlockPartition.contiguous(dataset.d,
                                           min(10, dataset.d) if q is None else q)
     probe = ProblemSpec(dataset=dataset, partition=partition, loss=LOSSES[_MODELS[model]],
@@ -307,8 +316,8 @@ class ExperimentPlan:
 
     q (the number of contiguous blocks) and mu_p (the quadratic perturbation)
     shape the problem, so every solver of the plan solves the same instance.
-    It needs at least one lambda ratio, each in (0, 1], and repetitions must
-    be an integer, not a bool, of at least 1.
+    It needs at least one lambda ratio, each a real number in (0, 1], and
+    repetitions an integer of at least 1; none of them is a bool.
     """
 
     dataset_path: str = None
@@ -327,7 +336,7 @@ class ExperimentPlan:
             raise ValueError("exactly one of dataset_path or synthetic is required")
         if not self.lambda_ratios:
             raise ValueError("at least one lambda ratio is required")
-        if any(not 0.0 < r <= 1.0 for r in self.lambda_ratios):
+        if any(not (_is_real(r) and 0.0 < r <= 1.0) for r in self.lambda_ratios):
             raise ValueError("lambda ratios must lie in (0, 1]")
         if not _is_count(self.repetitions):
             raise ValueError(f"repetitions must be an integer, got {self.repetitions!r}")

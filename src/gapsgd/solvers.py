@@ -41,8 +41,9 @@ terms, so they keep the bits of A @ x. The starting row, and the row of an
 empty safe set, has x = 0 and takes A x = 0. The evaluation's dual point
 forms the iteration's one product A'g, on the whole design, since the dual
 point is scaled over all q blocks: the screening test and the working set
-read its block correlations and the variance reduction its smooth gradient,
-which is formed again only when screening truncates the snapshot.
+read its block correlations and the variance reduction its smooth gradient:
+the row's evaluation is the next epoch's snapshot, also where a screen has
+dropped a block on which x_hat is nonzero (_epoch).
 
 The iterate's own dual point is wrong to first order, so its gap tracks
 about the square root of the suboptimality. A screening solve therefore
@@ -77,8 +78,7 @@ Celer takes its working set's solution for its iterate (Massias, Gramfort &
 Salmon, ICML 2018); a tie keeps x_hat. The row then certifies, screens,
 scores the working set and takes its snapshot from x_r and x_r's own dual
 point, and the next epoch starts from x_r, with x_r's model as the previous
-row's. x_r lies on x_hat's support, inside the safe set, and its own
-derivatives keep the variance correction exact.
+row's. x_r lies on x_hat's support, inside the safe set.
 So every row's gap is P - D of one point and that point's own dual point,
 scaled over every block: it bounds the point's suboptimality whatever the
 model or the screens. A row whose point is x_r stops the solve only where
@@ -615,10 +615,10 @@ def _working_blocks(spec, active, x_hat, dp):
 
 
 def _matvec(work, v):
-    """A x on the working design work, v holding x on its columns and x being
-    zero off them: csr_matvec adds each row's products to zero in entry
-    order, as the full design's A @ x does, less the terms vals * 0.0 of the
-    entries off work, so it gives the same bits."""
+    """A x on the working design work, v holding x on its columns and x, a
+    point of an epoch or refinement on work, being zero off them: csr_matvec
+    adds each row's products to zero in entry order, as A @ x does, less the
+    terms vals * 0.0 of the entries off work, so it gives the same bits."""
     n, (cols, vals) = work.indptr.size - 1, work.entries
     z = np.zeros(n)
     csr_matvec(n, v.size, work.indptr, cols, vals, v, z)
@@ -694,11 +694,12 @@ def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot, work):
     already holds it, so a model whose refinement found no point is not
     refined again while it lasts. Returns (identified, kept, model, slot).
     Where the slot holds the refinement x_r of x_hat's model with
-    P(x_r) < P(x_hat), kept is (x_r, its evaluation), which becomes the
-    row's point, model is x_r's, and the row is identified where the safe
-    set holds exactly x_r's nonzero blocks. Otherwise kept is None, model is
-    x_hat's, and the row is identified where that model is prev and the safe
-    set holds exactly x_hat's nonzero blocks.
+    P(x_r) < P(x_hat), kept is (x_r, its evaluation), the row's point and
+    snapshot, uncopied as no point is written in place; model is x_r's, and
+    the row is identified where the safe set holds exactly x_r's nonzero
+    blocks. Otherwise kept is None, model is x_hat's, and the row is
+    identified where that model is prev and the safe set holds exactly
+    x_hat's nonzero blocks.
     """
     obj, _, _, gap = evaluation
     model = _model(spec, x_hat)
@@ -729,16 +730,18 @@ def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot, work):
 _SUB_EPOCHS = 8
 
 
-def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling, slot,
-           gap_tol):
+def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sampling,
+           slot, gap_tol):
     """(x, evaluation, label, updates, taken, slot) of at most `steps` inner
     steps from x_hat on the working design work: _restart's next iterate,
     evaluation and label, the number of coordinate updates, the number of
     steps taken and the slot. x_hat is the point of the row that opens the
     epoch, a refined point where the row took one (_certify), and the
-    snapshot: snap holds its (derivatives, smooth gradient). With
-    block_sampling a step updates one drawn block of work, else every
-    working column.
+    snapshot, with evaluation its own. The steps start from x_hat on work,
+    also where it is nonzero on a block the row's screen dropped: a
+    variance-reduced step is unbiased for any snapshot whose full gradient
+    it carries (Johnson & Zhang, NeurIPS 2013). With block_sampling a step
+    updates one drawn block of work, else every working column.
 
     slot is None for a solve that never screens, whose epoch takes every step.
     A screening solve passes the engine's slot (_certify) and the solve's
@@ -776,7 +779,7 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
     x_tilde = x_hat[wfeat]
     x_cur = x_tilde.copy()
     x_sum = np.zeros(wfeat.size)
-    g_ref, mu = snap[0], snap[1][wfeat]
+    g_ref, mu = evaluation[1], evaluation[2].gradient[wfeat]
     classes = None if block_sampling else work.layout.classes
     per_step = (batch_size * int(np.diff(work.indptr).max()) if sampled
                 else work.entries[0].size)
@@ -786,7 +789,9 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
     if slot is None:
         sub = steps
     else:
-        sub, model = -(-steps // _SUB_EPOCHS), _model(spec, x_hat)
+        x = np.zeros(spec.dataset.d)
+        x[wfeat] = x_tilde
+        sub, model = -(-steps // _SUB_EPOCHS), _model(spec, x)
     updates = 0
     for start in range(0, steps, sub):
         taken = min(start + sub, steps)
@@ -817,20 +822,6 @@ def _epoch(spec, work, x_hat, snap, steps, rng, eta, batch_size, block_sampling,
                 break
     x_sum /= taken
     return (*_restart(spec, work, x_sum, x_cur), updates, taken, slot)
-
-
-def _zero_dropped(spec, active, safe, x_hat, snap, work):
-    """snap after the screen that left safe of active: where zeroing x_hat in
-    place on the dropped blocks moves it, snap (as in _epoch) is formed again,
-    to keep the variance correction unbiased, its A x_hat on the working
-    design work of the epoch that produced x_hat (_matvec)."""
-    if safe.n_blocks < active.n_blocks:
-        dropped = np.setdiff1d(active.features, safe.features, assume_unique=True)
-        if np.any(x_hat[dropped] != 0.0):
-            x_hat[dropped] = 0.0
-            g_snap = spec.loss.deriv(_matvec(work, x_hat[work.features]), spec.dataset.y)
-            snap = g_snap, smooth_gradient(spec, x_hat, g_snap)
-    return snap
 
 
 # Every solve starts at x = 0, so a row above P(0) is an epoch that left the
@@ -888,11 +879,9 @@ def _engine(spec, config, *, block_sampling, screening):
             # with its whole evaluation
             identified, kept, model, slot = _certify(spec, active, x_hat, evaluation,
                                                      config.gap_tol, model, slot, work)
-            if kept is not None:  # a copy: the screen may zero x_hat, the slot keeps x_r
-                x_hat, evaluation = kept[0].copy(), kept[1]
-                restart = "refined"
-        obj, g_snap, dp, gap = evaluation
-        snap = g_snap, dp.gradient
+            if kept is not None:
+                (x_hat, evaluation), restart = kept, "refined"
+        obj, _, dp, gap = evaluation
         record(obj, gap, identified)
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at outer iteration {k}",
@@ -919,17 +908,18 @@ def _engine(spec, config, *, block_sampling, screening):
                 active, width, taken, converged = safe, 0, 0, True
                 record(obj, gap, True)
                 break
-            snap, active = _zero_dropped(spec, active, safe, x_hat, snap, work), safe
+            active = safe
         width = taken = 0
         if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it
+            x_hat = np.zeros(spec.dataset.d)
             evaluation, restart = evaluate(spec, x_hat, np.zeros(spec.dataset.n)), "average"
             continue
         if safe_work.blocks is not active.blocks:
             safe_work = _compact(spec, active.blocks, safe_work)
         # A screening solver's epoch runs on the working set, cut from the safe
-        # set's design. x_hat is zero off it, and so are the epoch's average and
-        # last iterate. An empty one (x_hat = 0, no safe block near lam) falls
-        # back to the safe set.
+        # set's design. The epoch starts from x_hat on it, so its average and
+        # last iterate are zero off it. An empty one (x_hat zero on the safe set,
+        # no safe block near lam) falls back to the safe set.
         wb = _working_blocks(spec, active, x_hat, dp) if screening else active.blocks
         if wb.size in (0, active.n_blocks):
             work = safe_work
@@ -937,8 +927,8 @@ def _engine(spec, config, *, block_sampling, screening):
             work = _compact(spec, wb, safe_work)
         width = work.blocks.size
         x_hat, evaluation, restart, updates, taken, slot = _epoch(
-            spec, work, x_hat, snap, inner_budget(m, width, spec.partition.q), rng, eta,
-            batch_size, block_sampling, slot, config.gap_tol)
+            spec, work, x_hat, evaluation, inner_budget(m, width, spec.partition.q), rng,
+            eta, batch_size, block_sampling, slot, config.gap_tol)
         coord_updates += updates
 
     return SolveReport(

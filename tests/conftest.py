@@ -46,8 +46,8 @@ def epoch_rows(report):
 def inert_screening(monkeypatch):
     """Make adsgd's screening inert while its path still runs: every screen
     keeps the set it is given, every working set is the whole safe set, and
-    no model is within the refinement's cost bound. _certify, safe_radius
-    and _zero_dropped run as ever, with nothing to act on."""
+    no model is within the refinement's cost bound. _certify and
+    safe_radius run as ever, with nothing to act on."""
     monkeypatch.setattr(G.solvers, "screen", lambda spec, dp, r, active, bounds: active)
     monkeypatch.setattr(G.solvers, "_working_blocks",
                         lambda spec, active, x_hat, dp: active.blocks)

@@ -400,13 +400,19 @@ def test_generate_synthetic_invalid_params():
                dict(n=2.5, d=5), dict(n=5, d=2.5), dict(n=True, d=5), dict(n=5, d=True),
                dict(n=5, d=5, seed=True), dict(n=5, d=5, seed=1.5),
                dict(n=5, d=5, support_size=2.5), dict(n=5, d=5, support_size=True),
-               dict(n=5, d=5, support_size=np.float64(2.0))):
+               dict(n=5, d=5, support_size=np.float64(2.0)),
+               # a bool is not a density, a deviation, a scale or an amplitude
+               *(dict(n=5, d=5, **{name: flag})
+                 for name in ("sparsity", "noise", "feature_scale", "amplitude")
+                 for flag in (True, np.True_)),
+               dict(n=5, d=5, orthonormal=np.True_), dict(n=5, d=5, orthonormal=1)):
         with pytest.raises(ValueError):
             generate_synthetic(SyntheticParams(**kw))
 
 
 def test_generate_synthetic_checks_every_parameter_before_the_first_draw(monkeypatch):
-    """A bad support_size or support_placement raises before any normal is drawn."""
+    """A bad support_size or support_placement, and a bool where a real number
+    or a non-bool flag belongs, raise before any normal is drawn."""
     draws = []
 
     class SpyGenerator(np.random.Generator):
@@ -419,7 +425,8 @@ def test_generate_synthetic_checks_every_parameter_before_the_first_draw(monkeyp
     assert draws  # the spy sees the design's draws
     draws.clear()
     for kw in (dict(support_size=6), dict(support_size=2.5),
-               dict(support_placement="middle")):
+               dict(support_placement="middle"), dict(sparsity=True),
+               dict(amplitude=np.True_), dict(orthonormal=np.True_)):
         with pytest.raises(ValueError):
             generate_synthetic(SyntheticParams(n=5, d=5, **kw))
         assert draws == [], kw
@@ -729,6 +736,9 @@ def test_experiment_plan_validation():
             G.ExperimentPlan(synthetic=synth, solvers=cfg, repetitions=bad)
     with pytest.raises(ValueError, match="at least one lambda ratio"):
         G.ExperimentPlan(synthetic=synth, solvers=cfg, lambda_ratios=())
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="lambda ratios must lie in"):
+            G.ExperimentPlan(synthetic=synth, solvers=cfg, lambda_ratios=(bad,))
     assert G.ExperimentPlan(synthetic=synth, solvers=cfg,
                             repetitions=np.int64(2)).repetitions == 2
 
@@ -906,6 +916,10 @@ def test_build_spec_rejects_an_unknown_model_or_penalty_by_its_choices():
         build_spec(ds, model="Lasso")
     with pytest.raises(ValueError, match=r"^reg must be one of l1, group_l2, got 'l2'$"):
         build_spec(ds, reg="l2")
+    for bad in (True, np.True_):  # a bool is not lambda_max
+        for kw in (dict(lambda_ratio=bad), dict(lam=bad)):
+            with pytest.raises(ValueError, match=r"^lam and lambda_ratio must be real"):
+                build_spec(ds, **kw)
     assert build_spec(ds, model="lasso").loss.name == "squared"
 
 

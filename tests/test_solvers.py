@@ -83,6 +83,39 @@ def test_vr_gradient_exhaustive_average_is_unbiased():
                                    rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("rho", STORAGES, ids=["sparse", "dense"])
+@pytest.mark.parametrize("model", ["lasso", "logistic"])
+def test_a_step_on_a_cut_design_is_unbiased_for_a_snapshot_off_it(monkeypatch, model, rho):
+    """A screen may drop a block on which the row's point, the next epoch's
+    snapshot, is nonzero. The epoch then runs on a working design W without
+    that block, from the snapshot's columns in W, with the derivatives and
+    smooth gradient of the whole snapshot. Averaged over every singleton
+    batch, the engine's step (_plan and step_gradient) on each block of W is
+    the exact smooth gradient at x, x being zero off W, under mu_p > 0 and
+    on both storages."""
+    monkeypatch.setattr(G.solvers, "_RHO", rho)
+    spec = make_instance(seed=4, n=45, d=24, q=4, mu_p=0.05, model=model)
+    ds, rng = spec.dataset, np.random.default_rng(1)
+    work = _compact(spec, np.array([0, 2, 3]))
+    f = work.features
+    assert (work.dense is None) == (rho == math.inf)
+    x = np.zeros(ds.d)
+    x[f] = rng.normal(size=f.size)
+    xt = rng.normal(size=ds.d)
+    assert np.all(xt[spec.partition.groups[1]] != 0.0)  # the dropped block
+    g = spec.loss.deriv(ds.A @ xt, ds.y)
+    mu = G.problem.smooth_gradient(spec, xt, g)[f]
+    full = G.full_gradient(spec, x)[f]
+    for ib in range(work.blocks.size):
+        total = 0.0
+        for i in range(ds.n):
+            (args, lo, hi), = _plan(work, ds.y, g, 1, np.array([[i]]), np.array([ib]))
+            total = total + step_gradient(spec.loss, x[f], *args, lo, hi, mu, xt[f],
+                                          spec.mu_p)
+        want = full[lo:hi]
+        assert np.linalg.norm(total / ds.n - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_public_gradients_run_the_kernel_of_the_design_storage(monkeypatch):
     """partial_gradient and vr_gradient each make one call of step_gradient,
     on the rows of the storage the engine would run on the uncompacted
@@ -1764,48 +1797,57 @@ def test_spectral_bound_dominates_average_hessian():
 
 
 def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch):
-    """adsgd forms A'g once per evaluation, plus once per truncation refresh
-    (the only call of smooth_gradient in the engine) and once per support
-    refinement that finds a point; mrbcd does neither. An evaluation starts
-    the solve and each epoch evaluates two candidates.
-    At this step size, epoch length and batch a screen drops a block where
-    x_hat is nonzero before the solve stops."""
+    """adsgd forms A'g once per evaluation and nowhere else: an evaluation
+    starts the solve, each epoch evaluates two candidates and each support
+    refinement that finds a point evaluates it; mrbcd refines nothing. At
+    this step size, epoch length and batch a screen drops a block where the
+    row's point x_hat is nonzero before the solve stops, and the next epoch
+    takes the row's own evaluation as its snapshot, with no product of its
+    own."""
     spec = make_instance(seed=49, n=60, d=80, q=10, model="logistic", reg="group_l2")
     cfg = G.SolverConfig(seed=49, gap_tol=1e-6, max_outer=60, m=60, batch_size=1,
-                         eta=tuned_eta(spec, 1.0))
-    counts = {"products": 0, "refreshes": 0}
-    rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
+                         eta=tuned_eta(spec, 1.0), keep_iterates=True)
+    counts = dict.fromkeys(["products", "evaluations", "refinements"], 0)
+    rmatvec, evaluate = G.Dataset.rmatvec, G.solvers.evaluate
+    refine, screen = G.solvers._refine_support, G.solvers.screen
+    screens = []
 
     def counted_rmatvec(self, v):
         counts["products"] += 1
         return rmatvec(self, v)
 
-    def counted_smooth_gradient(*args):
-        counts["refreshes"] += 1
-        return smooth_gradient(*args)
+    def counted_evaluate(*args):
+        counts["evaluations"] += 1
+        return evaluate(*args)
 
     def counted_refine(*args):
         out = refine(*args)
         counts["refinements"] += out is not None
         return out
 
-    counts["refinements"] = 0
-    refine = G.solvers._refine_support
+    def spied_screen(spec, dp, r, active, bounds):
+        safe = screen(spec, dp, r, active, bounds)
+        screens.append(np.setdiff1d(active.blocks, safe.blocks))
+        return safe
+
     monkeypatch.setattr(G.Dataset, "rmatvec", counted_rmatvec)
-    monkeypatch.setattr(G.solvers, "smooth_gradient", counted_smooth_gradient)
+    monkeypatch.setattr(G.solvers, "evaluate", counted_evaluate)
     monkeypatch.setattr(G.solvers, "_refine_support", counted_refine)
+    monkeypatch.setattr(G.solvers, "screen", spied_screen)
     rep = G.adsgd_solve(spec, cfg)
     assert rep.converged and rep.active_history[-1].size < spec.partition.q
-    drops = sum(b.size < a.size for a, b in zip(rep.active_history, rep.active_history[1:]))
-    assert 0 < counts["refreshes"] <= drops and counts["refinements"] > 0
+    block_of = spec.partition.block_of
+    assert any(np.isin(block_of[np.flatnonzero(x)], dropped).any()
+               for x, dropped in zip(rep.iterates, screens))
+    assert counts["refinements"] > 0
     epochs = len(epoch_rows(rep))
     assert all(r.working_blocks > 0 for r in epoch_rows(rep))
-    assert counts["products"] == (1 + 2 * epochs + counts["refreshes"]
-                                  + counts["refinements"])
-    counts.update(products=0, refreshes=0, refinements=0)
+    assert counts["products"] == counts["evaluations"] == (1 + 2 * epochs
+                                                           + counts["refinements"])
+    counts.update(products=0, evaluations=0, refinements=0)
     rep = G.mrbcd_solve(spec, dataclasses.replace(cfg, solver="mrbcd"))
-    assert counts == {"products": 1 + 2 * rep.outer_iters, "refreshes": 0,
-                      "refinements": 0}
+    assert counts == {"products": 1 + 2 * rep.outer_iters,
+                      "evaluations": 1 + 2 * rep.outer_iters, "refinements": 0}
 
 
 def _count_reference_work(monkeypatch, spec):
@@ -2281,16 +2323,11 @@ def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model(mon
     [0, 1, 5, 6, 9] are not the safe set, which still holds all ten blocks,
     so the solve goes on. The screen after row 2, sized by x_r's gap, leaves
     exactly x_r's blocks, and the solve returns x_r as row 3, with no epoch
-    in between, on x_r's own gap, which bounds its suboptimality. x_r is
-    zero on block 3, so no snapshot is formed again when block 3 drops."""
+    in between, on x_r's own gap, which bounds its suboptimality."""
     spec = make_instance(ratio=0.5, seed=206, n=150, d=250, sparsity=0.5, support=9)
     calls = _spy_refinements(monkeypatch)
-    refreshes, smooth_gradient = [], G.solvers.smooth_gradient
-    monkeypatch.setattr(G.solvers, "smooth_gradient",
-                        lambda *args: refreshes.append(1) or smooth_gradient(*args))
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=206, eta=tuned_eta(spec), gap_tol=1e-6,
                                              batch_size=10, keep_iterates=True))
-    assert refreshes == []
 
     def blocks(x):
         return np.unique(spec.partition.block_of[np.flatnonzero(x)]).tolist()
@@ -2315,8 +2352,8 @@ def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model(mon
 def test_a_tall_dense_lasso_returns_its_refined_point_on_the_screen_it_sizes(monkeypatch):
     """On the tall dense Lasso, row 1 refines x_hat's model, and the screen
     it sizes leaves exactly the refined point's blocks. The solve then
-    returns that point as its last row, with no epoch, compaction or
-    snapshot after that screen: one _epoch call fewer than the trace rows
+    returns that point as its last row, with no epoch or compaction after
+    that screen: one _epoch call fewer than the trace rows
     after the first. The final safe set is the refined point's blocks and
     the oracle's equicorrelation set, and report.gap bounds the
     suboptimality."""
@@ -2325,7 +2362,7 @@ def test_a_tall_dense_lasso_returns_its_refined_point_on_the_screen_it_sizes(mon
     oracle = G.reference_solve(spec, tol=1e-12)
     equi = G.equicorrelation_set(spec, oracle.dual).tolist()
     names = []
-    for name in ("_epoch", "_compact", "screen", "smooth_gradient"):
+    for name in ("_epoch", "_compact", "screen"):
         fn = getattr(G.solvers, name)
         monkeypatch.setattr(G.solvers, name,
                             lambda *args, _name=name, _fn=fn: names.append(_name) or _fn(*args))
@@ -2530,10 +2567,12 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
     at that dual point, as report.dual is for the last row. (b) A row takes
     the refined point x_r in its slot exactly where the slot holds the
     refinement of the row's own point's model, that point's gap is above
-    gap_tol, and P(x_r), recomputed, is the lower. (c) The next epoch starts
-    from the row's point, zeroed on the blocks its screen dropped, with
-    that point's own derivatives and smooth gradient as its snapshot; so an
-    epoch after a refined row starts from x_r. With a refinement that
+    gap_tol, and P(x_r), recomputed, is the lower. (c) The next epoch is
+    given the row's point and that point's own evaluation as its snapshot,
+    its derivatives and its dual point's smooth gradient, also where the
+    screen dropped a block on which the point is nonzero, and runs on
+    columns inside the safe set that screen left; so an epoch after a
+    refined row starts from x_r. With a refinement that
     answers 1.5 times its point, some rows refuse the slot's point, whose
     objective is the higher."""
     spec = SCREENED_RUNS[case]()
@@ -2553,9 +2592,10 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
 
     epochs, epoch = [], G.solvers._epoch
 
-    def spied_epoch(spec, work, x_hat, snap, *args):
-        epochs.append((x_hat.copy(), snap[0].copy(), snap[1].copy()))
-        return epoch(spec, work, x_hat, snap, *args)
+    def spied_epoch(spec, work, x_hat, evaluation, *args):
+        _, g, dp, _ = evaluation
+        epochs.append((x_hat.copy(), g.copy(), dp.gradient.copy(), work.features))
+        return epoch(spec, work, x_hat, evaluation, *args)
 
     monkeypatch.setattr(G.solvers, "_certify", spied_certify)
     monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
@@ -2583,13 +2623,58 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
     # (c)
     rows = epoch_rows(rep)
     assert len(epochs) == len(rows) and all(r.working_blocks for r in rows)
-    for (x, g, mu), row in zip(epochs, rows):
+    for (x, g, mu, features), row in zip(epochs, rows):
         k = row.outer_iter - 1
-        start = np.where(np.isin(block_of, rep.active_history[k + 1]), rep.iterates[k], 0.0)
-        assert np.array_equal(x, start)
-        assert np.array_equal(g, spec.loss.deriv(ds.A @ start, ds.y))
-        assert np.array_equal(mu, G.problem.smooth_gradient(spec, start, g))
+        assert np.array_equal(x, rep.iterates[k])
+        assert np.array_equal(g, spec.loss.deriv(ds.A @ x, ds.y))
+        assert np.array_equal(mu, G.problem.smooth_gradient(spec, x, g))
+        assert np.isin(block_of[features], rep.active_history[k + 1]).all()
     assert off or any(rep.trace[row.outer_iter - 1].restart == "refined" for row in rows)
+
+
+def test_no_solve_writes_a_row_point_in_place(monkeypatch):
+    """A row that takes its refined point x_r holds the slot's own array, not
+    a copy, and the next epoch starts from it: so nothing may write a row's
+    point in place. Every x_r a refinement returns, and every point an epoch
+    starts from, keeps its bytes to the end of the solve, and the iterates
+    report.iterates keeps are those bytes, on solves that take refined rows,
+    one of them with screens that drop a block where the row's point is
+    nonzero."""
+    refined, starts = [], []
+    certificate, epoch = G.solvers._refined_certificate, G.solvers._epoch
+
+    def spied_certificate(spec, x, work):
+        out = certificate(spec, x, work)
+        if out is not None:
+            refined.append((out[0], out[0].tobytes()))
+        return out
+
+    def spied_epoch(spec, work, x_hat, *args):
+        starts.append((x_hat, x_hat.tobytes()))
+        return epoch(spec, work, x_hat, *args)
+
+    monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
+    monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
+    # (spec, step factor, config); the last one's screens drop nonzero blocks
+    runs = [(SCREENED_RUNS[case](), 4.0, dict(seed=2, gap_tol=1e-10, max_outer=300))
+            for case in sorted(SCREENED_RUNS)]
+    runs.append((make_instance(seed=49, n=60, d=80, q=10, model="logistic", reg="group_l2"),
+                 1.0, dict(seed=49, gap_tol=1e-6, max_outer=60, m=60, batch_size=1)))
+    taken = 0
+    for spec, factor, kw in runs:
+        refined.clear()
+        starts.clear()
+        rep = G.adsgd_solve(spec, G.SolverConfig(eta=tuned_eta(spec, factor),
+                                                 keep_iterates=True, **kw))
+        assert rep.converged
+        assert all(x.tobytes() == b for x, b in refined + starts)
+        points = {b for _, b in refined}
+        for x, row in zip(rep.iterates, rep.trace):
+            taken += row.restart == "refined"
+            assert row.restart != "refined" or x.tobytes() in points
+        for (x, b), row in zip(starts, epoch_rows(rep)):
+            assert rep.iterates[row.outer_iter - 1].tobytes() == b
+    assert taken > 0
 
 
 @pytest.mark.parametrize("full_batch", [False, True], ids=["adsgd", "adsgd-full-batch"])
@@ -2819,22 +2904,19 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
     """Each A x a solve forms runs on a working design that holds x's
     support, never on the whole dataset; a point nonzero off that design
     would lose terms and could certify a wrong gap. So every z that
-    evaluate is given, and the z whose derivatives _zero_dropped takes for a
-    new snapshot, must have the bytes of ds.A @ x, and the point that
-    _zero_dropped or a refinement (_refined_certificate) gets with its design
-    must be zero off that design's columns: for adsgd, mrbcd and proxsvrg at
+    evaluate is given must have the bytes of ds.A @ x, and the point that a
+    refinement (_refined_certificate) gets with its design must be zero off
+    that design's columns: for adsgd, mrbcd and proxsvrg at
     a sampled and at the full batch, and for the reference, on a scattered
     partition, under mu_p > 0, at 0.25 lam_max and on a group-L2 instance
-    whose screens zero x_hat on dropped blocks, on both storages. A solve
+    whose screens drop blocks where x_hat is nonzero, on both storages. A solve
     that passes a row the design of an earlier epoch than the one that
     produced its point fails here."""
     monkeypatch.setattr(G.solvers, "_RHO", rho)
     spec = PRODUCT_CASES[case]()
     ds = spec.dataset
-    checked = {"evaluate": 0, "snapshot": 0, "refinement": 0}
-    evaluate, zero_dropped = G.solvers.evaluate, G.solvers._zero_dropped
-    certificate = G.solvers._refined_certificate
-    deriv, inside, derived = type(spec.loss).deriv, [False], []
+    checked = {"evaluate": 0, "refinement": 0}
+    evaluate, certificate = G.solvers.evaluate, G.solvers._refined_certificate
 
     def on(x, work):
         off = np.ones(ds.d, dtype=bool)
@@ -2846,24 +2928,6 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
         checked["evaluate"] += 1
         return evaluate(spec, x, z)
 
-    def spied_deriv(self, z, y):
-        if inside[0]:
-            derived.append(z.copy())
-        return deriv(self, z, y)
-
-    def spied_zero_dropped(spec, active, safe, x_hat, snap, *args):
-        inside[0] = True
-        try:
-            out = zero_dropped(spec, active, safe, x_hat, snap, *args)
-        finally:
-            inside[0] = False
-        assert on(x_hat, *args)
-        for z in derived:  # x_hat was zeroed in place on the dropped blocks
-            assert z.tobytes() == (ds.A @ x_hat).tobytes()
-            checked["snapshot"] += 1
-        derived.clear()
-        return out
-
     def spied_certificate(spec, x, work):
         assert on(x, work)
         checked["refinement"] += 1
@@ -2871,8 +2935,6 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
 
     monkeypatch.setattr(G.solvers, "evaluate", spied_evaluate)
     monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
-    monkeypatch.setattr(type(spec.loss), "deriv", spied_deriv)
-    monkeypatch.setattr(G.solvers, "_zero_dropped", spied_zero_dropped)
     # the logistic group-L2 step that makes a screen drop a nonzero block
     block_eta = tuned_eta(spec, 1.0 if case == "logistic-group" else 4.0)
     for solver, eta in (("adsgd", block_eta), ("mrbcd", block_eta),
@@ -2883,8 +2945,6 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
     rep = G.reference_solve(spec, tol=1e-10)
     assert rep.converged
     assert checked["evaluate"] > 0 and checked["refinement"] > 0
-    if case == "logistic-group":
-        assert checked["snapshot"] > 0
 
 
 class _Tripwire(sp.csr_matrix):
