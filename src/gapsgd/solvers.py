@@ -768,12 +768,17 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     step-by-step draws and leave the stream in their state, on both storages
     alike. _plan yields the chunk's steps, gathered from work's storage, and
     each chunk runs as one loop: a step calls step_gradient positionally,
-    updates its columns lo:hi of the iterate in place (grad *= eta, v -=
-    grad, the prox written back into v) and adds the iterate to the running
-    sum, whose average over the steps taken is _restart's first candidate.
+    updates its columns lo:hi of the iterate in place (grad *= eta, with eta
+    a 0-d float64 array, v -= grad, the prox written back into v) and adds
+    the iterate to the running sum, whose average over the steps taken is
+    _restart's first candidate. The prox threshold eta * lam stays a float.
     """
     n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
     prox, thresh = spec.reg.block_prox, eta * spec.lam
+    # numpy multiplies by a 0-d float64 array in about half the time it takes
+    # for a Python float. thresh stays a float: as a 0-d array it slows both
+    # proxes (group-L2 on 10 columns 1.07 -> 1.48 us, L1 on 100 0.80 -> 0.93).
+    eta = np.array(eta)
     sampled = batch_size < n
     wfeat = work.features
     x_tilde = x_hat[wfeat]

@@ -355,6 +355,39 @@ def test_soft_threshold_clip_form_equals_the_sign_form():
                           equal_nan=True)
 
 
+def _minmax_soft_threshold(v, t, out=None):
+    """v - clip(v, -t, t) with the clip formed by np.maximum and np.minimum."""
+    clip = np.maximum(v, -t)
+    np.minimum(clip, t, out=clip)
+    return np.subtract(v, clip, out=out)
+
+
+@pytest.mark.parametrize("t", [0.5, 1e-310, 5e-324, 1e300])
+def test_soft_threshold_gives_the_bytes_of_the_maximum_minimum_form(t):
+    """The clip-kernel prox gives the maximum/minimum form's bytes, out of place
+    and in place, at every length 1-33 and at 100, 5000 and 100003, so every
+    SIMD tail runs; each special value (+-t, its neighbours, signed zeros,
+    subnormals, +-inf, nan of both signs) reaches every lane of the short
+    vectors. Every zero it gives is +0.0."""
+    tiny = 5e-324
+    specials = [t, -t, np.nextafter(t, 0.0), -np.nextafter(t, 0.0), np.nextafter(t, np.inf),
+                -np.nextafter(t, np.inf), 0.0, -0.0, tiny, -tiny, 1e-310, -1e-310,
+                2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan, -np.nan]
+    rng = np.random.default_rng(0)
+    pool = np.concatenate([specials, 2.0 * t * rng.standard_normal(47)])
+    for n in [*range(1, 34), 100, 5000, 100003]:
+        for shift in range(pool.size if n <= 33 else 3):
+            v = np.resize(np.roll(pool, -shift), n)
+            want = _minmax_soft_threshold(v, t)
+            got = soft_threshold(v, t)
+            assert got.tobytes() == want.tobytes()
+            inplace, want_inplace = v.copy(), v.copy()
+            assert soft_threshold(inplace, t, out=inplace) is inplace
+            _minmax_soft_threshold(want_inplace, t, out=want_inplace)
+            assert inplace.tobytes() == want_inplace.tobytes() == want.tobytes()
+            assert not np.signbit(got[got == 0.0]).any()
+
+
 def test_group_l2_single_block_prox_in_place_keeps_the_bits():
     """The single-block prox, alone or in place, gives the bits of
     (1 - t/||v||) v with ||v|| from (v ** 2).sum(), or +0.0 where the norm is
