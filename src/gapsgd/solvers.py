@@ -57,13 +57,15 @@ working design of the epoch that produced the point (_columns), and A x_r
 is formed on that design too. The solve keeps the last refinement in a
 slot, its model and its result, a point or None, as Celer keeps its working
 set's solution, and later rows of the model reuse it: a model is not refined
-again while the slot holds it. The epoch runs as _SUB_EPOCHS sub-epochs, and
-at each boundary but the last it refines the inner iterate's model the same
-way where that model held since the previous boundary and is not the slot's.
-Where the refined point's own gap is at most gap_tol the epoch ends there, so
-a model is refined on the first row or boundary that holds it, and the next
-row finds the refinement in the slot. A boundary evaluates the refined point
-alone, never the inner iterate, so the check adds no evaluation of its own.
+again while the slot holds it. Inside the epoch the inner iterate's model is
+checked after every |W| steps, |W| being the working set's block count, so
+each working block is drawn about once between two checks; a model that
+held at three checks in a row, over 2|W| steps, and is not the slot's is
+refined the same way. Where the refined point's own gap is at most gap_tol
+the epoch ends there, so a model is refined on the first row or check that
+finds it settled, and the next row finds the refinement in the slot. A
+check evaluates the refined point alone, never the inner iterate, so it
+adds no evaluation of its own.
 A Lasso model's system is linear, so its first step solves it. Where the
 solution flips the sign of an L1 coordinate, the refinement drops every
 flipped coordinate from the model and solves again on the smaller support,
@@ -233,7 +235,7 @@ class TraceRecord:
     previous row's gap. working_blocks counts the blocks its steps updated,
     0 on the starting row, and inner_steps the steps it ran: at most
     inner_budget(m, working_blocks, q), fewer where a screening solve's epoch
-    ended at a sub-epoch boundary whose refinement certified itself, and 0 on
+    ended at a model check whose refinement certified itself, and 0 on
     the starting row and on any row no epoch produced. restart names the
     point: "start" on the starting row, then "average" or "last", the epoch's
     average or its last inner iterate, whichever had the smaller gap, or
@@ -688,8 +690,8 @@ def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot, work):
     evaluation is x_hat's on the full problem, and work the working design
     of the epoch that produced x_hat, which holds x_hat's support, so a
     refinement made here runs on it. prev is the previous row's model and
-    slot the last refinement, (its model, its result), made by a row or by a
-    sub-epoch boundary (_epoch). A model that passes the cost gate
+    slot the last refinement, (its model, its result), made by a row or by an
+    epoch's model check (_epoch). A model that passes the cost gate
     (_refinable) is refined on the first row that holds it unless the slot
     already holds it, so a model whose refinement found no point is not
     refined again while it lasts. Returns (identified, kept, model, slot).
@@ -715,21 +717,6 @@ def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot, work):
     return identified, None, model, slot
 
 
-# A screening solve's epoch runs as this many sub-epochs of ceil(steps /
-# _SUB_EPOCHS) steps, and at each boundary but the last it may refine x_cur's
-# model and end there (_epoch). adsgd's median time to gap on the benchmark's
-# instances and steps, in process on one core of a 2-core x86-64 host (16
-# solver seeds, median of three alternating rounds), for whole epochs / 4 /
-# 8 / 16 sub-epochs: 3.03 / 2.38 / 1.85 / 1.39 ms on lasso-tall, 7.76 / 8.06
-# / 7.61 / 7.62 ms on lasso-sparse and 2.09 / 2.10 / 2.10 / 2.11 ms on
-# logistic-group. An earlier prototype of the same rule read 2.42 / 1.9-2.0 /
-# 1.65 ms for 4 / 8 / 16 on lasso-tall, and 7.4 / 7.6-8.2 / 8.6 ms on
-# lasso-sparse, against 3.2-3.6 and 10.0-12.4 ms for whole epochs. More
-# boundaries find a certifying model sooner, and refine more models that
-# pass through on the way.
-_SUB_EPOCHS = 8
-
-
 def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sampling,
            slot, gap_tol):
     """(x, evaluation, label, updates, taken, slot) of at most `steps` inner
@@ -745,33 +732,39 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
 
     slot is None for a solve that never screens, whose epoch takes every step.
     A screening solve passes the engine's slot (_certify) and the solve's
-    gap_tol, and its epoch runs as _SUB_EPOCHS sub-epochs of
-    ceil(steps / _SUB_EPOCHS) steps. At each boundary but the last, where
-    x_cur's model (_model, in feature ids) is the one it had at the previous
-    boundary, or at the start, and passes the refinement's cost gate
-    (_refinable), and is not the model the slot holds, the model is refined
-    once into the slot, which then holds (model, result). Where that
+    gap_tol, and checks x_cur's model after every |W| = work.blocks.size
+    steps but the last; the start point is the first check. A check compares
+    x_cur's model on the working columns (_model of x_cur, whose columns hold
+    every nonzero) with the previous check's. Where the same model has held
+    at three checks in a row, passes the refinement's cost gate (_refinable)
+    and is not the model the slot holds, it is refined once into the slot,
+    which then holds (model, result), the model in feature ids. Where that
     refined point's own gap is at most gap_tol the epoch ends there: the next
     row finds the refinement in the slot, and takes it where its objective
-    is the lower. Under a zero _REFINE_COST no model passes the gate, so such
-    an epoch takes every step, as one that never screens.
+    is the lower. Only the third check of a run can refine: at a later one
+    the slot already holds the model, or the gate refused it. Under a zero
+    _REFINE_COST no model passes the gate, so such an epoch takes every
+    step, as one that never screens.
 
     The steps are planned in chunks, each gathering at most _CHUNK_ENTRIES
-    entries and cut at the last step and at every sub-epoch boundary, so an
-    epoch that ends early draws no row or block past its last step. A chunk
-    makes one rng.integers call, whose bounds list n for every batch row and
-    the number of working blocks for every block draw, in step order. A full
-    batch (batch_size == n) draws no rows: each of its steps takes every
-    row, in order, and is gathered like any other batch, at the cost of a
-    copy of the design. A bounded draw consumes the Philox stream alike alone
-    or in an array (tests pin this), so the chunks draw the values of
-    step-by-step draws and leave the stream in their state, on both storages
-    alike. _plan yields the chunk's steps, gathered from work's storage, and
-    each chunk runs as one loop: a step calls step_gradient positionally,
-    updates its columns lo:hi of the iterate in place (grad *= eta, with eta
-    a 0-d float64 array, v -= grad, the prox written back into v) and adds
-    the iterate to the running sum, whose average over the steps taken is
-    _restart's first candidate. The prox threshold eta * lam stays a float.
+    entries and cut at the last step. A chunk makes one rng.integers call,
+    whose bounds list n for every batch row and the number of working blocks
+    for every block draw, in step order. A full batch (batch_size == n)
+    draws no rows: each of its steps takes every row, in order, and is
+    gathered like any other batch, at the cost of a copy of the design. A
+    bounded draw consumes the Philox stream alike alone or in an array
+    (tests pin this), so the chunks draw the values of step-by-step draws
+    and leave the stream in their state, on both storages alike. An epoch
+    that ends at a check inside a chunk restores the generator's state from
+    before that chunk's draw and draws the bounds of the steps it took
+    again, so it too leaves the stream where step-by-step draws would, and
+    the chunk size never changes an iterate. _plan yields the chunk's steps,
+    gathered from work's storage, and each chunk runs as one loop: a step
+    calls step_gradient positionally, updates its columns lo:hi of the
+    iterate in place (grad *= eta, with eta a 0-d float64 array, v -= grad,
+    the prox written back into v) and adds the iterate to the running sum,
+    whose average over the steps taken is _restart's first candidate. The
+    prox threshold eta * lam stays a float.
     """
     n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
     prox, thresh = spec.reg.block_prox, eta * spec.lam
@@ -780,7 +773,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     # proxes (group-L2 on 10 columns 1.07 -> 1.48 us, L1 on 100 0.80 -> 0.93).
     eta = np.array(eta)
     sampled = batch_size < n
-    wfeat = work.features
+    wfeat, width = work.features, work.blocks.size
     x_tilde = x_hat[wfeat]
     x_cur = x_tilde.copy()
     x_sum = np.zeros(wfeat.size)
@@ -790,41 +783,49 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
                 else work.entries[0].size)
     chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
     highs = np.array([n] * (batch_size if sampled else 0)
-                     + [work.blocks.size] * block_sampling)
-    if slot is None:
-        sub = steps
-    else:
-        x = np.zeros(spec.dataset.d)
-        x[wfeat] = x_tilde
-        sub, model = -(-steps // _SUB_EPOCHS), _model(spec, x)
-    updates = 0
-    for start in range(0, steps, sub):
-        taken = min(start + sub, steps)
-        for done in range(start, taken, chunk):
-            c = min(chunk, taken - done)
-            draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
-                     else None)
-            batches = (draws[:, :batch_size] if sampled
-                       else np.broadcast_to(np.arange(n), (c, n)))
-            ibs = draws[:, -1] if block_sampling else None
-            for args, lo, hi in _plan(work, y, g_ref, c, batches, ibs):
-                grad = step_gradient(loss, x_cur, *args, lo, hi, mu, x_tilde, mu_p)
-                grad *= eta
-                v = x_cur[lo:hi]
-                v -= grad
-                prox(v, thresh, classes, out=v)
-                x_sum += x_cur
-                updates += hi - lo
-            del args  # release this chunk before the next is planned
-        if taken == steps:
+                     + [width] * block_sampling)
+    # the step after which the next check runs, 0 once none is left
+    check = width if slot is not None and width < steps else 0
+    if slot is not None:
+        was, held = _model(spec, x_cur), 1
+    updates, taken = 0, steps
+    for done in range(0, steps, chunk):
+        c = min(chunk, steps - done)
+        if slot is not None:
+            state = rng.bit_generator.state
+        draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
+                 else None)
+        batches = (draws[:, :batch_size] if sampled
+                   else np.broadcast_to(np.arange(n), (c, n)))
+        ibs = draws[:, -1] if block_sampling else None
+        for t, (args, lo, hi) in enumerate(_plan(work, y, g_ref, c, batches, ibs), done + 1):
+            grad = step_gradient(loss, x_cur, *args, lo, hi, mu, x_tilde, mu_p)
+            grad *= eta
+            v = x_cur[lo:hi]
+            v -= grad
+            prox(v, thresh, classes, out=v)
+            x_sum += x_cur
+            updates += hi - lo
+            if t != check:
+                continue
+            check = check + width if check + width < steps else 0
+            now = _model(spec, x_cur)
+            held, was = held + 1 if now == was else 1, now
+            if held != 3:
+                continue
+            x = np.zeros(spec.dataset.d)
+            x[wfeat] = x_cur
+            model = _model(spec, x)
+            if slot[0] != model and _refinable(spec, x):
+                slot = model, _refined_certificate(spec, x, work)
+                if slot[1] is not None and slot[1][1][3] <= gap_tol:
+                    taken = t
+                    break
+        del args  # release this chunk before the next is planned
+        if taken < steps:  # leave the stream where the steps taken leave it
+            rng.bit_generator.state = state
+            rng.integers(0, np.tile(highs, taken - done))
             break
-        x = np.zeros(spec.dataset.d)
-        x[wfeat] = x_cur
-        was, model = model, _model(spec, x)
-        if model == was and slot[0] != model and _refinable(spec, x):
-            slot = model, _refined_certificate(spec, x, work)
-            if slot[1] is not None and slot[1][1][3] <= gap_tol:
-                break
     x_sum /= taken
     return (*_restart(spec, work, x_sum, x_cur), updates, taken, slot)
 

@@ -146,8 +146,9 @@ iteration 3 (coord_updates 11600 -> 6400). Every mrbcd, proxsvrg and
 reference case did not move.
 
 Fifteen adsgd cases were re-recorded when a screening solve's epoch began
-to refine x_cur's model at sub-epoch boundaries and to end where that
-refinement certifies itself: adsgd-full-batch, adsgd-full-batch-mu-p,
+to refine x_cur's model at the boundaries of eight sub-epochs (replaced
+since by model checks, below) and to end where that refinement certifies
+itself: adsgd-full-batch, adsgd-full-batch-mu-p,
 adsgd-full-batch-scattered, adsgd-group-scattered, adsgd-group-uneven,
 adsgd-l1-scattered, adsgd-logistic-group, adsgd-mu-p,
 adsgd-full-batch-long-epoch, adsgd-long-epoch, adsgd-long-rows,
@@ -181,6 +182,26 @@ x_final moved by 1.1e-14 relative; its outer_iters (3), coord_updates (4400)
 and active blocks kept their values. adsgd-long-epoch,
 dense-adsgd-long-epoch and every mrbcd, proxsvrg and reference case did not
 move.
+
+Thirteen adsgd cases were re-recorded when a screening solve's epoch gave
+up its sub-epochs for a check of x_cur's model after every |W| steps,
+refining a model that held at three checks in a row, with its chunks no
+longer cut at the checks: adsgd-full-batch, adsgd-full-batch-mu-p,
+adsgd-full-batch-scattered, adsgd-group-uneven, adsgd-l1-scattered,
+adsgd-logistic-group, adsgd-mu-p, adsgd-full-batch-long-epoch,
+adsgd-long-epoch, adsgd-long-rows, dense-adsgd-full-batch,
+dense-adsgd-long-epoch and dense-adsgd-mu-p. Every outer_iters and every
+sequence of active blocks kept its value. On epochs of 40 or 60 steps over
+3 to 15 blocks a model now settles later than at the old boundaries, so
+coord_updates rose: 20 -> 31 (adsgd-full-batch, dense-adsgd-full-batch),
+23 -> 30, 24 -> 36, 99 -> 123, 84 -> 96, 40 -> 48, 32 -> 39 (adsgd-mu-p,
+dense-adsgd-mu-p) and 4400 -> 6400 (adsgd-long-rows). On the epochs of 700
+steps it settles sooner: 291 -> 31 (adsgd-full-batch-long-epoch) and
+874 -> 76 (adsgd-long-epoch, dense-adsgd-long-epoch). Each returned point
+has the old x_final's support and lies within 1.2e-13 of it, relative.
+adsgd-group-scattered, adsgd-l1-contiguous, dense-adsgd-group-scattered
+and dense-adsgd-l1-contiguous did not move, nor did any mrbcd, proxsvrg or
+reference case.
 
 python tests/test_golden_iterates.py NAME... prints each named case's entry
 from a fresh run, in the layout below, for such a re-record.
@@ -279,58 +300,58 @@ def _floats(hexes):
 GOLDEN = {
     "adsgd-full-batch": {
         "outer_iters": 2,
-        "coord_updates": 20,
+        "coord_updates": 31,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.1800000000000p-46 0x1.1800000000000p-46",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.6800000000000p-46 0x1.6800000000000p-46",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a95712p-2 0x1.6ccc7b64125eap-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b557fp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95850p-2 0x1.6ccc7b641259dp-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b562ep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a95712p-2 0x1.6ccc7b64125eap-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b557fp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95850p-2 0x1.6ccc7b641259dp-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b562ep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
 
     "adsgd-full-batch-mu-p": {
         "outer_iters": 2,
-        "coord_updates": 23,
+        "coord_updates": 30,
         "active_blocks": [6, 6, 2],
         "gaps": "0x1.ae1cbad4dccd0p-2 0x1.0000000000000p-48 0x1.0000000000000p-48",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda3c1p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aadep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda3eap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03ab36p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda3c1p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aadep-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda3eap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03ab36p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
 
     "adsgd-full-batch-scattered": {
         "outer_iters": 2,
-        "coord_updates": 24,
+        "coord_updates": 36,
         "active_blocks": [5, 5, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.fc00000000000p-46 0x1.fc00000000000p-46",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.dc00000000000p-46 0x1.dc00000000000p-46",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a9588fp-2 0x1.6ccc7b641245cp-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b5700p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95838p-2 0x1.6ccc7b64124d3p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b57d2p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a9588fp-2 0x1.6ccc7b641245cp-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b5700p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95838p-2 0x1.6ccc7b64124d3p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b57d2p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
@@ -365,7 +386,7 @@ GOLDEN = {
 
     "adsgd-group-uneven": {
         "outer_iters": 2,
-        "coord_updates": 99,
+        "coord_updates": 123,
         "active_blocks": [4, 3, 1],
         "gaps": "0x1.483a73cfbcb80p-8 0x0.0p+0 0x0.0p+0",
         "iterates": [
@@ -411,60 +432,60 @@ GOLDEN = {
 
     "adsgd-l1-scattered": {
         "outer_iters": 2,
-        "coord_updates": 84,
+        "coord_updates": 96,
         "active_blocks": [5, 5, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.a000000000000p-49 0x1.a000000000000p-49",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.e000000000000p-49 0x1.e000000000000p-49",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a95726p-2 0x1.6ccc7b6412816p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b5575p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a9577fp-2 0x1.6ccc7b641288ap-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b5579p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a95726p-2 0x1.6ccc7b6412816p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b5575p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a9577fp-2 0x1.6ccc7b641288ap-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b5579p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
 
     "adsgd-logistic-group": {
         "outer_iters": 2,
-        "coord_updates": 40,
+        "coord_updates": 48,
         "active_blocks": [5, 5, 2],
-        "gaps": "0x1.5107da0332f30p-4 0x1.0000000000000p-53 0x1.0000000000000p-53",
+        "gaps": "0x1.5107da0332f30p-4 0x1.0000000000000p-52 0x1.0000000000000p-52",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.2cca4d31a1c1ep-2 0x1.6607afa764a22p-4 0x1.c06466fc13120p-4 "
-            "-0x1.6ad818a8b8cecp-6 0x1.afa2676324f9dp-3 0x1.84bb5cd2a76dap-3 "
-            "0x1.fa4dfaff677dbp-3 -0x1.a721260296681p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.2cca4d31a1c21p-2 0x1.6607afa764a27p-4 0x1.c06466fc13125p-4 "
+            "-0x1.6ad818a8b8ce8p-6 0x1.afa2676324f9dp-3 0x1.84bb5cd2a76dbp-3 "
+            "0x1.fa4dfaff677ddp-3 -0x1.a721260296682p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.2cca4d31a1c1ep-2 0x1.6607afa764a22p-4 0x1.c06466fc13120p-4 "
-            "-0x1.6ad818a8b8cecp-6 0x1.afa2676324f9dp-3 0x1.84bb5cd2a76dap-3 "
-            "0x1.fa4dfaff677dbp-3 -0x1.a721260296681p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.2cca4d31a1c21p-2 0x1.6607afa764a27p-4 0x1.c06466fc13125p-4 "
+            "-0x1.6ad818a8b8ce8p-6 0x1.afa2676324f9dp-3 0x1.84bb5cd2a76dbp-3 "
+            "0x1.fa4dfaff677ddp-3 -0x1.a721260296682p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0",
         ],
     },
 
     "adsgd-mu-p": {
         "outer_iters": 2,
-        "coord_updates": 32,
+        "coord_updates": 39,
         "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.3800000000000p-46 0x1.3800000000000p-46",
+        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.2800000000000p-46 0x1.2800000000000p-46",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda282p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aeb2p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda2c2p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aea7p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda282p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aeb2p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda2c2p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aea7p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
@@ -953,35 +974,35 @@ def _nonzeros_hex(x):
 CHUNK_GOLDEN = {
     "adsgd-full-batch-long-epoch": {
         "outer_iters": 2,
-        "coord_updates": 291,
+        "coord_updates": 31,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.7000000000000p-47 0x1.7000000000000p-47",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.6800000000000p-46 0x1.6800000000000p-46",
         "x_final": (
-            "7:0x1.68e99b1a959bfp-2 8:0x1.6ccc7b64127ddp-1 11:0x1.49c81a80b5883p-2"
+            "7:0x1.68e99b1a95850p-2 8:0x1.6ccc7b641259dp-1 11:0x1.49c81a80b562ep-2"
         ),
     },
 
     "adsgd-long-epoch": {
         "outer_iters": 2,
-        "coord_updates": 874,
+        "coord_updates": 76,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.22e09c9f0d4c0p-5 0x1.0000000000000p-49",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.a000000000000p-46 0x1.a000000000000p-46",
         "x_final": (
-            "7:0x1.68e99b1a958adp-2 8:0x1.6ccc7b64128fap-1 11:0x1.49c81a80b57b7p-2"
+            "7:0x1.68e99b1a9578ap-2 8:0x1.6ccc7b64125b2p-1 11:0x1.49c81a80b5ab9p-2"
         ),
     },
 
     "adsgd-long-rows": {
         "outer_iters": 3,
-        "coord_updates": 4400,
+        "coord_updates": 6400,
         "active_blocks": [15, 15, 15, 3],
         "gaps": (
             "0x1.84db2ad70c69cp-1 0x1.345c7de7d0fc0p-3 0x1.0000000000000p-50 "
             "0x1.0000000000000p-50"
         ),
         "x_final": (
-            "757:-0x1.556c7fa42803dp-1 993:-0x1.eb514fe695ae5p-3 "
-            "1238:-0x1.01e61e385bf30p-3"
+            "757:-0x1.556c7fa428040p-1 993:-0x1.eb514fe695ae5p-3 "
+            "1238:-0x1.01e61e385bf37p-3"
         ),
     },
 
@@ -1074,27 +1095,27 @@ DENSE_GOLDEN = {
     },
     "dense-adsgd-full-batch": {
         "outer_iters": 2,
-        "coord_updates": 20,
+        "coord_updates": 31,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.1800000000000p-46 0x1.1800000000000p-46",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.6800000000000p-46 0x1.6800000000000p-46",
         "x_final": (
-            "7:0x1.68e99b1a95712p-2 8:0x1.6ccc7b64125eap-1 11:0x1.49c81a80b557fp-2"
+            "7:0x1.68e99b1a95850p-2 8:0x1.6ccc7b641259dp-1 11:0x1.49c81a80b562ep-2"
         ),
     },
     "dense-adsgd-mu-p": {
         "outer_iters": 2,
-        "coord_updates": 32,
+        "coord_updates": 39,
         "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.3800000000000p-46 0x1.3800000000000p-46",
-        "x_final": "1:0x1.52f61cafda282p-1 8:0x1.b87c52e03aeb2p-2",
+        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.2800000000000p-46 0x1.2800000000000p-46",
+        "x_final": "1:0x1.52f61cafda2c2p-1 8:0x1.b87c52e03aea7p-2",
     },
     "dense-adsgd-long-epoch": {
         "outer_iters": 2,
-        "coord_updates": 874,
+        "coord_updates": 76,
         "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.22e09c9f0d4c0p-5 0x1.8000000000000p-50",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.a000000000000p-46 0x1.a000000000000p-46",
         "x_final": (
-            "7:0x1.68e99b1a958b5p-2 8:0x1.6ccc7b64128f7p-1 11:0x1.49c81a80b57b9p-2"
+            "7:0x1.68e99b1a9578ap-2 8:0x1.6ccc7b64125b2p-1 11:0x1.49c81a80b5ab9p-2"
         ),
     },
     "dense-adsgd-group-scattered": {

@@ -2169,8 +2169,8 @@ def _spy_epochs(monkeypatch, calls):
 
 
 def _refinement_sites(rep, calls, spans):
-    """(k, boundary) for each refinement in calls of a screening solve: one
-    made at a sub-epoch boundary ran in the epoch that produced row k; any
+    """(k, in_epoch) for each refinement in calls of a screening solve: one
+    made at an epoch's model check ran in the epoch that produced row k; any
     other ran at row k, the row of the last epoch that ended before it, or
     row 0 before any epoch. Every epoch takes a step, so the rows with
     inner_steps are the epochs' rows, in order."""
@@ -2397,13 +2397,15 @@ def _spy_row_points(monkeypatch):
 def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     """The model of the point each epoch hands its row changes at every row
     of this Lasso solve, and each model is refined once, on the first row or
-    sub-epoch boundary that holds it. The models of rows 1 and 2 first
-    appear at a boundary of the epoch that produced each, and each row takes
-    that refined point. The epoch that produced row 2 first refined a model
-    no row holds, then row 2's, whose refined point certifies itself, so the
-    epoch ended early. Row 2 holds that point before its model is
-    identified, and its screen leaves exactly the point's blocks, which row
-    3 returns."""
+    model check that finds it settled. The models of rows 1 and 2 settle at
+    a check of the epoch that produced each, and each row takes that refined
+    point. No other model is refined: in the epoch that produced row 2, on
+    five working blocks, x_cur passes through models that hold at fewer than
+    three checks in a row before row 2's model holds at the checks after
+    steps 15, 20 and 25 of its 50. That model's refined point certifies
+    itself, so the epoch ends at step 25. Row 2 holds that point before its
+    model is identified, and its screen leaves exactly the point's blocks,
+    which row 3 returns."""
     spec = SCREENED_RUNS["lasso"]()
     calls = _spy_refinements(monkeypatch)
     spans = _spy_epochs(monkeypatch, calls)
@@ -2413,13 +2415,13 @@ def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     models = [G.solvers._model(spec, x) for x in points]
     assert rep.converged and rep.outer_iters == 3 and len(models) == 3
     assert all(a != b for a, b in zip(models, models[1:]))
-    assert _refinement_sites(rep, calls, spans) == [(1, True), (2, True), (2, True)]
+    assert _refinement_sites(rep, calls, spans) == [(1, True), (2, True)]
     refined = [m for _, m, _ in calls]
-    assert all(x_r is not None for _, _, x_r in calls) and len(set(refined)) == 3
-    assert [refined[0], refined[2]] == models[1:] and refined[1] not in models
-    assert all(np.array_equal(x, calls[i][2]) for x, i in zip(rep.iterates[1:], (0, 2, 2)))
-    budget = inner_budget(spec.dataset.n, rep.trace[2].working_blocks, spec.partition.q)
-    assert rep.trace[2].inner_steps < budget
+    assert all(x_r is not None for _, _, x_r in calls) and refined == models[1:]
+    assert all(np.array_equal(x, calls[i][2]) for x, i in zip(rep.iterates[1:], (0, 1, 1)))
+    row = rep.trace[2]
+    budget = inner_budget(spec.dataset.n, row.working_blocks, spec.partition.q)
+    assert (row.working_blocks, row.inner_steps, budget) == (5, 25, 50)
     assert [r.restart for r in rep.trace] == ["start", "refined", "refined", "refined"]
     assert not rep.trace[2].identified and rep.trace[3].working_blocks == 0
     assert np.array_equal(rep.x_final, calls[-1][2])
@@ -2681,15 +2683,15 @@ def test_no_solve_writes_a_row_point_in_place(monkeypatch):
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
 def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_batch, case):
     """A screening solve refines a model (signs for L1, nonzero pattern for
-    group-L2) on the first row or sub-epoch boundary that holds it, where it
-    is nonzero and within the cost bound, whether or not the model is
+    group-L2) on the first row or model check that finds it settled, where
+    it is nonzero and within the cost bound, whether or not the model is
     identified yet, and keeps the refinement in its slot while the model
-    holds (these runs never come back to an earlier model). A boundary
-    refines x_cur's model, never the model of the row that opened its epoch.
-    A model is refined at most once per solve, at a row or at a boundary,
-    whether or not that refinement found a point, so no gap is kept for a
-    try; every row whose own point brings a new such model is refined, there
-    or at a boundary of the epoch that produced it, unless it stops on that
+    holds (these runs never come back to an earlier model). A check refines
+    x_cur's model, never the model of the row that opened its epoch. A model
+    is refined at most once per solve, at a row or at a check, whether or
+    not that refinement found a point, so no gap is kept for a try; every
+    row whose own point brings a new such model is refined, there or at a
+    check of the epoch that produced it, unless it stops on that
     point's own gap. The safe set need not hold just the row's nonzero blocks
     yet, but a row is identified only where it does, and, where the row keeps
     its own point, where that point's model is the previous row's; only an
@@ -2708,11 +2710,11 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
         return G.solvers._model(spec, x)
 
     refined, tries = set(), set()
-    for (x, m, _), (k, boundary) in zip(calls, _refinement_sites(rep, calls, spans)):
+    for (x, m, _), (k, in_epoch) in zip(calls, _refinement_sites(rep, calls, spans)):
         assert np.any(x) and _within_refinement_cost(spec, _unknowns(spec, x))
         # once per solve, and never the model of row k - 1
         assert m not in tries and k > 0 and model(rep.iterates[k - 1]) != m
-        assert boundary or np.array_equal(x, points[k])
+        assert in_epoch or np.array_equal(x, points[k])
         tries.add(m)
         refined.add((k, m))
     for k, x in enumerate(points[1:], 1):
@@ -2734,18 +2736,27 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     assert last.identified or not last.refined_dual
 
 
+def _chunk_steps(spec, work, batch_size):
+    """The steps of one chunk of an epoch on work: _CHUNK_ENTRIES over the
+    entries a step may gather."""
+    entries = (batch_size * np.diff(work.indptr).max() if batch_size < spec.dataset.n
+               else work.entries[0].size)
+    return max(1, G.solvers._CHUNK_ENTRIES // entries)
+
+
 def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
     """(a) A screening solve's epoch ends before its inner_budget only where a
-    refinement made at one of its sub-epoch boundaries gives x_r an own gap
-    of at most gap_tol, and every such refinement ends its epoch. (b) Where
-    every refinement answers off the optimum, as in
+    refinement made at one of its model checks gives x_r an own gap of at
+    most gap_tol, and every such refinement ends its epoch. (b) Where every
+    refinement answers off the optimum, as in
     test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict, no
     epoch ends early. (c) mrbcd and proxsvrg take every budgeted step and
-    refine nothing. (d) An epoch that ends early has drawn, chunk by chunk,
-    exactly the rows and blocks of the steps it took, its chunks cut at every
-    boundary it passed, and it is the solve's last: the refinement it left
-    in the slot is returned on the row it produced or straight after that
-    row's screen."""
+    refine nothing. (d) Every epoch draws its rows and blocks chunk by chunk,
+    its chunks cut only at the entry cap and at the budget, never at a
+    check. One that ends early draws the chunks up to the one holding its
+    last step, then, its generator restored, the steps it took in that chunk
+    again; and it is the solve's last: the refinement it left in the slot is
+    returned on the row it produced or straight after that row's screen."""
     results, certificate = [], G.solvers._refined_certificate
 
     def spied(spec, x, work):
@@ -2756,19 +2767,20 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
     monkeypatch.setattr(G.solvers, "_refined_certificate", spied)
     spans = _spy_epochs(monkeypatch, results)
     monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
-    drawn = []
+    drawn, chunks = [], []
     epoch = G.solvers._epoch
 
-    def counted(*args):
+    def counted(spec, work, *args):
         first = len(_CountingGenerator.draws)
-        out = epoch(*args)
+        out = epoch(spec, work, *args)
         drawn.append(_CountingGenerator.draws[first:])
+        chunks.append(_chunk_steps(spec, work, args[5]))
         return out
 
     monkeypatch.setattr(G.solvers, "_epoch", counted)
 
     def run(spec, **fields):
-        del results[:], spans[:], drawn[:]
+        del results[:], spans[:], drawn[:], chunks[:]
         monkeypatch.setattr(_CountingGenerator, "draws", [])
         cfg = G.SolverConfig(**{**dict(seed=2, gap_tol=1e-10, max_outer=300,
                                        eta=tuned_eta(spec)), **fields})
@@ -2787,7 +2799,8 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
             rep, rows, budgets = run(spec, solver="adsgd", batch_size=batch)
             assert rep.converged
             per_step = (batch if batch < n else 0) + 1
-            for row, budget, (a, b), draws in zip(rows, budgets, spans, drawn):
+            for row, budget, (a, b), draws, chunk in zip(rows, budgets, spans, drawn,
+                                                         chunks):
                 certified = [i for i in range(a, b)
                              if results[i] is not None and results[i][1][3] <= 1e-10]
                 # (a)
@@ -2795,10 +2808,10 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
                 # (d)
                 sizes = [size // per_step for size in draws]
                 assert [size % per_step for size in draws] == [0] * len(draws)
-                assert sum(sizes) == row.inner_steps
-                sub = -(-budget // G.solvers._SUB_EPOCHS)
-                ends = set(np.cumsum(sizes).tolist())
-                assert set(range(sub, row.inner_steps, sub)) <= ends
+                planned = [min(chunk, budget - done) for done in range(0, budget, chunk)]
+                last = (row.inner_steps - 1) // chunk
+                assert sizes == (planned if row.inner_steps == budget else
+                                 planned[:last + 1] + [row.inner_steps - last * chunk])
                 if row.inner_steps < budget:
                     early += 1
                     assert rep.outer_iters - row.outer_iter <= 1
@@ -2818,7 +2831,7 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
     monkeypatch.setattr(G.solvers, "_refine_support", wrong)
     for case in sorted(SCREENED_RUNS):
         rep, rows, budgets = run(SCREENED_RUNS[case](), solver="adsgd")
-        # boundaries refined, and none of their refinements certified
+        # checks refined, and none of their refinements certified
         assert rep.converged and any(a < b for a, b in spans)
         assert [r.inner_steps for r in rows] == budgets
     monkeypatch.setattr(G.solvers, "_refine_support", refine)
@@ -2829,6 +2842,113 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
             rep, rows, budgets = run(SCREENED_RUNS[case](), solver=solver, max_outer=8)
             assert results == [] and [r.inner_steps for r in rows] == budgets
             assert len(rows) == rep.outer_iters
+
+
+def _spy_epoch_steps(monkeypatch):
+    """Record each epoch of a solve: (|W|, its budget, x_cur before each of
+    its steps, (steps done, x) of each refinement made inside it)."""
+    epochs, current = [], []
+    epoch, step, certificate = (G.solvers._epoch, G.solvers.step_gradient,
+                                G.solvers._refined_certificate)
+
+    def spied_epoch(spec, work, x_hat, evaluation, steps, *args):
+        epochs.append((work.blocks.size, steps, [], []))
+        current.append(epochs[-1])
+        try:
+            return epoch(spec, work, x_hat, evaluation, steps, *args)
+        finally:
+            current.pop()
+
+    def spied_step(loss, x, *args):
+        if current:
+            current[-1][2].append(x.copy())
+        return step(loss, x, *args)
+
+    def spied_certificate(spec, x, work):
+        if current:
+            current[-1][3].append((len(current[-1][2]), x[work.features].copy()))
+        return certificate(spec, x, work)
+
+    monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
+    monkeypatch.setattr(G.solvers, "step_gradient", spied_step)
+    monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
+    return epochs
+
+
+@pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
+def test_an_epoch_refines_only_a_model_held_at_its_last_three_checks(monkeypatch, case):
+    """An epoch checks x_cur's model after every |W| steps but the last, the
+    start point being the first check. Every refinement made inside an epoch
+    runs after t steps, t a multiple of |W| below the epoch's budget, on the
+    model x_cur held at the checks after t - 2|W|, t - |W| and t steps, and
+    at the first check where it had held three times: the check after
+    t - 3|W| steps, where there is one, found another model. For a sampled
+    and a full batch."""
+    spec = SCREENED_RUNS[case]()
+    epochs = _spy_epoch_steps(monkeypatch)
+    refined = 0
+    for batch in (None, spec.dataset.n):
+        del epochs[:]
+        rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
+                                                 eta=tuned_eta(spec), batch_size=batch))
+        assert rep.converged
+        for width, steps, xs, refinements in epochs:
+            for t, x in refinements:
+                model = G.solvers._model(spec, x)
+                assert t % width == 0 and 2 * width <= t < steps
+                assert G.solvers._model(spec, xs[t - width]) == model
+                assert G.solvers._model(spec, xs[t - 2 * width]) == model
+                assert t < 3 * width or G.solvers._model(spec, xs[t - 3 * width]) != model
+                refined += 1
+    assert refined > 0
+
+
+@pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
+def test_an_epoch_that_ends_inside_a_chunk_leaves_the_per_step_stream(monkeypatch, case):
+    """Checks do not cut chunks, so an epoch may end at a check inside one.
+    It then restores its generator and draws again the steps it took in that
+    chunk, which leaves the stream where step-by-step draws of its steps
+    would: the generator's next draw after the epoch is that of a per-step
+    drawer started where the epoch started. adsgd returns the same bits at
+    _CHUNK_ENTRIES = 1 (one step a chunk, which no check falls inside), the
+    default and 2**22 (one chunk an epoch), for a sampled and a full batch,
+    and some of its epochs end inside a chunk."""
+    spec = SCREENED_RUNS[case]()
+    n = spec.dataset.n
+    epoch, inside = G.solvers._epoch, []
+
+    def drawer(state):
+        rng = np.random.Generator(np.random.Philox())
+        rng.bit_generator.state = state
+        return rng
+
+    def spied(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, *args):
+        start = rng.bit_generator.state
+        out = epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, *args)
+        taken = out[4]
+        if taken % _chunk_steps(spec, work, batch_size) and taken < steps:
+            per_step = drawer(start)
+            for _ in range(taken):
+                if batch_size < n:
+                    per_step.integers(0, n, size=batch_size)
+                per_step.integers(0, work.blocks.size)
+            after = drawer(rng.bit_generator.state)
+            inside.append(after.integers(0, 2 ** 62) == per_step.integers(0, 2 ** 62))
+        return out
+
+    monkeypatch.setattr(G.solvers, "_epoch", spied)
+    for batch in (None, n):
+        cfg = G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300, eta=tuned_eta(spec),
+                             batch_size=batch, keep_iterates=True)
+        runs = []
+        for entries in (1, _CHUNK_ENTRIES, 2 ** 22):
+            monkeypatch.setattr(G.solvers, "_CHUNK_ENTRIES", entries)
+            rep = G.adsgd_solve(spec, cfg)
+            runs.append((rep.coord_updates, [r.gap for r in rep.trace],
+                         [r.inner_steps for r in rep.trace],
+                         [x.tobytes() for x in rep.iterates]))
+        assert rep.converged and runs[0] == runs[1] == runs[2]
+    assert inside and all(inside)
 
 
 def _unknowns(spec, x):
