@@ -144,7 +144,7 @@ def column_bounds(spec):
             out = blockwise_dual_norms(ds.column_norms(), part, reg)
         else:
             out = np.empty(part.q)
-            for ids, idx in part.classes:
+            for ids, idx, _ in part.classes:
                 step = _GRAM_ENTRIES // idx.shape[1] ** 2
                 for lo in range(0, ids.size, step):
                     out[ids[lo:lo + step]] = _gram_sigma(ds.A, idx[lo:lo + step])

@@ -13,8 +13,9 @@ ranges, built from the block sizes with array operations alone
 (BlockPartition.from_sizes). A penalty's block_prox shrinks one block, or,
 given a partition's size classes, a whole vector at once, and writes into
 out when given one, which may be v itself. For group-L2 the whole-vector prox
-and the penalty value work per size class: they gather the k blocks of size s
-into a (k, s) array and take all k norms with one row-wise sum.
+and the penalty value work per size class: they take the k blocks of size s
+as a (k, s) array and all k norms with one row-wise sum. The prox reads a
+class that is one run of coordinates as a view, and gathers any other.
 """
 
 import dataclasses
@@ -155,12 +156,14 @@ class BlockPartition:
     order lists the coordinates block by block, and block j holds
     groups[j] = order[offsets[j]:offsets[j + 1]]. Coordinate i lies in block
     block_of[i]. classes groups the blocks by size for the group-L2 penalty's
-    full-vector value and prox: one (ids, idx) pair per distinct size s, in
-    increasing s, where ids holds the ranks of the k blocks of that size in
-    increasing order and row i of the (k, s) array idx is groups[ids[i]].
-    groups and classes are built when first read, so a layout that no caller
-    asks them of costs array operations only. Group indices and sizes must
-    be integers, not floats or bools.
+    full-vector value and prox: one (ids, idx, run) triple per distinct size
+    s, in increasing s, where ids holds the ranks of the k blocks of that
+    size in increasing order and row i of the (k, s) array idx is
+    groups[ids[i]]. run is slice(lo, hi) where idx lists the coordinates
+    lo:hi in order, so the class is one contiguous run, as every class of a
+    contiguous layout is, else None. groups and classes are built when first
+    read, so a layout that no caller asks them of costs array operations
+    only. Group indices and sizes must be integers, not floats or bools.
     """
 
     def __init__(self, groups):
@@ -221,7 +224,11 @@ class BlockPartition:
         out = []
         for s in np.flatnonzero(np.bincount(self.sizes)).tolist():
             ids = np.flatnonzero(self.sizes == s)
-            out.append((ids, self.order[self.offsets[ids, None] + np.arange(s)]))
+            idx = self.order[self.offsets[ids, None] + np.arange(s)]
+            lo = int(idx[0, 0])
+            run = (slice(lo, lo + idx.size)
+                   if np.array_equal(idx.ravel(), np.arange(lo, lo + idx.size)) else None)
+            out.append((ids, idx, run))
         return out
 
     @classmethod
@@ -310,7 +317,7 @@ class GroupL2Penalty:
 
     def value(self, x, partition):
         norms = np.empty(partition.q)
-        for ids, idx in partition.classes:
+        for ids, idx, _ in partition.classes:
             norms[ids] = np.sqrt((x[idx] ** 2).sum(axis=1))
         # summed in block order, left to right, as the per-block loop did
         return float(sum(norms.tolist()))
@@ -319,10 +326,16 @@ class GroupL2Penalty:
         """Block soft thresholding: v scaled by 1 - t/||v||, or +0.0 where ||v|| <= t.
 
         With classes (a BlockPartition's) v is a whole vector and every block
-        is shrunk at once. Each row sum of a (k, s) gather adds the same terms
-        in the same order as the sum over that one block, so both paths give
-        the same bits. The result goes to out when given, which may be v:
-        every block is gathered before out is written.
+        is shrunk at once, one size class at a time, each block scaled by
+        1 - t / max(||v||, t) and then set to +0.0 where ||v|| <= t. A class
+        that is one run of coordinates is read as a (k, s) view of v and
+        written into the same view of out; any other is gathered into a
+        (k, s) array and scattered back. Each row sum of a (k, s) array adds
+        the same terms in the same order as the sum over that one block, so
+        both paths give the bits of the one-block prox, -0.0 in kept blocks
+        included. A nan block passes through, as on one block. The result
+        goes to out when given, which may be v: the classes are disjoint, and
+        each is read before its own coordinates are written.
         """
         if classes is None:
             nrm = math.sqrt(np.add.reduce(v * v))
@@ -332,15 +345,24 @@ class GroupL2Penalty:
                 out.fill(0.0)
                 return out
             return np.multiply(v, 1.0 - t / nrm, out=out)
-        blocks = [(idx, v[idx]) for _, idx in classes]
         if out is None:
-            out = np.zeros(v.shape)
-        else:
-            out.fill(0.0)
-        for idx, blk in blocks:
-            nrm = np.sqrt((blk ** 2).sum(axis=1))
-            keep = ~(nrm <= t)  # a nan norm passes through, as on one block
-            out[idx[keep]] = (1.0 - t / nrm[keep])[:, None] * blk[keep]
+            out = np.empty(v.shape)
+        # the divisor's floor: t, or under t = 0 the least subnormal, which
+        # leaves every nonzero norm as it is and keeps 0 / 0 out of a zero block
+        floor = t if t > 0 else 5e-324
+        for _, idx, run in classes:
+            if run is None:
+                blk = dst = v[idx]
+            else:
+                blk, dst = v[run].reshape(idx.shape), out[run].reshape(idx.shape)
+            nrm = np.sqrt(np.add.reduce(blk * blk, axis=1))
+            shrink = np.maximum(nrm, floor)
+            np.divide(t, shrink, out=shrink)
+            np.subtract(1.0, shrink, out=shrink)
+            np.multiply(blk, shrink[:, None], out=dst)
+            np.copyto(dst, 0.0, where=(nrm <= t)[:, None])
+            if run is None:
+                out[idx] = dst
         return out
 
 

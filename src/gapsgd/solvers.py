@@ -26,10 +26,12 @@ are then evaluated on the full problem, and the one with the strictly
 smaller gap becomes the next iterate (_restart); a tie or a non-finite gap
 keeps the average. The winner's evaluation is the next outer
 iteration's: its trace row, stop test, screen, working set and snapshot,
-unless a refined point of lower objective takes its place (below), so an
-epoch costs two evaluations, plus one per refined model. The
-average drags in the epoch's early iterates, the last iterate does not, and
-neither wins every epoch. A W that is too small cannot certify, since the
+unless a refined point of lower objective takes its place (below). A
+screening epoch evaluates neither candidate where that refined point already
+decides its row, by weak duality (_epoch), so an epoch costs two
+evaluations, or none, plus one per refined model. The average drags in the
+epoch's early iterates, the last iterate does not, and neither wins every
+epoch. A W that is too small cannot certify, since the
 gap scales the dual over every block; it costs outer iterations, and a block
 it wrongly left out correlates above lam at the subproblem's optimum, so it
 joins the next W. The solvers that never screen run every epoch on all q
@@ -179,7 +181,7 @@ import numpy as np
 from .duality import ActiveSet, DualPoint, column_bounds, evaluate, safe_radius, screen
 from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_rows,
                       _is_count, _is_real, csc_matvec, csr_matvec, lipschitz_constants,
-                      smooth_gradient, smooth_value)
+                      primal_objective, smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -627,21 +629,17 @@ def _matvec(work, v):
     return z
 
 
-def _restart(spec, work, x_avg, x_last):
+def _restart(spec, average, last):
     """(x, evaluation, label) of the epoch's next iterate, from its average and
-    its last inner iterate, given in the columns of its working design work.
+    its last inner iterate, each given as (x, A x), A x formed on the epoch's
+    working design (_matvec).
 
-    Both are evaluated on the full problem, each A x formed on work
-    (_matvec), and the last iterate wins only with a finite gap strictly
-    below the average's, or where the average's gap is not finite: a tie
-    keeps the average, and a non-finite gap never beats a finite one.
+    Both are evaluated on the full problem, and the last iterate wins only
+    with a finite gap strictly below the average's, or where the average's
+    gap is not finite: a tie keeps the average, and a non-finite gap never
+    beats a finite one.
     """
-    out = []
-    for v in (x_avg, x_last):
-        x = np.zeros(spec.dataset.d)
-        x[work.features] = v
-        out.append((x, evaluate(spec, x, _matvec(work, v))))
-    (x_a, ev_a), (x_l, ev_l) = out
+    (x_a, ev_a), (x_l, ev_l) = [(x, evaluate(spec, x, z)) for x, z in (average, last)]
     if np.isfinite(ev_l[3]) and not ev_a[3] <= ev_l[3]:
         return x_l, ev_l, "last"
     return x_a, ev_a, "average"
@@ -717,12 +715,22 @@ def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot, work):
     return identified, None, model, slot
 
 
+# The rounding margin of an epoch row decided by its slot's refined point
+# (_epoch), as a fraction of the candidate's objective P(x). P(x) and the
+# dual value D are sums of at most n + d terms whose magnitudes are of the
+# order of the objectives, so each rounds by about (n + d) eps of them: below
+# 1e-9 up to n + d of a few million. A larger margin only decides fewer rows,
+# which then run the full restart, and changes no iterate.
+_ROUNDING = 1e-9
+
+
 def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sampling,
            slot, gap_tol):
     """(x, evaluation, label, updates, taken, slot) of at most `steps` inner
-    steps from x_hat on the working design work: _restart's next iterate,
-    evaluation and label, the number of coordinate updates, the number of
-    steps taken and the slot. x_hat is the point of the row that opens the
+    steps from x_hat on the working design work: the next iterate, its
+    evaluation and label, from _restart or from the slot (below), the number
+    of coordinate updates, the number of steps taken and the slot. x_hat is
+    the point of the row that opens the
     epoch, a refined point where the row took one (_certify), and the
     snapshot, with evaluation its own. The steps start from x_hat on work,
     also where it is nonzero on a block the row's screen dropped: a
@@ -763,8 +771,20 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     calls step_gradient positionally, updates its columns lo:hi of the
     iterate in place (grad *= eta, with eta a 0-d float64 array, v -= grad,
     the prox written back into v) and adds the iterate to the running sum,
-    whose average over the steps taken is _restart's first candidate. The
-    prox threshold eta * lam stays a float.
+    whose average over the steps taken is the first candidate, the last
+    inner iterate the second. The prox threshold eta * lam stays a float.
+
+    Each candidate's A x is formed on work (_matvec). Where the slot holds a
+    refined point x_r, both candidates hold the slot's model, and each one's
+    objective from that A x is finite and exceeds P(x_r) by more than
+    gap_tol plus _ROUNDING of itself, the row is decided: every gap is at
+    least P(x) - P* >= P(x) - P(x_r) (weak duality; Ndiaye, Fercoq, Gramfort
+    & Salmon, JMLR 2017), so both gaps exceed gap_tol, and _certify would
+    keep x_r over whichever candidate won. The epoch then returns x_r and
+    its evaluation, uncopied, labelled "refined", and evaluates neither
+    candidate; the engine forms the row's model and identification as
+    _certify's kept branch does. Otherwise _restart evaluates both, from the
+    same A x.
     """
     n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
     prox, thresh = spec.reg.block_prox, eta * spec.lam
@@ -827,7 +847,19 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
             rng.integers(0, np.tile(highs, taken - done))
             break
     x_sum /= taken
-    return (*_restart(spec, work, x_sum, x_cur), updates, taken, slot)
+    cands = []
+    for v in (x_sum, x_cur):
+        x = np.zeros(spec.dataset.d)
+        x[wfeat] = v
+        cands.append((x, _matvec(work, v)))
+    if (slot is not None and slot[1] is not None
+            and all(_model(spec, x) == slot[0] for x, _ in cands)):
+        x_r, ev_r = slot[1]
+        bar = ev_r[0] + gap_tol
+        if all(math.isfinite(obj) and obj - _ROUNDING * obj > bar
+               for obj in (primal_objective(spec, x, z) for x, z in cands)):
+            return x_r, ev_r, "refined", updates, taken, slot
+    return (*_restart(spec, *cands), updates, taken, slot)
 
 
 # Every solve starts at x = 0, so a row above P(0) is an epoch that left the
@@ -880,7 +912,12 @@ def _engine(spec, config, *, block_sampling, screening):
 
     while True:
         identified = False
-        if screening and np.isfinite(evaluation[0]):
+        if screening and restart == "refined":
+            # the epoch found its row decided by the slot's refined point, as
+            # _certify's kept branch takes it
+            identified = np.array_equal(_blocks(spec, x_hat), active.blocks)
+            model = _model(spec, x_hat)
+        elif screening and np.isfinite(evaluation[0]):
             # a refined point with the lower objective becomes the row's point,
             # with its whole evaluation
             identified, kept, model, slot = _certify(spec, active, x_hat, evaluation,

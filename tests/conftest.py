@@ -52,3 +52,28 @@ def inert_screening(monkeypatch):
     monkeypatch.setattr(G.solvers, "_working_blocks",
                         lambda spec, active, x_hat, dp: active.blocks)
     monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
+
+
+def spy_decided(monkeypatch):
+    """Record every epoch of the solves that follow: the slot it returned
+    where its row was decided by the slot's refined point, so it ran no
+    _restart and evaluated neither candidate, else None. A decided epoch,
+    and only one, hands its row the label "refined"."""
+    decided, restarts = [], []
+    epoch, restart = G.solvers._epoch, G.solvers._restart
+
+    def spied_restart(*args):
+        restarts.append(None)
+        return restart(*args)
+
+    def spied_epoch(*args):
+        before = len(restarts)
+        out = epoch(*args)
+        ran = len(restarts) > before
+        assert ran != (out[2] == "refined")
+        decided.append(None if ran else out[5])
+        return out
+
+    monkeypatch.setattr(G.solvers, "_restart", spied_restart)
+    monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
+    return decided

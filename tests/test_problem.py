@@ -505,10 +505,42 @@ def test_group_l2_size_class_prox_in_place_gives_the_same_bits(layout):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_group_l2_prox_reads_each_contiguous_class_in_place():
+    """A size class is marked a run, slice(lo, hi), exactly where its blocks
+    are the coordinates lo:hi in order: every class of a contiguous layout,
+    the single-block classes of the uneven one but not its interleaved sizes
+    7 and 9, and none of the scattered one. The prox reads a run as a view
+    of v and writes a view of out, so with nan written into out beforehand
+    it still gives the loop's bits. Under t = 0 every zero block comes out
+    +0.0 and every other block keeps v's bits, -0.0 included, without a
+    warning (pytest raises warnings as errors)."""
+    reg = G.REGULARIZERS["group_l2"]
+    runs = {"equal-contiguous": [129], "uneven-contiguous": [8, 128, 129], "scattered": []}
+    for name, part in _prox_layouts().items():
+        for _, idx, run in part.classes:
+            assert (run is not None) == (idx.shape[1] in runs[name])
+            if run is not None:
+                assert np.array_equal(np.arange(part.d)[run], idx.ravel())
+        v = np.random.default_rng(35).normal(size=part.d)
+        v[part.groups[1]] = -0.0
+        v[part.groups[2][0]] = -0.0
+        for t in (0.0, 0.7):
+            want = _group_prox_loop(v, t, part.groups)
+            out = np.full(part.d, np.nan)
+            assert reg.block_prox(v, t, part.classes, out=out) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(np.signbit(out), np.signbit(want))
+            if t == 0.0:
+                assert not np.signbit(out[part.groups[1]]).any()
+                assert np.signbit(out[part.groups[2][0]])
+                assert np.array_equal(np.delete(out, part.groups[1]),
+                                      np.delete(v, part.groups[1]))
+
+
 def test_size_classes_list_every_block_once_by_size():
     part = _prox_layouts()["scattered"]
     seen = []
-    for ids, idx in part.classes:
+    for ids, idx, _ in part.classes:
         assert idx.shape == (ids.size, part.sizes[ids[0]])
         assert np.all(part.sizes[ids] == idx.shape[1])
         for j, row in zip(ids.tolist(), idx):
@@ -638,8 +670,8 @@ def test_partition_layout_matches_a_per_group_loop(layout):
     assert part.block_of.tolist() == [block_of[i] for i in range(part.d)]
     assert part.offsets.tolist() == offsets
     assert part.block_of.dtype == np.intp and not part.block_of.flags.writeable
-    assert [idx.shape[1] for _, idx in part.classes] == sorted(by_size)
-    for ids, idx in part.classes:
+    assert [idx.shape[1] for _, idx, _ in part.classes] == sorted(by_size)
+    for ids, idx, _ in part.classes:
         want = by_size[idx.shape[1]]
         assert ids.tolist() == want
         assert np.array_equal(idx, np.array([part.groups[j] for j in want]))

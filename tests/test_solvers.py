@@ -13,7 +13,8 @@ from gapsgd.solvers import (_CHUNK_ENTRIES, _columns, _compact, _one_pass_bound,
                             _power_sigma, _resolve, _spectral_bound, inner_budget,
                             step_gradient)
 
-from conftest import epoch_rows, hand_lasso, inert_screening, make_instance, tuned_eta
+from conftest import (epoch_rows, hand_lasso, inert_screening, make_instance, spy_decided,
+                      tuned_eta)
 
 # _RHO = inf keeps every working design sparse, _RHO = 0 makes each one dense
 STORAGES = (math.inf, 0.0)
@@ -258,8 +259,9 @@ def _same_partition(got, want):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and np.array_equal(g, w), name
     assert len(got.classes) == len(want.classes)
-    for (g_ids, g_idx), (w_ids, w_idx) in zip(got.classes, want.classes):
+    for (g_ids, g_idx, g_run), (w_ids, w_idx, w_run) in zip(got.classes, want.classes):
         assert np.array_equal(g_ids, w_ids) and np.array_equal(g_idx, w_idx)
+        assert g_run == w_run
 
 
 def test_compacted_layout_is_the_partition_of_the_surviving_columns():
@@ -1017,10 +1019,11 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
     """Wrapping the engine's phases through module attributes, as
     benchmarks/tracer.py wraps its layers, sees each epoch as one _epoch call,
     on the working design the next trace row counts, with its one _restart
-    inside it; a screening solve certifies each row, screens before each
-    epoch, and cuts at most a safe set's and a working set's design per
-    epoch. Only a screen that drops blocks builds an ActiveSet: the engine
-    cuts its designs by block ids."""
+    inside it unless the slot's refined point decided its row; a screening
+    solve certifies each row but a decided one, screens before each epoch,
+    and cuts at most a safe set's and a working set's design per epoch. Only
+    a screen that drops blocks builds an ActiveSet: the engine cuts its
+    designs by block ids."""
     calls = []
 
     def spied(name, fn):
@@ -1031,6 +1034,7 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
 
     for name in ("_epoch", "_restart", "_certify", "_compact"):
         monkeypatch.setattr(G.solvers, name, spied(name, getattr(G.solvers, name)))
+    decided = spy_decided(monkeypatch)
     monkeypatch.setattr(G.ActiveSet, "keep", spied("keep", G.ActiveSet.keep))
     screen = spied("screen", G.duality.screen)
     for module in (G.duality, G.solvers):  # every module that holds the function
@@ -1038,15 +1042,18 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
     spec = make_instance(seed=1, n=60, d=80, q=10, sparsity=0.03)
     for solver in ("adsgd", "mrbcd"):
         calls.clear()
+        decided.clear()
         rep = G.solve(spec, G.SolverConfig(solver=solver, seed=1, gap_tol=1e-6,
                                            max_outer=40, eta=tuned_eta(spec, 1.0)))
         names = [name for name, _ in calls]
         epochs = [args[1] for name, args in calls if name == "_epoch"]
         rows = rep.trace[1:]
-        assert len(epochs) == rep.outer_iters == names.count("_restart")
+        restarted = [slot is None for slot in decided]
+        assert len(epochs) == rep.outer_iters == len(restarted)
+        assert names.count("_restart") == sum(restarted)
         assert [work.blocks.size for work in epochs] == [r.working_blocks for r in rows]
-        assert all(names[i + 1] == "_restart" for i, name in enumerate(names)
-                   if name == "_epoch")
+        assert [names[i + 1] == "_restart" for i, name in enumerate(names)
+                if name == "_epoch"] == restarted
         compacts = names.count("_compact")
         drops = [b.active_blocks < a.active_blocks for a, b in zip(rep.trace, rep.trace[1:])]
         assert names.count("keep") == sum(drops)
@@ -1054,10 +1061,14 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
             assert names.count("_certify") == names.count("screen") == 0
             assert compacts == 1 and {r.working_blocks for r in rows} == {spec.partition.q}
             continue
-        assert names.count("_certify") == len(rep.trace)
+        assert names.count("_certify") == len(rep.trace) - restarted.count(False)
+        assert True in restarted and False in restarted  # one epoch of each kind
         assert names.count("screen") == rep.outer_iters
-        assert [name for name in names if name in ("_certify", "screen", "_epoch")] == (
-            ["_certify", "screen", "_epoch"] * rep.outer_iters + ["_certify"])
+        phases = ["_certify"]
+        for ran in restarted:
+            phases += ["screen", "_epoch"] + ["_restart", "_certify"] * ran
+        assert [name for name in names
+                if name in ("_certify", "screen", "_epoch", "_restart")] == phases
         changes = sum(not np.array_equal(a.blocks, b.blocks)
                       for a, b in zip(epochs, epochs[1:]))
         assert 1 < compacts <= 1 + 2 * rep.outer_iters and changes > 0
@@ -1253,17 +1264,25 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         monkeypatch, solver, batch_size, inject):
     """After the starting evaluation every epoch evaluates exactly two
     candidates on the full problem, its average and then its last inner
-    iterate; a refinement evaluates its point through the same evaluate,
-    once per refinement that finds a point, apart from these. The next row
-    is the candidate with the smaller gap; a tie keeps the average, and a nan
-    gap, injected on either candidate, never wins. The row's gap is that
+    iterate, unless the slot's refined point already decides its row
+    (_epoch), where it evaluates neither; a refinement evaluates its point
+    through the same evaluate, once per refinement that finds a point, apart
+    from these. The next row is the candidate with the smaller gap; a tie
+    keeps the average, and a nan gap, injected on either candidate of an
+    epoch that is not decided, never wins. The row's gap is that
     evaluation's. A row whose candidate's model has a refined point of lower
-    objective holds that point with its own gap instead, and a last row
-    without an epoch, where the screen after such a row leaves exactly its
-    point's nonzero blocks, holds the same point. Only the screening solvers
-    refine, and a refinement may find no point. batch_size 30 is the full
+    objective holds that point with its own gap instead, as a decided row
+    does, and a last row without an epoch, where the screen after such a row
+    leaves exactly its point's nonzero blocks, holds the same point. Only
+    the screening solvers refine or decide, and a refinement may find no
+    point. adsgd decides every epoch of these runs, so under an injection a
+    rounding margin of the whole objective keeps the check from deciding
+    any, and each injected gap reaches _restart. batch_size 30 is the full
     batch."""
     spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
+    if inject is not None:
+        monkeypatch.setattr(G.solvers, "_ROUNDING", 1.0)
+    decided = spy_decided(monkeypatch)
     calls, evaluate = [], G.solvers.evaluate
     certs, certify = [], G.solvers._refined_certificate
     refining, refined_calls = [False], []
@@ -1297,17 +1316,26 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
                                        eta=tuned_eta(spec), keep_iterates=True))
     assert rep.outer_iters == 6 or rep.trace[-1].restart == "refined"
     rows = epoch_rows(rep)
-    assert all(r.working_blocks for r in rows)
-    assert len(calls) == 1 + 2 * len(rows)
+    assert all(r.working_blocks for r in rows) and len(decided) == len(rows)
+    restarted = decided.count(None)
+    assert len(calls) == 1 + 2 * restarted
     assert rep.trace[0].restart == "start" and rep.trace[0].gap == calls[0][2]
+    assert (restarted < len(rows)) == (solver == "adsgd" and inject is None)
     if solver in ("mrbcd", "proxsvrg"):
         assert certs == []
     found = [c for c in certs if c[1] is not None]
     assert len(refined_calls) == len(found)
     assert all(np.array_equal(x_r, c[1][0]) for x_r, c in zip(refined_calls, found))
-    labels = []
-    for k, row in enumerate(rows):
-        (x_avg, obj_avg, gap_avg), (x_last, obj_last, gap_last) = calls[2 * k + 1:2 * k + 3]
+    labels, pairs = [], iter(range(1, len(calls), 2))
+    for k, (row, slot) in enumerate(zip(rows, decided)):
+        if slot is not None:  # the slot's refined point, with its own evaluation
+            x_r, (obj_r, _, _, gap_r) = slot[1]
+            assert row.restart == "refined" and np.array_equal(rep.iterates[k + 1], x_r)
+            assert (row.objective, row.gap) == (obj_r, gap_r) and row.refined_dual
+            assert any(c[1] is slot[1] for c in found)
+            continue
+        i = next(pairs)
+        (x_avg, obj_avg, gap_avg), (x_last, obj_last, gap_last) = calls[i:i + 2]
         chosen = "last" if np.isfinite(gap_last) and not gap_avg <= gap_last else "average"
         x, obj, gap = {"average": (x_avg, obj_avg, gap_avg),
                        "last": (x_last, obj_last, gap_last)}[chosen]
@@ -1798,8 +1826,10 @@ def test_spectral_bound_dominates_average_hessian():
 
 def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch):
     """adsgd forms A'g once per evaluation and nowhere else: an evaluation
-    starts the solve, each epoch evaluates two candidates and each support
-    refinement that finds a point evaluates it; mrbcd refines nothing. At
+    starts the solve, each epoch evaluates two candidates unless the slot's
+    refined point decided its row (here one epoch is decided), and each
+    support refinement that finds a point evaluates it; mrbcd refines and
+    decides nothing. At
     this step size, epoch length and batch a screen drops a block where the
     row's point x_hat is nonzero before the solve stops, and the next epoch
     takes the row's own evaluation as its snapshot, with no product of its
@@ -1834,6 +1864,7 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
     monkeypatch.setattr(G.solvers, "evaluate", counted_evaluate)
     monkeypatch.setattr(G.solvers, "_refine_support", counted_refine)
     monkeypatch.setattr(G.solvers, "screen", spied_screen)
+    decided = spy_decided(monkeypatch)
     rep = G.adsgd_solve(spec, cfg)
     assert rep.converged and rep.active_history[-1].size < spec.partition.q
     block_of = spec.partition.block_of
@@ -1841,13 +1872,17 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
                for x, dropped in zip(rep.iterates, screens))
     assert counts["refinements"] > 0
     epochs = len(epoch_rows(rep))
-    assert all(r.working_blocks > 0 for r in epoch_rows(rep))
-    assert counts["products"] == counts["evaluations"] == (1 + 2 * epochs
+    assert all(r.working_blocks > 0 for r in epoch_rows(rep)) and len(decided) == epochs
+    restarted = decided.count(None)
+    assert restarted == epochs - 1
+    assert counts["products"] == counts["evaluations"] == (1 + 2 * restarted
                                                            + counts["refinements"])
     counts.update(products=0, evaluations=0, refinements=0)
+    decided.clear()
     rep = G.mrbcd_solve(spec, dataclasses.replace(cfg, solver="mrbcd"))
     assert counts == {"products": 1 + 2 * rep.outer_iters,
                       "evaluations": 1 + 2 * rep.outer_iters, "refinements": 0}
+    assert decided == [None] * rep.outer_iters
 
 
 def _count_reference_work(monkeypatch, spec):
@@ -2237,6 +2272,41 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
         assert np.linalg.norm(_stacked(dp) - u_o) <= r + r_o
 
 
+@pytest.mark.parametrize("case", ["lasso", "logistic-group"])
+def test_every_block_the_safe_sphere_must_drop_is_gone_by_its_row(case):
+    """The paper's identification claim, row by row (mu_p = 0). Row k ran
+    within the safe set left by a screen of radius r_k = trace[k].radius
+    around a dual point u with ||u - u*|| <= r_k, and the oracle's dual
+    point u_o lies within r_o = safe_radius(oracle gap) of u*. A block's
+    scaled correlation moves at most b_g r / n over a distance r (b_g from
+    column_bounds), so each block g off the oracle's support with
+    c_o,g + b_g (r_o + 2 r_k) / n < lam (1 - 1e-12), c_o the oracle dual's
+    correlations, is dropped by that screen and absent from
+    active_history[k]; no block of the oracle's support is ever dropped
+    (row 0 ran before any screen). At
+    lam / lam_max 0.5 and 0.25, solver seeds 0-1, some rows predict drops."""
+    spec0 = SCREENED_RUNS[case]()
+    predicted = 0
+    for ratio in (0.5, 0.25):
+        spec = dataclasses.replace(spec0, lam=ratio * G.lambda_max(spec0))
+        oracle = G.reference_solve(spec, tol=1e-12)
+        support = np.unique(spec.partition.block_of[np.flatnonzero(oracle.x_final)])
+        slack = G.column_bounds(spec) * G.safe_radius(spec, oracle.gap) / spec.dataset.n
+        reach = 2.0 * G.column_bounds(spec) / spec.dataset.n
+        off = np.setdiff1d(np.arange(spec.partition.q), support)
+        for seed in range(2):
+            rep = G.adsgd_solve(spec, G.SolverConfig(seed=seed, gap_tol=1e-10, max_outer=300,
+                                                     eta=tuned_eta(spec)))
+            assert rep.converged
+            for row, safe in zip(rep.trace[1:], rep.active_history[1:]):
+                assert np.isin(support, safe).all()
+                bound = oracle.dual.correlations + slack + reach * row.radius
+                must = off[bound[off] < spec.lam * (1.0 - 1e-12)]
+                assert not np.isin(must, safe).any()
+                predicted += must.size
+    assert predicted > 0
+
+
 def test_a_wide_sparse_lasso_stops_within_an_epoch_of_its_first_optimal_iterate():
     """On this wide sparse Lasso x_hat comes within gap_tol of P* epochs
     before the safe set holds just its nonzero blocks. The refined point of
@@ -2394,12 +2464,29 @@ def _spy_row_points(monkeypatch):
     return points
 
 
+def _row_points(spec, points, decided):
+    """(point, model) of what each row's epoch handed it, row 0 being the
+    start: the point _certify was given (_spy_row_points) and its model, or,
+    for a row its slot's refined point decided (spy_decided), None and the
+    slot's model, which both of its epoch's candidates held. A last row
+    straight after a screen has none."""
+    points = iter(points)
+    out = [next(points)]
+    out += [next(points) if slot is None else None for slot in decided]
+    assert next(points, None) is None
+    slots = [None] + decided
+    return [(x, G.solvers._model(spec, x) if slot is None else slot[0])
+            for x, slot in zip(out, slots)]
+
+
 def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     """The model of the point each epoch hands its row changes at every row
     of this Lasso solve, and each model is refined once, on the first row or
     model check that finds it settled. The models of rows 1 and 2 settle at
     a check of the epoch that produced each, and each row takes that refined
-    point. No other model is refined: in the epoch that produced row 2, on
+    point: the slot's point decides both rows, so neither epoch evaluates
+    its candidates nor certifies its row. No other model is refined: in the
+    epoch that produced row 2, on
     five working blocks, x_cur passes through models that hold at fewer than
     three checks in a row before row 2's model holds at the checks after
     steps 15, 20 and 25 of its 50. That model's refined point certifies
@@ -2410,10 +2497,12 @@ def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     calls = _spy_refinements(monkeypatch)
     spans = _spy_epochs(monkeypatch, calls)
     points = _spy_row_points(monkeypatch)
+    decided = spy_decided(monkeypatch)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
                                              eta=tuned_eta(spec), keep_iterates=True))
-    models = [G.solvers._model(spec, x) for x in points]
+    models = [m for _, m in _row_points(spec, points, decided)]
     assert rep.converged and rep.outer_iters == 3 and len(models) == 3
+    assert len(points) == 1 and all(slot is not None for slot in decided)
     assert all(a != b for a, b in zip(models, models[1:]))
     assert _refinement_sites(rep, calls, spans) == [(1, True), (2, True)]
     refined = [m for _, m, _ in calls]
@@ -2569,7 +2658,10 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
     at that dual point, as report.dual is for the last row. (b) A row takes
     the refined point x_r in its slot exactly where the slot holds the
     refinement of the row's own point's model, that point's gap is above
-    gap_tol, and P(x_r), recomputed, is the lower. (c) The next epoch is
+    gap_tol, and P(x_r), recomputed, is the lower; on a row the slot's
+    point decided, without evaluating its epoch's candidates, each of those
+    candidates, evaluated here, meets all three, so _certify would have
+    taken x_r over either. (c) The next epoch is
     given the row's point and that point's own evaluation as its snapshot,
     its derivatives and its dual point's smooth gradient, also where the
     screen dropped a block on which the point is nonzero, and runs on
@@ -2593,14 +2685,22 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
         return out
 
     epochs, epoch = [], G.solvers._epoch
+    # the decision's objectives, the only solvers.primal_objective calls
+    checked, objective = [], G.solvers.primal_objective
 
     def spied_epoch(spec, work, x_hat, evaluation, *args):
         _, g, dp, _ = evaluation
-        epochs.append((x_hat.copy(), g.copy(), dp.gradient.copy(), work.features))
-        return epoch(spec, work, x_hat, evaluation, *args)
+        first = len(checked)
+        out = epoch(spec, work, x_hat, evaluation, *args)
+        epochs.append((x_hat.copy(), g.copy(), dp.gradient.copy(), work.features,
+                       checked[first:]))
+        return out
 
     monkeypatch.setattr(G.solvers, "_certify", spied_certify)
     monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
+    monkeypatch.setattr(G.solvers, "primal_objective",
+                        lambda spec, x, z: checked.append(x.copy()) or objective(spec, x, z))
+    decided = spy_decided(monkeypatch)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=tol, max_outer=300,
                                              eta=tuned_eta(spec), keep_iterates=True))
     assert rep.converged
@@ -2613,25 +2713,209 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
         assert row.gap == G.primal_objective(spec, x) - G.duality._dual_value(spec, dp)
         assert np.array_equal(centre.theta, dp.theta)
     # (b)
-    refused = 0
-    for k, (x, gap, slot) in enumerate(certified):
+    refused, certs = 0, iter(certified)
+    for k, row in enumerate(rep.trace):
+        slot = decided[k - 1] if 0 < k <= len(decided) else None
+        if slot is not None:
+            x_r = slot[1][0]
+            assert row.restart == "refined" and np.array_equal(rep.iterates[k], x_r)
+            candidates = epochs[k - 1][4]
+            assert len(candidates) == 2
+            for x in candidates:
+                assert slot[0] == G.solvers._model(spec, x)
+                assert G.solvers.evaluate(spec, x, ds.A @ x)[3] > tol
+                assert G.primal_objective(spec, x_r) < G.primal_objective(spec, x)
+            continue
+        if k > len(decided):  # a last row straight after a screen certifies nothing
+            continue
+        x, gap, slot = next(certs)
         ref = slot[1] if slot[0] == G.solvers._model(spec, x) else None
         takes = (gap > tol and ref is not None
                  and G.primal_objective(spec, ref[0]) < G.primal_objective(spec, x))
-        assert (rep.trace[k].restart == "refined") == takes
+        assert (row.restart == "refined") == takes
         assert np.array_equal(rep.iterates[k], ref[0] if takes else x)
         refused += gap > tol and ref is not None and not takes
-    assert (refused > 0) == off
+    assert next(certs, None) is None and (refused > 0) == off
     # (c)
     rows = epoch_rows(rep)
     assert len(epochs) == len(rows) and all(r.working_blocks for r in rows)
-    for (x, g, mu, features), row in zip(epochs, rows):
+    for (x, g, mu, features, _), row in zip(epochs, rows):
         k = row.outer_iter - 1
         assert np.array_equal(x, rep.iterates[k])
         assert np.array_equal(g, spec.loss.deriv(ds.A @ x, ds.y))
         assert np.array_equal(mu, G.problem.smooth_gradient(spec, x, g))
         assert np.isin(block_of[features], rep.active_history[k + 1]).all()
     assert off or any(rep.trace[row.outer_iter - 1].restart == "refined" for row in rows)
+
+
+def _scattered(spec):
+    """spec on the partition whose block j holds the features j, j + q, ..."""
+    d, q = spec.dataset.d, spec.partition.q
+    return dataclasses.replace(spec, partition=G.BlockPartition(
+        [np.arange(j, d, q) for j in range(q)]))
+
+
+# (instance, partition, full batch); each runs at three lam / lam_max ratios
+DECIDED_GRID = {
+    "l1": (dict(seed=56, n=100, d=200, q=10), False, False),
+    "group-l2": (dict(seed=57, n=200, d=100, q=10, model="logistic", reg="group_l2",
+                      support=3), False, False),
+    "mu-p": (dict(seed=58, n=100, d=150, q=10, mu_p=0.01), False, False),
+    "group-l2-mu-p": (dict(seed=59, n=150, d=100, q=10, model="logistic", reg="group_l2",
+                           support=3, mu_p=0.01), False, False),
+    "full-batch": (dict(seed=56, n=100, d=200, q=10), False, True),
+    "l1-scattered": (dict(seed=60, n=100, d=200, q=10), True, False),
+    "group-l2-scattered": (dict(seed=57, n=200, d=100, q=10, model="logistic",
+                                reg="group_l2", support=3), True, False),
+}
+
+
+def _same_solve(a, b):
+    """Every trace field but elapsed_s, every iterate, the safe sets and the
+    report's dual point and counts hold the same bits in a and b."""
+    def fields(r):
+        return [np.float64(v).tobytes() if isinstance(v, float) else v
+                for k, v in dataclasses.asdict(r).items() if k != "elapsed_s"]
+    assert [fields(r) for r in a.trace] == [fields(r) for r in b.trace]
+    assert [x.tobytes() for x in a.iterates] == [x.tobytes() for x in b.iterates]
+    assert [s.tobytes() for s in a.active_history] == [s.tobytes() for s in b.active_history]
+    assert a.x_final.tobytes() == b.x_final.tobytes()
+    for name in ("theta", "kappa", "gradient", "correlations"):
+        u, v = getattr(a.dual, name), getattr(b.dual, name)
+        assert (u is None and v is None) or u.tobytes() == v.tobytes(), name
+    assert (a.dual.value, a.dual.scale_used) == (b.dual.value, b.dual.scale_used)
+    assert (a.converged, a.outer_iters, a.coord_updates, a.gap, a.objective) == (
+        b.converged, b.outer_iters, b.coord_updates, b.gap, b.objective)
+
+
+@pytest.mark.parametrize("case", sorted(DECIDED_GRID))
+def test_a_decided_row_is_the_row_the_full_restart_gives(monkeypatch, case):
+    """The slot's refined point decides a row (_epoch) only where the full
+    restart and _certify would give that row the same point: adsgd with the
+    check shipped and with a rounding margin of the whole objective, under
+    which the check decides nothing and every epoch evaluates both
+    candidates, gives the same bits, at lam / lam_max 0.5, 0.25 and 0.1, on
+    L1 and group-L2, with mu_p > 0, a full batch and scattered partitions;
+    some rows of each case are decided."""
+    kw, scattered, full_batch = DECIDED_GRID[case]
+    decided, rows = spy_decided(monkeypatch), 0
+    for ratio in (0.5, 0.25, 0.1):
+        spec = make_instance(ratio=ratio, **kw)
+        if scattered:
+            spec = _scattered(spec)
+        cfg = G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300, eta=tuned_eta(spec),
+                             batch_size=spec.dataset.n if full_batch else None,
+                             keep_iterates=True)
+        with monkeypatch.context() as patched:
+            patched.setattr(G.solvers, "_ROUNDING", 1.0)
+            full = G.adsgd_solve(spec, cfg)
+        assert full.converged and all(slot is None for slot in decided)
+        decided.clear()
+        _same_solve(G.adsgd_solve(spec, cfg), full)
+        rows += sum(slot is not None for slot in decided)
+        decided.clear()
+    assert rows > 0
+
+
+def test_a_row_within_the_margin_or_not_finite_runs_the_full_restart(monkeypatch):
+    """The check decides a row only where both candidates' objectives are
+    finite and exceed P(x_r) by more than gap_tol plus _ROUNDING of
+    themselves. An epoch of 50 steps from 1.05 x* on this Lasso instance,
+    with the refinement gate shut so that it refines nothing of its own,
+    gives two candidates of x*'s model, and the slot holds the refinement
+    x_r of that model. With gap_tol a margin below the most it may be, the
+    epoch returns x_r and its evaluation, labelled "refined", and _restart
+    does not run. With gap_tol half a margin above that, where the smaller
+    objective still exceeds P(x_r) + gap_tol but by less than the margin,
+    and with either candidate's objective made nan or inf in the check, the
+    epoch runs the full restart and returns its bits."""
+    spec = SCREENED_RUNS["lasso"]()
+    x0 = 1.05 * G.reference_solve(spec, tol=1e-12).x_final
+    work = _compact(spec, np.arange(spec.partition.q))
+    evaluation = G.solvers.evaluate(spec, x0, spec.dataset.A @ x0)
+    model = G.solvers._model(spec, x0)
+    x_r, ev_r = G.solvers._refined_certificate(spec, x0, work)
+    monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
+    restarts, restart = [], G.solvers._restart
+    monkeypatch.setattr(G.solvers, "_restart",
+                        lambda spec, *cands: restarts.append(cands) or restart(spec, *cands))
+
+    def epoch(gap_tol):
+        restarts.clear()
+        rng = np.random.Generator(np.random.Philox(0))
+        return G.solvers._epoch(spec, work, x0, evaluation, 50, rng, tuned_eta(spec), 10,
+                                True, (model, (x_r, ev_r)), gap_tol)
+
+    full = epoch(1.0)  # P(x_r) + 1 tops both candidates
+    (cands,) = restarts
+    assert full[2] in ("average", "last") and full[4] == 50
+    assert all(G.solvers._model(spec, x) == model for x, _ in cands)
+    objs = [G.primal_objective(spec, x) for x, _ in cands]
+    margin = G.solvers._ROUNDING * min(objs)
+    most = min(obj - G.solvers._ROUNDING * obj for obj in objs) - ev_r[0]
+    assert most > 1e3 * margin
+
+    def same(out):
+        assert len(restarts) == 1 and out[2] == full[2] and out[0].tobytes() == full[0].tobytes()
+        assert (out[1][0], out[1][3]) == (full[1][0], full[1][3])
+
+    out = epoch(most - margin)
+    assert restarts == [] and out[2] == "refined" and out[0] is x_r and out[1] is ev_r
+    within = most + 0.5 * margin
+    assert min(objs) > ev_r[0] + within
+    same(epoch(within))
+    objective = G.solvers.primal_objective
+    for which in (0, 1):
+        for bad in (math.nan, math.inf):
+            calls = []
+
+            def spied(spec, x, z):
+                calls.append(None)
+                return bad if len(calls) == which + 1 else objective(spec, x, z)
+
+            monkeypatch.setattr(G.solvers, "primal_objective", spied)
+            same(epoch(most - margin))
+            monkeypatch.setattr(G.solvers, "primal_objective", objective)
+
+
+@pytest.mark.parametrize("gate, shift, match", [
+    ("open", math.inf, "non-finite"), ("shut", math.inf, "non-finite"),
+    ("shut", 1e4, "ran away")])
+def test_a_non_finite_or_runaway_row_still_diverges(monkeypatch, gate, shift, match):
+    """The candidates' A x, shifted once a refinement has found a point (the
+    gate open, where the slot's point decides row 1 of the unshifted solve)
+    or from the first epoch on (the gate shut, where the slot never holds a
+    point): shifted by inf, their objectives are not finite, so the check
+    falls back to the full restart and row 1 raises DivergenceError; shifted
+    by 1e4, row 1 runs away past _RUNAWAY times P(0) and raises too."""
+    spec = SCREENED_RUNS["lasso"]()
+    cfg = G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300, eta=tuned_eta(spec))
+    if gate == "shut":
+        monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
+    decided = spy_decided(monkeypatch)
+    G.adsgd_solve(spec, cfg)
+    assert (decided[0] is not None) == (gate == "open")
+    state = {"found": gate == "shut", "refining": False}
+    matvec, certificate = G.solvers._matvec, G.solvers._refined_certificate
+
+    def spied_certificate(*args):
+        state["refining"] = True
+        try:
+            out = certificate(*args)
+        finally:
+            state["refining"] = False
+        state["found"] |= out is not None
+        return out
+
+    def shifted(work, v):
+        z = matvec(work, v)
+        return z + shift if state["found"] and not state["refining"] else z
+
+    monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
+    monkeypatch.setattr(G.solvers, "_matvec", shifted)
+    with pytest.raises(G.DivergenceError, match=f"{match} .*at outer iteration 1$") as exc:
+        G.adsgd_solve(spec, cfg)
+    assert exc.value.iteration == 1
 
 
 def test_no_solve_writes_a_row_point_in_place(monkeypatch):
@@ -2695,11 +2979,14 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     point's own gap. The safe set need not hold just the row's nonzero blocks
     yet, but a row is identified only where it does, and, where the row keeps
     its own point, where that point's model is the previous row's; only an
-    identified row stops on a refined point."""
+    identified row stops on a refined point. A row the slot's refined point
+    decided brings the slot's model, which its epoch's candidates held, and
+    is held to the same rules."""
     spec = SCREENED_RUNS[case]()
     calls = _spy_refinements(monkeypatch)
     spans = _spy_epochs(monkeypatch, calls)
     points = _spy_row_points(monkeypatch)
+    decided = spy_decided(monkeypatch)
     batch = spec.dataset.n if full_batch else None
     rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=2, gap_tol=1e-10,
                                        max_outer=300, eta=tuned_eta(spec),
@@ -2709,20 +2996,24 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     def model(x):
         return G.solvers._model(spec, x)
 
+    own = _row_points(spec, points, decided)
     refined, tries = set(), set()
     for (x, m, _), (k, in_epoch) in zip(calls, _refinement_sites(rep, calls, spans)):
         assert np.any(x) and _within_refinement_cost(spec, _unknowns(spec, x))
         # once per solve, and never the model of row k - 1
         assert m not in tries and k > 0 and model(rep.iterates[k - 1]) != m
-        assert in_epoch or np.array_equal(x, points[k])
+        assert in_epoch or np.array_equal(x, own[k][0])
         tries.add(m)
         refined.add((k, m))
-    for k, x in enumerate(points[1:], 1):
+    for k, (x, m) in enumerate(own[1:], 1):
         row = rep.trace[k]
-        if (model(x) != model(rep.iterates[k - 1]) and np.any(x)
+        if x is None:  # decided: the slot's model, refined by then
+            assert m in tries and row.restart == "refined"
+            assert m == model(rep.iterates[k - 1]) or (k, m) in refined
+        elif (m != model(rep.iterates[k - 1]) and np.any(x)
                 and _within_refinement_cost(spec, _unknowns(spec, x))):
-            assert (k, model(x)) in refined or (k == rep.outer_iters and not row.refined_dual
-                                                and row.gap <= 1e-10)
+            assert (k, m) in refined or (k == rep.outer_iters and not row.refined_dual
+                                         and row.gap <= 1e-10)
     block_of = spec.partition.block_of
     for k, row in enumerate(rep.trace):
         x = rep.iterates[k]

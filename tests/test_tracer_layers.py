@@ -11,7 +11,7 @@ import pathlib
 
 import gapsgd as G
 
-from conftest import epoch_rows, make_instance, tuned_eta
+from conftest import epoch_rows, make_instance, spy_decided, tuned_eta
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -44,22 +44,27 @@ def test_traced_screening_solve_reaches_every_outer_layer(monkeypatch):
     refine, found = G.solvers._refine_support, []
     monkeypatch.setattr(G.solvers, "_refine_support",
                         lambda *args: found.append(refine(*args)) or found[-1])
+    decided = spy_decided(monkeypatch)
     for sparsity, dense in ((0.03, False), (0.5, True)):
         found.clear()
+        decided.clear()
         spec = make_instance(seed=1, n=60, d=80, q=10, sparsity=sparsity)
         cfg = G.SolverConfig(seed=1, gap_tol=1e-6, max_outer=40, eta=tuned_eta(spec, 1.0))
         with _tracer().Tracer().trace() as record:
             rep = G.solve(spec, cfg)
         calls = {layer: stat.calls for layer, stat in record.stats.items()}
-        # one evaluation starts the solve, each epoch evaluates two candidates,
-        # and each refined point is evaluated once; every row but the first
-        # ran an epoch, or returns the refined point its screen settled
+        # one evaluation starts the solve, each epoch evaluates two candidates
+        # unless the slot's refined point decided its row (one epoch on the
+        # sparse storage), and each refined point is evaluated once; every row
+        # but the first ran an epoch, or returns the refined point its screen
+        # settled
         epochs = len(epoch_rows(rep))
         assert all(r.working_blocks > 0 for r in epoch_rows(rep))
-        assert calls["solvers.inner_budget"] == epochs
+        assert calls["solvers.inner_budget"] == epochs == len(decided)
+        assert epochs - decided.count(None) == (0 if dense else 1)
         refined = sum(x is not None for x in found)
         assert refined > 0
-        evaluations = 1 + 2 * epochs + refined
+        evaluations = 1 + 2 * decided.count(None) + refined
         assert calls["duality.dual_point"] == calls["duality.dual_value"] == evaluations
         assert calls["duality.screen"] == rep.outer_iters
         assert calls["duality.column_bounds"] == 1
