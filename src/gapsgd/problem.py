@@ -125,8 +125,8 @@ class Dataset:
         The product runs on one transposed view kept with the dataset, so
         no call builds a transposed matrix. The spectral bound's power
         iteration builds its own view once per call. The support refinement
-        (of the screening solvers and the reference) gathers its columns
-        from a working design's entries, not from A. The group-L2 screening
+        (of the screening solvers and the reference) takes its columns
+        from a working design, not from A. The group-L2 screening
         bounds' block Gram matrices use column slices of A, formed once per
         dataset and partition (memo): a cold solve pays for them, a later
         one on the same dataset and layout does not.
@@ -260,6 +260,10 @@ class SquaredLoss:
     def second_deriv(self, z, y):
         return np.ones(np.shape(z))
 
+    def derivs(self, z, y):
+        """(deriv, second_deriv) at z, from one call."""
+        return z - y, np.ones(np.shape(z))
+
     def conjugate(self, u, y):
         return 0.5 * u * u + u * y
 
@@ -282,6 +286,11 @@ class LogisticLoss:
     def second_deriv(self, z, y):
         s = expit(z)
         return s * (1.0 - s)
+
+    def derivs(self, z, y):
+        """(deriv, second_deriv) at z, from one expit."""
+        s = expit(z)
+        return s - y, s * (1.0 - s)
 
     def conjugate(self, u, y):
         # finite only for u + y in [0, 1]; +inf signals an infeasible dual point

@@ -54,9 +54,10 @@ model (its signs for L1, its nonzero pattern for group-L2; _model), of k
 unknowns, 0 < k <= n, with n k^2 at most _REFINE_COST times the design's
 stored entries (_refinable), _refine_support solves the smooth stationarity
 system on that model, in at most _REFINE_STEPS Newton steps whose residual
-must reach _REFINE_TOL * lam. It gathers the model's columns from the
-working design of the epoch that produced the point (_columns), and A x_r
-is formed on that design too. The solve keeps the last refinement in a
+must reach _REFINE_TOL * lam. It takes the model's columns from the
+working design of the epoch that produced the point, copied from its dense
+twin where that epoch built one, else gathered from its entries (_columns),
+and A x_r is formed on that design too. The solve keeps the last refinement in a
 slot, its model and its result, a point or None, as Celer keeps its working
 set's solution, and later rows of the model reuse it: a model is not refined
 again while the slot holds it. Inside the epoch the inner iterate's model is
@@ -156,8 +157,8 @@ the iterate, plus one A'g at the extrapolated point y unless y is the
 iterate, as after a restart or a step from t = 1 (beta = 0); A y is the same
 combination of the last two products A x. Its L1 stop row is refined by the
 screening solves' own _refined_certificate, kept where its gap is smaller,
-on the dataset's working design, which it gathers its columns from and
-forms the refined point's A x on.
+on the dataset's working design, which it gathers its columns from, with
+no twin built, and forms the refined point's A x on.
 
 The full-vector solver proxsvrg and the reference solver make one penalty
 prox call per step. For group-L2 it shrinks every block of one size with a
@@ -651,6 +652,20 @@ def _model(spec, x):
     return (np.sign(x) if spec.reg.name == "l1" else x != 0.0).tobytes()
 
 
+def _holds(spec, model, wfeat, *vs):
+    """Whether, for each v in vs, the x that is v on the features wfeat and
+    zero off them has the model `model` (_model's bytes over every feature):
+    v's model is model's bytes on wfeat, and model has no nonzero byte off
+    them. model is read as integers, so a -0.0 sign counts as nonzero, as it
+    does in the bytes. Costs |wfeat| a vector and one count over model."""
+    held = np.frombuffer(model, np.int64 if spec.reg.name == "l1" else np.uint8)
+    mine = held[wfeat]
+    if np.count_nonzero(mine) != np.count_nonzero(held):
+        return False
+    mine = mine.tobytes()
+    return all(_model(spec, v) == mine for v in vs)
+
+
 def _blocks(spec, x):
     """Ids of the blocks where x is nonzero, in increasing order."""
     return np.unique(spec.partition.block_of[np.flatnonzero(x)])
@@ -662,7 +677,7 @@ def _refined_certificate(spec, x, work):
     _refine_support finds no point within _REFINE_STEPS Newton steps whose
     residual reaches _REFINE_TOL * lam. x is zero off the columns of the
     working design work: a screening solve passes its epoch's design, the
-    reference the dataset's. _refine_support gathers its columns from work,
+    reference the dataset's. _refine_support takes its columns from work,
     and x_r's support lies inside x's, so A x_r is formed on work too
     (_matvec)."""
     x_r = _refine_support(spec, x, work)
@@ -775,7 +790,8 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     inner iterate the second. The prox threshold eta * lam stays a float.
 
     Each candidate's A x is formed on work (_matvec). Where the slot holds a
-    refined point x_r, both candidates hold the slot's model, and each one's
+    refined point x_r, both candidates hold the slot's model (checked on the
+    working columns, where their nonzeros lie: _holds), and each one's
     objective from that A x is finite and exceeds P(x_r) by more than
     gap_tol plus _ROUNDING of itself, the row is decided: every gap is at
     least P(x) - P* >= P(x) - P(x_r) (weak duality; Ndiaye, Fercoq, Gramfort
@@ -852,8 +868,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
         x = np.zeros(spec.dataset.d)
         x[wfeat] = v
         cands.append((x, _matvec(work, v)))
-    if (slot is not None and slot[1] is not None
-            and all(_model(spec, x) == slot[0] for x, _ in cands)):
+    if slot is not None and slot[1] is not None and _holds(spec, slot[0], wfeat, x_sum, x_cur):
         x_r, ev_r = slot[1]
         bar = ev_r[0] + gap_tol
         if all(math.isfinite(obj) and obj - _ROUNDING * obj > bar
@@ -1094,14 +1109,22 @@ _REFINE_COST = 100.0
 
 def _columns(spec, work, support):
     """The columns of A on the feature ids support, as a dense (n, k) array in
-    column-major order, gathered from the entries of the working design
-    work, whose columns hold every feature of support.
+    column-major order, taken from the working design work, whose columns
+    hold every feature of support.
 
-    Each entry's feature maps through work.features to its rank in support,
-    and its row comes from work.indptr; the entries of that rank are placed
-    as they are stored, so the array holds the values a column slice of A
+    Where an epoch on work has built its dense twin (_Working.dense), the
+    columns are copied from it. Else they are gathered from work's entries,
+    and no twin is built: each entry's feature maps through work.features to
+    its rank in support, its row comes from work.indptr, and the entries of
+    that rank are placed as they are stored. The twin holds the same entries
+    on zeros, so either way the array holds the values a column slice of A
     would, to the bit.
     """
+    dense = work.__dict__.get("dense")  # a cached_property read, never a build
+    if dense is not None:
+        where = np.empty(spec.dataset.d, dtype=np.intp)
+        where[work.features] = np.arange(work.features.size)
+        return dense.T[where[support]].T  # a (k, n) copy's transpose
     n, (cols, vals) = work.indptr.size - 1, work.entries
     rank = np.full(spec.dataset.d, -1, dtype=np.intp)
     rank[support] = np.arange(support.size)
@@ -1110,6 +1133,19 @@ def _columns(spec, work, support):
     out = np.zeros((n, support.size), order="F")
     out[np.searchsorted(work.indptr, hit, side="right") - 1, j[hit]] = vals[hit]
     return out
+
+
+def _group_model(part, x):
+    """(support, bid, same) of x's group-L2 model on the partition part: the
+    features of the blocks where x is nonzero, in increasing id; each one's
+    block, numbered 0.. in increasing block id; and the (k, k) mask of the
+    pairs of them that share a block. Array operations on the nonzero-block
+    mask alone."""
+    nonzero = np.zeros(part.q, dtype=bool)
+    nonzero[part.block_of[x != 0.0]] = True
+    support = np.flatnonzero(nonzero[part.block_of])
+    bid = (np.cumsum(nonzero) - 1)[part.block_of[support]]
+    return support, bid, bid[:, None] == bid
 
 
 def _refine_support(spec, x, work):
@@ -1131,19 +1167,27 @@ def _refine_support(spec, x, work):
     x's signs there, and a residual of at most _REFINE_TOL * lam, else None,
     as where a group-L2 block collapses toward zero, which the model cannot
     express. Never raises. x is zero off the columns of the working design
-    work, and each round gathers its model's columns from work's entries
-    (_columns): a design cut to the epoch's working set holds far fewer
-    entries than A.
+    work, and each round takes its model's columns from work (_columns): a
+    design cut to the epoch's working set holds far fewer entries than A.
+
+    A round forms its constants once: the columns, the ridge 2 mu_p I, the
+    1e-13 I that keeps the system regular, and an F-ordered (n, k) buffer for
+    a_s scaled by f''. A step makes one loss call for f' and f'' (derivs)
+    and adds the group-L2 penalty's Hessian on the within-block pairs alone
+    (_group_model's mask). Under mu_p = 0 it adds neither zero term: 1e-13 I
+    adds a zero to every entry the ridge would, and where 2 mu_p w is a zero
+    the penalty term, lam * sign or lam * w_j / ||w_j||, is nonzero or a zero
+    of w's sign: each sum keeps its bits without them, and a non-finite w
+    returns None either way.
     """
-    ds, part, l1 = spec.dataset, spec.partition, spec.reg.name == "l1"
+    ds, l1 = spec.dataset, spec.reg.name == "l1"
     if l1:
         support = np.flatnonzero(x != 0.0)
     else:
-        nonzero = np.zeros(part.q, dtype=bool)
-        nonzero[part.block_of[x != 0.0]] = True
-        support = np.flatnonzero(nonzero[part.block_of])
-    signs, w = np.sign(x[support]), x[support].copy()
-    n, loss, lam, mu_p = ds.n, spec.loss, spec.lam, spec.mu_p
+        support, bid, same = _group_model(spec.partition, x)
+    w = x[support]
+    signs = np.sign(w)
+    n, loss, lam, two_mu = ds.n, spec.loss, spec.lam, 2.0 * spec.mu_p
     steps = 0  # Newton steps, over every round
     with np.errstate(all="ignore"):
         while True:  # one round per model; an L1 round that flips signs prunes them
@@ -1151,31 +1195,37 @@ def _refine_support(spec, x, work):
                 return None
             # column-major: the BLAS products below round differently on a row-major copy
             a_s = _columns(spec, work, support)
-            k = support.size
-            ridge = 2.0 * mu_p * np.eye(k)
-            if not l1:  # each coordinate's block, numbered 0.., and the pairs within blocks
-                _, bid = np.unique(part.block_of[support], return_inverse=True)
-                members = [np.flatnonzero(bid == b) for b in range(bid.max() + 1)]
-                pi = np.concatenate([np.repeat(m, m.size) for m in members])
-                pj = np.concatenate([np.tile(m, m.size) for m in members])
-                diag = pi == pj
+            eye = np.eye(support.size)
+            ridge, tiny, pen = two_mu * eye, 1e-13 * eye, lam * signs
+            curved = np.empty_like(a_s)  # a_s scaled row by row by f''
             best = (math.inf, w)  # (residual, point) of the round's best point
             while True:
-                z = a_s @ w
+                z = a_s.dot(w)  # ndarray.dot: the BLAS call of @, dispatched faster
+                d1, d2 = loss.derivs(z, ds.y)
                 if not l1:  # each coordinate's block norm, and lam * w / ||w_j||
                     nrm = np.sqrt(np.bincount(bid, weights=w * w))[bid]
                     unit = w / nrm
-                res = a_s.T @ loss.deriv(z, ds.y) / n + 2.0 * mu_p * w \
-                    + (lam * signs if l1 else lam * unit)
-                rnorm = float(np.max(np.abs(res)))
+                    pen = lam * unit
+                res = a_s.T.dot(d1)
+                res /= n
+                if two_mu:  # a zero under mu_p = 0 (docstring)
+                    res += two_mu * w
+                res += pen
+                rnorm = float(np.abs(res).max())
                 if rnorm < best[0]:
                     best = (rnorm, w)
                 if rnorm < 1e-13 or steps >= _REFINE_STEPS:
                     break
-                h = (a_s * loss.second_deriv(z, ds.y)[:, None]).T @ a_s / n + ridge \
-                    + 1e-13 * np.eye(k)
+                h = np.multiply(a_s, d2[:, None], out=curved).T.dot(a_s)
+                h /= n
+                if two_mu:  # a zero under mu_p = 0 (docstring)
+                    h += ridge
+                h += tiny
                 if not l1:  # lam (I - u u') / ||w_j|| within each block
-                    h[pi, pj] += (diag - unit[pi] * unit[pj]) * (lam / nrm)[pi]
+                    hp = unit[:, None] * unit
+                    np.subtract(eye, hp, out=hp)
+                    hp *= (lam / nrm)[:, None]
+                    np.add(h, hp, out=h, where=same)
                 try:
                     step = np.linalg.solve(h, res)
                 except np.linalg.LinAlgError:
@@ -1183,7 +1233,7 @@ def _refine_support(spec, x, work):
                     break
                 steps += 1
                 w = w - step
-                if not np.all(np.isfinite(w)):
+                if not np.isfinite(w).all():
                     break
             w = best[1]
             if not l1 or steps >= _REFINE_STEPS or not np.all(np.isfinite(w)):

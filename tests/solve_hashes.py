@@ -25,8 +25,15 @@ those of the same data at lam = LOW_LAMBDA * lambda_max (labelled
 the benchmark's settings for seeds 0-1, since every benchmark workload runs
 at LAMBDA_RATIO = 0.5. Last come those of the same data at
 lam = LOWEST_LAMBDA * lambda_max (labelled "<workload>@0.1"), solved by adsgd
-at the benchmark's settings for seeds 0-1, where its solves run longest. A
-change that keeps every iterate prints the same lines, so `diff` of two
+at the benchmark's settings for seeds 0-1, where its solves run longest.
+After all of these, for the group-L2 workload UNEVEN_WORKLOAD alone, come
+those of the same data on a contiguous partition of mixed block sizes,
+UNEVEN_SIZES repeated and the last block cut to fit, at lam = LAMBDA_RATIO
+times that partition's lambda_max (labelled "<workload>+uneven"), solved by
+the reference and by each stochastic solver at seeds 0-1: every benchmark
+partition's blocks share one size, so only these lines refine group-L2
+models whose blocks differ in size. A change that keeps every iterate
+prints the same lines, so `diff` of two
 checkouts' outputs shows any solve whose bits moved. The module reads benchmarks/run.py and changes
 nothing in it; pytest does not collect it.
 """
@@ -51,6 +58,7 @@ FULL_BATCH_M, FULL_BATCH_OUTER = 20, 4
 SCATTERED_SEEDS = range(2)
 LOW_LAMBDA, LOW_LAMBDA_SEEDS = 0.25, range(2)
 LOWEST_LAMBDA, LOWEST_LAMBDA_SEEDS = 0.1, range(2)
+UNEVEN_WORKLOAD, UNEVEN_SIZES, UNEVEN_SEEDS = "logistic-group", (7, 10, 13), range(2)
 
 
 def _digest(arr):
@@ -112,6 +120,29 @@ def main():
         label = f"{wl.name}@{LOWEST_LAMBDA:g}"
         for seed in LOWEST_LAMBDA_SEEDS:
             print(line(G, inst, "adsgd", seed, spec, label), flush=True)
+        if wl.name == UNEVEN_WORKLOAD:
+            print_uneven(G, inst)
+
+
+def uneven_sizes(d):
+    """UNEVEN_SIZES repeated over d features, the last block cut to fit."""
+    sizes = np.resize(UNEVEN_SIZES, d // min(UNEVEN_SIZES) + 1)
+    ends = np.cumsum(sizes)
+    last = int(np.searchsorted(ends, d))
+    sizes = sizes[:last + 1]
+    sizes[-1] -= ends[last] - d
+    return sizes
+
+
+def print_uneven(G, inst):
+    part = G.BlockPartition.from_sizes(uneven_sizes(inst.spec.dataset.d))
+    spec = dataclasses.replace(inst.spec, partition=part)
+    spec = dataclasses.replace(spec, lam=run.LAMBDA_RATIO * G.lambda_max(spec))
+    label = f"{inst.wl.name}+uneven"
+    print(line(G, inst, "reference", 0, spec, label), flush=True)
+    for name in run.STOCHASTIC:
+        for seed in UNEVEN_SEEDS:
+            print(line(G, inst, name, seed, spec, label), flush=True)
 
 
 if __name__ == "__main__":

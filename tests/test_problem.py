@@ -215,6 +215,20 @@ def test_second_derivatives_match_differences_of_the_derivative():
         assert np.all(loss.second_deriv(z, y) <= loss.curvature)
 
 
+def test_one_loss_call_gives_the_bytes_of_both_derivatives():
+    """derivs(z, y), the refinement's one call a Newton step, returns the bytes
+    of deriv and second_deriv, for both losses, at large, signed-zero and
+    infinite z."""
+    rng = np.random.default_rng(5)
+    z = np.concatenate([rng.normal(scale=5, size=200), [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf]])
+    y = (rng.random(z.size) < 0.5).astype(float)
+    for loss in G.LOSSES.values():
+        d1, d2 = loss.derivs(z, y)
+        for got, want in ((d1, loss.deriv(z, y)), (d2, loss.second_deriv(z, y))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_deriv_curvature_bound():
     rng = np.random.default_rng(0)
     z1, z2 = rng.normal(scale=3, size=200), rng.normal(scale=3, size=200)

@@ -589,32 +589,80 @@ def test_all_rows_gather_is_the_gather_of_every_row(layout):
                 assert got.dtype == ref.dtype and np.array_equal(got, np.tile(ref, c))
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
-def test_refinement_columns_are_the_design_columns_bit_for_bit(layout):
-    """_columns gathers a support's columns from a working design's entries,
-    with the bytes of scipy's column slice ds.A[:, S] in column-major order,
-    kept here as the oracle, and F-contiguous: on the dataset's working design
-    and on a design cut from it, for an L1 support of scattered coordinates
-    that holds a column with no stored entry, a group-L2 support of whole
-    blocks, one column, and the empty column alone."""
+def _signed_zero_instance(layout):
+    """_kernel_instance with an empty column, and one stored explicit 0.0 and
+    one stored -0.0 in other columns: returns (spec, the empty column)."""
     spec, a, _ = _kernel_instance(layout)
     part = spec.partition
     empty = part.groups[1][1]
     a[:, empty] = 0.0
-    ds = G.Dataset(a, spec.dataset.y)
-    spec = dataclasses.replace(spec, dataset=ds)
-    work = _compact(spec, np.arange(part.q))
-    for w in (work, _compact(spec, np.array([1, part.q - 1]), work)):
-        feats = np.sort(w.features)
-        supports = (np.union1d(feats[::3], [empty]),
-                    np.sort(np.concatenate([part.groups[b] for b in w.blocks[::-2]])),
-                    feats[-1:], np.array([empty]))
-        for support in supports:
-            got = _columns(spec, w, support)
-            want = ds.A[:, support].toarray(order="F")
-            assert got.flags.f_contiguous and got.shape == want.shape
-            assert got.dtype == want.dtype and got.tobytes(order="A") == want.tobytes(order="A")
-            assert np.array_equal(got, want)
+    coo = sp.coo_matrix(a)
+    row, col = np.flatnonzero(a[:, part.groups[0][0]] == 0.0)[0], part.groups[0][0]
+    row2, col2 = np.flatnonzero(a[:, part.groups[1][0]] == 0.0)[0], part.groups[1][0]
+    stored = sp.coo_matrix((np.concatenate([coo.data, [0.0, -0.0]]),
+                            (np.concatenate([coo.row, [row, row2]]),
+                             np.concatenate([coo.col, [col, col2]]))), shape=a.shape)
+    ds = G.Dataset(stored, spec.dataset.y)
+    zeros = ds.A.data == 0.0
+    assert zeros.sum() == 2 and np.signbit(ds.A.data[zeros]).sum() == 1
+    return dataclasses.replace(spec, dataset=ds), empty
+
+
+def _placed_columns(ds, support):
+    """ds.A[:, support] as a column-major array, each stored value placed as it
+    is stored, a stored -0.0 included (toarray adds it to +0.0)."""
+    coo = ds.A[:, support].tocoo()
+    out = np.zeros((ds.n, support.size), order="F")
+    out[coo.row, coo.col] = coo.data
+    return out
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
+def test_refinement_columns_are_the_design_columns_bit_for_bit(layout):
+    """_columns takes a support's columns from a working design, gathered from
+    its entries or, where an epoch built the design's dense twin, copied from
+    it, with the bytes of the stored values placed in column-major order,
+    equal to scipy's column slice ds.A[:, S], and F-contiguous: on the
+    dataset's working design and on a design cut from it, for an L1 support
+    of scattered coordinates that holds a column with no stored entry and the
+    stored 0.0 and -0.0, a group-L2 support of whole blocks, one column, and
+    the empty column alone. The entry gather builds no twin."""
+    spec, empty = _signed_zero_instance(layout)
+    ds, part = spec.dataset, spec.partition
+    signed = np.flatnonzero(np.bincount(ds.A.indices[ds.A.data == 0.0], minlength=ds.d))
+    for twin in (False, True):
+        work = _compact(spec, np.arange(part.q))
+        for w in (work, _compact(spec, np.array([0, 1, part.q - 1]), work)):
+            if twin:
+                assert w.dense is not None  # as the epoch's _plan reads it
+            feats = np.sort(w.features)
+            supports = (np.union1d(feats[::3], np.concatenate([[empty], signed])),
+                        np.sort(np.concatenate([part.groups[b] for b in w.blocks[::-2]])),
+                        feats[-1:], np.array([empty]))
+            for support in supports:
+                got = _columns(spec, w, support)
+                want = _placed_columns(ds, support)
+                assert got.flags.f_contiguous and got.shape == want.shape
+                assert got.dtype == want.dtype
+                assert got.tobytes(order="A") == want.tobytes(order="A")
+                assert np.array_equal(got, ds.A[:, support].toarray())
+            assert ("dense" in vars(w)) == twin
+
+
+def test_the_references_refinement_builds_no_dense_twin():
+    """The reference refines on the dataset's working design over every block,
+    on which no epoch ran: _refined_certificate gathers its columns from the
+    entries and leaves the twin unbuilt, though the design is dense enough
+    to have one, and returns what it returns on a design whose twin is built."""
+    spec = REFINE_CASES["l1-squared"]()
+    x = G.reference_solve(spec, tol=1e-8).x_final
+    work = _whole(spec)
+    x_r, ev = G.solvers._refined_certificate(spec, x, work)
+    assert "dense" not in vars(work)
+    twinned = _whole(spec)
+    assert twinned.dense is not None
+    x_t, ev_t = G.solvers._refined_certificate(spec, x, twinned)
+    assert x_r.tobytes() == x_t.tobytes() and (ev[0], ev[3]) == (ev_t[0], ev_t[3])
 
 
 # The bincount planner and kernel that the compiled CSR loops replaced, kept
@@ -2023,6 +2071,68 @@ def _whole(spec):
     """The dataset's working design, over every block, as the reference's
     refinement takes it."""
     return _compact(spec, np.arange(spec.partition.q))
+
+
+def test_the_group_model_is_the_unique_and_tile_construction():
+    """_group_model's support, block numbers and within-block pair mask are
+    those np.unique, a flatnonzero per block and np.tile gave, on a scattered
+    partition of mixed block sizes whose nonzero blocks interleave, for
+    several nonzero patterns, a lone nonzero coordinate and -0.0 included."""
+    sizes = [3, 5, 2, 7, 4, 6, 1, 2]
+    order = np.random.default_rng(7).permutation(sum(sizes))
+    part = G.BlockPartition([np.sort(g) for g in np.split(order, np.cumsum(sizes)[:-1])])
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        x = np.where(rng.random(part.d) < 0.3, rng.normal(size=part.d), 0.0)
+        if trial == 0:
+            x[:] = 0.0
+            x[part.groups[3][2]] = -0.0
+            x[part.groups[5][0]] = 1.0
+        support, bid, same = G.solvers._group_model(part, x)
+        nonzero = np.zeros(part.q, dtype=bool)
+        nonzero[part.block_of[x != 0.0]] = True
+        assert np.array_equal(support, np.flatnonzero(nonzero[part.block_of]))
+        if support.size == 0:
+            assert bid.size == 0 and same.shape == (0, 0)
+            continue
+        _, old_bid = np.unique(part.block_of[support], return_inverse=True)
+        members = [np.flatnonzero(old_bid == b) for b in range(old_bid.max() + 1)]
+        pi = np.concatenate([np.repeat(m, m.size) for m in members])
+        pj = np.concatenate([np.tile(m, m.size) for m in members])
+        old_same = np.zeros((support.size, support.size), dtype=bool)
+        old_same[pi, pj] = True
+        assert bid.dtype == np.intp and np.array_equal(bid, old_bid)
+        assert same.dtype == bool and np.array_equal(same, old_same)
+        assert same.sum() == pi.size  # no pair twice
+
+
+@pytest.mark.parametrize("reg", ["l1", "group_l2"])
+def test_an_epoch_checks_the_slots_model_on_its_working_columns(reg):
+    """_holds gives what comparing _model's bytes over every feature gave, for
+    the model of x zero off the working columns and equal to v on them:
+    equal where the slot's model lies on the working columns, unequal where
+    it differs there or holds a nonzero, or a -0.0 sign, off them."""
+    spec = make_instance(seed=9, n=30, d=40, q=8, reg=reg)
+    part, rng = spec.partition, np.random.default_rng(10)
+    wfeat = np.concatenate([part.groups[b] for b in (1, 4, 6)])
+    for trial in range(30):
+        v = np.where(rng.random(wfeat.size) < 0.5, rng.normal(size=wfeat.size), 0.0)
+        x = np.zeros(part.d)
+        x[wfeat] = v
+        slot_x = x.copy()
+        if trial % 3 == 1:  # a nonzero off the working columns
+            slot_x[part.groups[0][0]] = 0.5
+        elif trial % 3 == 2:  # a change on them
+            slot_x[wfeat[trial % wfeat.size]] = 0.0 if v[trial % wfeat.size] else -1.0
+        model = G.solvers._model(spec, slot_x)
+        want = G.solvers._model(spec, x) == model
+        assert G.solvers._holds(spec, model, wfeat, v) == want
+        assert G.solvers._holds(spec, model, wfeat, v, v) == want
+        assert trial % 3 or want
+    if reg == "l1":  # a -0.0 sign off the working columns is not a zero byte
+        model = np.zeros(part.d)
+        model[part.groups[0][0]] = -0.0
+        assert not G.solvers._holds(spec, model.tobytes(), wfeat, np.zeros(wfeat.size))
 
 
 REFINE_CASES = {
