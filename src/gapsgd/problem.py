@@ -257,11 +257,8 @@ class SquaredLoss:
     def deriv(self, z, y):
         return z - y
 
-    def second_deriv(self, z, y):
-        return np.ones(np.shape(z))
-
     def derivs(self, z, y):
-        """(deriv, second_deriv) at z, from one call."""
+        """(f', f'') at z, from one call: deriv's bytes and ones."""
         return z - y, np.ones(np.shape(z))
 
     def conjugate(self, u, y):
@@ -283,12 +280,8 @@ class LogisticLoss:
     def deriv(self, z, y):
         return expit(z) - y
 
-    def second_deriv(self, z, y):
-        s = expit(z)
-        return s * (1.0 - s)
-
     def derivs(self, z, y):
-        """(deriv, second_deriv) at z, from one expit."""
+        """(f', f'') at z, from one expit: deriv's bytes and s (1 - s)."""
         s = expit(z)
         return s - y, s * (1.0 - s)
 

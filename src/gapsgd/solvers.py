@@ -49,26 +49,32 @@ dropped a block on which x_hat is nonzero (_epoch).
 
 The iterate's own dual point is wrong to first order, so its gap tracks
 about the square root of the suboptimality. A screening solve therefore
-refines the row's model (_certify): on the first row that holds x_hat's
-model (its signs for L1, its nonzero pattern for group-L2; _model), of k
-unknowns, 0 < k <= n, with n k^2 at most _REFINE_COST times the design's
-stored entries (_refinable), _refine_support solves the smooth stationarity
-system on that model, in at most _REFINE_STEPS Newton steps whose residual
-must reach _REFINE_TOL * lam. It takes the model's columns from the
-working design of the epoch that produced the point, copied from its dense
-twin where that epoch built one, else gathered from its entries (_columns),
-and A x_r is formed on that design too. The solve keeps the last refinement in a
-slot, its model and its result, a point or None, as Celer keeps its working
-set's solution, and later rows of the model reuse it: a model is not refined
-again while the slot holds it. Inside the epoch the inner iterate's model is
-checked after every |W| steps, |W| being the working set's block count, so
-each working block is drawn about once between two checks; a model that
-held at three checks in a row, over 2|W| steps, and is not the slot's is
-refined the same way. Where the refined point's own gap is at most gap_tol
-the epoch ends there, so a model is refined on the first row or check that
-finds it settled, and the next row finds the refinement in the slot. A
-check evaluates the refined point alone, never the inner iterate, so it
-adds no evaluation of its own.
+refines the row's model (_certify). A point's model is taken on the columns
+of the working design that holds it, as every row point, epoch candidate and
+refined point lies in its epoch's: its key is the feature ids of its
+nonzeros in that design's block-major order, a subsequence of
+partition.order, so the same nonzeros give the same key on any design, with
+their signs for L1, and the same ids give its nonzero blocks (_model). On
+the first row that holds x_hat's model, of k unknowns, 0 < k <= n, with
+n k^2 at most _REFINE_COST times the design's stored entries (_refinable),
+_refine_support solves the smooth stationarity system on that model, in at
+most _REFINE_STEPS Newton steps whose residual must reach _REFINE_TOL * lam.
+It takes the model's columns from the working design of the epoch that
+produced the point, copied from its dense twin where that epoch built one,
+else gathered from its entries (_columns), and A x_r is formed on that
+design too. The solve keeps the last refinement in a slot, its model's key
+and its result, a point or None, as Celer keeps its working set's solution,
+and later rows of the model reuse it: a model is not refined again while the
+slot holds it. Inside the epoch the inner iterate's model is checked after
+every |W| steps, |W| being the working set's block count, by the bytes of
+its signs or nonzero mask on the working columns, which W fixes for the
+epoch, so each working block is drawn about once between two checks; a model
+that held at three checks in a row, over 2|W| steps, and is not the slot's
+is refined the same way. Where the refined point's own gap is at most
+gap_tol the epoch ends there, so a model is refined on the first row or
+check that finds it settled, and the next row finds the refinement in the
+slot. A check evaluates the refined point alone, never the inner iterate, so
+it adds no evaluation of its own.
 A Lasso model's system is linear, so its first step solves it. Where the
 solution flips the sign of an L1 coordinate, the refinement drops every
 flipped coordinate from the model and solves again on the smaller support,
@@ -83,18 +89,21 @@ Celer takes its working set's solution for its iterate (Massias, Gramfort &
 Salmon, ICML 2018); a tie keeps x_hat. The row then certifies, screens,
 scores the working set and takes its snapshot from x_r and x_r's own dual
 point, and the next epoch starts from x_r, with x_r's model as the previous
-row's. x_r lies on x_hat's support, inside the safe set.
-So every row's gap is P - D of one point and that point's own dual point,
-scaled over every block: it bounds the point's suboptimality whatever the
-model or the screens. A row whose point is x_r stops the solve only where
-its gap is at most gap_tol and the safe set holds exactly x_r's nonzero
-blocks, and the safe set the row's screen leaves is tested the same way,
-before any design is cut: where it is exactly x_r's blocks, x_r is the next
-row, with no epoch in between. The condition on x_r's blocks keeps the stop
-behind the screen: where x_r prunes a coordinate that x_hat keeps in a block
-off the optimum's support, the solve goes on until a screen drops that
-block, usually the one x_r's own gap sizes. report.dual is the last row's
-dual point, so P(x_final) - D(report.dual) is report.gap.
+row's. x_r lies on x_hat's support, inside the safe set. So every row's gap
+is P - D of one point and that point's own dual point, scaled over every
+block: it bounds the point's suboptimality whatever the model or the
+screens. The engine marks every row's identification in one place: a row is
+identified where its point is a refined one or its model's key is the
+previous row's, and the safe set holds exactly its point's nonzero blocks. A
+row whose point is x_r stops the solve only where its gap is at most gap_tol
+and the row is identified. The safe set the row's screen leaves is tested
+the same way, before any design is cut: where it is exactly x_r's blocks,
+x_r is the next row, with no epoch in between, recorded and stop-tested as
+any row. The condition on x_r's blocks keeps the stop behind the screen:
+where x_r prunes a coordinate that x_hat keeps in a block off the optimum's
+support, the solve goes on until a screen drops that block, usually the one
+x_r's own gap sizes. report.dual is the last row's dual point, so
+P(x_final) - D(report.dual) is report.gap.
 
 Every inner step of every solver is planned by _plan and runs the one
 gradient kernel, step_gradient: the sampled rows' derivatives, relative to
@@ -611,11 +620,12 @@ def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
 _TAU = 0.7
 
 
-def _working_blocks(spec, active, x_hat, dp):
-    """Ids of the active blocks where x_hat is nonzero or whose correlation in
-    dp (scaled over all q blocks) is at least _TAU * lam, in increasing order."""
+def _working_blocks(spec, active, blocks, dp):
+    """Ids of the active blocks that are among `blocks`, those where the row's
+    point is nonzero (_model), or whose correlation in dp (scaled over all q
+    blocks) is at least _TAU * lam, in increasing order."""
     hot = dp.correlations >= _TAU * spec.lam
-    hot[spec.partition.block_of[np.flatnonzero(x_hat)]] = True
+    hot[blocks] = True
     return active.blocks[hot[active.blocks]]
 
 
@@ -646,29 +656,25 @@ def _restart(spec, average, last):
     return x_a, ev_a, "average"
 
 
-def _model(spec, x):
-    """What a refinement of x fixes, as bytes: its signs for L1, its nonzero
-    pattern for group-L2."""
-    return (np.sign(x) if spec.reg.name == "l1" else x != 0.0).tobytes()
-
-
-def _holds(spec, model, wfeat, *vs):
-    """Whether, for each v in vs, the x that is v on the features wfeat and
-    zero off them has the model `model` (_model's bytes over every feature):
-    v's model is model's bytes on wfeat, and model has no nonzero byte off
-    them. model is read as integers, so a -0.0 sign counts as nonzero, as it
-    does in the bytes. Costs |wfeat| a vector and one count over model."""
-    held = np.frombuffer(model, np.int64 if spec.reg.name == "l1" else np.uint8)
-    mine = held[wfeat]
-    if np.count_nonzero(mine) != np.count_nonzero(held):
-        return False
-    mine = mine.tobytes()
-    return all(_model(spec, v) == mine for v in vs)
-
-
-def _blocks(spec, x):
-    """Ids of the blocks where x is nonzero, in increasing order."""
-    return np.unique(spec.partition.block_of[np.flatnonzero(x)])
+def _model(spec, features, v):
+    """(key, k, blocks): the model of the point x that is v on the feature ids
+    `features` and zero off them, what a refinement of x fixes. features is a
+    working design's (_Working), a subsequence of spec.partition.order that
+    holds every nonzero of x. key is the bytes of the ids of x's nonzeros in
+    that order, followed for L1 by the bytes of their signs, so a point has
+    one key on every design that holds its nonzeros; k counts the
+    refinement's unknowns, the nonzeros for L1 and the features of their
+    blocks for group-L2 (_refinable); blocks are the ids of the blocks where
+    x is nonzero, in increasing order. Costs a few calls over |features|."""
+    nz = np.flatnonzero(v)
+    ids = features[nz]
+    of = spec.partition.block_of[ids]
+    first = np.ones(of.size, dtype=bool)  # of never falls: keep each run's first
+    np.not_equal(of[1:], of[:-1], out=first[1:])
+    blocks = of[first]
+    if spec.reg.name == "l1":
+        return ids.tobytes() + np.sign(v[nz]).tobytes(), ids.size, blocks
+    return ids.tobytes(), int(spec.partition.sizes[blocks].sum()), blocks
 
 
 def _refined_certificate(spec, x, work):
@@ -687,47 +693,37 @@ def _refined_certificate(spec, x, work):
     return x_r, evaluate(spec, x_r, z)
 
 
-def _refinable(spec, x):
-    """Whether a screening solve may refine x's model: its k unknowns (the
-    nonzeros for L1, the features of the nonzero blocks for group-L2) satisfy
-    0 < k <= n and n k^2 <= _REFINE_COST times the design's stored entries."""
-    n = spec.dataset.n
-    k = (np.count_nonzero(x) if spec.reg.name == "l1"
-         else int(spec.partition.sizes[_blocks(spec, x)].sum()))
+def _refinable(spec, model):
+    """Whether a screening solve may refine the model (_model): its k unknowns
+    satisfy 0 < k <= n and n k^2 <= _REFINE_COST times the design's stored
+    entries."""
+    n, k = spec.dataset.n, model[1]
     return 0 < k <= n and n * k * k <= _REFINE_COST * spec.dataset.A.nnz
 
 
-def _certify(spec, active, x_hat, evaluation, gap_tol, prev, slot, work):
+def _certify(spec, x_hat, evaluation, gap_tol, model, slot, work):
     """The refinement gate of a screening solve's row (module docstring).
 
-    evaluation is x_hat's on the full problem, and work the working design
-    of the epoch that produced x_hat, which holds x_hat's support, so a
-    refinement made here runs on it. prev is the previous row's model and
-    slot the last refinement, (its model, its result), made by a row or by an
+    evaluation is x_hat's on the full problem and model its model (_model),
+    and work the working design of the epoch that produced x_hat, which
+    holds x_hat's support, so a refinement made here runs on it. slot is the
+    last refinement, (its model's key, its result), made by a row or by an
     epoch's model check (_epoch). A model that passes the cost gate
     (_refinable) is refined on the first row that holds it unless the slot
     already holds it, so a model whose refinement found no point is not
-    refined again while it lasts. Returns (identified, kept, model, slot).
-    Where the slot holds the refinement x_r of x_hat's model with
-    P(x_r) < P(x_hat), kept is (x_r, its evaluation), the row's point and
-    snapshot, uncopied as no point is written in place; model is x_r's, and
-    the row is identified where the safe set holds exactly x_r's nonzero
-    blocks. Otherwise kept is None, model is x_hat's, and the row is
-    identified where that model is prev and the safe set holds exactly
-    x_hat's nonzero blocks.
+    refined again while it lasts. Returns (kept, slot): kept is (x_r, its
+    evaluation) where the slot holds the refinement x_r of x_hat's model with
+    P(x_r) < P(x_hat), the row's point and snapshot, uncopied as no point is
+    written in place, else None.
     """
     obj, _, _, gap = evaluation
-    model = _model(spec, x_hat)
-    if gap > gap_tol and _refinable(spec, x_hat):
-        if slot[0] != model:
-            slot = model, _refined_certificate(spec, x_hat, work)
+    if gap > gap_tol and _refinable(spec, model):
+        if slot[0] != model[0]:
+            slot = model[0], _refined_certificate(spec, x_hat, work)
         kept = slot[1]
         if kept is not None and kept[1][0] < obj:
-            x_r = kept[0]
-            identified = np.array_equal(_blocks(spec, x_r), active.blocks)
-            return identified, kept, _model(spec, x_r), slot
-    identified = model == prev and np.array_equal(_blocks(spec, x_hat), active.blocks)
-    return identified, None, model, slot
+            return kept, slot
+    return None, slot
 
 
 # The rounding margin of an epoch row decided by its slot's refined point
@@ -757,11 +753,13 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     A screening solve passes the engine's slot (_certify) and the solve's
     gap_tol, and checks x_cur's model after every |W| = work.blocks.size
     steps but the last; the start point is the first check. A check compares
-    x_cur's model on the working columns (_model of x_cur, whose columns hold
-    every nonzero) with the previous check's. Where the same model has held
-    at three checks in a row, passes the refinement's cost gate (_refinable)
-    and is not the model the slot holds, it is refined once into the slot,
-    which then holds (model, result), the model in feature ids. Where that
+    the bytes of x_cur's signs for L1, its nonzero mask for group-L2, with
+    the previous check's: W is fixed within the epoch, so they differ exactly
+    where the models do. Where the same model has held at three checks in a
+    row, passes the refinement's cost gate (_refinable) and its key
+    (_model) is not the one the slot holds, it is refined once into the
+    slot, which then holds (key, result); only then is x_cur written out as
+    the d-length point the refinement takes. Where that
     refined point's own gap is at most gap_tol the epoch ends there: the next
     row finds the refinement in the slot, and takes it where its objective
     is the lower. Only the third check of a run can refine: at a later one
@@ -790,17 +788,17 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     inner iterate the second. The prox threshold eta * lam stays a float.
 
     Each candidate's A x is formed on work (_matvec). Where the slot holds a
-    refined point x_r, both candidates hold the slot's model (checked on the
-    working columns, where their nonzeros lie: _holds), and each one's
+    refined point x_r, both candidates hold the slot's model (their keys,
+    taken on the working columns where their nonzeros lie, are the slot's),
+    and each one's
     objective from that A x is finite and exceeds P(x_r) by more than
     gap_tol plus _ROUNDING of itself, the row is decided: every gap is at
     least P(x) - P* >= P(x) - P(x_r) (weak duality; Ndiaye, Fercoq, Gramfort
     & Salmon, JMLR 2017), so both gaps exceed gap_tol, and _certify would
     keep x_r over whichever candidate won. The epoch then returns x_r and
     its evaluation, uncopied, labelled "refined", and evaluates neither
-    candidate; the engine forms the row's model and identification as
-    _certify's kept branch does. Otherwise _restart evaluates both, from the
-    same A x.
+    candidate; the engine identifies that row as any row whose point is a
+    refined one. Otherwise _restart evaluates both, from the same A x.
     """
     n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
     prox, thresh = spec.reg.block_prox, eta * spec.lam
@@ -823,7 +821,10 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     # the step after which the next check runs, 0 once none is left
     check = width if slot is not None and width < steps else 0
     if slot is not None:
-        was, held = _model(spec, x_cur), 1
+        # the signs for L1, the nonzero mask for group-L2: W is fixed within
+        # the epoch, so working-column bytes compare like models
+        pattern = np.sign if spec.reg.name == "l1" else np.bool_
+        was, held = pattern(x_cur).tobytes(), 1
     updates, taken = 0, steps
     for done in range(0, steps, chunk):
         c = min(chunk, steps - done)
@@ -845,15 +846,15 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
             if t != check:
                 continue
             check = check + width if check + width < steps else 0
-            now = _model(spec, x_cur)
+            now = pattern(x_cur).tobytes()
             held, was = held + 1 if now == was else 1, now
             if held != 3:
                 continue
-            x = np.zeros(spec.dataset.d)
-            x[wfeat] = x_cur
-            model = _model(spec, x)
-            if slot[0] != model and _refinable(spec, x):
-                slot = model, _refined_certificate(spec, x, work)
+            model = _model(spec, wfeat, x_cur)
+            if slot[0] != model[0] and _refinable(spec, model):
+                x = np.zeros(spec.dataset.d)
+                x[wfeat] = x_cur
+                slot = model[0], _refined_certificate(spec, x, work)
                 if slot[1] is not None and slot[1][1][3] <= gap_tol:
                     taken = t
                     break
@@ -868,7 +869,8 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
         x = np.zeros(spec.dataset.d)
         x[wfeat] = v
         cands.append((x, _matvec(work, v)))
-    if slot is not None and slot[1] is not None and _holds(spec, slot[0], wfeat, x_sum, x_cur):
+    if slot is not None and slot[1] is not None and all(
+            _model(spec, wfeat, v)[0] == slot[0] for v in (x_sum, x_cur)):
         x_r, ev_r = slot[1]
         bar = ev_r[0] + gap_tol
         if all(math.isfinite(obj) and obj - _ROUNDING * obj > bar
@@ -907,8 +909,8 @@ def _engine(spec, config, *, block_sampling, screening):
     iterates = [] if config.keep_iterates else None
     coord_updates, converged, k = 0, False, 0
     radius, width, taken = math.inf, 0, 0
-    # the last row's model; the last refinement, of a screening solve only
-    model, slot = None, (None, None) if screening else None
+    # the last row's model key; the last refinement, of a screening solve only
+    key, slot = None, (None, None) if screening else None
     evaluation, restart = evaluate(spec, x_hat, np.zeros(spec.dataset.n)), "start"
     runaway = _RUNAWAY * evaluation[0]
 
@@ -927,18 +929,19 @@ def _engine(spec, config, *, block_sampling, screening):
 
     while True:
         identified = False
-        if screening and restart == "refined":
-            # the epoch found its row decided by the slot's refined point, as
-            # _certify's kept branch takes it
-            identified = np.array_equal(_blocks(spec, x_hat), active.blocks)
-            model = _model(spec, x_hat)
-        elif screening and np.isfinite(evaluation[0]):
-            # a refined point with the lower objective becomes the row's point,
-            # with its whole evaluation
-            identified, kept, model, slot = _certify(spec, active, x_hat, evaluation,
-                                                     config.gap_tol, model, slot, work)
-            if kept is not None:
-                (x_hat, evaluation), restart = kept, "refined"
+        if screening:  # x_hat lies on the columns of the epoch that produced it
+            model = _model(spec, work.features, x_hat[work.features])
+            if restart != "refined" and np.isfinite(evaluation[0]):
+                # a refined point with the lower objective becomes the row's
+                # point, with its whole evaluation
+                kept, slot = _certify(spec, x_hat, evaluation, config.gap_tol, model, slot,
+                                      work)
+                if kept is not None:
+                    (x_hat, evaluation), restart = kept, "refined"
+                    model = _model(spec, work.features, x_hat[work.features])
+            identified = ((restart == "refined" or model[0] == key)
+                          and np.array_equal(model[2], active.blocks))
+            key = model[0]
         obj, _, dp, gap = evaluation
         record(obj, gap, identified)
         if not np.isfinite(obj):
@@ -955,19 +958,13 @@ def _engine(spec, config, *, block_sampling, screening):
             break
         k += 1
 
-        radius = math.inf
+        radius, width, taken = math.inf, 0, 0
         if screening:
             radius = safe_radius(spec, gap)
-            safe = screen(spec, dp, radius, active, bounds)
+            active = screen(spec, dp, radius, active, bounds)
             if (restart == "refined" and gap <= config.gap_tol
-                    and np.array_equal(_blocks(spec, x_hat), safe.blocks)):
-                # the screen left exactly the refined point's blocks: it is the
-                # next row, with no epoch in between
-                active, width, taken, converged = safe, 0, 0, True
-                record(obj, gap, True)
-                break
-            active = safe
-        width = taken = 0
+                    and np.array_equal(model[2], active.blocks)):
+                continue  # the screen left exactly x_r's blocks: x_r is the next row
         if active.n_blocks == 0:  # empty subproblem: x_hat = 0, evaluated to certify it
             x_hat = np.zeros(spec.dataset.d)
             evaluation, restart = evaluate(spec, x_hat, np.zeros(spec.dataset.n)), "average"
@@ -978,7 +975,7 @@ def _engine(spec, config, *, block_sampling, screening):
         # set's design. The epoch starts from x_hat on it, so its average and
         # last iterate are zero off it. An empty one (x_hat zero on the safe set,
         # no safe block near lam) falls back to the safe set.
-        wb = _working_blocks(spec, active, x_hat, dp) if screening else active.blocks
+        wb = _working_blocks(spec, active, model[2], dp) if screening else active.blocks
         if wb.size in (0, active.n_blocks):
             work = safe_work
         elif not np.array_equal(wb, work.blocks):

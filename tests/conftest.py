@@ -50,7 +50,7 @@ def inert_screening(monkeypatch):
     safe_radius run as ever, with nothing to act on."""
     monkeypatch.setattr(G.solvers, "screen", lambda spec, dp, r, active, bounds: active)
     monkeypatch.setattr(G.solvers, "_working_blocks",
-                        lambda spec, active, x_hat, dp: active.blocks)
+                        lambda spec, active, blocks, dp: active.blocks)
     monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
 
 

@@ -1198,13 +1198,14 @@ def test_adsgd_certificates_hold_on_the_tall_benchmark_instance():
 
 
 def _record_working_sets(monkeypatch):
-    """Wrap the engine's working-set choice; returns the list of (x_hat, safe
-    blocks, working blocks, scaled correlations) of every call, in call order."""
+    """Wrap the engine's working-set choice; returns the list of (the nonzero
+    blocks of the row's point, safe blocks, working blocks, scaled
+    correlations) of every call, in call order."""
     calls, choose = [], G.solvers._working_blocks
 
-    def recorded(spec, active, x_hat, dp):
-        out = choose(spec, active, x_hat, dp)
-        calls.append((x_hat.copy(), active.blocks.copy(), out, dp.correlations))
+    def recorded(spec, active, blocks, dp):
+        out = choose(spec, active, blocks, dp)
+        calls.append((blocks.copy(), active.blocks.copy(), out, dp.correlations))
         return out
 
     monkeypatch.setattr(G.solvers, "_working_blocks", recorded)
@@ -1225,8 +1226,8 @@ def test_working_set_holds_every_block_where_x_hat_is_nonzero(monkeypatch, full_
                                        batch_size=batch, keep_iterates=True))
     assert rep.converged and len(calls) == len(epoch_rows(rep))
     block_of, low = spec.partition.block_of, 0
-    for k, (x_hat, safe, wb, corr) in enumerate(calls):
-        nonzero = np.unique(block_of[np.flatnonzero(x_hat)])
+    for k, (nonzero, safe, wb, corr) in enumerate(calls):
+        assert np.array_equal(nonzero, np.unique(block_of[np.flatnonzero(rep.iterates[k])]))
         assert set(nonzero.tolist()) <= set(wb.tolist()) <= set(safe.tolist())
         assert set(block_of[np.flatnonzero(rep.iterates[k + 1])].tolist()) <= set(wb.tolist())
         assert rep.trace[k + 1].working_blocks == wb.size
@@ -1354,7 +1355,7 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
             out = certify(spec, x, work)
         finally:
             refining[0] = False
-        certs.append((G.solvers._model(spec, x), out))
+        certs.append((_key(spec, x), out))
         return out
 
     monkeypatch.setattr(G.solvers, "evaluate", spied)
@@ -1394,7 +1395,7 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         else:  # the refined point of the candidate's model, with its own evaluation
             model, (x_r, (obj_r, _, _, gap_r)) = next(
                 c for c in found if np.array_equal(c[1][0], rep.iterates[k + 1]))
-            assert model == G.solvers._model(spec, x) and obj_r < obj
+            assert model == _key(spec, x) and obj_r < obj
             assert (row.objective, row.gap) == (obj_r, gap_r) and row.refined_dual
         labels.append(chosen)
     if len(rows) < rep.outer_iters:  # the refined point of the row before, kept
@@ -2073,6 +2074,13 @@ def _whole(spec):
     return _compact(spec, np.arange(spec.partition.q))
 
 
+def _key(spec, x):
+    """_model's key of the point x, taken on the dataset's working design, whose
+    columns list every feature in partition.order."""
+    order = spec.partition.order
+    return G.solvers._model(spec, order, x[order])[0]
+
+
 def test_the_group_model_is_the_unique_and_tile_construction():
     """_group_model's support, block numbers and within-block pair mask are
     those np.unique, a flatnonzero per block and np.tile gave, on a scattered
@@ -2106,33 +2114,98 @@ def test_the_group_model_is_the_unique_and_tile_construction():
         assert same.sum() == pi.size  # no pair twice
 
 
+def _key_spec(reg, layout):
+    """A 30 x 40 instance on a contiguous, scattered or uneven partition of 8
+    blocks, at half its lambda_max."""
+    d, q = 40, 8
+    part = {"contiguous": G.BlockPartition.contiguous(d, q),
+            "scattered": G.BlockPartition([np.arange(j, d, q) for j in range(q)]),
+            "uneven": G.BlockPartition.from_sizes([3, 7, 5, 2, 9, 4, 6, 4])}[layout]
+    spec = dataclasses.replace(make_instance(seed=9, n=30, d=d, q=q, reg=reg), partition=part)
+    return dataclasses.replace(spec, lam=0.5 * G.lambda_max(spec))
+
+
+KEY_LAYOUTS = ["contiguous", "scattered", "uneven"]
+
+
+@pytest.mark.parametrize("layout", KEY_LAYOUTS)
 @pytest.mark.parametrize("reg", ["l1", "group_l2"])
-def test_an_epoch_checks_the_slots_model_on_its_working_columns(reg):
-    """_holds gives what comparing _model's bytes over every feature gave, for
-    the model of x zero off the working columns and equal to v on them:
-    equal where the slot's model lies on the working columns, unequal where
-    it differs there or holds a nonzero, or a -0.0 sign, off them."""
-    spec = make_instance(seed=9, n=30, d=40, q=8, reg=reg)
-    part, rng = spec.partition, np.random.default_rng(10)
-    wfeat = np.concatenate([part.groups[b] for b in (1, 4, 6)])
-    for trial in range(30):
-        v = np.where(rng.random(wfeat.size) < 0.5, rng.normal(size=wfeat.size), 0.0)
+def test_a_models_key_is_its_d_length_model_on_any_design_that_holds_it(reg, layout):
+    """_model's keys of two points, each taken on a working design that holds
+    its nonzeros, are equal exactly where the points' d-length models,
+    np.sign(x) for L1 and x != 0 for group-L2, have equal bytes; a point has
+    one key on two different designs; the blocks are
+    np.unique(block_of[flatnonzero(x)]) and k the refinement's unknowns.
+    Random points with exact zeros and zero blocks, against the same point
+    scaled, with a sign flipped, a nonzero zeroed or a zero made nonzero."""
+    spec = _key_spec(reg, layout)
+    part, rng = spec.partition, np.random.default_rng(11)
+
+    def old(x):
+        return (np.sign(x) if reg == "l1" else x != 0.0).tobytes()
+
+    def model(x, held):  # on a design of held's blocks and two more drawn
+        work = _compact(spec, np.union1d(held, rng.choice(part.q, size=2)))
+        assert np.count_nonzero(x[work.features]) == np.count_nonzero(x)
+        return G.solvers._model(spec, work.features, x[work.features])
+
+    equal = []
+    for trial in range(80):
+        held = np.flatnonzero(rng.random(part.q) < 0.5)
+        inside = np.flatnonzero(np.isin(part.block_of, held))
         x = np.zeros(part.d)
-        x[wfeat] = v
-        slot_x = x.copy()
-        if trial % 3 == 1:  # a nonzero off the working columns
-            slot_x[part.groups[0][0]] = 0.5
-        elif trial % 3 == 2:  # a change on them
-            slot_x[wfeat[trial % wfeat.size]] = 0.0 if v[trial % wfeat.size] else -1.0
-        model = G.solvers._model(spec, slot_x)
-        want = G.solvers._model(spec, x) == model
-        assert G.solvers._holds(spec, model, wfeat, v) == want
-        assert G.solvers._holds(spec, model, wfeat, v, v) == want
-        assert trial % 3 or want
-    if reg == "l1":  # a -0.0 sign off the working columns is not a zero byte
-        model = np.zeros(part.d)
-        model[part.groups[0][0]] = -0.0
-        assert not G.solvers._holds(spec, model.tobytes(), wfeat, np.zeros(wfeat.size))
+        x[inside] = np.where(rng.random(inside.size) < 0.6, rng.normal(size=inside.size), 0.0)
+        nz, zero = np.flatnonzero(x), np.setdiff1d(inside, np.flatnonzero(x))
+        y = x.copy()
+        if trial % 4 == 1:
+            y *= rng.uniform(0.5, 2.0)
+        elif trial % 4 == 2 and nz.size:
+            y[rng.choice(nz)] *= -1.0
+        elif trial % 4 == 3 and nz.size:
+            y[rng.choice(nz)] = 0.0
+        elif trial % 4 == 0 and zero.size:
+            y[rng.choice(zero)] = rng.normal()
+        key, k, blocks = model(x, held)
+        assert model(x, held)[0] == key
+        equal.append(key == model(y, held)[0])
+        assert equal[-1] == (old(x) == old(y))
+        assert np.array_equal(blocks, np.unique(part.block_of[np.flatnonzero(x)]))
+        assert k == _unknowns(spec, x)
+    assert True in equal and False in equal
+
+
+@pytest.mark.parametrize("layout", KEY_LAYOUTS)
+def test_no_l1_point_of_a_screening_solve_holds_a_negative_zero(monkeypatch, layout):
+    """A model's key counts a -0.0 as a zero, as the d-length signs did not,
+    so the two agree only where no point holds one. No L1 point adsgd forms
+    does: the clip prox writes +0.0 (soft_threshold), the running sum and
+    its average add and divide +0.0, and a refinement keeps only
+    coordinates of x's signs. Checked on every inner iterate, every
+    candidate and row point, and every refined point, at a sampled and at
+    the full batch."""
+    spec = _key_spec("l1", layout)
+    points, refined = [], []
+    evaluate, objective, step, refine = (G.solvers.evaluate, G.solvers.primal_objective,
+                                         G.solvers.step_gradient, G.solvers._refine_support)
+
+    def spied_refine(*args):
+        out = refine(*args)
+        if out is not None:
+            refined.append(out)
+        return out
+
+    monkeypatch.setattr(G.solvers, "evaluate",
+                        lambda spec, x, z: points.append(x.copy()) or evaluate(spec, x, z))
+    monkeypatch.setattr(G.solvers, "primal_objective",
+                        lambda spec, x, z: points.append(x.copy()) or objective(spec, x, z))
+    monkeypatch.setattr(G.solvers, "step_gradient",
+                        lambda loss, x, *args: points.append(x.copy()) or step(loss, x, *args))
+    monkeypatch.setattr(G.solvers, "_refine_support", spied_refine)
+    for batch in (None, spec.dataset.n):
+        rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
+                                                 eta=tuned_eta(spec), batch_size=batch))
+        assert rep.converged
+    assert refined and not any(np.signbit(x[x == 0.0]).any() for x in points + refined)
 
 
 REFINE_CASES = {
@@ -2288,7 +2361,7 @@ def _spy_refinements(monkeypatch):
     calls, refine = [], G.solvers._refine_support
 
     def spied(spec, x, *args):
-        x0, model = x.copy(), G.solvers._model(spec, x)
+        x0, model = x.copy(), _key(spec, x)
         out = refine(spec, x, *args)
         calls.append((x0, model, out))
         return out
@@ -2566,9 +2639,9 @@ def _spy_row_points(monkeypatch):
     row may take its refined point instead."""
     points, certify = [], G.solvers._certify
 
-    def spied(spec, active, x_hat, *args):
+    def spied(spec, x_hat, *args):
         points.append(x_hat.copy())
-        return certify(spec, active, x_hat, *args)
+        return certify(spec, x_hat, *args)
 
     monkeypatch.setattr(G.solvers, "_certify", spied)
     return points
@@ -2585,7 +2658,7 @@ def _row_points(spec, points, decided):
     out += [next(points) if slot is None else None for slot in decided]
     assert next(points, None) is None
     slots = [None] + decided
-    return [(x, G.solvers._model(spec, x) if slot is None else slot[0])
+    return [(x, _key(spec, x) if slot is None else slot[0])
             for x, slot in zip(out, slots)]
 
 
@@ -2639,8 +2712,8 @@ def test_a_model_whose_refinement_found_no_point_is_not_refined_again(monkeypatc
                          support=3, ratio=0.25)
     x = 1.05 * G.reference_solve(spec, tol=1e-12).x_final
     evaluation = G.solvers.evaluate(spec, x, spec.dataset.A @ x)
-    gap, model, active = evaluation[3], G.solvers._model(spec, x), G.ActiveSet.full(spec)
-    work = G.solvers._compact(spec, active.blocks)
+    work = _whole(spec)
+    gap, model = evaluation[3], G.solvers._model(spec, work.features, x[work.features])
     assert G.solvers._refined_certificate(spec, x, work)[1][0] < evaluation[0]
     calls, refine = [], G.solvers._refine_support
 
@@ -2649,15 +2722,14 @@ def test_a_model_whose_refinement_found_no_point_is_not_refined_again(monkeypatc
         return refine(spec, x, *args) if len(calls) > 1 else None
 
     monkeypatch.setattr(G.solvers, "_refine_support", spied)
-    _, kept, _, slot = G.solvers._certify(spec, active, x, evaluation, 1e-12, None,
-                                          (None, None), work)
-    assert len(calls) == 1 and kept is None and slot[:2] == (model, None)
+    kept, slot = G.solvers._certify(spec, x, evaluation, 1e-12, model, (None, None), work)
+    assert len(calls) == 1 and kept is None and slot == (_key(spec, x), None)
     for row_gap in (gap / 5.0, gap / 20.0, gap / 1000.0):
         assert row_gap > 1e-12
-        out = G.solvers._certify(spec, active, x, (*evaluation[:3], row_gap), 1e-12, None,
-                                 slot, work)
-        assert len(calls) == 1 and out == (False, None, model, slot)
-    assert slot == (model, None)
+        out = G.solvers._certify(spec, x, (*evaluation[:3], row_gap), 1e-12, model, slot,
+                                 work)
+        assert len(calls) == 1 and out == (None, slot)
+    assert slot == (_key(spec, x), None)
 
 
 def _failing_solve(monkeypatch, fails):
@@ -2789,9 +2861,9 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
     screens = _spy_screens(monkeypatch)
     certified, certify = [], G.solvers._certify
 
-    def spied_certify(spec, active, x_hat, evaluation, *args):
-        out = certify(spec, active, x_hat, evaluation, *args)
-        certified.append((x_hat.copy(), evaluation[3], out[3]))
+    def spied_certify(spec, x_hat, evaluation, *args):
+        out = certify(spec, x_hat, evaluation, *args)
+        certified.append((x_hat.copy(), evaluation[3], out[1]))
         return out
 
     epochs, epoch = [], G.solvers._epoch
@@ -2832,14 +2904,14 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
             candidates = epochs[k - 1][4]
             assert len(candidates) == 2
             for x in candidates:
-                assert slot[0] == G.solvers._model(spec, x)
+                assert slot[0] == _key(spec, x)
                 assert G.solvers.evaluate(spec, x, ds.A @ x)[3] > tol
                 assert G.primal_objective(spec, x_r) < G.primal_objective(spec, x)
             continue
         if k > len(decided):  # a last row straight after a screen certifies nothing
             continue
         x, gap, slot = next(certs)
-        ref = slot[1] if slot[0] == G.solvers._model(spec, x) else None
+        ref = slot[1] if slot[0] == _key(spec, x) else None
         takes = (gap > tol and ref is not None
                  and G.primal_objective(spec, ref[0]) < G.primal_objective(spec, x))
         assert (row.restart == "refined") == takes
@@ -2943,7 +3015,7 @@ def test_a_row_within_the_margin_or_not_finite_runs_the_full_restart(monkeypatch
     x0 = 1.05 * G.reference_solve(spec, tol=1e-12).x_final
     work = _compact(spec, np.arange(spec.partition.q))
     evaluation = G.solvers.evaluate(spec, x0, spec.dataset.A @ x0)
-    model = G.solvers._model(spec, x0)
+    model = _key(spec, x0)
     x_r, ev_r = G.solvers._refined_certificate(spec, x0, work)
     monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
     restarts, restart = [], G.solvers._restart
@@ -2959,7 +3031,7 @@ def test_a_row_within_the_margin_or_not_finite_runs_the_full_restart(monkeypatch
     full = epoch(1.0)  # P(x_r) + 1 tops both candidates
     (cands,) = restarts
     assert full[2] in ("average", "last") and full[4] == 50
-    assert all(G.solvers._model(spec, x) == model for x, _ in cands)
+    assert all(_key(spec, x) == model for x, _ in cands)
     objs = [G.primal_objective(spec, x) for x, _ in cands]
     margin = G.solvers._ROUNDING * min(objs)
     most = min(obj - G.solvers._ROUNDING * obj for obj in objs) - ev_r[0]
@@ -3104,7 +3176,7 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     assert rep.converged and calls and any(x_r is not None for _, _, x_r in calls)
 
     def model(x):
-        return G.solvers._model(spec, x)
+        return _key(spec, x)
 
     own = _row_points(spec, points, decided)
     refined, tries = set(), set()
@@ -3246,14 +3318,15 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
 
 
 def _spy_epoch_steps(monkeypatch):
-    """Record each epoch of a solve: (|W|, its budget, x_cur before each of
-    its steps, (steps done, x) of each refinement made inside it)."""
+    """Record each epoch of a solve: (|W|, the features of its working
+    columns, its budget, x_cur before each of its steps, (steps done, x) of
+    each refinement made inside it), x_cur and x on the working columns."""
     epochs, current = [], []
     epoch, step, certificate = (G.solvers._epoch, G.solvers.step_gradient,
                                 G.solvers._refined_certificate)
 
     def spied_epoch(spec, work, x_hat, evaluation, steps, *args):
-        epochs.append((work.blocks.size, steps, [], []))
+        epochs.append((work.blocks.size, work.features, steps, [], []))
         current.append(epochs[-1])
         try:
             return epoch(spec, work, x_hat, evaluation, steps, *args)
@@ -3262,12 +3335,12 @@ def _spy_epoch_steps(monkeypatch):
 
     def spied_step(loss, x, *args):
         if current:
-            current[-1][2].append(x.copy())
+            current[-1][3].append(x.copy())
         return step(loss, x, *args)
 
     def spied_certificate(spec, x, work):
         if current:
-            current[-1][3].append((len(current[-1][2]), x[work.features].copy()))
+            current[-1][4].append((len(current[-1][3]), x[work.features].copy()))
         return certificate(spec, x, work)
 
     monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
@@ -3293,13 +3366,16 @@ def test_an_epoch_refines_only_a_model_held_at_its_last_three_checks(monkeypatch
         rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
                                                  eta=tuned_eta(spec), batch_size=batch))
         assert rep.converged
-        for width, steps, xs, refinements in epochs:
+        for width, features, steps, xs, refinements in epochs:
+            def key(v):
+                return G.solvers._model(spec, features, v)[0]
+
             for t, x in refinements:
-                model = G.solvers._model(spec, x)
+                model = key(x)
                 assert t % width == 0 and 2 * width <= t < steps
-                assert G.solvers._model(spec, xs[t - width]) == model
-                assert G.solvers._model(spec, xs[t - 2 * width]) == model
-                assert t < 3 * width or G.solvers._model(spec, xs[t - 3 * width]) != model
+                assert key(xs[t - width]) == model
+                assert key(xs[t - 2 * width]) == model
+                assert t < 3 * width or key(xs[t - 3 * width]) != model
                 refined += 1
     assert refined > 0
 
@@ -3390,10 +3466,9 @@ def test_a_refinement_fixes_the_signs_of_an_l1_model_and_the_pattern_of_a_group_
     flipped = x * np.array([1, 1, -1, 1, 1, 1])
     l1 = make_instance(seed=1, n=20, d=6, q=3, support=2)
     group = make_instance(seed=1, n=20, d=6, q=3, support=2, reg="group_l2")
-    model = G.solvers._model
-    assert model(l1, x) != model(l1, flipped)
-    assert model(group, x) == model(group, flipped)
-    assert model(group, x) != model(group, x[::-1])
+    assert _key(l1, x) != _key(l1, flipped)
+    assert _key(group, x) == _key(group, flipped)
+    assert _key(group, x) != _key(group, x[::-1])
 
 
 @pytest.mark.parametrize("solver", ["mrbcd", "proxsvrg"])
