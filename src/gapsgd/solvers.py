@@ -20,7 +20,7 @@ scaled correlation reaches _TAU * lam, after Celer (Massias, Gramfort &
 Salmon, ICML 2018). The epoch runs ceil(m * |W| / q) inner steps on that
 working set W, m = n by default, so one pass over the samples when W holds
 every block; a screening solve's epoch ends sooner where the refinement of
-its inner iterate's model certifies itself (below). Both the average of the
+its inner iterate's model finds a point (below). Both the average of the
 epoch's inner iterates over the steps it took and its last inner iterate
 are then evaluated on the full problem, and the one with the strictly
 smaller gap becomes the next iterate (_restart); a tie or a non-finite gap
@@ -70,11 +70,15 @@ every |W| steps, |W| being the working set's block count, by the bytes of
 its signs or nonzero mask on the working columns, which W fixes for the
 epoch, so each working block is drawn about once between two checks; a model
 that held at three checks in a row, over 2|W| steps, and is not the slot's
-is refined the same way. Where the refined point's own gap is at most
-gap_tol the epoch ends there, so a model is refined on the first row or
-check that finds it settled, and the next row finds the refinement in the
-slot. A check evaluates the refined point alone, never the inner iterate, so
-it adds no evaluation of its own.
+is refined the same way. Where that refinement finds a point, whether or
+not its own gap reaches gap_tol, the epoch ends there, as Celer ends a
+working-set subproblem once it has solved it and then picks the working set
+again: the next row finds the refinement in the slot, takes it where its
+objective is the lower, and screens and picks its working set from the
+point it keeps. So a model is refined on the first row or check that finds it
+settled, and an epoch whose refinements find no point takes every step. A
+check evaluates the refined point alone, never the inner iterate, so it
+adds no evaluation of its own.
 A Lasso model's system is linear, so its first step solves it. Where the
 solution flips the sign of an L1 coordinate, the refinement drops every
 flipped coordinate from the model and solves again on the smaller support,
@@ -247,7 +251,7 @@ class TraceRecord:
     previous row's gap. working_blocks counts the blocks its steps updated,
     0 on the starting row, and inner_steps the steps it ran: at most
     inner_budget(m, working_blocks, q), fewer where a screening solve's epoch
-    ended at a model check whose refinement certified itself, and 0 on
+    ended at a model check whose refinement found a point, and 0 on
     the starting row and on any row no epoch produced. restart names the
     point: "start" on the starting row, then "average" or "last", the epoch's
     average or its last inner iterate, whichever had the smaller gap, or
@@ -760,10 +764,11 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     (_model) is not the one the slot holds, it is refined once into the
     slot, which then holds (key, result); only then is x_cur written out as
     the d-length point the refinement takes. Where that
-    refined point's own gap is at most gap_tol the epoch ends there: the next
-    row finds the refinement in the slot, and takes it where its objective
-    is the lower. Only the third check of a run can refine: at a later one
-    the slot already holds the model, or the gate refused it. Under a zero
+    refinement finds a point, certified or not, the epoch ends there: the
+    next row finds the refinement in the slot, and takes it where its
+    objective is the lower. An epoch whose refinements find no point takes
+    every step. Only the third check of a run can refine: at a later one the
+    slot already holds the model, or the gate refused it. Under a zero
     _REFINE_COST no model passes the gate, so such an epoch takes every
     step, as one that never screens.
 
@@ -855,7 +860,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
                 x = np.zeros(spec.dataset.d)
                 x[wfeat] = x_cur
                 slot = model[0], _refined_certificate(spec, x, work)
-                if slot[1] is not None and slot[1][1][3] <= gap_tol:
+                if slot[1] is not None:
                     taken = t
                     break
         del args  # release this chunk before the next is planned
@@ -1072,13 +1077,15 @@ _REFINE_TOL = 1e-9
 
 # Newton steps of a refinement, over all its rounds; evaluating the residual
 # of the point a step reached is not a step. Along adsgd runs on the
-# benchmark workloads (solver seeds 0-7 at the benchmark's settings), which
-# refine each model on the first row that holds it, every refinement reached
-# _REFINE_TOL, in at most 5 steps: 4.0, 1.0 and 2.0 refinements per solve on
+# benchmark workloads (solver seeds 0-7 at the benchmark's settings), whose
+# epochs end at their first refinement that finds a point, every refinement
+# reached _REFINE_TOL: 3.1, 1.1 and 2.1 refinements per solve on
 # lasso-sparse, lasso-tall and logistic-group. On the Lasso workloads a
-# model's system is linear: at most 4 steps, with a pruning round in 23 of 32
-# refinements on lasso-sparse and 7 of 8 on lasso-tall. Group-L2 never
-# prunes: 5 steps on logistic-group. From the tests' REFINE_CASES, 5% off the
+# model's system is linear, and each took 1 step, with no pruning round;
+# group-L2 never prunes: 5 steps on logistic-group. At 0.25, 0.18 and 0.1
+# lam_max (the same seeds, 186 refinements, each of which found a point) a
+# Lasso model took at most 5 steps, with a pruning round in 93 of 125, and a
+# group-L2 one at most 6. From the tests' REFINE_CASES, 5% off the
 # optimum: 1 step on the Lasso, 3 on logistic L1, 3 or 4 on group-L2. Pruning
 # three coordinates of about 1e-9 off the optimum takes 3 steps in 2 rounds
 # on the Lasso case and 9 in 2 rounds on the logistic L1 case. One on a wrong
@@ -1093,14 +1100,17 @@ _REFINE_STEPS = 10
 # x86-64 host with OpenBLAS), for n k^2 / nnz = 2 / 25 / 225 on a 500 x 2000
 # design at 20% density: 0.32 / 1.0 / 6.2; at 9 / 100 / 903 on 1000 x 5000 at
 # 2%: 0.56 / 2.1 / 10.5; at 2 / 25 / 225 on a dense 2000 x 400: 0.28 / 1.0 /
-# 4.1. At the bound a step costs two to three evaluations, while an adsgd
-# epoch costs 7 to 38 of them on the benchmark workloads (median epoch over
-# one evaluation: 1.20 / 0.171 ms on logistic-group, 6.00 / 0.160 ms on
-# lasso-tall, 6.27 / 0.341 ms on lasso-sparse). A refinement that converges,
-# in at most 5 steps (a Lasso model's in at most 4, pruning included), so
-# costs about an epoch or less, and one on a wrong model at most
-# _REFINE_STEPS steps. The benchmark's refinements lie at 4-9
-# (logistic-group), 0.1-1.6 (lasso-tall) and 0.04-10 (lasso-sparse).
+# 4.1. At the bound a step costs two to three evaluations. An adsgd epoch on
+# the benchmark workloads, which ends at its first refinement that finds a
+# point, costs 3 to 10 evaluations (solver seeds 0-7; median epoch over one
+# evaluation: 1.35 / 0.206 ms on logistic-group, 0.95 / 0.151 ms on
+# lasso-tall, 1.23 / 0.188 ms on lasso-sparse). Its refinements lie at 1-9
+# (logistic-group), 0.025-0.1 (lasso-tall) and 0.01-0.5 (lasso-sparse),
+# where a step costs at most about half an evaluation, so a refinement that
+# converges, in at most 5 steps, costs about an epoch or less, and one on a
+# wrong model at most _REFINE_STEPS steps. At 0.25 to 0.1 lam_max they reach
+# 49 (logistic-group), 1.6 (lasso-tall) and 92 (lasso-sparse), where epochs
+# run longer: 25 to 80 evaluations at the longest.
 _REFINE_COST = 100.0
 
 

@@ -203,6 +203,22 @@ adsgd-group-scattered, adsgd-l1-contiguous, dense-adsgd-group-scattered
 and dense-adsgd-l1-contiguous did not move, nor did any mrbcd, proxsvrg or
 reference case.
 
+Eight adsgd cases were re-recorded when a screening solve's epoch began to
+end at its first model check whose refinement finds a point, whether or
+not that point certifies, instead of only at one that certifies:
+adsgd-l1-contiguous, adsgd-l1-scattered, adsgd-logistic-group, adsgd-mu-p,
+adsgd-long-epoch, dense-adsgd-l1-contiguous, dense-adsgd-long-epoch and
+dense-adsgd-mu-p. In each, the first epoch now ends at the refinement of a
+model short of the optimum's (after 15 of its steps on three working
+blocks, or 6 on two), whose point the row at outer iteration 1 takes with
+a gap of 0.046 to 0.44; the next epoch refines the optimum's model, and its
+row certifies. So outer_iters went 2 -> 3, each case's active blocks gained
+that row's safe set, and coord_updates went 62 -> 76 (adsgd-l1-contiguous,
+dense-adsgd-l1-contiguous) or kept its value. Each returned point has the
+old x_final's support and lies within 2.1e-13 of it, relative, and each
+stop gap is at most 3.4e-14. The other adsgd cases, and every mrbcd,
+proxsvrg and reference case, did not move.
+
 python tests/test_golden_iterates.py NAME... prints each named case's entry
 from a fresh run, in the layout below, for such a re-record.
 """
@@ -411,81 +427,106 @@ GOLDEN = {
     },
 
     "adsgd-l1-contiguous": {
-        "outer_iters": 2,
-        "coord_updates": 62,
-        "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.9800000000000p-46 0x1.9800000000000p-46",
+        "outer_iters": 3,
+        "coord_updates": 76,
+        "active_blocks": [6, 6, 5, 3],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.7c1e4475cd1e8p-3 0x1.3000000000000p-45 "
+            "0x1.3000000000000p-45"
+        ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.a7c293b9a5c17p-1 0x0.0p+0 0x0.0p+0 0x1.4288db85d92aep-2 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a956d7p-2 0x1.6ccc7b64125aep-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b5a7dp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95408p-2 0x1.6ccc7b6412adbp-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b5680p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a956d7p-2 0x1.6ccc7b64125aep-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b5a7dp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95408p-2 0x1.6ccc7b6412adbp-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b5680p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
 
     "adsgd-l1-scattered": {
-        "outer_iters": 2,
+        "outer_iters": 3,
         "coord_updates": 96,
-        "active_blocks": [5, 5, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.e000000000000p-49 0x1.e000000000000p-49",
+        "active_blocks": [5, 5, 4, 3],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.63060520fa8e0p-3 0x1.1200000000000p-45 "
+            "0x1.1200000000000p-45"
+        ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a9577fp-2 0x1.6ccc7b641288ap-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b5579p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.623990324b4ddp-2 0x1.a296324a526f4p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a957d6p-2 0x1.6ccc7b6412ab1p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b534ap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a9577fp-2 0x1.6ccc7b641288ap-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b5579p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a957d6p-2 0x1.6ccc7b6412ab1p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b534ap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
 
     "adsgd-logistic-group": {
-        "outer_iters": 2,
+        "outer_iters": 3,
         "coord_updates": 48,
-        "active_blocks": [5, 5, 2],
-        "gaps": "0x1.5107da0332f30p-4 0x1.0000000000000p-52 0x1.0000000000000p-52",
+        "active_blocks": [5, 5, 5, 2],
+        "gaps": (
+            "0x1.5107da0332f30p-4 0x1.7765d6677e240p-5 0x1.9000000000000p-49 "
+            "0x1.9000000000000p-49"
+        ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.2cca4d31a1c21p-2 0x1.6607afa764a27p-4 0x1.c06466fc13125p-4 "
-            "-0x1.6ad818a8b8ce8p-6 0x1.afa2676324f9dp-3 0x1.84bb5cd2a76dbp-3 "
-            "0x1.fa4dfaff677ddp-3 -0x1.a721260296682p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.d1e8f6619dbedp-3 "
+            "0x1.a53eec2d07b28p-3 0x1.103e7a3e2ea9dp-2 -0x1.c63c24d05ec29p-3 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.2cca4d31a1981p-2 0x1.6607afa763fd5p-4 0x1.c06466fc12535p-4 "
+            "-0x1.6ad818a8b82ddp-6 0x1.afa2676324fd6p-3 0x1.84bb5cd2a76a3p-3 "
+            "0x1.fa4dfaff677eap-3 -0x1.a7212602966a7p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.2cca4d31a1c21p-2 0x1.6607afa764a27p-4 0x1.c06466fc13125p-4 "
-            "-0x1.6ad818a8b8ce8p-6 0x1.afa2676324f9dp-3 0x1.84bb5cd2a76dbp-3 "
-            "0x1.fa4dfaff677ddp-3 -0x1.a721260296682p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.2cca4d31a1981p-2 0x1.6607afa763fd5p-4 0x1.c06466fc12535p-4 "
+            "-0x1.6ad818a8b82ddp-6 0x1.afa2676324fd6p-3 0x1.84bb5cd2a76a3p-3 "
+            "0x1.fa4dfaff677eap-3 -0x1.a7212602966a7p-3 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0",
         ],
     },
 
     "adsgd-mu-p": {
-        "outer_iters": 2,
+        "outer_iters": 3,
         "coord_updates": 39,
-        "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.2800000000000p-46 0x1.2800000000000p-46",
+        "active_blocks": [6, 6, 6, 2],
+        "gaps": (
+            "0x1.ae1cbad4dccd0p-2 0x1.c2f3a3875e120p-2 0x1.0400000000000p-45 "
+            "0x1.0400000000000p-45"
+        ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda2c2p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aea7p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.3d34379036e26p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x1.52f61cafda24ap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03b232p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda2c2p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03aea7p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda24ap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03b232p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
@@ -983,12 +1024,15 @@ CHUNK_GOLDEN = {
     },
 
     "adsgd-long-epoch": {
-        "outer_iters": 2,
+        "outer_iters": 3,
         "coord_updates": 76,
-        "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.a000000000000p-46 0x1.a000000000000p-46",
+        "active_blocks": [6, 6, 5, 3],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.7c1e4475cd1e8p-3 0x1.3000000000000p-45 "
+            "0x1.3000000000000p-45"
+        ),
         "x_final": (
-            "7:0x1.68e99b1a9578ap-2 8:0x1.6ccc7b64125b2p-1 11:0x1.49c81a80b5ab9p-2"
+            "7:0x1.68e99b1a95408p-2 8:0x1.6ccc7b6412adbp-1 11:0x1.49c81a80b5680p-2"
         ),
     },
 
@@ -1085,12 +1129,15 @@ def run_dense_case(name):
 
 DENSE_GOLDEN = {
     "dense-adsgd-l1-contiguous": {
-        "outer_iters": 2,
-        "coord_updates": 62,
-        "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.9800000000000p-46 0x1.9800000000000p-46",
+        "outer_iters": 3,
+        "coord_updates": 76,
+        "active_blocks": [6, 6, 5, 3],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.7c1e4475cd1e8p-3 0x1.3000000000000p-45 "
+            "0x1.3000000000000p-45"
+        ),
         "x_final": (
-            "7:0x1.68e99b1a956d7p-2 8:0x1.6ccc7b64125aep-1 11:0x1.49c81a80b5a7dp-2"
+            "7:0x1.68e99b1a95408p-2 8:0x1.6ccc7b6412adbp-1 11:0x1.49c81a80b5680p-2"
         ),
     },
     "dense-adsgd-full-batch": {
@@ -1103,19 +1150,25 @@ DENSE_GOLDEN = {
         ),
     },
     "dense-adsgd-mu-p": {
-        "outer_iters": 2,
+        "outer_iters": 3,
         "coord_updates": 39,
-        "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.2800000000000p-46 0x1.2800000000000p-46",
-        "x_final": "1:0x1.52f61cafda2c2p-1 8:0x1.b87c52e03aea7p-2",
+        "active_blocks": [6, 6, 6, 2],
+        "gaps": (
+            "0x1.ae1cbad4dccd0p-2 0x1.c2f3a3875e120p-2 0x1.0400000000000p-45 "
+            "0x1.0400000000000p-45"
+        ),
+        "x_final": "1:0x1.52f61cafda24ap-1 8:0x1.b87c52e03b232p-2",
     },
     "dense-adsgd-long-epoch": {
-        "outer_iters": 2,
+        "outer_iters": 3,
         "coord_updates": 76,
-        "active_blocks": [6, 6, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.a000000000000p-46 0x1.a000000000000p-46",
+        "active_blocks": [6, 6, 5, 3],
+        "gaps": (
+            "0x1.4a58be7a76ff8p-2 0x1.7c1e4475cd1e8p-3 0x1.3000000000000p-45 "
+            "0x1.3000000000000p-45"
+        ),
         "x_final": (
-            "7:0x1.68e99b1a9578ap-2 8:0x1.6ccc7b64125b2p-1 11:0x1.49c81a80b5ab9p-2"
+            "7:0x1.68e99b1a95408p-2 8:0x1.6ccc7b6412adbp-1 11:0x1.49c81a80b5680p-2"
         ),
     },
     "dense-adsgd-group-scattered": {

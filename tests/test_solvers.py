@@ -1873,23 +1873,55 @@ def test_spectral_bound_dominates_average_hessian():
     assert _spectral_bound(spec) <= G.lipschitz_constants(spec).T * 1.01
 
 
+# Two group-L2 solves at a step of 1/L_spec, batch 1 and epochs of m = 60
+# steps: (spec, config, whether it certifies). The logistic one stops
+# certifying: its first epoch, on one working block, ends at its first model
+# check, after 3 of its 6 steps, its safe set never shrinks, and its gap
+# drifts to about 1 by its 60th row (a step four times the tuned one is too
+# long for it). On the Lasso one a screen drops a block where the row's point
+# is nonzero, and it certifies in 7 rows. Each decides one epoch by its
+# slot's refined point.
+def _long_step_runs():
+    runs = []
+    for seed, model in ((49, "logistic"), (79, "lasso")):
+        spec = make_instance(seed=seed, n=60, d=80, q=10, model=model, reg="group_l2")
+        runs.append((spec, G.SolverConfig(seed=seed, gap_tol=1e-6, max_outer=60, m=60,
+                                          batch_size=1, eta=tuned_eta(spec, 1.0),
+                                          keep_iterates=True), model == "lasso"))
+    return runs
+
+
+def _pin_long_step_run(spec, rep, certifies):
+    """The outcome _long_step_runs states for each of its two solves; the
+    screen after row k leaves row k + 1's safe set."""
+    block_of, safe = spec.partition.block_of, rep.active_history
+    dropped_nonzero = any(np.isin(block_of[np.flatnonzero(x)], np.setdiff1d(a, b)).any()
+                          for x, a, b in zip(rep.iterates, safe, safe[1:]))
+    if certifies:
+        assert rep.converged and rep.outer_iters == 7 and dropped_nonzero
+        assert rep.active_history[-1].size < spec.partition.q
+    else:
+        assert not rep.converged and rep.outer_iters == 60 and not dropped_nonzero
+        first = rep.trace[1]
+        assert (first.working_blocks, first.inner_steps) == (1, 3)
+        assert inner_budget(60, 1, spec.partition.q) == 6
+        assert all(safe.size == spec.partition.q for safe in rep.active_history)
+        assert min(r.gap for r in rep.trace[2:]) > 0.01 and rep.trace[-1].gap > 0.1
+
+
 def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch):
     """adsgd forms A'g once per evaluation and nowhere else: an evaluation
     starts the solve, each epoch evaluates two candidates unless the slot's
-    refined point decided its row (here one epoch is decided), and each
+    refined point decided its row (one epoch of each solve here), and each
     support refinement that finds a point evaluates it; mrbcd refines and
-    decides nothing. At
-    this step size, epoch length and batch a screen drops a block where the
-    row's point x_hat is nonzero before the solve stops, and the next epoch
-    takes the row's own evaluation as its snapshot, with no product of its
-    own."""
-    spec = make_instance(seed=49, n=60, d=80, q=10, model="logistic", reg="group_l2")
-    cfg = G.SolverConfig(seed=49, gap_tol=1e-6, max_outer=60, m=60, batch_size=1,
-                         eta=tuned_eta(spec, 1.0), keep_iterates=True)
+    decides nothing. On both of
+    _long_step_runs' solves: on the one that certifies, a screen drops a
+    block where the row's point x_hat is nonzero before the solve stops, and
+    the next epoch takes the row's own evaluation as its snapshot, with no
+    product of its own; the other runs to its cap of rows."""
     counts = dict.fromkeys(["products", "evaluations", "refinements"], 0)
     rmatvec, evaluate = G.Dataset.rmatvec, G.solvers.evaluate
-    refine, screen = G.solvers._refine_support, G.solvers.screen
-    screens = []
+    refine = G.solvers._refine_support
 
     def counted_rmatvec(self, v):
         counts["products"] += 1
@@ -1904,28 +1936,24 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
         counts["refinements"] += out is not None
         return out
 
-    def spied_screen(spec, dp, r, active, bounds):
-        safe = screen(spec, dp, r, active, bounds)
-        screens.append(np.setdiff1d(active.blocks, safe.blocks))
-        return safe
-
     monkeypatch.setattr(G.Dataset, "rmatvec", counted_rmatvec)
     monkeypatch.setattr(G.solvers, "evaluate", counted_evaluate)
     monkeypatch.setattr(G.solvers, "_refine_support", counted_refine)
-    monkeypatch.setattr(G.solvers, "screen", spied_screen)
     decided = spy_decided(monkeypatch)
-    rep = G.adsgd_solve(spec, cfg)
-    assert rep.converged and rep.active_history[-1].size < spec.partition.q
-    block_of = spec.partition.block_of
-    assert any(np.isin(block_of[np.flatnonzero(x)], dropped).any()
-               for x, dropped in zip(rep.iterates, screens))
-    assert counts["refinements"] > 0
-    epochs = len(epoch_rows(rep))
-    assert all(r.working_blocks > 0 for r in epoch_rows(rep)) and len(decided) == epochs
-    restarted = decided.count(None)
-    assert restarted == epochs - 1
-    assert counts["products"] == counts["evaluations"] == (1 + 2 * restarted
-                                                           + counts["refinements"])
+    runs = _long_step_runs()
+    for spec, cfg, certifies in runs:
+        counts.update(products=0, evaluations=0, refinements=0)
+        decided.clear()
+        rep = G.adsgd_solve(spec, cfg)
+        _pin_long_step_run(spec, rep, certifies)
+        assert counts["refinements"] > 0
+        epochs = len(epoch_rows(rep))
+        assert all(r.working_blocks > 0 for r in epoch_rows(rep)) and len(decided) == epochs
+        restarted = decided.count(None)
+        assert restarted == epochs - 1
+        assert counts["products"] == counts["evaluations"] == (1 + 2 * restarted
+                                                               + counts["refinements"])
+    spec, cfg, _ = runs[0]  # mrbcd runs away on the Lasso at this step
     counts.update(products=0, evaluations=0, refinements=0)
     decided.clear()
     rep = G.mrbcd_solve(spec, dataclasses.replace(cfg, solver="mrbcd"))
@@ -2570,12 +2598,12 @@ def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
 def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model(monkeypatch):
     """A refined point x_r that certifies itself stops the solve only where
     the safe set holds exactly x_r's nonzero blocks. Here the epoch that
-    produces row 2 ends on an iterate of a new model, with a coordinate in
-    block 3, off the optimum's support, which the refinement prunes. Row 2
+    produces row 3 ends on an iterate of a new model, with a coordinate in
+    block 3, off the optimum's support, which the refinement prunes. Row 3
     holds x_r, whose own gap is below gap_tol, but x_r's blocks
     [0, 1, 5, 6, 9] are not the safe set, which still holds all ten blocks,
-    so the solve goes on. The screen after row 2, sized by x_r's gap, leaves
-    exactly x_r's blocks, and the solve returns x_r as row 3, with no epoch
+    so the solve goes on. The screen after row 3, sized by x_r's gap, leaves
+    exactly x_r's blocks, and the solve returns x_r as row 4, with no epoch
     in between, on x_r's own gap, which bounds its suboptimality."""
     spec = make_instance(ratio=0.5, seed=206, n=150, d=250, sparsity=0.5, support=9)
     calls = _spy_refinements(monkeypatch)
@@ -2587,12 +2615,12 @@ def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model(mon
 
     x, _, x_r = calls[-1]
     assert blocks(x) == [0, 1, 3, 5, 6, 9] and blocks(x_r) == [0, 1, 5, 6, 9]
-    row = rep.trace[2]
+    row = rep.trace[3]
     assert (row.restart, row.refined_dual, row.identified) == ("refined", True, False)
-    assert np.array_equal(rep.iterates[2], x_r) and row.gap <= 1e-6
-    assert rep.active_history[2].tolist() == list(range(10))
+    assert np.array_equal(rep.iterates[3], x_r) and row.gap <= 1e-6
+    assert rep.active_history[3].tolist() == list(range(10))
     last = rep.trace[-1]
-    assert rep.converged and rep.outer_iters == 3 and len(epoch_rows(rep)) == 2
+    assert rep.converged and rep.outer_iters == 4 and len(epoch_rows(rep)) == 3
     assert (last.restart, last.working_blocks, last.identified) == ("refined", 0, True)
     assert np.array_equal(rep.x_final, x_r) and rep.gap == row.gap
     assert G.primal_objective(spec, x_r) - G.duality._dual_value(spec, rep.dual) \
@@ -2672,10 +2700,10 @@ def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     epoch that produced row 2, on
     five working blocks, x_cur passes through models that hold at fewer than
     three checks in a row before row 2's model holds at the checks after
-    steps 15, 20 and 25 of its 50. That model's refined point certifies
-    itself, so the epoch ends at step 25. Row 2 holds that point before its
-    model is identified, and its screen leaves exactly the point's blocks,
-    which row 3 returns."""
+    steps 10, 15 and 20 of its 50. That model's refinement finds a point, so
+    the epoch ends at step 20. Row 2 holds that point before its model is
+    identified, and its screen leaves exactly the point's blocks, which row
+    3 returns."""
     spec = SCREENED_RUNS["lasso"]()
     calls = _spy_refinements(monkeypatch)
     spans = _spy_epochs(monkeypatch, calls)
@@ -2693,7 +2721,7 @@ def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     assert all(np.array_equal(x, calls[i][2]) for x, i in zip(rep.iterates[1:], (0, 1, 1)))
     row = rep.trace[2]
     budget = inner_budget(spec.dataset.n, row.working_blocks, spec.partition.q)
-    assert (row.working_blocks, row.inner_steps, budget) == (5, 25, 50)
+    assert (row.working_blocks, row.inner_steps, budget) == (5, 20, 50)
     assert [r.restart for r in rep.trace] == ["start", "refined", "refined", "refined"]
     assert not rep.trace[2].identified and rep.trace[3].working_blocks == 0
     assert np.array_equal(rep.x_final, calls[-1][2])
@@ -3105,9 +3133,10 @@ def test_no_solve_writes_a_row_point_in_place(monkeypatch):
     a copy, and the next epoch starts from it: so nothing may write a row's
     point in place. Every x_r a refinement returns, and every point an epoch
     starts from, keeps its bytes to the end of the solve, and the iterates
-    report.iterates keeps are those bytes, on solves that take refined rows,
-    one of them with screens that drop a block where the row's point is
-    nonzero."""
+    report.iterates keeps are those bytes, on solves that take refined rows:
+    the screened runs, which certify, and _long_step_runs' two, one of which
+    screens a block where the row's point is nonzero and certifies, while
+    the other runs to its cap of rows."""
     refined, starts = [], []
     certificate, epoch = G.solvers._refined_certificate, G.solvers._epoch
 
@@ -3123,18 +3152,19 @@ def test_no_solve_writes_a_row_point_in_place(monkeypatch):
 
     monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
     monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
-    # (spec, step factor, config); the last one's screens drop nonzero blocks
-    runs = [(SCREENED_RUNS[case](), 4.0, dict(seed=2, gap_tol=1e-10, max_outer=300))
-            for case in sorted(SCREENED_RUNS)]
-    runs.append((make_instance(seed=49, n=60, d=80, q=10, model="logistic", reg="group_l2"),
-                 1.0, dict(seed=49, gap_tol=1e-6, max_outer=60, m=60, batch_size=1)))
+    # (spec, config, certifies): None for the screened runs, which all certify
+    runs = [(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300, eta=tuned_eta(spec),
+                                  keep_iterates=True), None)
+            for spec in (SCREENED_RUNS[case]() for case in sorted(SCREENED_RUNS))]
     taken = 0
-    for spec, factor, kw in runs:
+    for spec, cfg, certifies in runs + _long_step_runs():
         refined.clear()
         starts.clear()
-        rep = G.adsgd_solve(spec, G.SolverConfig(eta=tuned_eta(spec, factor),
-                                                 keep_iterates=True, **kw))
-        assert rep.converged
+        rep = G.adsgd_solve(spec, cfg)
+        if certifies is None:
+            assert rep.converged
+        else:
+            _pin_long_step_run(spec, rep, certifies)
         assert all(x.tobytes() == b for x, b in refined + starts)
         points = {b for _, b in refined}
         for x, row in zip(rep.iterates, rep.trace):
@@ -3217,19 +3247,21 @@ def _chunk_steps(spec, work, batch_size):
     return max(1, G.solvers._CHUNK_ENTRIES // entries)
 
 
-def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
-    """(a) A screening solve's epoch ends before its inner_budget only where a
-    refinement made at one of its model checks gives x_r an own gap of at
-    most gap_tol, and every such refinement ends its epoch. (b) Where every
-    refinement answers off the optimum, as in
-    test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict, no
-    epoch ends early. (c) mrbcd and proxsvrg take every budgeted step and
-    refine nothing. (d) Every epoch draws its rows and blocks chunk by chunk,
-    its chunks cut only at the entry cap and at the budget, never at a
-    check. One that ends early draws the chunks up to the one holding its
-    last step, then, its generator restored, the steps it took in that chunk
-    again; and it is the solve's last: the refinement it left in the slot is
-    returned on the row it produced or straight after that row's screen."""
+def test_an_epoch_ends_at_its_first_refinement_that_finds_a_point(monkeypatch):
+    """(a) A screening solve's epoch ends before its inner_budget exactly at
+    the first model check whose refinement returns a point, whether or not
+    that point certifies: every refinement of an epoch but its last found
+    none, and its last found one exactly where the epoch ended early. With
+    every refinement answering off the optimum, as in
+    test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict, none
+    certifies, yet epochs still end there. (b) Where every refinement
+    returns None, every epoch takes every budgeted step. (c) mrbcd and
+    proxsvrg take every budgeted step and refine nothing. (d) Every epoch
+    draws its rows and blocks chunk by chunk, its chunks cut only at the
+    entry cap and at the budget, never at a check. One that ends early draws
+    the chunks up to the one holding its last step, then, its generator
+    restored, the steps it took in that chunk again. L1 and group-L2, for a
+    sampled and a full batch."""
     results, certificate = [], G.solvers._refined_certificate
 
     def spied(spec, x, work):
@@ -3264,35 +3296,19 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
                    for r in rows]
         return rep, rows, budgets
 
-    early = 0
-    for case in sorted(SCREENED_RUNS):
-        spec = SCREENED_RUNS[case]()
+    def each_epoch(spec):
+        """Run adsgd on spec for a sampled and a full batch, and yield, for
+        each of its epochs: its row, budget, span of refinements, chunk size,
+        and the number of steps each of its draws covers."""
         n = spec.dataset.n
         for batch in (10, n):
             rep, rows, budgets = run(spec, solver="adsgd", batch_size=batch)
             assert rep.converged
             per_step = (batch if batch < n else 0) + 1
-            for row, budget, (a, b), draws, chunk in zip(rows, budgets, spans, drawn,
-                                                         chunks):
-                certified = [i for i in range(a, b)
-                             if results[i] is not None and results[i][1][3] <= 1e-10]
-                # (a)
-                assert certified == ([b - 1] if row.inner_steps < budget else [])
-                # (d)
-                sizes = [size // per_step for size in draws]
+            for row, budget, span, draws, chunk in zip(rows, budgets, spans, drawn, chunks):
                 assert [size % per_step for size in draws] == [0] * len(draws)
-                planned = [min(chunk, budget - done) for done in range(0, budget, chunk)]
-                last = (row.inner_steps - 1) // chunk
-                assert sizes == (planned if row.inner_steps == budget else
-                                 planned[:last + 1] + [row.inner_steps - last * chunk])
-                if row.inner_steps < budget:
-                    early += 1
-                    assert rep.outer_iters - row.outer_iter <= 1
-                    assert rep.trace[-1].restart == "refined"
-                    assert np.array_equal(rep.x_final, results[b - 1][0])
-    assert early >= 4
+                yield row, budget, span, chunk, [size // per_step for size in draws]
 
-    # (b)
     refine = G.solvers._refine_support
 
     def wrong(spec, x, *args):
@@ -3301,12 +3317,32 @@ def test_an_epoch_ends_early_only_where_its_refinement_certifies(monkeypatch):
             out[groups[int(np.argmax([np.linalg.norm(out[g]) for g in groups]))]] = 0.0
         return out
 
-    monkeypatch.setattr(G.solvers, "_refine_support", wrong)
+    for refinement in (refine, wrong):
+        monkeypatch.setattr(G.solvers, "_refine_support", refinement)
+        early = certified = 0
+        for case in sorted(SCREENED_RUNS):
+            for row, budget, (a, b), chunk, sizes in each_epoch(SCREENED_RUNS[case]()):
+                found = [i for i in range(a, b) if results[i] is not None]
+                certified += sum(results[i][1][3] <= 1e-10 for i in found)
+                # (a)
+                assert found == ([b - 1] if row.inner_steps < budget else [])
+                # (d)
+                planned = [min(chunk, budget - done) for done in range(0, budget, chunk)]
+                last = (row.inner_steps - 1) // chunk
+                assert sizes == (planned if row.inner_steps == budget else
+                                 planned[:last + 1] + [row.inner_steps - last * chunk])
+                early += row.inner_steps < budget
+        assert early >= 4 and (certified > 0) == (refinement is refine)
+
+    # (b)
+    monkeypatch.setattr(G.solvers, "_refine_support", lambda *args: None)
+    tried = 0
     for case in sorted(SCREENED_RUNS):
-        rep, rows, budgets = run(SCREENED_RUNS[case](), solver="adsgd")
-        # checks refined, and none of their refinements certified
-        assert rep.converged and any(a < b for a, b in spans)
-        assert [r.inner_steps for r in rows] == budgets
+        for row, budget, (a, b), _, _ in each_epoch(SCREENED_RUNS[case]()):
+            assert row.inner_steps == budget
+            assert all(results[i] is None for i in range(a, b))
+            tried += b - a
+    assert tried > 0  # checks refined, and found nothing
     monkeypatch.setattr(G.solvers, "_refine_support", refine)
 
     # (c)

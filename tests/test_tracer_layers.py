@@ -54,14 +54,14 @@ def test_traced_screening_solve_reaches_every_outer_layer(monkeypatch):
             rep = G.solve(spec, cfg)
         calls = {layer: stat.calls for layer, stat in record.stats.items()}
         # one evaluation starts the solve, each epoch evaluates two candidates
-        # unless the slot's refined point decided its row (one epoch on the
-        # sparse storage), and each refined point is evaluated once; every row
+        # unless the slot's refined point decided its row (one epoch on each
+        # storage), and each refined point is evaluated once; every row
         # but the first ran an epoch, or returns the refined point its screen
         # settled
         epochs = len(epoch_rows(rep))
         assert all(r.working_blocks > 0 for r in epoch_rows(rep))
         assert calls["solvers.inner_budget"] == epochs == len(decided)
-        assert epochs - decided.count(None) == (0 if dense else 1)
+        assert epochs - decided.count(None) == 1
         refined = sum(x is not None for x in found)
         assert refined > 0
         evaluations = 1 + 2 * decided.count(None) + refined
