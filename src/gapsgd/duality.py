@@ -245,6 +245,16 @@ def safe_radius(spec, gap):
     return math.sqrt(2.0 * spec.dataset.n * c * max(gap, 0.0))
 
 
+def _padded_gap(spec, evaluation):
+    """An evaluation's gap plus delta = (n + d) eps (|P| + |D|), the bound on
+    its rounding: P and D sum at most n + d terms of their order, so the
+    computed P - D may sit delta below the true gap, at or below 0 off the
+    optimum, where safe_radius would give 0. A non-finite gap stays so."""
+    obj, _, dp, gap = evaluation
+    ds = spec.dataset
+    return gap + (ds.n + ds.d) * np.finfo(np.float64).eps * (abs(obj) + abs(dp.value))
+
+
 def screen(spec, dp, r, active, bounds):
     """Drop every active block certified zero at the optimum by the sphere test.
 

@@ -13,7 +13,8 @@ scaled over all q blocks with its dual value, and the duality gap). That gap
 is the stopping test, so a certificate holds whatever screening dropped. A
 screening solver then screens, after every row that does not stop the solve,
 with the Gap Safe sphere of radius
-sqrt(2 n gap max(c, 2 n mu_p)) (duality.safe_radius), which drops blocks for
+sqrt(2 n gap max(c, 2 n mu_p)) (duality.safe_radius), the gap padded by the
+bound on its rounding (duality._padded_gap), which drops blocks for
 good: the safe set only shrinks. Inside the safe set it picks the epoch's
 working set, the safe blocks where the iterate is nonzero plus those whose
 scaled correlation reaches _TAU * lam, after Celer (Massias, Gramfort &
@@ -49,65 +50,54 @@ dropped a block on which x_hat is nonzero (_epoch).
 
 The iterate's own dual point is wrong to first order, so its gap tracks
 about the square root of the suboptimality. A screening solve therefore
-refines the row's model (_certify). A point's model is taken on the columns
-of the working design that holds it, as every row point, epoch candidate and
+refines the row's model (_certify). A point's model lives on the columns of
+the working design that holds it, as every row point, epoch candidate and
 refined point lies in its epoch's: its key is the feature ids of its
 nonzeros in that design's block-major order, a subsequence of
-partition.order, so the same nonzeros give the same key on any design, with
-their signs for L1, and the same ids give its nonzero blocks (_model). On
-the first row that holds x_hat's model, of k unknowns, 0 < k <= n, with
-n k^2 at most _REFINE_COST times the design's stored entries (_refinable),
-_refine_support solves the smooth stationarity system on that model, in at
-most _REFINE_STEPS Newton steps whose residual must reach _REFINE_TOL * lam.
-It takes the model's columns from the working design of the epoch that
-produced the point, copied from its dense twin where that epoch built one,
-else gathered from its entries (_columns), and A x_r is formed on that
-design too. The solve keeps the last refinement in a slot, its model's key
-and its result, a point or None, as Celer keeps its working set's solution,
-and later rows of the model reuse it: a model is not refined again while the
-slot holds it. Inside the epoch the inner iterate's model is checked after
-every |W| steps, |W| being the working set's block count, by the bytes of
-its signs or nonzero mask on the working columns, which W fixes for the
-epoch, so each working block is drawn about once between two checks; a model
-that held at three checks in a row, over 2|W| steps, and is not the slot's
-is refined the same way. Where that refinement finds a point, whether or
-not its own gap reaches gap_tol, the epoch ends there, as Celer ends a
-working-set subproblem once it has solved it and then picks the working set
-again: the next row finds the refinement in the slot, takes it where its
-objective is the lower, and screens and picks its working set from the
-point it keeps. So a model is refined on the first row or check that finds it
-settled, and an epoch whose refinements find no point takes every step. A
-check evaluates the refined point alone, never the inner iterate, so it
-adds no evaluation of its own.
-A Lasso model's system is linear, so its first step solves it. Where the
-solution flips the sign of an L1 coordinate, the refinement drops every
-flipped coordinate from the model and solves again on the smaller support,
-within the same step budget, until the signs agree (the active-set move of
-feature-sign search: Lee, Battle, Raina & Ng, NeurIPS 2007). That prunes
-the coordinates of about 1e-9 that x_hat keeps off the optimum's support,
-whose correlation stays below lam.
+partition.order, with their signs for L1, so the same nonzeros give the same
+key on any design (_model). A model of k unknowns, 0 < k <= n, with n k^2 at
+most _REFINE_COST times the design's stored entries (_refinable), is refined
+by _refine_support: at most _REFINE_STEPS Newton steps on the model's smooth
+stationarity system, whose residual must reach _REFINE_TOL * lam. The whole
+refinement runs in the working design's column numbering: it is handed the
+point on those columns, finds its model there, takes the model's columns
+from that design (_columns) and forms A x_r there; only x_r is scattered to
+the d features, once, for its evaluation. A Lasso model's system is linear,
+so its first step solves it. Where the solution flips the sign of an L1
+coordinate, the refinement drops every flipped coordinate and solves again,
+within the same budget, until the signs agree (the active-set move of
+feature-sign search: Lee, Battle, Raina & Ng, NeurIPS 2007). That prunes the
+coordinates of about 1e-9 that x_hat keeps off the optimum's support.
 
-The refined point x_r is evaluated on the full problem, and where
-P(x_r) < P(x_hat) it becomes the row's point with that whole evaluation, as
-Celer takes its working set's solution for its iterate (Massias, Gramfort &
-Salmon, ICML 2018); a tie keeps x_hat. The row then certifies, screens,
-scores the working set and takes its snapshot from x_r and x_r's own dual
-point, and the next epoch starts from x_r, with x_r's model as the previous
-row's. x_r lies on x_hat's support, inside the safe set. So every row's gap
-is P - D of one point and that point's own dual point, scaled over every
-block: it bounds the point's suboptimality whatever the model or the
-screens. The engine marks every row's identification in one place: a row is
-identified where its point is a refined one or its model's key is the
-previous row's, and the safe set holds exactly its point's nonzero blocks. A
-row whose point is x_r stops the solve only where its gap is at most gap_tol
-and the row is identified. The safe set the row's screen leaves is tested
-the same way, before any design is cut: where it is exactly x_r's blocks,
-x_r is the next row, with no epoch in between, recorded and stop-tested as
-any row. The condition on x_r's blocks keeps the stop behind the screen:
-where x_r prunes a coordinate that x_hat keeps in a block off the optimum's
-support, the solve goes on until a screen drops that block, usually the one
-x_r's own gap sizes. report.dual is the last row's dual point, so
-P(x_final) - D(report.dual) is report.gap.
+The solve keeps its last refinement in a slot, its model's key and its
+result, a point or None, as Celer keeps its working set's solution. A row
+whose gap exceeds gap_tol, and an epoch's model check, offer their model to
+the slot by one rule (_into_slot): it is refined unless the slot holds it.
+Inside the epoch the inner iterate's model is checked after every |W| steps,
+by the bytes of its signs or nonzero mask on the working columns, which W
+fixes, so each working block is drawn about once between two checks; a
+model held at three checks in a row is offered. Where its refinement finds
+a point, certified or not, the epoch ends there, as Celer ends a working-set
+subproblem once it has solved it and then picks the working set again. A
+check evaluates only the refined point, so it adds no evaluation of its own.
+
+Where P(x_r) < P(x_hat), the slot's x_r becomes the row's point with its
+whole evaluation, as Celer takes its working set's solution for its
+iterate; a tie keeps x_hat. The row then certifies, screens, scores the
+working set and takes its snapshot from x_r and x_r's own dual point. x_r
+lies on x_hat's support, inside the safe set. So every row's gap is P - D of
+one point and that point's own dual point, scaled over every block: it
+bounds the point's suboptimality whatever the model or the screens. The
+engine marks every row's identification in one place: a row is identified
+where its point is a refined one or its model's key is the previous row's,
+and the safe set holds exactly its point's nonzero blocks. A row whose point
+is x_r stops the solve only where its gap is at most gap_tol and the row is
+identified. The screen after such a row is tested the same way, before any
+design is cut: where it leaves exactly x_r's blocks, x_r is the next row,
+with no epoch in between. So the stop waits on the screen: where x_r prunes
+a coordinate that x_hat keeps in a block off the optimum's support, the
+solve goes on until a screen drops that block. report.dual is the last
+row's dual point, so P(x_final) - D(report.dual) is report.gap.
 
 Every inner step of every solver is planned by _plan and runs the one
 gradient kernel, step_gradient: the sampled rows' derivatives, relative to
@@ -170,8 +160,9 @@ the iterate, plus one A'g at the extrapolated point y unless y is the
 iterate, as after a restart or a step from t = 1 (beta = 0); A y is the same
 combination of the last two products A x. Its L1 stop row is refined by the
 screening solves' own _refined_certificate, kept where its gap is smaller,
-on the dataset's working design, which it gathers its columns from, with
-no twin built, and forms the refined point's A x on.
+on the dataset's working design, handed the iterate on its columns: the
+refinement gathers its columns there, with no twin built, and forms the
+refined point's A x there.
 
 The full-vector solver proxsvrg and the reference solver make one penalty
 prox call per step. For group-L2 it shrinks every block of one size with a
@@ -192,7 +183,8 @@ import time
 
 import numpy as np
 
-from .duality import ActiveSet, DualPoint, column_bounds, evaluate, safe_radius, screen
+from .duality import (ActiveSet, DualPoint, _padded_gap, column_bounds, evaluate, safe_radius,
+                       screen)
 from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_rows,
                       _is_count, _is_real, csc_matvec, csr_matvec, lipschitz_constants,
                       primal_objective, smooth_gradient, smooth_value)
@@ -248,7 +240,8 @@ class TraceRecord:
     describe the epoch that produced the iterate: active_blocks and
     active_features count the safe set it ran within, radius is the safe
     radius of the screen that preceded it (inf where none ran), that of the
-    previous row's gap. working_blocks counts the blocks its steps updated,
+    previous row's gap plus its rounding bound (duality._padded_gap).
+    working_blocks counts the blocks its steps updated,
     0 on the starting row, and inner_steps the steps it ran: at most
     inner_budget(m, working_blocks, q), fewer where a screening solve's epoch
     ended at a model check whose refinement found a point, and 0 on
@@ -681,20 +674,18 @@ def _model(spec, features, v):
     return ids.tobytes(), int(spec.partition.sizes[blocks].sum()), blocks
 
 
-def _refined_certificate(spec, x, work):
-    """(x_r, evaluation) of the refinement x_r of x, evaluation being x_r's
-    full-problem (objective, derivatives, dual point, gap), or None where
-    _refine_support finds no point within _REFINE_STEPS Newton steps whose
-    residual reaches _REFINE_TOL * lam. x is zero off the columns of the
-    working design work: a screening solve passes its epoch's design, the
-    reference the dataset's. _refine_support takes its columns from work,
-    and x_r's support lies inside x's, so A x_r is formed on work too
-    (_matvec)."""
-    x_r = _refine_support(spec, x, work)
-    if x_r is None:
+def _refined_certificate(spec, work, v):
+    """(x_r, its full-problem evaluation) of the refinement (_refine_support)
+    of the point that is v on the working design work's columns and zero off
+    them, or None where it finds no point. A x_r is formed on work from w_r,
+    x_r on work's columns (_matvec); x_r is w_r scattered once to the d
+    features, for evaluate."""
+    w_r = _refine_support(spec, work, v)
+    if w_r is None:
         return None
-    z = _matvec(work, x_r[work.features])
-    return x_r, evaluate(spec, x_r, z)
+    x_r = np.zeros(spec.dataset.d)
+    x_r[work.features] = w_r
+    return x_r, evaluate(spec, x_r, _matvec(work, w_r))
 
 
 def _refinable(spec, model):
@@ -705,27 +696,33 @@ def _refinable(spec, model):
     return 0 < k <= n and n * k * k <= _REFINE_COST * spec.dataset.A.nnz
 
 
-def _certify(spec, x_hat, evaluation, gap_tol, model, slot, work):
+def _into_slot(spec, slot, model, work, v):
+    """The slot after the model (_model) of the point v on work's columns is
+    offered to it: (its key, _refined_certificate) where the model passes the
+    cost gate (_refinable) and the slot does not hold its key, else the same
+    slot object. The one rule of a row (_certify) and of a model check
+    (_epoch), so a model is refined at most once while the slot holds it."""
+    if slot[0] != model[0] and _refinable(spec, model):
+        return model[0], _refined_certificate(spec, work, v)
+    return slot
+
+
+def _certify(spec, v, evaluation, gap_tol, model, slot, work):
     """The refinement gate of a screening solve's row (module docstring).
 
-    evaluation is x_hat's on the full problem and model its model (_model),
-    and work the working design of the epoch that produced x_hat, which
-    holds x_hat's support, so a refinement made here runs on it. slot is the
-    last refinement, (its model's key, its result), made by a row or by an
-    epoch's model check (_epoch). A model that passes the cost gate
-    (_refinable) is refined on the first row that holds it unless the slot
-    already holds it, so a model whose refinement found no point is not
-    refined again while it lasts. Returns (kept, slot): kept is (x_r, its
-    evaluation) where the slot holds the refinement x_r of x_hat's model with
-    P(x_r) < P(x_hat), the row's point and snapshot, uncopied as no point is
-    written in place, else None.
+    v is the row's point x_hat on the columns of work, the design of the
+    epoch that produced it, evaluation x_hat's and model its model (_model).
+    slot is the last refinement, (its model's key, its result). A row whose
+    gap exceeds gap_tol offers its model to the slot (_into_slot). Returns
+    (kept, slot): kept is (x_r, its evaluation) where the slot holds the
+    refinement x_r of x_hat's model with P(x_r) < P(x_hat), the row's point
+    and snapshot, uncopied as no point is written in place, else None.
     """
     obj, _, _, gap = evaluation
-    if gap > gap_tol and _refinable(spec, model):
-        if slot[0] != model[0]:
-            slot = model[0], _refined_certificate(spec, x_hat, work)
+    if gap > gap_tol:
+        slot = _into_slot(spec, slot, model, work, v)
         kept = slot[1]
-        if kept is not None and kept[1][0] < obj:
+        if slot[0] == model[0] and kept is not None and kept[1][0] < obj:
             return kept, slot
     return None, slot
 
@@ -760,11 +757,8 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     the bytes of x_cur's signs for L1, its nonzero mask for group-L2, with
     the previous check's: W is fixed within the epoch, so they differ exactly
     where the models do. Where the same model has held at three checks in a
-    row, passes the refinement's cost gate (_refinable) and its key
-    (_model) is not the one the slot holds, it is refined once into the
-    slot, which then holds (key, result); only then is x_cur written out as
-    the d-length point the refinement takes. Where that
-    refinement finds a point, certified or not, the epoch ends there: the
+    row, it is offered to the slot, x_cur as it stands (_into_slot). Where
+    that refinement finds a point, certified or not, the epoch ends there: the
     next row finds the refinement in the slot, and takes it where its
     objective is the lower. An epoch whose refinements find no point takes
     every step. Only the third check of a run can refine: at a later one the
@@ -855,14 +849,10 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
             held, was = held + 1 if now == was else 1, now
             if held != 3:
                 continue
-            model = _model(spec, wfeat, x_cur)
-            if slot[0] != model[0] and _refinable(spec, model):
-                x = np.zeros(spec.dataset.d)
-                x[wfeat] = x_cur
-                slot = model[0], _refined_certificate(spec, x, work)
-                if slot[1] is not None:
-                    taken = t
-                    break
+            last, slot = slot, _into_slot(spec, slot, _model(spec, wfeat, x_cur), work, x_cur)
+            if slot is not last and slot[1] is not None:
+                taken = t
+                break
         del args  # release this chunk before the next is planned
         if taken < steps:  # leave the stream where the steps taken leave it
             rng.bit_generator.state = state
@@ -935,12 +925,12 @@ def _engine(spec, config, *, block_sampling, screening):
     while True:
         identified = False
         if screening:  # x_hat lies on the columns of the epoch that produced it
-            model = _model(spec, work.features, x_hat[work.features])
+            v = x_hat[work.features]
+            model = _model(spec, work.features, v)
             if restart != "refined" and np.isfinite(evaluation[0]):
                 # a refined point with the lower objective becomes the row's
                 # point, with its whole evaluation
-                kept, slot = _certify(spec, x_hat, evaluation, config.gap_tol, model, slot,
-                                      work)
+                kept, slot = _certify(spec, v, evaluation, config.gap_tol, model, slot, work)
                 if kept is not None:
                     (x_hat, evaluation), restart = kept, "refined"
                     model = _model(spec, work.features, x_hat[work.features])
@@ -965,7 +955,7 @@ def _engine(spec, config, *, block_sampling, screening):
 
         radius, width, taken = math.inf, 0, 0
         if screening:
-            radius = safe_radius(spec, gap)
+            radius = safe_radius(spec, _padded_gap(spec, evaluation))
             active = screen(spec, dp, radius, active, bounds)
             if (restart == "refined" and gap <= config.gap_tol
                     and np.array_equal(model[2], active.blocks)):
@@ -1114,28 +1104,20 @@ _REFINE_STEPS = 10
 _REFINE_COST = 100.0
 
 
-def _columns(spec, work, support):
-    """The columns of A on the feature ids support, as a dense (n, k) array in
-    column-major order, taken from the working design work, whose columns
-    hold every feature of support.
-
-    Where an epoch on work has built its dense twin (_Working.dense), the
-    columns are copied from it. Else they are gathered from work's entries,
-    and no twin is built: each entry's feature maps through work.features to
-    its rank in support, its row comes from work.indptr, and the entries of
-    that rank are placed as they are stored. The twin holds the same entries
-    on zeros, so either way the array holds the values a column slice of A
-    would, to the bit.
+def _columns(work, support):
+    """The columns of the working design work on its column ids support, as a
+    dense (n, k) array in column-major order: copied from work's dense twin
+    (_Working.dense) where an epoch built it, else gathered from its entries,
+    with no twin built, each entry placed at its row and its column's rank
+    in support. Either way, the bits of A's columns work.features[support].
     """
     dense = work.__dict__.get("dense")  # a cached_property read, never a build
     if dense is not None:
-        where = np.empty(spec.dataset.d, dtype=np.intp)
-        where[work.features] = np.arange(work.features.size)
-        return dense.T[where[support]].T  # a (k, n) copy's transpose
+        return dense.T[support].T  # a (k, n) copy's transpose
     n, (cols, vals) = work.indptr.size - 1, work.entries
-    rank = np.full(spec.dataset.d, -1, dtype=np.intp)
+    rank = np.full(work.features.size, -1, dtype=np.intp)
     rank[support] = np.arange(support.size)
-    j = rank[work.features][cols]
+    j = rank[cols]
     hit = np.flatnonzero(j >= 0)
     out = np.zeros((n, support.size), order="F")
     out[np.searchsorted(work.indptr, hit, side="right") - 1, j[hit]] = vals[hit]
@@ -1143,11 +1125,11 @@ def _columns(spec, work, support):
 
 
 def _group_model(part, x):
-    """(support, bid, same) of x's group-L2 model on the partition part: the
-    features of the blocks where x is nonzero, in increasing id; each one's
-    block, numbered 0.. in increasing block id; and the (k, k) mask of the
-    pairs of them that share a block. Array operations on the nonzero-block
-    mask alone."""
+    """(support, bid, same) of x's group-L2 model on the partition part, x
+    holding one entry per column of part: the columns of the blocks where x
+    is nonzero, in increasing order; each one's block, numbered 0.. in
+    increasing block id; and the (k, k) mask of the pairs of them that share
+    a block. Array operations on the nonzero-block mask alone."""
     nonzero = np.zeros(part.q, dtype=bool)
     nonzero[part.block_of[x != 0.0]] = True
     support = np.flatnonzero(nonzero[part.block_of])
@@ -1155,27 +1137,29 @@ def _group_model(part, x):
     return support, bid, bid[:, None] == bid
 
 
-def _refine_support(spec, x, work):
-    """Solve the smooth stationarity system on the model of x; the point, or None.
+def _refine_support(spec, work, v):
+    """Solve the smooth stationarity system on the model of the point that is
+    v on the working design work's columns; the point on them, or None.
 
-    The model is the support of x with its signs for L1, and the features of
-    the blocks where x is nonzero for group-L2. On it the penalty is smooth,
-    lam * sign(x_i) on an L1 coordinate and lam * w_j / ||w_j|| on a group-L2
-    block, so the system A_S' f'(A_S w) / n + 2 mu_p w + lam grad
-    Omega(w) = 0 has a root wherever the model is the optimum's. A round
-    takes Newton steps from its start, the first of which solves the system
-    of the squared loss with L1, a linear one, and ends on the point of
-    smallest residual, or the last point where a step's system is singular.
+    The model is the support of v with its signs for L1, and the columns of
+    the blocks of work.layout where v is nonzero for group-L2 (_group_model),
+    numbered by working column: on a scattered partition block by block, not
+    in increasing feature id. On it the penalty is smooth, lam * sign(w_i)
+    on an L1 coordinate and lam * w_j / ||w_j|| on a group-L2 block, so the
+    system A_S' f'(A_S w) / n + 2 mu_p w + lam grad Omega(w) = 0 has a root
+    wherever the model is the optimum's. A round takes Newton steps from its
+    start, the first of which solves the system of the squared loss with L1,
+    a linear one, and ends on the point of smallest residual, or the last
+    point where a step's system is singular.
     Where that point flips the sign of an L1 coordinate, or zeroes it, the
     next round starts from it with every such coordinate dropped from the
     model. The rounds share one budget of _REFINE_STEPS Newton steps: a flip
     left when it runs out, or an empty support, returns None, and so does a
-    non-finite value. The point returned so has a support inside x's, with
-    x's signs there, and a residual of at most _REFINE_TOL * lam, else None,
+    non-finite value. The point returned so has a support inside v's, with
+    v's signs there, and a residual of at most _REFINE_TOL * lam, else None,
     as where a group-L2 block collapses toward zero, which the model cannot
-    express. Never raises. x is zero off the columns of the working design
-    work, and each round takes its model's columns from work (_columns): a
-    design cut to the epoch's working set holds far fewer entries than A.
+    express. Never raises. Each round takes its model's columns from work
+    (_columns), and no array of the refinement holds one entry per feature.
 
     A round forms its constants once: the columns, the ridge 2 mu_p I, the
     1e-13 I that keeps the system regular, and an F-ordered (n, k) buffer for
@@ -1189,10 +1173,10 @@ def _refine_support(spec, x, work):
     """
     ds, l1 = spec.dataset, spec.reg.name == "l1"
     if l1:
-        support = np.flatnonzero(x != 0.0)
+        support = np.flatnonzero(v)
     else:
-        support, bid, same = _group_model(spec.partition, x)
-    w = x[support]
+        support, bid, same = _group_model(work.layout, v)
+    w = v[support]
     signs = np.sign(w)
     n, loss, lam, two_mu = ds.n, spec.loss, spec.lam, 2.0 * spec.mu_p
     steps = 0  # Newton steps, over every round
@@ -1201,7 +1185,7 @@ def _refine_support(spec, x, work):
             if support.size == 0:
                 return None
             # column-major: the BLAS products below round differently on a row-major copy
-            a_s = _columns(spec, work, support)
+            a_s = _columns(work, support)
             eye = np.eye(support.size)
             ridge, tiny, pen = two_mu * eye, 1e-13 * eye, lam * signs
             curved = np.empty_like(a_s)  # a_s scaled row by row by f''
@@ -1253,7 +1237,7 @@ def _refine_support(spec, x, work):
             return None
     if not np.all(np.isfinite(w)) or (l1 and np.any(np.sign(w) != signs)):
         return None
-    out = np.zeros(ds.d)
+    out = np.zeros(v.size)
     out[support] = w
     return out
 
@@ -1276,9 +1260,9 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     the evaluation of x, plus one A'g at the extrapolated point y when y is
     not x (a restart, and a step from t = 1, where beta = 0, put y on x);
     A y = A xn + beta (A xn - A x) costs no product. The support refinement
-    runs on the dataset's working design, _compact over every block: it
-    gathers its columns there, and one that returns a point forms its A x
-    there (_matvec) and one more A'g.
+    runs on the dataset's working design, _compact over every block, handed
+    x on its columns: it gathers its columns there, and one that returns a
+    point forms its A x there (_matvec) and one more A'g.
     """
     start = time.perf_counter()
     if not (_is_real(tol) and 0 < tol < math.inf):
@@ -1357,8 +1341,10 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         t_mom = t_new
 
     restart = "last" if it else "start"
-    ref = (_refined_certificate(spec, x, _compact(spec, np.arange(part.q)))
-           if spec.reg.name == "l1" else None)
+    ref = None
+    if spec.reg.name == "l1":
+        whole = _compact(spec, np.arange(part.q))
+        ref = _refined_certificate(spec, whole, x[whole.features])
     if ref is not None and ref[1][3] < gap:
         (x, (obj, _, dp, gap)), restart = ref, "refined"
     trace.append(row(obj, gap, restart))

@@ -159,6 +159,53 @@ def test_safe_radius_values():
     assert G.safe_radius(logistic, 5.0) == pytest.approx(10.0)  # sqrt(2 * 40 * 5 / 4)
 
 
+def test_a_gap_that_rounds_to_zero_still_screens_with_a_safe_radius():
+    """At a point off the optimum whose computed gap P - D is <= 0, the
+    padded gap (_padded_gap) still gives a sphere that keeps the optimum's
+    support block, which a radius of 0 would drop. The Lasso has a design of
+    orthogonal columns, sqrt(n) Q, so its optimum is the soft threshold of
+    A'y / n, and a response with a component of 1e4 orthogonal to every
+    column: P and D are about 5e7, and P - D rounds by about 1e-8. A
+    coordinate j of the optimum's support pushed t >= 1e-9 away from zero
+    has a true gap of t (|x*_j| + t) > 0, and its correlation falls to
+    lam - t, below the screen's 1e-12 lam guard."""
+    n, d, q = 60, 20, 5
+    rng = np.random.default_rng(3)
+    basis, _ = np.linalg.qr(rng.normal(size=(n, d + 1)))
+    a, u = np.sqrt(n) * basis[:, :d], basis[:, d]
+    y0 = a @ np.eye(d)[[0, 5, 10]].T @ np.array([1.5, -2.0, 1.0]) + 0.1 * rng.normal(size=n)
+    y0 -= u * (u @ y0)
+    lam = 0.5 * np.max(np.abs(a.T @ y0)) / n
+    spec = G.ProblemSpec(dataset=G.Dataset(a, y0 + 1e4 * np.sqrt(n) * u),
+                         partition=G.BlockPartition.contiguous(d, q),
+                         loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=lam)
+    corr = a.T @ y0 / n
+    x_star = np.sign(corr) * np.maximum(np.abs(corr) - lam, 0.0)
+    j = np.flatnonzero(x_star)[0]
+    for t in np.geomspace(1e-9, 1e-6, 13):
+        x = x_star.copy()
+        x[j] += t * np.sign(x_star[j])
+        ev = G.duality.evaluate(spec, x, spec.dataset.A @ x)
+        if ev[3] <= 0.0:
+            break
+    assert ev[3] <= 0.0 and t * (abs(x_star[j]) + t) > 0.0
+    padded = G.duality._padded_gap(spec, ev)
+    assert padded > 0.0 and padded - ev[3] < 1e-5
+    full, bounds = ActiveSet.full(spec), column_bounds(spec)
+    block = spec.partition.block_of[j]
+    assert block not in G.screen(spec, ev[2], 0.0, full, bounds).blocks
+    assert block in G.screen(spec, ev[2], G.safe_radius(spec, padded), full, bounds).blocks
+
+
+def test_the_padded_gap_keeps_a_non_finite_gap():
+    """A non-finite gap stays non-finite once padded, so it screens nothing."""
+    spec = hand_lasso()
+    dp = G.DualPoint(theta=np.zeros(2), scale_used=1.0, value=-np.inf)
+    assert G.duality._padded_gap(spec, (1.0, None, dp, np.inf)) == np.inf
+    dp.value = 0.5
+    assert np.isnan(G.duality._padded_gap(spec, (1.0, None, dp, np.nan)))
+
+
 def _stacked(dp):
     return dp.theta if dp.kappa is None else np.concatenate([dp.theta, dp.kappa])
 

@@ -356,18 +356,18 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 36,
         "active_blocks": [5, 5, 3],
-        "gaps": "0x1.4a58be7a76ff8p-2 0x1.dc00000000000p-46 0x1.dc00000000000p-46",
+        "gaps": "0x1.4a58be7a76ff8p-2 0x1.e000000000000p-46 0x1.e000000000000p-46",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a95838p-2 0x1.6ccc7b64124d3p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b57d2p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95839p-2 0x1.6ccc7b64124d2p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b57cap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a95838p-2 0x1.6ccc7b64124d3p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b57d2p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a95839p-2 0x1.6ccc7b64124d2p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b57cap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
@@ -468,12 +468,12 @@ GOLDEN = {
             "0x1.623990324b4ddp-2 0x1.a296324a526f4p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a957d6p-2 0x1.6ccc7b6412ab1p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b534ap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a957d5p-2 0x1.6ccc7b6412ab3p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b534dp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.68e99b1a957d6p-2 0x1.6ccc7b6412ab1p-1 0x0.0p+0 0x0.0p+0 "
-            "0x1.49c81a80b534ap-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.68e99b1a957d5p-2 0x1.6ccc7b6412ab3p-1 0x0.0p+0 0x0.0p+0 "
+            "0x1.49c81a80b534dp-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },

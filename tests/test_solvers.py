@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -626,7 +627,8 @@ def test_refinement_columns_are_the_design_columns_bit_for_bit(layout):
     dataset's working design and on a design cut from it, for an L1 support
     of scattered coordinates that holds a column with no stored entry and the
     stored 0.0 and -0.0, a group-L2 support of whole blocks, one column, and
-    the empty column alone. The entry gather builds no twin."""
+    the empty column alone, each taken by its working-column ids, in the
+    design's block-major order. The entry gather builds no twin."""
     spec, empty = _signed_zero_instance(layout)
     ds, part = spec.dataset, spec.partition
     signed = np.flatnonzero(np.bincount(ds.A.indices[ds.A.data == 0.0], minlength=ds.d))
@@ -640,13 +642,50 @@ def test_refinement_columns_are_the_design_columns_bit_for_bit(layout):
                         np.sort(np.concatenate([part.groups[b] for b in w.blocks[::-2]])),
                         feats[-1:], np.array([empty]))
             for support in supports:
-                got = _columns(spec, w, support)
-                want = _placed_columns(ds, support)
+                ids = np.flatnonzero(np.isin(w.features, support))
+                assert ids.size == support.size  # w holds every feature of support
+                got = _columns(w, ids)
+                want = _placed_columns(ds, w.features[ids])
                 assert got.flags.f_contiguous and got.shape == want.shape
                 assert got.dtype == want.dtype
                 assert got.tobytes(order="A") == want.tobytes(order="A")
-                assert np.array_equal(got, ds.A[:, support].toarray())
+                assert np.array_equal(got, ds.A[:, w.features[ids]].toarray())
             assert ("dense" in vars(w)) == twin
+
+
+def test_a_refinement_allocates_nothing_of_the_datasets_width():
+    """A refinement runs on its working design's columns alone: on a wide
+    sparse Lasso, 200 x 400,000 with blocks of 40, and a working design of
+    three blocks whose columns are dense, _refine_support allocates at its
+    peak (tracemalloc) less than two bytes per feature of the dataset, a
+    quarter of one d-length float64 array (about 0.39 MB of its 0.8 MB,
+    against 3.6 MB when it took the d-length point), and returns the point,
+    on the working columns, that a refinement on the whole design gives."""
+    n, d, q = 200, 400_000, 10_000
+    rng = np.random.default_rng(0)
+    part = G.BlockPartition.contiguous(d, q)
+    blocks = np.array([3, 4000, q - 1])
+    feats = np.flatnonzero(np.isin(part.block_of, blocks))
+    dense = sp.csr_matrix((rng.normal(size=n * feats.size),
+                           (np.repeat(np.arange(n), feats.size), np.tile(feats, n))),
+                          shape=(n, d))
+    a = sp.random(n, d, density=5e-4, format="csr", random_state=rng) + dense
+    x = np.zeros(d)
+    x[feats[::5]] = rng.normal(size=feats[::5].size)
+    spec = G.ProblemSpec(dataset=G.Dataset(a, a @ x + 0.01 * rng.normal(size=n)),
+                         partition=part, loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"],
+                         lam=1e-4)
+    whole = _whole(spec)
+    work = _compact(spec, blocks, whole)
+    v = 1.05 * x[work.features]
+    tracemalloc.start()
+    try:
+        w = G.solvers._refine_support(spec, work, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w is not None and peak < 2 * d
+    assert _on(spec, work, w).tobytes() == _refine(spec, 1.05 * x, whole).tobytes()
 
 
 def test_the_references_refinement_builds_no_dense_twin():
@@ -657,11 +696,11 @@ def test_the_references_refinement_builds_no_dense_twin():
     spec = REFINE_CASES["l1-squared"]()
     x = G.reference_solve(spec, tol=1e-8).x_final
     work = _whole(spec)
-    x_r, ev = G.solvers._refined_certificate(spec, x, work)
+    x_r, ev = _certificate(spec, x, work)
     assert "dense" not in vars(work)
     twinned = _whole(spec)
     assert twinned.dense is not None
-    x_t, ev_t = G.solvers._refined_certificate(spec, x, twinned)
+    x_t, ev_t = _certificate(spec, x, twinned)
     assert x_r.tobytes() == x_t.tobytes() and (ev[0], ev[3]) == (ev_t[0], ev_t[3])
 
 
@@ -1349,13 +1388,13 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         calls.append((args[1].copy(), obj, gap))
         return obj, g, dp, gap
 
-    def spied_certificate(spec, x, work):
+    def spied_certificate(spec, work, v):
         refining[0] = True
         try:
-            out = certify(spec, x, work)
+            out = certify(spec, work, v)
         finally:
             refining[0] = False
-        certs.append((_key(spec, x), out))
+        certs.append((G.solvers._model(spec, work.features, v)[0], out))
         return out
 
     monkeypatch.setattr(G.solvers, "evaluate", spied)
@@ -1413,12 +1452,19 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         assert set(labels) == {"average"}
 
 
+def _radius(spec, row, dp):
+    """The radius of the screen after the trace row, dp being its dual point:
+    safe_radius of the row's gap padded by its rounding bound."""
+    padded = G.duality._padded_gap(spec, (row.objective, None, dp, row.gap))
+    return G.safe_radius(spec, padded)
+
+
 def test_trace_records_the_screening_radius_and_the_working_set(monkeypatch):
     """Every row after the first has the radius of the screen after the
     previous row: safe_radius of the previous row's gap, that of its own
-    point. Its working blocks lie within its safe blocks, and the starting
-    row has none, nor has a last row that returns the refined point its
-    screen settled."""
+    point, padded by its rounding bound. Its working blocks lie within its
+    safe blocks, and the starting row has none, nor has a last row that
+    returns the refined point its screen settled."""
     spec = make_instance(seed=7, n=60, d=90)
     calls = _spy_refinements(monkeypatch)
     screens = _spy_screens(monkeypatch)
@@ -1429,7 +1475,7 @@ def test_trace_records_the_screening_radius_and_the_working_set(monkeypatch):
     assert (first.radius, first.working_blocks) == (math.inf, 0)
     assert len(screens) == len(rep.trace) - 1
     for k, (prev, row) in enumerate(zip(rep.trace, rep.trace[1:])):
-        assert row.radius == screens[k][1] == G.safe_radius(spec, prev.gap)
+        assert row.radius == screens[k][1] == _radius(spec, prev, screens[k][0])
         if k < len(epoch_rows(rep)):
             assert 0 < row.working_blocks <= row.active_blocks
         else:
@@ -2102,6 +2148,30 @@ def _whole(spec):
     return _compact(spec, np.arange(spec.partition.q))
 
 
+def _on(spec, work, v):
+    """The d-length point that is v on the working design work's columns and
+    zero off them."""
+    x = np.zeros(spec.dataset.d)
+    x[work.features] = v
+    return x
+
+
+def _refine(spec, x, work=None):
+    """_refine_support of the point x, handed on the columns of work, the
+    dataset's working design by default: the refined point scattered back to
+    the d features, or None."""
+    work = _whole(spec) if work is None else work
+    w = G.solvers._refine_support(spec, work, x[work.features])
+    return None if w is None else _on(spec, work, w)
+
+
+def _certificate(spec, x, work=None):
+    """_refined_certificate of the point x, handed on the columns of work, the
+    dataset's working design by default."""
+    work = _whole(spec) if work is None else work
+    return G.solvers._refined_certificate(spec, work, x[work.features])
+
+
 def _key(spec, x):
     """_model's key of the point x, taken on the dataset's working design, whose
     columns list every feature in partition.order."""
@@ -2256,9 +2326,9 @@ def test_refinement_lands_on_the_optimum_from_a_point_of_its_model(case):
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     rng = np.random.default_rng(0)
     x = x_star * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=x_star.size))
-    x_r = G.solvers._refine_support(spec, x, _whole(spec))
+    x_r = _refine(spec, x)
     assert x_r is not None
-    cert = G.solvers._refined_certificate(spec, x, _whole(spec))
+    cert = _certificate(spec, x)
     assert cert is not None and np.array_equal(cert[0], x_r)
     assert np.array_equal(x_r != 0.0, x_star != 0.0)
     assert np.max(np.abs(x_r - x_star)) <= 1e-10
@@ -2291,8 +2361,8 @@ def test_refinement_off_the_model_returns_none_without_raising(case, how):
     """Warnings are errors here, so no overflow or invalid operation escapes."""
     spec = REFINE_CASES[case]()
     x = _off_model(spec, G.reference_solve(spec, tol=1e-12).x_final, how)
-    assert G.solvers._refine_support(spec, x, _whole(spec)) is None
-    assert G.solvers._refine_support(spec, np.zeros(spec.dataset.d), _whole(spec)) is None
+    assert _refine(spec, x) is None
+    assert _refine(spec, np.zeros(spec.dataset.d)) is None
 
 
 def _l1_model_residual(spec, w):
@@ -2311,7 +2381,7 @@ def test_a_sign_change_prunes_to_a_stationary_point_of_a_smaller_model(case):
     or invalid operation escapes."""
     spec = REFINE_CASES[case]()
     x = _off_model(spec, G.reference_solve(spec, tol=1e-12).x_final, "sign-change")
-    x_r = G.solvers._refine_support(spec, x, _whole(spec))
+    x_r = _refine(spec, x)
     if x_r is not None:
         s = np.flatnonzero(x_r)
         assert np.all(np.isfinite(x_r))
@@ -2338,19 +2408,19 @@ def test_refinement_prunes_tiny_coordinates_whose_signs_flip(monkeypatch, case):
     extra = np.random.default_rng(0).choice(np.flatnonzero(x_star == 0.0), 3, replace=False)
     x = x_star.copy()
     x[extra] = -np.sign(corr[extra]) * np.array([1e-9, 2e-9, 3e-9])
-    x_r = G.solvers._refine_support(spec, x, _whole(spec))
+    x_r = _refine(spec, x)
     assert x_r is not None
     assert np.array_equal(x_r != 0.0, x_star != 0.0)
     assert np.max(np.abs(x_r - x_star)) <= 1e-10
     assert _full_gap(spec, x_r) <= 1e-12
-    cert = G.solvers._refined_certificate(spec, x, _whole(spec))
+    cert = _certificate(spec, x)
     assert cert is not None and np.array_equal(cert[0], x_r)
     if spec.loss.name == "squared":
         monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 3)
-        assert np.array_equal(G.solvers._refine_support(spec, x, _whole(spec)), x_r)
+        assert np.array_equal(_refine(spec, x), x_r)
         for steps in (1, 2):
             monkeypatch.setattr(G.solvers, "_REFINE_STEPS", steps)
-            assert G.solvers._refine_support(spec, x, _whole(spec)) is None
+            assert _refine(spec, x) is None
 
 
 @pytest.mark.parametrize("case", ["l1-squared", "l1-logistic", "group-logistic"])
@@ -2363,7 +2433,7 @@ def test_a_stalled_newton_path_returns_none(monkeypatch, case):
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     x = x_star * (1.0 + 0.05 * np.random.default_rng(0).uniform(-1.0, 1.0, x_star.size))
     monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 0)
-    assert G.solvers._refine_support(spec, x, _whole(spec)) is None
+    assert _refine(spec, x) is None
 
 
 @pytest.mark.parametrize("case", sorted(REFINE_CASES))
@@ -2385,13 +2455,14 @@ def test_reference_trace_ends_on_its_one_stop_row(case):
 
 def _spy_refinements(monkeypatch):
     """Record every call of the engine's support refinement: (x, its model,
-    the refined point or None)."""
+    the refined point or None), both points scattered to the d features from
+    the working columns the refinement takes and returns them on."""
     calls, refine = [], G.solvers._refine_support
 
-    def spied(spec, x, *args):
-        x0, model = x.copy(), _key(spec, x)
-        out = refine(spec, x, *args)
-        calls.append((x0, model, out))
+    def spied(spec, work, v):
+        x0 = _on(spec, work, v)
+        out = refine(spec, work, v)
+        calls.append((x0, _key(spec, x0), None if out is None else _on(spec, work, out)))
         return out
 
     monkeypatch.setattr(G.solvers, "_refine_support", spied)
@@ -2458,7 +2529,8 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
     """Along adsgd runs that refine, every row's gap is at least its
     objective's distance to P*. Each screen is centred at the dual point of
     its row's point and sized by the safe radius of that point's gap, the
-    row's own. Each sphere holds the dual optimum: ||u - u_o|| <= r + r_o,
+    row's own, padded by its rounding bound. Each sphere holds the dual
+    optimum: ||u - u_o|| <= r + r_o,
     u_o being the oracle's dual point. Some rows hold a refined point, and
     screen with its dual point, before the safe set matches its blocks. The
     solve returns the refined point, labelled "refined"."""
@@ -2479,7 +2551,7 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
     # each screen follows its row
     for row, (dp, r) in zip(rep.trace, screens):
         assert row.gap == row.objective - G.duality._dual_value(spec, dp)
-        assert r == G.safe_radius(spec, row.gap)
+        assert r == _radius(spec, row, dp)
         assert np.linalg.norm(_stacked(dp) - u_o) <= r + r_o
 
 
@@ -2664,12 +2736,13 @@ def test_a_tall_dense_lasso_returns_its_refined_point_on_the_screen_it_sizes(mon
 
 def _spy_row_points(monkeypatch):
     """Record every point _certify is given: each row's own point, before the
-    row may take its refined point instead."""
+    row may take its refined point instead, scattered to the d features from
+    the working columns _certify takes it on."""
     points, certify = [], G.solvers._certify
 
-    def spied(spec, x_hat, *args):
-        points.append(x_hat.copy())
-        return certify(spec, x_hat, *args)
+    def spied(spec, v, evaluation, gap_tol, model, slot, work):
+        points.append(_on(spec, work, v))
+        return certify(spec, v, evaluation, gap_tol, model, slot, work)
 
     monkeypatch.setattr(G.solvers, "_certify", spied)
     return points
@@ -2742,22 +2815,78 @@ def test_a_model_whose_refinement_found_no_point_is_not_refined_again(monkeypatc
     evaluation = G.solvers.evaluate(spec, x, spec.dataset.A @ x)
     work = _whole(spec)
     gap, model = evaluation[3], G.solvers._model(spec, work.features, x[work.features])
-    assert G.solvers._refined_certificate(spec, x, work)[1][0] < evaluation[0]
+    assert _certificate(spec, x, work)[1][0] < evaluation[0]
     calls, refine = [], G.solvers._refine_support
 
-    def spied(spec, x, *args):  # the first try finds no point
-        calls.append(x.copy())
-        return refine(spec, x, *args) if len(calls) > 1 else None
+    def spied(spec, work, v):  # the first try finds no point
+        calls.append(v.copy())
+        return refine(spec, work, v) if len(calls) > 1 else None
 
     monkeypatch.setattr(G.solvers, "_refine_support", spied)
-    kept, slot = G.solvers._certify(spec, x, evaluation, 1e-12, model, (None, None), work)
+    v = x[work.features]
+    kept, slot = G.solvers._certify(spec, v, evaluation, 1e-12, model, (None, None), work)
     assert len(calls) == 1 and kept is None and slot == (_key(spec, x), None)
     for row_gap in (gap / 5.0, gap / 20.0, gap / 1000.0):
         assert row_gap > 1e-12
-        out = G.solvers._certify(spec, x, (*evaluation[:3], row_gap), 1e-12, model, slot,
+        out = G.solvers._certify(spec, v, (*evaluation[:3], row_gap), 1e-12, model, slot,
                                  work)
         assert len(calls) == 1 and out == (None, slot)
     assert slot == (_key(spec, x), None)
+
+
+def test_rows_and_model_checks_refine_through_one_slot_rule(monkeypatch):
+    """Every refinement of a screening solve, at a row (_certify) or at an
+    epoch's model check (_epoch), is made by _into_slot, and both sites make
+    some over the screened runs, at the default m and at an m whose epochs
+    end before a third check. _into_slot returns the slot it is given, the
+    same object and with no refinement, where that slot holds the model's key
+    or the model fails the cost gate, and otherwise a new slot of the model's
+    key and its refinement."""
+    inside, sites = [False], []
+    into, certificate = G.solvers._into_slot, G.solvers._refined_certificate
+    epoch, in_epoch = G.solvers._epoch, [False]
+
+    def spied_into(*args):
+        inside[0] = True
+        try:
+            return into(*args)
+        finally:
+            inside[0] = False
+
+    def spied_certificate(*args):
+        assert inside[0]
+        sites.append(in_epoch[0])
+        return certificate(*args)
+
+    def spied_epoch(*args):
+        in_epoch[0] = True
+        try:
+            return epoch(*args)
+        finally:
+            in_epoch[0] = False
+
+    monkeypatch.setattr(G.solvers, "_into_slot", spied_into)
+    monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
+    monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
+    for case in sorted(SCREENED_RUNS):
+        spec = SCREENED_RUNS[case]()
+        for m in (None, 10):  # at m = 10 an epoch is too short for a third check
+            assert G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
+                                                      m=m, eta=tuned_eta(spec))).converged
+    assert True in sites and False in sites
+    monkeypatch.undo()
+
+    spec = SCREENED_RUNS["lasso"]()
+    x = 1.05 * G.reference_solve(spec, tol=1e-12).x_final
+    work = _whole(spec)
+    v = x[work.features]
+    model = G.solvers._model(spec, work.features, v)
+    slot = G.solvers._into_slot(spec, (None, None), model, work, v)
+    assert slot[0] == model[0] and slot[1][0].tobytes() == _certificate(spec, x)[0].tobytes()
+    assert G.solvers._into_slot(spec, slot, model, work, v) is slot
+    monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
+    empty = (None, None)
+    assert G.solvers._into_slot(spec, empty, model, work, v) is empty
 
 
 def _failing_solve(monkeypatch, fails):
@@ -2787,17 +2916,17 @@ def test_a_singular_newton_system_ends_the_refinement_on_its_best_point(monkeypa
     x_star = G.reference_solve(spec, tol=1e-12).x_final
     x = x_star * (1.0 + 0.01 * np.random.default_rng(0).uniform(-1.0, 1.0, size=x_star.size))
     calls = _failing_solve(monkeypatch, lambda i: False)
-    x_r = G.solvers._refine_support(spec, x, _whole(spec))
+    x_r = _refine(spec, x)
     assert x_r is not None and len(calls) == 3
     monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 2)
-    capped = G.solvers._refine_support(spec, x, _whole(spec))
+    capped = _refine(spec, x)
     monkeypatch.setattr(G.solvers, "_REFINE_STEPS", 10)
     assert capped is not None and not np.array_equal(capped, x_r)
     calls = _failing_solve(monkeypatch, lambda i: i == 3)
-    assert np.array_equal(G.solvers._refine_support(spec, x, _whole(spec)), capped)
+    assert np.array_equal(_refine(spec, x), capped)
     assert len(calls) == 3
     calls = _failing_solve(monkeypatch, lambda i: i == 1)
-    assert G.solvers._refine_support(spec, x, _whole(spec)) is None and calls == [1]
+    assert _refine(spec, x) is None and calls == [1]
 
 
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
@@ -2838,13 +2967,14 @@ def test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict(monkeypat
     part = spec.partition
     refine = G.solvers._refine_support
 
-    def wrong(spec, x, *args):
-        out = refine(spec, x, *args)
+    def wrong(spec, work, v):
+        out = refine(spec, work, v)
         if out is None:
             return None
-        norms = [np.linalg.norm(out[g]) for g in part.groups]
-        out[part.groups[int(np.argmax(norms))]] = 0.0
-        return out
+        x = _on(spec, work, out)
+        norms = [np.linalg.norm(x[g]) for g in part.groups]
+        x[part.groups[int(np.argmax(norms))]] = 0.0
+        return x[work.features]
 
     monkeypatch.setattr(G.solvers, "_refine_support", wrong)
     rep = G.adsgd_solve(spec, G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300,
@@ -2884,14 +3014,14 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
     if off:
         refine = G.solvers._refine_support
         monkeypatch.setattr(G.solvers, "_refine_support",
-                            lambda spec, x, work: (None if (r := refine(spec, x, work)) is None
+                            lambda spec, work, v: (None if (r := refine(spec, work, v)) is None
                                                    else 1.5 * r))
     screens = _spy_screens(monkeypatch)
     certified, certify = [], G.solvers._certify
 
-    def spied_certify(spec, x_hat, evaluation, *args):
-        out = certify(spec, x_hat, evaluation, *args)
-        certified.append((x_hat.copy(), evaluation[3], out[1]))
+    def spied_certify(spec, v, evaluation, gap_tol, model, slot, work):
+        out = certify(spec, v, evaluation, gap_tol, model, slot, work)
+        certified.append((_on(spec, work, v), evaluation[3], out[1]))
         return out
 
     epochs, epoch = [], G.solvers._epoch
@@ -3044,7 +3174,7 @@ def test_a_row_within_the_margin_or_not_finite_runs_the_full_restart(monkeypatch
     work = _compact(spec, np.arange(spec.partition.q))
     evaluation = G.solvers.evaluate(spec, x0, spec.dataset.A @ x0)
     model = _key(spec, x0)
-    x_r, ev_r = G.solvers._refined_certificate(spec, x0, work)
+    x_r, ev_r = _certificate(spec, x0, work)
     monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
     restarts, restart = [], G.solvers._restart
     monkeypatch.setattr(G.solvers, "_restart",
@@ -3140,8 +3270,8 @@ def test_no_solve_writes_a_row_point_in_place(monkeypatch):
     refined, starts = [], []
     certificate, epoch = G.solvers._refined_certificate, G.solvers._epoch
 
-    def spied_certificate(spec, x, work):
-        out = certificate(spec, x, work)
+    def spied_certificate(spec, work, v):
+        out = certificate(spec, work, v)
         if out is not None:
             refined.append((out[0], out[0].tobytes()))
         return out
@@ -3264,8 +3394,8 @@ def test_an_epoch_ends_at_its_first_refinement_that_finds_a_point(monkeypatch):
     sampled and a full batch."""
     results, certificate = [], G.solvers._refined_certificate
 
-    def spied(spec, x, work):
-        out = certificate(spec, x, work)
+    def spied(spec, work, v):
+        out = certificate(spec, work, v)
         results.append(out)
         return out
 
@@ -3311,11 +3441,13 @@ def test_an_epoch_ends_at_its_first_refinement_that_finds_a_point(monkeypatch):
 
     refine = G.solvers._refine_support
 
-    def wrong(spec, x, *args):
-        out, groups = refine(spec, x, *args), spec.partition.groups
-        if out is not None:
-            out[groups[int(np.argmax([np.linalg.norm(out[g]) for g in groups]))]] = 0.0
-        return out
+    def wrong(spec, work, v):
+        out, groups = refine(spec, work, v), spec.partition.groups
+        if out is None:
+            return None
+        x = _on(spec, work, out)
+        x[groups[int(np.argmax([np.linalg.norm(x[g]) for g in groups]))]] = 0.0
+        return x[work.features]
 
     for refinement in (refine, wrong):
         monkeypatch.setattr(G.solvers, "_refine_support", refinement)
@@ -3374,10 +3506,10 @@ def _spy_epoch_steps(monkeypatch):
             current[-1][3].append(x.copy())
         return step(loss, x, *args)
 
-    def spied_certificate(spec, x, work):
+    def spied_certificate(spec, work, v):
         if current:
-            current[-1][4].append((len(current[-1][3]), x[work.features].copy()))
-        return certificate(spec, x, work)
+            current[-1][4].append((len(current[-1][3]), v.copy()))
+        return certificate(spec, work, v)
 
     monkeypatch.setattr(G.solvers, "_epoch", spied_epoch)
     monkeypatch.setattr(G.solvers, "step_gradient", spied_step)
@@ -3536,9 +3668,11 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
     """Each A x a solve forms runs on a working design that holds x's
     support, never on the whole dataset; a point nonzero off that design
     would lose terms and could certify a wrong gap. So every z that
-    evaluate is given must have the bytes of ds.A @ x, and the point that a
-    refinement (_refined_certificate) gets with its design must be zero off
-    that design's columns: for adsgd, mrbcd and proxsvrg at
+    evaluate is given must have the bytes of ds.A @ x, every refinement
+    (_refined_certificate) gets its point on its design's columns, and the
+    row point _certify takes on its design's columns, scattered back to the
+    d features, has the objective of the row's evaluation to the bit, so the
+    design held every nonzero of it: for adsgd, mrbcd and proxsvrg at
     a sampled and at the full batch, and for the reference, on a scattered
     partition, under mu_p > 0, at 0.25 lam_max and on a group-L2 instance
     whose screens drop blocks where x_hat is nonzero, on both storages. A solve
@@ -3547,26 +3681,28 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
     monkeypatch.setattr(G.solvers, "_RHO", rho)
     spec = PRODUCT_CASES[case]()
     ds = spec.dataset
-    checked = {"evaluate": 0, "refinement": 0}
+    checked = {"evaluate": 0, "refinement": 0, "row": 0}
     evaluate, certificate = G.solvers.evaluate, G.solvers._refined_certificate
-
-    def on(x, work):
-        off = np.ones(ds.d, dtype=bool)
-        off[work.features] = False
-        return not np.any(x[off])
+    certify = G.solvers._certify
 
     def spied_evaluate(spec, x, z):
         assert z.tobytes() == (ds.A @ x).tobytes()
         checked["evaluate"] += 1
         return evaluate(spec, x, z)
 
-    def spied_certificate(spec, x, work):
-        assert on(x, work)
+    def spied_certificate(spec, work, v):
+        assert v.shape == work.features.shape
         checked["refinement"] += 1
-        return certificate(spec, x, work)
+        return certificate(spec, work, v)
+
+    def spied_certify(spec, v, evaluation, gap_tol, model, slot, work):
+        assert G.primal_objective(spec, _on(spec, work, v)) == evaluation[0]
+        checked["row"] += 1
+        return certify(spec, v, evaluation, gap_tol, model, slot, work)
 
     monkeypatch.setattr(G.solvers, "evaluate", spied_evaluate)
     monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
+    monkeypatch.setattr(G.solvers, "_certify", spied_certify)
     # the logistic group-L2 step that makes a screen drop a nonzero block
     block_eta = tuned_eta(spec, 1.0 if case == "logistic-group" else 4.0)
     for solver, eta in (("adsgd", block_eta), ("mrbcd", block_eta),
@@ -3576,7 +3712,7 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
                                          m=ds.n, batch_size=batch_size, eta=eta))
     rep = G.reference_solve(spec, tol=1e-10)
     assert rep.converged
-    assert checked["evaluate"] > 0 and checked["refinement"] > 0
+    assert checked["evaluate"] > 0 and checked["refinement"] > 0 and checked["row"] > 0
 
 
 class _Tripwire(sp.csr_matrix):
