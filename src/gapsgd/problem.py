@@ -29,13 +29,15 @@ from scipy.special import expit, xlogy
 
 # scipy's compiled CSR loops, from its private module scipy.sparse._sparsetools
 # (checked against scipy 1.17), imported here alone: the row gather
-# _gather_rows and the sparse step kernel solvers.step_gradient run on them.
-# They check no bounds, so every index array they get comes from the
-# engine's working design or from a batch that passed solvers._check_batch,
-# and is intp. csr_matvec adds each row's products to its output in entry
-# order, and csc_matvec each product into its output row in entry order: the
-# sums np.bincount forms over the same products, to the same bits.
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
+# _gather_rows, the sparse step kernel solvers.step_gradient and the cuts of
+# solvers._compact run on them. They check no bounds, so every index array
+# they get comes from a working design, the column index or a batch that
+# passed solvers._check_batch, in one index type a call. csr_matvec adds each
+# row's products to its output in entry order, and csc_matvec each product
+# into its output row in entry order: the sums np.bincount forms over the
+# same products, to the same bits. csr_tocsc, a counting sort, lists each
+# output row's entries in increasing input row, as A.tocsc() does.
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index, csr_tocsc
 
 
 class DegenerateProblemError(ValueError):
@@ -125,8 +127,9 @@ class Dataset:
         The product runs on one transposed view kept with the dataset, so
         no call builds a transposed matrix. The spectral bound's power
         iteration builds its own view once per call. The support refinement
-        (of the screening solvers and the reference) takes its columns
-        from a working design, not from A. The group-L2 screening
+        (of the screening solvers and the reference) takes its columns from
+        a working design's dense twin or from the dataset's column index,
+        the CSR of A' (memo key ("columns",)), not from A. The group-L2 screening
         bounds' block Gram matrices use column slices of A, formed once per
         dataset and partition (memo): a cold solve pays for them, a later
         one on the same dataset and layout does not.

@@ -124,21 +124,21 @@ plus one array each of the column and value of every stored entry, in CSR
 order, with its columns numbered block by block: block ib of its layout is
 the column range offsets[ib]:offsets[ib + 1], and features maps each column
 to its feature. A contiguous partition is already in that order; a
-scattered one is renumbered once, when a solve starts. After every
-screening event the safe set's design is compacted to the surviving
-columns, cut down from the previous one (so at most q times per solve): a
-mask drops the screened blocks' entries, a cumulative count renumbers the
-surviving columns, which stay block by block, a search of the kept entries
-for each old row pointer rebuilds the row pointers, and the kept blocks'
-sizes give the new layout. The working set's design is cut the same way
-from the safe set's, when W changes. The inner loop runs in those working
-columns: the iterate, snapshot, snapshot gradient and running average hold
-one entry per feature of W, gathered from and scattered back to feature ids
-through features, and each sampled row contributes only its entries in W.
-That is where screening and the working set cut the cost of a step, not
-just the number of steps. Coordinates off W are exact zeros, so compaction
-removes only vals * 0.0 terms from the row sums. Every step gathers its
-batch's rows, a full batch (batch_size == n) being the batch of every row.
+scattered one is renumbered. An epoch's design is built only where its
+blocks differ from the last epoch's (_compact): over every block from the
+dataset's CSR, over fewer cut from one column index per dataset, the CSR of
+A', at a cost in the kept entries and n. The safe set is only block ids: a
+screening solve cuts a design for each epoch's W, or for the safe set where
+W falls back to it, and builds none over every block unless an epoch runs
+on every block. The inner loop runs in those working columns: the iterate,
+snapshot, snapshot gradient and running average hold one entry per feature
+of W, gathered from and scattered back to feature ids through features,
+and each sampled row contributes only its entries in W. That is where
+screening and the working set cut the cost of a step, not just the number
+of steps. Coordinates off W are exact zeros, and a cut keeps each row's
+entries in their CSR order, so it removes only vals * 0.0 terms from the
+row sums. Every step gathers its batch's rows, a full batch (batch_size ==
+n) being the batch of every row.
 
 Each working design is stored by its own density. One that holds at least
 _RHO * n * p entries over its p columns also has a dense twin, an (n, p)
@@ -161,8 +161,8 @@ iterate, as after a restart or a step from t = 1 (beta = 0); A y is the same
 combination of the last two products A x. Its L1 stop row is refined by the
 screening solves' own _refined_certificate, kept where its gap is smaller,
 on the dataset's working design, handed the iterate on its columns: the
-refinement gathers its columns there, with no twin built, and forms the
-refined point's A x there.
+refinement gathers its model's columns from the column index, with no twin
+built, and forms the refined point's A x on that design.
 
 The full-vector solver proxsvrg and the reference solver make one penalty
 prox call per step. For group-L2 it shrinks every block of one size with a
@@ -179,6 +179,7 @@ that set-up too.
 import dataclasses
 import functools
 import math
+import mmap
 import time
 
 import numpy as np
@@ -186,8 +187,8 @@ import numpy as np
 from .duality import (ActiveSet, DualPoint, _padded_gap, column_bounds, evaluate, safe_radius,
                        screen)
 from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_rows,
-                      _is_count, _is_real, csc_matvec, csr_matvec, lipschitz_constants,
-                      primal_objective, smooth_gradient, smooth_value)
+                      _is_count, _is_real, csc_matvec, csr_matvec, csr_row_index, csr_tocsc,
+                      lipschitz_constants, primal_objective, smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -379,9 +380,10 @@ class _Working:
     order, so block ib of the layout, block blocks[ib], is the columns
     layout.offsets[ib]:layout.offsets[ib + 1]. entries holds (cols, vals) of
     every stored entry in CSR order, cols as intp, and row r's entries are
-    [indptr[r], indptr[r + 1]): plain CSR, 16 bytes per stored entry. While
-    every block is kept and the partition is contiguous, layout is
-    spec.partition itself.
+    [indptr[r], indptr[r + 1]): plain CSR, 16 bytes per stored entry, the
+    arrays of scipy's A[:, features]. While every block is kept and the
+    partition is contiguous, layout is spec.partition itself. _compact
+    builds it, from the dataset's CSR or its column index.
     """
 
     blocks: np.ndarray
@@ -396,8 +398,8 @@ class _Working:
         where it stores at least _RHO * n * p entries over its p columns, else
         None: the one density test, which picks the rows _plan gathers for
         every step of an epoch or of a public gradient. Built when first read:
-        the engine reads it for the designs its epochs run on, not for the
-        safe set's design it only cuts from. Its row ids come from indptr."""
+        by the first epoch or public gradient on the design, never by a
+        refinement (_columns). Its row ids come from indptr."""
         (cols, vals), n, p = self.entries, self.indptr.size - 1, self.features.size
         if vals.size < _RHO * n * p:
             return None
@@ -406,45 +408,79 @@ class _Working:
         return out
 
 
-def _compact(spec, blocks, prev=None):
-    """Working design of the block ids `blocks`, cut down from prev's or from
-    the dataset's.
+def _compact(spec, blocks):
+    """Working design of the increasing block ids `blocks`.
 
-    blocks must be increasing and a subset of prev.blocks. The dataset's
-    design is renumbered block by block once, which leaves a contiguous
-    partition's columns as they are. Dropping entries keeps every row's
-    survivors in their original CSR order, so each row sum over them, and
-    each block sum, adds the same products in the same order. A cut keeps
-    the surviving columns in their order, so they stay block by block, its
-    row pointers count the kept entries before each old one, and its layout
-    comes from the kept blocks' sizes. Each design, the dataset's and every
-    cut, has a dense twin when it is at least _RHO dense (_Working.dense).
+    Over every block it is the dataset's CSR, its column indices as intp and
+    renumbered block by block, which leaves a contiguous partition's columns
+    as they are. Over fewer it is cut from the dataset's column index
+    (_column_rows), at a cost in the kept entries and n, not the dataset's
+    entries: the kept features' columns, gathered in increasing feature id,
+    are transposed by csr_tocsc, so each row holds its kept entries in their
+    CSR order and every row and block sum adds the same products in the same
+    order. Their columns are then renumbered to the blocks' order, the
+    identity where the kept features rise, as on a contiguous partition.
+    Each design has a dense twin when it is at least _RHO dense
+    (_Working.dense).
     """
-    if prev is None:
-        a, part = spec.dataset.A, spec.partition
+    part, ds = spec.partition, spec.dataset
+    if blocks.size == part.q:
+        a = ds.A
         cols, layout = a.indices.astype(np.intp), part
         if np.any(np.diff(part.order) < 0):  # scattered blocks: number them in order
             rank = np.empty(part.d, dtype=np.intp)
             rank[part.order] = np.arange(part.d)
             cols, layout = rank[cols], BlockPartition.from_sizes(part.sizes)
-        indptr, entries = a.indptr.astype(np.intp), (cols, a.data)
-        had, features = np.arange(part.q), part.order
-    else:
-        indptr, entries, layout = prev.indptr, prev.entries, prev.layout
-        had, features = prev.blocks, prev.features
-    if blocks.size < had.size:
-        kept = np.zeros(spec.partition.q, dtype=bool)
-        kept[blocks] = True
-        kept = kept[had]
-        alive = np.repeat(kept, layout.sizes)
-        cols, vals = entries
-        keep = np.flatnonzero(alive[cols])  # takes by index beat two boolean masks
-        entries = (np.cumsum(alive) - 1)[cols.take(keep)], vals.take(keep)
-        indptr = np.searchsorted(keep, indptr)
-        features = features[alive]
-        layout = BlockPartition.from_sizes(layout.sizes[kept])
-    return _Working(blocks=blocks, features=features, indptr=indptr, entries=entries,
-                    layout=layout)
+        return _Working(blocks=blocks, features=part.order, indptr=a.indptr.astype(np.intp),
+                        entries=(cols, a.data), layout=layout)
+    sizes = part.sizes[blocks]
+    ends = np.cumsum(sizes)
+    features = part.order[np.arange(ends[-1]) + np.repeat(part.offsets[blocks] - ends + sizes,
+                                                          sizes)]
+    # the working column of each kept feature in increasing id, where they do not rise
+    order = np.argsort(features) if np.any(np.diff(features) < 0) else None
+    rp, rows, vals = _column_rows(ds, features if order is None else features[order])
+    indptr, cols = np.empty(ds.n + 1, dtype=rp.dtype), np.empty(rows.size, dtype=rp.dtype)
+    kept = np.empty(rows.size)
+    csr_tocsc(features.size, ds.n, rp, rows, vals, indptr, cols, kept)
+    cols = cols.astype(np.intp) if order is None else order[cols]
+    return _Working(blocks=blocks, features=features, indptr=indptr.astype(np.intp),
+                    entries=(cols, kept), layout=BlockPartition.from_sizes(sizes))
+
+
+def _column_rows(ds, ids):
+    """(rp, rows, vals): the dataset's columns ids, in that order, as the rows
+    of a (k, n) CSR in the column index's index type, column ids[j] holding
+    [rp[j], rp[j + 1]) with their row ids in increasing order. One
+    csr_row_index call gathers them from the column index, the CSR of A',
+    kept with the dataset (memo key ("columns",)) from the first cut or
+    refinement that needs it: int32 indices while they fit, 12 bytes per
+    stored entry and 4 per column."""
+    indptr, indices, data = ds.memo(("columns",), lambda: _column_index(ds.A))
+    ids = ids.astype(indptr.dtype)  # the compiled loop takes one index type
+    rp = np.zeros(ids.size + 1, dtype=indptr.dtype)
+    np.cumsum(indptr[ids + 1] - indptr[ids], out=rp[1:])
+    rows, vals = np.empty(rp[-1], dtype=indptr.dtype), np.empty(rp[-1])
+    csr_row_index(ids.size, ids, indptr, indices, data, rows, vals)
+    return rp, rows, vals
+
+
+def _column_index(a):
+    """The CSR of A' as (indptr, indices, data), read-only: A.tocsc()'s arrays,
+    by the same csr_tocsc call. They live in an anonymous memory mapping of
+    their own: on the malloc heap they took the space that a new dataset's
+    transient arrays reuse while it is built, and each set-up of the
+    benchmark's lasso-tall then grew and trimmed the heap top, 584 page
+    faults and about a sixth more time a set-up."""
+    (n, d), nnz, index = a.shape, a.nnz, a.indices.dtype
+    buf = mmap.mmap(-1, 8 * nnz + index.itemsize * (nnz + d + 1))
+    data = np.frombuffer(buf, np.float64, nnz)
+    indices = np.frombuffer(buf, index, nnz, 8 * nnz)
+    indptr = np.frombuffer(buf, index, d + 1, (8 + index.itemsize) * nnz)
+    csr_tocsc(n, d, a.indptr, a.indices, a.data, indptr, indices, data)
+    for arr in (indptr, indices, data):
+        arr.flags.writeable = False
+    return indptr, indices, data
 
 
 # Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
@@ -712,6 +748,8 @@ def _certify(spec, v, evaluation, gap_tol, model, slot, work):
 
     v is the row's point x_hat on the columns of work, the design of the
     epoch that produced it, evaluation x_hat's and model its model (_model).
+    The starting row has no such design: work is None, and its x = 0 has an
+    empty model, which the cost gate refuses before any design is read.
     slot is the last refinement, (its model's key, its result). A row whose
     gap exceeds gap_tol offers its model to the slot (_into_slot). Returns
     (kept, slot): kept is (x_r, its evaluation) where the slot holds the
@@ -898,7 +936,7 @@ def _engine(spec, config, *, block_sampling, screening):
 
     active = ActiveSet.full(spec)
     bounds = column_bounds(spec) if screening else None
-    safe_work = work = _compact(spec, active.blocks)
+    work = None  # the design of the epoch that produced x_hat, none before the first
     x_hat = np.zeros(spec.dataset.d)
     trace, active_history = [], []
     iterates = [] if config.keep_iterates else None
@@ -924,16 +962,20 @@ def _engine(spec, config, *, block_sampling, screening):
 
     while True:
         identified = False
-        if screening:  # x_hat lies on the columns of the epoch that produced it
-            v = x_hat[work.features]
-            model = _model(spec, work.features, v)
+        if screening:
+            # x_hat lies on the columns of the epoch that produced it; the
+            # starting row's x = 0 needs only the feature order, and its empty
+            # model never reaches a design (_refinable)
+            feats = spec.partition.order if work is None else work.features
+            v = x_hat[feats]
+            model = _model(spec, feats, v)
             if restart != "refined" and np.isfinite(evaluation[0]):
                 # a refined point with the lower objective becomes the row's
                 # point, with its whole evaluation
                 kept, slot = _certify(spec, v, evaluation, config.gap_tol, model, slot, work)
                 if kept is not None:
                     (x_hat, evaluation), restart = kept, "refined"
-                    model = _model(spec, work.features, x_hat[work.features])
+                    model = _model(spec, feats, x_hat[feats])
             identified = ((restart == "refined" or model[0] == key)
                           and np.array_equal(model[2], active.blocks))
             key = model[0]
@@ -964,17 +1006,16 @@ def _engine(spec, config, *, block_sampling, screening):
             x_hat = np.zeros(spec.dataset.d)
             evaluation, restart = evaluate(spec, x_hat, np.zeros(spec.dataset.n)), "average"
             continue
-        if safe_work.blocks is not active.blocks:
-            safe_work = _compact(spec, active.blocks, safe_work)
-        # A screening solver's epoch runs on the working set, cut from the safe
-        # set's design. The epoch starts from x_hat on it, so its average and
-        # last iterate are zero off it. An empty one (x_hat zero on the safe set,
-        # no safe block near lam) falls back to the safe set.
+        # A screening solver's epoch runs on the working set, inside the safe
+        # set. The epoch starts from x_hat on it, so its average and last
+        # iterate are zero off it. An empty one (x_hat zero on the safe set, no
+        # safe block near lam) falls back to the safe set. Its design is cut
+        # from the dataset's only where its blocks differ from the last epoch's.
         wb = _working_blocks(spec, active, model[2], dp) if screening else active.blocks
         if wb.size in (0, active.n_blocks):
-            work = safe_work
-        elif not np.array_equal(wb, work.blocks):
-            work = _compact(spec, wb, safe_work)
+            wb = active.blocks
+        if work is None or not np.array_equal(wb, work.blocks):
+            work = _compact(spec, wb)
         width = work.blocks.size
         x_hat, evaluation, restart, updates, taken, slot = _epoch(
             spec, work, x_hat, evaluation, inner_budget(m, width, spec.partition.q), rng,
@@ -1104,24 +1145,23 @@ _REFINE_STEPS = 10
 _REFINE_COST = 100.0
 
 
-def _columns(work, support):
+def _columns(ds, work, support):
     """The columns of the working design work on its column ids support, as a
     dense (n, k) array in column-major order: copied from work's dense twin
-    (_Working.dense) where an epoch built it, else gathered from its entries,
-    with no twin built, each entry placed at its row and its column's rank
-    in support. Either way, the bits of A's columns work.features[support].
+    (_Working.dense) where an epoch built it, else gathered from the dataset
+    ds's column index (_column_rows), at a cost in the support's stored
+    entries, with no twin built. Either way, the bits of A's columns
+    work.features[support], a stored -0.0 included.
     """
     dense = work.__dict__.get("dense")  # a cached_property read, never a build
     if dense is not None:
         return dense.T[support].T  # a (k, n) copy's transpose
-    n, (cols, vals) = work.indptr.size - 1, work.entries
-    rank = np.full(work.features.size, -1, dtype=np.intp)
-    rank[support] = np.arange(support.size)
-    j = rank[cols]
-    hit = np.flatnonzero(j >= 0)
-    out = np.zeros((n, support.size), order="F")
-    out[np.searchsorted(work.indptr, hit, side="right") - 1, j[hit]] = vals[hit]
-    return out
+    rp, rows, vals = _column_rows(ds, work.features[support])
+    out = np.zeros((support.size, ds.n))  # its transpose is the (n, k) result
+    cells = np.repeat(np.arange(0, out.size, ds.n), np.diff(rp))  # each entry's cell
+    cells += rows
+    out.ravel()[cells] = vals
+    return out.T
 
 
 def _group_model(part, x):
@@ -1185,7 +1225,7 @@ def _refine_support(spec, work, v):
             if support.size == 0:
                 return None
             # column-major: the BLAS products below round differently on a row-major copy
-            a_s = _columns(work, support)
+            a_s = _columns(ds, work, support)
             eye = np.eye(support.size)
             ridge, tiny, pen = two_mu * eye, 1e-13 * eye, lam * signs
             curved = np.empty_like(a_s)  # a_s scaled row by row by f''
@@ -1261,8 +1301,9 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     not x (a restart, and a step from t = 1, where beta = 0, put y on x);
     A y = A xn + beta (A xn - A x) costs no product. The support refinement
     runs on the dataset's working design, _compact over every block, handed
-    x on its columns: it gathers its columns there, and one that returns a
-    point forms its A x there (_matvec) and one more A'g.
+    x on its columns: it gathers its model's columns from the dataset's
+    column index (_columns), and one that returns a point forms its A x on
+    that design (_matvec) and one more A'g.
     """
     start = time.perf_counter()
     if not (_is_real(tol) and 0 < tol < math.inf):

@@ -210,14 +210,13 @@ def _layout_instance():
 
 
 def test_chained_compactions_give_the_csr_column_selection():
-    """Each compaction, cut down from the previous one, holds scipy's
-    A[:, features] arrays entry for entry, cols as intp, and the block ids
-    it was given."""
+    """Each cut of a chain of shrinking block sets, made from the dataset's
+    column index, holds scipy's A[:, features] arrays entry for entry, cols
+    as intp, and the block ids it was given."""
     spec, _, full = _layout_instance()
-    work = _compact(spec, full.blocks)
     for kept in ([0, 1, 2, 4], [0, 2, 4], [2]):
         active = full.keep(kept)
-        work = _compact(spec, active.blocks, work)
+        work = _compact(spec, active.blocks)
         want = spec.dataset.A[:, active.features]
         cols, vals = work.entries
         assert work.blocks is active.blocks and cols.dtype == np.intp
@@ -228,8 +227,9 @@ def test_chained_compactions_give_the_csr_column_selection():
 
 def test_a_sparse_working_design_is_plain_csr_along_a_chain_of_cuts():
     """A working design holds two entry arrays, intp columns and float64
-    values, 16 bytes per stored entry, and each cut of a chain, cut from the
-    one before, holds the indptr, columns and values of A[:, features]."""
+    values, 16 bytes per stored entry, and each cut of a chain of shrinking
+    block sets, each cut from the dataset's column index, holds the indptr,
+    columns and values of A[:, features]."""
     rng = np.random.default_rng(17)
     a = rng.normal(size=(40, 60)) * (rng.random(size=(40, 60)) < 0.1)
     a[[3, 30]] = 0.0  # empty rows
@@ -249,7 +249,7 @@ def test_a_sparse_working_design_is_plain_csr_along_a_chain_of_cuts():
         if blocks.size == 1:
             break
         blocks = np.sort(rng.permutation(blocks)[:int(rng.integers(1, blocks.size))])
-        work = _compact(spec, blocks, work)
+        work = _compact(spec, blocks)
         assert work.blocks is blocks
 
 
@@ -274,7 +274,7 @@ def test_compacted_layout_is_the_partition_of_the_surviving_columns():
     contiguous = spec.partition
     work = _compact(spec, full.blocks)
     assert work.layout is contiguous
-    assert _compact(spec, np.arange(5), work).layout is contiguous
+    assert _compact(spec, np.arange(5)).layout is contiguous
     assert np.array_equal(work.features, np.arange(15))
     perm = np.random.default_rng(8).permutation(15)
     part = G.BlockPartition([np.sort(g) for g in np.split(perm, [4, 5, 8, 13])])
@@ -287,7 +287,7 @@ def test_compacted_layout_is_the_partition_of_the_surviving_columns():
     assert np.array_equal(work.features, part.order)
     for kept in ([0, 1, 3, 4], [1, 3, 4], [1, 4], [4]):
         active = full.keep(kept)
-        work = _compact(spec, active.blocks, work)
+        work = _compact(spec, active.blocks)
         sizes = part.sizes[active.blocks]
         _same_partition(work.layout, G.BlockPartition(
             np.split(np.arange(active.n_features), np.cumsum(sizes)[:-1])))
@@ -296,8 +296,9 @@ def test_compacted_layout_is_the_partition_of_the_surviving_columns():
 
 
 def test_chained_cuts_keep_the_columns_block_by_block():
-    """Along chained cuts of scattered partitions, whose groups come in any
-    order, working block ib is a contiguous range of columns holding the
+    """Along a chain of cuts of shrinking block sets of scattered partitions,
+    whose groups come in any order, each cut from the dataset's column
+    index, working block ib is a contiguous range of columns holding the
     features of block active.blocks[ib], and the cut keeps the stored entries
     of those features, every row's in CSR order, under their column numbers."""
     rng = np.random.default_rng(40)
@@ -332,7 +333,7 @@ def test_chained_cuts_keep_the_columns_block_by_block():
             kept = np.sort(rng.permutation(active.blocks)[:int(rng.integers(
                 1, active.n_blocks))])
             active = active.keep(kept)
-            work = _compact(spec, active.blocks, work)
+            work = _compact(spec, active.blocks)
 
 
 def test_gather_rows_matches_csr_row_indexing():
@@ -343,7 +344,7 @@ def test_gather_rows_matches_csr_row_indexing():
     active = full.keep([0, 2, 4])
     batches = np.array([[5, 2, 0, 5], [11, 7, 0, 0], [2, 7, 2, 7], [5, 5, 3, 1]])
     for work, features in ((full_work, full.features),
-                           (_compact(spec, active.blocks, full_work), active.features)):
+                           (_compact(spec, active.blocks), active.features)):
         design = spec.dataset.A[:, features]
         for c in (1, 4):
             cols, vals, rp = _gather_rows(work.indptr, work.entries, batches[:c])
@@ -363,12 +364,11 @@ def test_gather_rows_matches_csr_row_indexing():
 
 def test_gather_rows_on_compacted_design_matches_full_gather():
     spec, a, full = _layout_instance()
-    # compacted twice, each time from the previous working design
-    work = _compact(spec, full.blocks)
-    full_work = work
+    # cut twice, each time from the dataset's column index
+    full_work = _compact(spec, full.blocks)
     for kept in ([0, 1, 2, 4], [0, 2, 4]):
         active = full.keep(kept)
-        work = _compact(spec, active.blocks, work)
+        work = _compact(spec, active.blocks)
     dense = np.zeros((12, active.n_features))
     cols, vals = work.entries
     dense[np.repeat(np.arange(12), np.diff(work.indptr)), cols] = vals
@@ -392,6 +392,108 @@ def test_gather_rows_on_compacted_design_matches_full_gather():
     assert np.array_equal(ccols, np.searchsorted(active.features, cols[in_active]))
     assert np.array_equal(cvals, vals[in_active])
     assert np.array_equal(_row_ids(crp), _row_ids(rp)[in_active])
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
+@pytest.mark.parametrize("seed", range(4))
+def test_every_cut_is_scipys_column_selection_to_the_bit(layout, seed):
+    """For random block subsets, every working design equals scipy's
+    A[:, work.features] to the bit: the same row pointers, the same columns
+    and the same value bytes, on designs with empty rows, an empty column
+    and a stored 0.0 and -0.0. Its features are the blocks' groups in block
+    order, and its layout their sizes."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(8, 40)), int(rng.integers(12, 90))
+    a = rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < rng.uniform(0.05, 0.6))
+    a[rng.integers(0, n, size=2)] = 0.0
+    a[:, rng.integers(0, d)] = 0.0
+    q = int(rng.integers(2, min(d, 12) + 1))
+    if layout == "scattered":
+        labels = np.concatenate([np.arange(q), rng.integers(0, q, size=d - q)])
+        part = G.BlockPartition([np.flatnonzero(labels == j) for j in rng.permutation(q)])
+    elif layout == "uneven":
+        part = G.BlockPartition.from_sizes(np.diff(np.concatenate(
+            ([0], np.sort(rng.choice(np.arange(1, d), size=q - 1, replace=False)), [d]))))
+    else:
+        part = G.BlockPartition.contiguous(d, q)
+    coo = sp.coo_matrix(a)
+    free = np.flatnonzero(a.ravel() == 0.0)[:2]  # two unstored cells, stored as zeros
+    stored = sp.coo_matrix((np.concatenate([coo.data, [0.0, -0.0]]),
+                            (np.concatenate([coo.row, free // d]),
+                             np.concatenate([coo.col, free % d]))), shape=(n, d))
+    spec = G.ProblemSpec(dataset=G.Dataset(stored, np.zeros(n)), partition=part,
+                         loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+    assert np.signbit(spec.dataset.A.data[spec.dataset.A.data == 0.0]).sum() == 1
+    subsets = [np.arange(q), np.array([q - 1]), np.array([0])]
+    subsets += [np.flatnonzero(rng.random(q) < rng.uniform(0.2, 0.9)) for _ in range(12)]
+    for blocks in subsets:
+        if blocks.size == 0:
+            continue
+        work = _compact(spec, blocks)
+        want = spec.dataset.A[:, work.features]
+        cols, vals = work.entries
+        assert np.array_equal(work.features,
+                              np.concatenate([part.groups[j] for j in blocks]))
+        assert np.array_equal(work.layout.sizes, part.sizes[blocks])
+        assert work.indptr.dtype == cols.dtype == np.intp
+        assert np.array_equal(work.indptr, want.indptr)
+        assert np.array_equal(cols, want.indices)
+        assert vals.dtype == np.float64 and vals.tobytes() == want.data.tobytes()
+
+
+def test_a_cut_allocates_its_kept_entries_not_the_datasets():
+    """On a wide sparse design, 200 x 200,000 at 0.2% (80,000 stored
+    entries) in blocks of 20, a cut of three blocks from the dataset's column
+    index, built before tracing starts, peaks (tracemalloc) at under 64 bytes
+    per kept entry and row, far below one byte per stored entry of the
+    dataset, and holds scipy's A[:, features]."""
+    n, d, q = 200, 200_000, 10_000
+    rng = np.random.default_rng(3)
+    a = sp.random(n, d, density=2e-3, format="csr", random_state=rng)
+    spec = G.ProblemSpec(dataset=G.Dataset(a, np.zeros(n)),
+                         partition=G.BlockPartition.contiguous(d, q),
+                         loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+    _compact(spec, np.array([0, 1]))  # builds the column index
+    blocks = np.array([7, 5000, q - 1])
+    tracemalloc.start()
+    try:
+        work = _compact(spec, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = work.entries[0].size
+    assert kept > 0 and peak < 64 * (kept + n) < spec.dataset.A.nnz
+    want = spec.dataset.A[:, work.features]
+    assert np.array_equal(work.indptr, want.indptr)
+    assert np.array_equal(work.entries[0], want.indices)
+    assert np.array_equal(work.entries[1], want.data)
+
+
+def test_only_the_solvers_that_cut_build_the_column_index(monkeypatch):
+    """On a fresh Dataset an mrbcd or a proxsvrg solve, which runs every
+    epoch on every block and never refines, leaves no ("columns",) memo
+    entry. An adsgd solve builds it once, as A.tocsc()'s arrays, read-only,
+    and a second adsgd solve on that dataset reuses the same object."""
+    builds, build = [], G.solvers._column_index
+    monkeypatch.setattr(G.solvers, "_column_index",
+                        lambda a: builds.append(None) or build(a))
+    spec = make_instance(seed=1, n=60, d=80, q=10, sparsity=0.3)
+    memo = spec.dataset._memo
+    for solver in ("mrbcd", "proxsvrg"):
+        G.solve(spec, G.SolverConfig(solver=solver, seed=0, max_outer=3))
+        assert ("columns",) not in memo and builds == []
+    cfg = G.SolverConfig(solver="adsgd", seed=0, gap_tol=1e-6, max_outer=40,
+                         eta=tuned_eta(spec, 1.0))
+    rep = G.solve(spec, cfg)
+    assert min(r.working_blocks for r in epoch_rows(rep)) < spec.partition.q
+    index = memo[("columns",)]
+    csc = spec.dataset.A.tocsc()
+    for got, want in zip(index, (csc.indptr, csc.indices, csc.data), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert index[1].dtype == np.int32  # 12 bytes per stored entry
+    G.solve(spec, dataclasses.replace(cfg, seed=1))
+    assert memo[("columns",)] is index and len(builds) == 1
 
 
 def _row_ids(rp):
@@ -452,8 +554,7 @@ def test_step_gradient_matches_dense_reference(monkeypatch, layout):
     works = []
     for rho in STORAGES:
         monkeypatch.setattr(G.solvers, "_RHO", rho)
-        full_work = _compact(spec, full.blocks)
-        works += [full_work, _compact(spec, kept.blocks, full_work)]
+        works += [_compact(spec, full.blocks), _compact(spec, kept.blocks)]
         assert all((w.dense is None) == (rho == math.inf) for w in works[-2:])
     for work in works:
         wfeat = work.features
@@ -528,7 +629,7 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(monkeypatch, layout):
     y, g_snap = spec.dataset.y, rng.normal(size=12)
     work = _compact(spec, np.arange(spec.partition.q))
     every_row = np.broadcast_to(np.arange(12), (7, 12))
-    for w in (work, _compact(spec, np.array([0, 2, 3]), work)):
+    for w in (work, _compact(spec, np.array([0, 2, 3]))):
         q_k = w.blocks.size
         offsets = w.layout.offsets
         batches = rng.integers(0, 12, size=(7, 4))
@@ -578,7 +679,7 @@ def test_all_rows_gather_is_the_gather_of_every_row(layout):
     shifted by the entries of the steps before."""
     spec, _, _ = _kernel_instance(layout)
     work = _compact(spec, np.arange(spec.partition.q))
-    for w in (work, _compact(spec, np.array([1, 3]), work)):
+    for w in (work, _compact(spec, np.array([1, 3]))):
         nnz = w.entries[0].size
         for c in (1, 3):
             cols, vals, rp = _gather_rows(
@@ -620,21 +721,21 @@ def _placed_columns(ds, support):
 
 @pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
 def test_refinement_columns_are_the_design_columns_bit_for_bit(layout):
-    """_columns takes a support's columns from a working design, gathered from
-    its entries or, where an epoch built the design's dense twin, copied from
-    it, with the bytes of the stored values placed in column-major order,
-    equal to scipy's column slice ds.A[:, S], and F-contiguous: on the
-    dataset's working design and on a design cut from it, for an L1 support
+    """_columns takes a support's columns of a working design, gathered from
+    the dataset's column index or, where an epoch built the design's dense
+    twin, copied from it, with the bytes of the stored values placed in
+    column-major order, equal to scipy's column slice ds.A[:, S], and
+    F-contiguous: on the dataset's working design and on a cut, for an L1 support
     of scattered coordinates that holds a column with no stored entry and the
     stored 0.0 and -0.0, a group-L2 support of whole blocks, one column, and
     the empty column alone, each taken by its working-column ids, in the
-    design's block-major order. The entry gather builds no twin."""
+    design's block-major order. The index gather builds no twin."""
     spec, empty = _signed_zero_instance(layout)
     ds, part = spec.dataset, spec.partition
     signed = np.flatnonzero(np.bincount(ds.A.indices[ds.A.data == 0.0], minlength=ds.d))
     for twin in (False, True):
         work = _compact(spec, np.arange(part.q))
-        for w in (work, _compact(spec, np.array([0, 1, part.q - 1]), work)):
+        for w in (work, _compact(spec, np.array([0, 1, part.q - 1]))):
             if twin:
                 assert w.dense is not None  # as the epoch's _plan reads it
             feats = np.sort(w.features)
@@ -644,7 +745,7 @@ def test_refinement_columns_are_the_design_columns_bit_for_bit(layout):
             for support in supports:
                 ids = np.flatnonzero(np.isin(w.features, support))
                 assert ids.size == support.size  # w holds every feature of support
-                got = _columns(w, ids)
+                got = _columns(ds, w, ids)
                 want = _placed_columns(ds, w.features[ids])
                 assert got.flags.f_contiguous and got.shape == want.shape
                 assert got.dtype == want.dtype
@@ -654,13 +755,15 @@ def test_refinement_columns_are_the_design_columns_bit_for_bit(layout):
 
 
 def test_a_refinement_allocates_nothing_of_the_datasets_width():
-    """A refinement runs on its working design's columns alone: on a wide
-    sparse Lasso, 200 x 400,000 with blocks of 40, and a working design of
-    three blocks whose columns are dense, _refine_support allocates at its
-    peak (tracemalloc) less than two bytes per feature of the dataset, a
-    quarter of one d-length float64 array (about 0.39 MB of its 0.8 MB,
-    against 3.6 MB when it took the d-length point), and returns the point,
-    on the working columns, that a refinement on the whole design gives."""
+    """A refinement runs on its model's columns alone: on a wide sparse
+    Lasso, 200 x 400,000 with blocks of 40, and a working design of three
+    blocks whose columns are dense, with the dataset's column index built
+    before tracing starts, _refine_support allocates at its peak
+    (tracemalloc) less than 48 bytes per stored entry of the model's
+    columns, 4,800 entries in a (200, 24) array of 38 KB (about 175 KB,
+    against 389 KB when it scanned every entry of its working design, and
+    3.6 MB when it took the d-length point), and returns the point, on the
+    working columns, that a refinement on the whole design gives."""
     n, d, q = 200, 400_000, 10_000
     rng = np.random.default_rng(0)
     part = G.BlockPartition.contiguous(d, q)
@@ -675,23 +778,24 @@ def test_a_refinement_allocates_nothing_of_the_datasets_width():
     spec = G.ProblemSpec(dataset=G.Dataset(a, a @ x + 0.01 * rng.normal(size=n)),
                          partition=part, loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"],
                          lam=1e-4)
-    whole = _whole(spec)
-    work = _compact(spec, blocks, whole)
+    work = _compact(spec, blocks)  # builds the column index
     v = 1.05 * x[work.features]
+    entries = spec.dataset.A[:, work.features[np.flatnonzero(v)]].nnz
+    assert entries == 4800
     tracemalloc.start()
     try:
         w = G.solvers._refine_support(spec, work, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert w is not None and peak < 2 * d
-    assert _on(spec, work, w).tobytes() == _refine(spec, 1.05 * x, whole).tobytes()
+    assert w is not None and peak < 48 * entries
+    assert _on(spec, work, w).tobytes() == _refine(spec, 1.05 * x).tobytes()
 
 
 def test_the_references_refinement_builds_no_dense_twin():
     """The reference refines on the dataset's working design over every block,
     on which no epoch ran: _refined_certificate gathers its columns from the
-    entries and leaves the twin unbuilt, though the design is dense enough
+    column index and leaves the twin unbuilt, though the design is dense enough
     to have one, and returns what it returns on a design whose twin is built."""
     spec = REFINE_CASES["l1-squared"]()
     x = G.reference_solve(spec, tol=1e-8).x_final
@@ -769,7 +873,7 @@ def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(monkeypatch, seed
     work = _compact(spec, np.arange(q))
     kept = np.sort(rng.choice(q, size=int(rng.integers(1, q)), replace=False))
     checked = 0
-    for w in (work, _compact(spec, kept, work)):
+    for w in (work, _compact(spec, kept)):
         p = w.features.size
         x, mu, x_ref = (rng.normal(size=p) for _ in range(3))
         g_snap = rng.normal(size=n)
@@ -851,18 +955,16 @@ def _two_density_instance():
 
 def test_storage_follows_each_cut_density(monkeypatch):
     """A working design has a dense twin exactly when it stores at least
-    _RHO * n * p entries, judged design by design down a chain of cuts, and
+    _RHO * n * p entries, judged design by design over a chain of cuts, and
     the twin is A[:, features] in the working column order."""
     monkeypatch.setattr(G.solvers, "_RHO", 0.1)  # the chain's densities straddle it
     spec, a = _two_density_instance()
-    work = _compact(spec, np.arange(20))  # 68 / 1000
-    chain = [(work, False)]
+    chain = [(_compact(spec, np.arange(20)), False)]  # 68 / 1000
     for kept, dense in (([0, 1, 2, 3], True),   # 52 / 200
                         ([0, 1], True),         # 50 / 100
-                        ([1, 2, 3], False)):    # 2 / 150
-        chain.append((_compact(spec, np.array(kept), work), dense))
-    work = chain[2][0]
-    chain.append((_compact(spec, np.array([1]), work), False))  # 0 / 50, from a dense cut
+                        ([1, 2, 3], False),     # 2 / 150
+                        ([1], False)):          # 0 / 50, a subset of a dense cut's
+        chain.append((_compact(spec, np.array(kept)), dense))
     for w, dense in chain:
         assert (w.dense is not None) == dense
         if dense:
@@ -871,12 +973,12 @@ def test_storage_follows_each_cut_density(monkeypatch):
     # the boundary: 50 entries over 100 cells
     for rho, dense in ((0.5, True), (np.nextafter(0.5, 1.0), False)):
         monkeypatch.setattr(G.solvers, "_RHO", rho)
-        assert (_compact(spec, np.array([0, 1]), chain[0][0]).dense is not None) == dense
+        assert (_compact(spec, np.array([0, 1])).dense is not None) == dense
     # a scattered partition's dense twin follows its block-by-block numbering
     spec, a, _ = _kernel_instance("scattered")
     monkeypatch.setattr(G.solvers, "_RHO", 0.0)
     work = _compact(spec, np.arange(4))
-    for w in (work, _compact(spec, np.array([1, 3]), work)):
+    for w in (work, _compact(spec, np.array([1, 3]))):
         assert np.array_equal(w.dense, a[:, w.features])
 
 
@@ -1108,9 +1210,10 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
     on the working design the next trace row counts, with its one _restart
     inside it unless the slot's refined point decided its row; a screening
     solve certifies each row but a decided one, screens before each epoch,
-    and cuts at most a safe set's and a working set's design per epoch. Only
-    a screen that drops blocks builds an ActiveSet: the engine cuts its
-    designs by block ids."""
+    and cuts one design for its first epoch and one more for each epoch whose
+    blocks differ from the last epoch's, none for the starting row or for a
+    safe set of its own. Only a screen that drops blocks builds an
+    ActiveSet: the engine cuts its designs by block ids."""
     calls = []
 
     def spied(name, fn):
@@ -1158,7 +1261,7 @@ def test_an_outside_wrapper_sees_every_phase_of_every_epoch(monkeypatch):
                 if name in ("_certify", "screen", "_epoch", "_restart")] == phases
         changes = sum(not np.array_equal(a.blocks, b.blocks)
                       for a, b in zip(epochs, epochs[1:]))
-        assert 1 < compacts <= 1 + 2 * rep.outer_iters and changes > 0
+        assert compacts == 1 + changes and changes > 0
         assert rows[-1].active_blocks < spec.partition.q
 
 
@@ -2150,9 +2253,10 @@ def _whole(spec):
 
 def _on(spec, work, v):
     """The d-length point that is v on the working design work's columns and
-    zero off them."""
+    zero off them; work None, as the starting row hands it to _certify,
+    stands for every feature in the partition's block order."""
     x = np.zeros(spec.dataset.d)
-    x[work.features] = v
+    x[spec.partition.order if work is None else work.features] = v
     return x
 
 
