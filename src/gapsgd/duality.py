@@ -187,12 +187,12 @@ def _dual_value(spec, dp):
     """D(theta) = -(1/n) sum_i f_i*(-theta_i), extended with perturbation duals."""
     ds = spec.dataset
     conj = spec.loss.conjugate(-dp.theta, ds.y)
-    if np.any(np.isinf(conj)):
+    if np.isinf(conj).any():
         return -np.inf
-    val = -float(np.sum(conj)) / ds.n
+    val = -float(np.add.reduce(conj)) / ds.n
     if spec.mu_p > 0 and dp.kappa is not None:
         hstar = dp.kappa ** 2 / (4.0 * ds.n * spec.mu_p)
-        val -= float(np.sum(hstar)) / ds.n
+        val -= float(np.add.reduce(hstar)) / ds.n
     return val
 
 

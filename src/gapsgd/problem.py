@@ -4,7 +4,8 @@ Everything here is immutable after construction and safe to share across
 concurrent solver runs; the operations are pure functions of their inputs.
 A Dataset keeps the design constants that every solve would otherwise
 recompute (Dataset.memo), each a pure function of the design and its key,
-so concurrent solves at worst compute one twice, to the same bits.
+so concurrent solves at worst compute one twice, to the same bits. Every
+product with the whole design is Dataset.matvec's or Dataset.rmatvec's.
 
 BlockPartition is the one block layout: the problem's partition, and the
 solvers' working design over the surviving blocks, are each one. The working
@@ -28,11 +29,13 @@ import scipy.sparse as sp
 from scipy.special import expit, xlogy
 
 # scipy's compiled CSR loops, from its private module scipy.sparse._sparsetools
-# (checked against scipy 1.17), imported here alone: the row gather
-# _gather_rows, the sparse step kernel solvers.step_gradient and the cuts of
-# solvers._compact run on them. They check no bounds, so every index array
-# they get comes from a working design, the column index or a batch that
-# passed solvers._check_batch, in one index type a call. csr_matvec adds each
+# (checked against scipy 1.17), imported here alone: Dataset.matvec and
+# Dataset.rmatvec, the row gather _gather_rows, the sparse step kernel
+# solvers.step_gradient and the cuts of solvers._compact run on them. They
+# check no bounds, so every index array they get comes from the dataset's
+# CSR, a working design, the column index or a batch that passed
+# solvers._check_batch, in one index type a call, and every vector they read
+# has the length its call states. csr_matvec adds each
 # row's products to its output in entry order, and csc_matvec each product
 # into its output row in entry order: the sums np.bincount forms over the
 # same products, to the same bits. csr_tocsc, a counting sort, lists each
@@ -53,6 +56,16 @@ def _is_real(v):
     """Whether v is a Python or numpy real number; a bool, Python's or numpy's,
     is not a step size, a tolerance or a weight."""
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _vector(v, size):
+    """v as a C-contiguous float64 vector of size entries, as the compiled
+    loops read it, copied only where it is not one; ValueError on any other
+    shape, since those loops check no bounds."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (size,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({size},)")
+    return np.ascontiguousarray(v)
 
 
 # numpy's compiled clip ufunc (numpy >= 2.0), looked up once. One pass of it
@@ -116,25 +129,38 @@ class Dataset:
         self.x_true = x_true
         for arr in (a.data, a.indices, a.indptr, y):
             arr.flags.writeable = False
-        # scipy's transpose of a CSR matrix is a CSC view of the same three
-        # arrays: nothing is copied, and A'v gives the bits of A.T @ v
-        self._at = a.T
         self._memo = {}
 
-    def rmatvec(self, v):
-        """A'v, as smooth_gradient, dual_point and lambda_max form it.
+    def matvec(self, x):
+        """A x, by one csr_matvec call on the stored CSR arrays into zeros: the
+        bits of A @ x without scipy's operator dispatch. The arrays share the
+        one index type scipy's CSR keeps; x must hold d real entries, and a
+        wrong length raises ValueError before the compiled loop, which
+        checks no bounds, reads it."""
+        a = self.A
+        z = np.zeros(self.n)
+        csr_matvec(self.n, self.d, a.indptr, a.indices, a.data, _vector(x, self.d), z)
+        return z
 
-        The product runs on one transposed view kept with the dataset, so
-        no call builds a transposed matrix. The spectral bound's power
-        iteration builds its own view once per call. The support refinement
-        (of the screening solvers and the reference) takes its columns from
-        a working design's dense twin or from the dataset's column index,
-        the CSR of A' (memo key ("columns",)), not from A. The group-L2 screening
-        bounds' block Gram matrices use column slices of A, formed once per
-        dataset and partition (memo): a cold solve pays for them, a later
-        one on the same dataset and layout does not.
+    def rmatvec(self, v):
+        """A'v, by one csc_matvec call that reads the stored CSR arrays as the
+        CSC of A' into zeros: the bits of A.T @ v, with no transposed matrix
+        built and no operator dispatch. v must hold n real entries; a wrong
+        length raises ValueError before the compiled loop reads it.
+
+        The spectral bound's power iteration alone runs on scipy's operator,
+        with a transposed view of its own built once per call. The support
+        refinement (of the screening solvers and the reference) takes its
+        columns from a working design's dense twin or from the dataset's
+        column index, the CSR of A' (memo key ("columns",)), not from A. The
+        group-L2 screening bounds' block Gram matrices use column slices of
+        A, formed once per dataset and partition (memo): a cold solve pays
+        for them, a later one on the same dataset and layout does not.
         """
-        return self._at @ v
+        a = self.A
+        out = np.zeros(self.d)
+        csc_matvec(self.d, self.n, a.indptr, a.indices, a.data, _vector(v, self.n), out)
+        return out
 
     def memo(self, key, compute):
         """compute(), run on the first call with this key and kept with the dataset.
@@ -253,6 +279,9 @@ class SquaredLoss:
 
     name = "squared"
     curvature = 1.0
+    # f' is affine in z, so its values at a combination of points are that
+    # combination of its values there (reference_solve's momentum point)
+    affine = True
 
     def value(self, z, y):
         return 0.5 * (y - z) ** 2
@@ -276,6 +305,7 @@ class LogisticLoss:
 
     name = "logistic"
     curvature = 0.25
+    affine = False
 
     def value(self, z, y):
         return np.logaddexp(0.0, z) - y * z
@@ -291,8 +321,11 @@ class LogisticLoss:
     def conjugate(self, u, y):
         # finite only for u + y in [0, 1]; +inf signals an infeasible dual point
         t = np.asarray(u + y, dtype=np.float64)
-        out = np.full(t.shape, np.inf)
         ok = (t >= -1e-12) & (t <= 1.0 + 1e-12)
+        if ok.all():  # as a scaled dual point always is: no masked copy
+            tc = np.clip(t, 0.0, 1.0)
+            return xlogy(tc, tc) + xlogy(1.0 - tc, 1.0 - tc)
+        out = np.full(t.shape, np.inf)
         tc = np.clip(t[ok], 0.0, 1.0)
         out[ok] = xlogy(tc, tc) + xlogy(1.0 - tc, 1.0 - tc)
         return out
@@ -308,7 +341,7 @@ class L1Penalty:
     name = "l1"
 
     def value(self, x, partition):
-        return float(np.sum(np.abs(x)))
+        return float(np.add.reduce(np.abs(x)))
 
     def block_prox(self, v, t, classes=None, out=None):
         """Soft thresholding. It is coordinate-wise, so it ignores the block layout."""
@@ -416,9 +449,10 @@ def _check_x(spec, x):
 
 def smooth_value(spec, x, z):
     """mean_i f_i(z_i) + mu_p ||x||^2, where z = A x."""
-    val = float(np.mean(spec.loss.value(z, spec.dataset.y)))
+    ds = spec.dataset
+    val = float(np.add.reduce(spec.loss.value(z, ds.y))) / ds.n  # np.mean's bits
     if spec.mu_p > 0:
-        val += spec.mu_p * float(np.sum(x ** 2))
+        val += spec.mu_p * float(np.add.reduce(x * x))
     return val
 
 
@@ -434,7 +468,7 @@ def smooth_gradient(spec, x, g):
 def primal_objective(spec, x, z=None):
     """mean_i f_i(a_i' x) + mu_p ||x||^2 + lam * Omega(x); z = A x if known."""
     x = _check_x(spec, x)
-    z = spec.dataset.A @ x if z is None else z
+    z = spec.dataset.matvec(x) if z is None else z
     return smooth_value(spec, x, z) + spec.lam * spec.reg.value(x, spec.partition)
 
 
@@ -442,7 +476,7 @@ def full_gradient(spec, x):
     """Gradient of the smooth part (loss mean plus the quadratic perturbation)."""
     x = _check_x(spec, x)
     ds = spec.dataset
-    return smooth_gradient(spec, x, spec.loss.deriv(ds.A @ x, ds.y))
+    return smooth_gradient(spec, x, spec.loss.deriv(ds.matvec(x), ds.y))
 
 
 def _gather_rows(indptr, entries, batch):

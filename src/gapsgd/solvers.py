@@ -152,17 +152,23 @@ bit; each is deterministic for a seed. The choice lives in _Working.dense
 and _plan alone.
 
 The reference solver is FISTA with backtracking and momentum restarts. Its
-step constant starts at the one-pass bound c * max(max_i ||a_i||^2,
-max_j ||a_j||^2) / n + 2 mu_p, at most the smoothness constant, and the
+step constant starts at the one-pass bound c * max(max_i ||a_i||^2, max_j
+||a_j||^2) / n + 2 mu_p, at most the smoothness constant, and the
 backtracking doubles it where needed, so no power iteration runs. An
-iteration forms one A x per prox point tried and one A'g in the evaluation of
-the iterate, plus one A'g at the extrapolated point y unless y is the
-iterate, as after a restart or a step from t = 1 (beta = 0); A y is the same
-combination of the last two products A x. Its L1 stop row is refined by the
-screening solves' own _refined_certificate, kept where its gap is smaller,
-on the dataset's working design, handed the iterate on its columns: the
-refinement gathers its model's columns from the column index, with no twin
-built, and forms the refined point's A x on that design.
+iteration forms one A x per prox point tried (Dataset.matvec) and one A'g in
+the evaluation of the iterate (Dataset.rmatvec), each one call of scipy's
+compiled loop on the stored CSR arrays. Its extrapolated point y = x + beta
+(x - x_prev) takes A y as that combination of the last two products A x,
+and, where the loss derivative is affine (loss.affine: the squared loss),
+its smooth gradient as that combination of the last two evaluations'
+gradients, mu_p's term included, so a Lasso iteration forms no other
+product. On the logistic loss a step from y forms one more A'g, at y, unless
+y is the iterate, as after a restart or a step from t = 1 (beta = 0). Its L1
+stop row is refined by the screening solves' own _refined_certificate, kept
+where its gap is smaller, on the dataset's working design, handed the
+iterate on its columns: the refinement gathers its model's columns from the
+column index, with no twin built, and forms the refined point's A x on that
+design.
 
 The full-vector solver proxsvrg and the reference solver make one penalty
 prox call per step. For group-L2 it shrinks every block of one size with a
@@ -1296,14 +1302,18 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
 
     The backtracking constant starts at _one_pass_bound, which is at most the
     smoothness constant, and doubles at every failed sufficient-decrease
-    test. Each iteration forms one A x per prox point tried and one A'g in
-    the evaluation of x, plus one A'g at the extrapolated point y when y is
-    not x (a restart, and a step from t = 1, where beta = 0, put y on x);
-    A y = A xn + beta (A xn - A x) costs no product. The support refinement
-    runs on the dataset's working design, _compact over every block, handed
-    x on its columns: it gathers its model's columns from the dataset's
-    column index (_columns), and one that returns a point forms its A x on
-    that design (_matvec) and one more A'g.
+    test. Each iteration forms one A x per prox point tried (Dataset.matvec)
+    and one A'g in the evaluation of x (Dataset.rmatvec). At the
+    extrapolated point y = xn + beta (xn - x), A y = A xn + beta (A xn - A x)
+    costs no product, and where loss.affine (the squared loss) neither does
+    the smooth gradient: it is the same combination of the two evaluations'
+    gradients, exact in real arithmetic, mu_p's term included. On the
+    logistic loss a step from y forms one more A'g there, unless y is x (a
+    restart, and a step from t = 1, where beta = 0, put y on x). The
+    support refinement runs on the dataset's working design, _compact over
+    every block, handed x on its columns: it gathers its model's columns
+    from the dataset's column index (_columns), and one that returns a
+    point forms its A x on that design (_matvec) and one more A'g.
     """
     start = time.perf_counter()
     if not (_is_real(tol) and 0 < tol < math.inf):
@@ -1311,7 +1321,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     if not _is_count(max_iter) or max_iter < 0:
         raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
     ds = spec.dataset
-    A, y, n, d = ds.A, ds.y, ds.n, ds.d
+    y, n, d = ds.y, ds.n, ds.d
     reg, lam = spec.reg, spec.lam
     part = spec.partition
     lb = _one_pass_bound(spec)
@@ -1351,15 +1361,18 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
 
         # on the first step, after a restart and after a step from t = 1 the
         # momentum point is the iterate, whose smooth gradient the evaluation
-        # already formed
+        # already formed; where f' is affine, y's is the same combination of
+        # the last two evaluations' as y is of their points
         if yv is x:
             grad = dp.gradient
+        elif spec.loss.affine:
+            grad = dp.gradient + beta * (dp.gradient - prev)
         else:
             grad = smooth_gradient(spec, yv, spec.loss.deriv(zy, y))
         fy = smooth_value(spec, yv, zy)
         while True:
             xn = reg.block_prox(yv - grad / lb, lam / lb, part.classes)
-            zn = A @ xn
+            zn = ds.matvec(xn)
             fn = smooth_value(spec, xn, zn)
             diff = xn - yv
             bound = fy + float(grad @ diff) + 0.5 * lb * float(diff @ diff)
@@ -1378,7 +1391,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
             yv, zy = xn, zn
         else:  # A y follows from A xn and A x, which are both at hand
             yv, zy = xn + beta * (xn - x), zn + beta * (zn - zx)
-        x, zx = xn, zn
+        x, zx, prev = xn, zn, dp.gradient
         t_mom = t_new
 
     restart = "last" if it else "start"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -582,11 +583,85 @@ def test_dataset_coalesces_duplicate_entries():
 
 @pytest.mark.parametrize("sparsity", [1.0, 0.05])
 def test_rmatvec_runs_on_one_transposed_view_of_the_stored_design(sparsity):
+    """A'v has the bits of scipy's A.T @ v, and the call allocates about its
+    d-length output alone: no transposed copy of the design, which would
+    hold 12 bytes or more per stored entry."""
     ds = make_instance(seed=9, n=70, d=120, sparsity=sparsity).dataset
     v = np.random.default_rng(1).standard_normal(ds.n)
     assert ds.rmatvec(v).tobytes() == (ds.A.T @ v).tobytes()
-    for name in ("data", "indices", "indptr"):  # the view copies nothing
-        assert np.shares_memory(getattr(ds._at, name), getattr(ds.A, name)), name
+    tracemalloc.start()
+    try:
+        ds.rmatvec(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * ds.d <= peak <= 8 * ds.d + 512 < 12 * ds.A.nnz
+
+
+def _products_are_scipys(ds, x, v):
+    """Dataset.matvec and rmatvec give the bytes of scipy's A @ x and A.T @ v."""
+    assert ds.matvec(x).tobytes() == (ds.A @ x).tobytes()
+    assert ds.rmatvec(v).tobytes() == (ds.A.T @ v).tobytes()
+
+
+def test_products_keep_scipys_bits_on_64_bit_index_arrays(monkeypatch):
+    """A design given as int64 index arrays, and a stored CSR that keeps 64-bit
+    indices, as one past 2**31 entries does: each call passes the CSR's own
+    index arrays, in their one index type."""
+    rng = np.random.default_rng(3)
+    a = sp.random(40, 70, density=0.1, random_state=rng, format="csr")
+    a = sp.csr_matrix((a.data, a.indices.astype(np.int64), a.indptr.astype(np.int64)),
+                      shape=a.shape)
+    ds = G.Dataset(a, rng.standard_normal(40))
+    x, v = rng.standard_normal(70), rng.standard_normal(40)
+    _products_are_scipys(ds, x, v)
+    wide = sp.csr_matrix(ds.A)
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    monkeypatch.setattr(ds, "A", wide)
+    assert ds.A.indices.dtype == ds.A.indptr.dtype == np.int64
+    _products_are_scipys(ds, x, v)
+
+
+def test_products_keep_scipys_bits_on_empty_rows_and_columns_and_a_stored_minus_zero():
+    dense = np.random.default_rng(4).standard_normal((6, 9))
+    dense[[0, 3]] = 0.0  # empty rows, the first among them
+    dense[:, [2, 8]] = 0.0  # empty columns, the last among them
+    dense[1, 4] = 0.0
+    rows, cols = np.nonzero(dense)
+    a = sp.coo_matrix((np.append(dense[rows, cols], -0.0), (np.append(rows, 1),
+                                                           np.append(cols, 4))), shape=(6, 9))
+    ds = G.Dataset(a, np.zeros(6))  # keeps the stored -0.0 at (1, 4)
+    assert np.signbit(ds.A.data).any() and not ds.A.data.all()
+    assert np.diff(ds.A.indptr)[[0, 3]].tolist() == [0, 0]
+    rng = np.random.default_rng(5)
+    for x, v in ((rng.standard_normal(9), rng.standard_normal(6)),
+                 (np.full(9, -0.0), np.full(6, -0.0)),
+                 (np.eye(9)[4], np.eye(6)[1])):
+        _products_are_scipys(ds, x, v)
+        assert ds.matvec(x)[[0, 3]].tolist() == [0.0, 0.0]
+        assert ds.rmatvec(v)[[2, 8]].tolist() == [0.0, 0.0]
+
+
+def test_products_read_strided_and_integer_vectors_as_scipy_does():
+    ds = make_instance(seed=6, n=30, d=50, sparsity=0.3).dataset
+    rng = np.random.default_rng(6)
+    inputs = [(rng.standard_normal(2 * ds.d)[::2], rng.standard_normal(2 * ds.n)[::2]),
+              (np.arange(ds.d)[::-1], np.arange(-ds.n, ds.n, 2)),
+              (rng.standard_normal((ds.d, 2))[:, 1], rng.standard_normal((ds.n, 2))[:, 0]),
+              (list(range(ds.d)), [True, False] * (ds.n // 2))]
+    for x, v in inputs:
+        assert not (isinstance(x, np.ndarray) and x.flags.c_contiguous and x.dtype == float)
+        _products_are_scipys(ds, x, v)
+
+
+def test_products_refuse_a_vector_of_the_wrong_shape():
+    """The compiled loops check no bounds, so a wrong length never reaches them."""
+    ds = make_instance(seed=6, n=30, d=50, sparsity=0.3).dataset
+    for fn, size in ((ds.matvec, ds.d), (ds.rmatvec, ds.n)):
+        for bad in (np.ones(size - 1), np.ones(size + 1), np.ones((size, 1)),
+                    np.ones((1, size)), np.float64(1.0), np.ones(0)):
+            with pytest.raises(ValueError, match="shape"):
+                fn(bad)
 
 
 def test_dataset_validation():

@@ -2114,16 +2114,17 @@ def test_screening_solve_forms_one_transposed_product_per_evaluation(monkeypatch
 def _count_reference_work(monkeypatch, spec):
     """Wrap what reference_solve calls; the returned dict counts the calls.
 
-    forward counts products with the CSR design (A x), matvecs the A x formed
+    forward counts the calls of Dataset.matvec (A x), matvecs the A x formed
     on a working design (_matvec), products the calls of Dataset.rmatvec
-    (A'g), prox_points the prox points tried and refinements the support
+    (A'g), step_gradients the smooth gradients formed at a momentum point,
+    prox_points the prox points tried and refinements the support
     refinements that returned a point.
     """
     counts = dict.fromkeys(["forward", "matvecs", "products", "evaluations",
                             "step_gradients", "prox_points", "refinements"], 0)
     rmatvec, smooth_gradient = G.Dataset.rmatvec, G.solvers.smooth_gradient
     evaluate, refine = G.solvers.evaluate, G.solvers._refine_support
-    forward, prox = type(spec.dataset.A).__matmul__, type(spec.reg).block_prox
+    forward, prox = G.Dataset.matvec, type(spec.reg).block_prox
 
     def counted(key, fn):
         def wrapper(*args):
@@ -2136,7 +2137,7 @@ def _count_reference_work(monkeypatch, spec):
         counts["refinements"] += out is not None
         return out
 
-    monkeypatch.setattr(type(spec.dataset.A), "__matmul__", counted("forward", forward))
+    monkeypatch.setattr(G.Dataset, "matvec", counted("forward", forward))
     monkeypatch.setattr(type(spec.reg), "block_prox", counted("prox_points", prox))
     monkeypatch.setattr(G.Dataset, "rmatvec", counted("products", rmatvec))
     monkeypatch.setattr(G.solvers, "smooth_gradient",
@@ -2148,23 +2149,71 @@ def _count_reference_work(monkeypatch, spec):
 
 
 def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
-    """A step from the iterate itself takes the smooth gradient the evaluation
-    formed: the first step, the step after a momentum restart, and the step
-    after either of those, where t = 1 makes beta = 0 and y the iterate. Only
-    steps from an extrapolated point form another A'g. A x is formed with the
-    design once per prox point tried, never at an extrapolated point. A
-    refinement that returns a point forms one more A x, on the dataset's
-    working design, and one more A'g, in one more evaluation."""
+    """On the squared loss every step takes its smooth gradient from the
+    evaluations: a step from the iterate itself (the first step, the step
+    after a momentum restart, and the step after either of those, where t = 1
+    makes beta = 0 and y the iterate) the evaluation's, and a step from an
+    extrapolated point y = x + beta (x - x_prev) that combination of the
+    last two evaluations' gradients. So the solve forms one A'g per
+    evaluation and no other. A x is formed with the design once per prox
+    point tried, never at an extrapolated point. A refinement that returns a
+    point forms one more A x, on the dataset's working design, and one more
+    A'g, in one more evaluation."""
     spec = make_instance(seed=3, n=150, d=300, q=10)
     counts = _count_reference_work(monkeypatch, spec)
     rep = G.reference_solve(spec, tol=1e-10)
     assert rep.converged and rep.outer_iters == 46
-    assert counts["step_gradients"] == rep.outer_iters - 14
+    assert counts["step_gradients"] == 0
     assert counts["refinements"] == 1
     assert counts["evaluations"] == rep.outer_iters + 1 + counts["refinements"]
-    assert counts["products"] == counts["evaluations"] + counts["step_gradients"]
+    assert counts["products"] == counts["evaluations"]
     assert counts["forward"] == counts["prox_points"] == 46
     assert counts["matvecs"] == counts["refinements"]
+
+
+@pytest.mark.parametrize("build, outer, extrapolated", [
+    (lambda: make_instance(seed=6, n=80, d=60, model="logistic"), 41, 29),
+    (lambda: make_instance(seed=5, n=60, d=40, model="logistic", reg="group_l2"), 40, 28),
+])
+def test_a_logistic_reference_step_from_an_extrapolated_point_forms_its_own_gradient(
+        monkeypatch, build, outer, extrapolated):
+    """f' is not affine on the logistic loss, so each step from an extrapolated
+    point forms its smooth gradient there, one A'g on A y, which is never the
+    evaluated iterate's; a step from the iterate takes the evaluation's."""
+    spec = build()
+    counts = _count_reference_work(monkeypatch, spec)
+    points, evaluate = [], G.solvers.evaluate
+    spied = G.solvers.smooth_gradient
+
+    def at_y(spec, x, g):
+        assert not np.array_equal(x, points[-1])
+        return spied(spec, x, g)
+
+    monkeypatch.setattr(G.solvers, "evaluate",
+                        lambda spec, x, z: points.append(x) or evaluate(spec, x, z))
+    monkeypatch.setattr(G.solvers, "smooth_gradient", at_y)
+    rep = G.reference_solve(spec, tol=1e-10)
+    assert rep.converged and rep.outer_iters == outer
+    assert counts["step_gradients"] == extrapolated < rep.outer_iters
+    assert counts["evaluations"] == rep.outer_iters + 1 + counts["refinements"]
+    assert counts["products"] == counts["evaluations"] + counts["step_gradients"]
+    assert counts["forward"] == counts["prox_points"] >= rep.outer_iters
+    assert counts["matvecs"] == counts["refinements"]
+
+
+def test_the_momentum_points_gradient_is_the_combination_of_the_evaluated_ones():
+    """On the squared loss, with and without mu_p, the smooth gradient at
+    y = x + beta (x - x_prev) that the reference takes from its last two
+    evaluations lies within rounding of the one formed at y."""
+    for mu_p in (0.0, 0.05):
+        spec = make_instance(seed=7, n=70, d=50, mu_p=mu_p)
+        rng = np.random.default_rng(7)
+        x_prev, x = rng.standard_normal((2, 50))
+        for beta in (0.1, 0.5, 0.97):
+            g, g_prev = G.full_gradient(spec, x), G.full_gradient(spec, x_prev)
+            want = G.full_gradient(spec, x + beta * (x - x_prev))
+            np.testing.assert_allclose(g + beta * (g - g_prev), want, rtol=0,
+                                       atol=1e-13 * np.abs(want).max())
 
 
 def _svd_bound(spec):
@@ -2226,8 +2275,9 @@ def test_reference_doubles_up_from_a_start_d_times_too_low(monkeypatch):
     """Equal rows a: sigma_max(A)^2 = n ||a||^2, while each row has norm
     ||a|| and column j norm sqrt(n) |a_j|. With every |a_j| equal and n >= d
     the one-pass bound is d times too low. The doublings cost at most
-    ceil(log2 d) + 1 prox points, one A x each, over the whole solve; the
-    refinement forms its one A x on the dataset's working design."""
+    ceil(log2 d) + 1 prox points, one A x each, over the whole solve, and no
+    A'g: on the squared loss each A'g is an evaluation's. The refinement
+    forms its one A x on the dataset's working design."""
     n, d = 60, 40
     rng = np.random.default_rng(0)
     row = np.where(rng.random(d) < 0.5, -0.7, 0.7)
@@ -2240,6 +2290,8 @@ def test_reference_doubles_up_from_a_start_d_times_too_low(monkeypatch):
     doublings = counts["prox_points"] - rep.outer_iters
     assert 1 <= doublings <= math.ceil(math.log2(d)) + 1
     assert counts["forward"] == rep.outer_iters + doublings
+    assert counts["step_gradients"] == 0
+    assert counts["products"] == counts["evaluations"]
     assert counts["matvecs"] == counts["refinements"]
 
 
@@ -3835,14 +3887,21 @@ class _Tripwire(sp.csr_matrix):
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
 def test_a_warm_adsgd_solve_forms_no_product_or_slice_of_the_design(monkeypatch, case):
     """Once a dataset's column bounds are memoised, an adsgd solve with an
-    explicit eta multiplies and slices only working designs: it forms no A x
-    and no column slice of ds.A, its refinements certify, and its A'g goes
-    through Dataset.rmatvec. It returns the bits of the cold solve."""
+    explicit eta multiplies and slices only working designs: it forms no A x,
+    through scipy's operator or through Dataset.matvec, which calls the
+    compiled loop on ds.A's arrays past _Tripwire, and no column slice of
+    ds.A; its refinements certify, and its A'g goes through Dataset.rmatvec.
+    It returns the bits of the cold solve."""
     spec = SCREENED_RUNS[case]()
     cfg = G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300, eta=tuned_eta(spec))
     cold = G.adsgd_solve(spec, cfg)
     ds, calls, rmatvec = spec.dataset, [], G.Dataset.rmatvec
+
+    def refuse(self, x):
+        raise AssertionError("a product with the whole design")
+
     monkeypatch.setattr(ds, "A", _Tripwire(ds.A))
+    monkeypatch.setattr(G.Dataset, "matvec", refuse)
     monkeypatch.setattr(G.Dataset, "rmatvec",
                         lambda self, v: calls.append(v.size) or rmatvec(self, v))
     warm = G.adsgd_solve(spec, cfg)
