@@ -4,8 +4,10 @@ Everything here is immutable after construction and safe to share across
 concurrent solver runs; the operations are pure functions of their inputs.
 A Dataset keeps the design constants that every solve would otherwise
 recompute (Dataset.memo), each a pure function of the design and its key,
-so concurrent solves at worst compute one twice, to the same bits. Every
-product with the whole design is Dataset.matvec's or Dataset.rmatvec's.
+so concurrent solves at worst compute one twice, to the same bits. The
+solvers' evaluations and the reference solver form their products with the
+whole design by Dataset.matvec and Dataset.rmatvec; the spectral bound's
+power iteration alone runs on scipy's operator (see Dataset.rmatvec).
 
 BlockPartition is the one block layout: the problem's partition, and the
 solvers' working design over the surviving blocks, are each one. The working
@@ -279,9 +281,6 @@ class SquaredLoss:
 
     name = "squared"
     curvature = 1.0
-    # f' is affine in z, so its values at a combination of points are that
-    # combination of its values there (reference_solve's momentum point)
-    affine = True
 
     def value(self, z, y):
         return 0.5 * (y - z) ** 2
@@ -305,7 +304,6 @@ class LogisticLoss:
 
     name = "logistic"
     curvature = 0.25
-    affine = False
 
     def value(self, z, y):
         return np.logaddexp(0.0, z) - y * z
@@ -322,13 +320,8 @@ class LogisticLoss:
         # finite only for u + y in [0, 1]; +inf signals an infeasible dual point
         t = np.asarray(u + y, dtype=np.float64)
         ok = (t >= -1e-12) & (t <= 1.0 + 1e-12)
-        if ok.all():  # as a scaled dual point always is: no masked copy
-            tc = np.clip(t, 0.0, 1.0)
-            return xlogy(tc, tc) + xlogy(1.0 - tc, 1.0 - tc)
-        out = np.full(t.shape, np.inf)
-        tc = np.clip(t[ok], 0.0, 1.0)
-        out[ok] = xlogy(tc, tc) + xlogy(1.0 - tc, 1.0 - tc)
-        return out
+        tc = np.clip(t, 0.0, 1.0)
+        return np.where(ok, xlogy(tc, tc) + xlogy(1.0 - tc, 1.0 - tc), np.inf)
 
     def validate_labels(self, y):
         if not np.all((y == 0.0) | (y == 1.0)):

@@ -159,7 +159,7 @@ iteration forms one A x per prox point tried (Dataset.matvec) and one A'g in
 the evaluation of the iterate (Dataset.rmatvec), each one call of scipy's
 compiled loop on the stored CSR arrays. Its extrapolated point y = x + beta
 (x - x_prev) takes A y as that combination of the last two products A x,
-and, where the loss derivative is affine (loss.affine: the squared loss),
+and, where the loss derivative is affine (the squared loss),
 its smooth gradient as that combination of the last two evaluations'
 gradients, mu_p's term included, so a Lasso iteration forms no other
 product. On the logistic loss a step from y forms one more A'g, at y, unless
@@ -1305,13 +1305,13 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     test. Each iteration forms one A x per prox point tried (Dataset.matvec)
     and one A'g in the evaluation of x (Dataset.rmatvec). At the
     extrapolated point y = xn + beta (xn - x), A y = A xn + beta (A xn - A x)
-    costs no product, and where loss.affine (the squared loss) neither does
-    the smooth gradient: it is the same combination of the two evaluations'
-    gradients, exact in real arithmetic, mu_p's term included. On the
-    logistic loss a step from y forms one more A'g there, unless y is x (a
-    restart, and a step from t = 1, where beta = 0, put y on x). The
-    support refinement runs on the dataset's working design, _compact over
-    every block, handed x on its columns: it gathers its model's columns
+    costs no product, and on the squared loss, whose f' is affine, neither
+    does the smooth gradient: it is the same combination of the two
+    evaluations' gradients, exact in real arithmetic, mu_p's term included.
+    On the logistic loss a step from y forms one more A'g there, unless y
+    is x (a restart, and a step from t = 1, where beta = 0, put y on x).
+    The support refinement runs on the dataset's working design, _compact
+    over every block, handed x on its columns: it gathers its model's columns
     from the dataset's column index (_columns), and one that returns a
     point forms its A x on that design (_matvec) and one more A'g.
     """
@@ -1361,11 +1361,11 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
 
         # on the first step, after a restart and after a step from t = 1 the
         # momentum point is the iterate, whose smooth gradient the evaluation
-        # already formed; where f' is affine, y's is the same combination of
-        # the last two evaluations' as y is of their points
+        # already formed; on the squared loss, whose f' is affine, y's is the
+        # same combination of the last two evaluations' as y is of their points
         if yv is x:
             grad = dp.gradient
-        elif spec.loss.affine:
+        elif spec.loss.name == "squared":
             grad = dp.gradient + beta * (dp.gradient - prev)
         else:
             grad = smooth_gradient(spec, yv, spec.loss.deriv(zy, y))
