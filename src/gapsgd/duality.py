@@ -23,7 +23,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .problem import _check_x, blockwise_dual_norms, primal_objective
+from .problem import _vector, blockwise_dual_norms, primal_objective
 
 
 @dataclasses.dataclass
@@ -163,16 +163,14 @@ def dual_point(spec, sample_grad, x=None):
     perturbation duals can be formed and scaled consistently.
     """
     ds = spec.dataset
-    g = np.asarray(sample_grad, dtype=np.float64)
-    if g.shape != (ds.n,):
-        raise ValueError(f"sample_grad has shape {g.shape}, expected ({ds.n},)")
+    g = _vector(sample_grad, ds.n, "sample_grad")
     corr = ds.rmatvec(g)
     gradient = corr / ds.n
     p = None
     if spec.mu_p > 0:
         if x is None:
             raise ValueError("x is required to build the dual point when mu_p > 0")
-        x = _check_x(spec, x)
+        x = _vector(x, ds.d, "x")
         gradient = gradient + 2.0 * spec.mu_p * x
         p = 2.0 * ds.n * spec.mu_p * x  # pseudo-sample derivatives
         corr = corr + p
@@ -245,14 +243,21 @@ def safe_radius(spec, gap):
     return math.sqrt(2.0 * spec.dataset.n * c * max(gap, 0.0))
 
 
-def _padded_gap(spec, evaluation):
-    """An evaluation's gap plus delta = (n + d) eps (|P| + |D|), the bound on
-    its rounding: P and D sum at most n + d terms of their order, so the
-    computed P - D may sit delta below the true gap, at or below 0 off the
-    optimum, where safe_radius would give 0. A non-finite gap stays so."""
-    obj, _, dp, gap = evaluation
+def _rounding(spec, *values):
+    """(n + d) eps (|v_1| + |v_2| + ...), the bound on the rounding of the
+    objectives and dual values given: each of P and D sums at most n + d
+    terms of its own order, so each computed value lies within (n + d) eps
+    of itself of the true one, and a difference of them within this sum."""
     ds = spec.dataset
-    return gap + (ds.n + ds.d) * np.finfo(np.float64).eps * (abs(obj) + abs(dp.value))
+    return (ds.n + ds.d) * np.finfo(np.float64).eps * sum(abs(v) for v in values)
+
+
+def _padded_gap(spec, evaluation):
+    """An evaluation's gap plus its rounding bound _rounding(P, D): the
+    computed P - D may sit that far below the true gap, at or below 0 off
+    the optimum, where safe_radius would give 0. A non-finite gap stays so."""
+    obj, _, dp, gap = evaluation
+    return gap + _rounding(spec, obj, dp.value)
 
 
 def screen(spec, dp, r, active, bounds):

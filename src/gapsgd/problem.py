@@ -4,10 +4,11 @@ Everything here is immutable after construction and safe to share across
 concurrent solver runs; the operations are pure functions of their inputs.
 A Dataset keeps the design constants that every solve would otherwise
 recompute (Dataset.memo), each a pure function of the design and its key,
-so concurrent solves at worst compute one twice, to the same bits. The
-solvers' evaluations and the reference solver form their products with the
-whole design by Dataset.matvec and Dataset.rmatvec; the spectral bound's
-power iteration alone runs on scipy's operator (see Dataset.rmatvec).
+so concurrent solves at worst compute one twice, to the same bits. Every
+product with the whole design, in the solvers' evaluations, the reference
+solver and the spectral bound's power iteration, is Dataset.matvec's or
+Dataset.rmatvec's; only the group-L2 screening bounds' block Gram matrices
+slice A (see Dataset.rmatvec).
 
 BlockPartition is the one block layout: the problem's partition, and the
 solvers' working design over the surviving blocks, are each one. The working
@@ -60,13 +61,14 @@ def _is_real(v):
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
-def _vector(v, size):
+def _vector(v, size, name):
     """v as a C-contiguous float64 vector of size entries, as the compiled
-    loops read it, copied only where it is not one; ValueError on any other
-    shape, since those loops check no bounds."""
+    loops read it, copied only where it is not one; ValueError naming it as
+    name on any other shape, since those loops check no bounds. The one
+    shape check of every vector the public functions take."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (size,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({size},)")
+        raise ValueError(f"{name} has shape {v.shape}, expected ({size},)")
     return np.ascontiguousarray(v)
 
 
@@ -123,9 +125,7 @@ class Dataset:
         self.A = a
         self.y = y
         if x_true is not None:
-            x_true = np.asarray(x_true, dtype=np.float64)
-            if x_true.shape != (d,):
-                raise ValueError(f"x_true has shape {x_true.shape}, expected {(d,)}")
+            x_true = _vector(x_true, d, "x_true")
             if not np.all(np.isfinite(x_true)):
                 raise ValueError("x_true holds non-finite values")
         self.x_true = x_true
@@ -141,7 +141,7 @@ class Dataset:
         checks no bounds, reads it."""
         a = self.A
         z = np.zeros(self.n)
-        csr_matvec(self.n, self.d, a.indptr, a.indices, a.data, _vector(x, self.d), z)
+        csr_matvec(self.n, self.d, a.indptr, a.indices, a.data, _vector(x, self.d, "x"), z)
         return z
 
     def rmatvec(self, v):
@@ -150,18 +150,18 @@ class Dataset:
         built and no operator dispatch. v must hold n real entries; a wrong
         length raises ValueError before the compiled loop reads it.
 
-        The spectral bound's power iteration alone runs on scipy's operator,
-        with a transposed view of its own built once per call. The support
-        refinement (of the screening solvers and the reference) takes its
-        columns from a working design's dense twin or from the dataset's
-        column index, the CSR of A' (memo key ("columns",)), not from A. The
-        group-L2 screening bounds' block Gram matrices use column slices of
-        A, formed once per dataset and partition (memo): a cold solve pays
-        for them, a later one on the same dataset and layout does not.
+        The spectral bound's power iteration runs on matvec and rmatvec too,
+        so no transposed matrix is built. The support refinement (of the
+        screening solvers and the reference) takes its columns from a working
+        design's dense twin or from the dataset's column index, the CSR of A'
+        (memo key ("columns",)), not from A. Only the group-L2 screening
+        bounds' block Gram matrices use column slices of A, formed once per
+        dataset and partition (memo): a cold solve pays for them, a later one
+        on the same dataset and layout does not.
         """
         a = self.A
         out = np.zeros(self.d)
-        csc_matvec(self.d, self.n, a.indptr, a.indices, a.data, _vector(v, self.n), out)
+        csc_matvec(self.d, self.n, a.indptr, a.indices, a.data, _vector(v, self.n, "v"), out)
         return out
 
     def memo(self, key, compute):
@@ -433,13 +433,6 @@ class LipschitzConstants:
     T: float
 
 
-def _check_x(spec, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.dataset.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({spec.dataset.d},)")
-    return x
-
-
 def smooth_value(spec, x, z):
     """mean_i f_i(z_i) + mu_p ||x||^2, where z = A x."""
     ds = spec.dataset
@@ -460,15 +453,15 @@ def smooth_gradient(spec, x, g):
 
 def primal_objective(spec, x, z=None):
     """mean_i f_i(a_i' x) + mu_p ||x||^2 + lam * Omega(x); z = A x if known."""
-    x = _check_x(spec, x)
+    x = _vector(x, spec.dataset.d, "x")
     z = spec.dataset.matvec(x) if z is None else z
     return smooth_value(spec, x, z) + spec.lam * spec.reg.value(x, spec.partition)
 
 
 def full_gradient(spec, x):
     """Gradient of the smooth part (loss mean plus the quadratic perturbation)."""
-    x = _check_x(spec, x)
     ds = spec.dataset
+    x = _vector(x, ds.d, "x")
     return smooth_gradient(spec, x, spec.loss.deriv(ds.matvec(x), ds.y))
 
 
@@ -522,10 +515,9 @@ def lipschitz_constants(spec):
 def blockwise_dual_norms(vec, partition, reg):
     """Omega_j^D(vec_Gj) for every block, for the L1 or the group-L2 penalty."""
     vec = np.asarray(vec, dtype=np.float64)
-    if isinstance(reg, GroupL2Penalty):
-        return np.sqrt(np.bincount(partition.block_of, weights=vec ** 2,
-                                   minlength=partition.q))
-    return np.maximum.reduceat(np.abs(vec)[partition.order], partition.offsets[:-1])
+    if reg.name == "l1":
+        return np.maximum.reduceat(np.abs(vec)[partition.order], partition.offsets[:-1])
+    return np.sqrt(np.bincount(partition.block_of, weights=vec ** 2, minlength=partition.q))
 
 
 def lambda_max(spec):

@@ -69,10 +69,12 @@ within the same budget, until the signs agree (the active-set move of
 feature-sign search: Lee, Battle, Raina & Ng, NeurIPS 2007). That prunes the
 coordinates of about 1e-9 that x_hat keeps off the optimum's support.
 
-The solve keeps its last refinement in a slot, its model's key and its
-result, a point or None, as Celer keeps its working set's solution. A row
-whose gap exceeds gap_tol, and an epoch's model check, offer their model to
-the slot by one rule (_into_slot): it is refined unless the slot holds it.
+The solve keeps its last refinement that found a point in a slot, its
+model's key and that point with its evaluation, as Celer keeps its working
+set's solution. A row whose gap exceeds gap_tol, and an epoch's model check,
+offer their model to the slot by one rule (_into_slot): it is refined unless
+the slot holds it. A refinement that finds no point leaves the slot as it
+was, so its model is offered again at its next row, from a nearer point.
 Inside the epoch the inner iterate's model is checked after every |W| steps,
 by the bytes of its signs or nonzero mask on the working columns, which W
 fixes, so each working block is drawn about once between two checks; a
@@ -190,10 +192,10 @@ import time
 
 import numpy as np
 
-from .duality import (ActiveSet, DualPoint, _padded_gap, column_bounds, evaluate, safe_radius,
-                       screen)
-from .problem import (BlockPartition, DegenerateProblemError, _check_x, _gather_rows,
-                      _is_count, _is_real, csc_matvec, csr_matvec, csr_row_index, csr_tocsc,
+from .duality import (ActiveSet, DualPoint, _padded_gap, _rounding, column_bounds, evaluate,
+                       safe_radius, screen)
+from .problem import (BlockPartition, DegenerateProblemError, _gather_rows, _is_count, _is_real,
+                      _vector, csc_matvec, csr_matvec, csr_row_index, csr_tocsc,
                       lipschitz_constants, primal_objective, smooth_gradient, smooth_value)
 
 
@@ -592,6 +594,15 @@ def _check_batch(spec, batch, block):
     return batch
 
 
+def _finite(spec, v, name):
+    """v as a vector of d entries (problem._vector); ValueError naming it as
+    name where an entry is not finite."""
+    v = _vector(v, spec.dataset.d, name)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     """One step's gradient on `block`, in feature ids: a one-step chunk of the
     engine's epoch plan on the dataset's working design, run by _plan and
@@ -622,9 +633,7 @@ def partial_gradient(spec, x, batch, block):
     It is one step of the engine's plan, on a zero snapshot (_block_step). A
     non-finite x raises ValueError.
     """
-    x = _check_x(spec, x)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+    x = _finite(spec, x, "x")
     batch = _check_batch(spec, batch, block)
     return _block_step(spec, x, batch, block)
 
@@ -638,13 +647,8 @@ def vr_gradient(spec, x, x_tilde, mu_tilde, batch, block):
     of an epoch's step on the same point, snapshot, batch and block. A
     non-finite x, x_tilde or mu_tilde raises ValueError.
     """
-    mu_tilde = np.asarray(mu_tilde, dtype=np.float64)
-    if mu_tilde.shape != (spec.dataset.d,):
-        raise ValueError("mu_tilde must have length d")
-    x, x_tilde = _check_x(spec, x), _check_x(spec, x_tilde)
-    for name, v in (("x", x), ("x_tilde", x_tilde), ("mu_tilde", mu_tilde)):
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} must be finite")
+    x, x_tilde = _finite(spec, x, "x"), _finite(spec, x_tilde, "x_tilde")
+    mu_tilde = _finite(spec, mu_tilde, "mu_tilde")
     batch = _check_batch(spec, batch, block)
     return _block_step(spec, x, batch, block, x_tilde, mu_tilde)
 
@@ -741,11 +745,14 @@ def _refinable(spec, model):
 def _into_slot(spec, slot, model, work, v):
     """The slot after the model (_model) of the point v on work's columns is
     offered to it: (its key, _refined_certificate) where the model passes the
-    cost gate (_refinable) and the slot does not hold its key, else the same
-    slot object. The one rule of a row (_certify) and of a model check
-    (_epoch), so a model is refined at most once while the slot holds it."""
+    cost gate (_refinable), the slot does not hold its key and the refinement
+    finds a point, else the same slot object. The one rule of a row (_certify)
+    and of a model check (_epoch), so the slot holds only found points, and a
+    model whose refinement found none is offered again at its next row."""
     if slot[0] != model[0] and _refinable(spec, model):
-        return model[0], _refined_certificate(spec, work, v)
+        found = _refined_certificate(spec, work, v)
+        if found is not None:
+            return model[0], found
     return slot
 
 
@@ -756,8 +763,9 @@ def _certify(spec, v, evaluation, gap_tol, model, slot, work):
     epoch that produced it, evaluation x_hat's and model its model (_model).
     The starting row has no such design: work is None, and its x = 0 has an
     empty model, which the cost gate refuses before any design is read.
-    slot is the last refinement, (its model's key, its result). A row whose
-    gap exceeds gap_tol offers its model to the slot (_into_slot). Returns
+    slot is the last refinement that found a point, (its model's key, (x_r,
+    its evaluation)), or (None, None) before the first. A row whose gap
+    exceeds gap_tol offers its model to the slot (_into_slot). Returns
     (kept, slot): kept is (x_r, its evaluation) where the slot holds the
     refinement x_r of x_hat's model with P(x_r) < P(x_hat), the row's point
     and snapshot, uncopied as no point is written in place, else None.
@@ -766,18 +774,9 @@ def _certify(spec, v, evaluation, gap_tol, model, slot, work):
     if gap > gap_tol:
         slot = _into_slot(spec, slot, model, work, v)
         kept = slot[1]
-        if slot[0] == model[0] and kept is not None and kept[1][0] < obj:
+        if slot[0] == model[0] and kept[1][0] < obj:
             return kept, slot
     return None, slot
-
-
-# The rounding margin of an epoch row decided by its slot's refined point
-# (_epoch), as a fraction of the candidate's objective P(x). P(x) and the
-# dual value D are sums of at most n + d terms whose magnitudes are of the
-# order of the objectives, so each rounds by about (n + d) eps of them: below
-# 1e-9 up to n + d of a few million. A larger margin only decides fewer rows,
-# which then run the full restart, and changes no iterate.
-_ROUNDING = 1e-9
 
 
 def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sampling,
@@ -802,13 +801,13 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     the previous check's: W is fixed within the epoch, so they differ exactly
     where the models do. Where the same model has held at three checks in a
     row, it is offered to the slot, x_cur as it stands (_into_slot). Where
-    that refinement finds a point, certified or not, the epoch ends there: the
-    next row finds the refinement in the slot, and takes it where its
-    objective is the lower. An epoch whose refinements find no point takes
-    every step. Only the third check of a run can refine: at a later one the
-    slot already holds the model, or the gate refused it. Under a zero
-    _REFINE_COST no model passes the gate, so such an epoch takes every
-    step, as one that never screens.
+    that refinement finds a point, certified or not, the slot changes and
+    the epoch ends there: the next row finds the refinement in the slot, and
+    takes it where its objective is the lower. An epoch whose refinements
+    find no point leaves the slot as it was and takes every step; its next
+    row offers the model again. Only the third check of a run offers it.
+    Under a zero _REFINE_COST no model passes the gate, so such an epoch
+    takes every step, as one that never screens.
 
     The steps are planned in chunks, each gathering at most _CHUNK_ENTRIES
     entries and cut at the last step. A chunk makes one rng.integers call,
@@ -833,15 +832,21 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     Each candidate's A x is formed on work (_matvec). Where the slot holds a
     refined point x_r, both candidates hold the slot's model (their keys,
     taken on the working columns where their nonzeros lie, are the slot's),
-    and each one's
-    objective from that A x is finite and exceeds P(x_r) by more than
-    gap_tol plus _ROUNDING of itself, the row is decided: every gap is at
-    least P(x) - P* >= P(x) - P(x_r) (weak duality; Ndiaye, Fercoq, Gramfort
-    & Salmon, JMLR 2017), so both gaps exceed gap_tol, and _certify would
-    keep x_r over whichever candidate won. The epoch then returns x_r and
-    its evaluation, uncopied, labelled "refined", and evaluates neither
-    candidate; the engine identifies that row as any row whose point is a
-    refined one. Otherwise _restart evaluates both, from the same A x.
+    and each one's objective P from that A x is finite and exceeds P(x_r) by
+    more than gap_tol plus _rounding(P, P, P(x_r)), the row is decided: both
+    gaps exceed gap_tol, so _certify would keep x_r over whichever candidate
+    won. The full restart would test the computed P - D, P being this P to
+    the bit (evaluate forms it from the same A x), and D <= P* <= P(x_r) by
+    weak duality (Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017). So that gap
+    falls below P - P(x_r) by at most the rounding of D and P(x_r), each
+    within (n + d) eps of itself (duality._rounding); P's own term covers
+    the comparisons'. D counts as |P|: objectives are at least 0, so P >
+    gap_tol here, a computed D below -P leaves a gap above 2 P, and one
+    above P is within its rounding of P. So the margin holds on every shape.
+    The epoch then returns x_r and its evaluation, uncopied, labelled
+    "refined", and evaluates neither candidate; the engine identifies that
+    row as any row whose point is a refined one. Otherwise _restart
+    evaluates both, from the same A x.
     """
     n, y, loss, mu_p = spec.dataset.n, spec.dataset.y, spec.loss, spec.mu_p
     prox, thresh = spec.reg.block_prox, eta * spec.lam
@@ -894,7 +899,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
             if held != 3:
                 continue
             last, slot = slot, _into_slot(spec, slot, _model(spec, wfeat, x_cur), work, x_cur)
-            if slot is not last and slot[1] is not None:
+            if slot is not last:  # the refinement found a point
                 taken = t
                 break
         del args  # release this chunk before the next is planned
@@ -912,7 +917,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
             _model(spec, wfeat, v)[0] == slot[0] for v in (x_sum, x_cur)):
         x_r, ev_r = slot[1]
         bar = ev_r[0] + gap_tol
-        if all(math.isfinite(obj) and obj - _ROUNDING * obj > bar
+        if all(math.isfinite(obj) and obj - _rounding(spec, obj, obj, ev_r[0]) > bar
                for obj in (primal_objective(spec, x, z) for x, z in cands)):
             return x_r, ev_r, "refined", updates, taken, slot
     return (*_restart(spec, *cands), updates, taken, slot)
@@ -948,7 +953,8 @@ def _engine(spec, config, *, block_sampling, screening):
     iterates = [] if config.keep_iterates else None
     coord_updates, converged, k = 0, False, 0
     radius, width, taken = math.inf, 0, 0
-    # the last row's model key; the last refinement, of a screening solve only
+    # the last row's model key; the last refinement that found a point, of a
+    # screening solve only
     key, slot = None, (None, None) if screening else None
     evaluation, restart = evaluate(spec, x_hat, np.zeros(spec.dataset.n)), "start"
     runaway = _RUNAWAY * evaluation[0]
@@ -1054,35 +1060,30 @@ def proxsvrg_solve(spec, config=None):
     return _engine(spec, config, block_sampling=False, screening=False)
 
 
-def _power_sigma(mat, iters, tol):
-    """Largest singular value by power iteration with a fixed start vector."""
-    k = mat.shape[1]
-    v = np.full(k, 1.0 / math.sqrt(k))
-    u = mat @ v
-    mat_t = mat.T
-    sigma = 0.0
-    for _ in range(iters):
-        w = mat_t @ u
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        u = mat @ v  # gives this iteration's sigma and the next one's A'u
-        new_sigma = float(np.linalg.norm(u))
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
-
-
 def _spectral_bound(spec):
     """Smoothness bound for full-gradient steps: c * sigma_max(A)^2 / n + 2 mu_p.
 
-    The power iteration approaches sigma_max(A) from below. No solver calls
-    this; the benchmark, the demos and the tests take step sizes from it.
+    sigma_max(A) comes from at most 60 power iterations from the uniform unit
+    vector on Dataset.matvec and rmatvec, one A'u and one A v each, that A v
+    also giving the next A'u; they stop where sigma moves by at most 1e-9 of
+    max(sigma, 1), or at 0 where A'u vanishes, and approach sigma_max(A)
+    from below. No solver calls this; the benchmark, the demos and the tests
+    take step sizes from it.
     """
-    sigma = _power_sigma(spec.dataset.A, iters=60, tol=1e-9)
-    base = spec.loss.curvature * sigma ** 2 / spec.dataset.n
+    ds = spec.dataset
+    u = ds.matvec(np.full(ds.d, 1.0 / math.sqrt(ds.d)))
+    sigma = 0.0
+    for _ in range(60):
+        w = ds.rmatvec(u)
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            sigma = 0.0
+            break
+        u = ds.matvec(w / nw)
+        sigma, last = float(np.linalg.norm(u)), sigma
+        if abs(sigma - last) <= 1e-9 * max(sigma, 1.0):
+            break
+    base = spec.loss.curvature * sigma ** 2 / ds.n
     return max(base, 1e-12) + 2.0 * spec.mu_p
 
 

@@ -22,7 +22,9 @@ DivergenceError), outer (the last outer iteration: the cap, or the row that
 diverged) and seconds (wall time of the solve, which varies between runs;
 it is the last field, so `cut -d' ' -f1-10` of two outputs diffs the rest).
 A last line starting with # counts the stops. BLAS runs on one thread
-unless OPENBLAS_NUM_THREADS is set. pytest does not collect this module.
+unless OPENBLAS_NUM_THREADS is set. pytest does not collect this module;
+tests/test_robustness_grid.py runs it whole and holds each (loss, penalty,
+step) cell to a floor of certified solves.
 """
 
 import argparse

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -204,6 +205,35 @@ def test_the_padded_gap_keeps_a_non_finite_gap():
     assert G.duality._padded_gap(spec, (1.0, None, dp, np.inf)) == np.inf
     dp.value = 0.5
     assert np.isnan(G.duality._padded_gap(spec, (1.0, None, dp, np.nan)))
+
+
+def test_the_rounding_bound_grows_with_n_plus_d_and_pads_the_gap():
+    """_rounding(spec, *values) is (n + d) eps (|v_1| + |v_2| + ...), which
+    grows in proportion to n + d at any size, where a fixed fraction such as
+    1e-9 of the values falls short past n + d of about 4.5 million.
+    _padded_gap adds it of the evaluation's P and D to the gap."""
+    eps = np.finfo(np.float64).eps
+
+    def spec_of(n, d):
+        return G.ProblemSpec(dataset=G.Dataset(sp.eye(n, d), np.zeros(n)),
+                             partition=G.BlockPartition.contiguous(d, 1),
+                             loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+
+    rounding = G.duality._rounding
+    for n, d in ((3, 5), (3, 13), (100, 412), (24, 4072), (1000, 2 ** 20 - 1000)):
+        spec = spec_of(n, d)
+        assert rounding(spec, 1.0) == (n + d) * eps
+        assert rounding(spec, 2.0, -3.0, 0.5) == 5.5 * (n + d) * eps
+        assert rounding(spec) == 0.0 and rounding(spec, -np.inf, 1.0) == np.inf
+    # the bound reads the shape alone, so a stand-in spec shows it at a size
+    # whose design this test does not build
+    big = types.SimpleNamespace(dataset=types.SimpleNamespace(n=2 ** 21, d=2 ** 22))
+    assert rounding(big, 1.0) == 3 * 2 ** -31 > 1e-9
+    spec = make_instance(seed=2, n=30, d=20, q=4)
+    x = np.full(20, 0.1)
+    ev = G.duality.evaluate(spec, x, spec.dataset.A @ x)
+    want = ev[3] + 50 * eps * (abs(ev[0]) + abs(ev[2].value))
+    assert G.duality._padded_gap(spec, ev) == want == ev[3] + rounding(spec, ev[0], ev[2].value)
 
 
 def _stacked(dp):

@@ -11,8 +11,7 @@ import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import _gather_rows, soft_threshold
 from gapsgd.solvers import (_CHUNK_ENTRIES, _columns, _compact, _one_pass_bound, _plan,
-                            _power_sigma, _resolve, _spectral_bound, inner_budget,
-                            step_gradient)
+                            _resolve, _spectral_bound, inner_budget, step_gradient)
 
 from conftest import (epoch_rows, hand_lasso, inert_screening, make_instance, spy_decided,
                       tuned_eta)
@@ -1466,13 +1465,13 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
     does, and a last row without an epoch, where the screen after such a row
     leaves exactly its point's nonzero blocks, holds the same point. Only
     the screening solvers refine or decide, and a refinement may find no
-    point. adsgd decides every epoch of these runs, so under an injection a
-    rounding margin of the whole objective keeps the check from deciding
+    point. adsgd decides every epoch of these runs, so under an injection an
+    infinite rounding margin keeps the check from deciding
     any, and each injected gap reaches _restart. batch_size 30 is the full
     batch."""
     spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
     if inject is not None:
-        monkeypatch.setattr(G.solvers, "_ROUNDING", 1.0)
+        monkeypatch.setattr(G.solvers, "_rounding", lambda spec, *values: math.inf)
     decided = spy_decided(monkeypatch)
     calls, evaluate = [], G.solvers.evaluate
     certs, certify = [], G.solvers._refined_certificate
@@ -1961,57 +1960,106 @@ def test_all_solvers_converge_with_conservative_step():
         assert rep.converged and rep.outer_iters <= 200, name
 
 
-def _power_sigma_two_products(mat, iters, tol):
-    """The power iteration as it was, forming mat @ v twice per iteration."""
+def _power_sigma(mat, iters, tol):
+    """The power iteration _spectral_bound ran on scipy's operator before it
+    ran on the Dataset products, kept as the oracle of its bits: one mat @ v
+    an iteration, plus the first, and one product with the transposed view.
+    Returns (sigma, the iterations run)."""
     k = mat.shape[1]
     v = np.full(k, 1.0 / math.sqrt(k))
+    u = mat @ v
+    mat_t = mat.T
     sigma = 0.0
     for it in range(1, iters + 1):
-        u = mat @ v
-        w = mat.T @ u
+        w = mat_t @ u
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0, it
         v = w / nw
-        new_sigma = float(np.linalg.norm(mat @ v))
+        u = mat @ v
+        new_sigma = float(np.linalg.norm(u))
         if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
             return new_sigma, it
         sigma = new_sigma
     return sigma, iters
 
 
-@pytest.mark.parametrize("seed, iters, tol", [(3, 60, 1e-9), (8, 60, 1e-9), (3, 7, 0.0)])
-def test_power_sigma_reuses_its_forward_product(monkeypatch, seed, iters, tol):
-    """One A v per iteration, plus the first: the same bits as forming it twice."""
-    a = make_instance(seed=seed, n=150, d=300, q=10).dataset.A
-    want, ran = _power_sigma_two_products(a, iters, tol)
+def _oracle_bound(spec):
+    """_spectral_bound's formula on the oracle's sigma, and its iterations."""
+    sigma, ran = _power_sigma(spec.dataset.A, 60, 1e-9)
+    base = spec.loss.curvature * sigma ** 2 / spec.dataset.n
+    return max(base, 1e-12) + 2.0 * spec.mu_p, ran
+
+
+def _empty_rows_and_columns_spec():
+    dense = np.random.default_rng(4).standard_normal((12, 9))
+    dense[[0, 5]] = 0.0  # empty rows, the first among them
+    dense[:, [2, 8]] = 0.0  # empty columns, the last among them
+    return build_spec(G.Dataset(dense, np.random.default_rng(4).standard_normal(12)),
+                      model="lasso", lambda_ratio=0.5, q=3)
+
+
+def _int64_spec(monkeypatch):
+    """A stored CSR that keeps 64-bit indices, as one past 2**31 entries does."""
+    spec = make_instance(seed=8, n=150, d=300, q=10)
+    wide = sp.csr_matrix(spec.dataset.A)
+    wide.indices, wide.indptr = wide.indices.astype(np.int64), wide.indptr.astype(np.int64)
+    monkeypatch.setattr(spec.dataset, "A", wide)
+    return spec
+
+
+SPECTRAL_CASES = {
+    "sparse": lambda mp: make_instance(seed=3, n=150, d=300, q=10),
+    "mu-p": lambda mp: make_instance(seed=8, n=150, d=300, q=10, mu_p=0.05),
+    "logistic-group-mu-p": lambda mp: make_instance(seed=5, n=60, d=40, model="logistic",
+                                                    reg="group_l2", mu_p=1e-3),
+    "int64": _int64_spec,
+    "empty-rows-and-columns": lambda mp: _empty_rows_and_columns_spec(),
+    # the start vector lies in A's null space: A'u vanishes at once
+    "null-start": lambda mp: build_spec(G.Dataset(np.array([[1.0, -1.0], [2.0, -2.0]]),
+                                                  np.array([1.0, 0.0])),
+                                        model="lasso", lambda_ratio=0.5, q=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPECTRAL_CASES))
+def test_spectral_bound_reuses_its_forward_product(monkeypatch, case):
+    """_spectral_bound runs the oracle's iteration on Dataset.matvec and
+    rmatvec, to the same bits: one A v an iteration, plus the first, and one
+    A'u an iteration."""
+    spec = SPECTRAL_CASES[case](monkeypatch)
+    want, ran = _oracle_bound(spec)
+    # the sparse designs run to the cap of 60 iterations, the others stop at
+    # the tolerance, or at once where A'u vanishes
+    capped = case in ("sparse", "mu-p", "int64")
+    assert (ran == 60) == capped and (ran == 1) == (case == "null-start")
     counts = {"forward": 0, "transposed": 0}
-    forward, transposed = type(a).__matmul__, type(a.T).__matmul__
+    matvec, rmatvec = G.Dataset.matvec, G.Dataset.rmatvec
 
     def counted(key, fn):
-        def wrapper(self, other):
+        def wrapper(self, v):
             counts[key] += 1
-            return fn(self, other)
+            return fn(self, v)
         return wrapper
 
-    monkeypatch.setattr(type(a), "__matmul__", counted("forward", forward))
-    monkeypatch.setattr(type(a.T), "__matmul__", counted("transposed", transposed))
-    got = _power_sigma(a, iters, tol)
-    assert got.hex() == want.hex()
-    assert counts == {"forward": ran + 1, "transposed": ran}
+    monkeypatch.setattr(G.Dataset, "matvec", counted("forward", matvec))
+    monkeypatch.setattr(G.Dataset, "rmatvec", counted("transposed", rmatvec))
+    assert _spectral_bound(spec).hex() == want.hex()
+    assert counts == {"forward": ran + (case != "null-start"), "transposed": ran}
 
 
-def test_power_sigma_transposes_once(monkeypatch):
-    a = make_instance(seed=3, n=150, d=300, q=10).dataset.A
-    calls, transpose = [], type(a).transpose
+def test_spectral_bound_builds_no_transposed_matrix(monkeypatch):
+    """No transposed matrix and no scipy product: the design's transpose,
+    matmul and dot all refuse, and the bound keeps the oracle's bits."""
+    spec = make_instance(seed=3, n=150, d=300, q=10)
+    want, _ = _oracle_bound(spec)
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return transpose(self, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the power iteration used scipy's operator")
 
-    monkeypatch.setattr(type(a), "transpose", counted)
-    _power_sigma(a, 60, 1e-9)
-    assert len(calls) == 1
+    for name in ("transpose", "__matmul__", "dot"):
+        monkeypatch.setattr(type(spec.dataset.A), name, refuse)
+    assert _spectral_bound(spec).hex() == want.hex()
 
 
 def test_spectral_bound_dominates_average_hessian():
@@ -2028,11 +2076,11 @@ def test_spectral_bound_dominates_average_hessian():
 # check, after 3 of its 6 steps, its safe set never shrinks, and its gap
 # drifts to about 1 by its 60th row (a step four times the tuned one is too
 # long for it). On the Lasso one a screen drops a block where the row's point
-# is nonzero, and it certifies in 7 rows. Each decides one epoch by its
+# is nonzero, and it certifies in 11 rows. Each decides one epoch by its
 # slot's refined point.
 def _long_step_runs():
     runs = []
-    for seed, model in ((49, "logistic"), (79, "lasso")):
+    for seed, model in ((49, "logistic"), (80, "lasso")):
         spec = make_instance(seed=seed, n=60, d=80, q=10, model=model, reg="group_l2")
         runs.append((spec, G.SolverConfig(seed=seed, gap_tol=1e-6, max_outer=60, m=60,
                                           batch_size=1, eta=tuned_eta(spec, 1.0),
@@ -2047,7 +2095,7 @@ def _pin_long_step_run(spec, rep, certifies):
     dropped_nonzero = any(np.isin(block_of[np.flatnonzero(x)], np.setdiff1d(a, b)).any()
                           for x, a, b in zip(rep.iterates, safe, safe[1:]))
     if certifies:
-        assert rep.converged and rep.outer_iters == 7 and dropped_nonzero
+        assert rep.converged and rep.outer_iters == 11 and dropped_nonzero
         assert rep.active_history[-1].size < spec.partition.q
     else:
         assert not rep.converged and rep.outer_iters == 60 and not dropped_nonzero
@@ -2265,7 +2313,6 @@ def test_reference_certifies_without_a_power_iteration(monkeypatch, build):
     def refuse(*args, **kwargs):
         raise AssertionError("the reference solve ran a power iteration")
 
-    monkeypatch.setattr(G.solvers, "_power_sigma", refuse)
     monkeypatch.setattr(G.solvers, "_spectral_bound", refuse)
     rep = G.reference_solve(spec, tol=1e-10)
     assert rep.converged and rep.gap <= 1e-10
@@ -2956,22 +3003,24 @@ def test_a_model_is_refined_on_the_row_where_it_first_appears(monkeypatch):
     assert np.array_equal(rep.x_final, calls[-1][2])
 
 
-def test_a_model_whose_refinement_found_no_point_is_not_refined_again(monkeypatch):
-    """A row refines x_hat's model only where the slot does not hold it, so a
-    model whose refinement found no point is not refined again while it
-    lasts, however far the row's gap falls. Here the first try, at x_hat's
-    gap g, finds no point and leaves (model, None) in the slot. At gaps of
-    g / 5, g / 20 and g / 1000 _certify then makes no refinement, keeps x_hat
-    and returns the slot unchanged. On this logistic group-L2 instance at
-    lam = 0.25 lam_max, a point 5% off the optimum stands for x_hat, and a
-    second try would find a point of lower objective."""
+def test_a_model_whose_refinement_found_no_point_is_offered_again_at_its_next_row(
+        monkeypatch):
+    """The slot holds only found points, so a model whose refinement found no
+    point is offered again at its next row. Here the first try, at x_hat's
+    gap g, finds no point: _certify keeps x_hat and returns the slot it was
+    given, the same object. At gap g / 5 the same model is refined again,
+    finds a point of lower objective, and the row takes it. At g / 20 the
+    slot holds that model's point, so no refinement runs and the row takes
+    the slot's point. On this logistic group-L2 instance at lam = 0.25
+    lam_max, a point 5% off the optimum stands for x_hat."""
     spec = make_instance(seed=22, n=200, d=100, q=10, model="logistic", reg="group_l2",
                          support=3, ratio=0.25)
     x = 1.05 * G.reference_solve(spec, tol=1e-12).x_final
     evaluation = G.solvers.evaluate(spec, x, spec.dataset.A @ x)
     work = _whole(spec)
     gap, model = evaluation[3], G.solvers._model(spec, work.features, x[work.features])
-    assert _certificate(spec, x, work)[1][0] < evaluation[0]
+    want = _certificate(spec, x, work)
+    assert want[1][0] < evaluation[0]
     calls, refine = [], G.solvers._refine_support
 
     def spied(spec, work, v):  # the first try finds no point
@@ -2980,14 +3029,16 @@ def test_a_model_whose_refinement_found_no_point_is_not_refined_again(monkeypatc
 
     monkeypatch.setattr(G.solvers, "_refine_support", spied)
     v = x[work.features]
-    kept, slot = G.solvers._certify(spec, v, evaluation, 1e-12, model, (None, None), work)
-    assert len(calls) == 1 and kept is None and slot == (_key(spec, x), None)
-    for row_gap in (gap / 5.0, gap / 20.0, gap / 1000.0):
-        assert row_gap > 1e-12
-        out = G.solvers._certify(spec, v, (*evaluation[:3], row_gap), 1e-12, model, slot,
-                                 work)
-        assert len(calls) == 1 and out == (None, slot)
-    assert slot == (_key(spec, x), None)
+    empty = (None, None)
+    kept, slot = G.solvers._certify(spec, v, evaluation, 1e-12, model, empty, work)
+    assert len(calls) == 1 and kept is None and slot is empty
+    kept, slot = G.solvers._certify(spec, v, (*evaluation[:3], gap / 5.0), 1e-12, model,
+                                    slot, work)
+    assert len(calls) == 2 and slot[0] == _key(spec, x) and kept is slot[1]
+    assert kept[0].tobytes() == want[0].tobytes() and kept[1][0] == want[1][0]
+    out = G.solvers._certify(spec, v, (*evaluation[:3], gap / 20.0), 1e-12, model, slot,
+                             work)
+    assert len(calls) == 2 and out[0] is kept and out[1] is slot
 
 
 def test_rows_and_model_checks_refine_through_one_slot_rule(monkeypatch):
@@ -3288,8 +3339,8 @@ def _same_solve(a, b):
 def test_a_decided_row_is_the_row_the_full_restart_gives(monkeypatch, case):
     """The slot's refined point decides a row (_epoch) only where the full
     restart and _certify would give that row the same point: adsgd with the
-    check shipped and with a rounding margin of the whole objective, under
-    which the check decides nothing and every epoch evaluates both
+    check shipped and with an infinite rounding margin, under which the
+    check decides nothing and every epoch evaluates both
     candidates, gives the same bits, at lam / lam_max 0.5, 0.25 and 0.1, on
     L1 and group-L2, with mu_p > 0, a full batch and scattered partitions;
     some rows of each case are decided."""
@@ -3303,7 +3354,7 @@ def test_a_decided_row_is_the_row_the_full_restart_gives(monkeypatch, case):
                              batch_size=spec.dataset.n if full_batch else None,
                              keep_iterates=True)
         with monkeypatch.context() as patched:
-            patched.setattr(G.solvers, "_ROUNDING", 1.0)
+            patched.setattr(G.solvers, "_rounding", lambda spec, *values: math.inf)
             full = G.adsgd_solve(spec, cfg)
         assert full.converged and all(slot is None for slot in decided)
         decided.clear()
@@ -3314,9 +3365,9 @@ def test_a_decided_row_is_the_row_the_full_restart_gives(monkeypatch, case):
 
 
 def test_a_row_within_the_margin_or_not_finite_runs_the_full_restart(monkeypatch):
-    """The check decides a row only where both candidates' objectives are
-    finite and exceed P(x_r) by more than gap_tol plus _ROUNDING of
-    themselves. An epoch of 50 steps from 1.05 x* on this Lasso instance,
+    """The check decides a row only where both candidates' objectives P are
+    finite and exceed P(x_r) by more than gap_tol plus the rounding margin
+    _rounding(P, P, P(x_r)). An epoch of 50 steps from 1.05 x* on this Lasso instance,
     with the refinement gate shut so that it refines nothing of its own,
     gives two candidates of x*'s model, and the slot holds the refinement
     x_r of that model. With gap_tol a margin below the most it may be, the
@@ -3347,8 +3398,8 @@ def test_a_row_within_the_margin_or_not_finite_runs_the_full_restart(monkeypatch
     assert full[2] in ("average", "last") and full[4] == 50
     assert all(_key(spec, x) == model for x, _ in cands)
     objs = [G.primal_objective(spec, x) for x, _ in cands]
-    margin = G.solvers._ROUNDING * min(objs)
-    most = min(obj - G.solvers._ROUNDING * obj for obj in objs) - ev_r[0]
+    margin = G.duality._rounding(spec, min(objs), min(objs), ev_r[0])
+    most = min(obj - G.duality._rounding(spec, obj, obj, ev_r[0]) for obj in objs) - ev_r[0]
     assert most > 1e3 * margin
 
     def same(out):
