@@ -23,7 +23,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .problem import _vector, blockwise_dual_norms, primal_objective
+from .problem import _cut, _vector, blockwise_dual_norms, primal_objective
 
 
 @dataclasses.dataclass
@@ -81,14 +81,15 @@ class ActiveSet:
 _GRAM_ENTRIES = 2048 ** 2
 
 
-def _gram_sigma(a, idx):
+def _gram_sigma(ds, idx):
     """sigma_max(A_j), rounded up, for each block j of one size class.
 
-    Row i of the (k, s) array idx lists the columns of block i. The stored
-    entries of a row are cut into (row, block) pieces, and the pieces are
-    stacked as the rows of F, so F'F is block-diagonal with A_j'A_j on its
-    diagonal. Each block's largest eigenvalue then comes from a dense s x s
-    eigensolve, at O(nnz + within-block pairs) cost and k s^2 memory.
+    Row i of the (k, s) array idx lists the columns of block i of the dataset
+    ds, read by problem._cut. The entries of a row are cut into (row, block)
+    pieces, and the pieces are stacked as the rows of F, so F'F is
+    block-diagonal with A_j'A_j on its diagonal. Each block's largest
+    eigenvalue then comes from a dense s x s eigensolve, at O(nnz +
+    within-block pairs) cost and k s^2 memory.
     column_bounds bounds k s^2 by _GRAM_ENTRIES.
 
     Rounding allowance, with eps the unit roundoff and F_j = ||A_j||_F^2:
@@ -103,18 +104,17 @@ def _gram_sigma(a, idx):
     add and square root, since F_j >= sigma_max^2.
     """
     k, s = idx.shape
-    sub = a[:, idx.ravel()].sorted_indices()  # a column fancy index may leave rows unsorted
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(sub.indptr))
-    piece = rows * k + sub.indices // s  # entries of one piece are adjacent
+    indptr, cols, vals = _cut(ds, idx.ravel())
+    rows = np.repeat(np.arange(ds.n), np.diff(indptr))
+    piece = rows * k + cols // s  # entries of one piece are adjacent
     starts = np.flatnonzero(np.diff(piece, prepend=-1))
-    f = sp.csr_matrix((sub.data, sub.indices, np.append(starts, piece.size)),
-                      shape=(starts.size, k * s))
+    f = sp.csr_matrix((vals, cols, np.append(starts, piece.size)), shape=(starts.size, k * s))
     gram = (f.T @ f).tocoo()
     dense = np.zeros((k, s, s))
     dense[gram.row // s, gram.row % s, gram.col % s] = gram.data
     top = np.linalg.eigvalsh(dense)[:, -1]
     frob = np.trace(dense, axis1=1, axis2=2)
-    slack = 2.0 * (a.shape[0] + s) * np.finfo(np.float64).eps * frob
+    slack = 2.0 * (ds.n + s) * np.finfo(np.float64).eps * frob
     return np.sqrt(np.maximum(top + slack, 0.0))
 
 
@@ -127,8 +127,9 @@ def column_bounds(spec):
     rely on it as an upper bound. That costs a dense s x s Gram and an O(s^3)
     eigensolve per block of s columns, so blocks wider than 2048 columns are
     rejected with a ValueError before any work; split such blocks (a larger
-    q) to screen. The bounds are computed once per dataset, penalty and
-    partition layout, and returned read-only.
+    q) to screen. The group-L2 columns come from the column index, built by
+    the first call that needs it. The bounds are computed once per dataset,
+    penalty and partition layout, and returned read-only.
     """
     part, reg, ds = spec.partition, spec.reg, spec.dataset
     if reg.name != "l1":
@@ -147,7 +148,7 @@ def column_bounds(spec):
             for ids, idx, _ in part.classes:
                 step = _GRAM_ENTRIES // idx.shape[1] ** 2
                 for lo in range(0, ids.size, step):
-                    out[ids[lo:lo + step]] = _gram_sigma(ds.A, idx[lo:lo + step])
+                    out[ids[lo:lo + step]] = _gram_sigma(ds, idx[lo:lo + step])
         out.flags.writeable = False
         return out
 

@@ -5,10 +5,9 @@ concurrent solver runs; the operations are pure functions of their inputs.
 A Dataset keeps the design constants that every solve would otherwise
 recompute (Dataset.memo), each a pure function of the design and its key,
 so concurrent solves at worst compute one twice, to the same bits. Every
-product with the whole design, in the solvers' evaluations, the reference
-solver and the spectral bound's power iteration, is Dataset.matvec's or
-Dataset.rmatvec's; only the group-L2 screening bounds' block Gram matrices
-slice A (see Dataset.rmatvec).
+product with the whole design is Dataset.matvec's or Dataset.rmatvec's, and
+every read of its columns is _cut's or _column_rows', from one column index
+per dataset: no module outside this one takes a column of A.
 
 BlockPartition is the one block layout: the problem's partition, and the
 solvers' working design over the surviving blocks, are each one. The working
@@ -26,6 +25,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import mmap
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,8 +33,8 @@ from scipy.special import expit, xlogy
 
 # scipy's compiled CSR loops, from its private module scipy.sparse._sparsetools
 # (checked against scipy 1.17), imported here alone: Dataset.matvec and
-# Dataset.rmatvec, the row gather _gather_rows, the sparse step kernel
-# solvers.step_gradient and the cuts of solvers._compact run on them. They
+# Dataset.rmatvec, the row gather _gather_rows, the column reads _column_rows
+# and _cut and the sparse step kernel solvers.step_gradient run on them. They
 # check no bounds, so every index array they get comes from the dataset's
 # CSR, a working design, the column index or a batch that passed
 # solvers._check_batch, in one index type a call, and every vector they read
@@ -149,15 +149,6 @@ class Dataset:
         CSC of A' into zeros: the bits of A.T @ v, with no transposed matrix
         built and no operator dispatch. v must hold n real entries; a wrong
         length raises ValueError before the compiled loop reads it.
-
-        The spectral bound's power iteration runs on matvec and rmatvec too,
-        so no transposed matrix is built. The support refinement (of the
-        screening solvers and the reference) takes its columns from a working
-        design's dense twin or from the dataset's column index, the CSR of A'
-        (memo key ("columns",)), not from A. Only the group-L2 screening
-        bounds' block Gram matrices use column slices of A, formed once per
-        dataset and partition (memo): a cold solve pays for them, a later one
-        on the same dataset and layout does not.
         """
         a = self.A
         out = np.zeros(self.d)
@@ -472,15 +463,67 @@ def _gather_rows(indptr, entries, batch):
     Row r's entries are entries[k][indptr[r]:indptr[r + 1]], and batch is one
     batch of row indices or a (c, b) array of c batches, intp and in [0, n),
     since the compiled loop checks no bounds. Returns (cols, vals, rp): the
-    rows' entries, row i of the flattened batch holding [rp[i], rp[i + 1]).
-    Repeated rows are kept (weighted sampling).
+    rows' entries, row i of the flattened batch holding [rp[i], rp[i + 1]),
+    cols and rp in the design's index type. Repeated rows are kept (weighted
+    sampling), so a batch may gather more entries than the design stores:
+    where they would pass its index type's range, the gather runs in intp.
     """
     rows = batch.ravel()
     rp = np.zeros(rows.size + 1, dtype=np.intp)
     np.cumsum(indptr[rows + 1] - indptr[rows], out=rp[1:])
-    cols, vals = np.empty(rp[-1], dtype=np.intp), np.empty(rp[-1])
-    csr_row_index(rows.size, rows, indptr, entries[0], entries[1], cols, vals)
-    return cols, vals, rp
+    index = indptr.dtype if rp[-1] <= np.iinfo(indptr.dtype).max else np.intp
+    rows, rp, indptr, cols = (v.astype(index, copy=False) for v in (rows, rp, indptr, entries[0]))
+    out, vals = np.empty(rp[-1], dtype=index), np.empty(rp[-1])
+    csr_row_index(rows.size, rows, indptr, cols, entries[1], out, vals)
+    return out, vals, rp
+
+
+def _column_index(a):
+    """The CSR of A' as (indptr, indices, data), read-only: A.tocsc()'s arrays,
+    by the same csr_tocsc call. They live in an anonymous memory mapping of
+    their own: on the malloc heap they took the space that a new dataset's
+    transient arrays reuse while it is built, and each set-up of the
+    benchmark's lasso-tall then grew and trimmed the heap top, 584 page
+    faults and about a sixth more time a set-up."""
+    (n, d), nnz, index = a.shape, a.nnz, a.indices.dtype
+    buf = mmap.mmap(-1, 8 * nnz + index.itemsize * (nnz + d + 1))
+    data = np.frombuffer(buf, np.float64, nnz)
+    indices = np.frombuffer(buf, index, nnz, 8 * nnz)
+    indptr = np.frombuffer(buf, index, d + 1, (8 + index.itemsize) * nnz)
+    csr_tocsc(n, d, a.indptr, a.indices, a.data, indptr, indices, data)
+    for arr in (indptr, indices, data):
+        arr.flags.writeable = False
+    return indptr, indices, data
+
+
+def _column_rows(ds, ids):
+    """(rp, rows, vals): the dataset's columns ids, in that order, as the rows
+    of a (k, n) CSR in the column index's index type, column ids[j] holding
+    [rp[j], rp[j + 1]) with their row ids in increasing order. One
+    csr_row_index call gathers them from the column index, the CSR of A',
+    kept with the dataset (memo key ("columns",)) from the first read that
+    needs it: the stored index type, int32 while it fits, 12 bytes per
+    stored entry and 4 per column."""
+    indptr, indices, data = ds.memo(("columns",), lambda: _column_index(ds.A))
+    ids = ids.astype(indptr.dtype)  # the compiled loop takes one index type
+    rp = np.zeros(ids.size + 1, dtype=indptr.dtype)
+    np.cumsum(indptr[ids + 1] - indptr[ids], out=rp[1:])
+    rows, vals = np.empty(rp[-1], dtype=indptr.dtype), np.empty(rp[-1])
+    csr_row_index(ids.size, ids, indptr, indices, data, rows, vals)
+    return rp, rows, vals
+
+
+def _cut(ds, ids):
+    """(indptr, cols, vals): A[:, ids] as CSR in the stored index type, each
+    row's entries in increasing position in ids: the columns gathered from
+    the column index (_column_rows), at a cost in their entries and n, then
+    transposed by csr_tocsc. The working designs' cuts and the group-L2 Gram
+    slices (duality._gram_sigma) read A's columns here."""
+    rp, rows, vals = _column_rows(ds, ids)
+    indptr = np.empty(ds.n + 1, dtype=rp.dtype)
+    cols, kept = np.empty(rows.size, dtype=rp.dtype), np.empty(rows.size)
+    csr_tocsc(ids.size, ds.n, rp, rows, vals, indptr, cols, kept)
+    return indptr, cols, kept
 
 
 def lipschitz_constants(spec):

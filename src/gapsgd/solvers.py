@@ -121,26 +121,27 @@ _compact builds the dataset's working design over every block, and _plan
 and step_gradient take the batch and block as a chunk of one step.
 partial_gradient is the same step on a zero snapshot.
 
-The working design is plain CSR over a set of block ids: the row pointers
-plus one array each of the column and value of every stored entry, in CSR
-order, with its columns numbered block by block: block ib of its layout is
-the column range offsets[ib]:offsets[ib + 1], and features maps each column
-to its feature. A contiguous partition is already in that order; a
-scattered one is renumbered. An epoch's design is built only where its
-blocks differ from the last epoch's (_compact): over every block from the
-dataset's CSR, over fewer cut from one column index per dataset, the CSR of
-A', at a cost in the kept entries and n. The safe set is only block ids: a
-screening solve cuts a design for each epoch's W, or for the safe set where
-W falls back to it, and builds none over every block unless an epoch runs
-on every block. The inner loop runs in those working columns: the iterate,
-snapshot, snapshot gradient and running average hold one entry per feature
-of W, gathered from and scattered back to feature ids through features,
-and each sampled row contributes only its entries in W. That is where
-screening and the working set cut the cost of a step, not just the number
-of steps. Coordinates off W are exact zeros, and a cut keeps each row's
-entries in their CSR order, so it removes only vals * 0.0 terms from the
-row sums. Every step gathers its batch's rows, a full batch (batch_size ==
-n) being the batch of every row.
+The working design is plain CSR over a set of block ids, in the stored index
+type: the row pointers plus one array each of the column and value of every
+stored entry, in CSR order, with its columns numbered block by block: block
+ib of its layout is the column range offsets[ib]:offsets[ib + 1], and
+features maps each column to its feature. A contiguous partition is already
+in that order; a scattered one is renumbered. An epoch's design is built
+only where its blocks differ from the last epoch's (_compact): over every
+block of a contiguous partition it is the dataset's CSR arrays themselves;
+any other is cut from one column index per dataset, the CSR of A'
+(problem._cut), at a cost in the kept entries and n. The safe set is only
+block ids: a screening solve cuts a design for each epoch's W, or for the
+safe set where W falls back to it, and builds none over every block unless
+an epoch runs on every block. The inner loop runs in those working columns:
+the iterate, snapshot, snapshot gradient and running average hold one entry
+per feature of W, gathered from and scattered back to feature ids through
+features, and each sampled row contributes only its entries in W. That is
+where screening and the working set cut the cost of a step, not just the
+number of steps. Coordinates off W are exact zeros, and a cut keeps each
+row's entries in their CSR order, so it removes only vals * 0.0 terms from
+the row sums. Every step gathers its batch's rows, a full batch (batch_size
+== n) being the batch of every row.
 
 Each working design is stored by its own density. One that holds at least
 _RHO * n * p entries over its p columns also has a dense twin, an (n, p)
@@ -167,10 +168,10 @@ gradients, mu_p's term included, so a Lasso iteration forms no other
 product. On the logistic loss a step from y forms one more A'g, at y, unless
 y is the iterate, as after a restart or a step from t = 1 (beta = 0). Its L1
 stop row is refined by the screening solves' own _refined_certificate, kept
-where its gap is smaller, on the dataset's working design, handed the
-iterate on its columns: the refinement gathers its model's columns from the
-column index, with no twin built, and forms the refined point's A x on that
-design.
+where its gap is smaller, on the working design over every block (the
+dataset's CSR arrays, or a cut on a scattered partition), handed the iterate
+on its columns: the refinement gathers its model's columns from the column
+index, with no twin built, and forms the refined point's A x on that design.
 
 The full-vector solver proxsvrg and the reference solver make one penalty
 prox call per step. For group-L2 it shrinks every block of one size with a
@@ -187,16 +188,15 @@ that set-up too.
 import dataclasses
 import functools
 import math
-import mmap
 import time
 
 import numpy as np
 
 from .duality import (ActiveSet, DualPoint, _padded_gap, _rounding, column_bounds, evaluate,
                        safe_radius, screen)
-from .problem import (BlockPartition, DegenerateProblemError, _gather_rows, _is_count, _is_real,
-                      _vector, csc_matvec, csr_matvec, csr_row_index, csr_tocsc,
-                      lipschitz_constants, primal_objective, smooth_gradient, smooth_value)
+from .problem import (BlockPartition, DegenerateProblemError, _column_rows, _cut, _gather_rows,
+                      _is_count, _is_real, _vector, csc_matvec, csr_matvec, lipschitz_constants,
+                      primal_objective, smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -262,8 +262,7 @@ class TraceRecord:
     last "refined" row may also follow straight after the screen of a
     "refined" row that left exactly x_r's blocks: it holds the same x_r, ran
     no epoch, so its working_blocks and inner_steps are 0, and its safe set
-    and radius are that screen's. refined_dual is restart == "refined" in
-    every solver, kept as a trace CSV column: the gap comes from a support
+    and radius are that screen's; a "refined" row's gap comes from a support
     refinement's point and its dual point. identified is True where a
     screening solve has identified the row's model: the safe set holds
     exactly the nonzero blocks of the row's point, and, where that point is
@@ -283,7 +282,6 @@ class TraceRecord:
     radius: float = math.inf
     working_blocks: int = 0
     restart: str = "start"
-    refined_dual: bool = False
     identified: bool = False
     inner_steps: int = 0
 
@@ -387,11 +385,11 @@ class _Working:
     `blocks`, in increasing id, and each block's features in increasing
     order, so block ib of the layout, block blocks[ib], is the columns
     layout.offsets[ib]:layout.offsets[ib + 1]. entries holds (cols, vals) of
-    every stored entry in CSR order, cols as intp, and row r's entries are
-    [indptr[r], indptr[r + 1]): plain CSR, 16 bytes per stored entry, the
-    arrays of scipy's A[:, features]. While every block is kept and the
-    partition is contiguous, layout is spec.partition itself. _compact
-    builds it, from the dataset's CSR or its column index.
+    every stored entry in CSR order, and row r's entries are [indptr[r],
+    indptr[r + 1]): plain CSR in the stored index type, 12 bytes per stored
+    entry with int32 indices, the arrays of scipy's A[:, features]. While
+    every block of a contiguous partition is kept, they are the dataset's
+    CSR arrays and layout is spec.partition itself. _compact builds it.
     """
 
     blocks: np.ndarray
@@ -419,94 +417,50 @@ class _Working:
 def _compact(spec, blocks):
     """Working design of the increasing block ids `blocks`.
 
-    Over every block it is the dataset's CSR, its column indices as intp and
-    renumbered block by block, which leaves a contiguous partition's columns
-    as they are. Over fewer it is cut from the dataset's column index
-    (_column_rows), at a cost in the kept entries and n, not the dataset's
-    entries: the kept features' columns, gathered in increasing feature id,
-    are transposed by csr_tocsc, so each row holds its kept entries in their
-    CSR order and every row and block sum adds the same products in the same
-    order. Their columns are then renumbered to the blocks' order, the
-    identity where the kept features rise, as on a contiguous partition.
-    Each design has a dense twin when it is at least _RHO dense
-    (_Working.dense).
+    Over every block of a contiguous partition it is the dataset's CSR
+    arrays themselves, not a copy. Any other is cut (problem._cut): the kept
+    features' columns, taken in increasing feature id, so each row holds its
+    kept entries in their CSR order and every row and block sum adds the
+    same products in the same order. Their columns are then renumbered to
+    the blocks' order, the identity where the kept features rise, as on a
+    contiguous partition. Every design keeps the stored index type. Each
+    design has a dense twin when it is at least _RHO dense (_Working.dense).
     """
     part, ds = spec.partition, spec.dataset
-    if blocks.size == part.q:
+    if blocks.size == part.q and not np.any(np.diff(part.order) < 0):
         a = ds.A
-        cols, layout = a.indices.astype(np.intp), part
-        if np.any(np.diff(part.order) < 0):  # scattered blocks: number them in order
-            rank = np.empty(part.d, dtype=np.intp)
-            rank[part.order] = np.arange(part.d)
-            cols, layout = rank[cols], BlockPartition.from_sizes(part.sizes)
-        return _Working(blocks=blocks, features=part.order, indptr=a.indptr.astype(np.intp),
-                        entries=(cols, a.data), layout=layout)
+        return _Working(blocks=blocks, features=part.order, indptr=a.indptr,
+                        entries=(a.indices, a.data), layout=part)
     sizes = part.sizes[blocks]
     ends = np.cumsum(sizes)
     features = part.order[np.arange(ends[-1]) + np.repeat(part.offsets[blocks] - ends + sizes,
                                                           sizes)]
     # the working column of each kept feature in increasing id, where they do not rise
     order = np.argsort(features) if np.any(np.diff(features) < 0) else None
-    rp, rows, vals = _column_rows(ds, features if order is None else features[order])
-    indptr, cols = np.empty(ds.n + 1, dtype=rp.dtype), np.empty(rows.size, dtype=rp.dtype)
-    kept = np.empty(rows.size)
-    csr_tocsc(features.size, ds.n, rp, rows, vals, indptr, cols, kept)
-    cols = cols.astype(np.intp) if order is None else order[cols]
-    return _Working(blocks=blocks, features=features, indptr=indptr.astype(np.intp),
-                    entries=(cols, kept), layout=BlockPartition.from_sizes(sizes))
-
-
-def _column_rows(ds, ids):
-    """(rp, rows, vals): the dataset's columns ids, in that order, as the rows
-    of a (k, n) CSR in the column index's index type, column ids[j] holding
-    [rp[j], rp[j + 1]) with their row ids in increasing order. One
-    csr_row_index call gathers them from the column index, the CSR of A',
-    kept with the dataset (memo key ("columns",)) from the first cut or
-    refinement that needs it: int32 indices while they fit, 12 bytes per
-    stored entry and 4 per column."""
-    indptr, indices, data = ds.memo(("columns",), lambda: _column_index(ds.A))
-    ids = ids.astype(indptr.dtype)  # the compiled loop takes one index type
-    rp = np.zeros(ids.size + 1, dtype=indptr.dtype)
-    np.cumsum(indptr[ids + 1] - indptr[ids], out=rp[1:])
-    rows, vals = np.empty(rp[-1], dtype=indptr.dtype), np.empty(rp[-1])
-    csr_row_index(ids.size, ids, indptr, indices, data, rows, vals)
-    return rp, rows, vals
-
-
-def _column_index(a):
-    """The CSR of A' as (indptr, indices, data), read-only: A.tocsc()'s arrays,
-    by the same csr_tocsc call. They live in an anonymous memory mapping of
-    their own: on the malloc heap they took the space that a new dataset's
-    transient arrays reuse while it is built, and each set-up of the
-    benchmark's lasso-tall then grew and trimmed the heap top, 584 page
-    faults and about a sixth more time a set-up."""
-    (n, d), nnz, index = a.shape, a.nnz, a.indices.dtype
-    buf = mmap.mmap(-1, 8 * nnz + index.itemsize * (nnz + d + 1))
-    data = np.frombuffer(buf, np.float64, nnz)
-    indices = np.frombuffer(buf, index, nnz, 8 * nnz)
-    indptr = np.frombuffer(buf, index, d + 1, (8 + index.itemsize) * nnz)
-    csr_tocsc(n, d, a.indptr, a.indices, a.data, indptr, indices, data)
-    for arr in (indptr, indices, data):
-        arr.flags.writeable = False
-    return indptr, indices, data
+    indptr, cols, vals = _cut(ds, features if order is None else features[order])
+    if order is not None:
+        cols = order.astype(cols.dtype)[cols]
+    return _Working(blocks=blocks, features=features, indptr=indptr,
+                    entries=(cols, vals), layout=BlockPartition.from_sizes(sizes))
 
 
 # Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
-# about 16 bytes per entry at its peak, the gathered columns and values, for
-# block and full-vector steps alike (tracemalloc, 1000 x 5000, 20000 and
-# 100000 designs at 2%), so a chunk peaks near 0.5 MB, and at batch 10 it
-# spreads the per-chunk calls over 25-80 steps on rows of 40-130 entries (23
-# steps, a peak of 0.39 MB on the benchmark's lasso-sparse design); each
-# sparse step's kernel call adds one float64 per working column while it
-# runs. The chunk size never changes an iterate: the draws, and the terms of
-# each sum, are those of one step at a time. Median time to gap at 2^15 over
-# 2^14 on the benchmark's instances (6 solver seeds, three alternating
-# rounds, in process on one core of a 2-core x86-64 host): mrbcd 0.89 on lasso-sparse and 0.98 on
-# logistic-group, proxsvrg 0.96 and 0.98; adsgd 0.92 on logistic-group,
-# inside its 2.2-2.4 ms spread between rounds; everything else within 1.5%.
-# A dense design's chunk of the same steps gathers b * p cells a step;
-# its longest row holds at least _RHO * p entries, so a chunk holds at most
-# _CHUNK_ENTRIES / _RHO = 327,680 cells, 2.6 MB of float64.
+# about 12 bytes per entry at its peak, the gathered int32 columns and float64
+# values (16 with int64 indices), for block and full-vector steps alike
+# (tracemalloc, 1000 x 5000, 20000 and 100000 designs at 2%), so a chunk peaks
+# near 0.4 MB, and at batch 10 it spreads the per-chunk calls over 25-80 steps
+# on rows of 40-130 entries (23 steps, a peak of 0.29 MB on the benchmark's
+# lasso-sparse design); each sparse step's kernel call adds one float64 per
+# working column while it runs. The chunk size never changes an iterate: the
+# draws, and the terms of each sum, are those of one step at a time. Median
+# time to gap at 2^15 over 2^14 on the benchmark's instances (6 solver seeds,
+# three alternating rounds, in process on one core of a 2-core x86-64 host):
+# mrbcd 0.89 on lasso-sparse and 0.98 on logistic-group, proxsvrg 0.96 and
+# 0.98; adsgd 0.92 on logistic-group, inside its 2.2-2.4 ms spread between
+# rounds; everything else within 1.5%. A dense design's chunk of the same steps
+# gathers b * p cells a step; its longest row holds at least _RHO * p entries,
+# so a chunk holds at most _CHUNK_ENTRIES / _RHO = 327,680 cells, 2.6 MB of
+# float64.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -913,7 +867,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
         x = np.zeros(spec.dataset.d)
         x[wfeat] = v
         cands.append((x, _matvec(work, v)))
-    if slot is not None and slot[1] is not None and all(
+    if slot is not None and all(
             _model(spec, wfeat, v)[0] == slot[0] for v in (x_sum, x_cur)):
         x_r, ev_r = slot[1]
         bar = ev_r[0] + gap_tol
@@ -966,8 +920,7 @@ def _engine(spec, config, *, block_sampling, screening):
                                  active_blocks=active.n_blocks,
                                  active_features=active.n_features,
                                  radius=radius, working_blocks=width, restart=restart,
-                                 refined_dual=restart == "refined", identified=identified,
-                                 inner_steps=taken))
+                                 identified=identified, inner_steps=taken))
         active_history.append(active.blocks.copy())
         if iterates is not None:
             iterates.append(x_hat.copy())
@@ -1024,7 +977,7 @@ def _engine(spec, config, *, block_sampling, screening):
         # safe block near lam) falls back to the safe set. Its design is cut
         # from the dataset's only where its blocks differ from the last epoch's.
         wb = _working_blocks(spec, active, model[2], dp) if screening else active.blocks
-        if wb.size in (0, active.n_blocks):
+        if wb.size == 0:
             wb = active.blocks
         if work is None or not np.array_equal(wb, work.blocks):
             work = _compact(spec, wb)
@@ -1156,9 +1109,12 @@ def _columns(ds, work, support):
     """The columns of the working design work on its column ids support, as a
     dense (n, k) array in column-major order: copied from work's dense twin
     (_Working.dense) where an epoch built it, else gathered from the dataset
-    ds's column index (_column_rows), at a cost in the support's stored
-    entries, with no twin built. Either way, the bits of A's columns
-    work.features[support], a stored -0.0 included.
+    ds's column index (problem._column_rows), at a cost in the support's
+    stored entries, with no twin built. Either way, the bits of A's columns
+    work.features[support], a stored -0.0 included. The twin's copy stays:
+    gathered in its place, adsgd read 1.02-1.055 on lasso-tall and
+    1.00-1.035 on logistic-group, lower in 1 of 8 paired rounds in two runs
+    (in process, one core of a 2-core x86-64 host).
     """
     dense = work.__dict__.get("dense")  # a cached_property read, never a build
     if dense is not None:
@@ -1311,8 +1267,8 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     evaluations' gradients, exact in real arithmetic, mu_p's term included.
     On the logistic loss a step from y forms one more A'g there, unless y
     is x (a restart, and a step from t = 1, where beta = 0, put y on x).
-    The support refinement runs on the dataset's working design, _compact
-    over every block, handed x on its columns: it gathers its model's columns
+    The support refinement runs on the working design over every block,
+    _compact's, handed x on its columns: it gathers its model's columns
     from the dataset's column index (_columns), and one that returns a
     point forms its A x on that design (_matvec) and one more A'g.
     """
@@ -1341,7 +1297,7 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
         return TraceRecord(outer_iter=it, elapsed_s=time.perf_counter() - start,
                            objective=obj, gap=float(gap), active_blocks=part.q,
                            active_features=d, working_blocks=part.q if it else 0,
-                           restart=restart, refined_dual=restart == "refined")
+                           restart=restart)
 
     while True:
         obj, _, dp, gap = evaluate(spec, x, zx)

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
@@ -20,6 +23,15 @@ def make_instance(seed, n=100, d=200, model="lasso", ratio=0.5, q=10,
         n=n, d=d, sparsity=sparsity, noise=noise, seed=seed, model=model,
         support_size=support, support_placement=placement, feature_scale=scale))
     return build_spec(data, model=model, lambda_ratio=ratio, q=q, mu_p=mu_p, reg=reg)
+
+
+def wide_index(spec):
+    """spec on a new Dataset of the same design whose stored CSR keeps int64
+    index arrays, as one past 2**31 entries does; its memo is empty."""
+    ds = G.Dataset(spec.dataset.A, spec.dataset.y)
+    ds.A = sp.csr_matrix(ds.A)
+    ds.A.indices, ds.A.indptr = ds.A.indices.astype(np.int64), ds.A.indptr.astype(np.int64)
+    return dataclasses.replace(spec, dataset=ds)
 
 
 def tuned_eta(spec, factor=4.0):

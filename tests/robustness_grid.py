@@ -19,12 +19,15 @@ is 576 solves.
 Each line names the solve and gives certified (1 where the solve stopped on
 a certified gap), stop (converged, max_outer, or diverged on a
 DivergenceError), outer (the last outer iteration: the cap, or the row that
-diverged) and seconds (wall time of the solve, which varies between runs;
-it is the last field, so `cut -d' ' -f1-10` of two outputs diffs the rest).
+diverged), gap (the repr of the last row's full-problem duality gap, nan for
+a diverged solve) and seconds (wall time of the solve, which varies between
+runs; it is the last field, so `cut -d' ' -f1-11` of two outputs diffs the
+rest).
 A last line starting with # counts the stops. BLAS runs on one thread
 unless OPENBLAS_NUM_THREADS is set. pytest does not collect this module;
 tests/test_robustness_grid.py runs it whole and holds each (loss, penalty,
-step) cell to a floor of certified solves.
+step) cell to a floor of certified solves, and every certified solve to a
+gap of at most gap_tol.
 """
 
 import argparse
@@ -74,15 +77,15 @@ def main(argv=None):
                         try:
                             rep = G.solve(spec, cfg)
                             stop = "converged" if rep.converged else "max_outer"
-                            outer = rep.outer_iters
+                            outer, gap = rep.outer_iters, rep.gap
                         except G.DivergenceError as exc:
-                            stop, outer = "diverged", exc.iteration
+                            stop, outer, gap = "diverged", exc.iteration, float("nan")
                         seconds = time.perf_counter() - start
                         stops[stop] += 1
                         print(f"{model} {reg} seed={seed} n={n} lam={ratio:g} "
                               f"eta=1/{factor:g}L batch={batch} "
                               f"certified={int(stop == 'converged')} stop={stop} "
-                              f"outer={outer} seconds={seconds:.4f}", flush=True)
+                              f"outer={outer} gap={gap!r} seconds={seconds:.4f}", flush=True)
     print(f"# {stops['converged']} of {sum(stops.values())} certified, "
           f"{stops['max_outer']} at max_outer, {stops['diverged']} diverged")
 

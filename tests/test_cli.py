@@ -55,7 +55,7 @@ def test_solve_command_writes_trace(tmp_path, capsys):
     with open(out, encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == ("outer_iter,elapsed_s,objective,gap,active_blocks,active_features,"
-                      "radius,working_blocks,restart,refined_dual,identified,inner_steps")
+                      "radius,working_blocks,restart,identified,inner_steps")
     fields = dict(f.split("=") for f in text.splitlines()[1].split())
     steps = [r.inner_steps for r in read_trace_csv(out)]
     assert steps[0] == 0 and int(fields["inner_steps"]) == sum(steps) > 0

@@ -11,7 +11,7 @@ import gapsgd.duality
 from gapsgd.duality import ActiveSet, _dual_value, column_bounds
 from gapsgd.problem import blockwise_dual_norms
 
-from conftest import hand_lasso, make_instance, tuned_eta
+from conftest import hand_lasso, make_instance, tuned_eta, wide_index
 
 
 def sample_grad(spec, x):
@@ -415,9 +415,10 @@ def _scattered_partition(cols, rng):
     return [np.sort(g) for g in np.split(rng.permutation(cols), cuts)]
 
 
-def test_column_bounds_group_l2_are_tight_upper_bounds():
-    """The sphere test is safe only if Omega_j^D(A_j) = sigma_max(A_j) is not
-    underestimated; the rounding allowance keeps the bound within 1e-9."""
+def _tight_cases():
+    """(a, partitions): a 30 x 34 design with an all-zero block and a block
+    whose 8 singular values all equal 3, and its contiguous, uneven,
+    scattered and singleton partitions."""
     rng = np.random.default_rng(17)
     a = make_instance(seed=17, n=30, d=34, q=4, reg="group_l2").dataset.A.toarray()
     a[:, 9:18] = 0.0  # second block all zero
@@ -431,6 +432,13 @@ def test_column_bounds_group_l2_are_tight_upper_bounds():
             + _scattered_partition(np.r_[0:9, 18:34], rng)),
         "singletons": G.BlockPartition.singletons(34),
     }
+    return a, partitions
+
+
+def test_column_bounds_group_l2_are_tight_upper_bounds():
+    """The sphere test is safe only if Omega_j^D(A_j) = sigma_max(A_j) is not
+    underestimated; the rounding allowance keeps the bound within 1e-9."""
+    a, partitions = _tight_cases()
     assert [g.size for g in partitions["uneven contiguous"].groups] == [9, 9, 8, 8]
     assert len(partitions["scattered"].classes) > 2
     for name, part in partitions.items():
@@ -443,6 +451,68 @@ def test_column_bounds_group_l2_are_tight_upper_bounds():
         assert zero.any() and np.all(got[zero] == 0.0), name
     top = np.linalg.svd(a[:, 26:34], compute_uv=False)
     assert top[0] - top[-1] < 1e-12  # the repeated top singular value is in place
+
+
+def _fancy_gram_sigma(a, idx):
+    """_gram_sigma as it read A before the column index: scipy's column fancy
+    index of the design a, its rows' entries sorted. The oracle whose bytes
+    the column-index version keeps."""
+    k, s = idx.shape
+    sub = a[:, idx.ravel()].sorted_indices()
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(sub.indptr))
+    piece = rows * k + sub.indices // s
+    starts = np.flatnonzero(np.diff(piece, prepend=-1))
+    f = sp.csr_matrix((sub.data, sub.indices, np.append(starts, piece.size)),
+                      shape=(starts.size, k * s))
+    gram = (f.T @ f).tocoo()
+    dense = np.zeros((k, s, s))
+    dense[gram.row // s, gram.row % s, gram.col % s] = gram.data
+    top = np.linalg.eigvalsh(dense)[:, -1]
+    frob = np.trace(dense, axis1=1, axis2=2)
+    slack = 2.0 * (a.shape[0] + s) * np.finfo(np.float64).eps * frob
+    return np.sqrt(np.maximum(top + slack, 0.0))
+
+
+def _oracle_bounds(spec):
+    """column_bounds' group-L2 bounds, each class's chunks by _fancy_gram_sigma."""
+    part, out = spec.partition, np.empty(spec.partition.q)
+    for ids, idx, _ in part.classes:
+        step = gapsgd.duality._GRAM_ENTRIES // idx.shape[1] ** 2
+        for lo in range(0, ids.size, step):
+            out[ids[lo:lo + step]] = _fancy_gram_sigma(spec.dataset.A, idx[lo:lo + step])
+    return out
+
+
+@pytest.mark.parametrize("index", ["int32", "int64"])
+def test_group_l2_bounds_from_the_column_index_keep_the_fancy_index_bytes(index):
+    """On every partition of the tight-bound cases, and on int32 and int64
+    index arrays, the bounds from the column index are the fancy-index
+    oracle's to the byte, each on a fresh Dataset."""
+    a, partitions = _tight_cases()
+    for name, part in partitions.items():
+        spec = _group_l2_spec(a, part)
+        if index == "int64":
+            spec = wide_index(spec)
+        assert spec.dataset.A.indices.dtype == index
+        got = column_bounds(spec)
+        assert got.tobytes() == _oracle_bounds(spec).tobytes(), name
+        assert spec.dataset._memo[("columns",)][1].dtype == index
+
+
+def test_group_l2_bounds_read_no_column_slice_of_the_design(monkeypatch):
+    """column_bounds on a fresh group-L2 Dataset gives the oracle's bytes
+    while the design's __getitem__ refuses: its columns come from the column
+    index alone."""
+    a, partitions = _tight_cases()
+    specs = [_group_l2_spec(a, part) for part in partitions.values()]
+    want = [_oracle_bounds(spec) for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("the design was sliced")
+
+    monkeypatch.setattr(type(specs[0].dataset.A), "__getitem__", refuse)
+    for spec, bounds in zip(specs, want):
+        assert column_bounds(_fresh(spec)).tobytes() == bounds.tobytes()
 
 
 def _fresh(spec):
@@ -459,7 +529,7 @@ def test_column_bounds_group_l2_split_classes_give_the_same_bits(monkeypatch):
     monkeypatch.setattr(gapsgd.duality, "_GRAM_ENTRIES", 81)  # one block at a time
     gram, calls = gapsgd.duality._gram_sigma, []
     monkeypatch.setattr(gapsgd.duality, "_gram_sigma",
-                        lambda a, idx: calls.append(idx.shape[0]) or gram(a, idx))
+                        lambda ds, idx: calls.append(idx.shape[0]) or gram(ds, idx))
     np.testing.assert_array_equal(column_bounds(_fresh(spec)), whole)
     assert calls == [1, 1, 1, 1]
     monkeypatch.setattr(gapsgd.duality, "_GRAM_ENTRIES", 80)
@@ -499,7 +569,7 @@ def test_a_lambda_path_on_one_dataset_forms_the_group_l2_bounds_once(monkeypatch
                                                   model="logistic"))
     gram, calls = gapsgd.duality._gram_sigma, []
     monkeypatch.setattr(gapsgd.duality, "_gram_sigma",
-                        lambda a, idx: calls.append(idx.shape[0]) or gram(a, idx))
+                        lambda ds, idx: calls.append(idx.shape[0]) or gram(ds, idx))
     for ratio in (0.5, 0.25):
         spec = G.build_spec(data, model="logistic", lambda_ratio=ratio, q=4,
                             reg="group_l2")

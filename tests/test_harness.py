@@ -563,10 +563,10 @@ def test_trace_csv_round_trip(tmp_path):
                         restart="average"),
             TraceRecord(2, 0.0251, 0.30000000000000004, 2e-9, 9, 180,
                         radius=0.1 + 0.2, working_blocks=4, restart="last",
-                        refined_dual=True, inner_steps=120),
+                        inner_steps=120),
             TraceRecord(3, 0.0302, 0.29999999999999993, 3e-17, 3, 60,
                         radius=0.01, working_blocks=3, restart="refined",
-                        refined_dual=True, identified=True, inner_steps=45)]
+                        identified=True, inner_steps=45)]
     path = tmp_path / "t.csv"
     write_trace_csv(path, rows)
     back = read_trace_csv(path)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ import scipy.sparse as sp
 
 import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
-from gapsgd.problem import _gather_rows, soft_threshold
+from gapsgd.problem import _cut, _gather_rows, soft_threshold
 from gapsgd.solvers import (_CHUNK_ENTRIES, _columns, _compact, _one_pass_bound, _plan,
                             _resolve, _spectral_bound, inner_budget, step_gradient)
 
 from conftest import (epoch_rows, hand_lasso, inert_screening, make_instance, spy_decided,
-                      tuned_eta)
+                      tuned_eta, wide_index)
 
 # _RHO = inf keeps every working design sparse, _RHO = 0 makes each one dense
 STORAGES = (math.inf, 0.0)
@@ -210,25 +211,28 @@ def _layout_instance():
 
 def test_chained_compactions_give_the_csr_column_selection():
     """Each cut of a chain of shrinking block sets, made from the dataset's
-    column index, holds scipy's A[:, features] arrays entry for entry, cols
-    as intp, and the block ids it was given."""
+    column index, holds scipy's A[:, features] arrays entry for entry, in
+    the stored index type, and the block ids it was given."""
     spec, _, full = _layout_instance()
+    index = spec.dataset.A.indices.dtype
     for kept in ([0, 1, 2, 4], [0, 2, 4], [2]):
         active = full.keep(kept)
         work = _compact(spec, active.blocks)
         want = spec.dataset.A[:, active.features]
         cols, vals = work.entries
-        assert work.blocks is active.blocks and cols.dtype == np.intp
+        assert work.blocks is active.blocks and cols.dtype == work.indptr.dtype == index
         assert np.array_equal(work.features, active.features)
         assert np.array_equal(work.indptr, want.indptr)
         assert np.array_equal(cols, want.indices) and np.array_equal(vals, want.data)
 
 
 def test_a_sparse_working_design_is_plain_csr_along_a_chain_of_cuts():
-    """A working design holds two entry arrays, intp columns and float64
-    values, 16 bytes per stored entry, and each cut of a chain of shrinking
-    block sets, each cut from the dataset's column index, holds the indptr,
-    columns and values of A[:, features]."""
+    """A working design holds two entry arrays, columns in the stored index
+    type, int32 here, and float64 values, 12 bytes per stored entry. Over
+    every block of the contiguous partition they are the dataset's CSR
+    arrays themselves, and each cut of a chain of shrinking block sets,
+    each cut from the dataset's column index, holds the indptr, columns and
+    values of A[:, features]."""
     rng = np.random.default_rng(17)
     a = rng.normal(size=(40, 60)) * (rng.random(size=(40, 60)) < 0.1)
     a[[3, 30]] = 0.0  # empty rows
@@ -237,13 +241,15 @@ def test_a_sparse_working_design_is_plain_csr_along_a_chain_of_cuts():
                          loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
     blocks = np.arange(12)
     work = _compact(spec, blocks)
+    a = spec.dataset.A
+    assert work.indptr is a.indptr and work.entries[0] is a.indices and work.entries[1] is a.data
     while True:
         want = spec.dataset.A[:, work.features]
         assert len(work.entries) == 2
         cols, vals = work.entries
-        assert cols.dtype == np.intp and vals.dtype == np.float64
-        assert cols.nbytes + vals.nbytes == 16 * want.nnz
-        assert work.indptr.dtype == np.intp and np.array_equal(work.indptr, want.indptr)
+        assert cols.dtype == np.int32 and vals.dtype == np.float64
+        assert cols.nbytes + vals.nbytes == 12 * want.nnz
+        assert work.indptr.dtype == np.int32 and np.array_equal(work.indptr, want.indptr)
         assert np.array_equal(cols, want.indices) and np.array_equal(vals, want.data)
         if blocks.size == 1:
             break
@@ -347,7 +353,8 @@ def test_gather_rows_matches_csr_row_indexing():
         design = spec.dataset.A[:, features]
         for c in (1, 4):
             cols, vals, rp = _gather_rows(work.indptr, work.entries, batches[:c])
-            assert cols.dtype == rp.dtype == np.intp and rp.size == 4 * c + 1
+            assert cols.dtype == rp.dtype == work.indptr.dtype == spec.dataset.A.indices.dtype
+            assert rp.size == 4 * c + 1
             for t, batch in enumerate(batches[:c]):
                 want = design[batch]
                 ptr = rp[4 * t:4 * t + 5]
@@ -398,9 +405,12 @@ def test_gather_rows_on_compacted_design_matches_full_gather():
 def test_every_cut_is_scipys_column_selection_to_the_bit(layout, seed):
     """For random block subsets, every working design equals scipy's
     A[:, work.features] to the bit: the same row pointers, the same columns
-    and the same value bytes, on designs with empty rows, an empty column
-    and a stored 0.0 and -0.0. Its features are the blocks' groups in block
-    order, and its layout their sizes."""
+    and the same value bytes, in the stored index type, on designs with
+    empty rows, an empty column and a stored 0.0 and -0.0. Its features are
+    the blocks' groups in block order, and its layout their sizes. A cut of
+    those features as they stand, not rising on a scattered partition, as
+    the group-L2 Gram slices pass each size class's, is scipy's selection
+    with each row's entries sorted by position."""
     rng = np.random.default_rng(seed)
     n, d = int(rng.integers(8, 40)), int(rng.integers(12, 90))
     a = rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < rng.uniform(0.05, 0.6))
@@ -425,6 +435,7 @@ def test_every_cut_is_scipys_column_selection_to_the_bit(layout, seed):
     assert np.signbit(spec.dataset.A.data[spec.dataset.A.data == 0.0]).sum() == 1
     subsets = [np.arange(q), np.array([q - 1]), np.array([0])]
     subsets += [np.flatnonzero(rng.random(q) < rng.uniform(0.2, 0.9)) for _ in range(12)]
+    falls = False
     for blocks in subsets:
         if blocks.size == 0:
             continue
@@ -434,10 +445,25 @@ def test_every_cut_is_scipys_column_selection_to_the_bit(layout, seed):
         assert np.array_equal(work.features,
                               np.concatenate([part.groups[j] for j in blocks]))
         assert np.array_equal(work.layout.sizes, part.sizes[blocks])
-        assert work.indptr.dtype == cols.dtype == np.intp
+        assert work.indptr.dtype == cols.dtype == spec.dataset.A.indices.dtype
         assert np.array_equal(work.indptr, want.indptr)
         assert np.array_equal(cols, want.indices)
         assert vals.dtype == np.float64 and vals.tobytes() == want.data.tobytes()
+        falls |= _is_scipys_sorted_selection(spec.dataset, work.features)
+    for _, idx, _ in part.classes:  # the order the group-L2 Gram slices pass
+        falls |= _is_scipys_sorted_selection(spec.dataset, idx.ravel())
+    assert falls == (layout == "scattered")
+
+
+def _is_scipys_sorted_selection(ds, ids):
+    """Assert that _cut(ds, ids) is scipy's A[:, ids].sorted_indices() to the
+    bit, in the stored index type; return whether ids ever fall."""
+    want = ds.A[:, ids].sorted_indices()
+    indptr, cols, vals = _cut(ds, ids)
+    assert indptr.dtype == cols.dtype == ds.A.indices.dtype
+    assert np.array_equal(indptr, want.indptr) and np.array_equal(cols, want.indices)
+    assert vals.dtype == np.float64 and vals.tobytes() == want.data.tobytes()
+    return bool(np.any(np.diff(ids) < 0))
 
 
 def test_a_cut_allocates_its_kept_entries_not_the_datasets():
@@ -473,8 +499,8 @@ def test_only_the_solvers_that_cut_build_the_column_index(monkeypatch):
     epoch on every block and never refines, leaves no ("columns",) memo
     entry. An adsgd solve builds it once, as A.tocsc()'s arrays, read-only,
     and a second adsgd solve on that dataset reuses the same object."""
-    builds, build = [], G.solvers._column_index
-    monkeypatch.setattr(G.solvers, "_column_index",
+    builds, build = [], G.problem._column_index
+    monkeypatch.setattr(G.problem, "_column_index",
                         lambda a: builds.append(None) or build(a))
     spec = make_instance(seed=1, n=60, d=80, q=10, sparsity=0.3)
     memo = spec.dataset._memo
@@ -685,9 +711,61 @@ def test_all_rows_gather_is_the_gather_of_every_row(layout):
                 w.indptr, w.entries, np.broadcast_to(np.arange(12), (c, 12)))
             assert np.array_equal(rp[::12], np.arange(c + 1) * nnz)
             want = np.concatenate([[0]] + [w.indptr[1:] + k * nnz for k in range(c)])
-            assert rp.dtype == np.intp and np.array_equal(rp, want)
+            assert rp.dtype == w.indptr.dtype and np.array_equal(rp, want)
             for got, ref in zip((cols, vals), w.entries):
                 assert got.dtype == ref.dtype and np.array_equal(got, np.tile(ref, c))
+
+
+def test_a_gather_past_its_index_types_range_runs_in_intp(monkeypatch):
+    """A sampled batch repeats rows, so a chunk may gather more entries than
+    its design stores. Where their count passes the index type's range, the
+    chunk is gathered in intp, with the same entries; at the range's end it
+    stays in the design's type. Both give a step the same bytes. The range is
+    made small here (np.iinfo patched for int32), as a real one would take
+    2**31 gathered entries."""
+    spec, _, _ = _kernel_instance("scattered")
+    work = _compact(spec, np.array([0, 2, 3]))
+    batch = np.array([[4, 4, 0, 11, 5, 4]])
+    want = _gather_rows(work.indptr, work.entries, batch)
+    total = int(want[2][-1])
+    assert work.indptr.dtype == want[0].dtype == want[2].dtype == np.int32 and total > 1
+    iinfo, top = np.iinfo, [total]
+    monkeypatch.setattr(np, "iinfo", lambda t: types.SimpleNamespace(max=top[0])
+                        if np.dtype(t) == np.int32 else iinfo(t))
+    x, g = np.linspace(-1.0, 1.0, work.features.size), np.zeros(12)
+    zero = np.zeros(work.features.size)
+    steps = []
+    for top[0], index in ((total, np.int32), (total - 1, np.intp)):
+        got = _gather_rows(work.indptr, work.entries, batch)
+        assert got[0].dtype == got[2].dtype == index
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+        steps.append(step_gradient(spec.loss, x, got, spec.dataset.y[batch[0]], g[batch[0]],
+                                   0, work.features.size, zero, zero, 0.0).tobytes())
+    assert steps[0] == steps[1]
+
+
+def test_a_64_bit_design_keeps_its_index_type_in_every_working_design():
+    """A stored CSR with int64 index arrays, as one past 2**31 entries keeps:
+    its working design over every block is its own arrays, a cut and a
+    gather are int64 too, and adsgd and the reference solve to the bytes of
+    the same design stored with int32 indices."""
+    spec = make_instance(seed=6, n=50, d=60, q=6)
+    wspec = wide_index(spec)
+    a = wspec.dataset.A
+    assert a.indices.dtype == a.indptr.dtype == np.int64
+    full = _compact(wspec, np.arange(6))
+    assert full.indptr is a.indptr and full.entries[0] is a.indices
+    cut = _compact(wspec, np.array([1, 4]))
+    assert cut.indptr.dtype == cut.entries[0].dtype == np.int64
+    cols, _, rp = _gather_rows(cut.indptr, cut.entries, np.array([[3, 3, 0]]))
+    assert cols.dtype == rp.dtype == np.int64
+    cfg = G.SolverConfig(seed=1, gap_tol=1e-8, max_outer=60, eta=tuned_eta(spec))
+    for solve in (G.adsgd_solve, lambda s, _: G.reference_solve(s, tol=1e-8)):
+        narrow, broad = solve(spec, cfg), solve(wspec, cfg)
+        assert narrow.converged and broad.converged
+        assert narrow.x_final.tobytes() == broad.x_final.tobytes()
+        assert [r.gap for r in narrow.trace] == [r.gap for r in broad.trace]
 
 
 def _signed_zero_instance(layout):
@@ -1058,7 +1136,6 @@ def test_dense_and_sparse_storage_solve_alike(monkeypatch, case, solver):
         h.tolist() for h in sparse.active_history]
     assert [r.working_blocks for r in dense.trace] == [r.working_blocks
                                                        for r in sparse.trace]
-    assert [r.refined_dual for r in dense.trace] == [r.refined_dual for r in sparse.trace]
     assert [r.restart for r in dense.trace] == [r.restart for r in sparse.trace]
     # an optimal refined point's gap sits at the rounding of its objective, so
     # a refined row's gaps may instead differ by a few ulps of P
@@ -1521,7 +1598,7 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         if slot is not None:  # the slot's refined point, with its own evaluation
             x_r, (obj_r, _, _, gap_r) = slot[1]
             assert row.restart == "refined" and np.array_equal(rep.iterates[k + 1], x_r)
-            assert (row.objective, row.gap) == (obj_r, gap_r) and row.refined_dual
+            assert (row.objective, row.gap) == (obj_r, gap_r)
             assert any(c[1] is slot[1] for c in found)
             continue
         i = next(pairs)
@@ -1532,12 +1609,12 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         assert gap == min(g for g in (gap_avg, gap_last) if np.isfinite(g))
         if row.restart != "refined":
             assert row.restart == chosen and np.array_equal(rep.iterates[k + 1], x)
-            assert row.gap == gap and not row.refined_dual
+            assert row.gap == gap
         else:  # the refined point of the candidate's model, with its own evaluation
             model, (x_r, (obj_r, _, _, gap_r)) = next(
                 c for c in found if np.array_equal(c[1][0], rep.iterates[k + 1]))
             assert model == _key(spec, x) and obj_r < obj
-            assert (row.objective, row.gap) == (obj_r, gap_r) and row.refined_dual
+            assert (row.objective, row.gap) == (obj_r, gap_r)
         labels.append(chosen)
     if len(rows) < rep.outer_iters:  # the refined point of the row before, kept
         before, last = rep.trace[-2:]
@@ -1546,7 +1623,7 @@ def test_each_epoch_restarts_from_the_candidate_with_the_smaller_gap(
         assert last.gap <= 1e-12
         assert np.array_equal(np.unique(spec.partition.block_of[np.flatnonzero(rep.x_final)]),
                               rep.active_history[-1])
-        assert last.refined_dual and last.identified and rep.converged
+        assert last.restart == "refined" and last.identified and rep.converged
     assert np.array_equal(rep.x_final, rep.iterates[-1])
     if inject == "nan-average":
         assert set(labels) == {"last"}
@@ -2746,7 +2823,7 @@ def test_refined_certificates_bound_the_suboptimality_and_hold_the_dual_optimum(
                                              eta=tuned_eta(spec), keep_iterates=True))
     assert rep.converged and calls and rep.trace[-1].restart == "refined"
     # some rows screened from a refined point before its model was identified
-    assert any(r.refined_dual and not r.identified for r in rep.trace[:-1])
+    assert any(r.restart == "refined" and not r.identified for r in rep.trace[:-1])
     for row in rep.trace:
         assert row.gap >= row.objective - oracle.objective - 1e-13
     u_o = _stacked(oracle.dual)
@@ -2863,7 +2940,7 @@ def test_a_tall_dense_lasso_stops_on_its_refined_identified_model(monkeypatch):
                                                  eta=eta))
         assert rep.converged and all(found)
         stop = rep.trace[-1]
-        assert (stop.refined_dual and stop.identified) == bool(found)
+        assert (stop.restart == "refined" and stop.identified) == bool(found)
         assert G.primal_objective(spec, rep.x_final) \
             - G.duality._dual_value(spec, rep.dual) == rep.gap
         refinements += len(found)
@@ -2891,7 +2968,7 @@ def test_a_refined_point_stops_the_solve_only_once_the_safe_set_is_its_model(mon
     x, _, x_r = calls[-1]
     assert blocks(x) == [0, 1, 3, 5, 6, 9] and blocks(x_r) == [0, 1, 5, 6, 9]
     row = rep.trace[3]
-    assert (row.restart, row.refined_dual, row.identified) == ("refined", True, False)
+    assert (row.restart, row.identified) == ("refined", False)
     assert np.array_equal(rep.iterates[3], x_r) and row.gap <= 1e-6
     assert rep.active_history[3].tolist() == list(range(10))
     last = rep.trace[-1]
@@ -2929,7 +3006,7 @@ def test_a_tall_dense_lasso_returns_its_refined_point_on_the_screen_it_sizes(mon
                                                  eta=eta))
         last = rep.trace[-1]
         assert rep.converged and (last.working_blocks, last.restart) == (0, "refined")
-        assert last.identified and last.refined_dual
+        assert last.identified
         assert names.count("_epoch") == len(rep.trace) - 2
         assert names[-1] == "screen"
         blocks = np.unique(spec.partition.block_of[np.flatnonzero(rep.x_final)]).tolist()
@@ -3188,7 +3265,7 @@ def test_a_refinement_on_a_wrong_support_can_neither_certify_nor_evict(monkeypat
                                              eta=tuned_eta(spec)))
     support = set(part.block_of[np.flatnonzero(oracle.x_final)].tolist())
     assert support <= set(rep.active_history[-1].tolist())
-    assert not any(r.refined_dual and r.gap <= 1e-10 for r in rep.trace)
+    assert not any(r.restart == "refined" and r.gap <= 1e-10 for r in rep.trace)
     assert rep.trace[-1].restart != "refined"
     for row in rep.trace:
         assert row.gap >= row.objective - oracle.objective - 1e-13
@@ -3561,7 +3638,7 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
             assert m == model(rep.iterates[k - 1]) or (k, m) in refined
         elif (m != model(rep.iterates[k - 1]) and np.any(x)
                 and _within_refinement_cost(spec, _unknowns(spec, x))):
-            assert (k, m) in refined or (k == rep.outer_iters and not row.refined_dual
+            assert (k, m) in refined or (k == rep.outer_iters and row.restart != "refined"
                                          and row.gap <= 1e-10)
     block_of = spec.partition.block_of
     for k, row in enumerate(rep.trace):
@@ -3573,7 +3650,7 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
             assert row.identified == (k > 0 and model(x) == model(rep.iterates[k - 1])
                                       and held)
     last = rep.trace[-1]
-    assert last.identified or not last.refined_dual
+    assert last.identified or last.restart != "refined"
 
 
 def _chunk_steps(spec, work, batch_size):
@@ -3833,7 +3910,7 @@ def test_a_model_past_the_refinement_cost_is_never_refined(monkeypatch, case):
     monkeypatch.setattr(G.solvers, "_REFINE_COST", 0.0)
     rep = G.adsgd_solve(spec, cfg)
     assert rep.converged and calls == []
-    assert not any(r.refined_dual or r.restart == "refined" for r in rep.trace)
+    assert not any(r.restart == "refined" for r in rep.trace)
 
 
 def test_a_refinement_fixes_the_signs_of_an_l1_model_and_the_pattern_of_a_group_model():
@@ -3853,7 +3930,7 @@ def test_solvers_that_never_screen_never_refine(monkeypatch, solver):
     rep = G.solve(spec, G.SolverConfig(solver=solver, seed=2, gap_tol=1e-10,
                                        max_outer=300, eta=tuned_eta(spec)))
     assert rep.converged and calls == []
-    assert not any(r.refined_dual for r in rep.trace)
+    assert not any(r.restart == "refined" for r in rep.trace)
 
 
 # ------------------------------------------------------- products on a design
