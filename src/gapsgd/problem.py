@@ -5,9 +5,11 @@ concurrent solver runs; the operations are pure functions of their inputs.
 A Dataset keeps the design constants that every solve would otherwise
 recompute (Dataset.memo), each a pure function of the design and its key,
 so concurrent solves at worst compute one twice, to the same bits. Every
-product with the whole design is Dataset.matvec's or Dataset.rmatvec's, and
-every read of its columns is _cut's or _column_rows', from one column index
-per dataset: no module outside this one takes a column of A.
+product with the whole design is Dataset.matvec's or Dataset.rmatvec's: on
+a dense copy of its cells (OpenBLAS) where it stores at least half of them,
+else on its CSR arrays (scipy's compiled loops). Every read of its columns
+is _cut's or _column_rows', from one column index per dataset: no module
+outside this one takes a column of A.
 
 BlockPartition is the one block layout: the problem's partition, and the
 solvers' working design over the surviving blocks, are each one. The working
@@ -33,8 +35,9 @@ from scipy.special import expit, xlogy
 
 # scipy's compiled CSR loops, from its private module scipy.sparse._sparsetools
 # (checked against scipy 1.17), imported here alone: Dataset.matvec and
-# Dataset.rmatvec, the row gather _gather_rows, the column reads _column_rows
-# and _cut and the sparse step kernel solvers.step_gradient run on them. They
+# Dataset.rmatvec of a design with no dense copy, the row gather _gather_rows,
+# the column reads _column_rows and _cut and the sparse step kernel
+# solvers.step_gradient run on them. They
 # check no bounds, so every index array they get comes from the dataset's
 # CSR, a working design, the column index or a batch that passed
 # solvers._check_batch, in one index type a call, and every vector they read
@@ -44,6 +47,24 @@ from scipy.special import expit, xlogy
 # same products, to the same bits. csr_tocsc, a counting sort, lists each
 # output row's entries in increasing input row, as A.tocsc() does.
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index, csr_tocsc
+
+# A design that stores at least this share of its n * d cells also keeps a
+# dense copy, and its whole-design products run on OpenBLAS's dgemv over the
+# copy (Dataset.matvec, Dataset.rmatvec). At density 0.6 a dense A x or A'v
+# took 0.27-0.80 of the compiled CSR loop's time over 2000 x 40, 500 x 500,
+# 1000 x 1000, 200 x 2000 and 5000 x 100, and 0.95-2.45 of it at density
+# 0.2 (one thread, best of 5 timeit runs of 50 calls).
+_DENSE_SHARE = 0.5
+
+# OpenBLAS (0.3.31) splits a matrix-vector product of 460,800 cells or more
+# across threads, and a dot of more than 10,000 entries, and either split
+# moves the result's bytes. So the copy multiplies in chunks of whole rows,
+# each of at most _DENSE_CHUNK_CELLS cells plus a one-row tail joined to it,
+# so that no chunk is a single row: a dgemv below the threading size while
+# d <= 2**17. A design of one row or one column would reduce to a dot, and
+# one wider than 2**17 columns would pass that size at two rows, so those
+# keep the CSR loops.
+_DENSE_CHUNK_CELLS = 1 << 18
 
 
 class DegenerateProblemError(ValueError):
@@ -93,7 +114,17 @@ def soft_threshold(v, t, out=None):
 
 
 class Dataset:
-    """Sparse design matrix, stored once as CSR, plus responses.
+    """Design matrix, stored as CSR, plus responses.
+
+    A design that stores at least _DENSE_SHARE = 1/2 of its n * d cells, with
+    n >= 2 and 2 <= d <= 2**17, also keeps one C-ordered float64 copy of its
+    cells (dense is True), built on its first product and kept in the memo
+    (key ("dense",)): 8 n d bytes, at most 4/3 of the CSR's 12 bytes an entry
+    at half density. matvec and rmatvec run on that copy in row chunks
+    (_chunks), each OpenBLAS call below the sizes at which OpenBLAS 0.3.31
+    splits one across threads (_DENSE_CHUNK_CELLS), so their bytes do not
+    depend on the thread count. Any other design's products run on the CSR
+    arrays.
 
     Parameters
     ----------
@@ -131,28 +162,61 @@ class Dataset:
         self.x_true = x_true
         for arr in (a.data, a.indices, a.indptr, y):
             arr.flags.writeable = False
+        self.dense = (a.nnz >= _DENSE_SHARE * n * d and n >= 2
+                      and 2 <= d <= _DENSE_CHUNK_CELLS // 2)
         self._memo = {}
 
+    def _chunks(self):
+        """The dense copy, built by one csr_todense call, as [(rows, cells)]:
+        a slice of whole rows and the view of the copy that holds them, of
+        at most _DENSE_CHUNK_CELLS cells and at least two rows, a one-row
+        tail joined to the chunk before."""
+        n, d = self.n, self.d
+        cells = self.A.toarray()
+        cells.flags.writeable = False
+        h = _DENSE_CHUNK_CELLS // d
+        cuts = list(range(h, n, h))
+        if cuts and cuts[-1] == n - 1:
+            cuts.pop()
+        bounds = [0, *cuts, n]
+        return [(slice(lo, hi), cells[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
     def matvec(self, x):
-        """A x, by one csr_matvec call on the stored CSR arrays into zeros: the
-        bits of A @ x without scipy's operator dispatch. The arrays share the
-        one index type scipy's CSR keeps; x must hold d real entries, and a
-        wrong length raises ValueError before the compiled loop, which
-        checks no bounds, reads it."""
+        """A x. On a dense dataset, one np.dot (OpenBLAS dgemv) a chunk of
+        the copy's rows (_chunks), each into its rows of the output; else one
+        csr_matvec call on the stored CSR arrays into zeros, the bits of
+        A @ x without scipy's operator dispatch. x must hold d real entries:
+        a wrong length raises ValueError before either path reads it, since
+        the compiled loop checks no bounds."""
+        x = _vector(x, self.d, "x")
+        if self.dense:
+            z = np.empty(self.n)
+            for rows, cells in self.memo(("dense",), self._chunks):
+                np.dot(cells, x, out=z[rows])
+            return z
         a = self.A
         z = np.zeros(self.n)
-        csr_matvec(self.n, self.d, a.indptr, a.indices, a.data, _vector(x, self.d, "x"), z)
+        csr_matvec(self.n, self.d, a.indptr, a.indices, a.data, x, z)
         return z
 
     def rmatvec(self, v):
-        """A'v, by one csc_matvec call that reads the stored CSR arrays as the
-        CSC of A' into zeros: the bits of A.T @ v, with no transposed matrix
-        built and no operator dispatch. v must hold n real entries; a wrong
-        length raises ValueError before the compiled loop reads it.
+        """A'v. On a dense dataset, one vector-matrix product (OpenBLAS dgemv)
+        a chunk of the copy's rows, the chunks' sums added in row order; else
+        one csc_matvec call that reads the stored CSR arrays as the CSC of A'
+        into zeros, the bits of A.T @ v, with no transposed matrix built and
+        no operator dispatch. v must hold n real entries; a wrong length
+        raises ValueError before either path reads it.
         """
+        v = _vector(v, self.n, "v")
+        if self.dense:
+            (rows, cells), *rest = self.memo(("dense",), self._chunks)
+            out = np.dot(v[rows], cells)
+            for rows, cells in rest:
+                out += np.dot(v[rows], cells)
+            return out
         a = self.A
         out = np.zeros(self.d)
-        csc_matvec(self.d, self.n, a.indptr, a.indices, a.data, _vector(v, self.n, "v"), out)
+        csc_matvec(self.d, self.n, a.indptr, a.indices, a.data, v, out)
         return out
 
     def memo(self, key, compute):

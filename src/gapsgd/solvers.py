@@ -37,11 +37,13 @@ gap scales the dual over every block; it costs outer iterations, and a block
 it wrongly left out correlates above lam at the subproblem's optimum, so it
 joins the next W. The solvers that never screen run every epoch on all q
 blocks. Identical (spec, config, seed) triples reproduce bit-identical
-iterate sequences. An evaluation's A x runs on the working design of the
-epoch that produced x (_matvec), which holds x's support: the row sums read
-that design's entries, not the whole dataset's, and lose only vals * 0.0
-terms, so they keep the bits of A @ x. The starting row, and the row of an
-empty safe set, has x = 0 and takes A x = 0. The evaluation's dual point
+iterate sequences. An evaluation's A x has the bits of Dataset.matvec(x)
+(_matvec). On a dataset with a dense copy it is that call, on the copy.
+Otherwise it runs on the working design of the epoch that produced x, which
+holds x's support: the row sums read that design's entries, not the whole
+dataset's, and lose only vals * 0.0 terms, so they keep the bits of A @ x,
+which are Dataset.matvec's. The starting row, and the row of an empty safe
+set, has x = 0 and takes A x = 0. The evaluation's dual point
 forms the iteration's one product A'g, on the whole design, since the dual
 point is scaled over all q blocks: the screening test and the working set
 read its block correlations and the variance reduction its smooth gradient:
@@ -159,8 +161,10 @@ step constant starts at the one-pass bound c * max(max_i ||a_i||^2, max_j
 ||a_j||^2) / n + 2 mu_p, at most the smoothness constant, and the
 backtracking doubles it where needed, so no power iteration runs. An
 iteration forms one A x per prox point tried (Dataset.matvec) and one A'g in
-the evaluation of the iterate (Dataset.rmatvec), each one call of scipy's
-compiled loop on the stored CSR arrays. Its extrapolated point y = x + beta
+the evaluation of the iterate (Dataset.rmatvec): OpenBLAS products on the
+dataset's dense copy where the design stores at least half its cells, else
+one call of scipy's compiled loop on the stored CSR arrays. Its
+extrapolated point y = x + beta
 (x - x_prev) takes A y as that combination of the last two products A x,
 and, where the loss derivative is affine (the squared loss),
 its smooth gradient as that combination of the last two evaluations'
@@ -171,7 +175,8 @@ stop row is refined by the screening solves' own _refined_certificate, kept
 where its gap is smaller, on the working design over every block (the
 dataset's CSR arrays, or a cut on a scattered partition), handed the iterate
 on its columns: the refinement gathers its model's columns from the column
-index, with no twin built, and forms the refined point's A x on that design.
+index, with no twin built, and forms the refined point's A x on that design,
+or on a dataset with a dense copy by Dataset.matvec.
 
 The full-vector solver proxsvrg and the reference solver make one penalty
 prox call per step. For group-L2 it shrinks every block of one size with a
@@ -626,11 +631,15 @@ def _working_blocks(spec, active, blocks, dp):
     return active.blocks[hot[active.blocks]]
 
 
-def _matvec(work, v):
-    """A x on the working design work, v holding x on its columns and x, a
-    point of an epoch or refinement on work, being zero off them: csr_matvec
-    adds each row's products to zero in entry order, as A @ x does, less the
-    terms vals * 0.0 of the entries off work, so it gives the same bits."""
+def _matvec(ds, work, x, v):
+    """A x, x being a point of an epoch or refinement on the working design
+    work, zero off its columns, and v its entries on them. On a dense
+    dataset it is ds.matvec(x), the copy's product, to the bit. Otherwise it
+    runs on work: csr_matvec adds each row's products to zero in entry order,
+    as A @ x does, less the terms vals * 0.0 of the entries off work, so it
+    gives the same bits."""
+    if ds.dense:
+        return ds.matvec(x)
     n, (cols, vals) = work.indptr.size - 1, work.entries
     z = np.zeros(n)
     csr_matvec(n, v.size, work.indptr, cols, vals, v, z)
@@ -639,8 +648,7 @@ def _matvec(work, v):
 
 def _restart(spec, average, last):
     """(x, evaluation, label) of the epoch's next iterate, from its average and
-    its last inner iterate, each given as (x, A x), A x formed on the epoch's
-    working design (_matvec).
+    its last inner iterate, each given as (x, A x), A x formed by _matvec.
 
     Both are evaluated on the full problem, and the last iterate wins only
     with a finite gap strictly below the average's, or where the average's
@@ -677,15 +685,15 @@ def _model(spec, features, v):
 def _refined_certificate(spec, work, v):
     """(x_r, its full-problem evaluation) of the refinement (_refine_support)
     of the point that is v on the working design work's columns and zero off
-    them, or None where it finds no point. A x_r is formed on work from w_r,
-    x_r on work's columns (_matvec); x_r is w_r scattered once to the d
-    features, for evaluate."""
+    them, or None where it finds no point. x_r is w_r, its entries on work's
+    columns, scattered once to the d features, and A x_r is formed from
+    either (_matvec)."""
     w_r = _refine_support(spec, work, v)
     if w_r is None:
         return None
     x_r = np.zeros(spec.dataset.d)
     x_r[work.features] = w_r
-    return x_r, evaluate(spec, x_r, _matvec(work, w_r))
+    return x_r, evaluate(spec, x_r, _matvec(spec.dataset, work, x_r, w_r))
 
 
 def _refinable(spec, model):
@@ -783,7 +791,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     whose average over the steps taken is the first candidate, the last
     inner iterate the second. The prox threshold eta * lam stays a float.
 
-    Each candidate's A x is formed on work (_matvec). Where the slot holds a
+    Each candidate's A x is formed by _matvec. Where the slot holds a
     refined point x_r, both candidates hold the slot's model (their keys,
     taken on the working columns where their nonzeros lie, are the slot's),
     and each one's objective P from that A x is finite and exceeds P(x_r) by
@@ -866,7 +874,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     for v in (x_sum, x_cur):
         x = np.zeros(spec.dataset.d)
         x[wfeat] = v
-        cands.append((x, _matvec(work, v)))
+        cands.append((x, _matvec(spec.dataset, work, x, v)))
     if slot is not None and all(
             _model(spec, wfeat, v)[0] == slot[0] for v in (x_sum, x_cur)):
         x_r, ev_r = slot[1]
@@ -1270,7 +1278,8 @@ def reference_solve(spec, tol=1e-10, max_iter=50000):
     The support refinement runs on the working design over every block,
     _compact's, handed x on its columns: it gathers its model's columns
     from the dataset's column index (_columns), and one that returns a
-    point forms its A x on that design (_matvec) and one more A'g.
+    point forms its A x on that design, or on a dataset with a dense copy
+    by Dataset.matvec (_matvec), and one more A'g.
     """
     start = time.perf_counter()
     if not (_is_real(tol) and 0 < tol < math.inf):

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +12,7 @@ import scipy.sparse as sp
 import gapsgd as G
 from gapsgd.problem import blockwise_dual_norms, soft_threshold
 
-from conftest import hand_lasso, make_instance
+from conftest import hand_lasso, make_instance, tuned_eta
 
 
 def random_spec(seed, n=20, d=15, model="lasso", q=5, mu_p=0.0):
@@ -583,12 +587,15 @@ def test_dataset_coalesces_duplicate_entries():
 
 @pytest.mark.parametrize("sparsity", [1.0, 0.05])
 def test_rmatvec_runs_on_one_transposed_view_of_the_stored_design(sparsity):
-    """A'v has the bits of scipy's A.T @ v, and the call allocates about its
-    d-length output alone: no transposed copy of the design, which would
-    hold 12 bytes or more per stored entry."""
+    """A'v has the bits of scipy's A.T @ v, or on the dense design (sparsity
+    1.0) those of numpy's product with its cells, and the call allocates
+    about its d-length output alone: no transposed copy of the design, which
+    would hold 12 bytes or more per stored entry, and no second dense copy."""
     ds = make_instance(seed=9, n=70, d=120, sparsity=sparsity).dataset
+    assert ds.dense == (sparsity == 1.0)
     v = np.random.default_rng(1).standard_normal(ds.n)
-    assert ds.rmatvec(v).tobytes() == (ds.A.T @ v).tobytes()
+    want = np.dot(v, ds.A.toarray()) if ds.dense else ds.A.T @ v
+    assert ds.rmatvec(v).tobytes() == want.tobytes()
     tracemalloc.start()
     try:
         ds.rmatvec(v)
@@ -600,8 +607,116 @@ def test_rmatvec_runs_on_one_transposed_view_of_the_stored_design(sparsity):
 
 def _products_are_scipys(ds, x, v):
     """Dataset.matvec and rmatvec give the bytes of scipy's A @ x and A.T @ v."""
+    assert not ds.dense
     assert ds.matvec(x).tobytes() == (ds.A @ x).tobytes()
     assert ds.rmatvec(v).tobytes() == (ds.A.T @ v).tobytes()
+
+
+def _products_are_the_copys(ds, x, v):
+    """On a dense dataset whose copy is one chunk, Dataset.matvec and rmatvec
+    give the bytes of numpy's products with the design's cells, stored -0.0
+    included, and the copy is kept in the memo."""
+    assert ds.dense
+    cells = ds.A.toarray()
+    x, v = (np.ascontiguousarray(u, dtype=np.float64) for u in (x, v))
+    assert ds.matvec(x).tobytes() == np.dot(cells, x).tobytes()
+    assert ds.rmatvec(v).tobytes() == np.dot(v, cells).tobytes()
+    (_, copy), = ds._memo[("dense",)]
+    assert copy.flags.c_contiguous and copy.dtype == np.float64
+    assert copy.tobytes() == cells.tobytes() and not copy.flags.writeable
+
+
+def _products_are_the_designs(ds, x, v):
+    (_products_are_the_copys if ds.dense else _products_are_scipys)(ds, x, v)
+
+
+@pytest.mark.parametrize("n, d", [(7, 9), (6, 8), (2, 3)])
+def test_products_take_the_copy_from_half_the_cells_stored(n, d):
+    """At ceil(n d / 2) stored entries the products run on the dense copy;
+    with one entry fewer they keep the bytes of scipy's products and the
+    dataset builds no copy."""
+    rng = np.random.default_rng(n * d)
+    half = -(-n * d // 2)
+    x, v = rng.standard_normal(d), rng.standard_normal(n)
+    for stored, dense in ((half, True), (half - 1, False)):
+        cells = np.zeros(n * d)
+        cells[rng.permutation(n * d)[:stored]] = rng.standard_normal(stored)
+        ds = G.Dataset(cells.reshape(n, d), np.zeros(n))
+        assert ds.A.nnz == stored and ds.dense == dense
+        _products_are_the_designs(ds, x, v)
+        assert (("dense",) in ds._memo) == dense
+
+
+def test_a_design_of_one_row_one_column_or_past_2_17_columns_keeps_to_csr():
+    """Every cell stored, yet a single row or column would make a product one
+    dot, which OpenBLAS threads past 10,000 entries, and past 2**17 columns
+    two rows pass the 460,800 cells at which it threads a product: these keep
+    the CSR loops, to scipy's bits. Two rows of 2**17 columns take the copy."""
+    rng = np.random.default_rng(8)
+    for n, d, dense in ((1, 20, False), (20, 1, False), (2, 2 ** 17 + 1, False),
+                        (2, 2 ** 17, True)):
+        ds = G.Dataset(rng.standard_normal((n, d)), np.zeros(n))
+        assert ds.A.nnz == n * d and ds.dense == dense
+        _products_are_the_designs(ds, rng.standard_normal(d), rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n, d", [(2000, 40), (600, 500), (9, 60000), (60000, 9), (5, 3)])
+def test_dense_and_csr_products_agree_to_rounding(n, d):
+    """On a dense design, one chunk or several, each entry of the copy's A x
+    and A'v is within (n + d) eps sum |a_ij x_j| (sum |a_ij v_i|) of scipy's
+    CSR product."""
+    rng = np.random.default_rng(n + d)
+    cells = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.7)
+    ds = G.Dataset(cells, np.zeros(n))
+    assert ds.dense
+    x, v = rng.standard_normal(d), rng.standard_normal(n)
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(ds.matvec(x) - ds.A @ x) <= (n + d) * eps * (np.abs(cells) @ np.abs(x)))
+    assert np.all(np.abs(ds.rmatvec(v) - ds.A.T @ v)
+                  <= (n + d) * eps * (np.abs(v) @ np.abs(cells)))
+
+
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+import gapsgd as G
+rng = np.random.default_rng(0)
+for n, d in ((17, 60000), (60000, 17)):
+    ds = G.Dataset(rng.standard_normal((n, d)), np.zeros(n))
+    assert ds.dense and len(ds.memo(("dense",), ds._chunks)) == 4
+    for out in (ds.matvec(rng.standard_normal(d)), ds.rmatvec(rng.standard_normal(n))):
+        print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_dense_products_do_not_depend_on_the_blas_thread_count():
+    """One and two OpenBLAS threads give the copy's products the same bytes,
+    on designs of 1,020,000 cells in four chunks each, the wide one's last
+    chunk holding a joined one-row tail. One ndarray.dot over either whole
+    design is split across threads, which moved A x on the wide design and
+    A'v on the tall one."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        hashes.append(done.stdout)
+    assert len(hashes[0].split()) == 4 and hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("solver", ["adsgd", "reference"])
+def test_a_sparse_dataset_builds_no_dense_copy(solver):
+    """Below half its cells stored a dataset keeps no dense copy, through a
+    whole solve: its evaluations, screens, refinements and bounds."""
+    spec = make_instance(seed=5, n=60, d=80, sparsity=0.3)
+    assert not spec.dataset.dense
+    rep = G.solve(spec, G.SolverConfig(solver=solver, seed=1, gap_tol=1e-8, max_outer=200,
+                                       eta=tuned_eta(spec)))
+    assert rep.converged and ("dense",) not in spec.dataset._memo
 
 
 def test_products_keep_scipys_bits_on_64_bit_index_arrays(monkeypatch):
@@ -623,45 +738,62 @@ def test_products_keep_scipys_bits_on_64_bit_index_arrays(monkeypatch):
 
 
 def test_products_keep_scipys_bits_on_empty_rows_and_columns_and_a_stored_minus_zero():
-    dense = np.random.default_rng(4).standard_normal((6, 9))
-    dense[[0, 3]] = 0.0  # empty rows, the first among them
-    dense[:, [2, 8]] = 0.0  # empty columns, the last among them
-    dense[1, 4] = 0.0
-    rows, cols = np.nonzero(dense)
-    a = sp.coo_matrix((np.append(dense[rows, cols], -0.0), (np.append(rows, 1),
-                                                           np.append(cols, 4))), shape=(6, 9))
-    ds = G.Dataset(a, np.zeros(6))  # keeps the stored -0.0 at (1, 4)
-    assert np.signbit(ds.A.data).any() and not ds.A.data.all()
-    assert np.diff(ds.A.indptr)[[0, 3]].tolist() == [0, 0]
-    rng = np.random.default_rng(5)
-    for x, v in ((rng.standard_normal(9), rng.standard_normal(6)),
-                 (np.full(9, -0.0), np.full(6, -0.0)),
-                 (np.eye(9)[4], np.eye(6)[1])):
-        _products_are_scipys(ds, x, v)
-        assert ds.matvec(x)[[0, 3]].tolist() == [0.0, 0.0]
-        assert ds.rmatvec(v)[[2, 8]].tolist() == [0.0, 0.0]
+    """Empty rows and columns give +0.0 on both paths: with 26 of the 54
+    cells stored the products keep scipy's bits, and with 28, two more,
+    they take the dense copy's, the stored -0.0 in the copy."""
+    for stored in (26, 28):
+        dense = np.random.default_rng(4).standard_normal((6, 9))
+        dense[[0, 3]] = 0.0  # empty rows, the first among them
+        dense[:, [2, 8]] = 0.0  # empty columns, the last among them
+        dense[1, 4] = 0.0
+        if stored == 26:
+            dense[[2, 4], [5, 6]] = 0.0
+        rows, cols = np.nonzero(dense)
+        a = sp.coo_matrix((np.append(dense[rows, cols], -0.0),
+                           (np.append(rows, 1), np.append(cols, 4))), shape=(6, 9))
+        ds = G.Dataset(a, np.zeros(6))  # keeps the stored -0.0 at (1, 4)
+        assert np.signbit(ds.A.data).any() and not ds.A.data.all()
+        assert ds.A.nnz == stored and ds.dense == (stored == 28)
+        assert np.diff(ds.A.indptr)[[0, 3]].tolist() == [0, 0]
+        rng = np.random.default_rng(5)
+        for x, v in ((rng.standard_normal(9), rng.standard_normal(6)),
+                     (np.full(9, -0.0), np.full(6, -0.0)),
+                     (np.eye(9)[4], np.eye(6)[1])):
+            _products_are_the_designs(ds, x, v)
+            assert ds.matvec(x)[[0, 3]].tolist() == [0.0, 0.0]
+            assert ds.rmatvec(v)[[2, 8]].tolist() == [0.0, 0.0]
 
 
 def test_products_read_strided_and_integer_vectors_as_scipy_does():
-    ds = make_instance(seed=6, n=30, d=50, sparsity=0.3).dataset
-    rng = np.random.default_rng(6)
-    inputs = [(rng.standard_normal(2 * ds.d)[::2], rng.standard_normal(2 * ds.n)[::2]),
-              (np.arange(ds.d)[::-1], np.arange(-ds.n, ds.n, 2)),
-              (rng.standard_normal((ds.d, 2))[:, 1], rng.standard_normal((ds.n, 2))[:, 0]),
-              (list(range(ds.d)), [True, False] * (ds.n // 2))]
-    for x, v in inputs:
-        assert not (isinstance(x, np.ndarray) and x.flags.c_contiguous and x.dtype == float)
-        _products_are_scipys(ds, x, v)
+    """Strided, reversed and integer vectors read as their float64 values,
+    by scipy's loops or, on a dense design, by the copy's products."""
+    for sparsity in (0.3, 1.0):
+        ds = make_instance(seed=6, n=30, d=50, sparsity=sparsity).dataset
+        assert ds.dense == (sparsity == 1.0)
+        rng = np.random.default_rng(6)
+        inputs = [(rng.standard_normal(2 * ds.d)[::2], rng.standard_normal(2 * ds.n)[::2]),
+                  (np.arange(ds.d)[::-1], np.arange(-ds.n, ds.n, 2)),
+                  (rng.standard_normal((ds.d, 2))[:, 1], rng.standard_normal((ds.n, 2))[:, 0]),
+                  (list(range(ds.d)), [True, False] * (ds.n // 2))]
+        for x, v in inputs:
+            assert not (isinstance(x, np.ndarray) and x.flags.c_contiguous and x.dtype == float)
+            _products_are_the_designs(ds, x, v)
 
 
 def test_products_refuse_a_vector_of_the_wrong_shape():
-    """The compiled loops check no bounds, so a wrong length never reaches them."""
-    ds = make_instance(seed=6, n=30, d=50, sparsity=0.3).dataset
-    for fn, size in ((ds.matvec, ds.d), (ds.rmatvec, ds.n)):
-        for bad in (np.ones(size - 1), np.ones(size + 1), np.ones((size, 1)),
-                    np.ones((1, size)), np.float64(1.0), np.ones(0)):
-            with pytest.raises(ValueError, match="shape"):
-                fn(bad)
+    """The compiled loops check no bounds, so a wrong length never reaches
+    them, nor the dense copy's products: on a sparse and on a dense design
+    the refusal comes first and builds no copy."""
+    for sparsity in (0.3, 1.0):
+        a = make_instance(seed=6, n=30, d=50, sparsity=sparsity).dataset.A
+        ds = G.Dataset(a, np.zeros(30))
+        assert ds.dense == (sparsity == 1.0)
+        for fn, size in ((ds.matvec, ds.d), (ds.rmatvec, ds.n)):
+            for bad in (np.ones(size - 1), np.ones(size + 1), np.ones((size, 1)),
+                        np.ones((1, size)), np.float64(1.0), np.ones(0)):
+                with pytest.raises(ValueError, match="shape"):
+                    fn(bad)
+        assert ("dense",) not in ds._memo
 
 
 def test_dataset_validation():

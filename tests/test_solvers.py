@@ -1504,7 +1504,8 @@ def test_a_converged_report_certifies_the_full_problem(build, full_batch):
     D(report.dual) gives the reported gap bit for bit, it is at most gap_tol
     and at least the true suboptimality. The dual point is x_final's own, a
     returned refined point's included, so that is also x_final's
-    re-evaluated gap."""
+    re-evaluated gap, its A x formed as every evaluation's is
+    (Dataset.matvec)."""
     spec = build()
     batch = spec.dataset.n if full_batch else None
     rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=1, gap_tol=1e-6,
@@ -1520,7 +1521,7 @@ def test_a_converged_report_certifies_the_full_problem(build, full_batch):
     assert G.duality.duality_gap(spec, x, rep.dual) == rep.gap <= 1e-6
     p_star = G.reference_solve(spec, tol=1e-12).objective
     assert rep.gap >= G.primal_objective(spec, x) - p_star - 1e-12
-    _, _, _, own = G.solvers.evaluate(spec, x, ds.A @ x)
+    _, _, _, own = G.solvers.evaluate(spec, x, ds.matvec(x))
     assert own == rep.gap
 
 
@@ -2062,8 +2063,11 @@ def _power_sigma(mat, iters, tol):
 
 
 def _oracle_bound(spec):
-    """_spectral_bound's formula on the oracle's sigma, and its iterations."""
-    sigma, ran = _power_sigma(spec.dataset.A, 60, 1e-9)
+    """_spectral_bound's formula on the oracle's sigma, and its iterations. The
+    oracle multiplies as the dataset does: by the design's cells, one numpy
+    product each, on a dense dataset, else by scipy's CSR operator."""
+    ds = spec.dataset
+    sigma, ran = _power_sigma(ds.A.toarray() if ds.dense else ds.A, 60, 1e-9)
     base = spec.loss.curvature * sigma ** 2 / spec.dataset.n
     return max(base, 1e-12) + 2.0 * spec.mu_p, ran
 
@@ -2240,8 +2244,9 @@ def _count_reference_work(monkeypatch, spec):
     """Wrap what reference_solve calls; the returned dict counts the calls.
 
     forward counts the calls of Dataset.matvec (A x), matvecs the A x formed
-    on a working design (_matvec), products the calls of Dataset.rmatvec
-    (A'g), step_gradients the smooth gradients formed at a momentum point,
+    for a point on a working design (_matvec), which on a dense dataset is
+    one more Dataset.matvec, products the calls of Dataset.rmatvec (A'g),
+    step_gradients the smooth gradients formed at a momentum point,
     prox_points the prox points tried and refinements the support
     refinements that returned a point.
     """
@@ -2282,8 +2287,8 @@ def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
     last two evaluations' gradients. So the solve forms one A'g per
     evaluation and no other. A x is formed with the design once per prox
     point tried, never at an extrapolated point. A refinement that returns a
-    point forms one more A x, on the dataset's working design, and one more
-    A'g, in one more evaluation."""
+    point forms one more A x, on the dataset's working design or, on a dense
+    dataset, by Dataset.matvec, and one more A'g, in one more evaluation."""
     spec = make_instance(seed=3, n=150, d=300, q=10)
     counts = _count_reference_work(monkeypatch, spec)
     rep = G.reference_solve(spec, tol=1e-10)
@@ -2292,7 +2297,9 @@ def test_reference_solve_reuses_the_evaluated_gradient(monkeypatch):
     assert counts["refinements"] == 1
     assert counts["evaluations"] == rep.outer_iters + 1 + counts["refinements"]
     assert counts["products"] == counts["evaluations"]
-    assert counts["forward"] == counts["prox_points"] == 46
+    assert spec.dataset.dense
+    assert counts["forward"] == counts["prox_points"] + counts["matvecs"] == 47
+    assert counts["prox_points"] == 46
     assert counts["matvecs"] == counts["refinements"]
 
 
@@ -2322,7 +2329,8 @@ def test_a_logistic_reference_step_from_an_extrapolated_point_forms_its_own_grad
     assert counts["step_gradients"] == extrapolated < rep.outer_iters
     assert counts["evaluations"] == rep.outer_iters + 1 + counts["refinements"]
     assert counts["products"] == counts["evaluations"] + counts["step_gradients"]
-    assert counts["forward"] == counts["prox_points"] >= rep.outer_iters
+    assert counts["forward"] == counts["prox_points"] + spec.dataset.dense * counts["matvecs"]
+    assert counts["prox_points"] >= rep.outer_iters
     assert counts["matvecs"] == counts["refinements"]
 
 
@@ -2400,8 +2408,8 @@ def test_reference_doubles_up_from_a_start_d_times_too_low(monkeypatch):
     ||a|| and column j norm sqrt(n) |a_j|. With every |a_j| equal and n >= d
     the one-pass bound is d times too low. The doublings cost at most
     ceil(log2 d) + 1 prox points, one A x each, over the whole solve, and no
-    A'g: on the squared loss each A'g is an evaluation's. The refinement
-    forms its one A x on the dataset's working design."""
+    A'g: on the squared loss each A'g is an evaluation's. The design is
+    dense, so the refinement forms its one A x by Dataset.matvec too."""
     n, d = 60, 40
     rng = np.random.default_rng(0)
     row = np.where(rng.random(d) < 0.5, -0.7, 0.7)
@@ -2413,7 +2421,8 @@ def test_reference_doubles_up_from_a_start_d_times_too_low(monkeypatch):
     assert rep.converged and rep.gap <= 1e-10
     doublings = counts["prox_points"] - rep.outer_iters
     assert 1 <= doublings <= math.ceil(math.log2(d)) + 1
-    assert counts["forward"] == rep.outer_iters + doublings
+    assert ds.dense
+    assert counts["forward"] == rep.outer_iters + doublings + counts["matvecs"]
     assert counts["step_gradients"] == 0
     assert counts["products"] == counts["evaluations"]
     assert counts["matvecs"] == counts["refinements"]
@@ -3332,7 +3341,7 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
     centres = [dp for dp, _ in screens] + [rep.dual]
     assert len(centres) == len(rep.trace)
     for x, row, centre in zip(rep.iterates, rep.trace, centres):
-        dp = G.duality.dual_point(spec, spec.loss.deriv(ds.A @ x, ds.y), x=x)
+        dp = G.duality.dual_point(spec, spec.loss.deriv(ds.matvec(x), ds.y), x=x)
         assert row.objective == G.primal_objective(spec, x)
         assert row.gap == G.primal_objective(spec, x) - G.duality._dual_value(spec, dp)
         assert np.array_equal(centre.theta, dp.theta)
@@ -3347,7 +3356,7 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
             assert len(candidates) == 2
             for x in candidates:
                 assert slot[0] == _key(spec, x)
-                assert G.solvers.evaluate(spec, x, ds.A @ x)[3] > tol
+                assert G.solvers.evaluate(spec, x, ds.matvec(x))[3] > tol
                 assert G.primal_objective(spec, x_r) < G.primal_objective(spec, x)
             continue
         if k > len(decided):  # a last row straight after a screen certifies nothing
@@ -3366,7 +3375,7 @@ def test_a_screening_row_is_one_point_with_its_own_evaluation(monkeypatch, case,
     for (x, g, mu, features, _), row in zip(epochs, rows):
         k = row.outer_iter - 1
         assert np.array_equal(x, rep.iterates[k])
-        assert np.array_equal(g, spec.loss.deriv(ds.A @ x, ds.y))
+        assert np.array_equal(g, spec.loss.deriv(ds.matvec(x), ds.y))
         assert np.array_equal(mu, G.problem.smooth_gradient(spec, x, g))
         assert np.isin(block_of[features], rep.active_history[k + 1]).all()
     assert off or any(rep.trace[row.outer_iter - 1].restart == "refined" for row in rows)
@@ -3531,8 +3540,8 @@ def test_a_non_finite_or_runaway_row_still_diverges(monkeypatch, gate, shift, ma
         state["found"] |= out is not None
         return out
 
-    def shifted(work, v):
-        z = matvec(work, v)
+    def shifted(ds, work, x, v):
+        z = matvec(ds, work, x, v)
         return z + shift if state["found"] and not state["refining"] else z
 
     monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
@@ -3950,9 +3959,10 @@ PRODUCT_CASES = {
 @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
 def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
     """Each A x a solve forms runs on a working design that holds x's
-    support, never on the whole dataset; a point nonzero off that design
-    would lose terms and could certify a wrong gap. So every z that
-    evaluate is given must have the bytes of ds.A @ x, every refinement
+    support, or on a dense dataset on its dense copy (Dataset.matvec); a
+    point nonzero off that working design would lose terms and could certify
+    a wrong gap. So every z that evaluate is given must have the bytes of
+    ds.matvec(x), on a sparse dataset those of ds.A @ x, every refinement
     (_refined_certificate) gets its point on its design's columns, and the
     row point _certify takes on its design's columns, scattered back to the
     d features, has the objective of the row's evaluation to the bit, so the
@@ -3970,7 +3980,8 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
     certify = G.solvers._certify
 
     def spied_evaluate(spec, x, z):
-        assert z.tobytes() == (ds.A @ x).tobytes()
+        assert z.tobytes() == ds.matvec(x).tobytes()
+        assert ds.dense or z.tobytes() == (ds.A @ x).tobytes()
         checked["evaluate"] += 1
         return evaluate(spec, x, z)
 
@@ -4000,7 +4011,8 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
 
 
 class _Tripwire(sp.csr_matrix):
-    """A CSR design that refuses every product with a vector or matrix and every slice."""
+    """A CSR design that refuses every product with a vector or matrix, every
+    slice and every dense copy."""
 
     def _matmul_vector(self, other):
         raise AssertionError("a product with the whole design")
@@ -4011,28 +4023,39 @@ class _Tripwire(sp.csr_matrix):
     def __getitem__(self, key):
         raise AssertionError("a slice of the whole design")
 
+    def toarray(self, *args, **kwargs):
+        raise AssertionError("a dense copy of the whole design")
+
 
 @pytest.mark.parametrize("case", sorted(SCREENED_RUNS))
 def test_a_warm_adsgd_solve_forms_no_product_or_slice_of_the_design(monkeypatch, case):
     """Once a dataset's column bounds are memoised, an adsgd solve with an
-    explicit eta multiplies and slices only working designs: it forms no A x,
-    through scipy's operator or through Dataset.matvec, which calls the
-    compiled loop on ds.A's arrays past _Tripwire, and no column slice of
-    ds.A; its refinements certify, and its A'g goes through Dataset.rmatvec.
-    It returns the bits of the cold solve."""
+    explicit eta multiplies and slices only working designs: it forms no A x
+    through scipy's operator, and no column slice of ds.A. On a sparse
+    dataset it forms no A x through Dataset.matvec either, which calls the
+    compiled loop on ds.A's arrays past _Tripwire; on a dense one every
+    evaluation's A x goes through Dataset.matvec, on the dense copy the cold
+    solve built, which _Tripwire refuses to build again. Its refinements
+    certify, and its A'g goes through Dataset.rmatvec. It returns the bits
+    of the cold solve."""
     spec = SCREENED_RUNS[case]()
     cfg = G.SolverConfig(seed=2, gap_tol=1e-10, max_outer=300, eta=tuned_eta(spec))
     cold = G.adsgd_solve(spec, cfg)
     ds, calls, rmatvec = spec.dataset, [], G.Dataset.rmatvec
+    forward, matvec = [], G.Dataset.matvec
 
-    def refuse(self, x):
-        raise AssertionError("a product with the whole design")
+    def on_the_copy(self, x):
+        if not self.dense:
+            raise AssertionError("a product with the whole design")
+        forward.append(x.size)
+        return matvec(self, x)
 
     monkeypatch.setattr(ds, "A", _Tripwire(ds.A))
-    monkeypatch.setattr(G.Dataset, "matvec", refuse)
+    monkeypatch.setattr(G.Dataset, "matvec", on_the_copy)
     monkeypatch.setattr(G.Dataset, "rmatvec",
                         lambda self, v: calls.append(v.size) or rmatvec(self, v))
     warm = G.adsgd_solve(spec, cfg)
     assert warm.converged and warm.trace[-1].restart == "refined" and calls
+    assert bool(forward) == ds.dense
     assert np.array_equal(warm.x_final, cold.x_final)
     assert [r.gap for r in warm.trace] == [r.gap for r in cold.trace]
