@@ -4,12 +4,12 @@ Everything here is immutable after construction and safe to share across
 concurrent solver runs; the operations are pure functions of their inputs.
 A Dataset keeps the design constants that every solve would otherwise
 recompute (Dataset.memo), each a pure function of the design and its key,
-so concurrent solves at worst compute one twice, to the same bits. Every
-product with the whole design is Dataset.matvec's or Dataset.rmatvec's: on
-a dense copy of its cells (OpenBLAS) where it stores at least half of them,
-else on its CSR arrays (scipy's compiled loops). Every read of its columns
-is _cut's or _column_rows', from one column index per dataset: no module
-outside this one takes a column of A.
+so concurrent solves at worst compute one twice, to the same bits. Dataset.dense
+is the one storage decision: a dataset that stores at least half its cells
+keeps one dense copy of them (Dataset.cells), on which every whole-design
+product runs (OpenBLAS) and from which the solvers' steps and refinements read
+their rows and columns. Any other dataset's products run on its CSR arrays
+(scipy's compiled loops), and its columns are read by _cut or _column_rows.
 
 BlockPartition is the one block layout: the problem's partition, and the
 solvers' working design over the surviving blocks, are each one. The working
@@ -48,12 +48,12 @@ from scipy.special import expit, xlogy
 # output row's entries in increasing input row, as A.tocsc() does.
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index, csr_tocsc
 
-# A design that stores at least this share of its n * d cells also keeps a
-# dense copy, and its whole-design products run on OpenBLAS's dgemv over the
-# copy (Dataset.matvec, Dataset.rmatvec). At density 0.6 a dense A x or A'v
-# took 0.27-0.80 of the compiled CSR loop's time over 2000 x 40, 500 x 500,
-# 1000 x 1000, 200 x 2000 and 5000 x 100, and 0.95-2.45 of it at density
-# 0.2 (one thread, best of 5 timeit runs of 50 calls).
+# A design that stores at least this share of its n * d cells keeps a dense
+# copy (Dataset.cells), and so does a cut of it for its own cells
+# (solvers._Working.dense). At density 0.6 a dense A x or A'v took 0.27-0.80
+# of the compiled CSR loop's time over 2000 x 40, 500 x 500, 1000 x 1000,
+# 200 x 2000 and 5000 x 100, and 0.95-2.45 of it at density 0.2 (one thread,
+# best of 5 timeit runs of 50 calls).
 _DENSE_SHARE = 0.5
 
 # OpenBLAS (0.3.31) splits a matrix-vector product of 460,800 cells or more
@@ -117,14 +117,13 @@ class Dataset:
     """Design matrix, stored as CSR, plus responses.
 
     A design that stores at least _DENSE_SHARE = 1/2 of its n * d cells, with
-    n >= 2 and 2 <= d <= 2**17, also keeps one C-ordered float64 copy of its
-    cells (dense is True), built on its first product and kept in the memo
-    (key ("dense",)): 8 n d bytes, at most 4/3 of the CSR's 12 bytes an entry
-    at half density. matvec and rmatvec run on that copy in row chunks
-    (_chunks), each OpenBLAS call below the sizes at which OpenBLAS 0.3.31
-    splits one across threads (_DENSE_CHUNK_CELLS), so their bytes do not
-    depend on the thread count. Any other design's products run on the CSR
-    arrays.
+    n >= 2 and 2 <= d <= 2**17, is dense: it also keeps one copy of its cells
+    (cells), 8 n d bytes, at most 4/3 of the CSR's 12 bytes an entry at half
+    density. matvec and rmatvec run on that copy in row chunks (_chunks), each
+    OpenBLAS call below the sizes at which OpenBLAS 0.3.31 splits one across
+    threads (_DENSE_CHUNK_CELLS), so their bytes do not depend on the thread
+    count, and the solvers' steps and refinements read it too. Any other
+    design's products, steps and columns run on the CSR arrays.
 
     Parameters
     ----------
@@ -166,14 +165,28 @@ class Dataset:
                       and 2 <= d <= _DENSE_CHUNK_CELLS // 2)
         self._memo = {}
 
+    def cells(self):
+        """The dense copy: the n x d cells as one C-ordered read-only float64
+        array, built on the first read and kept in the memo (key ("dense",)).
+        It holds A's bits: csr_todense turns a stored -0.0 into +0.0, so the
+        stored zeros are written again (25 us over its 70 us on 2000 x 40; a
+        scatter of every entry took 450 us)."""
+        def build():
+            a = self.A
+            out = a.toarray()
+            zeros = np.flatnonzero(a.data == 0.0)
+            out[np.searchsorted(a.indptr, zeros, "right") - 1, a.indices[zeros]] = a.data[zeros]
+            out.flags.writeable = False
+            return out
+        return self.memo(("dense",), build)
+
     def _chunks(self):
-        """The dense copy, built by one csr_todense call, as [(rows, cells)]:
-        a slice of whole rows and the view of the copy that holds them, of
-        at most _DENSE_CHUNK_CELLS cells and at least two rows, a one-row
-        tail joined to the chunk before."""
+        """The dense copy (cells) as [(rows, cells)]: a slice of whole rows and
+        the view of the copy that holds them, of at most _DENSE_CHUNK_CELLS
+        cells and at least two rows, a one-row tail joined to the chunk
+        before."""
         n, d = self.n, self.d
-        cells = self.A.toarray()
-        cells.flags.writeable = False
+        cells = self.cells()
         h = _DENSE_CHUNK_CELLS // d
         cuts = list(range(h, n, h))
         if cuts and cuts[-1] == n - 1:
@@ -191,7 +204,7 @@ class Dataset:
         x = _vector(x, self.d, "x")
         if self.dense:
             z = np.empty(self.n)
-            for rows, cells in self.memo(("dense",), self._chunks):
+            for rows, cells in self.memo(("chunks",), self._chunks):
                 np.dot(cells, x, out=z[rows])
             return z
         a = self.A
@@ -209,7 +222,7 @@ class Dataset:
         """
         v = _vector(v, self.n, "v")
         if self.dense:
-            (rows, cells), *rest = self.memo(("dense",), self._chunks)
+            (rows, cells), *rest = self.memo(("chunks",), self._chunks)
             out = np.dot(v[rows], cells)
             for rows, cells in rest:
                 out += np.dot(v[rows], cells)

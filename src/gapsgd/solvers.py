@@ -63,7 +63,7 @@ by _refine_support: at most _REFINE_STEPS Newton steps on the model's smooth
 stationarity system, whose residual must reach _REFINE_TOL * lam. The whole
 refinement runs in the working design's column numbering: it is handed the
 point on those columns, finds its model there, takes the model's columns
-from that design (_columns) and forms A x_r there; only x_r is scattered to
+from the dataset (_columns) and forms A x_r there; only x_r is scattered to
 the d features, once, for its evaluation. A Lasso model's system is linear,
 so its first step solves it. Where the solution flips the sign of an L1
 coordinate, the refinement drops every flipped coordinate and solves again,
@@ -115,12 +115,12 @@ matrix of the batch's rows, sums coef X_b into every working column, of
 which a block step keeps its block's. Each adds its products to zeros in
 entry order, so a block's columns hold the sums over its entries alone, and
 every sum is that of a weighted np.bincount over the same products, to the
-bit (the tests keep that bincount kernel as the oracle). On the dense twin
-the same gradient comes from two matrix products, X_b x and coef X_b[:,
-lo:hi]. One epoch, its plan, steps and restart, runs in _epoch; _engine
-keeps the outer loop. vr_gradient is one step of the engine's own plan:
-_compact builds the dataset's working design over every block, and _plan
-and step_gradient take the batch and block as a chunk of one step.
+bit (the tests keep that bincount kernel as the oracle). On the dense
+storage the same gradient comes from two matrix products, X_b x and coef
+X_b[:, lo:hi]. One epoch, its plan, steps and restart, runs in _epoch;
+_engine keeps the outer loop. vr_gradient is one step of the engine's own
+plan: _compact builds the dataset's working design over every block, and
+_plan and step_gradient take the batch and block as a chunk of one step.
 partial_gradient is the same step on a zero snapshot.
 
 The working design is plain CSR over a set of block ids, in the stored index
@@ -145,16 +145,14 @@ row's entries in their CSR order, so it removes only vals * 0.0 terms from
 the row sums. Every step gathers its batch's rows, a full batch (batch_size
 == n) being the batch of every row.
 
-Each working design is stored by its own density. One that holds at least
-_RHO * n * p entries over its p columns also has a dense twin, an (n, p)
-array in the same column numbering (_Working.dense), built when an epoch
-first runs on it; _plan then takes the batch's rows from the twin, not from
-the entries. The sparse loops gather and index every entry, which a BLAS
-product over the cells outruns where most cells are stored, and a very
-sparse design stored dense would multiply mostly zeros. The two storages
-sum in different orders, so their iterates agree to rounding, not bit for
-bit; each is deterministic for a seed. The choice lives in _Working.dense
-and _plan alone.
+The dataset's storage is the one storage decision (Dataset.dense): a dataset
+that stores at least half its cells keeps one dense copy, and each working
+design of it that stores that share of its own cells reads its steps' rows
+from the copy (_Working.dense), not from the entries. The sparse loops gather
+and index every entry, which a BLAS product over the cells outruns where most
+cells are stored, and a sparse cut stored dense would multiply mostly zeros.
+The two storages sum in different orders, so their iterates agree to
+rounding, not bit for bit; each is deterministic for a seed.
 
 The reference solver is FISTA with backtracking and momentum restarts. Its
 step constant starts at the one-pass bound c * max(max_i ||a_i||^2, max_j
@@ -174,9 +172,9 @@ y is the iterate, as after a restart or a step from t = 1 (beta = 0). Its L1
 stop row is refined by the screening solves' own _refined_certificate, kept
 where its gap is smaller, on the working design over every block (the
 dataset's CSR arrays, or a cut on a scattered partition), handed the iterate
-on its columns: the refinement gathers its model's columns from the column
-index, with no twin built, and forms the refined point's A x on that design,
-or on a dataset with a dense copy by Dataset.matvec.
+on its columns: the refinement takes its model's columns from the dataset's
+dense copy or its column index (_columns), and forms the refined point's A x
+on that design, or on a dataset with a dense copy by Dataset.matvec.
 
 The full-vector solver proxsvrg and the reference solver make one penalty
 prox call per step. For group-L2 it shrinks every block of one size with a
@@ -199,9 +197,10 @@ import numpy as np
 
 from .duality import (ActiveSet, DualPoint, _padded_gap, _rounding, column_bounds, evaluate,
                        safe_radius, screen)
-from .problem import (BlockPartition, DegenerateProblemError, _column_rows, _cut, _gather_rows,
-                      _is_count, _is_real, _vector, csc_matvec, csr_matvec, lipschitz_constants,
-                      primal_objective, smooth_gradient, smooth_value)
+from . import problem
+from .problem import (BlockPartition, Dataset, DegenerateProblemError, _column_rows, _cut,
+                      _gather_rows, _is_count, _is_real, _vector, csc_matvec, csr_matvec,
+                      lipschitz_constants, primal_objective, smooth_gradient, smooth_value)
 
 
 class DivergenceError(RuntimeError):
@@ -365,23 +364,6 @@ def _resolve(spec, config):
     return float(eta), int(m), int(batch)
 
 
-# A working design at least this dense, stored entries over n * p cells, is
-# also kept as an (n, p) array, and its steps take two matrix products in
-# place of the entry gather and the compiled sparse loops. Time of dense over
-# sparse storage for the same solves (same draws, 4 outer iterations, median
-# of 4 seeds) on a 1000 x 1000 Lasso with 50 blocks, for adsgd / mrbcd /
-# proxsvrg, on one core of a 2-core x86-64 host with OpenBLAS, against the
-# sparse kernel's bincount predecessor: 1.14 / 1.20 / 1.24 at density 0.03,
-# 1.03 / 0.81 / 0.91 at 0.06, 0.76 / 0.59 / 0.76 at 0.10 and 0.68 / 0.47 /
-# 0.48 at 0.20, a crossover near 0.04-0.06. Against the compiled loops (two
-# runs, proxsvrg at a step 16 times shorter): 1.10-1.12 / 1.32-1.33 /
-# 1.23-1.36 at 0.03, 0.85-1.21 / 0.98-1.03 / 1.06-1.84 at 0.10 and
-# 0.96-1.15 / 0.71-0.73 / 0.91-0.94 at 0.20, a crossover between 0.1 and 0.2.
-# A new threshold moves designs between the storages' summation orders, and
-# so the iterates of their solves; it is left for a change of its own.
-_RHO = 0.1
-
-
 @dataclasses.dataclass
 class _Working:
     """The design on the block ids `blocks`, its columns numbered block by block.
@@ -394,7 +376,8 @@ class _Working:
     indptr[r + 1]): plain CSR in the stored index type, 12 bytes per stored
     entry with int32 indices, the arrays of scipy's A[:, features]. While
     every block of a contiguous partition is kept, they are the dataset's
-    CSR arrays and layout is spec.partition itself. _compact builds it.
+    CSR arrays and layout is spec.partition itself. _compact builds it, with
+    the dataset it was cut from.
     """
 
     blocks: np.ndarray
@@ -402,21 +385,19 @@ class _Working:
     indptr: np.ndarray
     entries: tuple
     layout: BlockPartition
+    dataset: Dataset
 
     @functools.cached_property
     def dense(self):
-        """The design as an (n, p) float64 array in the same column numbering,
-        where it stores at least _RHO * n * p entries over its p columns, else
-        None: the one density test, which picks the rows _plan gathers for
-        every step of an epoch or of a public gradient. Built when first read:
-        by the first epoch or public gradient on the design, never by a
-        refinement (_columns). Its row ids come from indptr."""
-        (cols, vals), n, p = self.entries, self.indptr.size - 1, self.features.size
-        if vals.size < _RHO * n * p:
+        """The design's cells, C-ordered (n, p), from the dataset's dense copy
+        (Dataset.cells), or None: the one test of which rows _plan gathers,
+        made when first read. Over every block of a contiguous partition it
+        is the copy itself; any other design takes the copy's columns (one
+        np.take) where it stores _DENSE_SHARE of its n p cells, else None."""
+        ds, vals = self.dataset, self.entries[1]
+        if not ds.dense or vals.size < problem._DENSE_SHARE * ds.n * self.features.size:
             return None
-        out = np.zeros((n, p))
-        out[np.repeat(np.arange(n), np.diff(self.indptr)), cols] = vals
-        return out
+        return ds.cells() if vals is ds.A.data else np.take(ds.cells(), self.features, axis=1)
 
 
 def _compact(spec, blocks):
@@ -428,14 +409,15 @@ def _compact(spec, blocks):
     kept entries in their CSR order and every row and block sum adds the
     same products in the same order. Their columns are then renumbered to
     the blocks' order, the identity where the kept features rise, as on a
-    contiguous partition. Every design keeps the stored index type. Each
-    design has a dense twin when it is at least _RHO dense (_Working.dense).
+    contiguous partition. Every design keeps the stored index type, and reads
+    its steps' rows from the dataset's dense copy where it has one
+    (_Working.dense).
     """
     part, ds = spec.partition, spec.dataset
     if blocks.size == part.q and not np.any(np.diff(part.order) < 0):
         a = ds.A
         return _Working(blocks=blocks, features=part.order, indptr=a.indptr,
-                        entries=(a.indices, a.data), layout=part)
+                        entries=(a.indices, a.data), layout=part, dataset=ds)
     sizes = part.sizes[blocks]
     ends = np.cumsum(sizes)
     features = part.order[np.arange(ends[-1]) + np.repeat(part.offsets[blocks] - ends + sizes,
@@ -446,7 +428,7 @@ def _compact(spec, blocks):
     if order is not None:
         cols = order.astype(cols.dtype)[cols]
     return _Working(blocks=blocks, features=features, indptr=indptr,
-                    entries=(cols, vals), layout=BlockPartition.from_sizes(sizes))
+                    entries=(cols, vals), layout=BlockPartition.from_sizes(sizes), dataset=ds)
 
 
 # Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
@@ -463,9 +445,9 @@ def _compact(spec, blocks):
 # mrbcd 0.89 on lasso-sparse and 0.98 on logistic-group, proxsvrg 0.96 and
 # 0.98; adsgd 0.92 on logistic-group, inside its 2.2-2.4 ms spread between
 # rounds; everything else within 1.5%. A dense design's chunk of the same steps
-# gathers b * p cells a step; its longest row holds at least _RHO * p entries,
-# so a chunk holds at most _CHUNK_ENTRIES / _RHO = 327,680 cells, 2.6 MB of
-# float64.
+# gathers b * p cells a step; its longest row holds at least _DENSE_SHARE * p
+# entries (_Working.dense), so a chunk holds at most _CHUNK_ENTRIES /
+# _DENSE_SHARE = 65,536 cells, 0.5 MB of float64.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -478,8 +460,8 @@ def _plan(work, y, g_snap, c, batches, ibs):
     full-vector steps. Returns an iterator of one ((rows, y_t, g_t), lo, hi)
     per step: the step's rows of the design, y and the snapshot's
     derivatives on its batch, and the working columns lo:hi it updates, its
-    block's or all of them. The rows come from work's storage: on the dense
-    twin (_Working.dense), one take gathers every step's, and rows is the
+    block's or all of them. The rows come from work's storage: from its
+    cells (_Working.dense), one take gathers every step's, and rows is the
     step's (b, p) array; else one _gather_rows call fetches them, and rows is
     (cols, vals, rp), the chunk's entries and the step's b + 1 row pointers
     into them, a view of the chunk's, so a step slices no entry array. A
@@ -566,8 +548,9 @@ def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     """One step's gradient on `block`, in feature ids: a one-step chunk of the
     engine's epoch plan on the dataset's working design, run by _plan and
     step_gradient as an epoch runs it. x_tilde is the snapshot and mu its
-    smooth gradient; the snapshot's derivatives are formed on the batch's
-    rows alone, the only ones the step reads. Without x_tilde the snapshot is
+    smooth gradient; the snapshot's derivatives come from Dataset.matvec, the
+    bits of an evaluation's, which on a dense dataset may sum a row in
+    another order than that row alone. Without x_tilde the snapshot is
     zero: zero derivatives, a zero gradient and a zero point, so the kernel's
     formula gives the plain mini-batch gradient (x - 0, g - 0 and adding +0
     are exact).
@@ -578,7 +561,7 @@ def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     if x_tilde is None:
         x_tilde = mu = np.zeros(ds.d)
     else:
-        g_snap[batch] = spec.loss.deriv(ds.A[batch] @ x_tilde, ds.y[batch])
+        g_snap[batch] = spec.loss.deriv(ds.matvec(x_tilde)[batch], ds.y[batch])
     f = work.features  # working column p holds feature f[p]
     (args, lo, hi), = _plan(work, ds.y, g_snap, 1, batch[None], np.array([block]))
     return step_gradient(spec.loss, x[f], *args, lo, hi, mu[f], x_tilde[f], spec.mu_p)
@@ -631,15 +614,15 @@ def _working_blocks(spec, active, blocks, dp):
     return active.blocks[hot[active.blocks]]
 
 
-def _matvec(ds, work, x, v):
+def _matvec(work, x, v):
     """A x, x being a point of an epoch or refinement on the working design
     work, zero off its columns, and v its entries on them. On a dense
-    dataset it is ds.matvec(x), the copy's product, to the bit. Otherwise it
-    runs on work: csr_matvec adds each row's products to zero in entry order,
-    as A @ x does, less the terms vals * 0.0 of the entries off work, so it
-    gives the same bits."""
-    if ds.dense:
-        return ds.matvec(x)
+    dataset it is Dataset.matvec(x), the copy's product, to the bit.
+    Otherwise it runs on work: csr_matvec adds each row's products to zero in
+    entry order, as A @ x does, less the terms vals * 0.0 of the entries off
+    work, so it gives the same bits."""
+    if work.dataset.dense:
+        return work.dataset.matvec(x)
     n, (cols, vals) = work.indptr.size - 1, work.entries
     z = np.zeros(n)
     csr_matvec(n, v.size, work.indptr, cols, vals, v, z)
@@ -693,7 +676,7 @@ def _refined_certificate(spec, work, v):
         return None
     x_r = np.zeros(spec.dataset.d)
     x_r[work.features] = w_r
-    return x_r, evaluate(spec, x_r, _matvec(spec.dataset, work, x_r, w_r))
+    return x_r, evaluate(spec, x_r, _matvec(work, x_r, w_r))
 
 
 def _refinable(spec, model):
@@ -874,7 +857,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     for v in (x_sum, x_cur):
         x = np.zeros(spec.dataset.d)
         x[wfeat] = v
-        cands.append((x, _matvec(spec.dataset, work, x, v)))
+        cands.append((x, _matvec(work, x, v)))
     if slot is not None and all(
             _model(spec, wfeat, v)[0] == slot[0] for v in (x_sum, x_cur)):
         x_r, ev_r = slot[1]
@@ -1113,21 +1096,18 @@ _REFINE_STEPS = 10
 _REFINE_COST = 100.0
 
 
-def _columns(ds, work, support):
+def _columns(work, support):
     """The columns of the working design work on its column ids support, as a
-    dense (n, k) array in column-major order: copied from work's dense twin
-    (_Working.dense) where an epoch built it, else gathered from the dataset
-    ds's column index (problem._column_rows), at a cost in the support's
-    stored entries, with no twin built. Either way, the bits of A's columns
-    work.features[support], a stored -0.0 included. The twin's copy stays:
-    gathered in its place, adsgd read 1.02-1.055 on lasso-tall and
-    1.00-1.035 on logistic-group, lower in 1 of 8 paired rounds in two runs
-    (in process, one core of a 2-core x86-64 host).
+    dense (n, k) array in column-major order: copied from its dataset's
+    dense copy (Dataset.cells) where it has one, else gathered from the
+    dataset's column index (problem._column_rows), at a cost in the
+    support's stored entries. Either way, the bits of A's columns
+    work.features[support], a stored -0.0 included.
     """
-    dense = work.__dict__.get("dense")  # a cached_property read, never a build
-    if dense is not None:
-        return dense.T[support].T  # a (k, n) copy's transpose
-    rp, rows, vals = _column_rows(ds, work.features[support])
+    ds, ids = work.dataset, work.features[support]
+    if ds.dense:
+        return ds.cells().T[ids].T  # a (k, n) copy's transpose
+    rp, rows, vals = _column_rows(ds, ids)
     out = np.zeros((support.size, ds.n))  # its transpose is the (n, k) result
     cells = np.repeat(np.arange(0, out.size, ds.n), np.diff(rp))  # each entry's cell
     cells += rows
@@ -1196,7 +1176,7 @@ def _refine_support(spec, work, v):
             if support.size == 0:
                 return None
             # column-major: the BLAS products below round differently on a row-major copy
-            a_s = _columns(ds, work, support)
+            a_s = _columns(work, support)
             eye = np.eye(support.size)
             ridge, tiny, pen = two_mu * eye, 1e-13 * eye, lam * signs
             curved = np.empty_like(a_s)  # a_s scaled row by row by f''

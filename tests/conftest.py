@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,26 @@ import scipy.sparse as sp
 import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.solvers import _spectral_bound
+
+
+# problem._DENSE_SHARE of each storage: inf keeps every dataset sparse, and so
+# every working design of it; 0 makes every dataset of n >= 2 and 2 <= d <=
+# 2**17 dense, and every working design of it read from its dense copy
+STORAGES = {"sparse": math.inf, "dense": 0.0}
+
+
+@contextlib.contextmanager
+def storage(name):
+    """Run the block on one storage, "sparse" or "dense" (STORAGES): build its
+    datasets, and run its solves, under that problem._DENSE_SHARE, the one
+    density rule of a dataset's copy and of a working design's dense cells.
+    A dataset keeps the storage it was built with."""
+    saved = G.problem._DENSE_SHARE
+    G.problem._DENSE_SHARE = STORAGES[name]
+    try:
+        yield
+    finally:
+        G.problem._DENSE_SHARE = saved
 
 
 def hand_lasso():

@@ -14,7 +14,7 @@ import gapsgd as G
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import soft_threshold
 
-from conftest import inert_screening, make_instance, tuned_eta
+from conftest import STORAGES, inert_screening, make_instance, storage, tuned_eta
 
 
 def announce(capsys, num, name, ok, detail):
@@ -267,28 +267,30 @@ def test_criterion_06_mrbcd_equivalence(capsys, monkeypatch):
     announce(capsys, 6, "MRBCD equivalence", ok, f"{identical}/10 bit-identical")
 
 
-def test_criterion_07_vr_unbiasedness(capsys, monkeypatch):
+def test_criterion_07_vr_unbiasedness(capsys):
     """Exhaustive singleton-batch average equals the exact block gradient.
 
     vr_gradient runs the engine's step kernel on the uncompacted design, on
-    the storage the engine would pick for it. Both storages are checked:
-    _RHO = inf keeps the design sparse, _RHO = 0 makes it dense.
+    the storage the engine would pick for it. Both storages are checked, by
+    the tests' storage seam (conftest.storage) around each instance's build
+    and its gradients: a sparse dataset, and a dense one read from its copy.
     """
     worst = {}
-    for storage, rho in (("sparse", np.inf), ("dense", 0.0)):
-        monkeypatch.setattr(G.solvers, "_RHO", rho)
-        worst[storage] = 0.0
+    for kind in STORAGES:
+        worst[kind] = 0.0
         for seed, model in ((700, "lasso"), (701, "logistic")):
-            spec = make_instance(seed=seed, n=45, d=30, q=6, model=model)
-            rng = np.random.default_rng(seed)
-            x, xt = rng.normal(size=30), rng.normal(size=30)
-            mu = G.full_gradient(spec, xt)
-            full = G.full_gradient(spec, x)
-            for blk in range(6):
-                avg = np.mean([G.vr_gradient(spec, x, xt, mu, [i], blk)
-                               for i in range(45)], axis=0)
-                dev = float(np.max(np.abs(avg - full[spec.partition.groups[blk]])))
-                worst[storage] = max(worst[storage], dev)
+            with storage(kind):
+                spec = make_instance(seed=seed, n=45, d=30, q=6, model=model)
+                assert spec.dataset.dense == (kind == "dense")
+                rng = np.random.default_rng(seed)
+                x, xt = rng.normal(size=30), rng.normal(size=30)
+                mu = G.full_gradient(spec, xt)
+                full = G.full_gradient(spec, x)
+                for blk in range(6):
+                    avg = np.mean([G.vr_gradient(spec, x, xt, mu, [i], blk)
+                                   for i in range(45)], axis=0)
+                    dev = float(np.max(np.abs(avg - full[spec.partition.groups[blk]])))
+                    worst[kind] = max(worst[kind], dev)
     ok = max(worst.values()) <= 1e-12
     announce(capsys, 7, "variance-reduction unbiasedness", ok,
              ", ".join(f"worst deviation {v:.1e} ({k})" for k, v in worst.items()))

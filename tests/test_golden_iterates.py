@@ -50,14 +50,17 @@ in place of the average alone. Every case sets m, so the default inner count
 of n moved none of them. The reference cases did not move.
 
 The working designs of all these instances are 50-100% dense, so the engine
-would run them on its dense storage, whose matrix products add the same
+could run them on its dense storage, whose matrix products add the same
 terms in another order than the entry sums did. Every case above is pinned
-on the sparse storage instead: its run sets solvers._RHO to inf, so no
-working design counts as dense, and the values recorded before the dense
-storage existed still hold bit for bit. The DENSE_CASES pin the dense
-storage (_RHO = 0, every working design dense) on one case per solver, a
+on the sparse storage instead: its dataset is built, and its step size and
+solve run, under the tests' storage seam (conftest.storage("sparse"), which
+sets problem._DENSE_SHARE to inf), so no dataset keeps a dense copy and no
+working design reads one. The DENSE_CASES pin the dense storage
+(conftest.storage("dense"), _DENSE_SHARE = 0: every dataset keeps its copy,
+and every working design reads its rows from it) on one case per solver, a
 full batch, mu_p > 0, a scattered group-L2 partition and an epoch of several
-chunks; they were recorded when that storage was added.
+chunks; they were recorded when that storage was added. The reference cases
+run at the module's own _DENSE_SHARE.
 
 Twelve cases were re-recorded when a screening solve began to refine its
 iterate on an identified model and to certify it, screen and pick working
@@ -238,20 +241,34 @@ step sizes (from _spectral_bound) and evaluations moved by rounding. No
 outer_iters, coord_updates or active set moved; each x_final kept its
 support and lies within 2.7e-15 of the old one, relative.
 
+Eight cases went back to the bytes they held before that change when the
+dataset's storage became the one storage decision and the tests' seam began
+to build each dataset on its case's storage: adsgd-full-batch-mu-p,
+adsgd-group-scattered, adsgd-group-uneven, adsgd-mu-p,
+proxsvrg-group-scattered, proxsvrg-group-uneven, adsgd-long-rows and
+proxsvrg-long-rows, whose datasets the sparse seam no longer stores dense.
+Six were re-recorded, because the dense seam now makes each one's dataset
+dense, so its step size and its evaluations take the copy's products, and
+each working design reads the copy's cells: dense-adsgd-full-batch,
+dense-adsgd-l1-contiguous, dense-adsgd-long-epoch, dense-mrbcd-l1-scattered,
+dense-proxsvrg-full-batch and dense-proxsvrg-logistic-group. No
+outer_iters, coord_updates or active set moved; each x_final kept its
+support and lies within 1.6e-15 of the old one, relative.
+dense-adsgd-group-scattered, dense-adsgd-mu-p and the reference cases kept
+their bytes.
+
 python tests/test_golden_iterates.py NAME... prints each named case's entry
 from a fresh run, in the layout below, for such a re-record.
 """
 
-import contextlib
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 import gapsgd as G
 
-from conftest import make_instance, tuned_eta
+from conftest import make_instance, storage, tuned_eta
 
 
 def _scattered(spec, q):
@@ -308,23 +325,12 @@ REFERENCE_CASES = {
 }
 
 
-@contextlib.contextmanager
-def _storage(rho):
-    """Every working design on one storage: rho = inf keeps them all sparse,
-    rho = 0 makes them all dense."""
-    saved, G.solvers._RHO = G.solvers._RHO, rho
-    try:
-        yield
-    finally:
-        G.solvers._RHO = saved
-
-
 def run_case(name):
     build, fields = CASES[name]
-    spec = build()
-    cfg = G.SolverConfig(seed=7, m=40, max_outer=10, gap_tol=1e-12,
-                         eta=tuned_eta(spec), keep_iterates=True, **fields)
-    with _storage(math.inf):
+    with storage("sparse"):
+        spec = build()
+        cfg = G.SolverConfig(seed=7, m=40, max_outer=10, gap_tol=1e-12,
+                             eta=tuned_eta(spec), keep_iterates=True, **fields)
         return G.solve(spec, cfg)
 
 
@@ -357,16 +363,16 @@ GOLDEN = {
         "outer_iters": 2,
         "coord_updates": 30,
         "active_blocks": [6, 6, 2],
-        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.2000000000000p-48 0x1.2000000000000p-48",
+        "gaps": "0x1.ae1cbad4dccd0p-2 0x1.0000000000000p-48 0x1.0000000000000p-48",
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda3ebp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03ab30p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda3eap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03ab36p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda3ebp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03ab30p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda3eap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03ab36p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
@@ -402,19 +408,19 @@ GOLDEN = {
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4512d549b3900p-6 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.82130a4236ee0p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.477862210fba4p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e52adf17e044p-8 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.59bec869b504ap-8 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.8ba6afae2121bp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "-0x1.da7806a2f30abp-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6be2dbcd4041p-6 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4512d549b38f0p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.82130a4236ecfp-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.477862210fb95p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e52adf17e037p-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.59bec869b5038p-8 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.8ba6afae21208p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.da7806a2f3093p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6be2dbcd402ap-6 "
             "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4512d549b3900p-6 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.82130a4236ee0p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.477862210fba4p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e52adf17e044p-8 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.59bec869b504ap-8 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.8ba6afae2121bp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "-0x1.da7806a2f30abp-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6be2dbcd4041p-6 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4512d549b38f0p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.82130a4236ecfp-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.477862210fb95p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e52adf17e037p-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.59bec869b5038p-8 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.8ba6afae21208p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.da7806a2f3093p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6be2dbcd402ap-6 "
             "0x0.0p+0 0x0.0p+0",
         ],
     },
@@ -431,15 +437,15 @@ GOLDEN = {
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.9134871244464p-8 0x1.30a336fdbd914p-6 0x1.0d25ca85eebfdp-4 "
-            "0x1.5ddcf10da4ceep-5 -0x1.79f1ccdd9fb3fp-10 -0x1.843a3e1fcb751p-7 "
-            "0x1.ac4dd2bbe4575p-9 0x1.1e072467e1830p-6 0x1.7ae586f4ada7fp-9 0x0.0p+0 "
+            "0x0.0p+0 0x1.913487124446cp-8 0x1.30a336fdbd91ap-6 0x1.0d25ca85eec03p-4 "
+            "0x1.5ddcf10da4cf6p-5 -0x1.79f1ccdd9fb48p-10 -0x1.843a3e1fcb75ap-7 "
+            "0x1.ac4dd2bbe457cp-9 0x1.1e072467e1835p-6 0x1.7ae586f4ada8ap-9 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.9134871244464p-8 0x1.30a336fdbd914p-6 0x1.0d25ca85eebfdp-4 "
-            "0x1.5ddcf10da4ceep-5 -0x1.79f1ccdd9fb3fp-10 -0x1.843a3e1fcb751p-7 "
-            "0x1.ac4dd2bbe4575p-9 0x1.1e072467e1830p-6 0x1.7ae586f4ada7fp-9 0x0.0p+0 "
+            "0x0.0p+0 0x1.913487124446cp-8 0x1.30a336fdbd91ap-6 0x1.0d25ca85eec03p-4 "
+            "0x1.5ddcf10da4cf6p-5 -0x1.79f1ccdd9fb48p-10 -0x1.843a3e1fcb75ap-7 "
+            "0x1.ac4dd2bbe457cp-9 0x1.1e072467e1835p-6 0x1.7ae586f4ada8ap-9 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
@@ -531,7 +537,7 @@ GOLDEN = {
         "coord_updates": 39,
         "active_blocks": [6, 6, 6, 2],
         "gaps": (
-            "0x1.ae1cbad4dccd0p-2 0x1.c2f3a3875e118p-2 0x1.0400000000000p-45 "
+            "0x1.ae1cbad4dccd0p-2 0x1.c2f3a3875e120p-2 0x1.0400000000000p-45 "
             "0x1.0400000000000p-45"
         ),
         "iterates": [
@@ -539,13 +545,13 @@ GOLDEN = {
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.3d34379036e28p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.3d34379036e26p-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda24bp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03b236p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda24ap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03b232p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x1.52f61cafda24bp-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03b236p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x1.52f61cafda24ap-1 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0 0x1.b87c52e03b232p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
     },
@@ -733,8 +739,8 @@ GOLDEN = {
         "coord_updates": 8160,
         "active_blocks": [4, 4, 4, 4, 4, 4, 4],
         "gaps": (
-            "0x1.be416fa97ed80p-8 0x1.cc563a6c46000p-12 0x1.6ce679c040000p-17 "
-            "0x1.7ba52d2800000p-23 0x1.b56b150000000p-28 0x1.7fb2000000000p-37 "
+            "0x1.be416fa97ed80p-8 0x1.cc563a6c45000p-12 0x1.6ce679c040000p-17 "
+            "0x1.7ba52d2c00000p-23 0x1.b56b150000000p-28 0x1.7fb2000000000p-37 "
             "0x1.d180000000000p-43"
         ),
         "iterates": [
@@ -744,46 +750,46 @@ GOLDEN = {
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.1773447218f5ap-6 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.14f78f6c090f8p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.14f78f6c090fap-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x1.f597493ab0eaap-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.98e972bb06d0dp-9 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.4f06fdf939d64p-8 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.2c9549c9a642ep-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.2c9549c9a642cp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "-0x1.47a15dce67a02p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.842f390b1a5e2p-6 "
             "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.36b69e771faebp-6 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.76af7add13e95p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.3af29abc43481p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0c98cb6860982p-8 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.5705f3ca98b9ap-8 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.7efe37e1db143p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "-0x1.c62593f750db5p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.d23aaf01b55a5p-6 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.36b69e771faf0p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.76af7add13e9ap-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.3af29abc43486p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0c98cb6860985p-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.5705f3ca98ba0p-8 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.7efe37e1db147p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.c62593f750dbep-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.d23aaf01b55adp-6 "
             "0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4842f090549e8p-6 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.7e5f8a471ffbfp-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.470f52c0120cfp-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0b0607a8b1889p-8 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.5bdda0317995bp-8 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.897d960923866p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "-0x1.d9bb0d7941fc6p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e70bdca929bdcp-6 "
+            "0x0.0p+0 -0x1.7e5f8a471ffc1p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.470f52c0120cfp-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0b0607a8b188bp-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.5bdda0317995fp-8 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.897d960923864p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.d9bb0d7941fc4p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e70bdca929bdcp-6 "
             "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4506f7042c1fep-6 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.818a8bbea304ap-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.47362864efb46p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0dcb051507f26p-8 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.599c86cabd6b0p-8 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.8b40391068dbap-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "-0x1.da052b2f02e96p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e66a1d5465b80p-6 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4506f7042c1f8p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.818a8bbea303fp-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.47362864efb3ep-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0dcb051507f22p-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.599c86cabd6adp-8 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.8b40391068db2p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.da052b2f02e8dp-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e66a1d5465b76p-6 "
             "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.450bde9134863p-6 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.820eb5c4d7d9ap-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.477569ae8d4edp-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e4fc01f66896p-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.450bde9134865p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.820eb5c4d7d9dp-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.477569ae8d4efp-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e4fc01f66897p-8 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.59ba95a7305c3p-8 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.8ba3dc534afddp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "-0x1.da71ef585bb50p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6b6c8f759642p-6 "
+            "0x0.0p+0 -0x1.8ba3dc534afdep-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.da71ef585bb50p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6b6c8f759645p-6 "
             "0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.45123500921c7p-6 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.8212763a36355p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x1.4777f9d721346p-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e521a93ad722p-8 "
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.59be1141c499dp-8 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 -0x1.8ba629e0ab2a2p-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "-0x1.da771773393e0p-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6bd663c3ba45p-6 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.45123500921c3p-6 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.8212763a36352p-6 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x1.4777f9d72133fp-4 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0e521a93ad71bp-8 "
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.59be1141c4992p-8 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 -0x1.8ba629e0ab29dp-5 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "-0x1.da771773393dap-7 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.e6bd663c3ba3dp-6 "
             "0x0.0p+0 0x0.0p+0",
         ],
     },
@@ -794,7 +800,7 @@ GOLDEN = {
         "gaps": (
             "0x1.483a73cfbcb80p-8 0x1.bc8b68026e800p-12 0x1.6c81733db0000p-16 "
             "0x1.a443557400000p-23 0x1.252dc20000000p-29 0x1.fca8000000000p-39 "
-            "0x1.c000000000000p-48"
+            "0x1.b800000000000p-48"
         ),
         "iterates": [
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
@@ -803,39 +809,39 @@ GOLDEN = {
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.2086a69ea236ep-8 0x1.c01779103634dp-7 0x1.852278c39b8bep-5 "
-            "0x1.f5ec0382f869ep-6 -0x1.250793809f35ep-10 -0x1.16c156f779645p-7 "
-            "0x1.59256da831c12p-9 0x1.b2efd0f528c75p-7 0x1.3438da77879bfp-9 0x0.0p+0 "
+            "0x0.0p+0 0x1.2086a69ea236ep-8 0x1.c01779103634bp-7 0x1.852278c39b8bep-5 "
+            "0x1.f5ec0382f869dp-6 -0x1.250793809f362p-10 -0x1.16c156f779642p-7 "
+            "0x1.59256da831c0ep-9 0x1.b2efd0f528c73p-7 0x1.3438da77879c0p-9 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.77e46cfce046cp-8 0x1.1e734e8f7ee55p-6 0x1.f9286a67bf93ep-5 "
-            "0x1.47074c22f01e1p-5 -0x1.5fce8caf89c14p-10 -0x1.6daa3482b41e5p-7 "
-            "0x1.9ab7f72981a5dp-9 0x1.0eb8054415ad2p-6 0x1.6badaabd87e5cp-9 0x0.0p+0 "
+            "0x0.0p+0 0x1.77e46cfce0466p-8 0x1.1e734e8f7ee55p-6 0x1.f9286a67bf936p-5 "
+            "0x1.47074c22f01ddp-5 -0x1.5fce8caf89c11p-10 -0x1.6daa3482b41dfp-7 "
+            "0x1.9ab7f72981a5ap-9 0x1.0eb8054415acep-6 0x1.6badaabd87e58p-9 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.8ea3e5b2b105fp-8 0x1.2eace61bed4e2p-6 0x1.0ba7bdebd5832p-4 "
-            "0x1.5b9b598b29900p-5 -0x1.754a844fd9faap-10 -0x1.82cc0d11867b2p-7 "
-            "0x1.a6a06328eb325p-9 0x1.1bc538ffcd4c6p-6 0x1.7a011a2b7b38ap-9 0x0.0p+0 "
+            "0x0.0p+0 0x1.8ea3e5b2b1063p-8 0x1.2eace61bed4e3p-6 0x1.0ba7bdebd5835p-4 "
+            "0x1.5b9b598b298fep-5 -0x1.754a844fd9faap-10 -0x1.82cc0d11867b2p-7 "
+            "0x1.a6a06328eb32ap-9 0x1.1bc538ffcd4c9p-6 0x1.7a011a2b7b395p-9 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.91303aad13945p-8 0x1.3064eff62268ep-6 0x1.0d0e2a3125e7bp-4 "
-            "0x1.5dca4fe4aa7e1p-5 -0x1.79577a8cf8209p-10 -0x1.8477009059f35p-7 "
-            "0x1.abeb1be63ac8dp-9 0x1.1d7cf057cd1e6p-6 0x1.7b80fcdc072eep-9 0x0.0p+0 "
+            "0x0.0p+0 0x1.91303aad13943p-8 0x1.3064eff622689p-6 0x1.0d0e2a3125e79p-4 "
+            "0x1.5dca4fe4aa7ddp-5 -0x1.79577a8cf8208p-10 -0x1.8477009059f31p-7 "
+            "0x1.abeb1be63ac86p-9 0x1.1d7cf057cd1e9p-6 0x1.7b80fcdc072e9p-9 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.913148a43cfbep-8 0x1.30a123cfeb841p-6 0x1.0d243dec2a409p-4 "
-            "0x1.5dda6f7497836p-5 -0x1.79eb877245960p-10 -0x1.843c036e34727p-7 "
-            "0x1.ac4a2d758343ep-9 0x1.1e03c0f9a7cdbp-6 0x1.7aeaa4f189472p-9 0x0.0p+0 "
+            "0x0.0p+0 0x1.913148a43cfc3p-8 0x1.30a123cfeb844p-6 0x1.0d243dec2a40dp-4 "
+            "0x1.5dda6f749783ap-5 -0x1.79eb877245965p-10 -0x1.843c036e3472ap-7 "
+            "0x1.ac4a2d7583446p-9 0x1.1e03c0f9a7cdfp-6 0x1.7aeaa4f189473p-9 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
-            "0x0.0p+0 0x1.913463574841ap-8 0x1.30a32410a674ap-6 0x1.0d25ba87f5958p-4 "
-            "0x1.5ddccf4e8de48p-5 -0x1.79f18499cb20ap-10 -0x1.843a4ee22a86bp-7 "
-            "0x1.ac4d83322ca03p-9 0x1.1e07061d2b7eap-6 0x1.7ae57bbf018fep-9 0x0.0p+0 "
+            "0x0.0p+0 0x1.9134635748424p-8 0x1.30a32410a6755p-6 0x1.0d25ba87f5961p-4 "
+            "0x1.5ddccf4e8de58p-5 -0x1.79f18499cb229p-10 -0x1.843a4ee22a87cp-7 "
+            "0x1.ac4d83322ca1dp-9 0x1.1e07061d2b7f6p-6 0x1.7ae57bbf01907p-9 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
         ],
@@ -1021,8 +1027,8 @@ CHUNK_CASES = {
 
 def run_chunk_case(name):
     build, fields = CHUNK_CASES[name]
-    spec = build()
-    with _storage(math.inf):
+    with storage("sparse"):
+        spec = build()
         return G.solve(spec, G.SolverConfig(seed=7, gap_tol=1e-12, eta=tuned_eta(spec),
                                             **fields))
 
@@ -1060,12 +1066,12 @@ CHUNK_GOLDEN = {
         "coord_updates": 6400,
         "active_blocks": [15, 15, 15, 3],
         "gaps": (
-            "0x1.84db2ad70c6a4p-1 0x1.345c7de7d0f80p-3 0x1.0000000000000p-50 "
+            "0x1.84db2ad70c69cp-1 0x1.345c7de7d0fc0p-3 0x1.0000000000000p-50 "
             "0x1.0000000000000p-50"
         ),
         "x_final": (
-            "757:-0x1.556c7fa42803cp-1 993:-0x1.eb514fe695adcp-3 "
-            "1238:-0x1.01e61e385bf31p-3"
+            "757:-0x1.556c7fa428040p-1 993:-0x1.eb514fe695ae5p-3 "
+            "1238:-0x1.01e61e385bf37p-3"
         ),
     },
 
@@ -1107,13 +1113,13 @@ CHUNK_GOLDEN = {
         "coord_updates": 270000,
         "active_blocks": [15, 15, 15, 15],
         "gaps": (
-            "0x1.84db2ad70c6a4p-1 0x1.a803e2558e6a0p-2 0x1.06e1cce545840p-2 "
+            "0x1.84db2ad70c69cp-1 0x1.a803e2558e690p-2 0x1.06e1cce545870p-2 "
             "0x1.48df40ef7c360p-3"
         ),
         "x_final": (
-            "248:-0x1.c886abdbf34e1p-4 757:-0x1.a62db90f1eae8p-2 "
-            "888:-0x1.fffd513c69e1ap-5 993:-0x1.cee57c1d05086p-4 "
-            "1238:-0x1.e1dfa512622a4p-5 1281:-0x1.500e6eb0a8ff2p-6"
+            "248:-0x1.c886abdbf34ccp-4 757:-0x1.a62db90f1eae9p-2 "
+            "888:-0x1.fffd513c69df4p-5 993:-0x1.cee57c1d05079p-4 "
+            "1238:-0x1.e1dfa512622a2p-5 1281:-0x1.500e6eb0a901bp-6"
         ),
     },
 }
@@ -1139,10 +1145,10 @@ DENSE_CASES = {
 
 def run_dense_case(name):
     build, fields = DENSE_CASES[name]
-    spec = build()
-    cfg = G.SolverConfig(**{**dict(seed=7, m=40, max_outer=10, gap_tol=1e-12,
-                                   eta=tuned_eta(spec)), **fields})
-    with _storage(0.0):
+    with storage("dense"):
+        spec = build()
+        cfg = G.SolverConfig(**{**dict(seed=7, m=40, max_outer=10, gap_tol=1e-12,
+                                       eta=tuned_eta(spec)), **fields})
         return G.solve(spec, cfg)
 
 
@@ -1152,11 +1158,11 @@ DENSE_GOLDEN = {
         "coord_updates": 76,
         "active_blocks": [6, 6, 5, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.7c1e4475cd1e8p-3 0x1.3000000000000p-45 "
-            "0x1.3000000000000p-45"
+            "0x1.4a58be7a76ff8p-2 0x1.7c1e4475cd1e8p-3 0x1.2e00000000000p-45 "
+            "0x1.2e00000000000p-45"
         ),
         "x_final": (
-            "7:0x1.68e99b1a95408p-2 8:0x1.6ccc7b6412adbp-1 11:0x1.49c81a80b5680p-2"
+            "7:0x1.68e99b1a95410p-2 8:0x1.6ccc7b6412ad9p-1 11:0x1.49c81a80b5683p-2"
         ),
     },
     "dense-adsgd-full-batch": {
@@ -1165,7 +1171,7 @@ DENSE_GOLDEN = {
         "active_blocks": [6, 6, 3],
         "gaps": "0x1.4a58be7a76ff8p-2 0x1.6800000000000p-46 0x1.6800000000000p-46",
         "x_final": (
-            "7:0x1.68e99b1a95850p-2 8:0x1.6ccc7b641259dp-1 11:0x1.49c81a80b562ep-2"
+            "7:0x1.68e99b1a95850p-2 8:0x1.6ccc7b641259cp-1 11:0x1.49c81a80b562ep-2"
         ),
     },
     "dense-adsgd-mu-p": {
@@ -1183,11 +1189,11 @@ DENSE_GOLDEN = {
         "coord_updates": 76,
         "active_blocks": [6, 6, 5, 3],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.7c1e4475cd1e8p-3 0x1.3000000000000p-45 "
-            "0x1.3000000000000p-45"
+            "0x1.4a58be7a76ff8p-2 0x1.7c1e4475cd1e8p-3 0x1.2e00000000000p-45 "
+            "0x1.2e00000000000p-45"
         ),
         "x_final": (
-            "7:0x1.68e99b1a95408p-2 8:0x1.6ccc7b6412adbp-1 11:0x1.49c81a80b5680p-2"
+            "7:0x1.68e99b1a95410p-2 8:0x1.6ccc7b6412ad9p-1 11:0x1.49c81a80b5683p-2"
         ),
     },
     "dense-adsgd-group-scattered": {
@@ -1207,13 +1213,13 @@ DENSE_GOLDEN = {
         "coord_updates": 1600,
         "active_blocks": [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.8d0228219e1e0p-4 0x1.a7382f51978c0p-6 "
-            "0x1.d05b666981080p-7 0x1.e103915676b00p-8 0x1.0c273a496eb00p-8 "
-            "0x1.86149eed3da00p-9 0x1.a9c4fde641000p-10 0x1.109ff49882800p-10 "
-            "0x1.46178dbf75800p-11 0x1.b4b01fb7a5000p-12"
+            "0x1.4a58be7a76ff8p-2 0x1.8d0228219e1e0p-4 0x1.a7382f5197880p-6 "
+            "0x1.d05b666981080p-7 0x1.e103915676900p-8 0x1.0c273a496ed00p-8 "
+            "0x1.86149eed3d600p-9 0x1.a9c4fde641800p-10 0x1.109ff49883800p-10 "
+            "0x1.46178dbf75800p-11 0x1.b4b01fb7a4000p-12"
         ),
         "x_final": (
-            "7:0x1.69b6b73b141e8p-2 8:0x1.6c12d26438975p-1 11:0x1.4a72c3ee4caf8p-2"
+            "7:0x1.69b6b73b141e4p-2 8:0x1.6c12d2643896dp-1 11:0x1.4a72c3ee4caf8p-2"
         ),
     },
     "dense-proxsvrg-logistic-group": {
@@ -1221,15 +1227,15 @@ DENSE_GOLDEN = {
         "coord_updates": 8000,
         "active_blocks": [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
         "gaps": (
-            "0x1.5107da0332f30p-4 0x1.55e34fb76b800p-9 0x1.8a354caa1d000p-13 "
+            "0x1.5107da0332f30p-4 0x1.55e34fb76b700p-9 0x1.8a354caa1e000p-13 "
             "0x1.2b751122bc000p-14 0x1.1778c7ab40000p-17 0x1.4ab348b700000p-20 "
             "0x1.1428e77400000p-23 0x1.22aaf00000000p-26 0x1.3e46440000000p-31 "
             "0x1.b098700000000p-33 0x1.8b49800000000p-35"
         ),
         "x_final": (
-            "8:0x1.2cca4d245628ep-2 9:0x1.6607af95e7b12p-4 10:0x1.c06466ea2c647p-4 "
-            "11:-0x1.6ad818907ce65p-6 12:0x1.afa2676425324p-3 13:0x1.84bb5cdb9e415p-3 "
-            "14:0x1.fa4dfaffafd01p-3 15:-0x1.a72126012397ap-3"
+            "8:0x1.2cca4d245628ap-2 9:0x1.6607af95e7b0dp-4 10:0x1.c06466ea2c646p-4 "
+            "11:-0x1.6ad818907ce68p-6 12:0x1.afa2676425321p-3 13:0x1.84bb5cdb9e414p-3 "
+            "14:0x1.fa4dfaffafcfdp-3 15:-0x1.a721260123979p-3"
         ),
     },
     "dense-proxsvrg-full-batch": {
@@ -1237,13 +1243,13 @@ DENSE_GOLDEN = {
         "coord_updates": 8000,
         "active_blocks": [6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6],
         "gaps": (
-            "0x1.4a58be7a76ff8p-2 0x1.78f13d6863900p-8 0x1.19192d96a3800p-11 "
-            "0x1.b4f1e8c8e0000p-15 0x1.549a230440000p-18 0x1.0991497e00000p-21 "
-            "0x1.9e22702000000p-25 0x1.42e8620000000p-28 0x1.f78d900000000p-32 "
-            "0x1.88a1000000000p-35 0x1.3224000000000p-38"
+            "0x1.4a58be7a76ff8p-2 0x1.78f13d6863900p-8 0x1.19192d96a4800p-11 "
+            "0x1.b4f1e8c8e0000p-15 0x1.549a230500000p-18 0x1.0991497c00000p-21 "
+            "0x1.9e22704000000p-25 0x1.42e8620000000p-28 0x1.f78dc00000000p-32 "
+            "0x1.88a1800000000p-35 0x1.3224000000000p-38"
         ),
         "x_final": (
-            "7:0x1.68e99b1abb056p-2 8:0x1.6ccc7b63f365ap-1 11:0x1.49c81a80d9ecep-2"
+            "7:0x1.68e99b1abb04cp-2 8:0x1.6ccc7b63f3653p-1 11:0x1.49c81a80d9ecep-2"
         ),
     },
 }

@@ -612,17 +612,25 @@ def _products_are_scipys(ds, x, v):
     assert ds.rmatvec(v).tobytes() == (ds.A.T @ v).tobytes()
 
 
+def _scattered(a):
+    """The cells of the CSR a, each stored entry written into zeros: its bits,
+    a stored -0.0 included, which A.toarray() turns into +0.0."""
+    cells = np.zeros(a.shape)
+    cells[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices] = a.data
+    return cells
+
+
 def _products_are_the_copys(ds, x, v):
     """On a dense dataset whose copy is one chunk, Dataset.matvec and rmatvec
     give the bytes of numpy's products with the design's cells, stored -0.0
     included, and the copy is kept in the memo."""
     assert ds.dense
-    cells = ds.A.toarray()
+    cells = _scattered(ds.A)
     x, v = (np.ascontiguousarray(u, dtype=np.float64) for u in (x, v))
     assert ds.matvec(x).tobytes() == np.dot(cells, x).tobytes()
     assert ds.rmatvec(v).tobytes() == np.dot(v, cells).tobytes()
-    (_, copy), = ds._memo[("dense",)]
-    assert copy.flags.c_contiguous and copy.dtype == np.float64
+    copy = ds._memo[("dense",)]
+    assert copy is ds.cells() and copy.flags.c_contiguous and copy.dtype == np.float64
     assert copy.tobytes() == cells.tobytes() and not copy.flags.writeable
 
 
@@ -683,7 +691,7 @@ import gapsgd as G
 rng = np.random.default_rng(0)
 for n, d in ((17, 60000), (60000, 17)):
     ds = G.Dataset(rng.standard_normal((n, d)), np.zeros(n))
-    assert ds.dense and len(ds.memo(("dense",), ds._chunks)) == 4
+    assert ds.dense and len(ds._chunks()) == 4
     for out in (ds.matvec(rng.standard_normal(d)), ds.rmatvec(rng.standard_normal(n))):
         print(hashlib.sha256(out.tobytes()).hexdigest())
 """
@@ -708,15 +716,20 @@ def test_dense_products_do_not_depend_on_the_blas_thread_count():
     assert len(hashes[0].split()) == 4 and hashes[0] == hashes[1]
 
 
-@pytest.mark.parametrize("solver", ["adsgd", "reference"])
-def test_a_sparse_dataset_builds_no_dense_copy(solver):
+@pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "proxsvrg", "reference"])
+def test_a_sparse_dataset_builds_no_dense_copy(monkeypatch, solver):
     """Below half its cells stored a dataset keeps no dense copy, through a
-    whole solve: its evaluations, screens, refinements and bounds."""
+    whole solve: its evaluations, screens, refinements and bounds; and no
+    working design of it has dense cells, however dense its cut."""
     spec = make_instance(seed=5, n=60, d=80, sparsity=0.3)
     assert not spec.dataset.dense
+    works, compact = [], G.solvers._compact
+    monkeypatch.setattr(G.solvers, "_compact", lambda *a: works.append(compact(*a)) or works[-1])
     rep = G.solve(spec, G.SolverConfig(solver=solver, seed=1, gap_tol=1e-8, max_outer=200,
                                        eta=tuned_eta(spec)))
     assert rep.converged and ("dense",) not in spec.dataset._memo
+    assert works or solver == "reference"
+    assert all(vars(w).get("dense") is None for w in works)
 
 
 def test_products_keep_scipys_bits_on_64_bit_index_arrays(monkeypatch):
@@ -740,7 +753,8 @@ def test_products_keep_scipys_bits_on_64_bit_index_arrays(monkeypatch):
 def test_products_keep_scipys_bits_on_empty_rows_and_columns_and_a_stored_minus_zero():
     """Empty rows and columns give +0.0 on both paths: with 26 of the 54
     cells stored the products keep scipy's bits, and with 28, two more,
-    they take the dense copy's, the stored -0.0 in the copy."""
+    they take the dense copy's, the stored -0.0 in the copy: its cell (1, 4)
+    keeps its sign bit, which A.toarray() clears."""
     for stored in (26, 28):
         dense = np.random.default_rng(4).standard_normal((6, 9))
         dense[[0, 3]] = 0.0  # empty rows, the first among them
@@ -755,6 +769,8 @@ def test_products_keep_scipys_bits_on_empty_rows_and_columns_and_a_stored_minus_
         assert np.signbit(ds.A.data).any() and not ds.A.data.all()
         assert ds.A.nnz == stored and ds.dense == (stored == 28)
         assert np.diff(ds.A.indptr)[[0, 3]].tolist() == [0, 0]
+        if ds.dense:
+            assert np.signbit(ds.cells()[1, 4]) and not np.signbit(ds.A.toarray()[1, 4])
         rng = np.random.default_rng(5)
         for x, v in ((rng.standard_normal(9), rng.standard_normal(6)),
                      (np.full(9, -0.0), np.full(6, -0.0)),

@@ -14,16 +14,13 @@ from gapsgd.problem import _cut, _gather_rows, soft_threshold
 from gapsgd.solvers import (_CHUNK_ENTRIES, _columns, _compact, _one_pass_bound, _plan,
                             _resolve, _spectral_bound, inner_budget, step_gradient)
 
-from conftest import (epoch_rows, hand_lasso, inert_screening, make_instance, spy_decided,
-                      tuned_eta, wide_index)
-
-# _RHO = inf keeps every working design sparse, _RHO = 0 makes each one dense
-STORAGES = (math.inf, 0.0)
+from conftest import (STORAGES, epoch_rows, hand_lasso, inert_screening, make_instance,
+                      spy_decided, storage, tuned_eta, wide_index)
 
 
 def _form(rows):
     """The storage a step's rows come from: "sparse" for the gathered entries
-    (cols, vals, rp), "dense" for a (b, p) array of the dense twin."""
+    (cols, vals, rp), "dense" for a (b, p) array of the dataset's dense copy."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2:
         return "dense"
     assert type(rows) is tuple and len(rows) == 3
@@ -85,9 +82,9 @@ def test_vr_gradient_exhaustive_average_is_unbiased():
                                    rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("rho", STORAGES, ids=["sparse", "dense"])
+@pytest.mark.parametrize("kind", STORAGES)
 @pytest.mark.parametrize("model", ["lasso", "logistic"])
-def test_a_step_on_a_cut_design_is_unbiased_for_a_snapshot_off_it(monkeypatch, model, rho):
+def test_a_step_on_a_cut_design_is_unbiased_for_a_snapshot_off_it(model, kind):
     """A screen may drop a block on which the row's point, the next epoch's
     snapshot, is nonzero. The epoch then runs on a working design W without
     that block, from the snapshot's columns in W, with the derivatives and
@@ -95,12 +92,12 @@ def test_a_step_on_a_cut_design_is_unbiased_for_a_snapshot_off_it(monkeypatch, m
     batch, the engine's step (_plan and step_gradient) on each block of W is
     the exact smooth gradient at x, x being zero off W, under mu_p > 0 and
     on both storages."""
-    monkeypatch.setattr(G.solvers, "_RHO", rho)
-    spec = make_instance(seed=4, n=45, d=24, q=4, mu_p=0.05, model=model)
+    with storage(kind):
+        spec = make_instance(seed=4, n=45, d=24, q=4, mu_p=0.05, model=model)
+        work = _compact(spec, np.array([0, 2, 3]))
+        assert spec.dataset.dense == (work.dense is not None) == (kind == "dense")
     ds, rng = spec.dataset, np.random.default_rng(1)
-    work = _compact(spec, np.array([0, 2, 3]))
     f = work.features
-    assert (work.dense is None) == (rho == math.inf)
     x = np.zeros(ds.d)
     x[f] = rng.normal(size=f.size)
     xt = rng.normal(size=ds.d)
@@ -121,54 +118,57 @@ def test_a_step_on_a_cut_design_is_unbiased_for_a_snapshot_off_it(monkeypatch, m
 def test_public_gradients_run_the_kernel_of_the_design_storage(monkeypatch):
     """partial_gradient and vr_gradient each make one call of step_gradient,
     on the rows of the storage the engine would run on the uncompacted
-    design: its gathered entries, or its dense twin's rows."""
-    spec = make_instance(seed=4, n=45, d=24, q=4, mu_p=0.05)
+    design: its gathered entries, or its rows of the dataset's dense copy."""
     x, xt = np.ones(24), np.zeros(24)
-    mu = G.full_gradient(spec, xt)
     calls, kernel = [], G.solvers.step_gradient
     monkeypatch.setattr(G.solvers, "step_gradient",
                         lambda *a: calls.append(_form(a[2])) or kernel(*a))
-    for rho, form in zip(STORAGES, ("sparse", "dense")):
-        monkeypatch.setattr(G.solvers, "_RHO", rho)
-        calls.clear()
-        G.partial_gradient(spec, x, [0, 3], 1)
-        G.vr_gradient(spec, x, xt, mu, [5], 2)
-        assert calls == [form, form]
+    for kind in STORAGES:
+        with storage(kind):
+            spec = make_instance(seed=4, n=45, d=24, q=4, mu_p=0.05)
+            assert spec.dataset.dense == (kind == "dense")
+            mu = G.full_gradient(spec, xt)
+            calls.clear()
+            G.partial_gradient(spec, x, [0, 3], 1)
+            G.vr_gradient(spec, x, xt, mu, [5], 2)
+        assert calls == [kind, kind]
 
 
-@pytest.mark.parametrize("sparsity, storage", [(0.03, "sparse"), (0.5, "dense")])
-def test_a_public_gradient_is_the_engines_step_bit_for_bit(monkeypatch, sparsity, storage):
+@pytest.mark.parametrize("sparsity, kind", [(0.03, "sparse"), (0.5, "dense")])
+def test_a_public_gradient_is_the_engines_step_bit_for_bit(monkeypatch, sparsity, kind):
     """On each step of mrbcd's second epoch, vr_gradient at the step's point,
     on its batch and block, with the epoch's snapshot (the first epoch's
     iterate) and that snapshot's full gradient, gives the bytes of the
     engine's kernel call, on the sparse storage and on the dense one."""
-    spec = make_instance(seed=21, n=40, d=60, q=6, sparsity=sparsity, mu_p=0.01)
-    m, steps, calls = 25, [], []
-    plan, kernel = G.solvers._plan, G.solvers.step_gradient
+    with storage(kind):
+        spec = make_instance(seed=21, n=40, d=60, q=6, sparsity=sparsity, mu_p=0.01)
+        assert spec.dataset.dense == (kind == "dense")
+        m, steps, calls = 25, [], []
+        plan, kernel = G.solvers._plan, G.solvers.step_gradient
 
-    def spied_plan(work, y, g_snap, c, batches, ibs):
-        steps.extend((work.features, b, ib) for b, ib in zip(batches, ibs))
-        return plan(work, y, g_snap, c, batches, ibs)
+        def spied_plan(work, y, g_snap, c, batches, ibs):
+            steps.extend((work.features, b, ib) for b, ib in zip(batches, ibs))
+            return plan(work, y, g_snap, c, batches, ibs)
 
-    def spied_kernel(loss, x, rows, *rest):
-        out = kernel(loss, x, rows, *rest)
-        calls.append((_form(rows), x.copy(), out.copy()))
-        return out
+        def spied_kernel(loss, x, rows, *rest):
+            out = kernel(loss, x, rows, *rest)
+            calls.append((_form(rows), x.copy(), out.copy()))
+            return out
 
-    monkeypatch.setattr(G.solvers, "_plan", spied_plan)
-    monkeypatch.setattr(G.solvers, "step_gradient", spied_kernel)
-    rep = G.mrbcd_solve(spec, G.SolverConfig(seed=2, m=m, max_outer=2, gap_tol=1e-14,
-                                             eta=tuned_eta(spec), keep_iterates=True))
-    monkeypatch.undo()
-    assert len(rep.iterates) == 3 and len(steps) == len(calls) == 2 * m
-    x_tilde = rep.iterates[1]
-    mu = G.full_gradient(spec, x_tilde)
-    for (features, batch, block), (form, x_w, want) in zip(steps[m:], calls[m:]):
-        assert form == storage
-        x = np.zeros(spec.dataset.d)
-        x[features] = x_w
-        got = G.vr_gradient(spec, x, x_tilde, mu, batch, block)
-        assert got.tobytes() == want.tobytes()
+        monkeypatch.setattr(G.solvers, "_plan", spied_plan)
+        monkeypatch.setattr(G.solvers, "step_gradient", spied_kernel)
+        rep = G.mrbcd_solve(spec, G.SolverConfig(seed=2, m=m, max_outer=2, gap_tol=1e-14,
+                                                 eta=tuned_eta(spec), keep_iterates=True))
+        monkeypatch.undo()
+        assert len(rep.iterates) == 3 and len(steps) == len(calls) == 2 * m
+        x_tilde = rep.iterates[1]
+        mu = G.full_gradient(spec, x_tilde)
+        for (features, batch, block), (form, x_w, want) in zip(steps[m:], calls[m:]):
+            assert form == kind
+            x = np.zeros(spec.dataset.d)
+            x[features] = x_w
+            got = G.vr_gradient(spec, x, x_tilde, mu, batch, block)
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -565,7 +565,7 @@ def _grads(loss, x, work, y, g_ref, c, batches, ibs, mu, x_ref, mu_p=0.0):
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
-def test_step_gradient_matches_dense_reference(monkeypatch, layout):
+def test_step_gradient_matches_dense_reference(layout):
     """Both kernels, each on its storage, give the block and full-vector
     gradients of the dense formula."""
     spec, a, rng = _kernel_instance(layout)
@@ -577,10 +577,12 @@ def test_step_gradient_matches_dense_reference(monkeypatch, layout):
     g_snap, mu, x_snap = rng.normal(size=12), rng.normal(size=15), rng.normal(size=15)
     g_zero, zero = np.zeros(12), np.zeros(15)
     works = []
-    for rho in STORAGES:
-        monkeypatch.setattr(G.solvers, "_RHO", rho)
-        works += [_compact(spec, full.blocks), _compact(spec, kept.blocks)]
-        assert all((w.dense is None) == (rho == math.inf) for w in works[-2:])
+    for kind in STORAGES:
+        with storage(kind):
+            spec = _kernel_instance(layout)[0]
+            assert spec.dataset.dense == (kind == "dense")
+            works += [_compact(spec, full.blocks), _compact(spec, kept.blocks)]
+            assert all((w.dense is None) == (kind == "sparse") for w in works[-2:])
     for work in works:
         wfeat = work.features
         blocks = work.blocks
@@ -609,14 +611,15 @@ def test_step_gradient_matches_dense_reference(monkeypatch, layout):
                                                atol=1e-12)
 
 
-def test_step_gradient_sums_nothing_as_float_zeros(monkeypatch):
+def test_step_gradient_sums_nothing_as_float_zeros():
     """A batch with no entries in the block, or no entries at all, gives float64
     zeros on either storage."""
-    spec, _, _ = _kernel_instance("scattered")
-    y, x = spec.dataset.y, np.ones(15)
-    for rho in STORAGES:
-        monkeypatch.setattr(G.solvers, "_RHO", rho)
-        work = _compact(spec, np.arange(spec.partition.q))
+    x = np.ones(15)
+    for kind in STORAGES:
+        with storage(kind):
+            spec, _, _ = _kernel_instance("scattered")
+            y, work = spec.dataset.y, _compact(spec, np.arange(spec.partition.q))
+            assert spec.dataset.dense == (work.dense is not None) == (kind == "dense")
         for batch, ib in ((np.array([5, 5]), 1), (np.array([3]), 0),
                           (np.array([3]), None)):
             ibs = None if ib is None else np.array([ib])
@@ -641,7 +644,7 @@ def _same_view(a, b):
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
-def test_plan_of_a_chunk_matches_its_steps_planned_alone(monkeypatch, layout):
+def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
     """On the sparse storage, a chunk's steps hold the entries, in the same
     order, that planning each step by itself gives, and one step's plan is a
     per-step gather; a block step, like a full-vector step, passes as its
@@ -649,52 +652,53 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(monkeypatch, layout):
     updates its block's columns or all of them. A full batch, every row in
     order as the engine passes it, is gathered like any other and holds the
     design's own entries, y and g_snap."""
-    monkeypatch.setattr(G.solvers, "_RHO", math.inf)  # the sparse storage
-    spec, _, rng = _kernel_instance(layout)
-    y, g_snap = spec.dataset.y, rng.normal(size=12)
-    work = _compact(spec, np.arange(spec.partition.q))
-    every_row = np.broadcast_to(np.arange(12), (7, 12))
-    for w in (work, _compact(spec, np.array([0, 2, 3]))):
-        q_k = w.blocks.size
-        offsets = w.layout.offsets
-        batches = rng.integers(0, 12, size=(7, 4))
-        batches[2] = 3  # a step of empty rows
-        ibs = rng.integers(0, q_k, size=7)
-        for chunk_batches, chunk_ibs in ((batches, ibs), (batches, None), (every_row, ibs),
-                                         (every_row, None)):
-            raw = list(_plan(w, y, g_snap, 7, chunk_batches, chunk_ibs))
-            steps = _steps(raw)
-            assert len(steps) == 7
-            chunk = raw[0][0][0][:2]
-            chunk_rp = raw[0][0][0][2].base  # the chunk's row pointers
-            _same_entries((*chunk, chunk_rp), _gather_rows(w.indptr, w.entries,
-                                                           chunk_batches))
-            for t, (entries, y_t, g_t, lo, hi) in enumerate(steps):
-                one = chunk_batches[t:t + 1]
-                alone, = _steps(_plan(w, y, g_snap, 1, one, None if chunk_ibs is None
-                                      else chunk_ibs[t:t + 1]))
-                assert (lo, hi) == alone[3:]
-                _same_entries(entries, alone[0])
-                assert np.array_equal(y_t, alone[1]) and np.array_equal(g_t, alone[2])
-            for t, (entries, y_t, g_t, lo, hi) in enumerate(steps):
-                batch = chunk_batches[t]
-                _same_entries(entries, _gather_rows(w.indptr, w.entries, batch))
-                # block and full-vector steps alike pass the chunk's own entries,
-                # and a view of its row pointers
-                args, b = raw[t][0], batch.size
-                assert len(args) == 3 and _form(args[0]) == "sparse"
-                rows = args[0]
-                assert rows[0] is chunk[0] and rows[1] is chunk[1]
-                assert _same_view(rows[2], chunk_rp[t * b:(t + 1) * b + 1])
-                if chunk_ibs is None:
-                    assert (lo, hi) == (0, w.features.size)
-                else:
-                    ib = chunk_ibs[t]
-                    assert (lo, hi) == (offsets[ib], offsets[ib + 1])
-            if chunk_batches is every_row:
-                for entries, y_t, g_t, _, _ in steps:
-                    _same_entries(entries, (*w.entries, w.indptr))
-                    assert np.array_equal(y_t, y) and np.array_equal(g_t, g_snap)
+    with storage("sparse"):
+        spec, _, rng = _kernel_instance(layout)
+        assert not spec.dataset.dense
+        y, g_snap = spec.dataset.y, rng.normal(size=12)
+        work = _compact(spec, np.arange(spec.partition.q))
+        every_row = np.broadcast_to(np.arange(12), (7, 12))
+        for w in (work, _compact(spec, np.array([0, 2, 3]))):
+            q_k = w.blocks.size
+            offsets = w.layout.offsets
+            batches = rng.integers(0, 12, size=(7, 4))
+            batches[2] = 3  # a step of empty rows
+            ibs = rng.integers(0, q_k, size=7)
+            for chunk_batches, chunk_ibs in ((batches, ibs), (batches, None), (every_row, ibs),
+                                             (every_row, None)):
+                raw = list(_plan(w, y, g_snap, 7, chunk_batches, chunk_ibs))
+                steps = _steps(raw)
+                assert len(steps) == 7
+                chunk = raw[0][0][0][:2]
+                chunk_rp = raw[0][0][0][2].base  # the chunk's row pointers
+                _same_entries((*chunk, chunk_rp), _gather_rows(w.indptr, w.entries,
+                                                               chunk_batches))
+                for t, (entries, y_t, g_t, lo, hi) in enumerate(steps):
+                    one = chunk_batches[t:t + 1]
+                    alone, = _steps(_plan(w, y, g_snap, 1, one, None if chunk_ibs is None
+                                          else chunk_ibs[t:t + 1]))
+                    assert (lo, hi) == alone[3:]
+                    _same_entries(entries, alone[0])
+                    assert np.array_equal(y_t, alone[1]) and np.array_equal(g_t, alone[2])
+                for t, (entries, y_t, g_t, lo, hi) in enumerate(steps):
+                    batch = chunk_batches[t]
+                    _same_entries(entries, _gather_rows(w.indptr, w.entries, batch))
+                    # block and full-vector steps alike pass the chunk's own entries,
+                    # and a view of its row pointers
+                    args, b = raw[t][0], batch.size
+                    assert len(args) == 3 and _form(args[0]) == "sparse"
+                    rows = args[0]
+                    assert rows[0] is chunk[0] and rows[1] is chunk[1]
+                    assert _same_view(rows[2], chunk_rp[t * b:(t + 1) * b + 1])
+                    if chunk_ibs is None:
+                        assert (lo, hi) == (0, w.features.size)
+                    else:
+                        ib = chunk_ibs[t]
+                        assert (lo, hi) == (offsets[ib], offsets[ib + 1])
+                if chunk_batches is every_row:
+                    for entries, y_t, g_t, _, _ in steps:
+                        _same_entries(entries, (*w.entries, w.indptr))
+                        assert np.array_equal(y_t, y) and np.array_equal(g_t, g_snap)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
@@ -798,37 +802,53 @@ def _placed_columns(ds, support):
 
 @pytest.mark.parametrize("layout", ["contiguous", "uneven", "scattered"])
 def test_refinement_columns_are_the_design_columns_bit_for_bit(layout):
-    """_columns takes a support's columns of a working design, gathered from
-    the dataset's column index or, where an epoch built the design's dense
-    twin, copied from it, with the bytes of the stored values placed in
-    column-major order, equal to scipy's column slice ds.A[:, S], and
-    F-contiguous: on the dataset's working design and on a cut, for an L1 support
-    of scattered coordinates that holds a column with no stored entry and the
+    """_columns takes a support's columns of a working design, copied from
+    the dataset's dense copy on a dense dataset, else gathered from its
+    column index, with the bytes of the stored values placed in column-major
+    order, equal to scipy's column slice ds.A[:, S], and F-contiguous: on
+    the dataset's working design and on a cut, for an L1 support of
+    scattered coordinates that holds a column with no stored entry and the
     stored 0.0 and -0.0, a group-L2 support of whole blocks, one column, and
     the empty column alone, each taken by its working-column ids, in the
-    design's block-major order. The index gather builds no twin."""
-    spec, empty = _signed_zero_instance(layout)
-    ds, part = spec.dataset, spec.partition
-    signed = np.flatnonzero(np.bincount(ds.A.indices[ds.A.data == 0.0], minlength=ds.d))
-    for twin in (False, True):
-        work = _compact(spec, np.arange(part.q))
-        for w in (work, _compact(spec, np.array([0, 1, part.q - 1]))):
-            if twin:
-                assert w.dense is not None  # as the epoch's _plan reads it
-            feats = np.sort(w.features)
-            supports = (np.union1d(feats[::3], np.concatenate([[empty], signed])),
-                        np.sort(np.concatenate([part.groups[b] for b in w.blocks[::-2]])),
-                        feats[-1:], np.array([empty]))
-            for support in supports:
-                ids = np.flatnonzero(np.isin(w.features, support))
-                assert ids.size == support.size  # w holds every feature of support
-                got = _columns(ds, w, ids)
-                want = _placed_columns(ds, w.features[ids])
-                assert got.flags.f_contiguous and got.shape == want.shape
-                assert got.dtype == want.dtype
-                assert got.tobytes(order="A") == want.tobytes(order="A")
-                assert np.array_equal(got, ds.A[:, w.features[ids]].toarray())
-            assert ("dense" in vars(w)) == twin
+    design's block-major order. Neither storage builds a working design's
+    dense cells (_Working.dense)."""
+    for kind in STORAGES:
+        with storage(kind):
+            spec, empty = _signed_zero_instance(layout)
+            ds, part = spec.dataset, spec.partition
+            assert ds.dense == (kind == "dense")
+            signed = np.flatnonzero(np.bincount(ds.A.indices[ds.A.data == 0.0],
+                                                minlength=ds.d))
+            work = _compact(spec, np.arange(part.q))
+            for w in (work, _compact(spec, np.array([0, 1, part.q - 1]))):
+                feats = np.sort(w.features)
+                supports = (np.union1d(feats[::3], np.concatenate([[empty], signed])),
+                            np.sort(np.concatenate([part.groups[b] for b in w.blocks[::-2]])),
+                            feats[-1:], np.array([empty]))
+                for support in supports:
+                    ids = np.flatnonzero(np.isin(w.features, support))
+                    assert ids.size == support.size  # w holds every feature of support
+                    got = _columns(w, ids)
+                    want = _placed_columns(ds, w.features[ids])
+                    assert got.flags.f_contiguous and got.shape == want.shape
+                    assert got.dtype == want.dtype
+                    assert got.tobytes(order="A") == want.tobytes(order="A")
+                    assert np.array_equal(got, ds.A[:, w.features[ids]].toarray())
+                assert "dense" not in vars(w)
+
+
+def test_refinement_columns_of_a_dense_dataset_read_no_column_index(monkeypatch):
+    """On a dense dataset _columns copies the columns from the dataset's dense
+    copy: the refinement of a model on the working design over every block
+    never calls the column index's gather, and the dataset builds none."""
+    with storage("dense"):
+        spec, _ = _signed_zero_instance("contiguous")
+        ds = spec.dataset
+        monkeypatch.setattr(G.solvers, "_column_rows", None)  # a call would raise
+        work = _compact(spec, np.arange(spec.partition.q))
+        got = _columns(work, np.array([0, 4, 14]))
+    assert ds.dense and ("columns",) not in ds._memo
+    assert got.tobytes(order="A") == _placed_columns(ds, np.array([0, 4, 14])).tobytes(order="A")
 
 
 def test_a_refinement_allocates_nothing_of_the_datasets_width():
@@ -871,18 +891,23 @@ def test_a_refinement_allocates_nothing_of_the_datasets_width():
 
 def test_the_references_refinement_builds_no_dense_twin():
     """The reference refines on the dataset's working design over every block,
-    on which no epoch ran: _refined_certificate gathers its columns from the
-    column index and leaves the twin unbuilt, though the design is dense enough
-    to have one, and returns what it returns on a design whose twin is built."""
-    spec = REFINE_CASES["l1-squared"]()
-    x = G.reference_solve(spec, tol=1e-8).x_final
-    work = _whole(spec)
-    x_r, ev = _certificate(spec, x, work)
-    assert "dense" not in vars(work)
-    twinned = _whole(spec)
-    assert twinned.dense is not None
-    x_t, ev_t = _certificate(spec, x, twinned)
-    assert x_r.tobytes() == x_t.tobytes() and (ev[0], ev[3]) == (ev_t[0], ev_t[3])
+    on which no epoch ran: on either storage _refined_certificate leaves that
+    design's dense cells (_Working.dense) unread, and returns what it returns
+    on a design that has read them, the dataset's dense copy itself on a
+    dense dataset."""
+    for kind in STORAGES:
+        with storage(kind):
+            spec = REFINE_CASES["l1-squared"]()
+            ds = spec.dataset
+            assert ds.dense == (kind == "dense")
+            x = G.reference_solve(spec, tol=1e-8).x_final
+            work = _whole(spec)
+            x_r, ev = _certificate(spec, x, work)
+            assert "dense" not in vars(work)
+            read = _whole(spec)
+            assert read.dense is (ds.cells() if ds.dense else None)
+            x_t, ev_t = _certificate(spec, x, read)
+        assert x_r.tobytes() == x_t.tobytes() and (ev[0], ev[3]) == (ev_t[0], ev_t[3])
 
 
 # The bincount planner and kernel that the compiled CSR loops replaced, kept
@@ -923,66 +948,68 @@ def _bincount_steps(loss, x, work, y, g_snap, batches, ibs, mu, x_ref, mu_p):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(monkeypatch, seed):
-    """On random sparse designs, stored sparse at any density (_RHO = inf),
+def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(seed):
+    """On random sparse designs, stored sparse at any density (the sparse
+    storage),
     _plan and step_gradient give, step by step, the bytes of the bincount
     planner and kernel they replaced: on contiguous and scattered partitions,
     on the full design and on cuts that empty rows, for repeated rows, full
     batches and steps whose block holds none of the batch's entries, with and
     without mu_p, for both losses. Each block step gives the bytes of the
     full-vector step of its batch on its block's columns."""
-    monkeypatch.setattr(G.solvers, "_RHO", math.inf)
-    rng = np.random.default_rng(seed)
-    n, d = int(rng.integers(6, 30)), int(rng.integers(8, 60))
-    a = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
-    a *= rng.random(size=(n, d)) < rng.uniform(0.05, 0.5)
-    a[rng.integers(0, n, size=2)] = 0.0  # rows with no entries at all
-    q = int(rng.integers(2, min(d, 8) + 1))
-    if seed % 2:  # scattered: every q-th feature of a shuffled order, sorted
-        perm = rng.permutation(d)
-        part = G.BlockPartition([np.sort(perm[j::q]) for j in range(q)])
-    else:
-        part = G.BlockPartition.contiguous(d, q)
-    model = "logistic" if seed % 3 == 0 else "squared"
-    y = (rng.random(n) < 0.5) * 1.0 if model == "logistic" else rng.normal(size=n)
-    spec = G.ProblemSpec(dataset=G.Dataset(a, y), partition=part, loss=G.LOSSES[model],
-                         reg=G.REGULARIZERS["l1"], lam=1.0)
-    work = _compact(spec, np.arange(q))
-    kept = np.sort(rng.choice(q, size=int(rng.integers(1, q)), replace=False))
-    checked = 0
-    for w in (work, _compact(spec, kept)):
-        p = w.features.size
-        x, mu, x_ref = (rng.normal(size=p) for _ in range(3))
-        g_snap = rng.normal(size=n)
-        for mu_p in (0.0, 0.25):
-            for c, b in ((9, 4), (5, 1), (3, n)):
-                batches = rng.integers(0, n, size=(c, b))
-                batches[0] = batches[0, 0]  # one row, repeated
-                if b == n:
-                    batches = np.broadcast_to(np.arange(n), (c, n))  # full batches
-                grads = {}
-                for ibs in (rng.integers(0, w.blocks.size, size=c), None):
-                    want = _bincount_steps(spec.loss, x, w, y, g_snap, batches, ibs, mu,
-                                           x_ref, mu_p)
-                    got = [step_gradient(spec.loss, x, *args, lo, hi, mu, x_ref, mu_p)
-                           for args, lo, hi in _plan(w, y, g_snap, c, batches, ibs)]
-                    assert len(got) == c
-                    for g, ref in zip(got, want):
-                        assert g.dtype == np.float64 and g.tobytes() == ref.tobytes()
-                    grads[ibs is None] = ibs, got
-                    checked += c
-                (ibs, blocks), (_, full) = grads[False], grads[True]
-                for ib, g, f in zip(ibs, blocks, full, strict=True):
-                    lo, hi = w.layout.offsets[ib], w.layout.offsets[ib + 1]
-                    assert g.tobytes() == f[lo:hi].tobytes()
-        # a block with no entries in the batch: a step over empty rows
-        empty = np.flatnonzero(np.diff(w.indptr) == 0)
-        batch = np.full((1, 3), empty[0])
-        for ib in range(w.blocks.size):
-            (args, lo, hi), = _plan(w, y, g_snap, 1, batch, np.array([ib]))
-            got = step_gradient(spec.loss, x, *args, lo, hi, mu, x_ref, 0.0)
-            assert got.tobytes() == (mu[lo:hi] + 0.0).tobytes()
-    assert checked == 2 * 2 * 2 * (9 + 5 + 3)
+    with storage("sparse"):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(6, 30)), int(rng.integers(8, 60))
+        a = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+        a *= rng.random(size=(n, d)) < rng.uniform(0.05, 0.5)
+        a[rng.integers(0, n, size=2)] = 0.0  # rows with no entries at all
+        q = int(rng.integers(2, min(d, 8) + 1))
+        if seed % 2:  # scattered: every q-th feature of a shuffled order, sorted
+            perm = rng.permutation(d)
+            part = G.BlockPartition([np.sort(perm[j::q]) for j in range(q)])
+        else:
+            part = G.BlockPartition.contiguous(d, q)
+        model = "logistic" if seed % 3 == 0 else "squared"
+        y = (rng.random(n) < 0.5) * 1.0 if model == "logistic" else rng.normal(size=n)
+        spec = G.ProblemSpec(dataset=G.Dataset(a, y), partition=part, loss=G.LOSSES[model],
+                             reg=G.REGULARIZERS["l1"], lam=1.0)
+        assert not spec.dataset.dense
+        work = _compact(spec, np.arange(q))
+        kept = np.sort(rng.choice(q, size=int(rng.integers(1, q)), replace=False))
+        checked = 0
+        for w in (work, _compact(spec, kept)):
+            p = w.features.size
+            x, mu, x_ref = (rng.normal(size=p) for _ in range(3))
+            g_snap = rng.normal(size=n)
+            for mu_p in (0.0, 0.25):
+                for c, b in ((9, 4), (5, 1), (3, n)):
+                    batches = rng.integers(0, n, size=(c, b))
+                    batches[0] = batches[0, 0]  # one row, repeated
+                    if b == n:
+                        batches = np.broadcast_to(np.arange(n), (c, n))  # full batches
+                    grads = {}
+                    for ibs in (rng.integers(0, w.blocks.size, size=c), None):
+                        want = _bincount_steps(spec.loss, x, w, y, g_snap, batches, ibs, mu,
+                                               x_ref, mu_p)
+                        got = [step_gradient(spec.loss, x, *args, lo, hi, mu, x_ref, mu_p)
+                               for args, lo, hi in _plan(w, y, g_snap, c, batches, ibs)]
+                        assert len(got) == c
+                        for g, ref in zip(got, want):
+                            assert g.dtype == np.float64 and g.tobytes() == ref.tobytes()
+                        grads[ibs is None] = ibs, got
+                        checked += c
+                    (ibs, blocks), (_, full) = grads[False], grads[True]
+                    for ib, g, f in zip(ibs, blocks, full, strict=True):
+                        lo, hi = w.layout.offsets[ib], w.layout.offsets[ib + 1]
+                        assert g.tobytes() == f[lo:hi].tobytes()
+            # a block with no entries in the batch: a step over empty rows
+            empty = np.flatnonzero(np.diff(w.indptr) == 0)
+            batch = np.full((1, 3), empty[0])
+            for ib in range(w.blocks.size):
+                (args, lo, hi), = _plan(w, y, g_snap, 1, batch, np.array([ib]))
+                got = step_gradient(spec.loss, x, *args, lo, hi, mu, x_ref, 0.0)
+                assert got.tobytes() == (mu[lo:hi] + 0.0).tobytes()
+        assert checked == 2 * 2 * 2 * (9 + 5 + 3)
 
 
 def test_the_compiled_loops_see_only_checked_batches(monkeypatch):
@@ -990,84 +1017,99 @@ def test_the_compiled_loops_see_only_checked_batches(monkeypatch):
     batch, an out-of-range block and an x of the wrong length with ValueError
     before any compiled loop runs, since those loops check no bounds; int32,
     uint8 and intp batches give the same bytes."""
-    spec = make_instance(seed=4, n=45, d=24, q=4, sparsity=0.1)
-    x, xt = np.linspace(-1.0, 1.0, 24), np.zeros(24)
-    mu = G.full_gradient(spec, xt)
-    calls = []
-    for module, name in ((G.problem, "csr_row_index"), (G.solvers, "csr_matvec"),
-                         (G.solvers, "csc_matvec")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
-    monkeypatch.setattr(G.solvers, "_RHO", math.inf)  # the sparse storage
-    public = (lambda xv, batch, block: G.partial_gradient(spec, xv, batch, block),
-              lambda xv, batch, block: G.vr_gradient(spec, xv, xt, mu, batch, block))
-    for grad in public:
-        for xv, batch, block in ((x, [-1], 0), (x, [3, 45], 1), (x, [0, 2 ** 40], 2),
-                                 (x, np.array([-3], np.int32), 0), (x, [0], 4),
-                                 (x, [0], -1), (x[:20], [0], 0), (x, [0.0], 0)):
-            with pytest.raises(ValueError):
-                grad(xv, batch, block)
-        assert calls == []
-        outs = {grad(x, np.array([7, 0, 44, 7], dtype=t), 1).tobytes()
-                for t in (np.int32, np.uint8, np.intp)}
-        assert len(outs) == 1
-        assert calls == ["csr_row_index", "csr_matvec", "csc_matvec"] * 3
-        calls.clear()
+    with storage("sparse"):
+        spec = make_instance(seed=4, n=45, d=24, q=4, sparsity=0.1)
+        assert not spec.dataset.dense
+        x, xt = np.linspace(-1.0, 1.0, 24), np.zeros(24)
+        mu = G.full_gradient(spec, xt)
+        calls = []
+        for module, name in ((G.problem, "csr_row_index"), (G.solvers, "csr_matvec"),
+                             (G.solvers, "csc_matvec")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        public = (lambda xv, batch, block: G.partial_gradient(spec, xv, batch, block),
+                  lambda xv, batch, block: G.vr_gradient(spec, xv, xt, mu, batch, block))
+        for grad in public:
+            for xv, batch, block in ((x, [-1], 0), (x, [3, 45], 1), (x, [0, 2 ** 40], 2),
+                                     (x, np.array([-3], np.int32), 0), (x, [0], 4),
+                                     (x, [0], -1), (x[:20], [0], 0), (x, [0.0], 0)):
+                with pytest.raises(ValueError):
+                    grad(xv, batch, block)
+            assert calls == []
+            outs = {grad(x, np.array([7, 0, 44, 7], dtype=t), 1).tobytes()
+                    for t in (np.int32, np.uint8, np.intp)}
+            assert len(outs) == 1
+            assert calls == ["csr_row_index", "csr_matvec", "csc_matvec"] * 3
+            calls.clear()
 
 
 # ----------------------------------------------------------- dense storage
 
 def _two_density_instance():
-    """A 10 x 100 design in 20 blocks of 5: block 0 full, block 1 empty and
-    blocks 2-19 one entry each, 68 entries over 1,000 cells."""
+    """A dense 10 x 100 design in 20 blocks of 5, 557 entries over 1,000
+    cells: blocks 0 and 3-11 full, block 1 empty, block 2 full but for one
+    cell and blocks 12-19 one entry each."""
     a = np.zeros((10, 100))
     a[:, :5] = np.arange(1.0, 51.0).reshape(10, 5)
-    a[np.arange(18) % 10, 10 + 5 * np.arange(18)] = -1.5
+    a[:, 10:60] = np.arange(1.0, 501.0).reshape(10, 50) / 7.0
+    a[4, 12] = 0.0
+    a[np.arange(8), 60 + 5 * np.arange(8)] = -1.5
     spec = G.ProblemSpec(dataset=G.Dataset(a, np.ones(10)),
                          partition=G.BlockPartition.contiguous(100, 20),
                          loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
+    assert spec.dataset.A.nnz == 557 and spec.dataset.dense
     return spec, a
 
 
-def test_storage_follows_each_cut_density(monkeypatch):
-    """A working design has a dense twin exactly when it stores at least
-    _RHO * n * p entries, judged design by design over a chain of cuts, and
-    the twin is A[:, features] in the working column order."""
-    monkeypatch.setattr(G.solvers, "_RHO", 0.1)  # the chain's densities straddle it
+def test_storage_follows_each_cut_density():
+    """On a dense dataset the working design over every block of a
+    contiguous partition reads the dataset's dense copy itself, no second
+    array. A cut has dense cells exactly where it stores at least half its
+    n * p cells, judged design by design over a chain of cuts: the columns
+    of the copy, C-ordered, with the bits of A[:, features].toarray() in the
+    working column order. A cut below half its cells has none, and so has
+    every design of a sparse dataset."""
     spec, a = _two_density_instance()
-    chain = [(_compact(spec, np.arange(20)), False)]  # 68 / 1000
-    for kept, dense in (([0, 1, 2, 3], True),   # 52 / 200
-                        ([0, 1], True),         # 50 / 100
-                        ([1, 2, 3], False),     # 2 / 150
-                        ([1], False)):          # 0 / 50, a subset of a dense cut's
-        chain.append((_compact(spec, np.array(kept)), dense))
-    for w, dense in chain:
+    ds = spec.dataset
+    whole = _compact(spec, np.arange(20))
+    assert whole.dense is ds.cells()
+    for kept, dense in (([0, 1, 2, 3], True),    # 149 / 200
+                        ([0, 1], True),          # 50 / 100, the boundary
+                        ([1, 2], False),         # 49 / 100, one entry fewer
+                        ([1, 12, 13], False),    # 2 / 150
+                        ([1], False)):           # 0 / 50
+        w = _compact(spec, np.array(kept))
         assert (w.dense is not None) == dense
         if dense:
             assert w.dense.dtype == np.float64 and w.dense.flags.c_contiguous
+            assert w.dense.tobytes() == ds.A[:, w.features].toarray().tobytes()
+    # a scattered partition's dense cells follow its block-by-block numbering
+    with storage("dense"):
+        spec, a, _ = _kernel_instance("scattered")
+        work = _compact(spec, np.arange(4))
+        for w in (work, _compact(spec, np.array([1, 3]))):
+            assert w.dense.flags.c_contiguous and w.dense is not spec.dataset.cells()
             assert np.array_equal(w.dense, a[:, w.features])
-    # the boundary: 50 entries over 100 cells
-    for rho, dense in ((0.5, True), (np.nextafter(0.5, 1.0), False)):
-        monkeypatch.setattr(G.solvers, "_RHO", rho)
-        assert (_compact(spec, np.array([0, 1])).dense is not None) == dense
-    # a scattered partition's dense twin follows its block-by-block numbering
-    spec, a, _ = _kernel_instance("scattered")
-    monkeypatch.setattr(G.solvers, "_RHO", 0.0)
-    work = _compact(spec, np.arange(4))
-    for w in (work, _compact(spec, np.array([1, 3]))):
-        assert np.array_equal(w.dense, a[:, w.features])
+    # a sparse dataset's designs have none, the densest cut included
+    with storage("sparse"):
+        spec = dataclasses.replace(spec, dataset=G.Dataset(a, np.ones(12)))
+        assert not spec.dataset.dense
+        for kept in (np.arange(4), np.array([1, 3])):
+            assert _compact(spec, kept).dense is None
+    assert ("dense",) not in spec.dataset._memo
 
 
-def test_the_density_boundary_picks_the_rows_plan_gathers(monkeypatch):
-    """At the module's _RHO, a design of exactly _RHO * n * p stored entries
-    gets a dense twin and one with an entry fewer does not, and _plan yields
-    dense rows exactly where the twin exists: each step's rows of the twin,
-    as a (b, p) array, with the y, snapshot derivatives and columns lo:hi the
+def test_the_density_boundary_picks_the_rows_plan_gathers():
+    """At the module's _DENSE_SHARE, a dataset of exactly _DENSE_SHARE * n * p
+    stored entries is dense, and its working design over every block reads
+    its dense copy; one with an entry fewer is neither. _plan yields dense
+    rows exactly where the design has dense cells: each step's rows of the
+    copy, as a (b, p) array, with the y, snapshot derivatives and columns lo:hi the
     sparse plan of the same design gives, and a gradient equal to the sparse
     one's to rounding."""
     n, p, q = 10, 20, 4
-    at = G.solvers._RHO * n * p
+    at = G.problem._DENSE_SHARE * n * p
     assert at == int(at) > 1
     rng = np.random.default_rng(8)
     cells = rng.permutation(n * p)
@@ -1083,11 +1125,11 @@ def test_the_density_boundary_picks_the_rows_plan_gathers(monkeypatch):
                              partition=G.BlockPartition.contiguous(p, q),
                              loss=G.LOSSES["squared"], reg=G.REGULARIZERS["l1"], lam=1.0)
         work = _compact(spec, np.arange(q))
-        assert spec.dataset.A.nnz == stored and (work.dense is not None) == dense
-        monkeypatch.setattr(G.solvers, "_RHO", math.inf)
-        sparse = _compact(spec, np.arange(q))
-        assert sparse.dense is None
-        monkeypatch.undo()
+        assert spec.dataset.A.nnz == stored and spec.dataset.dense == dense
+        assert work.dense is (spec.dataset.cells() if dense else None)
+        with storage("sparse"):
+            sparse = _compact(dataclasses.replace(spec, dataset=G.Dataset(a, y)), np.arange(q))
+            assert sparse.dense is None
         for step_ibs in (ibs, None):
             steps = list(_plan(work, y, g_snap, 5, batches, step_ibs))
             want = list(_plan(sparse, y, g_snap, 5, batches, step_ibs))
@@ -1117,18 +1159,19 @@ def _storage_instance(case):
 @pytest.mark.parametrize("case", ["lasso", "logistic-group", "scattered", "mu-p",
                                   "full-batch"])
 @pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "proxsvrg"])
-def test_dense_and_sparse_storage_solve_alike(monkeypatch, case, solver):
+def test_dense_and_sparse_storage_solve_alike(case, solver):
     """The same seed draws the same rows and blocks on both storages, so the
     two solves screen, pick working sets and stop alike; their gaps differ
     only by the rounding of another summation order."""
-    spec = _storage_instance(case)
-    cfg = G.SolverConfig(solver=solver, seed=5, eta=tuned_eta(spec), gap_tol=1e-6,
-                         max_outer=40, batch_size=spec.dataset.n if case == "full-batch"
-                         else None)
     reps = []
-    for rho in STORAGES:
-        monkeypatch.setattr(G.solvers, "_RHO", rho)
-        reps.append(G.solve(spec, cfg))
+    for kind in STORAGES:
+        with storage(kind):
+            spec = _storage_instance(case)
+            assert spec.dataset.dense == (kind == "dense")
+            cfg = G.SolverConfig(solver=solver, seed=5, eta=tuned_eta(spec), gap_tol=1e-6,
+                                 max_outer=40,
+                                 batch_size=spec.dataset.n if case == "full-batch" else None)
+            reps.append(G.solve(spec, cfg))
     sparse, dense = reps
     assert dense.outer_iters == sparse.outer_iters
     assert dense.coord_updates == sparse.coord_updates
@@ -1137,15 +1180,16 @@ def test_dense_and_sparse_storage_solve_alike(monkeypatch, case, solver):
     assert [r.working_blocks for r in dense.trace] == [r.working_blocks
                                                        for r in sparse.trace]
     assert [r.restart for r in dense.trace] == [r.restart for r in sparse.trace]
-    # an optimal refined point's gap sits at the rounding of its objective, so
-    # a refined row's gaps may instead differ by a few ulps of P
+    # the dense storage's evaluations form A x and A'g on the dataset's copy,
+    # in another order, and an optimal refined point's gap sits at the
+    # rounding of its objective, so a row's gaps may instead differ by a few
+    # ulps of P (at most 2.4 over these cases)
     for d_row, s_row in zip(dense.trace, sparse.trace):
         ulps = 8.0 * np.finfo(float).eps * abs(s_row.objective)
-        assert d_row.gap == pytest.approx(
-            s_row.gap, rel=1e-9, abs=ulps if s_row.restart == "refined" else 0.0)
+        assert d_row.gap == pytest.approx(s_row.gap, rel=1e-9, abs=ulps)
 
 
-def test_dense_storage_reruns_bit_for_bit(monkeypatch):
+def test_dense_storage_reruns_bit_for_bit():
     """step_gradient's BLAS products on dense rows must not depend on where
     the arrays lie: on copies of its inputs at every 8-byte offset within 64
     bytes it gives the same bits, and so does a whole dense solve run twice
@@ -1164,13 +1208,14 @@ def test_dense_storage_reruns_bit_for_bit(monkeypatch):
             xb_at[...], x_at[...] = x_b, x
             outs.add(step_gradient(loss, x_at, xb_at, y, g, lo, hi, mu, x, 0.1).tobytes())
         assert len(outs) == 1
-    monkeypatch.setattr(G.solvers, "_RHO", 0.0)
-    spec = _storage_instance("logistic-group")
-    cfg = G.SolverConfig(seed=2, eta=tuned_eta(spec), gap_tol=1e-9, max_outer=15,
-                         keep_iterates=True)
-    first = G.solve(spec, cfg)
-    ballast = [np.ones(k) for k in (3, 17, 1001, 4099)]  # noqa: F841 (moves the heap)
-    second = G.solve(spec, cfg)
+    with storage("dense"):
+        spec = _storage_instance("logistic-group")
+        assert spec.dataset.dense
+        cfg = G.SolverConfig(seed=2, eta=tuned_eta(spec), gap_tol=1e-9, max_outer=15,
+                             keep_iterates=True)
+        first = G.solve(spec, cfg)
+        ballast = [np.ones(k) for k in (3, 17, 1001, 4099)]  # noqa: F841 (moves the heap)
+        second = G.solve(spec, cfg)
     assert [r.gap for r in first.trace] == [r.gap for r in second.trace]
     assert all(np.array_equal(u, v) for u, v in zip(first.iterates, second.iterates,
                                                     strict=True))
@@ -1227,12 +1272,14 @@ def test_epoch_draws_once_per_chunk_and_never_past_its_steps(monkeypatch, solver
     chunk = max(1, _CHUNK_ENTRIES // per_step)
     drawn = (batch_size if batch_size < 30 else 0) + (solver == "mrbcd")
     want = [drawn * min(chunk, m - done) for done in range(0, m, chunk)] * 3
-    for rho in STORAGES:
-        monkeypatch.setattr(G.solvers, "_RHO", rho)
-        monkeypatch.setattr(_CountingGenerator, "draws", [])
-        rep = G.solve(spec, G.SolverConfig(solver=solver, seed=7, m=m, max_outer=3,
-                                           batch_size=batch_size, gap_tol=1e-12,
-                                           eta=tuned_eta(spec)))
+    for kind in STORAGES:
+        with storage(kind):
+            spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
+            assert spec.dataset.dense == (kind == "dense")
+            monkeypatch.setattr(_CountingGenerator, "draws", [])
+            rep = G.solve(spec, G.SolverConfig(solver=solver, seed=7, m=m, max_outer=3,
+                                               batch_size=batch_size, gap_tol=1e-12,
+                                               eta=tuned_eta(spec)))
         assert rep.outer_iters == 3
         assert _CountingGenerator.draws == want
 
@@ -1247,9 +1294,11 @@ def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver
     |W|, q) on W, every one of them for the solvers that never screen, and 0
     on a row no epoch produced. A full-vector step updates every working
     column."""
-    spec = _scattered_lasso() if solver in ("mrbcd", "proxsvrg") else make_instance(
-        seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
-    prox = type(spec.reg).block_prox
+    def build():
+        return _scattered_lasso() if solver in ("mrbcd", "proxsvrg") else make_instance(
+            seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
+
+    prox = type(G.REGULARIZERS["l1"]).block_prox
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -1260,14 +1309,17 @@ def test_every_inner_step_calls_the_kernel_and_the_prox_once(monkeypatch, solver
         return wrapper
 
     monkeypatch.setattr(G.solvers, "step_gradient", counted(None, G.solvers.step_gradient))
-    monkeypatch.setattr(type(spec.reg), "block_prox", counted("prox", prox))
-    m, q = 45, spec.partition.q
-    for rho, kernel in zip(STORAGES, ("sparse", "dense")):
-        monkeypatch.setattr(G.solvers, "_RHO", rho)
-        counts = {"sparse": 0, "dense": 0, "prox": 0}
-        rep = G.solve(spec, G.SolverConfig(solver=solver, seed=3, m=m, max_outer=6,
-                                           batch_size=batch_size, gap_tol=1e-12,
-                                           eta=tuned_eta(spec)))
+    monkeypatch.setattr(type(G.REGULARIZERS["l1"]), "block_prox", counted("prox", prox))
+    m = 45
+    for kernel in STORAGES:
+        with storage(kernel):
+            spec = build()
+            assert spec.dataset.dense == (kernel == "dense")
+            counts = {"sparse": 0, "dense": 0, "prox": 0}
+            rep = G.solve(spec, G.SolverConfig(solver=solver, seed=3, m=m, max_outer=6,
+                                               batch_size=batch_size, gap_tol=1e-12,
+                                               eta=tuned_eta(spec)))
+        q = spec.partition.q
         widths = [r.working_blocks for r in rep.trace[1:]]
         steps = [r.inner_steps for r in rep.trace[1:]]
         budgets = [inner_budget(m, w, q) if w else 0 for w in widths]
@@ -3540,8 +3592,8 @@ def test_a_non_finite_or_runaway_row_still_diverges(monkeypatch, gate, shift, ma
         state["found"] |= out is not None
         return out
 
-    def shifted(ds, work, x, v):
-        z = matvec(ds, work, x, v)
+    def shifted(work, x, v):
+        z = matvec(work, x, v)
         return z + shift if state["found"] and not state["refining"] else z
 
     monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
@@ -3955,9 +4007,9 @@ PRODUCT_CASES = {
 }
 
 
-@pytest.mark.parametrize("rho", STORAGES, ids=["sparse", "dense"])
+@pytest.mark.parametrize("kind", STORAGES)
 @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
-def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
+def test_every_product_has_the_full_designs_bytes(monkeypatch, case, kind):
     """Each A x a solve forms runs on a working design that holds x's
     support, or on a dense dataset on its dense copy (Dataset.matvec); a
     point nonzero off that working design would lose terms and could certify
@@ -3972,42 +4024,43 @@ def test_every_product_has_the_full_designs_bytes(monkeypatch, case, rho):
     whose screens drop blocks where x_hat is nonzero, on both storages. A solve
     that passes a row the design of an earlier epoch than the one that
     produced its point fails here."""
-    monkeypatch.setattr(G.solvers, "_RHO", rho)
-    spec = PRODUCT_CASES[case]()
-    ds = spec.dataset
-    checked = {"evaluate": 0, "refinement": 0, "row": 0}
-    evaluate, certificate = G.solvers.evaluate, G.solvers._refined_certificate
-    certify = G.solvers._certify
+    with storage(kind):
+        spec = PRODUCT_CASES[case]()
+        ds = spec.dataset
+        assert ds.dense == (kind == "dense")
+        checked = {"evaluate": 0, "refinement": 0, "row": 0}
+        evaluate, certificate = G.solvers.evaluate, G.solvers._refined_certificate
+        certify = G.solvers._certify
 
-    def spied_evaluate(spec, x, z):
-        assert z.tobytes() == ds.matvec(x).tobytes()
-        assert ds.dense or z.tobytes() == (ds.A @ x).tobytes()
-        checked["evaluate"] += 1
-        return evaluate(spec, x, z)
+        def spied_evaluate(spec, x, z):
+            assert z.tobytes() == ds.matvec(x).tobytes()
+            assert ds.dense or z.tobytes() == (ds.A @ x).tobytes()
+            checked["evaluate"] += 1
+            return evaluate(spec, x, z)
 
-    def spied_certificate(spec, work, v):
-        assert v.shape == work.features.shape
-        checked["refinement"] += 1
-        return certificate(spec, work, v)
+        def spied_certificate(spec, work, v):
+            assert v.shape == work.features.shape
+            checked["refinement"] += 1
+            return certificate(spec, work, v)
 
-    def spied_certify(spec, v, evaluation, gap_tol, model, slot, work):
-        assert G.primal_objective(spec, _on(spec, work, v)) == evaluation[0]
-        checked["row"] += 1
-        return certify(spec, v, evaluation, gap_tol, model, slot, work)
+        def spied_certify(spec, v, evaluation, gap_tol, model, slot, work):
+            assert G.primal_objective(spec, _on(spec, work, v)) == evaluation[0]
+            checked["row"] += 1
+            return certify(spec, v, evaluation, gap_tol, model, slot, work)
 
-    monkeypatch.setattr(G.solvers, "evaluate", spied_evaluate)
-    monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
-    monkeypatch.setattr(G.solvers, "_certify", spied_certify)
-    # the logistic group-L2 step that makes a screen drop a nonzero block
-    block_eta = tuned_eta(spec, 1.0 if case == "logistic-group" else 4.0)
-    for solver, eta in (("adsgd", block_eta), ("mrbcd", block_eta),
-                        ("proxsvrg", tuned_eta(spec, 16.0))):
-        for batch_size in (1, 10, ds.n):
-            G.solve(spec, G.SolverConfig(solver=solver, seed=49, gap_tol=1e-10, max_outer=40,
-                                         m=ds.n, batch_size=batch_size, eta=eta))
-    rep = G.reference_solve(spec, tol=1e-10)
-    assert rep.converged
-    assert checked["evaluate"] > 0 and checked["refinement"] > 0 and checked["row"] > 0
+        monkeypatch.setattr(G.solvers, "evaluate", spied_evaluate)
+        monkeypatch.setattr(G.solvers, "_refined_certificate", spied_certificate)
+        monkeypatch.setattr(G.solvers, "_certify", spied_certify)
+        # the logistic group-L2 step that makes a screen drop a nonzero block
+        block_eta = tuned_eta(spec, 1.0 if case == "logistic-group" else 4.0)
+        for solver, eta in (("adsgd", block_eta), ("mrbcd", block_eta),
+                            ("proxsvrg", tuned_eta(spec, 16.0))):
+            for batch_size in (1, 10, ds.n):
+                G.solve(spec, G.SolverConfig(solver=solver, seed=49, gap_tol=1e-10, max_outer=40,
+                                             m=ds.n, batch_size=batch_size, eta=eta))
+        rep = G.reference_solve(spec, tol=1e-10)
+        assert rep.converged
+        assert checked["evaluate"] > 0 and checked["refinement"] > 0 and checked["row"] > 0
 
 
 class _Tripwire(sp.csr_matrix):
