@@ -49,11 +49,11 @@ from scipy.special import expit, xlogy
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index, csr_tocsc
 
 # A design that stores at least this share of its n * d cells keeps a dense
-# copy (Dataset.cells), and so does a cut of it for its own cells
-# (solvers._Working.dense). At density 0.6 a dense A x or A'v took 0.27-0.80
-# of the compiled CSR loop's time over 2000 x 40, 500 x 500, 1000 x 1000,
-# 200 x 2000 and 5000 x 100, and 0.95-2.45 of it at density 0.2 (one thread,
-# best of 5 timeit runs of 50 calls).
+# copy (Dataset.cells), and a set of its columns that stores this share of
+# its own cells reads them from that copy (Dataset.dense_columns). At density
+# 0.6 a dense A x or A'v took 0.27-0.80 of the compiled CSR loop's time over
+# 2000 x 40, 500 x 500, 1000 x 1000, 200 x 2000 and 5000 x 100, and 0.95-2.45
+# of it at density 0.2 (one thread, best of 5 timeit runs of 50 calls).
 _DENSE_SHARE = 0.5
 
 # OpenBLAS (0.3.31) splits a matrix-vector product of 460,800 cells or more
@@ -179,6 +179,17 @@ class Dataset:
             out.flags.writeable = False
             return out
         return self.memo(("dense",), build)
+
+    def dense_columns(self, features, stored):
+        """The distinct columns features, storing `stored` entries, as C-ordered
+        (n, k) cells of the copy (cells) where they store _DENSE_SHARE of
+        them, else None: the copy itself if they are all d in order, else one
+        np.take of its columns (cells[:, features] is F-ordered)."""
+        if not self.dense or stored < _DENSE_SHARE * self.n * features.size:
+            return None
+        if features.size == self.d and not np.any(np.diff(features) < 0):
+            return self.cells()
+        return np.take(self.cells(), features, axis=1)
 
     def _chunks(self):
         """The dense copy (cells) as [(rows, cells)]: a slice of whole rows and

@@ -148,7 +148,8 @@ the row sums. Every step gathers its batch's rows, a full batch (batch_size
 The dataset's storage is the one storage decision (Dataset.dense): a dataset
 that stores at least half its cells keeps one dense copy, and each working
 design of it that stores that share of its own cells reads its steps' rows
-from the copy (_Working.dense), not from the entries. The sparse loops gather
+from the copy (Dataset.dense_columns, read by _Working.dense), not from the
+entries. The sparse loops gather
 and index every entry, which a BLAS product over the cells outruns where most
 cells are stored, and a sparse cut stored dense would multiply mostly zeros.
 The two storages sum in different orders, so their iterates agree to
@@ -197,7 +198,6 @@ import numpy as np
 
 from .duality import (ActiveSet, DualPoint, _padded_gap, _rounding, column_bounds, evaluate,
                        safe_radius, screen)
-from . import problem
 from .problem import (BlockPartition, Dataset, DegenerateProblemError, _column_rows, _cut,
                       _gather_rows, _is_count, _is_real, _vector, csc_matvec, csr_matvec,
                       lipschitz_constants, primal_objective, smooth_gradient, smooth_value)
@@ -389,15 +389,10 @@ class _Working:
 
     @functools.cached_property
     def dense(self):
-        """The design's cells, C-ordered (n, p), from the dataset's dense copy
-        (Dataset.cells), or None: the one test of which rows _plan gathers,
-        made when first read. Over every block of a contiguous partition it
-        is the copy itself; any other design takes the copy's columns (one
-        np.take) where it stores _DENSE_SHARE of its n p cells, else None."""
-        ds, vals = self.dataset, self.entries[1]
-        if not ds.dense or vals.size < problem._DENSE_SHARE * ds.n * self.features.size:
-            return None
-        return ds.cells() if vals is ds.A.data else np.take(ds.cells(), self.features, axis=1)
+        """The design's cells, C-ordered (n, p), or None: Dataset.dense_columns
+        of its features, the one test of which rows _plan gathers, made when
+        first read; over every block of a contiguous partition the copy itself."""
+        return self.dataset.dense_columns(self.features, self.entries[1].size)
 
 
 def _compact(spec, blocks):
@@ -446,7 +441,7 @@ def _compact(spec, blocks):
 # 0.98; adsgd 0.92 on logistic-group, inside its 2.2-2.4 ms spread between
 # rounds; everything else within 1.5%. A dense design's chunk of the same steps
 # gathers b * p cells a step; its longest row holds at least _DENSE_SHARE * p
-# entries (_Working.dense), so a chunk holds at most _CHUNK_ENTRIES /
+# entries (Dataset.dense_columns), so a chunk holds at most _CHUNK_ENTRIES /
 # _DENSE_SHARE = 65,536 cells, 0.5 MB of float64.
 _CHUNK_ENTRIES = 1 << 15
 
@@ -548,12 +543,11 @@ def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     """One step's gradient on `block`, in feature ids: a one-step chunk of the
     engine's epoch plan on the dataset's working design, run by _plan and
     step_gradient as an epoch runs it. x_tilde is the snapshot and mu its
-    smooth gradient; the snapshot's derivatives come from Dataset.matvec, the
-    bits of an evaluation's, which on a dense dataset may sum a row in
-    another order than that row alone. Without x_tilde the snapshot is
-    zero: zero derivatives, a zero gradient and a zero point, so the kernel's
-    formula gives the plain mini-batch gradient (x - 0, g - 0 and adding +0
-    are exact).
+    smooth gradient; its derivatives have an evaluation's bits (Dataset.matvec:
+    a dense dataset's whole product, a sparse one's batch rows, summed in the
+    same order). Without x_tilde the snapshot is zero: zero derivatives,
+    gradient and point, whose terms in the kernel's formula are exact (x - 0,
+    g - 0, + 0), so it gives the plain mini-batch gradient.
     """
     ds = spec.dataset
     work = _compact(spec, np.arange(spec.partition.q))
@@ -561,7 +555,8 @@ def _block_step(spec, x, batch, block, x_tilde=None, mu=None):
     if x_tilde is None:
         x_tilde = mu = np.zeros(ds.d)
     else:
-        g_snap[batch] = spec.loss.deriv(ds.matvec(x_tilde)[batch], ds.y[batch])
+        z = ds.matvec(x_tilde)[batch] if ds.dense else ds.A[batch] @ x_tilde
+        g_snap[batch] = spec.loss.deriv(z, ds.y[batch])
     f = work.features  # working column p holds feature f[p]
     (args, lo, hi), = _plan(work, ds.y, g_snap, 1, batch[None], np.array([block]))
     return step_gradient(spec.loss, x[f], *args, lo, hi, mu[f], x_tilde[f], spec.mu_p)

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import gapsgd as G
+from gapsgd.duality import _rounding, evaluate
 from gapsgd.harness import SyntheticParams, build_spec, generate_synthetic
 from gapsgd.problem import _cut, _gather_rows, soft_threshold
 from gapsgd.solvers import (_CHUNK_ENTRIES, _columns, _compact, _one_pass_bound, _plan,
@@ -1161,18 +1162,20 @@ def _storage_instance(case):
 @pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "proxsvrg"])
 def test_dense_and_sparse_storage_solve_alike(case, solver):
     """The same seed draws the same rows and blocks on both storages, so the
-    two solves screen, pick working sets and stop alike; their gaps differ
-    only by the rounding of another summation order."""
-    reps = []
+    two solves screen, pick working sets and stop alike; their points differ
+    only by the rounding of another summation order, and so do their gaps
+    on the same products."""
+    reps, specs = [], []
     for kind in STORAGES:
         with storage(kind):
             spec = _storage_instance(case)
             assert spec.dataset.dense == (kind == "dense")
             cfg = G.SolverConfig(solver=solver, seed=5, eta=tuned_eta(spec), gap_tol=1e-6,
-                                 max_outer=40,
+                                 max_outer=40, keep_iterates=True,
                                  batch_size=spec.dataset.n if case == "full-batch" else None)
             reps.append(G.solve(spec, cfg))
-    sparse, dense = reps
+            specs.append(spec)
+    (sparse, dense), dense_spec = reps, specs[1]
     assert dense.outer_iters == sparse.outer_iters
     assert dense.coord_updates == sparse.coord_updates
     assert [h.tolist() for h in dense.active_history] == [
@@ -1180,13 +1183,26 @@ def test_dense_and_sparse_storage_solve_alike(case, solver):
     assert [r.working_blocks for r in dense.trace] == [r.working_blocks
                                                        for r in sparse.trace]
     assert [r.restart for r in dense.trace] == [r.restart for r in sparse.trace]
-    # the dense storage's evaluations form A x and A'g on the dataset's copy,
-    # in another order, and an optimal refined point's gap sits at the
-    # rounding of its objective, so a row's gaps may instead differ by a few
-    # ulps of P (at most 2.4 over these cases)
-    for d_row, s_row in zip(dense.trace, sparse.trace):
-        ulps = 8.0 * np.finfo(float).eps * abs(s_row.objective)
-        assert d_row.gap == pytest.approx(s_row.gap, rel=1e-9, abs=ulps)
+    for rep, spec in zip(reps, specs):
+        assert [r.gap for r in rep.trace] == [
+            evaluate(spec, x, spec.dataset.matvec(x))[3] for x in rep.iterates]
+    # the dataset's storage also sets the order of an evaluation's sums, so the
+    # two sides' points are compared, and evaluated on the same products, the
+    # dense dataset's. rel=1e-9 asks for more bits than a computed P - D
+    # holds where 1e-9 gap is below its rounding bound (duality._rounding):
+    # there two points a few ulps apart may give gaps an ulp of P apart, and
+    # an optimal refined point's gap, at the rounding of its objective, may
+    # move by a few ulps of P
+    eps, ds = np.finfo(float).eps, dense_spec.dataset
+    for d_row, x_d, x_s in zip(dense.trace, dense.iterates, sparse.iterates, strict=True):
+        np.testing.assert_allclose(x_d, x_s, rtol=0, atol=16 * eps * np.abs(x_s).max())
+        obj, _, dp, gap = evaluate(dense_spec, x_s, ds.matvec(x_s))
+        slack = 0.0
+        if d_row.restart == "refined":
+            slack = 8 * eps * abs(obj)
+        elif 1e-9 * gap < _rounding(dense_spec, obj, dp.value):
+            slack = 2 * eps * abs(obj)
+        assert d_row.gap == pytest.approx(gap, rel=1e-9, abs=slack)
 
 
 def test_dense_storage_reruns_bit_for_bit():
