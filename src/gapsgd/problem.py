@@ -8,8 +8,10 @@ so concurrent solves at worst compute one twice, to the same bits. Dataset.dense
 is the one storage decision: a dataset that stores at least half its cells
 keeps one dense copy of them (Dataset.cells), on which every whole-design
 product runs (OpenBLAS) and from which the solvers' steps and refinements read
-their rows and columns. Any other dataset's products run on its CSR arrays
-(scipy's compiled loops), and its columns are read by _cut or _column_rows.
+their rows and columns; a set of its columns that stores that share of its own
+cells is judged from per-column counts, with no column read. Any other
+dataset's products run on its CSR arrays (scipy's compiled loops), and its
+columns are read by _cut or _column_rows.
 
 BlockPartition is the one block layout: the problem's partition, and the
 solvers' working design over the surviving blocks, are each one. The working
@@ -180,12 +182,23 @@ class Dataset:
             return out
         return self.memo(("dense",), build)
 
-    def dense_columns(self, features, stored):
-        """The distinct columns features, storing `stored` entries, as C-ordered
-        (n, k) cells of the copy (cells) where they store _DENSE_SHARE of
-        them, else None: the copy itself if they are all d in order, else one
-        np.take of its columns (cells[:, features] is F-ordered)."""
-        if not self.dense or stored < _DENSE_SHARE * self.n * features.size:
+    def dense_columns(self, features):
+        """The distinct columns features as C-ordered (n, k) cells of the copy
+        (cells) where they store _DENSE_SHARE of them, else None: the copy
+        itself if they are all d in order, else one np.take of its columns
+        (cells[:, features] is F-ordered). Their stored entries are counted
+        from each column's count, kept in the memo (key ("column_counts",)):
+        O(nnz) once per dense dataset, then O(k) a call, and no column is
+        read."""
+        if not self.dense:
+            return None
+        def build():
+            counts = np.bincount(self.A.indices, minlength=self.d)
+            counts.flags.writeable = False
+            return counts
+
+        counts = self.memo(("column_counts",), build)
+        if counts[features].sum() < _DENSE_SHARE * self.n * features.size:
             return None
         if features.size == self.d and not np.any(np.diff(features) < 0):
             return self.cells()

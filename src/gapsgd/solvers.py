@@ -123,37 +123,43 @@ plan: _compact builds the dataset's working design over every block, and
 _plan and step_gradient take the batch and block as a chunk of one step.
 partial_gradient is the same step on a zero snapshot.
 
-The working design is plain CSR over a set of block ids, in the stored index
-type: the row pointers plus one array each of the column and value of every
-stored entry, in CSR order, with its columns numbered block by block: block
-ib of its layout is the column range offsets[ib]:offsets[ib + 1], and
-features maps each column to its feature. A contiguous partition is already
-in that order; a scattered one is renumbered. An epoch's design is built
-only where its blocks differ from the last epoch's (_compact): over every
-block of a contiguous partition it is the dataset's CSR arrays themselves;
-any other is cut from one column index per dataset, the CSR of A'
-(problem._cut), at a cost in the kept entries and n. The safe set is only
-block ids: a screening solve cuts a design for each epoch's W, or for the
-safe set where W falls back to it, and builds none over every block unless
-an epoch runs on every block. The inner loop runs in those working columns:
-the iterate, snapshot, snapshot gradient and running average hold one entry
-per feature of W, gathered from and scattered back to feature ids through
+The working design is the design on a set of block ids, with its columns
+numbered block by block: block ib of its layout is the column range
+offsets[ib]:offsets[ib + 1], and features maps each column to its feature. A
+contiguous partition is already in that order; a scattered one is
+renumbered. An epoch's design is made only where its blocks differ from the
+last epoch's (_compact), and it builds each of its two storages (_Working)
+only when first read. Its CSR arrays, in the stored index type, are the row
+pointers plus one array each of the column and value of every stored entry,
+in CSR order: over every block of a contiguous partition the dataset's CSR
+arrays themselves, any other cut from one column index per dataset, the CSR
+of A' (problem._cut), at a cost in the kept entries and n. The safe set is
+only block ids: a screening solve makes a design for each epoch's W, or for
+the safe set where W falls back to it, and none over every block unless an
+epoch runs on every block. The inner loop runs in those working columns: the
+iterate, snapshot, snapshot gradient and running average hold one entry per
+feature of W, gathered from and scattered back to feature ids through
 features, and each sampled row contributes only its entries in W. That is
 where screening and the working set cut the cost of a step, not just the
 number of steps. Coordinates off W are exact zeros, and a cut keeps each
 row's entries in their CSR order, so it removes only vals * 0.0 terms from
-the row sums. Every step gathers its batch's rows, a full batch (batch_size
-== n) being the batch of every row.
+the row sums. Every sampled step gathers its batch's rows; a full batch
+(batch_size == n) reads the design in place.
 
 The dataset's storage is the one storage decision (Dataset.dense): a dataset
 that stores at least half its cells keeps one dense copy, and each working
-design of it that stores that share of its own cells reads its steps' rows
-from the copy (Dataset.dense_columns, read by _Working.dense), not from the
-entries. The sparse loops gather
-and index every entry, which a BLAS product over the cells outruns where most
-cells are stored, and a sparse cut stored dense would multiply mostly zeros.
-The two storages sum in different orders, so their iterates agree to
-rounding, not bit for bit; each is deterministic for a seed.
+design of it that stores that share of its own cells has dense cells, its
+columns of the copy (Dataset.dense_columns, read by _Working.dense), judged
+from per-column counts. Such a design's steps read their rows from those
+cells, its refinements' columns and its A x come from the copy (_columns,
+_matvec), and its chunks are sized by cells (_epoch), so nothing reads its
+CSR arrays and none is cut: on a dense dataset whose cuts keep that share,
+no working design builds the column index (the group-L2 screening bounds
+still read it). The sparse loops gather and index every
+entry, which a BLAS product over the cells outruns where most cells are
+stored, and a sparse cut stored dense would multiply mostly zeros. The two
+storages sum in different orders, so their iterates agree to rounding, not
+bit for bit; each is deterministic for a seed.
 
 The reference solver is FISTA with backtracking and momentum restarts. Its
 step constant starts at the one-pass bound c * max(max_i ||a_i||^2, max_j
@@ -371,64 +377,89 @@ class _Working:
     Working column p holds feature features[p]: the columns list the blocks
     `blocks`, in increasing id, and each block's features in increasing
     order, so block ib of the layout, block blocks[ib], is the columns
-    layout.offsets[ib]:layout.offsets[ib + 1]. entries holds (cols, vals) of
-    every stored entry in CSR order, and row r's entries are [indptr[r],
-    indptr[r + 1]): plain CSR in the stored index type, 12 bytes per stored
-    entry with int32 indices, the arrays of scipy's A[:, features]. While
-    every block of a contiguous partition is kept, they are the dataset's
-    CSR arrays and layout is spec.partition itself. _compact builds it, with
-    the dataset it was cut from.
+    layout.offsets[ib]:layout.offsets[ib + 1]. _compact builds it, with the
+    dataset it was cut from. It has two storages, each built when first read
+    and kept: its dense cells (dense), and its CSR arrays (indptr and
+    entries). A design with dense cells reads only those, so its CSR is never
+    built.
     """
 
     blocks: np.ndarray
     features: np.ndarray
-    indptr: np.ndarray
-    entries: tuple
     layout: BlockPartition
     dataset: Dataset
 
     @functools.cached_property
     def dense(self):
         """The design's cells, C-ordered (n, p), or None: Dataset.dense_columns
-        of its features, the one test of which rows _plan gathers, made when
-        first read; over every block of a contiguous partition the copy itself."""
-        return self.dataset.dense_columns(self.features, self.entries[1].size)
+        of its features, the one test of which storage _plan reads; over every
+        block of a contiguous partition the copy itself."""
+        return self.dataset.dense_columns(self.features)
+
+    @functools.cached_property
+    def _csr(self):
+        """(indptr, cols, vals): plain CSR in the stored index type, 12 bytes
+        per stored entry with int32 indices, the arrays of scipy's A[:,
+        features]. Over all d features in increasing order they are the
+        dataset's CSR arrays themselves, not a copy. Any other set is cut
+        (problem._cut): the features' columns, taken in increasing feature
+        id, so each row holds its kept entries in their CSR order and every
+        row and block sum adds the same products in the same order. Their
+        columns are then renumbered to the working order, the identity where
+        the features rise, as on a contiguous partition."""
+        ds, features = self.dataset, self.features
+        falls = np.any(np.diff(features) < 0)
+        if features.size == ds.d and not falls:
+            return ds.A.indptr, ds.A.indices, ds.A.data
+        # the working column of each feature in increasing id, where they do not rise
+        order = np.argsort(features) if falls else None
+        indptr, cols, vals = _cut(ds, features if order is None else features[order])
+        if order is not None:
+            cols = order.astype(cols.dtype)[cols]
+        return indptr, cols, vals
+
+    @property
+    def indptr(self):
+        """Row r's entries are [indptr[r], indptr[r + 1]) (_csr)."""
+        return self._csr[0]
+
+    @property
+    def entries(self):
+        """(cols, vals) of every stored entry in CSR order (_csr)."""
+        return self._csr[1:]
+
+    def step_reads(self, b):
+        """What a step of b sampled rows reads of the design: b * p cells of
+        its dense cells, else the entries of its b longest CSR rows."""
+        if self.dense is not None:
+            return b * self.features.size
+        return b * int(np.diff(self.indptr).max())
 
 
 def _compact(spec, blocks):
     """Working design of the increasing block ids `blocks`.
 
-    Over every block of a contiguous partition it is the dataset's CSR
-    arrays themselves, not a copy. Any other is cut (problem._cut): the kept
-    features' columns, taken in increasing feature id, so each row holds its
-    kept entries in their CSR order and every row and block sum adds the
-    same products in the same order. Their columns are then renumbered to
-    the blocks' order, the identity where the kept features rise, as on a
-    contiguous partition. Every design keeps the stored index type, and reads
-    its steps' rows from the dataset's dense copy where it has one
-    (_Working.dense).
+    Over every block of a contiguous partition its layout is spec.partition
+    itself, and its CSR the dataset's arrays; any other's layout is built
+    from its blocks' sizes. It builds neither storage (_Working): a design
+    reads its steps' rows from the dataset's dense copy where it has dense
+    cells, and is cut only where its CSR is read.
     """
     part, ds = spec.partition, spec.dataset
     if blocks.size == part.q and not np.any(np.diff(part.order) < 0):
-        a = ds.A
-        return _Working(blocks=blocks, features=part.order, indptr=a.indptr,
-                        entries=(a.indices, a.data), layout=part, dataset=ds)
+        return _Working(blocks=blocks, features=part.order, layout=part, dataset=ds)
     sizes = part.sizes[blocks]
     ends = np.cumsum(sizes)
     features = part.order[np.arange(ends[-1]) + np.repeat(part.offsets[blocks] - ends + sizes,
                                                           sizes)]
-    # the working column of each kept feature in increasing id, where they do not rise
-    order = np.argsort(features) if np.any(np.diff(features) < 0) else None
-    indptr, cols, vals = _cut(ds, features if order is None else features[order])
-    if order is not None:
-        cols = order.astype(cols.dtype)[cols]
-    return _Working(blocks=blocks, features=features, indptr=indptr,
-                    entries=(cols, vals), layout=BlockPartition.from_sizes(sizes), dataset=ds)
+    return _Working(blocks=blocks, features=features, layout=BlockPartition.from_sizes(sizes),
+                    dataset=ds)
 
 
-# Stored entries one chunk of an epoch plan may gather. Planning a chunk holds
-# about 12 bytes per entry at its peak, the gathered int32 columns and float64
-# values (16 with int64 indices), for block and full-vector steps alike
+# Stored entries, or dense cells, one chunk of an epoch plan may gather.
+# Planning a sparse chunk holds about 12 bytes per entry at its peak, the
+# gathered int32 columns and float64 values (16 with int64 indices), for block
+# and full-vector steps alike
 # (tracemalloc, 1000 x 5000, 20000 and 100000 designs at 2%), so a chunk peaks
 # near 0.4 MB, and at batch 10 it spreads the per-chunk calls over 25-80 steps
 # on rows of 40-130 entries (23 steps, a peak of 0.29 MB on the benchmark's
@@ -439,42 +470,49 @@ def _compact(spec, blocks):
 # three alternating rounds, in process on one core of a 2-core x86-64 host):
 # mrbcd 0.89 on lasso-sparse and 0.98 on logistic-group, proxsvrg 0.96 and
 # 0.98; adsgd 0.92 on logistic-group, inside its 2.2-2.4 ms spread between
-# rounds; everything else within 1.5%. A dense design's chunk of the same steps
-# gathers b * p cells a step; its longest row holds at least _DENSE_SHARE * p
-# entries (Dataset.dense_columns), so a chunk holds at most _CHUNK_ENTRIES /
-# _DENSE_SHARE = 65,536 cells, 0.5 MB of float64.
+# rounds; everything else within 1.5%. A chunk on a design's dense cells
+# gathers b * p cells a step, and is sized by them, so it holds at most
+# _CHUNK_ENTRIES cells, 0.25 MB of float64; a full batch gathers nothing.
 _CHUNK_ENTRIES = 1 << 15
 
 
 def _plan(work, y, g_snap, c, batches, ibs):
     """The c steps of one chunk, gathered at once.
 
-    batches is a (c, b) intp array of the rows each step takes, a full
-    batch's being every row; ibs holds the c sampled block ranks in
-    work.blocks, which number the blocks of work.layout, or is None for
-    full-vector steps. Returns an iterator of one ((rows, y_t, g_t), lo, hi)
-    per step: the step's rows of the design, y and the snapshot's
-    derivatives on its batch, and the working columns lo:hi it updates, its
-    block's or all of them. The rows come from work's storage: from its
-    cells (_Working.dense), one take gathers every step's, and rows is the
-    step's (b, p) array; else one _gather_rows call fetches them, and rows is
-    (cols, vals, rp), the chunk's entries and the step's b + 1 row pointers
-    into them, a view of the chunk's, so a step slices no entry array. A
-    step's entries lie in the order a gather of its batch alone would give
-    them, so its sums add the same terms in the same order.
+    batches is a (c, b) intp array of the rows each step takes, or None for
+    a full batch, whose every step takes every row in order; ibs holds the c
+    sampled block ranks in work.blocks, which number the blocks of
+    work.layout, or is None for full-vector steps. Returns an iterator of one
+    ((rows, y_t, g_t), lo, hi) per step: the step's rows of the design, y and
+    the snapshot's derivatives on its batch, and the working columns lo:hi it
+    updates, its block's or all of them. The rows come from work's storage.
+    A full batch reads the design in place: its (n, p) cells
+    (_Working.dense), or (cols, vals, indptr), its CSR arrays, with y and
+    g_snap whole, for every step. Otherwise, from its cells one take gathers
+    every step's, and rows is the step's (b, p) array; else one _gather_rows
+    call fetches them, and rows is (cols, vals, rp), the chunk's entries and
+    the step's b + 1 row pointers into them, a view of the chunk's, so a step
+    slices no entry array. A step's entries lie in the order a gather of its
+    batch alone would give them, the design's own order for a full batch, so
+    its sums add the same terms in the same order.
     """
-    b = batches.shape[1]
-    if work.dense is not None:
-        rows = work.dense.take(batches, axis=0)  # iterated step by step
+    if batches is None:
+        rows = work.dense if work.dense is not None else (*work.entries, work.indptr)
+        steps = [(rows, y, g_snap)] * c
     else:
-        cols, vals, rp = _gather_rows(work.indptr, work.entries, batches)
-        rows = ((cols, vals, rp[s:s + b + 1]) for s in range(0, c * b, b))
+        b = batches.shape[1]
+        if work.dense is not None:
+            rows = work.dense.take(batches, axis=0)  # iterated step by step
+        else:
+            cols, vals, rp = _gather_rows(work.indptr, work.entries, batches)
+            rows = ((cols, vals, rp[s:s + b + 1]) for s in range(0, c * b, b))
+        steps = zip(rows, y[batches], g_snap[batches])
     if ibs is None:
         los, his = [0] * c, [work.features.size] * c
     else:
         offsets = work.layout.offsets
         los, his = offsets[ibs].tolist(), offsets[ibs + 1].tolist()
-    return zip(zip(rows, y[batches], g_snap[batches]), los, his)
+    return zip(steps, los, his)
 
 
 def step_gradient(loss, x, rows, y, g_ref, lo, hi, mu, x_ref, mu_p):
@@ -749,15 +787,20 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     Under a zero _REFINE_COST no model passes the gate, so such an epoch
     takes every step, as one that never screens.
 
-    The steps are planned in chunks, each gathering at most _CHUNK_ENTRIES
-    entries and cut at the last step. A chunk makes one rng.integers call,
+    The steps are planned in chunks, each cut at the last step and holding
+    at most _CHUNK_ENTRIES of what its sampled steps read
+    (_Working.step_reads): b * p cells a step on work's dense cells, and on
+    its CSR arrays the entries of b longest rows. So nothing reads a dense
+    design's CSR arrays, and the two storages' chunks differ where rows are
+    not full. A full batch gathers nothing, so its epoch is one chunk. A
+    chunk makes one rng.integers call,
     whose bounds list n for every batch row and the number of working blocks
     for every block draw, in step order. A full batch (batch_size == n)
-    draws no rows: each of its steps takes every row, in order, and is
-    gathered like any other batch, at the cost of a copy of the design. A
-    bounded draw consumes the Philox stream alike alone or in an array
-    (tests pin this), so the chunks draw the values of step-by-step draws
-    and leave the stream in their state, on both storages alike. An epoch
+    draws no rows: each of its steps takes every row, in order, reading the
+    design in place (_plan). A bounded draw consumes the Philox stream alike
+    alone or in an array (tests pin this), so the chunks draw the values of
+    step-by-step draws and leave the stream in their state, whatever their
+    size, on both storages alike. An epoch
     that ends at a check inside a chunk restores the generator's state from
     before that chunk's draw and draws the bounds of the steps it took
     again, so it too leaves the stream where step-by-step draws would, and
@@ -801,9 +844,9 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
     x_sum = np.zeros(wfeat.size)
     g_ref, mu = evaluation[1], evaluation[2].gradient[wfeat]
     classes = None if block_sampling else work.layout.classes
-    per_step = (batch_size * int(np.diff(work.indptr).max()) if sampled
-                else work.entries[0].size)
-    chunk = max(1, _CHUNK_ENTRIES // max(1, per_step))
+    # a full batch reads the design in place (_plan): one chunk, nothing gathered
+    chunk = (max(1, _CHUNK_ENTRIES // max(1, work.step_reads(batch_size))) if sampled
+             else max(1, steps))
     highs = np.array([n] * (batch_size if sampled else 0)
                      + [width] * block_sampling)
     # the step after which the next check runs, 0 once none is left
@@ -820,8 +863,7 @@ def _epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, block_sam
             state = rng.bit_generator.state
         draws = (rng.integers(0, np.tile(highs, c)).reshape(c, -1) if highs.size
                  else None)
-        batches = (draws[:, :batch_size] if sampled
-                   else np.broadcast_to(np.arange(n), (c, n)))
+        batches = draws[:, :batch_size] if sampled else None
         ibs = draws[:, -1] if block_sampling else None
         for t, (args, lo, hi) in enumerate(_plan(work, y, g_ref, c, batches, ibs), done + 1):
             grad = step_gradient(loss, x_cur, *args, lo, hi, mu, x_tilde, mu_p)

@@ -496,10 +496,16 @@ def test_a_cut_allocates_its_kept_entries_not_the_datasets():
 
 
 def test_only_the_solvers_that_cut_build_the_column_index(monkeypatch):
-    """On a fresh Dataset an mrbcd or a proxsvrg solve, which runs every
-    epoch on every block and never refines, leaves no ("columns",) memo
-    entry. An adsgd solve builds it once, as A.tocsc()'s arrays, read-only,
-    and a second adsgd solve on that dataset reuses the same object."""
+    """On a fresh sparse Dataset an mrbcd or a proxsvrg solve, which runs
+    every epoch on every block and never refines, leaves no ("columns",)
+    memo entry. An adsgd solve builds it once, as A.tocsc()'s arrays,
+    read-only, and a second adsgd solve on that dataset reuses the same
+    object. On a dense dataset whose cuts store at least half their cells,
+    an adsgd solve, which cuts a design for each new working set and
+    refines, never calls problem._cut: each design reads its steps' rows
+    from the dataset's dense copy, its refinements' columns from that copy
+    (_columns) and its A x from the copy's product (_matvec). So it leaves
+    no ("columns",) memo entry either, and no design builds CSR arrays."""
     builds, build = [], G.problem._column_index
     monkeypatch.setattr(G.problem, "_column_index",
                         lambda a: builds.append(None) or build(a))
@@ -520,6 +526,19 @@ def test_only_the_solvers_that_cut_build_the_column_index(monkeypatch):
     assert index[1].dtype == np.int32  # 12 bytes per stored entry
     G.solve(spec, dataclasses.replace(cfg, seed=1))
     assert memo[("columns",)] is index and len(builds) == 1
+    builds.clear()
+    cuts, works, compact = [], [], G.solvers._compact
+    monkeypatch.setattr(G.solvers, "_cut", lambda *a: cuts.append(None) or _cut(*a))
+    monkeypatch.setattr(G.solvers, "_compact", lambda *a: works.append(compact(*a)) or works[-1])
+    spec = make_instance(seed=1, n=60, d=80, q=10, sparsity=1.0)
+    assert spec.dataset.dense and spec.dataset.A.nnz == 60 * 80
+    rep = G.solve(spec, G.SolverConfig(solver="adsgd", seed=0, gap_tol=1e-6, max_outer=40,
+                                       eta=tuned_eta(spec, 1.0)))
+    assert rep.converged and any(r.restart == "refined" for r in rep.trace)
+    assert min(r.working_blocks for r in epoch_rows(rep)) < spec.partition.q
+    assert len(works) > 1 and all(w.dense is not None for w in works)
+    assert cuts == [] and builds == [] and ("columns",) not in spec.dataset._memo
+    assert all("_csr" not in vars(w) for w in works)
 
 
 def _row_ids(rp):
@@ -589,7 +608,7 @@ def test_step_gradient_matches_dense_reference(layout):
         blocks = work.blocks
         for batch in (np.array([4, 4, 0, 11, 5, 4]), np.array([3]), np.array([5, 3]),
                       np.arange(12)):
-            # the last is a full batch, every row in order, as the engine takes it
+            # the last is every row in order, the rows of a full batch
             rows = a[batch]
             # a zero snapshot, without and with the perturbation, then a real one
             for g_ref, mu_c, x_ref, mu_p in ((g_zero, zero, zero, 0.0),
@@ -650,9 +669,10 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
     order, that planning each step by itself gives, and one step's plan is a
     per-step gather; a block step, like a full-vector step, passes as its
     rows the chunk's own cols and vals and a view of its row pointers, and
-    updates its block's columns or all of them. A full batch, every row in
-    order as the engine passes it, is gathered like any other and holds the
-    design's own entries, y and g_snap."""
+    updates its block's columns or all of them. A batch of every row in
+    order is gathered like any other and holds the design's own entries, y
+    and g_snap; the engine's full batch is not gathered at all
+    (test_a_full_batch_steps_on_the_design_in_place)."""
     with storage("sparse"):
         spec, _, rng = _kernel_instance(layout)
         assert not spec.dataset.dense
@@ -704,9 +724,9 @@ def test_plan_of_a_chunk_matches_its_steps_planned_alone(layout):
 
 @pytest.mark.parametrize("layout", ["contiguous", "scattered"])
 def test_all_rows_gather_is_the_gather_of_every_row(layout):
-    """The engine's full batch, every row in order for each of c steps, gathers
-    the working design's entries c times over, its row pointers being indptr's
-    shifted by the entries of the steps before."""
+    """A batch of every row in order for each of c steps gathers the working
+    design's entries c times over, its row pointers being indptr's shifted by
+    the entries of the steps before."""
     spec, _, _ = _kernel_instance(layout)
     work = _compact(spec, np.arange(spec.partition.q))
     for w in (work, _compact(spec, np.array([1, 3]))):
@@ -955,7 +975,8 @@ def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(seed):
     _plan and step_gradient give, step by step, the bytes of the bincount
     planner and kernel they replaced: on contiguous and scattered partitions,
     on the full design and on cuts that empty rows, for repeated rows, full
-    batches and steps whose block holds none of the batch's entries, with and
+    batches, gathered and read in place as the engine steps them, and steps
+    whose block holds none of the batch's entries, with and
     without mu_p, for both losses. Each block step gives the bytes of the
     full-vector step of its batch on its block's columns."""
     with storage("sparse"):
@@ -992,11 +1013,13 @@ def test_compiled_sparse_steps_give_the_bincount_kernels_bytes(seed):
                     for ibs in (rng.integers(0, w.blocks.size, size=c), None):
                         want = _bincount_steps(spec.loss, x, w, y, g_snap, batches, ibs, mu,
                                                x_ref, mu_p)
-                        got = [step_gradient(spec.loss, x, *args, lo, hi, mu, x_ref, mu_p)
-                               for args, lo, hi in _plan(w, y, g_snap, c, batches, ibs)]
-                        assert len(got) == c
-                        for g, ref in zip(got, want):
-                            assert g.dtype == np.float64 and g.tobytes() == ref.tobytes()
+                        # the engine's full batch steps on the design in place
+                        for planned in (batches, None) if b == n else (batches,):
+                            got = [step_gradient(spec.loss, x, *args, lo, hi, mu, x_ref, mu_p)
+                                   for args, lo, hi in _plan(w, y, g_snap, c, planned, ibs)]
+                            assert len(got) == c
+                            for g, ref in zip(got, want):
+                                assert g.dtype == np.float64 and g.tobytes() == ref.tobytes()
                         grads[ibs is None] = ibs, got
                         checked += c
                     (ibs, blocks), (_, full) = grads[False], grads[True]
@@ -1063,28 +1086,58 @@ def _two_density_instance():
     return spec, a
 
 
-def test_storage_follows_each_cut_density():
+def test_storage_follows_each_cut_density(monkeypatch):
     """On a dense dataset the working design over every block of a
     contiguous partition reads the dataset's dense copy itself, no second
     array. A cut has dense cells exactly where it stores at least half its
     n * p cells, judged design by design over a chain of cuts: the columns
     of the copy, C-ordered, with the bits of A[:, features].toarray() in the
-    working column order. A cut below half its cells has none, and so has
-    every design of a sparse dataset."""
+    working column order, and no CSR arrays until one is read, which then
+    cuts them. A cut below half its cells has none, and its CSR arrays are
+    problem._cut's, scipy's A[:, features], to the bit; so has every design
+    of a sparse dataset. An epoch on dense cells, whose rows are not full
+    here, gathers at most _CHUNK_ENTRIES cells a chunk: b * p cells a step."""
     spec, a = _two_density_instance()
     ds = spec.dataset
+    cuts = []
+    monkeypatch.setattr(G.solvers, "_cut", lambda *args: cuts.append(None) or _cut(*args))
     whole = _compact(spec, np.arange(20))
     assert whole.dense is ds.cells()
+    assert not ds._memo[("column_counts",)].flags.writeable  # shared by every solve
+    assert whole.indptr is ds.A.indptr and whole.entries[1] is ds.A.data and cuts == []
     for kept, dense in (([0, 1, 2, 3], True),    # 149 / 200
                         ([0, 1], True),          # 50 / 100, the boundary
                         ([1, 2], False),         # 49 / 100, one entry fewer
                         ([1, 12, 13], False),    # 2 / 150
                         ([1], False)):           # 0 / 50
         w = _compact(spec, np.array(kept))
-        assert (w.dense is not None) == dense
+        assert (w.dense is not None) == dense and cuts == []
         if dense:
             assert w.dense.dtype == np.float64 and w.dense.flags.c_contiguous
             assert w.dense.tobytes() == ds.A[:, w.features].toarray().tobytes()
+        # the CSR arrays, cut once when first read
+        want, cut = ds.A[:, w.features], _cut(ds, w.features)
+        for got, ref in zip((w.indptr, *w.entries), cut, strict=True):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        for got, ref in zip(cut, (want.indptr, want.indices, want.data), strict=True):
+            assert got.tobytes() == ref.astype(got.dtype).tobytes()
+        assert len(cuts) == 1
+        cuts.clear()
+    planned, plan = [], G.solvers._plan
+
+    def spied(work, y, g_snap, c, batches, ibs):
+        planned.append((work.dense is not None, batches.size * work.features.size))
+        return plan(work, y, g_snap, c, batches, ibs)
+
+    monkeypatch.setattr(G.solvers, "_plan", spied)
+    for kept in (np.arange(20), np.arange(4)):  # rows of at most 56 / 100 and 15 / 20
+        w = _compact(spec, kept)
+        x = np.zeros(100)
+        G.solvers._epoch(spec, w, x, evaluate(spec, x, np.zeros(10)), 500,
+                         np.random.Generator(np.random.Philox(0)), tuned_eta(spec), 5, True,
+                         None, 1e-6)
+    assert all(dense for dense, _ in planned) and cuts == []
+    assert _CHUNK_ENTRIES // 2 < max(cells for _, cells in planned) <= _CHUNK_ENTRIES
     # a scattered partition's dense cells follow its block-by-block numbering
     with storage("dense"):
         spec, a, _ = _kernel_instance("scattered")
@@ -1205,6 +1258,56 @@ def test_dense_and_sparse_storage_solve_alike(case, solver):
         assert d_row.gap == pytest.approx(gap, rel=1e-9, abs=slack)
 
 
+@pytest.mark.parametrize("solver", ["adsgd", "proxsvrg"])
+def test_a_full_batch_steps_on_the_design_in_place(monkeypatch, solver):
+    """A full batch (batch_size == n) steps on its working design itself: on
+    each storage, every step's rows are the design's (n, p) cells, or its
+    CSR arrays as (cols, vals, indptr), with y and the snapshot's
+    derivatives whole, so no step calls _gather_rows or takes rows of the
+    cells. Its iterates and gaps are, bit for bit, those of the same solve
+    whose every step gathers its batch of every row in order, as any other
+    batch is gathered."""
+    plan, gather = G.solvers._plan, G.solvers._gather_rows
+    read = []
+
+    def in_place(work, y, g_snap, c, batches, ibs):
+        assert batches is None
+        steps = list(plan(work, y, g_snap, c, batches, ibs))
+        for (rows, y_t, g_t), _, _ in steps:
+            if work.dense is not None:
+                assert rows is work.dense
+            else:
+                assert all(u is v for u, v in zip(rows, (*work.entries, work.indptr)))
+            assert y_t is y and g_t is g_snap
+        read.append("dense" if work.dense is not None else "sparse")
+        return iter(steps)
+
+    def gathered(work, y, g_snap, c, batches, ibs):
+        every_row = np.broadcast_to(np.arange(y.size), (c, y.size))
+        return plan(work, y, g_snap, c, every_row, ibs)
+
+    def no_gather(*args):
+        raise AssertionError("a full batch gathered its rows")
+
+    for kind in STORAGES:
+        reps = []
+        with storage(kind):
+            spec = _storage_instance("full-batch")
+            cfg = G.SolverConfig(solver=solver, seed=5, eta=tuned_eta(spec), gap_tol=1e-6,
+                                 max_outer=40, keep_iterates=True, batch_size=spec.dataset.n)
+            for planner, gather_rows in ((in_place, no_gather), (gathered, gather)):
+                monkeypatch.setattr(G.solvers, "_plan", planner)
+                monkeypatch.setattr(G.solvers, "_gather_rows", gather_rows)
+                reps.append(G.solve(spec, cfg))
+        assert read and set(read) == {kind}
+        read.clear()
+        steps, copied = reps
+        assert steps.converged and steps.outer_iters == copied.outer_iters
+        assert [r.gap for r in steps.trace] == [r.gap for r in copied.trace]
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(steps.iterates, copied.iterates,
+                                                              strict=True))
+
+
 def test_dense_storage_reruns_bit_for_bit():
     """step_gradient's BLAS products on dense rows must not depend on where
     the arrays lie: on copies of its inputs at every 8-byte offset within 64
@@ -1279,16 +1382,22 @@ class _CountingGenerator(np.random.Generator):
 def test_epoch_draws_once_per_chunk_and_never_past_its_steps(monkeypatch, solver,
                                                              batch_size, m):
     """One integers call per chunk, chunks sized by the entry cap and cut at m_k
-    (m = 40 fits one chunk); a full batch (30 rows) draws only blocks. Both
-    storages size their chunks alike, so they draw alike."""
+    (m = 40 fits one chunk); a full batch (30 rows) draws only blocks, and
+    gathers no rows, so its epoch is one chunk. The sparse storage sizes a
+    sampled chunk by the entries of a step's longest rows, and the dense
+    storage by a step's b * d cells, so their chunks differ where rows are
+    not full; both draw the same number of values in all."""
     spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
     monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
     a = spec.dataset.A
-    per_step = a.nnz if batch_size == 30 else batch_size * np.diff(a.indptr).max()
-    chunk = max(1, _CHUNK_ENTRIES // per_step)
+    per_step = {"sparse": batch_size * np.diff(a.indptr).max(),
+                "dense": batch_size * a.shape[1]}
+    assert per_step["sparse"] < per_step["dense"]
     drawn = (batch_size if batch_size < 30 else 0) + (solver == "mrbcd")
-    want = [drawn * min(chunk, m - done) for done in range(0, m, chunk)] * 3
+    totals = []
     for kind in STORAGES:
+        chunk = max(1, _CHUNK_ENTRIES // per_step[kind]) if batch_size < 30 else m
+        want = [drawn * min(chunk, m - done) for done in range(0, m, chunk)] * 3
         with storage(kind):
             spec = make_instance(seed=6, n=30, d=20, q=6, support=3, ratio=0.6)
             assert spec.dataset.dense == (kind == "dense")
@@ -1298,6 +1407,8 @@ def test_epoch_draws_once_per_chunk_and_never_past_its_steps(monkeypatch, solver
                                                eta=tuned_eta(spec)))
         assert rep.outer_iters == 3
         assert _CountingGenerator.draws == want
+        totals.append(sum(want))
+    assert totals[0] == totals[1]
 
 
 @pytest.mark.parametrize("solver", ["adsgd", "mrbcd", "proxsvrg"])
@@ -3730,11 +3841,18 @@ def test_screening_solves_refine_each_identified_model_once(monkeypatch, full_ba
     assert last.identified or last.restart != "refined"
 
 
-def _chunk_steps(spec, work, batch_size):
-    """The steps of one chunk of an epoch on work: _CHUNK_ENTRIES over the
-    entries a step may gather."""
-    entries = (batch_size * np.diff(work.indptr).max() if batch_size < spec.dataset.n
-               else work.entries[0].size)
+def _chunk_steps(spec, work, batch_size, steps):
+    """The steps of one chunk of an epoch of `steps` steps on work: all of
+    them for a full batch, which gathers nothing; else _CHUNK_ENTRIES over
+    the b * p cells a step reads from work's dense cells, where it has them,
+    and else over the entries a step may gather. A design with dense cells
+    has built no CSR arrays, so this reads them only on the sparse storage."""
+    if work.dense is not None:
+        assert "_csr" not in vars(work)
+    if batch_size == spec.dataset.n:
+        return steps
+    entries = batch_size * (work.features.size if work.dense is not None
+                            else np.diff(work.indptr).max())
     return max(1, G.solvers._CHUNK_ENTRIES // entries)
 
 
@@ -3770,7 +3888,7 @@ def test_an_epoch_ends_at_its_first_refinement_that_finds_a_point(monkeypatch):
         first = len(_CountingGenerator.draws)
         out = epoch(spec, work, *args)
         drawn.append(_CountingGenerator.draws[first:])
-        chunks.append(_chunk_steps(spec, work, args[5]))
+        chunks.append(_chunk_steps(spec, work, args[5], args[2]))
         return out
 
     monkeypatch.setattr(G.solvers, "_epoch", counted)
@@ -3915,10 +4033,10 @@ def test_an_epoch_that_ends_inside_a_chunk_leaves_the_per_step_stream(monkeypatc
     It then restores its generator and draws again the steps it took in that
     chunk, which leaves the stream where step-by-step draws of its steps
     would: the generator's next draw after the epoch is that of a per-step
-    drawer started where the epoch started. adsgd returns the same bits at
-    _CHUNK_ENTRIES = 1 (one step a chunk, which no check falls inside), the
-    default and 2**22 (one chunk an epoch), for a sampled and a full batch,
-    and some of its epochs end inside a chunk."""
+    drawer started where the epoch started. For a sampled batch adsgd returns
+    the same bits at _CHUNK_ENTRIES = 1 (one step a chunk, which no check
+    falls inside), the default and 2**22 (one chunk an epoch); a full batch's
+    epoch is one chunk at any cap. For both, some epochs end inside a chunk."""
     spec = SCREENED_RUNS[case]()
     n = spec.dataset.n
     epoch, inside = G.solvers._epoch, []
@@ -3932,7 +4050,7 @@ def test_an_epoch_that_ends_inside_a_chunk_leaves_the_per_step_stream(monkeypatc
         start = rng.bit_generator.state
         out = epoch(spec, work, x_hat, evaluation, steps, rng, eta, batch_size, *args)
         taken = out[4]
-        if taken % _chunk_steps(spec, work, batch_size) and taken < steps:
+        if taken % _chunk_steps(spec, work, batch_size, steps) and taken < steps:
             per_step = drawer(start)
             for _ in range(taken):
                 if batch_size < n:
